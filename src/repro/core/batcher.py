@@ -30,8 +30,9 @@ this simulator's sessions already expose:
   their losing replicas) before the round launches.
 
 The batcher owns no fleet bookkeeping: admission, arrival offsets, KV
-restore/growth charging and request settlement stay in
-:meth:`~repro.core.fleet.TTSFleet.drain`, passed in as hooks. Timing is
+restore/growth charging and request settlement stay with the fleet's run
+state (``repro.core.fleet._FleetRun``), whose bound methods are passed in
+as hooks. Timing is
 the only thing batching changes — every token and score draw is keyed, so
 a batched run's answers are byte-identical to the unbatched ones.
 """
@@ -70,10 +71,12 @@ class RoundBatcher:
     ) -> int:
         """Advance every member by one lifecycle step; returns the turn counter.
 
-        Hooks are the fleet's own closures: ``on_service_start`` marks a
-        handle's first service (start time, arrival offsets),
-        ``charge_restore``/``charge_growth`` do the KV-ledger accounting
-        around a member's round, ``on_done`` settles a finished request.
+        Hooks are bound methods of the fleet's run state:
+        ``on_service_start`` marks a handle's first service (start time,
+        arrival offset), ``charge_restore``/``charge_growth`` do the
+        KV-ledger accounting around a member's round, ``on_done`` settles
+        a finished request (and keeps the fleet's runnable index current,
+        which is why every DONE edge must reach it).
         """
         clock = lane.clock
         members = sorted(members, key=lambda h: (h.arrival_s, h.seq, h.replica))

@@ -30,22 +30,27 @@ migration) policy choices instead of architecture changes:
   oversubscribe every eligible device's ledger is also refused;
 * **KV contention is charged**: with the default
   ``oversubscription="swap"``, interleaved sessions whose combined KV
-  oversubscribes a device's ledger pay PCIe swap time — the
-  least-recently-run co-resident's KV is written out to host, and a
-  paused session's evicted KV is read back before it resumes
-  (:class:`~repro.hardware.memory.KVLedger`). Run-to-completion policies
-  never trigger it; interleaving policies now pay the true price of
-  co-residency instead of getting paused KV for free. With
-  ``kv_sharing="prefix"`` each lane's ledger is a
-  :class:`~repro.hardware.memory.SharedKVLedger`: sessions report their
-  beams' segment lineages, prefix bytes shared across co-resident
-  sessions (First-Finish replicas, same-problem requests) are billed
-  once, and swap traffic covers only unique bytes — replica racing
-  becomes genuinely cheaper, not just differently scheduled;
-* the run aggregates into :class:`~repro.metrics.fleet.FleetMetrics` —
-  request throughput, p50/p95 queueing delay and sojourn, busy fraction,
-  KV swap time, cancelled-work time for racing schedulers — plus a
-  per-device :class:`~repro.metrics.fleet.DeviceUtilization` rollup.
+  oversubscribes a device's ledger pay PCIe swap time
+  (:class:`~repro.hardware.memory.KVLedger`); with ``kv_sharing="prefix"``
+  each lane's ledger is a :class:`~repro.hardware.memory.SharedKVLedger`
+  that bills prefix bytes shared by co-resident sessions once;
+* the run aggregates into :class:`~repro.metrics.fleet.FleetMetrics` plus
+  a per-device :class:`~repro.metrics.fleet.DeviceUtilization` rollup.
+
+**The kernel.** ``TTSFleet.drain()`` builds one :class:`_FleetRun` and
+calls ``step()`` until it returns False. A step either applies the
+earliest due *external event* or gives the runnable lane furthest behind
+one scheduling turn. External events — arrivals (and re-queued retries),
+fault onsets, restorations — sit on **one** heap keyed ``(time, rank,
+key)`` with ranks restoration < fault < arrival, so at one instant a
+repair lands before the next fault and both before a request. The cost of
+a step does not depend on how many requests the run has seen: every
+handler (``admit / place / settle / escalate / drop / on_lane_crash /
+recover_request``) updates the per-lane indexes it affects — which
+handles are runnable, which requests are still queued, which hold a
+claim — at the transition itself (the :class:`_FleetRun` docstring lists
+who touches what), and finished requests leave the live maps at
+settlement.
 
 Everything stays simulated and deterministic: a fleet run is a pure
 function of (pool, submitted requests, scheduler policy, placement
@@ -225,7 +230,7 @@ class FleetReport:
 
 @dataclass(slots=True)
 class _RequestState:
-    """Fleet-side lifecycle of one admitted request (and its replicas).
+    """Fleet-side lifecycle of one live request (and its replicas).
 
     ``device`` is the placement-chosen primary lane; racing replicas may
     sit on other lanes (each handle's own ``device``). ``claim_lanes``
@@ -243,14 +248,26 @@ class _RequestState:
     handles: list[SessionHandle]
     device: PooledDevice
     start_s: float | None = None
-    record: FleetRequestRecord | None = None
     claim_lanes: list[PooledDevice] = field(default_factory=list)
     claim_bytes: dict[int, int] = field(default_factory=dict)
     claim_segs: dict[int, tuple] = field(default_factory=dict)
 
-    @property
-    def finished(self) -> bool:
-        return self.record is not None
+
+@dataclass(slots=True)
+class _Carry:
+    """Per-request accounting that outlives any one ``_RequestState``.
+
+    A crash (failover, retry) or an escalation tears the state down and
+    builds a new one; what the request already cost, and where the
+    router first sent it, rides along here until the terminal record.
+    """
+
+    retries: int = 0
+    redone_work_s: float = 0.0
+    failed_over: bool = False
+    routed_class: str | None = None
+    escalations: int = 0
+    escalated_work_s: float = 0.0
 
 
 class TTSFleet:
@@ -570,847 +587,232 @@ class TTSFleet:
     def drain(self) -> FleetReport:
         """Serve every queued request through the scheduler and aggregate.
 
-        The loop interleaves the pool's lanes in deterministic time order:
-        the runnable lane furthest behind acts next, and an arrival is
-        admitted (and placed on a device) as soon as every runnable lane
-        has reached its arrival time — or immediately, when the whole pool
-        is idle. Arrivals landing during a session's service reach its
-        preemption hook (as offsets on that session's clock, plus an
-        explicit signal for interleaved schedules), so speculation halts
-        as soon as the fleet has a waiting customer — the same
-        minimal-residual-work policy as ``TTSServer.serve_stream``.
-
-        Arrival preemption is deliberately *pool-global*: a session sheds
-        speculative work when any later request arrives, even one placed
-        on another lane. Per-lane preemption is not expressible here —
-        the offsets are installed at service start, when later requests'
-        placements have not happened yet — and the global rule is the
-        conservative reading of Sec. 4.1.2 (a busy fleet sheds
-        speculation); it slightly understates multi-device speedups.
+        The run is one :class:`_FleetRun` advanced by ``step()``: each
+        step applies the earliest due external event (restoration, fault
+        onset, arrival — one heap, ranked in that order at equal times)
+        or lets the runnable lane furthest behind run one scheduling
+        turn. An arrival is admitted as soon as every runnable lane has
+        reached its arrival time — or immediately, when the whole pool is
+        idle. Arrivals landing during a session's service reach its
+        preemption hook, so speculation halts as soon as the fleet has a
+        waiting customer — pool-globally (see ``service_start``).
         """
-        order = sorted(
-            range(len(self._queue)), key=lambda i: (self._queue[i].arrival_s, i)
-        )
-        requests = [self._queue[i] for i in order]
-        self._queue = []
+        run = _FleetRun(self)
+        while run.step():
+            pass
+        return run.report()
 
-        # Min-heap of (arrival, seq, request): initial entries pop in the
-        # exact (arrival, submission) order the old deque served, and
-        # retried/re-queued requests merge back in at their new times.
-        pending: list[tuple[float, int, FleetRequest]] = [
-            (request.arrival_s, seq, request)
-            for seq, request in enumerate(requests)
+
+# Tie ranks on the event heap: at one instant restorations apply before
+# fault onsets, and both before arrivals — a lane repaired exactly when
+# the next fault (or request) lands is already serving again.
+_RESTORE, _FAULT, _ARRIVAL = 0, 1, 2
+
+
+def _charge_swap(
+    lane: PooledDevice,
+    handle: SessionHandle,
+    restored: int,
+    evicted: list[tuple[str, int]],
+) -> None:
+    """Charge PCIe time for ledger traffic to the session that caused it."""
+    dt = sum(lane.link.transfer_time(num_bytes) for _, num_bytes in evicted)
+    if restored:
+        dt += lane.link.transfer_time(restored)
+    if dt == 0:
+        return
+    handle.session.charge_kv_swap(dt)
+    handle.kv_swap_s += dt
+    lane.kv_swap_s += dt
+
+
+class _FleetRun:
+    """One drain: the run state, its indexes, and a handler per transition.
+
+    Everything a drain accumulates lives here — live request states,
+    terminal records, per-request carry-over accounting, the event heap —
+    and every transition (``admit / place / settle / escalate / drop /
+    on_lane_crash / recover_request``) is a method that updates the
+    per-lane indexes at the point it changes what they describe, so no
+    turn ever rescans the request population:
+
+    ``runnable[lane]``
+        live handles on the lane, in placement order (what ``pick``
+        sees). Grows in ``place``; shrinks in ``_retire`` — reached from
+        the DONE edge at the top of ``settle`` and from every
+        ``session.cancel()`` (``_cancel``: race losers, escalation,
+        drop, crash).
+    ``started``
+        runnable handles whose service began (who an arrival preempts).
+        Grows in ``service_start``; shrinks in ``_retire``.
+    ``queued[lane]``
+        requests whose primary lane this is and whose service has not
+        started (the ``late_policy=drop`` sweep's candidates). Grows in
+        ``place``; shrinks in ``service_start`` and ``_forget``.
+    ``claimed[lane]``
+        requests holding a live-count / planned-KV claim on the lane
+        (whom a crash of that lane must visit — including replicas that
+        already finished there). Grows in ``place``; shrinks in
+        ``release_claims``.
+
+    ``states`` holds live requests only: settlement, drop and crash
+    teardown remove the entry, so ``len(states)`` is the admission
+    controller's running-request count.
+    """
+
+    def __init__(self, fleet: TTSFleet) -> None:
+        self.fleet = fleet
+        self.scheduler = fleet._scheduler
+        self.router = fleet._router
+        queue = fleet._queue
+        order = sorted(range(len(queue)), key=lambda i: (queue[i].arrival_s, i))
+        self.requests = [queue[i] for i in order]
+        fleet._queue = []
+        self.lanes = list(fleet._pool)
+        self.states: dict[int, _RequestState] = {}
+        self.records: dict[int, FleetRequestRecord] = {}
+        self.results: dict[str, ProblemRunResult] = {}
+        self.finish_times: list[float] = []
+        # Accounting that must survive a request's state being rebuilt
+        # (failover, escalation) or re-queued (retry), one row per seq.
+        self.carry = [_Carry() for _ in self.requests]
+        self.current: dict[int, SessionHandle | None] = {
+            lane.index: None for lane in self.lanes
+        }
+        self.turn = 0
+        self.runnable: dict[int, dict[int, SessionHandle]] = {
+            lane.index: {} for lane in self.lanes
+        }
+        self.started: dict[int, SessionHandle] = {}
+        self.queued: dict[int, dict[int, _RequestState]] = {
+            lane.index: {} for lane in self.lanes
+        }
+        self.claimed: dict[int, dict[int, _RequestState]] = {
+            lane.index: {} for lane in self.lanes
+        }
+        # The event heap: (time, rank, key, payload). ``key`` is the
+        # request seq for arrivals (retried requests merge back in at
+        # their new times, ties in submission order) and a counter for
+        # restorations, so comparison never reaches the payload.
+        self.events: list[tuple] = [
+            (request.arrival_s, _ARRIVAL, seq, request)
+            for seq, request in enumerate(self.requests)
         ]
-        heapq.heapify(pending)
-        states: dict[int, _RequestState] = {}
-        records: dict[int, FleetRequestRecord] = {}
-        results: dict[str, ProblemRunResult] = {}
-        finish_times: list[float] = []
-        lanes = list(self._pool)
-        current: dict[int, SessionHandle | None] = {lane.index: None for lane in lanes}
-        turn = 0
-
-        # Fault machinery: the injector's keyed timeline, plus a heap of
-        # scheduled restorations ((time, tiebreak, kind, lane) — lane
-        # recovery after MTTR, link restore, KV-pressure relief).
-        injector = (
+        heapq.heapify(self.events)
+        self.arrivals_pending = len(self.requests)
+        self.restorations = 0
+        self.repairs: dict[int, float] = {}  # lane index -> scheduled recovery
+        self.injector = (
             FaultInjector(
-                self._fault_processes,
-                KeyedRng(self._pool[0].server.config.seed).fork("faults"),
-                len(lanes),
+                fleet._fault_processes,
+                KeyedRng(fleet._pool[0].server.config.seed).fork("faults"),
+                len(self.lanes),
             )
-            if self._fault_processes
+            if fleet._fault_processes
             else None
         )
-        recoveries: list[tuple[float, int, str, PooledDevice]] = []
-        recovery_seq = 0
-        # Availability accounting that must survive a request's state being
-        # rebuilt (failover) or re-queued (retry): keyed by request seq.
-        retries_ct: dict[int, int] = {}
-        redone: dict[int, float] = {}
-        failed_over_seqs: set[int] = set()
-        # Routing accounting, also keyed by seq: the router's *initial*
-        # lane-class decision (immutable through crashes/escalations),
-        # cascade escalation counts, and device seconds of abandoned
-        # cheaper attempts. Disjoint from ``redone`` by construction:
-        # a crash voids its sessions into ``redone`` before recovery
-        # tears the state down, an escalation bills its (never-crashed)
-        # sessions into ``escalated_work`` — no session's clock can
-        # reach both.
-        routed_cls: dict[int, str] = {}
-        escalations_ct: dict[int, int] = {}
-        escalated_work: dict[int, float] = {}
+        self._arm_injector()
 
-        def running_requests() -> int:
-            return sum(1 for st in states.values() if not st.finished)
+    # -- the loop --------------------------------------------------------
 
-        def lane_runnable(lane: PooledDevice) -> list[SessionHandle]:
-            return [
-                h
-                for st in states.values()
-                if not st.finished
-                for h in st.handles
-                if h.runnable and h.device is lane
-            ]
-
-        def acting_lane() -> PooledDevice | None:
-            best = None
-            for lane in lanes:
-                if not lane_runnable(lane):
-                    continue
-                if best is None or lane.clock.now < best.clock.now:
-                    best = lane
-            return best
-
-        def release_claims(
-            st: _RequestState, only: PooledDevice | None = None
-        ) -> None:
-            """Return a request's live-count/planned-KV claims to its lanes.
-
-            Idempotent per lane: ``claim_lanes`` shrinks as shares are
-            returned, so a crash releasing the dead lane's share and a
-            later settlement releasing the rest never double-count.
-            """
-            for lane in list(st.claim_lanes):
-                if only is not None and lane is not only:
-                    continue
-                lane.live_requests -= 1
-                lane.planned_kv_bytes -= st.claim_bytes.pop(lane.index)
-                segs = st.claim_segs.pop(lane.index, None)
-                if segs is not None:
-                    lane.forget_planned_segments(segs)
-                st.claim_lanes.remove(lane)
-
-        def place(
-            request: FleetRequest,
-            seq: int,
-            eligible: list[PooledDevice],
-            now: float,
-            carry_start: float | None = None,
-        ) -> _RequestState:
-            """Create a request's sessions and bind them to pool lanes.
-
-            The scheduler picks the primary lane (placement hook) and may
-            spread racing replicas across further eligible lanes
-            (``replica_lanes``); each replica's session is created on the
-            server of the lane it will run on — identical search results
-            either way, since every lane shares the pairing and seed.
-
-            ``now`` is the placement instant; handles carry it as their
-            effective (re-)arrival so a failover or retry restart never
-            begins before the crash that caused it — even on an idle lane
-            whose clock lags the fault time. First placements pass the
-            arrival itself, so nothing changes without faults.
-            """
-            rearrival = max(request.arrival_s, now)
-            device = self._scheduler.choose_device(
-                request, eligible, self._placement, now
-            )
-            replica_lanes = self._scheduler.replica_lanes(
-                request, device, eligible
-            )
-            sessions_by_lane = {
-                device.index: self._scheduler.sessions_for(device.server, request)
-            }
-            handles = []
-            for replica in range(len(sessions_by_lane[device.index])):
-                lane = replica_lanes[replica % len(replica_lanes)]
-                if lane.index not in sessions_by_lane:
-                    sessions_by_lane[lane.index] = self._scheduler.sessions_for(
-                        lane.server, request
-                    )
-                session = sessions_by_lane[lane.index][replica]
-                handles.append(
-                    SessionHandle(
-                        request_id=request.request_id,
-                        arrival_s=rearrival,
-                        seq=seq,
-                        replica=replica,
-                        session=session,
-                        binding=ClockBinding(session.clock),
-                        device=lane,
-                    )
-                )
-            st = _RequestState(
-                request=request, seq=seq, handles=handles, device=device,
-                start_s=carry_start,
-            )
-            # Affinity accounting happens before any claim registration so
-            # a request's own planned segments never count as a "hit".
-            device.placements += 1
-            if device.ledger.segment_granular and device.prefix_affinity_bytes(
-                self._planned_claims(device, request.problem)
-            ) > 0:
-                device.affinity_hits += 1
-            seen: set[int] = set()
-            for handle in handles:
-                if handle.device.index in seen:
-                    continue
-                seen.add(handle.device.index)
-                lane = handle.device
-                billed = self._billable_claim(lane, request)
-                lane.live_requests += 1
-                lane.planned_kv_bytes += billed
-                st.claim_lanes.append(lane)
-                st.claim_bytes[lane.index] = billed
-                if lane.ledger.segment_granular:
-                    segs = self._planned_claims(lane, request.problem)
-                    lane.note_planned_segments(segs)
-                    st.claim_segs[lane.index] = segs
-                    lane.planned_admitted_bytes += self._kv_claims[
-                        (lane.index, request.algorithm.n)
-                    ]
-                    lane.unique_admitted_bytes += billed
-            routed_cls.setdefault(seq, device.lane_class)
-            states[seq] = st
-            return st
-
-        def next_lane_recovery() -> float | None:
-            times = [t for t, _, kind, _ in recoveries if kind == "lane_recover"]
-            return min(times) if times else None
-
-        def admit(seq: int, request: FleetRequest, now: float) -> None:
-            reason, eligible = self._admission(
-                request, finish_times, running_requests()
-            )
-            lost = False
-            if reason is None:
-                healthy = [lane for lane in eligible if lane.serving]
-                if not healthy:
-                    # Every eligible lane is down. Wait for a scheduled
-                    # repair if one exists; otherwise the request is lost
-                    # to the outage, not to admission policy.
-                    t_rec = next_lane_recovery()
-                    if t_rec is not None:
-                        heapq.heappush(
-                            pending,
-                            (max(request.arrival_s, t_rec), seq, request),
-                        )
-                        return
-                    reason = "no healthy device lane (pool lanes crashed)"
-                    lost = True
-                else:
-                    eligible = healthy
-                    if self._router is not None:
-                        # The router narrows to its preferred lane class;
-                        # placement/scheduling pick the concrete lane
-                        # within it. A policy returning nothing (defensive
-                        # guard) falls back to every healthy lane.
-                        eligible = (
-                            self._router.route(request, eligible, now)
-                            or eligible
-                        )
-            if reason is not None:
-                records[seq] = FleetRequestRecord(
-                    request_id=request.request_id,
-                    arrival_s=request.arrival_s,
-                    start_s=request.arrival_s,
-                    finish_s=request.arrival_s,
-                    accepted=False,
-                    reject_reason=reason,
-                    lost=lost,
-                    retries=retries_ct.get(seq, 0),
-                    redone_work_s=redone.get(seq, 0.0),
-                    routed_class=routed_cls.get(seq),
-                    escalations=escalations_ct.get(seq, 0),
-                    escalated_work_s=escalated_work.get(seq, 0.0),
-                    tenant=request.tenant,
-                    slo_class=request.slo_class,
-                    deadline_s=request.deadline_s,
-                    ttft_slo_s=request.ttft_slo_s,
-                )
-            else:
-                place(request, seq, eligible, now=now)
-            # Either way somebody new showed up: running sessions must stop
-            # speculating (round-granular analogue of the arrival offsets).
-            for st in states.values():
-                if st.finished or st.seq == seq:
-                    continue
-                for h in st.handles:
-                    if h.start_s is not None and h.runnable:
-                        h.session.notify_arrival()
-
-        def charge_swap(
-            lane: PooledDevice,
-            handle: SessionHandle,
-            restored: int,
-            evicted: list[tuple[str, int]],
-        ) -> None:
-            """Charge PCIe time for ledger traffic to the session that caused it."""
-            dt = sum(
-                lane.link.transfer_time(num_bytes) for _, num_bytes in evicted
-            )
-            if restored:
-                dt += lane.link.transfer_time(restored)
-            if dt == 0:
-                return
-            handle.session.charge_kv_swap(dt)
-            handle.kv_swap_s += dt
-            lane.kv_swap_s += dt
-
-        def charge_restore(lane: PooledDevice, handle: SessionHandle) -> None:
-            """Bring a resumed session's evicted KV back; charge the reads."""
-            restored, evicted = lane.ledger.restore(handle.session.session_id)
-            charge_swap(lane, handle, restored, evicted)
-
-        def service_start(lane: PooledDevice, handle: SessionHandle) -> None:
-            """First pick of a handle: stamp service start, install offsets."""
-            start = max(lane.clock.now, handle.arrival_s)
-            handle.start_s = start
-            st = states[handle.seq]
-            if st.start_s is None:
-                st.start_s = start
-            # Later arrivals expressed on the session's own clock (t=0
-            # at service start); non-positive offsets mean someone is
-            # already waiting and speculation never starts.
-            handle.session.set_arrival_offsets(
-                tuple(
-                    req.arrival_s - start
-                    for req in requests[handle.seq + 1:]
-                )
-            )
-
-        def capture_first_token(handle: SessionHandle) -> None:
-            """Map a session's first-token time onto the fleet timeline."""
-            if (
-                handle.first_token_s is None
-                and handle.session.first_token_s is not None
+    def acting_lane(self) -> PooledDevice | None:
+        """The runnable lane furthest behind (lowest index on ties)."""
+        best = None
+        for lane in self.lanes:
+            if self.runnable[lane.index] and (
+                best is None or lane.clock.now < best.clock.now
             ):
-                handle.first_token_s = (
-                    handle.binding.anchor + handle.session.first_token_s
-                )
+                best = lane
+        return best
 
-        def charge_growth(lane: PooledDevice, handle: SessionHandle) -> None:
-            """Post-round ledger update; the grower pays for evictions.
+    def step(self) -> bool:
+        """Apply one due event or run one scheduling turn; False when done."""
+        act = self.acting_lane()
+        if self.events:
+            time_s, rank = self.events[0][0], self.events[0][1]
+            if act is None or time_s <= act.clock.now:
+                if rank == _ARRIVAL:
+                    # Every lane with work has reached the arrival time (or
+                    # the pool is idle — early admission: service still
+                    # begins no sooner than the arrival itself).
+                    _, _, seq, request = heapq.heappop(self.events)
+                    self.arrivals_pending -= 1
+                    self.admit(seq, request, time_s)
+                    return True
+                if act is not None or self.arrivals_pending:
+                    # Faults are pumped only while a serving horizon exists
+                    # — a runnable lane or a pending arrival the fault could
+                    # land before. With neither the run is over: a
+                    # rate-based (unbounded) clause must not keep the loop
+                    # consuming its infinite Poisson stream.
+                    self.pump(time_s)
+                    return True
+        if act is None:
+            return False
+        if self.fleet._late_policy == "drop" and self.drop_expired(act):
+            return True
 
-            Shared-ledger lanes get the session's segment lineage so
-            prefix bytes co-resident sessions share are billed once;
-            whole-session lanes get the opaque byte count. Either way a
-            ledger can report ``restored`` bytes — KV the owner lost to
-            eviction since it last ran that had to come back over PCIe
-            before this round — and the grower pays for both directions.
-            """
-            session = handle.session
-            if not session.state.live:
-                return  # released in settle()
-            if lane.ledger.segment_granular:
-                restored, evicted = lane.ledger.charge_growth_segments(
-                    session.session_id, session.kv_segments()
-                )
-            else:
-                restored, evicted = lane.ledger.charge_growth(
-                    session.session_id, session.resident_kv_bytes
-                )
-            charge_swap(lane, handle, restored, evicted)
-
-        def escalate(
-            st: _RequestState, lane: PooledDevice, targets: list[PooledDevice]
-        ) -> None:
-            """Abandon a settled cheap attempt and re-place on a bigger class.
-
-            Every session of the attempt is cancelled and its device
-            seconds billed as escalated work (the honest cost of trying
-            small first); ledger claims are released on their lanes, and
-            the request re-enters placement on the escalation targets —
-            a full re-prefill through the bigger lane's ledger, exactly
-            like a fresh admission. The escalation instant is the
-            settling lane's clock, so the restart never predates the
-            rejected attempt's finish.
-            """
-            seq = st.seq
-            abandoned = 0.0
-            for h in st.handles:
-                if h.session.state.live:
-                    h.session.cancel()
-                abandoned += h.session.clock.now
-                (h.device or lane).ledger.release(h.session.session_id)
-            escalated_work[seq] = escalated_work.get(seq, 0.0) + abandoned
-            escalations_ct[seq] = escalations_ct.get(seq, 0) + 1
-            release_claims(st)
-            del states[seq]
-            place(
-                st.request, seq, targets,
-                now=lane.clock.now, carry_start=st.start_s,
-            )
-
-        def settle(handle: SessionHandle, lane: PooledDevice) -> None:
-            st = states[handle.seq]
-            siblings = st.handles
-            if self._scheduler.race_decided(handle, siblings):
-                winner = handle
-            elif all(not h.session.state.live for h in siblings):
-                # Nobody produced a verified finish: the lowest-replica
-                # *finished* sibling stands — the canonical replica when
-                # it survived (identical to what FIFO would have served),
-                # else the surviving replica a lane crash left behind.
-                finished = [
-                    h for h in siblings
-                    if h.session.state is SessionState.DONE
-                ]
-                if not finished:
-                    return  # every replica crashed; recovery owns this one
-                winner = min(finished, key=lambda h: h.replica)
-            else:
-                return  # race continues
-            if self._router is not None and not self._router.accept(
-                st.request, winner
-            ):
-                # Verifier rejection: ask the router for bigger-class
-                # lanes this request could still plan on. With nowhere
-                # to escalate (already on the biggest class, or no
-                # feasible bigger lane), the attempt commits as-is.
-                n = st.request.algorithm.n
-                candidates = [
-                    target for target in lanes
-                    if target.serving and self._kv_verdict(target, n) is None
-                ]
-                targets = self._router.escalate_lanes(
-                    st.request,
-                    (winner.device or lane).model_cost_bytes,
-                    candidates,
-                )
-                if targets:
-                    escalate(st, lane, targets)
-                    return
-            cancelled_work = 0.0
-            for h in siblings:
-                if h is winner:
-                    continue
-                if h.session.state.live:
-                    h.session.cancel()
-                cancelled_work += h.session.clock.now
-            for h in siblings:
-                (h.device or lane).ledger.release(h.session.session_id)
-            result = winner.session.outcome.result
-            committed = result.tokens.committed
-            records[st.seq] = FleetRequestRecord(
-                request_id=st.request.request_id,
-                arrival_s=st.request.arrival_s,
-                start_s=st.start_s,
-                finish_s=lane.clock.now,
-                latency=result.latency,
-                replicas=len(siblings),
-                cancelled_work_s=cancelled_work,
-                # Device seconds across every session of the request; the
-                # start→finish window also contains other requests' rounds
-                # under interleaving schedulers. Work redone after a lane
-                # crash (failover/retry restarts) counts, as do abandoned
-                # cheaper attempts a cascade escalated past.
-                device_time_s=(
-                    winner.session.clock.now + cancelled_work
-                    + redone.get(st.seq, 0.0)
-                    + escalated_work.get(st.seq, 0.0)
-                ),
-                device_id=lane.device_id,
-                kv_swap_s=sum(h.kv_swap_s for h in siblings),
-                ttft_s=(
-                    winner.first_token_s - st.request.arrival_s
-                    if winner.first_token_s is not None
-                    else None
-                ),
-                tpot_s=(
-                    result.latency.generation / committed
-                    if committed > 0
-                    else None
-                ),
-                retries=retries_ct.get(st.seq, 0),
-                redone_work_s=redone.get(st.seq, 0.0),
-                failed_over=st.seq in failed_over_seqs,
-                routed_class=routed_cls.get(st.seq),
-                lane_class=lane.lane_class,
-                escalations=escalations_ct.get(st.seq, 0),
-                escalated_work_s=escalated_work.get(st.seq, 0.0),
-                tenant=st.request.tenant,
-                slo_class=st.request.slo_class,
-                deadline_s=st.request.deadline_s,
-                ttft_slo_s=st.request.ttft_slo_s,
-            )
-            st.record = records[st.seq]
-            results[st.request.request_id] = result
-            finish_times.append(lane.clock.now)
-            release_claims(st)
-            lane.requests_served += 1
-
-        def drop(st: _RequestState) -> None:
-            """Shed a still-queued request whose deadline expired.
-
-            The drop is stamped at the deadline expiry itself (arrival +
-            deadline), not at the lane-clock instant the sweep noticed it
-            — the record is a pure function of the request, independent
-            of how far the lane's clock had jumped past the deadline.
-            None of the request's sessions ever ran, so there is no
-            cancelled work to account; their ledger claims (if any) are
-            released like a settled race's losers.
-            """
-            request = st.request
-            lane = st.device
-            for h in st.handles:
-                if h.session.state.live:
-                    h.session.cancel()
-                (h.device or lane).ledger.release(h.session.session_id)
-            records[st.seq] = FleetRequestRecord(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
-                start_s=request.arrival_s,
-                finish_s=request.arrival_s + request.deadline_s,
-                accepted=False,
-                dropped=True,
-                reject_reason=(
-                    f"deadline expired after {request.deadline_s:g}s in queue "
-                    f"(late_policy=drop)"
-                ),
-                routed_class=routed_cls.get(st.seq),
-                tenant=request.tenant,
-                slo_class=request.slo_class,
-                deadline_s=request.deadline_s,
-                ttft_slo_s=request.ttft_slo_s,
-            )
-            st.record = records[st.seq]
-            release_claims(st)
-
-        def drop_expired(lane: PooledDevice) -> bool:
-            """Open-loop shedding sweep: drop expired queued work on ``lane``.
-
-            Only requests whose service has not started are candidates —
-            once a request holds the device its lateness is the SLO
-            metrics' problem, not admission's. Returns True when anything
-            was dropped (the caller re-evaluates which lane acts next).
-            """
-            dropped_any = False
-            for st in list(states.values()):
-                if st.finished or st.start_s is not None or st.device is not lane:
-                    continue
-                if self._scheduler.drop_expired(
-                    st.request, lane.clock.now, self._late_policy
-                ):
-                    drop(st)
-                    dropped_any = True
-            return dropped_any
-
-        # -- fault handling ----------------------------------------------
-
-        def schedule_recovery(time_s: float, kind: str, lane: PooledDevice) -> None:
-            nonlocal recovery_seq
-            heapq.heappush(recoveries, (time_s, recovery_seq, kind, lane))
-            recovery_seq += 1
-
-        def lose_request(
-            seq: int,
-            request: FleetRequest,
-            now: float,
-            reason: str,
-            device_id: str | None = None,
-        ) -> None:
-            """Terminal fault outcome: the request leaves the system unserved."""
-            records[seq] = FleetRequestRecord(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
-                start_s=request.arrival_s,
-                finish_s=max(now, request.arrival_s),
-                accepted=False,
-                lost=True,
-                reject_reason=reason,
-                retries=retries_ct.get(seq, 0),
-                redone_work_s=redone.get(seq, 0.0),
-                failed_over=seq in failed_over_seqs,
-                routed_class=routed_cls.get(seq),
-                escalations=escalations_ct.get(seq, 0),
-                escalated_work_s=escalated_work.get(seq, 0.0),
-                device_id=device_id,
-                tenant=request.tenant,
-                slo_class=request.slo_class,
-                deadline_s=request.deadline_s,
-                ttft_slo_s=request.ttft_slo_s,
-            )
-
-        def recover_request(
-            st: _RequestState, lane: PooledDevice, now: float
-        ) -> None:
-            """Apply the recovery policy to a request the crash left session-less.
-
-            All of the request's device seconds so far are charged as
-            redone work — the crash voided them — and the state is torn
-            down before the policy decides the request's next life:
-            ``shed`` fails fast, ``retry`` re-queues after backoff (until
-            the per-request budget runs out), ``failover`` re-places on a
-            healthy lane immediately (checkpoint-free restart).
-            """
-            seq, request = st.seq, st.request
-            redone[seq] = redone.get(seq, 0.0) + sum(
-                h.session.clock.now for h in st.handles
-            )
-            release_claims(st)
-            del states[seq]
-            if self._recovery == "shed":
-                lose_request(
-                    seq, request, now,
-                    f"lane {lane.device_id} crashed (recovery=shed)",
-                    device_id=lane.device_id,
-                )
-                return
-            if self._recovery == "retry":
-                attempt = retries_ct.get(seq, 0) + 1
-                try:
-                    delay = self._retry_policy.backoff(attempt)
-                except RetryExhaustedError as error:
-                    lose_request(
-                        seq, request, now,
-                        f"lane {lane.device_id} crashed; {error}",
-                        device_id=lane.device_id,
-                    )
-                    return
-                retries_ct[seq] = attempt
-                heapq.heappush(
-                    pending, (max(now + delay, request.arrival_s), seq, request)
-                )
-                return
-            # failover: restart on any healthy KV-feasible lane right now,
-            # or wait for a scheduled repair, or concede the request.
-            n = request.algorithm.n
-            healthy = [
-                target for target in lanes
-                if target.serving and self._kv_verdict(target, n) is None
+        clock = act.clock
+        runnable = list(self.runnable[act.index].values())
+        if act.batching == "continuous":
+            # Iteration-level admission: every runnable session that has
+            # arrived (or already started) joins this iteration's
+            # jointly-costed batch; later arrivals join the next one.
+            members = [
+                h for h in runnable
+                if h.start_s is not None or h.arrival_s <= clock.now
             ]
-            if healthy:
-                if self._router is not None:
-                    # Failover honours the router: the restart lands on
-                    # the policy's preferred class among the survivors
-                    # (falling through the class order when the original
-                    # class died with the lane).
-                    healthy = (
-                        self._router.route(request, healthy, now) or healthy
-                    )
-                failed_over_seqs.add(seq)
-                place(request, seq, healthy, now=now, carry_start=st.start_s)
-                return
-            t_rec = next_lane_recovery()
-            if t_rec is not None:
-                failed_over_seqs.add(seq)
-                heapq.heappush(
-                    pending, (max(t_rec, request.arrival_s), seq, request)
+            if members:
+                self.turn = self.fleet._batcher.run_iteration(
+                    act,
+                    members,
+                    turn=self.turn,
+                    on_service_start=self.service_start,
+                    charge_restore=self.charge_restore,
+                    charge_growth=self.charge_growth,
+                    on_done=self.settle,
                 )
-                return
-            lose_request(
-                seq, request, now,
-                f"lane {lane.device_id} crashed and no healthy lane remains",
-                device_id=lane.device_id,
-            )
+                # The lane clock sits at the batch horizon, not at any
+                # single member's position: force the next solo step to
+                # rebind (and restore) whichever session it picks.
+                self.current[act.index] = None
+                return True
 
-        def on_lane_crash(
-            lane: PooledDevice, time_s: float, mttr_s: float | None
-        ) -> None:
-            """A lane dies: resident KV is gone, its sessions are voided.
+        handle = self.scheduler.pick(runnable, clock.now)
+        session = handle.session
+        if handle.start_s is None:
+            self.service_start(act, handle)
+            if handle.start_s > clock.now:
+                clock.advance(handle.start_s - clock.now)  # idle gap
+            handle.binding.rebind(clock)
+        elif handle is not self.current[act.index]:
+            handle.binding.rebind(clock)
+            self.charge_restore(act, handle)
 
-            Requests racing replicas on surviving lanes keep running (the
-            crash must not fail a request that still has a live replica);
-            requests whose only sessions died go to the recovery policy.
-            """
-            if not lane.serving:
-                return  # coincident crash on an already-dead lane
-            lane.fail_lane(time_s)
-            current[lane.index] = None
-            if mttr_s is not None:
-                schedule_recovery(time_s + mttr_s, "lane_recover", lane)
-            for st in list(states.values()):
-                if st.finished:
-                    continue
-                dead = [h for h in st.handles if h.device is lane]
-                if not dead:
-                    continue
-                for h in dead:
-                    if h.session.state.live:
-                        h.session.cancel()
-                release_claims(st, only=lane)
-                survivors = [h for h in st.handles if h.device is not lane]
-                if any(h.session.state.live for h in survivors):
-                    continue  # the race carries on without the dead replica
-                done = [
-                    h for h in survivors
-                    if h.session.state is SessionState.DONE
-                ]
-                if done:
-                    settle(done[0], done[0].device)
-                else:
-                    recover_request(st, lane, time_s)
+        if session.state is SessionState.ADMITTED:
+            session.step()  # zero-cost setup: plan, caches, workers
+        session.step()  # one generation / verification / finalize round
+        self.charge_growth(act, handle)
+        if handle.first_token_s is None and session.first_token_s is not None:
+            # Map the session's first-token time onto the fleet timeline.
+            handle.first_token_s = handle.binding.anchor + session.first_token_s
+        handle.binding.sync(clock)
+        handle.last_stepped = self.turn
+        self.turn += 1
+        self.current[act.index] = handle
+        if session.state is SessionState.DONE:
+            self.settle(handle, act)
+        return True
 
-        def reanchor_residents(lane: PooledDevice) -> None:
-            """Shift resident sessions past a fault that ate lane time.
-
-            A stall or forced eviction advances the lane clock underneath
-            its live handles; without re-anchoring, their next ``sync``
-            would reconstruct a timeline *before* the fault and trip the
-            clock's rewind guard. Rebinding preserves each session's
-            accumulated service and resumes it at the post-fault instant.
-            """
-            for st in states.values():
-                for handle in st.handles:
-                    if handle.device is lane and handle.session.state.live:
-                        handle.binding.rebind(lane.clock)
-
-        def apply_fault_event(event) -> None:
-            lane = lanes[event.lane]
-            if event.kind == "crash":
-                on_lane_crash(lane, event.time_s, event.mttr_s)
-                return
-            if not lane.serving:
-                return  # non-crash faults have nothing to act on when down
-            if event.kind == "stall":
-                lane.clock.advance_to(max(lane.clock.now, event.time_s))
-                lane.stall(event.duration_s)
-                reanchor_residents(lane)
-            elif event.kind == "link_degrade":
-                lane.degrade_link(event.factor)
-                if event.duration_s is not None:
-                    schedule_recovery(
-                        event.time_s + event.duration_s, "link_restore", lane
-                    )
-            elif event.kind == "kv_pressure":
-                evicted = lane.apply_kv_pressure(event.factor)
-                dt = sum(
-                    lane.link.transfer_time(num_bytes)
-                    for _, num_bytes in evicted
-                )
-                if dt:
-                    # The pressure spike's forced write-out is PCIe time on
-                    # the lane; victims pay their read-back on next resume.
-                    lane.clock.advance(dt)
-                    lane.kv_swap_s += dt
-                    reanchor_residents(lane)
-                if event.duration_s is not None:
-                    schedule_recovery(
-                        event.time_s + event.duration_s, "kv_relieve", lane
-                    )
-
-        def apply_recovery_event(
-            kind: str, lane: PooledDevice, time_s: float
-        ) -> None:
-            if kind == "lane_recover":
-                if not lane.serving:
-                    lane.recover_lane(time_s)
-            elif kind == "link_restore":
-                if lane.serving:
-                    lane.restore_link()
-            elif kind == "kv_relieve":
-                if lane.serving:
-                    lane.relieve_kv_pressure()
-
-        def next_fault_time() -> float | None:
-            times = []
-            if injector is not None:
-                head = injector.peek()
-                if head is not None:
-                    times.append(head)
-            if recoveries:
-                times.append(recoveries[0][0])
-            return min(times) if times else None
-
-        def pump_faults(up_to: float) -> None:
-            """Apply every fault onset and restoration due by ``up_to``.
-
-            Restorations win time ties so a lane repaired exactly when the
-            next fault (or arrival) lands is already serving again.
-            """
-            while True:
-                t_rec = recoveries[0][0] if recoveries else None
-                t_ev = injector.peek() if injector is not None else None
-                if (
-                    t_rec is not None
-                    and t_rec <= up_to
-                    and (t_ev is None or t_rec <= t_ev)
-                ):
-                    time_s, _, kind, lane = heapq.heappop(recoveries)
-                    apply_recovery_event(kind, lane, time_s)
-                    continue
-                if t_ev is not None and t_ev <= up_to:
-                    for event in injector.pop_due(t_ev):
-                        apply_fault_event(event)
-                    continue
-                return
-
-        while True:
-            act = acting_lane()
-            t_fault = next_fault_time()
-            if t_fault is not None:
-                # Pump faults only while a serving horizon exists — a
-                # runnable lane or a pending arrival the fault could
-                # land before. With neither, the run is over: a
-                # rate-based (unbounded) clause must not keep the loop
-                # consuming its infinite Poisson stream, so trailing
-                # events after the last settlement are never applied.
-                horizon = [act.clock.now] if act is not None else []
-                if pending:
-                    horizon.append(pending[0][0])
-                if horizon and t_fault <= min(horizon):
-                    pump_faults(t_fault)
-                    continue
-            if pending and (act is None or pending[0][0] <= act.clock.now):
-                # Every lane with work has reached the arrival time (or the
-                # pool is idle — early admission: service still begins no
-                # sooner than the arrival itself).
-                t_queue, seq, request = heapq.heappop(pending)
-                admit(seq, request, t_queue)
-                continue
-            if act is None:
-                break
-            if self._late_policy == "drop" and drop_expired(act):
-                continue
-
-            clock = act.clock
-            if act.batching == "continuous":
-                # Iteration-level admission: every runnable session that
-                # has arrived (or already started) joins this iteration's
-                # jointly-costed batch; later arrivals join the next one.
-                members = [
-                    h for h in lane_runnable(act)
-                    if h.start_s is not None or h.arrival_s <= clock.now
-                ]
-                if members:
-                    turn = self._batcher.run_iteration(
-                        act,
-                        members,
-                        turn=turn,
-                        on_service_start=service_start,
-                        charge_restore=charge_restore,
-                        charge_growth=charge_growth,
-                        on_done=settle,
-                    )
-                    # The lane clock sits at the batch horizon, not at any
-                    # single member's position: force the next solo step
-                    # to rebind (and restore) whichever session it picks.
-                    current[act.index] = None
-                    continue
-
-            handle = self._scheduler.pick(lane_runnable(act), clock.now)
-            session = handle.session
-            if handle.start_s is None:
-                service_start(act, handle)
-                if handle.start_s > clock.now:
-                    clock.advance(handle.start_s - clock.now)  # idle gap
-                handle.binding.rebind(clock)
-            elif handle is not current[act.index]:
-                handle.binding.rebind(clock)
-                charge_restore(act, handle)
-
-            if session.state is SessionState.ADMITTED:
-                session.step()  # zero-cost setup: plan, caches, workers
-            session.step()  # one generation / verification / finalize round
-            charge_growth(act, handle)
-            capture_first_token(handle)
-            handle.binding.sync(clock)
-            handle.last_stepped = turn
-            turn += 1
-            current[act.index] = handle
-            if session.state is SessionState.DONE:
-                settle(handle, act)
-
+    def report(self) -> FleetReport:
+        fleet, lanes = self.fleet, self.lanes
+        records = tuple(self.records[seq] for seq in sorted(self.records))
         return FleetReport(
-            records=tuple(records[seq] for seq in sorted(records)),
-            results=results,
-            scheduler=self._scheduler.name,
-            placement=self._placement.name,
-            devices=DeviceUtilization.rollup(
-                tuple(records[seq] for seq in sorted(records)), lanes
-            ),
+            records=records,
+            results=self.results,
+            scheduler=self.scheduler.name,
+            placement=fleet._placement.name,
+            devices=DeviceUtilization.rollup(records, lanes),
             kv_sharing=(
                 "prefix"
                 if any(lane.ledger.segment_granular for lane in lanes)
@@ -1421,11 +823,602 @@ class TTSFleet:
                 if any(lane.batching == "continuous" for lane in lanes)
                 else "off"
             ),
-            late_policy=self._late_policy,
-            faults=self._faults_label,
-            recovery=self._recovery,
-            router=self.router,
+            late_policy=fleet._late_policy,
+            faults=fleet._faults_label,
+            recovery=fleet._recovery,
+            router=fleet.router,
         )
+
+    # -- index maintenance -----------------------------------------------
+
+    def _retire(self, handle: SessionHandle) -> None:
+        """A handle stopped being live: it leaves the scheduling indexes."""
+        self.runnable[handle.device.index].pop(id(handle), None)
+        self.started.pop(id(handle), None)
+
+    def _cancel(self, handle: SessionHandle) -> None:
+        if handle.session.state.live:
+            handle.session.cancel()
+        self._retire(handle)
+
+    def _forget(self, st: _RequestState) -> None:
+        """A request's state ends (terminal record, or rebuilt elsewhere)."""
+        del self.states[st.seq]
+        self.queued[st.device.index].pop(st.seq, None)
+
+    def _enqueue(self, time_s: float, seq: int, request: FleetRequest) -> None:
+        heapq.heappush(self.events, (time_s, _ARRIVAL, seq, request))
+        self.arrivals_pending += 1
+
+    def _terminal_record(
+        self, seq: int, request: FleetRequest, *, carried: bool = True, **outcome
+    ) -> FleetRequestRecord:
+        """Write ``seq``'s one terminal record: provenance plus ``outcome``.
+
+        Unserved outcomes default to the arrival instant for
+        ``start_s``. ``carried=False`` leaves the availability/escalation
+        carry-over unstamped (a request shed from the queue never ran in
+        this life; its record is a pure function of the request).
+        """
+        carry = self.carry[seq]
+        fields = dict(
+            request_id=request.request_id,
+            arrival_s=request.arrival_s,
+            start_s=request.arrival_s,
+            routed_class=carry.routed_class,
+            tenant=request.tenant,
+            slo_class=request.slo_class,
+            deadline_s=request.deadline_s,
+            ttft_slo_s=request.ttft_slo_s,
+        )
+        if carried:
+            fields.update(
+                retries=carry.retries,
+                redone_work_s=carry.redone_work_s,
+                failed_over=carry.failed_over,
+                escalations=carry.escalations,
+                escalated_work_s=carry.escalated_work_s,
+            )
+        fields.update(outcome)
+        record = self.records[seq] = FleetRequestRecord(**fields)
+        return record
+
+    # -- admission and placement -----------------------------------------
+
+    def release_claims(
+        self, st: _RequestState, only: PooledDevice | None = None
+    ) -> None:
+        """Return a request's live-count/planned-KV claims to its lanes.
+
+        Idempotent per lane: ``claim_lanes`` shrinks as shares are
+        returned, so a crash releasing the dead lane's share and a later
+        settlement releasing the rest never double-count.
+        """
+        for lane in list(st.claim_lanes):
+            if only is not None and lane is not only:
+                continue
+            lane.live_requests -= 1
+            lane.planned_kv_bytes -= st.claim_bytes.pop(lane.index)
+            segs = st.claim_segs.pop(lane.index, None)
+            if segs is not None:
+                lane.forget_planned_segments(segs)
+            st.claim_lanes.remove(lane)
+            del self.claimed[lane.index][st.seq]
+
+    def place(
+        self,
+        request: FleetRequest,
+        seq: int,
+        eligible: list[PooledDevice],
+        now: float,
+        carry_start: float | None = None,
+    ) -> _RequestState:
+        """Create a request's sessions and bind them to pool lanes.
+
+        The scheduler picks the primary lane (placement hook) and may
+        spread racing replicas across further eligible lanes
+        (``replica_lanes``); each replica's session is created on the
+        server of the lane it will run on — identical search results
+        either way, since every lane shares the pairing and seed.
+
+        ``now`` is the placement instant; handles carry it as their
+        effective (re-)arrival so a failover or retry restart never
+        begins before the crash that caused it — even on an idle lane
+        whose clock lags the fault time. First placements pass the
+        arrival itself, so nothing changes without faults.
+        """
+        fleet, scheduler = self.fleet, self.scheduler
+        rearrival = max(request.arrival_s, now)
+        device = scheduler.choose_device(request, eligible, fleet._placement, now)
+        replica_lanes = scheduler.replica_lanes(request, device, eligible)
+        sessions_by_lane = {
+            device.index: scheduler.sessions_for(device.server, request)
+        }
+        handles = []
+        for replica in range(len(sessions_by_lane[device.index])):
+            lane = replica_lanes[replica % len(replica_lanes)]
+            if lane.index not in sessions_by_lane:
+                sessions_by_lane[lane.index] = scheduler.sessions_for(
+                    lane.server, request
+                )
+            session = sessions_by_lane[lane.index][replica]
+            handle = SessionHandle(
+                request_id=request.request_id,
+                arrival_s=rearrival,
+                seq=seq,
+                replica=replica,
+                session=session,
+                binding=ClockBinding(session.clock),
+                device=lane,
+            )
+            handles.append(handle)
+            self.runnable[lane.index][id(handle)] = handle
+        st = _RequestState(
+            request=request, seq=seq, handles=handles, device=device,
+            start_s=carry_start,
+        )
+        # Affinity accounting happens before any claim registration so
+        # a request's own planned segments never count as a "hit".
+        device.placements += 1
+        if device.ledger.segment_granular and device.prefix_affinity_bytes(
+            fleet._planned_claims(device, request.problem)
+        ) > 0:
+            device.affinity_hits += 1
+        for handle in handles:
+            lane = handle.device
+            if lane.index in st.claim_bytes:
+                continue
+            billed = fleet._billable_claim(lane, request)
+            lane.live_requests += 1
+            lane.planned_kv_bytes += billed
+            st.claim_lanes.append(lane)
+            st.claim_bytes[lane.index] = billed
+            self.claimed[lane.index][seq] = st
+            if lane.ledger.segment_granular:
+                segs = fleet._planned_claims(lane, request.problem)
+                lane.note_planned_segments(segs)
+                st.claim_segs[lane.index] = segs
+                lane.planned_admitted_bytes += fleet._kv_claims[
+                    (lane.index, request.algorithm.n)
+                ]
+                lane.unique_admitted_bytes += billed
+        carry = self.carry[seq]
+        if carry.routed_class is None:
+            # The router's *initial* decision: immutable through crashes
+            # and escalations (it is the decision being audited).
+            carry.routed_class = device.lane_class
+        self.states[seq] = st
+        if carry_start is None:
+            self.queued[device.index][seq] = st
+        return st
+
+    def admit(self, seq: int, request: FleetRequest, now: float) -> None:
+        reason, eligible = self.fleet._admission(
+            request, self.finish_times, len(self.states)
+        )
+        lost = False
+        if reason is None:
+            healthy = [lane for lane in eligible if lane.serving]
+            if not healthy:
+                # Every eligible lane is down. Wait for a scheduled repair
+                # if one exists; otherwise the request is lost to the
+                # outage, not to admission policy.
+                if self.repairs:
+                    t_rec = min(self.repairs.values())
+                    self._enqueue(max(request.arrival_s, t_rec), seq, request)
+                    return
+                reason = "no healthy device lane (pool lanes crashed)"
+                lost = True
+            else:
+                eligible = healthy
+                if self.router is not None:
+                    # The router narrows to its preferred lane class;
+                    # placement/scheduling pick the concrete lane within
+                    # it. A policy returning nothing (defensive guard)
+                    # falls back to every healthy lane.
+                    eligible = self.router.route(request, eligible, now) or eligible
+        if reason is not None:
+            # Admission outcomes never report ``failed_over``: a restart
+            # that waited for a repair and was then refused never happened.
+            self._terminal_record(
+                seq, request, finish_s=request.arrival_s, accepted=False,
+                reject_reason=reason, lost=lost, failed_over=False,
+            )
+        else:
+            self.place(request, seq, eligible, now=now)
+        # Either way somebody new showed up: sessions in service must stop
+        # speculating (round-granular analogue of the arrival offsets).
+        for handle in self.started.values():
+            handle.session.notify_arrival()
+
+    def service_start(self, lane: PooledDevice, handle: SessionHandle) -> None:
+        """First pick of a handle: stamp service start, install the offset.
+
+        Arrival preemption is deliberately *pool-global*: a session sheds
+        speculative work when any later request arrives, even one placed
+        on another lane. Per-lane preemption is not expressible here —
+        the offset is installed at service start, when later requests'
+        placements have not happened yet — and the global rule is the
+        conservative reading of Sec. 4.1.2 (a busy fleet sheds
+        speculation); it slightly understates multi-device speedups.
+        """
+        start = max(lane.clock.now, handle.arrival_s)
+        handle.start_s = start
+        self.started[id(handle)] = handle
+        st = self.states[handle.seq]
+        if st.start_s is None:
+            st.start_s = start
+            del self.queued[st.device.index][st.seq]
+        # The next arrival on the session's own clock (t=0 at service
+        # start). Sessions only use the earliest offset and ``requests``
+        # is arrival-sorted, so one suffices; non-positive means someone
+        # is already waiting and speculation never starts.
+        if handle.seq + 1 < len(self.requests):
+            handle.session.set_arrival_offsets(
+                (self.requests[handle.seq + 1].arrival_s - start,)
+            )
+
+    # -- KV ledger charging ----------------------------------------------
+
+    @staticmethod
+    def charge_restore(lane: PooledDevice, handle: SessionHandle) -> None:
+        """Bring a resumed session's evicted KV back; charge the reads."""
+        restored, evicted = lane.ledger.restore(handle.session.session_id)
+        _charge_swap(lane, handle, restored, evicted)
+
+    @staticmethod
+    def charge_growth(lane: PooledDevice, handle: SessionHandle) -> None:
+        """Post-round ledger update; the grower pays for evictions.
+
+        Shared-ledger lanes get the session's segment lineage so prefix
+        bytes co-resident sessions share are billed once; whole-session
+        lanes get the opaque byte count. Either way a ledger can report
+        ``restored`` bytes — KV the owner lost to eviction since it last
+        ran that had to come back over PCIe before this round — and the
+        grower pays for both directions.
+        """
+        session = handle.session
+        if not session.state.live:
+            return  # released in settle()
+        if lane.ledger.segment_granular:
+            restored, evicted = lane.ledger.charge_growth_segments(
+                session.session_id, session.kv_segments()
+            )
+        else:
+            restored, evicted = lane.ledger.charge_growth(
+                session.session_id, session.resident_kv_bytes
+            )
+        _charge_swap(lane, handle, restored, evicted)
+
+    # -- settlement ------------------------------------------------------
+
+    def escalate(
+        self, st: _RequestState, lane: PooledDevice, targets: list[PooledDevice]
+    ) -> None:
+        """Abandon a settled cheap attempt and re-place on a bigger class.
+
+        Every session of the attempt is cancelled and its device seconds
+        billed as escalated work (the honest cost of trying small first)
+        — disjoint from crash-voided ``redone_work_s`` by construction,
+        since no session's clock can reach both; ledger claims are
+        released on their lanes, and the request re-enters placement on
+        the escalation targets — a full re-prefill through the bigger
+        lane's ledger, exactly like a fresh admission. The escalation
+        instant is the settling lane's clock, so the restart never
+        predates the rejected attempt's finish.
+        """
+        abandoned = 0.0
+        for h in st.handles:
+            self._cancel(h)
+            abandoned += h.session.clock.now
+            (h.device or lane).ledger.release(h.session.session_id)
+        carry = self.carry[st.seq]
+        carry.escalated_work_s += abandoned
+        carry.escalations += 1
+        self.release_claims(st)
+        self._forget(st)
+        self.place(
+            st.request, st.seq, targets, now=lane.clock.now, carry_start=st.start_s
+        )
+
+    def settle(self, handle: SessionHandle, lane: PooledDevice) -> None:
+        """A session reached DONE: decide its request's race, maybe commit."""
+        self._retire(handle)
+        st = self.states[handle.seq]
+        siblings = st.handles
+        if self.scheduler.race_decided(handle, siblings):
+            winner = handle
+        elif all(not h.session.state.live for h in siblings):
+            # Nobody produced a verified finish: the lowest-replica
+            # *finished* sibling stands — the canonical replica when it
+            # survived (identical to what FIFO would have served), else
+            # the surviving replica a lane crash left behind.
+            finished = [
+                h for h in siblings if h.session.state is SessionState.DONE
+            ]
+            if not finished:
+                return  # every replica crashed; recovery owns this one
+            winner = min(finished, key=lambda h: h.replica)
+        else:
+            return  # race continues
+        request, carry = st.request, self.carry[st.seq]
+        if self.router is not None and not self.router.accept(request, winner):
+            # Verifier rejection: ask the router for bigger-class lanes
+            # this request could still plan on. With nowhere to escalate
+            # (already on the biggest class, or no feasible bigger lane),
+            # the attempt commits as-is.
+            targets = self.router.escalate_lanes(
+                request,
+                (winner.device or lane).model_cost_bytes,
+                self._healthy_feasible(request),
+            )
+            if targets:
+                self.escalate(st, lane, targets)
+                return
+        cancelled_work = 0.0
+        for h in siblings:
+            if h is not winner:
+                self._cancel(h)
+                cancelled_work += h.session.clock.now
+        for h in siblings:
+            (h.device or lane).ledger.release(h.session.session_id)
+        result = winner.session.outcome.result
+        committed = result.tokens.committed
+        self._terminal_record(
+            st.seq,
+            request,
+            start_s=st.start_s,
+            finish_s=lane.clock.now,
+            latency=result.latency,
+            replicas=len(siblings),
+            cancelled_work_s=cancelled_work,
+            # Device seconds across every session of the request; the
+            # start→finish window also contains other requests' rounds
+            # under interleaving schedulers. Work redone after a lane
+            # crash (failover/retry restarts) counts, as do abandoned
+            # cheaper attempts a cascade escalated past.
+            device_time_s=(
+                winner.session.clock.now + cancelled_work
+                + carry.redone_work_s + carry.escalated_work_s
+            ),
+            device_id=lane.device_id,
+            lane_class=lane.lane_class,
+            kv_swap_s=sum(h.kv_swap_s for h in siblings),
+            ttft_s=(
+                winner.first_token_s - request.arrival_s
+                if winner.first_token_s is not None
+                else None
+            ),
+            tpot_s=(
+                result.latency.generation / committed if committed > 0 else None
+            ),
+        )
+        self.results[request.request_id] = result
+        self.finish_times.append(lane.clock.now)
+        self.release_claims(st)
+        self._forget(st)
+        lane.requests_served += 1
+
+    def drop(self, st: _RequestState) -> None:
+        """Shed a still-queued request whose deadline expired.
+
+        The drop is stamped at the deadline expiry itself (arrival +
+        deadline), not at the lane-clock instant the sweep noticed it —
+        the record is a pure function of the request, independent of how
+        far the lane's clock had jumped past the deadline. None of the
+        request's sessions ever ran, so there is no cancelled work to
+        account; their ledger claims (if any) are released like a
+        settled race's losers.
+        """
+        request = st.request
+        for h in st.handles:
+            self._cancel(h)
+            (h.device or st.device).ledger.release(h.session.session_id)
+        self._terminal_record(
+            st.seq, request, carried=False,
+            finish_s=request.arrival_s + request.deadline_s,
+            accepted=False, dropped=True,
+            reject_reason=(
+                f"deadline expired after {request.deadline_s:g}s in queue "
+                f"(late_policy=drop)"
+            ),
+        )
+        self.release_claims(st)
+        self._forget(st)
+
+    def drop_expired(self, lane: PooledDevice) -> bool:
+        """Open-loop shedding sweep: drop expired queued work on ``lane``.
+
+        Only requests whose service has not started are candidates —
+        once a request holds the device its lateness is the SLO metrics'
+        problem, not admission's. Returns True when anything was dropped
+        (the caller re-evaluates which lane acts next).
+        """
+        dropped_any = False
+        for st in list(self.queued[lane.index].values()):
+            if self.scheduler.drop_expired(
+                st.request, lane.clock.now, self.fleet._late_policy
+            ):
+                self.drop(st)
+                dropped_any = True
+        return dropped_any
+
+    # -- faults and recovery ---------------------------------------------
+
+    def _arm_injector(self) -> None:
+        """Keep the injector's next onset time on the heap (lazy timeline)."""
+        head = self.injector.peek() if self.injector is not None else None
+        if head is not None:
+            heapq.heappush(self.events, (head, _FAULT, 0, None))
+
+    def schedule_restoration(
+        self, time_s: float, kind: str, lane: PooledDevice
+    ) -> None:
+        heapq.heappush(
+            self.events, (time_s, _RESTORE, self.restorations, (kind, lane))
+        )
+        self.restorations += 1
+        if kind == "lane_recover":
+            self.repairs[lane.index] = time_s
+
+    def pump(self, up_to: float) -> None:
+        """Apply every restoration and fault onset due by ``up_to``."""
+        events = self.events
+        while events and events[0][1] != _ARRIVAL and events[0][0] <= up_to:
+            time_s, rank, _, payload = heapq.heappop(events)
+            if rank == _RESTORE:
+                self.apply_restoration(*payload, time_s)
+            else:
+                for event in self.injector.pop_due(time_s):
+                    self.apply_fault(event)
+                self._arm_injector()
+
+    def _healthy_feasible(self, request: FleetRequest) -> list[PooledDevice]:
+        """Serving lanes whose allocator can plan the request's budget."""
+        n = request.algorithm.n
+        return [
+            lane for lane in self.lanes
+            if lane.serving and self.fleet._kv_verdict(lane, n) is None
+        ]
+
+    def recover_request(
+        self, st: _RequestState, lane: PooledDevice, now: float
+    ) -> None:
+        """Apply the recovery policy to a request the crash left session-less.
+
+        All of the request's device seconds so far are charged as redone
+        work — the crash voided them — and the state is torn down before
+        the policy decides the request's next life: ``shed`` fails fast,
+        ``retry`` re-queues after backoff (until the per-request budget
+        runs out), ``failover`` re-places on a healthy lane immediately
+        (checkpoint-free restart). A request no policy can keep leaves
+        the system with a terminal ``lost`` record.
+        """
+        fleet = self.fleet
+        seq, request, carry = st.seq, st.request, self.carry[st.seq]
+        carry.redone_work_s += sum(h.session.clock.now for h in st.handles)
+        self.release_claims(st)
+        self._forget(st)
+        if fleet._recovery == "shed":
+            reason = f"lane {lane.device_id} crashed (recovery=shed)"
+        elif fleet._recovery == "retry":
+            try:
+                delay = fleet._retry_policy.backoff(carry.retries + 1)
+            except RetryExhaustedError as error:
+                reason = f"lane {lane.device_id} crashed; {error}"
+            else:
+                carry.retries += 1
+                self._enqueue(max(now + delay, request.arrival_s), seq, request)
+                return
+        elif healthy := self._healthy_feasible(request):
+            # failover: restart on any healthy KV-feasible lane right now.
+            # It honours the router: the restart lands on the policy's
+            # preferred class among the survivors (falling through the
+            # class order when the original class died with the lane).
+            if self.router is not None:
+                healthy = self.router.route(request, healthy, now) or healthy
+            carry.failed_over = True
+            self.place(request, seq, healthy, now=now, carry_start=st.start_s)
+            return
+        elif self.repairs:
+            # ... or wait for a scheduled repair ...
+            carry.failed_over = True
+            t_rec = min(self.repairs.values())
+            self._enqueue(max(t_rec, request.arrival_s), seq, request)
+            return
+        else:
+            # ... or concede the request.
+            reason = f"lane {lane.device_id} crashed and no healthy lane remains"
+        self._terminal_record(
+            seq, request, finish_s=max(now, request.arrival_s), accepted=False,
+            lost=True, reject_reason=reason, device_id=lane.device_id,
+        )
+
+    def on_lane_crash(
+        self, lane: PooledDevice, time_s: float, mttr_s: float | None
+    ) -> None:
+        """A lane dies: resident KV is gone, its sessions are voided.
+
+        Requests racing replicas on surviving lanes keep running (the
+        crash must not fail a request that still has a live replica);
+        requests whose only sessions died go to the recovery policy.
+        """
+        if not lane.serving:
+            return  # coincident crash on an already-dead lane
+        lane.fail_lane(time_s)
+        self.current[lane.index] = None
+        if mttr_s is not None:
+            self.schedule_restoration(time_s + mttr_s, "lane_recover", lane)
+        for st in list(self.claimed[lane.index].values()):
+            for h in st.handles:
+                if h.device is lane:
+                    self._cancel(h)
+            self.release_claims(st, only=lane)
+            survivors = [h for h in st.handles if h.device is not lane]
+            if any(h.session.state.live for h in survivors):
+                continue  # the race carries on without the dead replica
+            done = [
+                h for h in survivors if h.session.state is SessionState.DONE
+            ]
+            if done:
+                self.settle(done[0], done[0].device)
+            else:
+                self.recover_request(st, lane, time_s)
+
+    def reanchor_residents(self, lane: PooledDevice) -> None:
+        """Shift resident sessions past a fault that ate lane time.
+
+        A stall or forced eviction advances the lane clock underneath its
+        live handles; without re-anchoring, their next ``sync`` would
+        reconstruct a timeline *before* the fault and trip the clock's
+        rewind guard. Rebinding preserves each session's accumulated
+        service and resumes it at the post-fault instant.
+        """
+        for handle in self.runnable[lane.index].values():
+            handle.binding.rebind(lane.clock)
+
+    def apply_fault(self, event) -> None:
+        lane = self.lanes[event.lane]
+        if event.kind == "crash":
+            self.on_lane_crash(lane, event.time_s, event.mttr_s)
+            return
+        if not lane.serving:
+            return  # non-crash faults have nothing to act on when down
+        if event.kind == "stall":
+            lane.clock.advance_to(max(lane.clock.now, event.time_s))
+            lane.stall(event.duration_s)
+            self.reanchor_residents(lane)
+        elif event.kind == "link_degrade":
+            lane.degrade_link(event.factor)
+            if event.duration_s is not None:
+                self.schedule_restoration(
+                    event.time_s + event.duration_s, "link_restore", lane
+                )
+        elif event.kind == "kv_pressure":
+            evicted = lane.apply_kv_pressure(event.factor)
+            dt = sum(lane.link.transfer_time(num_bytes) for _, num_bytes in evicted)
+            if dt:
+                # The pressure spike's forced write-out is PCIe time on
+                # the lane; victims pay their read-back on next resume.
+                lane.clock.advance(dt)
+                lane.kv_swap_s += dt
+                self.reanchor_residents(lane)
+            if event.duration_s is not None:
+                self.schedule_restoration(
+                    event.time_s + event.duration_s, "kv_relieve", lane
+                )
+
+    def apply_restoration(self, kind: str, lane: PooledDevice, time_s: float) -> None:
+        if kind == "lane_recover":
+            del self.repairs[lane.index]
+            if not lane.serving:
+                lane.recover_lane(time_s)
+        elif kind == "link_restore":
+            if lane.serving:
+                lane.restore_link()
+        elif kind == "kv_relieve":
+            if lane.serving:
+                lane.relieve_kv_pressure()
 
 
 def run_trace(

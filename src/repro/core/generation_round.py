@@ -65,7 +65,11 @@ class GenerationRoundResult:
     stats: RoundStats
 
 
-@dataclass(slots=True)
+# Batch bookkeeping rows compare by identity (``eq=False``): "is this slot
+# still running" / "remove the victim" mean this very slot, and the
+# generated field-tuple ``__eq__`` made every ``in`` / ``remove`` a scan of
+# field comparisons.
+@dataclass(slots=True, eq=False)
 class _Pending:
     """A waiting standard job (possibly re-queued after preemption)."""
 
@@ -74,7 +78,7 @@ class _Pending:
     progress: int = 0  # tokens decoded before a preemption, if any
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Slot:
     """One occupied batch slot."""
 

@@ -104,6 +104,13 @@ class SessionHandle:
 
     @property
     def runnable(self) -> bool:
+        """Whether the session can still be stepped.
+
+        The fleet does not poll this: its run state keeps a per-lane
+        index of runnable handles, updated where a session finishes or
+        is cancelled, and hands ``pick`` that index's handles in
+        placement order.
+        """
         return self.session.state.live
 
 

@@ -309,6 +309,7 @@ class SolveSession:
         self._plans: dict[tuple[int, ...], StepPlan] = {}
         self._gen_result = None
         self._first_token_s: float | None = None
+        self._lane_node_ids: dict[tuple[str, int], int] = {}  # see _lane_id
 
         # Preemption inputs.
         self._preempt_at: float | None = min(arrivals) if arrivals else None
@@ -432,26 +433,38 @@ class SolveSession:
         ]
         if self._plan is not None and self._plan.offload:
             views = [views[0] if self._active_model == "generator" else views[1]]
-        namespace = self.kv_namespace
+        node_ids = self._lane_node_ids
         claims: list[KVSegment] = []
         for tag, cache, bytes_per_token in views:
             tree = cache.tree
             for state in cache.resident_segments():
-                node = tree.get(state.segment_id)
-                node_id = _lane_node_id(
-                    tag, namespace, state.segment_id, node.parent_id is None
-                )
-                if node.parent_id is None:
-                    parent_id = None
-                else:
-                    grandparent = tree.get(node.parent_id).parent_id
-                    parent_id = _lane_node_id(
-                        tag, namespace, node.parent_id, grandparent is None
-                    )
+                segment = state.segment_id
+                parent = tree.get(segment).parent_id
                 claims.append(
-                    KVSegment(node_id, parent_id, state.token_len * bytes_per_token)
+                    KVSegment(
+                        node_ids.get((tag, segment))
+                        or self._lane_id(tag, tree, segment),
+                        None if parent is None
+                        else node_ids.get((tag, parent))
+                        or self._lane_id(tag, tree, parent),
+                        state.token_len * bytes_per_token,
+                    )
                 )
         return tuple(claims)
+
+    def _lane_id(self, tag: str, tree, segment_id: int) -> int:
+        """Hash one segment's lane-tree node id, once per session.
+
+        A segment's root-ness never changes and the namespace is fixed
+        per server binding, so ``kv_segments`` — called every round for
+        every resident segment and its parent — looks ids up instead of
+        re-hashing them. The memo dies with the session.
+        """
+        node_id = self._lane_node_ids[tag, segment_id] = _lane_node_id(
+            tag, self.kv_namespace, segment_id,
+            tree.get(segment_id).parent_id is None,
+        )
+        return node_id
 
     def planned_segments(self) -> tuple[KVSegment, ...]:
         """The claims this session will register at setup (pre-admission).
@@ -513,6 +526,7 @@ class SolveSession:
                 f"different model pairings"
             )
         self._server = server
+        self._lane_node_ids.clear()  # kv_namespace follows the server binding
         if self._gen_worker is not None:
             self._gen_worker = GeneratorWorker(
                 server.gen_model, server.roofline, self._gen_cache, self._clock,

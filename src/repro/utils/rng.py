@@ -16,6 +16,7 @@ FastTTS run is a real algorithmic divergence, not RNG-consumption skew.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterable
 
@@ -44,9 +45,41 @@ def _encode_part(part: _KeyPart) -> bytes:
     if isinstance(part, bytes):
         return b"y" + len(part).to_bytes(4, "little") + part
     if isinstance(part, tuple):
-        inner = b"".join(_encode_part(p) for p in part)
-        return b"t" + len(part).to_bytes(4, "little") + inner
+        return b"t" + len(part).to_bytes(4, "little") + _encode_parts(part)
     raise TypeError(f"unhashable rng key part of type {type(part).__name__}")
+
+
+# Keys repeat a small vocabulary of labels and problem ids. Only ``str``
+# parts are memoised by value: ``1 == True == 1.0`` as dict keys (even
+# inside tuples), so caching numeric or tuple parts would alias encodings
+# that must differ.
+_encode_str = functools.lru_cache(maxsize=4096)(_encode_part)
+
+
+def _encode_parts(parts: tuple) -> bytes:
+    """Concatenated encodings of ``parts`` — the hashing hot path.
+
+    Dispatches on the exact type of the overwhelmingly common parts
+    (``int``, ``str``, nested ``tuple``) and leaves everything else —
+    ``bool``, ``float``, ``bytes``, subclasses — to :func:`_encode_part`'s
+    ``isinstance`` chain, so the bytes are the same either way.
+    """
+    out = []
+    for part in parts:
+        kind = type(part)
+        if kind is int:
+            out.append(b"i" + part.to_bytes(16, "little", signed=True))
+        elif kind is str:
+            out.append(_encode_str(part))
+        elif kind is tuple:
+            out.append(b"t" + len(part).to_bytes(4, "little") + _encode_parts(part))
+        else:
+            out.append(_encode_part(part))
+    return b"".join(out)
+
+
+def _hash64(encoded: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
 
 
 def stable_hash64(*parts: _KeyPart) -> int:
@@ -55,10 +88,7 @@ def stable_hash64(*parts: _KeyPart) -> int:
     Unlike the builtin :func:`hash`, the result does not depend on
     ``PYTHONHASHSEED``, the process, or the platform.
     """
-    digest = hashlib.blake2b(
-        b"".join(_encode_part(p) for p in parts), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
+    return _hash64(_encode_parts(parts))
 
 
 class KeyedRng:
@@ -77,6 +107,7 @@ class KeyedRng:
         if not isinstance(seed, int):
             raise TypeError("seed must be an int")
         self._seed = seed
+        self._prefix = _encode_parts((seed,))  # every key starts with the seed
 
     @property
     def seed(self) -> int:
@@ -90,7 +121,7 @@ class KeyedRng:
         state; distinct keys yield independent streams.
         """
         return np.random.Generator(
-            np.random.PCG64(stable_hash64(self._seed, *key))
+            np.random.PCG64(_hash64(self._prefix + _encode_parts(key)))
         )
 
     def uniform(self, *key: _KeyPart) -> float:
@@ -128,7 +159,7 @@ class KeyedRng:
         Useful for handing a component its own namespace without threading
         long key tuples through every call site.
         """
-        return KeyedRng(stable_hash64(self._seed, "fork", *key))
+        return KeyedRng(_hash64(self._prefix + _encode_parts(("fork", *key))))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KeyedRng(seed={self._seed})"

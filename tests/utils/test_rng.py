@@ -1,5 +1,7 @@
 """Tests for the keyed RNG streams — the schedule-invariance foundation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,6 +58,80 @@ class TestStableHash:
             # not a strict guarantee, but collisions would break the design
             if type(a) is not type(b) or a != b:
                 assert stable_hash64(a) != stable_hash64(b)
+
+
+def reference_encode_part(part) -> bytes:
+    """The encoder as it stood before the fast path — the byte-level spec."""
+    if isinstance(part, bool):  # must precede int: bool is a subclass of int
+        return b"b" + (b"1" if part else b"0")
+    if isinstance(part, int):
+        return b"i" + part.to_bytes(16, "little", signed=True)
+    if isinstance(part, float):
+        return b"f" + np.float64(part).tobytes()
+    if isinstance(part, str):
+        raw = part.encode("utf-8")
+        return b"s" + len(raw).to_bytes(4, "little") + raw
+    if isinstance(part, bytes):
+        return b"y" + len(part).to_bytes(4, "little") + part
+    if isinstance(part, tuple):
+        inner = b"".join(reference_encode_part(p) for p in part)
+        return b"t" + len(part).to_bytes(4, "little") + inner
+    raise TypeError(f"unhashable rng key part of type {type(part).__name__}")
+
+
+def reference_hash64(*parts) -> int:
+    digest = hashlib.blake2b(
+        b"".join(reference_encode_part(p) for p in parts), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+nested_parts = st.recursive(
+    st.one_of(key_parts, st.binary(max_size=8)),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+class _Label(str):
+    """A ``str`` subclass: must take the isinstance fallback, same bytes."""
+
+
+class TestFastPathMatchesReference:
+    @given(st.lists(nested_parts, max_size=5))
+    def test_any_key_hashes_like_the_reference(self, parts):
+        assert stable_hash64(*parts) == reference_hash64(*parts)
+
+    def test_equal_but_differently_typed_parts_stay_apart(self):
+        # 1 == True == 1.0 as dict keys, even inside tuples: a value-keyed
+        # memo of encodings would alias these. Interleave them so a cached
+        # entry from one would be served to the next.
+        keys = [(1,), (True,), (1.0,), (1, "a"), (True, "a"), (1.0, "a")]
+        for _ in range(2):
+            for key in keys:
+                assert stable_hash64(key) == reference_hash64(key)
+                assert stable_hash64(*key) == reference_hash64(*key)
+        assert len({stable_hash64(key) for key in keys}) == len(keys)
+
+    def test_subclasses_take_the_fallback(self):
+        assert stable_hash64(_Label("a"), np.float64(0.5)) == reference_hash64("a", 0.5)
+
+    def test_repeated_strings_are_served_from_the_memo_unchanged(self):
+        for _ in range(3):
+            assert stable_hash64("step", "p-1", 2) == reference_hash64("step", "p-1", 2)
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(nested_parts, max_size=4))
+    def test_streams_and_forks_key_on_seed_then_parts(self, seed, parts):
+        rng = KeyedRng(seed)
+        expected = np.random.Generator(
+            np.random.PCG64(reference_hash64(seed, *parts))
+        )
+        assert rng.stream(*parts).random() == expected.random()
+        assert rng.fork(*parts).seed == reference_hash64(seed, "fork", *parts)
+
+    def test_bool_seed_keeps_its_type_tag(self):
+        assert KeyedRng(True).fork().seed == reference_hash64(True, "fork")
+        assert KeyedRng(1).fork().seed == reference_hash64(1, "fork")
 
 
 class TestKeyedRng:
