@@ -16,23 +16,10 @@ Commands
     Multi-request serving: queue a stream of solve requests with simulated
     arrival times onto a device pool and report fleet metrics (request
     throughput, p50/p95 queueing delay and sojourn, busy fraction, KV swap
-    time). ``--scheduler`` picks the request-scheduling policy (``fifo``,
-    ``sjf``, ``round_robin``, ``first_finish``, ``prefix_affinity``) or
-    compares them all (``--scheduler all``); ``--devices
-    rtx4090,rtx4070ti`` spans a heterogeneous pool and ``--placement``
-    picks how requests spread across it (``first_fit``, ``least_loaded``,
-    ``kv_balanced``); ``--kv-sharing prefix`` dedups KV prefix segments
-    shared by co-resident sessions in each lane's ledger (``off`` keeps
-    whole-session accounting, byte-identical to the goldens);
-    ``--batching continuous`` coalesces co-resident sessions' rounds into
-    jointly-costed batches per lane — weight reads amortize across the
-    batch and the report gains TTFT/TPOT and occupancy rows (``off``
-    time-slices one session per round, byte-identical to the goldens);
-    ``--lane MODEL@DEVICE[:DTYPE][:mem=FRACTION],...`` deploys a
-    *different* model pairing (optionally quantized) per lane and
-    ``--router {static,predicted,cascade}`` picks which lane class serves
-    each request — ``cascade`` escalates verifier-rejected cheap attempts
-    to the bigger class, billing the abandoned work honestly.
+    time). Serving policy is one :class:`~repro.core.fleet.FleetSpec`, and
+    ``add_fleet_flags`` generates a flag for every field of it (``fleet
+    --help`` lists them; every default is byte-identical to the goldens).
+    ``--scheduler all`` compares every registered policy on one workload.
 ``trace``
     Open-loop trace-driven serving. ``trace generate`` synthesizes a
     multi-tenant arrival trace (``--tenant
@@ -42,12 +29,13 @@ Commands
     JSONL; ``trace run`` generates and serves it in one step; ``trace
     replay`` serves a trace file byte-identically to the run that wrote
     it. Requests arrive at their trace timestamps regardless of capacity
-    — queues build and deadlines expire; ``--late-policy drop`` sheds
-    queued requests at deadline expiry, ``serve_late`` (default) serves
-    them anyway and lets SLO attainment take the hit. Reports add SLO
-    attainment, goodput-under-deadline, queue-depth/overload stats, and
-    a per-tenant table; all ``fleet`` axes (scheduler, devices,
-    placement, kv-sharing, batching, oversubscription) apply.
+    — queues build and deadlines expire. ``run`` and ``replay`` take every
+    ``FleetSpec`` flag, including the one ``fleet`` omits (its closed-loop
+    requests carry no deadlines): ``--late-policy drop`` sheds queued
+    requests at deadline expiry, ``serve_late`` serves them anyway and
+    lets SLO attainment take the hit. Reports add SLO attainment,
+    goodput-under-deadline, queue-depth/overload stats and a per-tenant
+    table.
 ``schedulers``
     List the registered request-scheduling and placement policies.
 ``devices``
@@ -62,24 +50,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from repro.analysis.reports import deployment_report
 from repro.analysis.straggler import idle_fraction
-from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals, run_trace
-from repro.core.pool import list_placements, placement_descriptions
+from repro.core.config import AXIS_CHOICES, baseline_config, fasttts_config
+from repro.core.fleet import (
+    FleetSpec,
+    TTSFleet,
+    axis_flag,
+    generate_arrivals,
+    run_trace,
+)
+from repro.core.pool import placement_descriptions
 from repro.core.scheduler import list_schedulers, scheduler_descriptions
 from repro.core.server import TTSServer
 from repro.errors import ConfigError
-from repro.faults import fault_descriptions, parse_fault_spec
 from repro.metrics.fleet import compare_policies
-from repro.routing import (
-    build_router,
-    list_routers,
-    parse_lane_list,
-    router_descriptions,
-)
-from repro.utils.suggest import did_you_mean
+from repro.routing import router_descriptions
 from repro.workloads.arrivals import arrival_descriptions
 from repro.workloads.tenants import TenantSpec, generate_trace
 from repro.workloads.trace import Trace
@@ -109,11 +97,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.problem < 0:
-        print(
-            f"error: --problem must be a non-negative index, got {args.problem}",
-            file=sys.stderr,
+        raise ConfigError(
+            f"--problem must be a non-negative index, got {args.problem}"
         )
-        return 2
     dataset = build_dataset(args.dataset, seed=args.seed, size=args.problem + 1)
     problem = list(dataset)[args.problem]
     algorithm = build_algorithm(args.algorithm, args.n)
@@ -147,11 +133,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.problems < 1:
-        print(f"error: --problems must be >= 1, got {args.problems}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--problems must be >= 1, got {args.problems}")
     spec = ExperimentSpec(
         dataset_name=args.dataset,
         dataset_size=args.problems,
@@ -180,168 +164,135 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_device_list(spec: str | None) -> tuple[list[str] | None, str | None]:
-    """Parse/validate ``--devices``; returns ``(names, error)``.
+#: The one place a subcommand opts out of a serving axis: ``fleet``'s
+#: closed-loop requests carry no deadlines, so ``--late-policy`` would
+#: have nothing to act on there.
+_FLEET_OMITS = ("late_policy",)
 
-    ``None`` spec means the flag was not given — the single ``--device``
-    default applies. An empty list, blank entries, or unknown device names
-    are errors (exit-2 convention, with a nearest-name suggestion).
 
-    Duplicate names are deliberately legal: ``--devices
-    rtx4090,rtx4090`` builds a two-lane pool of identical cards, and the
-    pool suffixes each lane id with its index (``dev0:rtx4090``,
-    ``dev1:rtx4090``) so ids never collide.
+def add_fleet_flags(
+    parser: argparse.ArgumentParser, omit: tuple[str, ...] = ()
+) -> dict[str, argparse.Action]:
+    """One flag per :class:`FleetSpec` field, generated from the field.
+
+    Defaults, help and value sets come from the spec; enum axes and the
+    scheduler/placement registries become argparse ``choices``, while
+    open grammars (devices, lanes, faults, router) are checked by
+    ``FleetSpec.from_args`` so typos get a did-you-mean. Returns the
+    actions by field name.
     """
-    if spec is None:
-        return None, None
-    names = [name.strip() for name in spec.split(",")]
-    if not any(names):
-        return None, "--devices must name at least one device"
-    if any(not name for name in names):
-        return None, f"--devices has an empty entry in {spec!r}"
-    known = list_devices()
-    for name in names:
-        if name not in known:
-            return None, (
-                f"--devices: unknown device {name!r}"
-                f"{did_you_mean(name, known)}; known: {', '.join(known)}"
+    actions = {}
+    for axis in fields(FleetSpec):
+        if axis.name in omit:
+            continue
+        meta = axis.metadata
+        options = {key: meta[key] for key in ("metavar", "type") if key in meta}
+        if axis.name in AXIS_CHOICES:
+            options["choices"] = AXIS_CHOICES[axis.name]
+        elif "choices" in meta:
+            options["choices"] = meta["choices"]()
+        help_text = meta["help"]
+        if "describe" in meta:
+            help_text += ". " + "; ".join(
+                f"{name}: {desc}" for name, desc in meta["describe"]().items()
             )
-    return names, None
+        actions[axis.name] = parser.add_argument(
+            axis_flag(axis), dest=axis.name, default=axis.default,
+            help=help_text, **options,
+        )
+    return actions
 
 
-def _parse_hetero_flags(args: argparse.Namespace):
-    """Validate ``--lane``/``--router``; returns ``(lanes, error)``.
+def add_serve_flags(
+    parser: argparse.ArgumentParser, omit: tuple[str, ...] = ()
+) -> dict[str, argparse.Action]:
+    """Everything ``_serve`` reads: the server's config plus the fleet flags."""
+    parser.add_argument("--config", default="1.5B+1.5B")
+    parser.add_argument("--device", default="rtx4090", choices=list_devices())
+    parser.add_argument("--system", choices=("baseline", "fasttts"),
+                        default="fasttts")
+    parser.add_argument("--memory-fraction", type=float, default=0.4)
+    return add_fleet_flags(parser, omit)
 
-    ``--lane`` and ``--devices`` are mutually exclusive (a lane spec
-    already names its device); lane grammar and router names follow the
-    exit-2 convention with nearest-name suggestions.
+
+def _serve(args, kind: str, workload: str, seed: int, drain) -> int:
+    """Shared tail of ``fleet`` and ``trace run/replay``.
+
+    Builds the spec and server config from the flags, has ``drain(config,
+    spec)`` serve the command's requests once per scheduling policy
+    (``--scheduler all`` compares them), and prints the report tables.
     """
-    lanes = None
-    if args.lane is not None:
-        if args.devices is not None:
-            return None, (
-                "--lane and --devices are mutually exclusive; "
-                "a lane spec already names its device"
-            )
-        try:
-            lanes = parse_lane_list(args.lane)
-        except ConfigError as exc:
-            return None, f"--lane: {exc}"
-    if args.router != "off":
-        try:
-            build_router(args.router)
-        except ConfigError as exc:
-            return None, f"--router: {exc}"
-    return lanes, None
+    policies = list_schedulers() if args.scheduler == "all" else [args.scheduler]
+    spec = FleetSpec.from_args(args, scheduler=policies[0])
+    lanes = spec.lanes
+    factory = fasttts_config if args.system == "fasttts" else baseline_config
+    config = factory(
+        device_name=(lanes[0].device_name if lanes
+                     else spec.devices[0] if spec.devices else args.device),
+        model_config=(lanes[0].model_config if lanes else args.config),
+        memory_fraction=args.memory_fraction,
+        seed=seed,
+    )
+    reports = {p: drain(config, replace(spec, scheduler=p)) for p in policies}
+
+    if lanes:
+        served = "lanes " + ",".join(lane.label for lane in lanes)
+    else:
+        served = f"{args.config} on {','.join(spec.devices or [args.device])}"
+    title = f"{workload} | {args.system} {served}" + "".join(
+        f" | {axis_flag(axis)[2:]} {getattr(spec, axis.name)}"
+        for axis in fields(spec)
+        if axis.name not in ("scheduler", "devices", "lanes")
+        and getattr(spec, axis.name) != axis.default
+    )
+    if len(reports) > 1:
+        print(compare_policies(
+            {policy: report.metrics for policy, report in reports.items()},
+            title=f"{kind} scheduler comparison: {title}",
+        ))
+        return 0
+    report = reports[spec.scheduler]
+    print(report.table(title=f"{kind} [{spec.scheduler}]: {title}"))
+    if len(report.devices) > 1:
+        print(report.device_table(title="per-device utilization"))
+    if spec.router != "off":
+        print(report.lane_class_table(title="per-lane-class rollup"))
+        decisions = ", ".join(
+            f"{cls}: {count}" for cls, count in report.router_decisions().items()
+        )
+        print(f"router decisions: {decisions or 'none'}")
+    if kind == "trace":
+        print(report.tenant_table(title="per-tenant SLOs"))
+        print(report.slo_summary().table(title="fleet SLO summary"))
+    for record in report.records:
+        if not record.accepted:
+            fate = ("dropped" if record.dropped
+                    else "lost" if record.lost else "rejected")
+            print(f"{fate} {record.request_id}: {record.reject_reason}")
+    return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.requests < 1:
-        print(f"error: --requests must be >= 1, got {args.requests}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--requests must be >= 1, got {args.requests}")
     if args.n < 1:
-        print(f"error: -n must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"-n must be >= 1, got {args.n}")
     if args.rate <= 0:
-        print(f"error: --rate must be > 0, got {args.rate}", file=sys.stderr)
-        return 2
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        print(
-            f"error: --max-in-flight must be >= 1, got {args.max_in_flight}",
-            file=sys.stderr,
-        )
-        return 2
-    device_names, device_error = _parse_device_list(args.devices)
-    if device_error is not None:
-        print(f"error: {device_error}", file=sys.stderr)
-        return 2
-    lanes, hetero_error = _parse_hetero_flags(args)
-    if hetero_error is not None:
-        print(f"error: {hetero_error}", file=sys.stderr)
-        return 2
-    try:
-        parse_fault_spec(args.faults)
-    except ConfigError as exc:
-        print(f"error: --faults: {exc}", file=sys.stderr)
-        return 2
-    factory = fasttts_config if args.system == "fasttts" else baseline_config
-    config = factory(
-        device_name=(lanes[0].device_name if lanes
-                     else device_names[0] if device_names else args.device),
-        model_config=(lanes[0].model_config if lanes else args.config),
-        memory_fraction=args.memory_fraction,
-        seed=args.seed,
-    )
+        raise ConfigError(f"--rate must be > 0, got {args.rate}")
     arrivals = generate_arrivals(
         args.requests, args.rate, seed=args.seed, distribution=args.arrivals
     )
     algorithm = build_algorithm(args.algorithm, args.n)
     dataset = build_dataset(args.dataset, seed=args.seed, size=args.requests)
-    policies = list_schedulers() if args.scheduler == "all" else [args.scheduler]
 
-    reports = {}
-    for policy in policies:
-        fleet = TTSFleet(
-            config, dataset, max_in_flight=args.max_in_flight, scheduler=policy,
-            devices=device_names, placement=args.placement,
-            oversubscription=args.oversubscription,
-            kv_sharing=args.kv_sharing,
-            batching=args.batching,
-            faults=args.faults,
-            recovery=args.recovery,
-            retry_budget=args.retry_budget,
-            lanes=lanes,
-            router=args.router,
-        )
+    def drain(config, spec):
+        fleet = TTSFleet(config, dataset, spec)
         fleet.submit_stream(list(dataset), algorithm, arrivals)
-        reports[policy] = fleet.drain()
+        return fleet.drain()
 
-    if lanes:
-        device_label = ",".join(spec.label for spec in lanes)
-        served = f"lanes {device_label}"
-    else:
-        device_label = ",".join(device_names) if device_names else args.device
-        served = f"{args.config} on {device_label}"
     workload = (f"{args.requests} requests @ {args.rate}/s ({args.arrivals}) "
-                f"| {args.system} {served} "
                 f"| {args.algorithm} n={args.n}")
-    if args.router != "off":
-        workload += f" | router {args.router}"
-    if args.kv_sharing != "off":
-        workload += f" | kv-sharing {args.kv_sharing}"
-    if args.batching != "off":
-        workload += f" | batching {args.batching}"
-    if args.faults != "off":
-        workload += f" | faults {args.faults} | recovery {args.recovery}"
-    multi_device = (
-        (device_names is not None and len(device_names) > 1)
-        or (lanes is not None and len(lanes) > 1)
-    )
-    if multi_device:
-        workload += f" | placement {args.placement}"
-    if len(reports) == 1:
-        policy, report = next(iter(reports.items()))
-        print(report.table(title=f"fleet [{policy}]: {workload}"))
-        if multi_device:
-            print(report.device_table(title="per-device utilization"))
-        if args.router != "off":
-            print(report.lane_class_table(title="per-lane-class rollup"))
-            decisions = ", ".join(
-                f"{cls}: {count}"
-                for cls, count in report.router_decisions().items()
-            )
-            print(f"router decisions: {decisions or 'none'}")
-        for record in report.records:
-            if record.lost:
-                print(f"lost {record.request_id}: {record.reject_reason}")
-            elif not record.accepted:
-                print(f"rejected {record.request_id}: {record.reject_reason}")
-    else:
-        print(compare_policies(
-            {policy: report.metrics for policy, report in reports.items()},
-            title=f"fleet scheduler comparison: {workload}",
-        ))
-    return 0
+    return _serve(args, "fleet", workload, args.seed, drain)
 
 
 #: Tenants used when ``trace generate``/``trace run`` get no ``--tenant``:
@@ -381,104 +332,24 @@ def _print_trace_summary(trace: Trace) -> None:
 
 def _serve_trace(trace: Trace, args: argparse.Namespace) -> int:
     """Replay ``trace`` through the open-loop fleet and print SLO tables."""
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        print(
-            f"error: --max-in-flight must be >= 1, got {args.max_in_flight}",
-            file=sys.stderr,
-        )
-        return 2
-    device_names, device_error = _parse_device_list(args.devices)
-    if device_error is not None:
-        print(f"error: {device_error}", file=sys.stderr)
-        return 2
-    lanes, hetero_error = _parse_hetero_flags(args)
-    if hetero_error is not None:
-        print(f"error: {hetero_error}", file=sys.stderr)
-        return 2
-    try:
-        parse_fault_spec(args.faults)
-    except ConfigError as exc:
-        print(f"error: --faults: {exc}", file=sys.stderr)
-        return 2
-    factory = fasttts_config if args.system == "fasttts" else baseline_config
-    config = factory(
-        device_name=(lanes[0].device_name if lanes
-                     else device_names[0] if device_names else args.device),
-        model_config=(lanes[0].model_config if lanes else args.config),
-        memory_fraction=args.memory_fraction,
-        seed=trace.seed,
-    )
-    report = run_trace(
-        trace, config,
-        scheduler=args.scheduler,
-        placement=args.placement,
-        devices=device_names,
-        oversubscription=args.oversubscription,
-        kv_sharing=args.kv_sharing,
-        batching=args.batching,
-        late_policy=args.late_policy,
-        max_in_flight=args.max_in_flight,
-        faults=args.faults,
-        recovery=args.recovery,
-        retry_budget=args.retry_budget,
-        lanes=lanes,
-        router=args.router,
-    )
-    if lanes:
-        served = "lanes " + ",".join(spec.label for spec in lanes)
-    else:
-        device_label = ",".join(device_names) if device_names else args.device
-        served = f"{args.config} on {device_label}"
     workload = (f"{len(trace.requests)} requests / {len(trace.tenants)} tenants "
-                f"over {trace.horizon_s:.0f}s | {args.system} {served} "
-                f"| late-policy {args.late_policy}")
-    if args.router != "off":
-        workload += f" | router {args.router}"
-    if args.faults != "off":
-        workload += f" | faults {args.faults} | recovery {args.recovery}"
-    print(report.table(title=f"trace [{args.scheduler}]: {workload}"))
-    if (device_names is not None and len(device_names) > 1) or (
-        lanes is not None and len(lanes) > 1
-    ):
-        print(report.device_table(title="per-device utilization"))
-    if args.router != "off":
-        print(report.lane_class_table(title="per-lane-class rollup"))
-    print(report.tenant_table(title="per-tenant SLOs"))
-    print(report.slo_summary().table(title="fleet SLO summary"))
-    for record in report.records:
-        if record.dropped:
-            print(f"dropped {record.request_id}: {record.reject_reason}")
-        elif record.lost:
-            print(f"lost {record.request_id}: {record.reject_reason}")
-        elif not record.accepted:
-            print(f"rejected {record.request_id}: {record.reject_reason}")
-    return 0
+                f"over {trace.horizon_s:.0f}s")
+    return _serve(
+        args, "trace", workload, trace.seed,
+        lambda config, spec: run_trace(trace, config, spec=spec),
+    )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if args.trace_command == "replay":
+        return _serve_trace(Trace.load(args.trace), args)
+    trace = _trace_from_args(args)
     if args.trace_command == "generate":
-        try:
-            trace = _trace_from_args(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         trace.save(args.out)
         _print_trace_summary(trace)
         print(f"wrote {args.out}")
         return 0
-    if args.trace_command == "replay":
-        try:
-            trace = Trace.load(args.trace)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _serve_trace(trace, args)
     # run: generate + serve in one step
-    try:
-        trace = _trace_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.out is not None:
         trace.save(args.out)
         print(f"wrote {args.out}")
@@ -589,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="serve a multi-request stream and report fleet metrics"
     )
     fleet.add_argument("--dataset", default="amc23", choices=list_datasets())
-    fleet.add_argument("--config", default="1.5B+1.5B")
-    fleet.add_argument("--device", default="rtx4090", choices=list_devices())
     fleet.add_argument("--algorithm", default="beam_search",
                        choices=list_algorithms())
     fleet.add_argument("-n", type=int, default=8)
@@ -599,67 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arrival rate in requests per simulated second")
     fleet.add_argument("--arrivals", choices=("poisson", "uniform"),
                        default="poisson")
-    fleet.add_argument("--system", choices=("baseline", "fasttts"),
-                       default="fasttts")
-    fleet.add_argument("--scheduler",
-                       choices=(*list_schedulers(), "all"), default="fifo",
-                       help="request-scheduling policy, or 'all' to compare "
-                            "every registered policy on the same workload")
-    fleet.add_argument("--max-in-flight", type=int, default=None,
-                       help="admission-control cap on queued+running requests")
-    fleet.add_argument("--devices", default=None, metavar="NAME[,NAME...]",
-                       help="comma-separated device pool (overrides --device), "
-                            "e.g. rtx4090,rtx4070ti; duplicates are legal "
-                            "(lane ids are index-suffixed)")
-    router_help = "; ".join(
-        f"{name}: {desc}" for name, desc in router_descriptions().items()
-    )
-    fleet.add_argument("--lane", default=None, metavar="SPEC[,SPEC...]",
-                       help="comma-separated heterogeneous lane specs "
-                            "MODEL@DEVICE[:DTYPE][:mem=FRACTION], e.g. "
-                            "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8 "
-                            "(mutually exclusive with --devices)")
-    fleet.add_argument("--router", default="off", metavar="NAME",
-                       help="difficulty-aware model router across lane "
-                            "classes ('off' keeps the routerless path, "
-                            f"byte-identical to the goldens). {router_help}")
-    fleet.add_argument("--placement", choices=list_placements(),
-                       default="first_fit",
-                       help="how new requests spread across the device pool")
-    fleet.add_argument("--oversubscription", choices=("swap", "deny"),
-                       default="swap",
-                       help="KV contention policy: charge eviction/restore "
-                            "PCIe time (swap) or refuse admission (deny)")
-    fleet.add_argument("--kv-sharing", choices=("off", "prefix"),
-                       default="off", dest="kv_sharing",
-                       help="dedup KV prefix segments shared by co-resident "
-                            "sessions in each lane's ledger (off = "
-                            "whole-session accounting)")
-    fleet.add_argument("--batching", choices=("off", "continuous"),
-                       default="off",
-                       help="coalesce co-resident sessions' rounds into one "
-                            "jointly-costed batch per lane iteration (off = "
-                            "one session's round at a time)")
-    fault_help = "; ".join(
-        f"{name}: {desc}" for name, desc in fault_descriptions().items()
-    )
-    fleet.add_argument("--faults", default="off", metavar="SPEC",
-                       help="fault-injection spec 'kind:key=value,...' "
-                            "(';'-separated clauses; 'off' disables). "
-                            "Each clause fires once (at=) or as a Poisson "
-                            f"process (rate=). Kinds — {fault_help}")
-    fleet.add_argument("--recovery", choices=("failover", "retry", "shed"),
-                       default="failover",
-                       help="what a lane crash does to its in-flight "
-                            "requests: re-place on a healthy lane "
-                            "(failover), re-queue with exponential backoff "
-                            "(retry), or fail fast (shed)")
-    fleet.add_argument("--retry-budget", type=int, default=3,
-                       dest="retry_budget",
-                       help="max re-queues per request under --recovery "
-                            "retry before it is declared lost")
-    fleet.add_argument("--memory-fraction", type=float, default=0.4)
     fleet.add_argument("--seed", type=int, default=0)
+    compare = add_serve_flags(fleet, omit=_FLEET_OMITS)["scheduler"]
+    compare.choices = (*compare.choices, "all")
+    compare.help += (", or 'all' to compare every registered policy on the "
+                     "same workload")
 
     trace = sub.add_parser(
         "trace", help="open-loop trace-driven serving with SLO metrics"
@@ -683,52 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset whose step-length dynamics the serving "
                             "fleet uses (default: first tenant's dataset)")
         p.add_argument("--seed", type=int, default=0)
-
-    def add_serve_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default="1.5B+1.5B")
-        p.add_argument("--device", default="rtx4090", choices=list_devices())
-        p.add_argument("--devices", default=None, metavar="NAME[,NAME...]",
-                       help="comma-separated device pool (overrides --device); "
-                            "duplicates are legal (lane ids index-suffixed)")
-        p.add_argument("--lane", default=None, metavar="SPEC[,SPEC...]",
-                       help="comma-separated heterogeneous lane specs "
-                            "MODEL@DEVICE[:DTYPE][:mem=FRACTION] "
-                            "(mutually exclusive with --devices)")
-        p.add_argument("--router", default="off", metavar="NAME",
-                       help="difficulty-aware model router across lane "
-                            "classes; one of off, "
-                            + ", ".join(list_routers()))
-        p.add_argument("--system", choices=("baseline", "fasttts"),
-                       default="fasttts")
-        p.add_argument("--scheduler", choices=list_schedulers(),
-                       default="fifo")
-        p.add_argument("--placement", choices=list_placements(),
-                       default="first_fit")
-        p.add_argument("--oversubscription", choices=("swap", "deny"),
-                       default="swap")
-        p.add_argument("--kv-sharing", choices=("off", "prefix"),
-                       default="off", dest="kv_sharing")
-        p.add_argument("--batching", choices=("off", "continuous"),
-                       default="off")
-        p.add_argument("--late-policy", choices=("serve_late", "drop"),
-                       default="serve_late", dest="late_policy",
-                       help="what happens when a queued request's deadline "
-                            "expires before it starts: serve it anyway "
-                            "(serve_late) or shed it (drop)")
-        p.add_argument("--max-in-flight", type=int, default=None,
-                       help="admission-control cap on queued+running requests")
-        p.add_argument("--faults", default="off", metavar="SPEC",
-                       help="fault-injection spec 'kind:key=value,...' "
-                            "(';'-separated clauses; 'off' disables)")
-        p.add_argument("--recovery", choices=("failover", "retry", "shed"),
-                       default="failover",
-                       help="lane-crash recovery policy for in-flight "
-                            "requests")
-        p.add_argument("--retry-budget", type=int, default=3,
-                       dest="retry_budget",
-                       help="max re-queues per request under --recovery "
-                            "retry before it is declared lost")
-        p.add_argument("--memory-fraction", type=float, default=0.4)
 
     trace_generate = trace_sub.add_parser(
         "generate", help="synthesize a multi-tenant trace and write JSONL"
@@ -784,8 +551,13 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a :class:`ConfigError` anywhere is exit status 2."""
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

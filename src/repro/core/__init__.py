@@ -7,7 +7,13 @@ from repro.core.allocator import (
     static_split_plan,
 )
 from repro.core.config import OffloadMode, ServerConfig, baseline_config, fasttts_config
-from repro.core.fleet import FleetReport, FleetRequest, TTSFleet, generate_arrivals
+from repro.core.fleet import (
+    FleetReport,
+    FleetRequest,
+    FleetSpec,
+    TTSFleet,
+    generate_arrivals,
+)
 from repro.core.generation_round import (
     ChildStepPlan,
     GenerationRound,
@@ -74,6 +80,7 @@ __all__ = [
     "TTSFleet",
     "FleetRequest",
     "FleetReport",
+    "FleetSpec",
     "generate_arrivals",
     "DevicePool",
     "PooledDevice",

@@ -14,7 +14,36 @@ from enum import Enum
 from repro.errors import ConfigError
 from repro.utils.suggest import did_you_mean
 
-__all__ = ["OffloadMode", "ServerConfig", "baseline_config", "fasttts_config"]
+__all__ = [
+    "AXIS_CHOICES",
+    "OffloadMode",
+    "ServerConfig",
+    "baseline_config",
+    "check_axis",
+    "fasttts_config",
+]
+
+#: Allowed values of the fleet's string-enum serving axes, default first.
+#: :class:`~repro.core.fleet.FleetSpec`, the pool's lanes and the CLI's
+#: ``choices=`` all read this one table.
+AXIS_CHOICES: dict[str, tuple[str, ...]] = {
+    "oversubscription": ("swap", "deny"),
+    "kv_sharing": ("off", "prefix"),
+    "batching": ("off", "continuous"),
+    "late_policy": ("serve_late", "drop"),
+    "recovery": ("failover", "retry", "shed"),
+}
+
+
+def check_axis(axis: str, value: str) -> str:
+    """Return ``value`` if ``axis`` allows it, else raise naming the choices."""
+    choices = AXIS_CHOICES[axis]
+    if value not in choices:
+        *head, last = (repr(choice) for choice in choices)
+        raise ConfigError(
+            f"{axis} must be {', '.join(head)} or {last}, got {value!r}"
+        )
+    return value
 
 
 class OffloadMode(str, Enum):

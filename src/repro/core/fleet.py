@@ -23,19 +23,23 @@ migration) policy choices instead of architecture changes:
   sheds speculative work;
 * **admission control**: a request whose beam budget cannot be planned
   inside any device's KV budget is rejected up front
-  (:class:`CapacityError` from the allocator), as is any arrival that
-  would exceed ``max_in_flight`` queued-plus-running requests (replica
-  sessions of one request count once). With
-  ``oversubscription="deny"``, a request whose planned KV would
-  oversubscribe every eligible device's ledger is also refused;
-* **KV contention is charged**: with the default
-  ``oversubscription="swap"``, interleaved sessions whose combined KV
+  (:class:`CapacityError` from the allocator), as is any arrival beyond
+  the spec's queue cap (replica sessions of one request count once) or,
+  in deny mode, one whose planned KV would oversubscribe every eligible
+  device's ledger;
+* **KV contention is charged**: interleaved sessions whose combined KV
   oversubscribes a device's ledger pay PCIe swap time
-  (:class:`~repro.hardware.memory.KVLedger`); with ``kv_sharing="prefix"``
-  each lane's ledger is a :class:`~repro.hardware.memory.SharedKVLedger`
-  that bills prefix bytes shared by co-resident sessions once;
+  (:class:`~repro.hardware.memory.KVLedger`, or the prefix-deduplicating
+  :class:`~repro.hardware.memory.SharedKVLedger`);
 * the run aggregates into :class:`~repro.metrics.fleet.FleetMetrics` plus
   a per-device :class:`~repro.metrics.fleet.DeviceUtilization` rollup.
+
+**The spec.** Every serving-policy axis — scheduler, placement, pool
+shape, router, KV sharing, batching, oversubscription, lateness, queue
+cap, faults and recovery — is one field of the frozen :class:`FleetSpec`,
+declared once with its default, allowed values and help text. The fleet,
+``run_trace``, the CLI's flags and every :class:`FleetReport` carry that
+one object; adding an axis is a field plus the code that consumes it.
 
 **The kernel.** ``TTSFleet.drain()`` builds one :class:`_FleetRun` and
 calls ``step()`` until it returns False. A step either applies the
@@ -53,31 +57,52 @@ who touches what), and finished requests leave the live maps at
 settlement.
 
 Everything stays simulated and deterministic: a fleet run is a pure
-function of (pool, submitted requests, scheduler policy, placement
-policy), and a single-device pool with ``scheduler="fifo"`` reproduces
-the pre-pool fleet byte for byte (pinned by
+function of (config, dataset, spec, submitted requests), and the default
+spec reproduces the pre-pool fleet byte for byte (pinned by
 ``tests/goldens/fleet_fifo_goldens.json``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
 
 from repro.core.batcher import RoundBatcher
-from repro.core.config import ServerConfig
-from repro.core.pool import DevicePool, PlacementPolicy, PooledDevice, build_placement
-from repro.core.scheduler import RequestScheduler, SessionHandle, build_scheduler
+from repro.core.config import ServerConfig, check_axis
+from repro.core.pool import (
+    DevicePool,
+    PlacementPolicy,
+    PooledDevice,
+    build_placement,
+    list_placements,
+)
+from repro.core.scheduler import (
+    RequestScheduler,
+    SessionHandle,
+    build_scheduler,
+    list_schedulers,
+)
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, planned_kv_segments
 from repro.engine.clock import ClockBinding
-from repro.errors import CapacityError, ConfigError, RetryExhaustedError
-from repro.faults import FaultInjector, FaultProcess, RetryPolicy, parse_fault_spec
+from repro.errors import (
+    CapacityError,
+    ConfigError,
+    ModelLookupError,
+    RetryExhaustedError,
+)
+from repro.faults import (
+    FaultInjector,
+    RetryPolicy,
+    check_lane_pins,
+    fault_descriptions,
+    parse_fault_spec,
+)
+from repro.hardware.device import get_device
 from repro.metrics.fleet import DeviceUtilization, FleetMetrics, FleetRequestRecord
 from repro.metrics.report import ProblemRunResult
-from repro.routing.lanes import LaneSpec
-from repro.routing.router import RoutingPolicy, build_router
+from repro.routing.lanes import LaneSpec, parse_lane_list
+from repro.routing.router import build_router, router_descriptions
 from repro.search.base import SearchAlgorithm
 from repro.utils.rng import KeyedRng
 from repro.workloads.problem import Dataset, Problem
@@ -85,6 +110,7 @@ from repro.workloads.problem import Dataset, Problem
 __all__ = [
     "FleetRequest",
     "FleetReport",
+    "FleetSpec",
     "TTSFleet",
     "generate_arrivals",
     "run_trace",
@@ -148,21 +174,232 @@ class FleetRequest:
             raise ValueError("ttft_slo_s must be positive when set")
 
 
+def _axis(default, help: str, check=None, **cli):
+    """One serving axis: its default, help text, validator and CLI hints.
+
+    ``check`` validates a set value and returns its canonical form
+    (raising :class:`ConfigError`); an axis without one is a string enum
+    checked against :data:`~repro.core.config.AXIS_CHOICES`. ``cli`` is
+    what the command line needs beyond that: ``flag`` when it is not
+    ``--<field-name>``, ``metavar``, ``type``, ``choices`` (a registry
+    listing argparse enforces) and ``describe`` (registry descriptions
+    appended to the help).
+    """
+    return field(default=default, metadata={"help": help, "check": check, **cli})
+
+
+def _registered(build):
+    """Validator for a registry name (building the policy is the lookup);
+    a prepared policy instance is recorded by its ``name``."""
+
+    def check(policy) -> str:
+        name = getattr(policy, "name", policy)
+        build(name)
+        return name
+
+    return check
+
+
+def _router_name(router) -> str:
+    if router in (None, "off"):
+        return "off"
+    return _registered(build_router)(router)
+
+
+def _policy(axes: dict, spec: "FleetSpec", axis: str, build):
+    """``axis``'s policy object: the prepared instance passed as a keyword, if
+    one was, else the registry's for the name the spec records."""
+    given = axes.get(axis)
+    if given is None or isinstance(given, str):
+        return build(getattr(spec, axis))
+    return given
+
+
+def _device_names(value) -> tuple[str, ...]:
+    """``"a,b"`` or a sequence of names → a tuple of registered devices
+    (duplicates are legal: ``rtx4090,rtx4090`` is two lanes of one card)."""
+    names = [
+        name.strip()
+        for name in (value.split(",") if isinstance(value, str) else value)
+    ]
+    if not any(names):
+        raise ConfigError("devices must name at least one device")
+    if not all(names):
+        raise ConfigError(f"devices has an empty entry in {value!r}")
+    for name in names:
+        try:
+            get_device(name)
+        except ModelLookupError as error:  # the registry's did-you-mean message
+            raise ConfigError(error.args[0]) from None
+    return tuple(names)
+
+
+def _lane_specs(value) -> tuple[LaneSpec, ...]:
+    return tuple(parse_lane_list(value) if isinstance(value, str) else value)
+
+
+def _queue_cap(value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"max_in_flight must be >= 1 when set, got {value}")
+    return value
+
+
+def _fault_spec(value: str) -> str:
+    parse_fault_spec(value)
+    return value.strip() or "off"
+
+
+@dataclass(frozen=True, slots=True)
+class FleetSpec:
+    """Every serving-policy axis of a fleet, declared once.
+
+    The spec is the only thing that validates or carries serving policy:
+    ``TTSFleet`` builds its pool, scheduler, placement and router from
+    one, ``run_trace`` forwards one, the CLI's flags are generated from
+    these fields, and a :class:`FleetReport` carries the one its fleet
+    ran under. Every default reproduces ``fleet_fifo_goldens.json`` byte
+    for byte. Values are canonicalised on construction (``devices`` and
+    ``lanes`` accept their comma-separated CLI spellings, ``router=None``
+    means ``"off"``), so equal policies compare equal and
+    ``dataclasses.asdict`` is JSON-ready.
+    """
+
+    scheduler: str = _axis(
+        "fifo", "request-scheduling policy",
+        _registered(build_scheduler), choices=list_schedulers,
+    )
+    placement: str = _axis(
+        "first_fit", "how new requests spread across the device pool",
+        _registered(build_placement), choices=list_placements,
+    )
+    devices: tuple[str, ...] | None = _axis(
+        None,
+        "comma-separated device pool (overrides --device), e.g. rtx4090,rtx4070ti; "
+        "duplicates are legal (lane ids are index-suffixed)",
+        _device_names, metavar="NAME[,NAME...]",
+    )
+    lanes: tuple[LaneSpec, ...] | None = _axis(
+        None,
+        "comma-separated heterogeneous lane specs MODEL@DEVICE[:DTYPE][:mem=FRACTION], "
+        "e.g. 7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8 (excludes --devices)",
+        _lane_specs, flag="--lane", metavar="SPEC[,SPEC...]",
+    )
+    router: str = _axis(
+        "off",
+        "difficulty-aware model router across lane classes ('off' keeps the "
+        "routerless path)",
+        _router_name, metavar="NAME", describe=router_descriptions,
+    )
+    oversubscription: str = _axis(
+        "swap",
+        "KV contention policy: charge eviction/restore PCIe time (swap) or refuse "
+        "admission (deny)",
+    )
+    kv_sharing: str = _axis(
+        "off",
+        "dedup KV prefix segments shared by co-resident sessions in each lane's "
+        "ledger (off = whole-session accounting)",
+    )
+    batching: str = _axis(
+        "off",
+        "coalesce co-resident sessions' rounds into one jointly-costed batch per "
+        "lane iteration (off = one session's round at a time)",
+    )
+    late_policy: str = _axis(
+        "serve_late",
+        "what happens when a queued request's deadline expires before it starts: "
+        "serve it anyway (serve_late) or shed it (drop)",
+    )
+    max_in_flight: int | None = _axis(
+        None, "admission-control cap on queued+running requests", _queue_cap, type=int
+    )
+    faults: str = _axis(
+        "off",
+        "fault-injection spec 'kind:key=value,...' (';'-separated clauses; 'off' "
+        "disables); each clause fires once (at=) or as a Poisson process (rate=)",
+        _fault_spec, metavar="SPEC", describe=fault_descriptions,
+    )
+    recovery: str = _axis(
+        "failover",
+        "what a lane crash does to its in-flight requests: re-place on a healthy lane "
+        "(failover), re-queue with exponential backoff (retry), or fail fast (shed)",
+    )
+    retry_budget: int = _axis(
+        3,
+        "max re-queues per request under --recovery retry before it is declared lost",
+        lambda budget: RetryPolicy(budget=budget).budget, type=int,
+    )
+
+    def __post_init__(self) -> None:
+        for axis in fields(self):
+            value = _checked(axis, getattr(self, axis.name))
+            object.__setattr__(self, axis.name, value)
+        if self.lanes is not None and self.devices is not None:
+            raise ConfigError(
+                "lanes and devices are mutually exclusive; a lane spec "
+                "already names its device"
+            )
+
+    @classmethod
+    def from_args(cls, args, **overrides) -> "FleetSpec":
+        """The spec ``repro.cli.add_fleet_flags``'s parsed flags describe.
+
+        ``overrides`` win; an axis the subcommand omitted keeps its default.
+        Each value is checked on its own first so the error names its flag.
+        """
+        values = {
+            axis.name: getattr(args, axis.name)
+            for axis in fields(cls) if hasattr(args, axis.name)
+        } | overrides
+        for axis in fields(cls):
+            if axis.name in values:
+                try:
+                    values[axis.name] = _checked(axis, values[axis.name])
+                except ConfigError as error:
+                    raise ConfigError(f"{axis_flag(axis)}: {error}") from None
+        return cls(**values)
+
+    def on_pool(self, pool: DevicePool) -> "FleetSpec":
+        """This spec with the axes a prepared pool owns read off its lanes."""
+        for axis in fields(self):
+            owned = axis.name in ("devices", "lanes", "kv_sharing", "batching")
+            if owned and getattr(self, axis.name) != axis.default:
+                raise ConfigError(
+                    "a prepared pool owns its lanes, their ledgers (kv_sharing) and "
+                    f"batching mode; build it with DevicePool.build(..., {axis.name}="
+                    f"...) instead of passing {axis.name} to TTSFleet"
+                )
+        shared = any(lane.ledger.segment_granular for lane in pool)
+        batched = any(lane.batching == "continuous" for lane in pool)
+        return replace(
+            self,
+            devices=tuple(lane.spec.name for lane in pool),
+            kv_sharing="prefix" if shared else "off",
+            batching="continuous" if batched else "off",
+        )
+
+
+def _checked(axis, value):
+    """``value`` validated and canonicalised for one :class:`FleetSpec` field."""
+    if value is None and axis.default is None:
+        return None  # an optional axis left unset
+    check = axis.metadata["check"]
+    return check(value) if check else check_axis(axis.name, value)
+
+
+def axis_flag(axis) -> str:
+    """The command-line spelling of one :class:`FleetSpec` field."""
+    return axis.metadata.get("flag") or "--" + axis.name.replace("_", "-")
+
+
 @dataclass(frozen=True, slots=True)
 class FleetReport:
-    """Everything one drained fleet run produced."""
+    """Everything one drained fleet run produced, and the spec it ran under."""
 
     records: tuple[FleetRequestRecord, ...]
+    spec: FleetSpec
     results: dict[str, ProblemRunResult] = field(default_factory=dict)
-    scheduler: str = "fifo"
-    placement: str = "first_fit"
     devices: tuple[DeviceUtilization, ...] = ()
-    kv_sharing: str = "off"
-    batching: str = "off"
-    late_policy: str = "serve_late"
-    faults: str = "off"
-    recovery: str = "failover"
-    router: str = "off"
 
     @property
     def metrics(self) -> FleetMetrics:
@@ -283,122 +520,54 @@ class TTSFleet:
     :class:`~repro.core.pool.PlacementPolicy` can spread requests across
     the lanes.
 
-    Construct either from ``(config, dataset)`` — optionally with
-    ``devices=["rtx4090", "rtx4070ti"]`` to span several device specs — or
-    from a prepared ``pool=DevicePool(...)``.
+    Serving policy is one :class:`FleetSpec`: pass ``spec=`` or, as
+    shorthand for ``FleetSpec(**axes)``, its fields as keyword arguments
+    (not both). As keywords, ``scheduler``, ``placement`` and ``router``
+    also accept a prepared policy instance; ``self.spec`` records its name.
+    Construct either from ``(config, dataset)`` — the spec's ``devices`` /
+    ``lanes`` / ``kv_sharing`` / ``batching`` then shape the pool — or
+    from a prepared ``pool=DevicePool(...)``, which owns those four axes:
+    the spec must leave them unset and reads them off the pool's lanes.
     """
 
     def __init__(
         self,
         config: ServerConfig | None = None,
         dataset: Dataset | None = None,
-        max_in_flight: int | None = None,
-        scheduler: RequestScheduler | str = "fifo",
+        spec: FleetSpec | None = None,
+        *,
         pool: DevicePool | None = None,
-        placement: PlacementPolicy | str = "first_fit",
-        devices: list[str] | None = None,
-        oversubscription: str = "swap",
-        kv_sharing: str = "off",
-        batching: str = "off",
-        late_policy: str = "serve_late",
-        faults: "str | Sequence[FaultProcess]" = "off",
-        recovery: str = "failover",
-        retry_budget: int = 3,
-        retry_backoff_s: float = 1.0,
-        lanes: Sequence[LaneSpec] | None = None,
-        router: RoutingPolicy | str | None = "off",
+        **axes,
     ) -> None:
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 when set")
-        if late_policy not in ("serve_late", "drop"):
-            raise ConfigError(
-                f"late_policy must be 'serve_late' or 'drop', got {late_policy!r}"
-            )
-        if recovery not in ("failover", "retry", "shed"):
-            raise ConfigError(
-                f"recovery must be 'failover', 'retry' or 'shed', "
-                f"got {recovery!r}"
-            )
-        if isinstance(faults, str):
-            self._faults_label = faults if faults.strip() else "off"
-            self._fault_processes = parse_fault_spec(faults)
-        else:
-            self._fault_processes = tuple(faults)
-            self._faults_label = (
-                ";".join(p.name for p in self._fault_processes)
-                if self._fault_processes else "off"
-            )
-        if kv_sharing not in ("off", "prefix"):
-            raise ConfigError(
-                f"kv_sharing must be 'off' or 'prefix', got {kv_sharing!r}"
-            )
-        if batching not in ("off", "continuous"):
-            raise ConfigError(
-                f"batching must be 'off' or 'continuous', got {batching!r}"
-            )
+        if spec is not None and axes:
+            raise ConfigError("pass either spec=... or keyword axes, not both")
+        spec = spec or FleetSpec(**axes)
         if pool is None:
             if config is None or dataset is None:
-                raise ConfigError(
-                    "TTSFleet needs either a DevicePool (pool=...) or a "
-                    "(config, dataset) pair to build one"
-                )
+                raise ConfigError("TTSFleet needs pool=... or (config, dataset)")
             pool = DevicePool.build(
-                config, dataset, device_names=devices,
-                kv_sharing=kv_sharing, batching=batching, lanes=lanes,
+                config, dataset, device_names=spec.devices, lanes=spec.lanes,
+                kv_sharing=spec.kv_sharing, batching=spec.batching,
             )
-        elif config is not None or dataset is not None or devices is not None:
-            raise ConfigError(
-                "pass either pool=... or (config, dataset[, devices]), not both"
-            )
-        elif lanes is not None:
-            raise ConfigError(
-                "a prepared pool owns its lanes; build it with "
-                "DevicePool.build(..., lanes=[LaneSpec...]) instead of "
-                "passing lanes to TTSFleet"
-            )
-        elif kv_sharing != "off":
-            raise ConfigError(
-                "a prepared pool owns its ledgers; build it with "
-                "DevicePool.build(..., kv_sharing='prefix') instead of "
-                "passing kv_sharing to TTSFleet"
-            )
-        elif batching != "off":
-            raise ConfigError(
-                "a prepared pool owns its lanes' batching mode; build it "
-                "with DevicePool.build(..., batching='continuous') instead "
-                "of passing batching to TTSFleet"
-            )
-        if oversubscription not in ("swap", "deny"):
-            raise ConfigError(
-                f"oversubscription must be 'swap' or 'deny', got {oversubscription!r}"
-            )
+        elif config is not None or dataset is not None:
+            raise ConfigError("pass either pool=... or (config, dataset), not both")
+        else:
+            spec = spec.on_pool(pool)
+        self.spec = spec
         self._pool = pool
         self._batcher = RoundBatcher()
-        self._oversubscription = oversubscription
-        self._late_policy = late_policy
-        self._max_in_flight = max_in_flight
-        self._recovery = recovery
-        self._retry_policy = RetryPolicy(
-            budget=retry_budget, backoff_s=retry_backoff_s
-        )
-        self._scheduler = (
-            build_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        )
-        self._placement = (
-            build_placement(placement) if isinstance(placement, str) else placement
-        )
-        # Routing: None / "off" leaves the drain loop byte-identical to
-        # the routerless fleet; a policy (by registry name or instance)
-        # narrows admission's eligible lanes per request and may escalate
-        # settled attempts to bigger-model lanes.
-        if router is None or router == "off":
-            self._router: RoutingPolicy | None = None
-        elif isinstance(router, str):
-            self._router = build_router(router)
-        else:
-            self._router = router
-        if self._router is not None:
-            self._router.bind(self._pool)
+        self._fault_processes = parse_fault_spec(spec.faults)
+        check_lane_pins(self._fault_processes, len(pool))
+        self._retry_policy = RetryPolicy(budget=spec.retry_budget)
+        self._scheduler = _policy(axes, spec, "scheduler", build_scheduler)
+        self._placement = _policy(axes, spec, "placement", build_placement)
+        # No router leaves the drain loop byte-identical to the routerless
+        # fleet; a policy narrows admission's eligible lanes per request
+        # and may escalate settled attempts to bigger-model lanes.
+        self._router = None
+        if spec.router != "off":
+            self._router = _policy(axes, spec, "router", build_router)
+            self._router.bind(pool)
         self._queue: list[FleetRequest] = []
         self._next_id = 0
         # Allocation feasibility is a pure function of (device, n) for a
@@ -439,24 +608,6 @@ class TTSFleet:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    @property
-    def late_policy(self) -> str:
-        return self._late_policy
-
-    @property
-    def faults(self) -> str:
-        """The fault spec label this fleet injects (``"off"`` = none)."""
-        return self._faults_label
-
-    @property
-    def recovery(self) -> str:
-        return self._recovery
-
-    @property
-    def router(self) -> str:
-        """The bound routing policy's name (``"off"`` = no router)."""
-        return self._router.name if self._router is not None else "off"
 
     def submit(
         self,
@@ -552,12 +703,13 @@ class TTSFleet:
         first, then per-device KV feasibility, then (deny mode only)
         ledger headroom.
         """
-        if self._max_in_flight is not None:
+        cap = self.spec.max_in_flight
+        if cap is not None:
             in_flight = running_requests + sum(
                 1 for f in finish_times if f > request.arrival_s
             )
-            if in_flight >= self._max_in_flight:
-                return f"queue full (max_in_flight={self._max_in_flight})", []
+            if in_flight >= cap:
+                return f"queue full (max_in_flight={cap})", []
         n = request.algorithm.n
         eligible = [
             lane for lane in self._pool if self._kv_verdict(lane, n) is None
@@ -566,7 +718,7 @@ class TTSFleet:
             # Every lane refused; surface the first lane's allocator error
             # (identical to the single-device fleet's reject reason).
             return self._kv_verdict(self._pool[0], n), []
-        if self._oversubscription == "deny":
+        if self.spec.oversubscription == "deny":
             fitting = [
                 lane for lane in eligible
                 if lane.planned_kv_bytes + self._billable_claim(lane, request)
@@ -662,6 +814,7 @@ class _FleetRun:
 
     def __init__(self, fleet: TTSFleet) -> None:
         self.fleet = fleet
+        self.spec = fleet.spec
         self.scheduler = fleet._scheduler
         self.router = fleet._router
         queue = fleet._queue
@@ -749,7 +902,7 @@ class _FleetRun:
                     return True
         if act is None:
             return False
-        if self.fleet._late_policy == "drop" and self.drop_expired(act):
+        if self.spec.late_policy == "drop" and self.drop_expired(act):
             return True
 
         clock = act.clock
@@ -805,28 +958,12 @@ class _FleetRun:
         return True
 
     def report(self) -> FleetReport:
-        fleet, lanes = self.fleet, self.lanes
         records = tuple(self.records[seq] for seq in sorted(self.records))
         return FleetReport(
             records=records,
+            spec=self.spec,
             results=self.results,
-            scheduler=self.scheduler.name,
-            placement=fleet._placement.name,
-            devices=DeviceUtilization.rollup(records, lanes),
-            kv_sharing=(
-                "prefix"
-                if any(lane.ledger.segment_granular for lane in lanes)
-                else "off"
-            ),
-            batching=(
-                "continuous"
-                if any(lane.batching == "continuous" for lane in lanes)
-                else "off"
-            ),
-            late_policy=fleet._late_policy,
-            faults=fleet._faults_label,
-            recovery=fleet._recovery,
-            router=fleet.router,
+            devices=DeviceUtilization.rollup(records, self.lanes),
         )
 
     # -- index maintenance -----------------------------------------------
@@ -1237,7 +1374,7 @@ class _FleetRun:
         dropped_any = False
         for st in list(self.queued[lane.index].values()):
             if self.scheduler.drop_expired(
-                st.request, lane.clock.now, self.fleet._late_policy
+                st.request, lane.clock.now, self.spec.late_policy
             ):
                 self.drop(st)
                 dropped_any = True
@@ -1299,9 +1436,9 @@ class _FleetRun:
         carry.redone_work_s += sum(h.session.clock.now for h in st.handles)
         self.release_claims(st)
         self._forget(st)
-        if fleet._recovery == "shed":
+        if self.spec.recovery == "shed":
             reason = f"lane {lane.device_id} crashed (recovery=shed)"
-        elif fleet._recovery == "retry":
+        elif self.spec.recovery == "retry":
             try:
                 delay = fleet._retry_policy.backoff(carry.retries + 1)
             except RetryExhaustedError as error:
@@ -1421,33 +1558,17 @@ class _FleetRun:
                 lane.relieve_kv_pressure()
 
 
-def run_trace(
-    trace,
-    config: ServerConfig,
-    *,
-    scheduler: RequestScheduler | str = "fifo",
-    placement: PlacementPolicy | str = "first_fit",
-    devices: list[str] | None = None,
-    oversubscription: str = "swap",
-    kv_sharing: str = "off",
-    batching: str = "off",
-    late_policy: str = "serve_late",
-    max_in_flight: int | None = None,
-    faults: str = "off",
-    recovery: str = "failover",
-    retry_budget: int = 3,
-    retry_backoff_s: float = 1.0,
-    lanes: Sequence[LaneSpec] | None = None,
-    router: RoutingPolicy | str | None = "off",
-) -> FleetReport:
+def run_trace(trace, config: ServerConfig, **axes) -> FleetReport:
     """Drive an open-loop :class:`~repro.workloads.trace.Trace` end to end.
 
-    Requests are submitted at their trace timestamps regardless of
-    capacity — queues build, deadlines expire, and ``late_policy``
-    decides whether expired queued requests are shed (``"drop"``) or
-    served anyway (``"serve_late"``). The serving dynamics (step-length
-    model, termination) come from the trace's ``base_dataset`` profile;
-    each request's *problem* is rebuilt from its own ``(dataset, seed,
+    ``axes`` are forwarded to :class:`TTSFleet` untouched — ``spec=`` or
+    :class:`FleetSpec` fields as keywords. Requests are submitted at
+    their trace timestamps regardless of capacity — queues build,
+    deadlines expire, and the spec's ``late_policy`` decides whether
+    expired queued requests are shed (``"drop"``) or served anyway
+    (``"serve_late"``). The serving dynamics (step-length model,
+    termination) come from the trace's ``base_dataset`` profile; each
+    request's *problem* is rebuilt from its own ``(dataset, seed,
     index)`` coordinates, so a serialized trace replays byte-identically
     to the in-memory one that produced it.
     """
@@ -1457,24 +1578,7 @@ def run_trace(
 
     problems = materialize_problems(trace)
     server_dataset = build_dataset(trace.base_dataset, seed=trace.seed)
-    fleet = TTSFleet(
-        config,
-        server_dataset,
-        max_in_flight=max_in_flight,
-        scheduler=scheduler,
-        placement=placement,
-        devices=devices,
-        oversubscription=oversubscription,
-        kv_sharing=kv_sharing,
-        batching=batching,
-        late_policy=late_policy,
-        faults=faults,
-        recovery=recovery,
-        retry_budget=retry_budget,
-        retry_backoff_s=retry_backoff_s,
-        lanes=lanes,
-        router=router,
-    )
+    fleet = TTSFleet(config, server_dataset, **axes)
     for request in trace:
         fleet.submit(
             problems[request.request_id],

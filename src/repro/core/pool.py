@@ -66,6 +66,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.core.config import check_axis
 from repro.core.server import TTSServer
 from repro.engine.clock import SimClock
 from repro.errors import ConfigError, FaultError, SchedulingError
@@ -183,14 +184,8 @@ class PooledDevice:
     stall_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kv_sharing not in ("off", "prefix"):
-            raise ConfigError(
-                f"kv_sharing must be 'off' or 'prefix', got {self.kv_sharing!r}"
-            )
-        if self.batching not in ("off", "continuous"):
-            raise ConfigError(
-                f"batching must be 'off' or 'continuous', got {self.batching!r}"
-            )
+        check_axis("kv_sharing", self.kv_sharing)
+        check_axis("batching", self.batching)
         if self.clock is None:
             self.clock = SimClock(label=self.device_id)
         if self.ledger is None:

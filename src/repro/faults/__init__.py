@@ -15,6 +15,7 @@ from repro.faults.injector import (
     RetryPolicy,
     TransientStall,
     build_fault,
+    check_lane_pins,
     fault_descriptions,
     list_faults,
     parse_fault_spec,
@@ -30,6 +31,7 @@ __all__ = [
     "RetryPolicy",
     "TransientStall",
     "build_fault",
+    "check_lane_pins",
     "fault_descriptions",
     "list_faults",
     "parse_fault_spec",

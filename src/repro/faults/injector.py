@@ -58,6 +58,7 @@ __all__ = [
     "KvPressure",
     "RetryPolicy",
     "build_fault",
+    "check_lane_pins",
     "list_faults",
     "fault_descriptions",
     "parse_fault_spec",
@@ -351,6 +352,16 @@ def parse_fault_spec(spec: str | None) -> tuple[FaultProcess, ...]:
     return tuple(processes)
 
 
+def check_lane_pins(processes: Sequence[FaultProcess], num_lanes: int) -> None:
+    """Refuse a clause pinned to a lane the pool does not have."""
+    for process in processes:
+        if process.lane is not None and process.lane >= num_lanes:
+            raise ConfigError(
+                f"{process.name} fault pins lane {process.lane} but the "
+                f"pool has only {num_lanes} lane(s)"
+            )
+
+
 class FaultInjector:
     """Merges every clause's keyed event stream into one fault timeline.
 
@@ -370,12 +381,7 @@ class FaultInjector:
     ) -> None:
         if num_lanes <= 0:
             raise ConfigError(f"fault injector needs num_lanes > 0 (got {num_lanes})")
-        for process in processes:
-            if process.lane is not None and process.lane >= num_lanes:
-                raise ConfigError(
-                    f"{process.name} fault pins lane {process.lane} but the "
-                    f"pool has only {num_lanes} lane(s)"
-                )
+        check_lane_pins(processes, num_lanes)
         self._processes = tuple(processes)
         self._rng = rng
         self._num_lanes = num_lanes

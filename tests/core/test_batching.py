@@ -105,8 +105,8 @@ class TestAcceptance:
         assert burst_off.devices[0].batch_iterations == 0
 
     def test_mode_surfaces_on_report(self, burst_off, burst_continuous):
-        assert burst_off.batching == "off"
-        assert burst_continuous.batching == "continuous"
+        assert burst_off.spec.batching == "off"
+        assert burst_continuous.spec.batching == "continuous"
 
     def test_slo_metrics_populated(self, burst_off, burst_continuous):
         for report in (burst_off, burst_continuous):
@@ -125,7 +125,7 @@ class TestOffIsTheDefault:
 
     def test_default_matches_explicit_off(self, burst_off):
         default = burst_fleet()
-        assert default.batching == "off"
+        assert default.spec.batching == "off"
         assert record_signature(default) == record_signature(burst_off)
         assert {
             rid: res.to_json_dict() for rid, res in sorted(default.results.items())
@@ -213,7 +213,7 @@ class TestConfig:
         assert all(lane.batching == "continuous" for lane in pool)
         fleet = TTSFleet(pool=pool)
         fleet.submit(list(dataset)[0], build_algorithm("best_of_n", 2), 0.0)
-        assert fleet.drain().batching == "continuous"
+        assert fleet.drain().spec.batching == "continuous"
 
     def test_pooled_device_validates_mode(self):
         lane = DevicePool.build(

@@ -346,8 +346,8 @@ class TestRecoveryPolicyOrdering:
                 assert "crash" in record.reject_reason
 
     def test_report_labels(self, reports):
-        assert reports["failover"].recovery == "failover"
-        assert reports["failover"].faults.startswith("crash:")
+        assert reports["failover"].spec.recovery == "failover"
+        assert reports["failover"].spec.faults.startswith("crash:")
 
     def test_same_spec_same_seed_identical_records(self, reports, crash_at):
         spec = f"crash:at={crash_at},lane=0"
@@ -523,7 +523,7 @@ class TestFaultsOffIdentity:
         explicit = crash_fleet("off", "failover")
         default = crash_fleet("off", "failover")
         assert explicit.records == default.records
-        assert explicit.faults == "off"
+        assert explicit.spec.faults == "off"
 
     def test_bad_recovery_rejected(self):
         dataset = build_dataset("amc23", seed=0, size=1)

@@ -1,9 +1,22 @@
 """Tests for the multi-request fleet serving loop."""
 
+import dataclasses
+import inspect
+import json
+
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import FleetRequest, TTSFleet, generate_arrivals
+from repro.core.fleet import (
+    FleetRequest,
+    FleetSpec,
+    TTSFleet,
+    generate_arrivals,
+    run_trace,
+)
+from repro.core.pool import DevicePool
+from repro.core.scheduler import FirstFinishScheduler
+from repro.errors import ConfigError
 from repro.metrics.fleet import FleetMetrics, FleetRequestRecord
 from repro.search.registry import build_algorithm
 from repro.workloads.datasets import build_dataset
@@ -99,8 +112,95 @@ class TestAdmissionControl:
         assert "KV budget" in report.records[0].reject_reason
 
     def test_max_in_flight_validated(self, dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="max_in_flight"):
             TTSFleet(baseline_config(memory_fraction=0.4), dataset, max_in_flight=0)
+
+
+class TestFleetSpec:
+    """One spec carries serving policy: reports are self-describing."""
+
+    SPEC = FleetSpec(
+        scheduler="round_robin", placement="least_loaded",
+        devices="rtx4090,rtx4090", kv_sharing="prefix", max_in_flight=4,
+        faults="stall:at=5,lane=1,duration=2", recovery="retry", retry_budget=1,
+    )
+
+    def test_report_carries_the_spec_the_fleet_was_built_from(self, dataset):
+        config = baseline_config(memory_fraction=0.4, seed=0)
+        fleet = TTSFleet(config, dataset, self.SPEC)
+        fleet.submit(list(dataset)[0], build_algorithm("beam_search", 4), 0.0)
+        assert fleet.spec is self.SPEC
+        assert fleet.drain().spec is self.SPEC
+
+    def test_keyword_axes_are_shorthand_for_the_spec(self, dataset):
+        config = baseline_config(memory_fraction=0.4, seed=0)
+        axes = {
+            axis.name: getattr(self.SPEC, axis.name)
+            for axis in dataclasses.fields(self.SPEC)
+        }
+        assert TTSFleet(config, dataset, **axes).spec == self.SPEC
+        with pytest.raises(ConfigError, match="not both"):
+            TTSFleet(config, dataset, self.SPEC, recovery="shed")
+
+    def test_injected_policy_instance_is_recorded_by_name(self, dataset):
+        scheduler = FirstFinishScheduler(replicas=2)
+        fleet = TTSFleet(
+            baseline_config(memory_fraction=0.4), dataset, scheduler=scheduler
+        )
+        assert fleet.scheduler is scheduler
+        assert fleet.spec.scheduler == "first_finish"
+
+    def test_prepared_pool_fills_the_axes_it_owns(self, dataset):
+        pool = DevicePool.build(
+            baseline_config(memory_fraction=0.4), dataset, ["rtx4090", "rtx4090"],
+            kv_sharing="prefix", batching="continuous",
+        )
+        fleet = TTSFleet(pool=pool, scheduler="sjf")
+        fleet.submit(list(dataset)[0], build_algorithm("beam_search", 4), 0.0)
+        assert fleet.drain().spec == FleetSpec(
+            scheduler="sjf", devices=("rtx4090", "rtx4090"),
+            kv_sharing="prefix", batching="continuous",
+        )
+
+    def test_spec_is_json_ready(self):
+        """``asdict`` needs no custom encoder: str / int / None leaves only
+        (a lane's optional ``mem=`` fraction would be the one float)."""
+        hetero = dataclasses.replace(
+            self.SPEC, devices=None, lanes="7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8"
+        )
+
+        def leaves(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in leaves(child)]
+            return [node]
+
+        for spec in (FleetSpec(), self.SPEC, hetero):
+            plain = json.loads(json.dumps(dataclasses.asdict(spec)))
+            assert set(plain) == {axis.name for axis in dataclasses.fields(spec)}
+            assert all(isinstance(x, (str, int, type(None))) for x in leaves(plain))
+            assert plain["devices"] == (list(spec.devices) if spec.devices else None)
+
+    def test_canonical_forms_compare_equal(self):
+        assert FleetSpec(devices="rtx4090, rtx4070ti") == FleetSpec(
+            devices=["rtx4090", "rtx4070ti"]
+        )
+        assert FleetSpec(router=None) == FleetSpec() == FleetSpec(faults=" ")
+
+    def test_fault_pinned_past_the_pool_fails_at_construction(self, dataset):
+        config = baseline_config(memory_fraction=0.4)
+        with pytest.raises(ConfigError, match="pins lane 7"):
+            TTSFleet(config, dataset, faults="crash:at=1,lane=7")
+
+    def test_removed_options_are_gone(self, dataset):
+        config = baseline_config(memory_fraction=0.4)
+        with pytest.raises(TypeError, match="retry_backoff_s"):
+            TTSFleet(config, dataset, retry_backoff_s=2.0)
+        # ... and run_trace forwards axes instead of mirroring them.
+        assert list(inspect.signature(run_trace).parameters) == [
+            "trace", "config", "axes"
+        ]
 
 
 class TestFleetMetrics:

@@ -284,13 +284,13 @@ class TestHandlers:
         assert not run.states
 
     def test_recover_request_retry_requeues_then_exhausts(self):
-        run, state = self.placed(recovery="retry", retry_budget=1, retry_backoff_s=2.0)
+        run, state = self.placed(recovery="retry", retry_budget=1)
         pending = run.arrivals_pending
         run.recover_request(state, state.device, 4.0)
         assert run.carry[0].retries == 1 and 0 not in run.records
         assert run.arrivals_pending == pending + 1
-        assert (6.0, _ARRIVAL, 0) in [e[:3] for e in run.events]
-        again = place(run, now=6.0)
+        assert (5.0, _ARRIVAL, 0) in [e[:3] for e in run.events]
+        again = place(run, now=5.0)
         run.recover_request(again, again.device, 9.0)
         record = run.records[0]
         assert record.lost and record.retries == 1

@@ -4,16 +4,14 @@ Acceptance contract (ISSUE 5): with ``kv_sharing="prefix"`` on a single
 lane running co-resident sessions of the same problem, total swap time
 and peak resident bytes are strictly lower than the dedup-off baseline
 at identical answers; ``kv_sharing="off"`` stays byte-identical to
-``tests/goldens/fleet_fifo_goldens.json``.
+``tests/goldens/fleet_fifo_goldens.json`` (test_scheduler.py's
+``TestFifoGoldens`` spells every axis at its default).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, PooledDevice
 from repro.core.scheduler import FirstFinishScheduler, PrefixAffinityScheduler
 from repro.core.server import TTSServer
@@ -76,8 +74,8 @@ class TestAcceptance:
         assert answer_signature(race_prefix) == answer_signature(race_off)
 
     def test_sharing_stats_surface(self, race_off, race_prefix):
-        assert race_off.kv_sharing == "off"
-        assert race_prefix.kv_sharing == "prefix"
+        assert race_off.spec.kv_sharing == "off"
+        assert race_prefix.spec.kv_sharing == "prefix"
         assert race_off.metrics.kv_shared_bytes == 0
         assert race_off.metrics.kv_dedup_ratio == 1.0
         assert race_prefix.metrics.kv_shared_bytes > 0
@@ -115,40 +113,6 @@ class TestFirstFinishReplicas:
         assert on.metrics.kv_swap_s < off.metrics.kv_swap_s
         assert answer_signature(on) == answer_signature(off)
         assert on.metrics.kv_shared_bytes > 0  # the shared prompt
-
-
-class TestOffIsByteIdenticalToGoldens:
-    def test_fifo_open_busy_reproduced_with_explicit_off(self):
-        golden = json.loads(
-            (Path(__file__).parent.parent / "goldens"
-             / "fleet_fifo_goldens.json").read_text()
-        )["open-busy"]
-        dataset = build_dataset("amc23", seed=0, size=5)
-        fleet = TTSFleet(
-            baseline_config(memory_fraction=0.4, seed=0), dataset,
-            scheduler="fifo", kv_sharing="off",
-        )
-        arrivals = generate_arrivals(5, 0.05, seed=0)
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 4), arrivals
-        )
-        report = fleet.drain()
-        produced = [
-            {
-                "request_id": r.request_id,
-                "arrival_s": r.arrival_s,
-                "start_s": r.start_s,
-                "finish_s": r.finish_s,
-                "accepted": r.accepted,
-                "reject_reason": r.reject_reason,
-                "latency": r.latency.to_json_dict() if r.latency else None,
-            }
-            for r in report.records
-        ]
-        assert produced == golden["records"]
-        assert {
-            rid: res.to_json_dict() for rid, res in sorted(report.results.items())
-        } == golden["results"]
 
 
 class TestKvSegments:
@@ -433,7 +397,7 @@ class TestConfiguration:
         # and a fleet over it reports the sharing mode
         fleet = TTSFleet(pool=pool)
         fleet.submit(list(dataset)[0], build_algorithm("beam_search", 4), 0.0)
-        assert fleet.drain().kv_sharing == "prefix"
+        assert fleet.drain().spec.kv_sharing == "prefix"
 
     def test_pooled_device_validates_mode(self):
         dataset = build_dataset("amc23", seed=0, size=1)

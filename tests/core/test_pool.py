@@ -7,9 +7,6 @@ either device alone under load; and co-resident KV-heavy sessions now pay
 swap time (or are refused admission) instead of contending for free.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
@@ -76,39 +73,6 @@ class TestFleetConstruction:
         assert fleet.server is pool[0].server
         assert fleet.clock is pool[0].clock
         assert fleet.placement.name == "first_fit"
-
-    def test_single_device_pool_fifo_reproduces_golden(self):
-        """Explicit pool= construction is the same strict superset."""
-        golden = json.loads(
-            (Path(__file__).parent.parent / "goldens"
-             / "fleet_fifo_goldens.json").read_text()
-        )["open-busy"]
-        dataset = build_dataset("amc23", seed=0, size=5)
-        pool = DevicePool.build(
-            baseline_config(memory_fraction=0.4, seed=0), dataset
-        )
-        fleet = TTSFleet(pool=pool, scheduler="fifo")
-        arrivals = generate_arrivals(5, 0.05, seed=0)
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 4), arrivals
-        )
-        report = fleet.drain()
-        produced = [
-            {
-                "request_id": r.request_id,
-                "arrival_s": r.arrival_s,
-                "start_s": r.start_s,
-                "finish_s": r.finish_s,
-                "accepted": r.accepted,
-                "reject_reason": r.reject_reason,
-                "latency": r.latency.to_json_dict() if r.latency else None,
-            }
-            for r in report.records
-        ]
-        assert produced == golden["records"]
-        assert {
-            rid: res.to_json_dict() for rid, res in sorted(report.results.items())
-        } == golden["results"]
 
 
 class TestDevicePool:

@@ -8,12 +8,14 @@ than FIFO on the same seed.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import FleetSpec, TTSFleet, generate_arrivals
+from repro.core.pool import DevicePool
 from repro.core.scheduler import (
     FirstFinishScheduler,
     build_scheduler,
@@ -88,25 +90,63 @@ class TestRegistry:
             FirstFinishScheduler(verify_threshold=1.5)
 
 
+GOLDEN_RUNS = (
+    ("open-slow", 0.005, None),
+    ("open-busy", 0.05, None),
+    ("capped-saturated", 1.0, 2),
+)
+#: How the golden fleet is constructed: no axis given, every ``FleetSpec``
+#: field passed explicitly at its default, or a prepared ``pool=``.
+CONSTRUCTIONS = ("default", "explicit", "pool")
+SPEC_DEFAULTS = {axis.name: axis.default for axis in fields(FleetSpec)}
+
+
 class TestFifoGoldens:
-    """scheduler="fifo" reproduces the pre-refactor TTSFleet exactly."""
+    """The default spec reproduces the pre-refactor TTSFleet exactly —
+    however it is spelled."""
 
     @pytest.mark.parametrize(
-        "label, rate, max_in_flight",
+        "label, rate, max_in_flight, construction",
         [
-            ("open-slow", 0.005, None),
-            ("open-busy", 0.05, None),
-            ("capped-saturated", 1.0, 2),
+            # The no-axis cells keep the ids they had before the
+            # construction dimension joined them.
+            pytest.param(
+                *run, how,
+                id="-".join(map(str, run)) + ("" if how == "default" else f"-{how}"),
+            )
+            for run in GOLDEN_RUNS
+            for how in CONSTRUCTIONS
         ],
     )
-    def test_records_and_results_match_golden(self, label, rate, max_in_flight):
-        report = drain("fifo", rate, max_in_flight=max_in_flight)
+    def test_records_and_results_match_golden(
+        self, label, rate, max_in_flight, construction
+    ):
+        dataset = build_dataset("amc23", seed=0, size=5)
+        config = baseline_config(memory_fraction=0.4, seed=0)
+        if construction == "default":
+            fleet = TTSFleet(config, dataset, max_in_flight=max_in_flight)
+        elif construction == "explicit":
+            fleet = TTSFleet(
+                config, dataset, **SPEC_DEFAULTS | {"max_in_flight": max_in_flight}
+            )
+        else:
+            fleet = TTSFleet(
+                pool=DevicePool.build(config, dataset), max_in_flight=max_in_flight
+            )
+        fleet.submit_stream(
+            list(dataset), build_algorithm("beam_search", 4),
+            generate_arrivals(5, rate, seed=0),
+        )
+        report = fleet.drain()
         golden = GOLDENS[label]
         assert [record_dict(r) for r in report.records] == golden["records"]
         produced = {
             rid: res.to_json_dict() for rid, res in sorted(report.results.items())
         }
         assert produced == golden["results"]
+
+    def test_default_spec_equals_every_default_spelled_out(self):
+        assert FleetSpec() == FleetSpec(**SPEC_DEFAULTS)
 
     def test_fifo_is_the_default(self):
         dataset = build_dataset("amc23", seed=0, size=1)

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _FLEET_OMITS, build_parser, main
+from repro.core.config import AXIS_CHOICES
+from repro.core.fleet import FleetSpec, axis_flag
 
 
 class TestParser:
@@ -30,6 +35,69 @@ class TestParser:
         assert args.requests == 6
         assert args.arrivals == "poisson"
         assert args.max_in_flight is None
+
+
+class TestFlagsComeFromTheSpec:
+    """The drift that once produced two hand-written flag lists cannot
+    recur silently: every ``FleetSpec`` field is a flag on every serving
+    subcommand, minus the one documented exclusion."""
+
+    @pytest.mark.parametrize(
+        "argv, omitted",
+        [
+            (["fleet"], _FLEET_OMITS),
+            (["trace", "run"], ()),
+            (["trace", "replay", "--trace", "t.jsonl"], ()),
+        ],
+        ids=["fleet", "trace-run", "trace-replay"],
+    )
+    def test_every_spec_field_is_a_flag(self, argv, omitted):
+        args = build_parser().parse_args(argv)
+        missing = {axis.name for axis in fields(FleetSpec) if not hasattr(args, axis.name)}
+        assert missing == set(omitted)
+        assert FleetSpec.from_args(args) == FleetSpec()  # flag defaults = spec defaults
+
+
+    def test_readme_axis_table_covers_every_field(self):
+        """README's one axis table names each field, its flag and default."""
+        readme = Path(__file__).parents[2] / "README.md"
+        rows = {
+            line.split("|")[1].strip(): line
+            for line in readme.read_text().splitlines()
+            if line.startswith("| `")
+        }
+        for axis in fields(FleetSpec):
+            row = rows[f"`{axis.name}`"]
+            assert f"`{axis_flag(axis)}" in row
+            if axis.default is not None:
+                assert row.rstrip(" |").endswith(f"`{axis.default}`")
+            for choice in AXIS_CHOICES.get(axis.name, ()):
+                assert f"`{choice}`" in row
+
+
+class TestExitTwoConvention:
+    """A ``ConfigError`` raised anywhere — the spec, ``ServerConfig``, fleet
+    construction — is one ``error:`` line and exit status 2, never a
+    traceback (these three inputs used to escape the hand-picked checks)."""
+
+    @pytest.mark.parametrize("command", [["fleet"], ["trace", "run"]],
+                             ids=["fleet", "trace-run"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--retry-budget", "-1"], "--retry-budget: retry budget must be >= 0"),
+            (["--memory-fraction", "0"], "memory_fraction must be in (0, 1]"),
+            (["--memory-fraction", "1.5"], "memory_fraction must be in (0, 1]"),
+            (["--faults", "crash:at=1,lane=7"], "pins lane 7 but the pool has only 1"),
+        ],
+        ids=["retry-budget", "memory-fraction-0", "memory-fraction-1.5", "fault-lane-pin"],
+    )
+    def test_config_error_is_one_error_line(self, capsys, command, flags, message):
+        assert main([*command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 class TestCommands:

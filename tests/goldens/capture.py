@@ -9,14 +9,11 @@ The goldens pin the exact observable behaviour of the serving loop —
 per-problem results, round-level traces, and FIFO fleet records — so that
 refactors of the solve loop (e.g. the SolveSession state machine, the
 DevicePool fleet redesign) can assert byte-identity against the original
-monolithic implementation. ``--filter`` regenerates a named subset
-(``solve``, ``fleet``, ``sharing`` — the fleet runs with ``--kv-sharing
-off`` spelled out, ``batching`` — same with ``--batching off``,
-``openloop`` — same with ``--late-policy serve_late``, ``faults`` — same
-with ``--faults off``, ``routing`` — same with ``--router off``,
-``placement`` — same with ``--placement first_fit``) instead of
-everything — handy when one golden family legitimately changed and the
-others must provably not.
+monolithic implementation. ``--filter`` regenerates one family (``solve``
+or ``fleet``) instead of both — handy when one legitimately changed and
+the other must provably not. That every serving axis *spelled at its
+default* (and a prepared ``pool=``) reproduces the fleet golden is a
+tier-1 test, ``tests/core/test_scheduler.py::TestFifoGoldens``.
 """
 
 from __future__ import annotations
@@ -81,15 +78,7 @@ def _record_dict(record) -> dict:
     }
 
 
-def capture_fleet(
-    kv_sharing: str = "off",
-    batching: str = "off",
-    late_policy: str = "serve_late",
-    faults: str = "off",
-    recovery: str = "failover",
-    router: str = "off",
-    placement: str = "first_fit",
-) -> dict:
+def capture_fleet() -> dict:
     runs = {}
     for label, rate, max_in_flight in (
         ("open-slow", 0.005, None),
@@ -98,13 +87,7 @@ def capture_fleet(
     ):
         dataset = build_dataset("amc23", seed=FLEET_SEED, size=5)
         config = baseline_config(memory_fraction=0.4, seed=FLEET_SEED)
-        fleet = TTSFleet(
-            config, dataset, max_in_flight=max_in_flight,
-            kv_sharing=kv_sharing, batching=batching,
-            late_policy=late_policy,
-            faults=faults, recovery=recovery,
-            router=router, placement=placement,
-        )
+        fleet = TTSFleet(config, dataset, max_in_flight=max_in_flight)
         arrivals = generate_arrivals(len(dataset), rate, seed=FLEET_SEED)
         fleet.submit_stream(list(dataset), build_algorithm("beam_search", 4), arrivals)
         report = fleet.drain()
@@ -117,87 +100,10 @@ def capture_fleet(
     return runs
 
 
-def capture_sharing() -> dict:
-    """The fleet goldens again, with ``kv_sharing="off"`` spelled out.
-
-    Writes the *same* file as the ``fleet`` family: the explicit
-    dedup-off ledger path must stay byte-identical to the default one,
-    so regenerating this subset and diffing against the committed golden
-    is exactly the CI assertion that ``--kv-sharing off`` never drifts.
-    """
-    return capture_fleet(kv_sharing="off")
-
-
-def capture_batching() -> dict:
-    """The fleet goldens again, with ``batching="off"`` spelled out.
-
-    Same contract as ``sharing``: the explicit run-to-completion path
-    must stay byte-identical to the default fleet golden, so
-    regenerating this subset and diffing is the CI assertion that
-    ``--batching off`` never drifts.
-    """
-    return capture_fleet(batching="off")
-
-
-def capture_faults() -> dict:
-    """The fleet goldens again, with ``faults="off"`` spelled out.
-
-    Same contract as ``sharing``/``batching``/``openloop``: a fleet
-    constructed with explicit ``faults="off"`` builds no injector and
-    draws nothing from the keyed RNG, so regenerating this subset and
-    diffing is the CI assertion that the fault subsystem never perturbs
-    fault-free serving.
-    """
-    return capture_fleet(faults="off")
-
-
-def capture_routing() -> dict:
-    """The fleet goldens again, with ``router="off"`` spelled out.
-
-    Same contract as the other assertion-only families: a single-lane
-    homogeneous fleet constructed with explicit ``router="off"`` builds
-    no routing policy and never narrows the eligible-lane set, so
-    regenerating this subset and diffing is the CI assertion that the
-    heterogeneous-routing subsystem never perturbs routerless serving.
-    """
-    return capture_fleet(router="off")
-
-
-def capture_openloop() -> dict:
-    """The fleet goldens again, with ``late_policy="serve_late"`` spelled out.
-
-    Same contract as ``sharing``/``batching``: deadline-free closed-loop
-    runs through the open-loop-capable drain must stay byte-identical to
-    the default fleet golden, so regenerating this subset and diffing is
-    the CI assertion that the trace/SLO subsystem never perturbs
-    closed-loop serving.
-    """
-    return capture_fleet(late_policy="serve_late")
-
-
-def capture_placement() -> dict:
-    """The fleet goldens again, with ``placement="first_fit"`` spelled out.
-
-    Same contract as the other assertion-only families: the default
-    placement policy named explicitly must stay byte-identical to the
-    default fleet golden, so regenerating this subset and diffing is the
-    CI assertion that the placement subsystem (including the
-    sharing-aware ``prefix_affinity`` policy riding in the same registry)
-    never perturbs default-placed serving.
-    """
-    return capture_fleet(placement="first_fit")
-
-
 # golden family name -> (output file, capture function)
 GOLDENS = {
     "solve": ("solve_goldens.json", capture_solves),
     "fleet": ("fleet_fifo_goldens.json", capture_fleet),
-    "sharing": ("fleet_fifo_goldens.json", capture_sharing),
-    "batching": ("fleet_fifo_goldens.json", capture_batching),
-    "openloop": ("fleet_fifo_goldens.json", capture_openloop),
-    "faults": ("fleet_fifo_goldens.json", capture_faults),
-    "routing": ("fleet_fifo_goldens.json", capture_routing),
-    "placement": ("fleet_fifo_goldens.json", capture_placement),
 }
 
 
@@ -213,20 +119,7 @@ def main(argv: list[str] | None = None) -> None:
              f"one of: {', '.join(sorted(GOLDENS))}; default: all)",
     )
     args = parser.parse_args(argv)
-    # "sharing", "batching", "openloop", "faults", "routing", and
-    # "placement" are assertion-only subsets (byte-for-byte the fleet
-    # family with the dedup-off ledger / run-to-completion / serve-late /
-    # injector-off / router-off / first-fit path spelled out); the
-    # default run skips them so the fleet simulation is not executed
-    # seven times.
-    selected = (
-        args.filter if args.filter
-        else sorted(
-            set(GOLDENS)
-            - {"sharing", "batching", "openloop", "faults", "routing",
-               "placement"}
-        )
-    )
+    selected = args.filter or sorted(GOLDENS)
     for name in selected:
         filename, capture = GOLDENS[name]
         (HERE / filename).write_text(

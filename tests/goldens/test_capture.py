@@ -1,9 +1,10 @@
 """Tests for the golden-capture script's argument handling.
 
 The captures themselves are exercised by CI's golden-drift job (regenerate
-and diff); here we only pin the ``--filter`` contract: named subsets are
-selectable and unknown names fail fast with the usual argparse exit-2,
-before any golden is (re)written.
+and diff) and read back by tier-1 (``test_session.py``,
+``test_scheduler.py::TestFifoGoldens``); here we only pin the ``--filter``
+contract: named subsets are selectable and unknown names fail fast with
+the usual argparse exit-2, before any golden is (re)written.
 """
 
 import subprocess

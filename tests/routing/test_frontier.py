@@ -152,4 +152,4 @@ class TestRouterOffIdentity:
         base = run()
         spelled = run(router="off")
         assert spelled.records == base.records
-        assert spelled.router == base.router == "off"
+        assert spelled.spec.router == base.spec.router == "off"

@@ -76,15 +76,15 @@ class TestFleetWiring:
         dataset = build_dataset("amc23", seed=0, size=2)
         config = baseline_config(memory_fraction=0.9, seed=0)
         fleet = TTSFleet(config, dataset, router="static")
-        assert fleet.router == "static"
-        assert TTSFleet(config, dataset).router == "off"
-        assert TTSFleet(config, dataset, router=None).router == "off"
+        assert fleet.spec.router == "static"
+        assert TTSFleet(config, dataset).spec.router == "off"
+        assert TTSFleet(config, dataset, router=None).spec.router == "off"
 
     def test_router_instance_accepted(self):
         dataset = build_dataset("amc23", seed=0, size=2)
         config = baseline_config(memory_fraction=0.9, seed=0)
         fleet = TTSFleet(config, dataset, router=CascadeRouter())
-        assert fleet.router == "cascade"
+        assert fleet.spec.router == "cascade"
 
     def test_class_order_cheapest_first(self):
         dataset = build_dataset("amc23", seed=0, size=2)
@@ -121,7 +121,7 @@ class TestStaticRouter:
 
     def test_report_labels_router(self):
         report = run_fleet("static")
-        assert report.router == "static"
+        assert report.spec.router == "static"
         for record in report.records:
             assert record.routed_class in (BIG_CLASS, SMALL_CLASS)
 
