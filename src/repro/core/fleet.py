@@ -28,9 +28,9 @@ migration) policy choices instead of architecture changes:
   in deny mode, one whose planned KV would oversubscribe every eligible
   device's ledger;
 * **KV contention is charged**: interleaved sessions whose combined KV
-  oversubscribes a device's ledger pay PCIe swap time
-  (:class:`~repro.hardware.memory.KVLedger`, or the prefix-deduplicating
-  :class:`~repro.hardware.memory.SharedKVLedger`);
+  oversubscribes a device's :class:`~repro.hardware.memory.KVLedger` pay
+  PCIe swap time (prefix bytes shared across sessions count once when
+  the lanes name claims by lineage, ``kv_sharing="prefix"``);
 * the run aggregates into :class:`~repro.metrics.fleet.FleetMetrics` plus
   a per-device :class:`~repro.metrics.fleet.DeviceUtilization` rollup.
 
@@ -83,7 +83,7 @@ from repro.core.scheduler import (
     list_schedulers,
 )
 from repro.core.server import TTSServer
-from repro.core.session import SessionState, planned_kv_segments
+from repro.core.session import SessionState
 from repro.engine.clock import ClockBinding
 from repro.errors import (
     CapacityError,
@@ -369,7 +369,7 @@ class FleetSpec:
                     f"batching mode; build it with DevicePool.build(..., {axis.name}="
                     f"...) instead of passing {axis.name} to TTSFleet"
                 )
-        shared = any(lane.ledger.segment_granular for lane in pool)
+        shared = any(lane.kv_sharing == "prefix" for lane in pool)
         batched = any(lane.batching == "continuous" for lane in pool)
         return replace(
             self,
@@ -667,24 +667,22 @@ class TTSFleet:
         return self._kv_verdicts[key]
 
     def _planned_claims(self, lane: PooledDevice, problem: Problem) -> tuple:
-        """The prompt-root KV segments a session would register on ``lane``."""
+        """:meth:`PooledDevice.planned_claims`, memoised per (lane, problem)."""
         key = (lane.index, problem.problem_id)
         if key not in self._planned_memo:
-            self._planned_memo[key] = planned_kv_segments(lane.server, problem)
+            self._planned_memo[key] = lane.planned_claims(problem)
         return self._planned_memo[key]
 
     def _billable_claim(self, lane: PooledDevice, request: FleetRequest) -> int:
         """The planned-KV bytes ``lane`` actually charges for ``request``.
 
-        On sharing lanes this is the *unique* planned bytes: the full
-        claim minus prefix bytes already resident (or already planned by
-        a co-admitted same-prefix request) on that lane. Non-segment
-        ledgers have nothing to deduplicate, so the full claim is billed
-        and the ``--kv-sharing off`` path stays byte-identical.
+        The *unique* planned bytes: the full claim minus the bytes of the
+        request's planned claims already resident (or already planned by
+        a co-admitted same-prefix request) on that lane. A lane that
+        plans no claims (``--kv-sharing off``) has nothing to deduplicate
+        against, so the full claim is billed.
         """
         claim = self._kv_claims[(lane.index, request.algorithm.n)]
-        if not lane.ledger.segment_granular:
-            return claim
         overlap = lane.prefix_overlap_bytes(
             self._planned_claims(lane, request.problem)
         )
@@ -1097,7 +1095,7 @@ class _FleetRun:
         # Affinity accounting happens before any claim registration so
         # a request's own planned segments never count as a "hit".
         device.placements += 1
-        if device.ledger.segment_granular and device.prefix_affinity_bytes(
+        if device.prefix_affinity_bytes(
             fleet._planned_claims(device, request.problem)
         ) > 0:
             device.affinity_hits += 1
@@ -1111,8 +1109,8 @@ class _FleetRun:
             st.claim_lanes.append(lane)
             st.claim_bytes[lane.index] = billed
             self.claimed[lane.index][seq] = st
-            if lane.ledger.segment_granular:
-                segs = fleet._planned_claims(lane, request.problem)
+            segs = fleet._planned_claims(lane, request.problem)
+            if segs:
                 lane.note_planned_segments(segs)
                 st.claim_segs[lane.index] = segs
                 lane.planned_admitted_bytes += fleet._kv_claims[
@@ -1207,9 +1205,8 @@ class _FleetRun:
     def charge_growth(lane: PooledDevice, handle: SessionHandle) -> None:
         """Post-round ledger update; the grower pays for evictions.
 
-        Shared-ledger lanes get the session's segment lineage so prefix
-        bytes co-resident sessions share are billed once; whole-session
-        lanes get the opaque byte count. Either way a ledger can report
+        The ledger gets the session's footprint under the lane's claim
+        names (:meth:`PooledDevice.session_claims`). It can report
         ``restored`` bytes — KV the owner lost to eviction since it last
         ran that had to come back over PCIe before this round — and the
         grower pays for both directions.
@@ -1217,14 +1214,9 @@ class _FleetRun:
         session = handle.session
         if not session.state.live:
             return  # released in settle()
-        if lane.ledger.segment_granular:
-            restored, evicted = lane.ledger.charge_growth_segments(
-                session.session_id, session.kv_segments()
-            )
-        else:
-            restored, evicted = lane.ledger.charge_growth(
-                session.session_id, session.resident_kv_bytes
-            )
+        restored, evicted = lane.ledger.charge_growth_segments(
+            session.session_id, lane.session_claims(session)
+        )
         _charge_swap(lane, handle, restored, evicted)
 
     # -- settlement ------------------------------------------------------

@@ -13,16 +13,18 @@ A :class:`DevicePool` generalizes that to N simulated devices, each a
   one time origin, so lane times are directly comparable and the fleet can
   interleave them deterministically), and
 * a per-device :class:`~repro.hardware.memory.KVLedger` that accounts the
-  KV footprints of the sessions co-resident on that device. Interleaving
-  schedulers pause sessions with KV still resident; when co-residents
-  oversubscribe the budget, the ledger swaps the least-recently-run
-  sessions to host memory and the fleet charges the PCIe time — closing
-  the "paused KV is free" simplification flagged in the ROADMAP. With
-  ``kv_sharing="prefix"`` the lane gets a
-  :class:`~repro.hardware.memory.SharedKVLedger` instead: KV is
-  accounted per *segment* against a lane-wide radix tree, so prefix
-  bytes shared by co-resident sessions (racing replicas, same-problem
-  requests) are billed once and swapped only in unique bytes.
+  KV of the sessions co-resident on that device as refcounted segment
+  claims against a lane-wide radix tree. Interleaving schedulers pause
+  sessions with KV still resident; when co-residents oversubscribe the
+  budget, the ledger swaps the least-recently-touched KV to host memory
+  and the fleet charges the PCIe time — closing the "paused KV is free"
+  simplification flagged in the ROADMAP. The lane's ``kv_sharing``
+  policy decides only how it *names* a session's claims
+  (:meth:`PooledDevice.session_claims`): ``"off"`` — one private claim
+  per session, so sessions are evicted, restored and billed whole;
+  ``"prefix"`` — the session's segment lineage, so prefix bytes shared
+  by co-resident sessions (racing replicas, same-problem requests) are
+  billed once and swapped only in unique bytes.
 
 Placement — *which device serves a new request* — is a policy axis
 orthogonal to request scheduling (*which session gets the next round on a
@@ -41,10 +43,10 @@ the request's planned prefix bytes, with a least-loaded tie-break. Both
 argmaxes go through :func:`~repro.core.prefix_sched.max_overlap_choice`
 so the two notions of affinity cannot drift apart.
 
-:meth:`DevicePool.migrate` moves a live session between lanes. On
-whole-session ledgers its device-resident KV is written out over the
-source link and its full footprint read back over the destination link;
-when both lanes carry segment-granular shared ledgers the handoff is a
+:meth:`DevicePool.migrate` moves a live session between lanes. By
+private claim its device-resident KV is written out over the source link
+and its full footprint read back over the destination link; when both
+lanes name claims by lineage (``kv_sharing="prefix"``) the handoff is a
 **delta-migration** instead — segments already resident at the
 destination cross no link in either direction (they gain a refcount),
 host-swapped segments skip the write-out, and only the remaining unique
@@ -68,9 +70,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.config import check_axis
 from repro.core.server import TTSServer
+from repro.core.session import planned_kv_segments
 from repro.engine.clock import SimClock
 from repro.errors import ConfigError, FaultError, SchedulingError
-from repro.hardware.memory import KVLedger, KVSegment, SharedKVLedger
+from repro.hardware.memory import KVLedger, KVSegment
 from repro.hardware.offload import OffloadLink
 from repro.utils.suggest import did_you_mean
 
@@ -78,8 +81,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ServerConfig
     from repro.core.fleet import FleetRequest
     from repro.core.scheduler import SessionHandle
+    from repro.core.session import SolveSession
     from repro.routing.lanes import LaneSpec
-    from repro.workloads.problem import Dataset
+    from repro.workloads.problem import Dataset, Problem
 
 __all__ = [
     "LaneHealth",
@@ -124,12 +128,13 @@ class PooledDevice:
     index: int
     server: TTSServer
     clock: SimClock = field(default=None)  # type: ignore[assignment]
-    ledger: KVLedger = field(default=None)  # type: ignore[assignment]
-    #: KV accounting granularity: ``"off"`` bills every co-resident
-    #: session its full footprint (:class:`KVLedger`), ``"prefix"``
-    #: dedups shared prefix segments across sessions
-    #: (:class:`~repro.hardware.memory.SharedKVLedger`). Only consulted
-    #: when the default ledger is built.
+    #: Sized from ``server.kv_budget_bytes``.
+    ledger: KVLedger = field(init=False)
+    #: How the lane names a session's KV to its ledger: ``"off"`` as one
+    #: private claim (every co-resident session is billed its full
+    #: footprint), ``"prefix"`` as the session's segment lineage (prefix
+    #: segments shared across sessions are billed once). See
+    #: :meth:`session_claims` / :meth:`planned_claims`.
     kv_sharing: str = "off"
     #: Round coalescing: ``"off"`` serves one session's round at a time
     #: (time-slicing), ``"continuous"`` drives the lane through the
@@ -144,7 +149,8 @@ class PooledDevice:
     #: and ``prefix_affinity`` placement see a same-prefix *burst* —
     #: requests admitted back to back before any of them has registered
     #: real KV on the ledger. Maintained symmetrically by the fleet's
-    #: place/release paths; empty on non-sharing lanes.
+    #: place/release paths; empty on lanes that plan no claims
+    #: (``kv_sharing="off"``).
     planned_segments: dict[int, list[int]] = field(default_factory=dict)
     # -- rollup counters ---------------------------------------------------
     requests_served: int = 0
@@ -156,7 +162,7 @@ class PooledDevice:
     #: lane (their ratio is the fleet's affinity hit ratio).
     placements: int = 0
     affinity_hits: int = 0
-    #: Admission accounting on segment-granular lanes: full planned
+    #: Admission accounting of requests that planned claims: full planned
     #: footprints versus the unique bytes actually billed after dedup.
     planned_admitted_bytes: int = 0
     unique_admitted_bytes: int = 0
@@ -188,9 +194,7 @@ class PooledDevice:
         check_axis("batching", self.batching)
         if self.clock is None:
             self.clock = SimClock(label=self.device_id)
-        if self.ledger is None:
-            ledger_cls = SharedKVLedger if self.kv_sharing == "prefix" else KVLedger
-            self.ledger = ledger_cls(self.server.kv_budget_bytes)
+        self.ledger = KVLedger(self.server.kv_budget_bytes)
 
     @property
     def device_id(self) -> str:
@@ -239,6 +243,28 @@ class PooledDevice:
         """Planned KV claims of live requests over the lane's KV budget."""
         return self.planned_kv_bytes / self.ledger.capacity_bytes
 
+    # -- claim naming: the one place ``kv_sharing`` becomes claims ----------
+
+    def session_claims(self, session: "SolveSession") -> Sequence[KVSegment]:
+        """``session``'s resident KV as this lane names it to its ledger."""
+        if self.kv_sharing == "prefix":
+            return session.kv_segments()
+        return (
+            self.ledger.private_claim(session.session_id, session.resident_kv_bytes),
+        )
+
+    def planned_claims(self, problem: "Problem") -> tuple[KVSegment, ...]:
+        """The claims a session for ``problem`` would register at setup.
+
+        The prompt roots on a ``"prefix"`` lane — computable before any
+        session exists, so admission and placement can probe with them.
+        None on an ``"off"`` lane: a private claim is named after a
+        session that does not exist yet and could overlap nothing anyway.
+        """
+        if self.kv_sharing == "prefix":
+            return planned_kv_segments(self.server, problem)
+        return ()
+
     # -- sharing-aware placement/admission probes --------------------------
 
     def prefix_overlap_bytes(self, claims: Sequence[KVSegment]) -> int:
@@ -247,8 +273,8 @@ class PooledDevice:
         The *guaranteed* overlap dedup-aware admission bills against: per
         claim, the larger of the ledger's resident copy and a co-admitted
         request's planned claim (:attr:`planned_segments`), never more
-        than the claim itself. Zero on non-sharing lanes — whole-session
-        ledgers cannot see segments, so billing stays full-footprint.
+        than the claim itself. Zero when nothing on the lane answers to
+        the claims' names — always, where sessions hold private claims.
         """
         total = 0
         for claim in claims:
@@ -309,9 +335,8 @@ class PooledDevice:
 
         The lane clock advances to the crash instant (a dead lane cannot
         be behind the failure it suffered); the ledger releases every
-        owner — under a :class:`~repro.hardware.memory.SharedKVLedger`
-        that walks the refcounted segment claims, so shared segments are
-        freed exactly when their last co-resident owner dies. Returns the
+        owner — walking the refcounted segment claims, so shared segments
+        are freed exactly when their last co-resident owner dies. Returns the
         released owner ids so the fleet can map them back to requests.
         """
         if self.health is LaneHealth.DOWN:
@@ -480,9 +505,9 @@ class DevicePool:
 
         ``device_names=None`` builds the single-device pool of
         ``config.device_name`` — the exact pre-pool fleet.
-        ``kv_sharing="prefix"`` gives every lane a
-        :class:`~repro.hardware.memory.SharedKVLedger` that dedups
-        prefix segments across co-resident sessions.
+        ``kv_sharing="prefix"`` makes every lane name sessions' KV by
+        segment lineage, so its ledger dedups prefix segments across
+        co-resident sessions.
         ``batching="continuous"`` marks every lane for the fleet's
         :class:`~repro.core.batcher.RoundBatcher`, which coalesces
         co-resident sessions' rounds into jointly-costed batches.
@@ -574,7 +599,9 @@ class DevicePool:
         The session's device-resident KV is written out over the source
         PCIe link and its full KV read back over the destination link
         (host-swapped KV needs no source transfer — it already lives in
-        host memory, which the lanes share). Both lane clocks advance —
+        host memory, which the lanes share); between two
+        ``kv_sharing="prefix"`` lanes only the segments the destination
+        does not already hold cross either link. Both lane clocks advance —
         the destination cannot resume the session before the data lands —
         and the session's own clock is charged under the SWAP phase, so
         migration shows up in the request's latency breakdown. Ledgers
@@ -625,37 +652,33 @@ class DevicePool:
                 "instead of migrating its KV"
             )
         owner = session.session_id
-        claims = (
-            session.kv_segments()
-            if source.ledger.segment_granular
-            and destination.ledger.segment_granular
-            else ()
-        )
+        on_device = source.ledger.resident_of(owner)
+        lineage = source.kv_sharing == destination.kv_sharing == "prefix"
+        claims = session.kv_segments() if lineage else ()
         if claims:
             # Delta-migration: only segments the destination does not
             # already hold resident cross the links, and only the
             # source-resident subset of those pays the write-out (the
-            # rest already lives in shared host memory). Admission on
-            # the destination ledger comes first and is transactional —
-            # a refused or failed handoff must not have advanced any
-            # clock or touched any refcount.
-            total_bytes = sum(claim.num_bytes for claim in claims)
+            # rest already lives in shared host memory).
+            footprint = sum(claim.num_bytes for claim in claims)
             out_bytes, in_bytes = delta_transfer_bytes(
                 source.ledger, destination.ledger, claims
             )
-            saved_out = source.ledger.resident_of(owner) - out_bytes
-            saved_in = total_bytes - in_bytes
-            evicted = destination.ledger.admit_segments(owner, claims)
         else:
-            out_bytes = source.ledger.resident_of(owner)
-            in_bytes = out_bytes + source.ledger.swapped_of(owner)
-            if in_bytes == 0:
+            # By private claim: everything the source holds for the
+            # session moves, the device-resident part over both links.
+            footprint = on_device + source.ledger.swapped_of(owner)
+            if footprint == 0:
                 # Untracked (or not yet started): fall back to the
                 # session's own footprint, fully device-resident on the
                 # source.
-                out_bytes = in_bytes = session.resident_kv_bytes
-            saved_out = saved_in = 0
-            evicted = destination.ledger.admit(owner, in_bytes)
+                on_device = footprint = session.resident_kv_bytes
+            claims = (destination.ledger.private_claim(owner, footprint),)
+            out_bytes, in_bytes = on_device, footprint
+        # Admission on the destination ledger comes first and is
+        # transactional — a refused or failed handoff must not have
+        # advanced any clock or touched any refcount.
+        evicted = destination.ledger.admit_segments(owner, claims)
         source.ledger.release(owner)
 
         dt_out = source.link.transfer_time(out_bytes) if out_bytes else 0.0
@@ -685,8 +708,8 @@ class DevicePool:
         destination.migrations_in += 1
         source.kv_swap_s += dt_out
         destination.kv_swap_s += dt_evict + dt_in
-        source.migration_bytes_saved += saved_out
-        destination.migration_bytes_saved += saved_in
+        source.migration_bytes_saved += on_device - out_bytes
+        destination.migration_bytes_saved += footprint - in_bytes
         return charged
 
 
@@ -773,7 +796,7 @@ class PrefixAffinityPlacement(PlacementPolicy):
     Scores each eligible lane by :meth:`PooledDevice.prefix_affinity_bytes`
     over the request's *planned* claims (the prompt-root segments both
     model caches would register at admission, per
-    :func:`repro.core.session.planned_kv_segments`) — counting the whole
+    :meth:`PooledDevice.planned_claims`) — counting the whole
     resident lineage under those roots, since same-problem canonical
     sessions regenerate identical step KV. The argmax goes through the
     same :func:`repro.core.prefix_sched.max_overlap_choice` helper as the
@@ -785,14 +808,13 @@ class PrefixAffinityPlacement(PlacementPolicy):
     description = "device holding the most of the request's planned KV prefix (ties: least loaded)"
 
     def choose(self, request, devices, now):
-        # Deferred imports: session/prefix_sched import pool's siblings.
+        # Deferred import: prefix_sched imports pool's siblings.
         from repro.core.prefix_sched import max_overlap_choice
-        from repro.core.session import planned_kv_segments
 
         return max_overlap_choice(
             devices,
             lambda lane: lane.prefix_affinity_bytes(
-                planned_kv_segments(lane.server, request.problem)
+                lane.planned_claims(request.problem)
             ),
             lambda lane: (lane.live_requests, lane.clock.now, lane.index),
         )

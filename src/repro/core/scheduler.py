@@ -28,11 +28,12 @@ next*. Policies shipped here:
 ``prefix_affinity``
     Dynamic Prefix-Aware Scheduling lifted to sessions: the runnable
     session sharing the most resident KV prefix with the last-run one
-    goes next (the Sec. 4.2 greedy invariant, evaluated over the lane's
-    :class:`~repro.hardware.memory.SharedKVLedger` radix tree), so a
-    shared-ledger lane evicts and restores as few unique bytes as
-    possible. Without a shared ledger it degrades to lineage grouping —
-    sessions of the same problem run back to back.
+    goes next (the Sec. 4.2 greedy invariant, evaluated over the lane
+    :class:`~repro.hardware.memory.KVLedger`'s radix tree), so a
+    ``kv_sharing="prefix"`` lane evicts and restores as few unique bytes
+    as possible. On a lane of private claims no two sessions share a
+    tree path, so it degrades to lineage grouping — sessions of the
+    same problem run back to back.
 
 Schedulers are deliberately small: they see opaque :class:`SessionHandle`
 rows and return one. All device bookkeeping (clock mapping, admission,
@@ -386,8 +387,8 @@ class PrefixAffinityScheduler(RequestScheduler):
     The serving-level analogue of Dynamic Prefix-Aware Scheduling
     (Sec. 4.2): instead of ordering one request's *beams*, order the
     lane's *sessions* so that consecutively run sessions share the most
-    resident KV prefix. On a lane whose :class:`~repro.hardware.memory
-    .SharedKVLedger` tracks segment lineages, the next session is the
+    resident KV prefix. On a lane that names claims by segment lineage
+    (``kv_sharing="prefix"``), the next session is the
     :func:`~repro.core.prefix_sched.greedy_successor` of the last-run
     one — maximal shared prefix bytes with its leaf, ties on ascending
     leaf id — which minimizes the unique bytes the ledger must evict and
@@ -396,7 +397,7 @@ class PrefixAffinityScheduler(RequestScheduler):
     runnable, mirroring the paper's preference for draining warm paths
     before cold ones.
 
-    Fallback (no shared ledger, or nothing registered yet): the
+    Fallback (a lane of private claims, or nothing registered yet): the
     practical sibling-grouping schedule — :func:`~repro.core.prefix_sched
     .lineage_order` over ``(problem, arrival, replica)`` — which still
     runs sessions of the same problem back to back.
@@ -423,9 +424,9 @@ class PrefixAffinityScheduler(RequestScheduler):
         from repro.core.prefix_sched import greedy_successor
 
         lane = runnable[0].device
-        ledger = lane.ledger if lane is not None else None
         choice: SessionHandle | None = None
-        if ledger is not None and ledger.segment_granular:
+        if lane is not None and lane.kv_sharing == "prefix":
+            ledger = lane.ledger
             leaves = {
                 h.session.session_id: ledger.owner_leaf(h.session.session_id)
                 for h in runnable

@@ -419,8 +419,8 @@ class SolveSession:
         ids derived from the stable ``(problem, lineage, step)`` segment
         hashes — namespaced per :attr:`kv_namespace`, and per model
         (generator and verifier KV are physically distinct even for the
-        same reasoning step). A :class:`~repro.hardware.memory
-        .SharedKVLedger` refcounts claims with equal node ids across
+        same reasoning step). The lane's :class:`~repro.hardware.memory
+        .KVLedger` refcounts claims with equal node ids across
         co-resident sessions and bills the bytes once. Under an
         offloading plan only the active model's cache is device-resident,
         exactly as in :attr:`resident_kv_bytes`.

@@ -16,7 +16,7 @@ from repro.hardware.memory import (
     KVSegment,
     MemoryLedger,
     MemoryReservation,
-    SharedKVLedger,
+    SharedKVLedger,  # alias of KVLedger, kept only for benchmarks/perf
 )
 from repro.hardware.offload import OffloadLink
 from repro.hardware.roofline import Roofline, RooflinePoint

@@ -6,34 +6,33 @@ model weights, per-model KV cache partitions, and the reserved slice
 split; this ledger enforces that the decision is feasible and answers "how
 much KV memory is left?".
 
-:class:`KVLedger` tracks the *runtime* KV footprints of the sessions
-co-resident on one device of a :class:`~repro.core.pool.DevicePool`. A
-single session's plan is guaranteed to fit the device's KV budget by
-admission control, but interleaving schedulers pause sessions with their
-KV still resident — two KV-heavy sessions can together oversubscribe the
-device. The ledger models that contention with whole-session granularity:
-when the active session's growth (or a paused session's restore) does not
-fit, the least-recently-run co-resident sessions are swapped out to host
-memory, and the fleet charges the PCIe write/read time on the device
-clock. Eviction is bookkeeping here; *time* is charged by the caller via
-:class:`~repro.hardware.offload.OffloadLink`.
+:class:`KVLedger` tracks the *runtime* KV of the sessions co-resident on
+one device of a :class:`~repro.core.pool.DevicePool`. A single session's
+plan is guaranteed to fit the device's KV budget by admission control,
+but interleaving schedulers pause sessions with their KV still resident —
+two KV-heavy sessions can together oversubscribe the device. The ledger
+models that contention: when the active session's growth (or a paused
+session's restore) does not fit, the least-recently-touched KV of its
+neighbours is swapped out to host memory, and the fleet charges the PCIe
+write/read time on the device clock. Eviction is bookkeeping here; *time*
+is charged by the caller via :class:`~repro.hardware.offload.OffloadLink`.
 
-:class:`SharedKVLedger` refines that accounting to *segment* granularity
-against a per-lane :class:`~repro.kvcache.radix.RadixTree` (the paper's
-Sec. 4.2 structure, lifted from one request's beams to the whole lane).
-Sessions report their beams' KV as segment lineages
-(:class:`KVSegment` claims); a segment resident on behalf of N sessions
-is charged once and refcounted, eviction picks LRU leaf-frontier
-segments that no *running* session's path needs, and restore charges
-PCIe only for the unique bytes actually swapped. This is what makes
-replica racing (First Finish Search) and multi-tenant lanes cheaper
-than run-to-completion instead of merely differently scheduled.
+There is one mechanism — refcounted :class:`KVSegment` claims over a
+per-lane :class:`~repro.kvcache.radix.RadixTree` (the paper's Sec. 4.2
+structure, lifted from one request's beams to the whole lane) — and
+sharing falls out of which claims collide. A lane that names a session's
+KV as its segment lineage lets racing replicas (First Finish Search) and
+same-problem tenants hold a common prefix once: it is charged once,
+evicted leaf-frontier first, and restored in unique bytes only. A lane
+that names the same KV as one private claim per session gets whole-session
+accounting from the same code, because a private claim collides with
+nobody.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import CapacityError
 from repro.hardware.device import DeviceSpec
@@ -125,263 +124,16 @@ class MemoryLedger:
         return result
 
 
-class KVLedger:
-    """Runtime accounting of co-resident sessions' KV on one device.
-
-    Each owner (a session id) has a device-resident byte count and a
-    host-swapped byte count. The invariants the fleet relies on:
-
-    * an owner's KV is fully device-resident while it runs (the fleet
-      calls :meth:`restore` before resuming a paused owner);
-    * when total residency would exceed capacity, *other* owners are
-      evicted in least-recently-run order (whole-owner granularity — the
-      simulation does not split one session's KV across device and host
-      mid-run, matching the offload strategy's all-or-nothing transfers);
-    * eviction never raises: a lone owner whose plan legitimately fills
-      the budget simply occupies it. Oversubscription therefore costs
-      swap *time* (charged by the caller from the returned byte counts),
-      never correctness.
-
-    All byte movements are tallied (``swapped_out_bytes`` /
-    ``swapped_in_bytes`` / ``peak_resident_bytes``) for the per-device
-    fleet metrics rollup.
-    """
-
-    #: Whether this ledger accounts segment lineages (``charge_growth_segments``)
-    #: rather than opaque per-owner byte blobs. The fleet dispatches on it.
-    segment_granular = False
-
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
-        self._capacity = int(capacity_bytes)
-        self._resident: dict[str, int] = {}
-        self._swapped: dict[str, int] = {}
-        self._stamp: dict[str, int] = {}
-        self._tick = 0
-        self.swapped_out_bytes = 0
-        self.swapped_in_bytes = 0
-        self.peak_resident_bytes = 0
-
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def shared_bytes(self) -> int:
-        """Bytes saved right now by cross-session sharing (0 without it)."""
-        return 0
-
-    @property
-    def peak_shared_bytes(self) -> int:
-        """Running peak of :attr:`shared_bytes` (0 without sharing)."""
-        return 0
-
-    @property
-    def logical_resident_bytes(self) -> int:
-        """Sum of every owner's logical footprint (= resident, no sharing)."""
-        return self.resident_bytes
-
-    @property
-    def peak_logical_bytes(self) -> int:
-        """Running peak of :attr:`logical_resident_bytes` (= resident peak)."""
-        return self.peak_resident_bytes
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Logical over physical resident bytes (1.0 without sharing)."""
-        return 1.0
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._capacity
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(self._resident.values())
-
-    @property
-    def free_bytes(self) -> int:
-        return self._capacity - self.resident_bytes
-
-    @property
-    def owners(self) -> list[str]:
-        return sorted(self._resident)
-
-    def resident_of(self, owner: str) -> int:
-        return self._resident.get(owner, 0)
-
-    def swapped_of(self, owner: str) -> int:
-        return self._swapped.get(owner, 0)
-
-    # -- planned-overlap probes (read-only) ------------------------------
-    #
-    # Sharing-aware placement and dedup-aware admission ask a lane "how
-    # much of this request's planned KV do you already hold?" *before*
-    # any session exists. A whole-session ledger cannot see segments, so
-    # every probe reports zero overlap and the callers degrade to the
-    # pre-sharing full-footprint behaviour.
-
-    def resident_segment_bytes(self, node_id: int) -> int:
-        """Resident device bytes of one lane-tree segment (0 without sharing)."""
-        return 0
-
-    def resident_overlap_bytes(self, claims: "Iterable[KVSegment]") -> int:
-        """Bytes of ``claims`` already resident on this lane (0 without sharing).
-
-        The guaranteed overlap: only the claims' own segments count, so
-        the result is safe to *bill against* — a new session registering
-        these claims will physically share at least this much.
-        """
-        return 0
-
-    def resident_subtree_bytes(self, node_id: int) -> int:
-        """Resident bytes at or below ``node_id`` in the lane tree (0 here)."""
-        return 0
-
-    def unique_planned_bytes(
-        self, planned_bytes: int, claims: "Iterable[KVSegment]"
-    ) -> int:
-        """A request's planned footprint minus what this lane already holds.
-
-        Dedup-aware admission bills this instead of ``planned_bytes``:
-        segments of ``claims`` resident on the lane are shared, not
-        duplicated, so only the remainder competes for ledger headroom.
-        Identity (full footprint) on a whole-session ledger.
-        """
-        if planned_bytes < 0:
-            raise ValueError("planned_bytes must be non-negative")
-        return max(0, planned_bytes - self.resident_overlap_bytes(claims))
-
-    # -- mutation --------------------------------------------------------
-
-    def _touch(self, owner: str) -> None:
-        self._tick += 1
-        self._stamp[owner] = self._tick
-        self._resident.setdefault(owner, 0)
-        self._swapped.setdefault(owner, 0)
-
-    def _evict_for(self, need: int, keep: str) -> list[tuple[str, int]]:
-        """Swap out other owners (LRU first) until ``need`` bytes are free.
-
-        Returns ``(owner, bytes)`` per eviction so the caller can charge
-        the PCIe writes. Stops when the deficit is covered or no victims
-        remain (the latter only when ``keep`` alone fills the budget).
-        """
-        evicted: list[tuple[str, int]] = []
-        if need <= 0:
-            return evicted
-        victims = sorted(
-            (o for o, b in self._resident.items() if o != keep and b > 0),
-            key=lambda o: (self._stamp.get(o, 0), o),
-        )
-        freed = 0
-        for victim in victims:
-            if freed >= need:
-                break
-            moved = self._resident[victim]
-            self._resident[victim] = 0
-            self._swapped[victim] += moved
-            self.swapped_out_bytes += moved
-            freed += moved
-            evicted.append((victim, moved))
-        return evicted
-
-    def charge_growth(
-        self, owner: str, total_bytes: int
-    ) -> tuple[int, list[tuple[str, int]]]:
-        """Record ``owner``'s post-round KV footprint as device-resident.
-
-        Called after every round the owner runs (its KV is fully resident
-        while it executes). Returns ``(restored_bytes, evictions)``: if the
-        owner had been (partially) swapped out since it last ran, growth
-        implies its KV came back first, so the swapped bytes are charged as
-        swapped-in — the caller bills the PCIe read exactly as it would for
-        an explicit :meth:`restore` — and the evictions needed to make room
-        are billed to the *running* session displacing its neighbours.
-        """
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be non-negative")
-        self._touch(owner)
-        restored = self._swapped[owner]
-        if restored:
-            # Growth on an evicted owner: its host-side KV must be read
-            # back before it can grow. Route through restore accounting
-            # instead of silently zeroing the swapped bytes.
-            self.swapped_in_bytes += restored
-        self._resident[owner] = total_bytes
-        self._swapped[owner] = 0
-        evicted = self._evict_for(self.resident_bytes - self._capacity, keep=owner)
-        self.peak_resident_bytes = max(self.peak_resident_bytes, self.resident_bytes)
-        return restored, evicted
-
-    def restore(self, owner: str) -> tuple[int, list[tuple[str, int]]]:
-        """Bring ``owner``'s swapped-out KV back before it resumes.
-
-        Returns ``(restored_bytes, evictions)``; both are zero/empty when
-        the owner was never evicted, so run-to-completion schedules pass
-        through without any accounting (or cost).
-        """
-        back = self._swapped.get(owner, 0)
-        if back == 0:
-            return 0, []
-        self._touch(owner)
-        evicted = self._evict_for(back - self.free_bytes, keep=owner)
-        self._swapped[owner] = 0
-        self._resident[owner] += back
-        self.swapped_in_bytes += back
-        self.peak_resident_bytes = max(self.peak_resident_bytes, self.resident_bytes)
-        return back, evicted
-
-    def admit(self, owner: str, num_bytes: int) -> list[tuple[str, int]]:
-        """Place ``num_bytes`` of migrated-in KV; evicts others to fit.
-
-        Raises :class:`~repro.errors.CapacityError` when the incoming
-        footprint exceeds the whole budget (the migration must be refused
-        before any cost is charged).
-        """
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if num_bytes > self._capacity:
-            raise CapacityError(
-                f"cannot admit {num_bytes} B of KV for {owner!r}: device KV "
-                f"budget is {self._capacity} B"
-            )
-        self._touch(owner)
-        self._resident[owner] = num_bytes
-        self._swapped[owner] = 0
-        evicted = self._evict_for(self.resident_bytes - self._capacity, keep=owner)
-        self.peak_resident_bytes = max(self.peak_resident_bytes, self.resident_bytes)
-        return evicted
-
-    def release(self, owner: str) -> int:
-        """Drop an owner entirely (finished or migrated away); returns freed device bytes."""
-        self._swapped.pop(owner, None)
-        self._stamp.pop(owner, None)
-        return self._resident.pop(owner, 0)
-
-    def resize(self, capacity_bytes: int) -> list[tuple[str, int]]:
-        """Change the budget at runtime; shrinking evicts LRU owners to fit.
-
-        Models a KV pressure spike (a co-tenant claiming VRAM): residents
-        above the new budget are swapped out immediately — the returned
-        ``(owner, bytes)`` evictions are the storm the caller charges —
-        and pay restores through the ordinary resume path. Growing the
-        budget evicts nothing.
-        """
-        if capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
-        self._capacity = int(capacity_bytes)
-        return self._evict_for(self.resident_bytes - self._capacity, keep="")
-
-
 @dataclass(frozen=True, slots=True)
 class KVSegment:
-    """One segment claim a session reports to a :class:`SharedKVLedger`.
+    """One claim an owner reports to a :class:`KVLedger`.
 
-    ``node_id``/``parent_id`` are lane-tree node ids (derived by the
-    session from the stable ``(problem, lineage, step)`` segment hashes,
-    namespaced so only sessions whose sampled content is actually
-    identical collide); ``num_bytes`` is this owner's KV bytes for the
-    segment. Claims arrive parent-before-child.
+    ``node_id``/``parent_id`` are lane-tree node ids — for a lineage
+    claim, derived by the session from the stable ``(problem, lineage,
+    step)`` segment hashes, namespaced so only sessions whose sampled
+    content is actually identical collide; for a private claim, from the
+    owner id (:meth:`KVLedger.private_claim`). ``num_bytes`` is this
+    owner's KV bytes for the segment. Claims arrive parent-before-child.
     """
 
     node_id: int
@@ -394,113 +146,131 @@ class KVSegment:
 
 
 @dataclass(slots=True)
-class _SharedSegment:
-    """Ledger-side state of one lane-tree segment."""
+class _Segment:
+    """Ledger-side state of one claimed lane-tree node.
 
-    node_id: int
-    resident: bool = False
-    swapped: bool = False  # evicted to host (vs never materialized / freed)
-    stamp: int = 0
-    owners: dict[str, int] = field(default_factory=dict)  # owner -> bytes
-
-    @property
-    def num_bytes(self) -> int:
-        """Unique device bytes this segment occupies when resident.
-
-        Owners can disagree on length (a shared step one session has
-        fully decoded while another still holds a truncated speculative
-        head); the physical copy covers the longest claim.
-        """
-        return max(self.owners.values(), default=0)
-
-
-class SharedKVLedger(KVLedger):
-    """Segment-granular KV accounting with cross-session prefix sharing.
-
-    Drop-in for :class:`KVLedger` on a pool lane, with one difference the
-    fleet dispatches on (:attr:`segment_granular`): the running session
-    reports its resident KV as a lineage of :class:`KVSegment` claims
-    (:meth:`charge_growth_segments`) instead of one opaque byte count.
-    The ledger keeps a per-lane :class:`~repro.kvcache.radix.RadixTree`
-    over those claims; a segment resident on behalf of N sessions holds
-    device bytes **once** and carries a refcount. Invariants:
-
-    * ``resident_bytes`` is the sum of *unique* resident segment bytes —
-      never double-billed across co-resident owners;
-    * eviction operates on segments: LRU by last touch across owning
-      sessions, leaf-frontier first (a prefix never leaves before its
-      suffix), and never a segment the *running* session's paths need;
-    * :meth:`restore` re-charges PCIe only for the unique bytes actually
-      swapped out — segments a co-resident session kept alive come back
-      for free, which is exactly the replica-racing dedup win;
-    * an owner's logical footprint (``resident_of + swapped_of``) is
-      conserved regardless of how much of it is physically shared.
-
-    The byte-level API (:meth:`charge_growth` / :meth:`admit`) still
-    works — the footprint is held as a single private root segment until
-    the next segment report replaces it — so migration and byte-only
-    callers need no special casing.
+    A segment exists while somebody claims it and is created resident,
+    so ``not resident`` always means *swapped out to host*. Owners can
+    disagree on length (a shared step one session has fully decoded
+    while another still holds a truncated speculative head); the
+    physical copy covers the longest claim.
     """
 
-    segment_granular = True
+    resident: bool = False
+    stamp: int = 0
+    owners: dict[str, int] = field(default_factory=dict)  # owner -> bytes
+    num_bytes: int = 0  # unique device bytes when resident: longest claim
+    logical: int = 0  # sum of the owners' claims
+
+
+class KVLedger:
+    """Runtime accounting of co-resident sessions' KV on one device.
+
+    One mechanism: owners (session ids) hold :class:`KVSegment` claims
+    on the nodes of a per-lane :class:`~repro.kvcache.radix.RadixTree`;
+    a node claimed by N owners occupies device bytes **once** (sized by
+    its longest claim) and carries the refcount. What differs between
+    serving policies is only how a lane *names* a session's claims
+    (:class:`~repro.core.pool.PooledDevice` decides):
+
+    * a **lineage** — the session's resident cache segments under stable
+      content ids — collides with every other session holding the same
+      prefix, so racing replicas and same-problem requests bill shared
+      bytes once (``kv_sharing="prefix"``);
+    * one **private claim** (:meth:`private_claim`) — a root node derived
+      from the owner id — collides with nobody, so the owner's whole
+      footprint is evicted, restored and billed as a unit
+      (``kv_sharing="off"``). The byte-level :meth:`charge_growth` /
+      :meth:`admit` are that spelling.
+
+    Invariants the fleet relies on:
+
+    * ``resident_bytes`` is the sum of *unique* resident segment bytes —
+      never double-billed across co-resident owners — and an owner's
+      logical footprint (``resident_of + swapped_of``) is conserved
+      however much of it is physically shared;
+    * an owner's KV is fully device-resident while it runs (the fleet
+      calls :meth:`restore` before resuming a paused owner, and a growth
+      report brings anything swapped back first);
+    * when residency would exceed capacity, segments are swapped out
+      least-recently-touched first, leaf-frontier first (a prefix never
+      leaves before its suffix) and never one the *running* owner's
+      claims name;
+    * eviction never raises: a lone owner whose plan legitimately fills
+      the budget simply occupies it. Oversubscription costs swap *time*
+      (charged by the caller from the returned byte counts), never
+      correctness;
+    * :meth:`restore` re-charges PCIe only for unique bytes actually
+      swapped out — segments a co-resident owner kept alive come back
+      for free, which is the replica-racing dedup win.
+
+    Evictions are reported as ``(label, bytes)``: a private claim under
+    its owner id (never for zero bytes — an owner holding nothing is not
+    a write-out), a lineage segment as ``seg:<node>``. All byte movements
+    are tallied (``swapped_out_bytes`` / ``swapped_in_bytes`` and the
+    ``peak_*`` running peaks) for the per-device fleet metrics rollup.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
-        super().__init__(capacity_bytes)
-        self._lane_tree = RadixTree()
-        self._segments: dict[int, _SharedSegment] = {}
+        if capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
+        self._capacity = int(capacity_bytes)
+        self._tree = RadixTree()
+        self._segments: dict[int, _Segment] = {}
         self._owner_segs: dict[str, set[int]] = {}
-        self._peak_shared = 0
-        self._peak_logical = 0
+        self._private: dict[str, int] = {}  # owner -> its private node id
+        self._labels: dict[int, str] = {}  # private node id -> owner
+        self._tick = 0
+        # Running totals, updated wherever a claim or a residency bit
+        # changes (the property tests recompute them from the segments).
+        self._resident = 0  # unique resident bytes
+        self._logical = 0  # sum of every claim on a resident segment
+        self.swapped_out_bytes = 0
+        self.swapped_in_bytes = 0
+        self.peak_resident_bytes = 0
+        self.peak_logical_bytes = 0
+        self.peak_shared_bytes = 0
 
     # -- introspection ---------------------------------------------------
 
     @property
     def tree(self) -> RadixTree:
-        """The lane's radix tree over registered segments."""
-        return self._lane_tree
+        """The lane's radix tree over currently claimed segments."""
+        return self._tree
+
+    @property
+    def capacity_bytes(self) -> int:
+        return self._capacity
 
     @property
     def resident_bytes(self) -> int:
-        return sum(s.num_bytes for s in self._segments.values() if s.resident)
+        """Unique device-resident bytes."""
+        return self._resident
 
     @property
-    def owners(self) -> list[str]:
-        return sorted(self._owner_segs)
-
-    @property
-    def shared_bytes(self) -> int:
-        # Bytes saved versus whole-session accounting: every owner's
-        # logical claim minus the single physical copy (sized by the
-        # longest claim).
-        return sum(
-            sum(seg.owners.values()) - seg.num_bytes
-            for seg in self._segments.values()
-            if seg.resident and len(seg.owners) > 1
-        )
-
-    @property
-    def peak_shared_bytes(self) -> int:
-        return self._peak_shared
-
-    @property
-    def peak_logical_bytes(self) -> int:
-        return self._peak_logical
+    def free_bytes(self) -> int:
+        return self._capacity - self._resident
 
     @property
     def logical_resident_bytes(self) -> int:
-        return sum(
-            bytes_
-            for seg in self._segments.values()
-            if seg.resident
-            for bytes_ in seg.owners.values()
-        )
+        """Sum of every owner's resident claims (what no sharing would bill)."""
+        return self._logical
+
+    @property
+    def shared_bytes(self) -> int:
+        """Bytes saved right now by claims colliding on one physical copy."""
+        return self._logical - self._resident
 
     @property
     def dedup_ratio(self) -> float:
         """Logical over physical bytes at the run's resident peak (>= 1)."""
-        if self._peak_logical == 0 or self.peak_resident_bytes == 0:
+        if self.peak_logical_bytes == 0 or self.peak_resident_bytes == 0:
             return 1.0
-        return self._peak_logical / self.peak_resident_bytes
+        return self.peak_logical_bytes / self.peak_resident_bytes
+
+    @property
+    def owners(self) -> list[str]:
+        return sorted(self._owner_segs)
 
     def resident_of(self, owner: str) -> int:
         return sum(
@@ -521,19 +291,35 @@ class SharedKVLedger(KVLedger):
         seg = self._segments.get(node_id)
         return sorted(seg.owners) if seg else []
 
+    def owner_leaf(self, owner: str) -> int | None:
+        """The owner's deepest claimed lane-tree node (None if none).
+
+        Deterministic: maximal depth, ties broken by ascending node id.
+        The prefix-affinity scheduler anchors its successor choice here.
+        """
+        nodes = self._owner_segs.get(owner)
+        if not nodes:
+            return None
+        return min(nodes, key=lambda n: (-self._tree.get(n).depth, n))
+
+    # -- planned-overlap probes (read-only) ------------------------------
+    #
+    # Sharing-aware placement and dedup-aware admission ask a lane "how
+    # much of this request's planned KV do you already hold?" *before*
+    # any session exists. Probing never touches stamps, refcounts or
+    # peaks, so callers can ask freely without perturbing LRU order.
+
     def resident_segment_bytes(self, node_id: int) -> int:
         """Resident device bytes of one lane-tree segment (0 if absent/swapped)."""
         seg = self._segments.get(node_id)
         return seg.num_bytes if seg is not None and seg.resident else 0
 
-    def resident_overlap_bytes(self, claims: "Iterable[KVSegment]") -> int:
+    def resident_overlap_bytes(self, claims: Iterable[KVSegment]) -> int:
         """Bytes of ``claims`` this lane already holds device-resident.
 
-        Per claim, the overlap is capped at the claim's own length (a
-        longer resident copy shares only the prefix the claimant needs).
-        Read-only: probing never touches stamps, refcounts or peaks, so
-        placement and admission can ask freely without perturbing LRU
-        order.
+        The *guaranteed* overlap, safe to bill against: per claim it is
+        capped at the claim's own length (a longer resident copy shares
+        only the prefix the claimant needs).
         """
         return sum(
             min(claim.num_bytes, self.resident_segment_bytes(claim.node_id))
@@ -552,50 +338,108 @@ class SharedKVLedger(KVLedger):
         as an affinity *score*, while admission bills the guaranteed
         :meth:`resident_overlap_bytes` only.
         """
-        if node_id not in self._lane_tree:
+        if node_id not in self._tree:
             return 0
         total = 0
         stack = [node_id]
         while stack:
             node = stack.pop()
-            seg = self._segments.get(node)
-            if seg is not None and seg.resident:
-                total += seg.num_bytes
-            stack.extend(self._lane_tree.get(node).children)
+            total += self.resident_segment_bytes(node)
+            stack.extend(self._tree.get(node).children)
         return total
 
-    def owner_leaf(self, owner: str) -> int | None:
-        """The owner's deepest registered lane-tree node (None if none).
+    def unique_planned_bytes(
+        self, planned_bytes: int, claims: Iterable[KVSegment]
+    ) -> int:
+        """A request's planned footprint minus what this lane already holds.
 
-        Deterministic: maximal depth, ties broken by ascending node id.
-        The prefix-affinity scheduler anchors its successor choice here.
+        Dedup-aware admission bills this instead of ``planned_bytes``:
+        segments of ``claims`` resident on the lane are shared, not
+        duplicated, so only the remainder competes for ledger headroom.
         """
-        nodes = self._owner_segs.get(owner)
-        if not nodes:
-            return None
-        return min(nodes, key=lambda n: (-self._lane_tree.get(n).depth, n))
+        if planned_bytes < 0:
+            raise ValueError("planned_bytes must be non-negative")
+        return max(0, planned_bytes - self.resident_overlap_bytes(claims))
+
+    # -- claim naming ----------------------------------------------------
+
+    def private_claim(self, owner: str, num_bytes: int) -> KVSegment:
+        """``owner``'s whole footprint as one root claim nobody else can name.
+
+        The node id is a stable function of the owner id (the same on
+        every lane, so a migrating owner keeps its name) and memoised
+        until :meth:`release`.
+        """
+        node = self._private.get(owner)
+        if node is None:
+            node = self._private[owner] = stable_hash64("kv-private", owner)
+            self._labels[node] = owner
+        return KVSegment(node, None, num_bytes)
 
     # -- mutation --------------------------------------------------------
 
-    def _ensure_segment(self, claim: KVSegment) -> _SharedSegment:
-        self._lane_tree.ensure_node(claim.node_id, claim.parent_id, claim.num_bytes)
-        seg = self._segments.get(claim.node_id)
-        if seg is None:
-            seg = _SharedSegment(node_id=claim.node_id)
-            self._segments[claim.node_id] = seg
-        return seg
-
     def _drop_claim(self, owner: str, node_id: int) -> None:
-        """Remove one owner's claim; free the segment when orphaned."""
+        """Remove one owner's claim; free and prune the segment when orphaned."""
         seg = self._segments[node_id]
-        seg.owners.pop(owner, None)
-        if not seg.owners:
-            # Nobody needs it: the bytes are freed, not swapped — there
-            # is no PCIe traffic for discarding dead KV. Drop the ledger
-            # entry so per-round accounting scales with live sessions,
-            # not requests ever served (the lane tree keeps the node, so
-            # a later re-registration reuses the same lineage).
-            del self._segments[node_id]
+        if seg.resident:
+            self._resident -= seg.num_bytes
+            self._logical -= seg.logical
+        seg.logical -= seg.owners.pop(owner)
+        if seg.owners:
+            seg.num_bytes = max(seg.owners.values())
+            if seg.resident:
+                self._resident += seg.num_bytes
+                self._logical += seg.logical
+            return
+        # Nobody needs it: the bytes are freed, not swapped — there is no
+        # PCIe traffic for discarding dead KV. Drop the entry and prune
+        # the node with any now-childless, claim-less ancestors, so the
+        # books scale with live sessions, not requests ever served
+        # (claims arrive parent-first: re-registration rebuilds lineage).
+        del self._segments[node_id]
+        node: int | None = node_id
+        while node is not None and node not in self._segments:
+            radix_node = self._tree.get(node)
+            if radix_node.children:
+                break
+            self._tree.remove_leaf(node)
+            node = radix_node.parent_id
+
+    def _register(
+        self, owner: str, claims: list[KVSegment], new_ids: set[int]
+    ) -> int:
+        """Replace ``owner``'s claims with ``claims``, all device-resident.
+
+        Returns the host bytes of segments that had been swapped out: the
+        host copy holds the pre-growth length, so only those bytes cross
+        PCIe — growth beyond them is decoded on device.
+        """
+        self._tick += 1
+        for node in self._owner_segs.get(owner, set()) - new_ids:
+            self._drop_claim(owner, node)
+        self._owner_segs[owner] = new_ids
+        from_host = 0
+        for claim in claims:
+            node, num_bytes = claim.node_id, claim.num_bytes
+            self._tree.ensure_node(node, claim.parent_id, num_bytes)
+            seg = self._segments.get(node)
+            if seg is None:
+                seg = self._segments[node] = _Segment()
+            elif seg.resident:
+                self._resident -= seg.num_bytes
+                self._logical -= seg.logical
+            else:
+                from_host += seg.num_bytes
+            seg.logical += num_bytes - seg.owners.get(owner, 0)
+            seg.owners[owner] = num_bytes
+            seg.num_bytes = (
+                num_bytes if num_bytes >= seg.num_bytes else max(seg.owners.values())
+            )
+            seg.resident = True
+            seg.stamp = self._tick
+            self._resident += seg.num_bytes
+            self._logical += seg.logical
+        return from_host
 
     def _evictable(self, node_id: int, keep: set[int]) -> bool:
         seg = self._segments[node_id]
@@ -605,155 +449,119 @@ class SharedKVLedger(KVLedger):
         # suffix without its prefix is useless to attention).
         return not any(
             child in self._segments and self._segments[child].resident
-            for child in self._lane_tree.get(node_id).children
+            for child in self._tree.get(node_id).children
         )
 
-    def _evict_segments_for(
-        self, need: int, keep: set[int]
-    ) -> list[tuple[str, int]]:
-        """Swap out LRU leaf-frontier segments until ``need`` bytes free."""
+    def _evict_for(self, need: int, keep: set[int]) -> list[tuple[str, int]]:
+        """Swap out LRU leaf-frontier segments until ``need`` bytes are free.
+
+        Returns ``(label, bytes)`` per eviction so the caller can charge
+        the PCIe writes. Stops when the deficit is covered or no victims
+        remain (only ``keep`` — the running owner's own claims — is left).
+        """
         evicted: list[tuple[str, int]] = []
-        freed = 0
-        while freed < need:
+        while need > 0:
             candidates = [
                 node for node in self._segments if self._evictable(node, keep)
             ]
             if not candidates:
-                break  # only the running session's own paths remain
-            victim = min(
-                candidates,
-                key=lambda n: (self._segments[n].stamp, n),
-            )
+                break
+            victim = min(candidates, key=lambda n: (self._segments[n].stamp, n))
             seg = self._segments[victim]
-            moved = seg.num_bytes
             seg.resident = False
-            seg.swapped = True
-            self.swapped_out_bytes += moved
-            freed += moved
-            evicted.append((f"seg:{victim}", moved))
+            self._resident -= seg.num_bytes
+            self._logical -= seg.logical
+            self.swapped_out_bytes += seg.num_bytes
+            need -= seg.num_bytes
+            owner = self._labels.get(victim)
+            if owner is None:
+                # Even when empty: callers bill the link's fixed latency
+                # per reported segment, and always have.
+                evicted.append((f"seg:{victim}", seg.num_bytes))
+            elif seg.num_bytes:
+                evicted.append((owner, seg.num_bytes))
         return evicted
 
     def _note_peaks(self) -> None:
-        resident = self.resident_bytes
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-        logical = self.logical_resident_bytes
-        if logical > self._peak_logical:
-            self._peak_logical = logical
-        shared = self.shared_bytes
-        if shared > self._peak_shared:
-            self._peak_shared = shared
+        if self._resident > self.peak_resident_bytes:
+            self.peak_resident_bytes = self._resident
+        if self._logical > self.peak_logical_bytes:
+            self.peak_logical_bytes = self._logical
+        if self._logical - self._resident > self.peak_shared_bytes:
+            self.peak_shared_bytes = self._logical - self._resident
 
     def charge_growth_segments(
-        self, owner: str, segments: Sequence[KVSegment] | Iterable[KVSegment]
+        self, owner: str, segments: Iterable[KVSegment]
     ) -> tuple[int, list[tuple[str, int]]]:
-        """Replace ``owner``'s claims with its post-round segment lineage.
+        """Replace ``owner``'s claims with its post-round footprint.
 
-        Returns ``(restored_bytes, evictions)`` exactly like
-        :meth:`KVLedger.charge_growth`: ``restored_bytes`` are unique
-        bytes of previously swapped-out segments that had to come back
-        over PCIe before the owner could run (segments a co-resident
-        session kept alive cost nothing), and the evictions are what the
-        growth displaced.
+        Called after every round the owner runs (its KV is fully resident
+        while it executes). Returns ``(restored_bytes, evictions)``:
+        ``restored_bytes`` are unique bytes of previously swapped-out
+        segments that had to come back over PCIe before the owner could
+        run (segments a co-resident owner kept alive cost nothing) — the
+        caller bills that read exactly as for an explicit :meth:`restore`
+        — and the evictions are what the growth displaced, billed to the
+        *running* session.
         """
         claims = list(segments)
-        self._tick += 1
-        new_ids = {claim.node_id for claim in claims}
-        for node in self._owner_segs.get(owner, set()) - new_ids:
-            self._drop_claim(owner, node)
-        self._owner_segs[owner] = new_ids
-
-        restored = 0
-        for claim in claims:
-            seg = self._ensure_segment(claim)
-            # The host copy of a swapped segment holds its pre-growth
-            # length; only those bytes cross PCIe — growth beyond them is
-            # decoded on device.
-            host_bytes = seg.num_bytes
-            seg.owners[owner] = claim.num_bytes
-            if not seg.resident:
-                if seg.swapped:
-                    # Previously evicted to host: the grower pays the read.
-                    restored += host_bytes
-                    self.swapped_in_bytes += host_bytes
-                # else: freshly computed on device — no PCIe.
-                seg.resident = True
-                seg.swapped = False
-            seg.stamp = self._tick
-        evicted = self._evict_segments_for(
-            self.resident_bytes - self._capacity, keep=new_ids
-        )
+        keep = {claim.node_id for claim in claims}
+        restored = self._register(owner, claims, keep)
+        self.swapped_in_bytes += restored
+        evicted = self._evict_for(self._resident - self._capacity, keep)
         self._note_peaks()
         return restored, evicted
 
     def charge_growth(
         self, owner: str, total_bytes: int
     ) -> tuple[int, list[tuple[str, int]]]:
-        """Byte-level fallback: the footprint becomes one private segment."""
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be non-negative")
+        """:meth:`charge_growth_segments` with one private claim."""
         return self.charge_growth_segments(
-            owner, [KVSegment(self._private_node(owner), None, total_bytes)]
+            owner, [self.private_claim(owner, total_bytes)]
         )
 
     def restore(self, owner: str) -> tuple[int, list[tuple[str, int]]]:
-        """Bring the owner's swapped-out segments back before it resumes.
+        """Bring ``owner``'s swapped-out segments back before it resumes.
 
-        Unique bytes only: a shared segment some co-resident session kept
-        resident needs no transfer — that discount is the whole point of
-        the shared ledger.
+        Returns ``(restored_bytes, evictions)``; both are zero/empty — and
+        no LRU stamp moves — when nothing of the owner's is swapped out,
+        so run-to-completion schedules pass through without any
+        accounting (or cost).
         """
-        nodes = self._owner_segs.get(owner)
-        if not nodes:
-            return 0, []
-        missing = [n for n in nodes if not self._segments[n].resident]
-        if not missing:
+        nodes = self._owner_segs.get(owner, ())
+        restored = 0
+        for node in nodes:
+            seg = self._segments[node]
+            if not seg.resident:
+                seg.resident = True
+                restored += seg.num_bytes
+                self._logical += seg.logical
+        if not restored:
             return 0, []
         self._tick += 1
-        restored = 0
-        for node in sorted(missing, key=lambda n: self._lane_tree.get(n).depth):
-            seg = self._segments[node]
-            seg.resident = True
-            if seg.swapped:
-                restored += seg.num_bytes
-                self.swapped_in_bytes += seg.num_bytes
-            seg.swapped = False
-            seg.stamp = self._tick
         for node in nodes:
             self._segments[node].stamp = self._tick
-        evicted = self._evict_segments_for(
-            self.resident_bytes - self._capacity, keep=set(nodes)
-        )
+        self._resident += restored
+        self.swapped_in_bytes += restored
+        evicted = self._evict_for(self._resident - self._capacity, nodes)
         self._note_peaks()
         return restored, evicted
 
-    def admit(self, owner: str, num_bytes: int) -> list[tuple[str, int]]:
-        """Place migrated-in KV as a private segment; evicts others to fit."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if num_bytes > self._capacity:
-            raise CapacityError(
-                f"cannot admit {num_bytes} B of KV for {owner!r}: device KV "
-                f"budget is {self._capacity} B"
-            )
-        _, evicted = self.charge_growth(owner, num_bytes)
-        return evicted
-
     def admit_segments(
-        self, owner: str, segments: Sequence[KVSegment] | Iterable[KVSegment]
+        self, owner: str, segments: Iterable[KVSegment]
     ) -> list[tuple[str, int]]:
-        """Place a migrated-in session as its segment lineage (delta-aware).
+        """Place a migrated-in owner's claims (delta-aware); evicts to fit.
 
-        Segment-granular twin of :meth:`admit`: claims whose segments are
-        already resident here gain a refcount instead of a second copy —
-        only the rest becomes newly resident, and only *that* much room is
-        made. The handoff is transactional: the whole-footprint capacity
-        check raises :class:`~repro.errors.CapacityError` before anything
-        mutates, and room is evicted *before* the first claim registers —
-        an eviction failure mid-handoff leaves every refcount (here and,
-        because the caller releases the source only after this returns, at
-        the source) untouched. No swap counters move for the incoming
-        bytes themselves; migration traffic is the caller's to charge.
+        Claims whose segments are already resident here gain a refcount
+        instead of a second copy — only the rest becomes newly resident,
+        and only *that* much room is made. The handoff is transactional:
+        the whole-footprint capacity check raises
+        :class:`~repro.errors.CapacityError` before anything mutates, and
+        room is evicted *before* the first claim registers — an eviction
+        failure mid-handoff leaves every refcount (here and, because the
+        caller releases the source only after this returns, at the
+        source) untouched. No swap counters move for the incoming bytes
+        themselves; migration traffic is the caller's to charge.
         """
         claims = list(segments)
         total = sum(claim.num_bytes for claim in claims)
@@ -762,49 +570,51 @@ class SharedKVLedger(KVLedger):
                 f"cannot admit {total} B of KV for {owner!r}: device KV "
                 f"budget is {self._capacity} B"
             )
-        new_ids = {claim.node_id for claim in claims}
+        keep = {claim.node_id for claim in claims}
         incoming = sum(
             max(0, claim.num_bytes - self.resident_segment_bytes(claim.node_id))
             for claim in claims
         )
-        evicted = self._evict_segments_for(
-            self.resident_bytes + incoming - self._capacity, keep=new_ids
-        )
+        evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
         # Past this point nothing can fail: register the claims.
-        self._tick += 1
-        for node in self._owner_segs.get(owner, set()) - new_ids:
-            self._drop_claim(owner, node)
-        self._owner_segs[owner] = new_ids
-        for claim in claims:
-            seg = self._ensure_segment(claim)
-            seg.owners[owner] = claim.num_bytes
-            seg.resident = True
-            seg.swapped = False
-            seg.stamp = self._tick
+        self._register(owner, claims, keep)
         self._note_peaks()
         return evicted
 
+    def admit(self, owner: str, num_bytes: int) -> list[tuple[str, int]]:
+        """:meth:`admit_segments` with one private claim."""
+        return self.admit_segments(owner, [self.private_claim(owner, num_bytes)])
+
     def release(self, owner: str) -> int:
-        """Drop every claim of ``owner``; returns unique device bytes freed."""
-        before = self.resident_bytes
-        for node in self._owner_segs.pop(owner, set()):
+        """Drop every claim of ``owner`` (finished or migrated away).
+
+        Returns the unique device bytes freed.
+        """
+        before = self._resident
+        for node in self._owner_segs.pop(owner, ()):
             self._drop_claim(owner, node)
-        return before - self.resident_bytes
+        node = self._private.pop(owner, None)
+        if node is not None:
+            del self._labels[node]
+        return before - self._resident
 
     def resize(self, capacity_bytes: int) -> list[tuple[str, int]]:
         """Change the budget at runtime; shrinking evicts segments to fit.
 
-        Segment-granular twin of :meth:`KVLedger.resize`: LRU
-        leaf-frontier segments are swapped out until the resident set
-        fits the new budget (no path is pinned — a pressure spike spares
-        nobody), and victims pay restores when their owners next run.
+        Models a KV pressure spike (a co-tenant claiming VRAM): residents
+        above the new budget are swapped out immediately, LRU
+        leaf-frontier first with no path pinned — a spike spares nobody;
+        the returned evictions are the storm the caller charges — and
+        victims pay restores when their owners next run. Growing the
+        budget evicts nothing.
         """
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self._capacity = int(capacity_bytes)
-        return self._evict_segments_for(
-            self.resident_bytes - self._capacity, keep=set()
-        )
+        return self._evict_for(self._resident - self._capacity, set())
 
-    def _private_node(self, owner: str) -> int:
-        return stable_hash64("shared-kv-private", owner)
+
+#: Alias kept only for ``benchmarks/perf`` (``fleetperf/micro.py`` imports
+#: this name, and this PR may not edit the harness); a later
+#: ``[benchmark]`` PR drops it.
+SharedKVLedger = KVLedger

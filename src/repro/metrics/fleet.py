@@ -473,7 +473,7 @@ class DeviceUtilization:
     kv_swapped_out_bytes: int = 0
     kv_swapped_in_bytes: int = 0
     #: Peak bytes the lane ledger saved through cross-session prefix
-    #: sharing (0 on a whole-session ledger).
+    #: sharing (0 where every session holds one private claim).
     kv_shared_bytes: int = 0
     #: Peak logical over peak physical resident bytes (1.0 without sharing).
     kv_dedup_ratio: float = 1.0

@@ -1,4 +1,4 @@
-"""Cross-session KV prefix sharing: SharedKVLedger through the fleet.
+"""Cross-session KV prefix sharing: lineage claims through the fleet.
 
 Acceptance contract (ISSUE 5): with ``kv_sharing="prefix"`` on a single
 lane running co-resident sessions of the same problem, total swap time
@@ -17,7 +17,6 @@ from repro.core.scheduler import FirstFinishScheduler, PrefixAffinityScheduler
 from repro.core.server import TTSServer
 from repro.core.session import planned_kv_segments
 from repro.errors import ConfigError
-from repro.hardware.memory import SharedKVLedger
 from repro.metrics.accuracy import majority_answer
 from repro.search.registry import build_algorithm
 from repro.workloads.datasets import build_dataset
@@ -113,6 +112,39 @@ class TestFirstFinishReplicas:
         assert on.metrics.kv_swap_s < off.metrics.kv_swap_s
         assert answer_signature(on) == answer_signature(off)
         assert on.metrics.kv_shared_bytes > 0  # the shared prompt
+
+
+class TestDrainLeavesNothingBehind:
+    """Claims and refcounts drain to zero — the lane tree included, so a
+    ledger's size tracks live sessions, not requests ever served."""
+
+    @pytest.mark.parametrize(
+        "scheduler", ["round_robin", "first_finish", "prefix_affinity"]
+    )
+    @pytest.mark.parametrize("kv_sharing", ["off", "prefix"])
+    def test_ledgers_and_trees_are_empty_after_drain(self, kv_sharing, scheduler):
+        dataset = build_dataset("amc23", seed=0, size=2)
+        fleet = TTSFleet(
+            fasttts_config(memory_fraction=0.34, seed=0), dataset,
+            devices=("rtx4090", "rtx4090"), placement="least_loaded",
+            scheduler=scheduler, kv_sharing=kv_sharing,
+        )
+        for index in range(6):
+            fleet.submit(
+                list(dataset)[index % 2], build_algorithm("beam_search", 8),
+                0.5 * index,
+            )
+        report = fleet.drain()
+        assert all(record.accepted for record in report.records)
+        for lane in fleet.pool:
+            assert lane.ledger.peak_resident_bytes > 0  # it did hold KV
+            assert lane.ledger.owners == []
+            assert lane.ledger._segments == {}
+            assert len(lane.ledger.tree) == 0
+            assert lane.ledger.resident_bytes == 0
+            assert lane.ledger.logical_resident_bytes == 0
+            assert lane.planned_segments == {}
+            assert lane.planned_kv_bytes == 0 and lane.live_requests == 0
 
 
 class TestKvSegments:
@@ -392,8 +424,7 @@ class TestConfiguration:
         pool = DevicePool.build(
             baseline_config(memory_fraction=0.4), dataset, kv_sharing="prefix"
         )
-        assert isinstance(pool[0].ledger, SharedKVLedger)
-        assert pool[0].ledger.segment_granular
+        assert pool[0].kv_sharing == "prefix"
         # and a fleet over it reports the sharing mode
         fleet = TTSFleet(pool=pool)
         fleet.submit(list(dataset)[0], build_algorithm("beam_search", 4), 0.0)

@@ -13,6 +13,7 @@ from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet, generate_arrivals
 from repro.core.pool import (
     DevicePool,
+    PooledDevice,
     build_placement,
     list_placements,
     placement_descriptions,
@@ -224,7 +225,7 @@ class TestPrefixAffinityPlacement:
         from repro.core.session import planned_kv_segments
 
         lane = pool[0]
-        assert not lane.ledger.segment_granular
+        assert lane.kv_sharing == "off"
         claims = planned_kv_segments(lane.server, list(dataset)[0])
         assert lane.prefix_affinity_bytes(claims) == 0
         assert lane.prefix_overlap_bytes(claims) == 0
@@ -561,6 +562,58 @@ class TestMigration:
         )
         assert src.migration_bytes_saved == 0
         assert dst.migration_bytes_saved == 0
+
+    def test_session_the_source_never_charged_moves_its_own_footprint(self):
+        """The untracked fallback: out and in are the session's own bytes."""
+        pool, problem = self.pool()
+        src, dst = pool[0], pool[1]
+        handle = make_handle(src, problem)
+        for _ in range(5):
+            handle.session.step()
+        handle.binding.sync(src.clock)
+        moved = handle.session.resident_kv_bytes
+        assert moved > 0 and src.ledger.owners == []
+        charged = pool.migrate(handle, dst)
+        assert charged == pytest.approx(
+            src.link.transfer_time(moved) + dst.link.transfer_time(moved)
+        )
+        assert dst.ledger.resident_of(handle.session.session_id) == moved
+
+    @pytest.mark.parametrize("policies", [("off", "prefix"), ("prefix", "off")])
+    def test_mixed_prepared_pool_migrates_by_private_claim(self, policies):
+        """Delta-migration needs lineage names on both sides; a lane of
+        private claims on either side ships the whole footprint."""
+        reference, problem = self.pool()
+        pool = DevicePool([
+            PooledDevice(index=i, server=lane.server, kv_sharing=policy)
+            for i, (lane, policy) in enumerate(zip(reference, policies))
+        ])
+        src, dst = pool[0], pool[1]
+        # a same-problem peer already resident at the destination
+        peer = dst.server.session(
+            problem, build_algorithm("beam_search", 4), session_id="peer"
+        )
+        handle = make_handle(src, problem)
+        for _ in range(5):
+            peer.step()
+            handle.session.step()
+        handle.binding.sync(src.clock)
+        session = handle.session
+        dst.ledger.charge_growth_segments(peer.session_id, dst.session_claims(peer))
+        src.ledger.charge_growth_segments(
+            session.session_id, src.session_claims(session)
+        )
+        moved = session.resident_kv_bytes
+        before = dst.ledger.resident_bytes
+
+        charged = pool.migrate(handle, dst)
+
+        assert charged == pytest.approx(
+            src.link.transfer_time(moved) + dst.link.transfer_time(moved)
+        )
+        assert src.migration_bytes_saved == dst.migration_bytes_saved == 0
+        assert dst.ledger.resident_bytes == before + moved  # nothing deduped
+        assert src.ledger.owners == [] and len(src.ledger.tree) == 0
 
     def test_migrate_error_messages_name_lanes(self):
         pool, problem = self.pool()

@@ -1,15 +1,21 @@
-"""Property-based invariants for the runtime KV ledgers.
+"""Property-based invariants for the runtime KV ledger.
 
 After *any* sequence of ``charge_growth`` / ``restore`` / ``admit`` /
-``release`` (plus segment-granular growth on the shared ledger):
+``release`` (private claims) and ``charge_growth_segments`` (lineage
+claims, with or without a cross-owner root):
 
 * device residency never exceeds capacity (every single claim fits by
   construction, as fleet admission control guarantees);
 * each owner's books are conserved — resident plus swapped bytes equal
   its last reported footprint, no bytes silently vanish;
-* on the shared ledger, reported ``resident_bytes`` equals the sum of
-  unique resident segment bytes and never exceeds the whole-session sum
-  (sharing can only save, never inflate).
+* the running totals equal what the segments say: ``resident_bytes`` is
+  the sum of unique resident segment bytes, ``logical_resident_bytes``
+  the sum of resident claims, ``shared_bytes`` their difference — and
+  sharing can only save, never inflate.
+
+Driven by private claims alone, the ledger must behave exactly like the
+whole-session ledger it replaced; ``WholeSessionModel`` below keeps that
+implementation alive as the differential reference.
 """
 
 import hypothesis.strategies as st
@@ -17,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.pool import delta_transfer_bytes
-from repro.hardware.memory import KVLedger, KVSegment, SharedKVLedger
+from repro.errors import CapacityError
+from repro.hardware.memory import KVLedger, KVSegment
 
 CAPACITY = 100
 OWNERS = ("a", "b", "c")
@@ -56,8 +63,9 @@ def lineage_claims(owner_idx, sizes, shared_root):
     return claims
 
 
-def apply_ops(ledger, op_list, shared_root=False):
-    """Drive the ledger; returns each owner's expected logical footprint."""
+def apply_ops(ledger, op_list, shared_root=False, private_only=False):
+    """Drive the ledger, checking the invariants after every op; returns
+    each owner's expected logical footprint."""
     expected = {}
     for kind, owner_idx, payload in op_list:
         owner = OWNERS[owner_idx]
@@ -73,13 +81,14 @@ def apply_ops(ledger, op_list, shared_root=False):
             ledger.release(owner)
             expected.pop(owner, None)
         elif kind == "grow_segs":
-            if not isinstance(ledger, SharedKVLedger):
+            if private_only:
                 ledger.charge_growth(owner, sum(payload))
             else:
                 ledger.charge_growth_segments(
                     owner, lineage_claims(owner_idx, payload, shared_root)
                 )
             expected[owner] = sum(payload)
+        check_invariants(ledger, expected)
     return expected
 
 
@@ -97,32 +106,180 @@ def check_invariants(ledger, expected):
     assert ledger.peak_resident_bytes <= CAPACITY
     assert ledger.swapped_out_bytes >= 0
     assert ledger.swapped_in_bytes >= 0
+    # The running totals, recomputed from the segments.
+    resident = [seg for seg in ledger._segments.values() if seg.resident]
+    unique = sum(max(seg.owners.values()) for seg in resident)
+    logical = sum(sum(seg.owners.values()) for seg in resident)
+    assert ledger.resident_bytes == unique
+    assert ledger.logical_resident_bytes == logical
+    assert ledger.shared_bytes == logical - unique >= 0
+    # Every tree node is claimed or leads to a claimed one (no leak).
+    assert set(ledger.tree.leaves()) <= set(ledger._segments)
 
 
 class TestKVLedgerInvariants:
+    """Private claims only: what a ``kv_sharing="off"`` lane sends."""
+
     @given(ops)
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_capacity(self, op_list):
         ledger = KVLedger(CAPACITY)
-        expected = apply_ops(ledger, op_list)
-        check_invariants(ledger, expected)
+        apply_ops(ledger, op_list, private_only=True)
         assert ledger.logical_resident_bytes == ledger.resident_bytes
+        assert ledger.peak_shared_bytes == 0
         assert ledger.dedup_ratio == 1.0
 
 
+class WholeSessionModel:
+    """The whole-session ledger ``KVLedger`` replaced, as the reference.
+
+    Per-owner resident/swapped byte counts and LRU stamps; eviction swaps
+    out whole *other* owners, least recently run first, skipping
+    zero-byte residents; growth on a swapped owner reports the restore.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.resident, self.swapped, self.stamp = {}, {}, {}
+        self.tick = self.swapped_out = self.swapped_in = self.peak = 0
+
+    def _fit(self, keep):
+        need = sum(self.resident.values()) - self.capacity
+        evicted = []
+        for victim in sorted(self.resident, key=self.stamp.get):
+            moved = self.resident[victim]
+            if need > 0 and moved and victim != keep:
+                self.resident[victim] = 0
+                self.swapped[victim] += moved
+                self.swapped_out += moved
+                need -= moved
+                evicted.append((victim, moved))
+        return evicted
+
+    def _place(self, owner, num_bytes):
+        self.tick += 1
+        self.stamp[owner] = self.tick
+        self.resident[owner], self.swapped[owner] = num_bytes, 0
+        evicted = self._fit(owner)
+        self.peak = max(self.peak, sum(self.resident.values()))
+        return evicted
+
+    def charge_growth(self, owner, total):
+        restored = self.swapped.get(owner, 0)
+        self.swapped_in += restored
+        return restored, self._place(owner, total)
+
+    def admit(self, owner, num_bytes):
+        if num_bytes > self.capacity:
+            raise CapacityError("over budget")
+        return self._place(owner, num_bytes)
+
+    def restore(self, owner):
+        # A swapped-out owner is wholly on the host, so coming back is
+        # growing to the size it already had.
+        back = self.swapped.get(owner, 0)
+        return self.charge_growth(owner, back) if back else (0, [])
+
+    def release(self, owner):
+        self.swapped.pop(owner, None)
+        self.stamp.pop(owner, None)
+        return self.resident.pop(owner, 0)
+
+    def resize(self, capacity):
+        self.capacity = capacity
+        return self._fit(keep=None)
+
+
+byte_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["charge_growth", "admit"]),
+            st.sampled_from(OWNERS),
+            st.integers(0, CAPACITY + 10),
+        ),
+        st.tuples(
+            st.sampled_from(["restore", "release"]),
+            st.sampled_from(OWNERS),
+            st.none(),
+        ),
+        st.tuples(st.just("resize"), st.none(), st.integers(1, CAPACITY + 10)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestPrivateClaimsMatchTheWholeSessionLedger:
+    @given(byte_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_differential_against_the_reference_model(self, op_list):
+        ledger, model = KVLedger(CAPACITY), WholeSessionModel(CAPACITY)
+        for kind, owner, payload in op_list:
+            args = tuple(a for a in (owner, payload) if a is not None)
+            try:
+                expected = getattr(model, kind)(*args)
+            except CapacityError:
+                with pytest.raises(CapacityError):
+                    getattr(ledger, kind)(*args)
+                continue
+            assert getattr(ledger, kind)(*args) == expected, (kind, args)
+            for name in OWNERS:
+                assert ledger.resident_of(name) == model.resident.get(name, 0)
+                assert ledger.swapped_of(name) == model.swapped.get(name, 0)
+            assert ledger.swapped_out_bytes == model.swapped_out
+            assert ledger.swapped_in_bytes == model.swapped_in
+            assert ledger.peak_resident_bytes == model.peak
+        for name in OWNERS:
+            ledger.release(name)
+        assert ledger.owners == [] and len(ledger.tree) == 0
+
+    @pytest.mark.parametrize("spelling", ["bytes", "segments"])
+    def test_admit_moves_no_swap_counter(self, spelling):
+        """One ``admit``, one answer: the incoming bytes are migration
+        traffic the caller bills, never a swap-in — even when the admitted
+        owner had been swapped out here."""
+        ledger = KVLedger(CAPACITY)
+        ledger.charge_growth("a", 60)
+        ledger.charge_growth("b", 70)  # swaps a out
+        assert ledger.swapped_of("a") == 60
+        if spelling == "bytes":
+            evicted = ledger.admit("a", 60)
+        else:
+            evicted = ledger.admit_segments("a", [ledger.private_claim("a", 60)])
+        assert evicted == [("b", 70)]
+        assert ledger.swapped_in_bytes == 0
+        assert ledger.resident_of("a") == 60 and ledger.swapped_of("a") == 0
+
+    def test_admit_over_capacity_raises_before_anything_moves(self):
+        ledger = KVLedger(CAPACITY)
+        ledger.charge_growth("a", 60)
+        before = (ledger._tick, dict(ledger._owner_segs), ledger.resident_bytes)
+        with pytest.raises(CapacityError):
+            ledger.admit("b", CAPACITY + 1)
+        assert (ledger._tick, ledger._owner_segs, ledger.resident_bytes) == before
+        assert ledger.swapped_out_bytes == 0 and "b" not in ledger.owners
+
+    def test_zero_byte_residents_are_never_reported_evicted(self):
+        ledger = KVLedger(CAPACITY)
+        ledger.charge_growth("idle", 0)
+        ledger.charge_growth("a", 60)
+        assert ledger.charge_growth("b", 70) == (0, [("a", 60)])
+        assert ledger.resize(10) == [("b", 70)]
+        tick = ledger._tick
+        assert ledger.restore("idle") == (0, [])
+        assert ledger.restore("never-seen") == (0, [])
+        assert ledger._tick == tick  # no LRU stamp moved
+
+
 class TestSharedKVLedgerInvariants:
+    """Lineage claims, optionally colliding on one cross-owner root."""
+
     @given(ops, st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_conservation_capacity_and_unique_bytes(self, op_list, shared_root):
-        ledger = SharedKVLedger(CAPACITY)
+        ledger = KVLedger(CAPACITY)
         expected = apply_ops(ledger, op_list, shared_root=shared_root)
-        check_invariants(ledger, expected)
-        # resident_bytes is exactly the unique resident segment bytes...
-        unique = sum(
-            seg.num_bytes for seg in ledger._segments.values() if seg.resident
-        )
-        assert ledger.resident_bytes == unique
-        # ...and sharing can only save relative to whole-session billing
+        # sharing can only save relative to whole-session billing
         logical = sum(ledger.resident_of(o) for o in expected)
         assert ledger.resident_bytes <= logical or not expected
         assert ledger.logical_resident_bytes == logical
@@ -132,7 +289,7 @@ class TestSharedKVLedgerInvariants:
     @given(ops)
     @settings(max_examples=100, deadline=None)
     def test_restore_after_any_history_makes_owner_resident(self, op_list):
-        ledger = SharedKVLedger(CAPACITY)
+        ledger = KVLedger(CAPACITY)
         expected = apply_ops(ledger, op_list, shared_root=True)
         for owner in expected:
             ledger.restore(owner)
@@ -171,8 +328,8 @@ class TestDeltaMigrationConservation:
     def test_read_in_is_footprint_minus_destination_overlap(
         self, sizes, dst_ops, peer_depth
     ):
-        source = SharedKVLedger(CAPACITY)
-        destination = SharedKVLedger(CAPACITY)
+        source = KVLedger(CAPACITY)
+        destination = KVLedger(CAPACITY)
         claims = migrating_claims(sizes)
         source.charge_growth_segments("mig", claims)
         # Arbitrary co-resident history at the destination (may leave the
@@ -219,12 +376,12 @@ class TestDeltaMigrationConservation:
         have moved on either ledger — the caller releases the source only
         after a successful admit.
         """
-        destination = SharedKVLedger(CAPACITY)
+        destination = KVLedger(CAPACITY)
         destination.charge_growth_segments(
             "resident", lineage_claims(1, [40, 40], shared_root=False)
         )
         claims = migrating_claims([30, 30, 30])
-        source = SharedKVLedger(CAPACITY)
+        source = KVLedger(CAPACITY)
         source.charge_growth_segments("mig", claims)
         owners_before = {
             node: dict(destination._segments[node].owners)
@@ -235,7 +392,7 @@ class TestDeltaMigrationConservation:
         def boom(need, keep):
             raise RuntimeError("eviction failed mid-handoff")
 
-        monkeypatch.setattr(destination, "_evict_segments_for", boom)
+        monkeypatch.setattr(destination, "_evict_for", boom)
         with pytest.raises(RuntimeError, match="mid-handoff"):
             destination.admit_segments("mig", claims)
 
@@ -249,7 +406,7 @@ class TestDeltaMigrationConservation:
         assert source.resident_of("mig") == sum(c.num_bytes for c in claims)
 
     def test_whole_footprint_capacity_check_raises_before_any_mutation(self):
-        destination = SharedKVLedger(CAPACITY)
+        destination = KVLedger(CAPACITY)
         destination.charge_growth_segments(
             "resident", lineage_claims(1, [10], shared_root=False)
         )
