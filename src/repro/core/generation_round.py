@@ -21,18 +21,28 @@ Two-phase scheduling (Sec. 4.1.2):
 Algorithmic equivalence holds by construction: speculative tokens are drawn
 from the same keyed streams a future non-speculative execution would use,
 and verification never sees them.
+
+Per span the loop touches each slot a fixed number of times: one pass
+yields the span length, the speculative-slot count and the context sum;
+the cache grows the whole batch in one
+:meth:`~repro.kvcache.cache.PagedKVCache.extend_segments` call (a victim
+is only picked where that call stopped); one pass retires finished slots.
+A sequence is one :class:`_Slot` for the whole round — waiting, running,
+preempted back to waiting — and a slot's context length is what its
+admission's ``materialize`` reported, not a second tree walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart
 from repro.engine.telemetry import Phase
 from repro.engine.worker import GeneratorWorker
 from repro.errors import CapacityError, SchedulingError
+from repro.kvcache.cache import MaterializeOutcome
 from repro.core.spec_select import SelectSpec
 
 __all__ = ["ChildStepPlan", "GenerationRound", "GenerationRoundResult"]
@@ -70,31 +80,23 @@ class GenerationRoundResult:
 # generated field-tuple ``__eq__`` made every ``in`` / ``remove`` a scan of
 # field comparisons.
 @dataclass(slots=True, eq=False)
-class _Pending:
-    """A waiting standard job (possibly re-queued after preemption)."""
-
-    job: GenJob
-    remaining: int
-    progress: int = 0  # tokens decoded before a preemption, if any
-
-
-@dataclass(slots=True, eq=False)
 class _Slot:
-    """One occupied batch slot."""
+    """One sequence of the round: a standard job waiting for a batch slot
+    (again, after a preemption) or occupying one, or a speculative slot."""
 
     segment: int
     remaining: int
-    context_len: int
-    progress: int = 0
+    context_len: int = 0  # path tokens at admission
+    progress: int = 0  # decoded in this occupancy
     prior_progress: int = 0  # decoded in an earlier occupancy (preemption)
     job: GenJob | None = None
     spec_parent: tuple[int, ...] | None = None
     spec_child: int = -1
     spec_lineage: tuple[int, ...] | None = None
+    is_spec: bool = field(init=False)  # no job: a speculative continuation
 
-    @property
-    def is_spec(self) -> bool:
-        return self.job is None
+    def __post_init__(self) -> None:
+        self.is_spec = self.job is None
 
 
 class GenerationRound:
@@ -117,6 +119,8 @@ class GenerationRound:
         if spec_bandwidth_fraction <= 0:
             raise ValueError("spec_bandwidth_fraction must be positive")
         self._worker = worker
+        self._cache = worker.cache
+        self._clock = worker.clock
         self._slot_budget = slot_budget
         self._speculation = speculation
         self._branching = branching_factor
@@ -132,9 +136,11 @@ class GenerationRound:
         if not jobs:
             return GenerationRoundResult(outcomes, heads, stats)
 
-        start_time = self._worker.clock.now
-        waiting: deque[_Pending] = deque(
-            _Pending(job=j, remaining=j.remaining_tokens) for j in jobs
+        clock = self._clock
+        start_time = clock.now
+        waiting: deque[_Slot] = deque(
+            _Slot(segment=j.new_segment, remaining=j.remaining_tokens, job=j)
+            for j in jobs
         )
         selector = SelectSpec(self._branching) if self._speculation else None
         running: list[_Slot] = []
@@ -142,7 +148,6 @@ class GenerationRound:
         speculation_enabled = self._speculation
 
         self._admit_standard(waiting, running, outcomes, stats, selector)
-        self._check_progress(running, waiting)
 
         while running:
             if self._preempt_check is not None and self._preempt_check():
@@ -153,16 +158,21 @@ class GenerationRound:
                     break
                 if not running:
                     self._admit_standard(waiting, running, outcomes, stats, selector)
-                    self._check_progress(running, waiting)
                     continue
 
-            delta = min(slot.remaining for slot in running)
+            # One pass over the batch: the span length, how much of it is
+            # speculative, and the context it attends over.
+            delta = running[0].remaining
+            spec_slots = context = 0
+            for slot in running:
+                if slot.remaining < delta:
+                    delta = slot.remaining
+                if slot.is_spec:
+                    spec_slots += 1
+                context += slot.context_len + slot.progress
             busy = len(running)
-            spec_slots = sum(1 for s in running if s.is_spec)
-            avg_cache = (
-                sum(s.context_len + s.progress for s in running) / busy + delta / 2.0
-            )
-            span_start = self._worker.clock.now
+            avg_cache = context / busy + delta / 2.0
+            span_start = clock.now
             span_dt = self._worker.decode_span(
                 n_steps=delta,
                 busy_slots=busy,
@@ -183,36 +193,28 @@ class GenerationRound:
                 elif slot.is_spec:
                     self._finish_spec(slot, heads, stats)
                 else:
-                    self._finish_standard(slot, outcomes, stats, selector)
+                    stats.decoded_tokens += slot.progress
+                    self._finish_standard(
+                        slot.job, slot.prior_progress + slot.progress, outcomes, selector
+                    )
             running = still_running
 
             self._admit_standard(waiting, running, outcomes, stats, selector)
-            self._check_progress(running, waiting)
             if speculation_enabled and not waiting and selector is not None:
                 self._fill_with_speculation(running, selector, stats, capacity)
             if not waiting and running and all(s.is_spec for s in running):
                 # All standard beams done: strict speculative termination.
                 self._kill_spec_slots(running, heads, stats)
-                running = []
 
-        stats.round_time = self._worker.clock.now - start_time
+        stats.round_time = clock.now - start_time
         stats.head_starts = list(heads.values())
         return GenerationRoundResult(outcomes, heads, stats)
 
     # -- admission and slot lifecycle --------------------------------------
 
-    @staticmethod
-    def _check_progress(running: list[_Slot], waiting: deque[_Pending]) -> None:
-        """Detect a stuck round: work waiting but nothing can be admitted."""
-        if waiting and not running:
-            raise SchedulingError(
-                "generation round stalled: the generator KV budget cannot "
-                "host even one waiting beam"
-            )
-
     def _admit_standard(
         self,
-        waiting: deque[_Pending],
+        waiting: deque[_Slot],
         running: list[_Slot],
         outcomes: dict[tuple[int, ...], GenOutcome],
         stats: RoundStats,
@@ -222,92 +224,73 @@ class GenerationRound:
 
         All beams admitted in one burst share a single batched prefill
         launch for their missing KV (recompute after eviction, prompt
-        prefill on round 0) — as vLLM's chunked prefill would.
+        prefill on round 0) — as vLLM's chunked prefill would. Raises if
+        the round is stuck: work waiting but nothing running or admitted.
         """
-        cache = self._worker.cache
-        burst: list[tuple[GenJob, int, int, _Pending]] = []  # job, missing, hit, pending
+        cache = self._cache
+        burst: list[tuple[_Slot, MaterializeOutcome]] = []
         burst_slots = 0  # entries that will occupy a slot (remaining > 0)
         claimed_blocks = 0  # growth already promised to this burst
         while waiting and len(running) + burst_slots < self._slot_budget:
-            pending = waiting[0]
-            job = pending.job
+            slot = waiting[0]
+            job = slot.job
             register_chain(cache, job.path_segments, job.path_segment_tokens)
             parent = job.path_segments[-1]
             cache.register_segment(job.new_segment, parent, cache_token_len(cache, job))
             needed, reclaimable = cache.path_block_demand(
-                job.new_segment, extra_tokens=pending.remaining
+                job.new_segment, extra_tokens=slot.remaining
             )
             if claimed_blocks + needed > reclaimable:
                 break  # wave is full; wait for running beams to drain
             claimed_blocks += needed
             waiting.popleft()
-            outcome = cache.materialize(
-                job.new_segment, now=self._worker.clock.now, pin=True
-            )
+            outcome = cache.materialize(job.new_segment, now=self._clock.now, pin=True)
             stats.recomputed_tokens += outcome.recomputed_tokens
             stats.cache_hit_tokens += outcome.hit_tokens
             stats.evicted_segments += outcome.evicted_segments
-            burst.append(
-                (job, outcome.recomputed_tokens, outcome.hit_tokens, pending)
-            )
-            if pending.remaining > 0:
+            burst.append((slot, outcome))
+            if slot.remaining > 0:
                 burst_slots += 1
-        if not burst:
-            return
-        self._worker.prefill_batch(
-            [missing for _, missing, _, _ in burst],
-            [hit for _, _, hit, _ in burst],
-            phase=Phase.GENERATION,
-            capacity_slots=self._slot_budget,
-        )
-        for job, _, _, pending in burst:
-            context = cache.tree.path_tokens(job.new_segment)
-            if pending.remaining == 0:
+        if burst:
+            self._worker.prefill_batch(
+                [outcome.recomputed_tokens for _, outcome in burst],
+                [outcome.hit_tokens for _, outcome in burst],
+                phase=Phase.GENERATION,
+                capacity_slots=self._slot_budget,
+            )
+        for slot, outcome in burst:
+            if slot.remaining == 0:
                 # Step already fully generated: a speculative head start,
                 # or a preempted beam whose decode had finished.
-                self._worker.release_path(job.new_segment)
-                outcomes[job.lineage] = GenOutcome(
-                    lineage=job.lineage,
-                    finish_time=self._worker.clock.now,
-                    tokens_generated=pending.progress,
-                )
-                if selector is not None and self._eligible_for_spec(job):
-                    selector.offer(job.lineage, job.prev_score)
+                self._finish_standard(slot.job, slot.prior_progress, outcomes, selector)
                 continue
-            running.append(
-                _Slot(
-                    segment=job.new_segment,
-                    remaining=pending.remaining,
-                    context_len=context,
-                    prior_progress=pending.progress,
-                    job=job,
-                )
+            slot.context_len = outcome.touched_tokens  # the whole path
+            running.append(slot)
+        if waiting and not running:
+            raise SchedulingError(
+                "generation round stalled: the generator KV budget cannot "
+                "host even one waiting beam"
             )
 
     def _finish_standard(
         self,
-        slot: _Slot,
+        job: GenJob,
+        tokens_generated: int,
         outcomes: dict[tuple[int, ...], GenOutcome],
-        stats: RoundStats,
         selector: SelectSpec | None,
     ) -> None:
-        assert slot.job is not None
-        self._worker.release_path(slot.segment)
-        outcomes[slot.job.lineage] = GenOutcome(
-            lineage=slot.job.lineage,
-            finish_time=self._worker.clock.now,
-            tokens_generated=slot.prior_progress + slot.progress,
+        """Release the beam's path, record its outcome and — when its
+        step can have children — offer it to the speculation selector."""
+        self._worker.release_path(job.new_segment)
+        outcomes[job.lineage] = GenOutcome(
+            lineage=job.lineage,
+            finish_time=self._clock.now,
+            tokens_generated=tokens_generated,
         )
-        stats.decoded_tokens += slot.progress
-        if selector is not None and self._eligible_for_spec(slot.job):
-            selector.offer(slot.job.lineage, slot.job.prev_score)
+        if selector is not None and self._child_planner(job.lineage, 0) is not None:
+            selector.offer(job.lineage, job.prev_score)
 
-    def _eligible_for_spec(self, job: GenJob) -> bool:
-        if self._child_planner is None:
-            return False
-        return self._child_planner(job.lineage, 0) is not None
-
-    def _spec_slot_cap(self, running: list[_Slot]) -> int:
+    def _spec_slot_cap(self, standard_slots: int, standard_context: int) -> int:
         """Bound speculation by its marginal memory-bandwidth cost.
 
         Straggler steps read the weights regardless; a speculative slot
@@ -315,11 +298,14 @@ class GenerationRound:
         per step approach the weight traffic, speculation starts slowing
         the straggler it is meant to hide, so slots are capped at
         ``spec_bandwidth_fraction`` of the weight bytes. At small n this
-        cap is far above the free-slot count and never binds.
+        cap is far above the free-slot count and never binds. The
+        arguments are the standard (straggler) slots' count and summed
+        context.
         """
-        contexts = [s.context_len + s.progress for s in running if not s.is_spec]
-        avg_ctx = max(1.0, sum(contexts) / len(contexts)) if contexts else 512.0
-        bytes_per_spec_step = avg_ctx * self._worker.cache.kv_bytes_per_token
+        avg_ctx = (
+            max(1.0, standard_context / standard_slots) if standard_slots else 512.0
+        )
+        bytes_per_spec_step = avg_ctx * self._cache.kv_bytes_per_token
         budget = self._spec_bandwidth_fraction * self._worker.model.weight_bytes
         return max(1, int(budget / bytes_per_spec_step))
 
@@ -334,11 +320,16 @@ class GenerationRound:
         the paper's policy maintains a constant batch size) and within the
         marginal-bandwidth cap."""
         assert self._child_planner is not None
-        spec_cap = self._spec_slot_cap(running)
-        while (
-            len(running) < min(self._slot_budget, capacity)
-            and sum(1 for s in running if s.is_spec) < spec_cap
-        ):
+        cache = self._cache
+        spec_slots = standard_context = 0
+        for slot in running:
+            if slot.is_spec:
+                spec_slots += 1
+            else:
+                standard_context += slot.context_len + slot.progress
+        spec_cap = self._spec_slot_cap(len(running) - spec_slots, standard_context)
+        width = min(self._slot_budget, capacity)
+        while len(running) < width and spec_slots < spec_cap:
             claim = selector.next_branch()
             if claim is None:
                 return
@@ -346,21 +337,21 @@ class GenerationRound:
             plan = self._child_planner(parent_lineage, child_index)
             if plan is None:
                 continue
-            cache = self._worker.cache
             cache.register_segment(plan.segment_id, plan.parent_leaf_segment, 0)
             if not cache.can_fit_path(plan.segment_id, extra_tokens=plan.n_tokens):
                 continue  # never evict standard work for speculation
             try:
-                self._worker.cache.materialize(
-                    plan.segment_id, now=self._worker.clock.now, pin=True
+                outcome = cache.materialize(
+                    plan.segment_id, now=self._clock.now, pin=True
                 )
             except CapacityError:
                 continue
+            spec_slots += 1
             running.append(
                 _Slot(
                     segment=plan.segment_id,
                     remaining=plan.n_tokens,
-                    context_len=cache.tree.path_tokens(plan.segment_id),
+                    context_len=outcome.touched_tokens,
                     spec_parent=parent_lineage,
                     spec_child=child_index,
                     spec_lineage=plan.child_lineage,
@@ -391,16 +382,17 @@ class GenerationRound:
         stats: RoundStats,
     ) -> None:
         """Terminate speculative slots, keeping partial progress as heads."""
-        for slot in [s for s in running if s.is_spec]:
-            self._finish_spec(slot, heads, stats)
-            running.remove(slot)
+        for slot in running:
+            if slot.is_spec:
+                self._finish_spec(slot, heads, stats)
+        running[:] = [slot for slot in running if not slot.is_spec]
 
     # -- decode-time KV growth ---------------------------------------------
 
     def _grow_slots(
         self,
         running: list[_Slot],
-        waiting: deque[_Pending],
+        waiting: deque[_Slot],
         heads: dict[tuple[int, ...], SpecHeadStart],
         delta: int,
         stats: RoundStats,
@@ -411,31 +403,35 @@ class GenerationRound:
         slots die first (their progress is kept as a head start), then the
         most recently admitted standard slot is pushed back to the waiting
         queue — its generated text survives, so re-admission recomputes its
-        KV via prefill rather than re-decoding.
+        KV via prefill rather than re-decoding. The whole batch grows in
+        one cache call; each shortfall frees one victim and resumes from
+        the slot that could not grow.
         """
-        for slot in list(running):
-            if slot not in running:
-                continue  # preempted as a victim earlier in this span
-            while True:
-                try:
-                    self._worker.cache.extend_segment(
-                        slot.segment, delta, now=self._worker.clock.now
-                    )
-                    slot.progress += delta
-                    slot.remaining -= delta
-                    break
-                except CapacityError:
-                    victim = self._pick_victim(running, slot)
-                    if victim is None:
-                        raise SchedulingError(
-                            "decode batch cannot grow: a single sequence "
-                            "exceeds the generator KV budget"
-                        ) from None
-                    if victim.is_spec:
-                        self._finish_spec(victim, heads, stats)
-                    else:
-                        self._preempt_standard(victim, waiting, stats)
-                    running.remove(victim)
+        cache, now = self._cache, self._clock.now
+        pending = running[:]
+        while True:
+            grown = cache.extend_segments(
+                [slot.segment for slot in pending], delta, now
+            )
+            for slot in pending[:grown]:
+                slot.progress += delta
+                slot.remaining -= delta
+            if grown == len(pending):
+                return
+            pending = pending[grown:]
+            victim = self._pick_victim(running, pending[0])
+            if victim is None:
+                raise SchedulingError(
+                    "decode batch cannot grow: a single sequence "
+                    "exceeds the generator KV budget"
+                )
+            if victim.is_spec:
+                self._finish_spec(victim, heads, stats)
+            else:
+                self._preempt_standard(victim, waiting, stats)
+            running.remove(victim)
+            if victim in pending:
+                pending.remove(victim)  # preempted before its turn to grow
 
     def _pick_victim(self, running: list[_Slot], protected: _Slot) -> _Slot | None:
         for slot in reversed(running):
@@ -447,19 +443,15 @@ class GenerationRound:
         return None
 
     def _preempt_standard(
-        self, slot: _Slot, waiting: deque[_Pending], stats: RoundStats
+        self, slot: _Slot, waiting: deque[_Slot], stats: RoundStats
     ) -> None:
         assert slot.job is not None
         self._worker.release_path(slot.segment)
-        self._worker.cache.evict_path(slot.segment, now=self._worker.clock.now)
+        self._cache.evict_path(slot.segment, now=self._clock.now)
         stats.decoded_tokens += slot.progress  # text exists; KV recomputes
-        waiting.appendleft(
-            _Pending(
-                job=slot.job,
-                remaining=slot.remaining,
-                progress=slot.prior_progress + slot.progress,
-            )
-        )
+        slot.prior_progress += slot.progress
+        slot.progress = 0
+        waiting.appendleft(slot)
 
 
 def cache_token_len(cache, job: GenJob) -> int:
@@ -476,7 +468,13 @@ def cache_token_len(cache, job: GenJob) -> int:
 def register_chain(
     cache, segments: tuple[int, ...], token_lens: tuple[int, ...]
 ) -> None:
-    """Idempotently register a root->leaf segment chain."""
+    """Idempotently register a root->leaf segment chain.
+
+    A segment is only ever registered under a registered parent, so a
+    known leaf means the whole chain is already there.
+    """
+    if segments[-1] in cache.tree:
+        return
     parent: int | None = None
     for seg_id, tokens in zip(segments, token_lens):
         if seg_id not in cache.tree:

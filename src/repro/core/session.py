@@ -309,7 +309,9 @@ class SolveSession:
         self._plans: dict[tuple[int, ...], StepPlan] = {}
         self._gen_result = None
         self._first_token_s: float | None = None
-        self._lane_node_ids: dict[tuple[str, int], int] = {}  # see _lane_id
+        self._lane_node_ids: dict[tuple[str, int], int] = {}  # see kv_segments
+        # Lineage prefix -> its root->leaf segment-id chain (see _segment_chain).
+        self._segment_chains: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         # Preemption inputs.
         self._preempt_at: float | None = min(arrivals) if arrivals else None
@@ -345,10 +347,6 @@ class SolveSession:
         return self._clock
 
     @property
-    def rounds_completed(self) -> int:
-        return self._round_idx
-
-    @property
     def first_token_s(self) -> float | None:
         """Session-clock time of the first generated token (None until then).
 
@@ -382,19 +380,25 @@ class SolveSession:
         The per-device :class:`~repro.hardware.memory.KVLedger` uses this
         to model cross-session contention.
         """
-        if self._gen_cache is None or self._ver_cache is None:
-            return 0
-        gen_bytes = (
-            self._gen_cache.resident_tokens
-            * self._server.gen_model.kv_bytes_per_token
+        return sum(
+            cache.resident_tokens * bytes_per_token
+            for _, cache, bytes_per_token in self._device_caches()
         )
-        ver_bytes = (
-            self._ver_cache.resident_tokens
-            * self._server.ver_model.kv_bytes_per_token
-        )
+
+    def _device_caches(self) -> list[tuple[str, PagedKVCache, int]]:
+        """``(tag, cache, KV bytes per token)`` of each cache on the device now.
+
+        Empty before setup; under an offloading plan only the active model's.
+        """
+        if self._gen_cache is None:
+            return []
+        views = [
+            ("gen", self._gen_cache, self._server.gen_model.kv_bytes_per_token),
+            ("ver", self._ver_cache, self._server.ver_model.kv_bytes_per_token),
+        ]
         if self._plan is not None and self._plan.offload:
-            return gen_bytes if self._active_model == "generator" else ver_bytes
-        return gen_bytes + ver_bytes
+            return views[:1] if self._active_model == "generator" else views[1:]
+        return views
 
     @property
     def kv_namespace(self) -> str | None:
@@ -425,46 +429,29 @@ class SolveSession:
         offloading plan only the active model's cache is device-resident,
         exactly as in :attr:`resident_kv_bytes`.
         """
-        if self._gen_cache is None or self._ver_cache is None:
-            return ()
-        views = [
-            ("gen", self._gen_cache, self._server.gen_model.kv_bytes_per_token),
-            ("ver", self._ver_cache, self._server.ver_model.kv_bytes_per_token),
-        ]
-        if self._plan is not None and self._plan.offload:
-            views = [views[0] if self._active_model == "generator" else views[1]]
-        node_ids = self._lane_node_ids
+        # A segment's root-ness never changes and the namespace is fixed
+        # per server binding, so lane node ids are hashed once per session
+        # (the memo dies with it; rebinding clears it) and looked up after.
+        namespace, node_ids = self.kv_namespace, self._lane_node_ids
         claims: list[KVSegment] = []
-        for tag, cache, bytes_per_token in views:
-            tree = cache.tree
-            for state in cache.resident_segments():
-                segment = state.segment_id
-                parent = tree.get(segment).parent_id
+        for tag, cache, bytes_per_token in self._device_caches():
+            for state in cache.resident_segments():  # parents first
+                key = (tag, state.node_id)
+                node_id = node_ids.get(key)
+                if node_id is None:
+                    node_id = node_ids[key] = _lane_node_id(
+                        tag, namespace, state.node_id, state.parent_id is None
+                    )
+                # A resident segment's parent is resident, so already named.
+                parent = state.parent_id
                 claims.append(
                     KVSegment(
-                        node_ids.get((tag, segment))
-                        or self._lane_id(tag, tree, segment),
-                        None if parent is None
-                        else node_ids.get((tag, parent))
-                        or self._lane_id(tag, tree, parent),
+                        node_id,
+                        None if parent is None else node_ids[tag, parent],
                         state.token_len * bytes_per_token,
                     )
                 )
         return tuple(claims)
-
-    def _lane_id(self, tag: str, tree, segment_id: int) -> int:
-        """Hash one segment's lane-tree node id, once per session.
-
-        A segment's root-ness never changes and the namespace is fixed
-        per server binding, so ``kv_segments`` — called every round for
-        every resident segment and its parent — looks ids up instead of
-        re-hashing them. The memo dies with the session.
-        """
-        node_id = self._lane_node_ids[tag, segment_id] = _lane_node_id(
-            tag, self.kv_namespace, segment_id,
-            tree.get(segment_id).parent_id is None,
-        )
-        return node_id
 
     def planned_segments(self) -> tuple[KVSegment, ...]:
         """The claims this session will register at setup (pre-admission).
@@ -489,16 +476,15 @@ class SolveSession:
             raise ValueError("dt must be non-negative")
         if dt == 0:
             return
-        if not self._state.live:
-            raise SchedulingError(
-                f"cannot charge swap time to {self._session_id} in state "
-                f"{self._state.value}"
-            )
+        self._require(self._state.live, "charge swap time to")
+        self._charge_swap(dt, "kv_contention_swap")
+
+    def _charge_swap(self, dt: float, event: str, **fields) -> None:
         self._clock.advance(dt)
         self._timer.add(Phase.SWAP, dt)
         if self._trace is not None:
             self._trace.record(
-                self._clock.now, "kv_contention_swap", -1, seconds=round(dt, 6)
+                self._clock.now, event, -1, **fields, seconds=round(dt, 6)
             )
 
     def rebind_device(self, server: "TTSServer") -> None:
@@ -512,10 +498,7 @@ class SolveSession:
         the KV is charged by :meth:`~repro.core.pool.DevicePool.migrate`,
         not here.
         """
-        if not self._state.live:
-            raise SchedulingError(
-                f"cannot migrate {self._session_id} in state {self._state.value}"
-            )
+        self._require(self._state.live, "migrate")
         old = self._server
         if (
             server.gen_model.name != old.gen_model.name
@@ -527,15 +510,22 @@ class SolveSession:
             )
         self._server = server
         self._lane_node_ids.clear()  # kv_namespace follows the server binding
+        if server.config.prefix_caching != old.config.prefix_caching:
+            self._segment_chains.clear()  # the other id spelling applies now
         if self._gen_worker is not None:
-            self._gen_worker = GeneratorWorker(
-                server.gen_model, server.roofline, self._gen_cache, self._clock,
-                self._timer, self._util,
-            )
-            self._ver_worker = VerifierWorker(
-                server.ver_model, server.roofline, self._ver_cache, self._clock,
-                self._timer, self._util,
-            )
+            self._bind_workers()
+
+    def _bind_workers(self) -> None:
+        """(Re)build both workers on the current server, around the caches."""
+        server = self._server
+        self._gen_worker = GeneratorWorker(
+            server.gen_model, server.roofline, self._gen_cache, self._clock,
+            self._timer, self._util,
+        )
+        self._ver_worker = VerifierWorker(
+            server.ver_model, server.roofline, self._ver_cache, self._clock,
+            self._timer, self._util,
+        )
 
     def notify_arrival(self) -> None:
         """Signal that another request is waiting *now*.
@@ -564,6 +554,12 @@ class SolveSession:
             raise SchedulingError(f"cannot cancel finished {self._session_id}")
         self._state = SessionState.CANCELLED
 
+    def _require(self, allowed: bool, action: str) -> None:
+        if not allowed:
+            raise SchedulingError(
+                f"cannot {action} {self._session_id} in state {self._state.value}"
+            )
+
     def step(self) -> SessionState:
         """Advance exactly one lifecycle transition and return the new state.
 
@@ -573,10 +569,7 @@ class SolveSession:
         best-of-N outcome-scoring pass for algorithms that skip per-step
         verification).
         """
-        if not self._state.live:
-            raise SchedulingError(
-                f"cannot step {self._session_id}: state is {self._state.value}"
-            )
+        self._require(self._state.live, "step")
         if self._state is SessionState.ADMITTED:
             self._step_admit()
         elif self._state is SessionState.GENERATING:
@@ -605,25 +598,16 @@ class SolveSession:
         self._plan = plan
         self._trace = SolveTrace(self._problem.problem_id) if self._want_trace else None
 
-        gen_cache = PagedKVCache(
+        self._gen_cache = PagedKVCache(
             plan.kv_dec_bytes, server.gen_model.kv_bytes_per_token, cfg.block_tokens
         )
-        ver_cache = PagedKVCache(
+        self._ver_cache = PagedKVCache(
             plan.kv_pre_bytes, server.ver_model.kv_bytes_per_token, cfg.block_tokens
         )
         root = prompt_segment_id(self._problem)
-        gen_cache.register_segment(root, None, self._problem.prompt_tokens)
-        ver_cache.register_segment(root, None, self._problem.prompt_tokens)
-        self._gen_cache = gen_cache
-        self._ver_cache = ver_cache
-        self._gen_worker = GeneratorWorker(
-            server.gen_model, server.roofline, gen_cache, self._clock,
-            self._timer, self._util,
-        )
-        self._ver_worker = VerifierWorker(
-            server.ver_model, server.roofline, ver_cache, self._clock,
-            self._timer, self._util,
-        )
+        for cache in (self._gen_cache, self._ver_cache):
+            cache.register_segment(root, None, self._problem.prompt_tokens)
+        self._bind_workers()
 
         self._slot_budget = min(plan.b_dec, cfg.max_slots)
         self._batch_pre = min(plan.b_pre, cfg.max_slots)
@@ -631,7 +615,6 @@ class SolveSession:
             ReasoningPath(lineage=(i,))
             for i in range(self._algorithm.initial_width())
         ]
-        self._round_idx = 0
         if self._active and self._round_idx < server.dataset.max_steps:
             self._state = SessionState.GENERATING
         else:  # pragma: no cover - empty searches cannot be constructed
@@ -655,11 +638,9 @@ class SolveSession:
         of 1 the whole begin/run/finish sequence is byte-identical to the
         former monolithic generate step.
         """
-        if self._state is not SessionState.GENERATING:
-            raise SchedulingError(
-                f"cannot begin a generation round for {self._session_id} in "
-                f"state {self._state.value}"
-            )
+        self._require(
+            self._state is SessionState.GENERATING, "begin a generation round for"
+        )
         server = self._server
         cfg = server.config
         algorithm = self._algorithm
@@ -672,7 +653,7 @@ class SolveSession:
             for path in self._active
         }
         jobs = [
-            self._gen_job(path, plans[path.lineage], round_idx)
+            self._gen_job(path, plans[path.lineage])
             for path in self._active
         ]
         jobs = self._schedule(jobs, round_idx, "gen")
@@ -701,11 +682,9 @@ class SolveSession:
         :class:`~repro.core.generation_round.GenerationRoundResult` the
         contributed round produced.
         """
-        if self._state is not SessionState.GENERATING:
-            raise SchedulingError(
-                f"cannot finish a generation round for {self._session_id} in "
-                f"state {self._state.value}"
-            )
+        self._require(
+            self._state is SessionState.GENERATING, "finish a generation round for"
+        )
         cfg = self._server.config
         round_idx = self._round_idx
         self._gen_worker.batch_share = 1
@@ -747,18 +726,14 @@ class SolveSession:
         co-batched sessions' scoring passes share one weight read, just
         as generation rounds share theirs.
         """
-        if self._state is not SessionState.VERIFYING:
-            raise SchedulingError(
-                f"cannot run a verification step for {self._session_id} in "
-                f"state {self._state.value}"
-            )
-        if self._ver_worker is not None:
-            self._ver_worker.batch_share = occupancy
+        self._require(
+            self._state is SessionState.VERIFYING, "run a verification step for"
+        )
+        self._ver_worker.batch_share = occupancy
         try:
             self._step_verify()
         finally:
-            if self._ver_worker is not None:
-                self._ver_worker.batch_share = 1
+            self._ver_worker.batch_share = 1
         return self._state
 
     def _step_verify(self) -> None:
@@ -826,26 +801,42 @@ class SolveSession:
             self._server.config, self._rng, self._problem, jobs, round_idx, stage
         )
 
-    def _new_segment(self, lineage: tuple[int, ...], step_idx: int) -> int:
-        if self._server.config.prefix_caching:
-            return step_segment_id(self._problem, lineage, step_idx)
-        return stable_hash64(
-            "private-segment", self._problem.problem_id, lineage, step_idx
-        )
+    def _segment_chain(self, lineage: tuple[int, ...]) -> tuple[int, ...]:
+        """:func:`path_segments` for ``steps_done = len(lineage)``, derived
+        once per lineage: the prompt's id plus those of steps ``0 ..
+        len(lineage) - 1``.
 
-    def _gen_job(
-        self, path: ReasoningPath, step: StepPlan, round_idx: int
-    ) -> GenJob:
+        With prefix caching a step's id is a function of its lineage
+        *prefix*: a chain is its parent prefix's chain plus one hash (its
+        last element *is* that prefix's segment id). Without it ids key on
+        the full lineage, so each lineage hashes its private chain once.
+        """
+        chain = self._segment_chains.get(lineage)
+        if chain is None:
+            if not self._server.config.prefix_caching:
+                chain = path_segments(
+                    self._server.config, self._problem, lineage, len(lineage)
+                )
+            elif lineage:
+                chain = self._segment_chain(lineage[:-1]) + (
+                    step_segment_id(self._problem, lineage, len(lineage) - 1),
+                )
+            else:
+                chain = (prompt_segment_id(self._problem),)
+            self._segment_chains[lineage] = chain
+        return chain
+
+    def _gen_job(self, path: ReasoningPath, step: StepPlan) -> GenJob:
+        # The path is generating step ``len(lineage) - 1``: the chain's
+        # last id is the segment being written.
         head = min(self._heads_kept.pop(path.lineage, 0), step.n_tokens)
-        segments = path_segments(
-            self._server.config, self._problem, path.lineage, path.steps_done
-        )
+        chain = self._segment_chain(path.lineage)
         tokens = (self._problem.prompt_tokens, *path.step_tokens)
         return GenJob(
             lineage=path.lineage,
-            path_segments=segments,
+            path_segments=chain[:-1],
             path_segment_tokens=tokens,
-            new_segment=self._new_segment(path.lineage, round_idx),
+            new_segment=chain[-1],
             step_tokens=step.n_tokens,
             head_start=head,
             prev_score=path.last_score,
@@ -855,8 +846,7 @@ class SolveSession:
         self, plans: dict[tuple[int, ...], StepPlan], round_idx: int
     ):
         """Closure resolving speculative branches to child step identities."""
-        problem, algorithm = self._problem, self._algorithm
-        next_cap = algorithm.step_cap(round_idx + 1)
+        next_cap = self._algorithm.step_cap(round_idx + 1)
 
         def planner(
             parent_lineage: tuple[int, ...], child_index: int
@@ -868,10 +858,11 @@ class SolveSession:
                 return None
             child_lineage = parent_lineage + (child_index,)
             child_step = self._plan_step(child_lineage, round_idx + 1, next_cap)
+            chain = self._segment_chain(child_lineage)  # ends ..., parent, child
             return ChildStepPlan(
                 child_lineage=child_lineage,
-                segment_id=step_segment_id(problem, child_lineage, round_idx + 1),
-                parent_leaf_segment=step_segment_id(problem, parent_lineage, round_idx),
+                segment_id=chain[-1],
+                parent_leaf_segment=chain[-2],
                 n_tokens=child_step.n_tokens,
             )
 
@@ -895,9 +886,7 @@ class SolveSession:
     def _verify_active(self, round_idx: int) -> None:
         cfg = self._server.config
         self._swap_to("verifier")
-        vjobs = []
-        for path in self._active:
-            vjobs.append(self._verify_job(path, round_idx))
+        vjobs = [self._verify_job(path, round_idx) for path in self._active]
         vjobs = self._schedule(vjobs, round_idx, "verify")
         verification = VerificationRound(
             self._ver_worker, self._prm, self._batch_pre, lookahead=cfg.lookahead
@@ -921,21 +910,23 @@ class SolveSession:
         if not cfg.prefix_caching:
             self._ver_worker.cache.evict_all(now=self._clock.now)
 
-    def _verify_job(self, path: ReasoningPath, round_idx: int) -> VerifyJob:
-        # path already recorded this round's step: last segment is the new one.
-        cfg = self._server.config
-        problem, algorithm = self._problem, self._algorithm
-        all_segments = path_segments(cfg, problem, path.lineage, path.steps_done)
-        all_tokens = (problem.prompt_tokens, *path.step_tokens)
-        job_kwargs = dict(
+    def _score_job(self, path: ReasoningPath, **lookahead) -> VerifyJob:
+        """Score ``path``'s newest step (it is already recorded, so the
+        chain's last segment is the new one)."""
+        chain = self._segment_chain(path.lineage)
+        return VerifyJob(
             lineage=path.lineage,
-            step_idx=round_idx,
-            path_segments=all_segments[:-1],
-            path_segment_tokens=all_tokens[:-1],
-            new_segment=all_segments[-1],
+            step_idx=path.steps_done - 1,
+            path_segments=chain[:-1],
+            path_segment_tokens=(self._problem.prompt_tokens, *path.step_tokens[:-1]),
+            new_segment=chain[-1],
             new_tokens=path.step_tokens[-1],
             mean_soundness=path.mean_soundness,
+            **lookahead,
         )
+
+    def _verify_job(self, path: ReasoningPath, round_idx: int) -> VerifyJob:
+        cfg, algorithm = self._server.config, self._algorithm
         step = self._plans[path.lineage]
         if cfg.lookahead and not step.is_terminal and lookahead_worthy(path, algorithm):
             child_lineage = path.lineage + (0,)
@@ -946,13 +937,14 @@ class SolveSession:
                 )
                 if head.tokens >= child_step.n_tokens:
                     soundness = path.soundness + [child_step.soundness]
-                    job_kwargs.update(
+                    return self._score_job(
+                        path,
                         lookahead_child=child_lineage,
                         lookahead_segment=head.segment_id,
                         lookahead_tokens=child_step.n_tokens,
                         lookahead_soundness=sum(soundness) / len(soundness),
                     )
-        return VerifyJob(**job_kwargs)
+        return self._score_job(path)
 
     # -- expansion ---------------------------------------------------------
 
@@ -1011,27 +1003,11 @@ class SolveSession:
 
     def _final_scoring(self) -> None:
         """Best-of-N outcome scoring: one full-path verification at the end."""
-        cfg = self._server.config
-        problem = self._problem
         self._swap_to("verifier")
-        vjobs = []
-        for path in self._collected:
-            segments = path_segments(cfg, problem, path.lineage, path.steps_done)
-            tokens = (problem.prompt_tokens, *path.step_tokens)
-            vjobs.append(
-                VerifyJob(
-                    lineage=path.lineage,
-                    step_idx=path.steps_done - 1,
-                    path_segments=segments[:-1],
-                    path_segment_tokens=tokens[:-1],
-                    new_segment=segments[-1],
-                    new_tokens=path.step_tokens[-1],
-                    mean_soundness=path.mean_soundness,
-                )
-            )
+        vjobs = [self._score_job(path) for path in self._collected]
         vjobs = self._schedule(vjobs, -1, "final")
         verification = VerificationRound(self._ver_worker, self._prm, self._batch_pre)
-        ver_result = verification.run(problem, vjobs)
+        ver_result = verification.run(self._problem, vjobs)
         for path in self._collected:
             path.record_score(ver_result.scores[path.lineage])
 
@@ -1050,15 +1026,10 @@ class SolveSession:
         )
         out_bytes = outgoing.cache.resident_tokens * outgoing.model.kv_bytes_per_token
         in_bytes = incoming.cache.resident_tokens * incoming.model.kv_bytes_per_token
-        dt = self._server.link.swap_time(out_bytes, in_bytes)
-        self._clock.advance(dt)
-        self._timer.add(Phase.SWAP, dt)
-        if self._trace is not None:
-            self._trace.record(
-                self._clock.now, "swap", -1,
-                to=model, out_bytes=out_bytes, in_bytes=in_bytes,
-                seconds=round(dt, 6),
-            )
+        self._charge_swap(
+            self._server.link.swap_time(out_bytes, in_bytes), "swap",
+            to=model, out_bytes=out_bytes, in_bytes=in_bytes,
+        )
         self._active_model = model
 
     # -- result assembly -----------------------------------------------

@@ -1,14 +1,24 @@
 """Paged KV cache with prefix sharing, pinning and LRU eviction.
 
 This is the memory substrate both workers (generator and verifier) run on.
-It combines three structures:
+It combines two structures:
 
 * a :class:`~repro.kvcache.block.BlockPool` enforcing the byte budget the
   asymmetric allocator assigned to this worker;
 * a :class:`~repro.kvcache.radix.RadixTree` recording the reasoning tree,
   where each node is one thinking-step *segment* shared by every beam that
-  descends from it (copy-free forking, as in vLLM prefix caching);
-* per-segment state: residency, pin count, held blocks, LRU stamp.
+  descends from it (copy-free forking, as in vLLM prefix caching). The
+  nodes are :class:`SegmentState` objects: a segment's parent link, its
+  token length and its cache state (residency, pin count, held blocks,
+  LRU stamp, resident-child count) live in one place, so nothing is
+  synced between a tree and a side table.
+
+Every path operation (materialize, pin / unpin, block demand, path
+eviction) starts from one root→leaf walk yielding the chain's states;
+decode-time growth is one routine, called once per decode span for the
+whole batch (:meth:`PagedKVCache.extend_segments`). Running totals
+(resident tokens / segments, evictable blocks) move at the transitions
+and are never re-summed.
 
 Key invariants (property-tested):
 
@@ -29,26 +39,26 @@ recompute term is exactly the objective of Dynamic Prefix-Aware Scheduling.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import CapacityError
 from repro.kvcache.block import DEFAULT_BLOCK_TOKENS, BlockPool, blocks_for_tokens
-from repro.kvcache.events import CacheEvent, CacheEventKind, CacheStats
-from repro.kvcache.radix import RadixTree
+from repro.kvcache.events import CacheEventKind, CacheStats
+from repro.kvcache.radix import RadixNode, RadixTree
 
 __all__ = ["PagedKVCache", "MaterializeOutcome", "SegmentState"]
 
 
 @dataclass(slots=True)
-class SegmentState:
-    """Dynamic cache state of one registered segment."""
+class SegmentState(RadixNode):
+    """One registered segment: its tree node plus dynamic cache state."""
 
-    segment_id: int
-    token_len: int
     resident: bool = False
     pin_count: int = 0
     blocks_held: int = 0
     last_access: int = 0
+    resident_children: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +71,7 @@ class MaterializeOutcome:
 
     @property
     def touched_tokens(self) -> int:
+        """Token length of the whole path (every token is a hit or a recompute)."""
         return self.hit_tokens + self.recomputed_tokens
 
 
@@ -76,15 +87,16 @@ class PagedKVCache:
     ) -> None:
         self._pool = BlockPool.from_bytes(capacity_bytes, kv_bytes_per_token, block_tokens)
         self._kv_bytes_per_token = kv_bytes_per_token
-        self._tree = RadixTree()
-        self._segments: dict[int, SegmentState] = {}
-        self._resident_children: dict[int, set[int]] = {}
+        self._tree = RadixTree(SegmentState)
+        self._segments: dict[int, SegmentState] = {}  # the tree's nodes, by id
         self._access_clock = 0
-        # Incremental eviction bookkeeping: total blocks held by resident,
+        # Incremental bookkeeping, maintained at every residency / pin
+        # transition: resident totals, the blocks held by resident,
         # unpinned segments (always wholly evictable, because pins cover
         # root->leaf chains) and a lazily-validated LRU candidate heap.
         self._evictable_blocks = 0
         self._resident_token_count = 0
+        self._resident_segment_count = 0
         self._evict_heap: list[tuple[int, int]] = []
         self.stats = CacheStats(trace_capacity=trace_capacity)
 
@@ -117,7 +129,7 @@ class PagedKVCache:
 
     @property
     def resident_segment_count(self) -> int:
-        return sum(1 for s in self._segments.values() if s.resident)
+        return self._resident_segment_count
 
     def resident_segments(self) -> list[SegmentState]:
         """Resident segments in parent-before-child (topological) order.
@@ -125,11 +137,11 @@ class PagedKVCache:
         The shared-prefix KV ledger consumes this to register a session's
         live lineages against the lane's radix tree; ordering parents
         first lets the consumer create tree nodes in one pass. Sorted by
-        ``(depth, segment_id)`` for determinism.
+        ``(depth, node_id)`` for determinism.
         """
         return sorted(
             (s for s in self._segments.values() if s.resident),
-            key=lambda s: (self._tree.get(s.segment_id).depth, s.segment_id),
+            key=lambda s: (s.depth, s.node_id),
         )
 
     def is_resident(self, segment_id: int) -> bool:
@@ -141,6 +153,18 @@ class PagedKVCache:
             return self._segments[segment_id]
         except KeyError:
             raise KeyError(f"unknown segment {segment_id}") from None
+
+    def _chain(self, leaf_id: int) -> list[SegmentState]:
+        """The states of the root->leaf path, root first — the one walk
+        every path operation starts from."""
+        segments = self._segments
+        state = self.segment(leaf_id)
+        chain = [state]
+        while state.parent_id is not None:
+            state = segments[state.parent_id]
+            chain.append(state)
+        chain.reverse()
+        return chain
 
     # -- registration ----------------------------------------------------
 
@@ -154,11 +178,7 @@ class PagedKVCache:
         """
         if parent_id is not None and parent_id not in self._segments:
             raise KeyError(f"parent segment {parent_id} is not registered")
-        self._tree.add_node(segment_id, parent_id, token_len)
-        existing = self._segments.get(segment_id)
-        if existing is not None:
-            return existing
-        state = SegmentState(segment_id=segment_id, token_len=token_len)
+        state = self._tree.add_node(segment_id, parent_id, token_len)
         self._segments[segment_id] = state
         return state
 
@@ -166,18 +186,28 @@ class PagedKVCache:
 
     def pin_path(self, leaf_id: int) -> None:
         """Protect every segment on the root->leaf path from eviction."""
-        for seg_id in self._tree.path(leaf_id):
-            state = self._segments[seg_id]
+        self._pin(self._chain(leaf_id))
+
+    def unpin_path(self, leaf_id: int) -> None:
+        """Release one pin along the root->leaf path.
+
+        All-or-nothing: a segment of the path that holds no pin raises
+        :class:`CapacityError` before any pin count, the evictable total
+        or the candidate heap has been touched.
+        """
+        self._unpin(self._chain(leaf_id))
+
+    def _pin(self, chain: list[SegmentState]) -> None:
+        for state in chain:
             if state.pin_count == 0 and state.resident:
                 self._evictable_blocks -= state.blocks_held
             state.pin_count += 1
 
-    def unpin_path(self, leaf_id: int) -> None:
-        """Release one pin along the root->leaf path."""
-        for seg_id in self._tree.path(leaf_id):
-            state = self._segments[seg_id]
+    def _unpin(self, chain: list[SegmentState]) -> None:
+        for state in chain:
             if state.pin_count <= 0:
-                raise CapacityError(f"segment {seg_id} is not pinned")
+                raise CapacityError(f"segment {state.node_id} is not pinned")
+        for state in chain:
             state.pin_count -= 1
             if state.pin_count == 0 and state.resident:
                 self._evictable_blocks += state.blocks_held
@@ -188,8 +218,7 @@ class PagedKVCache:
     def resident_prefix_tokens(self, leaf_id: int) -> int:
         """Token mass of the longest resident root prefix of this path."""
         tokens = 0
-        for seg_id in self._tree.path(leaf_id):
-            state = self._segments[seg_id]
+        for state in self._chain(leaf_id):
             if not state.resident:
                 break
             tokens += state.token_len
@@ -208,57 +237,55 @@ class PagedKVCache:
         is left unchanged in block accounting (any evictions already applied
         remain — as they would on real hardware).
         """
-        path = self._tree.path(leaf_id)
+        chain = self._chain(leaf_id)
         self._access_clock += 1
         stamp = self._access_clock
 
         # Protect the chain under construction: without this, loading a
         # deep suffix under memory pressure could evict the path's own hit
         # prefix, silently breaking the residency invariant.
-        self.pin_path(leaf_id)
+        self._pin(chain)
 
         hit_tokens = 0
         to_load: list[SegmentState] = []
-        broken = False
-        for seg_id in path:
-            state = self._segments[seg_id]
-            if state.resident and not broken:
+        for state in chain:
+            if state.resident and not to_load:
                 hit_tokens += state.token_len
                 state.last_access = stamp
             else:
                 # Residency invariant: once the chain breaks, everything
                 # below must be recomputed even if stale blocks linger.
-                broken = True
                 if state.resident:
                     self._evict_segment(state, now)
                 to_load.append(state)
 
         evicted = 0
         recomputed = 0
+        block_tokens = self._pool.block_tokens
+        segments = self._segments
         try:
             for state in to_load:
-                needed = blocks_for_tokens(state.token_len, self._pool.block_tokens)
-                evicted += self._ensure_free_blocks(needed, now)
-                self._pool.allocate(needed)
+                needed = blocks_for_tokens(state.token_len, block_tokens)
+                evicted += self._take_blocks(needed, now)
                 state.blocks_held = needed
                 state.resident = True
                 state.last_access = stamp
                 self._resident_token_count += state.token_len
-                self._mark_resident_child(state.segment_id)
+                self._resident_segment_count += 1
+                if state.parent_id is not None:
+                    segments[state.parent_id].resident_children += 1
                 recomputed += state.token_len
-                self.stats.record(
-                    CacheEvent(
-                        now, CacheEventKind.RECOMPUTE, state.segment_id, state.token_len
-                    )
+                self.stats.count(
+                    now, CacheEventKind.RECOMPUTE, state.node_id, state.token_len
                 )
         except CapacityError:
-            self.unpin_path(leaf_id)
+            self._unpin(chain)
             raise
 
         if hit_tokens:
-            self.stats.record(CacheEvent(now, CacheEventKind.HIT, leaf_id, hit_tokens))
+            self.stats.count(now, CacheEventKind.HIT, leaf_id, hit_tokens)
         if not pin:
-            self.unpin_path(leaf_id)
+            self._unpin(chain)
         return MaterializeOutcome(
             hit_tokens=hit_tokens, recomputed_tokens=recomputed, evicted_segments=evicted
         )
@@ -267,31 +294,57 @@ class PagedKVCache:
         """Grow a resident tail segment by ``additional_tokens``.
 
         Used for the actively decoding step: block allocation happens only
-        when the growth crosses a block boundary, as in vLLM.
+        when the growth crosses a block boundary, as in vLLM. The
+        one-segment spelling of :meth:`extend_segments`; raises
+        :class:`CapacityError` when the segment could not grow.
+        """
+        if not self.extend_segments((segment_id,), additional_tokens, now):
+            raise CapacityError(
+                f"segment {segment_id} cannot grow by {additional_tokens} tokens: "
+                "it is not resident, or every block left is pinned"
+            )
+
+    def extend_segments(
+        self, segment_ids: Iterable[int], additional_tokens: int, now: float = 0.0
+    ) -> int:
+        """Grow a decode span's batch, each tail by ``additional_tokens``.
+
+        Segments grow in the order given until one cannot (not resident,
+        or its blocks cannot be found even by evicting — victims evicted
+        on the way stay evicted); returns how many grew, and the caller
+        decides what to preempt before retrying the rest.
         """
         if additional_tokens < 0:
             raise ValueError("additional_tokens must be non-negative")
-        state = self.segment(segment_id)
-        if not state.resident:
-            raise CapacityError(f"segment {segment_id} is not resident and cannot grow")
-        new_len = state.token_len + additional_tokens
-        needed = blocks_for_tokens(new_len, self._pool.block_tokens) - state.blocks_held
-        if needed > 0:
-            self._ensure_free_blocks(needed, now)
-            self._pool.allocate(needed)
-            state.blocks_held += needed
+        segments = self._segments
+        block_tokens = self._pool.block_tokens
+        grown = 0
+        for segment_id in segment_ids:
+            state = segments.get(segment_id)
+            if state is None or not state.resident:
+                self.segment(segment_id)  # KeyError for an unknown id
+                break
+            new_len = state.token_len + additional_tokens
+            needed = -(-new_len // block_tokens) - state.blocks_held
+            if needed > 0:
+                try:
+                    self._take_blocks(needed, now)
+                except CapacityError:
+                    break
+                state.blocks_held += needed
+                if state.pin_count == 0:
+                    self._evictable_blocks += needed
+                self.stats.count(
+                    now, CacheEventKind.ALLOCATE, segment_id, additional_tokens
+                )
+            self._resident_token_count += additional_tokens
+            state.token_len = new_len
+            self._access_clock += 1
+            state.last_access = self._access_clock
             if state.pin_count == 0:
-                self._evictable_blocks += needed
-            self.stats.record(
-                CacheEvent(now, CacheEventKind.ALLOCATE, segment_id, additional_tokens)
-            )
-        self._resident_token_count += additional_tokens
-        state.token_len = new_len
-        self._tree.set_token_len(segment_id, new_len)
-        self._access_clock += 1
-        state.last_access = self._access_clock
-        if state.pin_count == 0:
-            self._push_candidate(state)
+                self._push_candidate(state)
+            grown += 1
+        return grown
 
     def truncate_segment(self, segment_id: int, new_len: int, now: float = 0.0) -> int:
         """Shrink a segment to ``new_len`` tokens, freeing excess blocks.
@@ -317,7 +370,6 @@ class PagedKVCache:
         else:
             freed = 0
         state.token_len = new_len
-        self._tree.set_token_len(segment_id, new_len)
         return freed
 
     def can_fit_path(self, leaf_id: int, extra_tokens: int = 0) -> bool:
@@ -340,17 +392,17 @@ class PagedKVCache:
         schedulers use the pair for cumulative admission control.
         """
         block_tokens = self._pool.block_tokens
+        chain = self._chain(leaf_id)
+        leaf = chain[-1]
         needed_blocks = 0
         own_evictable = 0
         broken = False
-        for seg_id in self._tree.path(leaf_id):
-            state = self._segments[seg_id]
-            is_leaf = seg_id == leaf_id
-            tokens = state.token_len + (extra_tokens if is_leaf else 0)
+        for state in chain:
+            tokens = state.token_len + (extra_tokens if state is leaf else 0)
             if state.resident and not broken:
                 if state.pin_count == 0:
                     own_evictable += state.blocks_held
-                if is_leaf:
+                if state is leaf:
                     # planned tail growth beyond currently held blocks
                     needed_blocks += (
                         blocks_for_tokens(tokens, block_tokens) - state.blocks_held
@@ -368,12 +420,9 @@ class PagedKVCache:
         Returns evicted segment count. Used by preemption.
         """
         evicted = 0
-        for seg_id in reversed(self._tree.path(leaf_id)):
-            state = self._segments[seg_id]
-            if not state.resident or state.pin_count > 0:
-                break
-            if self._resident_children.get(seg_id):
-                break  # shared with a still-resident sibling subtree
+        for state in reversed(self._chain(leaf_id)):
+            if not self._is_evictable(state):
+                break  # gone, pinned, or shared with a resident sibling subtree
             self._evict_segment(state, now)
             evicted += 1
         return evicted
@@ -386,63 +435,41 @@ class PagedKVCache:
         Returns the number of segments evicted.
         """
         evicted = 0
-        while self._evict_heap:
-            state = self._pop_candidate()
-            if state is None:
-                break
+        while (state := self._pop_candidate()) is not None:
             self._evict_segment(state, now)
             evicted += 1
         return evicted
 
     def reset(self) -> None:
         """Drop all segments (between problems; nothing is shared across)."""
-        for state in self._segments.values():
-            if state.resident:
-                self._pool.free(state.blocks_held)
-        self._segments.clear()
-        self._resident_children.clear()
-        self._tree = RadixTree()
+        self._pool.free(self._pool.allocated_blocks)  # all held by residents
+        self._tree = RadixTree(SegmentState)
+        self._segments = {}
         self._evictable_blocks = 0
         self._resident_token_count = 0
+        self._resident_segment_count = 0
         self._evict_heap.clear()
 
     # -- eviction internals ----------------------------------------------
-
-    def _mark_resident_child(self, segment_id: int) -> None:
-        parent = self._tree.get(segment_id).parent_id
-        if parent is not None:
-            self._resident_children.setdefault(parent, set()).add(segment_id)
-
-    def _unmark_resident_child(self, segment_id: int) -> None:
-        parent = self._tree.get(segment_id).parent_id
-        if parent is not None:
-            children = self._resident_children.get(parent)
-            if children:
-                children.discard(segment_id)
 
     def _evict_segment(self, state: SegmentState, now: float) -> None:
         if state.pin_count == 0:
             self._evictable_blocks -= state.blocks_held
         self._resident_token_count -= state.token_len
+        self._resident_segment_count -= 1
         self._pool.free(state.blocks_held)
         state.blocks_held = 0
         state.resident = False
-        self._unmark_resident_child(state.segment_id)
-        parent_id = self._tree.get(state.segment_id).parent_id
-        if parent_id is not None:
-            parent = self._segments[parent_id]
+        if state.parent_id is not None:
+            parent = self._segments[state.parent_id]
+            parent.resident_children -= 1
             if parent.resident and parent.pin_count == 0:
                 self._push_candidate(parent)
-        self.stats.record(
-            CacheEvent(now, CacheEventKind.EVICT, state.segment_id, state.token_len)
-        )
+        self.stats.count(now, CacheEventKind.EVICT, state.node_id, state.token_len)
 
-    def _is_evictable(self, state: SegmentState) -> bool:
-        return (
-            state.resident
-            and state.pin_count == 0
-            and not self._resident_children.get(state.segment_id)
-        )
+    @staticmethod
+    def _is_evictable(state: SegmentState) -> bool:
+        return state.resident and state.pin_count == 0 and not state.resident_children
 
     def _push_candidate(self, state: SegmentState) -> None:
         """Register a segment as a potential LRU eviction victim.
@@ -450,35 +477,34 @@ class PagedKVCache:
         Entries are validated lazily at pop time, so pushing is always safe
         and duplicates are fine."""
         if self._is_evictable(state):
-            heapq.heappush(self._evict_heap, (state.last_access, state.segment_id))
+            heapq.heappush(self._evict_heap, (state.last_access, state.node_id))
 
     def _pop_candidate(self) -> SegmentState | None:
         """Pop the LRU-most currently-valid eviction victim."""
         while self._evict_heap:
             last_access, seg_id = heapq.heappop(self._evict_heap)
-            state = self._segments.get(seg_id)
-            if (
-                state is not None
-                and state.last_access == last_access
-                and self._is_evictable(state)
-            ):
+            state = self._segments[seg_id]  # reset() clears the heap too
+            if state.last_access == last_access and self._is_evictable(state):
                 return state
         return None
 
-    def _ensure_free_blocks(self, n_blocks: int, now: float) -> int:
-        """Evict LRU victims until ``n_blocks`` are free.
+    def _take_blocks(self, n_blocks: int, now: float) -> int:
+        """Allocate ``n_blocks``, evicting LRU victims until they are free.
 
         Returns the number of segments evicted; raises
-        :class:`CapacityError` if pinned residency makes it impossible.
+        :class:`CapacityError` if pinned residency makes it impossible
+        (victims evicted before the shortfall showed stay evicted).
         """
+        pool = self._pool
         evicted = 0
-        while self._pool.free_blocks < n_blocks:
+        while pool.free_blocks < n_blocks:
             victim = self._pop_candidate()
             if victim is None:
                 raise CapacityError(
-                    f"need {n_blocks} free blocks but only {self._pool.free_blocks} "
+                    f"need {n_blocks} free blocks but only {pool.free_blocks} "
                     "available and nothing is evictable (all pinned)"
                 )
             self._evict_segment(victim, now)
             evicted += 1
+        pool.allocate(n_blocks)
         return evicted

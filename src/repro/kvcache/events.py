@@ -18,7 +18,6 @@ class CacheEventKind(str, Enum):
     HIT = "hit"
     EVICT = "evict"
     RECOMPUTE = "recompute"
-    RELEASE = "release"
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,18 +42,26 @@ class CacheStats:
     trace_capacity: int = 0
     trace: list[CacheEvent] = field(default_factory=list)
 
-    def record(self, event: CacheEvent) -> None:
-        if event.kind is CacheEventKind.HIT:
-            self.hit_tokens += event.tokens
-        elif event.kind is CacheEventKind.RECOMPUTE:
-            self.recomputed_tokens += event.tokens
-        elif event.kind is CacheEventKind.EVICT:
-            self.evicted_tokens += event.tokens
+    def count(
+        self, time: float, kind: CacheEventKind, segment_id: int, tokens: int
+    ) -> None:
+        """Account one cache transition.
+
+        The totals always move; a :class:`CacheEvent` is only built when
+        a trace was asked for and still has room, so accounting is free
+        of allocation when tracing is off.
+        """
+        if kind is CacheEventKind.ALLOCATE:
+            self.allocated_tokens += tokens
+        elif kind is CacheEventKind.HIT:
+            self.hit_tokens += tokens
+        elif kind is CacheEventKind.RECOMPUTE:
+            self.recomputed_tokens += tokens
+        elif kind is CacheEventKind.EVICT:
+            self.evicted_tokens += tokens
             self.evicted_segments += 1
-        elif event.kind is CacheEventKind.ALLOCATE:
-            self.allocated_tokens += event.tokens
         if self.trace_capacity and len(self.trace) < self.trace_capacity:
-            self.trace.append(event)
+            self.trace.append(CacheEvent(time, kind, segment_id, tokens))
 
     @property
     def hit_rate(self) -> float:

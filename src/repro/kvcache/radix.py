@@ -30,11 +30,15 @@ class RadixTree:
     """Forest of segment nodes with O(depth) prefix queries.
 
     Node ids must be globally unique (the library derives them from a
-    stable hash of ``(problem, lineage, step)``).
+    stable hash of ``(problem, lineage, step)``). ``node_type`` lets an
+    owner hang its own per-segment state on the nodes themselves
+    (:class:`~repro.kvcache.cache.PagedKVCache` stores residency there),
+    so structure, length and state of a segment live in one object.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, node_type: type[RadixNode] = RadixNode) -> None:
         self._nodes: dict[int, RadixNode] = {}
+        self._node_type = node_type
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -61,7 +65,9 @@ class RadixTree:
             parent = self._require(parent_id)
             depth = parent.depth + 1
             parent.children.add(node_id)
-        node = RadixNode(node_id=node_id, parent_id=parent_id, token_len=token_len, depth=depth)
+        node = self._node_type(
+            node_id=node_id, parent_id=parent_id, token_len=token_len, depth=depth
+        )
         self._nodes[node_id] = node
         return node
 
@@ -84,19 +90,15 @@ class RadixTree:
                     f"node {node_id} already exists under parent "
                     f"{existing.parent_id}, not {parent_id}"
                 )
-            self.set_token_len(node_id, token_len)
+            if token_len < 0:
+                raise ValueError("token_len must be non-negative")
+            existing.token_len = token_len
             return existing
         return self.add_node(node_id, parent_id, token_len)
 
     def get(self, node_id: int) -> RadixNode:
         """Return the node or raise ``KeyError``."""
         return self._require(node_id)
-
-    def set_token_len(self, node_id: int, token_len: int) -> None:
-        """Update a growing segment's length (the active decode tail)."""
-        if token_len < 0:
-            raise ValueError("token_len must be non-negative")
-        self._require(node_id).token_len = token_len
 
     def path(self, node_id: int) -> list[int]:
         """Node ids from the root down to ``node_id`` inclusive."""

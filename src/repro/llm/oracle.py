@@ -16,13 +16,17 @@ module encodes that causal chain with three knobs per model:
   top-K selection herds every beam into over-rated subtrees.
 
 Every draw is keyed by ``(problem, lineage, step)`` so results are
-schedule-invariant (see :mod:`repro.utils.rng`).
+schedule-invariant (see :mod:`repro.utils.rng`). The per-subtree and
+per-problem constants (approach quality, subtree bias, distractor pool)
+are asked for at every step of every beam but keyed by ``(problem,
+root branch)`` or the problem alone; an oracle draws each once and
+remembers it — same keyed stream, same bits, one draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.models.spec import ModelSpec
 from repro.utils.rng import KeyedRng
@@ -84,10 +88,29 @@ class QualityOracle:
     """Deterministic access to the latent quality process.
 
     One oracle is shared by generator and verifier simulators so that both
-    observe the *same* latent soundness values for a path.
+    observe the *same* latent soundness values for a path. The memo of
+    per-subtree constants belongs to the instance: a replica on a forked
+    rng builds its own oracle and never sees another's values, and its
+    size is bounded by problems x initial width.
     """
 
     rng: KeyedRng
+    _subtree_draws: dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _distractors: dict[tuple[str, int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _subtree_normal(self, label: str, problem: Problem, root: int, scale: float) -> float:
+        """The subtree's ``N(0, scale)`` constant for ``label``, drawn once."""
+        key = (label, problem.problem_id, root)
+        value = self._subtree_draws.get(key)
+        if value is None:
+            value = self._subtree_draws[key] = self.rng.normal(
+                *key, loc=0.0, scale=scale
+            )
+        return value
 
     def approach_quality(self, problem: Problem, lineage: tuple[int, ...]) -> float:
         """Persistent quality of the solution *approach* a root beam chose.
@@ -100,9 +123,7 @@ class QualityOracle:
         """
         if not lineage:
             return 0.0
-        return self.rng.normal(
-            "approach", problem.problem_id, lineage[0], loc=0.0, scale=_APPROACH_STD
-        )
+        return self._subtree_normal("approach", problem, lineage[0], _APPROACH_STD)
 
     def step_soundness(
         self, problem: Problem, lineage: tuple[int, ...], step_idx: int, skill: float
@@ -131,28 +152,29 @@ class QualityOracle:
         """
         if not lineage:
             return 0.0
-        return self.rng.normal(
-            "subtree-bias",
-            problem.problem_id,
-            lineage[0],
-            loc=0.0,
-            scale=_SUBTREE_BIAS_STD,
+        return self._subtree_normal(
+            "subtree-bias", problem, lineage[0], _SUBTREE_BIAS_STD
         )
 
     def correctness_probability(self, mean_soundness: float) -> float:
         """P(final answer correct | mean step soundness of the path)."""
         return sigmoid(_CORRECTNESS_GAIN * mean_soundness)
 
-    def distractors(self, problem: Problem) -> list[int]:
+    def distractors(self, problem: Problem) -> tuple[int, ...]:
         """The problem's attractor wrong answers (stable per problem)."""
-        values = []
-        for j in range(_N_DISTRACTORS):
-            wrong = self.rng.randint(
-                "distractor-value", problem.problem_id, j, low=0, high=999
+        key = (problem.problem_id, problem.answer)
+        values = self._distractors.get(key)
+        if values is None:
+            draws = (
+                self.rng.randint(
+                    "distractor-value", problem.problem_id, j, low=0, high=999
+                )
+                for j in range(_N_DISTRACTORS)
             )
-            if wrong >= problem.answer:
-                wrong += 1  # never collide with the truth
-            values.append(wrong)
+            # never collide with the truth
+            values = self._distractors[key] = tuple(
+                wrong + 1 if wrong >= problem.answer else wrong for wrong in draws
+            )
         return values
 
     def emit_answer(

@@ -7,16 +7,21 @@ pre-refactor monolithic solve loop, whose outputs are pinned in
 ``tests/goldens/capture.py``).
 """
 
+import cProfile
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.core import session as session_module
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
 from repro.errors import SchedulingError
+from repro.search import tree as tree_module
 from repro.search.registry import build_algorithm, list_algorithms
+from repro.utils.rng import KeyedRng
 from repro.workloads.datasets import build_dataset
 
 GOLDENS = json.loads(
@@ -216,3 +221,58 @@ class TestServerWrappers:
         assert server._plan_cache == {}
         server.solve(problem, build_algorithm("beam_search", N))
         assert server._plan_cache
+
+
+class TestDeriveOnce:
+    """One n=64 FastTTS solve — the paper's wide-beam case — derives each
+    fact once. Deterministic: these are call counts, not timings."""
+
+    WIDTH = 64
+    #: Python-level calls of this very solve before segment ids were kept
+    #: with the lineage, subtree constants memoised and KV growth batched.
+    CALLS_BEFORE = 1_024_951
+
+    def solve(self, dataset, problem):
+        server = make_server(dataset, "fasttts")
+        return server.solve_detailed(problem, build_algorithm("beam_search", self.WIDTH))
+
+    def test_segment_ids_and_subtree_constants_are_drawn_once(
+        self, dataset, problem, monkeypatch
+    ):
+        hashed, drawn = Counter(), Counter()
+        real_hash, real_stream = tree_module.stable_hash64, KeyedRng.stream
+
+        def counting_hash(*parts):
+            if parts[0] == "segment" and isinstance(parts[2], tuple):
+                hashed[parts] += 1
+            return real_hash(*parts)
+
+        def counting_stream(rng, *key):
+            if key[0] in ("approach", "subtree-bias"):
+                drawn[key] += 1
+            return real_stream(rng, *key)
+
+        monkeypatch.setattr(tree_module, "stable_hash64", counting_hash)
+        monkeypatch.setattr(session_module, "stable_hash64", counting_hash)
+        monkeypatch.setattr(KeyedRng, "stream", counting_stream)
+        outcome = self.solve(dataset, problem)
+
+        # Every step segment's id is hashed once, however many rounds, jobs
+        # and speculative plans name it ...
+        assert len(hashed) > len(outcome.collected)
+        assert set(hashed.values()) == {1}
+        # ... and each (problem, root branch) constant is one keyed draw.
+        assert drawn == {
+            (label, problem.problem_id, root): 1
+            for label in ("approach", "subtree-bias")
+            for root in range(self.WIDTH)
+        }
+
+    def test_total_python_calls_stay_derived_once(self, dataset, problem):
+        profiler = cProfile.Profile(subcalls=False, builtins=False)
+        profiler.enable()
+        outcome = self.solve(dataset, problem)
+        profiler.disable()
+        assert len(outcome.collected) >= self.WIDTH
+        calls = sum(entry.callcount for entry in profiler.getstats())
+        assert calls <= 0.65 * self.CALLS_BEFORE

@@ -98,6 +98,20 @@ class TestPinning:
         cache.unpin_path(4)
         cache.materialize(5)          # now evictable
 
+    def test_failed_unpin_leaves_everything_untouched(self, cache):
+        # Root pinned and resident, its descendants neither: releasing the
+        # deep path must fail on segment 2 *before* the root's pin is given
+        # up (which would make it evictable and queue it as an LRU victim).
+        cache.materialize(1)
+        evictable, heap = cache.evictable_blocks, list(cache._evict_heap)
+        with pytest.raises(CapacityError, match="segment 2 is not pinned"):
+            cache.unpin_path(4)
+        assert [cache.segment(s).pin_count for s in (1, 2, 4)] == [1, 0, 0]
+        assert cache.evictable_blocks == evictable
+        assert cache._evict_heap == heap
+        assert cache.evict_all() == 0 and cache.is_resident(1)
+        cache.unpin_path(1)  # the real pin is still there to release
+
 
 class TestExtend:
     def test_extend_grows_tokens_and_blocks(self, cache):
@@ -216,7 +230,7 @@ class TestResidentSegments:
         cache.materialize(4)
         cache.materialize(3, pin=False)
         segments = cache.resident_segments()
-        ids = [s.segment_id for s in segments]
+        ids = [s.node_id for s in segments]
         assert set(ids) == {1, 2, 3, 4}
         # parents precede children, ties on ascending id
         assert ids.index(1) < ids.index(2) < ids.index(4)
@@ -227,3 +241,22 @@ class TestResidentSegments:
         cache.materialize(4, pin=False)
         cache.evict_path(4)
         assert cache.resident_segments() == []
+
+    def test_running_count_tracks_every_transition(self, cache):
+        def agrees():
+            return cache.resident_segment_count == len(cache.resident_segments())
+
+        assert cache.resident_segment_count == 0
+        cache.materialize(4, pin=False)
+        cache.materialize(3)
+        assert cache.resident_segment_count == 4
+        cache.extend_segment(3, 40)   # growth is not a residency change
+        cache.evict_path(4)
+        assert cache.resident_segment_count == 2 and agrees()
+        cache.register_segment(5, 3, 48)
+        cache.materialize(5, pin=False)
+        assert agrees()
+        cache.evict_all()
+        assert agrees()
+        cache.reset()
+        assert cache.resident_segment_count == 0

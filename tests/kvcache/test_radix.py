@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvcache.radix import RadixTree
+from repro.kvcache.radix import RadixNode, RadixTree
 
 
 @pytest.fixture
@@ -84,9 +84,19 @@ class TestRadixTree:
         with pytest.raises(KeyError):
             t.add_node(2, 1, 1)
 
-    def test_set_token_len(self, tree):
-        tree.set_token_len(4, 30)
+    def test_regrown_length_feeds_path_tokens(self, tree):
+        tree.ensure_node(4, 2, 30)
         assert tree.path_tokens(4) == 45
+        with pytest.raises(ValueError):
+            tree.ensure_node(4, 2, -1)
+
+    def test_node_type_is_what_add_node_builds(self):
+        class Tagged(RadixNode):
+            pass
+
+        t = RadixTree(Tagged)
+        assert type(t.add_node(1, None, 4)) is Tagged
+        assert type(t.ensure_node(2, 1, 4)) is Tagged
 
     def test_negative_token_len_raises(self, tree):
         with pytest.raises(ValueError):
