@@ -100,6 +100,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--problem must be a non-negative index, got {args.problem}"
         )
+    if args.n < 1:
+        raise ConfigError(f"-n must be >= 1, got {args.n}")
     dataset = build_dataset(args.dataset, seed=args.seed, size=args.problem + 1)
     problem = list(dataset)[args.problem]
     algorithm = build_algorithm(args.algorithm, args.n)

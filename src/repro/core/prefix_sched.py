@@ -125,8 +125,9 @@ def greedy_order(items: Sequence[T], tree: RadixTree, leaf_of: LeafFn) -> list[T
 def random_order(items: Sequence[T], rng: KeyedRng, salt: int = 0) -> list[T]:
     """Uniform random shuffle (the vLLM baseline in Fig. 18)."""
     order = list(items)
-    stream = rng.stream("random-order", salt)
-    perm = stream.permutation(len(order))
+    if len(order) <= 1:
+        return order  # its only permutation: no stream to seed
+    perm = rng.stream("random-order", salt).permutation(len(order))
     return [order[i] for i in perm]
 
 

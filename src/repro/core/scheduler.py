@@ -145,9 +145,7 @@ def predict_cost(server: "TTSServer", problem, algorithm) -> tuple[int, int]:
     for round_idx, lineages in enumerate(ref.rounds):
         cap = algorithm.step_cap(round_idx)
         for lineage in lineages:
-            tokens += server.generator.plan_step(
-                problem, lineage, round_idx, cap
-            ).n_tokens
+            tokens += server.generator.step_tokens(problem, lineage, round_idx, cap)
     return ref.n_rounds, tokens
 
 

@@ -208,6 +208,8 @@ def schedule_jobs(
     The shuffle changes execution order only — all draws are keyed, so
     search results are untouched.
     """
+    if len(jobs) <= 1:
+        return list(jobs)  # one order only: nothing to sort, fork or shuffle
     if config.prefix_aware:
         return lineage_order(jobs, lambda j: j.lineage)
     return random_order(
@@ -296,6 +298,8 @@ class SolveSession:
 
         # Search state.
         self._plan_cache: dict[tuple[tuple[int, ...], int], StepPlan] = {}
+        # Lengths of speculated child steps, until (and unless) they are planned.
+        self._step_lens: dict[tuple[tuple[int, ...], int], int] = {}
         self._active: list[ReasoningPath] = []
         self._collected: list[ReasoningPath] = []
         self._counters = TokenCounters()
@@ -792,9 +796,28 @@ class SolveSession:
         key = (lineage, step_idx)
         cached = self._plan_cache.get(key)
         if cached is None:
-            cached = self._generator.plan_step(self._problem, lineage, step_idx, cap)
-            self._plan_cache[key] = cached
+            cached = self._plan_cache[key] = self._generator.plan_step(
+                self._problem, lineage, step_idx, cap,
+                n_tokens=self._step_lens.pop(key, None),
+            )
         return cached
+
+    def _step_tokens(
+        self, lineage: tuple[int, ...], step_idx: int, cap: int | None
+    ) -> int:
+        """A step's length alone — all speculation reads of a child step.
+
+        Its soundness and termination are drawn by :meth:`_plan_step`, from
+        this length, only if the child becomes active or is
+        lookahead-verified.
+        """
+        key = (lineage, step_idx)
+        n_tokens = self._step_lens.get(key)
+        if n_tokens is None:
+            n_tokens = self._step_lens[key] = self._generator.step_tokens(
+                self._problem, lineage, step_idx, cap
+            )
+        return n_tokens
 
     def _schedule(self, jobs: list, round_idx: int, stage: str) -> list:
         return schedule_jobs(
@@ -857,13 +880,12 @@ class SolveSession:
             if round_idx + 1 >= self._server.dataset.max_steps:
                 return None
             child_lineage = parent_lineage + (child_index,)
-            child_step = self._plan_step(child_lineage, round_idx + 1, next_cap)
             chain = self._segment_chain(child_lineage)  # ends ..., parent, child
             return ChildStepPlan(
                 child_lineage=child_lineage,
                 segment_id=chain[-1],
                 parent_leaf_segment=chain[-2],
-                n_tokens=child_step.n_tokens,
+                n_tokens=self._step_tokens(child_lineage, round_idx + 1, next_cap),
             )
 
         return planner
@@ -932,10 +954,11 @@ class SolveSession:
             child_lineage = path.lineage + (0,)
             head = self._gen_result.head_starts.get(child_lineage)
             if head is not None and round_idx + 1 < self._server.dataset.max_steps:
-                child_step = self._plan_step(
-                    child_lineage, round_idx + 1, algorithm.step_cap(round_idx + 1)
-                )
-                if head.tokens >= child_step.n_tokens:
+                next_cap = algorithm.step_cap(round_idx + 1)
+                if head.tokens >= self._step_tokens(
+                    child_lineage, round_idx + 1, next_cap
+                ):
+                    child_step = self._plan_step(child_lineage, round_idx + 1, next_cap)
                     soundness = path.soundness + [child_step.soundness]
                     return self._score_job(
                         path,

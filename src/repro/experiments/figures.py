@@ -134,7 +134,7 @@ def fig3_step_lengths(
     per_step_avg, per_step_max = [], []
     for step_idx in range(max_steps):
         lengths = [
-            generator.plan_step(problem, (i,) * (step_idx + 1), step_idx).n_tokens
+            generator.step_tokens(problem, (i,) * (step_idx + 1), step_idx)
             for problem in dataset
             for i in range(n_paths // len(dataset))
         ]

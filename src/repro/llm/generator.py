@@ -53,12 +53,32 @@ class SimulatedGenerator:
     def oracle(self) -> QualityOracle:
         return self._oracle
 
+    def step_tokens(
+        self,
+        problem: Problem,
+        lineage: tuple[int, ...],
+        step_idx: int,
+        max_step_tokens: int | None = None,
+    ) -> int:
+        """Token count of the addressed step: the length draw alone.
+
+        All a speculative head start, a cost predictor or a length profile
+        reads; soundness and termination are drawn by :meth:`plan_step`
+        only for steps the search actually takes.
+        """
+        if step_idx < 0:
+            raise ValueError("step_idx must be non-negative")
+        return self._dataset.step_model.sample(
+            self._rng, problem.problem_id, lineage, step_idx, cap=max_step_tokens
+        )
+
     def plan_step(
         self,
         problem: Problem,
         lineage: tuple[int, ...],
         step_idx: int,
         max_step_tokens: int | None = None,
+        n_tokens: int | None = None,
     ) -> StepPlan:
         """Resolve one thinking step for the addressed beam.
 
@@ -66,12 +86,13 @@ class SimulatedGenerator:
         (Varying Granularity). A tighter budget truncates the step but does
         not change the termination or soundness draws, mirroring how real
         systems cap ``max_tokens`` without altering the sampling recipe.
+        ``n_tokens`` is the step's :meth:`step_tokens` when the caller has
+        already asked for it (same budget), so the length is not re-derived.
         """
         if step_idx < 0:
             raise ValueError("step_idx must be non-negative")
-        n_tokens = self._dataset.step_model.sample(
-            self._rng, problem.problem_id, lineage, step_idx, cap=max_step_tokens
-        )
+        if n_tokens is None:
+            n_tokens = self.step_tokens(problem, lineage, step_idx, max_step_tokens)
         soundness = self._oracle.step_soundness(problem, lineage, step_idx, self._skill)
         return StepPlan(
             n_tokens=n_tokens,

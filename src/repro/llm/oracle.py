@@ -54,6 +54,7 @@ _CORRECTNESS_GAIN = 1.6
 # distractor pool models that clustering; a scatter fraction covers truly
 # idiosyncratic mistakes.
 _N_DISTRACTORS = 4
+_DISTRACTOR_WEIGHTS = tuple(1.0 / (j + 1) for j in range(_N_DISTRACTORS))
 _SCATTER_FRACTION = 0.25
 # Beams duplicated within one subtree produce near-identical conclusions:
 # their answer draws share the subtree's uniform with this probability
@@ -210,6 +211,6 @@ class QualityOracle:
             "distractor-pick",
             problem.problem_id,
             vote_key,
-            weights=[1.0 / (j + 1) for j in range(_N_DISTRACTORS)],
+            weights=_DISTRACTOR_WEIGHTS,
         )
         return False, self.distractors(problem)[pick]

@@ -12,19 +12,62 @@ generator seeded by a stable BLAKE2 hash of the root seed and the key parts.
 Two servers that execute the same logical search in totally different orders
 draw bit-identical values, so any divergence between a baseline run and a
 FastTTS run is a real algorithmic divergence, not RNG-consumption skew.
+
+Cost model
+----------
+Hashing a key costs ~1.5 us; *building* its stream (``PCG64`` seeding plus
+a ``Generator``) costs 15-20 us, ten times the draw itself, and cannot be
+made cheaper (re-seeding one reusable ``PCG64`` through ``SeedSequence``
+and a state assignment is bit-identical but slower). The simulator's rng
+bill is therefore the number of streams *built*, and two rules keep it at
+the number of distinct values the simulation consumes while they are hot:
+
+* **Draw on demand.** Callers ask for a value only when something reads
+  it (a speculative child's step length, not its soundness; no shuffle of
+  a one-job round) - that is their business, not this module's.
+* **Draw once while hot.** The single-draw helpers
+  (:meth:`KeyedRng.uniform`, ``normal``, ``lognormal``, ``randint``,
+  ``choice_index``) remember the *first draw* of the last
+  :data:`FIRST_DRAW_CAP` streams they built, process-wide, keyed by
+  the 64-bit ``PCG64`` seed the key hashes to. A stream's first draw is a
+  pure function of that seed, the distribution and its parameters, so a
+  remembered value is exactly as correct as the stream: two keys that
+  collide on the seed already *are* one stream, and ``1`` / ``True`` /
+  ``1.0`` stay apart because the seed is a hash of the *encoded* key. An
+  entry answers only the distribution and parameters it was drawn with;
+  any other request rebuilds the stream, never aliases. Sessions that
+  solve the same problem on the same rng repeat each other's keys, which
+  is where the memo earns its keep; traffic that never repeats a key pays
+  one dict miss and one insert per draw. The simulator is single-threaded
+  per process, so the memo takes no lock.
+
+:meth:`KeyedRng.stream` stays what it was - a *fresh* ``Generator`` on
+every call - for consumers that draw more than once from a stream
+(arrival processes, fault schedules, permutations, the tokenizer). It and
+the helpers share one seed derivation (:func:`_hash64`) and one
+construction function (:func:`_new_stream`); :data:`stream_counts` says
+how many streams were built and how many helper draws were reused.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Iterable
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 _KeyPart = int | str | float | bytes | bool | tuple
 
-__all__ = ["KeyedRng", "stable_hash64"]
+__all__ = [
+    "FIRST_DRAW_CAP",
+    "KeyedRng",
+    "clear_first_draws",
+    "stable_hash64",
+    "stream_counts",
+]
 
 
 def _encode_part(part: _KeyPart) -> bytes:
@@ -78,8 +121,16 @@ def _encode_parts(parts: tuple) -> bytes:
     return b"".join(out)
 
 
-def _hash64(encoded: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
+def _hash64(prefix: bytes, parts: tuple) -> int:
+    """64-bit BLAKE2 of ``prefix`` plus the encoded ``parts``.
+
+    The one derivation behind :func:`stable_hash64`, every stream's
+    ``PCG64`` seed and every fork's root seed.
+    """
+    return int.from_bytes(
+        hashlib.blake2b(prefix + _encode_parts(parts), digest_size=8).digest(),
+        "little",
+    )
 
 
 def stable_hash64(*parts: _KeyPart) -> int:
@@ -88,7 +139,90 @@ def stable_hash64(*parts: _KeyPart) -> int:
     Unlike the builtin :func:`hash`, the result does not depend on
     ``PYTHONHASHSEED``, the process, or the platform.
     """
-    return _hash64(_encode_parts(parts))
+    return _hash64(b"", parts)
+
+
+@dataclass(slots=True)
+class _StreamCounts:
+    """Keyed-draw traffic since the last :func:`clear_first_draws`."""
+
+    built: int = 0  # ``PCG64`` streams constructed (``stream()`` and helper misses)
+    reused: int = 0  # helper draws answered from the first-draw memo
+
+
+#: Streams the first-draw memo remembers. Over three sub-traces of each
+#: perf workload, 2 048 entries rebuild 3-16 % more streams than 4 096;
+#: 4 096 is within 0.6 % of unbounded on three of the four (the fourth,
+#: ``edge_single``, would build 12 % fewer at 8 192); 4 096 entries hold
+#: ~0.9 MiB resident and 8 192 hold 2-3 MiB, which is that benchmark's
+#: whole ``peak_rss_mib`` allowance.
+FIRST_DRAW_CAP = 4096
+
+stream_counts = _StreamCounts()
+# seed -> (distribution, first draw, *parameters), plus the seeds in the
+# order they were first remembered (the eviction order).
+_first_draws: dict[int, tuple] = {}
+_first_draw_order: deque[int] = deque()
+
+
+def clear_first_draws() -> None:
+    """Forget every remembered draw and zero :data:`stream_counts`.
+
+    Values never depend on the memo; call counts do, so tests that count
+    streams (or time draws) start from here.
+    """
+    _first_draws.clear()
+    _first_draw_order.clear()
+    stream_counts.built = stream_counts.reused = 0
+
+
+def _new_stream(seed: int) -> np.random.Generator:
+    """Build the stream seeded ``seed`` - the only place one is built."""
+    stream_counts.built += 1
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _first_draw(
+    prefix: bytes, key: tuple, draw: Callable, params: tuple
+) -> float | np.integer:
+    """``draw(stream, *params)`` on the addressed stream's initial state.
+
+    ``draw`` is an unbound :class:`numpy.random.Generator` method (or
+    :func:`_weighted_index`); ``params`` compare by value, which is how
+    numpy reads them too (``1`` and ``1.0`` draw the same bits; only the
+    sign of a zero result can follow the sign of a zero parameter). The
+    value comes from the memo when this seed's entry was drawn with the
+    same method and equal parameters, and from a newly built stream
+    (remembered in place of the oldest entry) otherwise.
+    """
+    seed = _hash64(prefix, key)
+    entry = _first_draws.get(seed)
+    if entry is not None and entry[0] is draw and entry[2:] == params:
+        stream_counts.reused += 1
+        return entry[1]
+    value = draw(_new_stream(seed), *params)
+    if entry is None:  # a different draw on a known seed keeps the seed's age
+        if len(_first_draw_order) == FIRST_DRAW_CAP:
+            del _first_draws[_first_draw_order.popleft()]
+        _first_draw_order.append(seed)
+    _first_draws[seed] = (draw, value, *params)  # flat: 48 B less than nested
+    return value
+
+
+def _weighted_index(stream: np.random.Generator, *weights: float):
+    """An index drawn proportionally to the (validated) ``weights``."""
+    w = np.asarray(weights, dtype=np.float64)
+    total = float(w.sum())
+    if total <= 0:
+        # All-zero weights degrade to a uniform choice.
+        return stream.integers(0, w.size)
+    return stream.choice(w.size, p=w / total)
+
+
+_RANDOM = np.random.Generator.random
+_NORMAL = np.random.Generator.normal
+_LOGNORMAL = np.random.Generator.lognormal
+_INTEGERS = np.random.Generator.integers
 
 
 class KeyedRng:
@@ -118,40 +252,35 @@ class KeyedRng:
         """Return a fresh generator for the addressed stream.
 
         The same ``(seed, key)`` pair always yields a generator in the same
-        state; distinct keys yield independent streams.
+        state; distinct keys yield independent streams. For one value use
+        a helper below: it draws the same bits and remembers them.
         """
-        return np.random.Generator(
-            np.random.PCG64(_hash64(self._prefix + _encode_parts(key)))
-        )
+        return _new_stream(_hash64(self._prefix, key))
 
     def uniform(self, *key: _KeyPart) -> float:
         """One U[0, 1) draw from the addressed stream."""
-        return float(self.stream(*key).random())
+        return float(_first_draw(self._prefix, key, _RANDOM, ()))
 
     def normal(self, *key: _KeyPart, loc: float = 0.0, scale: float = 1.0) -> float:
         """One normal draw from the addressed stream."""
-        return float(self.stream(*key).normal(loc, scale))
+        return float(_first_draw(self._prefix, key, _NORMAL, (loc, scale)))
 
     def lognormal(self, *key: _KeyPart, mean: float, sigma: float) -> float:
         """One lognormal draw from the addressed stream."""
-        return float(self.stream(*key).lognormal(mean, sigma))
+        return float(_first_draw(self._prefix, key, _LOGNORMAL, (mean, sigma)))
 
     def randint(self, *key: _KeyPart, low: int, high: int) -> int:
         """One integer draw in ``[low, high)`` from the addressed stream."""
-        return int(self.stream(*key).integers(low, high))
+        return int(_first_draw(self._prefix, key, _INTEGERS, (low, high)))
 
     def choice_index(self, *key: _KeyPart, weights: Iterable[float]) -> int:
         """Sample an index proportionally to ``weights``."""
-        w = np.asarray(list(weights), dtype=np.float64)
-        if w.size == 0:
+        weights = tuple(weights)
+        if not weights:
             raise ValueError("weights must be non-empty")
-        if np.any(w < 0):
+        if min(weights) < 0:
             raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if total <= 0:
-            # All-zero weights degrade to a uniform choice.
-            return int(self.stream(*key).integers(0, w.size))
-        return int(self.stream(*key).choice(w.size, p=w / total))
+        return int(_first_draw(self._prefix, key, _weighted_index, weights))
 
     def fork(self, *key: _KeyPart) -> "KeyedRng":
         """Derive a child :class:`KeyedRng` rooted at a sub-key.
@@ -159,7 +288,7 @@ class KeyedRng:
         Useful for handing a component its own namespace without threading
         long key tuples through every call site.
         """
-        return KeyedRng(_hash64(self._prefix + _encode_parts(("fork", *key))))
+        return KeyedRng(_hash64(self._prefix, ("fork", *key)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KeyedRng(seed={self._seed})"

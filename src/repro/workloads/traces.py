@@ -50,8 +50,8 @@ class StepLengthModel:
         ``cap`` lets a search algorithm impose a tighter per-step budget
         (the Varying Granularity variant does exactly this).
         """
-        raw = rng.lognormal("step-len", *key, mean=log(self.median_tokens), sigma=self.sigma)
         limit = self.max_tokens if cap is None else min(cap, self.max_tokens)
         if limit < self.min_tokens:
-            return max(1, limit)
+            return max(1, limit)  # the cap alone fixes the answer: no draw
+        raw = rng.lognormal("step-len", *key, mean=log(self.median_tokens), sigma=self.sigma)
         return int(min(max(raw, self.min_tokens), limit))

@@ -1,7 +1,45 @@
 """Shared pytest configuration."""
 
+from collections import Counter
+
 import pytest
+
+from repro.utils import rng as rng_module
 
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: serving-scale experiment tests")
+
+
+@pytest.fixture(autouse=True)
+def cold_first_draws():
+    """Every test starts with an empty first-draw memo and zeroed counts.
+
+    Drawn values never depend on the memo, but how many streams a test
+    builds (and so its call counts and timings) would otherwise depend on
+    which tests ran before it in the same process.
+    """
+    rng_module.clear_first_draws()
+
+
+@pytest.fixture
+def streams_built(monkeypatch) -> Counter:
+    """Streams constructed during the test, counted by the key that
+    addressed them (whatever the root seed) — observed at the construction
+    function, so a helper draw answered from the memo is not in it."""
+    keys: dict[int, tuple] = {}
+    built: Counter = Counter()
+    real_hash, real_new = rng_module._hash64, rng_module._new_stream
+
+    def recording_hash(prefix, parts):
+        seed = real_hash(prefix, parts)
+        keys[seed] = parts
+        return seed
+
+    def counting_new(seed):
+        built[keys[seed]] += 1
+        return real_new(seed)
+
+    monkeypatch.setattr(rng_module, "_hash64", recording_hash)
+    monkeypatch.setattr(rng_module, "_new_stream", counting_new)
+    return built

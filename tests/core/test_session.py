@@ -19,9 +19,10 @@ from repro.core.config import baseline_config, fasttts_config
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
 from repro.errors import SchedulingError
+from repro.experiments.reference import pure_search
 from repro.search import tree as tree_module
 from repro.search.registry import build_algorithm, list_algorithms
-from repro.utils.rng import KeyedRng
+from repro.utils.rng import FIRST_DRAW_CAP, stream_counts
 from repro.workloads.datasets import build_dataset
 
 GOLDENS = json.loads(
@@ -225,48 +226,118 @@ class TestServerWrappers:
 
 class TestDeriveOnce:
     """One n=64 FastTTS solve — the paper's wide-beam case — derives each
-    fact once. Deterministic: these are call counts, not timings."""
+    fact once, and draws only what it consumes. Deterministic: these are
+    call and stream counts, not timings."""
 
     WIDTH = 64
     #: Python-level calls of this very solve before segment ids were kept
-    #: with the lineage, subtree constants memoised and KV growth batched.
-    CALLS_BEFORE = 1_024_951
+    #: with the lineage, subtree constants memoised and KV growth batched
+    #: (1 024 951), after that (245 842), and with speculative children
+    #: drawing only their length (237 136 measured).
+    CALLS_NOW = 240_000
 
     def solve(self, dataset, problem):
         server = make_server(dataset, "fasttts")
         return server.solve_detailed(problem, build_algorithm("beam_search", self.WIDTH))
 
     def test_segment_ids_and_subtree_constants_are_drawn_once(
-        self, dataset, problem, monkeypatch
+        self, dataset, problem, monkeypatch, streams_built
     ):
-        hashed, drawn = Counter(), Counter()
-        real_hash, real_stream = tree_module.stable_hash64, KeyedRng.stream
+        hashed = Counter()
+        real_hash = tree_module.stable_hash64
 
         def counting_hash(*parts):
             if parts[0] == "segment" and isinstance(parts[2], tuple):
                 hashed[parts] += 1
             return real_hash(*parts)
 
-        def counting_stream(rng, *key):
-            if key[0] in ("approach", "subtree-bias"):
-                drawn[key] += 1
-            return real_stream(rng, *key)
-
         monkeypatch.setattr(tree_module, "stable_hash64", counting_hash)
         monkeypatch.setattr(session_module, "stable_hash64", counting_hash)
-        monkeypatch.setattr(KeyedRng, "stream", counting_stream)
         outcome = self.solve(dataset, problem)
 
         # Every step segment's id is hashed once, however many rounds, jobs
         # and speculative plans name it ...
         assert len(hashed) > len(outcome.collected)
         assert set(hashed.values()) == {1}
-        # ... and each (problem, root branch) constant is one keyed draw.
+        # ... and each (problem, root branch) constant is one stream built.
+        drawn = {
+            key: n for key, n in streams_built.items()
+            if key[0] in ("approach", "subtree-bias")
+        }
         assert drawn == {
             (label, problem.problem_id, root): 1
             for label in ("approach", "subtree-bias")
             for root in range(self.WIDTH)
         }
+
+    def test_soundness_and_termination_are_drawn_only_for_steps_taken(
+        self, dataset, problem, monkeypatch, streams_built
+    ):
+        lookahead = set()
+        real_run = session_module.VerificationRound.run
+
+        def recording_run(verification, problem, jobs, score_cache):
+            lookahead.update(
+                (job.lookahead_child, job.step_idx + 1)
+                for job in jobs if job.lookahead_child is not None
+            )
+            return real_run(verification, problem, jobs, score_cache)
+
+        monkeypatch.setattr(session_module.VerificationRound, "run", recording_run)
+        algorithm = build_algorithm("beam_search", self.WIDTH)
+        make_server(dataset, "fasttts").solve(problem, algorithm)
+
+        # FastTTS selects what the serving-free search selects, so that
+        # search names the (lineage, step) pairs that were ever active; the
+        # verifier's jobs name the children offered for lookahead scoring.
+        reference = pure_search(problem, dataset, algorithm, seed=SEED)
+        taken = {
+            (lineage, round_idx)
+            for round_idx, lineages in enumerate(reference.rounds)
+            for lineage in lineages
+        }
+        assert lookahead - taken
+
+        by_label = {
+            label: Counter(
+                {key[2:]: n for key, n in streams_built.items() if key[0] == label}
+            )
+            for label in ("step-len", "soundness", "terminal")
+        }
+        assert set(by_label["soundness"]) == taken | lookahead
+        assert set(by_label["terminal"]) <= taken | lookahead
+        # Speculative children that were never adopted drew a length only.
+        assert set(by_label["step-len"]) > taken | lookahead
+        for counts in by_label.values():
+            assert set(counts.values()) == {1}
+
+    def test_a_one_beam_round_is_not_shuffled(self, dataset, problem, streams_built):
+        server = make_server(dataset, "baseline")
+        server.solve(problem, build_algorithm("beam_search", 1))
+        assert streams_built
+        assert not [key for key in streams_built if key[0] == "random-order"]
+        server.solve(problem, build_algorithm("beam_search", 4))
+        assert [key for key in streams_built if key[0] == "random-order"]
+
+    def test_a_repeat_solve_builds_no_stream_but_a_forked_replica_does(
+        self, dataset, problem
+    ):
+        server = make_server(dataset, "fasttts")
+        algorithm = build_algorithm("beam_search", N)
+        first = server.solve(problem, algorithm)
+        built = stream_counts.built
+        assert 0 < built < FIRST_DRAW_CAP  # nothing was evicted
+
+        again = server.solve(problem, algorithm)
+        assert again.to_json_dict() == first.to_json_dict()
+        assert stream_counts.built == built
+        assert stream_counts.reused >= built
+
+        # A first_finish replica solves on a forked rng: other keys, other
+        # values, its own streams.
+        replica = server.session(problem, algorithm, rng=server.rng.fork("replica", 1))
+        replica.run()
+        assert stream_counts.built > built
 
     def test_total_python_calls_stay_derived_once(self, dataset, problem):
         profiler = cProfile.Profile(subcalls=False, builtins=False)
@@ -275,4 +346,4 @@ class TestDeriveOnce:
         profiler.disable()
         assert len(outcome.collected) >= self.WIDTH
         calls = sum(entry.callcount for entry in profiler.getstats())
-        assert calls <= 0.65 * self.CALLS_BEFORE
+        assert calls <= self.CALLS_NOW

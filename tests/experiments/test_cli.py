@@ -78,22 +78,31 @@ class TestFlagsComeFromTheSpec:
 class TestExitTwoConvention:
     """A ``ConfigError`` raised anywhere — the spec, ``ServerConfig``, fleet
     construction — is one ``error:`` line and exit status 2, never a
-    traceback (these three inputs used to escape the hand-picked checks)."""
+    traceback (each of these inputs used to escape the hand-picked checks)."""
 
-    @pytest.mark.parametrize("command", [["fleet"], ["trace", "run"]],
-                             ids=["fleet", "trace-run"])
     @pytest.mark.parametrize(
-        "flags, message",
+        "argv, message",
         [
-            (["--retry-budget", "-1"], "--retry-budget: retry budget must be >= 0"),
-            (["--memory-fraction", "0"], "memory_fraction must be in (0, 1]"),
-            (["--memory-fraction", "1.5"], "memory_fraction must be in (0, 1]"),
-            (["--faults", "crash:at=1,lane=7"], "pins lane 7 but the pool has only 1"),
+            pytest.param([*command, *flags], message, id=f"{flag_id}-{command_id}")
+            for command_id, command in (("fleet", ["fleet"]), ("trace-run", ["trace", "run"]))
+            for flag_id, flags, message in (
+                ("retry-budget", ["--retry-budget", "-1"],
+                 "--retry-budget: retry budget must be >= 0"),
+                ("memory-fraction-0", ["--memory-fraction", "0"],
+                 "memory_fraction must be in (0, 1]"),
+                ("memory-fraction-1.5", ["--memory-fraction", "1.5"],
+                 "memory_fraction must be in (0, 1]"),
+                ("fault-lane-pin", ["--faults", "crash:at=1,lane=7"],
+                 "pins lane 7 but the pool has only 1"),
+            )
+        ] + [
+            pytest.param(["solve", "-n", "0"], "-n must be >= 1, got 0", id="solve-n-0"),
+            pytest.param(["solve", "-n", "-3"], "-n must be >= 1, got -3",
+                         id="solve-n-negative"),
         ],
-        ids=["retry-budget", "memory-fraction-0", "memory-fraction-1.5", "fault-lane-pin"],
     )
-    def test_config_error_is_one_error_line(self, capsys, command, flags, message):
-        assert main([*command, *flags]) == 2
+    def test_config_error_is_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,18 +1,27 @@
 """Property-based tests on scheduling and allocation invariants."""
 
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.core.allocator import RooflineAllocator, WorkloadProfile
-from repro.core.prefix_sched import eviction_cost, greedy_order, random_order
+from repro.core.config import baseline_config, fasttts_config
+from repro.core.prefix_sched import (
+    eviction_cost,
+    greedy_order,
+    lineage_order,
+    random_order,
+)
+from repro.core.session import schedule_jobs
 from repro.core.spec_select import SelectSpec, speculative_potential
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
 from repro.kvcache.radix import RadixTree
 from repro.models.zoo import model_pair
 from repro.search.dynamic_branching import proportional_allocation
-from repro.utils.rng import KeyedRng
+from repro.utils.rng import KeyedRng, clear_first_draws, stream_counts
 
 _GB = 1024**3
 
@@ -141,3 +150,76 @@ class TestAllocatorProperties:
         # floors hold: one worst-case path fits on each side
         assert plan.kv_pre_bytes >= profile.max_path_tokens * verifier.kv_bytes_per_token
         assert plan.kv_dec_bytes >= profile.max_path_tokens * generator.kv_bytes_per_token
+
+
+def reference_random_order(items, rng, salt=0):
+    """``random_order`` as it stood when it shuffled every list."""
+    order = list(items)
+    stream = rng.stream("random-order", salt)
+    perm = stream.permutation(len(order))
+    return [order[i] for i in perm]
+
+
+def reference_schedule_jobs(config, rng, problem, jobs, round_idx, stage):
+    """``schedule_jobs`` as it stood when it ordered every list."""
+    if config.prefix_aware:
+        return lineage_order(jobs, lambda j: j.lineage)
+    return reference_random_order(
+        jobs,
+        rng.fork("naive-order", problem.problem_id, stage),
+        salt=round_idx,
+    )
+
+
+class _ForkCountingRng(KeyedRng):
+    forks = 0
+
+    def fork(self, *key):
+        self.forks += 1
+        return super().fork(*key)
+
+
+job_lists = st.lists(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+    max_size=12,
+    unique=True,
+).map(lambda lineages: [SimpleNamespace(lineage=lineage) for lineage in lineages])
+
+
+class TestShortRoundsKeepTheirOrder:
+    """Lists of 0, 1 and >= 2 jobs are ordered exactly as before; the short
+    ones without touching the rng."""
+
+    @given(job_lists, st.integers(0, 2**31), st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_random_order_equals_the_always_shuffling_reference(self, jobs, seed, salt):
+        clear_first_draws()
+        got = random_order(jobs, KeyedRng(seed), salt)
+        built = stream_counts.built
+        assert got == reference_random_order(jobs, KeyedRng(seed), salt)
+        assert got is not jobs
+        assert built == (1 if len(jobs) >= 2 else 0)
+
+    @given(
+        job_lists,
+        st.sampled_from([baseline_config, fasttts_config]),
+        st.integers(0, 2**31),
+        st.integers(0, 9),
+        st.sampled_from(["gen", "verify"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_schedule_jobs_equals_the_always_ordering_reference(
+        self, jobs, factory, seed, round_idx, stage
+    ):
+        config = factory()
+        problem = SimpleNamespace(problem_id="p-7")
+        clear_first_draws()
+        rng = _ForkCountingRng(seed)
+        got = schedule_jobs(config, rng, problem, jobs, round_idx, stage)
+        built, forks = stream_counts.built, rng.forks
+        assert got == reference_schedule_jobs(
+            config, KeyedRng(seed), problem, jobs, round_idx, stage
+        )
+        assert got is not jobs
+        shuffled = len(jobs) >= 2 and not config.prefix_aware
+        assert (built, forks) == ((1, 1) if shuffled else (0, 0))

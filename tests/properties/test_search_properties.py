@@ -7,7 +7,7 @@ from repro.llm.generator import SimulatedGenerator
 from repro.models.zoo import QWEN25_MATH_1P5B
 from repro.search.registry import build_algorithm
 from repro.search.tree import ReasoningPath
-from repro.utils.rng import KeyedRng
+from repro.utils.rng import KeyedRng, clear_first_draws, stream_counts
 from repro.workloads.datasets import build_dataset
 
 DATASET = build_dataset("amc23", seed=9, size=2)
@@ -90,3 +90,22 @@ class TestGenerationProperties:
         assert capped.soundness == free.soundness
         assert capped.is_terminal == free.is_terminal
         assert capped.n_tokens <= free.n_tokens
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
+        st.integers(0, 7),
+        st.one_of(st.none(), st.integers(1, 2048)),  # 1..7 sit below min_tokens
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_tokens_is_the_plans_length_and_can_be_handed_back(
+        self, lineage, step_idx, cap
+    ):
+        full = GENERATOR.plan_step(PROBLEM, lineage, step_idx, cap)
+        clear_first_draws()
+        length = GENERATOR.step_tokens(PROBLEM, lineage, step_idx, cap)
+        drawn = stream_counts.built
+        assert length == full.n_tokens
+        assert GENERATOR.plan_step(PROBLEM, lineage, step_idx, cap, n_tokens=length) == full
+        # A cap below the floor fixes the length; otherwise it is one draw.
+        floor = DATASET.step_model.min_tokens
+        assert drawn == (0 if cap is not None and cap < floor else 1)

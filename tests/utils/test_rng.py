@@ -1,13 +1,21 @@
 """Tests for the keyed RNG streams — the schedule-invariance foundation."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import KeyedRng, stable_hash64
+from repro.utils import rng as rng_module
+from repro.utils.rng import (
+    FIRST_DRAW_CAP,
+    KeyedRng,
+    clear_first_draws,
+    stable_hash64,
+    stream_counts,
+)
 
 key_parts = st.one_of(
     st.integers(min_value=-(2**62), max_value=2**62),
@@ -205,3 +213,128 @@ class TestKeyedRng:
         rng.uniform("unrelated", 1)
         rng.normal("other", loc=0, scale=2)
         assert rng.uniform(*parts) == first
+
+
+def bits(value):
+    """``value`` with floats spelled as their IEEE bytes: equal means bit-equal."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return type(value), value
+
+
+def reference_choice(stream, weights) -> int:
+    """``choice_index``'s draw as it stood before the memo, on ``stream``."""
+    w = np.asarray(list(weights), dtype=np.float64)
+    total = float(w.sum())
+    if total <= 0:
+        return int(stream.integers(0, w.size))
+    return int(stream.choice(w.size, p=w / total))
+
+
+#: kind -> (the memoised helper, the same draw on a fresh stream).
+DRAWS = {
+    "uniform": (
+        lambda rng, key, _: rng.uniform(*key),
+        lambda stream, _: float(stream.random()),
+    ),
+    "normal": (
+        lambda rng, key, p: rng.normal(*key, loc=p[0], scale=p[1]),
+        lambda stream, p: float(stream.normal(p[0], p[1])),
+    ),
+    "lognormal": (
+        lambda rng, key, p: rng.lognormal(*key, mean=p[0], sigma=p[1]),
+        lambda stream, p: float(stream.lognormal(p[0], p[1])),
+    ),
+    "randint": (
+        lambda rng, key, p: rng.randint(*key, low=p[0], high=p[0] + p[1]),
+        lambda stream, p: int(stream.integers(p[0], p[0] + p[1])),
+    ),
+    "choice": (
+        lambda rng, key, p: rng.choice_index(*key, weights=p),
+        lambda stream, p: reference_choice(stream, p),
+    ),
+}
+locations = st.floats(-1e6, 1e6)
+spreads = st.floats(1e-3, 1e3)
+draw_requests = st.one_of(
+    st.tuples(st.just("uniform"), st.none()),
+    st.tuples(st.just("normal"), st.tuples(locations, spreads)),
+    st.tuples(st.just("lognormal"), st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 2.0))),
+    st.tuples(st.just("randint"), st.tuples(st.integers(-50, 50), st.integers(1, 1000))),
+    st.tuples(
+        st.just("choice"),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=4).map(tuple),
+    ),
+)
+# Few keys, so a run re-asks them - with the same request and with others
+# in between - and the three spellings of "one" that compare equal.
+memo_keys = st.sampled_from(
+    [(1,), (True,), (1.0,), ("step", "p-1", (0, 1), 2), ("step", "p-1", (0, 1), 3), ()]
+)
+RNGS = (KeyedRng(11), KeyedRng(11), KeyedRng(11).fork("replica", 0), KeyedRng(12))
+
+
+class TestFirstDrawMemo:
+    """A helper's value is the first draw of a fresh ``stream(*key)``, bit
+    for bit, whatever the memo holds."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(RNGS) - 1), memo_keys, draw_requests),
+            min_size=1, max_size=40,
+        ),
+        st.sampled_from([2, 5, FIRST_DRAW_CAP]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_interleaving_equals_fresh_streams(self, requests, cap):
+        clear_first_draws()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "FIRST_DRAW_CAP", cap)  # evict within the run
+            for which, key, (kind, params) in requests:
+                helper, fresh = DRAWS[kind]
+                got = helper(RNGS[which], key, params)
+                assert bits(got) == bits(fresh(RNGS[which].stream(*key), params))
+                assert len(rng_module._first_draws) <= cap
+        assert list(rng_module._first_draw_order) == list(rng_module._first_draws)
+
+    def test_a_run_past_the_cap_evicts_oldest_first(self):
+        rng, extra = KeyedRng(5), 300
+        total = FIRST_DRAW_CAP + extra
+
+        def ask(i):
+            return rng.normal("k", i, loc=1.0, scale=2.0)
+
+        first = [ask(i) for i in range(total)]
+        assert (stream_counts.built, stream_counts.reused) == (total, 0)
+        assert len(rng_module._first_draws) == FIRST_DRAW_CAP
+        # The newest are answered from the memo ...
+        assert [ask(i) for i in range(FIRST_DRAW_CAP, total)] == first[FIRST_DRAW_CAP:]
+        assert (stream_counts.built, stream_counts.reused) == (total, extra)
+        # ... the oldest were evicted and are rebuilt, to the same bits.
+        assert [ask(i) for i in range(extra)] == first[:extra]
+        assert (stream_counts.built, stream_counts.reused) == (total + extra, extra)
+        assert len(rng_module._first_draws) == FIRST_DRAW_CAP
+        for i in (0, extra, FIRST_DRAW_CAP, total - 1):
+            assert bits(first[i]) == bits(float(rng.stream("k", i).normal(1.0, 2.0)))
+
+    def test_an_entry_answers_only_its_own_distribution_and_parameters(self):
+        rng = KeyedRng(5)
+        drawn = rng.normal("k", loc=0.0, scale=1.0)
+        assert rng.normal("k", loc=0.0, scale=1.0) == drawn
+        assert stream_counts.built == 1 and stream_counts.reused == 1
+        assert rng.normal("k", loc=0.0, scale=2.0) == 2 * drawn  # rebuilt, not aliased
+        assert rng.uniform("k") == float(rng.stream("k").random())
+        assert stream_counts.reused == 1
+        assert len(rng_module._first_draws) == 1  # one seed, its latest draw
+
+    def test_stream_is_fresh_every_time_and_never_remembered(self):
+        rng = KeyedRng(5)
+        a, b = rng.stream("s"), rng.stream("s")
+        assert a is not b and a.random() == b.random()
+        assert stream_counts.built == 2 and not rng_module._first_draws
+
+    def test_clear_forgets_draws_and_counts(self):
+        KeyedRng(5).uniform("k")
+        clear_first_draws()
+        assert (stream_counts.built, stream_counts.reused) == (0, 0)
+        assert not rng_module._first_draws and not rng_module._first_draw_order
