@@ -6,7 +6,9 @@ asserts the figure's qualitative shape. Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-(-s shows the rendered tables; EXPERIMENTS.md records the expected shapes.)
+(-s shows the rendered tables; each benchmark's docstring states the
+shape the paper reports, and README "The paper's three techniques" maps
+techniques to figures.)
 
 Set ``REPRO_BENCH_CACHE=1`` to route every experiment cell through the
 parallel orchestrator's on-disk result cache (default location

@@ -1,6 +1,6 @@
 """Design-choice ablations beyond the paper's figures.
 
-DESIGN.md calls out two substrate-level design decisions worth ablating:
+Two substrate-level design decisions are worth ablating:
 
 * **Speculation bandwidth cap** — speculative slots ride along with the
   straggler's weight reads but add their own KV traffic. An uncapped

@@ -1,6 +1,6 @@
 """Straggler analysis: the analytical model vs the simulated engine.
 
-DESIGN.md's straggler claim — idle batch slots are pure waste because
+The straggler claim — idle batch slots are pure waste because
 decode is memory-bound — has an analytical counterpart: with capped
 lognormal step lengths, the expected idle slot-time fraction of a k-beam
 batch is ``1 - E[L] / E[max_k L]``. This bench checks that the serving

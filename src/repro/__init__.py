@@ -11,8 +11,9 @@ mirrors a serving library:
 >>> results[0].goodput > 0
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+README "Layout" is the system inventory, and README "The paper's three
+techniques" maps each technique to its module and figure test. A
+generated paper-vs-measured record of every figure does not exist yet.
 """
 
 from repro.core import (

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.scheduler import SessionHandle, arrival_key
 from repro.core.session import SessionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pool import PooledDevice
-    from repro.core.scheduler import SessionHandle
 
 __all__ = ["RoundBatcher"]
 
@@ -79,7 +79,7 @@ class RoundBatcher:
         which is why every DONE edge must reach it).
         """
         clock = lane.clock
-        members = sorted(members, key=lambda h: (h.arrival_s, h.seq, h.replica))
+        members = sorted(members, key=arrival_key)
 
         # Finished searches first: finalization is result assembly (plus
         # the single BoN scoring pass), it settles the request, and — for

@@ -51,10 +51,11 @@ repair lands before the next fault and both before a request. The cost of
 a step does not depend on how many requests the run has seen: every
 handler (``admit / place / settle / escalate / drop / on_lane_crash /
 recover_request``) updates the per-lane indexes it affects — which
-handles are runnable, which requests are still queued, which hold a
-claim — at the transition itself (the :class:`_FleetRun` docstring lists
-who touches what), and finished requests leave the live maps at
-settlement.
+handles are runnable (sorted by the scheduler's declared
+``order_key``, so an order-keyed ``pick`` reads the front), which
+requests are still queued, which hold a claim — at the transition itself
+(the :class:`_FleetRun` docstring lists who touches what), and finished
+requests leave the live maps at settlement.
 
 Everything stays simulated and deterministic: a fleet run is a pure
 function of (config, dataset, spec, submitted requests), and the default
@@ -65,6 +66,7 @@ spec reproduces the pre-pool fleet byte for byte (pinned by
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 
 from repro.core.batcher import RoundBatcher
@@ -776,6 +778,39 @@ def _charge_swap(
     lane.kv_swap_s += dt
 
 
+class _RunnableIndex:
+    """One lane's live handles, sorted by ``(order_key(handle), placement no.)``.
+
+    Parallel key / handle lists kept in order with ``bisect``; ``handles``
+    is the sequence ``pick`` receives, with no per-turn copy. The
+    placement number makes every key unique and a handle carries the key
+    it is filed under (``SessionHandle.runnable_key``), so bisecting for
+    that key finds exactly the handle's slot.
+    """
+
+    __slots__ = ("keys", "handles")
+
+    def __init__(self) -> None:
+        self.keys: list[tuple] = []
+        self.handles: list[SessionHandle] = []
+
+    def insert(self, handle: SessionHandle, key: tuple) -> None:
+        at = bisect_left(self.keys, key)
+        self.keys.insert(at, key)
+        self.handles.insert(at, handle)
+        handle.runnable_key = key
+
+    def remove(self, handle: SessionHandle) -> None:
+        """Take ``handle`` out; a no-op for one that already left."""
+        key = handle.runnable_key
+        if key is None:
+            return
+        at = bisect_left(self.keys, key)
+        del self.keys[at]
+        del self.handles[at]
+        handle.runnable_key = None
+
+
 class _FleetRun:
     """One drain: the run state, its indexes, and a handler per transition.
 
@@ -787,11 +822,15 @@ class _FleetRun:
     turn ever rescans the request population:
 
     ``runnable[lane]``
-        live handles on the lane, in placement order (what ``pick``
-        sees). Grows in ``place``; shrinks in ``_retire`` — reached from
-        the DONE edge at the top of ``settle`` and from every
-        ``session.cancel()`` (``_cancel``: race losers, escalation,
-        drop, crash).
+        live handles on the lane, a :class:`_RunnableIndex` sorted by
+        ``(scheduler.order_key(handle), placement order)``; its
+        ``handles`` list is exactly what ``pick`` sees. Grows in
+        ``place``; shrinks in ``_retire`` — reached from the DONE edge at
+        the top of ``settle`` and from every ``session.cancel()``
+        (``_cancel``: race losers, escalation, drop, crash). Under a
+        ``rekey_after_round`` policy, ``_rekey`` re-files a handle
+        wherever ``last_stepped`` is written: after a solo turn in
+        ``step`` and for each surviving member after a batched iteration.
     ``started``
         runnable handles whose service began (who an arrival preempts).
         Grows in ``service_start``; shrinks in ``_retire``.
@@ -831,8 +870,9 @@ class _FleetRun:
             lane.index: None for lane in self.lanes
         }
         self.turn = 0
-        self.runnable: dict[int, dict[int, SessionHandle]] = {
-            lane.index: {} for lane in self.lanes
+        self.placed = 0  # handles placed so far: the index's tie-break
+        self.runnable: dict[int, _RunnableIndex] = {
+            lane.index: _RunnableIndex() for lane in self.lanes
         }
         self.started: dict[int, SessionHandle] = {}
         self.queued: dict[int, dict[int, _RequestState]] = {
@@ -870,7 +910,7 @@ class _FleetRun:
         """The runnable lane furthest behind (lowest index on ties)."""
         best = None
         for lane in self.lanes:
-            if self.runnable[lane.index] and (
+            if self.runnable[lane.index].handles and (
                 best is None or lane.clock.now < best.clock.now
             ):
                 best = lane
@@ -904,7 +944,7 @@ class _FleetRun:
             return True
 
         clock = act.clock
-        runnable = list(self.runnable[act.index].values())
+        runnable = self.runnable[act.index].handles
         if act.batching == "continuous":
             # Iteration-level admission: every runnable session that has
             # arrived (or already started) joins this iteration's
@@ -923,6 +963,10 @@ class _FleetRun:
                     charge_growth=self.charge_growth,
                     on_done=self.settle,
                 )
+                if self.scheduler.rekey_after_round:
+                    for handle in members:
+                        if handle.runnable_key is not None:
+                            self._rekey(handle)
                 # The lane clock sits at the batch horizon, not at any
                 # single member's position: force the next solo step to
                 # rebind (and restore) whichever session it picks.
@@ -953,6 +997,8 @@ class _FleetRun:
         self.current[act.index] = handle
         if session.state is SessionState.DONE:
             self.settle(handle, act)
+        elif self.scheduler.rekey_after_round:
+            self._rekey(handle)
         return True
 
     def report(self) -> FleetReport:
@@ -968,8 +1014,15 @@ class _FleetRun:
 
     def _retire(self, handle: SessionHandle) -> None:
         """A handle stopped being live: it leaves the scheduling indexes."""
-        self.runnable[handle.device.index].pop(id(handle), None)
+        self.runnable[handle.device.index].remove(handle)
         self.started.pop(id(handle), None)
+
+    def _rekey(self, handle: SessionHandle) -> None:
+        """Re-file a live handle that just ran (``rekey_after_round``)."""
+        index = self.runnable[handle.device.index]
+        placed = handle.runnable_key[1]
+        index.remove(handle)
+        index.insert(handle, (self.scheduler.order_key(handle), placed))
 
     def _cancel(self, handle: SessionHandle) -> None:
         if handle.session.state.live:
@@ -1087,7 +1140,10 @@ class _FleetRun:
                 device=lane,
             )
             handles.append(handle)
-            self.runnable[lane.index][id(handle)] = handle
+            self.placed += 1
+            self.runnable[lane.index].insert(
+                handle, (scheduler.order_key(handle), self.placed)
+            )
         st = _RequestState(
             request=request, seq=seq, handles=handles, device=device,
             start_s=carry_start,
@@ -1503,7 +1559,7 @@ class _FleetRun:
         rewind guard. Rebinding preserves each session's accumulated
         service and resumes it at the post-fault instant.
         """
-        for handle in self.runnable[lane.index].values():
+        for handle in self.runnable[lane.index].handles:
             handle.binding.rebind(lane.clock)
 
     def apply_fault(self, event) -> None:

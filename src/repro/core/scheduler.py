@@ -37,7 +37,11 @@ next*. Policies shipped here:
 
 Schedulers are deliberately small: they see opaque :class:`SessionHandle`
 rows and return one. All device bookkeeping (clock mapping, admission,
-records) stays in the fleet.
+records) stays in the fleet — including the order the rows arrive in:
+a policy that declares an :meth:`RequestScheduler.order_key` receives its
+lane's runnable handles already sorted by it, so ``fifo``,
+``round_robin`` and ``first_finish`` choose from the front in O(1)
+instead of keying the whole backlog every turn.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ __all__ = [
     "RoundRobinScheduler",
     "FirstFinishScheduler",
     "PrefixAffinityScheduler",
+    "arrival_key",
     "predict_rounds",
     "predict_cost",
     "build_scheduler",
@@ -88,6 +93,8 @@ class SessionHandle:
     fleet time the session produced its first generated token (None
     until then) — the fleet captures it for the TTFT metric by mapping
     the session's private first-token time through its clock binding.
+    ``runnable_key`` is the fleet's own bookkeeping: the key this handle
+    is filed under in its lane's runnable index, None once it has left it.
     """
 
     request_id: str
@@ -102,6 +109,7 @@ class SessionHandle:
     predicted_cost: tuple[int, int] | None = None
     kv_swap_s: float = 0.0
     first_token_s: float | None = None
+    runnable_key: tuple | None = None
 
     @property
     def runnable(self) -> bool:
@@ -109,8 +117,9 @@ class SessionHandle:
 
         The fleet does not poll this: its run state keeps a per-lane
         index of runnable handles, updated where a session finishes or
-        is cancelled, and hands ``pick`` that index's handles in
-        placement order.
+        is cancelled, sorted by ``(scheduler.order_key(handle), placement
+        order)`` — placement order alone for a policy that declares no
+        key — and hands ``pick`` that index's live sequence.
         """
         return self.session.state.live
 
@@ -162,6 +171,23 @@ class RequestScheduler(ABC):
 
     name: str = "abstract"
     description: str = ""
+    #: True when :meth:`order_key` reads a handle field the fleet writes as
+    #: the handle runs (``last_stepped``, ``start_s``): the fleet then
+    #: re-files the handle in its lane's index after every round it runs.
+    rekey_after_round: bool = False
+
+    def order_key(self, handle: SessionHandle):
+        """The order :meth:`pick` wants its ``runnable`` sequence in.
+
+        The fleet keeps each lane's runnable handles sorted by
+        ``(order_key(handle), placement order)``, so a policy whose choice
+        is "the least key" can take ``runnable[0]``. Keys must be
+        comparable with each other (ties keep placement order), and a key
+        that reads what the fleet writes as a handle runs needs
+        :attr:`rekey_after_round`. The default, None, declares no order:
+        ``runnable`` then arrives in placement order.
+        """
+        return None
 
     def choose_device(
         self,
@@ -230,7 +256,12 @@ class RequestScheduler(ABC):
 
     @abstractmethod
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        """Choose which runnable session advances by one round."""
+        """Choose which runnable session advances by one round.
+
+        ``runnable`` is every live handle on the acting lane, sorted by
+        :meth:`order_key` (placement order without one). It is the
+        fleet's index itself, not a copy: read it, never mutate it.
+        """
 
     def race_decided(
         self, finished: SessionHandle, siblings: Sequence[SessionHandle]
@@ -239,7 +270,12 @@ class RequestScheduler(ABC):
         return True
 
 
-def _arrival_key(handle: SessionHandle) -> tuple[float, int, int]:
+def arrival_key(handle: SessionHandle) -> tuple[float, int, int]:
+    """Arrival order: (effective arrival, request seq, replica).
+
+    The one definition shared by ``fifo``'s :meth:`~RequestScheduler
+    .order_key` and the batcher's member order.
+    """
     return (handle.arrival_s, handle.seq, handle.replica)
 
 
@@ -249,8 +285,11 @@ class FifoScheduler(RequestScheduler):
     name = "fifo"
     description = "arrival order, run-to-completion (the legacy fleet policy)"
 
+    def order_key(self, handle: SessionHandle) -> tuple[float, int, int]:
+        return arrival_key(handle)
+
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        return min(runnable, key=_arrival_key)
+        return runnable[0]
 
 
 class SjfScheduler(RequestScheduler):
@@ -268,7 +307,7 @@ class SjfScheduler(RequestScheduler):
         started = [h for h in runnable if h.start_s is not None]
         if started:
             # Non-preemptive: the job on the device keeps it.
-            return min(started, key=_arrival_key)
+            return min(started, key=arrival_key)
         for handle in runnable:
             if handle.predicted_cost is None:
                 handle.predicted_cost = predict_cost(
@@ -287,9 +326,13 @@ class RoundRobinScheduler(RequestScheduler):
 
     name = "round_robin"
     description = "time-slice one round per runnable request in rotation"
+    rekey_after_round = True
+
+    def order_key(self, handle: SessionHandle) -> tuple[int, int, int]:
+        return (handle.last_stepped, handle.seq, handle.replica)
 
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        return min(runnable, key=lambda h: (h.last_stepped, h.seq, h.replica))
+        return runnable[0]
 
 
 class FirstFinishScheduler(RequestScheduler):
@@ -365,10 +408,17 @@ class FirstFinishScheduler(RequestScheduler):
         )
         return [chosen, *others]
 
+    def order_key(self, handle: SessionHandle) -> tuple[float, int, int]:
+        return arrival_key(handle)
+
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        front = min(runnable, key=_arrival_key)
-        race = [h for h in runnable if h.seq == front.seq]
-        return min(race, key=lambda h: (h.last_stepped, h.replica))
+        # A request's replicas share one (re-)arrival, so in arrival order
+        # the front request's race is the run of handles leading the index.
+        seq = runnable[0].seq
+        end = 1
+        while end < len(runnable) and runnable[end].seq == seq:
+            end += 1
+        return min(runnable[:end], key=lambda h: (h.last_stepped, h.replica))
 
     def race_decided(
         self, finished: SessionHandle, siblings: Sequence[SessionHandle]
@@ -438,7 +488,7 @@ class PrefixAffinityScheduler(RequestScheduler):
             )
             if registered and anchor is not None:
                 choice = greedy_successor(
-                    sorted(registered, key=_arrival_key),
+                    sorted(registered, key=arrival_key),
                     ledger.tree,
                     lambda h: leaves[h.session.session_id],
                     anchor,
@@ -451,7 +501,7 @@ class PrefixAffinityScheduler(RequestScheduler):
                     key=lambda h: (
                         -ledger.tree.get(leaves[h.session.session_id]).depth,
                         leaves[h.session.session_id],
-                        _arrival_key(h),
+                        arrival_key(h),
                     ),
                 )
         if choice is None:

@@ -283,6 +283,8 @@ class SolveSession:
             self._rng = rng
             self._generator = SimulatedGenerator(server.gen_model, server.dataset, rng)
             self._prm = SimulatedPRM(server.ver_model, self._generator.oracle, rng)
+        # A fork is a pure function of (seed, key): derive it once, not per round.
+        self._select_rng = self._rng.fork("select")
 
         # Engine state (one simulated device's worth, private to the session).
         self._clock = SimClock()
@@ -760,7 +762,7 @@ class SolveSession:
             self._state = SessionState.FINALIZING
             return
 
-        decision = algorithm.select(survivors, round_idx, self._rng.fork("select"))
+        decision = algorithm.select(survivors, round_idx, self._select_rng)
         if self._trace is not None:
             self._trace.record(
                 self._clock.now, "selection", round_idx,

@@ -53,6 +53,7 @@ def pure_search(
     rng = KeyedRng(seed)
     generator = SimulatedGenerator(generator_model, dataset, rng)
     prm = SimulatedPRM(verifier_model, generator.oracle, rng)
+    select_rng = rng.fork("select")
 
     active = [ReasoningPath(lineage=(i,)) for i in range(algorithm.initial_width())]
     collected: list[ReasoningPath] = []
@@ -90,7 +91,7 @@ def pure_search(
                 survivors.append(path)
         if not survivors:
             break
-        decision = algorithm.select(survivors, round_idx, rng.fork("select"))
+        decision = algorithm.select(survivors, round_idx, select_rng)
         active = [
             expansion.path.make_child(j)
             for expansion in decision.expansions

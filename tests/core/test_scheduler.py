@@ -10,14 +10,18 @@ than FIFO on the same seed.
 import json
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import FleetSpec, TTSFleet, generate_arrivals
+from repro.core.fleet import FleetSpec, TTSFleet, _RunnableIndex, generate_arrivals
 from repro.core.pool import DevicePool
 from repro.core.scheduler import (
     FirstFinishScheduler,
+    SessionHandle,
     build_scheduler,
     list_schedulers,
     predict_cost,
@@ -236,6 +240,91 @@ class TestFirstFinish:
             if not result.top1_correct and not ffs.results[rid].top1_correct:
                 # fell back to the canonical replica: identical search
                 assert answer_signature(ffs.results[rid]) == answer_signature(result)
+
+
+@st.composite
+def backlogs(draw):
+    """One lane's live handles, as the fleet can hold them.
+
+    Arrival times tie across requests, some requests re-arrived after a
+    retry or failover (later arrival, earlier seq), racing replicas share
+    their request's arrival and may have lost a sibling to a crash, and
+    stepped handles carry distinct turn counters.
+    """
+    turns = iter(draw(st.permutations(range(64))))
+    handles = []
+    for seq in range(draw(st.integers(1, 6))):
+        arrival = draw(st.sampled_from([0.0, 1.0, 2.5]))
+        if draw(st.booleans()):
+            arrival += draw(st.sampled_from([3.0, 10.0]))
+        problem = SimpleNamespace(problem_id=draw(st.integers(0, 2)))
+        alive = draw(st.sets(st.integers(0, 2), min_size=1))
+        for replica in sorted(alive):
+            stepped = draw(st.booleans())
+            handles.append(SessionHandle(
+                request_id=f"req-{seq:04d}", arrival_s=arrival, seq=seq,
+                replica=replica,
+                session=SimpleNamespace(
+                    session_id=f"req-{seq:04d}/r{replica}", problem=problem
+                ),
+                binding=None,
+                start_s=arrival if stepped else None,
+                last_stepped=next(turns) if stepped else -1,
+                predicted_cost=(draw(st.integers(1, 3)), draw(st.integers(1, 9))),
+            ))
+    return handles
+
+
+def first_finish_scan(runnable):
+    front = min(runnable, key=lambda h: (h.arrival_s, h.seq, h.replica))
+    race = [h for h in runnable if h.seq == front.seq]
+    return min(race, key=lambda h: (h.last_stepped, h.replica))
+
+
+#: Every policy that declares an ``order_key``, with the ``pick`` it had
+#: when it keyed the whole backlog itself — the reference it must agree with.
+ORDER_KEYED = {
+    "fifo": lambda runnable: min(
+        runnable, key=lambda h: (h.arrival_s, h.seq, h.replica)
+    ),
+    "round_robin": lambda runnable: min(
+        runnable, key=lambda h: (h.last_stepped, h.seq, h.replica)
+    ),
+    "first_finish": first_finish_scan,
+}
+UNKEYED = [name for name in list_schedulers() if name not in ORDER_KEYED]
+
+
+class TestPickOrder:
+    """``pick`` on the key-ordered index equals the scan it replaced."""
+
+    @pytest.mark.parametrize("name", list_schedulers())
+    def test_the_reference_table_lists_every_keyed_policy(self, name):
+        handle = SessionHandle(
+            request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
+            session=None, binding=None,
+        )
+        declared = build_scheduler(name).order_key(handle) is not None
+        assert declared == (name in ORDER_KEYED)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_KEYED))
+    @given(backlog=backlogs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_front_pick_equals_the_scan(self, name, backlog, data):
+        policy = build_scheduler(name)
+        index = _RunnableIndex()
+        placement = data.draw(st.permutations(backlog))
+        for placed, handle in enumerate(placement, 1):
+            index.insert(handle, (policy.order_key(handle), placed))
+        assert policy.pick(index.handles, 0.0) is ORDER_KEYED[name](backlog)
+
+    @pytest.mark.parametrize("name", UNKEYED)
+    @given(backlog=backlogs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_unkeyed_pick_ignores_input_order(self, name, backlog, data):
+        shuffled = data.draw(st.permutations(backlog))
+        picked = build_scheduler(name).pick(backlog, 0.0)
+        assert build_scheduler(name).pick(shuffled, 0.0) is picked
 
 
 class TestComparePolicies:

@@ -22,7 +22,7 @@ from repro.errors import SchedulingError
 from repro.experiments.reference import pure_search
 from repro.search import tree as tree_module
 from repro.search.registry import build_algorithm, list_algorithms
-from repro.utils.rng import FIRST_DRAW_CAP, stream_counts
+from repro.utils.rng import FIRST_DRAW_CAP, KeyedRng, stream_counts
 from repro.workloads.datasets import build_dataset
 
 GOLDENS = json.loads(
@@ -338,6 +338,26 @@ class TestDeriveOnce:
         replica = server.session(problem, algorithm, rng=server.rng.fork("replica", 1))
         replica.run()
         assert stream_counts.built > built
+
+    def test_the_select_rng_is_forked_once_per_session(
+        self, dataset, problem, monkeypatch
+    ):
+        algorithm = build_algorithm("beam_search", N)
+        # Selection runs once per round but the last.
+        assert pure_search(problem, dataset, algorithm, seed=SEED).n_rounds > 2
+        forks = Counter()
+        real_fork = KeyedRng.fork
+
+        def counting_fork(rng, *key):
+            forks[key] += 1
+            return real_fork(rng, *key)
+
+        monkeypatch.setattr(KeyedRng, "fork", counting_fork)
+        server = make_server(dataset, "fasttts")
+        session = server.session(problem, algorithm)
+        session.run()
+        assert forks[("select",)] == 1
+        assert session._select_rng.seed == server.rng.fork("select").seed
 
     def test_total_python_calls_stay_derived_once(self, dataset, problem):
         profiler = cProfile.Profile(subcalls=False, builtins=False)

@@ -1,7 +1,8 @@
 """Smoke + shape tests for the per-figure experiment definitions.
 
 These use tiny scales; the benchmark harness runs the fuller versions.
-Shape assertions mirror what EXPERIMENTS.md records per figure.
+Shape assertions mirror the figure shapes the benchmark docstrings state
+(README "The paper's three techniques" maps techniques to these tests).
 """
 
 import pytest
