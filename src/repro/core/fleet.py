@@ -1261,17 +1261,18 @@ class _FleetRun:
     def charge_growth(lane: PooledDevice, handle: SessionHandle) -> None:
         """Post-round ledger update; the grower pays for evictions.
 
-        The ledger gets the session's footprint under the lane's claim
-        names (:meth:`PooledDevice.session_claims`). It can report
-        ``restored`` bytes — KV the owner lost to eviction since it last
-        ran that had to come back over PCIe before this round — and the
-        grower pays for both directions.
+        The ledger gets what changed in the session's footprint since
+        its last report, under the lane's claim names
+        (:meth:`PooledDevice.session_claims`). It can report ``restored``
+        bytes — KV the owner lost to eviction since it last ran that had
+        to come back over PCIe before this round — and the grower pays
+        for both directions.
         """
         session = handle.session
         if not session.state.live:
             return  # released in settle()
         restored, evicted = lane.ledger.charge_growth_segments(
-            session.session_id, lane.session_claims(session)
+            session.session_id, *lane.session_claims(session)
         )
         _charge_swap(lane, handle, restored, evicted)
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.core.config import check_axis
 from repro.core.server import TTSServer
@@ -245,13 +245,26 @@ class PooledDevice:
 
     # -- claim naming: the one place ``kv_sharing`` becomes claims ----------
 
-    def session_claims(self, session: "SolveSession") -> Sequence[KVSegment]:
-        """``session``'s resident KV as this lane names it to its ledger."""
+    def session_claims(
+        self, session: "SolveSession"
+    ) -> tuple[Sequence[KVSegment], Collection[int] | None]:
+        """What changed in ``session``'s KV since its last report, as this
+        lane names it to its ledger: ``(upserts, vanished)``, for
+        :meth:`KVLedger.charge_growth_segments`.
+
+        A ``"prefix"`` lane relays the session's lineage changes
+        (:meth:`~repro.core.session.SolveSession.kv_changes`); ``vanished``
+        is None when the session can only report its whole lineage (it was
+        just rebound, or switched models under offloading), which then
+        replaces every claim the ledger holds for it. An ``"off"`` lane
+        sends the one private claim, at the session's current footprint,
+        as the whole list.
+        """
         if self.kv_sharing == "prefix":
-            return session.kv_segments()
+            return session.kv_changes()
         return (
             self.ledger.private_claim(session.session_id, session.resident_kv_bytes),
-        )
+        ), None
 
     def planned_claims(self, problem: "Problem") -> tuple[KVSegment, ...]:
         """The claims a session for ``problem`` would register at setup.

@@ -315,7 +315,10 @@ class SolveSession:
         self._plans: dict[tuple[int, ...], StepPlan] = {}
         self._gen_result = None
         self._first_token_s: float | None = None
-        self._lane_node_ids: dict[tuple[str, int], int] = {}  # see kv_segments
+        self._lane_node_ids: dict[tuple[str, int], int] = {}  # see _name_claims
+        # Whether the caches' change records (``kv_changes``) still
+        # describe what the lane ledger holds for this session.
+        self._claims_synced = True
         # Lineage prefix -> its root->leaf segment-id chain (see _segment_chain).
         self._segment_chains: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -434,16 +437,61 @@ class SolveSession:
         co-resident sessions and bills the bytes once. Under an
         offloading plan only the active model's cache is device-resident,
         exactly as in :attr:`resident_kv_bytes`.
+
+        The definition: a lane learns a running session's claims through
+        :meth:`kv_changes`, and this is what those changes add up to.
+        """
+        claims, _ = self._name_claims(
+            [(tag, cache.resident_segments(), bytes_per_token)
+             for tag, cache, bytes_per_token in self._device_caches()]
+        )
+        return tuple(claims)
+
+    def kv_changes(self) -> tuple[list[KVSegment], list[int] | None]:
+        """What changed in :meth:`kv_segments` since the previous call.
+
+        ``(upserts, vanished)``: the claims that appeared or changed
+        length (parents before children) and the lane node ids that left
+        the device, read from the caches' change records
+        (:meth:`~repro.kvcache.cache.PagedKVCache.take_changes`) — work
+        in what changed, not in what is held. After
+        :meth:`rebind_device` or an offloading plan's model switch the
+        previous report no longer describes the device: ``vanished`` is
+        then None and ``upserts`` all of :meth:`kv_segments`, which
+        replace whatever the lane holds for this session.
+        """
+        caches = self._device_caches()
+        if not self._claims_synced:
+            for _, cache, _ in caches:
+                cache.take_changes()
+            self._claims_synced = True
+            return list(self.kv_segments()), None
+        return self._name_claims(
+            [(tag, cache.take_changes(), bytes_per_token)
+             for tag, cache, bytes_per_token in caches]
+        )
+
+    def _name_claims(self, views) -> tuple[list[KVSegment], list[int]]:
+        """Lane-tree names of cache segments: ``(claims, vanished)``.
+
+        ``views`` holds ``(tag, segment states parents-first, KV bytes per
+        token)`` per cache: a resident state becomes a claim, a swapped
+        one the id of a claim it no longer makes (if it was ever named).
         """
         # A segment's root-ness never changes and the namespace is fixed
         # per server binding, so lane node ids are hashed once per session
         # (the memo dies with it; rebinding clears it) and looked up after.
         namespace, node_ids = self.kv_namespace, self._lane_node_ids
         claims: list[KVSegment] = []
-        for tag, cache, bytes_per_token in self._device_caches():
-            for state in cache.resident_segments():  # parents first
+        vanished: list[int] = []
+        for tag, states, bytes_per_token in views:
+            for state in states:
                 key = (tag, state.node_id)
                 node_id = node_ids.get(key)
+                if not state.resident:
+                    if node_id is not None:
+                        vanished.append(node_id)
+                    continue
                 if node_id is None:
                     node_id = node_ids[key] = _lane_node_id(
                         tag, namespace, state.node_id, state.parent_id is None
@@ -457,7 +505,7 @@ class SolveSession:
                         state.token_len * bytes_per_token,
                     )
                 )
-        return tuple(claims)
+        return claims, vanished
 
     def planned_segments(self) -> tuple[KVSegment, ...]:
         """The claims this session will register at setup (pre-admission).
@@ -516,6 +564,7 @@ class SolveSession:
             )
         self._server = server
         self._lane_node_ids.clear()  # kv_namespace follows the server binding
+        self._claims_synced = False  # the destination holds what migrate gave it
         if server.config.prefix_caching != old.config.prefix_caching:
             self._segment_chains.clear()  # the other id spelling applies now
         if self._gen_worker is not None:
@@ -1056,6 +1105,7 @@ class SolveSession:
             to=model, out_bytes=out_bytes, in_bytes=in_bytes,
         )
         self._active_model = model
+        self._claims_synced = False  # another cache is on the device now
 
     # -- result assembly -----------------------------------------------
 

@@ -32,11 +32,13 @@ nobody.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import attrgetter
+from typing import Container, Iterable
 
 from repro.errors import CapacityError
 from repro.hardware.device import DeviceSpec
-from repro.kvcache.radix import RadixTree
+from repro.kvcache.radix import RadixNode, RadixTree
 from repro.utils.rng import stable_hash64
 
 __all__ = [
@@ -145,6 +147,9 @@ class KVSegment:
             raise ValueError("num_bytes must be non-negative")
 
 
+_NODE_ID = attrgetter("node_id")
+
+
 @dataclass(slots=True)
 class _Segment:
     """Ledger-side state of one claimed lane-tree node.
@@ -156,11 +161,27 @@ class _Segment:
     physical copy covers the longest claim.
     """
 
+    node: RadixNode  # its lane-tree node
     resident: bool = False
-    stamp: int = 0
+    #: The latest tick of owners that dropped their claim: the segment's
+    #: LRU stamp is the maximum of this and its owners' ticks.
+    floor: int = 0
     owners: dict[str, int] = field(default_factory=dict)  # owner -> bytes
     num_bytes: int = 0  # unique device bytes when resident: longest claim
     logical: int = 0  # sum of the owners' claims
+    resident_children: int = 0  # claimed lane-tree children on device
+
+
+@dataclass(slots=True, eq=False)
+class _Owner:
+    """One owner's claims, kept current by the deltas it reports."""
+
+    nodes: set[int] = field(default_factory=set)  # every node it claims
+    swapped: set[int] = field(default_factory=set)  # those swapped out
+    #: Claimed nodes whose lane-tree length is another owner's claim.
+    stale: set[int] = field(default_factory=set)
+    #: When all of its segments were last touched (the LRU clock).
+    tick: int = 0
 
 
 class KVLedger:
@@ -182,6 +203,35 @@ class KVLedger:
       footprint is evicted, restored and billed as a unit
       (``kv_sharing="off"``). The byte-level :meth:`charge_growth` /
       :meth:`admit` are that spelling.
+
+    **Deltas.** An owner reports what *changed* after each round it runs
+    (:meth:`charge_growth_segments`): claims that appeared or changed
+    length, and node ids it no longer claims. Everything else it claimed
+    stands. The report is applied against running totals, so a round
+    costs what changed, not what the owner holds. Re-sending an unchanged
+    claim is a no-op, so a full claim list is a valid delta only if it
+    drops nothing; a report without ``vanished`` says the list is *all*
+    of the owner's claims and drops every other one. A report means "all
+    of this owner's claims are on the device now": whatever of them had
+    been swapped out comes back and is billed.
+
+    **Per-owner ticks.** Every report (and every :meth:`restore` that
+    moves bytes) touches all of the owner's segments, so the ledger
+    advances one tick for the owner instead of stamping each segment. A
+    segment's LRU stamp is the maximum of its owners' ticks and a floor
+    kept from owners that dropped it — exactly the last time any claim on
+    it was touched. Likewise the lane-tree node's length is the claim of
+    whoever reported it last: an owner's report re-asserts its lengths
+    only where a co-owner has since registered another one.
+
+    **The eviction frontier.** Each segment counts its resident claimed
+    children; the leaf frontier (resident, no resident child) sits in a
+    heap of ``(stamp, node)`` entries pushed when a segment joins it —
+    a residency flip, never a growth. Stamps only grow, so an entry is a
+    lower bound of its segment's key: a popped entry is checked, and
+    re-filed if its stamp moved, before its segment is chosen. A storm
+    of V victims costs O(V log segments) (plus the re-filing), not a
+    rescan of every segment per victim.
 
     Invariants the fleet relies on:
 
@@ -217,10 +267,13 @@ class KVLedger:
         self._capacity = int(capacity_bytes)
         self._tree = RadixTree()
         self._segments: dict[int, _Segment] = {}
-        self._owner_segs: dict[str, set[int]] = {}
+        self._owners: dict[str, _Owner] = {}
         self._private: dict[str, int] = {}  # owner -> its private node id
         self._labels: dict[int, str] = {}  # private node id -> owner
         self._tick = 0
+        # The eviction frontier: (stamp lower bound, node), validated when
+        # popped. Entries of segments that left it are dropped then.
+        self._frontier: list[tuple[int, int]] = []
         # Running totals, updated wherever a claim or a residency bit
         # changes (the property tests recompute them from the segments).
         self._resident = 0  # unique resident bytes
@@ -270,21 +323,38 @@ class KVLedger:
 
     @property
     def owners(self) -> list[str]:
-        return sorted(self._owner_segs)
+        return sorted(self._owners)
 
     def resident_of(self, owner: str) -> int:
+        state = self._owners.get(owner)
+        if state is None:
+            return 0
         return sum(
-            seg.owners[owner]
-            for node in self._owner_segs.get(owner, ())
-            if (seg := self._segments[node]).resident
+            self._segments[node].owners[owner]
+            for node in state.nodes
+            if node not in state.swapped
         )
 
     def swapped_of(self, owner: str) -> int:
-        return sum(
-            seg.owners[owner]
-            for node in self._owner_segs.get(owner, ())
-            if not (seg := self._segments[node]).resident
-        )
+        state = self._owners.get(owner)
+        if state is None:
+            return 0
+        return sum(self._segments[node].owners[owner] for node in state.swapped)
+
+    def claims_of(self, owner: str) -> list[KVSegment]:
+        """The claims held for ``owner``, parents first (for tests/debugging).
+
+        Ordered by ``(depth, node id)``; empty for an unknown owner.
+        """
+        state = self._owners.get(owner)
+        if state is None:
+            return []
+        segments = self._segments
+        nodes = sorted(state.nodes, key=lambda n: (segments[n].node.depth, n))
+        return [
+            KVSegment(n, segments[n].node.parent_id, segments[n].owners[owner])
+            for n in nodes
+        ]
 
     def segment_owners(self, node_id: int) -> list[str]:
         """Owners currently claiming a segment (for tests/debugging)."""
@@ -297,10 +367,11 @@ class KVLedger:
         Deterministic: maximal depth, ties broken by ascending node id.
         The prefix-affinity scheduler anchors its successor choice here.
         """
-        nodes = self._owner_segs.get(owner)
-        if not nodes:
+        state = self._owners.get(owner)
+        if state is None or not state.nodes:
             return None
-        return min(nodes, key=lambda n: (-self._tree.get(n).depth, n))
+        segments = self._segments
+        return min(state.nodes, key=lambda n: (-segments[n].node.depth, n))
 
     # -- planned-overlap probes (read-only) ------------------------------
     #
@@ -378,9 +449,84 @@ class KVLedger:
 
     # -- mutation --------------------------------------------------------
 
-    def _drop_claim(self, owner: str, node_id: int) -> None:
-        """Remove one owner's claim; free and prune the segment when orphaned."""
+    def _stamp(self, seg: _Segment) -> int:
+        """A segment's LRU stamp: the last tick any claim on it was touched."""
+        stamp = seg.floor
+        owners = self._owners
+        for owner in seg.owners:
+            tick = owners[owner].tick
+            if tick > stamp:
+                stamp = tick
+        return stamp
+
+    def _push(self, stamp: int, node_id: int) -> None:
+        """File a segment that joined the frontier; ``stamp`` may be low.
+
+        Entries of segments that left the frontier wait to be popped, so
+        the heap is rebuilt from the segments once they outnumber them
+        (filed at their floors: low is allowed).
+        """
+        heap = self._frontier
+        heappush(heap, (stamp, node_id))
+        if len(heap) > 2 * len(self._segments) + 64:
+            heap[:] = [  # in place: an eviction loop may hold the list
+                (seg.floor, node)
+                for node, seg in self._segments.items()
+                if seg.resident and not seg.resident_children
+            ]
+            heapify(heap)
+
+    def _make_resident(self, node_id: int, seg: _Segment, stamp: int) -> None:
+        """Flip a new or swapped-out segment to device-resident, totals too.
+
+        ``stamp`` is a lower bound of the segment's stamp once the caller
+        is done.
+        """
+        seg.resident = True
+        self._resident += seg.num_bytes
+        self._logical += seg.logical
+        owners = self._owners
+        for owner in seg.owners:
+            owners[owner].swapped.discard(node_id)
+        parent = self._segments.get(seg.node.parent_id)  # None for a root
+        if parent is not None:
+            parent.resident_children += 1
+        if not seg.resident_children:
+            self._push(stamp, node_id)
+
+    def _lost_resident_child(self, parent_id: int | None) -> None:
+        """A resident child of ``parent_id`` left the device or the ledger."""
+        parent = self._segments.get(parent_id)  # None for a root
+        if parent is not None:
+            parent.resident_children -= 1
+            if parent.resident and not parent.resident_children:
+                self._push(self._stamp(parent), parent_id)
+
+    def _set_length(
+        self, node_id: int, seg: _Segment, owner: str, num_bytes: int
+    ) -> None:
+        """Make ``owner``'s claim the lane-tree length of ``node_id``.
+
+        Co-owners claiming another length turn stale: their next report
+        re-asserts theirs, as re-registering every claim once did.
+        """
+        seg.node.token_len = num_bytes
+        owners = self._owners
+        for other, claimed in seg.owners.items():
+            if other != owner:
+                if claimed != num_bytes:
+                    owners[other].stale.add(node_id)
+                else:
+                    owners[other].stale.discard(node_id)
+
+    def _drop_claim(self, owner: str, tick: int, node_id: int) -> None:
+        """Remove one owner's claim; free and prune the segment when orphaned.
+
+        ``tick`` is the owner's last touch, which the segment keeps.
+        """
         seg = self._segments[node_id]
+        if tick > seg.floor:
+            seg.floor = tick
         if seg.resident:
             self._resident -= seg.num_bytes
             self._logical -= seg.logical
@@ -395,8 +541,10 @@ class KVLedger:
         # PCIe traffic for discarding dead KV. Drop the entry and prune
         # the node with any now-childless, claim-less ancestors, so the
         # books scale with live sessions, not requests ever served
-        # (claims arrive parent-first: re-registration rebuilds lineage).
+        # (claims arrive parent-first: a later claim rebuilds lineage).
         del self._segments[node_id]
+        if seg.resident:
+            self._lost_resident_child(seg.node.parent_id)
         node: int | None = node_id
         while node is not None and node not in self._segments:
             radix_node = self._tree.get(node)
@@ -405,27 +553,60 @@ class KVLedger:
             self._tree.remove_leaf(node)
             node = radix_node.parent_id
 
-    def _register(
-        self, owner: str, claims: list[KVSegment], new_ids: set[int]
+    def _apply(
+        self,
+        owner: str,
+        state: _Owner,
+        upserts: Iterable[KVSegment],
+        vanished: Iterable[int] | None,
     ) -> int:
-        """Replace ``owner``'s claims with ``claims``, all device-resident.
+        """Bring ``owner``'s claims up to date, all of them device-resident.
 
-        Returns the host bytes of segments that had been swapped out: the
-        host copy holds the pre-growth length, so only those bytes cross
-        PCIe — growth beyond them is decoded on device.
+        Drops ``vanished`` (ids it does not claim are ignored; None means
+        every claim not in ``upserts``), registers ``upserts`` (new or
+        re-sized claims, parents before children) and brings back
+        whatever else it claims that was swapped out. One tick touches
+        every segment it claims, and every node it claims takes its claim
+        as the lane-tree length. Returns the host bytes of segments that
+        had been swapped out: the host copy holds the pre-growth length,
+        so only those bytes cross PCIe — growth beyond them is decoded on
+        device.
         """
         self._tick += 1
-        for node in self._owner_segs.get(owner, set()) - new_ids:
-            self._drop_claim(owner, node)
-        self._owner_segs[owner] = new_ids
+        tick = self._tick
+        segments, nodes = self._segments, state.nodes
+        if vanished is None:  # the upserts are all of its claims
+            upserts = list(upserts)
+            vanished = nodes.difference(map(_NODE_ID, upserts))
+        for node in vanished:
+            if node in nodes:
+                self._drop_claim(owner, state.tick, node)
+                nodes.discard(node)
+                state.swapped.discard(node)
+                state.stale.discard(node)
         from_host = 0
-        for claim in claims:
+        for claim in upserts:
             node, num_bytes = claim.node_id, claim.num_bytes
-            self._tree.ensure_node(node, claim.parent_id, num_bytes)
-            seg = self._segments.get(node)
+            seg = segments.get(node)
             if seg is None:
-                seg = self._segments[node] = _Segment()
-            elif seg.resident:
+                # A claim-less node may survive as an ancestor, at any length.
+                tree_node = self._tree.ensure_node(node, claim.parent_id, num_bytes)
+                seg = segments[node] = _Segment(tree_node)
+                if tree_node.children:
+                    seg.resident_children = sum(
+                        1 for child in tree_node.children
+                        if child in segments and segments[child].resident
+                    )
+            else:
+                tree_node = seg.node
+                if tree_node.parent_id != claim.parent_id:
+                    raise ValueError(
+                        f"node {node} already exists under parent "
+                        f"{tree_node.parent_id}, not {claim.parent_id}"
+                    )
+                if tree_node.token_len != num_bytes:
+                    self._set_length(node, seg, owner, num_bytes)
+            if seg.resident:
                 self._resident -= seg.num_bytes
                 self._logical -= seg.logical
             else:
@@ -435,24 +616,25 @@ class KVLedger:
             seg.num_bytes = (
                 num_bytes if num_bytes >= seg.num_bytes else max(seg.owners.values())
             )
-            seg.resident = True
-            seg.stamp = self._tick
-            self._resident += seg.num_bytes
-            self._logical += seg.logical
+            if seg.resident:
+                self._resident += seg.num_bytes
+                self._logical += seg.logical
+            else:
+                self._make_resident(node, seg, tick)
+            nodes.add(node)
+            state.stale.discard(node)
+        for node in list(state.swapped):  # claimed, not re-sent, on host
+            seg = segments[node]
+            from_host += seg.num_bytes
+            self._make_resident(node, seg, tick)
+        for node in state.stale:  # a co-owner registered another length
+            seg = segments[node]
+            self._set_length(node, seg, owner, seg.owners[owner])
+        state.stale.clear()
+        state.tick = tick
         return from_host
 
-    def _evictable(self, node_id: int, keep: set[int]) -> bool:
-        seg = self._segments[node_id]
-        if not seg.resident or node_id in keep:
-            return False
-        # Leaf-frontier only: a resident child pins its prefix (a KV
-        # suffix without its prefix is useless to attention).
-        return not any(
-            child in self._segments and self._segments[child].resident
-            for child in self._tree.get(node_id).children
-        )
-
-    def _evict_for(self, need: int, keep: set[int]) -> list[tuple[str, int]]:
+    def _evict_for(self, need: int, keep: Container[int]) -> list[tuple[str, int]]:
         """Swap out LRU leaf-frontier segments until ``need`` bytes are free.
 
         Returns ``(label, bytes)`` per eviction so the caller can charge
@@ -460,19 +642,36 @@ class KVLedger:
         remain (only ``keep`` — the running owner's own claims — is left).
         """
         evicted: list[tuple[str, int]] = []
-        while need > 0:
-            candidates = [
-                node for node in self._segments if self._evictable(node, keep)
-            ]
-            if not candidates:
-                break
-            victim = min(candidates, key=lambda n: (self._segments[n].stamp, n))
-            seg = self._segments[victim]
+        if need <= 0:
+            return evicted
+        heap, segments, owners = self._frontier, self._segments, self._owners
+        spared: list[tuple[int, int]] = []
+        while need > 0 and heap:
+            filed, victim = heap[0]
+            seg = segments.get(victim)
+            if seg is None or not seg.resident or seg.resident_children:
+                heappop(heap)  # left the frontier since it was filed
+                continue
+            stamp = seg.floor  # self._stamp(seg), inlined: storms pop a lot
+            for owner in seg.owners:
+                tick = owners[owner].tick
+                if tick > stamp:
+                    stamp = tick
+            if stamp != filed:
+                heapreplace(heap, (stamp, victim))  # touched since: re-file
+                continue
+            heappop(heap)
+            if victim in keep:
+                spared.append((stamp, victim))
+                continue
             seg.resident = False
             self._resident -= seg.num_bytes
             self._logical -= seg.logical
             self.swapped_out_bytes += seg.num_bytes
             need -= seg.num_bytes
+            for owner in seg.owners:
+                owners[owner].swapped.add(victim)
+            self._lost_resident_child(seg.node.parent_id)
             owner = self._labels.get(victim)
             if owner is None:
                 # Even when empty: callers bill the link's fixed latency
@@ -480,6 +679,8 @@ class KVLedger:
                 evicted.append((f"seg:{victim}", seg.num_bytes))
             elif seg.num_bytes:
                 evicted.append((owner, seg.num_bytes))
+        for entry in spared:
+            heappush(heap, entry)
         return evicted
 
     def _note_peaks(self) -> None:
@@ -491,12 +692,20 @@ class KVLedger:
             self.peak_shared_bytes = self._logical - self._resident
 
     def charge_growth_segments(
-        self, owner: str, segments: Iterable[KVSegment]
+        self,
+        owner: str,
+        upserts: Iterable[KVSegment],
+        vanished: Iterable[int] | None = None,
     ) -> tuple[int, list[tuple[str, int]]]:
-        """Replace ``owner``'s claims with its post-round footprint.
+        """Apply ``owner``'s post-round claim delta.
 
-        Called after every round the owner runs (its KV is fully resident
-        while it executes). Returns ``(restored_bytes, evictions)``:
+        ``upserts`` are the claims that appeared or changed length since
+        its last report (parents before children), ``vanished`` the node
+        ids it no longer claims; every other claim stands. Without
+        ``vanished``, ``upserts`` are all of the owner's claims and every
+        other one it held is dropped. Called after every round the owner
+        runs (its KV is fully resident while it executes). Returns
+        ``(restored_bytes, evictions)``:
         ``restored_bytes`` are unique bytes of previously swapped-out
         segments that had to come back over PCIe before the owner could
         run (segments a co-resident owner kept alive cost nothing) — the
@@ -504,20 +713,22 @@ class KVLedger:
         — and the evictions are what the growth displaced, billed to the
         *running* session.
         """
-        claims = list(segments)
-        keep = {claim.node_id for claim in claims}
-        restored = self._register(owner, claims, keep)
+        state = self._owners.get(owner)
+        if state is None:
+            state = self._owners[owner] = _Owner()
+        restored = self._apply(owner, state, upserts, vanished)
         self.swapped_in_bytes += restored
-        evicted = self._evict_for(self._resident - self._capacity, keep)
+        evicted = self._evict_for(self._resident - self._capacity, state.nodes)
         self._note_peaks()
         return restored, evicted
 
     def charge_growth(
         self, owner: str, total_bytes: int
     ) -> tuple[int, list[tuple[str, int]]]:
-        """:meth:`charge_growth_segments` with one private claim."""
+        """:meth:`charge_growth_segments` with one private claim, the
+        owner's only one."""
         return self.charge_growth_segments(
-            owner, [self.private_claim(owner, total_bytes)]
+            owner, (self.private_claim(owner, total_bytes),)
         )
 
     def restore(self, owner: str) -> tuple[int, list[tuple[str, int]]]:
@@ -528,22 +739,24 @@ class KVLedger:
         so run-to-completion schedules pass through without any
         accounting (or cost).
         """
-        nodes = self._owner_segs.get(owner, ())
+        state = self._owners.get(owner)
+        if state is None or not state.swapped:
+            return 0, []
+        segments = self._segments
         restored = 0
-        for node in nodes:
-            seg = self._segments[node]
-            if not seg.resident:
-                seg.resident = True
-                restored += seg.num_bytes
-                self._logical += seg.logical
+        for node in state.swapped:
+            restored += segments[node].num_bytes
+        if restored:
+            self._tick += 1
+            state.tick = self._tick
+        # Zero bytes come back without touching a stamp: file them low.
+        stamp = state.tick if restored else 0
+        for node in list(state.swapped):
+            self._make_resident(node, segments[node], stamp)
         if not restored:
             return 0, []
-        self._tick += 1
-        for node in nodes:
-            self._segments[node].stamp = self._tick
-        self._resident += restored
         self.swapped_in_bytes += restored
-        evicted = self._evict_for(self._resident - self._capacity, nodes)
+        evicted = self._evict_for(self._resident - self._capacity, state.nodes)
         self._note_peaks()
         return restored, evicted
 
@@ -552,16 +765,19 @@ class KVLedger:
     ) -> list[tuple[str, int]]:
         """Place a migrated-in owner's claims (delta-aware); evicts to fit.
 
-        Claims whose segments are already resident here gain a refcount
-        instead of a second copy — only the rest becomes newly resident,
-        and only *that* much room is made. The handoff is transactional:
-        the whole-footprint capacity check raises
-        :class:`~repro.errors.CapacityError` before anything mutates, and
-        room is evicted *before* the first claim registers — an eviction
-        failure mid-handoff leaves every refcount (here and, because the
-        caller releases the source only after this returns, at the
-        source) untouched. No swap counters move for the incoming bytes
-        themselves; migration traffic is the caller's to charge.
+        ``segments`` are all of the owner's claims here: any other it held
+        on this lane are dropped. Claims whose segments are already
+        resident here gain a refcount instead of a second copy — only the
+        rest becomes newly resident, and only *that* much room is made: a
+        claim's bytes beyond the resident copy, or all of a swapped-out
+        segment, which comes back at its longest claim.
+        The handoff is transactional: the whole-footprint capacity check
+        raises :class:`~repro.errors.CapacityError` before anything
+        mutates, and room is evicted *before* the first claim registers —
+        an eviction failure mid-handoff leaves every refcount (here and,
+        because the caller releases the source only after this returns,
+        at the source) untouched. No swap counters move for the incoming
+        bytes themselves; migration traffic is the caller's to charge.
         """
         claims = list(segments)
         total = sum(claim.num_bytes for claim in claims)
@@ -571,13 +787,22 @@ class KVLedger:
                 f"budget is {self._capacity} B"
             )
         keep = {claim.node_id for claim in claims}
-        incoming = sum(
-            max(0, claim.num_bytes - self.resident_segment_bytes(claim.node_id))
-            for claim in claims
-        )
+        incoming = 0
+        for claim in claims:
+            seg = self._segments.get(claim.node_id)
+            if seg is None:
+                incoming += claim.num_bytes
+            elif seg.resident:
+                incoming += max(0, claim.num_bytes - seg.num_bytes)
+            else:  # back whole, at its longest claim once this one lands
+                others = (b for o, b in seg.owners.items() if o != owner)
+                incoming += max(claim.num_bytes, max(others, default=0))
         evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
         # Past this point nothing can fail: register the claims.
-        self._register(owner, claims, keep)
+        state = self._owners.get(owner)
+        if state is None:
+            state = self._owners[owner] = _Owner()
+        self._apply(owner, state, claims, None)
         self._note_peaks()
         return evicted
 
@@ -591,8 +816,11 @@ class KVLedger:
         Returns the unique device bytes freed.
         """
         before = self._resident
-        for node in self._owner_segs.pop(owner, ()):
-            self._drop_claim(owner, node)
+        state = self._owners.get(owner)
+        if state is not None:
+            for node in state.nodes:
+                self._drop_claim(owner, state.tick, node)
+            del self._owners[owner]
         node = self._private.pop(owner, None)
         if node is not None:
             del self._labels[node]
@@ -611,7 +839,7 @@ class KVLedger:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self._capacity = int(capacity_bytes)
-        return self._evict_for(self._resident - self._capacity, set())
+        return self._evict_for(self._resident - self._capacity, ())
 
 
 #: Alias kept only for ``benchmarks/perf`` (``fleetperf/micro.py`` imports

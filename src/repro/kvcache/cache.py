@@ -18,7 +18,9 @@ eviction) starts from one root→leaf walk yielding the chain's states;
 decode-time growth is one routine, called once per decode span for the
 whole batch (:meth:`PagedKVCache.extend_segments`). Running totals
 (resident tokens / segments, evictable blocks) move at the transitions
-and are never re-summed.
+and are never re-summed, and the same transitions record which segments
+changed residency or length (:meth:`PagedKVCache.take_changes`), so a
+session names only its KV's changes to the lane ledger.
 
 Key invariants (property-tested):
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import CapacityError
 from repro.kvcache.block import DEFAULT_BLOCK_TOKENS, BlockPool, blocks_for_tokens
@@ -48,6 +51,8 @@ from repro.kvcache.events import CacheEventKind, CacheStats
 from repro.kvcache.radix import RadixNode, RadixTree
 
 __all__ = ["PagedKVCache", "MaterializeOutcome", "SegmentState"]
+
+_PARENTS_FIRST = attrgetter("depth", "node_id")
 
 
 @dataclass(slots=True)
@@ -98,6 +103,10 @@ class PagedKVCache:
         self._resident_token_count = 0
         self._resident_segment_count = 0
         self._evict_heap: list[tuple[int, int]] = []
+        # Segments whose residency or length changed since the last
+        # ``take_changes()``, by id; None until that is first called, so a
+        # cache nobody mirrors records nothing.
+        self._changed: dict[int, SegmentState] | None = None
         self.stats = CacheStats(trace_capacity=trace_capacity)
 
     # -- introspection -------------------------------------------------
@@ -134,15 +143,34 @@ class PagedKVCache:
     def resident_segments(self) -> list[SegmentState]:
         """Resident segments in parent-before-child (topological) order.
 
-        The shared-prefix KV ledger consumes this to register a session's
-        live lineages against the lane's radix tree; ordering parents
-        first lets the consumer create tree nodes in one pass. Sorted by
-        ``(depth, node_id)`` for determinism.
+        A session's whole lane-ledger claim list derives from this (see
+        :meth:`take_changes` for what changed since the last look);
+        ordering parents first lets the consumer create tree nodes in one
+        pass. Sorted by ``(depth, node_id)`` for determinism.
         """
         return sorted(
             (s for s in self._segments.values() if s.resident),
-            key=lambda s: (s.depth, s.node_id),
+            key=_PARENTS_FIRST,
         )
+
+    def take_changes(self) -> list[SegmentState]:
+        """Segments whose residency or length changed since the last call.
+
+        Each appears once, in its current state, parents before children
+        as in :meth:`resident_segments`; the record then starts over. A
+        consumer that mirrors the resident set — a session naming its KV
+        to the lane ledger — applies this instead of re-reading every
+        resident segment each round. Nothing is recorded before the first
+        call, which returns every resident segment: all a mirror that
+        starts empty needs.
+        """
+        changed = self._changed
+        self._changed = {}
+        if changed is None:
+            return self.resident_segments()
+        if not changed:
+            return []
+        return sorted(changed.values(), key=_PARENTS_FIRST)
 
     def is_resident(self, segment_id: int) -> bool:
         state = self._segments.get(segment_id)
@@ -263,12 +291,15 @@ class PagedKVCache:
         recomputed = 0
         block_tokens = self._pool.block_tokens
         segments = self._segments
+        changed = self._changed
         try:
             for state in to_load:
                 needed = blocks_for_tokens(state.token_len, block_tokens)
                 evicted += self._take_blocks(needed, now)
                 state.blocks_held = needed
                 state.resident = True
+                if changed is not None:
+                    changed[state.node_id] = state
                 state.last_access = stamp
                 self._resident_token_count += state.token_len
                 self._resident_segment_count += 1
@@ -317,6 +348,7 @@ class PagedKVCache:
         if additional_tokens < 0:
             raise ValueError("additional_tokens must be non-negative")
         segments = self._segments
+        changed = self._changed
         block_tokens = self._pool.block_tokens
         grown = 0
         for segment_id in segment_ids:
@@ -339,6 +371,8 @@ class PagedKVCache:
                 )
             self._resident_token_count += additional_tokens
             state.token_len = new_len
+            if changed is not None:
+                changed[segment_id] = state
             self._access_clock += 1
             state.last_access = self._access_clock
             if state.pin_count == 0:
@@ -370,6 +404,8 @@ class PagedKVCache:
         else:
             freed = 0
         state.token_len = new_len
+        if self._changed is not None:
+            self._changed[segment_id] = state
         return freed
 
     def can_fit_path(self, leaf_id: int, extra_tokens: int = 0) -> bool:
@@ -441,7 +477,10 @@ class PagedKVCache:
         return evicted
 
     def reset(self) -> None:
-        """Drop all segments (between problems; nothing is shared across)."""
+        """Drop all segments (between problems; nothing is shared across).
+
+        The change record starts over too, as if never taken.
+        """
         self._pool.free(self._pool.allocated_blocks)  # all held by residents
         self._tree = RadixTree(SegmentState)
         self._segments = {}
@@ -449,6 +488,7 @@ class PagedKVCache:
         self._resident_token_count = 0
         self._resident_segment_count = 0
         self._evict_heap.clear()
+        self._changed = None
 
     # -- eviction internals ----------------------------------------------
 
@@ -460,6 +500,8 @@ class PagedKVCache:
         self._pool.free(state.blocks_held)
         state.blocks_held = 0
         state.resident = False
+        if self._changed is not None:
+            self._changed[state.node_id] = state
         if state.parent_id is not None:
             parent = self._segments[state.parent_id]
             parent.resident_children -= 1

@@ -77,11 +77,10 @@ class RadixTree:
         """Insert the segment, or update its length if already present.
 
         Unlike :meth:`add_node`, a differing ``token_len`` is not an
-        error: callers that track *growing* segments (the shared KV
-        ledger re-registers a lane's resident lineages every round, and
-        an actively decoding tail lengthens between reports) route
-        through here. A differing ``parent_id`` is still structural
-        corruption and raises.
+        error: a lane's KV ledger calls this when a claim first names a
+        node, and the node may survive from earlier claims at another
+        length (as the claim-less ancestor of claimed segments). A
+        differing ``parent_id`` is still structural corruption and raises.
         """
         existing = self._nodes.get(node_id)
         if existing is not None:

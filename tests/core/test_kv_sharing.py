@@ -8,6 +8,8 @@ at identical answers; ``kv_sharing="off"`` stays byte-identical to
 ``TestFifoGoldens`` spells every axis at its default).
 """
 
+import cProfile
+
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
@@ -15,11 +17,14 @@ from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, PooledDevice
 from repro.core.scheduler import FirstFinishScheduler, PrefixAffinityScheduler
 from repro.core.server import TTSServer
-from repro.core.session import planned_kv_segments
+from repro.core.session import SolveSession, planned_kv_segments
 from repro.errors import ConfigError
 from repro.metrics.accuracy import majority_answer
 from repro.search.registry import build_algorithm
+from repro.utils.rng import clear_first_draws
 from repro.workloads.datasets import build_dataset
+from repro.workloads.tenants import TenantSpec, generate_trace
+from repro.workloads.trace import materialize_problems
 
 
 def answer_signature(report):
@@ -435,3 +440,69 @@ class TestConfiguration:
         server = TTSServer(baseline_config(memory_fraction=0.4), dataset)
         with pytest.raises(ConfigError, match="kv_sharing"):
             PooledDevice(index=0, server=server, kv_sharing="dedup")
+
+
+def sharing_drain_calls(requests=8):
+    """Python calls of one small sharing drain: two ``prefix`` lanes,
+    continuous batching, swap, and four ``kv_pressure`` storms that evict."""
+    clear_first_draws()  # measured cold, whatever ran before
+    tenants = [
+        TenantSpec.parse(
+            "hot:arrival=poisson,rate=0.3,n=8,difficulty=hard,deadline=30,"
+            f"requests={requests}"
+        )
+    ]
+    trace = generate_trace(tenants, seed=0, base_dataset="amc23")
+    problems = materialize_problems(trace)
+    fleet = TTSFleet(
+        fasttts_config(memory_fraction=0.4, seed=0),
+        build_dataset(trace.base_dataset, seed=trace.seed),
+        devices=["rtx4090"] * 2,
+        scheduler="prefix_affinity",
+        placement="prefix_affinity",
+        kv_sharing="prefix",
+        batching="continuous",
+        oversubscription="swap",
+        faults=";".join(
+            f"kv_pressure:at={at},lane={lane},fraction=0.05,duration=5"
+            for at, lane in ((5, 0), (10, 1), (15, 0), (20, 1))
+        ),
+    )
+    for request in trace:
+        fleet.submit(
+            problems[request.request_id],
+            build_algorithm(request.algorithm, request.n),
+            arrival_s=request.arrival_s,
+            deadline_s=request.deadline_s,
+        )
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    report = fleet.drain()
+    profiler.disable()
+    assert len(report.records) == requests
+    assert all(lane.ledger.swapped_out_bytes for lane in fleet.pool)  # storms hit
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+class TestLedgerWorksOnWhatChanged:
+    """Sessions report claim deltas; the ledger evicts from a frontier."""
+
+    #: ``sharing_drain_calls()`` while every round rebuilt and re-registered
+    #: each session's claims and each victim rescanned every segment.
+    CALLS_BEFORE = 364_750
+
+    def test_sharing_drain_calls_stay_derived_from_changes(self):
+        # 195 867 measured: the claims that changed, not those held.
+        assert sharing_drain_calls() <= 0.8 * self.CALLS_BEFORE
+
+    def test_no_whole_claim_rebuild_in_a_drain_without_migration(self, monkeypatch):
+        calls = []
+        real = SolveSession.kv_segments
+
+        def counted(session):
+            calls.append(session.session_id)
+            return real(session)
+
+        monkeypatch.setattr(SolveSession, "kv_segments", counted)
+        sharing_drain_calls()
+        assert calls == []

@@ -599,9 +599,9 @@ class TestMigration:
             handle.session.step()
         handle.binding.sync(src.clock)
         session = handle.session
-        dst.ledger.charge_growth_segments(peer.session_id, dst.session_claims(peer))
+        dst.ledger.charge_growth_segments(peer.session_id, *dst.session_claims(peer))
         src.ledger.charge_growth_segments(
-            session.session_id, src.session_claims(session)
+            session.session_id, *src.session_claims(session)
         )
         moved = session.resident_kv_bytes
         before = dst.ledger.resident_bytes

@@ -15,16 +15,29 @@ claims, with or without a cross-owner root):
 
 Driven by private claims alone, the ledger must behave exactly like the
 whole-session ledger it replaced; ``WholeSessionModel`` below keeps that
-implementation alive as the differential reference.
+implementation alive as the differential reference. Driven by claim
+*deltas*, it must behave exactly like the full-replace ledger that
+re-registered every claim each round; ``FullReplaceLedger`` keeps that
+one, and the eviction frontier is checked against a brute-force scan.
 """
+
+import cProfile
+from dataclasses import dataclass, field
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.core.pool import delta_transfer_bytes
+from repro.core.config import OffloadMode, baseline_config, fasttts_config
+from repro.core.pool import DevicePool, PooledDevice, delta_transfer_bytes
+from repro.core.scheduler import SessionHandle
+from repro.engine.clock import ClockBinding
 from repro.errors import CapacityError
 from repro.hardware.memory import KVLedger, KVSegment
+from repro.kvcache.radix import RadixTree
+from repro.search.registry import build_algorithm
+from repro.utils.rng import stable_hash64
+from repro.workloads.datasets import build_dataset
 
 CAPACITY = 100
 OWNERS = ("a", "b", "c")
@@ -253,10 +266,14 @@ class TestPrivateClaimsMatchTheWholeSessionLedger:
     def test_admit_over_capacity_raises_before_anything_moves(self):
         ledger = KVLedger(CAPACITY)
         ledger.charge_growth("a", 60)
-        before = (ledger._tick, dict(ledger._owner_segs), ledger.resident_bytes)
+        def books():
+            claims = {o: ledger.claims_of(o) for o in ledger.owners}
+            return ledger._tick, claims, ledger.resident_bytes
+
+        before = books()
         with pytest.raises(CapacityError):
             ledger.admit("b", CAPACITY + 1)
-        assert (ledger._tick, ledger._owner_segs, ledger.resident_bytes) == before
+        assert books() == before
         assert ledger.swapped_out_bytes == 0 and "b" not in ledger.owners
 
     def test_zero_byte_residents_are_never_reported_evicted(self):
@@ -324,6 +341,9 @@ class TestDeltaMigrationConservation:
         ops,
         st.integers(0, 3),
     )
+    # The shared root is swapped out with a 30 B host copy when the
+    # migrant claims 1 B of it: all 30 B come back, and need room.
+    @example([1], [("grow_segs", 0, [30]), ("grow", 1, 71)], 0)
     @settings(max_examples=100, deadline=None)
     def test_read_in_is_footprint_minus_destination_overlap(
         self, sizes, dst_ops, peer_depth
@@ -416,3 +436,612 @@ class TestDeltaMigrationConservation:
         assert "budget" in str(excinfo.value)
         assert "mig" not in destination.owners
         assert destination.resident_of("resident") == 10
+
+
+@dataclass(slots=True)
+class _RefSegment:
+    resident: bool = False
+    stamp: int = 0
+    owners: dict = field(default_factory=dict)
+    num_bytes: int = 0
+    logical: int = 0
+
+
+class FullReplaceLedger:
+    """The ledger before claim deltas, as the reference.
+
+    Every report re-registers all of the owner's claims and stamps each
+    segment; eviction rescans every segment for each victim. ``_register``,
+    ``_evictable``, ``_evict_for`` and ``charge_growth_segments`` are the
+    replaced code verbatim; the rest is what they need around them, with
+    admission making room for a swapped-out segment's whole host copy.
+    """
+
+    def __init__(self, capacity):
+        self._capacity = capacity
+        self._tree = RadixTree()
+        self._segments, self._owner_segs, self._labels = {}, {}, {}
+        self._tick = self._resident = self._logical = 0
+        self.swapped_out_bytes = self.swapped_in_bytes = 0
+        self.peak_resident_bytes = self.peak_logical_bytes = 0
+        self.peak_shared_bytes = 0
+
+    def private_claim(self, owner, num_bytes):
+        node = stable_hash64("kv-private", owner)
+        self._labels[node] = owner
+        return KVSegment(node, None, num_bytes)
+
+    def resident_segment_bytes(self, node_id):
+        seg = self._segments.get(node_id)
+        return seg.num_bytes if seg is not None and seg.resident else 0
+
+    def _drop_claim(self, owner, node_id):
+        seg = self._segments[node_id]
+        if seg.resident:
+            self._resident -= seg.num_bytes
+            self._logical -= seg.logical
+        seg.logical -= seg.owners.pop(owner)
+        if seg.owners:
+            seg.num_bytes = max(seg.owners.values())
+            if seg.resident:
+                self._resident += seg.num_bytes
+                self._logical += seg.logical
+            return
+        del self._segments[node_id]
+        node = node_id
+        while node is not None and node not in self._segments:
+            radix_node = self._tree.get(node)
+            if radix_node.children:
+                break
+            self._tree.remove_leaf(node)
+            node = radix_node.parent_id
+
+    def _register(self, owner, claims, new_ids):
+        self._tick += 1
+        for node in self._owner_segs.get(owner, set()) - new_ids:
+            self._drop_claim(owner, node)
+        self._owner_segs[owner] = new_ids
+        from_host = 0
+        for claim in claims:
+            node, num_bytes = claim.node_id, claim.num_bytes
+            self._tree.ensure_node(node, claim.parent_id, num_bytes)
+            seg = self._segments.get(node)
+            if seg is None:
+                seg = self._segments[node] = _RefSegment()
+            elif seg.resident:
+                self._resident -= seg.num_bytes
+                self._logical -= seg.logical
+            else:
+                from_host += seg.num_bytes
+            seg.logical += num_bytes - seg.owners.get(owner, 0)
+            seg.owners[owner] = num_bytes
+            seg.num_bytes = (
+                num_bytes if num_bytes >= seg.num_bytes else max(seg.owners.values())
+            )
+            seg.resident = True
+            seg.stamp = self._tick
+            self._resident += seg.num_bytes
+            self._logical += seg.logical
+        return from_host
+
+    def _evictable(self, node_id, keep):
+        seg = self._segments[node_id]
+        if not seg.resident or node_id in keep:
+            return False
+        return not any(
+            child in self._segments and self._segments[child].resident
+            for child in self._tree.get(node_id).children
+        )
+
+    def _evict_for(self, need, keep):
+        evicted = []
+        while need > 0:
+            candidates = [
+                node for node in self._segments if self._evictable(node, keep)
+            ]
+            if not candidates:
+                break
+            victim = min(candidates, key=lambda n: (self._segments[n].stamp, n))
+            seg = self._segments[victim]
+            seg.resident = False
+            self._resident -= seg.num_bytes
+            self._logical -= seg.logical
+            self.swapped_out_bytes += seg.num_bytes
+            need -= seg.num_bytes
+            owner = self._labels.get(victim)
+            if owner is None:
+                evicted.append((f"seg:{victim}", seg.num_bytes))
+            elif seg.num_bytes:
+                evicted.append((owner, seg.num_bytes))
+        return evicted
+
+    def _note_peaks(self):
+        self.peak_resident_bytes = max(self.peak_resident_bytes, self._resident)
+        self.peak_logical_bytes = max(self.peak_logical_bytes, self._logical)
+        self.peak_shared_bytes = max(
+            self.peak_shared_bytes, self._logical - self._resident
+        )
+
+    def charge_growth_segments(self, owner, segments):
+        claims = list(segments)
+        keep = {claim.node_id for claim in claims}
+        restored = self._register(owner, claims, keep)
+        self.swapped_in_bytes += restored
+        evicted = self._evict_for(self._resident - self._capacity, keep)
+        self._note_peaks()
+        return restored, evicted
+
+    def restore(self, owner):
+        nodes = self._owner_segs.get(owner, ())
+        restored = 0
+        for node in nodes:
+            seg = self._segments[node]
+            if not seg.resident:
+                seg.resident = True
+                restored += seg.num_bytes
+                self._logical += seg.logical
+        if not restored:
+            return 0, []
+        self._tick += 1
+        for node in nodes:
+            self._segments[node].stamp = self._tick
+        self._resident += restored
+        self.swapped_in_bytes += restored
+        evicted = self._evict_for(self._resident - self._capacity, nodes)
+        self._note_peaks()
+        return restored, evicted
+
+    def admit_segments(self, owner, segments):
+        claims = list(segments)
+        total = sum(claim.num_bytes for claim in claims)
+        if total > self._capacity:
+            raise CapacityError("over budget")
+        keep = {claim.node_id for claim in claims}
+        incoming = 0
+        for claim in claims:
+            seg = self._segments.get(claim.node_id)
+            if seg is not None and seg.resident:
+                incoming += max(0, claim.num_bytes - seg.num_bytes)
+            else:  # a swapped-out segment comes back at its longest claim
+                others = seg.owners if seg is not None else {}
+                incoming += max(
+                    [claim.num_bytes] + [b for o, b in others.items() if o != owner]
+                )
+        evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
+        self._register(owner, claims, keep)
+        self._note_peaks()
+        return evicted
+
+    def release(self, owner):
+        before = self._resident
+        for node in self._owner_segs.pop(owner, ()):
+            self._drop_claim(owner, node)
+        return before - self._resident
+
+    def resize(self, capacity):
+        self._capacity = capacity
+        return self._evict_for(self._resident - self._capacity, set())
+
+    # -- what the differential test compares --------------------------------
+
+    def claims(self, owner):
+        return {
+            node: self._segments[node].owners[owner]
+            for node in self._owner_segs.get(owner, ())
+        }
+
+    def stamps(self):
+        return {node: seg.stamp for node, seg in self._segments.items()}
+
+
+# A small lane forest: node -> parent. Claims are ancestor-closed subsets.
+FOREST = {1: None, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: None, 8: 7, 9: 8}
+DEPTH = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 0, 8: 1, 9: 2}
+DELTA_OWNERS = ("a", "b", "c", "d")
+# How a report is spelled: only what changed; every claim re-sent with
+# what vanished (plus an id never claimed); every claim, no ``vanished``.
+REPORT_SPELLINGS = ("delta", "resend", "whole")
+
+# Few distinct lengths, so co-owners both agree and disagree on a node,
+# and re-reported claims are often unchanged.
+claim_sets = st.dictionaries(
+    st.sampled_from(sorted(FOREST)), st.sampled_from([0, 10, 20, 30]), max_size=6
+)
+delta_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("report"), st.sampled_from(DELTA_OWNERS), claim_sets,
+            st.sampled_from(REPORT_SPELLINGS),
+        ),
+        st.tuples(
+            st.just("private"), st.sampled_from(DELTA_OWNERS),
+            st.integers(0, 60), st.booleans(),
+        ),
+        st.tuples(st.just("restore"), st.sampled_from(DELTA_OWNERS), st.none(), st.none()),
+        st.tuples(st.just("admit"), st.sampled_from(DELTA_OWNERS), claim_sets, st.none()),
+        st.tuples(st.just("release"), st.sampled_from(DELTA_OWNERS), st.none(), st.none()),
+        st.tuples(st.just("resize"), st.none(), st.integers(1, 130), st.none()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def forest_claims(sizes):
+    """An ancestor-closed claim list, parents first; a missing ancestor
+    claims its first descendant's length."""
+    sizes = dict(sizes)
+    for node in sorted(sizes, key=DEPTH.get, reverse=True):
+        parent = FOREST[node]
+        while parent is not None and parent not in sizes:
+            sizes[parent] = sizes[node]
+            parent = FOREST[parent]
+    return [
+        KVSegment(node, FOREST[node], sizes[node])
+        for node in sorted(sizes, key=lambda n: (DEPTH[n], n))
+    ]
+
+
+def assert_same_books(ledger, ref):
+    assert ledger.owners == sorted(ref._owner_segs)
+    for owner in ledger.owners:
+        held = {c.node_id: c.num_bytes for c in ledger.claims_of(owner)}
+        assert held == ref.claims(owner), owner
+        assert ledger.resident_of(owner) == sum(
+            b for n, b in held.items() if ref._segments[n].resident
+        )
+        assert ledger.swapped_of(owner) == sum(
+            b for n, b in held.items() if not ref._segments[n].resident
+        )
+    assert ledger.resident_bytes == ref._resident
+    assert ledger.logical_resident_bytes == ref._logical
+    for name in (
+        "swapped_out_bytes", "swapped_in_bytes", "peak_resident_bytes",
+        "peak_logical_bytes", "peak_shared_bytes",
+    ):
+        assert getattr(ledger, name) == getattr(ref, name), name
+    # Residency, LRU stamps (per-owner ticks and floors vs explicit
+    # stamps) and every lane-tree node's parent and length.
+    assert {n: s.resident for n, s in ledger._segments.items()} == {
+        n: s.resident for n, s in ref._segments.items()
+    }
+    assert {
+        n: ledger._stamp(s) for n, s in ledger._segments.items()
+    } == ref.stamps()
+    assert {
+        n: (node.parent_id, node.token_len) for n, node in ledger.tree._nodes.items()
+    } == {
+        n: (node.parent_id, node.token_len) for n, node in ref._tree._nodes.items()
+    }
+
+
+def run_delta_op(ledger, ref, held, op):
+    """Apply one op to both ledgers: ``(got, want)``, or None when both
+    refused it. ``held`` maps owner -> node ids the ledgers hold for it;
+    the delta ledger hears changes, the reference whole claim lists."""
+    kind, owner, payload, flag = op
+    if kind == "report":
+        claims = forest_claims(payload)
+        before = ref.claims(owner)
+        new = {c.node_id for c in claims}
+        vanished = held.get(owner, set()) - new
+        held[owner] = new
+        if flag == "whole":
+            got = ledger.charge_growth_segments(owner, claims)
+        elif flag == "resend":
+            vanished |= {99}  # ids it never claimed are ignored
+            got = ledger.charge_growth_segments(owner, claims, sorted(vanished))
+        else:
+            upserts = [c for c in claims if before.get(c.node_id) != c.num_bytes]
+            got = ledger.charge_growth_segments(owner, upserts, sorted(vanished))
+        return got, ref.charge_growth_segments(owner, claims)
+    if kind == "private":
+        claim = ledger.private_claim(owner, payload)
+        ref.private_claim(owner, payload)
+        if flag:  # the byte-level spelling: the whole list
+            got = ledger.charge_growth(owner, payload)
+        else:
+            vanished = held.get(owner, set()) - {claim.node_id}
+            got = ledger.charge_growth_segments(owner, [claim], sorted(vanished))
+        held[owner] = {claim.node_id}
+        return got, ref.charge_growth_segments(owner, [claim])
+    if kind == "admit":
+        claims = forest_claims(payload)
+        try:
+            want = ref.admit_segments(owner, claims)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                ledger.admit_segments(owner, claims)
+            return None
+        held[owner] = {c.node_id for c in claims}
+        return ledger.admit_segments(owner, claims), want
+    if kind == "restore":
+        return ledger.restore(owner), ref.restore(owner)
+    if kind == "release":
+        held.pop(owner, None)
+        return ledger.release(owner), ref.release(owner)
+    return ledger.resize(payload), ref.resize(payload)
+
+
+class TestDeltaMatchesFullReplace:
+    """Claim deltas against the full-replace ledger, op by op.
+
+    Histories mix co-owners that disagree on a node's length, owners that
+    leave, owners switching between lineage and private claims, resize
+    storms, restores and migrations in (``admit_segments``).
+    """
+
+    @given(delta_ops)
+    @example([  # b re-sizes a shared node; a re-asserts its length unsent
+        ("report", "a", {2: 10}, "delta"),
+        ("report", "b", {2: 20}, "delta"),
+        ("report", "a", {2: 10}, "delta"),
+    ])
+    @settings(max_examples=400, deadline=None)
+    def test_same_returns_books_stamps_and_tree(self, op_list):
+        ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
+        held: dict[str, set[int]] = {}
+        for op in op_list:
+            result = run_delta_op(ledger, ref, held, op)
+            if result is not None:
+                got, want = result
+                assert got == want, op
+            assert_same_books(ledger, ref)
+
+
+def brute_force_storm(ledger, capacity):
+    """What ``resize(capacity)`` must report: victim after victim, the
+    least ``(stamp, node)`` resident segment with no resident claimed
+    child — the predicate eviction rescanned every segment for."""
+    segments = ledger._segments
+    resident = {node for node, seg in segments.items() if seg.resident}
+    need = ledger.resident_bytes - capacity
+    report = []
+    while need > 0:
+        frontier = [
+            node for node in resident
+            if not any(child in resident for child in ledger.tree.get(node).children)
+        ]
+        if not frontier:
+            break
+        victim = min(frontier, key=lambda n: (ledger._stamp(segments[n]), n))
+        resident.remove(victim)
+        num_bytes = segments[victim].num_bytes
+        need -= num_bytes
+        owner = ledger._labels.get(victim)
+        if owner is None:
+            report.append((f"seg:{victim}", num_bytes))
+        elif num_bytes:
+            report.append((owner, num_bytes))
+    return report
+
+
+class TestEvictionFrontier:
+    @given(delta_ops, st.integers(1, 130))
+    @settings(max_examples=300, deadline=None)
+    def test_victims_are_the_brute_force_lru_leaf_frontier(self, op_list, capacity):
+        ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
+        held: dict[str, set[int]] = {}
+        for op in op_list:
+            run_delta_op(ledger, ref, held, op)
+        expected = brute_force_storm(ledger, capacity)
+        assert ledger.resize(capacity) == expected
+
+    def test_zero_byte_restore_keeps_its_stamp(self):
+        """Zero bytes come back without a tick, so the segment stays as
+        old as it was: the next storm takes it before younger ones."""
+        ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
+        for book in (ledger, ref):
+            book.charge_growth_segments("a", [KVSegment(25, None, 0)])
+            book.charge_growth_segments("b", [KVSegment(20, None, 50)])
+            assert book.resize(10) == [("seg:25", 0), ("seg:20", 50)]
+            book.resize(CAPACITY)
+            book.charge_growth_segments("x", [KVSegment(40, None, 10)])
+            assert book.restore("a") == (0, [])
+            assert book.resize(5) == [("seg:25", 0), ("seg:40", 10)]
+        assert_same_books(ledger, ref)
+
+    def test_reclaimed_ancestor_counts_its_resident_children(self):
+        """A node left claim-less under a resident child, then claimed
+        again, is no frontier segment: its child leaves first."""
+        ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
+        root, child = KVSegment(1, None, 10), KVSegment(2, 1, 10)
+        for book in (ledger, ref):
+            book.charge_growth_segments("a", [root, child])
+            book.charge_growth_segments("b", [root])
+        # a lets the root go but keeps its child (a report no session
+        # makes, but one the ledger takes) and b leaves: the root stays
+        # in the tree, claim-less, as the child's ancestor.
+        ledger.charge_growth_segments("a", [], [1])
+        ref.charge_growth_segments("a", [child])
+        ledger.release("b")
+        ref.release("b")
+        assert 1 in ledger.tree and 1 not in ledger._segments
+        for book in (ledger, ref):
+            book.charge_growth_segments("d", [KVSegment(1, None, 5)])
+        ledger.charge_growth_segments("a", [], ())  # the child is now newer
+        ref.charge_growth_segments("a", [child])
+        assert ledger.resize(1) == ref.resize(1) == [("seg:2", 10), ("seg:1", 5)]
+        assert_same_books(ledger, ref)
+
+    def test_frontier_rebuild_keeps_every_candidate(self):
+        """Churn leaves dead entries behind; the heap is rebuilt from the
+        segments (at their floors) and still finds every victim."""
+        ledger = KVLedger(1 << 20)
+        ledger.charge_growth_segments(
+            "kept", [KVSegment(1, None, 10), KVSegment(2, 1, 10)]
+        )
+        gone: list[int] = []
+        for node in range(100, 400):  # one new leaf per report, the last dropped
+            ledger.charge_growth_segments("churn", [KVSegment(node, None, 1)], gone)
+            gone = [node]
+        assert len(ledger._frontier) < 300  # rebuilt along the way
+        expected = brute_force_storm(ledger, 1)
+        assert [label for label, _ in expected] == ["seg:2", "seg:1"]
+        assert ledger.resize(1) == expected
+
+    def test_storm_costs_python_calls_linear_in_victims(self):
+        """Evicting V of 2 000 resident segments costs O(V) Python calls —
+        not a rescan of every segment per victim."""
+        ledger = KVLedger(1 << 40)
+        chains = []
+        for owner in range(200):
+            claims, parent = [], None
+            for depth in range(10):
+                node = owner * 100 + depth
+                claims.append(KVSegment(node, parent, 100))
+                parent = node
+            chains.append(claims)
+            ledger.charge_growth_segments(f"s{owner}", claims)
+        for owner, claims in enumerate(chains):  # re-sent whole: a tick
+            ledger.charge_growth_segments(f"s{owner}", claims)  # each
+        assert len(ledger._segments) == 2000
+        profiler = cProfile.Profile(subcalls=False, builtins=False)
+        profiler.enable()
+        evicted = ledger.resize(ledger.resident_bytes // 2)
+        profiler.disable()
+        victims = len(evicted)
+        assert victims == 1000
+        assert evicted[:10] == [(f"seg:{9 - d}", 100) for d in range(10)]  # s0 first
+        calls = sum(entry.callcount for entry in profiler.getstats())
+        assert calls <= 4 * victims
+
+
+def _session_pool(offload: bool, sharing=("prefix", "prefix"), config=fasttts_config):
+    dataset = build_dataset("amc23", seed=0, size=1)
+    config = config(
+        memory_fraction=0.9, seed=0,
+        offload=OffloadMode.FORCE if offload else OffloadMode.OFF,
+    )
+    reference = DevicePool.build(config, dataset, ["rtx4090", "rtx4090"])
+    pool = DevicePool([
+        PooledDevice(index=i, server=lane.server, kv_sharing=policy)
+        for i, (lane, policy) in enumerate(zip(reference, sharing))
+    ])
+    return pool, list(dataset)[0]
+
+
+def _handle(lane, session, seq):
+    handle = SessionHandle(
+        request_id=f"req-{seq}", arrival_s=0.0, seq=seq, replica=0,
+        session=session, binding=ClockBinding(session.clock), device=lane,
+    )
+    handle.binding.rebind(lane.clock)
+    return handle
+
+
+class TestSessionDeltas:
+    """What sessions report round by round adds up to ``kv_segments()``.
+
+    Three sessions of one problem (two canonical, so they share step
+    segments, and one forked replica) step in a drawn order on a prefix
+    lane, under resize storms, optionally offloading (a model switch every
+    round) and with one migration (``rebind_device``). At n=16 the
+    verifier's own cache evicts mid-solve; the baseline config has no
+    prefix caching, so its caches drop their KV every round. After every
+    round the ledger must hold exactly the session's ``kv_segments()``,
+    and agree op for op with a full-replace ledger fed those claims whole.
+    """
+
+    @given(
+        st.lists(st.integers(0, 2), min_size=1, max_size=45),
+        st.dictionaries(st.integers(0, 44), st.floats(0.2, 1.5), max_size=6),
+        st.one_of(st.none(), st.integers(0, 44)),
+        st.booleans(),
+        st.sampled_from([fasttts_config, baseline_config]),
+        st.sampled_from([4, 16]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ledger_holds_kv_segments_after_every_round(
+        self, order, storms, migrate_at, offload, config, n
+    ):
+        pool, problem = _session_pool(offload, config=config)
+        lane = pool[0]
+        refs = [FullReplaceLedger(l.ledger.capacity_bytes) for l in pool]
+        algorithm = build_algorithm("beam_search", n)
+        server = lane.server
+        sessions = [
+            server.session(problem, algorithm, session_id="s0"),
+            server.session(problem, algorithm, session_id="s1"),
+            server.session(
+                problem, algorithm, session_id="s2", rng=server.rng.fork("replica", 1)
+            ),
+        ]
+        handles = [_handle(lane, s, i) for i, s in enumerate(sessions)]
+        for turn, pick in enumerate(order):
+            handle = handles[pick]
+            session, where = handle.session, handle.device
+            ledger, ref = where.ledger, refs[where.index]
+            if not session.state.live:
+                continue
+            assert ledger.restore(session.session_id) == ref.restore(session.session_id)
+            session.step()
+            if session.state.live:
+                got = ledger.charge_growth_segments(
+                    session.session_id, *where.session_claims(session)
+                )
+                want = ref.charge_growth_segments(
+                    session.session_id, session.kv_segments()
+                )
+                assert got == want
+                assert set(ledger.claims_of(session.session_id)) == set(
+                    session.kv_segments()
+                )
+            else:
+                assert ledger.release(session.session_id) == ref.release(
+                    session.session_id
+                )
+            if turn in storms:
+                capacity = max(1, int(ledger.resident_bytes * storms[turn]))
+                assert ledger.resize(capacity) == ref.resize(capacity)
+            if turn == migrate_at and session.state.live and session.kv_segments():
+                claims = session.kv_segments()
+                destination = pool[1 - where.index]
+                refs[destination.index].admit_segments(session.session_id, claims)
+                ref.release(session.session_id)
+                pool.migrate(handle, destination)
+            for real, model in zip(pool, refs):
+                assert_same_books(real.ledger, model)
+
+    @pytest.mark.parametrize("offload", [False, True])
+    def test_a_solve_adds_up_to_kv_segments(self, offload):
+        """An n=16 solve alone: without offloading its verifier cache
+        evicts mid-solve; with it the device holds one model's cache at a
+        time. Every round's report still adds up to ``kv_segments()``."""
+        pool, problem = _session_pool(offload)
+        lane, ref = pool[0], FullReplaceLedger(pool[0].ledger.capacity_bytes)
+        session = lane.server.session(
+            problem, build_algorithm("beam_search", 16), session_id="s0"
+        )
+        while True:
+            session.step()
+            if not session.state.live:
+                break
+            got = lane.ledger.charge_growth_segments(
+                "s0", *lane.session_claims(session)
+            )
+            assert got == ref.charge_growth_segments("s0", session.kv_segments())
+            assert set(lane.ledger.claims_of("s0")) == set(session.kv_segments())
+            assert_same_books(lane.ledger, ref)
+        assert session.outcome.plan.offload == offload
+        assert offload or session.outcome.result.ver_evicted_segments > 0
+
+    def test_off_to_prefix_migration_drops_the_private_claim(self):
+        """A session shipped by private claim onto a prefix lane names its
+        lineage at its next report; the private claim vanishes with it."""
+        pool, problem = _session_pool(offload=False, sharing=("off", "prefix"))
+        src, dst = pool[0], pool[1]
+        handle = _handle(src, src.server.session(
+            problem, build_algorithm("beam_search", 4), session_id="s0"
+        ), 0)
+        session = handle.session
+        for _ in range(3):
+            session.step()
+            src.ledger.charge_growth_segments("s0", *src.session_claims(session))
+        pool.migrate(handle, dst)
+        private = dst.ledger.private_claim("s0", 0).node_id
+        assert [c.node_id for c in dst.ledger.claims_of("s0")] == [private]
+        session.step()
+        dst.ledger.charge_growth_segments("s0", *dst.session_claims(session))
+        assert set(dst.ledger.claims_of("s0")) == set(session.kv_segments())
+        assert private not in dst.ledger.tree
