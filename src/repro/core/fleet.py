@@ -578,10 +578,6 @@ class TTSFleet:
         # ledger bookkeeping and deny-mode admission.
         self._kv_verdicts: dict[tuple[int, int], str | None] = {}
         self._kv_claims: dict[tuple[int, int], int] = {}
-        # Planned prompt-root segments per (lane, problem): what a session
-        # for that problem would register at admission, used by dedup-aware
-        # billing and the prefix_affinity placement counters.
-        self._planned_memo: dict[tuple[int, str], tuple] = {}
 
     # -- submission ------------------------------------------------------
 
@@ -668,13 +664,6 @@ class TTSFleet:
                 self._kv_claims[key] = plan.kv_total_bytes
         return self._kv_verdicts[key]
 
-    def _planned_claims(self, lane: PooledDevice, problem: Problem) -> tuple:
-        """:meth:`PooledDevice.planned_claims`, memoised per (lane, problem)."""
-        key = (lane.index, problem.problem_id)
-        if key not in self._planned_memo:
-            self._planned_memo[key] = lane.planned_claims(problem)
-        return self._planned_memo[key]
-
     def _billable_claim(self, lane: PooledDevice, request: FleetRequest) -> int:
         """The planned-KV bytes ``lane`` actually charges for ``request``.
 
@@ -685,9 +674,7 @@ class TTSFleet:
         against, so the full claim is billed.
         """
         claim = self._kv_claims[(lane.index, request.algorithm.n)]
-        overlap = lane.prefix_overlap_bytes(
-            self._planned_claims(lane, request.problem)
-        )
+        overlap = lane.prefix_overlap_bytes(lane.planned_claims(request.problem))
         return max(0, claim - overlap)
 
     def _admission(
@@ -1151,9 +1138,7 @@ class _FleetRun:
         # Affinity accounting happens before any claim registration so
         # a request's own planned segments never count as a "hit".
         device.placements += 1
-        if device.prefix_affinity_bytes(
-            fleet._planned_claims(device, request.problem)
-        ) > 0:
+        if device.prefix_affinity_bytes(device.planned_claims(request.problem)) > 0:
             device.affinity_hits += 1
         for handle in handles:
             lane = handle.device
@@ -1165,7 +1150,7 @@ class _FleetRun:
             st.claim_lanes.append(lane)
             st.claim_bytes[lane.index] = billed
             self.claimed[lane.index][seq] = st
-            segs = fleet._planned_claims(lane, request.problem)
+            segs = lane.planned_claims(request.problem)
             if segs:
                 lane.note_planned_segments(segs)
                 st.claim_segs[lane.index] = segs
@@ -1383,7 +1368,6 @@ class _FleetRun:
         self.finish_times.append(lane.clock.now)
         self.release_claims(st)
         self._forget(st)
-        lane.requests_served += 1
 
     def drop(self, st: _RequestState) -> None:
         """Shed a still-queued request whose deadline expired.

@@ -68,9 +68,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
+from repro.core import claims as lane_claims
 from repro.core.config import check_axis
 from repro.core.server import TTSServer
-from repro.core.session import planned_kv_segments
 from repro.engine.clock import SimClock
 from repro.errors import ConfigError, FaultError, SchedulingError
 from repro.hardware.memory import KVLedger, KVSegment
@@ -152,8 +152,11 @@ class PooledDevice:
     #: place/release paths; empty on lanes that plan no claims
     #: (``kv_sharing="off"``).
     planned_segments: dict[int, list[int]] = field(default_factory=dict)
+    #: :meth:`planned_claims` by problem id.
+    _planned: dict[str, tuple[KVSegment, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # -- rollup counters ---------------------------------------------------
-    requests_served: int = 0
     migrations_in: int = 0
     migrations_out: int = 0
     kv_swap_s: float = 0.0
@@ -253,15 +256,15 @@ class PooledDevice:
         :meth:`KVLedger.charge_growth_segments`.
 
         A ``"prefix"`` lane relays the session's lineage changes
-        (:meth:`~repro.core.session.SolveSession.kv_changes`); ``vanished``
-        is None when the session can only report its whole lineage (it was
+        (:meth:`~repro.core.claims.ClaimNames.changes`); ``vanished`` is
+        None when the session can only report its whole lineage (it was
         just rebound, or switched models under offloading), which then
         replaces every claim the ledger holds for it. An ``"off"`` lane
         sends the one private claim, at the session's current footprint,
         as the whole list.
         """
         if self.kv_sharing == "prefix":
-            return session.kv_changes()
+            return session.claim_names.changes(session)
         return (
             self.ledger.private_claim(session.session_id, session.resident_kv_bytes),
         ), None
@@ -270,13 +273,19 @@ class PooledDevice:
         """The claims a session for ``problem`` would register at setup.
 
         The prompt roots on a ``"prefix"`` lane — computable before any
-        session exists, so admission and placement can probe with them.
-        None on an ``"off"`` lane: a private claim is named after a
-        session that does not exist yet and could overlap nothing anyway.
+        session exists, so admission and placement can probe with them
+        (memoised per problem: they are a pure function of it). None on an
+        ``"off"`` lane: a private claim is named after a session that does
+        not exist yet and could overlap nothing anyway.
         """
-        if self.kv_sharing == "prefix":
-            return planned_kv_segments(self.server, problem)
-        return ()
+        if self.kv_sharing != "prefix":
+            return ()
+        claims = self._planned.get(problem.problem_id)
+        if claims is None:
+            claims = self._planned[problem.problem_id] = lane_claims.planned_claims(
+                self.server, problem
+            )
+        return claims
 
     # -- sharing-aware placement/admission probes --------------------------
 
@@ -667,7 +676,7 @@ class DevicePool:
         owner = session.session_id
         on_device = source.ledger.resident_of(owner)
         lineage = source.kv_sharing == destination.kv_sharing == "prefix"
-        claims = session.kv_segments() if lineage else ()
+        claims = session.claim_names.resident(session) if lineage else ()
         if claims:
             # Delta-migration: only segments the destination does not
             # already hold resident cross the links, and only the

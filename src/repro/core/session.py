@@ -40,6 +40,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.core.allocator import AllocationPlan
+from repro.core.claims import ClaimNames
 from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.core.prefix_sched import lineage_order, random_order
 from repro.core.spec_select import speculative_potential
@@ -50,7 +51,6 @@ from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, Utilization
 from repro.engine.tracing import SolveTrace
 from repro.engine.worker import GeneratorWorker, VerifierWorker
 from repro.errors import SchedulingError
-from repro.hardware.memory import KVSegment
 from repro.kvcache.cache import PagedKVCache
 from repro.llm.generator import SimulatedGenerator, StepPlan
 from repro.llm.verifier import SimulatedPRM
@@ -67,26 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server builds sessio
     from repro.core.server import TTSServer
 
 __all__ = ["SessionState", "SolveOutcome", "SolveSession", "RoundContribution",
-           "path_segments", "planned_kv_segments", "schedule_jobs",
-           "lookahead_worthy"]
+           "path_segments", "schedule_jobs", "lookahead_worthy"]
 
 _TRUNCATION_STD = 0.05  # spread of the R-truncation draw (Alg. 1, line 19)
-
-
-def _lane_node_id(
-    model_tag: str, namespace: str | None, segment_id: int, is_root: bool
-) -> int:
-    """Lane-tree node id for one cache segment of one session.
-
-    Root segments (the prompt) hold rng-independent content — every
-    session of the problem shares them, so they hash without a
-    namespace. Step segments carry sampled tokens: sessions on forked
-    RNGs would store *different* content under the same stable segment
-    id, so their steps are namespaced apart (canonical sessions pass
-    ``namespace=None`` and genuinely share).
-    """
-    ns = "" if is_root or namespace is None else namespace
-    return stable_hash64("lane-kv", model_tag, ns, segment_id)
 
 
 class SessionState(str, Enum):
@@ -160,35 +143,6 @@ def path_segments(
         for i in range(steps_done)
     )
     return tuple(segments)
-
-
-def planned_kv_segments(
-    server: "TTSServer", problem: Problem, namespace: str | None = None
-) -> tuple[KVSegment, ...]:
-    """The lane-tree claims a session for ``problem`` registers at setup —
-    computable *before* any session exists.
-
-    Mirrors the start of :meth:`SolveSession.kv_segments`: setup registers
-    the prompt segment on both model caches (``_step_admit``), sized
-    ``prompt_tokens * kv_bytes_per_token`` per model. Prompt roots hold
-    rng-independent content, so they hash without a namespace and every
-    session of the problem — canonical or racing replica — shares them.
-    Sharing-aware placement and dedup-aware admission probe lane ledgers
-    with these claims to ask "what would this request claim, and how much
-    of it is already here?".
-    """
-    root = prompt_segment_id(problem)
-    return tuple(
-        KVSegment(
-            _lane_node_id(tag, namespace, root, True),
-            None,
-            problem.prompt_tokens * bytes_per_token,
-        )
-        for tag, bytes_per_token in (
-            ("gen", server.gen_model.kv_bytes_per_token),
-            ("ver", server.ver_model.kv_bytes_per_token),
-        )
-    )
 
 
 def schedule_jobs(
@@ -315,10 +269,8 @@ class SolveSession:
         self._plans: dict[tuple[int, ...], StepPlan] = {}
         self._gen_result = None
         self._first_token_s: float | None = None
-        self._lane_node_ids: dict[tuple[str, int], int] = {}  # see _name_claims
-        # Whether the caches' change records (``kv_changes``) still
-        # describe what the lane ledger holds for this session.
-        self._claims_synced = True
+        #: This session's KV as lane-ledger claims (see repro.core.claims).
+        self.claim_names = ClaimNames(server)
         # Lineage prefix -> its root->leaf segment-id chain (see _segment_chain).
         self._segment_chains: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -391,10 +343,10 @@ class SolveSession:
         """
         return sum(
             cache.resident_tokens * bytes_per_token
-            for _, cache, bytes_per_token in self._device_caches()
+            for _, cache, bytes_per_token in self.device_caches()
         )
 
-    def _device_caches(self) -> list[tuple[str, PagedKVCache, int]]:
+    def device_caches(self) -> list[tuple[str, PagedKVCache, int]]:
         """``(tag, cache, KV bytes per token)`` of each cache on the device now.
 
         Empty before setup; under an offloading plan only the active model's.
@@ -422,100 +374,6 @@ class SolveSession:
         id and only rng-independent segments (the prompt) dedup.
         """
         return None if self._rng is self._server.rng else self._session_id
-
-    def kv_segments(self) -> tuple[KVSegment, ...]:
-        """This session's resident KV as lane-tree segment claims.
-
-        The segment-granular view behind :attr:`resident_kv_bytes`
-        (claim bytes always sum to it): one :class:`KVSegment` per
-        resident cache segment, parents before children, with lane node
-        ids derived from the stable ``(problem, lineage, step)`` segment
-        hashes — namespaced per :attr:`kv_namespace`, and per model
-        (generator and verifier KV are physically distinct even for the
-        same reasoning step). The lane's :class:`~repro.hardware.memory
-        .KVLedger` refcounts claims with equal node ids across
-        co-resident sessions and bills the bytes once. Under an
-        offloading plan only the active model's cache is device-resident,
-        exactly as in :attr:`resident_kv_bytes`.
-
-        The definition: a lane learns a running session's claims through
-        :meth:`kv_changes`, and this is what those changes add up to.
-        """
-        claims, _ = self._name_claims(
-            [(tag, cache.resident_segments(), bytes_per_token)
-             for tag, cache, bytes_per_token in self._device_caches()]
-        )
-        return tuple(claims)
-
-    def kv_changes(self) -> tuple[list[KVSegment], list[int] | None]:
-        """What changed in :meth:`kv_segments` since the previous call.
-
-        ``(upserts, vanished)``: the claims that appeared or changed
-        length (parents before children) and the lane node ids that left
-        the device, read from the caches' change records
-        (:meth:`~repro.kvcache.cache.PagedKVCache.take_changes`) — work
-        in what changed, not in what is held. After
-        :meth:`rebind_device` or an offloading plan's model switch the
-        previous report no longer describes the device: ``vanished`` is
-        then None and ``upserts`` all of :meth:`kv_segments`, which
-        replace whatever the lane holds for this session.
-        """
-        caches = self._device_caches()
-        if not self._claims_synced:
-            for _, cache, _ in caches:
-                cache.take_changes()
-            self._claims_synced = True
-            return list(self.kv_segments()), None
-        return self._name_claims(
-            [(tag, cache.take_changes(), bytes_per_token)
-             for tag, cache, bytes_per_token in caches]
-        )
-
-    def _name_claims(self, views) -> tuple[list[KVSegment], list[int]]:
-        """Lane-tree names of cache segments: ``(claims, vanished)``.
-
-        ``views`` holds ``(tag, segment states parents-first, KV bytes per
-        token)`` per cache: a resident state becomes a claim, a swapped
-        one the id of a claim it no longer makes (if it was ever named).
-        """
-        # A segment's root-ness never changes and the namespace is fixed
-        # per server binding, so lane node ids are hashed once per session
-        # (the memo dies with it; rebinding clears it) and looked up after.
-        namespace, node_ids = self.kv_namespace, self._lane_node_ids
-        claims: list[KVSegment] = []
-        vanished: list[int] = []
-        for tag, states, bytes_per_token in views:
-            for state in states:
-                key = (tag, state.node_id)
-                node_id = node_ids.get(key)
-                if not state.resident:
-                    if node_id is not None:
-                        vanished.append(node_id)
-                    continue
-                if node_id is None:
-                    node_id = node_ids[key] = _lane_node_id(
-                        tag, namespace, state.node_id, state.parent_id is None
-                    )
-                # A resident segment's parent is resident, so already named.
-                parent = state.parent_id
-                claims.append(
-                    KVSegment(
-                        node_id,
-                        None if parent is None else node_ids[tag, parent],
-                        state.token_len * bytes_per_token,
-                    )
-                )
-        return claims, vanished
-
-    def planned_segments(self) -> tuple[KVSegment, ...]:
-        """The claims this session will register at setup (pre-admission).
-
-        Available in every live state — including ``ADMITTED``, before
-        any cache exists — so admission control can ask "what would this
-        session claim" without stepping it. Once setup has run, these are
-        exactly the root claims of :meth:`kv_segments`.
-        """
-        return planned_kv_segments(self._server, self._problem, self.kv_namespace)
 
     def charge_kv_swap(self, dt: float) -> None:
         """Charge cross-session KV swap time against this session.
@@ -563,8 +421,6 @@ class SolveSession:
                 f"different model pairings"
             )
         self._server = server
-        self._lane_node_ids.clear()  # kv_namespace follows the server binding
-        self._claims_synced = False  # the destination holds what migrate gave it
         if server.config.prefix_caching != old.config.prefix_caching:
             self._segment_chains.clear()  # the other id spelling applies now
         if self._gen_worker is not None:
@@ -1105,7 +961,6 @@ class SolveSession:
             to=model, out_bytes=out_bytes, in_bytes=in_bytes,
         )
         self._active_model = model
-        self._claims_synced = False  # another cache is on the device now
 
     # -- result assembly -----------------------------------------------
 

@@ -131,8 +131,8 @@ class KVSegment:
     """One claim an owner reports to a :class:`KVLedger`.
 
     ``node_id``/``parent_id`` are lane-tree node ids — for a lineage
-    claim, derived by the session from the stable ``(problem, lineage,
-    step)`` segment hashes, namespaced so only sessions whose sampled
+    claim, derived (:mod:`repro.core.claims`) from the stable ``(problem,
+    lineage, step)`` segment hashes, namespaced so only sessions whose sampled
     content is actually identical collide; for a private claim, from the
     owner id (:meth:`KVLedger.private_claim`). ``num_bytes`` is this
     owner's KV bytes for the segment. Claims arrive parent-before-child.

@@ -545,24 +545,16 @@ class DeviceUtilization:
                         else 1.0
                     ),
                     batch_occupancy_peak=max(lane.batch_peak_occupancy, 1),
-                    health=getattr(
-                        getattr(lane, "health", None), "value", "up"
-                    ),
-                    failures=getattr(lane, "failures", 0),
-                    recoveries=getattr(lane, "recoveries", 0),
-                    downtime_s=getattr(lane, "downtime_s", 0.0),
-                    stall_s=getattr(lane, "stall_s", 0.0),
-                    placements=getattr(lane, "placements", 0),
-                    affinity_hits=getattr(lane, "affinity_hits", 0),
-                    planned_admitted_bytes=getattr(
-                        lane, "planned_admitted_bytes", 0
-                    ),
-                    unique_admitted_bytes=getattr(
-                        lane, "unique_admitted_bytes", 0
-                    ),
-                    migration_bytes_saved=getattr(
-                        lane, "migration_bytes_saved", 0
-                    ),
+                    health=lane.health.value,
+                    failures=lane.failures,
+                    recoveries=lane.recoveries,
+                    downtime_s=lane.downtime_s,
+                    stall_s=lane.stall_s,
+                    placements=lane.placements,
+                    affinity_hits=lane.affinity_hits,
+                    planned_admitted_bytes=lane.planned_admitted_bytes,
+                    unique_admitted_bytes=lane.unique_admitted_bytes,
+                    migration_bytes_saved=lane.migration_bytes_saved,
                 )
             )
         return tuple(rows)

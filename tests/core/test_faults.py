@@ -169,7 +169,7 @@ class TestLaneLifecycle:
             session.step()
         if segment_granular:
             lane.ledger.charge_growth_segments(
-                session.session_id, session.kv_segments()
+                session.session_id, session.claim_names.resident(session)
             )
         else:
             lane.ledger.charge_growth(

@@ -214,7 +214,7 @@ class TestHandlers:
         assert run.results[record.request_id] is handle.session.outcome.result
         assert not run.states and not run.started
         assert not run.runnable[lane.index].handles and not run.claimed[lane.index]
-        assert lane.live_requests == 0 and lane.requests_served == 1
+        assert lane.live_requests == 0 and record.device_id == lane.device_id
         assert run.finish_times == [lane.clock.now]
 
     def test_settle_waits_for_an_undecided_race(self):

@@ -9,22 +9,29 @@ at identical answers; ``kv_sharing="off"`` stays byte-identical to
 """
 
 import cProfile
+import gc
 
 import pytest
 
+from repro.core.claims import ClaimNames, planned_claims
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, PooledDevice
 from repro.core.scheduler import FirstFinishScheduler, PrefixAffinityScheduler
 from repro.core.server import TTSServer
-from repro.core.session import SolveSession, planned_kv_segments
+from repro.core.session import SolveSession
 from repro.errors import ConfigError
 from repro.metrics.accuracy import majority_answer
 from repro.search.registry import build_algorithm
+from repro.search.tree import prompt_segment_id
 from repro.utils.rng import clear_first_draws
 from repro.workloads.datasets import build_dataset
 from repro.workloads.tenants import TenantSpec, generate_trace
 from repro.workloads.trace import materialize_problems
+
+
+def resident_claims(session):
+    return session.claim_names.resident(session)
 
 
 def answer_signature(report):
@@ -152,6 +159,52 @@ class TestDrainLeavesNothingBehind:
             assert lane.planned_kv_bytes == 0 and lane.live_requests == 0
 
 
+def sessions_left_by_drain(kv_sharing="prefix", scheduler="first_finish"):
+    """``SolveSession`` objects a small continuous-batching drain leaves
+    alive with the cyclic collector off: only a reference cycle keeps a
+    finished session past its drain."""
+
+    def drain():
+        dataset = build_dataset("amc23", seed=0, size=2)
+        fleet = TTSFleet(
+            fasttts_config(memory_fraction=0.34, seed=0), dataset,
+            devices=("rtx4090", "rtx4090"), placement="least_loaded",
+            scheduler=scheduler, kv_sharing=kv_sharing, batching="continuous",
+        )
+        for index in range(4):
+            fleet.submit(
+                list(dataset)[index % 2], build_algorithm("beam_search", 4),
+                0.5 * index,
+            )
+        assert all(record.accepted for record in fleet.drain().records)
+
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, SolveSession)]
+    known = {id(o) for o in before}
+    gc.disable()
+    try:
+        drain()
+        return sum(
+            1 for o in gc.get_objects()
+            if isinstance(o, SolveSession) and id(o) not in known
+        )
+    finally:
+        gc.enable()
+
+
+class TestFinishedSessionsAreFreed:
+    """A session <-> claim-naming reference cycle would keep every finished
+    session (caches, plans, traces) until a cyclic collection, and peak
+    RSS pays for that on long drains."""
+
+    @pytest.mark.parametrize(
+        "scheduler", ["fifo", "first_finish", "prefix_affinity"]
+    )
+    @pytest.mark.parametrize("kv_sharing", ["off", "prefix"])
+    def test_no_session_outlives_its_drain(self, kv_sharing, scheduler):
+        assert sessions_left_by_drain(kv_sharing, scheduler) == 0
+
+
 class TestKvSegments:
     @staticmethod
     def server(seed=0):
@@ -162,10 +215,10 @@ class TestKvSegments:
         server = self.server()
         problem = list(server.dataset)[0]
         session = server.session(problem, build_algorithm("beam_search", 4))
-        assert session.kv_segments() == ()
+        assert resident_claims(session) == ()
         for _ in range(5):
             session.step()
-        claims = session.kv_segments()
+        claims = resident_claims(session)
         assert claims
         assert sum(c.num_bytes for c in claims) == session.resident_kv_bytes
         # parents precede children, every parent id is itself claimed
@@ -183,8 +236,8 @@ class TestKvSegments:
             a.step()
             b.step()
         assert a.kv_namespace is None and b.kv_namespace is None
-        ids_a = {c.node_id for c in a.kv_segments()}
-        ids_b = {c.node_id for c in b.kv_segments()}
+        ids_a = {c.node_id for c in resident_claims(a)}
+        ids_b = {c.node_id for c in resident_claims(b)}
         assert ids_a == ids_b  # same rng, same progress: full overlap
 
     def test_forked_rng_session_shares_only_roots(self):
@@ -199,12 +252,44 @@ class TestKvSegments:
             canonical.step()
             fork.step()
         assert fork.kv_namespace == "req/r1"
-        roots_c = {c.node_id for c in canonical.kv_segments() if c.parent_id is None}
-        roots_f = {c.node_id for c in fork.kv_segments() if c.parent_id is None}
+        roots_c = {c.node_id for c in resident_claims(canonical) if c.parent_id is None}
+        roots_f = {c.node_id for c in resident_claims(fork) if c.parent_id is None}
         assert roots_c == roots_f  # prompt content is rng-independent
-        steps_c = {c.node_id for c in canonical.kv_segments() if c.parent_id is not None}
-        steps_f = {c.node_id for c in fork.kv_segments() if c.parent_id is not None}
+        steps_c = {c.node_id for c in resident_claims(canonical) if c.parent_id is not None}
+        steps_f = {c.node_id for c in resident_claims(fork) if c.parent_id is not None}
         assert not steps_c & steps_f  # divergent tokens never dedup
+
+    @pytest.mark.parametrize("model_config", ["1.5B+1.5B", "1.5B+7B"])
+    @pytest.mark.parametrize("config", [fasttts_config, baseline_config])
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_planned_claims_are_the_roots_setup_registers(
+        self, forked, config, model_config
+    ):
+        """Dedup-aware admission and affinity placement probe lanes with
+        ``planned_claims`` before any session exists: once the prompt that
+        setup registers is resident, they are exactly the session's root
+        claims, one per model."""
+        dataset = build_dataset("amc23", seed=0, size=1)
+        server = TTSServer(
+            config(memory_fraction=0.9, seed=0, model_config=model_config), dataset
+        )
+        problem = list(dataset)[0]
+        session = server.session(
+            problem, build_algorithm("beam_search", 4), session_id="req/r1",
+            rng=server.rng.fork("ffs-replica", "req", 1) if forked else None,
+        )
+        assert (session.kv_namespace is not None) == forked
+        session.step()  # setup
+        caches = session.device_caches()
+        assert [tag for tag, _, _ in caches] == ["gen", "ver"]
+        for _, cache, _ in caches:
+            cache.materialize(prompt_segment_id(problem), pin=False)
+        roots = tuple(c for c in resident_claims(session) if c.parent_id is None)
+        assert roots == planned_claims(server, problem)
+        assert [c.num_bytes for c in roots] == [
+            problem.prompt_tokens * server.gen_model.kv_bytes_per_token,
+            problem.prompt_tokens * server.ver_model.kv_bytes_per_token,
+        ]
 
 
 class TestPrefixAffinityScheduler:
@@ -382,7 +467,7 @@ class TestDedupAwareAdmission:
         footprint = lane.server.plan_allocation(8).kv_total_bytes
         overlap = sum(
             claim.num_bytes
-            for claim in planned_kv_segments(lane.server, problem)
+            for claim in planned_claims(lane.server, problem)
         )
         # Room for one full plan plus one dedup-billed plan — and nothing
         # more: only prefix-aware billing can admit the second request.
@@ -497,12 +582,12 @@ class TestLedgerWorksOnWhatChanged:
 
     def test_no_whole_claim_rebuild_in_a_drain_without_migration(self, monkeypatch):
         calls = []
-        real = SolveSession.kv_segments
+        real = ClaimNames.resident
 
-        def counted(session):
+        def counted(names, session):
             calls.append(session.session_id)
-            return real(session)
+            return real(names, session)
 
-        monkeypatch.setattr(SolveSession, "kv_segments", counted)
+        monkeypatch.setattr(ClaimNames, "resident", counted)
         sharing_drain_calls()
         assert calls == []

@@ -186,8 +186,9 @@ class TestPrefixAffinityPlacement:
         warm = make_handle(pool[1], problems[0])
         for _ in range(4):
             warm.session.step()
+        session = warm.session
         pool[1].ledger.charge_growth_segments(
-            warm.session.session_id, warm.session.kv_segments()
+            session.session_id, session.claim_names.resident(session)
         )
         policy = build_placement("prefix_affinity")
         chosen = policy.choose(self.request(problems[0]), list(pool), 0.0)
@@ -198,10 +199,10 @@ class TestPrefixAffinityPlacement:
 
     def test_pending_planned_claims_attract_before_any_kv_lands(self):
         """A same-prefix burst co-locates on planned claims alone."""
-        from repro.core.session import planned_kv_segments
+        from repro.core.claims import planned_claims
 
         pool, problems = self.prefix_pool()
-        planned = planned_kv_segments(pool[1].server, problems[0])
+        planned = planned_claims(pool[1].server, problems[0])
         pool[1].note_planned_segments(planned)
         policy = build_placement("prefix_affinity")
         assert policy.choose(self.request(problems[0]), list(pool), 0.0) is pool[1]
@@ -222,11 +223,11 @@ class TestPrefixAffinityPlacement:
             fasttts_config(memory_fraction=0.9, seed=0), dataset,
             ["rtx4090", "rtx4070ti"],
         )
-        from repro.core.session import planned_kv_segments
+        from repro.core.claims import planned_claims
 
         lane = pool[0]
         assert lane.kv_sharing == "off"
-        claims = planned_kv_segments(lane.server, list(dataset)[0])
+        claims = planned_claims(lane.server, list(dataset)[0])
         assert lane.prefix_affinity_bytes(claims) == 0
         assert lane.prefix_overlap_bytes(claims) == 0
 
@@ -454,7 +455,7 @@ class TestMigration:
         ):
             session.step()
             pool[0].ledger.charge_growth_segments(
-                session.session_id, session.kv_segments()
+                session.session_id, session.claim_names.resident(session)
             )
         if not session.state.live:
             pytest.skip("session never outgrew the small lane's budget")
@@ -488,8 +489,9 @@ class TestMigration:
         handle = make_handle(lane, problem, n=n)
         for _ in range(rounds):
             handle.session.step()
+        session = handle.session
         lane.ledger.charge_growth_segments(
-            handle.session.session_id, handle.session.kv_segments()
+            session.session_id, session.claim_names.resident(session)
         )
         return handle
 

@@ -921,6 +921,10 @@ def _session_pool(offload: bool, sharing=("prefix", "prefix"), config=fasttts_co
     return pool, list(dataset)[0]
 
 
+def resident_claims(session):
+    return session.claim_names.resident(session)
+
+
 def _handle(lane, session, seq):
     handle = SessionHandle(
         request_id=f"req-{seq}", arrival_s=0.0, seq=seq, replica=0,
@@ -931,7 +935,8 @@ def _handle(lane, session, seq):
 
 
 class TestSessionDeltas:
-    """What sessions report round by round adds up to ``kv_segments()``.
+    """What sessions report round by round adds up to their whole claim
+    list (``ClaimNames.resident``).
 
     Three sessions of one problem (two canonical, so they share step
     segments, and one forked replica) step in a drawn order on a prefix
@@ -939,7 +944,7 @@ class TestSessionDeltas:
     round) and with one migration (``rebind_device``). At n=16 the
     verifier's own cache evicts mid-solve; the baseline config has no
     prefix caching, so its caches drop their KV every round. After every
-    round the ledger must hold exactly the session's ``kv_segments()``,
+    round the ledger must hold exactly the session's whole list,
     and agree op for op with a full-replace ledger fed those claims whole.
     """
 
@@ -981,11 +986,11 @@ class TestSessionDeltas:
                     session.session_id, *where.session_claims(session)
                 )
                 want = ref.charge_growth_segments(
-                    session.session_id, session.kv_segments()
+                    session.session_id, resident_claims(session)
                 )
                 assert got == want
                 assert set(ledger.claims_of(session.session_id)) == set(
-                    session.kv_segments()
+                    resident_claims(session)
                 )
             else:
                 assert ledger.release(session.session_id) == ref.release(
@@ -994,8 +999,8 @@ class TestSessionDeltas:
             if turn in storms:
                 capacity = max(1, int(ledger.resident_bytes * storms[turn]))
                 assert ledger.resize(capacity) == ref.resize(capacity)
-            if turn == migrate_at and session.state.live and session.kv_segments():
-                claims = session.kv_segments()
+            if turn == migrate_at and session.state.live and resident_claims(session):
+                claims = resident_claims(session)
                 destination = pool[1 - where.index]
                 refs[destination.index].admit_segments(session.session_id, claims)
                 ref.release(session.session_id)
@@ -1007,7 +1012,7 @@ class TestSessionDeltas:
     def test_a_solve_adds_up_to_kv_segments(self, offload):
         """An n=16 solve alone: without offloading its verifier cache
         evicts mid-solve; with it the device holds one model's cache at a
-        time. Every round's report still adds up to ``kv_segments()``."""
+        time. Every round's report still adds up to the whole list."""
         pool, problem = _session_pool(offload)
         lane, ref = pool[0], FullReplaceLedger(pool[0].ledger.capacity_bytes)
         session = lane.server.session(
@@ -1020,8 +1025,8 @@ class TestSessionDeltas:
             got = lane.ledger.charge_growth_segments(
                 "s0", *lane.session_claims(session)
             )
-            assert got == ref.charge_growth_segments("s0", session.kv_segments())
-            assert set(lane.ledger.claims_of("s0")) == set(session.kv_segments())
+            assert got == ref.charge_growth_segments("s0", resident_claims(session))
+            assert set(lane.ledger.claims_of("s0")) == set(resident_claims(session))
             assert_same_books(lane.ledger, ref)
         assert session.outcome.plan.offload == offload
         assert offload or session.outcome.result.ver_evicted_segments > 0
@@ -1043,5 +1048,58 @@ class TestSessionDeltas:
         assert [c.node_id for c in dst.ledger.claims_of("s0")] == [private]
         session.step()
         dst.ledger.charge_growth_segments("s0", *dst.session_claims(session))
-        assert set(dst.ledger.claims_of("s0")) == set(session.kv_segments())
+        assert set(dst.ledger.claims_of("s0")) == set(resident_claims(session))
         assert private not in dst.ledger.tree
+
+
+class TestResyncIsDerived:
+    """A report is the whole list exactly when the server binding or the
+    device caches differ from the previous report's; every other report
+    is a delta. Nothing tells the naming that a migration or a model
+    switch happened."""
+
+    @staticmethod
+    def report(lane, session):
+        """One post-round report, applied; True when it was the whole list."""
+        upserts, vanished = lane.session_claims(session)
+        lane.ledger.charge_growth_segments(session.session_id, upserts, vanished)
+        assert set(lane.ledger.claims_of(session.session_id)) == set(
+            resident_claims(session)
+        )
+        return vanished is None
+
+    def test_migration_there_and_back_resyncs_once_per_move(self):
+        pool, problem = _session_pool(offload=False)
+        home, away = pool[0], pool[1]
+        handle = _handle(home, home.server.session(
+            problem, build_algorithm("beam_search", 4), session_id="s0"
+        ), 0)
+        session, whole = handle.session, []
+        for lane in (home, away, home):
+            if handle.device is not lane:
+                pool.migrate(handle, lane)
+            for _ in range(3):
+                session.step()
+                assert session.state.live
+                whole.append(self.report(lane, session))
+        assert whole == [False] * 3 + [True, False, False] * 2
+
+    def test_offloading_model_switches_resync_once_each(self):
+        pool, problem = _session_pool(offload=True)
+        lane = pool[0]
+        session = lane.server.session(
+            problem, build_algorithm("beam_search", 4), session_id="s0"
+        )
+        whole, on_device = [], []
+        while True:
+            session.step()
+            if not session.state.live:
+                break
+            whole.append(self.report(lane, session))
+            on_device.append([tag for tag, _, _ in session.device_caches()])
+        switched = [False] + [
+            now != before for before, now in zip(on_device, on_device[1:])
+        ]
+        assert whole == switched
+        assert ["gen"] in on_device and ["ver"] in on_device
+        assert whole.count(True) >= 2  # gen -> ver -> gen at least
