@@ -818,9 +818,11 @@ class _FleetRun:
         ``rekey_after_round`` policy, ``_rekey`` re-files a handle
         wherever ``last_stepped`` is written: after a solo turn in
         ``step`` and for each surviving member after a batched iteration.
-    ``started``
-        runnable handles whose service began (who an arrival preempts).
-        Grows in ``service_start``; shrinks in ``_retire``.
+    ``unsignalled``
+        runnable handles whose service began and that no arrival has
+        preempted yet (who the next arrival signals). Grows in
+        ``service_start``; shrinks in ``_retire``; emptied by each
+        ``admit``, since a signalled session stays signalled.
     ``queued[lane]``
         requests whose primary lane this is and whose service has not
         started (the ``late_policy=drop`` sweep's candidates). Grows in
@@ -861,7 +863,7 @@ class _FleetRun:
         self.runnable: dict[int, _RunnableIndex] = {
             lane.index: _RunnableIndex() for lane in self.lanes
         }
-        self.started: dict[int, SessionHandle] = {}
+        self.unsignalled: dict[int, SessionHandle] = {}
         self.queued: dict[int, dict[int, _RequestState]] = {
             lane.index: {} for lane in self.lanes
         }
@@ -1002,7 +1004,7 @@ class _FleetRun:
     def _retire(self, handle: SessionHandle) -> None:
         """A handle stopped being live: it leaves the scheduling indexes."""
         self.runnable[handle.device.index].remove(handle)
-        self.started.pop(id(handle), None)
+        self.unsignalled.pop(id(handle), None)
 
     def _rekey(self, handle: SessionHandle) -> None:
         """Re-file a live handle that just ran (``rekey_after_round``)."""
@@ -1204,8 +1206,10 @@ class _FleetRun:
             self.place(request, seq, eligible, now=now)
         # Either way somebody new showed up: sessions in service must stop
         # speculating (round-granular analogue of the arrival offsets).
-        for handle in self.started.values():
+        # The signal never clears, so each session needs it once.
+        for handle in self.unsignalled.values():
             handle.session.notify_arrival()
+        self.unsignalled.clear()
 
     def service_start(self, lane: PooledDevice, handle: SessionHandle) -> None:
         """First pick of a handle: stamp service start, install the offset.
@@ -1220,7 +1224,7 @@ class _FleetRun:
         """
         start = max(lane.clock.now, handle.arrival_s)
         handle.start_s = start
-        self.started[id(handle)] = handle
+        self.unsignalled[id(handle)] = handle
         st = self.states[handle.seq]
         if st.start_s is None:
             st.start_s = start

@@ -460,9 +460,8 @@ def cache_token_len(cache, job: GenJob) -> int:
     A head-started segment already exists (written by last round's
     speculation) and keeps its length; a fresh segment starts empty.
     """
-    if job.new_segment in cache.tree:
-        return cache.tree.get(job.new_segment).token_len
-    return job.head_start
+    state = cache.segments.get(job.new_segment)
+    return job.head_start if state is None else state.token_len
 
 
 def register_chain(
@@ -473,10 +472,11 @@ def register_chain(
     A segment is only ever registered under a registered parent, so a
     known leaf means the whole chain is already there.
     """
-    if segments[-1] in cache.tree:
+    known = cache.segments
+    if segments[-1] in known:
         return
     parent: int | None = None
     for seg_id, tokens in zip(segments, token_lens):
-        if seg_id not in cache.tree:
+        if seg_id not in known:
             cache.register_segment(seg_id, parent, tokens)
         parent = seg_id

@@ -447,6 +447,11 @@ class SolveSession:
         """
         self._preempt_signalled = True
 
+    @property
+    def arrival_signalled(self) -> bool:
+        """Whether :meth:`notify_arrival` was called (it never clears)."""
+        return self._preempt_signalled
+
     def set_arrival_offsets(self, offsets: tuple[float, ...]) -> None:
         """Install arrival times (on this session's clock) after creation.
 

@@ -776,27 +776,33 @@ class KVLedger:
         mutates, and room is evicted *before* the first claim registers —
         an eviction failure mid-handoff leaves every refcount (here and,
         because the caller releases the source only after this returns,
-        at the source) untouched. No swap counters move for the incoming
-        bytes themselves; migration traffic is the caller's to charge.
+        at the source) untouched. The footprint checked is what the
+        claimed segments will occupy, which eviction cannot touch: each
+        at its longest claim once this one lands, a co-owner's longer
+        copy included. No swap counters move for the incoming bytes
+        themselves; migration traffic is the caller's to charge.
         """
         claims = list(segments)
-        total = sum(claim.num_bytes for claim in claims)
-        if total > self._capacity:
-            raise CapacityError(
-                f"cannot admit {total} B of KV for {owner!r}: device KV "
-                f"budget is {self._capacity} B"
-            )
         keep = {claim.node_id for claim in claims}
-        incoming = 0
+        footprint = incoming = 0
         for claim in claims:
             seg = self._segments.get(claim.node_id)
             if seg is None:
-                incoming += claim.num_bytes
-            elif seg.resident:
-                incoming += max(0, claim.num_bytes - seg.num_bytes)
-            else:  # back whole, at its longest claim once this one lands
+                size = incoming_bytes = claim.num_bytes
+            else:
                 others = (b for o, b in seg.owners.items() if o != owner)
-                incoming += max(claim.num_bytes, max(others, default=0))
+                size = max(claim.num_bytes, max(others, default=0))
+                # A resident copy only grows; a swapped-out one comes back whole.
+                incoming_bytes = (
+                    max(0, claim.num_bytes - seg.num_bytes) if seg.resident else size
+                )
+            footprint += size
+            incoming += incoming_bytes
+        if footprint > self._capacity:
+            raise CapacityError(
+                f"cannot admit {footprint} B of KV for {owner!r}: device KV "
+                f"budget is {self._capacity} B"
+            )
         evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
         # Past this point nothing can fail: register the claims.
         state = self._owners.get(owner)

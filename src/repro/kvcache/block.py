@@ -32,13 +32,18 @@ class BlockPool:
     """Counting allocator over a fixed number of KV blocks.
 
     The simulator does not need per-block identity — only exact occupancy —
-    so the pool tracks counts. Over-freeing or over-allocating raises
-    immediately; both indicate an accounting bug in the caller.
+    so the pool tracks counts. ``allocated_blocks`` is the one count: a
+    :class:`~repro.kvcache.cache.PagedKVCache` moves it in place at each
+    transition that takes or returns blocks, having checked the need
+    against ``total_blocks`` itself; :meth:`allocate` / :meth:`free` are
+    the validated spelling for every other caller. Over-freeing or
+    over-allocating through them raises immediately; both indicate an
+    accounting bug in the caller.
     """
 
     total_blocks: int
     block_tokens: int = DEFAULT_BLOCK_TOKENS
-    _allocated: int = 0
+    allocated_blocks: int = 0
 
     def __post_init__(self) -> None:
         if self.total_blocks < 0:
@@ -62,12 +67,8 @@ class BlockPool:
         return cls(total_blocks=tokens // block_tokens, block_tokens=block_tokens)
 
     @property
-    def allocated_blocks(self) -> int:
-        return self._allocated
-
-    @property
     def free_blocks(self) -> int:
-        return self.total_blocks - self._allocated
+        return self.total_blocks - self.allocated_blocks
 
     @property
     def capacity_tokens(self) -> int:
@@ -86,14 +87,14 @@ class BlockPool:
                 f"requested {n_blocks} blocks but only {self.free_blocks} free "
                 f"of {self.total_blocks}"
             )
-        self._allocated += n_blocks
+        self.allocated_blocks += n_blocks
 
     def free(self, n_blocks: int) -> None:
         """Return ``n_blocks`` to the pool."""
         if n_blocks < 0:
             raise ValueError("n_blocks must be non-negative")
-        if n_blocks > self._allocated:
+        if n_blocks > self.allocated_blocks:
             raise CapacityError(
-                f"freeing {n_blocks} blocks but only {self._allocated} allocated"
+                f"freeing {n_blocks} blocks but only {self.allocated_blocks} allocated"
             )
-        self._allocated -= n_blocks
+        self.allocated_blocks -= n_blocks

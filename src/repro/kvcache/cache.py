@@ -22,6 +22,15 @@ and are never re-summed, and the same transitions record which segments
 changed residency or length (:meth:`PagedKVCache.take_changes`), so a
 session names only its KV's changes to the lane ledger.
 
+The books are kept in place, by the loop that already holds the segment's
+state: it compares the need against the pool's free blocks and moves
+``BlockPool.allocated_blocks`` itself (the cache is that count's only
+mover), files the segment as an LRU candidate when it joins the unpinned
+leaf frontier, and adds to the :class:`~repro.kvcache.events.CacheStats`
+totals — calling ``CacheStats.record`` only when a trace was asked for.
+The one helper on the way is eviction (``_evict_for``), reached only
+when free blocks fall short.
+
 Key invariants (property-tested):
 
 * a segment is resident only if its parent is resident — a KV suffix
@@ -41,18 +50,23 @@ recompute term is exactly the objective of Dynamic Prefix-Aware Scheduling.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
+from types import MappingProxyType
 
 from repro.errors import CapacityError
-from repro.kvcache.block import DEFAULT_BLOCK_TOKENS, BlockPool, blocks_for_tokens
+from repro.kvcache.block import DEFAULT_BLOCK_TOKENS, BlockPool
 from repro.kvcache.events import CacheEventKind, CacheStats
 from repro.kvcache.radix import RadixNode, RadixTree
 
 __all__ = ["PagedKVCache", "MaterializeOutcome", "SegmentState"]
 
 _PARENTS_FIRST = attrgetter("depth", "node_id")
+
+
+def _unknown(segment_id: int) -> KeyError:
+    return KeyError(f"unknown segment {segment_id}")
 
 
 @dataclass(slots=True)
@@ -94,6 +108,8 @@ class PagedKVCache:
         self._kv_bytes_per_token = kv_bytes_per_token
         self._tree = RadixTree(SegmentState)
         self._segments: dict[int, SegmentState] = {}  # the tree's nodes, by id
+        #: Every registered segment by id, read-only (one dict lookup away).
+        self.segments: Mapping[int, SegmentState] = MappingProxyType(self._segments)
         self._access_clock = 0
         # Incremental bookkeeping, maintained at every residency / pin
         # transition: resident totals, the blocks held by resident,
@@ -180,13 +196,16 @@ class PagedKVCache:
         try:
             return self._segments[segment_id]
         except KeyError:
-            raise KeyError(f"unknown segment {segment_id}") from None
+            raise _unknown(segment_id) from None
 
     def _chain(self, leaf_id: int) -> list[SegmentState]:
         """The states of the root->leaf path, root first — the one walk
         every path operation starts from."""
         segments = self._segments
-        state = self.segment(leaf_id)
+        try:
+            state = segments[leaf_id]
+        except KeyError:
+            raise _unknown(leaf_id) from None
         chain = [state]
         while state.parent_id is not None:
             state = segments[state.parent_id]
@@ -235,11 +254,13 @@ class PagedKVCache:
         for state in chain:
             if state.pin_count <= 0:
                 raise CapacityError(f"segment {state.node_id} is not pinned")
+        heap = self._evict_heap
         for state in chain:
             state.pin_count -= 1
             if state.pin_count == 0 and state.resident:
                 self._evictable_blocks += state.blocks_held
-                self._push_candidate(state)
+                if not state.resident_children:  # joins the LRU frontier
+                    heapq.heappush(heap, (state.last_access, state.node_id))
 
     # -- residency -------------------------------------------------------
 
@@ -289,32 +310,39 @@ class PagedKVCache:
 
         evicted = 0
         recomputed = 0
-        block_tokens = self._pool.block_tokens
+        pool = self._pool
+        total_blocks, block_tokens = pool.total_blocks, pool.block_tokens
         segments = self._segments
         changed = self._changed
+        stats = self.stats
         try:
             for state in to_load:
-                needed = blocks_for_tokens(state.token_len, block_tokens)
-                evicted += self._take_blocks(needed, now)
+                tokens = state.token_len
+                needed = -(-tokens // block_tokens)
+                if pool.allocated_blocks + needed > total_blocks:
+                    evicted += self._evict_for(needed, now)
+                pool.allocated_blocks += needed
                 state.blocks_held = needed
                 state.resident = True
                 if changed is not None:
                     changed[state.node_id] = state
                 state.last_access = stamp
-                self._resident_token_count += state.token_len
+                self._resident_token_count += tokens
                 self._resident_segment_count += 1
                 if state.parent_id is not None:
                     segments[state.parent_id].resident_children += 1
-                recomputed += state.token_len
-                self.stats.count(
-                    now, CacheEventKind.RECOMPUTE, state.node_id, state.token_len
-                )
+                recomputed += tokens
+                stats.recomputed_tokens += tokens
+                if stats.trace_capacity:
+                    stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
         except CapacityError:
             self._unpin(chain)
             raise
 
         if hit_tokens:
-            self.stats.count(now, CacheEventKind.HIT, leaf_id, hit_tokens)
+            stats.hit_tokens += hit_tokens
+            if stats.trace_capacity:
+                stats.record(now, CacheEventKind.HIT, leaf_id, hit_tokens)
         if not pin:
             self._unpin(chain)
         return MaterializeOutcome(
@@ -343,40 +371,55 @@ class PagedKVCache:
         Segments grow in the order given until one cannot (not resident,
         or its blocks cannot be found even by evicting — victims evicted
         on the way stay evicted); returns how many grew, and the caller
-        decides what to preempt before retrying the rest.
+        decides what to preempt before retrying the rest. A growing
+        segment is never its own victim, pinned or not.
         """
         if additional_tokens < 0:
             raise ValueError("additional_tokens must be non-negative")
         segments = self._segments
         changed = self._changed
-        block_tokens = self._pool.block_tokens
+        pool = self._pool
+        total_blocks, block_tokens = pool.total_blocks, pool.block_tokens
+        stats = self.stats
+        heap = self._evict_heap
         grown = 0
         for segment_id in segment_ids:
             state = segments.get(segment_id)
-            if state is None or not state.resident:
-                self.segment(segment_id)  # KeyError for an unknown id
+            if state is None:
+                raise _unknown(segment_id)
+            if not state.resident:
                 break
             new_len = state.token_len + additional_tokens
             needed = -(-new_len // block_tokens) - state.blocks_held
             if needed > 0:
-                try:
-                    self._take_blocks(needed, now)
-                except CapacityError:
-                    break
+                if pool.allocated_blocks + needed > total_blocks:
+                    state.pin_count += 1  # spared while the room is made
+                    try:
+                        self._evict_for(needed, now)
+                    except CapacityError:
+                        break
+                    finally:
+                        state.pin_count -= 1
+                        if not state.pin_count and not state.resident_children:
+                            # Its frontier entry may have been popped meanwhile.
+                            heapq.heappush(heap, (state.last_access, segment_id))
+                pool.allocated_blocks += needed
                 state.blocks_held += needed
                 if state.pin_count == 0:
                     self._evictable_blocks += needed
-                self.stats.count(
-                    now, CacheEventKind.ALLOCATE, segment_id, additional_tokens
-                )
+                stats.allocated_tokens += additional_tokens
+                if stats.trace_capacity:
+                    stats.record(
+                        now, CacheEventKind.ALLOCATE, segment_id, additional_tokens
+                    )
             self._resident_token_count += additional_tokens
             state.token_len = new_len
             if changed is not None:
                 changed[segment_id] = state
             self._access_clock += 1
             state.last_access = self._access_clock
-            if state.pin_count == 0:
-                self._push_candidate(state)
+            if state.pin_count == 0 and not state.resident_children:
+                heapq.heappush(heap, (state.last_access, segment_id))
             grown += 1
         return grown
 
@@ -389,14 +432,17 @@ class PagedKVCache:
         """
         if new_len < 0:
             raise ValueError("new_len must be non-negative")
-        state = self.segment(segment_id)
+        try:
+            state = self._segments[segment_id]
+        except KeyError:
+            raise _unknown(segment_id) from None
         if new_len > state.token_len:
             raise ValueError("truncate cannot grow a segment")
         if state.resident:
-            keep_blocks = blocks_for_tokens(new_len, self._pool.block_tokens)
+            keep_blocks = -(-new_len // self._pool.block_tokens)
             freed = state.blocks_held - keep_blocks
             if freed > 0:
-                self._pool.free(freed)
+                self._pool.allocated_blocks -= freed
                 state.blocks_held = keep_blocks
                 if state.pin_count == 0:
                     self._evictable_blocks -= freed
@@ -427,7 +473,8 @@ class PagedKVCache:
         is free blocks plus everything evictable outside this path. The
         schedulers use the pair for cumulative admission control.
         """
-        block_tokens = self._pool.block_tokens
+        pool = self._pool
+        block_tokens = pool.block_tokens
         chain = self._chain(leaf_id)
         leaf = chain[-1]
         needed_blocks = 0
@@ -440,14 +487,13 @@ class PagedKVCache:
                     own_evictable += state.blocks_held
                 if state is leaf:
                     # planned tail growth beyond currently held blocks
-                    needed_blocks += (
-                        blocks_for_tokens(tokens, block_tokens) - state.blocks_held
-                    )
+                    needed_blocks += -(-tokens // block_tokens) - state.blocks_held
                 continue
             broken = True
             # block rounding applies per segment, not to the token sum
-            needed_blocks += blocks_for_tokens(tokens, block_tokens)
-        reclaimable = self._pool.free_blocks + self._evictable_blocks - own_evictable
+            needed_blocks += -(-tokens // block_tokens)
+        free_blocks = pool.total_blocks - pool.allocated_blocks
+        reclaimable = free_blocks + self._evictable_blocks - own_evictable
         return needed_blocks, reclaimable
 
     def evict_path(self, leaf_id: int, now: float = 0.0) -> int:
@@ -457,7 +503,9 @@ class PagedKVCache:
         """
         evicted = 0
         for state in reversed(self._chain(leaf_id)):
-            if not self._is_evictable(state):
+            if not (
+                state.resident and state.pin_count == 0 and not state.resident_children
+            ):
                 break  # gone, pinned, or shared with a resident sibling subtree
             self._evict_segment(state, now)
             evicted += 1
@@ -481,9 +529,9 @@ class PagedKVCache:
 
         The change record starts over too, as if never taken.
         """
-        self._pool.free(self._pool.allocated_blocks)  # all held by residents
+        self._pool.allocated_blocks = 0  # all held by residents
         self._tree = RadixTree(SegmentState)
-        self._segments = {}
+        self._segments.clear()  # in place: ``segments`` is a view of it
         self._evictable_blocks = 0
         self._resident_token_count = 0
         self._resident_segment_count = 0
@@ -492,12 +540,17 @@ class PagedKVCache:
 
     # -- eviction internals ----------------------------------------------
 
+    # The LRU candidate heap holds ``(last_access, node_id)`` entries of
+    # segments that joined the unpinned leaf frontier (resident, unpinned,
+    # no resident child). Entries are filed where a segment joins it and
+    # validated lazily at pop time, so duplicates and stale entries are fine.
+
     def _evict_segment(self, state: SegmentState, now: float) -> None:
         if state.pin_count == 0:
             self._evictable_blocks -= state.blocks_held
         self._resident_token_count -= state.token_len
         self._resident_segment_count -= 1
-        self._pool.free(state.blocks_held)
+        self._pool.allocated_blocks -= state.blocks_held
         state.blocks_held = 0
         state.resident = False
         if self._changed is not None:
@@ -505,48 +558,51 @@ class PagedKVCache:
         if state.parent_id is not None:
             parent = self._segments[state.parent_id]
             parent.resident_children -= 1
-            if parent.resident and parent.pin_count == 0:
-                self._push_candidate(parent)
-        self.stats.count(now, CacheEventKind.EVICT, state.node_id, state.token_len)
-
-    @staticmethod
-    def _is_evictable(state: SegmentState) -> bool:
-        return state.resident and state.pin_count == 0 and not state.resident_children
-
-    def _push_candidate(self, state: SegmentState) -> None:
-        """Register a segment as a potential LRU eviction victim.
-
-        Entries are validated lazily at pop time, so pushing is always safe
-        and duplicates are fine."""
-        if self._is_evictable(state):
-            heapq.heappush(self._evict_heap, (state.last_access, state.node_id))
+            if (
+                parent.resident
+                and parent.pin_count == 0
+                and not parent.resident_children
+            ):
+                heapq.heappush(self._evict_heap, (parent.last_access, parent.node_id))
+        stats = self.stats
+        stats.evicted_tokens += state.token_len
+        stats.evicted_segments += 1
+        if stats.trace_capacity:
+            stats.record(now, CacheEventKind.EVICT, state.node_id, state.token_len)
 
     def _pop_candidate(self) -> SegmentState | None:
         """Pop the LRU-most currently-valid eviction victim."""
-        while self._evict_heap:
-            last_access, seg_id = heapq.heappop(self._evict_heap)
-            state = self._segments[seg_id]  # reset() clears the heap too
-            if state.last_access == last_access and self._is_evictable(state):
+        heap, segments = self._evict_heap, self._segments
+        while heap:
+            last_access, seg_id = heapq.heappop(heap)
+            state = segments[seg_id]  # reset() clears the heap too
+            if (
+                state.last_access == last_access
+                and state.resident
+                and state.pin_count == 0
+                and not state.resident_children
+            ):
                 return state
         return None
 
-    def _take_blocks(self, n_blocks: int, now: float) -> int:
-        """Allocate ``n_blocks``, evicting LRU victims until they are free.
+    def _evict_for(self, n_blocks: int, now: float) -> int:
+        """Evict LRU victims until ``n_blocks`` blocks are free.
 
-        Returns the number of segments evicted; raises
-        :class:`CapacityError` if pinned residency makes it impossible
-        (victims evicted before the shortfall showed stay evicted).
+        The shortfall path of every block-taking transition, which then
+        takes the blocks itself. Returns the number of segments evicted;
+        raises :class:`CapacityError` if pinned residency makes it
+        impossible (victims evicted before the shortfall showed stay
+        evicted).
         """
         pool = self._pool
         evicted = 0
-        while pool.free_blocks < n_blocks:
+        while (free := pool.total_blocks - pool.allocated_blocks) < n_blocks:
             victim = self._pop_candidate()
             if victim is None:
                 raise CapacityError(
-                    f"need {n_blocks} free blocks but only {pool.free_blocks} "
+                    f"need {n_blocks} free blocks but only {free} "
                     "available and nothing is evictable (all pinned)"
                 )
             self._evict_segment(victim, now)
             evicted += 1
-        pool.allocate(n_blocks)
         return evicted

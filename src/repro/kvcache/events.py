@@ -32,7 +32,13 @@ class CacheEvent:
 
 @dataclass
 class CacheStats:
-    """Running totals plus an optional bounded trace."""
+    """Running totals plus an optional bounded trace.
+
+    :class:`~repro.kvcache.cache.PagedKVCache` moves the totals as plain
+    field updates at each transition and calls :meth:`record` only when
+    ``trace_capacity`` is set, so a cache that traces nothing makes no
+    call here. :meth:`count` is both steps at once, for direct callers.
+    """
 
     hit_tokens: int = 0
     recomputed_tokens: int = 0
@@ -45,12 +51,7 @@ class CacheStats:
     def count(
         self, time: float, kind: CacheEventKind, segment_id: int, tokens: int
     ) -> None:
-        """Account one cache transition.
-
-        The totals always move; a :class:`CacheEvent` is only built when
-        a trace was asked for and still has room, so accounting is free
-        of allocation when tracing is off.
-        """
+        """Account one cache transition: its totals, then its trace row."""
         if kind is CacheEventKind.ALLOCATE:
             self.allocated_tokens += tokens
         elif kind is CacheEventKind.HIT:
@@ -60,7 +61,15 @@ class CacheStats:
         elif kind is CacheEventKind.EVICT:
             self.evicted_tokens += tokens
             self.evicted_segments += 1
-        if self.trace_capacity and len(self.trace) < self.trace_capacity:
+        if self.trace_capacity:
+            self.record(time, kind, segment_id, tokens)
+
+    def record(
+        self, time: float, kind: CacheEventKind, segment_id: int, tokens: int
+    ) -> None:
+        """Append one transition's :class:`CacheEvent` while the trace has
+        room; the totals are the caller's to move."""
+        if len(self.trace) < self.trace_capacity:
             self.trace.append(CacheEvent(time, kind, segment_id, tokens))
 
     @property

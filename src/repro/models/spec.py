@@ -9,7 +9,7 @@ evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = ["ModelRole", "ModelSpec"]
@@ -44,6 +44,13 @@ class ModelSpec:
     vocab_size: int
     dtype_bytes: int = 2  # FP16/BF16 deployment, as in the paper
     dtype: str = "fp16"  # deployment dtype name; must agree with dtype_bytes
+    # Derived once in __post_init__ (``dataclasses.replace`` re-derives
+    # them); outside ``==``, ``hash`` and ``repr``, which stay the fields'.
+    #: Bytes of VRAM occupied by the weights at deployment dtype.
+    weight_bytes: int = field(init=False, repr=False, compare=False)
+    #: Bytes of KV cache one token occupies across all layers: K and V,
+    #: per layer, per KV head, per head dimension, at dtype width.
+    kv_bytes_per_token: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.param_count <= 0:
@@ -58,19 +65,12 @@ class ModelSpec:
                            "head_dim", "intermediate_size", "vocab_size", "dtype_bytes"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
-
-    @property
-    def weight_bytes(self) -> int:
-        """Bytes of VRAM occupied by the weights at deployment dtype."""
-        return self.param_count * self.dtype_bytes
-
-    @property
-    def kv_bytes_per_token(self) -> int:
-        """Bytes of KV cache one token occupies across all layers.
-
-        K and V, per layer, per KV head, per head dimension, at dtype width.
-        """
-        return 2 * self.n_layers * self.n_kv_heads * self.head_dim * self.dtype_bytes
+        object.__setattr__(self, "weight_bytes", self.param_count * self.dtype_bytes)
+        object.__setattr__(
+            self,
+            "kv_bytes_per_token",
+            2 * self.n_layers * self.n_kv_heads * self.head_dim * self.dtype_bytes,
+        )
 
     def kv_bytes(self, batch_size: int, seq_len: float) -> float:
         """KV bytes for ``batch_size`` sequences of ``seq_len`` tokens each.

@@ -20,6 +20,7 @@ Four contracts:
 
 import cProfile
 import heapq
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 
 from repro.core.config import baseline_config
 from repro.core.fleet import _ARRIVAL, _FAULT, _RESTORE, TTSFleet, _FleetRun
-from repro.core.session import SessionState
+from repro.core.session import SessionState, SolveSession
 from repro.routing import parse_lane_list
 from repro.search.registry import build_algorithm
 from repro.utils.rng import clear_first_draws
@@ -91,11 +92,11 @@ def assert_indexes_match_scans(run):
     assert all(
         h.runnable_key is None for s in states for h in s.handles if not h.runnable
     )
-    started = {
+    unsignalled = {  # started, and no arrival has preempted them yet
         id(h) for s in states for h in s.handles
-        if h.runnable and h.start_s is not None
+        if h.runnable and h.start_s is not None and not h.session.arrival_signalled
     }
-    assert set(run.started) == started
+    assert set(run.unsignalled) == unsignalled
     # A request stays in the live map exactly as long as it can progress.
     assert all(any(h.runnable for h in s.handles) for s in states)
     assert not set(run.states) & set(run.records)
@@ -146,10 +147,24 @@ class TestIndexesMatchBruteForceScans:
         assert sorted(r.request_id for r in report.records) == [
             f"req-{i:04d}" for i in range(len(arrivals))
         ]
-        assert not run.states and not run.started
+        assert not run.states and not run.unsignalled
         assert not any(i.handles for i in run.runnable.values())
         assert not any(run.claimed.values())
         assert all(lane.live_requests == 0 for lane in run.lanes)
+
+    def test_an_arrival_signals_each_started_session_once(self, monkeypatch):
+        """The preemption signal never clears, so a session hears it once
+        however many requests arrive while it is in service."""
+        signalled = Counter()
+        real_notify = SolveSession.notify_arrival
+
+        def counting_notify(session):
+            signalled[session] += 1  # keyed by the object: ids are reused
+            real_notify(session)
+
+        monkeypatch.setattr(SolveSession, "notify_arrival", counting_notify)
+        build_fleet([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin").drain()
+        assert signalled and set(signalled.values()) == {1}
 
     def test_step_by_step_equals_drain(self):
         kwargs = dict(
@@ -200,19 +215,19 @@ class TestHandlers:
         assert run.runnable[lane.index].handles == state.handles
         assert run.queued[lane.index] == {0: state}
         assert run.claimed[lane.index] == {0: state}
-        assert lane.live_requests == 1 and not run.started
+        assert lane.live_requests == 1 and not run.unsignalled
         assert run.carry[0].routed_class == lane.lane_class
 
     def test_settle_commits_and_clears(self):
         run, state = self.placed()
         handle, lane = run_to_done(run, state)
-        assert run.started and not run.queued[lane.index]
+        assert run.unsignalled and not run.queued[lane.index]
         run.settle(handle, lane)
         record = run.records[0]
         assert record.accepted and record.finish_s == lane.clock.now
         assert record.device_time_s == handle.session.clock.now
         assert run.results[record.request_id] is handle.session.outcome.result
-        assert not run.states and not run.started
+        assert not run.states and not run.unsignalled
         assert not run.runnable[lane.index].handles and not run.claimed[lane.index]
         assert lane.live_requests == 0 and record.device_id == lane.device_id
         assert run.finish_times == [lane.clock.now]

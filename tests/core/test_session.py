@@ -232,9 +232,14 @@ class TestDeriveOnce:
     WIDTH = 64
     #: Python-level calls of this very solve before segment ids were kept
     #: with the lineage, subtree constants memoised and KV growth batched
-    #: (1 024 951), after that (245 842), and with speculative children
-    #: drawing only their length (237 136 measured).
-    CALLS_NOW = 240_000
+    #: (1 024 951), after that (245 842), with speculative children
+    #: drawing only their length (236 873), and with the paged KV cache
+    #: keeping its books in place (154 169 measured).
+    CALLS_NOW = 157_000
+    #: The part of them made in ``repro/kvcache/``: 103 235 while each
+    #: segment transition went through block, LRU and statistics helpers,
+    #: 26 488 since.
+    KVCACHE_CALLS_NOW = 35_000
 
     def solve(self, dataset, problem):
         server = make_server(dataset, "fasttts")
@@ -367,3 +372,28 @@ class TestDeriveOnce:
         assert len(outcome.collected) >= self.WIDTH
         calls = sum(entry.callcount for entry in profiler.getstats())
         assert calls <= self.CALLS_NOW
+
+    def test_the_paged_cache_keeps_its_books_in_place(self, dataset, problem):
+        """Block counts, LRU filing and statistics move inside the loops
+        that hold the segment: no helper is called per transition, and
+        eviction is only entered on a shortfall."""
+        profiler = cProfile.Profile(subcalls=False, builtins=False)
+        profiler.enable()
+        outcome = self.solve(dataset, problem)
+        profiler.disable()
+        calls = Counter()
+        for entry in profiler.getstats():
+            code = entry.code
+            if isinstance(code, str):
+                continue  # a builtin
+            if Path(code.co_filename).parent.name == "kvcache":
+                calls[code.co_qualname] += entry.callcount
+        assert sum(calls.values()) <= self.KVCACHE_CALLS_NOW
+        for helper in (
+            "BlockPool.free_blocks", "BlockPool.allocate", "CacheStats.count",
+            "CacheStats.record", "PagedKVCache.segment", "RadixTree.__contains__",
+        ):
+            assert calls[helper] == 0, helper
+        result = outcome.result
+        evicted = result.gen_evicted_segments + result.ver_evicted_segments
+        assert 0 < calls["PagedKVCache._evict_for"] <= evicted

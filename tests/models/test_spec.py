@@ -1,5 +1,7 @@
 """Tests for model specs and the zoo."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import ModelLookupError
@@ -58,6 +60,22 @@ class TestModelSpec:
 
     def test_str_shows_params(self):
         assert "1.5B" in str(QWEN25_MATH_1P5B)
+
+    def test_derived_sizes_stay_outside_eq_hash_and_repr(self):
+        """The sizes are derived once per spec, but a spec still compares,
+        hashes and prints as its declared fields, and ``replace`` (how
+        ``quantized`` builds a spec) re-derives them."""
+        declared = [f.name for f in fields(ModelSpec) if f.init]
+        spec = QWEN25_MATH_1P5B
+        twin = ModelSpec(**{name: getattr(spec, name) for name in declared})
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(spec) == "ModelSpec(" + ", ".join(
+            f"{name}={getattr(spec, name)!r}" for name in declared
+        ) + ")"
+        int8 = replace(spec, dtype="int8", dtype_bytes=1)
+        assert int8.weight_bytes == spec.param_count
+        assert int8.kv_bytes_per_token == spec.kv_bytes_per_token // 2
+        assert int8 != spec
 
 
 class TestZoo:

@@ -8,15 +8,22 @@ invariants after every step:
 * a resident segment's parent is resident (KV suffixes are never orphaned);
 * pinned segments are never evicted;
 * the incremental evictable-blocks counter matches a full recount.
+
+A differential script then runs one random op sequence on a tracing and
+a non-tracing cache: the cache keeps its books in place with one spelling
+of the totals, so the two must agree on everything after every op.
 """
+
+from dataclasses import asdict
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.errors import CapacityError
 from repro.kvcache.cache import PagedKVCache
+from repro.kvcache.events import CacheEventKind
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -132,6 +139,153 @@ CacheMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None
 )
 TestCacheMachine = CacheMachine.TestCase
+
+
+BLOCK_TOKENS = 8
+
+# One op: (kind, rank or ranks, payload). Ranks pick among the segments
+# registered at that point, so every script is valid on any cache.
+script = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), st.integers(0, 10_000), st.integers(0, 40)),
+        st.tuples(st.just("materialize"), st.integers(0, 10_000), st.booleans()),
+        st.tuples(
+            st.just("extend"),
+            st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+            st.integers(0, 48),
+        ),
+        st.tuples(st.just("truncate"), st.integers(0, 10_000), st.integers(0, 40)),
+        st.tuples(st.just("unpin"), st.integers(0, 10_000), st.none()),
+        st.tuples(st.just("evict_path"), st.integers(0, 10_000), st.none()),
+        st.tuples(st.just("evict_all"), st.none(), st.none()),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def scripted_cache(trace_capacity):
+    """12 blocks of 8 tokens under one 8-token root, recording changes."""
+    cache = PagedKVCache(
+        capacity_bytes=12 * BLOCK_TOKENS * 2, kv_bytes_per_token=2,
+        block_tokens=BLOCK_TOKENS, trace_capacity=trace_capacity,
+    )
+    cache.register_segment(0, None, BLOCK_TOKENS)
+    cache.take_changes()  # from here on, changes are recorded
+    return cache
+
+
+def run_script_op(cache, pins, op, now):
+    """Apply one op; returns its result, or the error it raised, as a value.
+
+    ``pins`` lists the leaves pinned so far (one entry per pin).
+    """
+    kind, arg, size = op
+    segments = cache.segments
+    ids = sorted(segments)
+    tails = [node for node in ids if not segments[node].children]
+    try:
+        if kind == "register":
+            return cache.register_segment(ids[-1] + 1, ids[arg % len(ids)], size).node_id
+        if kind == "materialize":
+            leaf = ids[arg % len(ids)]
+            outcome = cache.materialize(leaf, now=now, pin=size)
+            if size:
+                pins.append(leaf)
+            return outcome
+        if kind == "extend":  # a batch of tails: a shortfall can stop mid-batch
+            batch = list(dict.fromkeys(tails[rank % len(tails)] for rank in arg))
+            return cache.extend_segments(batch, size, now)
+        if kind == "truncate":
+            tail = tails[arg % len(tails)]
+            return cache.truncate_segment(tail, min(size, segments[tail].token_len), now)
+        if kind == "unpin":
+            if pins:
+                cache.unpin_path(pins.pop(arg % len(pins)))
+            return None
+        if kind == "evict_path":
+            return cache.evict_path(ids[arg % len(ids)], now)
+        return cache.evict_all(now)
+    except CapacityError as error:
+        return str(error)
+
+
+def recording_victims(cache):
+    """Every segment ``cache`` evicts from now on, in eviction order."""
+    victims = []
+    evict = cache._evict_segment
+
+    def recording(state, now):
+        victims.append(state.node_id)
+        evict(state, now)
+
+    cache._evict_segment = recording
+    return victims
+
+
+def cache_books(cache):
+    """Every segment's state, the block / residency totals, the statistics
+    totals and what changed since the last look (which starts over)."""
+    stats = cache.stats
+    return (
+        {node: asdict(state) for node, state in cache.segments.items()},
+        cache.pool.allocated_blocks,
+        cache.evictable_blocks,
+        cache.resident_tokens,
+        cache.resident_segment_count,
+        (
+            stats.hit_tokens, stats.recomputed_tokens, stats.allocated_tokens,
+            stats.evicted_tokens, stats.evicted_segments,
+        ),
+        [state.node_id for state in cache.take_changes()],
+    )
+
+
+class TestTracingChangesNothing:
+    @given(script)
+    # An unpinned tail outgrowing the free blocks is its own LRU victim
+    # only if nothing spares it: it must stay resident and stop the batch.
+    @example([
+        ("register", 0, 40), ("materialize", 1, True),
+        ("register", 0, 8), ("materialize", 2, False),
+        ("extend", [1], 41), ("evict_all", None, None),
+    ])
+    # Two pinned tails: the first grows, the second finds no block left.
+    @example([
+        ("register", 0, 40), ("materialize", 1, True),
+        ("register", 0, 8), ("materialize", 2, True),
+        ("extend", [0, 1], 24),
+    ])
+    @settings(max_examples=150, deadline=None)
+    def test_traced_and_untraced_caches_keep_the_same_books(self, ops):
+        traced, plain = scripted_cache(10_000), scripted_cache(0)
+        victims = recording_victims(plain)
+        traced_pins, plain_pins = [], []
+        for now, op in enumerate(ops):
+            got = run_script_op(traced, traced_pins, op, float(now))
+            assert run_script_op(plain, plain_pins, op, float(now)) == got, op
+            books = cache_books(plain)
+            assert cache_books(traced) == books, op
+            segments, allocated = books[0], books[1]
+            assert allocated == sum(
+                state["blocks_held"] for state in segments.values() if state["resident"]
+            )
+            evictions = [
+                event.segment_id for event in traced.stats.trace
+                if event.kind is CacheEventKind.EVICT
+            ]
+            assert evictions == victims  # the same victims, in the same order
+        assert plain.stats.trace == []
+        # The trace rows are the counted transitions.
+        stats, traced_tokens = traced.stats, dict.fromkeys(CacheEventKind, 0)
+        for event in stats.trace:
+            traced_tokens[event.kind] += event.tokens
+        assert traced_tokens == {
+            CacheEventKind.ALLOCATE: stats.allocated_tokens,
+            CacheEventKind.HIT: stats.hit_tokens,
+            CacheEventKind.EVICT: stats.evicted_tokens,
+            CacheEventKind.RECOMPUTE: stats.recomputed_tokens,
+        }
 
 
 class TestCacheEdges:

@@ -454,7 +454,8 @@ class FullReplaceLedger:
     segment; eviction rescans every segment for each victim. ``_register``,
     ``_evictable``, ``_evict_for`` and ``charge_growth_segments`` are the
     replaced code verbatim; the rest is what they need around them, with
-    admission making room for a swapped-out segment's whole host copy.
+    admission making room for a swapped-out segment's whole host copy and
+    refusing a kept footprint over the budget.
     """
 
     def __init__(self, capacity):
@@ -593,20 +594,22 @@ class FullReplaceLedger:
 
     def admit_segments(self, owner, segments):
         claims = list(segments)
-        total = sum(claim.num_bytes for claim in claims)
-        if total > self._capacity:
-            raise CapacityError("over budget")
         keep = {claim.node_id for claim in claims}
-        incoming = 0
+        footprint = incoming = 0
         for claim in claims:
             seg = self._segments.get(claim.node_id)
+            others = seg.owners if seg is not None else {}
+            # Every claimed segment ends up resident at its longest claim.
+            size = max(
+                [claim.num_bytes] + [b for o, b in others.items() if o != owner]
+            )
+            footprint += size
             if seg is not None and seg.resident:
                 incoming += max(0, claim.num_bytes - seg.num_bytes)
             else:  # a swapped-out segment comes back at its longest claim
-                others = seg.owners if seg is not None else {}
-                incoming += max(
-                    [claim.num_bytes] + [b for o, b in others.items() if o != owner]
-                )
+                incoming += size
+        if footprint > self._capacity:
+            raise CapacityError("over budget")
         evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
         self._register(owner, claims, keep)
         self._note_peaks()
@@ -787,6 +790,57 @@ class TestDeltaMatchesFullReplace:
                 got, want = result
                 assert got == want, op
             assert_same_books(ledger, ref)
+
+
+def ledger_books(ledger):
+    """Everything an admission may not touch when it refuses."""
+    return (
+        ledger._tick, ledger.resident_bytes, ledger.swapped_out_bytes,
+        {owner: ledger.claims_of(owner) for owner in ledger.owners},
+        {node: seg.resident for node, seg in ledger._segments.items()},
+    )
+
+
+class TestAdmissionFitsTheKeptFootprint:
+    """A migration lands within the budget, or refuses before anything moves.
+
+    Eviction cannot touch the segments the migrant claims, so the budget
+    must hold all of them at their longest claim — a co-owner's longer
+    copy, resident or swapped out, included — not just the migrant's own
+    claim bytes.
+    """
+
+    @given(delta_ops, st.sampled_from(DELTA_OWNERS), claim_sets)
+    # a's 30 B claims, swapped out by a storm, come back whole for a
+    # migrant claiming 10 B of each: 90 B kept on a 50 B budget.
+    @example(
+        [
+            ("report", "a", {4: 30}, "delta"),
+            ("resize", None, 1, None),
+            ("resize", None, 50, None),
+        ],
+        "b",
+        {4: 10},
+    )
+    # The same copies still resident: 3 x 30 B + 2 x 10 B kept on 95 B.
+    @example(
+        [("report", "a", {4: 30}, "delta"), ("resize", None, 95, None)],
+        "b",
+        {4: 10, 6: 10},
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lands_within_budget_or_moves_nothing(self, history, owner, migrant):
+        ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
+        held: dict[str, set[int]] = {}
+        for op in history:
+            run_delta_op(ledger, ref, held, op)
+        before = ledger_books(ledger)
+        try:
+            ledger.admit_segments(owner, forest_claims(migrant))
+        except CapacityError:
+            assert ledger_books(ledger) == before
+            return
+        assert ledger.resident_bytes <= ledger.capacity_bytes
 
 
 def brute_force_storm(ledger, capacity):
