@@ -31,7 +31,7 @@ class SimClock:
     """Monotonic simulated time in seconds."""
 
     def __init__(self, start: float = 0.0, label: str | None = None) -> None:
-        if start < 0:
+        if not start >= 0:
             raise ValueError("start time must be non-negative")
         self._now = float(start)
         self.label = label  # debug aid: which lane/session owns this timeline
@@ -42,7 +42,7 @@ class SimClock:
 
     def advance(self, dt: float) -> float:
         """Move time forward by ``dt`` seconds and return the new time."""
-        if dt < 0:
+        if not dt >= 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
         self._now += dt
         return self._now
@@ -56,7 +56,7 @@ class SimClock:
         (within float-reconciliation tolerance) are clamped to ``now``;
         anything earlier raises.
         """
-        if target < self._now - _REWIND_TOLERANCE:
+        if not target >= self._now - _REWIND_TOLERANCE:
             raise ValueError(
                 f"cannot rewind clock from {self._now} to {target}"
             )
@@ -66,7 +66,7 @@ class SimClock:
 
     def reset(self, to: float = 0.0) -> None:
         """Restart the clock (between independent problems)."""
-        if to < 0:
+        if not to >= 0:
             raise ValueError("reset time must be non-negative")
         self._now = float(to)
 

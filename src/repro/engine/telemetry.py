@@ -59,7 +59,7 @@ class UtilizationTracker:
             raise ValueError("span must have t_end >= t_start")
         if span.busy_slots < 0 or span.busy_slots > span.capacity_slots:
             raise ValueError("busy_slots must be within [0, capacity_slots]")
-        if span.duration > 0:
+        if span.t_end > span.t_start:
             self._spans.append(span)
 
     def mean_utilization(self, phase: Phase | None = None) -> float:
@@ -97,7 +97,7 @@ class PhaseTimer:
     totals: dict[Phase, float] = field(default_factory=dict)
 
     def add(self, phase: Phase, dt: float) -> None:
-        if dt < 0:
+        if not dt >= 0:
             raise ValueError("dt must be non-negative")
         self.totals[phase] = self.totals.get(phase, 0.0) + dt
 

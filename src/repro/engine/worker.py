@@ -67,12 +67,18 @@ class ModelWorker:
         self._batch_share = value
 
     def _launch_latency(self, flops: float, num_bytes: float) -> float:
-        """Roofline latency of one launch, weight-amortized when co-batched."""
+        """Roofline latency of one launch, weight-amortized when co-batched.
+
+        The roofline is asked once per launch (:meth:`Roofline.point`, or
+        :meth:`Roofline.batched_point` while co-batched), and it divides by
+        a peak and a bandwidth it derived once; the FLOPs and bytes come
+        from per-token coefficients the :class:`ModelSpec` derived once.
+        """
         if self._batch_share > 1:
-            return self._roofline.batched_latency(
+            return self._roofline.batched_point(
                 flops, num_bytes, self._model.weight_bytes, self._batch_share
-            )
-        return self._roofline.latency(flops, num_bytes)
+            ).latency
+        return self._roofline.point(flops, num_bytes).latency
 
     @property
     def model(self) -> ModelSpec:
@@ -100,7 +106,7 @@ class ModelWorker:
         if outcome.recomputed_tokens > 0:
             cost = prefill_cost(self._model, 1, outcome.recomputed_tokens,
                                 cached_prefix_len=outcome.hit_tokens)
-            dt = self._roofline.latency(cost.flops, cost.bytes)
+            dt = self._roofline.point(cost.flops, cost.bytes).latency
             self._clock.advance(dt)
             self._timer.add(phase, dt)
         return outcome
@@ -135,14 +141,14 @@ class ModelWorker:
             num_bytes += cost.bytes - self._model.weight_bytes
         dt = self._launch_latency(flops, num_bytes)
         start = self._clock.now
-        self._clock.advance(dt)
+        end = self._clock.advance(dt)
         self._timer.add(phase, dt)
         if self._util is not None:
             capacity = capacity_slots if capacity_slots is not None else len(live)
             self._util.record(
                 UtilSpan(
                     t_start=start,
-                    t_end=self._clock.now,
+                    t_end=end,
                     busy_slots=min(len(live), max(capacity, 1)),
                     capacity_slots=max(capacity, 1),
                     phase=phase,
@@ -177,13 +183,13 @@ class GeneratorWorker(ModelWorker):
         cost = decode_step_cost(self._model, busy_slots, avg_cache_len)
         dt = n_steps * self._launch_latency(cost.flops, cost.bytes)
         start = self._clock.now
-        self._clock.advance(dt)
+        end = self._clock.advance(dt)
         self._timer.add(Phase.GENERATION, dt)
         if self._util is not None:
             self._util.record(
                 UtilSpan(
                     t_start=start,
-                    t_end=self._clock.now,
+                    t_end=end,
                     busy_slots=busy_slots,
                     capacity_slots=capacity_slots,
                     phase=Phase.GENERATION,

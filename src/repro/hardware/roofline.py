@@ -54,7 +54,8 @@ class Roofline:
     An optional ``efficiency`` factor (0, 1] derates both peaks uniformly to
     model achievable rather than theoretical throughput; it scales all
     latencies equally and therefore never changes any comparison this
-    library makes.
+    library makes. The derated peak and bandwidth are derived once, here,
+    so :meth:`point` — asked once per kernel launch — is two divisions.
     """
 
     def __init__(self, device: DeviceSpec, efficiency: float = 0.6) -> None:
@@ -62,6 +63,8 @@ class Roofline:
             raise ValueError("efficiency must be in (0, 1]")
         self._device = device
         self._efficiency = efficiency
+        self._peak = device.peak_flops * efficiency
+        self._bandwidth = device.mem_bandwidth * efficiency
 
     @property
     def device(self) -> DeviceSpec:
@@ -73,15 +76,13 @@ class Roofline:
 
     def point(self, flops: float, num_bytes: float) -> RooflinePoint:
         """Cost one operation, returning the full roofline breakdown."""
-        if flops < 0 or num_bytes < 0:
+        if not (flops >= 0 and num_bytes >= 0):
             raise ValueError("flops and bytes must be non-negative")
-        peak = self._device.peak_flops * self._efficiency
-        bandwidth = self._device.mem_bandwidth * self._efficiency
         return RooflinePoint(
             flops=flops,
             bytes=num_bytes,
-            compute_time=flops / peak,
-            memory_time=num_bytes / bandwidth,
+            compute_time=flops / self._peak,
+            memory_time=num_bytes / self._bandwidth,
         )
 
     def latency(self, flops: float, num_bytes: float) -> float:
@@ -114,13 +115,3 @@ class Roofline:
             return self.point(flops, num_bytes)
         shared = min(shared_bytes, num_bytes)
         return self.point(flops, (num_bytes - shared) + shared / occupancy)
-
-    def batched_latency(
-        self,
-        flops: float,
-        num_bytes: float,
-        shared_bytes: float,
-        occupancy: int,
-    ) -> float:
-        """Shorthand for ``batched_point(...).latency``."""
-        return self.batched_point(flops, num_bytes, shared_bytes, occupancy).latency

@@ -13,6 +13,10 @@ Sec. 4.3.1 formulation):
 * prefill reads the weights once for the whole chunk, so its arithmetic
   intensity grows with tokens-per-batch and it saturates compute quickly
   (Fig. 6 of the paper).
+
+The two per-token FLOP coefficients are derived once per spec
+(:attr:`ModelSpec.linear_flops_per_token`,
+:attr:`ModelSpec.attention_flops_per_position`).
 """
 
 from __future__ import annotations
@@ -35,16 +39,6 @@ class StageCost:
         return StageCost(self.flops + other.flops, self.bytes + other.bytes)
 
 
-def _linear_flops_per_token(model: ModelSpec) -> float:
-    """Matmul FLOPs per token through all dense layers (~2 per parameter)."""
-    return 2.0 * model.param_count
-
-
-def _attention_flops_per_token(model: ModelSpec, context_len: float) -> float:
-    """Score+value FLOPs one query token spends against ``context_len`` keys."""
-    return 4.0 * model.n_layers * model.n_heads * model.head_dim * context_len
-
-
 def prefill_cost(
     model: ModelSpec,
     batch_size: int,
@@ -59,19 +53,19 @@ def prefill_cost(
     Returns the cost of the whole batch as one kernel launch (vLLM fuses
     prefill across a batch the same way).
     """
-    if batch_size <= 0:
+    if not batch_size > 0:
         raise ValueError("batch_size must be positive")
-    if seq_len <= 0:
+    if not seq_len > 0:
         raise ValueError("seq_len must be positive")
-    if cached_prefix_len < 0:
+    if not cached_prefix_len >= 0:
         raise ValueError("cached_prefix_len must be non-negative")
 
     new_tokens = batch_size * seq_len
-    linear = new_tokens * _linear_flops_per_token(model)
+    linear = new_tokens * model.linear_flops_per_token
     # Each new token attends to the cached prefix plus, on average, half the
     # new chunk (causal mask): sum_{i=1..S} (C + i) ~= S*C + S^2/2.
     avg_context = cached_prefix_len + seq_len / 2.0
-    attention = new_tokens * _attention_flops_per_token(model, avg_context)
+    attention = new_tokens * (model.attention_flops_per_position * avg_context)
 
     weight_traffic = model.weight_bytes
     kv_write = new_tokens * model.kv_bytes_per_token
@@ -88,13 +82,13 @@ def decode_step_cost(
 
     ``avg_cache_len`` is the mean resident context length across the batch.
     """
-    if batch_size <= 0:
+    if not batch_size > 0:
         raise ValueError("batch_size must be positive")
-    if avg_cache_len < 0:
+    if not avg_cache_len >= 0:
         raise ValueError("avg_cache_len must be non-negative")
 
-    linear = batch_size * _linear_flops_per_token(model)
-    attention = batch_size * _attention_flops_per_token(model, avg_cache_len)
+    linear = batch_size * model.linear_flops_per_token
+    attention = batch_size * (model.attention_flops_per_position * avg_cache_len)
 
     weight_traffic = model.weight_bytes
     kv_read = batch_size * avg_cache_len * model.kv_bytes_per_token

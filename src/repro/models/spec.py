@@ -51,6 +51,11 @@ class ModelSpec:
     #: Bytes of KV cache one token occupies across all layers: K and V,
     #: per layer, per KV head, per head dimension, at dtype width.
     kv_bytes_per_token: int = field(init=False, repr=False, compare=False)
+    #: Matmul FLOPs per token through all dense layers (~2 per parameter).
+    linear_flops_per_token: float = field(init=False, repr=False, compare=False)
+    #: Score+value FLOPs one query token spends per cached key position
+    #: (QK^T plus AV, across all layers and heads).
+    attention_flops_per_position: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.param_count <= 0:
@@ -70,6 +75,12 @@ class ModelSpec:
             self,
             "kv_bytes_per_token",
             2 * self.n_layers * self.n_kv_heads * self.head_dim * self.dtype_bytes,
+        )
+        object.__setattr__(self, "linear_flops_per_token", 2.0 * self.param_count)
+        object.__setattr__(
+            self,
+            "attention_flops_per_position",
+            4.0 * self.n_layers * self.n_heads * self.head_dim,
         )
 
     def kv_bytes(self, batch_size: int, seq_len: float) -> float:

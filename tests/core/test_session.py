@@ -22,6 +22,7 @@ from repro.errors import SchedulingError
 from repro.experiments.reference import pure_search
 from repro.search import tree as tree_module
 from repro.search.registry import build_algorithm, list_algorithms
+from repro.utils import rng as rng_module
 from repro.utils.rng import FIRST_DRAW_CAP, KeyedRng, stream_counts
 from repro.workloads.datasets import build_dataset
 
@@ -233,9 +234,14 @@ class TestDeriveOnce:
     #: Python-level calls of this very solve before segment ids were kept
     #: with the lineage, subtree constants memoised and KV growth batched
     #: (1 024 951), after that (245 842), with speculative children
-    #: drawing only their length (236 873), and with the paged KV cache
-    #: keeping its books in place (154 169 measured).
-    CALLS_NOW = 157_000
+    #: drawing only their length (236 873), with the paged KV cache
+    #: keeping its books in place (154 169), and with each launch charged
+    #: and each key hashed in one pass (138 779 measured).
+    CALLS_NOW = 141_000
+    #: Distinct strings the solve hashes: with a cold memo, each is one
+    #: ``_encode_part`` call, and they were all of that function's calls
+    #: before keys were encoded in one pass.
+    STR_MISSES = 20
     #: The part of them made in ``repro/kvcache/``: 103 235 while each
     #: segment transition went through block, LRU and statistics helpers,
     #: 26 488 since.
@@ -397,3 +403,30 @@ class TestDeriveOnce:
         result = outcome.result
         evicted = result.gen_evicted_segments + result.ver_evicted_segments
         assert 0 < calls["PagedKVCache._evict_for"] <= evicted
+
+    def test_a_launch_and_a_keyed_hash_are_one_pass(self, dataset, problem):
+        """The worker asks the roofline once per launch, never through
+        ``Roofline.latency``; a span is kept by comparing its ends; and a
+        key is encoded inside ``_hash64``, whose fallback sees only what
+        the one-pass encoder does not spell out."""
+        rng_module._encode_str.cache_clear()  # its misses call _encode_part
+        profiler = cProfile.Profile(subcalls=False, builtins=False)
+        profiler.enable()
+        self.solve(dataset, problem)
+        profiler.disable()
+        calls = Counter()
+        for entry in profiler.getstats():
+            if not isinstance(entry.code, str):
+                calls[entry.code.co_qualname] += entry.callcount
+        assert calls["UtilSpan.duration"] == 0
+        assert calls["_encode_parts"] == 0
+        assert calls["ModelWorker._launch_latency"] > 0
+        # Only the allocator's plan search goes through ``latency``.
+        assert calls["Roofline.point"] == (
+            calls["ModelWorker._launch_latency"] + calls["Roofline.latency"]
+        )
+        # The fallback encodes the string memo's misses and each KeyedRng's
+        # seed, nothing else of a key.
+        misses = rng_module._encode_str.cache_info().misses
+        assert misses <= self.STR_MISSES
+        assert calls["_encode_part"] == misses + calls["KeyedRng.__init__"]

@@ -1,6 +1,10 @@
 """Tests for the simulation clock and telemetry."""
 
+import math
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.engine.clock import ClockBinding, SimClock
 from repro.engine.telemetry import (
@@ -48,6 +52,25 @@ class TestSimClock:
     def test_advance_to_clamps_float_jitter(self):
         clock = SimClock(start=1.0)
         assert clock.advance_to(1.0 - 1e-12) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda bad: SimClock(start=bad), id="start"),
+        pytest.param(lambda bad: SimClock().advance(bad), id="advance"),
+        pytest.param(lambda bad: SimClock(start=2.0).advance_to(bad), id="advance_to"),
+        pytest.param(lambda bad: SimClock().reset(bad), id="reset"),
+    ])
+    def test_nan_and_negative_times_are_rejected(self, call, bad):
+        """A NaN compares False both ways: each check must reject it, or
+        one NaN turns every later ``advance_to`` into a silent no-op."""
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_a_rejected_nan_leaves_the_clock_usable(self):
+        clock = SimClock()
+        with pytest.raises(ValueError):
+            clock.advance(math.nan)
+        assert clock.advance_to(1.5) == 1.5
 
 
 class TestClockBinding:
@@ -160,6 +183,28 @@ class TestUtilizationTracker:
         tracker.record(UtilSpan(1, 1, 2, 4, Phase.GENERATION))
         assert tracker.spans == []
 
+    @given(st.floats(), st.floats())
+    @example(0.0, 0.0)
+    @example(-0.0, 0.0)
+    @example(math.inf, math.inf)
+    @example(-math.inf, -math.inf)
+    @example(math.nan, 1.0)
+    @example(1.0, math.nan)
+    @example(1.0, 1.0 + 2**-52)
+    @example(-1e308, 1e308)
+    def test_a_span_is_kept_exactly_when_it_has_positive_duration(self, t_start, t_end):
+        """Keeping a span by ``t_end > t_start`` agrees with the
+        ``duration > 0`` it replaced on every float pair, NaN and inf
+        included (``inf - inf`` is NaN, so ``(inf, inf)`` is dropped)."""
+        tracker = UtilizationTracker()
+        span = UtilSpan(t_start, t_end, 1, 4, Phase.GENERATION)
+        if t_end < t_start:
+            with pytest.raises(ValueError):
+                tracker.record(span)
+            return
+        tracker.record(span)
+        assert tracker.spans == ([span] if span.duration > 0 else [])
+
     def test_invalid_span_rejected(self):
         tracker = UtilizationTracker()
         with pytest.raises(ValueError):
@@ -189,6 +234,12 @@ class TestPhaseTimer:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             PhaseTimer().add(Phase.SWAP, -1.0)
+
+    def test_rejects_nan(self):
+        timer = PhaseTimer()
+        with pytest.raises(ValueError):
+            timer.add(Phase.SWAP, math.nan)
+        assert timer.totals == {}
 
 
 class TestTokenCounters:

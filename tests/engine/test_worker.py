@@ -8,6 +8,7 @@ from repro.engine.worker import GeneratorWorker, VerifierWorker
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
 from repro.kvcache.cache import PagedKVCache
+from repro.models.costs import decode_step_cost, prefill_cost
 from repro.models.zoo import QWEN25_MATH_1P5B as MODEL
 
 
@@ -72,6 +73,51 @@ class TestPrefillBatch:
     def test_mismatched_lengths_raise(self, worker):
         with pytest.raises(ValueError):
             worker.prefill_batch([100], [0, 0])
+
+
+class TestOnePointPerLaunch:
+    """A launch is charged exactly the roofline point of its FLOPs and
+    bytes - weight-amortized through ``batched_point`` when co-batched -
+    and the clock and its utilization span agree with that charge."""
+
+    @pytest.mark.parametrize("share", [1, 3])
+    def test_decode_span_is_n_steps_of_one_point(self, worker, share):
+        worker.batch_share = share
+        roofline = worker.roofline
+        cost = decode_step_cost(MODEL, 5, 321.5)
+        step = roofline.batched_point(cost.flops, cost.bytes, MODEL.weight_bytes, share)
+        if share == 1:
+            assert step == roofline.point(cost.flops, cost.bytes)
+        worker.clock.advance(0.125)
+        dt = worker.decode_span(7, busy_slots=5, capacity_slots=8, avg_cache_len=321.5)
+        assert dt == 7 * step.latency
+        assert worker.clock.now == 0.125 + dt
+        span, = worker._util.spans
+        assert (span.t_start, span.t_end) == (0.125, worker.clock.now)
+
+    @pytest.mark.parametrize("share", [1, 3])
+    def test_prefill_batch_is_one_point(self, worker, share):
+        worker.batch_share = share
+        flops, num_bytes = 0.0, float(MODEL.weight_bytes)
+        for new_tokens, cached in ((64, 0), (32, 200)):
+            cost = prefill_cost(MODEL, 1, new_tokens, cached_prefix_len=cached)
+            flops += cost.flops
+            num_bytes += cost.bytes - MODEL.weight_bytes
+        launch = worker.roofline.batched_point(flops, num_bytes, MODEL.weight_bytes, share)
+        if share == 1:
+            assert launch == worker.roofline.point(flops, num_bytes)
+        dt = worker.prefill_batch([64, 0, 32], [0, 9, 200])
+        assert dt == launch.latency
+        span, = worker._util.spans
+        assert (span.t_start, span.t_end) == (0.0, dt)
+
+    def test_a_recompute_is_one_unbatched_point(self, worker):
+        worker.batch_share = 3  # a recompute runs alone, whatever the round
+        worker.cache.register_segment(1, None, 100)
+        worker.cache.register_segment(2, 1, 50)
+        worker.materialize_path(2, Phase.GENERATION)
+        cost = prefill_cost(MODEL, 1, 150)
+        assert worker.clock.now == worker.roofline.point(cost.flops, cost.bytes).latency
 
 
 class TestMaterializePath:

@@ -1,10 +1,12 @@
 """Tests for the roofline latency model."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hardware.device import DeviceSpec, get_device
+from repro.hardware.device import DeviceSpec, get_device, list_devices
 from repro.hardware.roofline import Roofline
 
 _GB = 1024**3
@@ -46,6 +48,26 @@ class TestRoofline:
     def test_negative_inputs_raise(self):
         with pytest.raises(ValueError):
             Roofline(device).point(-1.0, 0.0)
+
+    @pytest.mark.parametrize("flops, num_bytes", [
+        (0.0, -1.0), (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+    ])
+    def test_negative_bytes_and_nan_inputs_raise(self, flops, num_bytes):
+        with pytest.raises(ValueError):
+            Roofline(device).point(flops, num_bytes)
+
+    @given(
+        st.sampled_from(list_devices()),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.floats(min_value=0, max_value=1e16),
+        st.floats(min_value=0, max_value=1e13),
+    )
+    def test_point_divides_by_the_peaks_derated_once(self, name, efficiency, flops, num_bytes):
+        """Deriving the derated peaks at construction moves no float."""
+        dev = get_device(name)
+        point = Roofline(dev, efficiency).point(flops, num_bytes)
+        assert point.compute_time == flops / (dev.peak_flops * efficiency)
+        assert point.memory_time == num_bytes / (dev.mem_bandwidth * efficiency)
 
     def test_bad_efficiency_raises(self):
         with pytest.raises(ValueError):

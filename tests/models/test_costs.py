@@ -1,13 +1,17 @@
 """Tests for the FLOPs/bytes cost functions and the phase asymmetry."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
-from repro.models.costs import decode_step_cost, prefill_cost
+from repro.models.costs import StageCost, decode_step_cost, prefill_cost
+from repro.models.quantize import DTYPE_BYTES, quantized
 from repro.models.zoo import QWEN25_MATH_1P5B as MODEL
+from repro.models.zoo import get_model, list_models
 
 
 class TestPrefillCost:
@@ -39,6 +43,13 @@ class TestPrefillCost:
         with pytest.raises(ValueError):
             prefill_cost(MODEL, 0, 10)
 
+    @pytest.mark.parametrize("batch, seq, cached", [
+        (math.nan, 10, 0), (1, math.nan, 0), (1, 10, math.nan), (1, 10, -1),
+    ])
+    def test_rejects_nan_and_out_of_range_lengths(self, batch, seq, cached):
+        with pytest.raises(ValueError):
+            prefill_cost(MODEL, batch, seq, cached_prefix_len=cached)
+
 
 class TestDecodeCost:
     def test_weight_traffic_dominates_small_batch(self):
@@ -53,6 +64,72 @@ class TestDecodeCost:
     def test_rejects_negative_cache(self):
         with pytest.raises(ValueError):
             decode_step_cost(MODEL, 1, -1.0)
+
+    @pytest.mark.parametrize("batch, cache", [(math.nan, 10.0), (1, math.nan), (0, 10.0)])
+    def test_rejects_nan_and_out_of_range_lengths(self, batch, cache):
+        with pytest.raises(ValueError):
+            decode_step_cost(MODEL, batch, cache)
+
+
+def reference_prefill_cost(model, batch_size, seq_len, cached_prefix_len=0):
+    """``prefill_cost`` as it stood while every call re-derived the
+    per-token FLOP coefficients from the spec's fields."""
+    new_tokens = batch_size * seq_len
+    linear = new_tokens * (2.0 * model.param_count)
+    avg_context = cached_prefix_len + seq_len / 2.0
+    attention = new_tokens * (
+        4.0 * model.n_layers * model.n_heads * model.head_dim * avg_context
+    )
+    weight_traffic = model.weight_bytes
+    kv_write = new_tokens * model.kv_bytes_per_token
+    kv_read = batch_size * cached_prefix_len * model.kv_bytes_per_token
+    return StageCost(flops=linear + attention, bytes=weight_traffic + kv_write + kv_read)
+
+
+def reference_decode_step_cost(model, batch_size, avg_cache_len):
+    """``decode_step_cost`` as it stood, the same way."""
+    linear = batch_size * (2.0 * model.param_count)
+    attention = batch_size * (
+        4.0 * model.n_layers * model.n_heads * model.head_dim * avg_cache_len
+    )
+    weight_traffic = model.weight_bytes
+    kv_read = batch_size * avg_cache_len * model.kv_bytes_per_token
+    kv_write = batch_size * model.kv_bytes_per_token
+    return StageCost(flops=linear + attention, bytes=weight_traffic + kv_read + kv_write)
+
+
+#: Every registered spec, and each one deployed at every known dtype.
+ALL_SPECS = st.builds(
+    quantized,
+    st.sampled_from(list_models()).map(get_model),
+    st.sampled_from(sorted(DTYPE_BYTES)),
+)
+
+
+class TestDerivedCoefficientsAreBitIdentical:
+    """Reading the coefficients a spec derived once moves no float."""
+
+    @given(
+        ALL_SPECS,
+        st.integers(1, 256),
+        st.integers(1, 8192),
+        st.integers(0, 32768),
+    )
+    def test_prefill_cost_matches_the_reference(self, model, batch, seq, cached):
+        got = prefill_cost(model, batch, seq, cached_prefix_len=cached)
+        assert got == reference_prefill_cost(model, batch, seq, cached)
+
+    @given(
+        ALL_SPECS,
+        st.integers(1, 256),
+        st.one_of(st.integers(0, 32768), st.floats(0.0, 32768.0)),
+    )
+    # ``(149 * coefficient) * 30359.76...`` rounds differently: the
+    # coefficient must multiply the context first, as it always did.
+    @example(get_model("skywork-o1-prm-1.5b"), 149, 30359.769048215257)
+    def test_decode_step_cost_matches_the_reference(self, model, batch, cache):
+        got = decode_step_cost(model, batch, cache)
+        assert got == reference_decode_step_cost(model, batch, cache)
 
 
 class TestPhaseAsymmetry:

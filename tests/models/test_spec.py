@@ -62,20 +62,35 @@ class TestModelSpec:
         assert "1.5B" in str(QWEN25_MATH_1P5B)
 
     def test_derived_sizes_stay_outside_eq_hash_and_repr(self):
-        """The sizes are derived once per spec, but a spec still compares,
-        hashes and prints as its declared fields, and ``replace`` (how
-        ``quantized`` builds a spec) re-derives them."""
+        """The sizes and FLOP coefficients are derived once per spec, but a
+        spec still compares, hashes and prints as its declared fields, and
+        ``replace`` (how ``quantized`` builds a spec) re-derives them."""
+        derived = {f.name for f in fields(ModelSpec) if not f.init}
+        assert derived == {
+            "weight_bytes", "kv_bytes_per_token",
+            "linear_flops_per_token", "attention_flops_per_position",
+        }
         declared = [f.name for f in fields(ModelSpec) if f.init]
         spec = QWEN25_MATH_1P5B
         twin = ModelSpec(**{name: getattr(spec, name) for name in declared})
         assert twin == spec and hash(twin) == hash(spec)
+        assert {name: getattr(twin, name) for name in derived} == {
+            name: getattr(spec, name) for name in derived
+        }
         assert repr(spec) == "ModelSpec(" + ", ".join(
             f"{name}={getattr(spec, name)!r}" for name in declared
         ) + ")"
+        assert spec.linear_flops_per_token == 2.0 * 1_540_000_000
+        # 4 * 28 layers * 12 heads * 128 head dim
+        assert spec.attention_flops_per_position == 172_032.0
         int8 = replace(spec, dtype="int8", dtype_bytes=1)
         assert int8.weight_bytes == spec.param_count
         assert int8.kv_bytes_per_token == spec.kv_bytes_per_token // 2
+        assert int8.linear_flops_per_token == spec.linear_flops_per_token
         assert int8 != spec
+        deeper = replace(spec, n_layers=2 * spec.n_layers, param_count=1000)
+        assert deeper.linear_flops_per_token == 2000.0
+        assert deeper.attention_flops_per_position == 2 * spec.attention_flops_per_position
 
 
 class TestZoo:

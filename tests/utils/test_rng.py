@@ -1,11 +1,12 @@
 """Tests for the keyed RNG streams — the schedule-invariance foundation."""
 
+import enum
 import hashlib
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils import rng as rng_module
@@ -105,8 +106,20 @@ class _Label(str):
     """A ``str`` subclass: must take the isinstance fallback, same bytes."""
 
 
+class _Kind(enum.IntEnum):
+    """An ``int`` subclass: the fallback again, tagged as an int."""
+
+    SOUND = 1
+
+
 class TestFastPathMatchesReference:
+    # A lineage (a tuple) whose items are not all exact ints hands each
+    # such item to the fallback; pin every kind of one, at that depth.
     @given(st.lists(nested_parts, max_size=5))
+    @example([("step", (True, 1.0, b"x", _Kind.SOUND, _Label("a"), 2**70, -1, ((1,), 2)))])
+    @example(["segment", "p-3", (0, 1, True, 2), 4])
+    @example([(1, (2, (3, (4,))), "s", _Label("t")), _Kind.SOUND, 2**70, -1])
+    @example([(), ((),), b"", ""])
     def test_any_key_hashes_like_the_reference(self, parts):
         assert stable_hash64(*parts) == reference_hash64(*parts)
 
