@@ -8,6 +8,7 @@ timing, never search results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -113,8 +114,8 @@ class ServerConfig:
             raise ConfigError("memory_fraction must be in (0, 1]")
         if not 0.0 <= self.spec_truncation_ratio <= 1.0:
             raise ConfigError("spec_truncation_ratio must be in [0, 1]")
-        if self.spec_bandwidth_fraction <= 0.0:
-            raise ConfigError("spec_bandwidth_fraction must be positive")
+        if not 0.0 < self.spec_bandwidth_fraction < math.inf:
+            raise ConfigError("spec_bandwidth_fraction must be positive and finite")
         if self.block_tokens <= 0:
             raise ConfigError("block_tokens must be positive")
         if not 0.0 < self.efficiency <= 1.0:

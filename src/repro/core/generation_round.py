@@ -29,11 +29,15 @@ the cache grows the whole batch in one
 is only picked where that call stopped); one pass retires finished slots.
 A sequence is one :class:`_Slot` for the whole round — waiting, running,
 preempted back to waiting — and a slot's context length is what its
-admission's ``materialize`` reported, not a second tree walk.
+admission's ``materialize`` reported, not a second tree walk. What is
+fixed for the round is derived once: the speculation byte budget at
+construction, and the count of running standard slots by the pass that
+retires and admits them (strict termination reads it, not the batch).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -116,8 +120,8 @@ class GenerationRound:
             raise ValueError("slot_budget must be positive")
         if speculation and child_planner is None:
             raise ValueError("speculation requires a child_planner")
-        if spec_bandwidth_fraction <= 0:
-            raise ValueError("spec_bandwidth_fraction must be positive")
+        if not 0.0 < spec_bandwidth_fraction < math.inf:
+            raise ValueError("spec_bandwidth_fraction must be positive and finite")
         self._worker = worker
         self._cache = worker.cache
         self._clock = worker.clock
@@ -126,7 +130,8 @@ class GenerationRound:
         self._branching = branching_factor
         self._child_planner = child_planner
         self._preempt_check = preempt_check
-        self._spec_bandwidth_fraction = spec_bandwidth_fraction
+        self._spec_budget_bytes = spec_bandwidth_fraction * worker.model.weight_bytes
+        self._kv_bytes_per_token = self._cache.kv_bytes_per_token
 
     def run(self, jobs: list[GenJob]) -> GenerationRoundResult:
         """Run the round; ``jobs`` must already be in scheduling order."""
@@ -187,9 +192,12 @@ class GenerationRound:
             self._grow_slots(running, waiting, heads, delta, stats)
 
             still_running: list[_Slot] = []
+            standard = 0
             for slot in running:
                 if slot.remaining > 0:
                     still_running.append(slot)
+                    if not slot.is_spec:
+                        standard += 1
                 elif slot.is_spec:
                     self._finish_spec(slot, heads, stats)
                 else:
@@ -199,10 +207,10 @@ class GenerationRound:
                     )
             running = still_running
 
-            self._admit_standard(waiting, running, outcomes, stats, selector)
+            standard += self._admit_standard(waiting, running, outcomes, stats, selector)
             if speculation_enabled and not waiting and selector is not None:
                 self._fill_with_speculation(running, selector, stats, capacity)
-            if not waiting and running and all(s.is_spec for s in running):
+            if not waiting and running and not standard:
                 # All standard beams done: strict speculative termination.
                 self._kill_spec_slots(running, heads, stats)
 
@@ -219,13 +227,14 @@ class GenerationRound:
         outcomes: dict[tuple[int, ...], GenOutcome],
         stats: RoundStats,
         selector: SelectSpec | None,
-    ) -> None:
+    ) -> int:
         """Admit waiting beams into free slots, batching the prefill charge.
 
         All beams admitted in one burst share a single batched prefill
         launch for their missing KV (recompute after eviction, prompt
-        prefill on round 0) — as vLLM's chunked prefill would. Raises if
-        the round is stuck: work waiting but nothing running or admitted.
+        prefill on round 0) — as vLLM's chunked prefill would. Returns
+        how many slots were added to ``running``. Raises if the round is
+        stuck: work waiting but nothing running or admitted.
         """
         cache = self._cache
         burst: list[tuple[_Slot, MaterializeOutcome]] = []
@@ -264,13 +273,15 @@ class GenerationRound:
                 # or a preempted beam whose decode had finished.
                 self._finish_standard(slot.job, slot.prior_progress, outcomes, selector)
                 continue
-            slot.context_len = outcome.touched_tokens  # the whole path
+            # the whole path: every token is a hit or a recompute
+            slot.context_len = outcome.hit_tokens + outcome.recomputed_tokens
             running.append(slot)
         if waiting and not running:
             raise SchedulingError(
                 "generation round stalled: the generator KV budget cannot "
                 "host even one waiting beam"
             )
+        return burst_slots
 
     def _finish_standard(
         self,
@@ -281,7 +292,7 @@ class GenerationRound:
     ) -> None:
         """Release the beam's path, record its outcome and — when its
         step can have children — offer it to the speculation selector."""
-        self._worker.release_path(job.new_segment)
+        self._cache.unpin_path(job.new_segment)
         outcomes[job.lineage] = GenOutcome(
             lineage=job.lineage,
             finish_time=self._clock.now,
@@ -300,14 +311,14 @@ class GenerationRound:
         ``spec_bandwidth_fraction`` of the weight bytes. At small n this
         cap is far above the free-slot count and never binds. The
         arguments are the standard (straggler) slots' count and summed
-        context.
+        context; the byte budget and the KV bytes per token are the
+        round's, derived once at construction.
         """
         avg_ctx = (
             max(1.0, standard_context / standard_slots) if standard_slots else 512.0
         )
-        bytes_per_spec_step = avg_ctx * self._cache.kv_bytes_per_token
-        budget = self._spec_bandwidth_fraction * self._worker.model.weight_bytes
-        return max(1, int(budget / bytes_per_spec_step))
+        bytes_per_spec_step = avg_ctx * self._kv_bytes_per_token
+        return max(1, int(self._spec_budget_bytes / bytes_per_spec_step))
 
     def _fill_with_speculation(
         self,
@@ -338,7 +349,8 @@ class GenerationRound:
             if plan is None:
                 continue
             cache.register_segment(plan.segment_id, plan.parent_leaf_segment, 0)
-            if not cache.can_fit_path(plan.segment_id, extra_tokens=plan.n_tokens):
+            needed, reclaimable = cache.path_block_demand(plan.segment_id, plan.n_tokens)
+            if needed > reclaimable:
                 continue  # never evict standard work for speculation
             try:
                 outcome = cache.materialize(
@@ -351,7 +363,7 @@ class GenerationRound:
                 _Slot(
                     segment=plan.segment_id,
                     remaining=plan.n_tokens,
-                    context_len=outcome.touched_tokens,
+                    context_len=outcome.hit_tokens + outcome.recomputed_tokens,
                     spec_parent=parent_lineage,
                     spec_child=child_index,
                     spec_lineage=plan.child_lineage,
@@ -365,7 +377,7 @@ class GenerationRound:
         stats: RoundStats,
     ) -> None:
         assert slot.spec_lineage is not None and slot.spec_parent is not None
-        self._worker.release_path(slot.segment)
+        self._cache.unpin_path(slot.segment)
         stats.speculative_tokens += slot.progress
         if slot.progress > 0:
             heads[slot.spec_lineage] = SpecHeadStart(
@@ -446,7 +458,7 @@ class GenerationRound:
         self, slot: _Slot, waiting: deque[_Slot], stats: RoundStats
     ) -> None:
         assert slot.job is not None
-        self._worker.release_path(slot.segment)
+        self._cache.unpin_path(slot.segment)
         self._cache.evict_path(slot.segment, now=self._clock.now)
         stats.decoded_tokens += slot.progress  # text exists; KV recomputes
         slot.prior_progress += slot.progress

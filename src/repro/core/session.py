@@ -746,19 +746,23 @@ class SolveSession:
         last element *is* that prefix's segment id). Without it ids key on
         the full lineage, so each lineage hashes its private chain once.
         """
-        chain = self._segment_chains.get(lineage)
+        chains = self._segment_chains
+        chain = chains.get(lineage)
         if chain is None:
-            if not self._server.config.prefix_caching:
-                chain = path_segments(
-                    self._server.config, self._problem, lineage, len(lineage)
-                )
+            cfg = self._server.config
+            if not cfg.prefix_caching:
+                chain = path_segments(cfg, self._problem, lineage, len(lineage))
             elif lineage:
-                chain = self._segment_chain(lineage[:-1]) + (
+                prefix = lineage[:-1]
+                parent = chains.get(prefix)
+                if parent is None:
+                    parent = self._segment_chain(prefix)
+                chain = parent + (
                     step_segment_id(self._problem, lineage, len(lineage) - 1),
                 )
             else:
                 chain = (prompt_segment_id(self._problem),)
-            self._segment_chains[lineage] = chain
+            chains[lineage] = chain
         return chain
 
     def _gen_job(self, path: ReasoningPath, step: StepPlan) -> GenJob:
@@ -780,16 +784,21 @@ class SolveSession:
     def _child_planner(
         self, plans: dict[tuple[int, ...], StepPlan], round_idx: int
     ):
-        """Closure resolving speculative branches to child step identities."""
+        """Closure resolving speculative branches to child step identities.
+
+        In the last round a step can have no child, which is decided here
+        once rather than per call.
+        """
         next_cap = self._algorithm.step_cap(round_idx + 1)
+        last_round = round_idx + 1 >= self._server.dataset.max_steps
 
         def planner(
             parent_lineage: tuple[int, ...], child_index: int
         ) -> ChildStepPlan | None:
+            if last_round:
+                return None
             parent_plan = plans.get(parent_lineage)
             if parent_plan is None or parent_plan.is_terminal:
-                return None
-            if round_idx + 1 >= self._server.dataset.max_steps:
                 return None
             child_lineage = parent_lineage + (child_index,)
             chain = self._segment_chain(child_lineage)  # ends ..., parent, child

@@ -13,10 +13,14 @@ It combines two structures:
   LRU stamp, resident-child count) live in one place, so nothing is
   synced between a tree and a side table.
 
-Every path operation (materialize, pin / unpin, block demand, path
-eviction) starts from one root→leaf walk yielding the chain's states;
-decode-time growth is one routine, called once per decode span for the
-whole batch (:meth:`PagedKVCache.extend_segments`). Running totals
+A segment carries its root→parent states (``SegmentState.ancestors``),
+fixed when it is registered: a parent never changes and segments leave
+only through :meth:`PagedKVCache.reset`, so every path operation
+(materialize, pin / unpin, block demand, path eviction) reads its chain
+off the leaf instead of walking parent links, and the hot ones pin and
+unpin in their own loops. Decode-time growth is one routine, called once
+per decode span for the whole batch
+(:meth:`PagedKVCache.extend_segments`). Running totals
 (resident tokens / segments, evictable blocks) move at the transitions
 and are never re-summed, and the same transitions record which segments
 changed residency or length (:meth:`PagedKVCache.take_changes`), so a
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -71,13 +75,21 @@ def _unknown(segment_id: int) -> KeyError:
 
 @dataclass(slots=True)
 class SegmentState(RadixNode):
-    """One registered segment: its tree node plus dynamic cache state."""
+    """One registered segment: its tree node plus dynamic cache state.
+
+    ``ancestors`` holds the root→parent states (not the segment itself),
+    set once by :meth:`PagedKVCache.register_segment`; ``ancestors +
+    (state,)`` is the segment's path. It points only up the tree, so a
+    chain forms no reference cycle, and it stays out of ``repr`` and
+    ``==`` (a deep path would print, and compare, every state above it).
+    """
 
     resident: bool = False
     pin_count: int = 0
     blocks_held: int = 0
     last_access: int = 0
     resident_children: int = 0
+    ancestors: tuple[SegmentState, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,11 +99,6 @@ class MaterializeOutcome:
     hit_tokens: int
     recomputed_tokens: int
     evicted_segments: int
-
-    @property
-    def touched_tokens(self) -> int:
-        """Token length of the whole path (every token is a hit or a recompute)."""
-        return self.hit_tokens + self.recomputed_tokens
 
 
 class PagedKVCache:
@@ -198,20 +205,13 @@ class PagedKVCache:
         except KeyError:
             raise _unknown(segment_id) from None
 
-    def _chain(self, leaf_id: int) -> list[SegmentState]:
-        """The states of the root->leaf path, root first — the one walk
-        every path operation starts from."""
-        segments = self._segments
-        try:
-            state = segments[leaf_id]
-        except KeyError:
-            raise _unknown(leaf_id) from None
-        chain = [state]
-        while state.parent_id is not None:
-            state = segments[state.parent_id]
-            chain.append(state)
-        chain.reverse()
-        return chain
+    def _chain(self, leaf_id: int) -> tuple[SegmentState, ...]:
+        """The states of the root->leaf path, root first, for the cold
+        path operations (the hot ones read ``ancestors`` themselves)."""
+        state = self._segments.get(leaf_id)
+        if state is None:
+            raise _unknown(leaf_id)
+        return state.ancestors + (state,)
 
     # -- registration ----------------------------------------------------
 
@@ -221,19 +221,32 @@ class PagedKVCache:
         """Register a (non-resident) segment in the reasoning tree.
 
         Idempotent for identical attributes so that callers can re-register
-        shared prefixes freely.
+        shared prefixes freely. A new segment's ``ancestors`` are its
+        parent's plus the parent, fixed here for the segment's lifetime; a
+        re-registration keeps them (a differing parent or length raises
+        ``ValueError`` before anything changes).
         """
-        if parent_id is not None and parent_id not in self._segments:
-            raise KeyError(f"parent segment {parent_id} is not registered")
+        segments = self._segments
+        parent = None
+        if parent_id is not None:
+            parent = segments.get(parent_id)
+            if parent is None:
+                raise KeyError(f"parent segment {parent_id} is not registered")
         state = self._tree.add_node(segment_id, parent_id, token_len)
-        self._segments[segment_id] = state
+        if segment_id not in segments:
+            if parent is not None:
+                state.ancestors = parent.ancestors + (parent,)
+            segments[segment_id] = state
         return state
 
     # -- pinning ---------------------------------------------------------
 
     def pin_path(self, leaf_id: int) -> None:
         """Protect every segment on the root->leaf path from eviction."""
-        self._pin(self._chain(leaf_id))
+        for state in self._chain(leaf_id):
+            if state.pin_count == 0 and state.resident:
+                self._evictable_blocks -= state.blocks_held
+            state.pin_count += 1
 
     def unpin_path(self, leaf_id: int) -> None:
         """Release one pin along the root->leaf path.
@@ -242,15 +255,10 @@ class PagedKVCache:
         :class:`CapacityError` before any pin count, the evictable total
         or the candidate heap has been touched.
         """
-        self._unpin(self._chain(leaf_id))
-
-    def _pin(self, chain: list[SegmentState]) -> None:
-        for state in chain:
-            if state.pin_count == 0 and state.resident:
-                self._evictable_blocks -= state.blocks_held
-            state.pin_count += 1
-
-    def _unpin(self, chain: list[SegmentState]) -> None:
+        leaf = self._segments.get(leaf_id)
+        if leaf is None:
+            raise _unknown(leaf_id)
+        chain = leaf.ancestors + (leaf,)
         for state in chain:
             if state.pin_count <= 0:
                 raise CapacityError(f"segment {state.node_id} is not pinned")
@@ -286,18 +294,21 @@ class PagedKVCache:
         is left unchanged in block accounting (any evictions already applied
         remain — as they would on real hardware).
         """
-        chain = self._chain(leaf_id)
+        leaf = self._segments.get(leaf_id)
+        if leaf is None:
+            raise _unknown(leaf_id)
         self._access_clock += 1
         stamp = self._access_clock
 
-        # Protect the chain under construction: without this, loading a
-        # deep suffix under memory pressure could evict the path's own hit
-        # prefix, silently breaking the residency invariant.
-        self._pin(chain)
-
         hit_tokens = 0
         to_load: list[SegmentState] = []
-        for state in chain:
+        for state in leaf.ancestors + (leaf,):
+            # Protect the chain under construction: without this, loading a
+            # deep suffix under memory pressure could evict the path's own
+            # hit prefix, silently breaking the residency invariant.
+            if state.pin_count == 0 and state.resident:
+                self._evictable_blocks -= state.blocks_held
+            state.pin_count += 1
             if state.resident and not to_load:
                 hit_tokens += state.token_len
                 state.last_access = stamp
@@ -336,7 +347,7 @@ class PagedKVCache:
                 if stats.trace_capacity:
                     stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
         except CapacityError:
-            self._unpin(chain)
+            self.unpin_path(leaf_id)
             raise
 
         if hit_tokens:
@@ -344,7 +355,7 @@ class PagedKVCache:
             if stats.trace_capacity:
                 stats.record(now, CacheEventKind.HIT, leaf_id, hit_tokens)
         if not pin:
-            self._unpin(chain)
+            self.unpin_path(leaf_id)
         return MaterializeOutcome(
             hit_tokens=hit_tokens, recomputed_tokens=recomputed, evicted_segments=evicted
         )
@@ -473,24 +484,29 @@ class PagedKVCache:
         is free blocks plus everything evictable outside this path. The
         schedulers use the pair for cumulative admission control.
         """
+        leaf = self._segments.get(leaf_id)
+        if leaf is None:
+            raise _unknown(leaf_id)
         pool = self._pool
         block_tokens = pool.block_tokens
-        chain = self._chain(leaf_id)
-        leaf = chain[-1]
         needed_blocks = 0
         own_evictable = 0
         broken = False
-        for state in chain:
-            tokens = state.token_len + (extra_tokens if state is leaf else 0)
+        for state in leaf.ancestors:
             if state.resident and not broken:
                 if state.pin_count == 0:
                     own_evictable += state.blocks_held
-                if state is leaf:
-                    # planned tail growth beyond currently held blocks
-                    needed_blocks += -(-tokens // block_tokens) - state.blocks_held
                 continue
             broken = True
             # block rounding applies per segment, not to the token sum
+            needed_blocks += -(-state.token_len // block_tokens)
+        tokens = leaf.token_len + extra_tokens
+        if leaf.resident and not broken:
+            if leaf.pin_count == 0:
+                own_evictable += leaf.blocks_held
+            # planned tail growth beyond currently held blocks
+            needed_blocks += -(-tokens // block_tokens) - leaf.blocks_held
+        else:
             needed_blocks += -(-tokens // block_tokens)
         free_blocks = pool.total_blocks - pool.allocated_blocks
         reclaimable = free_blocks + self._evictable_blocks - own_evictable

@@ -44,6 +44,15 @@ class TestServerConfig:
         with pytest.raises(ConfigError):
             ServerConfig(spec_truncation_ratio=1.1)
 
+    @pytest.mark.parametrize(
+        "fraction", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_spec_bandwidth_fraction_must_be_positive_and_finite(self, fraction):
+        # NaN and inf used to pass a ``<= 0`` test, then crash mid-solve
+        # converting the speculation slot cap to an int.
+        with pytest.raises(ConfigError, match="positive and finite"):
+            ServerConfig(spec_bandwidth_fraction=fraction)
+
     def test_with_overrides(self):
         cfg = fasttts_config().with_overrides(seed=9)
         assert cfg.seed == 9

@@ -230,6 +230,17 @@ class TestSpeculation:
         with pytest.raises(ValueError):
             GenerationRound(make_worker(), slot_budget=2, speculation=True)
 
+    @pytest.mark.parametrize(
+        "fraction", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_spec_bandwidth_fraction_must_be_positive_and_finite(self, fraction):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GenerationRound(
+                make_worker(), slot_budget=2, speculation=True,
+                child_planner=child_planner_factory(),
+                spec_bandwidth_fraction=fraction,
+            )
+
 
 class TestSlotChurn:
     """Mid-burst slot turnover: frees, refills and stalls (ISSUE 6)."""

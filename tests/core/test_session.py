@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import session as session_module
 from repro.core.config import baseline_config, fasttts_config
+from repro.core.generation_round import GenerationRound
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
 from repro.errors import SchedulingError
@@ -235,17 +236,19 @@ class TestDeriveOnce:
     #: with the lineage, subtree constants memoised and KV growth batched
     #: (1 024 951), after that (245 842), with speculative children
     #: drawing only their length (236 873), with the paged KV cache
-    #: keeping its books in place (154 169), and with each launch charged
-    #: and each key hashed in one pass (138 779 measured).
-    CALLS_NOW = 141_000
+    #: keeping its books in place (154 169), with each launch charged and
+    #: each key hashed in one pass (138 779), and with each segment
+    #: carrying its root path (119 773 measured).
+    CALLS_NOW = 122_000
     #: Distinct strings the solve hashes: with a cold memo, each is one
     #: ``_encode_part`` call, and they were all of that function's calls
     #: before keys were encoded in one pass.
     STR_MISSES = 20
     #: The part of them made in ``repro/kvcache/``: 103 235 while each
     #: segment transition went through block, LRU and statistics helpers,
-    #: 26 488 since.
-    KVCACHE_CALLS_NOW = 35_000
+    #: 26 488 while each path operation walked the parent links, 14 123
+    #: since.
+    KVCACHE_CALLS_NOW = 14_400
 
     def solve(self, dataset, problem):
         server = make_server(dataset, "fasttts")
@@ -403,6 +406,44 @@ class TestDeriveOnce:
         result = outcome.result
         evicted = result.gen_evicted_segments + result.ver_evicted_segments
         assert 0 < calls["PagedKVCache._evict_for"] <= evicted
+
+    def test_a_path_op_walks_nothing(self, dataset, problem, monkeypatch):
+        """A path operation reads the root path its leaf carries and pins
+        or unpins in its own loop; the decode loop keeps what is fixed for
+        the round instead of re-deriving it per span."""
+        jobs_per_round = []
+        real_run = GenerationRound.run
+
+        def counting_run(gen_round, jobs):
+            jobs_per_round.append(len(jobs))
+            return real_run(gen_round, jobs)
+
+        monkeypatch.setattr(GenerationRound, "run", counting_run)
+        profiler = cProfile.Profile(subcalls=False, builtins=False)
+        profiler.enable()
+        self.solve(dataset, problem)
+        profiler.disable()
+        calls = Counter()
+        for entry in profiler.getstats():
+            if not isinstance(entry.code, str):
+                calls[entry.code.co_qualname] += entry.callcount
+        # The round asks the cache directly, not through these wrappers.
+        assert calls["PagedKVCache.can_fit_path"] == 0
+        assert calls["ModelWorker.release_path"] == 0
+        # Only the cold path operations read the chain through a helper.
+        assert calls["PagedKVCache._chain"] == (
+            calls["PagedKVCache.pin_path"] + calls["PagedKVCache.evict_path"]
+            + calls["PagedKVCache.resident_prefix_tokens"]
+        )
+        # Every pin is released exactly once.
+        assert calls["PagedKVCache.materialize"] > 0
+        assert calls["PagedKVCache.unpin_path"] == calls["PagedKVCache.materialize"]
+        # The only generator left in a round builds its slots: no span
+        # scans the batch to ask whether a standard slot is still running.
+        assert jobs_per_round
+        assert calls["GenerationRound.run.<locals>.<genexpr>"] <= (
+            sum(jobs_per_round) + len(jobs_per_round)
+        )
 
     def test_a_launch_and_a_keyed_hash_are_one_pass(self, dataset, problem):
         """The worker asks the roofline once per launch, never through

@@ -1,5 +1,7 @@
 """Tests for the paged KV cache: residency, pinning, eviction, truncation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import CapacityError
@@ -222,6 +224,35 @@ class TestReset:
         assert cache.resident_tokens == 0
         with pytest.raises(KeyError):
             cache.segment(1)
+
+    def test_a_reset_leaves_no_old_state_in_any_chain(self, cache):
+        cache.materialize(4)
+        before = list(cache.segments.values())  # alive, so no id is reused
+        cache.reset()
+        for seg, parent, tokens in ((1, None, 32), (2, 1, 16), (3, 1, 16), (4, 2, 16)):
+            cache.register_segment(seg, parent, tokens)
+        for state in cache.segments.values():
+            for link in state.ancestors + (state,):
+                assert not any(link is old for old in before), state.node_id
+        assert [s.node_id for s in cache.segment(4).ancestors] == [1, 2]
+        assert cache.materialize(4).recomputed_tokens == 64
+
+
+class TestCarriedChain:
+    """A segment carries its root->parent states; they are not its value."""
+
+    def test_ancestors_stay_out_of_repr_and_eq(self):
+        cache = make_cache()
+        cache.register_segment(0, None, 8)
+        for seg in range(1, 13):
+            cache.register_segment(seg, seg - 1, 8)
+        shallow, deep = cache.segment(1), cache.segment(12)
+        assert len(deep.ancestors) == 12
+        # A few digits of ids, depth and children differ, not 12 states.
+        assert len(repr(deep)) <= len(repr(shallow)) + 8
+        assert repr(deep) == repr(replace(deep, ancestors=()))
+        assert deep == replace(deep, ancestors=())
+        assert replace(deep, ancestors=(shallow,)) == replace(deep, ancestors=())
 
 
 class TestResidentSegments:

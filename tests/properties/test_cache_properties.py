@@ -7,14 +7,16 @@ invariants after every step:
 * block accounting is exact (pool allocation == sum of held blocks);
 * a resident segment's parent is resident (KV suffixes are never orphaned);
 * pinned segments are never evicted;
-* the incremental evictable-blocks counter matches a full recount.
+* the incremental evictable-blocks counter matches a full recount;
+* the root->parent chain a segment carries is the parent-link walk, and
+  re-registering a segment under another parent changes nothing.
 
 A differential script then runs one random op sequence on a tracing and
 a non-tracing cache: the cache keeps its books in place with one spelling
 of the totals, so the two must agree on everything after every op.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import hypothesis.strategies as st
 import pytest
@@ -90,6 +92,19 @@ class CacheMachine(RuleBasedStateMachine):
     def evict_everything(self):
         self.cache.evict_all()
 
+    @rule(rank=st.integers(0, 10_000), parent_rank=st.integers(0, 10_000))
+    def reregister_under_another_parent(self, rank, parent_rank):
+        ids = sorted(self.segments)
+        seg = ids[rank % len(ids)]
+        others = [p for p in (None, *ids) if p != self.segments[seg]]
+        parent = others[parent_rank % len(others)]
+        state = self.cache.segment(seg)
+        ancestors = state.ancestors
+        with pytest.raises(ValueError):
+            self.cache.register_segment(seg, parent, state.token_len)
+        assert self.cache.segment(seg) is state
+        assert state.ancestors is ancestors
+
     @invariant()
     def block_accounting_exact(self):
         held = sum(
@@ -124,6 +139,16 @@ class CacheMachine(RuleBasedStateMachine):
             and self.cache.segment(s).pin_count == 0
         )
         assert self.cache.evictable_blocks == recount
+
+    @invariant()
+    def carried_chain_is_the_parent_walk(self):
+        segments = self.cache.segments
+        for seg in self.segments:
+            state = segments[seg]
+            carried = state.ancestors + (state,)
+            walked = [segments[node] for node in self.cache.tree.path(seg)]
+            assert len(carried) == len(walked)
+            assert all(a is b for a, b in zip(carried, walked)), seg
 
     @invariant()
     def resident_tokens_matches_recount(self):
@@ -228,7 +253,12 @@ def cache_books(cache):
     totals and what changed since the last look (which starts over)."""
     stats = cache.stats
     return (
-        {node: asdict(state) for node, state in cache.segments.items()},
+        # Without the carried chain: ``asdict`` would copy every ancestor,
+        # and each ancestor's ancestors, again.
+        {
+            node: asdict(replace(state, ancestors=()))
+            for node, state in cache.segments.items()
+        },
         cache.pool.allocated_blocks,
         cache.evictable_blocks,
         cache.resident_tokens,
