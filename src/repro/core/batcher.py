@@ -1,14 +1,13 @@
-"""Continuous cross-session batching: the per-lane round batcher.
+"""The lane iteration: the one place a fleet session takes a round.
 
-Without it, co-resident sessions on one :class:`~repro.core.pool
-.PooledDevice` time-slice — each generation round runs alone and pays the
-full weight-read traffic, so interleaving N sessions costs N weight reads
-per round of progress. Real engines (vLLM-style iteration-level
-continuous batching) run every runnable sequence in one jointly-launched
-batch per iteration and read the weights once for all of them.
-
-:class:`RoundBatcher` models that at *round* granularity, the granularity
-this simulator's sessions already expose:
+Every scheduling turn of a fleet lane runs one :class:`RoundBatcher`
+iteration. On a ``batching="off"`` lane its one member is the
+scheduler's pick: co-resident sessions time-slice, and interleaving N of
+them costs N weight reads per round of progress. Real engines
+(vLLM-style iteration-level continuous batching) run every runnable
+sequence in one jointly-launched batch per iteration and read the
+weights once for all of them; a ``batching="continuous"`` lane models
+that at *round* granularity:
 
 * one **iteration** advances every runnable co-resident session on the
   lane by exactly one lifecycle step;
@@ -30,147 +29,142 @@ this simulator's sessions already expose:
   their losing replicas) before the round launches.
 
 The batcher owns no fleet bookkeeping: admission, arrival offsets, KV
-restore/growth charging and request settlement stay with the fleet's run
-state (``repro.core.fleet._FleetRun``), whose bound methods are passed in
-as hooks. Timing is
+restore/growth charging and request settlement stay with the drain's run
+state (``repro.core.fleet._FleetRun``), which is passed in. Timing is
 the only thing batching changes — every token and score draw is keyed, so
 a batched run's answers are byte-identical to the unbatched ones.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.core.scheduler import SessionHandle, arrival_key
 from repro.core.session import SessionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.fleet import _FleetRun
     from repro.core.pool import PooledDevice
+    from repro.core.scheduler import SessionHandle
 
 __all__ = ["RoundBatcher"]
 
 
 class RoundBatcher:
-    """Drives one lane's runnable sessions through jointly-costed rounds.
+    """Drives one lane's members through one jointly-costed iteration.
 
-    Stateless between iterations: the fleet calls :meth:`run_iteration`
-    with the members it considers runnable-and-arrived, and the batcher
-    partitions them by lifecycle state, runs the sub-batches, and updates
-    the lane's occupancy counters.
+    Stateless: the fleet's run state calls :meth:`run_iteration` with the
+    members it chose, and the batcher partitions them by lifecycle state,
+    runs the sub-batches, and updates a continuous lane's occupancy
+    counters.
     """
 
+    @staticmethod
     def run_iteration(
-        self,
+        run: "_FleetRun",
         lane: "PooledDevice",
         members: "list[SessionHandle]",
-        turn: int,
-        on_service_start: "Callable[[PooledDevice, SessionHandle], None]",
-        charge_restore: "Callable[[PooledDevice, SessionHandle], None]",
-        charge_growth: "Callable[[PooledDevice, SessionHandle], None]",
-        on_done: "Callable[[SessionHandle, PooledDevice], None]",
-    ) -> int:
-        """Advance every member by one lifecycle step; returns the turn counter.
+    ) -> None:
+        """Advance every member, given in arrival order, by one lifecycle step.
 
-        Hooks are bound methods of the fleet's run state:
-        ``on_service_start`` marks a handle's first service (start time,
+        ``run`` does the fleet bookkeeping around each member's round:
+        ``service_start`` marks a handle's first service (start time,
         arrival offset), ``charge_restore``/``charge_growth`` do the
-        KV-ledger accounting around a member's round, ``on_done`` settles
-        a finished request (and keeps the fleet's runnable index current,
-        which is why every DONE edge must reach it).
+        KV-ledger accounting, ``settle`` takes a finished request (and
+        keeps the fleet's runnable index current, which is why every DONE
+        edge must reach it). ``run.turn`` numbers the rounds, and the
+        handle in ``run.current[lane]`` is still bound to the lane clock.
         """
         clock = lane.clock
-        members = sorted(members, key=arrival_key)
+        current = run.current[lane.index]
+        # A lone pick that must wait out the idle gap to its arrival is no batch.
+        batched = lane.batching == "continuous" and members[0].arrival_s <= clock.now
+        finalizing, generating, verifying = [], [], []
+        for handle in members:
+            state = handle.session.state
+            if state is SessionState.FINALIZING:
+                finalizing.append(handle)
+            elif state is SessionState.VERIFYING:
+                verifying.append(handle)
+            else:  # ADMITTED or GENERATING
+                generating.append(handle)
 
         # Finished searches first: finalization is result assembly (plus
         # the single BoN scoring pass), it settles the request, and — for
         # racing schedulers — cancels losing replicas, so their batch
         # slots free before this iteration's rounds launch.
-        for handle in members:
+        for handle in finalizing:
             if handle.session.state is not SessionState.FINALIZING:
-                continue
-            self._attach(lane, handle, on_service_start, charge_restore)
+                continue  # a race loser an earlier settlement cancelled
+            if handle is not current:
+                _attach(run, lane, handle)
             handle.session.step()
-            charge_growth(lane, handle)
+            run.charge_growth(lane, handle)
             handle.binding.sync(clock)
-            handle.last_stepped = turn
-            turn += 1
+            handle.last_stepped = run.turn
+            run.turn += 1
             if handle.session.state is SessionState.DONE:
-                on_done(handle, lane)
+                run.settle(handle, lane)
+        if finalizing:  # settlement may have cancelled sibling replicas
+            generating = [h for h in generating if h.session.state.live]
+            verifying = [h for h in verifying if h.session.state.live]
 
-        # Re-partition after settlement: on_done may have cancelled
-        # sibling replicas that were members of this iteration.
-        generating = [
-            h for h in members
-            if h.session.state in (SessionState.ADMITTED, SessionState.GENERATING)
-        ]
-        verifying = [
-            h for h in members if h.session.state is SessionState.VERIFYING
-        ]
-
-        # Generation sub-batch: every member's round starts at the lane's
-        # current time and runs concurrently; the lane advances to the
-        # latest member's end (stragglers gate the iteration, exactly the
-        # lockstep pathology continuous batching trades for occupancy).
-        occupancy = len(generating)
-        if occupancy:
-            lane.batch_iterations += 1
-            lane.batch_member_rounds += occupancy
-            lane.batch_peak_occupancy = max(lane.batch_peak_occupancy, occupancy)
+        # Each sub-batch's rounds start at the lane's current time and run
+        # concurrently; the lane advances to the latest member's end
+        # (stragglers gate the iteration, exactly the lockstep pathology
+        # continuous batching trades for occupancy). Verification runs
+        # after generation (one device runs one model's launches at a
+        # time), jointly costed the same way: batched PRM prefill shares
+        # one weight read.
+        for sub_batch in (generating, verifying):
+            occupancy = len(sub_batch)
+            if not occupancy:
+                continue
+            if batched and sub_batch is generating:
+                lane.batch_iterations += 1
+                lane.batch_member_rounds += occupancy
+                lane.batch_peak_occupancy = max(lane.batch_peak_occupancy, occupancy)
             ends = []
-            for handle in generating:
-                self._attach(lane, handle, on_service_start, charge_restore)
+            for handle in sub_batch:
+                if handle is not current:
+                    _attach(run, lane, handle)
                 session = handle.session
-                if session.state is SessionState.ADMITTED:
-                    session.step()  # zero-cost setup: plan, caches, workers
-                contribution = session.begin_generation_round(occupancy=occupancy)
-                result = contribution.round.run(contribution.jobs)
-                session.finish_generation_round(result)
-                charge_growth(lane, handle)
-                if (
-                    handle.first_token_s is None
-                    and session.first_token_s is not None
-                ):
-                    handle.first_token_s = (
-                        handle.binding.anchor + session.first_token_s
+                if sub_batch is verifying:
+                    session.step_verification(occupancy=occupancy)
+                else:
+                    if session.state is SessionState.ADMITTED:
+                        session.step()  # zero-cost setup: plan, caches, workers
+                    contribution = session.begin_generation_round(occupancy=occupancy)
+                    session.finish_generation_round(
+                        contribution.round.run(contribution.jobs)
                     )
+                    if (
+                        handle.first_token_s is None
+                        and session.first_token_s is not None
+                    ):
+                        # Map the first-token time onto the fleet timeline.
+                        handle.first_token_s = (
+                            handle.binding.anchor + session.first_token_s
+                        )
+                run.charge_growth(lane, handle)
                 ends.append(handle.binding.anchor + session.clock.now)
-                handle.last_stepped = turn
-                turn += 1
-            clock.advance_to(max(max(ends), clock.now))
+                handle.last_stepped = run.turn
+                run.turn += 1
+            clock.advance_to(max(ends))
 
-        # Verification sub-batch: serialized after generation (one device
-        # runs one model's launches at a time) but jointly costed across
-        # its members — batched PRM prefill shares one weight read.
-        occupancy = len(verifying)
-        if occupancy:
-            ends = []
-            for handle in verifying:
-                self._attach(lane, handle, on_service_start, charge_restore)
-                handle.session.step_verification(occupancy=occupancy)
-                charge_growth(lane, handle)
-                ends.append(handle.binding.anchor + handle.session.clock.now)
-                handle.last_stepped = turn
-                turn += 1
-            clock.advance_to(max(max(ends), clock.now))
 
-        return turn
+def _attach(run: "_FleetRun", lane: "PooledDevice", handle: "SessionHandle") -> None:
+    """Bind a member onto the lane clock at its sub-batch's start time.
 
-    @staticmethod
-    def _attach(
-        lane: "PooledDevice",
-        handle: "SessionHandle",
-        on_service_start,
-        charge_restore,
-    ) -> None:
-        """Bind a member onto the lane at the sub-batch's start time.
-
-        First service marks the start (no idle gap: batched members have
-        arrived by construction); resumed members pay to restore any KV
-        the ledger swapped out since they last ran.
-        """
-        if handle.start_s is None:
-            on_service_start(lane, handle)
-            handle.binding.rebind(lane.clock)
-        else:
-            handle.binding.rebind(lane.clock)
-            charge_restore(lane, handle)
+    A first service marks the start, after waiting out any idle gap to
+    the arrival; a resumed member pays to restore whatever KV the ledger
+    swapped out since it last ran.
+    """
+    clock = lane.clock
+    if handle.start_s is None:
+        run.service_start(lane, handle)
+        if handle.start_s > clock.now:
+            clock.advance(handle.start_s - clock.now)  # idle gap
+        handle.binding.rebind(clock)
+    else:
+        handle.binding.rebind(clock)
+        run.charge_restore(lane, handle)

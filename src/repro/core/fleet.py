@@ -81,6 +81,7 @@ from repro.core.pool import (
 from repro.core.scheduler import (
     RequestScheduler,
     SessionHandle,
+    arrival_key,
     build_scheduler,
     list_schedulers,
 )
@@ -557,7 +558,6 @@ class TTSFleet:
             spec = spec.on_pool(pool)
         self.spec = spec
         self._pool = pool
-        self._batcher = RoundBatcher()
         self._fault_processes = parse_fault_spec(spec.faults)
         check_lane_pins(self._fault_processes, len(pool))
         self._retry_policy = RetryPolicy(budget=spec.retry_budget)
@@ -815,9 +815,8 @@ class _FleetRun:
         ``place``; shrinks in ``_retire`` — reached from the DONE edge at
         the top of ``settle`` and from every ``session.cancel()``
         (``_cancel``: race losers, escalation, drop, crash). Under a
-        ``rekey_after_round`` policy, ``_rekey`` re-files a handle
-        wherever ``last_stepped`` is written: after a solo turn in
-        ``step`` and for each surviving member after a batched iteration.
+        ``rekey_after_round`` policy, ``step`` re-files (``_rekey``) each
+        surviving member of the iteration that wrote its ``last_stepped``.
     ``unsignalled``
         runnable handles whose service began and that no arrival has
         preempted yet (who the next arrival signals). Grows in
@@ -932,62 +931,28 @@ class _FleetRun:
         if self.spec.late_policy == "drop" and self.drop_expired(act):
             return True
 
-        clock = act.clock
+        now = act.clock.now
         runnable = self.runnable[act.index].handles
+        members = None
         if act.batching == "continuous":
             # Iteration-level admission: every runnable session that has
             # arrived (or already started) joins this iteration's
             # jointly-costed batch; later arrivals join the next one.
             members = [
-                h for h in runnable
-                if h.start_s is not None or h.arrival_s <= clock.now
+                h for h in runnable if h.start_s is not None or h.arrival_s <= now
             ]
-            if members:
-                self.turn = self.fleet._batcher.run_iteration(
-                    act,
-                    members,
-                    turn=self.turn,
-                    on_service_start=self.service_start,
-                    charge_restore=self.charge_restore,
-                    charge_growth=self.charge_growth,
-                    on_done=self.settle,
-                )
-                if self.scheduler.rekey_after_round:
-                    for handle in members:
-                        if handle.runnable_key is not None:
-                            self._rekey(handle)
-                # The lane clock sits at the batch horizon, not at any
-                # single member's position: force the next solo step to
-                # rebind (and restore) whichever session it picks.
-                self.current[act.index] = None
-                return True
-
-        handle = self.scheduler.pick(runnable, clock.now)
-        session = handle.session
-        if handle.start_s is None:
-            self.service_start(act, handle)
-            if handle.start_s > clock.now:
-                clock.advance(handle.start_s - clock.now)  # idle gap
-            handle.binding.rebind(clock)
-        elif handle is not self.current[act.index]:
-            handle.binding.rebind(clock)
-            self.charge_restore(act, handle)
-
-        if session.state is SessionState.ADMITTED:
-            session.step()  # zero-cost setup: plan, caches, workers
-        session.step()  # one generation / verification / finalize round
-        self.charge_growth(act, handle)
-        if handle.first_token_s is None and session.first_token_s is not None:
-            # Map the session's first-token time onto the fleet timeline.
-            handle.first_token_s = handle.binding.anchor + session.first_token_s
-        handle.binding.sync(clock)
-        handle.last_stepped = self.turn
-        self.turn += 1
-        self.current[act.index] = handle
-        if session.state is SessionState.DONE:
-            self.settle(handle, act)
-        elif self.scheduler.rekey_after_round:
-            self._rekey(handle)
+            members.sort(key=arrival_key)
+        if not members:
+            members = [self.scheduler.pick(runnable, now)]
+        RoundBatcher.run_iteration(self, act, members)
+        if self.scheduler.rekey_after_round:
+            for handle in members:
+                if handle.runnable_key is not None:
+                    self._rekey(handle)
+        if act.batching == "off":
+            # The lane clock sits at this handle's position, so picking it
+            # again needs no rebind; a batch horizon belongs to no member.
+            self.current[act.index] = members[0]
         return True
 
     def report(self) -> FleetReport:

@@ -136,10 +136,11 @@ class PooledDevice:
     #: segments shared across sessions are billed once). See
     #: :meth:`session_claims` / :meth:`planned_claims`.
     kv_sharing: str = "off"
-    #: Round coalescing: ``"off"`` serves one session's round at a time
-    #: (time-slicing), ``"continuous"`` drives the lane through the
-    #: fleet's :class:`~repro.core.batcher.RoundBatcher` — co-resident
-    #: sessions' rounds run as one jointly-costed batch per iteration.
+    #: Who joins each iteration of the fleet's
+    #: :class:`~repro.core.batcher.RoundBatcher` on this lane: ``"off"``
+    #: runs the scheduler's single pick (time-slicing), ``"continuous"``
+    #: every co-resident session that has arrived — their rounds run as
+    #: one jointly-costed batch.
     batching: str = "off"
     # -- fleet-maintained load state (placement inputs) -------------------
     live_requests: int = 0
@@ -172,9 +173,10 @@ class PooledDevice:
     #: PCIe bytes delta-migration avoided moving (vs a full-footprint
     #: transfer), split per lane by transfer direction.
     migration_bytes_saved: int = 0
-    #: Batched-iteration rollups (filled by the round batcher): how many
-    #: generation sub-batches the lane launched, the total member rounds
-    #: they contained, and the widest batch seen.
+    #: Batched-iteration rollups (filled by the round batcher on a
+    #: ``"continuous"`` lane only, so an ``"off"`` lane reports none): how
+    #: many generation sub-batches the lane launched, the total member
+    #: rounds they contained, and the widest batch seen.
     batch_iterations: int = 0
     batch_member_rounds: int = 0
     batch_peak_occupancy: int = 0
@@ -530,9 +532,10 @@ class DevicePool:
         ``kv_sharing="prefix"`` makes every lane name sessions' KV by
         segment lineage, so its ledger dedups prefix segments across
         co-resident sessions.
-        ``batching="continuous"`` marks every lane for the fleet's
-        :class:`~repro.core.batcher.RoundBatcher`, which coalesces
-        co-resident sessions' rounds into jointly-costed batches.
+        ``batching="continuous"`` has each iteration of the fleet's
+        :class:`~repro.core.batcher.RoundBatcher` coalesce every lane's
+        co-resident sessions' rounds into jointly-costed batches (under
+        ``"off"`` an iteration runs the scheduler's single pick).
         ``lanes=[LaneSpec(...), ...]`` builds a *heterogeneous* pool
         instead: each lane gets its own model pairing, device, dtype
         (via :func:`~repro.models.quantize.quantized`) and optional
@@ -602,16 +605,6 @@ class DevicePool:
     @property
     def devices(self) -> tuple[PooledDevice, ...]:
         return self._devices
-
-    def device_by_id(self, device_id: str) -> PooledDevice:
-        for lane in self._devices:
-            if lane.device_id == device_id:
-                return lane
-        known = [lane.device_id for lane in self._devices]
-        raise ConfigError(
-            f"no pool device {device_id!r}{did_you_mean(device_id, known)}; "
-            f"lanes: {', '.join(known)}"
-        )
 
     # -- migration ---------------------------------------------------------
 

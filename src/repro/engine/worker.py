@@ -51,8 +51,10 @@ class ModelWorker:
     def batch_share(self) -> int:
         """How many co-batched sessions share this worker's weight reads.
 
-        The fleet's :class:`~repro.core.batcher.RoundBatcher` sets this
-        for the duration of one jointly-costed round: every decode step
+        The session's round methods set this to the occupancy of the
+        sub-batch the fleet's :class:`~repro.core.batcher.RoundBatcher`
+        runs the round in (1 for a lone member, which is every round on a
+        ``batching="off"`` lane), for that round only: every decode step
         and prefill launch then bills this session only ``1/batch_share``
         of the weight traffic (the batch reads the weights once for all
         members). At the default of 1 every launch goes through the plain
@@ -110,10 +112,6 @@ class ModelWorker:
             self._clock.advance(dt)
             self._timer.add(phase, dt)
         return outcome
-
-    def release_path(self, leaf_segment: int) -> None:
-        """Unpin a path after its round completes (keeps KV cached)."""
-        self._cache.unpin_path(leaf_segment)
 
     def prefill_batch(
         self,

@@ -12,9 +12,11 @@ either feature alone on mean latency.
 
 import pytest
 
+from repro.core.batcher import RoundBatcher
 from repro.core.config import ConfigError, baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet, generate_arrivals
 from repro.core.pool import DevicePool, PooledDevice
+from repro.core.session import SolveSession
 from repro.search.registry import build_algorithm
 from repro.workloads.datasets import build_dataset
 
@@ -132,6 +134,108 @@ class TestOffIsTheDefault:
         } == {
             rid: res.to_json_dict() for rid, res in sorted(burst_off.results.items())
         }
+
+
+class TestOneTurnPath:
+    """Every lane turn is one ``RoundBatcher`` iteration: an ``off`` lane
+    runs the scheduler's single pick as its one member."""
+
+    @staticmethod
+    def member_counts(monkeypatch, batching):
+        sizes = []
+        real = RoundBatcher.run_iteration
+
+        def counting(run, lane, members):
+            sizes.append(len(members))
+            return real(run, lane, members)
+
+        monkeypatch.setattr(RoundBatcher, "run_iteration", staticmethod(counting))
+        burst_fleet(batching)
+        return sizes
+
+    def test_off_lane_iterates_single_picks(self, monkeypatch):
+        sizes = self.member_counts(monkeypatch, "off")
+        assert len(sizes) > 0
+        assert set(sizes) == {1}
+
+    def test_continuous_lane_batches_members(self, monkeypatch):
+        assert max(self.member_counts(monkeypatch, "continuous")) > 1
+
+    def test_race_loser_finalizing_alongside_the_winner_is_skipped(self):
+        """Both replicas of a request finalize in one iteration and the
+        first settles the race: the cancelled second is not stepped."""
+        dataset = build_dataset("amc23", seed=0, size=4)
+        fleet = TTSFleet(
+            baseline_config(memory_fraction=0.4, seed=0), dataset,
+            scheduler="first_finish", batching="continuous",
+        )
+        for problem in dataset:
+            fleet.submit(problem, build_algorithm("beam_search", 2), 0.0)
+        report = fleet.drain()
+        assert [r.replicas for r in report.records] == [2, 2, 2, 2]
+        assert all(r.accepted and r.cancelled_work_s > 0 for r in report.records)
+
+
+class TestNoOverlap:
+    """With no two sessions co-resident every iteration has one member,
+    so the mode branches left in the one turn path change nothing: a
+    ``continuous`` lane serves exactly what an ``off`` lane serves."""
+
+    ARRIVALS = [0.3711, 5000.1234567, 10000.98765, 20000.13]
+
+    @staticmethod
+    def run(factory, batching):
+        dataset = build_dataset("amc23", seed=0, size=4)
+        fleet = TTSFleet(
+            factory(memory_fraction=0.4, seed=0), dataset,
+            scheduler="fifo", batching=batching,
+        )
+        fleet.submit_stream(
+            list(dataset), build_algorithm("beam_search", 8),
+            TestNoOverlap.ARRIVALS,
+        )
+        return fleet.drain()
+
+    @staticmethod
+    def times(record):
+        return [
+            record.arrival_s, record.start_s, record.finish_s,
+            record.ttft_s, record.tpot_s, record.device_time_s,
+            record.kv_swap_s, *record.latency.to_json_dict().values(),
+        ]
+
+    @pytest.mark.parametrize(
+        "factory", [baseline_config, fasttts_config], ids=["baseline", "fasttts"]
+    )
+    def test_continuous_matches_off(self, factory, monkeypatch):
+        off = self.run(factory, "off")
+        rounds = []
+        real_begin = SolveSession.begin_generation_round
+
+        def counting_begin(session, occupancy=1):
+            rounds.append(occupancy)
+            return real_begin(session, occupancy)
+
+        monkeypatch.setattr(SolveSession, "begin_generation_round", counting_begin)
+        continuous = self.run(factory, "continuous")
+        # The sessions really are disjoint: each starts at its arrival
+        # and finishes before the next one arrives.
+        for record, next_arrival in zip(off.records, self.ARRIVALS[1:]):
+            assert record.start_s == record.arrival_s
+            assert record.finish_s < next_arrival
+        assert set(rounds) == {1}
+        # Each request's first round is a lone pick waiting out the idle
+        # gap to its arrival, which the occupancy counters do not count.
+        assert continuous.devices[0].batch_iterations == len(rounds) - 4
+        assert continuous.metrics.batch_occupancy_peak == 1
+        assert answer_signature(continuous) == answer_signature(off)
+        assert len(continuous.records) == len(off.records) == 4
+        for batched, solo in zip(continuous.records, off.records):
+            assert (batched.request_id, batched.device_id, batched.accepted) == (
+                solo.request_id, solo.device_id, solo.accepted
+            )
+            # Continuous lanes re-anchor every member each iteration.
+            assert self.times(batched) == pytest.approx(self.times(solo), rel=1e-12)
 
 
 class TestComposition:

@@ -109,11 +109,6 @@ class TestDevicePool:
         with pytest.raises(ConfigError):
             DevicePool([a, b])
 
-    def test_device_by_id_suggests_near_miss(self, dataset):
-        pool = DevicePool.build(baseline_config(memory_fraction=0.4), dataset)
-        with pytest.raises(ConfigError, match="did you mean 'dev0:rtx4090'"):
-            pool.device_by_id("dev0:rtx409")
-
 
 class TestPlacementRegistry:
     def test_policies_registered(self):

@@ -429,7 +429,6 @@ class TestDeriveOnce:
                 calls[entry.code.co_qualname] += entry.callcount
         # The round asks the cache directly, not through these wrappers.
         assert calls["PagedKVCache.can_fit_path"] == 0
-        assert calls["ModelWorker.release_path"] == 0
         # Only the cold path operations read the chain through a helper.
         assert calls["PagedKVCache._chain"] == (
             calls["PagedKVCache.pin_path"] + calls["PagedKVCache.evict_path"]

@@ -134,7 +134,7 @@ class TestMaterializePath:
         cache = worker.cache
         cache.register_segment(1, None, 100)
         worker.materialize_path(1, Phase.GENERATION)
-        worker.release_path(1)
+        worker.cache.unpin_path(1)
         before = worker.clock.now
         outcome = worker.materialize_path(1, Phase.GENERATION)
         assert outcome.recomputed_tokens == 0
