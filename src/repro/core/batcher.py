@@ -11,13 +11,14 @@ that at *round* granularity:
 
 * one **iteration** advances every runnable co-resident session on the
   lane by exactly one lifecycle step;
-* sessions in their generation state contribute their rounds via
-  :meth:`~repro.core.session.SolveSession.begin_generation_round` and run
-  them *concurrently in simulated time* — all start at the lane's current
-  time, the lane clock advances to the latest member's end, and each
-  member's decode/prefill launches bill only ``1/k`` of the weight
-  traffic (:meth:`~repro.hardware.roofline.Roofline.batched_point`), so
-  the batch as a whole reads the weights once;
+* sessions in their generation state each take one
+  :meth:`~repro.core.session.SolveSession.step` with the sub-batch's
+  occupancy ``k``, *concurrently in simulated time* — all start at the
+  lane's current time, the lane clock advances to the latest member's
+  end, and each member's decode/prefill launches bill only ``1/k`` of
+  the weight traffic
+  (:meth:`~repro.hardware.roofline.Roofline.batched_point`), so the
+  batch as a whole reads the weights once;
 * sessions in their verification state form the iteration's second
   sub-batch (batched PRM scoring shares one weight pass the same way),
   serialized after generation exactly as the two workers time-share the
@@ -128,23 +129,16 @@ class RoundBatcher:
                 if handle is not current:
                     _attach(run, lane, handle)
                 session = handle.session
-                if sub_batch is verifying:
-                    session.step_verification(occupancy=occupancy)
-                else:
-                    if session.state is SessionState.ADMITTED:
-                        session.step()  # zero-cost setup: plan, caches, workers
-                    contribution = session.begin_generation_round(occupancy=occupancy)
-                    session.finish_generation_round(
-                        contribution.round.run(contribution.jobs)
-                    )
-                    if (
-                        handle.first_token_s is None
-                        and session.first_token_s is not None
-                    ):
-                        # Map the first-token time onto the fleet timeline.
-                        handle.first_token_s = (
-                            handle.binding.anchor + session.first_token_s
-                        )
+                if sub_batch is generating and session.state is SessionState.ADMITTED:
+                    session.step()  # zero-cost setup: plan, caches, workers
+                session.step(occupancy)
+                if (
+                    sub_batch is generating
+                    and handle.first_token_s is None
+                    and session.first_token_s is not None
+                ):
+                    # Map the first-token time onto the fleet timeline.
+                    handle.first_token_s = handle.binding.anchor + session.first_token_s
                 run.charge_growth(lane, handle)
                 ends.append(handle.binding.anchor + session.clock.now)
                 handle.last_stepped = run.turn

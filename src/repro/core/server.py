@@ -18,17 +18,19 @@ servers with different switches produce identical reasoning trees, scores,
 selections and answers — only simulated time, memory traffic and
 utilization differ. The test suite asserts this equivalence directly.
 
-Migration note (the SolveSession redesign)
-------------------------------------------
+Sessions
+--------
 The solve loop itself lives in :class:`~repro.core.session.SolveSession`,
-a resumable state machine that advances one generation-or-verification
-round per :meth:`~repro.core.session.SolveSession.step`.
-``TTSServer.solve``, ``run``, ``serve_stream`` and ``solve_detailed`` are
-now thin wrappers that create a session and drive it to completion —
-byte-identical to the pre-session monolithic loop (pinned by the goldens
-under ``tests/goldens/``). Callers that want round-granular control —
-fleet schedulers interleaving many requests on one device, cancellation,
-pause/resume — use :meth:`TTSServer.session` directly.
+a resumable state machine whose one transition method,
+:meth:`~repro.core.session.SolveSession.step`, advances one
+generation-or-verification round. ``TTSServer.solve``, ``run``,
+``serve_stream`` and ``solve_detailed`` create a session and drive it to
+completion (pinned by the goldens under ``tests/goldens/``). Callers that
+want round-granular control — fleet schedulers interleaving many requests
+on one device, cancellation, pause/resume — use :meth:`TTSServer.session`
+directly.
+The budget left after both models' weights is the KV budget the Sec. 4.3
+allocator splits per request (:meth:`TTSServer.plan_allocation`).
 """
 
 from __future__ import annotations
@@ -40,16 +42,9 @@ from repro.core.allocator import (
     WorkloadProfile,
     static_split_plan,
 )
-from repro.core.session import (
-    SolveOutcome,
-    SolveSession,
-    lookahead_worthy,
-    path_segments,
-    schedule_jobs,
-)
+from repro.core.session import SolveOutcome, SolveSession
 from repro.errors import CapacityError
 from repro.hardware.device import get_device
-from repro.hardware.memory import MemoryLedger
 from repro.hardware.offload import OffloadLink
 from repro.hardware.roofline import Roofline
 from repro.llm.generator import SimulatedGenerator
@@ -58,7 +53,6 @@ from repro.metrics.report import ProblemRunResult
 from repro.models.spec import ModelSpec
 from repro.models.zoo import model_pair
 from repro.search.base import SearchAlgorithm
-from repro.search.tree import ReasoningPath
 from repro.utils.rng import KeyedRng
 from repro.workloads.problem import Dataset, Problem
 
@@ -100,14 +94,7 @@ class TTSServer:
                 f"model weights ({weights} B) exceed the memory budget "
                 f"({budget} B) on {self._device.name}"
             )
-        self._ledger = MemoryLedger(self._device)
-        self._ledger.reserve("generator", "weights", generator_model.weight_bytes)
-        self._ledger.reserve("verifier", "weights", verifier_model.weight_bytes)
         self._kv_budget = budget - weights
-
-        # The most recent session this server ran to completion, kept for
-        # debugging and the plan-cache introspection tests.
-        self._last_session: SolveSession | None = None
 
     # -- public surface ------------------------------------------------
 
@@ -268,31 +255,4 @@ class TTSServer:
         This is a thin wrapper: it creates a :class:`SolveSession` and
         steps it to completion.
         """
-        session = self.session(problem, algorithm, arrivals=arrivals, trace=trace)
-        self._last_session = session
-        return session.run()
-
-    # -- policy shims ------------------------------------------------------
-    # The scheduling/naming policies themselves live in
-    # :mod:`repro.core.session`; these instance methods bind them to this
-    # server's config and RNG for callers (and tests) that poke at policy
-    # behaviour without building a session.
-
-    def _path_segments(
-        self, problem: Problem, lineage: tuple[int, ...], steps_done: int
-    ) -> tuple[int, ...]:
-        return path_segments(self._config, problem, lineage, steps_done)
-
-    def _schedule(self, problem: Problem, jobs: list, round_idx: int, stage: str) -> list:
-        return schedule_jobs(self._config, self._rng, problem, jobs, round_idx, stage)
-
-    @staticmethod
-    def _lookahead_worthy(path: ReasoningPath, algorithm: SearchAlgorithm) -> bool:
-        return lookahead_worthy(path, algorithm)
-
-    @property
-    def _plan_cache(self):
-        """Step-plan memo of the most recent completed solve (tests only)."""
-        if self._last_session is None:
-            return {}
-        return self._last_session.plan_cache
+        return self.session(problem, algorithm, arrivals=arrivals, trace=trace).run()

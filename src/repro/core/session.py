@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server builds sessio
     from repro.core.config import ServerConfig
     from repro.core.server import TTSServer
 
-__all__ = ["SessionState", "SolveOutcome", "SolveSession", "RoundContribution",
+__all__ = ["SessionState", "SolveOutcome", "SolveSession",
            "path_segments", "schedule_jobs", "lookahead_worthy"]
 
 _TRUNCATION_STD = 0.05  # spread of the R-truncation draw (Alg. 1, line 19)
@@ -98,23 +98,7 @@ class SolveOutcome:
     trace: "SolveTrace | None" = None
 
 
-@dataclass(frozen=True, slots=True)
-class RoundContribution:
-    """One session's share of a (possibly co-batched) generation round.
-
-    Produced by :meth:`SolveSession.begin_generation_round`: the prepared
-    :class:`~repro.core.generation_round.GenerationRound` executor plus
-    the scheduled jobs it should run. A driver (the session's own
-    ``step()``, or the fleet's :class:`~repro.core.batcher.RoundBatcher`)
-    runs ``round.run(jobs)`` and hands the result back through
-    :meth:`SolveSession.finish_generation_round`.
-    """
-
-    round: GenerationRound
-    jobs: list[GenJob]
-
-
-# -- stateless policy helpers (shared by server compat shims and sessions) --
+# -- stateless policy helpers: pure functions of config, rng and problem --
 
 
 def path_segments(
@@ -476,22 +460,28 @@ class SolveSession:
                 f"cannot {action} {self._session_id} in state {self._state.value}"
             )
 
-    def step(self) -> SessionState:
+    def step(self, occupancy: int = 1) -> SessionState:
         """Advance exactly one lifecycle transition and return the new state.
 
         One call performs one unit of simulated device work: setup
         (zero-cost), one generation round, one verification-and-selection
         round, or finalization (result assembly, plus the single
         best-of-N outcome-scoring pass for algorithms that skip per-step
-        verification).
+        verification). A generation or verification round bills this
+        session ``1/occupancy`` of the weight reads: its co-batched
+        sub-batch (:class:`~repro.core.batcher.RoundBatcher`) shares one.
         """
         self._require(self._state.live, "step")
         if self._state is SessionState.ADMITTED:
             self._step_admit()
         elif self._state is SessionState.GENERATING:
-            self._step_generate()
+            self._step_generate(occupancy)
         elif self._state is SessionState.VERIFYING:
-            self._step_verify()
+            self._ver_worker.batch_share = occupancy
+            try:
+                self._step_verify()
+            finally:
+                self._ver_worker.batch_share = 1
         elif self._state is SessionState.FINALIZING:
             self._step_finalize()
         return self._state
@@ -536,27 +526,8 @@ class SolveSession:
         else:  # pragma: no cover - empty searches cannot be constructed
             self._state = SessionState.FINALIZING
 
-    def _step_generate(self) -> None:
+    def _step_generate(self, occupancy: int) -> None:
         """GENERATING → VERIFYING: one generation round for the active set."""
-        contribution = self.begin_generation_round()
-        gen_result = contribution.round.run(contribution.jobs)
-        self.finish_generation_round(gen_result)
-
-    def begin_generation_round(self, occupancy: int = 1) -> RoundContribution:
-        """Prepare this session's next generation round without running it.
-
-        Plans the active beams' steps, schedules the jobs, swaps the
-        generator in (under an offloading plan), and returns the round
-        executor plus its jobs as a :class:`RoundContribution`. With
-        ``occupancy > 1`` the generator worker amortizes its weight reads
-        across that many co-batched sessions for the duration of the
-        round (reset by :meth:`finish_generation_round`); at the default
-        of 1 the whole begin/run/finish sequence is byte-identical to the
-        former monolithic generate step.
-        """
-        self._require(
-            self._state is SessionState.GENERATING, "begin a generation round for"
-        )
         server = self._server
         cfg = server.config
         algorithm = self._algorithm
@@ -577,7 +548,7 @@ class SolveSession:
         self._swap_to("generator")
         self._gen_worker.batch_share = occupancy
         self._plans = plans
-        gen_round = GenerationRound(
+        gen_result = GenerationRound(
             worker=self._gen_worker,
             slot_budget=self._slot_budget,
             speculation=cfg.speculation,
@@ -587,22 +558,7 @@ class SolveSession:
             ),
             preempt_check=self._preempt_check(),
             spec_bandwidth_fraction=cfg.spec_bandwidth_fraction,
-        )
-        return RoundContribution(round=gen_round, jobs=jobs)
-
-    def finish_generation_round(self, gen_result) -> None:
-        """Account a completed generation round and advance to VERIFYING.
-
-        Counterpart of :meth:`begin_generation_round`; the caller (the
-        session's own step, or the fleet's round batcher) passes the
-        :class:`~repro.core.generation_round.GenerationRoundResult` the
-        contributed round produced.
-        """
-        self._require(
-            self._state is SessionState.GENERATING, "finish a generation round for"
-        )
-        cfg = self._server.config
-        round_idx = self._round_idx
+        ).run(jobs)
         self._gen_worker.batch_share = 1
         self._counters.recomputed += gen_result.stats.recomputed_tokens
         self._counters.committed += gen_result.stats.decoded_tokens
@@ -627,30 +583,11 @@ class SolveSession:
             self._gen_cache.evict_all(now=self._clock.now)
 
         for path in self._active:
-            step = self._plans[path.lineage]
+            step = plans[path.lineage]
             path.record_step(step.n_tokens, step.soundness)
 
         self._gen_result = gen_result
         self._state = SessionState.VERIFYING
-
-    def step_verification(self, occupancy: int = 1) -> SessionState:
-        """One VERIFYING step with verifier weight reads amortized.
-
-        The round batcher's verify phase: same transition as a plain
-        ``step()`` from VERIFYING, but the verifier's prefill launches
-        bill this session only ``1/occupancy`` of the weight traffic —
-        co-batched sessions' scoring passes share one weight read, just
-        as generation rounds share theirs.
-        """
-        self._require(
-            self._state is SessionState.VERIFYING, "run a verification step for"
-        )
-        self._ver_worker.batch_share = occupancy
-        try:
-            self._step_verify()
-        finally:
-            self._ver_worker.batch_share = 1
-        return self._state
 
     def _step_verify(self) -> None:
         """VERIFYING → GENERATING | FINALIZING: verify, collect, select."""

@@ -64,12 +64,6 @@ class SimClock:
             self._now = float(target)
         return self._now
 
-    def reset(self, to: float = 0.0) -> None:
-        """Restart the clock (between independent problems)."""
-        if not to >= 0:
-            raise ValueError("reset time must be non-negative")
-        self._now = float(to)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f", label={self.label!r}" if self.label else ""
         return f"SimClock(now={self._now:.6f}{tag})"

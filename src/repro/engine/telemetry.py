@@ -2,16 +2,13 @@
 
 Stands in for the paper's Nsight Systems traces (Fig. 4, Fig. 17 left): the
 simulator knows exactly how many batch slots are busy at every instant, so
-utilization is recorded as piecewise-constant spans and can be resampled
-onto any time grid for plotting or assertions.
+utilization is recorded as piecewise-constant spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 __all__ = ["Phase", "UtilSpan", "UtilizationTracker", "PhaseTimer", "TokenCounters"]
 
@@ -62,30 +59,6 @@ class UtilizationTracker:
         if span.t_end > span.t_start:
             self._spans.append(span)
 
-    def mean_utilization(self, phase: Phase | None = None) -> float:
-        """Time-weighted mean occupancy, optionally for one phase."""
-        spans = [s for s in self._spans if phase is None or s.phase is phase]
-        total = sum(s.duration for s in spans)
-        if total == 0:
-            return 0.0
-        return sum(s.utilization * s.duration for s in spans) / total
-
-    def sample_trace(
-        self, t_start: float, t_end: float, n_points: int, phase: Phase | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resample occupancy onto a uniform grid (for Fig. 4 / Fig. 17)."""
-        if n_points <= 1:
-            raise ValueError("n_points must be > 1")
-        if t_end <= t_start:
-            raise ValueError("t_end must exceed t_start")
-        grid = np.linspace(t_start, t_end, n_points)
-        values = np.zeros(n_points)
-        spans = [s for s in self._spans if phase is None or s.phase is phase]
-        for span in spans:
-            mask = (grid >= span.t_start) & (grid < span.t_end)
-            values[mask] = span.utilization
-        return grid, values
-
     def clear(self) -> None:
         self._spans.clear()
 
@@ -125,10 +98,6 @@ class TokenCounters:
     speculative_used: int = 0
     speculative_wasted: int = 0
     recomputed: int = 0
-
-    @property
-    def total_generated(self) -> int:
-        return self.committed + self.speculative_used + self.speculative_wasted
 
     @property
     def speculation_efficiency(self) -> float:

@@ -37,9 +37,6 @@ class ReferenceTrace:
     def n_rounds(self) -> int:
         return len(self.rounds)
 
-    def collected_answers(self) -> dict[tuple[int, ...], int]:
-        return {p.lineage: p.answer for p in self.collected if p.answer is not None}
-
 
 def pure_search(
     problem: Problem,

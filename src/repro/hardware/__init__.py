@@ -1,4 +1,4 @@
-"""Hardware substrate: device specs, roofline model, memory ledger, offload."""
+"""Hardware substrate: device specs, roofline model, lane KV ledger, offload."""
 
 from repro.hardware.device import (
     A100_80GB,
@@ -14,8 +14,6 @@ from repro.hardware.device import (
 from repro.hardware.memory import (
     KVLedger,
     KVSegment,
-    MemoryLedger,
-    MemoryReservation,
     SharedKVLedger,  # alias of KVLedger, kept only for benchmarks/perf
 )
 from repro.hardware.offload import OffloadLink
@@ -36,7 +34,5 @@ __all__ = [
     "KVLedger",
     "KVSegment",
     "SharedKVLedger",
-    "MemoryLedger",
-    "MemoryReservation",
     "OffloadLink",
 ]

@@ -1,10 +1,8 @@
-"""GPU memory ledgers.
+"""The lane KV ledger.
 
-:class:`MemoryLedger` tracks how a device's usable VRAM is split between
-model weights, per-model KV cache partitions, and the reserved slice
-(Fig. 9 of the paper). The asymmetric allocator (Sec. 4.3) decides the KV
-split; this ledger enforces that the decision is feasible and answers "how
-much KV memory is left?".
+A request's static weights / KV split (Fig. 9) is the Sec. 4.3
+allocator's plan (:mod:`repro.core.allocator`); nothing books it again
+at runtime.
 
 :class:`KVLedger` tracks the *runtime* KV of the sessions co-resident on
 one device of a :class:`~repro.core.pool.DevicePool`. A single session's
@@ -37,93 +35,14 @@ from operator import attrgetter
 from typing import Container, Iterable
 
 from repro.errors import CapacityError
-from repro.hardware.device import DeviceSpec
 from repro.kvcache.radix import RadixNode, RadixTree
 from repro.utils.rng import stable_hash64
 
 __all__ = [
     "KVLedger",
     "KVSegment",
-    "MemoryLedger",
-    "MemoryReservation",
     "SharedKVLedger",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class MemoryReservation:
-    """One named allocation inside the ledger."""
-
-    owner: str
-    kind: str  # "weights" | "kv"
-    num_bytes: int
-
-
-@dataclass
-class MemoryLedger:
-    """Accounting of VRAM across weights and KV partitions.
-
-    The ledger is intentionally strict: over-allocation raises
-    :class:`~repro.errors.CapacityError` instead of silently clamping,
-    because a real serving system would fail to initialize in the same
-    situation.
-    """
-
-    device: DeviceSpec
-    _reservations: dict[tuple[str, str], MemoryReservation] = field(default_factory=dict)
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Usable VRAM (device capacity minus the reserved fraction)."""
-        return self.device.usable_bytes
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(r.num_bytes for r in self._reservations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.allocated_bytes
-
-    def reserve(self, owner: str, kind: str, num_bytes: int) -> MemoryReservation:
-        """Reserve ``num_bytes`` for ``(owner, kind)``.
-
-        Re-reserving the same key replaces the prior amount (the allocator
-        re-partitions KV at runtime when system state changes, Sec. 4.3.1).
-        """
-        if kind not in ("weights", "kv"):
-            raise ValueError("kind must be 'weights' or 'kv'")
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        key = (owner, kind)
-        previous = self._reservations.get(key)
-        available = self.free_bytes + (previous.num_bytes if previous else 0)
-        if num_bytes > available:
-            raise CapacityError(
-                f"cannot reserve {num_bytes} bytes for {owner}/{kind}: "
-                f"only {available} of {self.capacity_bytes} bytes available"
-            )
-        reservation = MemoryReservation(owner=owner, kind=kind, num_bytes=num_bytes)
-        self._reservations[key] = reservation
-        return reservation
-
-    def release(self, owner: str, kind: str) -> None:
-        """Drop a reservation; releasing a missing key is an error."""
-        try:
-            del self._reservations[(owner, kind)]
-        except KeyError:
-            raise CapacityError(f"no reservation for {owner}/{kind}") from None
-
-    def reserved_for(self, owner: str, kind: str) -> int:
-        """Bytes currently reserved under ``(owner, kind)`` (0 if none)."""
-        reservation = self._reservations.get((owner, kind))
-        return reservation.num_bytes if reservation else 0
-
-    def breakdown(self) -> dict[str, int]:
-        """Human-readable split: ``{"owner/kind": bytes, ..., "free": bytes}``."""
-        result = {f"{o}/{k}": r.num_bytes for (o, k), r in sorted(self._reservations.items())}
-        result["free"] = self.free_bytes
-        return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,11 +274,6 @@ class KVLedger:
             KVSegment(n, segments[n].node.parent_id, segments[n].owners[owner])
             for n in nodes
         ]
-
-    def segment_owners(self, node_id: int) -> list[str]:
-        """Owners currently claiming a segment (for tests/debugging)."""
-        seg = self._segments.get(node_id)
-        return sorted(seg.owners) if seg else []
 
     def owner_leaf(self, owner: str) -> int | None:
         """The owner's deepest claimed lane-tree node (None if none).

@@ -40,13 +40,6 @@ class RooflinePoint:
         """True when compute, not bandwidth, limits this operation."""
         return self.compute_time >= self.memory_time
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte moved (inf for pure-compute work)."""
-        if self.bytes == 0:
-            return float("inf")
-        return self.flops / self.bytes
-
 
 class Roofline:
     """Latency estimator bound to one device.

@@ -75,9 +75,6 @@ class BlockPool:
         """Total tokens the pool can hold (ignoring fragmentation)."""
         return self.total_blocks * self.block_tokens
 
-    def can_allocate(self, n_blocks: int) -> bool:
-        return 0 <= n_blocks <= self.free_blocks
-
     def allocate(self, n_blocks: int) -> None:
         """Take ``n_blocks`` from the pool or raise :class:`CapacityError`."""
         if n_blocks < 0:

@@ -14,8 +14,8 @@ It combines two structures:
   synced between a tree and a side table.
 
 A segment carries its root→parent states (``SegmentState.ancestors``),
-fixed when it is registered: a parent never changes and segments leave
-only through :meth:`PagedKVCache.reset`, so every path operation
+fixed when it is registered: a parent never changes and a registered
+segment never leaves the cache, so every path operation
 (materialize, pin / unpin, block demand, path eviction) reads its chain
 off the leaf instead of walking parent links, and the hot ones pin and
 unpin in their own loops. Decode-time growth is one routine, called once
@@ -205,14 +205,6 @@ class PagedKVCache:
         except KeyError:
             raise _unknown(segment_id) from None
 
-    def _chain(self, leaf_id: int) -> tuple[SegmentState, ...]:
-        """The states of the root->leaf path, root first, for the cold
-        path operations (the hot ones read ``ancestors`` themselves)."""
-        state = self._segments.get(leaf_id)
-        if state is None:
-            raise _unknown(leaf_id)
-        return state.ancestors + (state,)
-
     # -- registration ----------------------------------------------------
 
     def register_segment(
@@ -241,13 +233,6 @@ class PagedKVCache:
 
     # -- pinning ---------------------------------------------------------
 
-    def pin_path(self, leaf_id: int) -> None:
-        """Protect every segment on the root->leaf path from eviction."""
-        for state in self._chain(leaf_id):
-            if state.pin_count == 0 and state.resident:
-                self._evictable_blocks -= state.blocks_held
-            state.pin_count += 1
-
     def unpin_path(self, leaf_id: int) -> None:
         """Release one pin along the root->leaf path.
 
@@ -271,19 +256,6 @@ class PagedKVCache:
                     heapq.heappush(heap, (state.last_access, state.node_id))
 
     # -- residency -------------------------------------------------------
-
-    def resident_prefix_tokens(self, leaf_id: int) -> int:
-        """Token mass of the longest resident root prefix of this path."""
-        tokens = 0
-        for state in self._chain(leaf_id):
-            if not state.resident:
-                break
-            tokens += state.token_len
-        return tokens
-
-    def missing_tokens(self, leaf_id: int) -> int:
-        """Tokens of the path that would need recomputation right now."""
-        return self._tree.path_tokens(leaf_id) - self.resident_prefix_tokens(leaf_id)
 
     def materialize(self, leaf_id: int, now: float = 0.0, pin: bool = True) -> MaterializeOutcome:
         """Make the root->leaf path fully resident.
@@ -359,20 +331,6 @@ class PagedKVCache:
         return MaterializeOutcome(
             hit_tokens=hit_tokens, recomputed_tokens=recomputed, evicted_segments=evicted
         )
-
-    def extend_segment(self, segment_id: int, additional_tokens: int, now: float = 0.0) -> None:
-        """Grow a resident tail segment by ``additional_tokens``.
-
-        Used for the actively decoding step: block allocation happens only
-        when the growth crosses a block boundary, as in vLLM. The
-        one-segment spelling of :meth:`extend_segments`; raises
-        :class:`CapacityError` when the segment could not grow.
-        """
-        if not self.extend_segments((segment_id,), additional_tokens, now):
-            raise CapacityError(
-                f"segment {segment_id} cannot grow by {additional_tokens} tokens: "
-                "it is not resident, or every block left is pinned"
-            )
 
     def extend_segments(
         self, segment_ids: Iterable[int], additional_tokens: int, now: float = 0.0
@@ -465,15 +423,6 @@ class PagedKVCache:
             self._changed[segment_id] = state
         return freed
 
-    def can_fit_path(self, leaf_id: int, extra_tokens: int = 0) -> bool:
-        """Whether the path (plus planned growth) could be materialized now.
-
-        Counts free blocks plus everything evictable; pinned residency is
-        untouchable.
-        """
-        needed, reclaimable = self.path_block_demand(leaf_id, extra_tokens)
-        return needed <= reclaimable
-
     def path_block_demand(
         self, leaf_id: int, extra_tokens: int = 0
     ) -> tuple[int, int]:
@@ -517,8 +466,11 @@ class PagedKVCache:
 
         Returns evicted segment count. Used by preemption.
         """
+        leaf = self._segments.get(leaf_id)
+        if leaf is None:
+            raise _unknown(leaf_id)
         evicted = 0
-        for state in reversed(self._chain(leaf_id)):
+        for state in reversed(leaf.ancestors + (leaf,)):
             if not (
                 state.resident and state.pin_count == 0 and not state.resident_children
             ):
@@ -539,20 +491,6 @@ class PagedKVCache:
             self._evict_segment(state, now)
             evicted += 1
         return evicted
-
-    def reset(self) -> None:
-        """Drop all segments (between problems; nothing is shared across).
-
-        The change record starts over too, as if never taken.
-        """
-        self._pool.allocated_blocks = 0  # all held by residents
-        self._tree = RadixTree(SegmentState)
-        self._segments.clear()  # in place: ``segments`` is a view of it
-        self._evictable_blocks = 0
-        self._resident_token_count = 0
-        self._resident_segment_count = 0
-        self._evict_heap.clear()
-        self._changed = None
 
     # -- eviction internals ----------------------------------------------
 
@@ -591,7 +529,7 @@ class PagedKVCache:
         heap, segments = self._evict_heap, self._segments
         while heap:
             last_access, seg_id = heapq.heappop(heap)
-            state = segments[seg_id]  # reset() clears the heap too
+            state = segments[seg_id]
             if (
                 state.last_access == last_access
                 and state.resident

@@ -110,10 +110,6 @@ class RadixTree:
         chain.reverse()
         return chain
 
-    def path_tokens(self, node_id: int) -> int:
-        """Total tokens along the root->node path."""
-        return sum(self._nodes[nid].token_len for nid in self.path(node_id))
-
     def shared_prefix_nodes(self, a: int, b: int) -> int:
         """``P(a, b)`` in nodes: length of the common root prefix."""
         return len(self._shared_prefix(a, b))
@@ -121,11 +117,6 @@ class RadixTree:
     def shared_prefix_tokens(self, a: int, b: int) -> int:
         """``P(a, b)`` in tokens: token mass of the common root prefix."""
         return sum(self._nodes[nid].token_len for nid in self._shared_prefix(a, b))
-
-    def lowest_common_ancestor(self, a: int, b: int) -> int | None:
-        """Deepest shared node, or ``None`` if the paths share no root."""
-        shared = self._shared_prefix(a, b)
-        return shared[-1] if shared else None
 
     def leaves(self) -> list[int]:
         """All nodes without children, sorted for determinism."""

@@ -42,10 +42,6 @@ class SimulatedPRM:
     def model(self) -> ModelSpec:
         return self._model
 
-    @property
-    def noise_scale(self) -> float:
-        return self._noise_scale
-
     def score_step(
         self,
         problem: Problem,

@@ -26,18 +26,6 @@ class LatencyBreakdown:
     def accounted(self) -> float:
         return self.generation + self.verification + self.swap
 
-    @property
-    def generator_fraction(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.generation / self.total
-
-    @property
-    def verifier_fraction(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.verification / self.total
-
     def to_json_dict(self) -> dict:
         """Plain-data form for the on-disk result cache (exact floats)."""
         return {

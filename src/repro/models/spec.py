@@ -93,12 +93,6 @@ class ModelSpec:
             raise ValueError("batch_size and seq_len must be non-negative")
         return batch_size * seq_len * self.kv_bytes_per_token
 
-    def max_resident_tokens(self, kv_budget_bytes: int) -> int:
-        """How many cached tokens fit in a KV budget."""
-        if kv_budget_bytes < 0:
-            raise ValueError("kv_budget_bytes must be non-negative")
-        return kv_budget_bytes // self.kv_bytes_per_token
-
     def __str__(self) -> str:
         billions = self.param_count / 1e9
         return f"{self.name} ({billions:.1f}B, {self.role.value})"

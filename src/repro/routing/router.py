@@ -74,11 +74,6 @@ class RoutingPolicy(ABC):
         self._class_cost = cost
         self._class_order = sorted(cost, key=lambda name: (cost[name], name))
 
-    @property
-    def class_order(self) -> tuple[str, ...]:
-        """Bound lane classes, cheapest first."""
-        return tuple(self._class_order)
-
     def _prefer(
         self,
         lanes: Sequence["PooledDevice"],

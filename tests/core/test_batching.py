@@ -16,7 +16,7 @@ from repro.core.batcher import RoundBatcher
 from repro.core.config import ConfigError, baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet, generate_arrivals
 from repro.core.pool import DevicePool, PooledDevice
-from repro.core.session import SolveSession
+from repro.core.session import SessionState, SolveSession
 from repro.search.registry import build_algorithm
 from repro.workloads.datasets import build_dataset
 
@@ -209,14 +209,15 @@ class TestNoOverlap:
     )
     def test_continuous_matches_off(self, factory, monkeypatch):
         off = self.run(factory, "off")
-        rounds = []
-        real_begin = SolveSession.begin_generation_round
+        rounds = []  # the occupancy of every generation step
+        real_step = SolveSession.step
 
-        def counting_begin(session, occupancy=1):
-            rounds.append(occupancy)
-            return real_begin(session, occupancy)
+        def counting_step(session, occupancy=1):
+            if session.state is SessionState.GENERATING:
+                rounds.append(occupancy)
+            return real_step(session, occupancy)
 
-        monkeypatch.setattr(SolveSession, "begin_generation_round", counting_begin)
+        monkeypatch.setattr(SolveSession, "step", counting_step)
         continuous = self.run(factory, "continuous")
         # The sessions really are disjoint: each starts at its arrival
         # and finishes before the next one arrives.

@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import OffloadMode, baseline_config, fasttts_config
 from repro.core.server import TTSServer
 from repro.errors import CapacityError
+from repro.hardware.device import get_device, list_devices
+from repro.models import list_model_configs, model_pair
 from repro.search.beam_search import BeamSearch
 from repro.search.best_of_n import BestOfN
 from repro.workloads.datasets import build_dataset
@@ -28,6 +30,21 @@ class TestConstruction:
                                 device_name="rtx3070ti"),
                 dataset,
             )
+
+    @pytest.mark.parametrize("device_name", list_devices())
+    @pytest.mark.parametrize("model_config", list_model_configs())
+    def test_weights_come_off_the_budget_first(self, dataset, model_config, device_name):
+        """Both models' weights are resident before any KV: the pair must
+        fit inside the budget, and what is left of it is the KV budget."""
+        budget = int(get_device(device_name).usable_bytes * 0.4)
+        weights = sum(spec.weight_bytes for spec in model_pair(model_config))
+        config = baseline_config(model_config=model_config, memory_fraction=0.4,
+                                 device_name=device_name)
+        if weights >= budget:
+            with pytest.raises(CapacityError):
+                TTSServer(config, dataset)
+        else:
+            assert TTSServer(config, dataset).kv_budget_bytes == budget - weights
 
     def test_kv_budget_positive(self, dataset):
         server = TTSServer(baseline_config(memory_fraction=0.4), dataset)

@@ -1,9 +1,10 @@
-"""Tests for the server's internal scheduling and segment-naming policies."""
+"""Tests for the session's scheduling, segment-naming and lookahead policies."""
 
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.server import TTSServer
+from repro.core.session import lookahead_worthy, path_segments, schedule_jobs
 from repro.search.beam_search import BeamSearch
 from repro.search.tree import prompt_segment_id, step_segment_id
 from repro.workloads.datasets import build_dataset
@@ -20,26 +21,26 @@ def problem(dataset):
 
 
 class TestSegmentNaming:
-    def test_shared_mode_uses_prefix_ids(self, dataset, problem):
-        server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
-        segments = server._path_segments(problem, (3, 1), 2)
+    def test_shared_mode_uses_prefix_ids(self, problem):
+        config = fasttts_config(memory_fraction=0.4)
+        segments = path_segments(config, problem, (3, 1), 2)
         assert segments[0] == prompt_segment_id(problem)
         assert segments[1] == step_segment_id(problem, (3, 1), 0)
         # siblings share the ancestor segment
-        sibling = server._path_segments(problem, (3, 2), 2)
+        sibling = path_segments(config, problem, (3, 2), 2)
         assert segments[1] == sibling[1]
 
-    def test_private_mode_isolates_paths(self, dataset, problem):
-        server = TTSServer(baseline_config(memory_fraction=0.4), dataset)
-        a = server._path_segments(problem, (3, 1), 2)
-        b = server._path_segments(problem, (3, 2), 2)
+    def test_private_mode_isolates_paths(self, problem):
+        config = baseline_config(memory_fraction=0.4)
+        a = path_segments(config, problem, (3, 1), 2)
+        b = path_segments(config, problem, (3, 2), 2)
         # no sharing at all: even the prompt copy is per-path
         assert set(a).isdisjoint(set(b))
 
-    def test_private_ids_stable(self, dataset, problem):
-        server = TTSServer(baseline_config(memory_fraction=0.4), dataset)
-        assert server._path_segments(problem, (0,), 1) == server._path_segments(
-            problem, (0,), 1
+    def test_private_ids_stable(self, problem):
+        config = baseline_config(memory_fraction=0.4)
+        assert path_segments(config, problem, (0,), 1) == path_segments(
+            config, problem, (0,), 1
         )
 
 
@@ -51,31 +52,36 @@ class TestSchedulingPolicy:
     def jobs(self):
         return [self._FakeJob((i % 3, i)) for i in range(9)]
 
+    def schedule(self, server, problem, round_idx):
+        """The server's job order for one generation round."""
+        return schedule_jobs(
+            server.config, server.rng, problem, self.jobs(), round_idx, "gen"
+        )
+
     def test_prefix_aware_orders_by_lineage(self, dataset, problem):
         server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
-        ordered = server._schedule(problem, self.jobs(), 0, "gen")
+        ordered = self.schedule(server, problem, 0)
         lineages = [j.lineage for j in ordered]
         assert lineages == sorted(lineages)
 
     def test_naive_order_is_shuffled_but_deterministic(self, dataset, problem):
         server = TTSServer(baseline_config(memory_fraction=0.4), dataset)
-        first = [j.lineage for j in server._schedule(problem, self.jobs(), 0, "gen")]
-        second = [j.lineage for j in server._schedule(problem, self.jobs(), 0, "gen")]
+        first = [j.lineage for j in self.schedule(server, problem, 0)]
+        second = [j.lineage for j in self.schedule(server, problem, 0)]
         assert first == second  # keyed: reproducible
         assert first != sorted(first)  # but not tree-grouped
 
     def test_naive_order_varies_by_round(self, dataset, problem):
         server = TTSServer(baseline_config(memory_fraction=0.4), dataset)
-        round0 = [j.lineage for j in server._schedule(problem, self.jobs(), 0, "gen")]
-        round1 = [j.lineage for j in server._schedule(problem, self.jobs(), 1, "gen")]
+        round0 = [j.lineage for j in self.schedule(server, problem, 0)]
+        round1 = [j.lineage for j in self.schedule(server, problem, 1)]
         assert round0 != round1
 
 
 class TestLookaheadGate:
-    def test_top_bin_required(self, dataset, problem):
+    def test_top_bin_required(self):
         from repro.search.tree import ReasoningPath
 
-        server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
         algo = BeamSearch(n=8, branching_factor=4)
         strong = ReasoningPath(lineage=(0,))
         strong.record_step(10, 0.0)
@@ -83,15 +89,17 @@ class TestLookaheadGate:
         weak = ReasoningPath(lineage=(1,))
         weak.record_step(10, 0.0)
         weak.record_score(0.2)
-        assert server._lookahead_worthy(strong, algo)
-        assert not server._lookahead_worthy(weak, algo)
+        assert lookahead_worthy(strong, algo)
+        assert not lookahead_worthy(weak, algo)
 
 
 class TestPlanCache:
     def test_plans_memoized_within_solve(self, dataset, problem):
         server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
-        server.solve(problem, BeamSearch(n=8))
+        session = server.session(problem, BeamSearch(n=8))
+        assert session.plan_cache == {}
+        session.run()
         # after a solve the memo holds the steps that were planned
-        assert server._plan_cache
-        (lineage, step), plan = next(iter(server._plan_cache.items()))
+        assert session.plan_cache
+        (lineage, step), plan = next(iter(session.plan_cache.items()))
         assert plan.n_tokens > 0

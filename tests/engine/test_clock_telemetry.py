@@ -27,12 +27,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(5.0)
-        clock.reset()
-        assert clock.now == 0.0
-
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             SimClock(start=-1.0)
@@ -58,7 +52,6 @@ class TestSimClock:
         pytest.param(lambda bad: SimClock(start=bad), id="start"),
         pytest.param(lambda bad: SimClock().advance(bad), id="advance"),
         pytest.param(lambda bad: SimClock(start=2.0).advance_to(bad), id="advance_to"),
-        pytest.param(lambda bad: SimClock().reset(bad), id="reset"),
     ])
     def test_nan_and_negative_times_are_rejected(self, call, bad):
         """A NaN compares False both ways: each check must reject it, or
@@ -162,22 +155,6 @@ class TestUtilSpan:
 
 
 class TestUtilizationTracker:
-    def test_mean_weighted_by_time(self):
-        tracker = UtilizationTracker()
-        tracker.record(UtilSpan(0, 1, 4, 4, Phase.GENERATION))
-        tracker.record(UtilSpan(1, 4, 1, 4, Phase.GENERATION))
-        # (1.0*1 + 0.25*3) / 4 = 0.4375
-        assert tracker.mean_utilization(Phase.GENERATION) == pytest.approx(0.4375)
-
-    def test_phase_filter(self):
-        tracker = UtilizationTracker()
-        tracker.record(UtilSpan(0, 1, 4, 4, Phase.GENERATION))
-        tracker.record(UtilSpan(1, 2, 1, 4, Phase.VERIFICATION))
-        assert tracker.mean_utilization(Phase.VERIFICATION) == 0.25
-
-    def test_empty_is_zero(self):
-        assert UtilizationTracker().mean_utilization() == 0.0
-
     def test_zero_duration_ignored(self):
         tracker = UtilizationTracker()
         tracker.record(UtilSpan(1, 1, 2, 4, Phase.GENERATION))
@@ -212,14 +189,6 @@ class TestUtilizationTracker:
         with pytest.raises(ValueError):
             tracker.record(UtilSpan(0, 1, 5, 4, Phase.GENERATION))
 
-    def test_sample_trace(self):
-        tracker = UtilizationTracker()
-        tracker.record(UtilSpan(0, 1, 4, 4, Phase.GENERATION))
-        tracker.record(UtilSpan(1, 2, 2, 4, Phase.GENERATION))
-        grid, values = tracker.sample_trace(0.0, 2.0, 5)
-        assert len(grid) == len(values) == 5
-        assert values[0] == 1.0
-        assert values[2] == 0.5  # t=1.0 falls in the second span
 
 
 class TestPhaseTimer:
@@ -249,7 +218,3 @@ class TestTokenCounters:
 
     def test_efficiency_zero_when_no_speculation(self):
         assert TokenCounters().speculation_efficiency == 0.0
-
-    def test_total_generated(self):
-        counters = TokenCounters(committed=10, speculative_used=5, speculative_wasted=3)
-        assert counters.total_generated == 18

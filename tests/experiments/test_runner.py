@@ -141,4 +141,6 @@ class TestPureSearch:
         problem = list(dataset)[0]
         a = pure_search(problem, dataset, build_algorithm("dvts", 8), seed=3)
         b = pure_search(problem, dataset, build_algorithm("dvts", 8), seed=3)
-        assert a.collected_answers() == b.collected_answers()
+        assert [(p.lineage, p.answer) for p in a.collected] == [
+            (p.lineage, p.answer) for p in b.collected
+        ]

@@ -1,79 +1,9 @@
-"""Tests for the GPU memory ledgers."""
+"""Tests for the lane KV ledger."""
 
 import pytest
 
 from repro.errors import CapacityError
-from repro.hardware.device import DeviceSpec
-from repro.hardware.memory import (
-    KVLedger,
-    KVSegment,
-    MemoryLedger,
-    SharedKVLedger,
-)
-
-_GB = 1024**3
-
-
-@pytest.fixture
-def ledger():
-    device = DeviceSpec("t", vram_bytes=10 * _GB, peak_flops=1e12,
-                        mem_bandwidth=1e11, reserved_fraction=0.0)
-    return MemoryLedger(device)
-
-
-class TestMemoryLedger:
-    def test_reserve_and_free(self, ledger):
-        ledger.reserve("gen", "weights", 4 * _GB)
-        assert ledger.allocated_bytes == 4 * _GB
-        assert ledger.free_bytes == 6 * _GB
-
-    def test_over_allocation_raises(self, ledger):
-        with pytest.raises(CapacityError):
-            ledger.reserve("gen", "kv", 11 * _GB)
-
-    def test_re_reserve_replaces(self, ledger):
-        ledger.reserve("gen", "kv", 4 * _GB)
-        ledger.reserve("gen", "kv", 2 * _GB)
-        assert ledger.reserved_for("gen", "kv") == 2 * _GB
-        assert ledger.allocated_bytes == 2 * _GB
-
-    def test_re_reserve_can_grow_within_budget(self, ledger):
-        ledger.reserve("gen", "kv", 8 * _GB)
-        ledger.reserve("gen", "kv", 10 * _GB)  # old amount returns first
-        assert ledger.reserved_for("gen", "kv") == 10 * _GB
-
-    def test_release(self, ledger):
-        ledger.reserve("gen", "weights", _GB)
-        ledger.release("gen", "weights")
-        assert ledger.free_bytes == 10 * _GB
-
-    def test_release_missing_raises(self, ledger):
-        with pytest.raises(CapacityError):
-            ledger.release("gen", "kv")
-
-    def test_invalid_kind_raises(self, ledger):
-        with pytest.raises(ValueError):
-            ledger.reserve("gen", "scratch", 1)
-
-    def test_negative_bytes_raises(self, ledger):
-        with pytest.raises(ValueError):
-            ledger.reserve("gen", "kv", -1)
-
-    def test_breakdown(self, ledger):
-        ledger.reserve("gen", "weights", _GB)
-        ledger.reserve("ver", "kv", 2 * _GB)
-        breakdown = ledger.breakdown()
-        assert breakdown["gen/weights"] == _GB
-        assert breakdown["ver/kv"] == 2 * _GB
-        assert breakdown["free"] == 7 * _GB
-
-    def test_reserved_fraction_respected(self):
-        device = DeviceSpec("t2", vram_bytes=10 * _GB, peak_flops=1e12,
-                            mem_bandwidth=1e11, reserved_fraction=0.2)
-        ledger = MemoryLedger(device)
-        assert ledger.capacity_bytes == int(8 * _GB)
-        with pytest.raises(CapacityError):
-            ledger.reserve("gen", "kv", 9 * _GB)
+from repro.hardware.memory import KVLedger, KVSegment, SharedKVLedger
 
 
 class TestKVLedger:
@@ -237,8 +167,8 @@ class TestSharedKVLedger:
         ledger.charge_growth_segments("b", [root, self.seg(3, 1, 20)])
         assert ledger.resident_bytes == 100
         assert ledger.shared_bytes == 50  # only the root
-        assert ledger.segment_owners(1) == ["a", "b"]
-        assert ledger.segment_owners(2) == ["a"]
+        assert [c.node_id for c in ledger.claims_of("a")] == [1, 2]
+        assert [c.node_id for c in ledger.claims_of("b")] == [1, 3]
 
     def test_eviction_spares_the_running_sessions_path(self):
         ledger = SharedKVLedger(100)

@@ -21,6 +21,11 @@ class TestRoofline:
         point = Roofline(device, efficiency=1.0).point(flops=1e12, num_bytes=1e6)
         assert point.compute_bound
         assert point.latency == pytest.approx(1.0)
+        # Zero bytes is infinite intensity: compute binds, no division fails.
+        point = Roofline(device, efficiency=1.0).point(flops=1e12, num_bytes=0.0)
+        assert point.compute_bound
+        assert point.memory_time == 0.0
+        assert point.latency == pytest.approx(1.0)
 
     def test_memory_bound_point(self):
         point = Roofline(device, efficiency=1.0).point(flops=1e6, num_bytes=1e11)
@@ -36,14 +41,6 @@ class TestRoofline:
         full = Roofline(device, efficiency=1.0).latency(1e12, 1e6)
         derated = Roofline(device, efficiency=0.5).latency(1e12, 1e6)
         assert derated == pytest.approx(2 * full)
-
-    def test_arithmetic_intensity(self):
-        point = Roofline(device).point(flops=100.0, num_bytes=50.0)
-        assert point.arithmetic_intensity == 2.0
-
-    def test_zero_bytes_infinite_intensity(self):
-        point = Roofline(device).point(flops=100.0, num_bytes=0.0)
-        assert point.arithmetic_intensity == float("inf")
 
     def test_negative_inputs_raise(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,10 @@ class TestBlockPool:
         pool = BlockPool(total_blocks=3)
         with pytest.raises(CapacityError):
             pool.allocate(4)
+        pool.allocate(3)  # every last block can be taken
+        assert pool.free_blocks == 0
+        with pytest.raises(CapacityError):
+            pool.allocate(1)
 
     def test_over_free_raises(self):
         pool = BlockPool(total_blocks=3)
@@ -55,12 +59,6 @@ class TestBlockPool:
         assert pool.total_blocks == 10
         assert pool.capacity_tokens == 160
 
-    def test_can_allocate(self):
-        pool = BlockPool(total_blocks=2)
-        assert pool.can_allocate(2)
-        assert not pool.can_allocate(3)
-        assert not pool.can_allocate(-1)
-
     def test_negative_allocate_raises(self):
         with pytest.raises(ValueError):
             BlockPool(total_blocks=2).allocate(-1)
@@ -70,7 +68,7 @@ class TestBlockPool:
         pool = BlockPool(total_blocks=30)
         held = 0
         for req in requests:
-            if pool.can_allocate(req):
+            if req <= pool.free_blocks:
                 pool.allocate(req)
                 held += req
             assert pool.allocated_blocks == held

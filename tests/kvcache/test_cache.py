@@ -1,5 +1,6 @@
 """Tests for the paged KV cache: residency, pinning, eviction, truncation."""
 
+import cProfile
 from dataclasses import replace
 
 import pytest
@@ -67,16 +68,6 @@ class TestMaterialize:
         cache.materialize(5, pin=False)
         assert cache.is_resident(1)  # the prompt was a hit, not a victim
 
-    def test_residency_invariant_parent_first(self, cache):
-        cache.materialize(4, pin=False)
-        # Evict the middle of the chain manually via a conflicting load.
-        assert cache.resident_prefix_tokens(4) == 64
-
-    def test_missing_tokens(self, cache):
-        assert cache.missing_tokens(4) == 64
-        cache.materialize(2, pin=False)
-        assert cache.missing_tokens(4) == 16
-
     def test_stats_hit_rate(self, cache):
         cache.materialize(4)
         cache.unpin_path(4)
@@ -92,7 +83,7 @@ class TestPinning:
 
     def test_double_pin_needs_double_unpin(self, cache):
         cache.materialize(4)          # pin 1
-        cache.pin_path(4)             # pin 2
+        cache.materialize(4)          # pin 2
         cache.unpin_path(4)
         cache.register_segment(5, 3, 104)
         with pytest.raises(CapacityError):
@@ -119,39 +110,39 @@ class TestExtend:
     def test_extend_grows_tokens_and_blocks(self, cache):
         cache.materialize(2)
         blocks_before = cache.pool.allocated_blocks
-        cache.extend_segment(2, 20)
+        assert cache.extend_segments((2,), 20) == 1
         assert cache.segment(2).token_len == 36
         assert cache.pool.allocated_blocks > blocks_before
 
     def test_extend_within_block_is_free(self, cache):
         cache.materialize(2)  # 16 tokens = 1 block exactly
-        cache.extend_segment(2, 0)
+        assert cache.extend_segments((2,), 0) == 1
         blocks = cache.pool.allocated_blocks
         cache.register_segment(9, 2, 1)
         cache.materialize(9)
-        cache.extend_segment(9, 10)  # 1+10 = 11 < 16: same block
+        cache.extend_segments((9,), 10)  # 1+10 = 11 < 16: same block
         assert cache.pool.allocated_blocks == blocks + 1
 
-    def test_extend_nonresident_raises(self, cache):
-        with pytest.raises(CapacityError):
-            cache.extend_segment(2, 5)
+    def test_extend_nonresident_grows_nothing(self, cache):
+        assert cache.extend_segments((2,), 5) == 0
+        assert cache.segment(2).token_len == 16
 
     def test_extend_evicts_unpinned(self, cache):
         cache.materialize(3, pin=False)   # 48 tokens, 3 unpinned after next pin
         cache.materialize(2)              # pins prompt + 2
-        cache.extend_segment(2, 100)      # forces eviction of 3's tail
+        assert cache.extend_segments((2,), 100) == 1  # evicts 3's tail
         assert not cache.is_resident(3)
 
-    def test_extend_past_all_memory_raises(self, cache):
+    def test_extend_past_all_memory_grows_nothing(self, cache):
         cache.materialize(2)
-        with pytest.raises(CapacityError):
-            cache.extend_segment(2, 10_000)
+        assert cache.extend_segments((2,), 10_000) == 0
+        assert cache.segment(2).token_len == 16
 
 
 class TestTruncate:
     def test_truncate_frees_blocks(self, cache):
         cache.materialize(2)
-        cache.extend_segment(2, 48)  # 64 tokens, 4 blocks
+        cache.extend_segments((2,), 48)  # 64 tokens, 4 blocks
         freed = cache.truncate_segment(2, 16)
         assert freed == 3
         assert cache.segment(2).token_len == 16
@@ -177,9 +168,18 @@ class TestEviction:
 
     def test_evict_path(self, cache):
         cache.materialize(4, pin=False)
-        evicted = cache.evict_path(4)
+        profiler = cProfile.Profile(builtins=False)
+        evicted = profiler.runcall(cache.evict_path, 4)
         assert evicted == 3  # 4, 2, and prompt 1
         assert cache.resident_tokens == 0
+        # It walks the chain the leaf carries once, calling only the
+        # per-segment eviction.
+        (entry,) = (
+            e for e in profiler.getstats()
+            if getattr(e.code, "co_qualname", "") == "PagedKVCache.evict_path"
+        )
+        callees = {sub.code.co_qualname: sub.callcount for sub in entry.calls}
+        assert callees == {"PagedKVCache._evict_segment": 3}
 
     def test_evict_path_stops_at_shared(self, cache):
         cache.materialize(4, pin=False)
@@ -203,39 +203,22 @@ class TestEviction:
         assert cache.is_resident(4)
         assert not cache.is_resident(3)
 
-    def test_can_fit_path(self, cache):
-        assert cache.can_fit_path(4)
+    @staticmethod
+    def fits(cache, leaf_id):
+        needed, reclaimable = cache.path_block_demand(leaf_id)
+        return needed <= reclaimable
+
+    def test_block_demand_fits(self, cache):
+        assert self.fits(cache, 4)
         cache.materialize(4)
         cache.register_segment(5, 3, 200)
-        assert not cache.can_fit_path(5)
+        assert not self.fits(cache, 5)
 
-    def test_can_fit_counts_evictable(self, cache):
+    def test_block_demand_counts_evictable(self, cache):
         cache.materialize(4, pin=False)
         cache.register_segment(5, 3, 96)  # missing 112 tokens = 7 blocks
-        assert cache.can_fit_path(5)      # 6 free + 2 evictable off-path
+        assert self.fits(cache, 5)        # 6 free + 2 evictable off-path
         cache.materialize(5)              # and it actually fits
-
-
-class TestReset:
-    def test_reset_clears_everything(self, cache):
-        cache.materialize(4)
-        cache.reset()
-        assert cache.pool.allocated_blocks == 0
-        assert cache.resident_tokens == 0
-        with pytest.raises(KeyError):
-            cache.segment(1)
-
-    def test_a_reset_leaves_no_old_state_in_any_chain(self, cache):
-        cache.materialize(4)
-        before = list(cache.segments.values())  # alive, so no id is reused
-        cache.reset()
-        for seg, parent, tokens in ((1, None, 32), (2, 1, 16), (3, 1, 16), (4, 2, 16)):
-            cache.register_segment(seg, parent, tokens)
-        for state in cache.segments.values():
-            for link in state.ancestors + (state,):
-                assert not any(link is old for old in before), state.node_id
-        assert [s.node_id for s in cache.segment(4).ancestors] == [1, 2]
-        assert cache.materialize(4).recomputed_tokens == 64
 
 
 class TestCarriedChain:
@@ -281,7 +264,7 @@ class TestResidentSegments:
         cache.materialize(4, pin=False)
         cache.materialize(3)
         assert cache.resident_segment_count == 4
-        cache.extend_segment(3, 40)   # growth is not a residency change
+        cache.extend_segments((3,), 40)  # growth is not a residency change
         cache.evict_path(4)
         assert cache.resident_segment_count == 2 and agrees()
         cache.register_segment(5, 3, 48)
@@ -289,5 +272,3 @@ class TestResidentSegments:
         assert agrees()
         cache.evict_all()
         assert agrees()
-        cache.reset()
-        assert cache.resident_segment_count == 0

@@ -29,10 +29,6 @@ class TestRadixTree:
         assert tree.path(4) == [1, 2, 4]
         assert tree.path(1) == [1]
 
-    def test_path_tokens(self, tree):
-        assert tree.path_tokens(4) == 18
-        assert tree.path_tokens(6) == 18
-
     def test_shared_prefix_nodes(self, tree):
         assert tree.shared_prefix_nodes(4, 5) == 2  # 1, 2
         assert tree.shared_prefix_nodes(4, 6) == 1  # 1
@@ -42,15 +38,10 @@ class TestRadixTree:
         assert tree.shared_prefix_tokens(4, 5) == 15
         assert tree.shared_prefix_tokens(4, 6) == 10
 
-    def test_lca(self, tree):
-        assert tree.lowest_common_ancestor(4, 5) == 2
-        assert tree.lowest_common_ancestor(4, 6) == 1
-
-    def test_lca_different_roots(self):
+    def test_different_roots_share_nothing(self):
         t = RadixTree()
         t.add_node(1, None, 1)
         t.add_node(2, None, 1)
-        assert t.lowest_common_ancestor(1, 2) is None
         assert t.shared_prefix_nodes(1, 2) == 0
 
     def test_depth(self, tree):
@@ -86,7 +77,7 @@ class TestRadixTree:
 
     def test_regrown_length_feeds_path_tokens(self, tree):
         tree.ensure_node(4, 2, 30)
-        assert tree.path_tokens(4) == 45
+        assert tree.shared_prefix_tokens(4, 4) == 45
         with pytest.raises(ValueError):
             tree.ensure_node(4, 2, -1)
 

@@ -127,11 +127,9 @@ class TestAccuracy:
 
 
 class TestLatency:
-    def test_fractions(self):
+    def test_accounted(self):
         breakdown = LatencyBreakdown(total=10.0, generation=6.0, verification=3.0,
                                      swap=1.0)
-        assert breakdown.generator_fraction == 0.6
-        assert breakdown.verifier_fraction == 0.3
         assert breakdown.accounted == 10.0
 
     def test_mean(self):

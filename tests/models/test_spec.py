@@ -39,9 +39,6 @@ class TestModelSpec:
     def test_kv_bytes_batch(self):
         assert QWEN25_MATH_1P5B.kv_bytes(2, 10) == 20 * 28_672
 
-    def test_max_resident_tokens(self):
-        assert QWEN25_MATH_1P5B.max_resident_tokens(28_672 * 5 + 1) == 5
-
     def test_invalid_gqa_raises(self):
         with pytest.raises(ValueError):
             ModelSpec(

@@ -64,10 +64,7 @@ class CacheMachine(RuleBasedStateMachine):
             return
         if self.cache.tree.get(seg).children:
             return  # only tails grow
-        try:
-            self.cache.extend_segment(seg, tokens)
-        except CapacityError:
-            pass
+        self.cache.extend_segments((seg,), tokens)
 
     @precondition(lambda self: self.pins)
     @rule(rank=st.integers(0, 10_000))

@@ -4,9 +4,8 @@ Three facts the session / KV-cache path now computes once and keeps are
 each compared against the definition that recomputes them:
 
 * :meth:`PagedKVCache.extend_segments` (one call per decode span) against
-  the same ids through successive :meth:`PagedKVCache.extend_segment`
-  calls, on random trees x pins x capacities — including batches that
-  run out of blocks half way;
+  the same ids through successive one-segment calls, on random trees x
+  pins x capacities — including batches that run out of blocks half way;
 * a memoising :class:`QualityOracle` against a fresh oracle per call;
 * a session's lineage -> segment-chain map against :func:`path_segments`.
 """
@@ -73,9 +72,7 @@ def build_cache(script) -> tuple[PagedKVCache, list[int]]:
 
 def grow_one_by_one(cache: PagedKVCache, batch: list[int], tokens: int) -> int:
     for grown, segment_id in enumerate(batch):
-        try:
-            cache.extend_segment(segment_id, tokens, now=1.0)
-        except CapacityError:
+        if not cache.extend_segments((segment_id,), tokens, now=1.0):
             return grown
     return len(batch)
 

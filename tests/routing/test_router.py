@@ -90,10 +90,16 @@ class TestFleetWiring:
         dataset = build_dataset("amc23", seed=0, size=2)
         config = baseline_config(memory_fraction=0.9, seed=0)
         router = CascadeRouter()
-        TTSFleet(
+        fleet = TTSFleet(
             config, dataset, lanes=parse_lane_list(HETERO), router=router,
         )
-        assert router.class_order == (SMALL_CLASS, BIG_CLASS)
+        lanes = list(fleet.pool)
+        # The cascade starts on the cheapest class and escalates to the next.
+        (small,) = router.route(None, lanes, 0.0)
+        assert small.lane_class == SMALL_CLASS
+        (big,) = router.escalate_lanes(None, small.model_cost_bytes, lanes)
+        assert big.lane_class == BIG_CLASS
+        assert router.escalate_lanes(None, big.model_cost_bytes, lanes) == []
 
     def test_unknown_router_name_at_fleet(self):
         dataset = build_dataset("amc23", seed=0, size=2)
