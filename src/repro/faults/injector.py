@@ -124,15 +124,14 @@ class FaultProcess(ABC):
             return
         now, i = 0.0, 0
         while True:
-            gap = rng.stream(f"{self.name}-gap", i).exponential(1.0 / self.rate)
-            now += float(gap)
+            now += rng.exponential(f"{self.name}-gap", i, scale=1.0 / self.rate)
             yield now, self._victim(rng, num_lanes, i)
             i += 1
 
     def _victim(self, rng: KeyedRng, num_lanes: int, index: int) -> int:
         if self.lane is not None:
             return self.lane
-        return int(rng.stream(f"{self.name}-lane", index).integers(num_lanes))
+        return rng.randint(f"{self.name}-lane", index, low=0, high=num_lanes)
 
 
 @dataclass(frozen=True, slots=True)

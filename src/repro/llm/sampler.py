@@ -9,13 +9,18 @@ caller-supplied generator, so it is deterministic and unit-testable.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["sample_token", "sample_tokens", "apply_top_k", "apply_top_p"]
 
 
 def apply_top_k(logits: np.ndarray, top_k: int) -> np.ndarray:
     """Mask all but the ``top_k`` highest logits with ``-inf``."""
+    import numpy as np
+
     if top_k <= 0:
         raise ValueError("top_k must be positive")
     if top_k >= logits.size:
@@ -28,6 +33,8 @@ def apply_top_k(logits: np.ndarray, top_k: int) -> np.ndarray:
 
 def apply_top_p(logits: np.ndarray, top_p: float) -> np.ndarray:
     """Nucleus filtering: keep the smallest prefix with mass >= ``top_p``."""
+    import numpy as np
+
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must be in (0, 1]")
     out = logits.astype(np.float64, copy=True)
@@ -49,6 +56,8 @@ def sample_token(
 
     ``temperature == 0`` means greedy argmax.
     """
+    import numpy as np
+
     work = np.asarray(logits, dtype=np.float64)
     if work.ndim != 1 or work.size == 0:
         raise ValueError("logits must be a non-empty 1-D array")
@@ -83,6 +92,8 @@ def sample_tokens(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     finite = logits[np.isfinite(logits)]
     if finite.size == 0:
         raise ValueError("all logits were filtered out")

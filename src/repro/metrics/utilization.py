@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.telemetry import Phase, UtilSpan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["mean_phase_utilization", "utilization_timeline", "decay_ratio"]
 
@@ -24,6 +25,8 @@ def utilization_timeline(
     spans: Sequence[UtilSpan], phase: Phase, n_points: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant occupancy resampled on a uniform grid."""
+    import numpy as np
+
     selected = sorted((s for s in spans if s.phase is phase), key=lambda s: s.t_start)
     if not selected:
         return np.zeros(0), np.zeros(0)

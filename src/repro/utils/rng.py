@@ -15,24 +15,25 @@ FastTTS run is a real algorithmic divergence, not RNG-consumption skew.
 
 Cost model
 ----------
-Measured with ``timeit`` (CPython 3.11, numpy 2.4, a 2-vCPU Intel Xeon
-VM): hashing a typical key (``"segment", "problem-3", (0, 1, 2, 3), i``)
-costs ~2.0 us; *building* its stream (``PCG64`` seeding plus a
-``Generator``) costs ~9-9.5 us, several times the draw itself, and cannot
-be made cheaper. Re-seeding one reusable ``PCG64`` through
-``SeedSequence`` and a state assignment is bit-identical but slower, and
-a bit-exact pure-Python ``SeedSequence`` -> ``PCG64`` state derivation
-alone takes ~11.2 us, more than numpy's whole build. The simulator's rng
-bill is therefore the number of streams *built*, and two rules keep it at
-the number of distinct values the simulation consumes while they are hot:
+A keyed value costs one BLAKE2 hash of its key (:func:`_hash64`, ~2 us
+for a typical ``"segment", "problem-3", (0, 1, 2, 3), i``) plus one
+stream *built* from the 64-bit seed it hashes to. The single-draw helpers
+(:meth:`KeyedRng.uniform`, ``normal``, ``lognormal``, ``exponential``,
+``randint``, ``choice_index``) never touch numpy: :mod:`repro.utils.pcg64`
+computes numpy's ``SeedSequence`` -> ``PCG64`` seeding and the
+``Generator``'s first draw bit for bit in pure Python (timed with
+``timeit`` on a 2-vCPU Intel Xeon VM, CPython 3.11: ~10-16 us for a first
+``normal``, against ~13-21 us for numpy's ``Generator(PCG64(seed))``
+build plus draw), so a process that only draws keyed values never imports
+numpy's ~16 MiB. The bill is still the number of streams built, and two
+rules keep it at the number of distinct values the simulation consumes
+while they are hot:
 
 * **Draw on demand.** Callers ask for a value only when something reads
   it (a speculative child's step length, not its soundness; no shuffle of
   a one-job round) - that is their business, not this module's.
-* **Draw once while hot.** The single-draw helpers
-  (:meth:`KeyedRng.uniform`, ``normal``, ``lognormal``, ``randint``,
-  ``choice_index``) remember the *first draw* of the last
-  :data:`FIRST_DRAW_CAP` streams they built, process-wide, keyed by
+* **Draw once while hot.** The helpers remember the *first draw* of the
+  last :data:`FIRST_DRAW_CAP` streams they built, process-wide, keyed by
   the 64-bit ``PCG64`` seed the key hashes to. A stream's first draw is a
   pure function of that seed, the distribution and its parameters, so a
   remembered value is exactly as correct as the stream: two keys that
@@ -45,23 +46,29 @@ the number of distinct values the simulation consumes while they are hot:
   one dict miss and one insert per draw. The simulator is single-threaded
   per process, so the memo takes no lock.
 
-:meth:`KeyedRng.stream` stays what it was - a *fresh* ``Generator`` on
-every call - for consumers that draw more than once from a stream
-(arrival processes, fault schedules, permutations, the tokenizer). It and
-the helpers share one seed derivation (:func:`_hash64`) and one
-construction function (:func:`_new_stream`); :data:`stream_counts` says
-how many streams were built and how many helper draws were reused.
+:meth:`KeyedRng.stream` stays what it was - a *fresh* numpy ``Generator``
+on every call, built by :func:`_new_stream` - for consumers that draw
+more than once from a stream (permutations, the tokenizer); it imports
+numpy on its first call. Helpers and streams share one seed derivation
+(:func:`_hash64`), so a helper's value always equals the first draw of
+``stream(*key)``; :data:`stream_counts` says how many streams were built
+(either way) and how many helper draws were reused.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from math import isfinite
+from typing import TYPE_CHECKING, Callable, Iterable
 
-import numpy as np
+from repro.utils import pcg64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _KeyPart = int | str | float | bytes | bool | tuple
 
@@ -85,7 +92,7 @@ def _encode_part(part: _KeyPart) -> bytes:
     if isinstance(part, int):
         return b"i" + part.to_bytes(16, "little", signed=True)
     if isinstance(part, float):
-        return b"f" + np.float64(part).tobytes()
+        return b"f" + struct.pack("<d", part)
     if isinstance(part, str):
         raw = part.encode("utf-8")
         return b"s" + len(raw).to_bytes(4, "little") + raw
@@ -150,7 +157,7 @@ def stable_hash64(*parts: _KeyPart) -> int:
 class _StreamCounts:
     """Keyed-draw traffic since the last :func:`clear_first_draws`."""
 
-    built: int = 0  # ``PCG64`` streams constructed (``stream()`` and helper misses)
+    built: int = 0  # ``PCG64`` streams seeded (``stream()`` and helper misses)
     reused: int = 0  # helper draws answered from the first-draw memo
 
 
@@ -181,52 +188,37 @@ def clear_first_draws() -> None:
 
 
 def _new_stream(seed: int) -> np.random.Generator:
-    """Build the stream seeded ``seed`` - the only place one is built."""
+    """Build the numpy stream seeded ``seed`` for :meth:`KeyedRng.stream`."""
+    import numpy as np
+
     stream_counts.built += 1
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _first_draw(
-    prefix: bytes, key: tuple, draw: Callable, params: tuple
-) -> float | np.integer:
-    """``draw(stream, *params)`` on the addressed stream's initial state.
+def _first_draw(prefix: bytes, key: tuple, draw: Callable, params: tuple):
+    """``draw(seed, *params)`` for the addressed stream's seed.
 
-    ``draw`` is an unbound :class:`numpy.random.Generator` method (or
-    :func:`_weighted_index`); ``params`` compare by value, which is how
-    numpy reads them too (``1`` and ``1.0`` draw the same bits; only the
-    sign of a zero result can follow the sign of a zero parameter). The
-    value comes from the memo when this seed's entry was drawn with the
-    same method and equal parameters, and from a newly built stream
-    (remembered in place of the oldest entry) otherwise.
+    ``draw`` is a :mod:`repro.utils.pcg64` function: the first draw of
+    numpy's ``Generator(PCG64(seed))``. ``params`` compare by value, which
+    is how numpy reads them too (``1`` and ``1.0`` draw the same bits;
+    only the sign of a zero result can follow the sign of a zero
+    parameter). The value comes from the memo when this seed's entry was
+    drawn with the same function and equal parameters, and from a newly
+    seeded stream (remembered in place of the oldest entry) otherwise.
     """
     seed = _hash64(prefix, key)
     entry = _first_draws.get(seed)
     if entry is not None and entry[0] is draw and entry[2:] == params:
         stream_counts.reused += 1
         return entry[1]
-    value = draw(_new_stream(seed), *params)
+    stream_counts.built += 1
+    value = draw(seed, *params)
     if entry is None:  # a different draw on a known seed keeps the seed's age
         if len(_first_draw_order) == FIRST_DRAW_CAP:
             del _first_draws[_first_draw_order.popleft()]
         _first_draw_order.append(seed)
     _first_draws[seed] = (draw, value, *params)  # flat: 48 B less than nested
     return value
-
-
-def _weighted_index(stream: np.random.Generator, *weights: float):
-    """An index drawn proportionally to the (validated) ``weights``."""
-    w = np.asarray(weights, dtype=np.float64)
-    total = float(w.sum())
-    if total <= 0:
-        # All-zero weights degrade to a uniform choice.
-        return stream.integers(0, w.size)
-    return stream.choice(w.size, p=w / total)
-
-
-_RANDOM = np.random.Generator.random
-_NORMAL = np.random.Generator.normal
-_LOGNORMAL = np.random.Generator.lognormal
-_INTEGERS = np.random.Generator.integers
 
 
 class KeyedRng:
@@ -253,38 +245,45 @@ class KeyedRng:
         return self._seed
 
     def stream(self, *key: _KeyPart) -> np.random.Generator:
-        """Return a fresh generator for the addressed stream.
+        """Return a fresh numpy generator for the addressed stream.
 
         The same ``(seed, key)`` pair always yields a generator in the same
         state; distinct keys yield independent streams. For one value use
-        a helper below: it draws the same bits and remembers them.
+        a helper below: it draws the same bits without numpy and
+        remembers them.
         """
         return _new_stream(_hash64(self._prefix, key))
 
     def uniform(self, *key: _KeyPart) -> float:
         """One U[0, 1) draw from the addressed stream."""
-        return float(_first_draw(self._prefix, key, _RANDOM, ()))
+        return _first_draw(self._prefix, key, pcg64.random, ())
 
     def normal(self, *key: _KeyPart, loc: float = 0.0, scale: float = 1.0) -> float:
         """One normal draw from the addressed stream."""
-        return float(_first_draw(self._prefix, key, _NORMAL, (loc, scale)))
+        return _first_draw(self._prefix, key, pcg64.normal, (loc, scale))
 
     def lognormal(self, *key: _KeyPart, mean: float, sigma: float) -> float:
         """One lognormal draw from the addressed stream."""
-        return float(_first_draw(self._prefix, key, _LOGNORMAL, (mean, sigma)))
+        return _first_draw(self._prefix, key, pcg64.lognormal, (mean, sigma))
+
+    def exponential(self, *key: _KeyPart, scale: float) -> float:
+        """One exponential draw with mean ``scale`` from the addressed stream."""
+        return _first_draw(self._prefix, key, pcg64.exponential, (scale,))
 
     def randint(self, *key: _KeyPart, low: int, high: int) -> int:
         """One integer draw in ``[low, high)`` from the addressed stream."""
-        return int(_first_draw(self._prefix, key, _INTEGERS, (low, high)))
+        return _first_draw(self._prefix, key, pcg64.integers, (low, high))
 
     def choice_index(self, *key: _KeyPart, weights: Iterable[float]) -> int:
         """Sample an index proportionally to ``weights``."""
         weights = tuple(weights)
         if not weights:
             raise ValueError("weights must be non-empty")
+        if not all(map(isfinite, weights)):
+            raise ValueError("weights must be finite")
         if min(weights) < 0:
             raise ValueError("weights must be non-negative")
-        return int(_first_draw(self._prefix, key, _weighted_index, weights))
+        return _first_draw(self._prefix, key, pcg64.weighted_index, weights)
 
     def fork(self, *key: _KeyPart) -> "KeyedRng":
         """Derive a child :class:`KeyedRng` rooted at a sub-key.

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = ["Summary", "summarize", "geometric_mean", "percentile", "ratio"]
 
 
@@ -33,6 +31,8 @@ class Summary:
 
 def summarize(values: Iterable[float]) -> Summary:
     """Summarize a sample; raises ``ValueError`` on an empty sample."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
@@ -49,6 +49,8 @@ def summarize(values: Iterable[float]) -> Summary:
 
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean of strictly positive values."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot take the geometric mean of an empty sample")
@@ -58,12 +60,32 @@ def geometric_mean(values: Iterable[float]) -> float:
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of a non-empty sample."""
+    """The ``q``-th percentile (0-100) of a non-empty sample.
+
+    Bit-equal to ``np.percentile(values, q)`` (its default linear rule):
+    the virtual index ``(n - 1) * (q / 100)``, and numpy's ``lerp``, which
+    interpolates back from the upper neighbour once the weight reaches
+    one half. A sample holding NaN has a NaN percentile. Only the sign of
+    a zero result can differ, when the sample mixes ``0.0`` and ``-0.0``
+    (numpy's partition orders those two either way).
+    """
     if not values:
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 <= q <= 100.0:
         raise ValueError("percentile must be within [0, 100]")
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
+    ordered = sorted(map(float, values))
+    if any(map(math.isnan, ordered)):
+        return math.nan
+    top = len(ordered) - 1
+    index = top * (q / 100)
+    if index >= top:  # numpy takes the last value as both neighbours
+        below, a, b = -1, ordered[-1], ordered[-1]
+    else:
+        below = math.floor(index)
+        a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def ratio(numerator: float, denominator: float) -> float:

@@ -88,8 +88,7 @@ class PoissonProcess(ArrivalProcess):
         self._check_count(count)
         now, out = 0.0, []
         for i in range(count):
-            gap = rng.stream("poisson-gap", i).exponential(1.0 / self.rate_rps)
-            now += float(gap)
+            now += rng.exponential("poisson-gap", i, scale=1.0 / self.rate_rps)
             out.append(now)
         return tuple(out)
 
@@ -132,10 +131,9 @@ class DiurnalProcess(ArrivalProcess):
         self._check_count(count)
         now, out, candidate = 0.0, [], 0
         while len(out) < count:
-            gap = rng.stream("diurnal-gap", candidate).exponential(
-                1.0 / self.peak_rate_rps
+            now += rng.exponential(
+                "diurnal-gap", candidate, scale=1.0 / self.peak_rate_rps
             )
-            now += float(gap)
             accept = rng.uniform("diurnal-accept", candidate)
             if accept < self.rate_at(now) / self.peak_rate_rps:
                 out.append(now)
@@ -180,14 +178,11 @@ class BurstyProcess(ArrivalProcess):
             on = phase % 2 == 0
             mean_len = self.on_s if on else self.off_s
             rate = self.burst_rate_rps if on else self.rate_rps
-            length = float(
-                rng.stream("bursty-phase", phase).exponential(mean_len)
-            )
+            length = rng.exponential("bursty-phase", phase, scale=mean_len)
             phase_end = phase_start + length
             now, i = phase_start, 0
             while len(out) < count:
-                gap = rng.stream("bursty-gap", phase, i).exponential(1.0 / rate)
-                now += float(gap)
+                now += rng.exponential("bursty-gap", phase, i, scale=1.0 / rate)
                 if now >= phase_end:
                     break
                 out.append(now)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.utils import pcg64
 from repro.utils import rng as rng_module
 
 
@@ -25,11 +26,15 @@ def cold_first_draws():
 @pytest.fixture
 def streams_built(monkeypatch) -> Counter:
     """Streams constructed during the test, counted by the key that
-    addressed them (whatever the root seed) — observed at the construction
-    function, so a helper draw answered from the memo is not in it."""
+    addressed them (whatever the root seed) — observed at the two
+    construction functions, ``KeyedRng.stream``'s numpy one and the
+    helpers' ``pcg64.start``, so a helper draw answered from the memo is
+    not in it (nor is a ``randint`` over one value, which numpy answers
+    without drawing)."""
     keys: dict[int, tuple] = {}
     built: Counter = Counter()
     real_hash, real_new = rng_module._hash64, rng_module._new_stream
+    real_start = pcg64.start
 
     def recording_hash(prefix, parts):
         seed = real_hash(prefix, parts)
@@ -40,6 +45,11 @@ def streams_built(monkeypatch) -> Counter:
         built[keys[seed]] += 1
         return real_new(seed)
 
+    def counting_start(seed):
+        built[keys[seed]] += 1
+        return real_start(seed)
+
     monkeypatch.setattr(rng_module, "_hash64", recording_hash)
     monkeypatch.setattr(rng_module, "_new_stream", counting_new)
+    monkeypatch.setattr(pcg64, "start", counting_start)
     return built

@@ -2,6 +2,7 @@
 
 import enum
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -150,6 +151,15 @@ class TestFastPathMatchesReference:
         assert rng.stream(*parts).random() == expected.random()
         assert rng.fork(*parts).seed == reference_hash64(seed, "fork", *parts)
 
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+         struct.unpack("<d", bytes.fromhex("010000000000f87f"))[0]],
+    )
+    def test_a_float_part_is_its_ieee_bytes(self, value):
+        # A payload NaN too: the key's bytes are the float's own.
+        assert rng_module._encode_part(value) == b"f" + np.float64(value).tobytes()
+
     def test_bool_seed_keeps_its_type_tag(self):
         assert KeyedRng(True).fork().seed == reference_hash64(True, "fork")
         assert KeyedRng(1).fork().seed == reference_hash64(1, "fork")
@@ -206,6 +216,36 @@ class TestKeyedRng:
         with pytest.raises(ValueError):
             KeyedRng(0).choice_index("c", weights=[-1.0, 2.0])
 
+    def test_choice_index_nan_weight_or_overflowing_total_raises(self):
+        for weights in ([1.0, float("nan")], [float("nan"), 1.0], [1e308, 1e308]):
+            with pytest.raises(ValueError):
+                KeyedRng(0).choice_index("c", weights=weights)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_choice_index_rejects_non_finite_weights_before_drawing(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KeyedRng(0).choice_index("c", weights=[1.0, bad])
+        assert stream_counts.built == 0
+
+    @pytest.mark.parametrize("helper", ["normal", "lognormal", "exponential"])
+    def test_a_negative_spread_raises_and_nan_passes(self, helper):
+        spread = {"normal": "scale", "lognormal": "sigma", "exponential": "scale"}[helper]
+        draw = getattr(KeyedRng(0), helper)
+        fixed = {"mean": 0.0} if helper == "lognormal" else {}
+        for bad in (-1.0, -1e-300, -0.0):
+            with pytest.raises(ValueError):
+                draw("s", **fixed, **{spread: bad})
+        assert np.isnan(draw("s", **fixed, **{spread: float("nan")}))
+
+    def test_randint_bounds_are_checked_and_span_int64(self):
+        rng = KeyedRng(0)
+        for low, high in ((3, 3), (4, 3), (-(2**63) - 1, 0), (0, 2**63 + 1)):
+            with pytest.raises(ValueError):
+                rng.randint("r", low=low, high=high)
+        values = {rng.randint("r", i, low=-(2**63), high=2**63 - 1) for i in range(50)}
+        assert all(-(2**63) <= v < 2**63 - 1 for v in values)
+        assert min(values) < 0 < max(values)
+
     def test_choice_index_all_zero_uniform(self):
         rng = KeyedRng(9)
         picks = {rng.choice_index("z", i, weights=[0, 0, 0]) for i in range(60)}
@@ -258,6 +298,10 @@ DRAWS = {
         lambda rng, key, p: rng.lognormal(*key, mean=p[0], sigma=p[1]),
         lambda stream, p: float(stream.lognormal(p[0], p[1])),
     ),
+    "exponential": (
+        lambda rng, key, p: rng.exponential(*key, scale=p[1]),
+        lambda stream, p: float(stream.exponential(p[1])),
+    ),
     "randint": (
         lambda rng, key, p: rng.randint(*key, low=p[0], high=p[0] + p[1]),
         lambda stream, p: int(stream.integers(p[0], p[0] + p[1])),
@@ -273,6 +317,7 @@ draw_requests = st.one_of(
     st.tuples(st.just("uniform"), st.none()),
     st.tuples(st.just("normal"), st.tuples(locations, spreads)),
     st.tuples(st.just("lognormal"), st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 2.0))),
+    st.tuples(st.just("exponential"), st.tuples(st.none(), spreads)),
     st.tuples(st.just("randint"), st.tuples(st.integers(-50, 50), st.integers(1, 1000))),
     st.tuples(
         st.just("choice"),
@@ -285,6 +330,47 @@ memo_keys = st.sampled_from(
     [(1,), (True,), (1.0,), ("step", "p-1", (0, 1), 2), ("step", "p-1", (0, 1), 3), ()]
 )
 RNGS = (KeyedRng(11), KeyedRng(11), KeyedRng(11).fork("replica", 0), KeyedRng(12))
+
+
+#: Keys per helper in the differential test.
+KEYS = 100_000
+
+
+def differential_params(kind: str, i: int):
+    """The ``i``-th key's parameters for ``DRAWS[kind]``: both signs of
+    location, zero spread, and every integer path (32-bit Lemire with and
+    without rejection, the 64-bit one, full range)."""
+    loc, spread = (i % 7 - 3) * 1.5, (0.0, 0.25, 1.0, 40.0)[i % 4]
+    if kind == "uniform":
+        return None
+    if kind == "randint":
+        low = (0, -5, -(2**63), 2**40, -(2**31))[i % 5]
+        span = (1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 1, 2**64 - 1)[i % 10]
+        return low, min(span, 2**63 - low)  # high stays within int64 + 1
+    if kind == "choice":
+        return tuple(
+            float((i * 7 + j * 13) % 5) * (1.5 if j % 2 else 0.25) for j in range(1 + i % 12)
+        )
+    if kind == "lognormal":
+        return loc / 4, spread / 8
+    return loc, spread  # normal; exponential reads the spread
+
+
+class TestDifferential:
+    """Each helper equals the first draw of numpy's fresh ``stream(*key)``
+    over 10^5 keys - the kernel's test against its reference."""
+
+    @pytest.mark.parametrize("kind", sorted(DRAWS))
+    def test_every_helper_is_the_first_draw_of_its_stream(self, kind):
+        helper, fresh = DRAWS[kind]
+        rng = KeyedRng(2026)
+        wrong = []
+        for i in range(KEYS):
+            key, params = ("differential", kind, i), differential_params(kind, i)
+            got = helper(rng, key, params)
+            if bits(got) != bits(fresh(rng.stream(*key), params)):
+                wrong.append((i, got))
+        assert wrong == []
 
 
 class TestFirstDrawMemo:
