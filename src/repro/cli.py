@@ -13,22 +13,25 @@ Commands
     ``benchmarks/benchmark_results/cache/``; ``--cache-dir`` /
     ``$REPRO_CACHE_DIR`` override, ``--no-cache`` disables).
 ``fleet``
-    Multi-request serving: queue a stream of solve requests with simulated
-    arrival times onto a device pool and report fleet metrics (request
-    throughput, p50/p95 queueing delay and sojourn, busy fraction, KV swap
-    time). Serving policy is one :class:`~repro.core.fleet.FleetSpec`, and
-    ``add_fleet_flags`` generates a flag for every field of it (``fleet
-    --help`` lists them; every default is byte-identical to the goldens).
-    ``--scheduler all`` compares every registered policy on one workload.
+    Multi-request serving: a one-tenant trace with no deadlines, whose
+    request *i* is problem *i* of ``(--dataset, --seed)`` arriving at the
+    ``--arrivals`` process's *i*-th time (any registered process, at
+    ``--rate``), served through the same path as ``trace run``. Reports
+    fleet metrics (request throughput, p50/p95 queueing delay and
+    sojourn, busy fraction, KV swap time). Serving policy is one
+    :class:`~repro.core.fleet.FleetSpec`, and ``add_fleet_flags``
+    generates a flag for every field of it (``fleet --help`` lists them;
+    every default is byte-identical to the goldens). ``--scheduler all``
+    compares every registered policy on one workload.
 ``trace``
     Open-loop trace-driven serving. ``trace generate`` synthesizes a
     multi-tenant arrival trace (``--tenant
     "chat:arrival=poisson,rate=0.05,deadline=300,ttft=60"`` — arrival
-    processes ``poisson``/``diurnal``/``bursty``, per-tenant dataset,
-    difficulty mix, search budget and SLO targets) and writes replayable
-    JSONL; ``trace run`` generates and serves it in one step; ``trace
-    replay`` serves a trace file byte-identically to the run that wrote
-    it. Requests arrive at their trace timestamps regardless of capacity
+    processes ``uniform``/``poisson``/``diurnal``/``bursty``, per-tenant
+    dataset, difficulty mix, search budget and SLO targets) and writes
+    replayable JSONL; ``trace run`` generates and serves it in one step;
+    ``trace replay`` serves a trace file byte-identically to the run that
+    wrote it. Requests arrive at their trace timestamps regardless of capacity
     — queues build and deadlines expire. ``run`` and ``replay`` take every
     ``FleetSpec`` flag, including the one ``fleet`` omits (its closed-loop
     requests carry no deadlines): ``--late-policy drop`` sheds queued
@@ -51,26 +54,21 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from math import isfinite
 
 from repro.analysis.reports import deployment_report
 from repro.analysis.straggler import idle_fraction
 from repro.core.config import AXIS_CHOICES, baseline_config, fasttts_config
-from repro.core.fleet import (
-    FleetSpec,
-    TTSFleet,
-    axis_flag,
-    generate_arrivals,
-    run_trace,
-)
+from repro.core.fleet import FleetSpec, axis_flag, run_trace
 from repro.core.pool import placement_descriptions
 from repro.core.scheduler import list_schedulers, scheduler_descriptions
 from repro.core.server import TTSServer
 from repro.errors import ConfigError
 from repro.metrics.fleet import compare_policies
 from repro.routing import router_descriptions
-from repro.workloads.arrivals import arrival_descriptions
-from repro.workloads.tenants import TenantSpec, generate_trace
-from repro.workloads.trace import Trace
+from repro.workloads.arrivals import arrival_descriptions, list_arrivals
+from repro.workloads.tenants import TenantSpec, generate_trace, tenant_rng
+from repro.workloads.trace import Trace, TraceRequest
 from repro.experiments.parallel import (
     ParallelOrchestrator,
     ResultCache,
@@ -217,11 +215,11 @@ def add_serve_flags(
     return add_fleet_flags(parser, omit)
 
 
-def _serve(args, kind: str, workload: str, seed: int, drain) -> int:
+def _serve(args, kind: str, workload: str, trace: Trace) -> int:
     """Shared tail of ``fleet`` and ``trace run/replay``.
 
-    Builds the spec and server config from the flags, has ``drain(config,
-    spec)`` serve the command's requests once per scheduling policy
+    Builds the spec and server config from the flags, serves ``trace``
+    through :func:`~repro.core.fleet.run_trace` once per scheduling policy
     (``--scheduler all`` compares them), and prints the report tables.
     """
     policies = list_schedulers() if args.scheduler == "all" else [args.scheduler]
@@ -233,9 +231,12 @@ def _serve(args, kind: str, workload: str, seed: int, drain) -> int:
                      else spec.devices[0] if spec.devices else args.device),
         model_config=(lanes[0].model_config if lanes else args.config),
         memory_fraction=args.memory_fraction,
-        seed=seed,
+        seed=trace.seed,
     )
-    reports = {p: drain(config, replace(spec, scheduler=p)) for p in policies}
+    reports = {
+        p: run_trace(trace, config, spec=replace(spec, scheduler=p))
+        for p in policies
+    }
 
     if lanes:
         served = "lanes " + ",".join(lane.label for lane in lanes)
@@ -279,22 +280,24 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         raise ConfigError(f"--requests must be >= 1, got {args.requests}")
     if args.n < 1:
         raise ConfigError(f"-n must be >= 1, got {args.n}")
-    if args.rate <= 0:
-        raise ConfigError(f"--rate must be > 0, got {args.rate}")
-    arrivals = generate_arrivals(
-        args.requests, args.rate, seed=args.seed, distribution=args.arrivals
+    if not (isfinite(args.rate) and args.rate > 0):
+        raise ConfigError(f"--rate must be finite and > 0, got {args.rate}")
+    process = TenantSpec(
+        "fleet", arrival=args.arrivals, rate_rps=args.rate
+    ).arrival_process()
+    arrivals = process.times(tenant_rng(args.seed, "fleet"), args.requests)
+    requests = tuple(
+        TraceRequest(
+            request_id=f"fleet-{i:04d}", tenant="fleet", arrival_s=arrival,
+            dataset=args.dataset, dataset_seed=args.seed, problem_index=i,
+            algorithm=args.algorithm, n=args.n,
+        )
+        for i, arrival in enumerate(arrivals)
     )
-    algorithm = build_algorithm(args.algorithm, args.n)
-    dataset = build_dataset(args.dataset, seed=args.seed, size=args.requests)
-
-    def drain(config, spec):
-        fleet = TTSFleet(config, dataset, spec)
-        fleet.submit_stream(list(dataset), algorithm, arrivals)
-        return fleet.drain()
-
+    trace = Trace(seed=args.seed, requests=requests, base_dataset=args.dataset)
     workload = (f"{args.requests} requests @ {args.rate}/s ({args.arrivals}) "
                 f"| {args.algorithm} n={args.n}")
-    return _serve(args, "fleet", workload, args.seed, drain)
+    return _serve(args, "fleet", workload, trace)
 
 
 #: Tenants used when ``trace generate``/``trace run`` get no ``--tenant``:
@@ -336,10 +339,7 @@ def _serve_trace(trace: Trace, args: argparse.Namespace) -> int:
     """Replay ``trace`` through the open-loop fleet and print SLO tables."""
     workload = (f"{len(trace.requests)} requests / {len(trace.tenants)} tenants "
                 f"over {trace.horizon_s:.0f}s")
-    return _serve(
-        args, "trace", workload, trace.seed,
-        lambda config, spec: run_trace(trace, config, spec=spec),
-    )
+    return _serve(args, "trace", workload, trace)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -468,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--requests", type=int, default=6)
     fleet.add_argument("--rate", type=float, default=0.02,
                        help="arrival rate in requests per simulated second")
-    fleet.add_argument("--arrivals", choices=("poisson", "uniform"),
-                       default="poisson")
+    fleet.add_argument("--arrivals", choices=list_arrivals(), default="poisson",
+                       help="arrival process at --rate (diurnal and bursty "
+                            "take trace --tenant's default shape parameters)")
     fleet.add_argument("--seed", type=int, default=0)
     compare = add_serve_flags(fleet, omit=_FLEET_OMITS)["scheduler"]
     compare.choices = (*compare.choices, "all")

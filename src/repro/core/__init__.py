@@ -7,13 +7,7 @@ from repro.core.allocator import (
     static_split_plan,
 )
 from repro.core.config import OffloadMode, ServerConfig, baseline_config, fasttts_config
-from repro.core.fleet import (
-    FleetReport,
-    FleetRequest,
-    FleetSpec,
-    TTSFleet,
-    generate_arrivals,
-)
+from repro.core.fleet import FleetReport, FleetRequest, FleetSpec, TTSFleet
 from repro.core.generation_round import (
     ChildStepPlan,
     GenerationRound,
@@ -81,7 +75,6 @@ __all__ = [
     "FleetRequest",
     "FleetReport",
     "FleetSpec",
-    "generate_arrivals",
     "DevicePool",
     "PooledDevice",
     "PlacementPolicy",

@@ -109,44 +109,15 @@ from repro.routing.router import build_router, router_descriptions
 from repro.search.base import SearchAlgorithm
 from repro.utils.rng import KeyedRng
 from repro.workloads.problem import Dataset, Problem
+from repro.workloads.trace import check_request_times
 
 __all__ = [
     "FleetRequest",
     "FleetReport",
     "FleetSpec",
     "TTSFleet",
-    "generate_arrivals",
     "run_trace",
 ]
-
-
-def generate_arrivals(
-    count: int,
-    rate_rps: float,
-    seed: int = 0,
-    distribution: str = "poisson",
-) -> tuple[float, ...]:
-    """Deterministic arrival-time generator for fleet workloads.
-
-    ``"poisson"`` draws exponential inter-arrival gaps at ``rate_rps`` from
-    a keyed stream (same seed, same arrivals — everywhere); ``"uniform"``
-    spaces requests exactly ``1/rate_rps`` apart.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
-    if distribution == "uniform":
-        return tuple(i / rate_rps for i in range(count))
-    if distribution == "poisson":
-        stream = KeyedRng(seed).stream("fleet-arrivals", count, rate_rps)
-        gaps = stream.exponential(1.0 / rate_rps, size=count)
-        times, now = [], 0.0
-        for gap in gaps:
-            now += float(gap)
-            times.append(now)
-        return tuple(times)
-    raise ValueError(f"unknown arrival distribution {distribution!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,12 +140,7 @@ class FleetRequest:
     slo_class: str | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive when set")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ValueError("ttft_slo_s must be positive when set")
+        check_request_times(self.arrival_s, self.deadline_s, self.ttft_slo_s)
 
 
 def _axis(default, help: str, check=None, **cli):
@@ -513,11 +479,13 @@ class _Carry:
 class TTSFleet:
     """Scheduler-driven multiplexing of solve requests over a device pool.
 
-    Submit requests (``submit`` / ``submit_stream``), then ``drain()`` to
-    simulate the whole run and collect the :class:`FleetReport`. Each pool
-    lane owns a :class:`~repro.engine.clock.SimClock` on a shared time
-    origin; sessions run on private clocks that a :class:`ClockBinding`
-    stitches onto their lane round by round, so any
+    Queue requests with ``submit``, then ``drain()`` to simulate the whole
+    run and collect the :class:`FleetReport`; :func:`run_trace` does both
+    for a :class:`~repro.workloads.trace.Trace`, and is the one way both
+    CLI serving commands reach the fleet (``fleet`` serves a one-tenant
+    trace). Each pool lane owns a :class:`~repro.engine.clock.SimClock` on
+    a shared time origin; sessions run on private clocks that a
+    :class:`ClockBinding` stitches onto their lane round by round, so any
     :class:`RequestScheduler` policy — FIFO, SJF, round-robin,
     First-Finish racing — can interleave them, and any
     :class:`~repro.core.pool.PlacementPolicy` can spread requests across
@@ -633,20 +601,6 @@ class TTSFleet:
             )
         )
         return request_id
-
-    def submit_stream(
-        self,
-        problems: list[Problem],
-        algorithm: SearchAlgorithm,
-        arrivals: tuple[float, ...] | list[float],
-    ) -> list[str]:
-        """Queue one request per problem with the given arrival times."""
-        if len(problems) != len(arrivals):
-            raise ValueError("problems and arrivals must have the same length")
-        return [
-            self.submit(problem, algorithm, arrival_s=arrival)
-            for problem, arrival in zip(problems, arrivals)
-        ]
 
     # -- admission -------------------------------------------------------
 

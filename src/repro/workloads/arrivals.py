@@ -8,8 +8,11 @@ through :class:`~repro.utils.rng.KeyedRng` streams keyed by the draw's
 two calls with the same root rng produce bit-identical times no matter
 what else was drawn in between.
 
-Three processes cover the serving literature's standard load shapes:
+Four processes cover the serving literature's standard load shapes:
 
+``uniform``
+    Evenly spaced arrivals ``1/rate_rps`` apart, the first at t=0 — a
+    deterministic stream that draws nothing.
 ``poisson``
     Homogeneous Poisson arrivals at ``rate_rps`` — exponential
     inter-arrival gaps, the memoryless baseline.
@@ -27,14 +30,15 @@ Three processes cover the serving literature's standard load shapes:
     judged on.
 
 All processes are **count-based**: ``times(rng, count)`` returns exactly
-``count`` strictly increasing arrival times starting after t=0.
+``count`` strictly increasing arrival times at or after t=0. Every
+parameter of every process is a finite, positive number.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from math import pi, sin
+from dataclasses import dataclass, fields
+from math import isfinite, pi, sin
 from typing import Callable
 
 from repro.errors import ConfigError
@@ -42,6 +46,7 @@ from repro.utils.rng import KeyedRng
 
 __all__ = [
     "ArrivalProcess",
+    "UniformProcess",
     "PoissonProcess",
     "DiurnalProcess",
     "BurstyProcess",
@@ -62,6 +67,15 @@ class ArrivalProcess(ABC):
     name: str = "abstract"
     description: str = ""
 
+    def __post_init__(self) -> None:
+        for param in fields(self):
+            value = getattr(self, param.name)
+            if not (isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{self.name} arrivals need a finite {param.name} > 0, "
+                    f"got {value}"
+                )
+
     @abstractmethod
     def times(self, rng: KeyedRng, count: int) -> tuple[float, ...]:
         """Exactly ``count`` strictly increasing arrival times."""
@@ -72,6 +86,20 @@ class ArrivalProcess(ABC):
 
 
 @dataclass(frozen=True, slots=True)
+class UniformProcess(ArrivalProcess):
+    """Arrivals exactly ``1/rate_rps`` apart, the first at t=0 (no draws)."""
+
+    rate_rps: float
+
+    name = "uniform"
+    description = "evenly spaced arrivals at a constant rate, the first at t=0"
+
+    def times(self, rng: KeyedRng, count: int) -> tuple[float, ...]:
+        self._check_count(count)
+        return tuple(i / self.rate_rps for i in range(count))
+
+
+@dataclass(frozen=True, slots=True)
 class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate_rps``."""
 
@@ -79,10 +107,6 @@ class PoissonProcess(ArrivalProcess):
 
     name = "poisson"
     description = "memoryless arrivals at a constant rate"
-
-    def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ConfigError("poisson arrivals need rate_rps > 0")
 
     def times(self, rng: KeyedRng, count: int) -> tuple[float, ...]:
         self._check_count(count)
@@ -112,15 +136,12 @@ class DiurnalProcess(ArrivalProcess):
     description = "sinusoidal day/night rate between trough and peak"
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ConfigError("diurnal arrivals need rate_rps > 0")
+        ArrivalProcess.__post_init__(self)
         if self.peak_rate_rps < self.rate_rps:
             raise ConfigError(
                 "diurnal arrivals need peak_rate_rps >= rate_rps "
                 f"(got peak {self.peak_rate_rps} < trough {self.rate_rps})"
             )
-        if self.period_s <= 0:
-            raise ConfigError("diurnal arrivals need period_s > 0")
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at time ``t``."""
@@ -162,14 +183,6 @@ class BurstyProcess(ArrivalProcess):
     name = "bursty"
     description = "on/off flash crowds over a background rate"
 
-    def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ConfigError("bursty arrivals need rate_rps > 0")
-        if self.burst_rate_rps <= 0:
-            raise ConfigError("bursty arrivals need burst_rate_rps > 0")
-        if self.on_s <= 0 or self.off_s <= 0:
-            raise ConfigError("bursty arrivals need on_s > 0 and off_s > 0")
-
     def times(self, rng: KeyedRng, count: int) -> tuple[float, ...]:
         self._check_count(count)
         out: list[float] = []
@@ -192,6 +205,7 @@ class BurstyProcess(ArrivalProcess):
 
 
 _ARRIVALS: dict[str, Callable[..., ArrivalProcess]] = {
+    UniformProcess.name: UniformProcess,
     PoissonProcess.name: PoissonProcess,
     DiurnalProcess.name: DiurnalProcess,
     BurstyProcess.name: BurstyProcess,

@@ -23,6 +23,7 @@ suggestions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from repro.errors import ConfigError
 from repro.utils.rng import KeyedRng
@@ -31,7 +32,7 @@ from repro.workloads.arrivals import ArrivalProcess, build_arrival, list_arrival
 from repro.workloads.datasets import build_dataset, list_datasets
 from repro.workloads.trace import Trace, TraceRequest
 
-__all__ = ["TenantSpec", "generate_trace", "DIFFICULTY_MIXES"]
+__all__ = ["TenantSpec", "generate_trace", "tenant_rng", "DIFFICULTY_MIXES"]
 
 #: How a tenant's problem picks are biased within its dataset profile:
 #: ``easy`` and ``hard`` weight the dataset's difficulty ranking with a
@@ -54,8 +55,9 @@ class TenantSpec:
     ``rate_rps`` is the (trough/background) arrival rate; ``peak_rate_rps``
     / ``period_s`` parameterize ``diurnal`` arrivals and ``burst_rate_rps``
     / ``on_s`` / ``off_s`` parameterize ``bursty`` ones (sensible defaults
-    are derived from ``rate_rps`` when omitted). ``requests`` overrides
-    the trace-level default request count for this tenant.
+    are derived from ``rate_rps`` when omitted; setting one for a process
+    that does not take it is an error). ``requests`` overrides the
+    trace-level default request count for this tenant.
     """
 
     name: str
@@ -87,9 +89,10 @@ class TenantSpec:
                 f"{did_you_mean(self.arrival, list_arrivals())}; "
                 f"registered: {', '.join(list_arrivals())}"
             )
-        if self.rate_rps <= 0:
+        if not (isfinite(self.rate_rps) and self.rate_rps > 0):
             raise ConfigError(
-                f"tenant {self.name!r} needs rate > 0, got {self.rate_rps}"
+                f"tenant {self.name!r} needs a finite rate > 0, "
+                f"got {self.rate_rps}"
             )
         if self.dataset not in list_datasets():
             raise ConfigError(
@@ -117,30 +120,32 @@ class TenantSpec:
             raise ConfigError(
                 f"tenant {self.name!r} needs requests >= 1, got {self.requests}"
             )
+        self.arrival_process()  # the process validates its own parameters
 
     def arrival_process(self) -> ArrivalProcess:
         """Build this tenant's arrival process, defaulting derived params.
 
         ``diurnal`` defaults to a 4x peak over a 1-hour period; ``bursty``
         defaults to 10x bursts of mean 60 s separated by mean 240 s of
-        background traffic.
+        background traffic. Any other process takes ``rate_rps`` alone.
         """
-        if self.arrival == "diurnal":
-            return build_arrival(
-                "diurnal",
-                rate_rps=self.rate_rps,
-                peak_rate_rps=self.peak_rate_rps or 4.0 * self.rate_rps,
-                period_s=self.period_s or 3600.0,
-            )
-        if self.arrival == "bursty":
-            return build_arrival(
-                "bursty",
-                rate_rps=self.rate_rps,
-                burst_rate_rps=self.burst_rate_rps or 10.0 * self.rate_rps,
-                on_s=self.on_s or 60.0,
-                off_s=self.off_s or 240.0,
-            )
-        return build_arrival("poisson", rate_rps=self.rate_rps)
+        rate = self.rate_rps
+        defaults = {
+            "diurnal": {"peak_rate_rps": 4.0 * rate, "period_s": 3600.0},
+            "bursty": {"burst_rate_rps": 10.0 * rate, "on_s": 60.0, "off_s": 240.0},
+        }.get(self.arrival, {})
+        params = {"rate_rps": rate}
+        for key in ("peak_rate", "period", "burst_rate", "on_s", "off_s"):
+            name = self._SPEC_KEYS[key][0]
+            value = getattr(self, name)
+            if name in defaults:
+                params[name] = defaults[name] if value is None else value
+            elif value is not None:
+                raise ConfigError(
+                    f"tenant {self.name!r}: {self.arrival} arrivals take no "
+                    f"{key} (got {key}={value})"
+                )
+        return build_arrival(self.arrival, **params)
 
     # -- compact CLI spec strings ---------------------------------------
 
@@ -203,6 +208,16 @@ class TenantSpec:
         return cls(name=name, **kwargs)
 
 
+def tenant_rng(seed: int, tenant: str) -> KeyedRng:
+    """The rng every draw of ``tenant`` forks from in a trace seeded ``seed``.
+
+    A tenant's arrival times are ``process.times(tenant_rng(seed, name),
+    count)`` — for ``generate_trace``'s tenants and ``fleet``'s one
+    tenant alike — and its problem picks draw from the same rng.
+    """
+    return KeyedRng(seed).fork("tenant", tenant)
+
+
 def _problem_indices(
     spec: TenantSpec, count: int, rng: KeyedRng, pool: int, dataset_seed: int
 ) -> list[int]:
@@ -253,7 +268,7 @@ def generate_trace(
     root = KeyedRng(seed)
     rows: list[tuple[float, str, int, TraceRequest]] = []
     for spec in tenants:
-        rng = root.fork("tenant", spec.name)
+        rng = tenant_rng(seed, spec.name)
         count = spec.requests if spec.requests is not None else default_requests
         times = spec.arrival_process().times(rng, count)
         # The problem pool is seeded per (trace, tenant) so two tenants

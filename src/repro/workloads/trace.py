@@ -27,16 +27,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from math import isfinite
 from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.workloads.datasets import list_datasets
 from repro.workloads.problem import Problem
 
-__all__ = ["TraceRequest", "Trace", "materialize_problems"]
+__all__ = ["TraceRequest", "Trace", "check_request_times", "materialize_problems"]
 
 TRACE_SCHEMA = "repro.trace"
 TRACE_VERSION = 1
+
+
+def check_request_times(
+    arrival_s: float, deadline_s: float | None, ttft_slo_s: float | None
+) -> None:
+    """Reject request times that cannot be served (``ValueError``).
+
+    The arrival must be finite and >= 0; the deadline and TTFT target,
+    when set, finite and > 0 (JSON's ``NaN`` / ``Infinity`` included).
+    """
+    if not (isfinite(arrival_s) and arrival_s >= 0):
+        raise ValueError(f"arrival_s must be finite and >= 0, got {arrival_s}")
+    for name, value in (("deadline_s", deadline_s), ("ttft_slo_s", ttft_slo_s)):
+        if value is not None and not (isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0 when set, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,16 +83,11 @@ class TraceRequest:
             raise ValueError("request_id must be non-empty")
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
+        check_request_times(self.arrival_s, self.deadline_s, self.ttft_slo_s)
         if self.problem_index < 0:
             raise ValueError("problem_index must be non-negative")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive when set")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ValueError("ttft_slo_s must be positive when set")
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

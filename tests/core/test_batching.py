@@ -14,10 +14,12 @@ import pytest
 
 from repro.core.batcher import RoundBatcher
 from repro.core.config import ConfigError, baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, PooledDevice
 from repro.core.session import SessionState, SolveSession
 from repro.search.registry import build_algorithm
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 
@@ -53,10 +55,9 @@ def burst_fleet(batching=None):
         baseline_config(memory_fraction=0.4, seed=0), dataset,
         scheduler="fifo", **kwargs,
     )
-    arrivals = generate_arrivals(5, 1.0, seed=0)
-    fleet.submit_stream(
-        list(dataset), build_algorithm("beam_search", 4), arrivals
-    )
+    arrivals = PoissonProcess(rate_rps=1.0).times(KeyedRng(0), 5)
+    for problem, arrival in zip(dataset, arrivals):
+        fleet.submit(problem, build_algorithm("beam_search", 4), arrival_s=arrival)
     return fleet.drain()
 
 
@@ -190,10 +191,10 @@ class TestNoOverlap:
             factory(memory_fraction=0.4, seed=0), dataset,
             scheduler="fifo", batching=batching,
         )
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 8),
-            TestNoOverlap.ARRIVALS,
-        )
+        for problem, arrival in zip(dataset, TestNoOverlap.ARRIVALS):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 8), arrival_s=arrival
+            )
         return fleet.drain()
 
     @staticmethod
@@ -343,10 +344,9 @@ def two_lane_burst(faults="off", recovery="failover"):
         placement="least_loaded", batching="continuous",
         faults=faults, recovery=recovery,
     )
-    arrivals = generate_arrivals(5, 1.0, seed=0)
-    fleet.submit_stream(
-        list(dataset), build_algorithm("beam_search", 4), arrivals
-    )
+    arrivals = PoissonProcess(rate_rps=1.0).times(KeyedRng(0), 5)
+    for problem, arrival in zip(dataset, arrivals):
+        fleet.submit(problem, build_algorithm("beam_search", 4), arrival_s=arrival)
     return fleet.drain()
 
 

@@ -12,7 +12,7 @@ and the same fault spec plus seed reproduces identical records twice.
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, LaneHealth
 from repro.errors import ConfigError, FaultError, RetryExhaustedError
 from repro.faults import (
@@ -29,6 +29,7 @@ from repro.faults import (
 )
 from repro.search.registry import build_algorithm
 from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 
@@ -265,7 +266,7 @@ def crash_fleet(faults, recovery, *, devices=4, scheduler="fifo",
         devices=["rtx4090"] * devices,
         faults=faults, recovery=recovery, retry_budget=retry_budget,
     )
-    arrivals = generate_arrivals(requests, rate, seed=seed)
+    arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(seed), requests)
     problems = list(dataset)
     for problem, arrival in zip(problems, arrivals):
         fleet.submit(
@@ -463,17 +464,19 @@ class TestNonCrashFaults:
         dataset = build_dataset("amc23", seed=0, size=2)
         config = fasttts_config(memory_fraction=0.3, seed=0)
         base = TTSFleet(config, dataset, scheduler="round_robin")
-        base.submit_stream(
-            list(dataset), build_algorithm("beam_search", 16), (0.0, 1.0)
-        )
+        for problem, arrival in zip(dataset, (0.0, 1.0)):
+            base.submit(
+                problem, build_algorithm("beam_search", 16), arrival_s=arrival
+            )
         base_report = base.drain()
         squeezed = TTSFleet(
             config, dataset, scheduler="round_robin",
             faults="kv_pressure:at=5,lane=0,fraction=0.4,duration=60",
         )
-        squeezed.submit_stream(
-            list(dataset), build_algorithm("beam_search", 16), (0.0, 1.0)
-        )
+        for problem, arrival in zip(dataset, (0.0, 1.0)):
+            squeezed.submit(
+                problem, build_algorithm("beam_search", 16), arrival_s=arrival
+            )
         squeezed_report = squeezed.drain()
         assert (
             squeezed_report.metrics.kv_swap_s > base_report.metrics.kv_swap_s
@@ -486,9 +489,10 @@ class TestNonCrashFaults:
             fleet = TTSFleet(
                 config, dataset, scheduler="round_robin", faults=faults
             )
-            fleet.submit_stream(
-                list(dataset), build_algorithm("beam_search", 16), (0.0, 1.0)
-            )
+            for problem, arrival in zip(dataset, (0.0, 1.0)):
+                fleet.submit(
+                    problem, build_algorithm("beam_search", 16), arrival_s=arrival
+                )
             return fleet.drain()
         nominal = thrash("off")
         degraded = thrash("link_degrade:at=1,lane=0,factor=0.25")

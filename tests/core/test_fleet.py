@@ -3,22 +3,19 @@
 import dataclasses
 import inspect
 import json
+import math
 
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import (
-    FleetRequest,
-    FleetSpec,
-    TTSFleet,
-    generate_arrivals,
-    run_trace,
-)
+from repro.core.fleet import FleetRequest, FleetSpec, TTSFleet, run_trace
 from repro.core.pool import DevicePool
 from repro.core.scheduler import FirstFinishScheduler
 from repro.errors import ConfigError
 from repro.metrics.fleet import FleetMetrics, FleetRequestRecord
 from repro.search.registry import build_algorithm
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import UniformProcess
 from repro.workloads.datasets import build_dataset
 
 
@@ -32,27 +29,10 @@ def _drain(dataset, rate_rps, n=4, fast=False, **fleet_kwargs):
     config = factory(memory_fraction=0.4, seed=0)
     fleet = TTSFleet(config, dataset, **fleet_kwargs)
     algorithm = build_algorithm("beam_search", n)
-    arrivals = generate_arrivals(len(dataset), rate_rps, distribution="uniform")
-    fleet.submit_stream(list(dataset), algorithm, arrivals)
+    arrivals = UniformProcess(rate_rps=rate_rps).times(KeyedRng(0), len(dataset))
+    for problem, arrival in zip(dataset, arrivals):
+        fleet.submit(problem, algorithm, arrival_s=arrival)
     return fleet.drain()
-
-
-class TestGenerateArrivals:
-    def test_uniform_spacing(self):
-        assert generate_arrivals(3, 0.5, distribution="uniform") == (0.0, 2.0, 4.0)
-
-    def test_poisson_deterministic_and_monotone(self):
-        a = generate_arrivals(6, 0.1, seed=3)
-        b = generate_arrivals(6, 0.1, seed=3)
-        assert a == b
-        assert all(t1 > t0 for t0, t1 in zip(a, a[1:]))
-        assert a != generate_arrivals(6, 0.1, seed=4)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            generate_arrivals(3, 0.0)
-        with pytest.raises(ValueError):
-            generate_arrivals(3, 1.0, distribution="bursty")
 
 
 class TestFleetServing:
@@ -231,4 +211,21 @@ class TestFleetMetrics:
             FleetRequest(
                 request_id="r", problem=list(dataset)[0],
                 algorithm=build_algorithm("beam_search", 4), arrival_s=-1.0,
+            )
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            {"arrival_s": math.nan},
+            {"arrival_s": math.inf},
+            {"arrival_s": 0.0, "deadline_s": math.nan},
+            {"arrival_s": 0.0, "ttft_slo_s": math.inf},
+        ],
+        ids=["arrival-nan", "arrival-inf", "deadline-nan", "ttft-inf"],
+    )
+    def test_non_finite_request_times_rejected(self, dataset, times):
+        with pytest.raises(ValueError, match="must be finite"):
+            FleetRequest(
+                request_id="r", problem=list(dataset)[0],
+                algorithm=build_algorithm("beam_search", 4), **times,
             )

@@ -10,7 +10,7 @@ swap time (or are refused admission) instead of contending for free.
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.core.pool import (
     DevicePool,
     PooledDevice,
@@ -22,6 +22,8 @@ from repro.core.scheduler import SessionHandle
 from repro.engine.clock import ClockBinding
 from repro.errors import CapacityError, ConfigError, SchedulingError
 from repro.search.registry import build_algorithm
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 
@@ -41,8 +43,9 @@ def drain(dataset, devices, rate, size=None, n=4, mf=0.9, scheduler="fifo",
         devices=list(devices), placement=placement, **kwargs
     )
     problems = list(dataset)[:size]
-    arrivals = generate_arrivals(size, rate, seed=0)
-    fleet.submit_stream(problems, build_algorithm("beam_search", n), arrivals)
+    arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(0), size)
+    for problem, arrival in zip(problems, arrivals):
+        fleet.submit(problem, build_algorithm("beam_search", n), arrival_s=arrival)
     return fleet.drain()
 
 
@@ -261,9 +264,10 @@ class TestKvOversubscription:
         dataset = build_dataset("amc23", seed=0, size=2)
         config = fasttts_config(memory_fraction=0.3, seed=0)
         fleet = TTSFleet(config, dataset, scheduler=scheduler, **kwargs)
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 16), (0.0, 1.0)
-        )
+        for problem, arrival in zip(dataset, (0.0, 1.0)):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 16), arrival_s=arrival
+            )
         return fleet.drain()
 
     def test_interleaved_sessions_pay_swap_time(self):
@@ -287,9 +291,10 @@ class TestKvOversubscription:
         dataset = build_dataset("amc23", seed=0, size=2)
         config = fasttts_config(memory_fraction=0.4, seed=0)
         fleet = TTSFleet(config, dataset, scheduler="round_robin")
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 4), (0.0, 1.0)
-        )
+        for problem, arrival in zip(dataset, (0.0, 1.0)):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 4), arrival_s=arrival
+            )
         report = fleet.drain()
         # both sessions fit the ledger together: no contention, no charge
         assert report.metrics.kv_swap_s == 0.0

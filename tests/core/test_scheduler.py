@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import FleetSpec, TTSFleet, _RunnableIndex, generate_arrivals
+from repro.core.fleet import FleetSpec, TTSFleet, _RunnableIndex
 from repro.core.pool import DevicePool
 from repro.core.scheduler import (
     FirstFinishScheduler,
@@ -31,6 +31,8 @@ from repro.core.server import TTSServer
 from repro.errors import ConfigError
 from repro.metrics.fleet import compare_policies
 from repro.search.registry import build_algorithm
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 GOLDENS = json.loads(
@@ -45,8 +47,9 @@ def drain(policy, rate, size=5, n=4, seed=0, fast=False, max_in_flight=None):
         factory(memory_fraction=0.4, seed=seed), dataset,
         max_in_flight=max_in_flight, scheduler=policy,
     )
-    arrivals = generate_arrivals(size, rate, seed=seed)
-    fleet.submit_stream(list(dataset), build_algorithm("beam_search", n), arrivals)
+    arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(seed), size)
+    for problem, arrival in zip(dataset, arrivals):
+        fleet.submit(problem, build_algorithm("beam_search", n), arrival_s=arrival)
     return fleet.drain()
 
 
@@ -137,10 +140,11 @@ class TestFifoGoldens:
             fleet = TTSFleet(
                 pool=DevicePool.build(config, dataset), max_in_flight=max_in_flight
             )
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 4),
-            generate_arrivals(5, rate, seed=0),
-        )
+        arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(0), 5)
+        for problem, arrival in zip(dataset, arrivals):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 4), arrival_s=arrival
+            )
         report = fleet.drain()
         golden = GOLDENS[label]
         assert [record_dict(r) for r in report.records] == golden["records"]

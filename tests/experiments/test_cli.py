@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import _FLEET_OMITS, build_parser, main
 from repro.core.config import AXIS_CHOICES
 from repro.core.fleet import FleetSpec, axis_flag
+from repro.workloads.arrivals import list_arrivals
 
 
 class TestParser:
@@ -162,6 +164,35 @@ class TestCommands:
         assert "--max-in-flight" in capsys.readouterr().err
         assert main(["fleet", "-n", "0"]) == 2
         assert "-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_fleet_non_finite_rate_rejected(self, capsys, rate):
+        assert main(["fleet", "--rate", rate]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --rate must be finite")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("arrival", list_arrivals())
+    def test_fleet_is_a_one_tenant_trace(self, monkeypatch, arrival):
+        # fleet's arrival times are exactly those `trace run` draws for a
+        # tenant named "fleet" with the same process, rate and seed.
+        served, run_trace = [], repro.cli.run_trace
+
+        def spy(trace, config, **axes):
+            served.append(trace)
+            return run_trace(trace, config, **axes)
+
+        monkeypatch.setattr(repro.cli, "run_trace", spy)
+        common = ["--seed", "5", "--requests", "3"]
+        assert main(["fleet", "--arrivals", arrival, "--rate", "0.1", "-n", "4",
+                     *common]) == 0
+        assert main(["trace", "run", *common, "--tenant",
+                     f"fleet:arrival={arrival},rate=0.1,n=4"]) == 0
+        fleet, trace = served
+        assert [r.arrival_s for r in fleet] == [r.arrival_s for r in trace]
+        assert [r.problem_index for r in fleet] == [0, 1, 2]
+        assert {r.tenant for r in fleet} == {"fleet"}
+        assert all(r.deadline_s is None for r in fleet)
 
     def test_sweep_small(self, capsys, tmp_path):
         argv = [
@@ -407,6 +438,30 @@ class TestTraceCommand:
             "trace", "replay", "--trace", str(tmp_path / "missing.jsonl"),
         ]) == 2
         assert "cannot read trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_arrival_in_trace_file_rejected(
+        self, capsys, tmp_path, literal
+    ):
+        path = tmp_path / "trace.jsonl"
+        assert main([
+            "trace", "generate", "--out", str(path), "--requests", "2",
+            "--tenant", "t0:rate=0.2,n=1",
+        ]) == 0
+        lines = path.read_text().splitlines()
+        head, _, tail = lines[1].partition('"arrival_s": ')
+        lines[1] = head + f'"arrival_s": {literal}' + tail[tail.index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["trace", "replay", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "arrival_s must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_tenant_rate_rejected(self, capsys, rate):
+        assert main(["trace", "run", "--tenant", f"t:rate={rate}"]) == 2
+        assert "finite rate > 0" in capsys.readouterr().err
 
     def test_malformed_trace_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -57,6 +57,7 @@ CELLS = [
            batching=b, kv_sharing=kv)
       for b in AXIS_CHOICES["batching"] for kv in KV),
     *(cell(FLEET, oversubscription=o) for o in AXIS_CHOICES["oversubscription"]),
+    *(cell(FLEET, arrivals=a) for a in list_arrivals()),
     *(cell(FLEET + FOUR_LANES, recovery=recovery,
            faults=f"{kind}:at=40,lane=0{FAULT_PARAMS.get(kind, '')}")
       for kind in list_faults() for recovery in AXIS_CHOICES["recovery"]),

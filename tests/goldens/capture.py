@@ -23,9 +23,11 @@ import json
 from pathlib import Path
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.core.server import TTSServer
 from repro.search.registry import build_algorithm, list_algorithms
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 HERE = Path(__file__).parent
@@ -88,8 +90,11 @@ def capture_fleet() -> dict:
         dataset = build_dataset("amc23", seed=FLEET_SEED, size=5)
         config = baseline_config(memory_fraction=0.4, seed=FLEET_SEED)
         fleet = TTSFleet(config, dataset, max_in_flight=max_in_flight)
-        arrivals = generate_arrivals(len(dataset), rate, seed=FLEET_SEED)
-        fleet.submit_stream(list(dataset), build_algorithm("beam_search", 4), arrivals)
+        arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(FLEET_SEED), 5)
+        for problem, arrival in zip(dataset, arrivals):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 4), arrival_s=arrival
+            )
         report = fleet.drain()
         runs[label] = {
             "records": [_record_dict(r) for r in report.records],

@@ -13,9 +13,11 @@ double-billing redone work.
 import pytest
 
 from repro.core.config import baseline_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.routing import CascadeRouter, parse_lane_list
 from repro.search.registry import build_algorithm
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 BIG = "7B+1.5B@rtx4090,7B+1.5B@rtx4090"
@@ -33,10 +35,9 @@ def run_pool(lanes, router="off", size=20, rate=0.05, n=4, seed=0, **kwargs):
         placement="least_loaded",
         **kwargs,
     )
-    arrivals = generate_arrivals(size, rate, seed=seed)
-    fleet.submit_stream(
-        list(dataset), build_algorithm("beam_search", n), arrivals
-    )
+    arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(seed), size)
+    for problem, arrival in zip(dataset, arrivals):
+        fleet.submit(problem, build_algorithm("beam_search", n), arrival_s=arrival)
     return fleet.drain()
 
 
@@ -111,10 +112,15 @@ class TestFaultComposition:
     def test_crash_and_escalation_never_double_bill(self):
         # Crash the cheap lane mid-run: crash-voided work lands in
         # redone_work_s, escalation-abandoned work in escalated_work_s —
-        # disjoint by construction, both inside device_time_s.
+        # disjoint by construction, both inside device_time_s. The 12
+        # arrivals run to t=199 s; mttr=100 brings the cheap lane back at
+        # t=130 s, before the last four arrive, so those can route to it
+        # and escalate (a repair after the last arrival leaves every
+        # later request failing over to the big lane, with nothing to
+        # escalate).
         report = run_pool(
             HETERO, router="cascade", size=12,
-            faults="crash:at=30,lane=1,mttr=200", recovery="failover",
+            faults="crash:at=30,lane=1,mttr=100", recovery="failover",
         )
         metrics = report.metrics
         assert metrics.completed + metrics.requests_lost == len(report.records)
@@ -123,7 +129,9 @@ class TestFaultComposition:
                 continue
             overhead = record.redone_work_s + record.escalated_work_s
             assert record.device_time_s >= overhead
-        # The run still escalates despite the crash.
+        # Both overheads are present: the crash voided work, and the run
+        # still escalates despite the crash.
+        assert any(r.redone_work_s > 0 for r in report.records)
         assert metrics.escalations > 0
 
     def test_router_survives_failover_routing(self):
@@ -140,13 +148,14 @@ class TestRouterOffIdentity:
     def test_router_off_is_byte_identical_to_no_router(self):
         dataset = build_dataset("amc23", seed=0, size=6)
         config = baseline_config(memory_fraction=0.4, seed=0)
-        arrivals = generate_arrivals(6, 0.05, seed=0)
+        arrivals = PoissonProcess(rate_rps=0.05).times(KeyedRng(0), 6)
 
         def run(**kwargs):
             fleet = TTSFleet(config, dataset, **kwargs)
-            fleet.submit_stream(
-                list(dataset), build_algorithm("beam_search", 4), arrivals
-            )
+            for problem, arrival in zip(dataset, arrivals):
+                fleet.submit(
+                    problem, build_algorithm("beam_search", 4), arrival_s=arrival
+                )
             return fleet.drain()
 
         base = run()

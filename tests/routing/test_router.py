@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import baseline_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.errors import ConfigError
 from repro.routing import (
     CascadeRouter,
@@ -15,6 +15,8 @@ from repro.routing import (
     router_descriptions,
 )
 from repro.search.registry import build_algorithm
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
 
 HETERO = "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8"
@@ -31,10 +33,9 @@ def run_fleet(router, size=8, rate=0.05, n=4, lanes=HETERO, seed=0):
         router=router,
         placement="least_loaded",
     )
-    arrivals = generate_arrivals(size, rate, seed=seed)
-    fleet.submit_stream(
-        list(dataset), build_algorithm("beam_search", n), arrivals
-    )
+    arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(seed), size)
+    for problem, arrival in zip(dataset, arrivals):
+        fleet.submit(problem, build_algorithm("beam_search", n), arrival_s=arrival)
     return fleet.drain()
 
 

@@ -192,7 +192,8 @@ fleet = TTSFleet(
     devices=["rtx4090"] * 2, faults="stall:rate=0.05,duration=1",
 )
 arrivals = PoissonProcess(rate_rps=0.5).times(KeyedRng(0), 2)
-fleet.submit_stream(list(dataset), build_algorithm("beam_search", 4), arrivals)
+for problem, arrival in zip(list(dataset), arrivals):
+    fleet.submit(problem, build_algorithm("beam_search", 4), arrival_s=arrival)
 report = fleet.drain()
 report.slo_summary()
 assert len(report.records) == 2

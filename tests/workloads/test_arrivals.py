@@ -1,5 +1,7 @@
 """Keyed arrival processes: determinism, shape, and registry errors."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -8,6 +10,7 @@ from repro.workloads.arrivals import (
     BurstyProcess,
     DiurnalProcess,
     PoissonProcess,
+    UniformProcess,
     arrival_descriptions,
     build_arrival,
     list_arrivals,
@@ -51,6 +54,57 @@ class TestAllProcesses:
     def test_negative_count_rejected(self, process):
         with pytest.raises(ValueError):
             process.times(KeyedRng(0), -1)
+
+
+class TestUniform:
+    def test_registry_spacing(self):
+        rng = KeyedRng(0)
+        assert build_arrival("uniform", rate_rps=0.5).times(rng, 3) == (0.0, 2.0, 4.0)
+
+    def test_draws_nothing(self):
+        # Seed-independent by construction, and exactly i / rate.
+        process = UniformProcess(rate_rps=0.3)
+        assert process.times(KeyedRng(1), 7) == process.times(KeyedRng(2), 7)
+        assert process.times(KeyedRng(0), 7) == tuple(i / 0.3 for i in range(7))
+
+    def test_count_contract(self):
+        process = UniformProcess(rate_rps=2.0)
+        assert process.times(KeyedRng(0), 0) == ()
+        with pytest.raises(ValueError):
+            process.times(KeyedRng(0), -1)
+
+    def test_rate_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            UniformProcess(rate_rps=0.0)
+
+
+#: One valid parameter set per registered process.
+VALID = {
+    "uniform": {"rate_rps": 0.5},
+    "poisson": {"rate_rps": 0.5},
+    "diurnal": {"rate_rps": 0.2, "peak_rate_rps": 1.0, "period_s": 600.0},
+    "bursty": {"rate_rps": 0.1, "burst_rate_rps": 1.0, "on_s": 30.0, "off_s": 120.0},
+}
+
+
+class TestParametersFiniteAndPositive:
+    def test_every_registered_process_has_a_valid_case(self):
+        assert set(VALID) == set(list_arrivals())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize(
+        "name, param",
+        [(name, param) for name, params in VALID.items() for param in params],
+    )
+    def test_non_finite_rejected_at_construction(self, name, param, bad):
+        with pytest.raises(ConfigError, match=f"finite {param} > 0"):
+            build_arrival(name, **VALID[name] | {param: bad})
+
+    def test_infinite_diurnal_peak_rejected_at_construction(self):
+        # An infinite peak made every candidate gap 0 and every acceptance
+        # ratio 0: times() never returned.
+        with pytest.raises(ConfigError, match="peak_rate_rps"):
+            DiurnalProcess(rate_rps=0.1, peak_rate_rps=math.inf, period_s=3600.0)
 
 
 class TestPoisson:
@@ -107,8 +161,8 @@ class TestBursty:
 
 
 class TestRegistry:
-    def test_lists_all_three(self):
-        assert list_arrivals() == ["bursty", "diurnal", "poisson"]
+    def test_lists_all_four(self):
+        assert list_arrivals() == ["bursty", "diurnal", "poisson", "uniform"]
         assert set(arrival_descriptions()) == set(list_arrivals())
         assert all(arrival_descriptions().values())
 
@@ -116,6 +170,7 @@ class TestRegistry:
         process = build_arrival("poisson", rate_rps=0.3)
         assert isinstance(process, PoissonProcess)
         assert process.rate_rps == 0.3
+        assert isinstance(build_arrival("uniform", rate_rps=0.3), UniformProcess)
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'poisson'"):

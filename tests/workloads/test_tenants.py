@@ -3,8 +3,14 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads.arrivals import BurstyProcess, DiurnalProcess, PoissonProcess
-from repro.workloads.tenants import TenantSpec, generate_trace
+from repro.utils.rng import KeyedRng
+from repro.workloads.arrivals import (
+    BurstyProcess,
+    DiurnalProcess,
+    PoissonProcess,
+    UniformProcess,
+)
+from repro.workloads.tenants import TenantSpec, generate_trace, tenant_rng
 from repro.workloads.trace import materialize_problems
 
 
@@ -49,6 +55,8 @@ class TestParse:
             ("t:n=four", "needs a int"),
             ("t:arrival=posson", "did you mean 'poisson'"),
             ("t:rate=-1", "rate > 0"),
+            ("t:rate=nan", "finite rate > 0"),
+            ("t:rate=inf", "finite rate > 0"),
             ("t:deadline=0", "deadline > 0"),
             ("t:ttft=-5", "ttft > 0"),
             ("t:difficulty=extreme", "difficulty must be one of"),
@@ -91,8 +99,52 @@ class TestArrivalProcess:
         assert process.burst_rate_rps == 2.0
         assert (process.on_s, process.off_s) == (5.0, 9.0)
 
+    def test_rate_only_process_falls_through_to_the_registry(self):
+        process = TenantSpec.parse("t:arrival=uniform,rate=0.5").arrival_process()
+        assert isinstance(process, UniformProcess)
+        assert process.times(KeyedRng(0), 3) == (0.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "t:arrival=diurnal,rate=0.1,peak_rate=0",
+            "t:arrival=diurnal,rate=0.1,period=0",
+            "t:arrival=bursty,rate=0.1,burst_rate=0",
+            "t:arrival=bursty,rate=0.1,on_s=0",
+            "t:arrival=bursty,rate=0.1,off_s=0",
+        ],
+    )
+    def test_explicit_zero_is_not_a_default(self, spec):
+        with pytest.raises(ConfigError, match="> 0"):
+            TenantSpec.parse(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("t:arrival=poisson,peak_rate=9,on_s=3", "peak_rate"),
+            ("t:arrival=uniform,period=60", "period"),
+            ("t:arrival=diurnal,on_s=5", "on_s"),
+            ("t:arrival=bursty,peak_rate=1", "peak_rate"),
+        ],
+    )
+    def test_parameter_the_process_does_not_take_rejected(self, spec, key):
+        with pytest.raises(ConfigError, match=f"arrivals take no {key}"):
+            TenantSpec.parse(spec)
+
+    def test_infinite_diurnal_peak_rejected_at_construction(self):
+        # At any finite trough, an infinite peak made trace generation
+        # loop forever; the spec itself now refuses it.
+        with pytest.raises(ConfigError, match="peak_rate_rps"):
+            TenantSpec.parse("t:arrival=diurnal,rate=0.1,peak_rate=inf")
+
 
 class TestGenerateTrace:
+    def test_arrivals_draw_from_the_tenant_rng(self):
+        spec = TenantSpec.parse("a:arrival=bursty,rate=0.1,requests=5")
+        trace = generate_trace([spec], seed=4)
+        expected = spec.arrival_process().times(tenant_rng(4, "a"), 5)
+        assert tuple(r.arrival_s for r in trace) == expected
+
     def test_deterministic(self):
         tenants = [TenantSpec.parse("a:rate=0.1"), TenantSpec.parse("b:rate=0.2")]
         assert generate_trace(tenants, seed=5) == generate_trace(tenants, seed=5)

@@ -1,5 +1,7 @@
 """Trace serialization: JSONL round-trips, validation, problem rebuild."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -64,6 +66,31 @@ class TestTraceRequest:
         payload["deadline_s"] = -1.0
         with pytest.raises(ConfigError, match="bad trace request"):
             TraceRequest.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_s", math.nan),
+            ("arrival_s", math.inf),
+            ("deadline_s", math.nan),
+            ("deadline_s", math.inf),
+            ("ttft_slo_s", math.nan),
+            ("ttft_slo_s", math.inf),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_non_finite_time_rejected(self, field, value):
+        ok = small_trace().requests[0]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TraceRequest(**{**ok.to_json_dict(), field: value})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_arrival_in_a_trace_file_rejected(self, literal):
+        # json.loads accepts these literals; the trace reader must not.
+        lines = small_trace().to_jsonl().splitlines()
+        lines[1] = lines[1].replace('"arrival_s": 1.5', f'"arrival_s": {literal}')
+        with pytest.raises(ConfigError, match="arrival_s must be finite"):
+            Trace.from_jsonl("\n".join(lines))
 
 
 class TestTraceValidation:
