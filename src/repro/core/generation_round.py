@@ -54,6 +54,8 @@ __all__ = ["ChildStepPlan", "GenerationRound", "GenerationRoundResult"]
 # Resolves (parent lineage, child index) to the child's next-step identity,
 # or None when the child cannot exist (e.g. the parent's step was terminal).
 ChildPlanner = Callable[[tuple[int, ...], int], "ChildStepPlan | None"]
+# Whether a beam's step can have children: when the planner returns plans.
+HasChild = Callable[[tuple[int, ...]], bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,13 +115,14 @@ class GenerationRound:
         speculation: bool = False,
         branching_factor: int = 4,
         child_planner: ChildPlanner | None = None,
+        has_child: HasChild | None = None,
         preempt_check: Callable[[], bool] | None = None,
         spec_bandwidth_fraction: float = 0.25,
     ) -> None:
         if slot_budget < 1:
             raise ValueError("slot_budget must be positive")
-        if speculation and child_planner is None:
-            raise ValueError("speculation requires a child_planner")
+        if speculation and (child_planner is None or has_child is None):
+            raise ValueError("speculation requires a child_planner and has_child")
         if not 0.0 < spec_bandwidth_fraction < math.inf:
             raise ValueError("spec_bandwidth_fraction must be positive and finite")
         self._worker = worker
@@ -129,6 +132,7 @@ class GenerationRound:
         self._speculation = speculation
         self._branching = branching_factor
         self._child_planner = child_planner
+        self._has_child = has_child
         self._preempt_check = preempt_check
         self._spec_budget_bytes = spec_bandwidth_fraction * worker.model.weight_bytes
         self._kv_bytes_per_token = self._cache.kv_bytes_per_token
@@ -298,7 +302,7 @@ class GenerationRound:
             finish_time=self._clock.now,
             tokens_generated=tokens_generated,
         )
-        if selector is not None and self._child_planner(job.lineage, 0) is not None:
+        if selector is not None and self._has_child(job.lineage):
             selector.offer(job.lineage, job.prev_score)
 
     def _spec_slot_cap(self, standard_slots: int, standard_context: int) -> int:

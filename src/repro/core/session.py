@@ -548,14 +548,16 @@ class SolveSession:
         self._swap_to("generator")
         self._gen_worker.batch_share = occupancy
         self._plans = plans
+        planner, has_child = (
+            self._child_planner(plans, round_idx) if cfg.speculation else (None, None)
+        )
         gen_result = GenerationRound(
             worker=self._gen_worker,
             slot_budget=self._slot_budget,
             speculation=cfg.speculation,
             branching_factor=algorithm.branching_factor,
-            child_planner=(
-                self._child_planner(plans, round_idx) if cfg.speculation else None
-            ),
+            child_planner=planner,
+            has_child=has_child,
             preempt_check=self._preempt_check(),
             spec_bandwidth_fraction=cfg.spec_bandwidth_fraction,
         ).run(jobs)
@@ -721,13 +723,20 @@ class SolveSession:
     def _child_planner(
         self, plans: dict[tuple[int, ...], StepPlan], round_idx: int
     ):
-        """Closure resolving speculative branches to child step identities.
+        """Closures resolving speculative branches to child step identities,
+        and telling, without a draw, whether a beam's step can have one.
 
         In the last round a step can have no child, which is decided here
         once rather than per call.
         """
         next_cap = self._algorithm.step_cap(round_idx + 1)
         last_round = round_idx + 1 >= self._server.dataset.max_steps
+
+        def has_child(parent_lineage: tuple[int, ...]) -> bool:
+            if last_round:
+                return False
+            parent_plan = plans.get(parent_lineage)
+            return parent_plan is not None and not parent_plan.is_terminal
 
         def planner(
             parent_lineage: tuple[int, ...], child_index: int
@@ -746,7 +755,7 @@ class SolveSession:
                 n_tokens=self._step_tokens(child_lineage, round_idx + 1, next_cap),
             )
 
-        return planner
+        return planner, has_child
 
     def _preempt_check(self):
         """Preemption hook: True once an arrival has landed (or was signalled)."""

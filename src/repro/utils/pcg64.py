@@ -18,9 +18,10 @@ bit for bit from the 64-bit seed alone:
   paths, and ``choice``'s pairwise sum, cumulative sum and
   ``searchsorted``.
 
-Every draw seeds through :func:`start`, the one construction function.
-The common case takes one output word; the rare rejection and tail
-branches step the state with :func:`_step`. Tests hold the module to
+Every draw seeds through :func:`start`, the one construction function,
+in straight-line code. The common case takes one output word (accepted
+in :func:`normal` and :func:`lognormal`'s own body); the rare rejection
+and tail branches step the state with :func:`_step`. Tests hold the module to
 numpy: ``tests/utils/test_rng.py`` compares every ``KeyedRng`` helper
 with a fresh numpy stream over 10^5 keys, and ``tests/utils/test_pcg64.py``
 forces chosen output words through every table row and tail branch.
@@ -51,37 +52,10 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
-
-# SeedSequence's hash constants. Its multipliers advance the same way
-# whatever the data, so the k-th hashmix uses the fixed pair
-# (_HASH_A[k], _HASH_A[k + 1]) and the k-th output word (_HASH_B[k],
-# _HASH_B[k + 1]).
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_HASH_A = [0x43B0D7E5]
-_HASH_B = [0x8B51F9DD]
-for _ in range(16):
-    _HASH_A.append(_HASH_A[-1] * 0x931E8875 & _M32)
-for _ in range(8):
-    _HASH_B.append(_HASH_B[-1] * 0x58F38DED & _M32)
-
-
-def _hashmix(value: int, k: int) -> int:
-    """SeedSequence's ``k``-th hashmix of ``value`` (:func:`start` inlines it)."""
-    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1] & _M32
-    return value ^ value >> 16
-
-
-# A 64-bit seed fills two of the four pool words; the other two mix zeros.
-_POOL_TAIL = (_hashmix(0, 2), _hashmix(0, 3))
-# The twelve cross-mixing rounds: (source word, target word, hash pair).
-_CROSS = tuple(
-    (src, dst, _HASH_A[k], _HASH_A[k + 1])
-    for k, (src, dst) in enumerate(
-        ((src, dst) for src in range(4) for dst in range(4) if src != dst), start=4
-    )
-)
-# The eight output words: (pool word, hash pair).
-_OUTPUT = tuple((k & 3, _HASH_B[k], _HASH_B[k + 1]) for k in range(8))
+# PCG64's seeding (step from zero, add initstate, step) and its first
+# output's step, folded: ``initstate * M**2 + inc * (M**2 + M + 1)``.
+_PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _M128
+_PCG_MULT_SQ_PLUS = (_PCG_MULT_SQ + _PCG_MULT + 1) & _M128
 
 
 def start(seed: int) -> tuple[int, int, int]:
@@ -89,22 +63,71 @@ def start(seed: int) -> tuple[int, int, int]:
     increment - the one place a keyed stream is built.
 
     ``seed`` is a non-negative integer below ``2**64``, as
-    :func:`repro.utils.rng._hash64` returns.
+    :func:`repro.utils.rng._hash64` returns. ``SeedSequence``'s hash
+    constants do not depend on the data, so its pool mixing and output
+    words are unrolled with them as literals; ``tests/utils/test_pcg64.py``
+    keeps the loop form and holds the two equal.
     """
-    low = ((seed & _M32) ^ _HASH_A[0]) * _HASH_A[1] & _M32
-    high = (seed >> 32 ^ _HASH_A[1]) * _HASH_A[2] & _M32
-    pool = [low ^ low >> 16, high ^ high >> 16, *_POOL_TAIL]
-    for src, dst, xor, mul in _CROSS:
-        value = (pool[src] ^ xor) * mul & _M32
-        value = _MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16) & _M32
-        pool[dst] = value ^ value >> 16
-    words = []
-    for src, xor, mul in _OUTPUT:
-        value = (pool[src] ^ xor) * mul & _M32
-        words.append(value ^ value >> 16)
-    initstate = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
-    inc = ((words[4] | words[5] << 32) << 65 | (words[6] | words[7] << 32) << 1 | 1) & _M128
-    state = (((inc + initstate) * _PCG_MULT + inc) * _PCG_MULT + inc) & _M128
+    v = ((seed & 0xFFFFFFFF) ^ 0x43B0D7E5) * 0xAE5A53A9 & 0xFFFFFFFF
+    p0 = v ^ v >> 16
+    v = (seed >> 32 ^ 0xAE5A53A9) * 0x8488043D & 0xFFFFFFFF
+    p1 = v ^ v >> 16
+    # Word src into dst for each ordered pair; words 2 and 3 start as the
+    # hashmix of zero, so their first mix starts from a constant product.
+    v = (p0 ^ 0x9205B1D5) * 0xE9096E59 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p1 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p1 = v ^ v >> 16
+    v = (p0 ^ 0xE9096E59) * 0x8D5CB6AD & 0xFFFFFFFF
+    v = 0x5228666D - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p2 = v ^ v >> 16
+    v = (p0 ^ 0x8D5CB6AD) * 0x9BB16511 & 0xFFFFFFFF
+    v = 0x74577501 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p3 = v ^ v >> 16
+    v = (p1 ^ 0x9BB16511) * 0x00C238C5 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p0 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p0 = v ^ v >> 16
+    v = (p1 ^ 0x00C238C5) * 0x4D029A09 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p2 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p2 = v ^ v >> 16
+    v = (p1 ^ 0x4D029A09) * 0xCC132E1D & 0xFFFFFFFF
+    v = 0xCA01F9DD * p3 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p3 = v ^ v >> 16
+    v = (p2 ^ 0xCC132E1D) * 0x83A97B41 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p0 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p0 = v ^ v >> 16
+    v = (p2 ^ 0x83A97B41) * 0xFA8DDCB5 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p1 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p1 = v ^ v >> 16
+    v = (p2 ^ 0xFA8DDCB5) * 0xAC4C06B9 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p3 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p3 = v ^ v >> 16
+    v = (p3 ^ 0xAC4C06B9) * 0x26FF5A8D & 0xFFFFFFFF
+    v = 0xCA01F9DD * p0 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p0 = v ^ v >> 16
+    v = (p3 ^ 0x26FF5A8D) * 0x0E554A71 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p1 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p1 = v ^ v >> 16
+    v = (p3 ^ 0x0E554A71) * 0x78C50DA5 & 0xFFFFFFFF
+    v = 0xCA01F9DD * p2 - 0x4973F715 * (v ^ v >> 16) & 0xFFFFFFFF
+    p2 = v ^ v >> 16
+    # The eight 32-bit output words, assembled into PCG64's seed words.
+    v = (p0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF
+    initstate = (v ^ v >> 16) << 64
+    v = (p1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF
+    initstate |= (v ^ v >> 16) << 96
+    v = (p2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF
+    initstate |= v ^ v >> 16
+    v = (p3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF
+    initstate |= (v ^ v >> 16) << 32
+    v = (p0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF
+    inc = (v ^ v >> 16) << 65 | 1
+    v = (p1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF
+    inc |= ((v ^ v >> 16) & 0x7FFFFFFF) << 97
+    v = (p2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF
+    inc |= (v ^ v >> 16) << 1
+    v = (p3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF
+    inc |= (v ^ v >> 16) << 33
+    state = (initstate * _PCG_MULT_SQ + inc * _PCG_MULT_SQ_PLUS) & _M128
     value = (state >> 64 ^ state) & _M64
     rot = state >> 122
     return (value >> rot | value << (64 - rot)) & _M64, state, inc
@@ -154,15 +177,31 @@ def _standard_normal(word: int, state: int, inc: int) -> float:
 
 
 def normal(seed: int, loc: float, scale: float) -> float:
-    """``Generator.normal(loc, scale)``."""
-    _check_scale("scale", scale)
-    return loc + scale * _standard_normal(*start(seed))
+    """``Generator.normal(loc, scale)``: :func:`_check_scale` and the
+    ziggurat's one-word accept, which ends ~99.3 % of draws, inline;
+    :func:`_standard_normal` for the rest."""
+    if scale <= 0 and (scale < 0 or copysign(1.0, scale) < 0):
+        raise ValueError("scale < 0")
+    word, state, inc = start(seed)
+    idx = word & 0xFF
+    rabs = word >> 9 & 0x000FFFFFFFFFFFFF
+    if rabs < KI[idx]:
+        x = rabs * WI[idx]
+        return loc + scale * (-x if word & 0x100 else x)
+    return loc + scale * _standard_normal(word, state, inc)
 
 
 def lognormal(seed: int, mean: float, sigma: float) -> float:
-    """``Generator.lognormal(mean, sigma)``."""
-    _check_scale("sigma", sigma)
-    return exp(mean + sigma * _standard_normal(*start(seed)))
+    """``Generator.lognormal(mean, sigma)``, inline as :func:`normal`."""
+    if sigma <= 0 and (sigma < 0 or copysign(1.0, sigma) < 0):
+        raise ValueError("sigma < 0")
+    word, state, inc = start(seed)
+    idx = word & 0xFF
+    rabs = word >> 9 & 0x000FFFFFFFFFFFFF
+    if rabs < KI[idx]:
+        x = rabs * WI[idx]
+        return exp(mean + sigma * (-x if word & 0x100 else x))
+    return exp(mean + sigma * _standard_normal(word, state, inc))
 
 
 def _standard_exponential(word: int, state: int, inc: int) -> float:

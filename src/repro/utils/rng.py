@@ -16,22 +16,23 @@ FastTTS run is a real algorithmic divergence, not RNG-consumption skew.
 Cost model
 ----------
 A keyed value costs one BLAKE2 hash of its key (:func:`_hash64`, ~2 us
-for a typical ``"segment", "problem-3", (0, 1, 2, 3), i``) plus one
-stream *built* from the 64-bit seed it hashes to. The single-draw helpers
-(:meth:`KeyedRng.uniform`, ``normal``, ``lognormal``, ``exponential``,
-``randint``, ``choice_index``) never touch numpy: :mod:`repro.utils.pcg64`
-computes numpy's ``SeedSequence`` -> ``PCG64`` seeding and the
-``Generator``'s first draw bit for bit in pure Python (timed with
-``timeit`` on a 2-vCPU Intel Xeon VM, CPython 3.11: ~10-16 us for a first
-``normal``, against ~13-21 us for numpy's ``Generator(PCG64(seed))``
-build plus draw), so a process that only draws keyed values never imports
-numpy's ~16 MiB. The bill is still the number of streams built, and two
-rules keep it at the number of distinct values the simulation consumes
-while they are hot:
+for a typical ``"segment", "problem-3", (0, 1, 2, 3), i``, its small ints
+encoded from a table) plus one stream *built* from the seed it hashes to.
+The single-draw helpers (:meth:`KeyedRng.uniform`, ``normal``,
+``lognormal``, ``exponential``, ``randint``, ``choice_index``) never touch
+numpy: :mod:`repro.utils.pcg64` computes numpy's ``SeedSequence`` ->
+``PCG64`` seeding (straight-line, ~9 us) and the ``Generator``'s first
+draw bit for bit in pure Python (``timeit`` on a 2-vCPU Intel Xeon VM,
+CPython 3.11: ~9-11 us for a first ``normal``, against ~12-15 us for
+numpy's ``Generator(PCG64(seed))`` build plus draw), so a process that
+only draws keyed values never imports numpy's ~16 MiB. The bill is still
+the number of streams built, and two rules keep it at the number of
+distinct values the simulation consumes while they are hot:
 
 * **Draw on demand.** Callers ask for a value only when something reads
-  it (a speculative child's step length, not its soundness; no shuffle of
-  a one-job round) - that is their business, not this module's.
+  it (a speculative child's step length, not its soundness, and no draw to
+  learn whether a finished beam can have children; no shuffle of a one-job
+  round) - that is their business, not this module's.
 * **Draw once while hot.** The helpers remember the *first draw* of the
   last :data:`FIRST_DRAW_CAP` streams they built, process-wide, keyed by
   the 64-bit ``PCG64`` seed the key hashes to. A stream's first draw is a
@@ -109,6 +110,8 @@ def _encode_part(part: _KeyPart) -> bytes:
 # inside tuples), so caching numeric or tuple parts would alias encodings
 # that must differ.
 _encode_str = functools.lru_cache(maxsize=4096)(_encode_part)
+# The encodings of 0 .. 255, the ints lineages and step indices are made of.
+_SMALL_INTS = tuple(_encode_part(i) for i in range(256))
 
 
 def _hash64(prefix: bytes, parts: tuple) -> int:
@@ -117,28 +120,32 @@ def _hash64(prefix: bytes, parts: tuple) -> int:
     The one derivation behind :func:`stable_hash64`, every stream's
     ``PCG64`` seed and every fork's root seed - the hashing hot path, so
     it encodes a key in one pass. It spells out the exact types keys are
-    made of (``int``, ``str`` through its memo, and a lineage: a tuple of
-    exact ``int``), and hands every other part, at any depth, to
-    :func:`_encode_part`'s ``isinstance`` chain - ``bool``, ``float``,
-    ``bytes``, subclasses and deeper tuples - so the bytes are the same
-    either way.
+    made of (``str`` through its memo, ``int`` - a small one from
+    :data:`_SMALL_INTS` - and a lineage: a tuple of exact ``int``), and
+    hands every other part, at any depth, to :func:`_encode_part`'s
+    ``isinstance`` chain - ``bool``, ``float``, ``bytes``, subclasses and
+    deeper tuples - so the bytes are the same either way.
     """
     out = [prefix]
     for part in parts:
         kind = type(part)
-        if kind is int:
-            out.append(b"i" + part.to_bytes(16, "little", signed=True))
-        elif kind is str:
+        if kind is str:
             out.append(_encode_str(part))
         elif kind is tuple:
             out.append(b"t" + len(part).to_bytes(4, "little"))
             for item in part:
-                if type(item) is int:
-                    out.append(b"i" + item.to_bytes(16, "little", signed=True))
-                else:
+                if type(item) is not int:
                     out.append(_encode_part(item))
-        else:
+                elif 0 <= item < 256:
+                    out.append(_SMALL_INTS[item])
+                else:
+                    out.append(b"i" + item.to_bytes(16, "little", signed=True))
+        elif kind is not int:
             out.append(_encode_part(part))
+        elif 0 <= part < 256:
+            out.append(_SMALL_INTS[part])
+        else:
+            out.append(b"i" + part.to_bytes(16, "little", signed=True))
     return int.from_bytes(
         hashlib.blake2b(b"".join(out), digest_size=8).digest(), "little"
     )

@@ -51,6 +51,21 @@ class TestSearch:
         assert plan.kv_pre_bytes + plan.kv_dec_bytes <= 4 * _GB
         assert plan.b_pre >= 1 and plan.b_dec >= 1
 
+    def test_a_degenerate_budget_gets_the_one_by_one_plan(self, setup):
+        """A budget that holds both floors but not one verification
+        request beside the decode floor hands each side its floor."""
+        generator, verifier, _, allocator, _ = setup
+        profile = WorkloadProfile(
+            n_requests=8, verify_tokens=4096, decode_tokens=64,
+            decode_context=256, max_path_tokens=512,
+        )
+        floor_pre = 512 * verifier.kv_bytes_per_token
+        budget = floor_pre + 512 * generator.kv_bytes_per_token
+        plan = allocator.search(profile, budget)
+        assert plan.b_pre == plan.b_dec == 1
+        assert plan.kv_pre_bytes == floor_pre
+        assert plan.kv_pre_bytes + plan.kv_dec_bytes == budget
+
     def test_uses_full_boundary(self, setup):
         """The optimum lies on the budget boundary (Sec. 4.3.1)."""
         _, _, _, allocator, profile = setup

@@ -216,6 +216,19 @@ class TestLaneLifecycle:
         with pytest.raises(FaultError):  # cannot recover an UP lane
             lane.recover_lane(70.0)
 
+    def test_recover_undoes_an_active_kv_pressure(self):
+        """A crash inside a pressure window: the rebuilt lane comes back
+        with its whole KV budget, not the shrunk one."""
+        lane, _ = self.lane()
+        capacity = lane.ledger.capacity_bytes
+        lane.apply_kv_pressure(0.25)
+        assert lane.ledger.capacity_bytes < capacity
+        lane.fail_lane(10.0)
+        lane.recover_lane(20.0)
+        assert lane.health is LaneHealth.UP
+        assert lane.kv_pressure_fraction == 1.0
+        assert lane.ledger.capacity_bytes == lane.kv_base_capacity == capacity
+
     def test_stall_freezes_clock(self):
         lane, _ = self.lane()
         before = lane.clock.now

@@ -38,15 +38,22 @@ def make_job(i, tokens, head=0, score=None):
     )
 
 
-def child_planner_factory(tokens=32):
-    def planner(parent_lineage, child_index):
-        return ChildStepPlan(
-            child_lineage=parent_lineage + (child_index,),
-            segment_id=3000 + 100 * parent_lineage[0] + child_index,
-            parent_leaf_segment=2000 + parent_lineage[0],
-            n_tokens=tokens,
-        )
-    return planner
+def plan_child(parent_lineage, child_index, tokens=32):
+    return ChildStepPlan(
+        child_lineage=parent_lineage + (child_index,),
+        segment_id=3000 + 100 * parent_lineage[0] + child_index,
+        parent_leaf_segment=2000 + parent_lineage[0],
+        n_tokens=tokens,
+    )
+
+
+def children(tokens=32):
+    """The speculation seam for beams that all can have children: the
+    ``child_planner`` and ``has_child`` keyword arguments of a round."""
+    return {
+        "child_planner": lambda parent, child: plan_child(parent, child, tokens),
+        "has_child": lambda parent: True,
+    }
 
 
 class TestBasicRound:
@@ -134,7 +141,7 @@ class TestSpeculation:
         worker = make_worker()
         round_ = GenerationRound(
             worker, slot_budget=2, speculation=True, branching_factor=4,
-            child_planner=child_planner_factory(tokens=100),
+            **children(tokens=100),
         )
         result = round_.run([make_job(0, 5, score=0.9), make_job(1, 60)])
         assert result.stats.speculative_tokens > 0
@@ -149,7 +156,7 @@ class TestSpeculation:
         spec_worker = make_worker()
         spec = GenerationRound(
             spec_worker, slot_budget=2, speculation=True, branching_factor=4,
-            child_planner=child_planner_factory(tokens=1000),
+            **children(tokens=1000),
         ).run([make_job(0, 5, score=0.9), make_job(1, 60)])
         assert spec.stats.round_time == pytest.approx(
             plain.stats.round_time, rel=0.05
@@ -159,7 +166,7 @@ class TestSpeculation:
         worker = make_worker()
         round_ = GenerationRound(
             worker, slot_budget=2, speculation=True, branching_factor=4,
-            child_planner=child_planner_factory(tokens=1000),  # can't finish
+            **children(tokens=1000),  # can't finish
         )
         result = round_.run([make_job(0, 5, score=0.9), make_job(1, 60)])
         assert result.head_starts
@@ -170,7 +177,7 @@ class TestSpeculation:
         worker = make_worker()
         round_ = GenerationRound(
             worker, slot_budget=2, speculation=True, branching_factor=4,
-            child_planner=child_planner_factory(tokens=10),
+            **children(tokens=10),
         )
         result = round_.run([make_job(0, 5, score=0.9), make_job(1, 300)])
         full = [h for h in result.head_starts.values() if h.tokens == 10]
@@ -179,15 +186,14 @@ class TestSpeculation:
     def test_high_score_beams_speculate_first(self):
         worker = make_worker()
         claims = []
-        base_planner = child_planner_factory(tokens=500)
 
         def recording_planner(parent, child):
             claims.append(parent)
-            return base_planner(parent, child)
+            return plan_child(parent, child, tokens=500)
 
         round_ = GenerationRound(
             worker, slot_budget=3, speculation=True, branching_factor=4,
-            child_planner=recording_planner,
+            child_planner=recording_planner, has_child=lambda parent: True,
         )
         round_.run([
             make_job(0, 5, score=0.95),
@@ -204,7 +210,7 @@ class TestSpeculation:
 
         round_ = GenerationRound(
             worker, slot_budget=2, speculation=True, branching_factor=4,
-            child_planner=no_children,
+            child_planner=no_children, has_child=lambda parent: False,
         )
         result = round_.run([make_job(0, 5), make_job(1, 50)])
         assert result.stats.speculative_tokens == 0
@@ -219,7 +225,7 @@ class TestSpeculation:
 
         round_ = GenerationRound(
             worker, slot_budget=2, speculation=True, branching_factor=4,
-            child_planner=child_planner_factory(tokens=5000),
+            **children(tokens=5000),
             preempt_check=preempt_after_a_while,
         )
         result = round_.run([make_job(0, 5, score=0.9), make_job(1, 400)])
@@ -237,7 +243,7 @@ class TestSpeculation:
         with pytest.raises(ValueError, match="positive and finite"):
             GenerationRound(
                 make_worker(), slot_budget=2, speculation=True,
-                child_planner=child_planner_factory(),
+                **children(),
                 spec_bandwidth_fraction=fraction,
             )
 
@@ -321,7 +327,7 @@ class TestAlgorithmicEquivalence:
         )
         spec = GenerationRound(
             make_worker(), slot_budget=4, speculation=True, branching_factor=4,
-            child_planner=child_planner_factory(),
+            **children(),
         ).run(jobs)
         for lineage, outcome in plain.outcomes.items():
             assert spec.outcomes[lineage].tokens_generated == outcome.tokens_generated

@@ -88,7 +88,7 @@ class TestGenerationUnderPressure:
 
         round_ = GenerationRound(
             worker, slot_budget=4, speculation=True, branching_factor=4,
-            child_planner=planner,
+            child_planner=planner, has_child=lambda parent: True,
         )
         result = round_.run([job(0, 20), job(1, 150)])
         # both standard jobs complete in full despite greedy spec demand

@@ -19,8 +19,10 @@ from repro.core.config import baseline_config, fasttts_config
 from repro.core.generation_round import GenerationRound
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
+from repro.core.spec_select import SelectSpec
 from repro.errors import SchedulingError
 from repro.experiments.reference import pure_search
+from repro.llm.generator import StepPlan
 from repro.search import tree as tree_module
 from repro.search.registry import build_algorithm, list_algorithms
 from repro.utils import rng as rng_module
@@ -297,6 +299,26 @@ class TestServerWrappers:
         assert session.plan_cache
 
 
+class TestSpeculationSeam:
+    """``has_child`` answers what the child planner would, without planning."""
+
+    def test_has_child_agrees_with_the_planner(self, dataset, problem):
+        session = make_server(dataset, "fasttts").session(
+            problem, build_algorithm("beam_search", N)
+        )
+        live, terminal, unknown = (0,), (1,), (2,)
+        plans = {live: StepPlan(40, False, 0.5), terminal: StepPlan(40, True, 0.5)}
+        last_round = dataset.max_steps - 1
+        answers = {}
+        for round_idx in (0, last_round):
+            planner, has_child = session._child_planner(plans, round_idx)
+            for parent in (live, terminal, unknown):
+                answers[round_idx, parent] = has_child(parent)
+                assert answers[round_idx, parent] == (planner(parent, 0) is not None)
+        # Only a live parent before the last round can have a child.
+        assert [key for key, yes in answers.items() if yes] == [(0, live)]
+
+
 class TestDeriveOnce:
     """One n=64 FastTTS solve — the paper's wide-beam case — derives each
     fact once, and draws only what it consumes. Deterministic: these are
@@ -308,9 +330,11 @@ class TestDeriveOnce:
     #: (1 024 951), after that (245 842), with speculative children
     #: drawing only their length (236 873), with the paged KV cache
     #: keeping its books in place (154 169), with each launch charged and
-    #: each key hashed in one pass (138 779), and with each segment
-    #: carrying its root path (119 773 measured).
-    CALLS_NOW = 122_000
+    #: each key hashed in one pass (138 779), with each segment carrying
+    #: its root path (119 773 measured), and with keyed draws at their
+    #: straight-line floor and no child length drawn to learn whether a
+    #: finished beam can have children (114 787 before, 108 076 measured).
+    CALLS_NOW = 110_000
     #: Distinct strings the solve hashes: with a cold memo, each is one
     #: ``_encode_part`` call, and they were all of that function's calls
     #: before keys were encoded in one pass.
@@ -395,6 +419,44 @@ class TestDeriveOnce:
         assert set(by_label["step-len"]) > taken | lookahead
         for counts in by_label.values():
             assert set(counts.values()) == {1}
+
+    def test_a_finished_beam_is_offered_without_a_draw(
+        self, dataset, problem, monkeypatch, streams_built
+    ):
+        """A round learns whether a finished beam can have children from
+        its plan, not by planning child 0: it draws step lengths only for
+        the children speculation claims."""
+        offered, claimed, drawn = set(), set(), set()
+        real_offer, real_next = SelectSpec.offer, SelectSpec.next_branch
+        real_run = GenerationRound.run
+
+        def recording_offer(selector, lineage, prev_score):
+            offered.add(lineage)
+            return real_offer(selector, lineage, prev_score)
+
+        def recording_next(selector):
+            claim = real_next(selector)
+            if claim is not None:
+                claimed.add(claim[0] + (claim[1],))
+            return claim
+
+        def recording_run(gen_round, jobs):
+            before = Counter(streams_built)
+            result = real_run(gen_round, jobs)
+            drawn.update(
+                key[2] for key in streams_built - before if key[0] == "step-len"
+            )
+            return result
+
+        monkeypatch.setattr(SelectSpec, "offer", recording_offer)
+        monkeypatch.setattr(SelectSpec, "next_branch", recording_next)
+        monkeypatch.setattr(GenerationRound, "run", recording_run)
+        self.solve(dataset, problem)
+
+        # Some finished beams were offered and never had a child planned ...
+        assert offered - {child[:-1] for child in claimed}
+        # ... and no round drew a length for a child it did not claim.
+        assert drawn and drawn <= claimed
 
     def test_a_one_beam_round_is_not_shuffled(self, dataset, problem, streams_built):
         server = make_server(dataset, "baseline")

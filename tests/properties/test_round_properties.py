@@ -70,6 +70,10 @@ def planner(parent_lineage, child_index):
     )
 
 
+def has_child(parent_lineage):
+    return True
+
+
 class TestGenerationRoundProperties:
     @given(job_specs, st.integers(1, 8), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -81,6 +85,7 @@ class TestGenerationRoundProperties:
             speculation=speculate,
             branching_factor=4,
             child_planner=planner if speculate else None,
+            has_child=has_child if speculate else None,
         )
         jobs = build_jobs(worker, specs)
         result = round_.run(list(jobs))
@@ -114,7 +119,7 @@ class TestGenerationRoundProperties:
         spec_worker = make_worker()
         spec = GenerationRound(
             spec_worker, slot_budget=slot_budget, speculation=True,
-            branching_factor=4, child_planner=planner,
+            branching_factor=4, child_planner=planner, has_child=has_child,
         ).run(build_jobs(spec_worker, specs))
         for lineage, outcome in plain.outcomes.items():
             assert spec.outcomes[lineage].tokens_generated == outcome.tokens_generated

@@ -4,20 +4,24 @@ numpy is the reference here and nowhere on the serving path: every test
 compares a kernel draw with the same draw of a numpy ``Generator``.
 Three kinds of check:
 
-* **seeding** - :func:`pcg64.start` against ``PCG64(seed)``'s state (the
-  10^5-key differential test of every ``KeyedRng`` helper is
-  ``tests/utils/test_rng.py::TestDifferential``);
+* **seeding** - :func:`pcg64.start` against ``PCG64(seed)``'s state, and
+  against :func:`reference_start`, the loop form of ``SeedSequence`` it
+  unrolls, on 10^5 seeds (the 10^5-key differential test of every
+  ``KeyedRng`` helper is ``tests/utils/test_rng.py::TestDifferential``);
 * **forced outputs** - numpy's public ``PCG64.state`` setter puts a chosen
   64-bit word (or two) first in a generator's output, which reaches every
   ziggurat layer, accept boundary, wedge and tail on purpose instead of
   by luck; the committed tables are checked against what numpy *does*
-  with those words, so a numpy upgrade that changes them fails here;
+  with those words, so a numpy upgrade that changes them fails here, and
+  the public ``normal`` / ``lognormal``, whose one-word accept is in
+  their own body, run from the same words;
 * **provenance** - ``tools/gen_ziggurat_tables.py --check`` regenerates
   the data module from the installed wheel and finds it unchanged.
 """
 
 import math
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -30,7 +34,61 @@ from repro.utils.ziggurat_tables import EXP_R, KE, KI, NOR_INV_R, NOR_R, WE, WI
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 M64, M128 = 2**64 - 1, 2**128 - 1
+M32 = 2**32 - 1
 MULT_INV = pow(pcg64._PCG_MULT, -1, 2**128)
+
+# SeedSequence's hash constants. Its multipliers advance the same way
+# whatever the data, so the k-th hashmix uses the fixed pair
+# (HASH_A[k], HASH_A[k + 1]) and the k-th output word (HASH_B[k],
+# HASH_B[k + 1]).
+MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
+HASH_A = [0x43B0D7E5]
+HASH_B = [0x8B51F9DD]
+for _ in range(16):
+    HASH_A.append(HASH_A[-1] * 0x931E8875 & M32)
+for _ in range(8):
+    HASH_B.append(HASH_B[-1] * 0x58F38DED & M32)
+
+
+def hashmix(value: int, k: int) -> int:
+    """SeedSequence's ``k``-th hashmix of ``value``."""
+    value = (value ^ HASH_A[k]) * HASH_A[k + 1] & M32
+    return value ^ value >> 16
+
+
+# A 64-bit seed fills two of the four pool words; the other two mix zeros.
+POOL_TAIL = (hashmix(0, 2), hashmix(0, 3))
+# The twelve cross-mixing rounds: (source word, target word, hash pair).
+CROSS = tuple(
+    (src, dst, HASH_A[k], HASH_A[k + 1])
+    for k, (src, dst) in enumerate(
+        ((src, dst) for src in range(4) for dst in range(4) if src != dst), start=4
+    )
+)
+# The eight output words: (pool word, hash pair).
+OUTPUT = tuple((k & 3, HASH_B[k], HASH_B[k + 1]) for k in range(8))
+
+
+def reference_start(seed: int) -> tuple[int, int, int]:
+    """:func:`pcg64.start` as loops over ``SeedSequence``'s rounds and
+    PCG64's seeding steps, one at a time - the form the kernel unrolls."""
+    pool = [hashmix(seed & M32, 0), hashmix(seed >> 32, 1), *POOL_TAIL]
+    for src, dst, xor, mul in CROSS:
+        value = (pool[src] ^ xor) * mul & M32
+        value = MIX_L * pool[dst] - MIX_R * (value ^ value >> 16) & M32
+        pool[dst] = value ^ value >> 16
+    words = []
+    for src, xor, mul in OUTPUT:
+        value = (pool[src] ^ xor) * mul & M32
+        words.append(value ^ value >> 16)
+    initstate = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
+    inc = ((words[4] | words[5] << 32) << 65 | (words[6] | words[7] << 32) << 1 | 1) & M128
+    state = 0
+    for add in (0, initstate, 0):  # srandom's step, add, step; the first output's step
+        state = ((state + add) * pcg64._PCG_MULT + inc) & M128
+    value = (state >> 64 ^ state) & M64
+    rot = state >> 122
+    return (value >> rot | value << (64 - rot)) & M64, state, inc
 
 
 def state_emitting(word: int, high: int) -> int:
@@ -74,6 +132,12 @@ class TestStart:
         first = int(bit_generator.random_raw())
         state = bit_generator.state["state"]
         assert pcg64.start(seed) == (first, state["state"], state["inc"])
+        assert reference_start(seed) == pcg64.start(seed)
+
+    def test_the_straight_line_kernel_is_the_loop(self):
+        draw = random.Random(36).getrandbits
+        seeds = [draw(64) for _ in range(100_000)]
+        assert [seed for seed in seeds if pcg64.start(seed) != reference_start(seed)] == []
 
     def test_hashed_seeds(self):
         rng = KeyedRng(3)
@@ -164,6 +228,33 @@ class TestForcedOutputs:
                 assert generator.standard_exponential() == pcg64._standard_exponential(
                     word, after, inc
                 )
+
+    @pytest.mark.parametrize("idx", range(256))
+    def test_the_public_normal_and_lognormal_follow_numpy_too(self, idx, monkeypatch):
+        # The same words through the public draws, whose scale check and
+        # one-word accept are in their own body: ``start`` hands them the
+        # forced first word, state and increment. rabs = 0 checks the sign
+        # of a zero, the rest each accept bound, wedge and tail.
+        for rabs in {0, 1, max(KI[idx] - 1, 1), KI[idx], 2**52 - 1}:
+            for sign in (0, 1 << 8):
+                word = idx | sign | rabs << 9
+                for second in (None, 0, 1 << 63, M64):
+                    _, after, inc = forced(word, second)
+                    monkeypatch.setattr(pcg64, "start", lambda seed: (word, after, inc))
+                    for loc, scale in PARAMS:
+                        numpy = forced(word, second)[0].normal(loc, scale)
+                        assert same(pcg64.normal(7, loc, scale), numpy)
+                        numpy = forced(word, second)[0].lognormal(loc, scale)
+                        assert same(pcg64.lognormal(7, loc, scale), numpy)
+
+
+#: (loc or mean, scale or sigma) pairs, signed zeros included.
+PARAMS = ((0.0, 1.0), (-0.0, 1.0), (0.25, 1.5), (3.0, 0.0), (-1.0, 2.0**-30))
+
+
+def same(a: float, b: float) -> bool:
+    """Equal, zeros of the same sign."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def test_the_tables_are_the_installed_wheels():
