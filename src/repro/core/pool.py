@@ -541,7 +541,10 @@ class DevicePool:
         (via :func:`~repro.models.quantize.quantized`) and optional
         per-lane memory fraction, all anchored on ``config``'s seed and
         remaining knobs. Mutually exclusive with ``device_names``.
+        Lanes whose seed and model pair match share one generator/PRM pair,
+        and with it the step values it derives; two pools share nothing.
         """
+        pairs: dict = {}
         if lanes is not None:
             if device_names is not None:
                 raise ConfigError(
@@ -562,7 +565,7 @@ class DevicePool:
                     PooledDevice(
                         index=index,
                         server=TTSServer(
-                            config.with_overrides(**overrides), dataset
+                            config.with_overrides(**overrides), dataset, pairs
                         ),
                         kv_sharing=kv_sharing,
                         batching=batching,
@@ -584,7 +587,7 @@ class DevicePool:
             devices.append(
                 PooledDevice(
                     index=index,
-                    server=TTSServer(lane_config, dataset),
+                    server=TTSServer(lane_config, dataset, pairs),
                     kv_sharing=kv_sharing,
                     batching=batching,
                 )

@@ -69,7 +69,9 @@ class TTSServer:
     round-by-round) on one server.
     """
 
-    def __init__(self, config: ServerConfig, dataset: Dataset) -> None:
+    def __init__(
+        self, config: ServerConfig, dataset: Dataset, pairs: dict | None = None
+    ) -> None:
         self._config = config
         self._dataset = dataset
         self._device = get_device(config.device_name)
@@ -84,8 +86,16 @@ class TTSServer:
         self._roofline = Roofline(self._device, config.efficiency)
         self._link = OffloadLink(self._device)
         self._rng = KeyedRng(config.seed)
-        self._generator = SimulatedGenerator(generator_model, dataset, self._rng)
-        self._prm = SimulatedPRM(verifier_model, self._generator.oracle, self._rng)
+        # ``pairs`` (one pool's) hands every server with this seed and model
+        # pair, on its one dataset, the same generator/PRM and step tables.
+        key = (config.seed, generator_model, verifier_model)
+        pair = None if pairs is None else pairs.get(key)
+        if pair is None:
+            generator = SimulatedGenerator(generator_model, dataset, self._rng)
+            pair = generator, SimulatedPRM(verifier_model, generator.oracle, self._rng)
+            if pairs is not None:
+                pairs[key] = pair
+        self._generator, self._prm = pair
 
         budget = int(self._device.usable_bytes * config.memory_fraction)
         weights = generator_model.weight_bytes + verifier_model.weight_bytes

@@ -221,8 +221,9 @@ class SolveSession:
             self._rng = rng
             self._generator = SimulatedGenerator(server.gen_model, server.dataset, rng)
             self._prm = SimulatedPRM(server.ver_model, self._generator.oracle, rng)
-        # A fork is a pure function of (seed, key): derive it once, not per round.
-        self._select_rng = self._rng.fork("select")
+        # This problem's step tables on the pair, now its most recently used.
+        self._table = self._generator.tables.acquire(problem.problem_id)
+        self._prm.tables.acquire(problem.problem_id)
 
         # Engine state (one simulated device's worth, private to the session).
         self._clock = SimClock()
@@ -237,9 +238,6 @@ class SolveSession:
         self._active_model = "generator"
 
         # Search state.
-        self._plan_cache: dict[tuple[tuple[int, ...], int], StepPlan] = {}
-        # Lengths of speculated child steps, until (and unless) they are planned.
-        self._step_lens: dict[tuple[tuple[int, ...], int], int] = {}
         self._active: list[ReasoningPath] = []
         self._collected: list[ReasoningPath] = []
         self._counters = TokenCounters()
@@ -255,8 +253,6 @@ class SolveSession:
         self._first_token_s: float | None = None
         #: This session's KV as lane-ledger claims (see repro.core.claims).
         self.claim_names = ClaimNames(server)
-        # Lineage prefix -> its root->leaf segment-id chain (see _segment_chain).
-        self._segment_chains: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         # Preemption inputs.
         self._preempt_at: float | None = min(arrivals) if arrivals else None
@@ -308,11 +304,6 @@ class SolveSession:
                 f"{self._session_id} has no outcome in state {self._state.value}"
             )
         return self._outcome
-
-    @property
-    def plan_cache(self) -> dict[tuple[tuple[int, ...], int], StepPlan]:
-        """Per-session step-plan memo (exposed for tests and debugging)."""
-        return self._plan_cache
 
     @property
     def resident_kv_bytes(self) -> int:
@@ -405,8 +396,6 @@ class SolveSession:
                 f"different model pairings"
             )
         self._server = server
-        if server.config.prefix_caching != old.config.prefix_caching:
-            self._segment_chains.clear()  # the other id spelling applies now
         if self._gen_worker is not None:
             self._bind_workers()
 
@@ -510,7 +499,7 @@ class SolveSession:
         self._ver_cache = PagedKVCache(
             plan.kv_pre_bytes, server.ver_model.kv_bytes_per_token, cfg.block_tokens
         )
-        root = prompt_segment_id(self._problem)
+        root = self._segment_chain((), True)[0]  # the prompt, in either spelling
         for cache in (self._gen_cache, self._ver_cache):
             cache.register_segment(root, None, self._problem.prompt_tokens)
         self._bind_workers()
@@ -533,10 +522,10 @@ class SolveSession:
         algorithm = self._algorithm
         round_idx = self._round_idx
 
+        plan_step, problem = self._generator.plan_step, self._problem
+        cap = algorithm.step_cap(round_idx)
         plans = {
-            path.lineage: self._plan_step(
-                path.lineage, round_idx, algorithm.step_cap(round_idx)
-            )
+            path.lineage: plan_step(problem, path.lineage, round_idx, cap)
             for path in self._active
         }
         jobs = [
@@ -611,7 +600,7 @@ class SolveSession:
             self._state = SessionState.FINALIZING
             return
 
-        decision = algorithm.select(survivors, round_idx, self._select_rng)
+        decision = algorithm.select(survivors, round_idx, self._generator.select_rng)
         if self._trace is not None:
             self._trace.record(
                 self._clock.now, "selection", round_idx,
@@ -641,67 +630,43 @@ class SolveSession:
 
     # -- step planning ---------------------------------------------------
 
-    def _plan_step(
-        self, lineage: tuple[int, ...], step_idx: int, cap: int | None
-    ) -> StepPlan:
-        key = (lineage, step_idx)
-        cached = self._plan_cache.get(key)
-        if cached is None:
-            cached = self._plan_cache[key] = self._generator.plan_step(
-                self._problem, lineage, step_idx, cap,
-                n_tokens=self._step_lens.pop(key, None),
-            )
-        return cached
-
-    def _step_tokens(
-        self, lineage: tuple[int, ...], step_idx: int, cap: int | None
-    ) -> int:
-        """A step's length alone — all speculation reads of a child step.
-
-        Its soundness and termination are drawn by :meth:`_plan_step`, from
-        this length, only if the child becomes active or is
-        lookahead-verified.
-        """
-        key = (lineage, step_idx)
-        n_tokens = self._step_lens.get(key)
-        if n_tokens is None:
-            n_tokens = self._step_lens[key] = self._generator.step_tokens(
-                self._problem, lineage, step_idx, cap
-            )
-        return n_tokens
-
     def _schedule(self, jobs: list, round_idx: int, stage: str) -> list:
         return schedule_jobs(
             self._server.config, self._rng, self._problem, jobs, round_idx, stage
         )
 
-    def _segment_chain(self, lineage: tuple[int, ...]) -> tuple[int, ...]:
+    def _segment_chain(
+        self, lineage: tuple[int, ...], prefix_caching: bool | None = None
+    ) -> tuple[int, ...]:
         """:func:`path_segments` for ``steps_done = len(lineage)``, derived
-        once per lineage: the prompt's id plus those of steps ``0 ..
-        len(lineage) - 1``.
+        once per lineage and id spelling in the problem's step table: the
+        prompt's id plus those of steps ``0 .. len(lineage) - 1``.
 
-        With prefix caching a step's id is a function of its lineage
-        *prefix*: a chain is its parent prefix's chain plus one hash (its
-        last element *is* that prefix's segment id). Without it ids key on
-        the full lineage, so each lineage hashes its private chain once.
+        With prefix caching (the server's setting unless one is given) a
+        step's id is a function of its lineage *prefix*: a chain is its
+        parent prefix's chain plus one hash (its last element *is* that
+        prefix's segment id). Without it ids key on the full lineage, so
+        each lineage hashes its private chain once.
         """
-        chains = self._segment_chains
-        chain = chains.get(lineage)
+        table = self._table
+        cfg = self._server.config
+        if prefix_caching is None:
+            prefix_caching = cfg.prefix_caching
+        key = ("chain", lineage, prefix_caching)
+        chain = table.get(key)
         if chain is None:
-            cfg = self._server.config
-            if not cfg.prefix_caching:
+            if not prefix_caching:
                 chain = path_segments(cfg, self._problem, lineage, len(lineage))
             elif lineage:
-                prefix = lineage[:-1]
-                parent = chains.get(prefix)
+                parent = table.get(("chain", lineage[:-1], True))
                 if parent is None:
-                    parent = self._segment_chain(prefix)
+                    parent = self._segment_chain(lineage[:-1], True)
                 chain = parent + (
                     step_segment_id(self._problem, lineage, len(lineage) - 1),
                 )
             else:
                 chain = (prompt_segment_id(self._problem),)
-            chains[lineage] = chain
+            table[key] = chain
         return chain
 
     def _gen_job(self, path: ReasoningPath, step: StepPlan) -> GenJob:
@@ -752,7 +717,9 @@ class SolveSession:
                 child_lineage=child_lineage,
                 segment_id=chain[-1],
                 parent_leaf_segment=chain[-2],
-                n_tokens=self._step_tokens(child_lineage, round_idx + 1, next_cap),
+                n_tokens=self._generator.step_tokens(
+                    self._problem, child_lineage, round_idx + 1, next_cap
+                ),
             )
 
         return planner, has_child
@@ -822,10 +789,13 @@ class SolveSession:
             head = self._gen_result.head_starts.get(child_lineage)
             if head is not None and round_idx + 1 < self._server.dataset.max_steps:
                 next_cap = algorithm.step_cap(round_idx + 1)
-                if head.tokens >= self._step_tokens(
-                    child_lineage, round_idx + 1, next_cap
+                generator, problem = self._generator, self._problem
+                if head.tokens >= generator.step_tokens(
+                    problem, child_lineage, round_idx + 1, next_cap
                 ):
-                    child_step = self._plan_step(child_lineage, round_idx + 1, next_cap)
+                    child_step = generator.plan_step(
+                        problem, child_lineage, round_idx + 1, next_cap
+                    )
                     soundness = path.soundness + [child_step.soundness]
                     return self._score_job(
                         path,
@@ -869,13 +839,17 @@ class SolveSession:
         """Alg. 1 line 19: the original keeps all, duplicates keep ~R."""
         if child_index == 0:
             return head_tokens
-        fraction = self._rng.normal(
-            "spec-truncation",
-            self._problem.problem_id,
-            child_lineage,
-            loc=self._server.config.spec_truncation_ratio,
-            scale=_TRUNCATION_STD,
-        )
+        ratio = self._server.config.spec_truncation_ratio
+        key = ("cut", child_lineage, ratio)
+        fraction = self._table.get(key)
+        if fraction is None:
+            fraction = self._table[key] = self._rng.normal(
+                "spec-truncation",
+                self._problem.problem_id,
+                child_lineage,
+                loc=ratio,
+                scale=_TRUNCATION_STD,
+            )
         fraction = min(1.0, max(0.0, fraction))
         return int(round(fraction * head_tokens))
 

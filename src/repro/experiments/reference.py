@@ -50,7 +50,7 @@ def pure_search(
     rng = KeyedRng(seed)
     generator = SimulatedGenerator(generator_model, dataset, rng)
     prm = SimulatedPRM(verifier_model, generator.oracle, rng)
-    select_rng = rng.fork("select")
+    select_rng = generator.select_rng
 
     active = [ReasoningPath(lineage=(i,)) for i in range(algorithm.initial_width())]
     collected: list[ReasoningPath] = []

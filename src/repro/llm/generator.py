@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.llm.oracle import QualityOracle, generator_skill, sigmoid
 from repro.models.spec import ModelRole, ModelSpec
-from repro.utils.rng import KeyedRng
+from repro.utils.rng import KeyedRng, StepTables
 from repro.workloads.problem import Dataset, Problem
 
 __all__ = ["StepPlan", "SimulatedGenerator"]
@@ -30,7 +30,13 @@ class StepPlan:
 
 
 class SimulatedGenerator:
-    """Deterministic synthetic generator for one model + dataset pair."""
+    """Deterministic synthetic generator for one model + dataset pair.
+
+    It derives each step value once: :attr:`tables` keeps, per problem a
+    session has acquired, every step length, plan and answer it drew (and
+    the segment chains and truncation cuts its sessions derive), so every
+    canonical session on this generator reads what the first one derived.
+    """
 
     def __init__(self, model: ModelSpec, dataset: Dataset, rng: KeyedRng) -> None:
         if model.role is not ModelRole.GENERATOR:
@@ -40,6 +46,10 @@ class SimulatedGenerator:
         self._rng = rng
         self._oracle = QualityOracle(rng=rng.fork("oracle"))
         self._skill = generator_skill(model)
+        self.tables = StepTables()
+        #: Handed to every search's ``select``: a fork is a pure function
+        #: of (seed, key), so it is derived once per generator.
+        self.select_rng = rng.fork("select")
 
     @property
     def model(self) -> ModelSpec:
@@ -64,13 +74,19 @@ class SimulatedGenerator:
 
         All a speculative head start, a cost predictor or a length profile
         reads; soundness and termination are drawn by :meth:`plan_step`
-        only for steps the search actually takes.
+        only for steps the search actually takes. A step's table entry is
+        its length until the step is planned, then its :class:`StepPlan`.
         """
         if step_idx < 0:
             raise ValueError("step_idx must be non-negative")
-        return self._dataset.step_model.sample(
-            self._rng, problem.problem_id, lineage, step_idx, cap=max_step_tokens
-        )
+        table = self.tables.get(problem.problem_id, {})
+        key = ("plan", lineage, step_idx, max_step_tokens)
+        step = table.get(key)
+        if step is None:
+            step = table[key] = self._dataset.step_model.sample(
+                self._rng, problem.problem_id, lineage, step_idx, cap=max_step_tokens
+            )
+        return step if type(step) is int else step.n_tokens
 
     def plan_step(
         self,
@@ -78,7 +94,6 @@ class SimulatedGenerator:
         lineage: tuple[int, ...],
         step_idx: int,
         max_step_tokens: int | None = None,
-        n_tokens: int | None = None,
     ) -> StepPlan:
         """Resolve one thinking step for the addressed beam.
 
@@ -86,19 +101,20 @@ class SimulatedGenerator:
         (Varying Granularity). A tighter budget truncates the step but does
         not change the termination or soundness draws, mirroring how real
         systems cap ``max_tokens`` without altering the sampling recipe.
-        ``n_tokens`` is the step's :meth:`step_tokens` when the caller has
-        already asked for it (same budget), so the length is not re-derived.
         """
-        if step_idx < 0:
-            raise ValueError("step_idx must be non-negative")
-        if n_tokens is None:
-            n_tokens = self.step_tokens(problem, lineage, step_idx, max_step_tokens)
+        table = self.tables.get(problem.problem_id, {})
+        key = ("plan", lineage, step_idx, max_step_tokens)
+        plan = table.get(key)
+        if type(plan) is StepPlan:
+            return plan
+        n_tokens = self.step_tokens(problem, lineage, step_idx, max_step_tokens)
         soundness = self._oracle.step_soundness(problem, lineage, step_idx, self._skill)
-        return StepPlan(
+        plan = table[key] = StepPlan(
             n_tokens=n_tokens,
             is_terminal=self._is_terminal(problem, lineage, step_idx, soundness),
             soundness=soundness,
         )
+        return plan
 
     def _is_terminal(
         self,
@@ -130,4 +146,11 @@ class SimulatedGenerator:
         self, problem: Problem, lineage: tuple[int, ...], mean_soundness: float
     ) -> tuple[bool, int]:
         """Emit the terminated path's answer via the oracle."""
-        return self._oracle.emit_answer(problem, lineage, mean_soundness)
+        table = self.tables.get(problem.problem_id, {})
+        key = ("answer", lineage, mean_soundness)
+        answer = table.get(key)
+        if answer is None:
+            answer = table[key] = self._oracle.emit_answer(
+                problem, lineage, mean_soundness
+            )
+        return answer

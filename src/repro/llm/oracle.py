@@ -17,10 +17,11 @@ module encodes that causal chain with three knobs per model:
 
 Every draw is keyed by ``(problem, lineage, step)`` so results are
 schedule-invariant (see :mod:`repro.utils.rng`). The per-subtree and
-per-problem constants (approach quality, subtree bias, distractor pool)
-are asked for at every step of every beam but keyed by ``(problem,
-root branch)`` or the problem alone; an oracle draws each once and
-remembers it — same keyed stream, same bits, one draw.
+per-problem constants (approach quality, subtree bias, a subtree's shared
+answer vote, distractor pool) are asked for at every step or by every
+beam but keyed by ``(problem, root branch)`` or the problem alone; an
+oracle draws each once and remembers it — same keyed stream, same bits,
+one draw.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ class QualityOracle:
 
     One oracle is shared by generator and verifier simulators so that both
     observe the *same* latent soundness values for a path. The memo of
-    per-subtree constants belongs to the instance: a replica on a forked
-    rng builds its own oracle and never sees another's values, and its
-    size is bounded by problems x initial width.
+    per-subtree constants and votes belongs to the instance: a replica on
+    a forked rng builds its own oracle and never sees another's values,
+    and its size is bounded by problems x initial width.
     """
 
     rng: KeyedRng
-    _subtree_draws: dict[tuple, float] = field(
+    _subtree_draws: dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _distractors: dict[tuple[str, int], tuple[int, ...]] = field(
@@ -188,29 +189,32 @@ class QualityOracle:
         fraction of per-path idiosyncratic values. Majority voting must
         therefore beat the heaviest distractor, not just any noise.
         """
-        p_correct = self.correctness_probability(mean_soundness)
+        pid = problem.problem_id
         shared_vote = (
-            self.rng.uniform("vote-coupling", problem.problem_id, lineage)
-            < _VOTE_CORRELATION
+            self.rng.uniform("vote-coupling", pid, lineage) < _VOTE_CORRELATION
         )
         vote_key: tuple = lineage[:1] if shared_vote and lineage else lineage
-        is_correct = (
-            self.rng.uniform("answer-correct", problem.problem_id, vote_key) < p_correct
-        )
-        if is_correct:
+        # A subtree's vote is cast by many beams: draw it once, like the
+        # subtree constants; the wrong answer it casts, once it is needed.
+        # Deeper vote keys are one path's own.
+        draws = self._subtree_draws if len(vote_key) == 1 else {}
+        key = ("vote", pid, vote_key, problem.answer)
+        vote = draws.get(key)
+        if vote is None:
+            vote = draws[key] = [self.rng.uniform("answer-correct", pid, vote_key), None]
+        if vote[0] < self.correctness_probability(mean_soundness):
             return True, problem.answer
-        scatter_draw = self.rng.uniform("answer-scatter", problem.problem_id, vote_key)
-        if scatter_draw < _SCATTER_FRACTION:
-            wrong = self.rng.randint(
-                "answer-wrong", problem.problem_id, vote_key, low=0, high=999
-            )
-            if wrong >= problem.answer:
-                wrong += 1
-            return False, wrong
+        if vote[1] is None:
+            vote[1] = self._wrong_answer(problem, vote_key)
+        return False, vote[1]
+
+    def _wrong_answer(self, problem: Problem, vote_key: tuple) -> int:
+        """The wrong answer a vote casts: scattered, or a distractor."""
+        pid = problem.problem_id
+        if self.rng.uniform("answer-scatter", pid, vote_key) < _SCATTER_FRACTION:
+            wrong = self.rng.randint("answer-wrong", pid, vote_key, low=0, high=999)
+            return wrong + 1 if wrong >= problem.answer else wrong
         pick = self.rng.choice_index(
-            "distractor-pick",
-            problem.problem_id,
-            vote_key,
-            weights=_DISTRACTOR_WEIGHTS,
+            "distractor-pick", pid, vote_key, weights=_DISTRACTOR_WEIGHTS
         )
-        return False, self.distractors(problem)[pick]
+        return self.distractors(problem)[pick]

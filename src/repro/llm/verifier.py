@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.llm.oracle import QualityOracle, sigmoid, verifier_noise_scale
 from repro.models.spec import ModelRole, ModelSpec
-from repro.utils.rng import KeyedRng
+from repro.utils.rng import KeyedRng, StepTables
 from repro.workloads.problem import Problem
 
 __all__ = ["SimulatedPRM"]
@@ -28,7 +28,11 @@ _SCORE_OFFSET = 0.35  # mild optimism, as observed in public PRMs
 
 
 class SimulatedPRM:
-    """Deterministic synthetic PRM for one verifier model."""
+    """Deterministic synthetic PRM for one verifier model.
+
+    :attr:`tables` keeps every score it derived for an acquired problem,
+    so each canonical session on this PRM reads the first one's scores.
+    """
 
     def __init__(self, model: ModelSpec, oracle: QualityOracle, rng: KeyedRng) -> None:
         if model.role is not ModelRole.VERIFIER:
@@ -37,6 +41,7 @@ class SimulatedPRM:
         self._oracle = oracle
         self._rng = rng
         self._noise_scale = verifier_noise_scale(model)
+        self.tables = StepTables()
 
     @property
     def model(self) -> ModelSpec:
@@ -58,13 +63,20 @@ class SimulatedPRM:
         """
         if step_idx < 0:
             raise ValueError("step_idx must be non-negative")
-        bias = self._oracle.subtree_bias(problem, lineage)
-        noise = self._rng.normal(
-            "prm-noise",
-            problem.problem_id,
-            lineage,
-            step_idx,
-            loc=0.0,
-            scale=self._noise_scale,
-        )
-        return sigmoid(_SCORE_GAIN * mean_soundness + _SCORE_OFFSET + bias + noise)
+        table = self.tables.get(problem.problem_id, {})
+        key = ("score", lineage, step_idx, mean_soundness)
+        score = table.get(key)
+        if score is None:
+            bias = self._oracle.subtree_bias(problem, lineage)
+            noise = self._rng.normal(
+                "prm-noise",
+                problem.problem_id,
+                lineage,
+                step_idx,
+                loc=0.0,
+                scale=self._noise_scale,
+            )
+            score = table[key] = sigmoid(
+                _SCORE_GAIN * mean_soundness + _SCORE_OFFSET + bias + noise
+            )
+        return score

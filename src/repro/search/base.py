@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.search.tree import ReasoningPath
 from repro.utils.rng import KeyedRng
@@ -99,8 +100,17 @@ class SearchAlgorithm(ABC):
 
     @staticmethod
     def ranked(paths: list[ReasoningPath]) -> list[ReasoningPath]:
-        """Paths sorted by score descending with deterministic tie-break."""
-        return sorted(paths, key=lambda p: p.sort_key())
+        """Paths sorted by :meth:`ReasoningPath.sort_key`: score descending
+        with deterministic tie-break.
+
+        The tie-break (a lineage hash) orders equal scores only, so it is
+        derived only when two scores tie.
+        """
+        scores = [path.final_score for path in paths]
+        if len(set(scores)) < len(scores):
+            return sorted(paths, key=lambda p: p.sort_key())
+        ranked = sorted(zip(scores, paths), key=itemgetter(0), reverse=True)
+        return [path for _, path in ranked]
 
     def keep_count(self, n_active: int) -> int:
         """Default survivor count: budget / branching factor (at least 1)."""

@@ -25,35 +25,31 @@ numpy: :mod:`repro.utils.pcg64` computes numpy's ``SeedSequence`` ->
 draw bit for bit in pure Python (``timeit`` on a 2-vCPU Intel Xeon VM,
 CPython 3.11: ~9-11 us for a first ``normal``, against ~12-15 us for
 numpy's ``Generator(PCG64(seed))`` build plus draw), so a process that
-only draws keyed values never imports numpy's ~16 MiB. The bill is still
-the number of streams built, and two rules keep it at the number of
-distinct values the simulation consumes while they are hot:
+only draws keyed values never imports numpy's ~16 MiB. The bill is the
+number of streams built, and two rules keep it at the number of distinct
+values a run consumes:
 
 * **Draw on demand.** Callers ask for a value only when something reads
   it (a speculative child's step length, not its soundness, and no draw to
   learn whether a finished beam can have children; no shuffle of a one-job
   round) - that is their business, not this module's.
-* **Draw once while hot.** The helpers remember the *first draw* of the
-  last :data:`FIRST_DRAW_CAP` streams they built, process-wide, keyed by
-  the 64-bit ``PCG64`` seed the key hashes to. A stream's first draw is a
-  pure function of that seed, the distribution and its parameters, so a
-  remembered value is exactly as correct as the stream: two keys that
-  collide on the seed already *are* one stream, and ``1`` / ``True`` /
-  ``1.0`` stay apart because the seed is a hash of the *encoded* key. An
-  entry answers only the distribution and parameters it was drawn with;
-  any other request rebuilds the stream, never aliases. Sessions that
-  solve the same problem on the same rng repeat each other's keys, which
-  is where the memo earns its keep; traffic that never repeats a key pays
-  one dict miss and one insert per draw. The simulator is single-threaded
-  per process, so the memo takes no lock.
+* **Derive once per run.** Every draw here builds its stream; nothing is
+  remembered process-wide. The objects that draw step values keep what
+  they derived in a :class:`StepTables` of their own - the simulated
+  generator its step lengths, plans and answers (and its sessions'
+  segment chains and truncation cuts), the PRM its scores - so every
+  canonical session that solves a problem on the same generator/PRM pair
+  (one server, or every matching lane of a pool) reads what the first
+  request derived. A forked replica draws on a pair of its own, so it
+  never sees, nor fills, a canonical table.
 
-:meth:`KeyedRng.stream` stays what it was - a *fresh* numpy ``Generator``
-on every call, built by :func:`_new_stream` - for consumers that draw
-more than once from a stream (permutations, the tokenizer); it imports
-numpy on its first call. Helpers and streams share one seed derivation
+:meth:`KeyedRng.stream` returns a *fresh* numpy ``Generator`` on every
+call, built by :func:`_new_stream`, for consumers that draw more than
+once from a stream (permutations, the tokenizer); it imports numpy on its
+first call. Helpers and streams share one seed derivation
 (:func:`_hash64`), so a helper's value always equals the first draw of
 ``stream(*key)``; :data:`stream_counts` says how many streams were built
-(either way) and how many helper draws were reused.
+(either way).
 """
 
 from __future__ import annotations
@@ -61,10 +57,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.utils import pcg64
 
@@ -74,9 +69,9 @@ if TYPE_CHECKING:
 _KeyPart = int | str | float | bytes | bool | tuple
 
 __all__ = [
-    "FIRST_DRAW_CAP",
+    "TABLE_CAP",
     "KeyedRng",
-    "clear_first_draws",
+    "StepTables",
     "stable_hash64",
     "stream_counts",
 ]
@@ -162,36 +157,44 @@ def stable_hash64(*parts: _KeyPart) -> int:
 
 @dataclass(slots=True)
 class _StreamCounts:
-    """Keyed-draw traffic since the last :func:`clear_first_draws`."""
+    """Keyed-draw traffic since the process started; count by difference."""
 
-    built: int = 0  # ``PCG64`` streams seeded (``stream()`` and helper misses)
-    reused: int = 0  # helper draws answered from the first-draw memo
+    built: int = 0  # ``PCG64`` streams seeded (``stream()`` and every helper draw)
 
-
-#: Streams the first-draw memo remembers. Over three sub-traces of each
-#: perf workload, 2 048 entries rebuild 3-16 % more streams than 4 096;
-#: 4 096 is within 0.6 % of unbounded on three of the four (the fourth,
-#: ``edge_single``, would build 12 % fewer at 8 192); 4 096 entries hold
-#: ~0.9 MiB resident and 8 192 hold 2-3 MiB, which is that benchmark's
-#: whole ``peak_rss_mib`` allowance.
-FIRST_DRAW_CAP = 4096
 
 stream_counts = _StreamCounts()
-# seed -> (distribution, first draw, *parameters), plus the seeds in the
-# order they were first remembered (the eviction order).
-_first_draws: dict[int, tuple] = {}
-_first_draw_order: deque[int] = deque()
+
+#: Entries a :class:`StepTables` holds before it evicts whole problems.
+#: Over three sub-traces of each perf workload, 8 192 build exactly the
+#: streams unbounded tables do (the largest, ``edge_single``'s generator,
+#: peaks at 8 810 entries); 4 096 rebuild up to 6 % more there and 2 048
+#: up to 14 %. At ``--scale 4`` ``edge_single``'s unbounded tables reach
+#: 26 583 + 6 794 entries and ~4.6 MiB; 8 192 per owner leave its
+#: ``peak_rss_mib`` at 29.8 MiB, 3 % above a drain without tables.
+TABLE_CAP = 8192
 
 
-def clear_first_draws() -> None:
-    """Forget every remembered draw and zero :data:`stream_counts`.
+class StepTables(dict):
+    """Derived step values, one table per problem id, least recently used first.
 
-    Values never depend on the memo; call counts do, so tests that count
-    streams (or time draws) start from here.
+    A problem's table maps a tagged key holding every argument a value
+    depends on (``("plan", lineage, step_idx, cap)``, ...) to the value
+    its owner derived; the owner's own parameters (model, dataset, rng)
+    are the owner's, so a table is never shared between owners.
     """
-    _first_draws.clear()
-    _first_draw_order.clear()
-    stream_counts.built = stream_counts.reused = 0
+
+    def acquire(self, problem_id: str) -> dict:
+        """``problem_id``'s table, now the most recently used one.
+
+        Evicts least recently used problems' tables, never this one, while
+        the owner holds more than :data:`TABLE_CAP` entries.
+        """
+        table = self.pop(problem_id, None)
+        self[problem_id] = table = {} if table is None else table
+        entries = sum(map(len, self.values()))
+        while entries > TABLE_CAP and len(self) > 1:
+            entries -= len(self.pop(next(iter(self))))
+        return table
 
 
 def _new_stream(seed: int) -> np.random.Generator:
@@ -200,32 +203,6 @@ def _new_stream(seed: int) -> np.random.Generator:
 
     stream_counts.built += 1
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _first_draw(prefix: bytes, key: tuple, draw: Callable, params: tuple):
-    """``draw(seed, *params)`` for the addressed stream's seed.
-
-    ``draw`` is a :mod:`repro.utils.pcg64` function: the first draw of
-    numpy's ``Generator(PCG64(seed))``. ``params`` compare by value, which
-    is how numpy reads them too (``1`` and ``1.0`` draw the same bits;
-    only the sign of a zero result can follow the sign of a zero
-    parameter). The value comes from the memo when this seed's entry was
-    drawn with the same function and equal parameters, and from a newly
-    seeded stream (remembered in place of the oldest entry) otherwise.
-    """
-    seed = _hash64(prefix, key)
-    entry = _first_draws.get(seed)
-    if entry is not None and entry[0] is draw and entry[2:] == params:
-        stream_counts.reused += 1
-        return entry[1]
-    stream_counts.built += 1
-    value = draw(seed, *params)
-    if entry is None:  # a different draw on a known seed keeps the seed's age
-        if len(_first_draw_order) == FIRST_DRAW_CAP:
-            del _first_draws[_first_draw_order.popleft()]
-        _first_draw_order.append(seed)
-    _first_draws[seed] = (draw, value, *params)  # flat: 48 B less than nested
-    return value
 
 
 class KeyedRng:
@@ -256,30 +233,34 @@ class KeyedRng:
 
         The same ``(seed, key)`` pair always yields a generator in the same
         state; distinct keys yield independent streams. For one value use
-        a helper below: it draws the same bits without numpy and
-        remembers them.
+        a helper below: it draws the same bits without numpy.
         """
         return _new_stream(_hash64(self._prefix, key))
 
     def uniform(self, *key: _KeyPart) -> float:
         """One U[0, 1) draw from the addressed stream."""
-        return _first_draw(self._prefix, key, pcg64.random, ())
+        stream_counts.built += 1
+        return pcg64.random(_hash64(self._prefix, key))
 
     def normal(self, *key: _KeyPart, loc: float = 0.0, scale: float = 1.0) -> float:
         """One normal draw from the addressed stream."""
-        return _first_draw(self._prefix, key, pcg64.normal, (loc, scale))
+        stream_counts.built += 1
+        return pcg64.normal(_hash64(self._prefix, key), loc, scale)
 
     def lognormal(self, *key: _KeyPart, mean: float, sigma: float) -> float:
         """One lognormal draw from the addressed stream."""
-        return _first_draw(self._prefix, key, pcg64.lognormal, (mean, sigma))
+        stream_counts.built += 1
+        return pcg64.lognormal(_hash64(self._prefix, key), mean, sigma)
 
     def exponential(self, *key: _KeyPart, scale: float) -> float:
         """One exponential draw with mean ``scale`` from the addressed stream."""
-        return _first_draw(self._prefix, key, pcg64.exponential, (scale,))
+        stream_counts.built += 1
+        return pcg64.exponential(_hash64(self._prefix, key), scale)
 
     def randint(self, *key: _KeyPart, low: int, high: int) -> int:
         """One integer draw in ``[low, high)`` from the addressed stream."""
-        return _first_draw(self._prefix, key, pcg64.integers, (low, high))
+        stream_counts.built += 1
+        return pcg64.integers(_hash64(self._prefix, key), low, high)
 
     def choice_index(self, *key: _KeyPart, weights: Iterable[float]) -> int:
         """Sample an index proportionally to ``weights``."""
@@ -290,7 +271,8 @@ class KeyedRng:
             raise ValueError("weights must be finite")
         if min(weights) < 0:
             raise ValueError("weights must be non-negative")
-        return _first_draw(self._prefix, key, pcg64.weighted_index, weights)
+        stream_counts.built += 1
+        return pcg64.weighted_index(_hash64(self._prefix, key), *weights)
 
     def fork(self, *key: _KeyPart) -> "KeyedRng":
         """Derive a child :class:`KeyedRng` rooted at a sub-key.

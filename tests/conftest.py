@@ -12,25 +12,14 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "slow: serving-scale experiment tests")
 
 
-@pytest.fixture(autouse=True)
-def cold_first_draws():
-    """Every test starts with an empty first-draw memo and zeroed counts.
-
-    Drawn values never depend on the memo, but how many streams a test
-    builds (and so its call counts and timings) would otherwise depend on
-    which tests ran before it in the same process.
-    """
-    rng_module.clear_first_draws()
-
-
 @pytest.fixture
 def streams_built(monkeypatch) -> Counter:
     """Streams constructed during the test, counted by the key that
     addressed them (whatever the root seed) — observed at the two
     construction functions, ``KeyedRng.stream``'s numpy one and the
-    helpers' ``pcg64.start``, so a helper draw answered from the memo is
-    not in it (nor is a ``randint`` over one value, which numpy answers
-    without drawing)."""
+    helpers' ``pcg64.start``, so a value read from a step table is not in
+    it (nor is a ``randint`` over one value, which numpy answers without
+    drawing)."""
     keys: dict[int, tuple] = {}
     built: Counter = Counter()
     real_hash, real_new = rng_module._hash64, rng_module._new_stream

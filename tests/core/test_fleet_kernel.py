@@ -31,7 +31,6 @@ from repro.core.fleet import _ARRIVAL, _FAULT, _RESTORE, TTSFleet, _FleetRun
 from repro.core.session import SessionState, SolveSession
 from repro.routing import parse_lane_list
 from repro.search.registry import build_algorithm
-from repro.utils.rng import clear_first_draws
 from repro.workloads.datasets import build_dataset
 from repro.workloads.tenants import TenantSpec, generate_trace
 from repro.workloads.trace import materialize_problems
@@ -399,7 +398,6 @@ class TestEventRanks:
 
 def overload_drain_calls(requests):
     """Python-level calls of one FIFO drain at ~1.5x a single lane's capacity."""
-    clear_first_draws()  # each size is measured cold, not warmed by the other
     tenants = [
         TenantSpec.parse(
             f"chat:arrival=poisson,rate=0.45,n=1,deadline=300,requests={requests}"

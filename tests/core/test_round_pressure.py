@@ -75,6 +75,75 @@ class TestGenerationUnderPressure:
         # pressure costs time, not correctness
         assert tight.stats.round_time >= relaxed.stats.round_time
 
+    @staticmethod
+    def spec_round(capacity_tokens, spec_tokens, slot_budget=2, **kwargs):
+        """Speculation on, every child ``spec_tokens`` long."""
+
+        def planner(parent, child):
+            return ChildStepPlan(
+                child_lineage=parent + (child,),
+                segment_id=5000 + 10 * parent[0] + child,
+                parent_leaf_segment=1000 + parent[0],
+                n_tokens=spec_tokens,
+            )
+
+        return GenerationRound(
+            gen_worker(capacity_tokens), slot_budget=slot_budget, speculation=True,
+            branching_factor=4, child_planner=planner,
+            has_child=lambda parent: True, **kwargs,
+        )
+
+    def test_a_speculative_slot_is_the_first_growth_victim(self, monkeypatch):
+        """Beams 1 and 2 finish early and two children of beam 1 speculate
+        beside beam 0. When one child's growth runs out of blocks, the
+        other child - not the standard beam 0 - is given up, its progress
+        kept as a head start."""
+        victims = []
+        real_pick = GenerationRound._pick_victim
+
+        def recording_pick(round_, running, protected):
+            victim = real_pick(round_, running, protected)
+            victims.append((victim.spec_lineage, victim.progress, protected.is_spec))
+            return victim
+
+        monkeypatch.setattr(GenerationRound, "_pick_victim", recording_pick)
+        round_ = self.spec_round(320, 163, slot_budget=3)
+        result = round_.run([job(0, 103), job(1, 17), job(2, 17)])
+        assert victims == [((1, 0), 86, True)]
+        assert {k: o.tokens_generated for k, o in result.outcomes.items()} == {
+            (0,): 103, (1,): 17, (2,): 17,
+        }
+        heads = {lineage: h.tokens for lineage, h in result.head_starts.items()}
+        assert heads == {(1, 0): 86, (1, 1): 86}
+
+    def test_a_preemption_that_empties_the_batch_refills_it(self, monkeypatch):
+        """Beam 1 is pushed back to wait while a speculative slot holds its
+        memory; an arrival then kills the speculation, leaving nothing
+        running, and the round re-admits beam 1 rather than stalling."""
+        states = []
+        checks = []
+
+        def arrival_after_two_checks():
+            checks.append(1)
+            return len(checks) > 2
+
+        real_kill = GenerationRound._kill_spec_slots
+
+        def recording_kill(round_, running, heads, stats):
+            before = [slot.is_spec for slot in running]
+            real_kill(round_, running, heads, stats)
+            states.append((before, len(running)))
+
+        monkeypatch.setattr(GenerationRound, "_kill_spec_slots", recording_kill)
+        round_ = self.spec_round(200, 100, preempt_check=arrival_after_two_checks)
+        result = round_.run([job(0, 10), job(1, 60)])
+        assert ([True], 0) in states  # the kill left the batch empty
+        assert {k: o.tokens_generated for k, o in result.outcomes.items()} == {
+            (0,): 10, (1,): 60,
+        }
+        # the head start is what the slot decoded before the arrival
+        assert [(h.parent_lineage, h.tokens) for h in result.head_starts.values()] == [((0,), 60)]
+
     def test_speculation_never_steals_standard_memory(self):
         worker = gen_worker(capacity_tokens=360)
 

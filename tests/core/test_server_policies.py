@@ -5,8 +5,10 @@ import pytest
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.server import TTSServer
 from repro.core.session import lookahead_worthy, path_segments, schedule_jobs
+from repro.llm.generator import StepPlan
 from repro.search.beam_search import BeamSearch
 from repro.search.tree import prompt_segment_id, step_segment_id
+from repro.utils.rng import stream_counts
 from repro.workloads.datasets import build_dataset
 
 
@@ -93,13 +95,18 @@ class TestLookaheadGate:
         assert not lookahead_worthy(weak, algo)
 
 
-class TestPlanCache:
-    def test_plans_memoized_within_solve(self, dataset, problem):
+class TestPlanTable:
+    def test_plans_are_derived_once_for_every_session(self, dataset, problem):
         server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
         session = server.session(problem, BeamSearch(n=8))
-        assert session.plan_cache == {}
+        table = server.generator.tables[problem.problem_id]
+        assert table == {}
         session.run()
-        # after a solve the memo holds the steps that were planned
-        assert session.plan_cache
-        (lineage, step), plan = next(iter(session.plan_cache.items()))
-        assert plan.n_tokens > 0
+        # after a solve the problem's table holds the steps that were planned
+        steps = [step for key, step in table.items() if key[0] == "plan"]
+        plans = [step for step in steps if isinstance(step, StepPlan)]
+        assert plans and all(plan.n_tokens > 0 for plan in plans)
+        # and a later session plans from it: no stream built, no entry added
+        entries, built = dict(table), stream_counts.built
+        server.session(problem, BeamSearch(n=8)).run()
+        assert table == entries and stream_counts.built == built

@@ -238,6 +238,26 @@ class TestCarriedChain:
         assert replace(deep, ancestors=(shallow,)) == replace(deep, ancestors=())
 
 
+class TestBrokenChain:
+    """No public operation leaves a resident segment below an evicted one
+    (eviction takes frontier leaves only); should a chain break anyway,
+    materializing through it drops the stale blocks below the break and
+    recomputes them, instead of counting them twice."""
+
+    def test_a_stale_segment_below_the_break_is_evicted_and_reloaded(self, cache):
+        cache.materialize(4, pin=False)  # prompt 1 -> step 2 -> step 4
+        cache._evict_segment(cache.segment(2), now=0.0)  # break the chain at 2
+        assert cache.is_resident(4) and not cache.is_resident(2)
+        assert cache.resident_tokens == 48
+
+        outcome = cache.materialize(4, pin=False)
+        assert (outcome.hit_tokens, outcome.recomputed_tokens) == (32, 32)
+        assert cache.resident_tokens == 64
+        assert cache.pool.allocated_blocks == 4
+        assert cache.segment(2).resident_children == 1
+        assert cache.stats.evicted_segments == 2  # the break, then the stale 4
+
+
 class TestResidentSegments:
     def test_topological_order_and_residency(self, cache):
         assert cache.resident_segments() == []

@@ -7,7 +7,8 @@ each compared against the definition that recomputes them:
   the same ids through successive one-segment calls, on random trees x
   pins x capacities — including batches that run out of blocks half way;
 * a memoising :class:`QualityOracle` against a fresh oracle per call;
-* a session's lineage -> segment-chain map against :func:`path_segments`.
+* the segment chains a session keeps in its problem's step table against
+  :func:`path_segments`.
 """
 
 import hypothesis.strategies as st
@@ -225,10 +226,16 @@ class TestSessionSegmentMap:
         problem = list(dataset)[0]
         for factory in (fasttts_config, baseline_config):
             server = TTSServer(factory(memory_fraction=0.4, seed=3), dataset)
-            session = SolveSession(server, problem, build_algorithm("beam_search", 8))
-            session.run()
-            assert len(session._segment_chains) > 8
-            for lineage, chain in session._segment_chains.items():
-                assert chain == path_segments(
-                    server.config, problem, lineage, len(lineage)
-                )
+            SolveSession(server, problem, build_algorithm("beam_search", 8)).run()
+            table = server.generator.tables[problem.problem_id]
+            chains = {
+                key[1:]: chain for key, chain in table.items() if key[0] == "chain"
+            }
+            assert len(chains) > 8
+            for (lineage, prefix_caching), chain in chains.items():
+                config = factory(memory_fraction=0.4, seed=3, prefix_caching=prefix_caching)
+                assert chain == path_segments(config, problem, lineage, len(lineage))
+            # A repeat solve reads every chain it needs from the table.
+            entries = dict(table)
+            SolveSession(server, problem, build_algorithm("beam_search", 8)).run()
+            assert table == entries

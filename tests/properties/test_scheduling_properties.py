@@ -21,7 +21,7 @@ from repro.hardware.roofline import Roofline
 from repro.kvcache.radix import RadixTree
 from repro.models.zoo import model_pair
 from repro.search.dynamic_branching import proportional_allocation
-from repro.utils.rng import KeyedRng, clear_first_draws, stream_counts
+from repro.utils.rng import KeyedRng, stream_counts
 
 _GB = 1024**3
 
@@ -193,9 +193,9 @@ class TestShortRoundsKeepTheirOrder:
     @given(job_lists, st.integers(0, 2**31), st.integers(0, 9))
     @settings(max_examples=100, deadline=None)
     def test_random_order_equals_the_always_shuffling_reference(self, jobs, seed, salt):
-        clear_first_draws()
+        before = stream_counts.built
         got = random_order(jobs, KeyedRng(seed), salt)
-        built = stream_counts.built
+        built = stream_counts.built - before
         assert got == reference_random_order(jobs, KeyedRng(seed), salt)
         assert got is not jobs
         assert built == (1 if len(jobs) >= 2 else 0)
@@ -213,10 +213,10 @@ class TestShortRoundsKeepTheirOrder:
     ):
         config = factory()
         problem = SimpleNamespace(problem_id="p-7")
-        clear_first_draws()
+        before = stream_counts.built
         rng = _ForkCountingRng(seed)
         got = schedule_jobs(config, rng, problem, jobs, round_idx, stage)
-        built, forks = stream_counts.built, rng.forks
+        built, forks = stream_counts.built - before, rng.forks
         assert got == reference_schedule_jobs(
             config, KeyedRng(seed), problem, jobs, round_idx, stage
         )

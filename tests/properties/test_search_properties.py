@@ -7,7 +7,7 @@ from repro.llm.generator import SimulatedGenerator
 from repro.models.zoo import QWEN25_MATH_1P5B
 from repro.search.registry import build_algorithm
 from repro.search.tree import ReasoningPath
-from repro.utils.rng import KeyedRng, clear_first_draws, stream_counts
+from repro.utils.rng import KeyedRng, stream_counts
 from repro.workloads.datasets import build_dataset
 
 DATASET = build_dataset("amc23", seed=9, size=2)
@@ -100,12 +100,32 @@ class TestGenerationProperties:
     def test_step_tokens_is_the_plans_length_and_can_be_handed_back(
         self, lineage, step_idx, cap
     ):
-        full = GENERATOR.plan_step(PROBLEM, lineage, step_idx, cap)
-        clear_first_draws()
-        length = GENERATOR.step_tokens(PROBLEM, lineage, step_idx, cap)
-        drawn = stream_counts.built
-        assert length == full.n_tokens
-        assert GENERATOR.plan_step(PROBLEM, lineage, step_idx, cap, n_tokens=length) == full
-        # A cap below the floor fixes the length; otherwise it is one draw.
+        def tabled():
+            generator = SimulatedGenerator(QWEN25_MATH_1P5B, DATASET, KeyedRng(9))
+            generator.tables.acquire(PROBLEM.problem_id)
+            return generator
+
+        def streams(derive):
+            before = stream_counts.built
+            value = derive()
+            return value, stream_counts.built - before
+
+        untabled = GENERATOR.plan_step(PROBLEM, lineage, step_idx, cap)
+        full, planned = streams(lambda: tabled().plan_step(PROBLEM, lineage, step_idx, cap))
+        generator = tabled()
+        length, drawn = streams(
+            lambda: generator.step_tokens(PROBLEM, lineage, step_idx, cap)
+        )
+        plan, rest = streams(lambda: generator.plan_step(PROBLEM, lineage, step_idx, cap))
+        assert length == full.n_tokens and plan == full == untabled
+        # A cap below the floor fixes the length; otherwise it is one draw,
+        # which the plan reads back instead of drawing it again ...
         floor = DATASET.step_model.min_tokens
         assert drawn == (0 if cap is not None and cap < floor else 1)
+        assert rest == planned - drawn
+        # ... and a repeat builds nothing.
+        again = streams(lambda: (
+            generator.step_tokens(PROBLEM, lineage, step_idx, cap),
+            generator.plan_step(PROBLEM, lineage, step_idx, cap),
+        ))
+        assert again == ((length, plan), 0)

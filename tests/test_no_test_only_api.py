@@ -35,7 +35,6 @@ KEEP = {
     "free_bytes": "read-only KVLedger observer the ledger property tests need",
     "is_resident": "read-only PagedKVCache observer the cache property tests need",
     "logical_resident_bytes": "read-only KVLedger observer the ledger property tests need",
-    "plan_cache": "read-only SolveSession observer the plan-memo tests need",
     "resident_bytes": "read-only KVLedger observer the ledger property tests need",
     "resident_segment_count": "read-only PagedKVCache observer the cache property tests need",
     "ridge_intensity": "roofline observer: the roofline tests check compute_bound against it",

@@ -11,13 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils import rng as rng_module
-from repro.utils.rng import (
-    FIRST_DRAW_CAP,
-    KeyedRng,
-    clear_first_draws,
-    stable_hash64,
-    stream_counts,
-)
+from repro.utils.rng import KeyedRng, StepTables, stable_hash64, stream_counts
 
 key_parts = st.one_of(
     st.integers(min_value=-(2**62), max_value=2**62),
@@ -223,9 +217,10 @@ class TestKeyedRng:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_choice_index_rejects_non_finite_weights_before_drawing(self, bad):
+        built = stream_counts.built
         with pytest.raises(ValueError, match="finite"):
             KeyedRng(0).choice_index("c", weights=[1.0, bad])
-        assert stream_counts.built == 0
+        assert stream_counts.built == built
 
     @pytest.mark.parametrize("helper", ["normal", "lognormal", "exponential"])
     def test_a_negative_spread_raises_and_nan_passes(self, helper):
@@ -326,7 +321,7 @@ draw_requests = st.one_of(
 )
 # Few keys, so a run re-asks them - with the same request and with others
 # in between - and the three spellings of "one" that compare equal.
-memo_keys = st.sampled_from(
+request_keys = st.sampled_from(
     [(1,), (True,), (1.0,), ("step", "p-1", (0, 1), 2), ("step", "p-1", (0, 1), 3), ()]
 )
 RNGS = (KeyedRng(11), KeyedRng(11), KeyedRng(11).fork("replica", 0), KeyedRng(12))
@@ -373,67 +368,49 @@ class TestDifferential:
         assert wrong == []
 
 
-class TestFirstDrawMemo:
-    """A helper's value is the first draw of a fresh ``stream(*key)``, bit
-    for bit, whatever the memo holds."""
+class TestAnyRequest:
+    """Whatever the key and the distribution's parameters, a helper's value
+    is the first draw of a fresh ``stream(*key)``, bit for bit."""
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, len(RNGS) - 1), memo_keys, draw_requests),
+            st.tuples(st.integers(0, len(RNGS) - 1), request_keys, draw_requests),
             min_size=1, max_size=40,
-        ),
-        st.sampled_from([2, 5, FIRST_DRAW_CAP]),
+        )
     )
     @settings(max_examples=150, deadline=None)
-    def test_any_interleaving_equals_fresh_streams(self, requests, cap):
-        clear_first_draws()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rng_module, "FIRST_DRAW_CAP", cap)  # evict within the run
-            for which, key, (kind, params) in requests:
-                helper, fresh = DRAWS[kind]
-                got = helper(RNGS[which], key, params)
-                assert bits(got) == bits(fresh(RNGS[which].stream(*key), params))
-                assert len(rng_module._first_draws) <= cap
-        assert list(rng_module._first_draw_order) == list(rng_module._first_draws)
+    def test_equals_the_first_draw_of_a_fresh_stream(self, requests):
+        for which, key, (kind, params) in requests:
+            helper, fresh = DRAWS[kind]
+            got = helper(RNGS[which], key, params)
+            assert bits(got) == bits(fresh(RNGS[which].stream(*key), params))
 
-    def test_a_run_past_the_cap_evicts_oldest_first(self):
-        rng, extra = KeyedRng(5), 300
-        total = FIRST_DRAW_CAP + extra
 
-        def ask(i):
-            return rng.normal("k", i, loc=1.0, scale=2.0)
+class TestStepTables:
+    """Per-problem tables, least recently acquired evicted past the cap."""
 
-        first = [ask(i) for i in range(total)]
-        assert (stream_counts.built, stream_counts.reused) == (total, 0)
-        assert len(rng_module._first_draws) == FIRST_DRAW_CAP
-        # The newest are answered from the memo ...
-        assert [ask(i) for i in range(FIRST_DRAW_CAP, total)] == first[FIRST_DRAW_CAP:]
-        assert (stream_counts.built, stream_counts.reused) == (total, extra)
-        # ... the oldest were evicted and are rebuilt, to the same bits.
-        assert [ask(i) for i in range(extra)] == first[:extra]
-        assert (stream_counts.built, stream_counts.reused) == (total + extra, extra)
-        assert len(rng_module._first_draws) == FIRST_DRAW_CAP
-        for i in (0, extra, FIRST_DRAW_CAP, total - 1):
-            assert bits(first[i]) == bits(float(rng.stream("k", i).normal(1.0, 2.0)))
+    def test_acquire_returns_the_problems_one_table(self):
+        tables = StepTables()
+        table = tables.acquire("p")
+        table["k"] = 1
+        assert tables.acquire("p") is table and tables == {"p": {"k": 1}}
 
-    def test_an_entry_answers_only_its_own_distribution_and_parameters(self):
-        rng = KeyedRng(5)
-        drawn = rng.normal("k", loc=0.0, scale=1.0)
-        assert rng.normal("k", loc=0.0, scale=1.0) == drawn
-        assert stream_counts.built == 1 and stream_counts.reused == 1
-        assert rng.normal("k", loc=0.0, scale=2.0) == 2 * drawn  # rebuilt, not aliased
-        assert rng.uniform("k") == float(rng.stream("k").random())
-        assert stream_counts.reused == 1
-        assert len(rng_module._first_draws) == 1  # one seed, its latest draw
+    def test_past_the_cap_the_least_recently_acquired_problems_go(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "TABLE_CAP", 4)
+        tables = StepTables()
+        for problem in "abc":
+            tables.acquire(problem).update({(problem, i): i for i in range(2)})
+        # The cap is held whenever a problem is acquired, not while tables grow.
+        assert list(tables) == ["a", "b", "c"]
+        tables.acquire("b")  # 6 entries: "a", the least recently used, goes
+        assert list(tables) == ["c", "b"]
+        tables.acquire("d")["d"] = 0
+        tables.acquire("c")  # 5 entries: "b" goes, never the acquired "c"
+        assert list(tables) == ["d", "c"]
+        assert sum(map(len, tables.values())) == 3
 
-    def test_stream_is_fresh_every_time_and_never_remembered(self):
-        rng = KeyedRng(5)
-        a, b = rng.stream("s"), rng.stream("s")
-        assert a is not b and a.random() == b.random()
-        assert stream_counts.built == 2 and not rng_module._first_draws
-
-    def test_clear_forgets_draws_and_counts(self):
-        KeyedRng(5).uniform("k")
-        clear_first_draws()
-        assert (stream_counts.built, stream_counts.reused) == (0, 0)
-        assert not rng_module._first_draws and not rng_module._first_draw_order
+    def test_one_problem_past_the_cap_keeps_its_table(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "TABLE_CAP", 2)
+        tables = StepTables()
+        tables.acquire("a").update({i: i for i in range(5)})
+        assert len(tables.acquire("a")) == 5
