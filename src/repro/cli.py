@@ -19,7 +19,7 @@ Commands
     ``--rate``), served through the same path as ``trace run``. Reports
     fleet metrics (request throughput, p50/p95 queueing delay and
     sojourn, busy fraction, KV swap time). Serving policy is one
-    :class:`~repro.core.fleet.FleetSpec`, and ``add_fleet_flags``
+    :class:`~repro.core.fleet_spec.FleetSpec`, and ``add_fleet_flags``
     generates a flag for every field of it (``fleet --help`` lists them;
     every default is byte-identical to the goldens). ``--scheduler all``
     compares every registered policy on one workload.
@@ -59,7 +59,8 @@ from math import isfinite
 from repro.analysis.reports import deployment_report
 from repro.analysis.straggler import idle_fraction
 from repro.core.config import AXIS_CHOICES, baseline_config, fasttts_config
-from repro.core.fleet import FleetSpec, axis_flag, run_trace
+from repro.core.fleet import run_trace
+from repro.core.fleet_spec import FleetSpec, axis_flag
 from repro.core.pool import placement_descriptions
 from repro.core.scheduler import list_schedulers, scheduler_descriptions
 from repro.core.server import TTSServer

@@ -7,7 +7,8 @@ from repro.core.allocator import (
     static_split_plan,
 )
 from repro.core.config import OffloadMode, ServerConfig, baseline_config, fasttts_config
-from repro.core.fleet import FleetReport, FleetRequest, FleetSpec, TTSFleet
+from repro.core.fleet import FleetReport, FleetRequest, TTSFleet
+from repro.core.fleet_spec import FleetSpec
 from repro.core.generation_round import (
     ChildStepPlan,
     GenerationRound,
@@ -35,7 +36,6 @@ from repro.core.scheduler import (
     build_scheduler,
     list_schedulers,
     predict_cost,
-    predict_rounds,
 )
 from repro.core.session import SessionState, SolveSession
 from repro.core.prefix_sched import (
@@ -69,7 +69,6 @@ __all__ = [
     "PrefixAffinityScheduler",
     "build_scheduler",
     "list_schedulers",
-    "predict_rounds",
     "predict_cost",
     "TTSFleet",
     "FleetRequest",

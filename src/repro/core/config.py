@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 #: Allowed values of the fleet's string-enum serving axes, default first.
-#: :class:`~repro.core.fleet.FleetSpec`, the pool's lanes and the CLI's
+#: :class:`~repro.core.fleet_spec.FleetSpec`, the pool's lanes and the CLI's
 #: ``choices=`` all read this one table.
 AXIS_CHOICES: dict[str, tuple[str, ...]] = {
     "oversubscription": ("swap", "deny"),
@@ -88,8 +88,6 @@ class ServerConfig:
         beam retains (the original always keeps everything).
     offload:
         KV offloading policy for extremely constrained devices.
-    efficiency:
-        Roofline derating factor (uniform; never changes comparisons).
     """
 
     device_name: str = "rtx4090"
@@ -106,8 +104,6 @@ class ServerConfig:
     offload: OffloadMode = OffloadMode.OFF
     quantization: str | None = None  # e.g. "int8"; None = fp16 deployment
     block_tokens: int = 16
-    efficiency: float = 0.6
-    max_slots: int = 1024
 
     def __post_init__(self) -> None:
         if not 0.0 < self.memory_fraction <= 1.0:
@@ -118,10 +114,6 @@ class ServerConfig:
             raise ConfigError("spec_bandwidth_fraction must be positive and finite")
         if self.block_tokens <= 0:
             raise ConfigError("block_tokens must be positive")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ConfigError("efficiency must be in (0, 1]")
-        if self.max_slots < 1:
-            raise ConfigError("max_slots must be positive")
         if self.lookahead and not self.speculation:
             raise ConfigError("lookahead verification requires speculation")
         if self.prefix_aware and not self.prefix_caching:

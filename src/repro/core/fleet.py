@@ -5,14 +5,13 @@ sees a *stream* of requests. ``TTSFleet`` adds that serving dimension on
 top of a :class:`~repro.core.pool.DevicePool` — one or many simulated
 devices, each its own :class:`~repro.core.server.TTSServer`, clock lane
 and per-device KV ledger. Every admitted request is placed on one device
-(a :class:`~repro.core.pool.PlacementPolicy`, or the scheduler's
-``choose_device`` override) and becomes one or more resumable
-:class:`~repro.core.session.SolveSession` objects; between rounds a
-pluggable :class:`~repro.core.scheduler.RequestScheduler` policy decides,
-per device, which session occupies it next. That makes smarter-than-FIFO
-serving (SJF, round-robin time-slicing, First-Finish racing with
-cancellation) *and* fleet scaling (heterogeneous pools, placement,
-migration) policy choices instead of architecture changes:
+(a :class:`~repro.core.pool.PlacementPolicy`) and becomes one or more
+resumable :class:`~repro.core.session.SolveSession` objects; between
+rounds a pluggable :class:`~repro.core.scheduler.RequestScheduler` policy
+decides, per device, which session occupies it next. That makes
+smarter-than-FIFO serving (SJF, round-robin time-slicing, First-Finish
+racing with cancellation) *and* fleet scaling (heterogeneous pools,
+placement, migration) policy choices instead of architecture changes:
 
 * requests carry **arrival times on the pool's shared timeline**; each
   session keeps its own service-time clock, and a
@@ -34,12 +33,9 @@ migration) policy choices instead of architecture changes:
 * the run aggregates into :class:`~repro.metrics.fleet.FleetMetrics` plus
   a per-device :class:`~repro.metrics.fleet.DeviceUtilization` rollup.
 
-**The spec.** Every serving-policy axis — scheduler, placement, pool
-shape, router, KV sharing, batching, oversubscription, lateness, queue
-cap, faults and recovery — is one field of the frozen :class:`FleetSpec`,
-declared once with its default, allowed values and help text. The fleet,
-``run_trace``, the CLI's flags and every :class:`FleetReport` carry that
-one object; adding an axis is a field plus the code that consumes it.
+**The spec.** Every serving-policy axis is one field of the frozen
+:class:`~repro.core.fleet_spec.FleetSpec` (its own module, with the CLI
+hints); this module is the kernel that runs one.
 
 **The kernel.** ``TTSFleet.drain()`` builds one :class:`_FleetRun` and
 calls ``step()`` until it returns False. A step either applies the
@@ -67,45 +63,30 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from repro.core.batcher import RoundBatcher
-from repro.core.config import ServerConfig, check_axis
-from repro.core.pool import (
-    DevicePool,
-    PlacementPolicy,
-    PooledDevice,
-    build_placement,
-    list_placements,
-)
+from repro.core.config import ServerConfig
+from repro.core.fleet_spec import FleetSpec
+from repro.core.pool import DevicePool, PlacementPolicy, PooledDevice, build_placement
 from repro.core.scheduler import (
     RequestScheduler,
     SessionHandle,
     arrival_key,
     build_scheduler,
-    list_schedulers,
 )
-from repro.core.server import TTSServer
 from repro.core.session import SessionState
 from repro.engine.clock import ClockBinding
-from repro.errors import (
-    CapacityError,
-    ConfigError,
-    ModelLookupError,
-    RetryExhaustedError,
-)
+from repro.errors import CapacityError, ConfigError, RetryExhaustedError
 from repro.faults import (
     FaultInjector,
     RetryPolicy,
     check_lane_pins,
-    fault_descriptions,
     parse_fault_spec,
 )
-from repro.hardware.device import get_device
 from repro.metrics.fleet import DeviceUtilization, FleetMetrics, FleetRequestRecord
 from repro.metrics.report import ProblemRunResult
-from repro.routing.lanes import LaneSpec, parse_lane_list
-from repro.routing.router import build_router, router_descriptions
+from repro.routing.router import build_router
 from repro.search.base import SearchAlgorithm
 from repro.utils.rng import KeyedRng
 from repro.workloads.problem import Dataset, Problem
@@ -114,7 +95,6 @@ from repro.workloads.trace import check_request_times
 __all__ = [
     "FleetRequest",
     "FleetReport",
-    "FleetSpec",
     "TTSFleet",
     "run_trace",
 ]
@@ -143,222 +123,13 @@ class FleetRequest:
         check_request_times(self.arrival_s, self.deadline_s, self.ttft_slo_s)
 
 
-def _axis(default, help: str, check=None, **cli):
-    """One serving axis: its default, help text, validator and CLI hints.
-
-    ``check`` validates a set value and returns its canonical form
-    (raising :class:`ConfigError`); an axis without one is a string enum
-    checked against :data:`~repro.core.config.AXIS_CHOICES`. ``cli`` is
-    what the command line needs beyond that: ``flag`` when it is not
-    ``--<field-name>``, ``metavar``, ``type``, ``choices`` (a registry
-    listing argparse enforces) and ``describe`` (registry descriptions
-    appended to the help).
-    """
-    return field(default=default, metadata={"help": help, "check": check, **cli})
-
-
-def _registered(build):
-    """Validator for a registry name (building the policy is the lookup);
-    a prepared policy instance is recorded by its ``name``."""
-
-    def check(policy) -> str:
-        name = getattr(policy, "name", policy)
-        build(name)
-        return name
-
-    return check
-
-
-def _router_name(router) -> str:
-    if router in (None, "off"):
-        return "off"
-    return _registered(build_router)(router)
-
-
-def _policy(axes: dict, spec: "FleetSpec", axis: str, build):
+def _policy(axes: dict, spec: FleetSpec, axis: str, build):
     """``axis``'s policy object: the prepared instance passed as a keyword, if
     one was, else the registry's for the name the spec records."""
     given = axes.get(axis)
     if given is None or isinstance(given, str):
         return build(getattr(spec, axis))
     return given
-
-
-def _device_names(value) -> tuple[str, ...]:
-    """``"a,b"`` or a sequence of names → a tuple of registered devices
-    (duplicates are legal: ``rtx4090,rtx4090`` is two lanes of one card)."""
-    names = [
-        name.strip()
-        for name in (value.split(",") if isinstance(value, str) else value)
-    ]
-    if not any(names):
-        raise ConfigError("devices must name at least one device")
-    if not all(names):
-        raise ConfigError(f"devices has an empty entry in {value!r}")
-    for name in names:
-        try:
-            get_device(name)
-        except ModelLookupError as error:  # the registry's did-you-mean message
-            raise ConfigError(error.args[0]) from None
-    return tuple(names)
-
-
-def _lane_specs(value) -> tuple[LaneSpec, ...]:
-    return tuple(parse_lane_list(value) if isinstance(value, str) else value)
-
-
-def _queue_cap(value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"max_in_flight must be >= 1 when set, got {value}")
-    return value
-
-
-def _fault_spec(value: str) -> str:
-    parse_fault_spec(value)
-    return value.strip() or "off"
-
-
-@dataclass(frozen=True, slots=True)
-class FleetSpec:
-    """Every serving-policy axis of a fleet, declared once.
-
-    The spec is the only thing that validates or carries serving policy:
-    ``TTSFleet`` builds its pool, scheduler, placement and router from
-    one, ``run_trace`` forwards one, the CLI's flags are generated from
-    these fields, and a :class:`FleetReport` carries the one its fleet
-    ran under. Every default reproduces ``fleet_fifo_goldens.json`` byte
-    for byte. Values are canonicalised on construction (``devices`` and
-    ``lanes`` accept their comma-separated CLI spellings, ``router=None``
-    means ``"off"``), so equal policies compare equal and
-    ``dataclasses.asdict`` is JSON-ready.
-    """
-
-    scheduler: str = _axis(
-        "fifo", "request-scheduling policy",
-        _registered(build_scheduler), choices=list_schedulers,
-    )
-    placement: str = _axis(
-        "first_fit", "how new requests spread across the device pool",
-        _registered(build_placement), choices=list_placements,
-    )
-    devices: tuple[str, ...] | None = _axis(
-        None,
-        "comma-separated device pool (overrides --device), e.g. rtx4090,rtx4070ti; "
-        "duplicates are legal (lane ids are index-suffixed)",
-        _device_names, metavar="NAME[,NAME...]",
-    )
-    lanes: tuple[LaneSpec, ...] | None = _axis(
-        None,
-        "comma-separated heterogeneous lane specs MODEL@DEVICE[:DTYPE][:mem=FRACTION], "
-        "e.g. 7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8 (excludes --devices)",
-        _lane_specs, flag="--lane", metavar="SPEC[,SPEC...]",
-    )
-    router: str = _axis(
-        "off",
-        "difficulty-aware model router across lane classes ('off' keeps the "
-        "routerless path)",
-        _router_name, metavar="NAME", describe=router_descriptions,
-    )
-    oversubscription: str = _axis(
-        "swap",
-        "KV contention policy: charge eviction/restore PCIe time (swap) or refuse "
-        "admission (deny)",
-    )
-    kv_sharing: str = _axis(
-        "off",
-        "dedup KV prefix segments shared by co-resident sessions in each lane's "
-        "ledger (off = whole-session accounting)",
-    )
-    batching: str = _axis(
-        "off",
-        "coalesce co-resident sessions' rounds into one jointly-costed batch per "
-        "lane iteration (off = one session's round at a time)",
-    )
-    late_policy: str = _axis(
-        "serve_late",
-        "what happens when a queued request's deadline expires before it starts: "
-        "serve it anyway (serve_late) or shed it (drop)",
-    )
-    max_in_flight: int | None = _axis(
-        None, "admission-control cap on queued+running requests", _queue_cap, type=int
-    )
-    faults: str = _axis(
-        "off",
-        "fault-injection spec 'kind:key=value,...' (';'-separated clauses; 'off' "
-        "disables); each clause fires once (at=) or as a Poisson process (rate=)",
-        _fault_spec, metavar="SPEC", describe=fault_descriptions,
-    )
-    recovery: str = _axis(
-        "failover",
-        "what a lane crash does to its in-flight requests: re-place on a healthy lane "
-        "(failover), re-queue with exponential backoff (retry), or fail fast (shed)",
-    )
-    retry_budget: int = _axis(
-        3,
-        "max re-queues per request under --recovery retry before it is declared lost",
-        lambda budget: RetryPolicy(budget=budget).budget, type=int,
-    )
-
-    def __post_init__(self) -> None:
-        for axis in fields(self):
-            value = _checked(axis, getattr(self, axis.name))
-            object.__setattr__(self, axis.name, value)
-        if self.lanes is not None and self.devices is not None:
-            raise ConfigError(
-                "lanes and devices are mutually exclusive; a lane spec "
-                "already names its device"
-            )
-
-    @classmethod
-    def from_args(cls, args, **overrides) -> "FleetSpec":
-        """The spec ``repro.cli.add_fleet_flags``'s parsed flags describe.
-
-        ``overrides`` win; an axis the subcommand omitted keeps its default.
-        Each value is checked on its own first so the error names its flag.
-        """
-        values = {
-            axis.name: getattr(args, axis.name)
-            for axis in fields(cls) if hasattr(args, axis.name)
-        } | overrides
-        for axis in fields(cls):
-            if axis.name in values:
-                try:
-                    values[axis.name] = _checked(axis, values[axis.name])
-                except ConfigError as error:
-                    raise ConfigError(f"{axis_flag(axis)}: {error}") from None
-        return cls(**values)
-
-    def on_pool(self, pool: DevicePool) -> "FleetSpec":
-        """This spec with the axes a prepared pool owns read off its lanes."""
-        for axis in fields(self):
-            owned = axis.name in ("devices", "lanes", "kv_sharing", "batching")
-            if owned and getattr(self, axis.name) != axis.default:
-                raise ConfigError(
-                    "a prepared pool owns its lanes, their ledgers (kv_sharing) and "
-                    f"batching mode; build it with DevicePool.build(..., {axis.name}="
-                    f"...) instead of passing {axis.name} to TTSFleet"
-                )
-        shared = any(lane.kv_sharing == "prefix" for lane in pool)
-        batched = any(lane.batching == "continuous" for lane in pool)
-        return replace(
-            self,
-            devices=tuple(lane.spec.name for lane in pool),
-            kv_sharing="prefix" if shared else "off",
-            batching="continuous" if batched else "off",
-        )
-
-
-def _checked(axis, value):
-    """``value`` validated and canonicalised for one :class:`FleetSpec` field."""
-    if value is None and axis.default is None:
-        return None  # an optional axis left unset
-    check = axis.metadata["check"]
-    return check(value) if check else check_axis(axis.name, value)
-
-
-def axis_flag(axis) -> str:
-    """The command-line spelling of one :class:`FleetSpec` field."""
-    return axis.metadata.get("flag") or "--" + axis.name.replace("_", "-")
 
 
 @dataclass(frozen=True, slots=True)
@@ -491,39 +262,28 @@ class TTSFleet:
     :class:`~repro.core.pool.PlacementPolicy` can spread requests across
     the lanes.
 
-    Serving policy is one :class:`FleetSpec`: pass ``spec=`` or, as
-    shorthand for ``FleetSpec(**axes)``, its fields as keyword arguments
-    (not both). As keywords, ``scheduler``, ``placement`` and ``router``
-    also accept a prepared policy instance; ``self.spec`` records its name.
-    Construct either from ``(config, dataset)`` — the spec's ``devices`` /
-    ``lanes`` / ``kv_sharing`` / ``batching`` then shape the pool — or
-    from a prepared ``pool=DevicePool(...)``, which owns those four axes:
-    the spec must leave them unset and reads them off the pool's lanes.
+    Serving policy is one :class:`~repro.core.fleet_spec.FleetSpec`: pass
+    ``spec=`` or, as shorthand for ``FleetSpec(**axes)``, its fields as
+    keyword arguments (not both). As keywords, ``scheduler``, ``placement``
+    and ``router`` also accept a prepared policy instance; ``self.spec``
+    records its name. The spec's ``devices`` / ``lanes`` / ``kv_sharing`` /
+    ``batching`` shape the pool built from ``(config, dataset)``.
     """
 
     def __init__(
         self,
-        config: ServerConfig | None = None,
-        dataset: Dataset | None = None,
+        config: ServerConfig,
+        dataset: Dataset,
         spec: FleetSpec | None = None,
-        *,
-        pool: DevicePool | None = None,
         **axes,
     ) -> None:
         if spec is not None and axes:
             raise ConfigError("pass either spec=... or keyword axes, not both")
         spec = spec or FleetSpec(**axes)
-        if pool is None:
-            if config is None or dataset is None:
-                raise ConfigError("TTSFleet needs pool=... or (config, dataset)")
-            pool = DevicePool.build(
-                config, dataset, device_names=spec.devices, lanes=spec.lanes,
-                kv_sharing=spec.kv_sharing, batching=spec.batching,
-            )
-        elif config is not None or dataset is not None:
-            raise ConfigError("pass either pool=... or (config, dataset), not both")
-        else:
-            spec = spec.on_pool(pool)
+        pool = DevicePool.build(
+            config, dataset, device_names=spec.devices, lanes=spec.lanes,
+            kv_sharing=spec.kv_sharing, batching=spec.batching,
+        )
         self.spec = spec
         self._pool = pool
         self._fault_processes = parse_fault_spec(spec.faults)
@@ -554,26 +314,12 @@ class TTSFleet:
         return self._pool
 
     @property
-    def server(self) -> TTSServer:
-        """The first pool device's server (single-device compatibility)."""
-        return self._pool[0].server
-
-    @property
-    def clock(self):
-        """The first pool device's clock lane (single-device compatibility)."""
-        return self._pool[0].clock
-
-    @property
     def scheduler(self) -> RequestScheduler:
         return self._scheduler
 
     @property
     def placement(self) -> PlacementPolicy:
         return self._placement
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
 
     def submit(
         self,
@@ -947,14 +693,12 @@ class _FleetRun:
         self.arrivals_pending += 1
 
     def _terminal_record(
-        self, seq: int, request: FleetRequest, *, carried: bool = True, **outcome
+        self, seq: int, request: FleetRequest, **outcome
     ) -> FleetRequestRecord:
-        """Write ``seq``'s one terminal record: provenance plus ``outcome``.
+        """Write ``seq``'s one terminal record: provenance, the carry-over
+        accounting of every earlier life, and ``outcome``.
 
-        Unserved outcomes default to the arrival instant for
-        ``start_s``. ``carried=False`` leaves the availability/escalation
-        carry-over unstamped (a request shed from the queue never ran in
-        this life; its record is a pure function of the request).
+        Unserved outcomes default to the arrival instant for ``start_s``.
         """
         carry = self.carry[seq]
         fields = dict(
@@ -966,15 +710,12 @@ class _FleetRun:
             slo_class=request.slo_class,
             deadline_s=request.deadline_s,
             ttft_slo_s=request.ttft_slo_s,
+            retries=carry.retries,
+            redone_work_s=carry.redone_work_s,
+            failed_over=carry.failed_over,
+            escalations=carry.escalations,
+            escalated_work_s=carry.escalated_work_s,
         )
-        if carried:
-            fields.update(
-                retries=carry.retries,
-                redone_work_s=carry.redone_work_s,
-                failed_over=carry.failed_over,
-                escalations=carry.escalations,
-                escalated_work_s=carry.escalated_work_s,
-            )
         fields.update(outcome)
         record = self.records[seq] = FleetRequestRecord(**fields)
         return record
@@ -1025,7 +766,7 @@ class _FleetRun:
         """
         fleet, scheduler = self.fleet, self.scheduler
         rearrival = max(request.arrival_s, now)
-        device = scheduler.choose_device(request, eligible, fleet._placement, now)
+        device = fleet._placement.choose(request, eligible, now)
         replica_lanes = scheduler.replica_lanes(request, device, eligible)
         sessions_by_lane = {
             device.index: scheduler.sessions_for(device.server, request)
@@ -1296,19 +1037,20 @@ class _FleetRun:
         """Shed a still-queued request whose deadline expired.
 
         The drop is stamped at the deadline expiry itself (arrival +
-        deadline), not at the lane-clock instant the sweep noticed it —
-        the record is a pure function of the request, independent of how
-        far the lane's clock had jumped past the deadline. None of the
-        request's sessions ever ran, so there is no cancelled work to
-        account; their ledger claims (if any) are released like a
-        settled race's losers.
+        deadline), not at the lane-clock instant the sweep noticed it, so
+        the drop instant does not depend on how far the lane's clock had
+        jumped past the deadline. None of the request's sessions ran in
+        this life, so there is no cancelled work to account; their ledger
+        claims (if any) are released like a settled race's losers. Work an
+        earlier life lost to a crash (a retry or failover re-queue) stays
+        on the record through the carry-over.
         """
         request = st.request
         for h in st.handles:
             self._cancel(h)
             (h.device or st.device).ledger.release(h.session.session_id)
         self._terminal_record(
-            st.seq, request, carried=False,
+            st.seq, request,
             finish_s=request.arrival_s + request.deadline_s,
             accepted=False, dropped=True,
             reject_reason=(
@@ -1328,9 +1070,12 @@ class _FleetRun:
         (the caller re-evaluates which lane acts next).
         """
         dropped_any = False
+        now = lane.clock.now
         for st in list(self.queued[lane.index].values()):
-            if self.scheduler.drop_expired(
-                st.request, lane.clock.now, self.spec.late_policy
+            request = st.request
+            if (
+                request.deadline_s is not None
+                and now >= request.arrival_s + request.deadline_s
             ):
                 self.drop(st)
                 dropped_any = True

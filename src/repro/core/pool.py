@@ -30,13 +30,11 @@ Placement — *which device serves a new request* — is a policy axis
 orthogonal to request scheduling (*which session gets the next round on a
 device*). :class:`PlacementPolicy` implementations ship in a registry
 mirroring the scheduler one (``first_fit``, ``least_loaded``,
-``kv_balanced``, ``prefix_affinity``), and
-:meth:`~repro.core.scheduler.RequestScheduler.choose_device` lets a
-scheduler override the fleet's placement policy outright. Note that
-``prefix_affinity`` names *two* policies on purpose: the scheduler of
-that name (``--scheduler prefix_affinity``) orders the sessions already
-resident on one lane so consecutive rounds share maximal KV prefixes,
-while the placement of that name (``--placement prefix_affinity``,
+``kv_balanced``, ``prefix_affinity``). Note that ``prefix_affinity``
+names *two* policies on purpose: the scheduler of that name
+(``--scheduler prefix_affinity``) orders the sessions already resident on
+one lane so consecutive rounds share maximal KV prefixes, while the
+placement of that name (``--placement prefix_affinity``,
 :class:`PrefixAffinityPlacement`) decides which lane a request lands on
 in the first place — it routes to the lane already holding the most of
 the request's planned prefix bytes, with a least-loaded tie-break. Both
@@ -544,7 +542,6 @@ class DevicePool:
         Lanes whose seed and model pair match share one generator/PRM pair,
         and with it the step values it derives; two pools share nothing.
         """
-        pairs: dict = {}
         if lanes is not None:
             if device_names is not None:
                 raise ConfigError(
@@ -552,47 +549,32 @@ class DevicePool:
                 )
             if not lanes:
                 raise ConfigError("lanes must not be empty")
-            devices = []
-            for index, spec in enumerate(lanes):
-                overrides: dict[str, object] = {
+            overrides = []
+            for spec in lanes:
+                lane = {
                     "device_name": spec.device_name,
                     "model_config": spec.model_config,
                     "quantization": spec.dtype,
                 }
                 if spec.memory_fraction is not None:
-                    overrides["memory_fraction"] = spec.memory_fraction
-                devices.append(
-                    PooledDevice(
-                        index=index,
-                        server=TTSServer(
-                            config.with_overrides(**overrides), dataset, pairs
-                        ),
-                        kv_sharing=kv_sharing,
-                        batching=batching,
-                    )
-                )
-            return cls(devices)
-        if device_names is None:
-            names = [config.device_name]
+                    lane["memory_fraction"] = spec.memory_fraction
+                overrides.append(lane)
+        elif device_names is None:
+            overrides = [{}]
         else:
-            names = list(device_names)
-            if not names:
+            overrides = [{"device_name": name} for name in device_names]
+            if not overrides:
                 raise ConfigError("device_names must not be empty")
-        devices = []
-        for index, name in enumerate(names):
-            lane_config = (
-                config if name == config.device_name
-                else config.with_overrides(device_name=name)
+        pairs: dict = {}
+        return cls([
+            PooledDevice(
+                index=index,
+                server=TTSServer(config.with_overrides(**lane), dataset, pairs),
+                kv_sharing=kv_sharing,
+                batching=batching,
             )
-            devices.append(
-                PooledDevice(
-                    index=index,
-                    server=TTSServer(lane_config, dataset, pairs),
-                    kv_sharing=kv_sharing,
-                    batching=batching,
-                )
-            )
-        return cls(devices)
+            for index, lane in enumerate(overrides)
+        ])
 
     # -- container surface -------------------------------------------------
 

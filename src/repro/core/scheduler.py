@@ -56,7 +56,7 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import FleetRequest
-    from repro.core.pool import PlacementPolicy, PooledDevice
+    from repro.core.pool import PooledDevice
     from repro.core.server import TTSServer
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "FirstFinishScheduler",
     "PrefixAffinityScheduler",
     "arrival_key",
-    "predict_rounds",
     "predict_cost",
     "build_scheduler",
     "list_schedulers",
@@ -122,11 +121,6 @@ class SessionHandle:
         key — and hands ``pick`` that index's live sequence.
         """
         return self.session.state.live
-
-
-def predict_rounds(server: "TTSServer", problem, algorithm) -> int:
-    """Predict how many generation rounds a request's search will take."""
-    return predict_cost(server, problem, algorithm)[0]
 
 
 def predict_cost(server: "TTSServer", problem, algorithm) -> tuple[int, int]:
@@ -189,24 +183,6 @@ class RequestScheduler(ABC):
         """
         return None
 
-    def choose_device(
-        self,
-        request: "FleetRequest",
-        devices: "Sequence[PooledDevice]",
-        placement: "PlacementPolicy",
-        now: float,
-    ) -> "PooledDevice":
-        """Placement hook: which pool device serves this new request.
-
-        ``devices`` holds only the lanes whose allocator can plan the
-        request's beam budget (the fleet filters eligibility first). The
-        default delegates to the fleet's placement policy, keeping
-        placement an independent axis; a scheduler that wants to co-decide
-        placement and ordering (e.g. racing replicas across devices)
-        overrides this.
-        """
-        return placement.choose(request, devices, now)
-
     def replica_lanes(
         self,
         request: "FleetRequest",
@@ -235,24 +211,6 @@ class RequestScheduler(ABC):
                 session_id=f"{request.request_id}/r0",
             )
         ]
-
-    def drop_expired(
-        self, request: "FleetRequest", now: float, late_policy: str
-    ) -> bool:
-        """Deadline-aware admission hook: shed this still-queued request?
-
-        Consulted by the open-loop fleet driver whenever a request whose
-        service has not started is considered for the device: with
-        ``late_policy="drop"`` the default drops it once ``now`` passes
-        ``arrival_s + deadline_s`` (requests without a deadline, and the
-        ``"serve_late"`` policy, are never dropped). A policy that wants
-        tenant- or class-aware shedding (e.g. never drop a gold tenant)
-        overrides this; the decision must stay a deterministic function
-        of ``(request, now, late_policy)``.
-        """
-        if late_policy != "drop" or request.deadline_s is None:
-            return False
-        return now >= request.arrival_s + request.deadline_s
 
     @abstractmethod
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:

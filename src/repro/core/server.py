@@ -23,12 +23,12 @@ Sessions
 The solve loop itself lives in :class:`~repro.core.session.SolveSession`,
 a resumable state machine whose one transition method,
 :meth:`~repro.core.session.SolveSession.step`, advances one
-generation-or-verification round. ``TTSServer.solve``, ``run``,
-``serve_stream`` and ``solve_detailed`` create a session and drive it to
-completion (pinned by the goldens under ``tests/goldens/``). Callers that
-want round-granular control — fleet schedulers interleaving many requests
-on one device, cancellation, pause/resume — use :meth:`TTSServer.session`
-directly.
+generation-or-verification round. ``TTSServer.solve``, ``run`` and
+``solve_detailed`` create a session and drive it to completion (pinned by
+the goldens under ``tests/goldens/``). Callers that want round-granular
+control — fleet schedulers interleaving many requests on one device,
+cancellation, pause/resume — use :meth:`TTSServer.session` directly; a
+request *stream* is served by :class:`~repro.core.fleet.TTSFleet`.
 The budget left after both models' weights is the KV budget the Sec. 4.3
 allocator splits per request (:meth:`TTSServer.plan_allocation`).
 """
@@ -83,7 +83,7 @@ class TTSServer:
             verifier_model = quantized(verifier_model, config.quantization)
         self._gen_model = generator_model
         self._ver_model = verifier_model
-        self._roofline = Roofline(self._device, config.efficiency)
+        self._roofline = Roofline(self._device)
         self._link = OffloadLink(self._device)
         self._rng = KeyedRng(config.seed)
         # ``pairs`` (one pool's) hands every server with this seed and model
@@ -213,39 +213,6 @@ class TTSServer:
     ) -> list[ProblemRunResult]:
         """Solve a list of problems sequentially (batch size 1, Sec. 6.1)."""
         return [self.solve(p, algorithm) for p in problems]
-
-    def serve_stream(
-        self,
-        problems: list[Problem],
-        algorithm: SearchAlgorithm,
-        inter_arrival_s: float,
-    ) -> list[ProblemRunResult]:
-        """Serve a request stream with fixed inter-arrival times.
-
-        Requests are served one at a time (interactive edge scenario), but
-        an arrival landing *during* a solve preempts Phase 2: speculative
-        generation halts immediately so the running request finishes with
-        minimal residual work (Sec. 4.1.2's preemptible design). Returns
-        per-request results in arrival order.
-
-        For arbitrary arrival processes, admission control and non-FIFO
-        scheduling, use :class:`~repro.core.fleet.TTSFleet` instead.
-        """
-        if inter_arrival_s < 0:
-            raise ValueError("inter_arrival_s must be non-negative")
-        results: list[ProblemRunResult] = []
-        finished_at = 0.0
-        for index, problem in enumerate(problems):
-            next_arrival = (index + 1) * inter_arrival_s
-            # Arrival expressed on this solve's clock (which starts at 0
-            # when the request begins service).
-            start = max(finished_at, index * inter_arrival_s)
-            relative = next_arrival - start
-            arrivals = (relative,) if index + 1 < len(problems) else ()
-            result = self.solve(problem, algorithm, arrivals=arrivals)
-            finished_at = start + result.latency.total
-            results.append(result)
-        return results
 
     def solve_detailed(
         self,

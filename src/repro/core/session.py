@@ -70,6 +70,7 @@ __all__ = ["SessionState", "SolveOutcome", "SolveSession",
            "path_segments", "schedule_jobs", "lookahead_worthy"]
 
 _TRUNCATION_STD = 0.05  # spread of the R-truncation draw (Alg. 1, line 19)
+_MAX_SLOTS = 1024  # engine batch-slot cap on top of the memory plan's widths
 
 
 class SessionState(str, Enum):
@@ -504,8 +505,8 @@ class SolveSession:
             cache.register_segment(root, None, self._problem.prompt_tokens)
         self._bind_workers()
 
-        self._slot_budget = min(plan.b_dec, cfg.max_slots)
-        self._batch_pre = min(plan.b_pre, cfg.max_slots)
+        self._slot_budget = min(plan.b_dec, _MAX_SLOTS)
+        self._batch_pre = min(plan.b_pre, _MAX_SLOTS)
         self._active = [
             ReasoningPath(lineage=(i,))
             for i in range(self._algorithm.initial_width())

@@ -188,7 +188,7 @@ def _dataset_matches_spec(dataset: Dataset | None, spec: ExperimentSpec) -> bool
     The cache key covers only the spec, so a hand-built dataset that
     diverges from ``spec.build_dataset()`` must bypass the cache instead of
     poisoning it. Datasets are pure functions of ``(name, seed, size)``:
-    name and size are carried by the dataset itself, and the seed is baked
+    the dataset itself holds its name and size, and the seed is baked
     into every problem id (``f"{name}-{seed}-{index:03d}"``), so all three
     are checkable without rebuilding anything.
     """

@@ -303,13 +303,6 @@ class TestConfig:
                 batching="dynamic",
             )
 
-    def test_prepared_pool_owns_its_batching_mode(self):
-        pool = DevicePool.build(
-            baseline_config(memory_fraction=0.4), self.any_dataset()
-        )
-        with pytest.raises(ConfigError, match="batching"):
-            TTSFleet(pool=pool, batching="continuous")
-
     def test_pool_build_with_batching(self):
         dataset = self.any_dataset()
         pool = DevicePool.build(
@@ -317,7 +310,10 @@ class TestConfig:
             batching="continuous",
         )
         assert all(lane.batching == "continuous" for lane in pool)
-        fleet = TTSFleet(pool=pool)
+        fleet = TTSFleet(
+            baseline_config(memory_fraction=0.4), dataset, batching="continuous"
+        )
+        assert all(lane.batching == "continuous" for lane in fleet.pool)
         fleet.submit(list(dataset)[0], build_algorithm("best_of_n", 2), 0.0)
         assert fleet.drain().spec.batching == "continuous"
 

@@ -8,8 +8,8 @@ import math
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import FleetRequest, FleetSpec, TTSFleet, run_trace
-from repro.core.pool import DevicePool
+from repro.core.fleet import FleetRequest, TTSFleet, run_trace
+from repro.core.fleet_spec import FleetSpec
 from repro.core.scheduler import FirstFinishScheduler
 from repro.errors import ConfigError
 from repro.metrics.fleet import FleetMetrics, FleetRequestRecord
@@ -129,18 +129,6 @@ class TestFleetSpec:
         )
         assert fleet.scheduler is scheduler
         assert fleet.spec.scheduler == "first_finish"
-
-    def test_prepared_pool_fills_the_axes_it_owns(self, dataset):
-        pool = DevicePool.build(
-            baseline_config(memory_fraction=0.4), dataset, ["rtx4090", "rtx4090"],
-            kv_sharing="prefix", batching="continuous",
-        )
-        fleet = TTSFleet(pool=pool, scheduler="sjf")
-        fleet.submit(list(dataset)[0], build_algorithm("beam_search", 4), 0.0)
-        assert fleet.drain().spec == FleetSpec(
-            scheduler="sjf", devices=("rtx4090", "rtx4090"),
-            kv_sharing="prefix", batching="continuous",
-        )
 
     def test_spec_is_json_ready(self):
         """``asdict`` needs no custom encoder: str / int / None leaves only

@@ -250,17 +250,36 @@ class TestHandlers:
         fleet = build_fleet([0.0, 1.0], deadline_s=5.0, late_policy="drop")
         run = _FleetRun(fleet)
         state = place(run)
-        run.carry[0].retries = 2  # a dropped record is a pure function of the request
+        run.carry[0].retries = 2  # an earlier life's accounting rides along
         run.drop(state)
         record = run.records[0]
         assert record.dropped and not record.accepted
-        assert record.finish_s == 5.0 and record.retries == 0
+        assert record.finish_s == 5.0 and record.retries == 2
         assert record.routed_class == state.device.lane_class
         assert all(h.session.state is SessionState.CANCELLED for h in state.handles)
         assert not run.states and not any(run.queued.values())
         assert not any(i.handles for i in run.runnable.values())
         assert not any(run.claimed.values())
         assert all(lane.live_requests == 0 for lane in run.lanes)
+
+    def test_a_drop_after_a_crash_requeue_keeps_its_fault_accounting(self):
+        """The crash at 2 s re-queues req-0000 (``retry``), and its deadline
+        then expires in the queue: the dropped record still bills the retry
+        and the work the crash voided, like every other terminal record."""
+        fleet = build_fleet(
+            [float(i) for i in range(12)], deadline_s=15.0, recovery="retry",
+            late_policy="drop", faults="crash:at=2,lane=0,mttr=5",
+        )
+        run = _FleetRun(fleet)
+        while run.step():
+            pass
+        first = run.records[0]
+        assert first.dropped and first.retries == 1 and first.redone_work_s > 0
+        for seq, record in run.records.items():
+            carry = run.carry[seq]
+            assert (record.retries, record.redone_work_s) == (
+                carry.retries, carry.redone_work_s
+            )
 
     def test_escalate_bills_the_attempt_and_replaces(self):
         run, state = self.placed()

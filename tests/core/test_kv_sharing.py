@@ -537,20 +537,17 @@ class TestConfiguration:
                 baseline_config(memory_fraction=0.4), dataset, kv_sharing="on"
             )
 
-    def test_prepared_pool_owns_its_ledgers(self):
-        dataset = build_dataset("amc23", seed=0, size=1)
-        pool = DevicePool.build(baseline_config(memory_fraction=0.4), dataset)
-        with pytest.raises(ConfigError, match="ledgers"):
-            TTSFleet(pool=pool, kv_sharing="prefix")
-
     def test_pool_build_with_sharing(self):
         dataset = build_dataset("amc23", seed=0, size=1)
         pool = DevicePool.build(
             baseline_config(memory_fraction=0.4), dataset, kv_sharing="prefix"
         )
         assert pool[0].kv_sharing == "prefix"
-        # and a fleet over it reports the sharing mode
-        fleet = TTSFleet(pool=pool)
+        # and a fleet on the same axis builds such lanes and reports the mode
+        fleet = TTSFleet(
+            baseline_config(memory_fraction=0.4), dataset, kv_sharing="prefix"
+        )
+        assert fleet.pool[0].kv_sharing == "prefix"
         fleet.submit(list(dataset)[0], build_algorithm("beam_search", 4), 0.0)
         assert fleet.drain().spec.kv_sharing == "prefix"
 

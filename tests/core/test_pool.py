@@ -59,26 +59,6 @@ def make_handle(lane, problem, n=4):
     return handle
 
 
-class TestFleetConstruction:
-    def test_pool_and_config_are_exclusive(self, dataset):
-        config = baseline_config(memory_fraction=0.4)
-        pool = DevicePool.build(config, dataset)
-        with pytest.raises(ConfigError):
-            TTSFleet(config, dataset, pool=pool)
-        with pytest.raises(ConfigError):
-            TTSFleet(pool=pool, devices=["rtx4090"])
-        with pytest.raises(ConfigError):
-            TTSFleet()
-
-    def test_compat_properties_point_at_first_lane(self, dataset):
-        config = baseline_config(memory_fraction=0.9)
-        pool = DevicePool.build(config, dataset, ["rtx4090", "rtx4070ti"])
-        fleet = TTSFleet(pool=pool)
-        assert fleet.server is pool[0].server
-        assert fleet.clock is pool[0].clock
-        assert fleet.placement.name == "first_fit"
-
-
 class TestDevicePool:
     def test_build_single_device_defaults_to_config_device(self, dataset):
         pool = DevicePool.build(baseline_config(memory_fraction=0.4), dataset)
@@ -126,6 +106,10 @@ class TestPlacementRegistry:
     def test_unknown_policy_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'least_loaded'"):
             build_placement("least_loadd")
+
+    def test_first_fit_is_the_fleet_default(self, dataset):
+        fleet = TTSFleet(baseline_config(memory_fraction=0.9), dataset)
+        assert fleet.placement.name == "first_fit"
 
 
 class TestPlacementPolicies:

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import FleetSpec, TTSFleet, _RunnableIndex
-from repro.core.pool import DevicePool
+from repro.core.fleet import TTSFleet, _RunnableIndex
+from repro.core.fleet_spec import FleetSpec
 from repro.core.scheduler import (
     FirstFinishScheduler,
     SessionHandle,
@@ -102,9 +102,9 @@ GOLDEN_RUNS = (
     ("open-busy", 0.05, None),
     ("capped-saturated", 1.0, 2),
 )
-#: How the golden fleet is constructed: no axis given, every ``FleetSpec``
-#: field passed explicitly at its default, or a prepared ``pool=``.
-CONSTRUCTIONS = ("default", "explicit", "pool")
+#: How the golden fleet is constructed: no axis given, or every
+#: ``FleetSpec`` field passed explicitly at its default.
+CONSTRUCTIONS = ("default", "explicit")
 SPEC_DEFAULTS = {axis.name: axis.default for axis in fields(FleetSpec)}
 
 
@@ -132,13 +132,9 @@ class TestFifoGoldens:
         config = baseline_config(memory_fraction=0.4, seed=0)
         if construction == "default":
             fleet = TTSFleet(config, dataset, max_in_flight=max_in_flight)
-        elif construction == "explicit":
-            fleet = TTSFleet(
-                config, dataset, **SPEC_DEFAULTS | {"max_in_flight": max_in_flight}
-            )
         else:
             fleet = TTSFleet(
-                pool=DevicePool.build(config, dataset), max_in_flight=max_in_flight
+                config, dataset, **SPEC_DEFAULTS | {"max_in_flight": max_in_flight}
             )
         arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(0), 5)
         for problem, arrival in zip(dataset, arrivals):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
+from repro.core.fleet import TTSFleet
 from repro.core.server import TTSServer
 from repro.search.beam_search import BeamSearch
 from repro.workloads.datasets import build_dataset
@@ -64,38 +65,61 @@ class TestArrivalPreemption:
         assert a.latency.total == b.latency.total
 
 
+def serve_stream(dataset, inter_arrival_s, config=fasttts_config):
+    """A one-lane FIFO fleet serving request *i* at ``i * inter_arrival_s``;
+    results in arrival order, with the fleet's records."""
+    fleet = TTSFleet(config(memory_fraction=0.4), dataset)
+    for index, problem in enumerate(dataset):
+        fleet.submit(problem, ALGO, arrival_s=index * inter_arrival_s)
+    report = fleet.drain()
+    assert all(record.accepted for record in report.records)
+    return [report.results[r.request_id] for r in report.records], report.records
+
+
 class TestServeStream:
     def test_stream_returns_all(self, dataset):
-        server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
-        results = server.serve_stream(list(dataset), ALGO, inter_arrival_s=5.0)
+        results, _ = serve_stream(dataset, 5.0)
         assert len(results) == 3
         assert len({r.problem_id for r in results}) == 3
 
     def test_dense_stream_suppresses_more_speculation_than_sparse(self, dataset):
-        dense = TTSServer(fasttts_config(memory_fraction=0.4), dataset).serve_stream(
-            list(dataset), ALGO, inter_arrival_s=0.5
-        )
-        sparse = TTSServer(fasttts_config(memory_fraction=0.4), dataset).serve_stream(
-            list(dataset), ALGO, inter_arrival_s=1e6
-        )
+        dense, _ = serve_stream(dataset, 0.5)
+        sparse, _ = serve_stream(dataset, 1e6)
         spec = lambda results: sum(  # noqa: E731
             r.tokens.speculative_used + r.tokens.speculative_wasted for r in results
         )
         assert spec(dense) < spec(sparse)
 
     def test_stream_results_match_isolated_runs_algorithmically(self, dataset):
-        server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
-        stream = server.serve_stream(list(dataset), ALGO, inter_arrival_s=1.0)
+        stream, _ = serve_stream(dataset, 1.0)
         isolated = TTSServer(fasttts_config(memory_fraction=0.4), dataset).run(
             list(dataset), ALGO
         )
         for s, i in zip(stream, isolated):
             assert [b.answer for b in s.beams] == [b.answer for b in i.beams]
 
-    def test_negative_interval_rejected(self, dataset):
-        server = TTSServer(fasttts_config(memory_fraction=0.4), dataset)
-        with pytest.raises(ValueError):
-            server.serve_stream(list(dataset), ALGO, inter_arrival_s=-1.0)
+    @pytest.mark.parametrize("config", [fasttts_config, baseline_config])
+    @pytest.mark.parametrize("inter_arrival_s", [0.0, 1.0, 1e6])
+    def test_fleet_stream_is_back_to_back_solves(
+        self, dataset, config, inter_arrival_s
+    ):
+        """One FIFO lane serves a stream exactly as solving each request in
+        turn, with the next arrival (on the solve's own clock) preempting
+        its speculation."""
+        results, records = serve_stream(dataset, inter_arrival_s, config)
+        server = TTSServer(config(memory_fraction=0.4), dataset)
+        problems = list(dataset)
+        finished_at = 0.0
+        for index, problem in enumerate(problems):
+            start = max(finished_at, index * inter_arrival_s)
+            arrivals = (
+                ((index + 1) * inter_arrival_s - start,)
+                if index + 1 < len(problems) else ()
+            )
+            solo = server.solve(problem, ALGO, arrivals=arrivals)
+            finished_at = start + solo.latency.total
+            assert results[index].to_json_dict() == solo.to_json_dict()
+            assert records[index].finish_s == finished_at
 
 
 class TestQuantizedServing:

@@ -8,7 +8,7 @@ import pytest
 import repro.cli
 from repro.cli import _FLEET_OMITS, build_parser, main
 from repro.core.config import AXIS_CHOICES
-from repro.core.fleet import FleetSpec, axis_flag
+from repro.core.fleet_spec import FleetSpec, axis_flag
 from repro.workloads.arrivals import list_arrivals
 
 

@@ -12,8 +12,8 @@ DevicePool fleet redesign) can assert byte-identity against the original
 monolithic implementation. ``--filter`` regenerates one family (``solve``
 or ``fleet``) instead of both — handy when one legitimately changed and
 the other must provably not. That every serving axis *spelled at its
-default* (and a prepared ``pool=``) reproduces the fleet golden is a
-tier-1 test, ``tests/core/test_scheduler.py::TestFifoGoldens``.
+default* reproduces the fleet golden is a tier-1 test,
+``tests/core/test_scheduler.py::TestFifoGoldens``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import baseline_config
-from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool
 from repro.errors import ConfigError, SchedulingError
 from repro.routing import LaneSpec, parse_lane_list
@@ -172,9 +171,3 @@ class TestHeteroPool:
             LaneSpec.parse("1.5B+1.5B@rtx4070ti"),
         ])
         assert pool[0].lane_class == pool[1].lane_class
-
-    def test_fleet_lanes_with_prepared_pool_rejected(self, dataset):
-        config = baseline_config(memory_fraction=0.9, seed=0)
-        pool = DevicePool.build(config, dataset)
-        with pytest.raises(ConfigError, match="owns its lanes"):
-            TTSFleet(pool=pool, lanes=[LaneSpec.parse("7B+1.5B@rtx4090")])

@@ -38,7 +38,6 @@ KEEP = {
     "resident_bytes": "read-only KVLedger observer the ledger property tests need",
     "resident_segment_count": "read-only PagedKVCache observer the cache property tests need",
     "ridge_intensity": "roofline observer: the roofline tests check compute_bound against it",
-    "serve_stream": "documented run-to-completion API of TTSServer (README)",
     "timeline": "the fault schedule as data: the fault determinism tests compare it",
 }
 
