@@ -17,11 +17,12 @@ Usage::
 whole sweep finishes in minutes on a laptop; ``--scale full`` approaches
 the paper's grid (hours).
 
-Every experiment cell runs through the parallel orchestrator
-(:mod:`repro.experiments.parallel`): ``--jobs N`` shards independent cells
+Every figure runs inside one ``orchestrate(jobs, cache)`` block
+(:mod:`repro.experiments.runner`): ``--jobs N`` shards independent cells
 over N worker processes, and completed cells are memoized in an on-disk
-result cache (default ``benchmarks/benchmark_results/cache/``; override
-with ``--cache-dir`` or ``$REPRO_CACHE_DIR``, disable with ``--no-cache``).
+result cache (:mod:`repro.experiments.cache`; default
+``benchmarks/benchmark_results/cache/``; override with ``--cache-dir`` or
+``$REPRO_CACHE_DIR``, disable with ``--no-cache``).
 Because all randomness is hash-keyed, a ``--jobs 4`` run is byte-identical
 to a sequential one, and a second invocation replays entirely from cache.
 """
@@ -34,11 +35,8 @@ import time
 
 from repro.experiments import figures as F
 from repro.experiments.export import DEFAULT_RESULTS_DIR, ResultsWriter, export_figure
-from repro.experiments.parallel import (
-    ParallelOrchestrator,
-    ResultCache,
-    use_orchestrator,
-)
+from repro.experiments.cache import ResultCache
+from repro.experiments.runner import orchestrate
 
 # Each entry: figure id -> (callable, bench kwargs, full kwargs, extra outputs)
 EXPERIMENTS: dict[str, dict] = {
@@ -155,10 +153,8 @@ def run(
 ) -> int:
     writer = ResultsWriter(results_dir)
     index: dict[str, dict] = {}
-    failures = 0
-    with ParallelOrchestrator(jobs=jobs, cache=cache) as orchestrator:
-        with use_orchestrator(orchestrator):
-            failures = _run_figures(figure_ids, scale, writer, index)
+    with orchestrate(jobs=jobs, cache=cache):
+        failures = _run_figures(figure_ids, scale, writer, index)
     writer.write_index(index)
     if cache is not None:
         print(

@@ -7,9 +7,10 @@ Commands
 ``solve``
     Serve one problem and print the FastTTS-vs-baseline comparison.
 ``sweep``
-    Baseline-vs-FastTTS beam sweep through the parallel orchestrator:
-    ``--jobs N`` shards cells over worker processes, and completed cells
-    are memoized in the on-disk result cache (default
+    Baseline-vs-FastTTS beam sweep inside one
+    :func:`~repro.experiments.runner.orchestrate` block: ``--jobs N``
+    shards cells over worker processes, and completed cells are memoized
+    in the on-disk result cache (:mod:`repro.experiments.cache`; default
     ``benchmarks/benchmark_results/cache/``; ``--cache-dir`` /
     ``$REPRO_CACHE_DIR`` override, ``--no-cache`` disables).
 ``fleet``
@@ -70,12 +71,8 @@ from repro.routing import router_descriptions
 from repro.workloads.arrivals import arrival_descriptions, list_arrivals
 from repro.workloads.tenants import TenantSpec, generate_trace, tenant_rng
 from repro.workloads.trace import Trace, TraceRequest
-from repro.experiments.parallel import (
-    ParallelOrchestrator,
-    ResultCache,
-    use_orchestrator,
-)
-from repro.experiments.runner import ExperimentSpec, sweep_n
+from repro.experiments.cache import ResultCache
+from repro.experiments.runner import ExperimentSpec, orchestrate, sweep_n
 from repro.hardware.device import get_device, list_devices
 from repro.metrics.goodput import format_gain, throughput_gain
 from repro.models.zoo import list_models
@@ -147,9 +144,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         memory_fraction=args.memory_fraction,
     )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    with ParallelOrchestrator(jobs=args.jobs, cache=cache) as orchestrator:
-        with use_orchestrator(orchestrator):
-            pairs = sweep_n(spec, list(args.n_values))
+    with orchestrate(jobs=args.jobs, cache=cache):
+        pairs = sweep_n(spec, list(args.n_values))
     print(render_table(
         ["config", "dataset", "algorithm", "n", "baseline tok/s",
          "fasttts tok/s", "gain x", "latency -%"],

@@ -895,7 +895,7 @@ class _FleetRun:
         # is already waiting and speculation never starts.
         if handle.seq + 1 < len(self.requests):
             handle.session.set_arrival_offsets(
-                (self.requests[handle.seq + 1].arrival_s - start,)
+                self.requests[handle.seq + 1].arrival_s - start
             )
 
     # -- KV ledger charging ----------------------------------------------

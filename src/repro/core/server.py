@@ -181,7 +181,6 @@ class TTSServer:
         self,
         problem: Problem,
         algorithm: SearchAlgorithm,
-        arrivals: tuple[float, ...] = (),
         trace: bool = False,
         rng: KeyedRng | None = None,
         session_id: str | None = None,
@@ -193,20 +192,14 @@ class TTSServer:
         one server without sharing any mutable state.
         """
         return SolveSession(
-            self, problem, algorithm,
-            arrivals=arrivals, trace=trace, rng=rng, session_id=session_id,
+            self, problem, algorithm, trace=trace, rng=rng, session_id=session_id
         )
 
     # -- run-to-completion wrappers ---------------------------------------
 
-    def solve(
-        self,
-        problem: Problem,
-        algorithm: SearchAlgorithm,
-        arrivals: tuple[float, ...] = (),
-    ) -> ProblemRunResult:
+    def solve(self, problem: Problem, algorithm: SearchAlgorithm) -> ProblemRunResult:
         """Solve one problem; returns the paper's per-request metrics."""
-        return self.solve_detailed(problem, algorithm, arrivals=arrivals).result
+        return self.solve_detailed(problem, algorithm).result
 
     def run(
         self, problems: list[Problem], algorithm: SearchAlgorithm
@@ -218,18 +211,14 @@ class TTSServer:
         self,
         problem: Problem,
         algorithm: SearchAlgorithm,
-        arrivals: tuple[float, ...] = (),
         trace: bool = False,
     ) -> SolveOutcome:
         """Full solve with access to collected paths and the memory plan.
 
-        ``arrivals`` are times (on this request's clock) at which a new
-        request shows up; speculative execution is preempted from the first
-        arrival onward, exactly like the two-phase scheduler's Phase-2
-        preemption. ``trace=True`` records a round-level JSONL-able event
-        log (the artifact's log format) on the returned outcome.
+        ``trace=True`` records a round-level JSONL-able event log (the
+        artifact's log format) on the returned outcome.
 
         This is a thin wrapper: it creates a :class:`SolveSession` and
         steps it to completion.
         """
-        return self.session(problem, algorithm, arrivals=arrivals, trace=trace).run()
+        return self.session(problem, algorithm, trace=trace).run()

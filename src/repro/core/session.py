@@ -181,11 +181,6 @@ class SolveSession:
         any number of them can interleave on one server.
     problem / algorithm:
         What to solve and with which search budget.
-    arrivals:
-        Times on *this session's clock* at which another request shows up;
-        speculative execution is preempted from the first arrival onward
-        (Sec. 4.1.2 Phase-2 preemption). A scheduler can also signal an
-        arrival later via :meth:`notify_arrival`.
     trace:
         Record a round-level JSONL-able event log on the outcome.
     rng:
@@ -202,7 +197,6 @@ class SolveSession:
         server: "TTSServer",
         problem: Problem,
         algorithm: SearchAlgorithm,
-        arrivals: tuple[float, ...] = (),
         trace: bool = False,
         rng: KeyedRng | None = None,
         session_id: str | None = None,
@@ -256,7 +250,7 @@ class SolveSession:
         self.claim_names = ClaimNames(server)
 
         # Preemption inputs.
-        self._preempt_at: float | None = min(arrivals) if arrivals else None
+        self._preempt_at: float | None = None
         self._preempt_signalled = False
 
         self._outcome: SolveOutcome | None = None
@@ -416,8 +410,8 @@ class SolveSession:
         """Signal that another request is waiting *now*.
 
         From the next generation round on, speculative execution is
-        preempted — the scheduler-driven equivalent of the ``arrivals``
-        constructor argument for arrivals not known at session start.
+        preempted — the unscheduled counterpart of
+        :meth:`set_arrival_offsets`.
         """
         self._preempt_signalled = True
 
@@ -426,17 +420,18 @@ class SolveSession:
         """Whether :meth:`notify_arrival` was called (it never clears)."""
         return self._preempt_signalled
 
-    def set_arrival_offsets(self, offsets: tuple[float, ...]) -> None:
-        """Install arrival times (on this session's clock) after creation.
+    def set_arrival_offsets(self, offset: float) -> None:
+        """Install another request's arrival time (on this session's clock).
+
+        Speculative execution is preempted from the earliest installed
+        offset onward (Sec. 4.1.2 Phase-2 preemption).
 
         Fleet schedulers only learn a session's service start time when
-        they first pick it; this lets them translate absolute arrival times
-        into session-clock offsets at that moment.
+        they first pick it; this lets them translate an absolute arrival
+        time into a session-clock offset at that moment.
         """
-        if offsets:
-            first = min(offsets)
-            if self._preempt_at is None or first < self._preempt_at:
-                self._preempt_at = first
+        if self._preempt_at is None or offset < self._preempt_at:
+            self._preempt_at = offset
 
     def cancel(self) -> None:
         """Abort the session; no outcome will be produced."""

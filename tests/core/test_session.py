@@ -79,10 +79,9 @@ class TestGoldenEquivalence:
     ):
         golden = GOLDENS[label]
         server = make_server(dataset, "fasttts")
-        outcome = server.solve_detailed(
-            problem, build_algorithm("beam_search", N),
-            arrivals=arrivals, trace=True,
-        )
+        session = server.session(problem, build_algorithm("beam_search", N), trace=True)
+        session.set_arrival_offsets(min(arrivals))
+        outcome = session.run()
         assert outcome.result.to_json_dict() == golden["result"]
         assert outcome.trace.to_jsonl() == golden["trace"]
 

@@ -22,13 +22,21 @@ def problem(dataset):
 ALGO = BeamSearch(n=16)
 
 
+def solve_with_arrival(server, problem, arrival_s):
+    """Solve ``problem`` with another request arriving at ``arrival_s`` on
+    the solve's own clock."""
+    session = server.session(problem, ALGO)
+    session.set_arrival_offsets(arrival_s)
+    return session.run().result
+
+
 class TestArrivalPreemption:
     def test_early_arrival_suppresses_speculation(self, dataset, problem):
         free = TTSServer(fasttts_config(memory_fraction=0.4), dataset).solve(
             problem, ALGO
         )
-        preempted = TTSServer(fasttts_config(memory_fraction=0.4), dataset).solve(
-            problem, ALGO, arrivals=(0.0,)
+        preempted = solve_with_arrival(
+            TTSServer(fasttts_config(memory_fraction=0.4), dataset), problem, 0.0
         )
         spec_free = free.tokens.speculative_used + free.tokens.speculative_wasted
         spec_pre = (
@@ -42,8 +50,8 @@ class TestArrivalPreemption:
         free = TTSServer(fasttts_config(memory_fraction=0.4), dataset).solve(
             problem, ALGO
         )
-        preempted = TTSServer(fasttts_config(memory_fraction=0.4), dataset).solve(
-            problem, ALGO, arrivals=(1.0,)
+        preempted = solve_with_arrival(
+            TTSServer(fasttts_config(memory_fraction=0.4), dataset), problem, 1.0
         )
         assert sorted((b.lineage, b.answer) for b in free.beams) == sorted(
             (b.lineage, b.answer) for b in preempted.beams
@@ -53,15 +61,16 @@ class TestArrivalPreemption:
         free = TTSServer(fasttts_config(memory_fraction=0.4), dataset).solve(
             problem, ALGO
         )
-        late = TTSServer(fasttts_config(memory_fraction=0.4), dataset).solve(
-            problem, ALGO, arrivals=(free.latency.total * 10,)
+        late = solve_with_arrival(
+            TTSServer(fasttts_config(memory_fraction=0.4), dataset),
+            problem, free.latency.total * 10,
         )
         assert late.latency.total == free.latency.total
 
     def test_baseline_unaffected_by_arrivals(self, dataset, problem):
         base = TTSServer(baseline_config(memory_fraction=0.4), dataset)
         a = base.solve(problem, ALGO)
-        b = base.solve(problem, ALGO, arrivals=(0.0,))
+        b = solve_with_arrival(base, problem, 0.0)
         assert a.latency.total == b.latency.total
 
 
@@ -112,11 +121,12 @@ class TestServeStream:
         finished_at = 0.0
         for index, problem in enumerate(problems):
             start = max(finished_at, index * inter_arrival_s)
-            arrivals = (
-                ((index + 1) * inter_arrival_s - start,)
-                if index + 1 < len(problems) else ()
-            )
-            solo = server.solve(problem, ALGO, arrivals=arrivals)
+            if index + 1 < len(problems):
+                solo = solve_with_arrival(
+                    server, problem, (index + 1) * inter_arrival_s - start
+                )
+            else:
+                solo = server.solve(problem, ALGO)
             finished_at = start + solo.latency.total
             assert results[index].to_json_dict() == solo.to_json_dict()
             assert records[index].finish_s == finished_at

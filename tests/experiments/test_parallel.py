@@ -1,26 +1,25 @@
-"""Tests for the parallel orchestrator and the on-disk result cache."""
+"""Tests for ``orchestrate`` (worker pool + result cache) and the cache itself."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.parallel import (
+from repro.experiments import figures as F
+from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
-    ParallelOrchestrator,
     ResultCache,
     cache_key,
     default_cache_dir,
-    run_pairs,
-    use_orchestrator,
 )
 from repro.experiments.runner import (
     ExperimentSpec,
-    active_orchestrator,
+    orchestrate,
     run_metrics,
     run_pair,
-    run_pair_sequential,
+    run_pairs,
     run_problem,
-    run_problem_sequential,
     sweep_n,
 )
 
@@ -67,8 +66,8 @@ class TestResultCache:
         assert cache.load_metrics(key) is None
         assert cache.misses == 1
 
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            metrics, results = orch.run_metrics(SPEC, config)
+        with orchestrate(cache=cache):
+            metrics, results = run_metrics(SPEC, config)
         assert results  # fresh run carries per-problem results
         assert cache.load_metrics(key) is not None
         assert cache.hits == 1
@@ -76,9 +75,9 @@ class TestResultCache:
     def test_round_trip_is_exact(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = SPEC.build_config(fast=True)
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            fresh, _ = orch.run_metrics(SPEC, config)
-            replay, replay_results = orch.run_metrics(SPEC, config)
+        with orchestrate(cache=cache):
+            fresh, _ = run_metrics(SPEC, config)
+            replay, replay_results = run_metrics(SPEC, config)
         assert replay == fresh  # bit-identical floats through JSON
         assert replay_results == []  # aggregate-only on a hit
 
@@ -103,18 +102,37 @@ class TestResultCache:
     def test_entries_record_provenance(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = SPEC.build_config(fast=False)
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            orch.run_metrics(SPEC, config)
+        with orchestrate(cache=cache):
+            run_metrics(SPEC, config)
         payload = json.loads(cache.path_for(cache_key(SPEC, config)).read_text())
         assert payload["spec"]["dataset_name"] == "amc23"
         assert payload["config"]["speculation"] is False
 
+    def test_concurrent_stores_of_one_key(self, tmp_path):
+        # Writers of one key (threads here, or two runs sharing a cache
+        # directory) each write their own temp file before the atomic
+        # replace, so none finds its temp file already moved away.
+        cache = ResultCache(tmp_path)
+        config = SPEC.build_config(fast=False)
+        metrics, _ = run_metrics(SPEC, config)
+        key = cache_key(SPEC, config)
+
+        def store_repeatedly(_):
+            for _ in range(50):
+                cache.store_metrics(key, SPEC, config, metrics)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for done in [pool.submit(store_repeatedly, i) for i in range(4)]:
+                done.result()  # re-raises any writer's error
+        assert cache.load_metrics(key) == metrics
+        assert [path.name for path in tmp_path.iterdir()] == [f"{key}.json"]
+
     def test_problem_cache_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = SPEC.build_config(fast=False)
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            fresh = orch.run_problem(SPEC, config)
-            replay = orch.run_problem(SPEC, config)
+        with orchestrate(cache=cache):
+            fresh = run_problem(SPEC, config)
+            replay = run_problem(SPEC, config)
         assert replay == fresh
         assert cache.hits == 1
 
@@ -124,8 +142,8 @@ class TestResultCache:
         foreign = ExperimentSpec(
             dataset_name="aime24", dataset_size=1, n=4
         ).build_dataset()
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            orch.run_metrics(SPEC, config, dataset=foreign)
+        with orchestrate(cache=cache):
+            run_metrics(SPEC, config, dataset=foreign)
         assert cache.load_metrics(cache_key(SPEC, config)) is None
 
     def test_same_shape_different_seed_bypasses_cache(self, tmp_path):
@@ -136,86 +154,104 @@ class TestResultCache:
         reseeded = ExperimentSpec(
             dataset_name="amc23", dataset_size=1, n=4, seed=7
         ).build_dataset()
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            orch.run_metrics(SPEC, config, dataset=reseeded)
+        with orchestrate(cache=cache):
+            run_metrics(SPEC, config, dataset=reseeded)
         assert cache.load_metrics(cache_key(SPEC, config)) is None
 
     def test_orchestrated_pair_honours_foreign_dataset(self, tmp_path):
         # A run_pair on a hand-picked dataset must solve *that* dataset even
-        # when orchestrated — matching the sequential path, uncached.
+        # when orchestrated — matching the in-process path, uncached.
         reseeded = ExperimentSpec(
             dataset_name="amc23", dataset_size=1, n=4, seed=7
         ).build_dataset()
-        direct = run_pair_sequential(SPEC, dataset=reseeded)
+        direct = run_pair(SPEC, dataset=reseeded)
         cache = ResultCache(tmp_path)
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            with use_orchestrator(orch):
-                routed = run_pair(SPEC, dataset=reseeded)
+        with orchestrate(cache=cache):
+            routed = run_pair(SPEC, dataset=reseeded)
         assert routed.baseline == direct.baseline
         assert routed.fasttts == direct.fasttts
         assert cache.hits == 0 and cache.misses == 0
 
 
 class TestParallelEquivalence:
-    def test_process_parallel_matches_sequential(self):
-        sequential = run_pair_sequential(SPEC)
-        with ParallelOrchestrator(jobs=2, cache=None) as orch:
-            parallel = orch.run_pair(SPEC)
-        assert parallel.baseline == sequential.baseline
-        assert parallel.fasttts == sequential.fasttts
+    def test_process_parallel_matches_in_process(self):
+        direct = run_pair(SPEC)
+        with orchestrate(jobs=2):
+            parallel = run_pair(SPEC)
+        assert parallel.baseline == direct.baseline
+        assert parallel.fasttts == direct.fasttts
 
-    def test_sweep_matches_sequential(self, tmp_path):
-        sequential = sweep_n(SPEC, [4, 8])
-        with ParallelOrchestrator(jobs=2, cache=ResultCache(tmp_path)) as orch:
-            sharded = orch.sweep_n(SPEC, [4, 8])
-            replay = orch.sweep_n(SPEC, [4, 8])
-        for seq, par, rep in zip(sequential, sharded, replay):
+    def test_sweep_matches_in_process(self, tmp_path):
+        direct = sweep_n(SPEC, [4, 8])
+        with orchestrate(jobs=2, cache=ResultCache(tmp_path)):
+            sharded = sweep_n(SPEC, [4, 8])
+            replay = sweep_n(SPEC, [4, 8])
+        for seq, par, rep in zip(direct, sharded, replay):
             assert par.baseline == seq.baseline and par.fasttts == seq.fasttts
             assert rep.baseline == seq.baseline and rep.fasttts == seq.fasttts
 
-    def test_run_pairs_convenience(self):
-        results = run_pairs([SPEC], jobs=1)
-        assert len(results) == 1
-        assert results[0].spec == SPEC
+    def test_run_pairs_keeps_spec_order(self):
+        specs = [replace(SPEC, n=8), SPEC, replace(SPEC, n=8)]
+        with orchestrate(jobs=2):
+            sharded = run_pairs(specs)
+        assert [pair.spec for pair in sharded] == specs
+        assert sharded == [run_pair(spec) for spec in specs]
 
 
-class TestOrchestratorRouting:
-    def test_use_orchestrator_installs_and_restores(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert active_orchestrator() is None
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            with use_orchestrator(orch):
-                assert active_orchestrator() is orch
-                first = run_pair(SPEC)
-                again = run_pair(SPEC)
-        assert active_orchestrator() is None
-        assert again.baseline == first.baseline
-        assert cache.hits >= 2
+class TestOrchestrate:
+    def test_installs_and_restores(self, tmp_path):
+        outer, inner = ResultCache(tmp_path / "outer"), ResultCache(tmp_path / "inner")
+        with orchestrate(cache=outer):
+            first = run_pair(SPEC)
+            with orchestrate(cache=inner):
+                run_pair(SPEC)
+            again = run_pair(SPEC)
+        run_pair(SPEC)  # outside every block: neither cache is read
+        assert again == first
+        assert (outer.hits, outer.misses) == (2, 2)
+        assert (inner.hits, inner.misses) == (0, 2)
 
     def test_run_metrics_routes_through_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = SPEC.build_config(fast=False)
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            with use_orchestrator(orch):
-                run_metrics(SPEC, config)
-                _, results = run_metrics(SPEC, config)
+        with orchestrate(cache=cache):
+            run_metrics(SPEC, config)
+            _, results = run_metrics(SPEC, config)
         assert results == []
         assert cache.hits == 1
 
     def test_run_problem_routes_through_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = SPEC.build_config(fast=False)
-        direct = run_problem_sequential(SPEC, config)
-        with ParallelOrchestrator(jobs=1, cache=cache) as orch:
-            with use_orchestrator(orch):
-                assert run_problem(SPEC, config) == direct
-                assert run_problem(SPEC, config) == direct
+        direct = run_problem(SPEC, config)
+        with orchestrate(cache=cache):
+            assert run_problem(SPEC, config) == direct
+            assert run_problem(SPEC, config) == direct
         assert cache.hits == 1
+
+    @pytest.mark.parametrize(
+        "figure, kwargs",
+        [
+            (F.fig16_ablation, dict(n=4, problems=1)),
+            (F.fig1b_frontier, dict(n_values=(4, 8), problems=1)),
+        ],
+    )
+    def test_figures_route_through_the_cache(self, tmp_path, figure, kwargs):
+        reference = figure(**kwargs)
+        cache = ResultCache(tmp_path)
+        with orchestrate(cache=cache):
+            fresh = figure(**kwargs)
+        misses = cache.misses
+        with orchestrate(cache=cache):
+            replay = figure(**kwargs)
+        assert fresh == reference and replay == reference
+        assert misses > 0 and cache.misses == misses  # the replay missed nothing
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            ParallelOrchestrator(jobs=0)
+            with orchestrate(jobs=0):
+                pass
 
     def test_problem_index_out_of_range(self):
         with pytest.raises(IndexError):
-            run_problem_sequential(SPEC, SPEC.build_config(fast=False), problem_index=5)
+            run_problem(SPEC, SPEC.build_config(fast=False), problem_index=5)

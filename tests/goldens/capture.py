@@ -57,10 +57,11 @@ def capture_solves() -> dict:
         ("fasttts/beam_search/preempt-immediate", (-1.0, 4.0)),
     ):
         server = TTSServer(fasttts_config(memory_fraction=0.4, seed=SOLVE_SEED), dataset)
-        outcome = server.solve_detailed(
-            problem, build_algorithm("beam_search", SOLVE_N),
-            arrivals=arrivals, trace=True,
+        session = server.session(
+            problem, build_algorithm("beam_search", SOLVE_N), trace=True
         )
+        session.set_arrival_offsets(min(arrivals))
+        outcome = session.run()
         cells[label] = {
             "result": outcome.result.to_json_dict(),
             "trace": outcome.trace.to_jsonl(),
