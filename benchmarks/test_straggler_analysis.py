@@ -15,12 +15,12 @@ from repro.core.server import TTSServer
 from repro.metrics.utilization import mean_phase_utilization
 from repro.search.registry import build_algorithm
 from repro.utils.tables import render_table
-from repro.workloads.datasets import DATASET_PROFILES
+from repro.workloads.datasets import DATASETS
 
 
 def test_straggler_model_vs_simulation(benchmark, show):
     def measure():
-        step_model = DATASET_PROFILES["aime24"].step_model
+        step_model = DATASETS["aime24"].step_model
         rows = []
         for n in (8, 32):
             predicted_busy = 1.0 - idle_fraction(step_model, n)

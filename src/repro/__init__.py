@@ -17,6 +17,8 @@ generated paper-vs-measured record of every figure does not exist yet.
 """
 
 from repro.core import (
+    PLACEMENTS,
+    SCHEDULERS,
     DevicePool,
     OffloadMode,
     PlacementPolicy,
@@ -28,23 +30,19 @@ from repro.core import (
     TTSFleet,
     TTSServer,
     baseline_config,
-    build_placement,
-    build_scheduler,
     fasttts_config,
-    list_placements,
-    list_schedulers,
 )
 from repro.metrics import BeamRecord, ProblemRunResult, RunMetrics
 from repro.search import (
+    ALGORITHMS,
     BeamSearch,
     BestOfN,
     DVTS,
     DynamicBranching,
     VaryingGranularity,
     build_algorithm,
-    list_algorithms,
 )
-from repro.workloads import build_dataset, list_datasets
+from repro.workloads import DATASETS, build_dataset
 
 __version__ = "1.0.0"
 
@@ -54,13 +52,11 @@ __all__ = [
     "SolveSession",
     "SessionState",
     "RequestScheduler",
-    "build_scheduler",
-    "list_schedulers",
+    "SCHEDULERS",
     "DevicePool",
     "PooledDevice",
     "PlacementPolicy",
-    "build_placement",
-    "list_placements",
+    "PLACEMENTS",
     "ServerConfig",
     "OffloadMode",
     "baseline_config",
@@ -70,10 +66,10 @@ __all__ = [
     "DVTS",
     "DynamicBranching",
     "VaryingGranularity",
+    "ALGORITHMS",
     "build_algorithm",
-    "list_algorithms",
+    "DATASETS",
     "build_dataset",
-    "list_datasets",
     "BeamRecord",
     "ProblemRunResult",
     "RunMetrics",

@@ -41,7 +41,7 @@ Commands
     goodput-under-deadline, queue-depth/overload stats and a per-tenant
     table.
 ``schedulers``
-    List the registered request-scheduling and placement policies.
+    List the registered request-scheduling, placement and routing policies.
 ``devices``
     List the registered device specs (VRAM, peak FLOPs, bandwidths).
 ``report``
@@ -62,32 +62,32 @@ from repro.analysis.straggler import idle_fraction
 from repro.core.config import AXIS_CHOICES, baseline_config, fasttts_config
 from repro.core.fleet import run_trace
 from repro.core.fleet_spec import FleetSpec, axis_flag
-from repro.core.pool import placement_descriptions
-from repro.core.scheduler import list_schedulers, scheduler_descriptions
+from repro.core.pool import PLACEMENTS
+from repro.core.scheduler import SCHEDULERS
 from repro.core.server import TTSServer
 from repro.errors import ConfigError
 from repro.metrics.fleet import compare_policies
-from repro.routing import router_descriptions
-from repro.workloads.arrivals import arrival_descriptions, list_arrivals
+from repro.routing import ROUTERS
+from repro.workloads.arrivals import ARRIVALS
 from repro.workloads.tenants import TenantSpec, generate_trace, tenant_rng
 from repro.workloads.trace import Trace, TraceRequest
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentSpec, orchestrate, sweep_n
-from repro.hardware.device import get_device, list_devices
+from repro.hardware.device import DEVICES
 from repro.metrics.goodput import format_gain, throughput_gain
-from repro.models.zoo import list_models
-from repro.search.registry import build_algorithm, list_algorithms
+from repro.models.zoo import MODELS
+from repro.search.registry import ALGORITHMS, build_algorithm
 from repro.utils.tables import render_table
-from repro.workloads.datasets import DATASET_PROFILES, build_dataset, list_datasets
+from repro.workloads.datasets import DATASETS, build_dataset
 
 __all__ = ["main", "build_parser"]
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    print("devices:   " + ", ".join(list_devices()))
-    print("models:    " + ", ".join(list_models()))
-    print("datasets:  " + ", ".join(list_datasets()))
-    print("algorithms:" + " " + ", ".join(list_algorithms()))
+    print("devices:   " + ", ".join(DEVICES.names()))
+    print("models:    " + ", ".join(MODELS.names()))
+    print("datasets:  " + ", ".join(DATASETS.names()))
+    print("algorithms:" + " " + ", ".join(ALGORITHMS.names()))
     return 0
 
 
@@ -205,7 +205,7 @@ def add_serve_flags(
 ) -> dict[str, argparse.Action]:
     """Everything ``_serve`` reads: the server's config plus the fleet flags."""
     parser.add_argument("--config", default="1.5B+1.5B")
-    parser.add_argument("--device", default="rtx4090", choices=list_devices())
+    parser.add_argument("--device", default="rtx4090", choices=DEVICES.names())
     parser.add_argument("--system", choices=("baseline", "fasttts"),
                         default="fasttts")
     parser.add_argument("--memory-fraction", type=float, default=0.4)
@@ -219,7 +219,7 @@ def _serve(args, kind: str, workload: str, trace: Trace) -> int:
     through :func:`~repro.core.fleet.run_trace` once per scheduling policy
     (``--scheduler all`` compares them), and prints the report tables.
     """
-    policies = list_schedulers() if args.scheduler == "all" else [args.scheduler]
+    policies = SCHEDULERS.names() if args.scheduler == "all" else [args.scheduler]
     spec = FleetSpec.from_args(args, scheduler=policies[0])
     lanes = spec.lanes
     factory = fasttts_config if args.system == "fasttts" else baseline_config
@@ -356,22 +356,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedulers(args: argparse.Namespace) -> int:
-    rows = [[name, desc] for name, desc in scheduler_descriptions().items()]
-    print(render_table(["scheduler", "policy"], rows,
-                       title="registered request schedulers"))
-    rows = [[name, desc] for name, desc in placement_descriptions().items()]
-    print(render_table(["placement", "policy"], rows,
-                       title="registered placement policies"))
-    rows = [[name, desc] for name, desc in router_descriptions().items()]
-    print(render_table(["router", "policy"], rows,
-                       title="registered routing policies"))
+    for registry, title in ((SCHEDULERS, "registered request schedulers"),
+                            (PLACEMENTS, "registered placement policies"),
+                            (ROUTERS, "registered routing policies")):
+        rows = [[name, desc] for name, desc in registry.descriptions().items()]
+        print(render_table([registry.kind, "policy"], rows, title=title))
     return 0
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
     rows = []
-    for name in list_devices():
-        spec = get_device(name)
+    for name in DEVICES.names():
+        spec = DEVICES[name]
         rows.append([
             name,
             round(spec.vram_bytes / 1024**3, 1),
@@ -399,7 +395,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_straggler(args: argparse.Namespace) -> int:
-    profile = DATASET_PROFILES[args.dataset]
+    profile = DATASETS[args.dataset]
     rows = [
         [batch, round(idle_fraction(profile.step_model, batch) * 100, 1)]
         for batch in (1, 4, 16, 64, 256)
@@ -422,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="list devices/models/datasets/algorithms")
 
     solve = sub.add_parser("solve", help="serve one problem on both systems")
-    solve.add_argument("--dataset", default="aime24", choices=list_datasets())
+    solve.add_argument("--dataset", default="aime24", choices=DATASETS.names())
     solve.add_argument("--problem", type=int, default=0)
     solve.add_argument("--config", default="1.5B+1.5B")
-    solve.add_argument("--device", default="rtx4090", choices=list_devices())
+    solve.add_argument("--device", default="rtx4090", choices=DEVICES.names())
     solve.add_argument("--algorithm", default="beam_search",
-                       choices=list_algorithms())
+                       choices=ALGORITHMS.names())
     solve.add_argument("-n", type=int, default=16)
     solve.add_argument("--memory-fraction", type=float, default=0.4)
     solve.add_argument("--seed", type=int, default=0)
@@ -435,11 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="parallel cached baseline-vs-fasttts beam sweep"
     )
-    sweep.add_argument("--dataset", default="aime24", choices=list_datasets())
+    sweep.add_argument("--dataset", default="aime24", choices=DATASETS.names())
     sweep.add_argument("--config", default="1.5B+1.5B")
-    sweep.add_argument("--device", default="rtx4090", choices=list_devices())
+    sweep.add_argument("--device", default="rtx4090", choices=DEVICES.names())
     sweep.add_argument("--algorithm", default="beam_search",
-                       choices=list_algorithms())
+                       choices=ALGORITHMS.names())
     sweep.add_argument("--n-values", type=int, nargs="+", default=[4, 8, 16],
                        help="beam budgets to sweep")
     sweep.add_argument("--problems", type=int, default=2)
@@ -458,14 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet", help="serve a multi-request stream and report fleet metrics"
     )
-    fleet.add_argument("--dataset", default="amc23", choices=list_datasets())
+    fleet.add_argument("--dataset", default="amc23", choices=DATASETS.names())
     fleet.add_argument("--algorithm", default="beam_search",
-                       choices=list_algorithms())
+                       choices=ALGORITHMS.names())
     fleet.add_argument("-n", type=int, default=8)
     fleet.add_argument("--requests", type=int, default=6)
     fleet.add_argument("--rate", type=float, default=0.02,
                        help="arrival rate in requests per simulated second")
-    fleet.add_argument("--arrivals", choices=list_arrivals(), default="poisson",
+    fleet.add_argument("--arrivals", choices=ARRIVALS.names(), default="poisson",
                        help="arrival process at --rate (diurnal and bursty "
                             "take trace --tenant's default shape parameters)")
     fleet.add_argument("--seed", type=int, default=0)
@@ -480,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     arrival_help = "; ".join(
-        f"{name}: {desc}" for name, desc in arrival_descriptions().items()
+        f"{name}: {desc}" for name, desc in ARRIVALS.descriptions().items()
     )
 
     def add_workload_flags(p: argparse.ArgumentParser) -> None:
@@ -492,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"Arrival processes — {arrival_help}")
         p.add_argument("--requests", type=int, default=8,
                        help="requests per tenant unless the spec overrides")
-        p.add_argument("--base-dataset", default=None, choices=list_datasets(),
+        p.add_argument("--base-dataset", default=None, choices=DATASETS.names(),
                        help="dataset whose step-length dynamics the serving "
                             "fleet uses (default: first tenant's dataset)")
         p.add_argument("--seed", type=int, default=0)
@@ -520,19 +516,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_serve_flags(trace_replay)
 
     sub.add_parser("schedulers",
-                   help="list request-scheduling and placement policies")
+                   help="list request-scheduling, placement and routing policies")
 
     sub.add_parser("devices", help="list registered device specs")
 
     report = sub.add_parser("report", help="deployment feasibility report")
     report.add_argument("--config", default="1.5B+1.5B")
-    report.add_argument("--device", default="rtx4090", choices=list_devices())
-    report.add_argument("--dataset", default="aime24", choices=list_datasets())
+    report.add_argument("--device", default="rtx4090", choices=DEVICES.names())
+    report.add_argument("--dataset", default="aime24", choices=DATASETS.names())
     report.add_argument("-n", type=int, default=64)
     report.add_argument("--memory-fraction", type=float, default=0.9)
 
     straggler = sub.add_parser("straggler", help="idle-fraction analysis")
-    straggler.add_argument("--dataset", default="aime24", choices=list_datasets())
+    straggler.add_argument("--dataset", default="aime24", choices=DATASETS.names())
 
     return parser
 

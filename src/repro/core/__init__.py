@@ -15,17 +15,16 @@ from repro.core.generation_round import (
     GenerationRoundResult,
 )
 from repro.core.pool import (
+    PLACEMENTS,
     DevicePool,
     FirstFitPlacement,
     KvBalancedPlacement,
     LeastLoadedPlacement,
     PlacementPolicy,
     PooledDevice,
-    build_placement,
-    list_placements,
-    placement_descriptions,
 )
 from repro.core.scheduler import (
+    SCHEDULERS,
     FifoScheduler,
     FirstFinishScheduler,
     PrefixAffinityScheduler,
@@ -33,8 +32,6 @@ from repro.core.scheduler import (
     RoundRobinScheduler,
     SessionHandle,
     SjfScheduler,
-    build_scheduler,
-    list_schedulers,
     predict_cost,
 )
 from repro.core.session import SessionState, SolveSession
@@ -67,8 +64,7 @@ __all__ = [
     "RoundRobinScheduler",
     "FirstFinishScheduler",
     "PrefixAffinityScheduler",
-    "build_scheduler",
-    "list_schedulers",
+    "SCHEDULERS",
     "predict_cost",
     "TTSFleet",
     "FleetRequest",
@@ -80,9 +76,7 @@ __all__ = [
     "FirstFitPlacement",
     "LeastLoadedPlacement",
     "KvBalancedPlacement",
-    "build_placement",
-    "list_placements",
-    "placement_descriptions",
+    "PLACEMENTS",
     "AllocationPlan",
     "WorkloadProfile",
     "RooflineAllocator",

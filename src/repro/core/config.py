@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from repro.errors import ConfigError
-from repro.utils.suggest import did_you_mean
+from repro.utils.registry import did_you_mean
 
 __all__ = [
     "AXIS_CHOICES",

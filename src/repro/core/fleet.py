@@ -68,13 +68,8 @@ from dataclasses import dataclass, field
 from repro.core.batcher import RoundBatcher
 from repro.core.config import ServerConfig
 from repro.core.fleet_spec import FleetSpec
-from repro.core.pool import DevicePool, PlacementPolicy, PooledDevice, build_placement
-from repro.core.scheduler import (
-    RequestScheduler,
-    SessionHandle,
-    arrival_key,
-    build_scheduler,
-)
+from repro.core.pool import PLACEMENTS, DevicePool, PlacementPolicy, PooledDevice
+from repro.core.scheduler import SCHEDULERS, RequestScheduler, SessionHandle, arrival_key
 from repro.core.session import SessionState
 from repro.engine.clock import ClockBinding
 from repro.errors import CapacityError, ConfigError, RetryExhaustedError
@@ -86,7 +81,7 @@ from repro.faults import (
 )
 from repro.metrics.fleet import DeviceUtilization, FleetMetrics, FleetRequestRecord
 from repro.metrics.report import ProblemRunResult
-from repro.routing.router import build_router
+from repro.routing.router import ROUTERS
 from repro.search.base import SearchAlgorithm
 from repro.utils.rng import KeyedRng
 from repro.workloads.problem import Dataset, Problem
@@ -123,12 +118,12 @@ class FleetRequest:
         check_request_times(self.arrival_s, self.deadline_s, self.ttft_slo_s)
 
 
-def _policy(axes: dict, spec: FleetSpec, axis: str, build):
+def _policy(axes: dict, spec: FleetSpec, axis: str, registry):
     """``axis``'s policy object: the prepared instance passed as a keyword, if
     one was, else the registry's for the name the spec records."""
     given = axes.get(axis)
     if given is None or isinstance(given, str):
-        return build(getattr(spec, axis))
+        return registry.build(getattr(spec, axis))
     return given
 
 
@@ -289,14 +284,14 @@ class TTSFleet:
         self._fault_processes = parse_fault_spec(spec.faults)
         check_lane_pins(self._fault_processes, len(pool))
         self._retry_policy = RetryPolicy(budget=spec.retry_budget)
-        self._scheduler = _policy(axes, spec, "scheduler", build_scheduler)
-        self._placement = _policy(axes, spec, "placement", build_placement)
+        self._scheduler = _policy(axes, spec, "scheduler", SCHEDULERS)
+        self._placement = _policy(axes, spec, "placement", PLACEMENTS)
         # No router leaves the drain loop byte-identical to the routerless
         # fleet; a policy narrows admission's eligible lanes per request
         # and may escalate settled attempts to bigger-model lanes.
         self._router = None
         if spec.router != "off":
-            self._router = _policy(axes, spec, "router", build_router)
+            self._router = _policy(axes, spec, "router", ROUTERS)
             self._router.bind(pool)
         self._queue: list[FleetRequest] = []
         self._next_id = 0

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.core.config import check_axis
-from repro.core.pool import build_placement, list_placements
-from repro.core.scheduler import build_scheduler, list_schedulers
-from repro.errors import ConfigError, ModelLookupError
-from repro.faults import RetryPolicy, fault_descriptions, parse_fault_spec
-from repro.hardware.device import get_device
+from repro.core.pool import PLACEMENTS
+from repro.core.scheduler import SCHEDULERS
+from repro.errors import ConfigError
+from repro.faults import FAULTS, RetryPolicy, parse_fault_spec
+from repro.hardware.device import DEVICES
 from repro.routing.lanes import LaneSpec, parse_lane_list
-from repro.routing.router import build_router, router_descriptions
+from repro.routing.router import ROUTERS
 
 __all__ = ["FleetSpec", "axis_flag"]
 
@@ -39,14 +39,12 @@ def _axis(default, help: str, check=None, **cli):
     return field(default=default, metadata={"help": help, "check": check, **cli})
 
 
-def _registered(build):
-    """Validator for a registry name (building the policy is the lookup);
-    a prepared policy instance is recorded by its ``name``."""
+def _registered(registry):
+    """Validator for a name in ``registry``; a prepared policy instance is
+    recorded by its ``name``."""
 
     def check(policy) -> str:
-        name = getattr(policy, "name", policy)
-        build(name)
-        return name
+        return registry.check(getattr(policy, "name", policy))
 
     return check
 
@@ -54,7 +52,7 @@ def _registered(build):
 def _router_name(router) -> str:
     if router in (None, "off"):
         return "off"
-    return _registered(build_router)(router)
+    return _registered(ROUTERS)(router)
 
 
 def _device_names(value) -> tuple[str, ...]:
@@ -68,12 +66,7 @@ def _device_names(value) -> tuple[str, ...]:
         raise ConfigError("devices must name at least one device")
     if not all(names):
         raise ConfigError(f"devices has an empty entry in {value!r}")
-    for name in names:
-        try:
-            get_device(name)
-        except ModelLookupError as error:  # the registry's did-you-mean message
-            raise ConfigError(error.args[0]) from None
-    return tuple(names)
+    return tuple(DEVICES.check(name) for name in names)
 
 
 def _lane_specs(value) -> tuple[LaneSpec, ...]:
@@ -108,11 +101,11 @@ class FleetSpec:
 
     scheduler: str = _axis(
         "fifo", "request-scheduling policy",
-        _registered(build_scheduler), choices=list_schedulers,
+        _registered(SCHEDULERS), choices=SCHEDULERS.names,
     )
     placement: str = _axis(
         "first_fit", "how new requests spread across the device pool",
-        _registered(build_placement), choices=list_placements,
+        _registered(PLACEMENTS), choices=PLACEMENTS.names,
     )
     devices: tuple[str, ...] | None = _axis(
         None,
@@ -130,7 +123,7 @@ class FleetSpec:
         "off",
         "difficulty-aware model router across lane classes ('off' keeps the "
         "routerless path)",
-        _router_name, metavar="NAME", describe=router_descriptions,
+        _router_name, metavar="NAME", describe=ROUTERS.descriptions,
     )
     oversubscription: str = _axis(
         "swap",
@@ -159,7 +152,7 @@ class FleetSpec:
         "off",
         "fault-injection spec 'kind:key=value,...' (';'-separated clauses; 'off' "
         "disables); each clause fires once (at=) or as a Poisson process (rate=)",
-        _fault_spec, metavar="SPEC", describe=fault_descriptions,
+        _fault_spec, metavar="SPEC", describe=FAULTS.descriptions,
     )
     recovery: str = _axis(
         "failover",

@@ -28,9 +28,10 @@ A :class:`DevicePool` generalizes that to N simulated devices, each a
 
 Placement — *which device serves a new request* — is a policy axis
 orthogonal to request scheduling (*which session gets the next round on a
-device*). :class:`PlacementPolicy` implementations ship in a registry
-mirroring the scheduler one (``first_fit``, ``least_loaded``,
-``kv_balanced``, ``prefix_affinity``). Note that ``prefix_affinity``
+device*). :class:`PlacementPolicy` implementations are registered in
+:data:`PLACEMENTS` (``first_fit``, ``least_loaded``, ``kv_balanced``,
+``prefix_affinity``), a :class:`~repro.utils.registry.Registry` like
+:data:`~repro.core.scheduler.SCHEDULERS`. Note that ``prefix_affinity``
 names *two* policies on purpose: the scheduler of that name
 (``--scheduler prefix_affinity``) orders the sessions already resident on
 one lane so consecutive rounds share maximal KV prefixes, while the
@@ -73,7 +74,7 @@ from repro.engine.clock import SimClock
 from repro.errors import ConfigError, FaultError, SchedulingError
 from repro.hardware.memory import KVLedger, KVSegment
 from repro.hardware.offload import OffloadLink
-from repro.utils.suggest import did_you_mean
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ServerConfig
@@ -93,9 +94,7 @@ __all__ = [
     "KvBalancedPlacement",
     "PrefixAffinityPlacement",
     "delta_transfer_bytes",
-    "build_placement",
-    "list_placements",
-    "placement_descriptions",
+    "PLACEMENTS",
 ]
 
 
@@ -820,31 +819,9 @@ class PrefixAffinityPlacement(PlacementPolicy):
         )
 
 
-_PLACEMENTS: dict[str, Callable[[], PlacementPolicy]] = {
+PLACEMENTS: Registry[Callable[[], PlacementPolicy]] = Registry("placement", {
     FirstFitPlacement.name: FirstFitPlacement,
     LeastLoadedPlacement.name: LeastLoadedPlacement,
     KvBalancedPlacement.name: KvBalancedPlacement,
     PrefixAffinityPlacement.name: PrefixAffinityPlacement,
-}
-
-
-def list_placements() -> list[str]:
-    """Registered placement policy names."""
-    return sorted(_PLACEMENTS)
-
-
-def placement_descriptions() -> dict[str, str]:
-    """Policy name → one-line description (for the CLI listing)."""
-    return {name: _PLACEMENTS[name].description for name in list_placements()}
-
-
-def build_placement(name: str, **kwargs) -> PlacementPolicy:
-    """Instantiate a placement policy by registry name."""
-    try:
-        factory = _PLACEMENTS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown placement {name!r}{did_you_mean(name, _PLACEMENTS)}; "
-            f"registered: {', '.join(list_placements())}"
-        ) from None
-    return factory(**kwargs)
+})

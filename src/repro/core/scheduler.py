@@ -35,8 +35,9 @@ next*. Policies shipped here:
     tree path, so it degrades to lineage grouping — sessions of the
     same problem run back to back.
 
-Schedulers are deliberately small: they see opaque :class:`SessionHandle`
-rows and return one. All device bookkeeping (clock mapping, admission,
+Each is registered by name in :data:`SCHEDULERS`, a
+:class:`~repro.utils.registry.Registry`. Schedulers are deliberately
+small: they see opaque :class:`SessionHandle` rows and return one. All device bookkeeping (clock mapping, admission,
 records) stays in the fleet — including the order the rows arrive in:
 a policy that declares an :meth:`RequestScheduler.order_key` receives its
 lane's runnable handles already sorted by it, so ``fifo``,
@@ -53,6 +54,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.core.session import SolveSession
 from repro.engine.clock import ClockBinding
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import FleetRequest
@@ -69,9 +71,7 @@ __all__ = [
     "PrefixAffinityScheduler",
     "arrival_key",
     "predict_cost",
-    "build_scheduler",
-    "list_schedulers",
-    "scheduler_descriptions",
+    "SCHEDULERS",
 ]
 
 
@@ -471,34 +471,10 @@ class PrefixAffinityScheduler(RequestScheduler):
         return choice
 
 
-_SCHEDULERS: dict[str, Callable[[], RequestScheduler]] = {
+SCHEDULERS: Registry[Callable[[], RequestScheduler]] = Registry("scheduler", {
     FifoScheduler.name: FifoScheduler,
     SjfScheduler.name: SjfScheduler,
     RoundRobinScheduler.name: RoundRobinScheduler,
     FirstFinishScheduler.name: FirstFinishScheduler,
     PrefixAffinityScheduler.name: PrefixAffinityScheduler,
-}
-
-
-def list_schedulers() -> list[str]:
-    """Registered scheduler policy names."""
-    return sorted(_SCHEDULERS)
-
-
-def scheduler_descriptions() -> dict[str, str]:
-    """Policy name → one-line description (for the CLI listing)."""
-    return {name: _SCHEDULERS[name].description for name in list_schedulers()}
-
-
-def build_scheduler(name: str, **kwargs) -> RequestScheduler:
-    """Instantiate a scheduler policy by registry name."""
-    try:
-        factory = _SCHEDULERS[name]
-    except KeyError:
-        from repro.utils.suggest import did_you_mean
-
-        raise ConfigError(
-            f"unknown scheduler {name!r}{did_you_mean(name, _SCHEDULERS)}; "
-            f"registered: {', '.join(list_schedulers())}"
-        ) from None
-    return factory(**kwargs)
+})

@@ -3,7 +3,10 @@
 Every error raised by this library derives from :class:`ReproError` so that
 callers can catch library failures with a single except clause while still
 letting programming errors (``TypeError``, ``ValueError`` from misuse of the
-standard library) propagate unchanged.
+standard library) propagate unchanged. A bad name or value from the user is a
+:class:`ConfigError`; an unknown name in any of the library's name tables
+(:class:`~repro.utils.registry.Registry`) is its :class:`UnknownNameError`,
+so the CLI reports both as one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ class SchedulingError(ReproError):
     """The scheduler was driven into an inconsistent state."""
 
 
-class SearchError(ReproError):
-    """A test-time-scaling search algorithm failed or was misconfigured."""
-
-
 class FaultError(ReproError):
     """A fault-injection operation was applied to a lane in the wrong state."""
 
@@ -37,5 +36,5 @@ class RetryExhaustedError(FaultError):
     """A request's per-request retry budget was spent without a completion."""
 
 
-class ModelLookupError(ReproError, KeyError):
-    """An unknown model or device name was requested from a registry."""
+class UnknownNameError(ConfigError):
+    """A name that its :class:`~repro.utils.registry.Registry` does not hold."""

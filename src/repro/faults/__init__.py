@@ -6,6 +6,7 @@ that turns a spec + seed into a reproducible fault timeline.
 """
 
 from repro.faults.injector import (
+    FAULTS,
     FaultEvent,
     FaultInjector,
     FaultProcess,
@@ -14,14 +15,12 @@ from repro.faults.injector import (
     LinkDegrade,
     RetryPolicy,
     TransientStall,
-    build_fault,
     check_lane_pins,
-    fault_descriptions,
-    list_faults,
     parse_fault_spec,
 )
 
 __all__ = [
+    "FAULTS",
     "FaultEvent",
     "FaultInjector",
     "FaultProcess",
@@ -30,9 +29,6 @@ __all__ = [
     "LinkDegrade",
     "RetryPolicy",
     "TransientStall",
-    "build_fault",
     "check_lane_pins",
-    "fault_descriptions",
-    "list_faults",
     "parse_fault_spec",
 ]

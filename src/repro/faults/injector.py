@@ -9,8 +9,9 @@ same discipline as :mod:`repro.workloads.arrivals`: two injectors built
 from the same spec and seed emit bit-identical timelines, and extending
 the horizon never perturbs the prefix.
 
-Four fault types cover the failure modes a multi-lane serving fleet
-actually sees:
+Four fault types, registered by name in :data:`FAULTS` (a
+:class:`~repro.utils.registry.Registry`), cover the failure modes a
+multi-lane serving fleet actually sees:
 
 ``crash``
     The lane goes DOWN and its resident KV is lost. With ``mttr=`` the
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import ConfigError, RetryExhaustedError
+from repro.utils.registry import Registry
 from repro.utils.rng import KeyedRng
 
 __all__ = [
@@ -57,10 +59,8 @@ __all__ = [
     "LinkDegrade",
     "KvPressure",
     "RetryPolicy",
-    "build_fault",
+    "FAULTS",
     "check_lane_pins",
-    "list_faults",
-    "fault_descriptions",
     "parse_fault_spec",
 ]
 
@@ -269,44 +269,12 @@ class RetryPolicy:
         return self.backoff_s * (2.0 ** (attempt - 1))
 
 
-_FAULTS: dict[str, Callable[..., FaultProcess]] = {
+FAULTS: Registry[Callable[..., FaultProcess]] = Registry("fault type", {
     LaneCrash.name: LaneCrash,
     TransientStall.name: TransientStall,
     LinkDegrade.name: LinkDegrade,
     KvPressure.name: KvPressure,
-}
-
-
-def list_faults() -> list[str]:
-    """Registered fault-type names."""
-    return sorted(_FAULTS)
-
-
-def fault_descriptions() -> dict[str, str]:
-    """Fault name → one-line description (for the CLI listing)."""
-    return {name: _FAULTS[name].description for name in list_faults()}
-
-
-def build_fault(name: str, **params) -> FaultProcess:
-    """Instantiate a fault process by registry name.
-
-    Unknown names raise :class:`~repro.errors.ConfigError` with a
-    nearest-match suggestion; bad parameters raise from the fault's own
-    validator.
-    """
-    try:
-        factory = _FAULTS[name]
-    except KeyError:
-        from repro.utils.suggest import did_you_mean
-
-        raise ConfigError(
-            f"unknown fault type {name!r}{did_you_mean(name, _FAULTS)}; "
-            f"registered: {', '.join(list_faults())}"
-        ) from None
-    try:
-        return factory(**params)
-    except TypeError as error:
-        raise ConfigError(f"bad {name} fault parameters: {error}") from None
+})
 
 
 def parse_fault_spec(spec: str | None) -> tuple[FaultProcess, ...]:
@@ -347,7 +315,7 @@ def parse_fault_spec(spec: str | None) -> tuple[FaultProcess, ...]:
                         f"bad fault clause {clause!r}: {key}={value!r} "
                         f"is not a number"
                     ) from None
-        processes.append(build_fault(name, **params))
+        processes.append(FAULTS.build(name, **params))
     return tuple(processes)
 
 

@@ -2,14 +2,13 @@
 
 from repro.hardware.device import (
     A100_80GB,
+    DEVICES,
     H100_SXM,
     RTX_3070_TI,
     RTX_4070_TI,
     RTX_4090,
     DeviceSpec,
     get_device,
-    list_devices,
-    register_device,
 )
 from repro.hardware.memory import (
     KVLedger,
@@ -21,9 +20,8 @@ from repro.hardware.roofline import Roofline, RooflinePoint
 
 __all__ = [
     "DeviceSpec",
+    "DEVICES",
     "get_device",
-    "list_devices",
-    "register_device",
     "RTX_4090",
     "RTX_4070_TI",
     "RTX_3070_TI",

@@ -5,17 +5,18 @@ platform (Sec. 6.1) and extends to an RTX 3070 Ti (8 GB) and RTX 4070 Ti
 (12 GB) in Sec. 6.4. Cloud-class devices are included as references for the
 Fig. 1 comparison. Peak numbers are dense FP16 tensor throughput and peak
 DRAM bandwidth from vendor datasheets; the roofline model (Sec. 4.3.1 of
-the paper) only consumes these two scalars plus VRAM capacity.
+the paper) only consumes these two scalars plus VRAM capacity. Specs are
+registered by name in :data:`DEVICES`, a
+:class:`~repro.utils.registry.Registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ModelLookupError
-from repro.utils.suggest import did_you_mean
+from repro.utils.registry import Registry
 
-__all__ = ["DeviceSpec", "get_device", "list_devices", "register_device"]
+__all__ = ["DeviceSpec", "DEVICES", "get_device"]
 
 _GB = 1024**3
 
@@ -68,81 +69,53 @@ class DeviceSpec:
         return self.peak_flops / self.mem_bandwidth
 
 
-_REGISTRY: dict[str, DeviceSpec] = {}
-
-
-def register_device(spec: DeviceSpec) -> DeviceSpec:
-    """Add a device to the registry (idempotent for identical specs)."""
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None and existing != spec:
-        raise ValueError(f"device {spec.name!r} already registered with a different spec")
-    _REGISTRY[spec.name] = spec
-    return spec
+DEVICES: Registry[DeviceSpec] = Registry("device")
 
 
 def get_device(name: str) -> DeviceSpec:
     """Look up a device by registry key."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ModelLookupError(
-            f"unknown device {name!r}{did_you_mean(name, _REGISTRY)}; "
-            f"known devices: {known}"
-        ) from None
-
-
-def list_devices() -> list[str]:
-    """Sorted names of all registered devices."""
-    return sorted(_REGISTRY)
+    return DEVICES[name]
 
 
 # -- The paper's evaluation platforms (Sec. 6.1, 6.4) -----------------------
 
-RTX_4090 = register_device(
-    DeviceSpec(
-        name="rtx4090",
-        vram_bytes=24 * _GB,
-        peak_flops=165.2e12,
-        mem_bandwidth=1008.0e9,
-    )
+RTX_4090 = DeviceSpec(
+    name="rtx4090",
+    vram_bytes=24 * _GB,
+    peak_flops=165.2e12,
+    mem_bandwidth=1008.0e9,
 )
 
-RTX_4070_TI = register_device(
-    DeviceSpec(
-        name="rtx4070ti",
-        vram_bytes=12 * _GB,
-        peak_flops=80.1e12,
-        mem_bandwidth=504.0e9,
-    )
+RTX_4070_TI = DeviceSpec(
+    name="rtx4070ti",
+    vram_bytes=12 * _GB,
+    peak_flops=80.1e12,
+    mem_bandwidth=504.0e9,
 )
 
-RTX_3070_TI = register_device(
-    DeviceSpec(
-        name="rtx3070ti",
-        vram_bytes=8 * _GB,
-        peak_flops=43.5e12,
-        mem_bandwidth=608.0e9,
-    )
+RTX_3070_TI = DeviceSpec(
+    name="rtx3070ti",
+    vram_bytes=8 * _GB,
+    peak_flops=43.5e12,
+    mem_bandwidth=608.0e9,
 )
 
 # Cloud reference points for the Fig. 1 comparison.
-A100_80GB = register_device(
-    DeviceSpec(
-        name="a100-80gb",
-        vram_bytes=80 * _GB,
-        peak_flops=312.0e12,
-        mem_bandwidth=2039.0e9,
-        pcie_bandwidth=55.0e9,
-    )
+A100_80GB = DeviceSpec(
+    name="a100-80gb",
+    vram_bytes=80 * _GB,
+    peak_flops=312.0e12,
+    mem_bandwidth=2039.0e9,
+    pcie_bandwidth=55.0e9,
 )
 
-H100_SXM = register_device(
-    DeviceSpec(
-        name="h100-sxm",
-        vram_bytes=80 * _GB,
-        peak_flops=989.0e12,
-        mem_bandwidth=3350.0e9,
-        pcie_bandwidth=55.0e9,
-    )
+H100_SXM = DeviceSpec(
+    name="h100-sxm",
+    vram_bytes=80 * _GB,
+    peak_flops=989.0e12,
+    mem_bandwidth=3350.0e9,
+    pcie_bandwidth=55.0e9,
 )
+
+for _spec in (RTX_4090, RTX_4070_TI, RTX_3070_TI, A100_80GB, H100_SXM):
+    DEVICES.register(_spec.name, _spec)

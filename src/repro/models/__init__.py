@@ -1,18 +1,17 @@
 """Model substrate: architecture specs, registry, and cost functions."""
 
 from repro.models.costs import StageCost, decode_step_cost, prefill_cost
-from repro.models.quantize import DTYPE_BYTES, quantized
+from repro.models.quantize import DTYPES, quantized
 from repro.models.spec import ModelRole, ModelSpec
 from repro.models.zoo import (
     MATH_SHEPHERD_7B,
+    MODEL_CONFIGS,
+    MODELS,
     QWEN25_MATH_1P5B,
     QWEN25_MATH_7B,
     SKYWORK_PRM_1P5B,
     get_model,
-    list_model_configs,
-    list_models,
     model_pair,
-    register_model,
 )
 
 __all__ = [
@@ -21,15 +20,14 @@ __all__ = [
     "StageCost",
     "prefill_cost",
     "decode_step_cost",
+    "MODELS",
+    "MODEL_CONFIGS",
     "get_model",
-    "list_models",
-    "list_model_configs",
-    "register_model",
     "model_pair",
     "QWEN25_MATH_1P5B",
     "QWEN25_MATH_7B",
     "MATH_SHEPHERD_7B",
     "SKYWORK_PRM_1P5B",
     "quantized",
-    "DTYPE_BYTES",
+    "DTYPES",
 ]

@@ -7,7 +7,7 @@ narrower dtypes shrink weight traffic (faster memory-bound decode) and the
 KV footprint (more resident beams). Accuracy effects of quantization are
 *not* modeled — the latent quality model keys off parameter count only —
 which matches how the paper treats it (a deployment knob, not part of the
-contribution).
+contribution). :data:`DTYPES` registers each deployment dtype's byte width.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.models.spec import ModelSpec
+from repro.utils.registry import Registry
 
-__all__ = ["quantized", "DTYPE_BYTES"]
+__all__ = ["quantized", "DTYPES"]
 
-DTYPE_BYTES = {
+DTYPES: Registry[int] = Registry("dtype", {
     "fp16": 2,
     "bf16": 2,
     "int8": 1,
     "fp8": 1,
-}
+})
 
 
 def quantized(model: ModelSpec, dtype: str) -> ModelSpec:
@@ -34,11 +35,7 @@ def quantized(model: ModelSpec, dtype: str) -> ModelSpec:
     >>> q.weight_bytes == QWEN25_MATH_1P5B.weight_bytes // 2
     True
     """
-    try:
-        dtype_bytes = DTYPE_BYTES[dtype]
-    except KeyError:
-        known = ", ".join(sorted(DTYPE_BYTES))
-        raise ValueError(f"unknown dtype {dtype!r}; known dtypes: {known}") from None
+    dtype_bytes = DTYPES[dtype]
     if dtype == model.dtype:
         return model
     # Equal byte widths (fp16 -> bf16) still deserve a truthful name: lane

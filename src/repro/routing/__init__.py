@@ -11,13 +11,11 @@ rejected cheap attempts on bigger models.
 
 from repro.routing.lanes import LaneSpec, parse_lane_list
 from repro.routing.router import (
+    ROUTERS,
     CascadeRouter,
     PredictedRouter,
     RoutingPolicy,
     StaticRouter,
-    build_router,
-    list_routers,
-    router_descriptions,
 )
 
 __all__ = [
@@ -27,7 +25,5 @@ __all__ = [
     "StaticRouter",
     "PredictedRouter",
     "CascadeRouter",
-    "build_router",
-    "list_routers",
-    "router_descriptions",
+    "ROUTERS",
 ]

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.hardware.device import list_devices
-from repro.models.quantize import DTYPE_BYTES, quantized
-from repro.models.zoo import list_model_configs, model_pair
-from repro.utils.suggest import did_you_mean
+from repro.hardware.device import DEVICES
+from repro.models.quantize import DTYPES, quantized
+from repro.models.zoo import MODEL_CONFIGS, model_pair
+from repro.utils.registry import did_you_mean
 
 __all__ = ["LaneSpec", "parse_lane_list"]
 
@@ -39,26 +39,10 @@ class LaneSpec:
     memory_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        configs = list_model_configs()
-        if self.model_config not in configs:
-            known = ", ".join(configs)
-            raise ConfigError(
-                f"unknown model config {self.model_config!r} in lane spec; "
-                f"known configs: {known}{did_you_mean(self.model_config, configs)}"
-            )
-        devices = list_devices()
-        if self.device_name not in devices:
-            known = ", ".join(devices)
-            raise ConfigError(
-                f"unknown device {self.device_name!r} in lane spec; "
-                f"known devices: {known}{did_you_mean(self.device_name, devices)}"
-            )
-        if self.dtype is not None and self.dtype not in DTYPE_BYTES:
-            known = ", ".join(sorted(DTYPE_BYTES))
-            raise ConfigError(
-                f"unknown dtype {self.dtype!r} in lane spec; "
-                f"known dtypes: {known}{did_you_mean(self.dtype, DTYPE_BYTES)}"
-            )
+        MODEL_CONFIGS.check(self.model_config)
+        DEVICES.check(self.device_name)
+        if self.dtype is not None:
+            DTYPES.check(self.dtype)
         if self.memory_fraction is not None and not 0.0 < self.memory_fraction <= 1.0:
             raise ConfigError(
                 f"lane memory fraction must be in (0, 1], got {self.memory_fraction}"

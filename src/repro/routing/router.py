@@ -4,8 +4,9 @@ A :class:`RoutingPolicy` decides *which lane class* (deployed model
 pairing) serves each request of a heterogeneous pool — the fast-path /
 slow-path split the edge-TTS literature builds on: quantized small-model
 lanes absorb easy problems at a fraction of the latency, big-model lanes
-keep accuracy on the hard tail. Three policies ship in a registry
-mirroring the scheduler/placement ones:
+keep accuracy on the hard tail. Three policies are registered in
+:data:`ROUTERS`, a :class:`~repro.utils.registry.Registry` like the
+scheduler and placement ones:
 
 * ``static`` — thresholds the problem's difficulty *rank* within the
   serving dataset (observable offline) and sends the hard fraction to the
@@ -29,7 +30,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigError
-from repro.utils.suggest import did_you_mean
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import FleetRequest
@@ -41,9 +42,7 @@ __all__ = [
     "StaticRouter",
     "PredictedRouter",
     "CascadeRouter",
-    "build_router",
-    "list_routers",
-    "router_descriptions",
+    "ROUTERS",
 ]
 
 
@@ -269,30 +268,8 @@ class CascadeRouter(RoutingPolicy):
         return []
 
 
-_ROUTERS: dict[str, Callable[..., RoutingPolicy]] = {
+ROUTERS: Registry[Callable[..., RoutingPolicy]] = Registry("router", {
     StaticRouter.name: StaticRouter,
     PredictedRouter.name: PredictedRouter,
     CascadeRouter.name: CascadeRouter,
-}
-
-
-def list_routers() -> list[str]:
-    """Registered routing policy names."""
-    return sorted(_ROUTERS)
-
-
-def router_descriptions() -> dict[str, str]:
-    """Policy name → one-line description (for the CLI listing)."""
-    return {name: _ROUTERS[name].description for name in list_routers()}
-
-
-def build_router(name: str, **kwargs) -> RoutingPolicy:
-    """Instantiate a routing policy by registry name."""
-    try:
-        factory = _ROUTERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown router {name!r}{did_you_mean(name, _ROUTERS)}; "
-            f"registered: {', '.join(list_routers())}"
-        ) from None
-    return factory(**kwargs)
+})

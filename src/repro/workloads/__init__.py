@@ -1,11 +1,6 @@
 """Synthetic workloads: problems, datasets, and step-length trace models."""
 
-from repro.workloads.datasets import (
-    DATASET_PROFILES,
-    DatasetProfile,
-    build_dataset,
-    list_datasets,
-)
+from repro.workloads.datasets import DATASETS, DatasetProfile, build_dataset
 from repro.workloads.problem import Dataset, Problem
 from repro.workloads.traces import StepLengthModel
 
@@ -14,7 +9,6 @@ __all__ = [
     "Dataset",
     "StepLengthModel",
     "build_dataset",
-    "list_datasets",
-    "DATASET_PROFILES",
+    "DATASETS",
     "DatasetProfile",
 ]

@@ -8,7 +8,9 @@ through :class:`~repro.utils.rng.KeyedRng` streams keyed by the draw's
 two calls with the same root rng produce bit-identical times no matter
 what else was drawn in between.
 
-Four processes cover the serving literature's standard load shapes:
+Four processes, registered by name in :data:`ARRIVALS` (a
+:class:`~repro.utils.registry.Registry`), cover the serving literature's
+standard load shapes:
 
 ``uniform``
     Evenly spaced arrivals ``1/rate_rps`` apart, the first at t=0 — a
@@ -42,6 +44,7 @@ from math import isfinite, pi, sin
 from typing import Callable
 
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 from repro.utils.rng import KeyedRng
 
 __all__ = [
@@ -50,9 +53,7 @@ __all__ = [
     "PoissonProcess",
     "DiurnalProcess",
     "BurstyProcess",
-    "build_arrival",
-    "list_arrivals",
-    "arrival_descriptions",
+    "ARRIVALS",
 ]
 
 
@@ -204,41 +205,9 @@ class BurstyProcess(ArrivalProcess):
         return tuple(out)
 
 
-_ARRIVALS: dict[str, Callable[..., ArrivalProcess]] = {
+ARRIVALS: Registry[Callable[..., ArrivalProcess]] = Registry("arrival process", {
     UniformProcess.name: UniformProcess,
     PoissonProcess.name: PoissonProcess,
     DiurnalProcess.name: DiurnalProcess,
     BurstyProcess.name: BurstyProcess,
-}
-
-
-def list_arrivals() -> list[str]:
-    """Registered arrival-process names."""
-    return sorted(_ARRIVALS)
-
-
-def arrival_descriptions() -> dict[str, str]:
-    """Process name → one-line description (for the CLI listing)."""
-    return {name: _ARRIVALS[name].description for name in list_arrivals()}
-
-
-def build_arrival(name: str, **params) -> ArrivalProcess:
-    """Instantiate an arrival process by registry name.
-
-    Unknown names raise :class:`~repro.errors.ConfigError` with a
-    nearest-match suggestion; bad parameters raise from the process's
-    own validator.
-    """
-    try:
-        factory = _ARRIVALS[name]
-    except KeyError:
-        from repro.utils.suggest import did_you_mean
-
-        raise ConfigError(
-            f"unknown arrival process {name!r}{did_you_mean(name, _ARRIVALS)}; "
-            f"registered: {', '.join(list_arrivals())}"
-        ) from None
-    try:
-        return factory(**params)
-    except TypeError as error:
-        raise ConfigError(f"bad {name} arrival parameters: {error}") from None
+})

@@ -4,21 +4,22 @@ The paper evaluates on AIME 2024 and AMC 2023 (math), MATH-500 for the
 motivation study, and HumanEval (code) for generality. Real problem text is
 irrelevant to serving behaviour; what matters is each dataset's difficulty
 distribution (drives accuracy) and step-length regime (drives the straggler
-and memory dynamics). Those parameters are encoded per dataset below and
-every draw is keyed off the dataset seed, so a dataset is a pure function
-of ``(name, seed, size)``.
+and memory dynamics). Those parameters are encoded per dataset in the
+:data:`DATASETS` registry and every draw is keyed off the dataset seed,
+so a dataset is a pure function of ``(name, seed, size)``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 from repro.utils.rng import KeyedRng
 from repro.workloads.problem import Dataset, Problem
 from repro.workloads.traces import StepLengthModel
 
-__all__ = ["build_dataset", "list_datasets", "DATASET_PROFILES", "DatasetProfile"]
-
-from dataclasses import dataclass
+__all__ = ["build_dataset", "DATASETS", "DatasetProfile"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +37,7 @@ class DatasetProfile:
     termination_rate: float
 
 
-DATASET_PROFILES: dict[str, DatasetProfile] = {
+DATASETS: Registry[DatasetProfile] = Registry("dataset", {
     # AIME 2024: 30 hard competition problems, long meandering steps.
     "aime24": DatasetProfile(
         name="aime24",
@@ -85,21 +86,12 @@ DATASET_PROFILES: dict[str, DatasetProfile] = {
         max_steps=6,
         termination_rate=0.38,
     ),
-}
-
-
-def list_datasets() -> list[str]:
-    """Names of all available dataset profiles."""
-    return sorted(DATASET_PROFILES)
+})
 
 
 def build_dataset(name: str, seed: int = 0, size: int | None = None) -> Dataset:
     """Synthesize a dataset deterministically from ``(name, seed, size)``."""
-    try:
-        profile = DATASET_PROFILES[name]
-    except KeyError:
-        known = ", ".join(list_datasets())
-        raise ConfigError(f"unknown dataset {name!r}; known datasets: {known}") from None
+    profile = DATASETS[name]
     count = profile.default_size if size is None else size
     if count <= 0:
         raise ConfigError("dataset size must be positive")

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from math import isfinite
 
 from repro.errors import ConfigError
+from repro.search.registry import ALGORITHMS
+from repro.utils.registry import did_you_mean
 from repro.utils.rng import KeyedRng
-from repro.utils.suggest import did_you_mean
-from repro.workloads.arrivals import ArrivalProcess, build_arrival, list_arrivals
-from repro.workloads.datasets import build_dataset, list_datasets
+from repro.workloads.arrivals import ARRIVALS, ArrivalProcess
+from repro.workloads.datasets import DATASETS, build_dataset
 from repro.workloads.trace import Trace, TraceRequest
 
 __all__ = ["TenantSpec", "generate_trace", "tenant_rng", "DIFFICULTY_MIXES"]
@@ -83,29 +84,20 @@ class TenantSpec:
                 f"tenant name must be non-empty and free of ':,=' "
                 f"(got {self.name!r})"
             )
-        if self.arrival not in list_arrivals():
-            raise ConfigError(
-                f"unknown arrival process {self.arrival!r}"
-                f"{did_you_mean(self.arrival, list_arrivals())}; "
-                f"registered: {', '.join(list_arrivals())}"
-            )
+        ARRIVALS.check(self.arrival)
         if not (isfinite(self.rate_rps) and self.rate_rps > 0):
             raise ConfigError(
                 f"tenant {self.name!r} needs a finite rate > 0, "
                 f"got {self.rate_rps}"
             )
-        if self.dataset not in list_datasets():
-            raise ConfigError(
-                f"unknown dataset {self.dataset!r}"
-                f"{did_you_mean(self.dataset, list_datasets())}; "
-                f"known: {', '.join(list_datasets())}"
-            )
+        DATASETS.check(self.dataset)
         if self.difficulty not in DIFFICULTY_MIXES:
             raise ConfigError(
                 f"difficulty must be one of {', '.join(DIFFICULTY_MIXES)}; "
                 f"got {self.difficulty!r}"
                 f"{did_you_mean(self.difficulty, DIFFICULTY_MIXES)}"
             )
+        ALGORITHMS.check(self.algorithm)
         if self.n < 1:
             raise ConfigError(f"tenant {self.name!r} needs n >= 1, got {self.n}")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -145,7 +137,7 @@ class TenantSpec:
                     f"tenant {self.name!r}: {self.arrival} arrivals take no "
                     f"{key} (got {key}={value})"
                 )
-        return build_arrival(self.arrival, **params)
+        return ARRIVALS.build(self.arrival, **params)
 
     # -- compact CLI spec strings ---------------------------------------
 

@@ -31,7 +31,7 @@ from math import isfinite
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.workloads.datasets import list_datasets
+from repro.workloads.datasets import DATASETS
 from repro.workloads.problem import Problem
 
 __all__ = ["TraceRequest", "Trace", "check_request_times", "materialize_problems"]
@@ -117,8 +117,7 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a trace must contain at least one request")
-        if self.base_dataset not in list_datasets():
-            raise ValueError(f"unknown base_dataset {self.base_dataset!r}")
+        DATASETS.check(self.base_dataset)
         seen: set[str] = set()
         last = 0.0
         for req in self.requests:

@@ -16,15 +16,13 @@ from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, LaneHealth
 from repro.errors import ConfigError, FaultError, RetryExhaustedError
 from repro.faults import (
+    FAULTS,
     FaultInjector,
     KvPressure,
     LaneCrash,
     LinkDegrade,
     RetryPolicy,
     TransientStall,
-    build_fault,
-    fault_descriptions,
-    list_faults,
     parse_fault_spec,
 )
 from repro.search.registry import build_algorithm
@@ -68,22 +66,22 @@ class TestFaultSpecParsing:
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):  # neither at= nor rate=
-            build_fault("crash")
+            FAULTS.build("crash")
         with pytest.raises(ConfigError):  # both
-            build_fault("crash", at=1.0, rate=0.1)
+            FAULTS.build("crash", at=1.0, rate=0.1)
         with pytest.raises(ConfigError):
-            build_fault("stall", at=1.0, duration=0.0)
+            FAULTS.build("stall", at=1.0, duration=0.0)
         with pytest.raises(ConfigError):
-            build_fault("link_degrade", at=1.0, factor=1.5)
+            FAULTS.build("link_degrade", at=1.0, factor=1.5)
         with pytest.raises(ConfigError):
-            build_fault("kv_pressure", at=1.0, fraction=0.0)
+            FAULTS.build("kv_pressure", at=1.0, fraction=0.0)
         with pytest.raises(ConfigError):
-            build_fault("crash", at=1.0, mttr=-5.0)
+            FAULTS.build("crash", at=1.0, mttr=-5.0)
 
     def test_registry_descriptions(self):
-        assert list_faults() == sorted(list_faults())
-        assert set(fault_descriptions()) == set(list_faults())
-        assert all(fault_descriptions().values())
+        assert FAULTS.names() == sorted(FAULTS.names())
+        assert set(FAULTS.descriptions()) == set(FAULTS.names())
+        assert all(FAULTS.descriptions().values())
 
 
 class TestRetryPolicy:

@@ -294,10 +294,10 @@ class TestKvSegments:
 
 class TestPrefixAffinityScheduler:
     def test_registered_and_described(self):
-        from repro.core.scheduler import list_schedulers, scheduler_descriptions
+        from repro.core.scheduler import SCHEDULERS
 
-        assert "prefix_affinity" in list_schedulers()
-        assert scheduler_descriptions()["prefix_affinity"]
+        assert "prefix_affinity" in SCHEDULERS.names()
+        assert SCHEDULERS.descriptions()["prefix_affinity"]
 
     def test_cuts_swap_versus_round_robin(self, race_prefix):
         affinity = racing_fleet("prefix", scheduler="prefix_affinity")

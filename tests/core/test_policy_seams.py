@@ -13,14 +13,14 @@ import inspect
 
 import pytest
 
-from repro.core.pool import PlacementPolicy, build_placement, list_placements
-from repro.core.scheduler import RequestScheduler, build_scheduler, list_schedulers
-from repro.routing.router import RoutingPolicy, build_router, list_routers
+from repro.core.pool import PLACEMENTS, PlacementPolicy
+from repro.core.scheduler import SCHEDULERS, RequestScheduler
+from repro.routing.router import ROUTERS, RoutingPolicy
 
 BASES = {
-    "scheduler": (RequestScheduler, build_scheduler, list_schedulers),
-    "placement": (PlacementPolicy, build_placement, list_placements),
-    "router": (RoutingPolicy, build_router, list_routers),
+    "scheduler": (RequestScheduler, SCHEDULERS),
+    "placement": (PlacementPolicy, PLACEMENTS),
+    "router": (RoutingPolicy, ROUTERS),
 }
 
 
@@ -36,8 +36,8 @@ def default_hooks(base) -> list[str]:
 
 @pytest.mark.parametrize("axis", sorted(BASES))
 def test_every_default_hook_has_a_registered_override(axis):
-    base, build, names = BASES[axis]
-    policies = [type(build(name)) for name in names()]
+    base, registry = BASES[axis]
+    policies = [type(registry.build(name)) for name in registry.names()]
     assert policies and all(issubclass(cls, base) for cls in policies)
     dead = [
         hook for hook in default_hooks(base)

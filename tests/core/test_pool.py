@@ -11,13 +11,7 @@ import pytest
 
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet
-from repro.core.pool import (
-    DevicePool,
-    PooledDevice,
-    build_placement,
-    list_placements,
-    placement_descriptions,
-)
+from repro.core.pool import PLACEMENTS, DevicePool, PooledDevice
 from repro.core.scheduler import SessionHandle
 from repro.engine.clock import ClockBinding
 from repro.errors import CapacityError, ConfigError, SchedulingError
@@ -95,17 +89,17 @@ class TestDevicePool:
 
 class TestPlacementRegistry:
     def test_policies_registered(self):
-        assert list_placements() == [
+        assert PLACEMENTS.names() == [
             "first_fit", "kv_balanced", "least_loaded", "prefix_affinity"
         ]
 
     def test_descriptions_cover_every_policy(self):
-        assert set(placement_descriptions()) == set(list_placements())
-        assert all(placement_descriptions().values())
+        assert set(PLACEMENTS.descriptions()) == set(PLACEMENTS.names())
+        assert all(PLACEMENTS.descriptions().values())
 
     def test_unknown_policy_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'least_loaded'"):
-            build_placement("least_loadd")
+            PLACEMENTS.build("least_loadd")
 
     def test_first_fit_is_the_fleet_default(self, dataset):
         fleet = TTSFleet(baseline_config(memory_fraction=0.9), dataset)
@@ -172,7 +166,7 @@ class TestPrefixAffinityPlacement:
         pool[1].ledger.charge_growth_segments(
             session.session_id, session.claim_names.resident(session)
         )
-        policy = build_placement("prefix_affinity")
+        policy = PLACEMENTS.build("prefix_affinity")
         chosen = policy.choose(self.request(problems[0]), list(pool), 0.0)
         assert chosen is pool[1]
         # a different problem shares nothing: falls back to least loaded
@@ -186,7 +180,7 @@ class TestPrefixAffinityPlacement:
         pool, problems = self.prefix_pool()
         planned = planned_claims(pool[1].server, problems[0])
         pool[1].note_planned_segments(planned)
-        policy = build_placement("prefix_affinity")
+        policy = PLACEMENTS.build("prefix_affinity")
         assert policy.choose(self.request(problems[0]), list(pool), 0.0) is pool[1]
         pool[1].forget_planned_segments(planned)
         assert policy.choose(self.request(problems[0]), list(pool), 0.0) is pool[0]

@@ -20,12 +20,10 @@ from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet, _RunnableIndex
 from repro.core.fleet_spec import FleetSpec
 from repro.core.scheduler import (
+    SCHEDULERS,
     FirstFinishScheduler,
     SessionHandle,
-    build_scheduler,
-    list_schedulers,
     predict_cost,
-    scheduler_descriptions,
 )
 from repro.core.server import TTSServer
 from repro.errors import ConfigError
@@ -74,17 +72,17 @@ def record_dict(record):
 
 class TestRegistry:
     def test_all_policies_registered(self):
-        assert list_schedulers() == [
+        assert SCHEDULERS.names() == [
             "fifo", "first_finish", "prefix_affinity", "round_robin", "sjf"
         ]
 
     def test_descriptions_cover_every_policy(self):
-        assert set(scheduler_descriptions()) == set(list_schedulers())
-        assert all(scheduler_descriptions().values())
+        assert set(SCHEDULERS.descriptions()) == set(SCHEDULERS.names())
+        assert all(SCHEDULERS.descriptions().values())
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
-            build_scheduler("priority")
+            SCHEDULERS.build("priority")
 
     def test_ffs_replica_validation(self):
         with pytest.raises(ConfigError):
@@ -218,7 +216,7 @@ class TestFirstFinish:
     def test_cancelled_work_accounted(self):
         report = drain("first_finish", rate=0.2, size=4, fast=True)
         metrics = report.metrics
-        scheduler = build_scheduler("first_finish")
+        scheduler = SCHEDULERS.build("first_finish")
         assert metrics.sessions == metrics.completed * scheduler.replicas
         assert metrics.cancelled_work_s > 0.0
         assert all(r.replicas == scheduler.replicas
@@ -292,26 +290,26 @@ ORDER_KEYED = {
     ),
     "first_finish": first_finish_scan,
 }
-UNKEYED = [name for name in list_schedulers() if name not in ORDER_KEYED]
+UNKEYED = [name for name in SCHEDULERS.names() if name not in ORDER_KEYED]
 
 
 class TestPickOrder:
     """``pick`` on the key-ordered index equals the scan it replaced."""
 
-    @pytest.mark.parametrize("name", list_schedulers())
+    @pytest.mark.parametrize("name", SCHEDULERS.names())
     def test_the_reference_table_lists_every_keyed_policy(self, name):
         handle = SessionHandle(
             request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
             session=None, binding=None,
         )
-        declared = build_scheduler(name).order_key(handle) is not None
+        declared = SCHEDULERS.build(name).order_key(handle) is not None
         assert declared == (name in ORDER_KEYED)
 
     @pytest.mark.parametrize("name", sorted(ORDER_KEYED))
     @given(backlog=backlogs(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_front_pick_equals_the_scan(self, name, backlog, data):
-        policy = build_scheduler(name)
+        policy = SCHEDULERS.build(name)
         index = _RunnableIndex()
         placement = data.draw(st.permutations(backlog))
         for placed, handle in enumerate(placement, 1):
@@ -323,8 +321,8 @@ class TestPickOrder:
     @settings(max_examples=150, deadline=None)
     def test_unkeyed_pick_ignores_input_order(self, name, backlog, data):
         shuffled = data.draw(st.permutations(backlog))
-        picked = build_scheduler(name).pick(backlog, 0.0)
-        assert build_scheduler(name).pick(shuffled, 0.0) is picked
+        picked = SCHEDULERS.build(name).pick(backlog, 0.0)
+        assert SCHEDULERS.build(name).pick(shuffled, 0.0) is picked
 
 
 class TestComparePolicies:

@@ -5,8 +5,8 @@ import pytest
 from repro.core.config import OffloadMode, baseline_config, fasttts_config
 from repro.core.server import TTSServer
 from repro.errors import CapacityError
-from repro.hardware.device import get_device, list_devices
-from repro.models import list_model_configs, model_pair
+from repro.hardware.device import DEVICES, get_device
+from repro.models import MODEL_CONFIGS, model_pair
 from repro.search.beam_search import BeamSearch
 from repro.search.best_of_n import BestOfN
 from repro.workloads.datasets import build_dataset
@@ -31,8 +31,8 @@ class TestConstruction:
                 dataset,
             )
 
-    @pytest.mark.parametrize("device_name", list_devices())
-    @pytest.mark.parametrize("model_config", list_model_configs())
+    @pytest.mark.parametrize("device_name", DEVICES.names())
+    @pytest.mark.parametrize("model_config", MODEL_CONFIGS.names())
     def test_weights_come_off_the_budget_first(self, dataset, model_config, device_name):
         """Both models' weights are resident before any KV: the pair must
         fit inside the budget, and what is left of it is the KV budget."""

@@ -24,7 +24,7 @@ from repro.errors import SchedulingError
 from repro.experiments.reference import pure_search
 from repro.llm.generator import StepPlan
 from repro.search import tree as tree_module
-from repro.search.registry import build_algorithm, list_algorithms
+from repro.search.registry import ALGORITHMS, build_algorithm
 from repro.utils import rng as rng_module
 from repro.utils.rng import KeyedRng, stream_counts
 from repro.workloads.datasets import build_dataset
@@ -55,7 +55,7 @@ class TestGoldenEquivalence:
     """Session-stepped execution == the legacy run-to-completion monolith."""
 
     @pytest.mark.parametrize("system", ["baseline", "fasttts"])
-    @pytest.mark.parametrize("algorithm_name", list_algorithms())
+    @pytest.mark.parametrize("algorithm_name", ALGORITHMS.names())
     def test_byte_identical_to_legacy_solve(
         self, dataset, problem, system, algorithm_name
     ):
@@ -209,7 +209,7 @@ class TestOccupancy:
         assert self.search(batched_outcome) == self.search(solo_outcome)
 
     @pytest.mark.parametrize("system", ["baseline", "fasttts"])
-    @pytest.mark.parametrize("algorithm_name", list_algorithms())
+    @pytest.mark.parametrize("algorithm_name", ALGORITHMS.names())
     def test_occupancy_moves_only_round_time(
         self, dataset, problem, system, algorithm_name
     ):

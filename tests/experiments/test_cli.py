@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,10 @@ import repro.cli
 from repro.cli import _FLEET_OMITS, build_parser, main
 from repro.core.config import AXIS_CHOICES
 from repro.core.fleet_spec import FleetSpec, axis_flag
-from repro.workloads.arrivals import list_arrivals
+from repro.core.pool import PLACEMENTS
+from repro.core.scheduler import SCHEDULERS
+from repro.routing import ROUTERS
+from repro.workloads.arrivals import ARRIVALS
 
 
 class TestParser:
@@ -76,6 +80,26 @@ class TestFlagsComeFromTheSpec:
             for choice in AXIS_CHOICES.get(axis.name, ()):
                 assert f"`{choice}`" in row
 
+    @pytest.mark.parametrize(
+        "axis, names",
+        [
+            ("scheduler", SCHEDULERS.names()),
+            ("placement", PLACEMENTS.names()),
+            ("router", ["off", *ROUTERS.names()]),
+        ],
+        ids=["scheduler", "placement", "router"],
+    )
+    def test_readme_axis_table_lists_exactly_the_registry(self, axis, names):
+        """The values cell of a registry axis names every registered policy
+        and nothing else (a trailing parenthetical is commentary)."""
+        readme = Path(__file__).parents[2] / "README.md"
+        (row,) = [
+            line for line in readme.read_text().splitlines()
+            if line.startswith(f"| `{axis}` |")
+        ]
+        values = re.sub(r"\(.*\)\s*$", "", row.split("|")[3])
+        assert sorted(re.findall(r"`([^`]+)`", values)) == sorted(names)
+
 
 class TestExitTwoConvention:
     """A ``ConfigError`` raised anywhere — the spec, ``ServerConfig``, fleet
@@ -101,6 +125,21 @@ class TestExitTwoConvention:
             pytest.param(["solve", "-n", "0"], "-n must be >= 1, got 0", id="solve-n-0"),
             pytest.param(["solve", "-n", "-3"], "-n must be >= 1, got -3",
                          id="solve-n-negative"),
+        ] + [
+            pytest.param(
+                [command, *flags, "--config", "1.5B+1.5b"],
+                "unknown model config '1.5B+1.5b' — did you mean '1.5B+1.5B'?",
+                id=f"config-typo-{command}",
+            )
+            for command, flags in (
+                ("solve", []), ("sweep", ["--no-cache"]), ("fleet", []), ("report", []),
+            )
+        ] + [
+            pytest.param(
+                ["trace", "run", "--tenant", "t:rate=0.1,algorithm=beam_serach"],
+                "unknown search algorithm 'beam_serach' — did you mean 'beam_search'?",
+                id="tenant-algorithm-typo-trace-run",
+            ),
         ],
     )
     def test_config_error_is_one_error_line(self, capsys, argv, message):
@@ -172,7 +211,7 @@ class TestCommands:
         assert captured.err.startswith("error: --rate must be finite")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("arrival", list_arrivals())
+    @pytest.mark.parametrize("arrival", ARRIVALS.names())
     def test_fleet_is_a_one_tenant_trace(self, monkeypatch, arrival):
         # fleet's arrival times are exactly those `trace run` draws for a
         # tenant named "fleet" with the same process, rate and seed.

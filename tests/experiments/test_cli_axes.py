@@ -13,11 +13,11 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import AXIS_CHOICES
-from repro.core.pool import list_placements
-from repro.core.scheduler import list_schedulers
-from repro.faults import list_faults
-from repro.routing import list_routers
-from repro.workloads.arrivals import list_arrivals
+from repro.core.pool import PLACEMENTS
+from repro.core.scheduler import SCHEDULERS
+from repro.faults import FAULTS
+from repro.routing import ROUTERS
+from repro.workloads.arrivals import ARRIVALS
 
 FLEET = ["fleet", "--requests", "4", "--rate", "0.2", "-n", "4", "--seed", "0"]
 TWO_CARDS = ["--devices", "rtx4090,rtx4070ti", "--memory-fraction", "0.9"]
@@ -50,22 +50,22 @@ def cell(base, **axes):
 
 
 CELLS = [
-    *(cell(FLEET, scheduler=s, kv_sharing=kv) for s in list_schedulers() for kv in KV),
+    *(cell(FLEET, scheduler=s, kv_sharing=kv) for s in SCHEDULERS.names() for kv in KV),
     *(cell(FLEET + TWO_CARDS, placement=p, kv_sharing=kv)
-      for p in list_placements() for kv in KV),
+      for p in PLACEMENTS.names() for kv in KV),
     *(cell(FLEET + TWO_CARDS + ["--scheduler", "round_robin", "--rate", "1.0"],
            batching=b, kv_sharing=kv)
       for b in AXIS_CHOICES["batching"] for kv in KV),
     *(cell(FLEET, oversubscription=o) for o in AXIS_CHOICES["oversubscription"]),
-    *(cell(FLEET, arrivals=a) for a in list_arrivals()),
+    *(cell(FLEET, arrivals=a) for a in ARRIVALS.names()),
     *(cell(FLEET + FOUR_LANES, recovery=recovery,
            faults=f"{kind}:at=40,lane=0{FAULT_PARAMS.get(kind, '')}")
-      for kind in list_faults() for recovery in AXIS_CHOICES["recovery"]),
+      for kind in FAULTS.names() for recovery in AXIS_CHOICES["recovery"]),
     *(cell(FLEET + BIG_AND_SMALL, router=r, kv_sharing=kv)
-      for r in ["off", *list_routers()] for kv in KV),
+      for r in ["off", *ROUTERS.names()] for kv in KV),
     *(cell(["trace", "run", "--requests", "4", "--seed", "0"], late_policy=late,
            tenant=f"t0:arrival={arrival},rate=0.2,n=4,deadline=120,ttft=60")
-      for arrival in list_arrivals() for late in AXIS_CHOICES["late_policy"]),
+      for arrival in ARRIVALS.names() for late in AXIS_CHOICES["late_policy"]),
 ]
 
 

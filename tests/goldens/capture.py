@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet
 from repro.core.server import TTSServer
-from repro.search.registry import build_algorithm, list_algorithms
+from repro.search.registry import ALGORITHMS, build_algorithm
 from repro.utils.rng import KeyedRng
 from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.datasets import build_dataset
@@ -42,7 +42,7 @@ def capture_solves() -> dict:
     problem = list(dataset)[0]
     cells = {}
     for system, factory in (("baseline", baseline_config), ("fasttts", fasttts_config)):
-        for algorithm_name in list_algorithms():
+        for algorithm_name in ALGORITHMS.names():
             server = TTSServer(factory(memory_fraction=0.4, seed=SOLVE_SEED), dataset)
             outcome = server.solve_detailed(
                 problem, build_algorithm(algorithm_name, SOLVE_N), trace=True

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import ModelLookupError
+from repro.errors import UnknownNameError
 from repro.hardware.device import (
+    DEVICES,
     DeviceSpec,
     get_device,
-    list_devices,
-    register_device,
 )
 
 _GB = 1024**3
@@ -36,7 +35,7 @@ class TestDeviceSpec:
 class TestRegistry:
     def test_paper_devices_present(self):
         for name in ("rtx4090", "rtx4070ti", "rtx3070ti", "a100-80gb", "h100-sxm"):
-            assert name in list_devices()
+            assert name in DEVICES.names()
 
     def test_rtx4090_is_24gb(self):
         assert get_device("rtx4090").vram_bytes == 24 * _GB
@@ -49,21 +48,21 @@ class TestRegistry:
         )
 
     def test_unknown_device_raises(self):
-        with pytest.raises(ModelLookupError):
+        with pytest.raises(UnknownNameError):
             get_device("rtx9090")
 
     def test_unknown_device_suggests_nearest(self):
-        with pytest.raises(ModelLookupError) as excinfo:
+        with pytest.raises(UnknownNameError) as excinfo:
             get_device("rtx409")
         assert "did you mean 'rtx4090'?" in str(excinfo.value)
-        assert "known devices:" in str(excinfo.value)
+        assert "registered: a100-80gb" in str(excinfo.value)
 
     def test_register_idempotent(self):
         spec = get_device("rtx4090")
-        assert register_device(spec) is spec
+        assert DEVICES.register(spec.name, spec) is spec
 
     def test_register_conflict_raises(self):
         conflicting = DeviceSpec("rtx4090", vram_bytes=1 * _GB,
                                  peak_flops=1.0, mem_bandwidth=1.0)
         with pytest.raises(ValueError):
-            register_device(conflicting)
+            DEVICES.register(conflicting.name, conflicting)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hardware.device import DeviceSpec, get_device, list_devices
+from repro.hardware.device import DEVICES, DeviceSpec, get_device
 from repro.hardware.roofline import Roofline
 
 _GB = 1024**3
@@ -54,7 +54,7 @@ class TestRoofline:
             Roofline(device).point(flops, num_bytes)
 
     @given(
-        st.sampled_from(list_devices()),
+        st.sampled_from(DEVICES.names()),
         st.floats(min_value=0.05, max_value=1.0),
         st.floats(min_value=0, max_value=1e16),
         st.floats(min_value=0, max_value=1e13),

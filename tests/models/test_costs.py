@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
 from repro.models.costs import StageCost, decode_step_cost, prefill_cost
-from repro.models.quantize import DTYPE_BYTES, quantized
+from repro.models.quantize import DTYPES, quantized
 from repro.models.zoo import QWEN25_MATH_1P5B as MODEL
-from repro.models.zoo import get_model, list_models
+from repro.models.zoo import MODELS, get_model
 
 
 class TestPrefillCost:
@@ -101,8 +101,8 @@ def reference_decode_step_cost(model, batch_size, avg_cache_len):
 #: Every registered spec, and each one deployed at every known dtype.
 ALL_SPECS = st.builds(
     quantized,
-    st.sampled_from(list_models()).map(get_model),
-    st.sampled_from(sorted(DTYPE_BYTES)),
+    st.sampled_from(MODELS.names()).map(get_model),
+    st.sampled_from(DTYPES.names()),
 )
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.models.quantize import DTYPE_BYTES, quantized
+from repro.errors import UnknownNameError
+from repro.models.quantize import DTYPES, quantized
 from repro.models.zoo import QWEN25_MATH_1P5B
 
 
@@ -19,12 +20,12 @@ class TestQuantized:
         assert quantized(QWEN25_MATH_1P5B, "fp16") is QWEN25_MATH_1P5B
 
     def test_unknown_dtype(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownNameError):
             quantized(QWEN25_MATH_1P5B, "int4")
 
     def test_dtype_table(self):
-        assert DTYPE_BYTES["fp16"] == 2
-        assert DTYPE_BYTES["int8"] == 1
+        assert DTYPES["fp16"] == 2
+        assert DTYPES["int8"] == 1
 
     def test_architecture_preserved(self):
         q = quantized(QWEN25_MATH_1P5B, "int8")
@@ -41,7 +42,7 @@ class TestQuantized:
         assert q.dtype == "bf16"
         assert q.dtype_bytes == QWEN25_MATH_1P5B.dtype_bytes
 
-    @pytest.mark.parametrize("dtype,width", sorted(DTYPE_BYTES.items()))
+    @pytest.mark.parametrize("dtype,width", [(dtype, DTYPES[dtype]) for dtype in DTYPES.names()])
     def test_dtype_round_trip(self, dtype, width):
         q = quantized(QWEN25_MATH_1P5B, dtype)
         assert q.dtype == dtype
@@ -61,7 +62,8 @@ class TestQuantized:
         assert back.name == expected
 
     def test_kv_footprint_scales_with_width(self):
-        for dtype, width in DTYPE_BYTES.items():
+        for dtype in DTYPES.names():
+            width = DTYPES[dtype]
             q = quantized(QWEN25_MATH_1P5B, dtype)
             expected = (
                 QWEN25_MATH_1P5B.kv_bytes_per_token
@@ -71,11 +73,11 @@ class TestQuantized:
             assert q.kv_bytes_per_token == expected
 
     def test_unknown_dtype_error_names_known(self):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(UnknownNameError) as excinfo:
             quantized(QWEN25_MATH_1P5B, "int4")
         message = str(excinfo.value)
         assert "int4" in message
-        for dtype in DTYPE_BYTES:
+        for dtype in DTYPES.names():
             assert dtype in message
 
     def test_requantize_same_dtype_idempotent(self):

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.errors import ModelLookupError
+from repro.errors import UnknownNameError
 from repro.models.spec import ModelRole, ModelSpec
 from repro.models.zoo import (
     MATH_SHEPHERD_7B,
@@ -12,7 +12,7 @@ from repro.models.zoo import (
     QWEN25_MATH_7B,
     SKYWORK_PRM_1P5B,
     get_model,
-    list_models,
+    MODELS,
     model_pair,
 )
 
@@ -92,7 +92,7 @@ class TestModelSpec:
 
 class TestZoo:
     def test_four_paper_models_registered(self):
-        names = list_models()
+        names = MODELS.names()
         for model in (QWEN25_MATH_1P5B, QWEN25_MATH_7B,
                       MATH_SHEPHERD_7B, SKYWORK_PRM_1P5B):
             assert model.name in names
@@ -102,7 +102,7 @@ class TestZoo:
         assert SKYWORK_PRM_1P5B.role is ModelRole.VERIFIER
 
     def test_unknown_model_raises(self):
-        with pytest.raises(ModelLookupError):
+        with pytest.raises(UnknownNameError):
             get_model("gpt-5")
 
     def test_model_pair_configs(self):
@@ -114,5 +114,5 @@ class TestZoo:
         assert ver is SKYWORK_PRM_1P5B
 
     def test_unknown_pair_raises(self):
-        with pytest.raises(ModelLookupError):
+        with pytest.raises(UnknownNameError):
             model_pair("70B+70B")

@@ -51,7 +51,7 @@ class TestLaneSpecParse:
             LaneSpec.parse("  ")
 
     def test_unknown_model_config_suggests(self):
-        with pytest.raises(ConfigError, match="known configs"):
+        with pytest.raises(ConfigError, match="unknown model config"):
             LaneSpec.parse("7B+1.5b@rtx4090")
 
     def test_unknown_device_suggests(self):

@@ -6,13 +6,11 @@ from repro.core.config import baseline_config
 from repro.core.fleet import TTSFleet
 from repro.errors import ConfigError
 from repro.routing import (
+    ROUTERS,
     CascadeRouter,
     PredictedRouter,
     StaticRouter,
-    build_router,
-    list_routers,
     parse_lane_list,
-    router_descriptions,
 )
 from repro.search.registry import build_algorithm
 from repro.utils.rng import KeyedRng
@@ -41,26 +39,26 @@ def run_fleet(router, size=8, rate=0.05, n=4, lanes=HETERO, seed=0):
 
 class TestRegistry:
     def test_list(self):
-        assert list_routers() == ["cascade", "predicted", "static"]
+        assert ROUTERS.names() == ["cascade", "predicted", "static"]
 
     def test_descriptions_cover_all(self):
-        descriptions = router_descriptions()
-        assert set(descriptions) == set(list_routers())
+        descriptions = ROUTERS.descriptions()
+        assert set(descriptions) == set(ROUTERS.names())
         assert all(descriptions.values())
 
     def test_build(self):
-        assert isinstance(build_router("static"), StaticRouter)
-        assert isinstance(build_router("predicted"), PredictedRouter)
-        assert isinstance(build_router("cascade"), CascadeRouter)
+        assert isinstance(ROUTERS.build("static"), StaticRouter)
+        assert isinstance(ROUTERS.build("predicted"), PredictedRouter)
+        assert isinstance(ROUTERS.build("cascade"), CascadeRouter)
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'cascade'"):
-            build_router("cascde")
+            ROUTERS.build("cascde")
         with pytest.raises(ConfigError, match="registered: cascade"):
-            build_router("nonsense")
+            ROUTERS.build("nonsense")
 
     def test_kwargs_forwarded(self):
-        router = build_router("cascade", verify_threshold=0.9)
+        router = ROUTERS.build("cascade", verify_threshold=0.9)
         assert router.verify_threshold == 0.9
 
     def test_bad_thresholds(self):

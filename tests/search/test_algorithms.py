@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.errors import SearchError
+from repro.errors import UnknownNameError
 from repro.search.base import SearchAlgorithm
 from repro.search.beam_search import BeamSearch
 from repro.search.best_of_n import BestOfN
 from repro.search.dvts import DVTS
 from repro.search.dynamic_branching import DynamicBranching, proportional_allocation
-from repro.search.registry import build_algorithm, list_algorithms
+from repro.search.registry import ALGORITHMS, build_algorithm
 from repro.search.tree import ReasoningPath
 from repro.search.varying_granularity import VaryingGranularity
 from repro.utils.rng import KeyedRng
@@ -142,7 +142,7 @@ class TestVaryingGranularity:
 
 class TestRegistry:
     def test_all_variants_listed(self):
-        assert set(list_algorithms()) == {
+        assert set(ALGORITHMS.names()) == {
             "best_of_n", "beam_search", "dvts", "dynamic_branching",
             "varying_granularity",
         }
@@ -153,7 +153,7 @@ class TestRegistry:
         assert algo.branching_factor == 2
 
     def test_unknown_raises(self):
-        with pytest.raises(SearchError):
+        with pytest.raises(UnknownNameError):
             build_algorithm("mcts", 8)
 
 

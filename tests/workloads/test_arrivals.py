@@ -7,13 +7,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.utils.rng import KeyedRng
 from repro.workloads.arrivals import (
+    ARRIVALS,
     BurstyProcess,
     DiurnalProcess,
     PoissonProcess,
     UniformProcess,
-    arrival_descriptions,
-    build_arrival,
-    list_arrivals,
 )
 
 PROCESSES = [
@@ -59,7 +57,7 @@ class TestAllProcesses:
 class TestUniform:
     def test_registry_spacing(self):
         rng = KeyedRng(0)
-        assert build_arrival("uniform", rate_rps=0.5).times(rng, 3) == (0.0, 2.0, 4.0)
+        assert ARRIVALS.build("uniform", rate_rps=0.5).times(rng, 3) == (0.0, 2.0, 4.0)
 
     def test_draws_nothing(self):
         # Seed-independent by construction, and exactly i / rate.
@@ -89,7 +87,7 @@ VALID = {
 
 class TestParametersFiniteAndPositive:
     def test_every_registered_process_has_a_valid_case(self):
-        assert set(VALID) == set(list_arrivals())
+        assert set(VALID) == set(ARRIVALS.names())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
     @pytest.mark.parametrize(
@@ -98,7 +96,7 @@ class TestParametersFiniteAndPositive:
     )
     def test_non_finite_rejected_at_construction(self, name, param, bad):
         with pytest.raises(ConfigError, match=f"finite {param} > 0"):
-            build_arrival(name, **VALID[name] | {param: bad})
+            ARRIVALS.build(name, **VALID[name] | {param: bad})
 
     def test_infinite_diurnal_peak_rejected_at_construction(self):
         # An infinite peak made every candidate gap 0 and every acceptance
@@ -162,20 +160,20 @@ class TestBursty:
 
 class TestRegistry:
     def test_lists_all_four(self):
-        assert list_arrivals() == ["bursty", "diurnal", "poisson", "uniform"]
-        assert set(arrival_descriptions()) == set(list_arrivals())
-        assert all(arrival_descriptions().values())
+        assert ARRIVALS.names() == ["bursty", "diurnal", "poisson", "uniform"]
+        assert set(ARRIVALS.descriptions()) == set(ARRIVALS.names())
+        assert all(ARRIVALS.descriptions().values())
 
     def test_build_by_name(self):
-        process = build_arrival("poisson", rate_rps=0.3)
+        process = ARRIVALS.build("poisson", rate_rps=0.3)
         assert isinstance(process, PoissonProcess)
         assert process.rate_rps == 0.3
-        assert isinstance(build_arrival("uniform", rate_rps=0.3), UniformProcess)
+        assert isinstance(ARRIVALS.build("uniform", rate_rps=0.3), UniformProcess)
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'poisson'"):
-            build_arrival("poison", rate_rps=0.3)
+            ARRIVALS.build("poison", rate_rps=0.3)
 
     def test_bad_parameters_wrapped(self):
-        with pytest.raises(ConfigError, match="bad poisson arrival parameters"):
-            build_arrival("poisson", rate=0.3)
+        with pytest.raises(ConfigError, match="bad poisson arrival process parameters"):
+            ARRIVALS.build("poisson", rate=0.3)

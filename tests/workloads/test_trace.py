@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnknownNameError
 from repro.workloads.datasets import build_dataset
 from repro.workloads.trace import (
     TRACE_SCHEMA,
@@ -99,7 +99,7 @@ class TestTraceValidation:
             Trace(seed=0, requests=())
 
     def test_unknown_base_dataset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownNameError):
             Trace(seed=0, requests=small_trace().requests, base_dataset="gsm8k")
 
     def test_unsorted_rejected(self):
