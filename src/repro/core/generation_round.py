@@ -28,8 +28,11 @@ the cache grows the whole batch in one
 :meth:`~repro.kvcache.cache.PagedKVCache.extend_segments` call (a victim
 is only picked where that call stopped); one pass retires finished slots.
 A sequence is one :class:`_Slot` for the whole round — waiting, running,
-preempted back to waiting — and a slot's context length is what its
-admission's ``materialize`` reported, not a second tree walk. What is
+preempted back to waiting. An admission burst is pinned by one
+:meth:`~repro.kvcache.cache.PagedKVCache.pin_paths` call, which also runs
+each slot's admission test against its planned growth (a speculative slot
+is a burst of one), and a slot's context length is the hit/recompute split
+that call reported, not a second tree walk. What is
 fixed for the round is derived once: the speculation byte budget at
 construction, and the count of running standard slots by the pass that
 retires and admits them (strict termination reads it, not the batch).
@@ -45,8 +48,7 @@ from typing import Callable
 from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart
 from repro.engine.telemetry import Phase
 from repro.engine.worker import GeneratorWorker
-from repro.errors import CapacityError, SchedulingError
-from repro.kvcache.cache import MaterializeOutcome
+from repro.errors import SchedulingError
 from repro.core.spec_select import SelectSpec
 
 __all__ = ["ChildStepPlan", "GenerationRound", "GenerationRoundResult"]
@@ -234,52 +236,56 @@ class GenerationRound:
     ) -> int:
         """Admit waiting beams into free slots, batching the prefill charge.
 
-        All beams admitted in one burst share a single batched prefill
-        launch for their missing KV (recompute after eviction, prompt
-        prefill on round 0) — as vLLM's chunked prefill would. Returns
-        how many slots were added to ``running``. Raises if the round is
-        stuck: work waiting but nothing running or admitted.
+        The burst's candidates are the longest prefix of ``waiting`` whose
+        slot-taking members fit the free slots; one cache call pins them,
+        stopping at the first whose blocks and planned growth do not fit
+        (the wave then waits for running beams to drain). All beams
+        admitted in one burst share a single batched prefill launch for
+        their missing KV (recompute after eviction, prompt prefill on
+        round 0) — as vLLM's chunked prefill would. Returns how many slots
+        were added to ``running``. Raises if the round is stuck: work
+        waiting but nothing running or admitted.
         """
         cache = self._cache
-        burst: list[tuple[_Slot, MaterializeOutcome]] = []
-        burst_slots = 0  # entries that will occupy a slot (remaining > 0)
-        claimed_blocks = 0  # growth already promised to this burst
-        while waiting and len(running) + burst_slots < self._slot_budget:
-            slot = waiting[0]
+        free = self._slot_budget - len(running)
+        leaves, grow = [], []
+        for slot in waiting:
+            if free <= 0:
+                break
             job = slot.job
             register_chain(cache, job.path_segments, job.path_segment_tokens)
-            parent = job.path_segments[-1]
-            cache.register_segment(job.new_segment, parent, cache_token_len(cache, job))
-            needed, reclaimable = cache.path_block_demand(
-                job.new_segment, extra_tokens=slot.remaining
+            cache.register_segment(
+                job.new_segment, job.path_segments[-1], cache_token_len(cache, job)
             )
-            if claimed_blocks + needed > reclaimable:
-                break  # wave is full; wait for running beams to drain
-            claimed_blocks += needed
-            waiting.popleft()
-            outcome = cache.materialize(job.new_segment, now=self._clock.now, pin=True)
-            stats.recomputed_tokens += outcome.recomputed_tokens
-            stats.cache_hit_tokens += outcome.hit_tokens
-            stats.evicted_segments += outcome.evicted_segments
-            burst.append((slot, outcome))
+            leaves.append(slot.segment)
+            grow.append(slot.remaining)
             if slot.remaining > 0:
-                burst_slots += 1
-        if burst:
-            self._worker.prefill_batch(
-                [outcome.recomputed_tokens for _, outcome in burst],
-                [outcome.hit_tokens for _, outcome in burst],
-                phase=Phase.GENERATION,
-                capacity_slots=self._slot_budget,
-            )
-        for slot, outcome in burst:
+                free -= 1
+        splits = cache.pin_paths(leaves, self._clock.now, grow) if leaves else []
+        burst_slots = 0  # admitted entries that occupy a slot (remaining > 0)
+        recomputed, hits, done = [], [], []
+        for hit_tokens, recomputed_tokens, evicted in splits:
+            slot = waiting.popleft()
+            stats.recomputed_tokens += recomputed_tokens
+            stats.cache_hit_tokens += hit_tokens
+            stats.evicted_segments += evicted
+            recomputed.append(recomputed_tokens)
+            hits.append(hit_tokens)
             if slot.remaining == 0:
-                # Step already fully generated: a speculative head start,
-                # or a preempted beam whose decode had finished.
-                self._finish_standard(slot.job, slot.prior_progress, outcomes, selector)
-                continue
-            # the whole path: every token is a hit or a recompute
-            slot.context_len = outcome.hit_tokens + outcome.recomputed_tokens
-            running.append(slot)
+                done.append(slot)
+            else:
+                # the whole path: every token is a hit or a recompute
+                slot.context_len = hit_tokens + recomputed_tokens
+                running.append(slot)
+                burst_slots += 1
+        if splits:
+            self._worker.prefill_batch(
+                recomputed, hits, phase=Phase.GENERATION, capacity_slots=self._slot_budget
+            )
+        for slot in done:
+            # Step already fully generated: a speculative head start, or a
+            # preempted beam whose decode had finished.
+            self._finish_standard(slot.job, slot.prior_progress, outcomes, selector)
         if waiting and not running:
             raise SchedulingError(
                 "generation round stalled: the generator KV budget cannot "
@@ -353,21 +359,18 @@ class GenerationRound:
             if plan is None:
                 continue
             cache.register_segment(plan.segment_id, plan.parent_leaf_segment, 0)
-            needed, reclaimable = cache.path_block_demand(plan.segment_id, plan.n_tokens)
-            if needed > reclaimable:
+            split = cache.pin_paths(
+                (plan.segment_id,), self._clock.now, grow=(plan.n_tokens,)
+            )
+            if not split:
                 continue  # never evict standard work for speculation
-            try:
-                outcome = cache.materialize(
-                    plan.segment_id, now=self._clock.now, pin=True
-                )
-            except CapacityError:
-                continue
+            hit_tokens, recomputed_tokens, _ = split[0]
             spec_slots += 1
             running.append(
                 _Slot(
                     segment=plan.segment_id,
                     remaining=plan.n_tokens,
-                    context_len=outcome.hit_tokens + outcome.recomputed_tokens,
+                    context_len=hit_tokens + recomputed_tokens,
                     spec_parent=parent_lineage,
                     spec_child=child_index,
                     spec_lineage=plan.child_lineage,

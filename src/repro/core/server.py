@@ -43,7 +43,7 @@ from repro.core.allocator import (
     static_split_plan,
 )
 from repro.core.session import SolveOutcome, SolveSession
-from repro.errors import CapacityError
+from repro.errors import DeploymentError
 from repro.hardware.device import get_device
 from repro.hardware.offload import OffloadLink
 from repro.hardware.roofline import Roofline
@@ -100,7 +100,7 @@ class TTSServer:
         budget = int(self._device.usable_bytes * config.memory_fraction)
         weights = generator_model.weight_bytes + verifier_model.weight_bytes
         if weights >= budget:
-            raise CapacityError(
+            raise DeploymentError(
                 f"model weights ({weights} B) exceed the memory budget "
                 f"({budget} B) on {self._device.name}"
             )

@@ -12,6 +12,12 @@ into the *current* verifier request. Its score lands in the score cache,
 and if the search selects that child, the next iteration's verification of
 it is free (and its KV is already resident — the locality win the paper
 credits for the 75-85% verifier latency reduction).
+
+Each flush batch of ``B_pre`` jobs is pinned by one
+:meth:`~repro.kvcache.cache.PagedKVCache.pin_paths` call, each lookahead
+leaf right after its job's. A lookahead that does not fit is skipped (the
+job never fails for it); a job that does not fit flushes the batch before
+it and heads the next one.
 """
 
 from __future__ import annotations
@@ -77,70 +83,58 @@ class VerificationRound:
             else:
                 to_compute.append(job)
 
-        batch: list[tuple[VerifyJob, int, int, bool]] = []
-        for job in to_compute:
-            entry = self._materialize_job(job, stats)
-            if entry is None and batch:
-                # Cache pressure: flush the open batch, then retry alone.
-                self._flush(problem, batch, scores, lookahead_scores, stats)
-                batch = []
-                entry = self._materialize_job(job, stats)
-            if entry is None:
-                raise CapacityError(
-                    "a single verification request exceeds the verifier KV budget"
-                )
-            batch.append(entry)
-            if len(batch) >= self._batch_size:
-                self._flush(problem, batch, scores, lookahead_scores, stats)
-                batch = []
-        if batch:
+        done = 0
+        while done < len(to_compute):
+            batch = self._pin_batch(to_compute[done : done + self._batch_size], stats)
             self._flush(problem, batch, scores, lookahead_scores, stats)
+            done += len(batch)
 
         stats.round_time = self._worker.clock.now - start_time
         return VerificationRoundResult(scores, lookahead_scores, stats)
 
     # -- internals ---------------------------------------------------------
 
-    def _materialize_job(
-        self, job: VerifyJob, stats: RoundStats
-    ) -> tuple[VerifyJob, int, int, bool] | None:
-        """Pin the job's path (and lookahead step) resident.
-
-        Returns ``(job, missing_tokens, hit_tokens, lookahead_ok)`` or
-        ``None`` when the cache cannot host it right now.
-        """
+    def _pin_batch(
+        self, jobs: list[VerifyJob], stats: RoundStats
+    ) -> list[tuple[VerifyJob, int, int, bool]]:
+        """Pin a flush batch's paths, as the module docstring says. Returns
+        ``(job, missing_tokens, hit_tokens, lookahead_ok)`` per pinned job:
+        a prefix of ``jobs``, shorter under cache pressure."""
         cache = self._worker.cache
-        register_chain(cache, job.path_segments, job.path_segment_tokens)
-        parent = job.path_segments[-1]
-        cache.register_segment(job.new_segment, parent, job.new_tokens)
-        try:
-            outcome = cache.materialize(job.new_segment, now=self._worker.clock.now)
-        except CapacityError:
-            return None
-        missing = outcome.recomputed_tokens
-        hits = outcome.hit_tokens
-        stats.evicted_segments += outcome.evicted_segments
-
-        lookahead_ok = False
-        if (
-            self._lookahead
-            and job.lookahead_segment is not None
-            and job.lookahead_tokens > 0
-        ):
-            cache.register_segment(
-                job.lookahead_segment, job.new_segment, job.lookahead_tokens
-            )
-            try:
-                la = cache.materialize(
-                    job.lookahead_segment, now=self._worker.clock.now
-                )
-            except CapacityError:
-                la = None  # skip lookahead under pressure; never fail the job
-            if la is not None:
-                missing += la.recomputed_tokens
-                hits += la.hit_tokens
-                lookahead_ok = True
-        return job, missing, hits, lookahead_ok
+        leaves: list[int] = []
+        owners: list[VerifyJob | None] = []  # None: the previous job's lookahead
+        for job in jobs:
+            register_chain(cache, job.path_segments, job.path_segment_tokens)
+            cache.register_segment(job.new_segment, job.path_segments[-1], job.new_tokens)
+            leaves.append(job.new_segment)
+            owners.append(job)
+            lookahead = job.lookahead_segment
+            if self._lookahead and lookahead is not None and job.lookahead_tokens > 0:
+                cache.register_segment(lookahead, job.new_segment, job.lookahead_tokens)
+                leaves.append(lookahead)
+                owners.append(None)
+        batch: list[tuple[VerifyJob, int, int, bool]] = []
+        pinned = 0
+        while pinned < len(leaves):
+            splits = cache.pin_paths(leaves[pinned:], now=self._worker.clock.now)
+            for owner, (hits, missing, evicted) in zip(owners[pinned:], splits):
+                if owner is None:
+                    job, job_missing, job_hits, _ = batch[-1]
+                    batch[-1] = (job, job_missing + missing, job_hits + hits, True)
+                else:
+                    stats.evicted_segments += evicted
+                    batch.append((owner, missing, hits, False))
+            pinned += len(splits)
+            if pinned < len(leaves):
+                if owners[pinned] is None:
+                    pinned += 1  # skip the lookahead under pressure
+                elif batch:
+                    break  # cache pressure: flush, then retry the job
+                else:
+                    raise CapacityError(
+                        "a single verification request exceeds the verifier KV budget"
+                    )
+        return batch
 
     def _flush(
         self,

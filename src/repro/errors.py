@@ -6,7 +6,8 @@ letting programming errors (``TypeError``, ``ValueError`` from misuse of the
 standard library) propagate unchanged. A bad name or value from the user is a
 :class:`ConfigError`; an unknown name in any of the library's name tables
 (:class:`~repro.utils.registry.Registry`) is its :class:`UnknownNameError`,
-so the CLI reports both as one ``error:`` line and exit status 2.
+and weights that cannot fit are its :class:`DeploymentError`, so the CLI
+reports each as one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -38,3 +39,7 @@ class RetryExhaustedError(FaultError):
 
 class UnknownNameError(ConfigError):
     """A name that its :class:`~repro.utils.registry.Registry` does not hold."""
+
+
+class DeploymentError(ConfigError, CapacityError):
+    """A deployment whose model weights do not fit its memory budget."""

@@ -10,15 +10,18 @@ It combines two structures:
   descends from it (copy-free forking, as in vLLM prefix caching). The
   nodes are :class:`SegmentState` objects: a segment's parent link, its
   token length and its cache state (residency, pin count, held blocks,
-  LRU stamp, resident-child count) live in one place, so nothing is
-  synced between a tree and a side table.
+  LRU stamp, resident-child count) live in one place, and the cache's
+  segment table is the tree's own node dict, so nothing is synced
+  between a tree and a side table.
 
 A segment carries its root→parent states (``SegmentState.ancestors``),
 fixed when it is registered: a parent never changes and a registered
-segment never leaves the cache, so every path operation
-(materialize, pin / unpin, block demand, path eviction) reads its chain
-off the leaf instead of walking parent links, and the hot ones pin and
-unpin in their own loops. Decode-time growth is one routine, called once
+segment never leaves the cache, so every path operation reads its chain
+off the leaf instead of walking parent links. The beams of a batch share
+their prefixes (the paper's Sec. 4.2), so pinning is per admission burst:
+one :meth:`PagedKVCache.pin_paths` call pins a generation burst, a
+speculative slot or a verifier batch (``materialize`` is its one-path
+case). Decode-time growth is one routine, called once
 per decode span for the whole batch
 (:meth:`PagedKVCache.extend_segments`). Running totals
 (resident tokens / segments, evictable blocks) move at the transitions
@@ -45,8 +48,8 @@ Key invariants (property-tested):
 * block accounting is exact: the pool's allocated count always equals the
   sum of blocks held by resident segments.
 
-Eviction forces recomputation later: :meth:`PagedKVCache.materialize`
-reports how many tokens of a path were cache hits and how many must be
+Eviction forces recomputation later: :meth:`PagedKVCache.pin_paths`
+reports how many tokens of each path were cache hits and how many must be
 re-prefilled, which the engine converts to roofline time. Minimizing that
 recompute term is exactly the objective of Dynamic Prefix-Aware Scheduling.
 """
@@ -54,6 +57,7 @@ recompute term is exactly the objective of Dynamic Prefix-Aware Scheduling.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -114,7 +118,9 @@ class PagedKVCache:
         self._pool = BlockPool.from_bytes(capacity_bytes, kv_bytes_per_token, block_tokens)
         self._kv_bytes_per_token = kv_bytes_per_token
         self._tree = RadixTree(SegmentState)
-        self._segments: dict[int, SegmentState] = {}  # the tree's nodes, by id
+        # The tree's own node dict: one dict, read by the tree's queries
+        # and filled by :meth:`register_segment`.
+        self._segments: dict[int, SegmentState] = self._tree._nodes
         #: Every registered segment by id, read-only (one dict lookup away).
         self.segments: Mapping[int, SegmentState] = MappingProxyType(self._segments)
         self._access_clock = 0
@@ -213,10 +219,10 @@ class PagedKVCache:
         """Register a (non-resident) segment in the reasoning tree.
 
         Idempotent for identical attributes so that callers can re-register
-        shared prefixes freely. A new segment's ``ancestors`` are its
-        parent's plus the parent, fixed here for the segment's lifetime; a
-        re-registration keeps them (a differing parent or length raises
-        ``ValueError`` before anything changes).
+        shared prefixes freely. A new segment is filed under its parent
+        with its ``ancestors``, the parent's plus the parent, fixed here
+        for its lifetime. A bad length, or a differing parent or length on
+        re-registration, raises ``ValueError`` before anything changes.
         """
         segments = self._segments
         parent = None
@@ -224,11 +230,18 @@ class PagedKVCache:
             parent = segments.get(parent_id)
             if parent is None:
                 raise KeyError(f"parent segment {parent_id} is not registered")
-        state = self._tree.add_node(segment_id, parent_id, token_len)
-        if segment_id not in segments:
-            if parent is not None:
-                state.ancestors = parent.ancestors + (parent,)
-            segments[segment_id] = state
+        if token_len < 0:
+            raise ValueError("token_len must be non-negative")
+        state = segments.get(segment_id)
+        if state is not None:
+            if state.parent_id != parent_id or state.token_len != token_len:
+                raise ValueError(f"node {segment_id} already exists with different attributes")
+            return state
+        state = segments[segment_id] = SegmentState(segment_id, parent_id, token_len, 0)
+        if parent is not None:
+            state.depth = parent.depth + 1
+            state.ancestors = parent.ancestors + (parent,)
+            parent.children.add(segment_id)
         return state
 
     # -- pinning ---------------------------------------------------------
@@ -257,80 +270,121 @@ class PagedKVCache:
 
     # -- residency -------------------------------------------------------
 
-    def materialize(self, leaf_id: int, now: float = 0.0, pin: bool = True) -> MaterializeOutcome:
-        """Make the root->leaf path fully resident.
+    def pin_paths(
+        self,
+        leaf_ids: Iterable[int],
+        now: float = 0.0,
+        grow: Iterable[int] | None = None,
+    ) -> list[tuple[int, int, int]]:
+        """Pin root->leaf paths resident in order, evicting LRU victims.
 
-        Returns the hit/recompute split. Eviction of unpinned segments is
-        performed as needed; if the path cannot fit even after evicting
-        everything evictable, :class:`CapacityError` is raised and the cache
-        is left unchanged in block accounting (any evictions already applied
-        remain — as they would on real hardware).
+        Returns each pinned path's ``(hit_tokens, recomputed_tokens,
+        evicted_segments)``; a shorter list than ``leaf_ids`` means the
+        next path did not fit. With ``grow`` (each leaf's planned tail
+        growth), a path whose missing blocks plus growth exceed the free
+        and evictable blocks outside it, less what earlier paths were
+        promised, is left untouched. A path that cannot find its blocks
+        even by evicting has its pins rolled back; its victims stay evicted.
         """
-        leaf = self._segments.get(leaf_id)
-        if leaf is None:
-            raise _unknown(leaf_id)
-        self._access_clock += 1
-        stamp = self._access_clock
-
-        hit_tokens = 0
-        to_load: list[SegmentState] = []
-        for state in leaf.ancestors + (leaf,):
-            # Protect the chain under construction: without this, loading a
-            # deep suffix under memory pressure could evict the path's own
-            # hit prefix, silently breaking the residency invariant.
-            if state.pin_count == 0 and state.resident:
-                self._evictable_blocks -= state.blocks_held
-            state.pin_count += 1
-            if state.resident and not to_load:
-                hit_tokens += state.token_len
-                state.last_access = stamp
-            else:
-                # Residency invariant: once the chain breaks, everything
-                # below must be recomputed even if stale blocks linger.
-                if state.resident:
-                    self._evict_segment(state, now)
-                to_load.append(state)
-
-        evicted = 0
-        recomputed = 0
-        pool = self._pool
-        total_blocks, block_tokens = pool.total_blocks, pool.block_tokens
         segments = self._segments
+        pool = self._pool
+        block_tokens = pool.block_tokens
         changed = self._changed
         stats = self.stats
-        try:
-            for state in to_load:
-                tokens = state.token_len
-                needed = -(-tokens // block_tokens)
-                if pool.allocated_blocks + needed > total_blocks:
-                    evicted += self._evict_for(needed, now)
-                pool.allocated_blocks += needed
-                state.blocks_held = needed
-                state.resident = True
-                if changed is not None:
-                    changed[state.node_id] = state
-                state.last_access = stamp
-                self._resident_token_count += tokens
-                self._resident_segment_count += 1
-                if state.parent_id is not None:
-                    segments[state.parent_id].resident_children += 1
-                recomputed += tokens
-                stats.recomputed_tokens += tokens
-                if stats.trace_capacity:
-                    stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
-        except CapacityError:
-            self.unpin_path(leaf_id)
-            raise
+        claimed = 0  # growth promised to the paths admitted so far
+        splits: list[tuple[int, int, int]] = []
+        pairs = zip(leaf_ids, repeat(0)) if grow is None else zip(leaf_ids, grow, strict=True)
+        for leaf_id, extra in pairs:
+            leaf = segments.get(leaf_id)
+            if leaf is None:
+                raise _unknown(leaf_id)
+            if grow is not None:  # the admission test; blocks round per segment
+                needed = own_evictable = 0
+                broken = False
+                for state in leaf.ancestors:
+                    if state.resident and not broken:
+                        if state.pin_count == 0:
+                            own_evictable += state.blocks_held
+                        continue
+                    broken = True
+                    needed += -(-state.token_len // block_tokens)
+                tokens = leaf.token_len + extra
+                if leaf.resident and not broken:
+                    if leaf.pin_count == 0:
+                        own_evictable += leaf.blocks_held
+                    needed += -(-tokens // block_tokens) - leaf.blocks_held
+                else:
+                    needed += -(-tokens // block_tokens)
+                reclaimable = (
+                    pool.total_blocks - pool.allocated_blocks
+                    + self._evictable_blocks - own_evictable
+                )
+                if claimed + needed > reclaimable:
+                    break
+                claimed += needed
 
-        if hit_tokens:
-            stats.hit_tokens += hit_tokens
-            if stats.trace_capacity:
-                stats.record(now, CacheEventKind.HIT, leaf_id, hit_tokens)
+            self._access_clock += 1
+            stamp = self._access_clock
+            hit_tokens = 0
+            to_load: list[SegmentState] = []
+            for state in leaf.ancestors + (leaf,):
+                # Protect the chain under construction: without this, loading a
+                # deep suffix under memory pressure could evict the path's own
+                # hit prefix, silently breaking the residency invariant.
+                if state.pin_count == 0 and state.resident:
+                    self._evictable_blocks -= state.blocks_held
+                state.pin_count += 1
+                if state.resident and not to_load:
+                    hit_tokens += state.token_len
+                    state.last_access = stamp
+                else:
+                    # Residency invariant: once the chain breaks, everything
+                    # below must be recomputed even if stale blocks linger.
+                    if state.resident:
+                        self._evict_segment(state, now)
+                    to_load.append(state)
+
+            evicted = recomputed = 0
+            try:
+                for state in to_load:
+                    tokens = state.token_len
+                    needed = -(-tokens // block_tokens)
+                    if pool.allocated_blocks + needed > pool.total_blocks:
+                        evicted += self._evict_for(needed, now)
+                    pool.allocated_blocks += needed
+                    state.blocks_held = needed
+                    state.resident = True
+                    if changed is not None:
+                        changed[state.node_id] = state
+                    state.last_access = stamp
+                    self._resident_token_count += tokens
+                    self._resident_segment_count += 1
+                    if state.parent_id is not None:
+                        segments[state.parent_id].resident_children += 1
+                    recomputed += tokens
+                    stats.recomputed_tokens += tokens
+                    if stats.trace_capacity:
+                        stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
+            except CapacityError:
+                self.unpin_path(leaf_id)
+                break
+
+            if hit_tokens:
+                stats.hit_tokens += hit_tokens
+                if stats.trace_capacity:
+                    stats.record(now, CacheEventKind.HIT, leaf_id, hit_tokens)
+            splits.append((hit_tokens, recomputed, evicted))
+        return splits
+
+    def materialize(self, leaf_id: int, now: float = 0.0, pin: bool = True) -> MaterializeOutcome:
+        """Pin one path, :meth:`pin_paths`'s one-path case, and release it
+        again unless ``pin``; raises :class:`CapacityError` if it does not fit."""
+        split = self.pin_paths((leaf_id,), now)
+        if not split:
+            raise CapacityError(f"the path to segment {leaf_id} does not fit")
         if not pin:
             self.unpin_path(leaf_id)
-        return MaterializeOutcome(
-            hit_tokens=hit_tokens, recomputed_tokens=recomputed, evicted_segments=evicted
-        )
+        return MaterializeOutcome(*split[0])
 
     def extend_segments(
         self, segment_ids: Iterable[int], additional_tokens: int, now: float = 0.0
@@ -422,44 +476,6 @@ class PagedKVCache:
         if self._changed is not None:
             self._changed[segment_id] = state
         return freed
-
-    def path_block_demand(
-        self, leaf_id: int, extra_tokens: int = 0
-    ) -> tuple[int, int]:
-        """``(needed_blocks, reclaimable_blocks)`` for materializing a path.
-
-        ``needed_blocks`` counts per-segment block rounding for every
-        missing segment plus the leaf's planned growth; ``reclaimable``
-        is free blocks plus everything evictable outside this path. The
-        schedulers use the pair for cumulative admission control.
-        """
-        leaf = self._segments.get(leaf_id)
-        if leaf is None:
-            raise _unknown(leaf_id)
-        pool = self._pool
-        block_tokens = pool.block_tokens
-        needed_blocks = 0
-        own_evictable = 0
-        broken = False
-        for state in leaf.ancestors:
-            if state.resident and not broken:
-                if state.pin_count == 0:
-                    own_evictable += state.blocks_held
-                continue
-            broken = True
-            # block rounding applies per segment, not to the token sum
-            needed_blocks += -(-state.token_len // block_tokens)
-        tokens = leaf.token_len + extra_tokens
-        if leaf.resident and not broken:
-            if leaf.pin_count == 0:
-                own_evictable += leaf.blocks_held
-            # planned tail growth beyond currently held blocks
-            needed_blocks += -(-tokens // block_tokens) - leaf.blocks_held
-        else:
-            needed_blocks += -(-tokens // block_tokens)
-        free_blocks = pool.total_blocks - pool.allocated_blocks
-        reclaimable = free_blocks + self._evictable_blocks - own_evictable
-        return needed_blocks, reclaimable
 
     def evict_path(self, leaf_id: int, now: float = 0.0) -> int:
         """Explicitly evict the unpinned resident suffix of a path.

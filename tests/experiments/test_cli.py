@@ -140,6 +140,21 @@ class TestExitTwoConvention:
                 "unknown search algorithm 'beam_serach' — did you mean 'beam_search'?",
                 id="tenant-algorithm-typo-trace-run",
             ),
+        ] + [
+            # A deployment whose weights cannot fit is a bad configuration,
+            # not a simulation failure.
+            pytest.param(
+                ["solve", "--config", "7B+1.5B", "--device", "rtx3070ti"],
+                "model weights (18320000000 B) exceed the memory budget",
+                id="weights-do-not-fit-solve",
+            ),
+            pytest.param(
+                ["trace", "run", "--router", "static",
+                 "--lane", "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8:mem=0.5",
+                 "--tenant", "chat:rate=0.05,n=4,deadline=600", "--requests", "12"],
+                "model weights (18320000000 B) exceed the memory budget",
+                id="weights-do-not-fit-trace-run",
+            ),
         ],
     )
     def test_config_error_is_one_error_line(self, capsys, argv, message):

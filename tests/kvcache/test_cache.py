@@ -205,8 +205,12 @@ class TestEviction:
 
     @staticmethod
     def fits(cache, leaf_id):
-        needed, reclaimable = cache.path_block_demand(leaf_id)
-        return needed <= reclaimable
+        """Whether a burst with no planned growth admits the path; an
+        admitted path is pinned resident, and released again here."""
+        if not cache.pin_paths((leaf_id,), grow=(0,)):
+            return False
+        cache.unpin_path(leaf_id)
+        return True
 
     def test_block_demand_fits(self, cache):
         assert self.fits(cache, 4)
@@ -218,7 +222,57 @@ class TestEviction:
         cache.materialize(4, pin=False)
         cache.register_segment(5, 3, 96)  # missing 112 tokens = 7 blocks
         assert self.fits(cache, 5)        # 6 free + 2 evictable off-path
-        cache.materialize(5)              # and it actually fits
+        assert cache.is_resident(5)       # and it actually fit
+
+
+class TestPinPaths:
+    """One call pins a burst of paths in order; with planned growth, each
+    path is admitted against the blocks promised to the paths before it."""
+
+    def test_a_burst_is_its_paths_pinned_in_turn(self, cache):
+        assert cache.pin_paths((4, 3, 4)) == [(0, 64, 0), (32, 16, 0), (64, 0, 0)]
+        assert [cache.segment(s).pin_count for s in (1, 2, 3, 4)] == [3, 2, 1, 2]
+
+    def test_growth_promised_to_earlier_paths_counts(self, cache):
+        # 4's path takes 4 of the 10 blocks; 3's takes one more, and each
+        # tail growing by 16 tokens needs one block beyond that.
+        assert cache.pin_paths((4, 3), grow=(0, 16)) == [(0, 64, 0), (32, 16, 0)]
+        cache.unpin_path(4)
+        cache.unpin_path(3)
+        cache.evict_all()
+        assert cache.pin_paths((4, 3), grow=(16, 16)) == [(0, 64, 0)]
+        assert cache.segment(3).pin_count == 0 and not cache.is_resident(3)
+
+    def test_a_refused_path_is_left_untouched(self, cache):
+        cache.materialize(4, pin=False)
+        cache.materialize(3)
+        cache.register_segment(5, 3, 200)
+        cache.take_changes()
+
+        def books():
+            return (
+                cache.pool.allocated_blocks, cache.evictable_blocks,
+                cache.resident_tokens, cache.stats.hit_tokens,
+                [(s.pin_count, s.last_access, s.resident) for s in cache.segments.values()],
+            )
+
+        before = books()
+        assert cache.pin_paths((5,), grow=(0,)) == []
+        assert books() == before
+        assert cache.take_changes() == []
+        # The next path to be pinned takes the stamp the refused one did not.
+        cache.materialize(2)
+        assert cache.segment(2).last_access == cache.segment(3).last_access + 1
+
+    def test_without_grow_a_path_that_cannot_fit_ends_the_call(self, cache):
+        cache.register_segment(5, 3, 120)  # 3 + 5: 9 blocks, 6 left after 4
+        assert cache.pin_paths((4, 5, 2)) == [(0, 64, 0)]
+        # 5's pins are rolled back (3, loaded on the way, stays resident);
+        # 4's stay; 2 was never reached.
+        assert [cache.segment(s).pin_count for s in (1, 2, 3, 4, 5)] == [1, 1, 0, 1, 0]
+        assert cache.is_resident(3) and not cache.is_resident(5)
+        with pytest.raises(CapacityError):
+            cache.materialize(5)  # the one-path case raises instead
 
 
 class TestCarriedChain:
