@@ -47,7 +47,7 @@ from repro.core.spec_select import speculative_potential
 from repro.core.verification_round import VerificationRound
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob, VerifyJob
-from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilizationTracker
+from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilSpan
 from repro.engine.tracing import SolveTrace
 from repro.engine.worker import GeneratorWorker, VerifierWorker
 from repro.errors import SchedulingError
@@ -202,6 +202,7 @@ class SolveSession:
         session_id: str | None = None,
     ) -> None:
         self._server = server
+        self._config = server.config  # re-read by rebind_device
         self._problem = problem
         self._algorithm = algorithm
         self._session_id = session_id or f"session-{problem.problem_id}"
@@ -223,7 +224,7 @@ class SolveSession:
         # Engine state (one simulated device's worth, private to the session).
         self._clock = SimClock()
         self._timer = PhaseTimer()
-        self._util = UtilizationTracker()
+        self._spans: list[UtilSpan] = []
         self._trace: SolveTrace | None = None
         self._plan: AllocationPlan | None = None
         self._gen_worker: GeneratorWorker | None = None
@@ -376,7 +377,7 @@ class SolveSession:
         the KV caches carry over byte-for-byte (identical per-token sizes)
         and only the roofline cost model changes, so the workers are
         rebuilt against the new device while keeping their caches, clock,
-        timers and utilization tracker. The PCIe cost of physically moving
+        timers and utilization spans. The PCIe cost of physically moving
         the KV is charged by :meth:`~repro.core.pool.DevicePool.migrate`,
         not here.
         """
@@ -391,6 +392,7 @@ class SolveSession:
                 f"different model pairings"
             )
         self._server = server
+        self._config = server.config
         if self._gen_worker is not None:
             self._bind_workers()
 
@@ -399,11 +401,11 @@ class SolveSession:
         server = self._server
         self._gen_worker = GeneratorWorker(
             server.gen_model, server.roofline, self._gen_cache, self._clock,
-            self._timer, self._util,
+            self._timer, self._spans,
         )
         self._ver_worker = VerifierWorker(
             server.ver_model, server.roofline, self._ver_cache, self._clock,
-            self._timer, self._util,
+            self._timer, self._spans,
         )
 
     def notify_arrival(self) -> None:
@@ -484,7 +486,7 @@ class SolveSession:
     def _step_admit(self) -> None:
         """ADMITTED → GENERATING: allocation plan, caches, workers, beams."""
         server = self._server
-        cfg = server.config
+        cfg = self._config
         plan = server.plan_allocation(self._algorithm.n)
         self._plan = plan
         self._trace = SolveTrace(self._problem.problem_id) if self._want_trace else None
@@ -513,8 +515,7 @@ class SolveSession:
 
     def _step_generate(self, occupancy: int) -> None:
         """GENERATING → VERIFYING: one generation round for the active set."""
-        server = self._server
-        cfg = server.config
+        cfg = self._config
         algorithm = self._algorithm
         round_idx = self._round_idx
 
@@ -628,7 +629,7 @@ class SolveSession:
 
     def _schedule(self, jobs: list, round_idx: int, stage: str) -> list:
         return schedule_jobs(
-            self._server.config, self._rng, self._problem, jobs, round_idx, stage
+            self._config, self._rng, self._problem, jobs, round_idx, stage
         )
 
     def _segment_chain(
@@ -645,7 +646,7 @@ class SolveSession:
         each lineage hashes its private chain once.
         """
         table = self._table
-        cfg = self._server.config
+        cfg = self._config
         if prefix_caching is None:
             prefix_caching = cfg.prefix_caching
         key = ("chain", lineage, prefix_caching)
@@ -736,7 +737,7 @@ class SolveSession:
     # -- verification ----------------------------------------------------
 
     def _verify_active(self, round_idx: int) -> None:
-        cfg = self._server.config
+        cfg = self._config
         self._swap_to("verifier")
         vjobs = [self._verify_job(path, round_idx) for path in self._active]
         vjobs = self._schedule(vjobs, round_idx, "verify")
@@ -778,7 +779,7 @@ class SolveSession:
         )
 
     def _verify_job(self, path: ReasoningPath, round_idx: int) -> VerifyJob:
-        cfg, algorithm = self._server.config, self._algorithm
+        cfg, algorithm = self._config, self._algorithm
         step = self._plans[path.lineage]
         if cfg.lookahead and not step.is_terminal and lookahead_worthy(path, algorithm):
             child_lineage = path.lineage + (0,)
@@ -835,7 +836,7 @@ class SolveSession:
         """Alg. 1 line 19: the original keeps all, duplicates keep ~R."""
         if child_index == 0:
             return head_tokens
-        ratio = self._server.config.spec_truncation_ratio
+        ratio = self._config.spec_truncation_ratio
         key = ("cut", child_lineage, ratio)
         fraction = self._table.get(key)
         if fraction is None:
@@ -919,7 +920,7 @@ class SolveSession:
             beams=beams,
             latency=latency,
             tokens=self._counters,
-            util_spans=tuple(self._util.spans),
+            util_spans=tuple(self._spans),
             gen_cache_hit_rate=self._gen_cache.stats.hit_rate,
             ver_cache_hit_rate=self._ver_cache.stats.hit_rate,
             gen_evicted_segments=self._gen_cache.stats.evicted_segments,

@@ -58,6 +58,8 @@ class VerificationRound:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._worker = worker
+        self._cache = worker.cache
+        self._clock = worker.clock
         self._prm = prm
         self._batch_size = batch_size
         self._lookahead = lookahead
@@ -73,7 +75,7 @@ class VerificationRound:
         scores: dict[tuple[int, ...], float] = {}
         lookahead_scores: dict[ScoreKey, float] = {}
         cache_in = score_cache or {}
-        start_time = self._worker.clock.now
+        start_time = self._clock.now
 
         to_compute: list[VerifyJob] = []
         for job in jobs:
@@ -89,7 +91,7 @@ class VerificationRound:
             self._flush(problem, batch, scores, lookahead_scores, stats)
             done += len(batch)
 
-        stats.round_time = self._worker.clock.now - start_time
+        stats.round_time = self._clock.now - start_time
         return VerificationRoundResult(scores, lookahead_scores, stats)
 
     # -- internals ---------------------------------------------------------
@@ -100,7 +102,7 @@ class VerificationRound:
         """Pin a flush batch's paths, as the module docstring says. Returns
         ``(job, missing_tokens, hit_tokens, lookahead_ok)`` per pinned job:
         a prefix of ``jobs``, shorter under cache pressure."""
-        cache = self._worker.cache
+        cache = self._cache
         leaves: list[int] = []
         owners: list[VerifyJob | None] = []  # None: the previous job's lookahead
         for job in jobs:
@@ -116,7 +118,7 @@ class VerificationRound:
         batch: list[tuple[VerifyJob, int, int, bool]] = []
         pinned = 0
         while pinned < len(leaves):
-            splits = cache.pin_paths(leaves[pinned:], now=self._worker.clock.now)
+            splits = cache.pin_paths(leaves[pinned:], now=self._clock.now)
             for owner, (hits, missing, evicted) in zip(owners[pinned:], splits):
                 if owner is None:
                     job, job_missing, job_hits, _ = batch[-1]
@@ -155,7 +157,7 @@ class VerificationRound:
             scores[job.lineage] = self._prm.score_step(
                 problem, job.lineage, job.step_idx, job.mean_soundness
             )
-            self._worker.cache.unpin_path(job.new_segment)
+            self._cache.unpin_path(job.new_segment)
             if lookahead_ok and job.lookahead_child is not None:
                 lookahead_scores[(job.lookahead_child, job.step_idx + 1)] = (
                     self._prm.score_step(
@@ -165,4 +167,4 @@ class VerificationRound:
                         job.lookahead_soundness,
                     )
                 )
-                self._worker.cache.unpin_path(job.lookahead_segment)
+                self._cache.unpin_path(job.lookahead_segment)

@@ -2,13 +2,7 @@
 
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart, VerifyJob
-from repro.engine.telemetry import (
-    Phase,
-    PhaseTimer,
-    TokenCounters,
-    UtilizationTracker,
-    UtilSpan,
-)
+from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilSpan
 from repro.engine.worker import GeneratorWorker, ModelWorker, VerifierWorker
 
 __all__ = [
@@ -16,7 +10,6 @@ __all__ = [
     "Phase",
     "PhaseTimer",
     "TokenCounters",
-    "UtilizationTracker",
     "UtilSpan",
     "GenJob",
     "GenOutcome",

@@ -2,7 +2,9 @@
 
 All latency in the reproduction is virtual: workers advance this clock by
 roofline-estimated durations. The clock is strictly monotonic; rewinding is
-a bug and raises immediately.
+a bug and raises immediately. ``now`` is a plain attribute (read on every
+launch, so not a property), and only :meth:`SimClock.advance` and
+:meth:`SimClock.advance_to` write it.
 
 Sessions and fleets use *different* clocks: each
 :class:`~repro.core.session.SolveSession` owns a private clock measuring
@@ -28,24 +30,26 @@ _REWIND_TOLERANCE = 1e-9
 
 
 class SimClock:
-    """Monotonic simulated time in seconds."""
+    """Monotonic simulated time in seconds.
+
+    ``now`` is a plain attribute that only :meth:`advance` and
+    :meth:`advance_to` write; each checks the move before making it.
+    """
+
+    __slots__ = ("now", "label")
 
     def __init__(self, start: float = 0.0, label: str | None = None) -> None:
         if not start >= 0:
             raise ValueError("start time must be non-negative")
-        self._now = float(start)
+        self.now = float(start)
         self.label = label  # debug aid: which lane/session owns this timeline
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     def advance(self, dt: float) -> float:
         """Move time forward by ``dt`` seconds and return the new time."""
         if not dt >= 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
-        self._now += dt
-        return self._now
+        self.now += dt
+        return self.now
 
     def advance_to(self, target: float) -> float:
         """Move time forward to an absolute ``target`` and return it.
@@ -56,17 +60,17 @@ class SimClock:
         (within float-reconciliation tolerance) are clamped to ``now``;
         anything earlier raises.
         """
-        if not target >= self._now - _REWIND_TOLERANCE:
+        if not target >= self.now - _REWIND_TOLERANCE:
             raise ValueError(
-                f"cannot rewind clock from {self._now} to {target}"
+                f"cannot rewind clock from {self.now} to {target}"
             )
-        if target > self._now:
-            self._now = float(target)
-        return self._now
+        if target > self.now:
+            self.now = float(target)
+        return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f", label={self.label!r}" if self.label else ""
-        return f"SimClock(now={self._now:.6f}{tag})"
+        return f"SimClock(now={self.now:.6f}{tag})"
 
 
 class ClockBinding:

@@ -2,7 +2,10 @@
 
 Stands in for the paper's Nsight Systems traces (Fig. 4, Fig. 17 left): the
 simulator knows exactly how many batch slots are busy at every instant, so
-utilization is recorded as piecewise-constant spans.
+utilization is recorded as piecewise-constant spans. There is no tracker:
+a session keeps a plain ``list[UtilSpan]``, and its workers' one billing
+method (:meth:`~repro.engine.worker.ModelWorker._charge`) appends each
+launch of positive duration to it.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["Phase", "UtilSpan", "UtilizationTracker", "PhaseTimer", "TokenCounters"]
+__all__ = ["Phase", "UtilSpan", "PhaseTimer", "TokenCounters"]
 
 
 class Phase(str, Enum):
@@ -39,28 +42,6 @@ class UtilSpan:
         if self.capacity_slots == 0:
             return 0.0
         return self.busy_slots / self.capacity_slots
-
-
-class UtilizationTracker:
-    """Collects occupancy spans and answers aggregate/trace queries."""
-
-    def __init__(self) -> None:
-        self._spans: list[UtilSpan] = []
-
-    @property
-    def spans(self) -> list[UtilSpan]:
-        return list(self._spans)
-
-    def record(self, span: UtilSpan) -> None:
-        if span.t_end < span.t_start:
-            raise ValueError("span must have t_end >= t_start")
-        if span.busy_slots < 0 or span.busy_slots > span.capacity_slots:
-            raise ValueError("busy_slots must be within [0, capacity_slots]")
-        if span.t_end > span.t_start:
-            self._spans.append(span)
-
-    def clear(self) -> None:
-        self._spans.clear()
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Model workers: the mechanical layer beneath the serving policies.
 
 A worker owns one model's roofline cost model and one paged KV cache, and
-exposes primitive, fully-accounted operations:
+exposes two primitive, fully-accounted launches:
 
-* ``materialize_path`` — make a path's KV resident, converting any cache
-  miss into prefill (recompute) time on the shared clock;
-* ``decode_span`` — advance a decode batch by N lockstep token steps,
-  charging roofline time and recording a utilization span;
-* ``prefill_batch`` — run one batched prefill launch (the verifier's mode).
+* ``decode_span`` — advance a decode batch by N lockstep token steps;
+* ``prefill_batch`` — run one batched prefill launch: the verifier's mode,
+  and the generator's recompute of KV missing after an eviction.
+
+Each sums its launch's FLOPs and bytes and ends in one call to
+``_charge``, the one place a launch is billed: it asks the roofline for
+the launch's price once, advances the shared clock, adds the seconds to
+the phase totals and appends the launch's utilization span.
 
 FastTTS operates the generator and verifier "in separate worker processes"
 (paper Sec. 5) on one GPU; here both workers share a single
@@ -18,9 +21,9 @@ time-sharing one device.
 from __future__ import annotations
 
 from repro.engine.clock import SimClock
-from repro.engine.telemetry import Phase, PhaseTimer, UtilizationTracker, UtilSpan
+from repro.engine.telemetry import Phase, PhaseTimer, UtilSpan
 from repro.hardware.roofline import Roofline
-from repro.kvcache.cache import MaterializeOutcome, PagedKVCache
+from repro.kvcache.cache import PagedKVCache
 from repro.models.costs import decode_step_cost, prefill_cost
 from repro.models.spec import ModelSpec
 
@@ -37,14 +40,14 @@ class ModelWorker:
         kv_cache: PagedKVCache,
         clock: SimClock,
         phase_timer: PhaseTimer,
-        utilization: UtilizationTracker | None = None,
+        utilization: list[UtilSpan],
     ) -> None:
         self._model = model
         self._roofline = roofline
         self._cache = kv_cache
         self._clock = clock
         self._timer = phase_timer
-        self._util = utilization
+        self._spans = utilization
         self._batch_share = 1
 
     @property
@@ -68,19 +71,43 @@ class ModelWorker:
             raise ValueError("batch_share must be an integer >= 1")
         self._batch_share = value
 
-    def _launch_latency(self, flops: float, num_bytes: float) -> float:
-        """Roofline latency of one launch, weight-amortized when co-batched.
+    def _charge(
+        self,
+        flops: float,
+        num_bytes: float,
+        steps: int,
+        phase: Phase,
+        busy: int,
+        capacity: int,
+        speculative: int = 0,
+    ) -> float:
+        """Bill one launch of ``steps`` identical steps; return its seconds.
 
         The roofline is asked once per launch (:meth:`Roofline.point`, or
         :meth:`Roofline.batched_point` while co-batched), and it divides by
         a peak and a bandwidth it derived once; the FLOPs and bytes come
         from per-token coefficients the :class:`ModelSpec` derived once.
+        The clock checks and takes the step before any total moves; a span
+        is kept only when it has positive length on the clock. The callers
+        guarantee ``0 < busy <= capacity``.
         """
         if self._batch_share > 1:
-            return self._roofline.batched_point(
+            point = self._roofline.batched_point(
                 flops, num_bytes, self._model.weight_bytes, self._batch_share
-            ).latency
-        return self._roofline.point(flops, num_bytes).latency
+            )
+        else:
+            point = self._roofline.point(flops, num_bytes)
+        dt = steps * point.latency
+        clock = self._clock
+        start = clock.now
+        end = clock.advance(dt)
+        totals = self._timer.totals
+        totals[phase] = totals.get(phase, 0.0) + dt
+        if end > start:
+            self._spans.append(
+                UtilSpan(start, end, busy, capacity, phase, speculative)
+            )
+        return dt
 
     @property
     def model(self) -> ModelSpec:
@@ -97,21 +124,6 @@ class ModelWorker:
     @property
     def roofline(self) -> Roofline:
         return self._roofline
-
-    def materialize_path(self, leaf_segment: int, phase: Phase) -> MaterializeOutcome:
-        """Pin a path resident, charging prefill time for recomputed tokens.
-
-        The recompute charge is the concrete cost of an earlier eviction —
-        the quantity Dynamic Prefix-Aware Scheduling exists to minimize.
-        """
-        outcome = self._cache.materialize(leaf_segment, now=self._clock.now, pin=True)
-        if outcome.recomputed_tokens > 0:
-            cost = prefill_cost(self._model, 1, outcome.recomputed_tokens,
-                                cached_prefix_len=outcome.hit_tokens)
-            dt = self._roofline.point(cost.flops, cost.bytes).latency
-            self._clock.advance(dt)
-            self._timer.add(phase, dt)
-        return outcome
 
     def prefill_batch(
         self,
@@ -137,22 +149,10 @@ class ModelWorker:
             cost = prefill_cost(self._model, 1, new_tokens, cached_prefix_len=cached)
             flops += cost.flops
             num_bytes += cost.bytes - self._model.weight_bytes
-        dt = self._launch_latency(flops, num_bytes)
-        start = self._clock.now
-        end = self._clock.advance(dt)
-        self._timer.add(phase, dt)
-        if self._util is not None:
-            capacity = capacity_slots if capacity_slots is not None else len(live)
-            self._util.record(
-                UtilSpan(
-                    t_start=start,
-                    t_end=end,
-                    busy_slots=min(len(live), max(capacity, 1)),
-                    capacity_slots=max(capacity, 1),
-                    phase=phase,
-                )
-            )
-        return dt
+        capacity = max(capacity_slots if capacity_slots is not None else len(live), 1)
+        return self._charge(
+            flops, num_bytes, 1, phase, min(len(live), capacity), capacity
+        )
 
 
 class GeneratorWorker(ModelWorker):
@@ -179,22 +179,10 @@ class GeneratorWorker(ModelWorker):
         if busy_slots > capacity_slots:
             raise ValueError("busy_slots cannot exceed capacity_slots")
         cost = decode_step_cost(self._model, busy_slots, avg_cache_len)
-        dt = n_steps * self._launch_latency(cost.flops, cost.bytes)
-        start = self._clock.now
-        end = self._clock.advance(dt)
-        self._timer.add(Phase.GENERATION, dt)
-        if self._util is not None:
-            self._util.record(
-                UtilSpan(
-                    t_start=start,
-                    t_end=end,
-                    busy_slots=busy_slots,
-                    capacity_slots=capacity_slots,
-                    phase=Phase.GENERATION,
-                    speculative_slots=speculative_slots,
-                )
-            )
-        return dt
+        return self._charge(
+            cost.flops, cost.bytes, n_steps, Phase.GENERATION,
+            busy_slots, capacity_slots, speculative_slots,
+        )
 
 
 class VerifierWorker(ModelWorker):

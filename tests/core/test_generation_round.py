@@ -5,7 +5,7 @@ import pytest
 from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob
-from repro.engine.telemetry import PhaseTimer, UtilizationTracker
+from repro.engine.telemetry import Phase, PhaseTimer
 from repro.engine.worker import GeneratorWorker
 from repro.errors import SchedulingError
 from repro.hardware.device import get_device
@@ -22,7 +22,7 @@ def make_worker(capacity_tokens=100_000):
     cache.register_segment(PROMPT_SEG, None, 64)
     return GeneratorWorker(
         MODEL, Roofline(get_device("rtx4090")), cache, SimClock(),
-        PhaseTimer(), UtilizationTracker(),
+        PhaseTimer(), [],
     )
 
 
@@ -118,7 +118,7 @@ class TestWaves:
         round_ = GenerationRound(worker, slot_budget=2)
         result = round_.run([make_job(i, 20) for i in range(6)])
         assert len(result.outcomes) == 6
-        for span in worker._util.spans:
+        for span in worker._spans:
             assert span.busy_slots <= 2
 
     def test_continuous_beam_batching_refills(self):
@@ -145,7 +145,7 @@ class TestSpeculation:
         )
         result = round_.run([make_job(0, 5, score=0.9), make_job(1, 60)])
         assert result.stats.speculative_tokens > 0
-        assert any(s.speculative_slots > 0 for s in worker._util.spans)
+        assert any(s.speculative_slots > 0 for s in worker._spans)
 
     def test_spec_strictly_terminated_with_stragglers(self):
         """Speculation never extends the round beyond the last straggler."""
@@ -261,7 +261,7 @@ class TestSlotChurn:
         assert set(result.outcomes) == {(i,) for i in range(5)}
         for i, n in enumerate(lengths):
             assert result.outcomes[(i,)].tokens_generated == n
-        for span in worker._util.spans:
+        for span in worker._spans:
             assert span.busy_slots <= 2
         # Jobs 2..4 only run in slots freed mid-burst, so each must start
         # strictly inside the round, not at t=0 with the first wave.
@@ -286,6 +286,38 @@ class TestSlotChurn:
     def test_empty_round_has_no_first_token(self):
         result = GenerationRound(make_worker(), slot_budget=4).run([])
         assert result.stats.first_token_time is None
+
+
+class TestRecomputeBilling:
+    """KV missing at admission (a cold prompt, or a path evicted since)
+    is recomputed in the burst's one prefill launch, billed to the
+    generation phase on the round's clock."""
+
+    def test_missing_kv_is_billed_through_prefill_batch(self, monkeypatch):
+        launches = []
+        real = GeneratorWorker.prefill_batch
+
+        def recording(worker, token_counts, cached_prefix_lens, **kwargs):
+            dt = real(worker, token_counts, cached_prefix_lens, **kwargs)
+            launches.append((sum(token_counts), kwargs["phase"], dt))
+            return dt
+
+        monkeypatch.setattr(GeneratorWorker, "prefill_batch", recording)
+        worker = make_worker()
+        rounds = []
+        for first, evict in ((0, False), (3, False), (6, True)):
+            if evict:
+                worker.cache.evict_all(now=worker.clock.now)
+            launches.clear()
+            jobs = [make_job(first + i, 10) for i in range(3)]
+            result = GenerationRound(worker, slot_budget=4).run(jobs)
+            (tokens, phase, dt), = launches
+            assert phase is Phase.GENERATION
+            assert tokens == result.stats.recomputed_tokens
+            rounds.append((tokens, dt > 0))
+        # cold prompt, warm prompt, prompt evicted since
+        assert rounds == [(64, True), (0, False), (64, True)]
+        assert worker._timer.get(Phase.GENERATION) == worker.clock.now
 
 
 class TestAdmissionOrderDeterminism:

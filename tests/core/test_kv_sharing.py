@@ -607,8 +607,9 @@ class TestLedgerWorksOnWhatChanged:
     #: segment; 195 867 once only the claims that changed were touched (the
     #: bound was 0.8 of 364 750); 118 186 before the lanes' shared step
     #: tables, 108 826 measured with them; 108 818 before each admission
-    #: burst was pinned in one cache call, 103 456 measured after.
-    CALLS_NOW = 105_500
+    #: burst was pinned in one cache call, 103 456 measured after; 92 854
+    #: measured once each launch was billed in one ``_charge`` call.
+    CALLS_NOW = 94_700
 
     def test_sharing_drain_calls_stay_derived_from_changes(self):
         assert sharing_drain_calls() <= self.CALLS_NOW

@@ -11,7 +11,7 @@ from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.core.verification_round import VerificationRound
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob, VerifyJob
-from repro.engine.telemetry import PhaseTimer, UtilizationTracker
+from repro.engine.telemetry import PhaseTimer
 from repro.engine.worker import GeneratorWorker, VerifierWorker
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
@@ -31,7 +31,7 @@ def gen_worker(capacity_tokens):
     cache.register_segment(PROMPT, None, 64)
     return GeneratorWorker(
         QWEN25_MATH_1P5B, Roofline(get_device("rtx4090")), cache, SimClock(),
-        PhaseTimer(), UtilizationTracker(),
+        PhaseTimer(), [],
     )
 
 
@@ -50,7 +50,7 @@ class TestGenerationUnderPressure:
         result = round_.run([job(i, 128) for i in range(6)])
         assert len(result.outcomes) == 6
         # memory admitted only a subset concurrently -> multiple waves
-        peak_busy = max(s.busy_slots for s in worker._util.spans)
+        peak_busy = max(s.busy_slots for s in worker._spans)
         assert peak_busy < 6
 
     def test_mid_decode_preemption_recovers(self):
@@ -178,7 +178,7 @@ class TestVerificationUnderPressure:
         clock = SimClock()
         worker = VerifierWorker(
             SKYWORK_PRM_1P5B, Roofline(get_device("rtx4090")), cache, clock,
-            PhaseTimer(),
+            PhaseTimer(), [],
         )
         rng = KeyedRng(1)
         prm = SimulatedPRM(SKYWORK_PRM_1P5B, QualityOracle(rng=rng.fork("o")), rng)

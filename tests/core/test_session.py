@@ -167,6 +167,29 @@ class TestStateMachine:
         with pytest.raises(SchedulingError):
             session.run()
 
+    def test_rebind_device_rereads_the_prefix_caching_setting(self, dataset, problem):
+        """The session keeps its server's config; a rebind onto a server
+        with the other ``prefix_caching`` setting must re-read it, or the
+        session keeps spelling segment ids the old way."""
+        servers = {
+            flag: TTSServer(
+                baseline_config(memory_fraction=0.4, seed=SEED, prefix_caching=flag),
+                dataset,
+            )
+            for flag in (True, False)
+        }
+        session = servers[True].session(problem, build_algorithm("beam_search", N))
+        lineage = (2, 0, 1)
+        shared = session._segment_chain(lineage)
+        session.rebind_device(servers[False])
+        private = session._segment_chain(lineage)
+        assert private != shared
+        assert private == session_module.path_segments(
+            servers[False].config, problem, lineage, len(lineage)
+        )
+        session.rebind_device(servers[True])
+        assert session._segment_chain(lineage) == shared
+
 
 class TestOccupancy:
     """``step(occupancy)``: a co-batched round bills its share of one weight
@@ -344,8 +367,9 @@ class TestDeriveOnce:
     #: memo in front of every draw and ties hashed only when scores tie
     #: (102 434 measured), and with each admission burst pinned in one
     #: cache call and a segment registered in one (102 407 before, 91 897
-    #: measured).
-    CALLS_NOW = 93_700
+    #: measured), and with each launch billed in one ``_charge`` and the
+    #: clock's time a plain attribute (91 895 before, 82 361 measured).
+    CALLS_NOW = 84_000
     #: Distinct strings the solve hashes: with a cold memo, each is one
     #: ``_encode_part`` call, and they were all of that function's calls
     #: before keys were encoded in one pass.
@@ -602,10 +626,11 @@ class TestDeriveOnce:
         )
 
     def test_a_launch_and_a_keyed_hash_are_one_pass(self, dataset, problem):
-        """The worker asks the roofline once per launch, never through
-        ``Roofline.latency``; a span is kept by comparing its ends; and a
-        key is encoded inside ``_hash64``, whose fallback sees only what
-        the one-pass encoder does not spell out."""
+        """The worker bills a launch in one ``_charge``, which asks the
+        roofline once, never through ``Roofline.latency``, and moves the
+        clock once; a span is kept by comparing its ends; and a key is
+        encoded inside ``_hash64``, whose fallback sees only what the
+        one-pass encoder does not spell out."""
         rng_module._encode_str.cache_clear()  # its misses call _encode_part
         profiler = cProfile.Profile(subcalls=False, builtins=False)
         profiler.enable()
@@ -617,10 +642,14 @@ class TestDeriveOnce:
                 calls[entry.code.co_qualname] += entry.callcount
         assert calls["UtilSpan.duration"] == 0
         assert calls["_encode_parts"] == 0
-        assert calls["ModelWorker._launch_latency"] > 0
+        assert calls["ModelWorker._charge"] > 0
         # Only the allocator's plan search goes through ``latency``.
         assert calls["Roofline.point"] == (
-            calls["ModelWorker._launch_latency"] + calls["Roofline.latency"]
+            calls["ModelWorker._charge"] + calls["Roofline.latency"]
+        )
+        # Besides the launches, only swap charges move the clock.
+        assert calls["SimClock.advance"] == (
+            calls["ModelWorker._charge"] + calls["SolveSession._charge_swap"]
         )
         # The fallback encodes the string memo's misses and each KeyedRng's
         # seed, nothing else of a key.

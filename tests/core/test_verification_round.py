@@ -5,7 +5,7 @@ import pytest
 from repro.core.verification_round import VerificationRound
 from repro.engine.clock import SimClock
 from repro.engine.jobs import VerifyJob
-from repro.engine.telemetry import PhaseTimer, UtilizationTracker
+from repro.engine.telemetry import PhaseTimer
 from repro.engine.worker import VerifierWorker
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
@@ -33,7 +33,7 @@ def make_setup(capacity_tokens=50_000):
     clock = SimClock()
     worker = VerifierWorker(
         SKYWORK_PRM_1P5B, Roofline(get_device("rtx4090")), cache, clock,
-        PhaseTimer(), UtilizationTracker(),
+        PhaseTimer(), [],
     )
     rng = KeyedRng(2)
     prm = SimulatedPRM(SKYWORK_PRM_1P5B, QualityOracle(rng=rng.fork("oracle")), rng)

@@ -3,17 +3,9 @@
 import math
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from repro.engine.clock import ClockBinding, SimClock
-from repro.engine.telemetry import (
-    Phase,
-    PhaseTimer,
-    TokenCounters,
-    UtilizationTracker,
-    UtilSpan,
-)
+from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilSpan
 
 
 class TestSimClock:
@@ -152,43 +144,6 @@ class TestUtilSpan:
     def test_zero_capacity(self):
         span = UtilSpan(0.0, 1.0, busy_slots=0, capacity_slots=0, phase=Phase.GENERATION)
         assert span.utilization == 0.0
-
-
-class TestUtilizationTracker:
-    def test_zero_duration_ignored(self):
-        tracker = UtilizationTracker()
-        tracker.record(UtilSpan(1, 1, 2, 4, Phase.GENERATION))
-        assert tracker.spans == []
-
-    @given(st.floats(), st.floats())
-    @example(0.0, 0.0)
-    @example(-0.0, 0.0)
-    @example(math.inf, math.inf)
-    @example(-math.inf, -math.inf)
-    @example(math.nan, 1.0)
-    @example(1.0, math.nan)
-    @example(1.0, 1.0 + 2**-52)
-    @example(-1e308, 1e308)
-    def test_a_span_is_kept_exactly_when_it_has_positive_duration(self, t_start, t_end):
-        """Keeping a span by ``t_end > t_start`` agrees with the
-        ``duration > 0`` it replaced on every float pair, NaN and inf
-        included (``inf - inf`` is NaN, so ``(inf, inf)`` is dropped)."""
-        tracker = UtilizationTracker()
-        span = UtilSpan(t_start, t_end, 1, 4, Phase.GENERATION)
-        if t_end < t_start:
-            with pytest.raises(ValueError):
-                tracker.record(span)
-            return
-        tracker.record(span)
-        assert tracker.spans == ([span] if span.duration > 0 else [])
-
-    def test_invalid_span_rejected(self):
-        tracker = UtilizationTracker()
-        with pytest.raises(ValueError):
-            tracker.record(UtilSpan(1, 0, 1, 4, Phase.GENERATION))
-        with pytest.raises(ValueError):
-            tracker.record(UtilSpan(0, 1, 5, 4, Phase.GENERATION))
-
 
 
 class TestPhaseTimer:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob
-from repro.engine.telemetry import PhaseTimer, UtilizationTracker
+from repro.engine.telemetry import PhaseTimer
 from repro.engine.worker import GeneratorWorker
 from repro.hardware.device import get_device
 from repro.hardware.roofline import Roofline
@@ -29,7 +29,7 @@ def make_worker(capacity_tokens=200_000):
     cache.register_segment(PROMPT, None, 48)
     return GeneratorWorker(
         MODEL, Roofline(get_device("rtx4090")), cache, SimClock(),
-        PhaseTimer(), UtilizationTracker(),
+        PhaseTimer(), [],
     )
 
 
