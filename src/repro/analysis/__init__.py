@@ -10,7 +10,6 @@ from repro.analysis.straggler import (
     expected_step_tokens,
     idle_fraction,
     lognormal_cdf,
-    sampled_max_step_tokens,
 )
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "expected_step_tokens",
     "expected_max_step_tokens",
     "idle_fraction",
-    "sampled_max_step_tokens",
     "OperatingPoint",
     "operating_points",
     "deployment_report",

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from repro.utils.rng import KeyedRng
 from repro.workloads.traces import StepLengthModel
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "expected_step_tokens",
     "expected_max_step_tokens",
     "idle_fraction",
-    "sampled_max_step_tokens",
 ]
 
 
@@ -83,15 +81,3 @@ def idle_fraction(model: StepLengthModel, batch_size: int) -> float:
     mean = expected_step_tokens(model)
     longest = expected_max_step_tokens(model, batch_size)
     return max(0.0, 1.0 - mean / longest)
-
-
-def sampled_max_step_tokens(
-    model: StepLengthModel, batch_size: int, samples: int = 512, seed: int = 0
-) -> float:
-    """Monte-Carlo estimate of E[max], for validating the integral."""
-    rng = KeyedRng(seed)
-    maxima = []
-    for s in range(samples):
-        lengths = [model.sample(rng, "straggler", s, i) for i in range(batch_size)]
-        maxima.append(max(lengths))
-    return float(np.mean(maxima))

@@ -67,20 +67,19 @@ def planned_claims(server: "TTSServer", problem: "Problem") -> tuple[KVSegment, 
 class ClaimNames:
     """One session's KV, named for its lane ledger report by report.
 
-    A report is a delta (:meth:`changes`) only while the session's server
-    and device caches are those the previous report described; after a
-    migration or an offloading model switch it is the whole list, which
-    replaces whatever the ledger holds. The session owns this object,
-    which never holds the session (every call takes it): a cycle would
-    keep finished sessions alive until the cyclic collector ran.
+    A report is a delta (:meth:`changes`) only while the session's device
+    caches are those the previous report described; after an offloading
+    model switch it is the whole list, which replaces whatever the ledger
+    holds. The session owns this object, which never holds the session
+    (every call takes it): a cycle would keep finished sessions alive
+    until the cyclic collector ran.
     """
 
-    __slots__ = ("_server", "_views", "_namespace", "_node_ids")
+    __slots__ = ("_views", "_namespace", "_node_ids")
 
-    def __init__(self, server: "TTSServer") -> None:
+    def __init__(self) -> None:
         # What the last report described; no caches before the first,
         # which the caches' first ``take_changes()`` makes whole anyway.
-        self._server = server
         self._views: list | None = None
         # Lane node ids by (model tag, segment id), for one namespace.
         self._namespace: str | None = None
@@ -89,7 +88,7 @@ class ClaimNames:
     def resident(self, session: "SolveSession") -> tuple[KVSegment, ...]:
         """Every device-resident segment as a claim, parents first.
 
-        The definition the deltas add up to (and what migration ships):
+        The definition the deltas add up to:
         claim bytes sum to ``session.resident_kv_bytes``, and generator
         and verifier KV are named apart even for the same step.
         """
@@ -106,11 +105,11 @@ class ClaimNames:
         """``(upserts, vanished)`` since the previous report: the claims
         that appeared or changed length, parents first, and the node ids
         that left the device — or ``(all of resident(), None)`` when the
-        server or the device caches changed."""
-        views, server = session.device_caches(), session.server
+        device caches changed."""
+        views = session.device_caches()
         described = self._views
-        if server is not self._server or (described is not None and views != described):
-            self._server, self._views = server, views
+        if described is not None and views != described:
+            self._views = views
             for _, cache, _ in views:
                 cache.take_changes()  # superseded by the whole list
             return list(self.resident(session)), None
@@ -125,7 +124,7 @@ class ClaimNames:
         """``(claims, vanished)`` for ``(tag, segment states parents-first,
         KV bytes per token)`` views: a resident state becomes a claim, a
         swapped one the id of a claim it no longer makes (if ever named)."""
-        if namespace != self._namespace:  # first named, or rebound
+        if namespace != self._namespace:  # first named
             self._namespace, self._node_ids = namespace, {}
         node_ids = self._node_ids
         claims: list[KVSegment] = []

@@ -11,7 +11,7 @@ rounds a pluggable :class:`~repro.core.scheduler.RequestScheduler` policy
 decides, per device, which session occupies it next. That makes
 smarter-than-FIFO serving (SJF, round-robin time-slicing, First-Finish
 racing with cancellation) *and* fleet scaling (heterogeneous pools,
-placement, migration) policy choices instead of architecture changes:
+placement) policy choices instead of architecture changes:
 
 * requests carry **arrival times on the pool's shared timeline**; each
   session keeps its own service-time clock, and a
@@ -940,8 +940,11 @@ class _FleetRun:
         abandoned = 0.0
         for h in st.handles:
             self._cancel(h)
-            abandoned += h.session.clock.now
-            (h.device or lane).ledger.release(h.session.session_id)
+            device_s = h.session.clock.now
+            abandoned += device_s
+            held = h.device or lane
+            held.busy_s += device_s
+            held.ledger.release(h.session.session_id)
         carry = self.carry[st.seq]
         carry.escalated_work_s += abandoned
         carry.escalations += 1
@@ -989,7 +992,11 @@ class _FleetRun:
         for h in siblings:
             if h is not winner:
                 self._cancel(h)
-                cancelled_work += h.session.clock.now
+                device_s = h.session.clock.now
+                cancelled_work += device_s
+                (h.device or lane).busy_s += device_s
+        winner_s = winner.session.clock.now
+        (winner.device or lane).busy_s += winner_s
         for h in siblings:
             (h.device or lane).ledger.release(h.session.session_id)
         result = winner.session.outcome.result
@@ -1008,7 +1015,7 @@ class _FleetRun:
             # crash (failover/retry restarts) counts, as do abandoned
             # cheaper attempts a cascade escalated past.
             device_time_s=(
-                winner.session.clock.now + cancelled_work
+                winner_s + cancelled_work
                 + carry.redone_work_s + carry.escalated_work_s
             ),
             device_id=lane.device_id,
@@ -1129,7 +1136,12 @@ class _FleetRun:
         """
         fleet = self.fleet
         seq, request, carry = st.seq, st.request, self.carry[st.seq]
-        carry.redone_work_s += sum(h.session.clock.now for h in st.handles)
+        redone = 0.0
+        for h in st.handles:
+            device_s = h.session.clock.now
+            redone += device_s
+            (h.device or lane).busy_s += device_s
+        carry.redone_work_s += redone
         self.release_claims(st)
         self._forget(st)
         if self.spec.recovery == "shed":

@@ -1,4 +1,4 @@
-"""Multi-device serving: ``DevicePool`` lanes, placement policies, migration.
+"""Multi-device serving: ``DevicePool`` lanes and placement policies.
 
 The fleet used to be hard-wired to one :class:`~repro.core.server.TTSServer`.
 A :class:`DevicePool` generalizes that to N simulated devices, each a
@@ -42,20 +42,6 @@ the request's planned prefix bytes, with a least-loaded tie-break. Both
 argmaxes go through :func:`~repro.core.prefix_sched.max_overlap_choice`
 so the two notions of affinity cannot drift apart.
 
-:meth:`DevicePool.migrate` moves a live session between lanes. By
-private claim its device-resident KV is written out over the source link
-and its full footprint read back over the destination link; when both
-lanes name claims by lineage (``kv_sharing="prefix"``) the handoff is a
-**delta-migration** instead — segments already resident at the
-destination cross no link in either direction (they gain a refcount),
-host-swapped segments skip the write-out, and only the remaining unique
-bytes pay PCIe (the savings land in ``migration_bytes_saved``). Either
-way the transfer is charged to the session's clock (migration is part of
-serving that request) and to both lane timelines, the ledgers hand the
-claims over transactionally, and the session's workers are rebuilt
-against the destination roofline via
-:meth:`~repro.core.session.SolveSession.rebind_device`.
-
 A single-device pool with the fifo scheduler is byte-identical to the
 pre-pool fleet (pinned by ``tests/goldens/fleet_fifo_goldens.json``).
 """
@@ -71,7 +57,7 @@ from repro.core import claims as lane_claims
 from repro.core.config import check_axis
 from repro.core.server import TTSServer
 from repro.engine.clock import SimClock
-from repro.errors import ConfigError, FaultError, SchedulingError
+from repro.errors import ConfigError, FaultError
 from repro.hardware.memory import KVLedger, KVSegment
 from repro.hardware.offload import OffloadLink
 from repro.utils.registry import Registry
@@ -79,7 +65,6 @@ from repro.utils.registry import Registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ServerConfig
     from repro.core.fleet import FleetRequest
-    from repro.core.scheduler import SessionHandle
     from repro.core.session import SolveSession
     from repro.routing.lanes import LaneSpec
     from repro.workloads.problem import Dataset, Problem
@@ -93,7 +78,6 @@ __all__ = [
     "LeastLoadedPlacement",
     "KvBalancedPlacement",
     "PrefixAffinityPlacement",
-    "delta_transfer_bytes",
     "PLACEMENTS",
 ]
 
@@ -118,8 +102,8 @@ class PooledDevice:
 
     Owns the lane's server, clock and KV ledger, plus the load statistics
     placement policies read (maintained by the fleet as requests are
-    placed and settled) and the migration/swap counters the per-device
-    metrics rollup reports.
+    placed and settled) and the swap and busy-time counters the
+    per-device metrics rollup reports.
     """
 
     index: int
@@ -155,6 +139,8 @@ class PooledDevice:
         default_factory=dict, init=False, repr=False, compare=False
     )
     # -- rollup counters ---------------------------------------------------
+    #: Live sessions moved onto / off this lane. No fleet path moves one,
+    #: so both read 0; the perf harness still reports them.
     migrations_in: int = 0
     migrations_out: int = 0
     kv_swap_s: float = 0.0
@@ -167,9 +153,13 @@ class PooledDevice:
     #: footprints versus the unique bytes actually billed after dedup.
     planned_admitted_bytes: int = 0
     unique_admitted_bytes: int = 0
-    #: PCIe bytes delta-migration avoided moving (vs a full-footprint
-    #: transfer), split per lane by transfer direction.
+    #: PCIe bytes a move by segment lineage saved: 0, as no session moves.
     migration_bytes_saved: int = 0
+    #: Device seconds of every session that ran here, whichever request
+    #: it served and however that request ended (settled, escalated past
+    #: or voided by a crash): the lane's share of the records'
+    #: ``device_seconds``.
+    busy_s: float = 0.0
     #: Batched-iteration rollups (filled by the round batcher on a
     #: ``"continuous"`` lane only, so an ``"off"`` lane reports none): how
     #: many generation sub-batches the lane launched, the total member
@@ -213,8 +203,7 @@ class PooledDevice:
         ``"qwen2.5-math-1.5b-int8+skywork-o1-prm-1.5b-int8"``.
 
         Lanes of one class are interchangeable for a session (same search
-        results, :meth:`~repro.core.session.SolveSession.rebind_device`
-        works between them); routing and per-class metrics key off this.
+        results); routing and per-class metrics key off this.
         """
         return f"{self.server.gen_model.name}+{self.server.ver_model.name}"
 
@@ -453,31 +442,6 @@ class PooledDevice:
         )
 
 
-def delta_transfer_bytes(
-    source: KVLedger, destination: KVLedger, claims: Sequence[KVSegment]
-) -> tuple[int, int]:
-    """PCIe bytes a delta-migration moves: ``(write_out, read_in)``.
-
-    The conservation law the property tests pin: ``read_in`` equals the
-    session's footprint (the claims' byte sum) minus the bytes already
-    resident at the destination — shared segments cross no link.
-    ``write_out`` is the subset of ``read_in`` resident on the *source*
-    device; host-swapped segments already live in host memory, which the
-    lanes share, so they skip the write-out but still pay the read-in.
-    """
-    out_bytes = in_bytes = 0
-    for claim in claims:
-        needed = claim.num_bytes - min(
-            claim.num_bytes, destination.resident_segment_bytes(claim.node_id)
-        )
-        if not needed:
-            continue
-        in_bytes += needed
-        if source.resident_segment_bytes(claim.node_id):
-            out_bytes += needed
-    return out_bytes, in_bytes
-
-
 class DevicePool:
     """N simulated devices a fleet schedules sessions across.
 
@@ -489,8 +453,7 @@ class DevicePool:
     validates that every lane shares the seed and dataset: search results
     are content-keyed, so any lane of one *lane class* (same deployed
     pairing) serves a request identically, and the router decides which
-    class sees it. Migration stays within a lane class
-    (:meth:`migrate` refuses cross-class destinations).
+    class sees it.
     """
 
     def __init__(self, devices: Sequence[PooledDevice]) -> None:
@@ -589,127 +552,6 @@ class DevicePool:
     @property
     def devices(self) -> tuple[PooledDevice, ...]:
         return self._devices
-
-    # -- migration ---------------------------------------------------------
-
-    def migrate(self, handle: "SessionHandle", destination: PooledDevice) -> float:
-        """Hand a live session over to another lane; returns seconds charged.
-
-        The session's device-resident KV is written out over the source
-        PCIe link and its full KV read back over the destination link
-        (host-swapped KV needs no source transfer — it already lives in
-        host memory, which the lanes share); between two
-        ``kv_sharing="prefix"`` lanes only the segments the destination
-        does not already hold cross either link. Both lane clocks advance —
-        the destination cannot resume the session before the data lands —
-        and the session's own clock is charged under the SWAP phase, so
-        migration shows up in the request's latency breakdown. Ledgers
-        hand the footprint over; if the destination must evict co-resident
-        sessions to make room, those writes are charged too.
-
-        Raises :class:`~repro.errors.CapacityError` (before charging
-        anything) when the session's KV cannot fit the destination budget,
-        and :class:`~repro.errors.SchedulingError` for dead sessions or
-        lanes outside this pool.
-        """
-        source = handle.device
-        if source is None:
-            raise SchedulingError(
-                "cannot migrate a handle not placed on any device "
-                f"(destination {destination.device_id})"
-            )
-        if source not in self._devices or destination not in self._devices:
-            raise SchedulingError(
-                "migration source and destination must be pool lanes "
-                f"(source {source.device_id}, destination "
-                f"{destination.device_id})"
-            )
-        if destination is source:
-            return 0.0
-        if not destination.serving:
-            raise SchedulingError(
-                f"cannot migrate {handle.session.session_id} from "
-                f"{source.device_id} to dead lane {destination.device_id}"
-            )
-        session = handle.session
-        if not session.state.live:
-            raise SchedulingError(
-                f"cannot migrate {session.session_id} in state "
-                f"{session.state.value} (source {source.device_id}, "
-                f"destination {destination.device_id})"
-            )
-        if destination.lane_class != source.lane_class:
-            # Refused before any ledger admission or clock advance: a
-            # session's KV encodes one model pairing's geometry; moving it
-            # across lane classes would silently change the request's
-            # answer. Escalation re-places (and re-prefills) instead.
-            raise SchedulingError(
-                "cannot migrate a session between lane classes: "
-                f"source {source.device_id} serves {source.lane_class}, "
-                f"destination {destination.device_id} serves "
-                f"{destination.lane_class}; escalate (re-place) the request "
-                "instead of migrating its KV"
-            )
-        owner = session.session_id
-        on_device = source.ledger.resident_of(owner)
-        lineage = source.kv_sharing == destination.kv_sharing == "prefix"
-        claims = session.claim_names.resident(session) if lineage else ()
-        if claims:
-            # Delta-migration: only segments the destination does not
-            # already hold resident cross the links, and only the
-            # source-resident subset of those pays the write-out (the
-            # rest already lives in shared host memory).
-            footprint = sum(claim.num_bytes for claim in claims)
-            out_bytes, in_bytes = delta_transfer_bytes(
-                source.ledger, destination.ledger, claims
-            )
-        else:
-            # By private claim: everything the source holds for the
-            # session moves, the device-resident part over both links.
-            footprint = on_device + source.ledger.swapped_of(owner)
-            if footprint == 0:
-                # Untracked (or not yet started): fall back to the
-                # session's own footprint, fully device-resident on the
-                # source.
-                on_device = footprint = session.resident_kv_bytes
-            claims = (destination.ledger.private_claim(owner, footprint),)
-            out_bytes, in_bytes = on_device, footprint
-        # Admission on the destination ledger comes first and is
-        # transactional — a refused or failed handoff must not have
-        # advanced any clock or touched any refcount.
-        evicted = destination.ledger.admit_segments(owner, claims)
-        source.ledger.release(owner)
-
-        dt_out = source.link.transfer_time(out_bytes) if out_bytes else 0.0
-        dt_in = destination.link.transfer_time(in_bytes) if in_bytes else 0.0
-        dt_evict = sum(
-            destination.link.transfer_time(num_bytes) for _, num_bytes in evicted
-        )
-
-        # The session's service so far ends at anchor + local time on the
-        # source timeline; the write-out starts there (or now, if the lane
-        # has moved past it serving others).
-        departed = max(
-            source.clock.now, handle.binding.anchor + session.clock.now
-        ) + dt_out
-        source.clock.advance_to(departed)
-        arrived = max(destination.clock.now, departed) + dt_evict + dt_in
-        destination.clock.advance_to(arrived)
-
-        charged = dt_out + dt_evict + dt_in
-        session.charge_kv_swap(charged)
-        session.rebind_device(destination.server)
-        handle.binding.rebind(destination.clock)
-        handle.device = destination
-        handle.kv_swap_s += charged
-
-        source.migrations_out += 1
-        destination.migrations_in += 1
-        source.kv_swap_s += dt_out
-        destination.kv_swap_s += dt_evict + dt_in
-        source.migration_bytes_saved += on_device - out_bytes
-        destination.migration_bytes_saved += footprint - in_bytes
-        return charged
 
 
 # -- placement policies ------------------------------------------------------

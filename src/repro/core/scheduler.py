@@ -87,8 +87,8 @@ class SessionHandle:
     clock onto the clock of ``device`` — the
     :class:`~repro.core.pool.PooledDevice` lane the request was placed on
     (None only for handles built outside a pool-driven fleet).
-    ``kv_swap_s`` accumulates the cross-session KV contention and
-    migration time charged to this session. ``first_token_s`` is the
+    ``kv_swap_s`` accumulates the cross-session KV contention time
+    charged to this session. ``first_token_s`` is the
     fleet time the session produced its first generated token (None
     until then) — the fleet captures it for the TTFT metric by mapping
     the session's private first-token time through its clock binding.

@@ -202,7 +202,7 @@ class SolveSession:
         session_id: str | None = None,
     ) -> None:
         self._server = server
-        self._config = server.config  # re-read by rebind_device
+        self._config = server.config
         self._problem = problem
         self._algorithm = algorithm
         self._session_id = session_id or f"session-{problem.problem_id}"
@@ -248,7 +248,7 @@ class SolveSession:
         self._gen_result = None
         self._first_token_s: float | None = None
         #: This session's KV as lane-ledger claims (see repro.core.claims).
-        self.claim_names = ClaimNames(server)
+        self.claim_names = ClaimNames()
 
         # Preemption inputs.
         self._preempt_at: float | None = None
@@ -370,44 +370,6 @@ class SolveSession:
                 self._clock.now, event, -1, **fields, seconds=round(dt, 6)
             )
 
-    def rebind_device(self, server: "TTSServer") -> None:
-        """Move this session onto another device's server (migration).
-
-        The destination must serve the same model pairing and dataset —
-        the KV caches carry over byte-for-byte (identical per-token sizes)
-        and only the roofline cost model changes, so the workers are
-        rebuilt against the new device while keeping their caches, clock,
-        timers and utilization spans. The PCIe cost of physically moving
-        the KV is charged by :meth:`~repro.core.pool.DevicePool.migrate`,
-        not here.
-        """
-        self._require(self._state.live, "migrate")
-        old = self._server
-        if (
-            server.gen_model.name != old.gen_model.name
-            or server.ver_model.name != old.ver_model.name
-        ):
-            raise SchedulingError(
-                f"cannot migrate {self._session_id} between servers with "
-                f"different model pairings"
-            )
-        self._server = server
-        self._config = server.config
-        if self._gen_worker is not None:
-            self._bind_workers()
-
-    def _bind_workers(self) -> None:
-        """(Re)build both workers on the current server, around the caches."""
-        server = self._server
-        self._gen_worker = GeneratorWorker(
-            server.gen_model, server.roofline, self._gen_cache, self._clock,
-            self._timer, self._spans,
-        )
-        self._ver_worker = VerifierWorker(
-            server.ver_model, server.roofline, self._ver_cache, self._clock,
-            self._timer, self._spans,
-        )
-
     def notify_arrival(self) -> None:
         """Signal that another request is waiting *now*.
 
@@ -500,7 +462,14 @@ class SolveSession:
         root = self._segment_chain((), True)[0]  # the prompt, in either spelling
         for cache in (self._gen_cache, self._ver_cache):
             cache.register_segment(root, None, self._problem.prompt_tokens)
-        self._bind_workers()
+        self._gen_worker = GeneratorWorker(
+            server.gen_model, server.roofline, self._gen_cache, self._clock,
+            self._timer, self._spans,
+        )
+        self._ver_worker = VerifierWorker(
+            server.ver_model, server.roofline, self._ver_cache, self._clock,
+            self._timer, self._spans,
+        )
 
         self._slot_budget = min(plan.b_dec, _MAX_SLOTS)
         self._batch_pre = min(plan.b_pre, _MAX_SLOTS)

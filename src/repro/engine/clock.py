@@ -16,8 +16,6 @@ between the two — it anchors a session clock at the lane time where the
 scheduler (re)started the session, so stepping the session maps its
 service-time progress back onto the lane timeline exactly (anchor +
 session time, one addition, no drift from re-accumulating round deltas).
-Re-binding the same session onto a *different* lane clock is how migration
-hands a session over between devices.
 """
 
 from __future__ import annotations

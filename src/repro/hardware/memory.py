@@ -120,8 +120,7 @@ class KVLedger:
     * one **private claim** (:meth:`private_claim`) — a root node derived
       from the owner id — collides with nobody, so the owner's whole
       footprint is evicted, restored and billed as a unit
-      (``kv_sharing="off"``). The byte-level :meth:`charge_growth` /
-      :meth:`admit` are that spelling.
+      (``kv_sharing="off"``).
 
     **Deltas.** An owner reports what *changed* after each round it runs
     (:meth:`charge_growth_segments`): claims that appeared or changed
@@ -352,8 +351,7 @@ class KVLedger:
         """``owner``'s whole footprint as one root claim nobody else can name.
 
         The node id is a stable function of the owner id (the same on
-        every lane, so a migrating owner keeps its name) and memoised
-        until :meth:`release`.
+        every lane) and memoised until :meth:`release`.
         """
         node = self._private.get(owner)
         if node is None:
@@ -636,15 +634,6 @@ class KVLedger:
         self._note_peaks()
         return restored, evicted
 
-    def charge_growth(
-        self, owner: str, total_bytes: int
-    ) -> tuple[int, list[tuple[str, int]]]:
-        """:meth:`charge_growth_segments` with one private claim, the
-        owner's only one."""
-        return self.charge_growth_segments(
-            owner, (self.private_claim(owner, total_bytes),)
-        )
-
     def restore(self, owner: str) -> tuple[int, list[tuple[str, int]]]:
         """Bring ``owner``'s swapped-out segments back before it resumes.
 
@@ -677,7 +666,7 @@ class KVLedger:
     def admit_segments(
         self, owner: str, segments: Iterable[KVSegment]
     ) -> list[tuple[str, int]]:
-        """Place a migrated-in owner's claims (delta-aware); evicts to fit.
+        """Place all of an owner's claims at once (delta-aware); evicts to fit.
 
         ``segments`` are all of the owner's claims here: any other it held
         on this lane are dropped. Claims whose segments are already
@@ -685,16 +674,15 @@ class KVLedger:
         rest becomes newly resident, and only *that* much room is made: a
         claim's bytes beyond the resident copy, or all of a swapped-out
         segment, which comes back at its longest claim.
-        The handoff is transactional: the whole-footprint capacity check
+        The admission is transactional: the whole-footprint capacity check
         raises :class:`~repro.errors.CapacityError` before anything
         mutates, and room is evicted *before* the first claim registers —
-        an eviction failure mid-handoff leaves every refcount (here and,
-        because the caller releases the source only after this returns,
-        at the source) untouched. The footprint checked is what the
-        claimed segments will occupy, which eviction cannot touch: each
-        at its longest claim once this one lands, a co-owner's longer
-        copy included. No swap counters move for the incoming bytes
-        themselves; migration traffic is the caller's to charge.
+        an eviction failure mid-admission leaves every refcount untouched.
+        The footprint checked is what the claimed segments will occupy,
+        which eviction cannot touch: each at its longest claim once this
+        one lands, a co-owner's longer copy included. No swap counters
+        move for the incoming bytes themselves; moving them is the
+        caller's to charge.
         """
         claims = list(segments)
         keep = {claim.node_id for claim in claims}
@@ -726,12 +714,8 @@ class KVLedger:
         self._note_peaks()
         return evicted
 
-    def admit(self, owner: str, num_bytes: int) -> list[tuple[str, int]]:
-        """:meth:`admit_segments` with one private claim."""
-        return self.admit_segments(owner, [self.private_claim(owner, num_bytes)])
-
     def release(self, owner: str) -> int:
-        """Drop every claim of ``owner`` (finished or migrated away).
+        """Drop every claim of ``owner`` (finished, cancelled or crashed).
 
         Returns the unique device bytes freed.
         """

@@ -13,18 +13,9 @@ from dataclasses import dataclass
 
 from repro.errors import CapacityError
 
-__all__ = ["BlockPool", "blocks_for_tokens", "DEFAULT_BLOCK_TOKENS"]
+__all__ = ["BlockPool", "DEFAULT_BLOCK_TOKENS"]
 
 DEFAULT_BLOCK_TOKENS = 16
-
-
-def blocks_for_tokens(n_tokens: int, block_tokens: int = DEFAULT_BLOCK_TOKENS) -> int:
-    """Blocks needed to hold ``n_tokens`` (ceiling division)."""
-    if n_tokens < 0:
-        raise ValueError("n_tokens must be non-negative")
-    if block_tokens <= 0:
-        raise ValueError("block_tokens must be positive")
-    return -(-n_tokens // block_tokens)
 
 
 @dataclass

@@ -339,7 +339,11 @@ class PagedKVCache:
                     state.last_access = stamp
                 else:
                     # Residency invariant: once the chain breaks, everything
-                    # below must be recomputed even if stale blocks linger.
+                    # below must be recomputed. No public operation breaks
+                    # a chain (eviction takes frontier leaves only), so no
+                    # stale segment is resident here today; this guard keeps
+                    # the block books exact if one ever is, instead of
+                    # counting its blocks twice. TestBrokenChain pins it.
                     if state.resident:
                         self._evict_segment(state, now)
                     to_load.append(state)

@@ -1,4 +1,4 @@
-"""Simulated LLM layer: oracle, generator, PRM verifier, sampler, tokenizer."""
+"""Simulated LLM layer: oracle, generator, PRM verifier, tokenizer."""
 
 from repro.llm.generator import SimulatedGenerator, StepPlan
 from repro.llm.oracle import (
@@ -7,7 +7,6 @@ from repro.llm.oracle import (
     sigmoid,
     verifier_noise_scale,
 )
-from repro.llm.sampler import apply_top_k, apply_top_p, sample_token, sample_tokens
 from repro.llm.tokenizer import SyntheticTokenizer
 from repro.llm.verifier import SimulatedPRM
 
@@ -20,8 +19,4 @@ __all__ = [
     "verifier_noise_scale",
     "sigmoid",
     "SyntheticTokenizer",
-    "sample_token",
-    "sample_tokens",
-    "apply_top_k",
-    "apply_top_p",
 ]

@@ -10,11 +10,7 @@ from repro.metrics.goodput import (
 )
 from repro.metrics.latency import LatencyBreakdown, mean_breakdown
 from repro.metrics.report import ProblemRunResult, RunMetrics
-from repro.metrics.utilization import (
-    decay_ratio,
-    mean_phase_utilization,
-    utilization_timeline,
-)
+from repro.metrics.utilization import decay_ratio, mean_phase_utilization
 
 __all__ = [
     "BeamRecord",
@@ -31,6 +27,5 @@ __all__ = [
     "ProblemRunResult",
     "RunMetrics",
     "mean_phase_utilization",
-    "utilization_timeline",
     "decay_ratio",
 ]

@@ -11,7 +11,7 @@ redundancy-based schedulers such as ``first_finish``) how much device time
 went into sessions whose results were cancelled or discarded.
 
 :class:`DeviceUtilization` rolls the same run up per device lane —
-requests served, busy fraction, migrations in/out, KV swap traffic, and
+requests served, busy fraction, KV swap traffic, and
 the lane ledger's cross-session sharing stats (peak bytes saved by
 prefix dedup, peak-logical-over-peak-physical ``kv_dedup_ratio``) — so a
 heterogeneous pool's imbalance is visible at a glance
@@ -58,7 +58,6 @@ __all__ = [
     "lane_class_table",
     "router_decisions",
     "frontier_point",
-    "frontier_table",
 ]
 
 
@@ -70,11 +69,10 @@ class FleetRequestRecord:
     device's :class:`~repro.engine.clock.SimClock` lane (all lanes of a
     pool share one time origin). ``device_id`` names that lane (None for
     rejected requests, which never reach a device). ``kv_swap_s`` is the
-    cross-session KV contention and migration time charged to this
-    request's sessions. Rejected requests (admission control) carry
-    ``accepted=False`` and a ``reject_reason``; their
-    ``start_s``/``finish_s`` equal the arrival time and they contribute to
-    no latency statistic.
+    cross-session KV contention time charged to this request's sessions.
+    Rejected requests (admission control) carry ``accepted=False`` and a
+    ``reject_reason``; their ``start_s``/``finish_s`` equal the arrival
+    time and they contribute to no latency statistic.
     """
 
     request_id: str
@@ -279,8 +277,8 @@ class FleetMetrics:
     #: fraction of primary placements that landed on a lane already
     #: holding (or planning) part of the request's KV prefix; the
     #: planned/unique pair contrasts full planned footprints with what
-    #: dedup-aware admission actually billed; ``kv_migration_bytes_saved``
-    #: totals PCIe bytes delta-migration avoided shipping.
+    #: dedup-aware admission actually billed. ``kv_migration_bytes_saved``
+    #: reads 0: no fleet path moves a live session between lanes.
     affinity_hit_ratio: float = 0.0
     kv_planned_admitted_bytes: int = 0
     kv_unique_admitted_bytes: int = 0
@@ -457,9 +455,13 @@ class DeviceUtilization:
     """One pool lane's share of a fleet run.
 
     Built by the fleet at drain time from its lane counters plus the
-    per-request records; ``busy_fraction`` is this lane's device-seconds
-    over the whole run's makespan, so an idle lane in a badly placed
-    heterogeneous pool shows up as a near-zero row.
+    per-request records; ``busy_fraction`` is the device seconds of every
+    session that ran on this lane (:attr:`PooledDevice.busy_s
+    <repro.core.pool.PooledDevice.busy_s>`) over the whole run's
+    makespan, so an idle lane in a badly placed heterogeneous pool shows
+    up as a near-zero row. ``migrations_in`` / ``migrations_out`` and
+    ``migration_bytes_saved`` read 0: no fleet path moves a live session
+    between lanes.
     """
 
     device_id: str
@@ -496,9 +498,8 @@ class DeviceUtilization:
     downtime_s: float = 0.0
     stall_s: float = 0.0
     #: Sharing-aware placement/admission counters: primary placements the
-    #: lane won, how many landed on already-resident prefix bytes, the
-    #: full-vs-unique planned bytes admission billed here, and PCIe bytes
-    #: delta-migration spared this lane's link.
+    #: lane won, how many landed on already-resident prefix bytes, and the
+    #: full-vs-unique planned bytes admission billed here.
     placements: int = 0
     affinity_hits: int = 0
     planned_admitted_bytes: int = 0
@@ -522,7 +523,7 @@ class DeviceUtilization:
             mine = [
                 r for r in records if r.accepted and r.device_id == lane.device_id
             ]
-            busy = sum(r.device_seconds for r in mine)
+            busy = lane.busy_s
             rows.append(
                 cls(
                     device_id=lane.device_id,
@@ -1111,27 +1112,4 @@ def frontier_point(
             sum(r.device_seconds for r in accepted) / len(accepted)
             if accepted else 0.0
         ),
-    )
-
-
-def frontier_table(
-    points: Sequence[FrontierPoint], title: str | None = None
-) -> str:
-    """Accuracy-vs-cost frontier across serving configurations."""
-    if not points:
-        raise ValueError("need at least one frontier point to tabulate")
-    rows = [
-        [
-            p.label,
-            p.requests,
-            _pct(p.accuracy),
-            round(p.latency_mean_s, 2),
-            round(p.device_time_mean_s, 2),
-        ]
-        for p in points
-    ]
-    return render_table(
-        ["pool", "req", "accuracy", "latency mean s", "device s"],
-        rows,
-        title=title,
     )

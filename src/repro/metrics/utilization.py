@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.engine.telemetry import Phase, UtilSpan
 
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["mean_phase_utilization", "utilization_timeline", "decay_ratio"]
+__all__ = ["mean_phase_utilization", "decay_ratio"]
 
 
 def mean_phase_utilization(spans: Sequence[UtilSpan], phase: Phase) -> float:
@@ -19,25 +16,6 @@ def mean_phase_utilization(spans: Sequence[UtilSpan], phase: Phase) -> float:
     if total == 0:
         return 0.0
     return sum(s.utilization * s.duration for s in selected) / total
-
-
-def utilization_timeline(
-    spans: Sequence[UtilSpan], phase: Phase, n_points: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant occupancy resampled on a uniform grid."""
-    import numpy as np
-
-    selected = sorted((s for s in spans if s.phase is phase), key=lambda s: s.t_start)
-    if not selected:
-        return np.zeros(0), np.zeros(0)
-    t0 = selected[0].t_start
-    t1 = max(s.t_end for s in selected)
-    grid = np.linspace(t0, t1, n_points)
-    values = np.zeros(n_points)
-    for span in selected:
-        mask = (grid >= span.t_start) & (grid < span.t_end)
-        values[mask] = span.utilization
-    return grid, values
 
 
 def decay_ratio(spans: Sequence[UtilSpan], phase: Phase) -> float:

@@ -1,21 +1,16 @@
 """Shared utilities: keyed RNG streams, statistics, and table rendering."""
 
-from repro.utils.ascii_plot import bar_chart, series_plot
+from repro.utils.ascii_plot import series_plot
 from repro.utils.rng import KeyedRng, stable_hash64
-from repro.utils.stats import Summary, geometric_mean, percentile, ratio, summarize
-from repro.utils.tables import format_bytes, format_quantity, render_table
+from repro.utils.stats import percentile, ratio
+from repro.utils.tables import format_bytes, render_table
 
 __all__ = [
     "KeyedRng",
     "stable_hash64",
-    "Summary",
-    "summarize",
-    "geometric_mean",
     "percentile",
     "ratio",
     "render_table",
-    "format_quantity",
     "format_bytes",
-    "bar_chart",
     "series_plot",
 ]

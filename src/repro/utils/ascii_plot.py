@@ -2,51 +2,16 @@
 
 The paper's artifact renders PDF figures; this reproduction renders the
 same series as terminal graphics so results are inspectable over SSH and
-diffable in CI: horizontal bar charts for categorical comparisons (Fig. 12
-style) and multi-series strip plots for trends (Fig. 5/6/17 style).
+diffable in CI: multi-series strip plots for trends (Fig. 5/6/17 style).
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["bar_chart", "series_plot"]
+__all__ = ["series_plot"]
 
-_BAR = "#"
 _TICKS = " .:-=+*#%@"
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 48,
-    title: str | None = None,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart with right-aligned values.
-
-    >>> print(bar_chart(["a", "b"], [1.0, 2.0], width=4))  # doctest: +SKIP
-    a | ##    1.00
-    b | #### 2.00
-    """
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        raise ValueError("nothing to plot")
-    if width < 1:
-        raise ValueError("width must be positive")
-    peak = max(values)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = _BAR * max(0, round(value / peak * width))
-        lines.append(
-            f"{label.ljust(label_width)} | {bar.ljust(width)} "
-            f"{value:,.2f}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def series_plot(

@@ -3,60 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["Summary", "summarize", "geometric_mean", "percentile", "ratio"]
-
-
-@dataclass(frozen=True, slots=True)
-class Summary:
-    """Five-number-plus summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    p50: float
-    p95: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.3f} std={self.std:.3f} "
-            f"min={self.minimum:.3f} p50={self.p50:.3f} "
-            f"p95={self.p95:.3f} max={self.maximum:.3f}"
-        )
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Summarize a sample; raises ``ValueError`` on an empty sample."""
-    import numpy as np
-
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
-        maximum=float(arr.max()),
-    )
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    import numpy as np
-
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot take the geometric mean of an empty sample")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.log(arr).mean()))
+__all__ = ["percentile", "ratio"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

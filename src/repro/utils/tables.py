@@ -9,22 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["render_table", "format_quantity", "format_bytes"]
-
-_SI_PREFIXES = ["", "K", "M", "G", "T", "P"]
-
-
-def format_quantity(value: float, unit: str = "", precision: int = 2) -> str:
-    """Format a value with an SI prefix, e.g. ``1_500_000 -> '1.50M'``."""
-    if value != value:  # NaN
-        return "nan"
-    sign = "-" if value < 0 else ""
-    magnitude = abs(value)
-    for prefix in _SI_PREFIXES:
-        if magnitude < 1000.0 or prefix == _SI_PREFIXES[-1]:
-            return f"{sign}{magnitude:.{precision}f}{prefix}{unit}"
-        magnitude /= 1000.0
-    raise AssertionError("unreachable")
+__all__ = ["render_table", "format_bytes"]
 
 
 def format_bytes(num_bytes: float, precision: int = 2) -> str:

@@ -171,8 +171,10 @@ class TestLaneLifecycle:
                 session.session_id, session.claim_names.resident(session)
             )
         else:
-            lane.ledger.charge_growth(
-                session.session_id, session.resident_kv_bytes
+            owner = session.session_id
+            lane.ledger.charge_growth_segments(
+                owner,
+                (lane.ledger.private_claim(owner, session.resident_kv_bytes),),
             )
         return session
 

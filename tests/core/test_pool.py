@@ -1,4 +1,4 @@
-"""Tests for DevicePool: placement, migration, and KV oversubscription.
+"""Tests for DevicePool: placement and KV oversubscription.
 
 The redesign's contract: a single-device pool with the fifo scheduler is a
 strict superset of the old fleet (byte-identity is pinned by
@@ -9,12 +9,14 @@ swap time (or are refused admission) instead of contending for free.
 
 import pytest
 
-from repro.core.config import baseline_config, fasttts_config
+from repro.core.config import AXIS_CHOICES, baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet
-from repro.core.pool import PLACEMENTS, DevicePool, PooledDevice
-from repro.core.scheduler import SessionHandle
+from repro.core.pool import PLACEMENTS, DevicePool
+from repro.core.scheduler import SCHEDULERS, SessionHandle
 from repro.engine.clock import ClockBinding
-from repro.errors import CapacityError, ConfigError, SchedulingError
+from repro.errors import ConfigError
+from repro.faults import FAULTS
+from repro.routing import ROUTERS, parse_lane_list
 from repro.search.registry import build_algorithm
 from repro.utils.rng import KeyedRng
 from repro.workloads.arrivals import PoissonProcess
@@ -232,6 +234,108 @@ class TestHeterogeneousPoolBeatsSingles:
         # pool-level busy fraction is normalized by lane count
         assert 0.0 < report.metrics.busy_fraction <= 1.0
 
+    def test_a_lane_is_billed_the_sessions_it_ran(self, dataset):
+        """``first_finish`` races replicas on both lanes: each lane's busy
+        time is the device time of the sessions that ran on it, not of the
+        requests it settled, so no lane is busier than the run is long."""
+        report = drain(
+            dataset, ["rtx4090", "rtx4090"], rate=0.2, size=4,
+            scheduler="first_finish", placement="prefix_affinity",
+            kv_sharing="prefix",
+        )
+        accepted = [r for r in report.records if r.accepted]
+        assert len(accepted) == 4 and report.metrics.requests_lost == 0
+        assert all(d.busy_s > 0.0 for d in report.devices)
+        for d in report.devices:
+            assert d.busy_fraction <= 1.0
+        assert sum(d.busy_s for d in report.devices) == pytest.approx(
+            sum(r.device_seconds for r in accepted)
+        )
+
+
+#: What each fault kind needs beyond ``at=40,lane=0`` to be well-formed.
+FAULT_PARAMS = {
+    "crash": ",mttr=120",
+    "stall": ",duration=60",
+    "link_degrade": ",factor=0.25,duration=120",
+    "kv_pressure": ",fraction=0.5,duration=120",
+}
+TWO_4090 = {"devices": ["rtx4090", "rtx4090"]}
+TWO_CARDS = {"devices": ["rtx4090", "rtx4070ti"]}
+FOUR_LANES = {"devices": ["rtx4090"] * 4, "size": 8}
+BIG_AND_SMALL = {
+    "lanes": "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8",
+    "placement": "least_loaded",
+}
+
+
+def busy_cell(base, **axes):
+    return pytest.param(
+        base | axes, id=",".join(f"{axis}={value}" for axis, value in axes.items())
+    )
+
+
+BUSY_CELLS = [
+    *(busy_cell(TWO_4090, scheduler=s, kv_sharing=kv)
+      for s in SCHEDULERS.names() for kv in AXIS_CHOICES["kv_sharing"]),
+    *(busy_cell(TWO_CARDS, placement=p) for p in PLACEMENTS.names()),
+    *(busy_cell(TWO_4090 | {"scheduler": "round_robin", "rate": 1.0}, batching=b)
+      for b in AXIS_CHOICES["batching"]),
+    *(busy_cell(TWO_4090 | {"rate": 1.0}, oversubscription=o)
+      for o in AXIS_CHOICES["oversubscription"]),
+    *(busy_cell(FOUR_LANES, faults=f"{kind}:at=40,lane=0{FAULT_PARAMS[kind]}",
+                recovery=recovery)
+      for kind in FAULTS.names() for recovery in AXIS_CHOICES["recovery"]),
+    *(busy_cell(BIG_AND_SMALL, router=r) for r in ROUTERS.names()),
+]
+
+
+class TestLaneBusyTime:
+    """Every device second a session spends is billed to exactly one lane.
+
+    The fleet adds a session's clock to the lane it ran on where the
+    session ends: the winner and its cancelled siblings at settle, an
+    abandoned cheap attempt at escalation, crash-voided work at recovery.
+    Summed over the lanes that is the accepted records' device seconds
+    plus what the unaccepted ones had redone or escalated.
+    """
+
+    @staticmethod
+    def run(dataset, cell):
+        cell = dict(cell)
+        size, rate = cell.pop("size", 4), cell.pop("rate", 0.2)
+        lanes = cell.get("lanes")
+        device = parse_lane_list(lanes)[0].device_name if lanes else cell["devices"][0]
+        config = fasttts_config(memory_fraction=0.9, seed=0, device_name=device)
+        fleet = TTSFleet(config, dataset, **cell)
+        arrivals = PoissonProcess(rate_rps=rate).times(KeyedRng(0), size)
+        for problem, arrival in zip(list(dataset)[:size], arrivals):
+            fleet.submit(problem, build_algorithm("beam_search", 4), arrival_s=arrival)
+        return fleet.drain()
+
+    @pytest.mark.parametrize("cell", BUSY_CELLS)
+    def test_busy_time_is_conserved(self, dataset, cell):
+        report = self.run(dataset, cell)
+        billed = sum(
+            r.device_seconds if r.accepted else r.redone_work_s + r.escalated_work_s
+            for r in report.records
+        )
+        assert billed > 0.0
+        assert sum(d.busy_s for d in report.devices) == pytest.approx(billed)
+        if cell.get("batching", "off") == "off" and report.metrics.requests_lost == 0:
+            # One session at a time per lane: no lane outworks the run.
+            assert all(d.busy_fraction <= 1.0 for d in report.devices)
+
+    def test_the_cells_reach_every_billing_site(self, dataset):
+        """Settle's sibling loop, ``escalate`` and ``recover_request``."""
+        def total(cell, field):
+            return sum(getattr(r, field) for r in self.run(dataset, cell).records)
+
+        assert total(TWO_4090 | {"scheduler": "first_finish"}, "cancelled_work_s") > 0
+        assert total(BIG_AND_SMALL | {"router": "cascade"}, "escalated_work_s") > 0
+        crash = FOUR_LANES | {"faults": "crash:at=40,lane=0,mttr=120"}
+        assert total(crash, "redone_work_s") > 0
+
 
 class TestKvOversubscription:
     """Acceptance: concurrent KV-heavy sessions are no longer free."""
@@ -292,331 +396,3 @@ class TestKvOversubscription:
                 baseline_config(memory_fraction=0.4), dataset,
                 oversubscription="ignore",
             )
-
-
-class TestMigration:
-    def pool(self):
-        dataset = build_dataset("amc23", seed=0, size=1)
-        pool = DevicePool.build(
-            fasttts_config(memory_fraction=0.9, seed=0), dataset,
-            ["rtx4090", "rtx4070ti"],
-        )
-        return pool, list(dataset)[0]
-
-    def test_migrate_charges_pcie_and_hands_over(self):
-        pool, problem = self.pool()
-        src, dst = pool[0], pool[1]
-        handle = make_handle(src, problem)
-        session = handle.session
-        for _ in range(5):
-            session.step()
-        handle.binding.sync(src.clock)
-        src.ledger.charge_growth(session.session_id, session.resident_kv_bytes)
-        moved = session.resident_kv_bytes
-        assert moved > 0
-        before = session.clock.now
-
-        charged = pool.migrate(handle, dst)
-
-        expected = src.link.transfer_time(moved) + dst.link.transfer_time(moved)
-        assert charged == pytest.approx(expected)
-        assert session.clock.now == pytest.approx(before + charged)
-        # ledgers handed the footprint over
-        assert src.ledger.resident_of(session.session_id) == 0
-        assert dst.ledger.resident_of(session.session_id) == moved
-        # destination cannot resume the session before the data lands
-        assert dst.clock.now >= src.clock.now
-        assert src.migrations_out == 1 and dst.migrations_in == 1
-        assert handle.device is dst
-        assert session.server is dst.server
-
-    def test_migrated_session_finishes_on_destination_roofline(self):
-        pool, problem = self.pool()
-        handle = make_handle(pool[0], problem)
-        for _ in range(5):
-            handle.session.step()
-        handle.binding.sync(pool[0].clock)
-        pool.migrate(handle, pool[1])
-        while handle.session.state.live:
-            handle.session.step()
-        migrated = handle.session.outcome.result
-
-        # same problem solved wholly on the slower device: identical
-        # search results (keyed draws), different timing
-        solo = pool[1].server.solve(problem, build_algorithm("beam_search", 4))
-        assert [b.answer for b in migrated.beams] == [b.answer for b in solo.beams]
-        assert migrated.latency.total != solo.latency.total
-
-    def test_migrate_unstarted_session_is_free(self):
-        pool, problem = self.pool()
-        handle = make_handle(pool[0], problem)
-        charged = pool.migrate(handle, pool[1])
-        assert charged == 0.0
-        assert pool[1].clock.now == 0.0
-        assert handle.device is pool[1]
-        # still solvable end to end on the destination
-        while handle.session.state.live:
-            handle.session.step()
-        assert handle.session.outcome.result.beams
-
-    def test_migrate_same_device_is_noop(self):
-        pool, problem = self.pool()
-        handle = make_handle(pool[0], problem)
-        assert pool.migrate(handle, pool[0]) == 0.0
-        assert pool[0].migrations_out == 0
-
-    def test_migrate_dead_session_rejected(self):
-        pool, problem = self.pool()
-        handle = make_handle(pool[0], problem)
-        handle.session.cancel()
-        with pytest.raises(SchedulingError):
-            pool.migrate(handle, pool[1])
-
-    def test_migrate_refused_when_kv_cannot_fit(self):
-        dataset = build_dataset("amc23", seed=0, size=1)
-        problem = list(dataset)[0]
-        # dev1 at 0.75 memory fraction: weights fit but its KV budget is
-        # smaller than a 24 GB lane's resident n=16 session footprint...
-        config = fasttts_config(memory_fraction=0.9, seed=0)
-        pool = DevicePool.build(config, dataset, ["rtx4090", "rtx3070ti"])
-        handle = make_handle(pool[0], problem, n=16)
-        session = handle.session
-        while (
-            session.state.live
-            and session.resident_kv_bytes <= pool[1].ledger.capacity_bytes
-        ):
-            session.step()
-        if not session.state.live:
-            pytest.skip("session never outgrew the small lane's budget")
-        handle.binding.sync(pool[0].clock)
-        pool[0].ledger.charge_growth(
-            session.session_id, session.resident_kv_bytes
-        )
-        src_clock_before = pool[0].clock.now
-        dst_clock_before = pool[1].clock.now
-        session_clock_before = session.clock.now
-        resident_before = pool[0].ledger.resident_of(session.session_id)
-        assert resident_before > 0
-        with pytest.raises(CapacityError):
-            pool.migrate(handle, pool[1])
-        # a refused migration is fully transactional: neither lane clock
-        # advanced, the session was not charged, and the source ledger
-        # still owns every byte (nothing leaked to the destination).
-        assert pool[0].clock.now == src_clock_before
-        assert pool[1].clock.now == dst_clock_before
-        assert session.clock.now == session_clock_before
-        assert pool[0].ledger.resident_of(session.session_id) == resident_before
-        assert pool[1].ledger.resident_of(session.session_id) == 0
-        assert session.session_id in pool[0].ledger.owners
-        assert session.session_id not in pool[1].ledger.owners
-        assert handle.device is pool[0]
-
-    def test_migrate_refused_keeps_shared_ledger_segment_claims(self):
-        """The transactional contract holds on the segment-claim path.
-
-        With ``kv_sharing="prefix"`` each lane's ledger tracks refcounted
-        prefix segments rather than opaque byte totals; a refused
-        migration must leave the source's segment claims untouched and
-        claim nothing on the destination.
-        """
-        dataset = build_dataset("amc23", seed=0, size=1)
-        problem = list(dataset)[0]
-        config = fasttts_config(memory_fraction=0.9, seed=0)
-        pool = DevicePool.build(
-            config, dataset, ["rtx4090", "rtx3070ti"], kv_sharing="prefix"
-        )
-        handle = make_handle(pool[0], problem, n=16)
-        session = handle.session
-        while (
-            session.state.live
-            and session.resident_kv_bytes <= pool[1].ledger.capacity_bytes
-        ):
-            session.step()
-            pool[0].ledger.charge_growth_segments(
-                session.session_id, session.claim_names.resident(session)
-            )
-        if not session.state.live:
-            pytest.skip("session never outgrew the small lane's budget")
-        handle.binding.sync(pool[0].clock)
-        src_clock_before = pool[0].clock.now
-        dst_clock_before = pool[1].clock.now
-        resident_before = pool[0].ledger.resident_of(session.session_id)
-        leaf_before = pool[0].ledger.owner_leaf(session.session_id)
-        assert resident_before > 0
-        with pytest.raises(CapacityError):
-            pool.migrate(handle, pool[1])
-        assert pool[0].clock.now == src_clock_before
-        assert pool[1].clock.now == dst_clock_before
-        assert pool[0].ledger.resident_of(session.session_id) == resident_before
-        assert pool[0].ledger.owner_leaf(session.session_id) == leaf_before
-        assert session.session_id in pool[0].ledger.owners
-        assert session.session_id not in pool[1].ledger.owners
-        assert handle.device is pool[0]
-
-    def prefix_pool(self, size=1):
-        dataset = build_dataset("amc23", seed=0, size=size)
-        pool = DevicePool.build(
-            fasttts_config(memory_fraction=0.9, seed=0), dataset,
-            ["rtx4090", "rtx4070ti"], kv_sharing="prefix",
-        )
-        return pool, list(dataset)
-
-    @staticmethod
-    def warm(lane, problem, rounds, n=4):
-        """Run a canonical session ``rounds`` steps and register its KV."""
-        handle = make_handle(lane, problem, n=n)
-        for _ in range(rounds):
-            handle.session.step()
-        session = handle.session
-        lane.ledger.charge_growth_segments(
-            session.session_id, session.claim_names.resident(session)
-        )
-        return handle
-
-    def test_delta_migration_free_when_destination_fully_resident(self):
-        """Same-progress canonical peer at the destination: nothing moves.
-
-        Canonical sessions of one problem regenerate identical segment
-        lineages on every lane (content-keyed draws), so the migrating
-        session's whole footprint is already resident at the destination
-        and the delta path charges zero PCIe time.
-        """
-        pool, problems = self.prefix_pool()
-        src, dst = pool[0], pool[1]
-        self.warm(dst, problems[0], rounds=5)
-        handle = self.warm(src, problems[0], rounds=5)
-        handle.binding.sync(src.clock)
-        session = handle.session
-        moved = session.resident_kv_bytes
-        assert moved > 0
-        full_cost = src.link.transfer_time(moved) + dst.link.transfer_time(moved)
-
-        charged = pool.migrate(handle, dst)
-
-        assert charged == 0.0 < full_cost
-        assert dst.ledger.resident_of(session.session_id) == moved
-        assert src.ledger.resident_of(session.session_id) == 0
-        # every byte of both directions was saved, and the lanes say so
-        assert src.migration_bytes_saved == moved
-        assert dst.migration_bytes_saved == moved
-        assert handle.device is dst
-
-    def test_delta_migration_charges_strictly_less_on_partial_overlap(self):
-        """A shallower peer shares only a lineage prefix: the delta pays
-        for the missing suffix, strictly less than the full footprint."""
-        pool, problems = self.prefix_pool()
-        src, dst = pool[0], pool[1]
-        self.warm(dst, problems[0], rounds=2)
-        handle = self.warm(src, problems[0], rounds=6)
-        handle.binding.sync(src.clock)
-        session = handle.session
-        moved = session.resident_kv_bytes
-        full_cost = src.link.transfer_time(moved) + dst.link.transfer_time(moved)
-
-        charged = pool.migrate(handle, dst)
-
-        # The rng-independent prompt roots are shared at minimum, so the
-        # delta is strictly cheaper than shipping the whole footprint;
-        # the deeper rounds are not there, so it is not free either.
-        assert 0.0 < charged < full_cost
-        assert dst.ledger.resident_of(session.session_id) == moved
-        assert src.ledger.resident_of(session.session_id) == 0
-        assert src.migration_bytes_saved > 0
-        assert dst.migration_bytes_saved > 0
-
-    def test_whole_session_ledgers_still_ship_the_full_footprint(self):
-        """kv_sharing off: byte path unchanged, nothing reported saved."""
-        pool, problem = self.pool()
-        src, dst = pool[0], pool[1]
-        handle = make_handle(src, problem)
-        for _ in range(5):
-            handle.session.step()
-        handle.binding.sync(src.clock)
-        src.ledger.charge_growth(
-            handle.session.session_id, handle.session.resident_kv_bytes
-        )
-        moved = handle.session.resident_kv_bytes
-        charged = pool.migrate(handle, dst)
-        assert charged == pytest.approx(
-            src.link.transfer_time(moved) + dst.link.transfer_time(moved)
-        )
-        assert src.migration_bytes_saved == 0
-        assert dst.migration_bytes_saved == 0
-
-    def test_session_the_source_never_charged_moves_its_own_footprint(self):
-        """The untracked fallback: out and in are the session's own bytes."""
-        pool, problem = self.pool()
-        src, dst = pool[0], pool[1]
-        handle = make_handle(src, problem)
-        for _ in range(5):
-            handle.session.step()
-        handle.binding.sync(src.clock)
-        moved = handle.session.resident_kv_bytes
-        assert moved > 0 and src.ledger.owners == []
-        charged = pool.migrate(handle, dst)
-        assert charged == pytest.approx(
-            src.link.transfer_time(moved) + dst.link.transfer_time(moved)
-        )
-        assert dst.ledger.resident_of(handle.session.session_id) == moved
-
-    @pytest.mark.parametrize("policies", [("off", "prefix"), ("prefix", "off")])
-    def test_mixed_prepared_pool_migrates_by_private_claim(self, policies):
-        """Delta-migration needs lineage names on both sides; a lane of
-        private claims on either side ships the whole footprint."""
-        reference, problem = self.pool()
-        pool = DevicePool([
-            PooledDevice(index=i, server=lane.server, kv_sharing=policy)
-            for i, (lane, policy) in enumerate(zip(reference, policies))
-        ])
-        src, dst = pool[0], pool[1]
-        # a same-problem peer already resident at the destination
-        peer = dst.server.session(
-            problem, build_algorithm("beam_search", 4), session_id="peer"
-        )
-        handle = make_handle(src, problem)
-        for _ in range(5):
-            peer.step()
-            handle.session.step()
-        handle.binding.sync(src.clock)
-        session = handle.session
-        dst.ledger.charge_growth_segments(peer.session_id, *dst.session_claims(peer))
-        src.ledger.charge_growth_segments(
-            session.session_id, *src.session_claims(session)
-        )
-        moved = session.resident_kv_bytes
-        before = dst.ledger.resident_bytes
-
-        charged = pool.migrate(handle, dst)
-
-        assert charged == pytest.approx(
-            src.link.transfer_time(moved) + dst.link.transfer_time(moved)
-        )
-        assert src.migration_bytes_saved == dst.migration_bytes_saved == 0
-        assert dst.ledger.resident_bytes == before + moved  # nothing deduped
-        assert src.ledger.owners == [] and len(src.ledger.tree) == 0
-
-    def test_migrate_error_messages_name_lanes(self):
-        pool, problem = self.pool()
-        handle = make_handle(pool[0], problem)
-        handle.session.cancel()
-        with pytest.raises(
-            SchedulingError,
-            match=r"source dev0:rtx4090, destination dev1:rtx4070ti",
-        ):
-            pool.migrate(handle, pool[1])
-        orphan = make_handle(pool[0], problem)
-        orphan.device = None
-        with pytest.raises(
-            SchedulingError, match=r"destination dev1:rtx4070ti"
-        ):
-            pool.migrate(orphan, pool[1])
-
-    def test_migrate_to_dead_lane_refused(self):
-        pool, problem = self.pool()
-        handle = make_handle(pool[0], problem)
-        handle.session.step()
-        pool[1].fail_lane(5.0)
-        with pytest.raises(
-            SchedulingError, match=r"dead lane dev1:rtx4070ti"
-        ):
-            pool.migrate(handle, pool[1])

@@ -167,29 +167,6 @@ class TestStateMachine:
         with pytest.raises(SchedulingError):
             session.run()
 
-    def test_rebind_device_rereads_the_prefix_caching_setting(self, dataset, problem):
-        """The session keeps its server's config; a rebind onto a server
-        with the other ``prefix_caching`` setting must re-read it, or the
-        session keeps spelling segment ids the old way."""
-        servers = {
-            flag: TTSServer(
-                baseline_config(memory_fraction=0.4, seed=SEED, prefix_caching=flag),
-                dataset,
-            )
-            for flag in (True, False)
-        }
-        session = servers[True].session(problem, build_algorithm("beam_search", N))
-        lineage = (2, 0, 1)
-        shared = session._segment_chain(lineage)
-        session.rebind_device(servers[False])
-        private = session._segment_chain(lineage)
-        assert private != shared
-        assert private == session_module.path_segments(
-            servers[False].config, problem, lineage, len(lineage)
-        )
-        session.rebind_device(servers[True])
-        assert session._segment_chain(lineage) == shared
-
 
 class TestOccupancy:
     """``step(occupancy)``: a co-batched round bills its share of one weight

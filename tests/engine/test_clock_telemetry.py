@@ -80,8 +80,8 @@ class TestClockBinding:
         session.advance(1.0)
         assert binding.sync(fleet) == 8.0
 
-    def test_rebind_onto_second_clock_after_migration(self):
-        """Migration hands one session clock across two lane timelines."""
+    def test_rebind_onto_a_second_clock(self):
+        """One session clock handed across two lane timelines."""
         lane_a, lane_b, session = SimClock(), SimClock(), SimClock()
         binding = ClockBinding(session)
         binding.rebind(lane_a)
@@ -93,7 +93,7 @@ class TestClockBinding:
         assert binding.anchor == 1.5  # lane_b 4.5 minus 3.0 already served
         session.advance(2.0)
         assert binding.sync(lane_b) == 6.5
-        # the abandoned source lane is untouched by post-migration rounds
+        # the first lane is untouched by rounds on the second
         assert lane_a.now == 3.0
 
     def test_anchor_handoff_roundtrip_has_no_drift(self):

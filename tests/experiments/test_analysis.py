@@ -1,5 +1,6 @@
 """Tests for the analysis subpackage (straggler math, reports)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.reports import deployment_report, operating_points
@@ -8,13 +9,25 @@ from repro.analysis.straggler import (
     expected_step_tokens,
     idle_fraction,
     lognormal_cdf,
-    sampled_max_step_tokens,
 )
 from repro.hardware.device import get_device
 from repro.models.zoo import QWEN25_MATH_1P5B
+from repro.utils.rng import KeyedRng
 from repro.workloads.traces import StepLengthModel
 
 MODEL = StepLengthModel(median_tokens=150.0, sigma=0.85, max_tokens=1280)
+
+
+def sampled_max_step_tokens(
+    model: StepLengthModel, batch_size: int, samples: int = 512, seed: int = 0
+) -> float:
+    """Monte-Carlo estimate of E[max]: the reference the integral is held to."""
+    rng = KeyedRng(seed)
+    maxima = []
+    for s in range(samples):
+        lengths = [model.sample(rng, "straggler", s, i) for i in range(batch_size)]
+        maxima.append(max(lengths))
+    return float(np.mean(maxima))
 
 
 class TestLognormalCdf:

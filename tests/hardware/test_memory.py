@@ -6,22 +6,34 @@ from repro.errors import CapacityError
 from repro.hardware.memory import KVLedger, KVSegment, SharedKVLedger
 
 
+def charge_growth(ledger, owner, num_bytes):
+    """Report ``owner``'s whole footprint as one private claim."""
+    return ledger.charge_growth_segments(
+        owner, (ledger.private_claim(owner, num_bytes),)
+    )
+
+
+def admit(ledger, owner, num_bytes):
+    """Admit ``owner``'s whole footprint as one private claim."""
+    return ledger.admit_segments(owner, (ledger.private_claim(owner, num_bytes),))
+
+
 class TestKVLedger:
     def test_growth_within_capacity_is_free(self):
         ledger = KVLedger(100)
-        assert ledger.charge_growth("a", 40) == (0, [])
-        assert ledger.charge_growth("b", 50) == (0, [])
+        assert charge_growth(ledger, "a", 40) == (0, [])
+        assert charge_growth(ledger, "b", 50) == (0, [])
         assert ledger.resident_bytes == 90
         assert ledger.free_bytes == 10
         assert ledger.swapped_out_bytes == 0
 
     def test_growth_evicts_lru_co_resident(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 60)
-        ledger.charge_growth("b", 30)
+        charge_growth(ledger, "a", 60)
+        charge_growth(ledger, "b", 30)
         # a grows past what fits next to b: b (LRU is a... a just grew) —
         # the victim is the least-recently-run *other* owner
-        restored, evicted = ledger.charge_growth("a", 80)
+        restored, evicted = charge_growth(ledger, "a", 80)
         assert restored == 0
         assert evicted == [("b", 30)]
         assert ledger.resident_of("b") == 0
@@ -31,9 +43,9 @@ class TestKVLedger:
 
     def test_restore_brings_back_evicted_kv(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 60)
-        ledger.charge_growth("b", 30)
-        ledger.charge_growth("a", 80)  # evicts b
+        charge_growth(ledger, "a", 60)
+        charge_growth(ledger, "b", 30)
+        charge_growth(ledger, "a", 80)  # evicts b
         back, evicted = ledger.restore("b")
         assert back == 30
         assert evicted == [("a", 80)]  # a displaced in turn
@@ -43,41 +55,41 @@ class TestKVLedger:
 
     def test_restore_without_eviction_is_noop(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 60)
+        charge_growth(ledger, "a", 60)
         assert ledger.restore("a") == (0, [])
         assert ledger.restore("never-seen") == (0, [])
 
     def test_eviction_order_is_least_recently_run(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 30)
-        ledger.charge_growth("b", 30)
-        ledger.charge_growth("a", 30)  # refreshes a: b is now LRU
-        _, evicted = ledger.charge_growth("c", 70)
+        charge_growth(ledger, "a", 30)
+        charge_growth(ledger, "b", 30)
+        charge_growth(ledger, "a", 30)  # refreshes a: b is now LRU
+        _, evicted = charge_growth(ledger, "c", 70)
         assert [owner for owner, _ in evicted] == ["b"]
 
     def test_lone_owner_may_fill_the_budget(self):
         ledger = KVLedger(100)
-        assert ledger.charge_growth("a", 100) == (0, [])
+        assert charge_growth(ledger, "a", 100) == (0, [])
         assert ledger.free_bytes == 0
 
     def test_admit_rejects_over_capacity(self):
         ledger = KVLedger(100)
         with pytest.raises(CapacityError):
-            ledger.admit("a", 101)
+            admit(ledger, "a", 101)
         assert ledger.resident_bytes == 0
 
     def test_admit_evicts_to_fit(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 70)
-        evicted = ledger.admit("b", 60)  # admit still returns evictions only
+        charge_growth(ledger, "a", 70)
+        evicted = admit(ledger, "b", 60)  # admit still returns evictions only
         assert evicted == [("a", 70)]
         assert ledger.resident_of("b") == 60
 
     def test_release_frees_everything(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 60)
-        ledger.charge_growth("b", 30)
-        ledger.charge_growth("a", 80)  # b evicted
+        charge_growth(ledger, "a", 60)
+        charge_growth(ledger, "b", 30)
+        charge_growth(ledger, "a", 80)  # b evicted
         assert ledger.release("b") == 0  # b had no device-resident bytes
         assert ledger.swapped_of("b") == 0  # host side gone too
         assert ledger.release("a") == 80
@@ -86,9 +98,9 @@ class TestKVLedger:
 
     def test_peak_tracking(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 60)
-        ledger.charge_growth("b", 35)
-        ledger.charge_growth("a", 10)
+        charge_growth(ledger, "a", 60)
+        charge_growth(ledger, "b", 35)
+        charge_growth(ledger, "a", 10)
         assert ledger.peak_resident_bytes == 95
 
     def test_validation(self):
@@ -96,9 +108,9 @@ class TestKVLedger:
             KVLedger(0)
         ledger = KVLedger(10)
         with pytest.raises(ValueError):
-            ledger.charge_growth("a", -1)
+            charge_growth(ledger, "a", -1)
         with pytest.raises(ValueError):
-            ledger.admit("a", -1)
+            admit(ledger, "a", -1)
 
 
 class TestChargeGrowthOnEvictedOwner:
@@ -107,13 +119,13 @@ class TestChargeGrowthOnEvictedOwner:
 
     def test_growth_routes_through_restore_accounting(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 60)
-        ledger.charge_growth("b", 30)
-        ledger.charge_growth("a", 80)  # evicts b: 30 B on host
+        charge_growth(ledger, "a", 60)
+        charge_growth(ledger, "b", 30)
+        charge_growth(ledger, "a", 80)  # evicts b: 30 B on host
         assert ledger.swapped_of("b") == 30
         # b grows while evicted: the ledger reports the restore so the
         # caller can bill the PCIe read, and the books stay conserved.
-        restored, evicted = ledger.charge_growth("b", 45)
+        restored, evicted = charge_growth(ledger, "b", 45)
         assert restored == 30
         assert ledger.swapped_in_bytes == 30
         assert ledger.swapped_of("b") == 0
@@ -126,8 +138,8 @@ class TestChargeGrowthOnEvictedOwner:
 
     def test_growth_on_resident_owner_restores_nothing(self):
         ledger = KVLedger(100)
-        ledger.charge_growth("a", 40)
-        restored, evicted = ledger.charge_growth("a", 70)
+        charge_growth(ledger, "a", 40)
+        restored, evicted = charge_growth(ledger, "a", 70)
         assert restored == 0 and evicted == []
         assert ledger.swapped_in_bytes == 0
 
@@ -232,12 +244,12 @@ class TestSharedKVLedger:
 
     def test_byte_level_fallback_and_admit(self):
         ledger = SharedKVLedger(100)
-        ledger.charge_growth("a", 70)
+        charge_growth(ledger, "a", 70)
         assert ledger.resident_of("a") == 70
-        evicted = ledger.admit("b", 60)
+        evicted = admit(ledger, "b", 60)
         assert evicted and ledger.resident_of("b") == 60
         with pytest.raises(CapacityError):
-            ledger.admit("c", 101)
+            admit(ledger, "c", 101)
 
     def test_owner_leaf_is_deepest_then_lowest_id(self):
         ledger = SharedKVLedger(1000)

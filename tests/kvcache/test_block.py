@@ -5,28 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError
-from repro.kvcache.block import BlockPool, blocks_for_tokens
-
-
-class TestBlocksForTokens:
-    def test_exact_fit(self):
-        assert blocks_for_tokens(32, 16) == 2
-
-    def test_ceiling(self):
-        assert blocks_for_tokens(17, 16) == 2
-
-    def test_zero_tokens(self):
-        assert blocks_for_tokens(0, 16) == 0
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            blocks_for_tokens(-1, 16)
-
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_covers_tokens_minimally(self, tokens, block):
-        blocks = blocks_for_tokens(tokens, block)
-        assert blocks * block >= tokens
-        assert (blocks - 1) * block < tokens or blocks == 0
+from repro.kvcache.block import BlockPool
 
 
 class TestBlockPool:

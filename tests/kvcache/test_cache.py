@@ -156,6 +156,50 @@ class TestTruncate:
             cache.truncate_segment(2, 999)
 
 
+class TestBlockRounding:
+    """A resident segment of ``t`` tokens holds ``ceil(t / 16)`` blocks,
+    whichever operation set its length: zero, a partial block, an exact
+    fit, one token over, and the whole budget."""
+
+    LENGTHS = [(0, 0), (1, 1), (16, 1), (17, 2), (160, 10)]
+
+    @staticmethod
+    def assert_holds(cache, blocks):
+        assert cache.segment(1).blocks_held == blocks
+        assert cache.pool.allocated_blocks == blocks
+
+    @pytest.mark.parametrize("tokens, blocks", LENGTHS)
+    def test_materialize(self, tokens, blocks):
+        cache = make_cache()
+        cache.register_segment(1, None, tokens)
+        cache.materialize(1)
+        self.assert_holds(cache, blocks)
+
+    @pytest.mark.parametrize("tokens, blocks", LENGTHS)
+    def test_extend(self, tokens, blocks):
+        cache = make_cache()
+        cache.register_segment(1, None, 0)
+        cache.materialize(1)
+        assert cache.extend_segments((1,), tokens) == 1
+        self.assert_holds(cache, blocks)
+
+    @pytest.mark.parametrize("tokens, blocks", LENGTHS)
+    def test_truncate(self, tokens, blocks):
+        cache = make_cache()
+        cache.register_segment(1, None, 160)
+        cache.materialize(1)
+        assert cache.truncate_segment(1, tokens) == 10 - blocks
+        self.assert_holds(cache, blocks)
+
+    def test_negative_lengths_raise(self, cache):
+        with pytest.raises(ValueError):
+            cache.register_segment(9, None, -1)
+        with pytest.raises(ValueError):
+            cache.extend_segments((2,), -1)
+        with pytest.raises(ValueError):
+            cache.truncate_segment(2, -1)
+
+
 class TestEviction:
     def test_lru_order(self, cache):
         cache.materialize(2, pin=False)

@@ -12,11 +12,7 @@ from repro.metrics.goodput import (
 )
 from repro.metrics.latency import LatencyBreakdown, mean_breakdown
 from repro.metrics.report import ProblemRunResult, RunMetrics
-from repro.metrics.utilization import (
-    decay_ratio,
-    mean_phase_utilization,
-    utilization_timeline,
-)
+from repro.metrics.utilization import decay_ratio, mean_phase_utilization
 
 
 def beam(lineage, tokens=100, time=10.0, answer=5, correct=False, score=0.5):
@@ -165,16 +161,9 @@ class TestUtilizationMetrics:
     def test_decay_ratio(self):
         assert decay_ratio(self.spans(), Phase.GENERATION) == 0.25
 
-    def test_timeline_shape(self):
-        grid, values = utilization_timeline(self.spans(), Phase.GENERATION, 10)
-        assert len(grid) == 10
-        assert values[0] == 1.0
-
     def test_empty_phase(self):
         assert mean_phase_utilization([], Phase.SWAP) == 0.0
         assert decay_ratio([], Phase.SWAP) == 0.0
-        grid, values = utilization_timeline([], Phase.SWAP)
-        assert len(grid) == 0
 
 
 def make_result(problem_id="p0", correct=True):

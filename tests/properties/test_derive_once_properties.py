@@ -200,26 +200,19 @@ step_lineages = st.lists(st.integers(0, 5), min_size=1, max_size=6).map(tuple)
 class TestSessionSegmentMap:
     @settings(max_examples=40, deadline=None)
     @given(prefix_caching=st.booleans(), paths=st.lists(step_lineages, min_size=1, max_size=8))
-    def test_equals_path_segments_in_both_modes_and_across_rebind(
-        self, prefix_caching, paths
-    ):
+    def test_equals_path_segments_in_both_modes(self, prefix_caching, paths):
         dataset = build_dataset("amc23", seed=3, size=1)
         problem = list(dataset)[0]
-        servers = {
-            True: TTSServer(fasttts_config(memory_fraction=0.4, seed=3), dataset),
-            False: TTSServer(baseline_config(memory_fraction=0.4, seed=3), dataset),
-        }
-        assert servers[True].config.prefix_caching
-        assert not servers[False].config.prefix_caching
-        session = SolveSession(
-            servers[prefix_caching], problem, build_algorithm("beam_search", 4)
+        config = (fasttts_config if prefix_caching else baseline_config)(
+            memory_fraction=0.4, seed=3
         )
-        for mode in (prefix_caching, not prefix_caching, prefix_caching):
-            session.rebind_device(servers[mode])
-            for lineage in paths + paths[::-1]:  # second pass reads the map
-                assert session._segment_chain(lineage) == path_segments(
-                    servers[mode].config, problem, lineage, len(lineage)
-                )
+        assert config.prefix_caching == prefix_caching
+        server = TTSServer(config, dataset)
+        session = SolveSession(server, problem, build_algorithm("beam_search", 4))
+        for lineage in paths + paths[::-1]:  # second pass reads the map
+            assert session._segment_chain(lineage) == path_segments(
+                config, problem, lineage, len(lineage)
+            )
 
     def test_every_chain_a_solve_used_is_the_definition(self):
         dataset = build_dataset("amc23", seed=3, size=1)

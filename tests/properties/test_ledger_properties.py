@@ -1,8 +1,10 @@
 """Property-based invariants for the runtime KV ledger.
 
-After *any* sequence of ``charge_growth`` / ``restore`` / ``admit`` /
-``release`` (private claims) and ``charge_growth_segments`` (lineage
-claims, with or without a cross-owner root):
+After *any* sequence of ``charge_growth_segments`` / ``restore`` /
+``admit_segments`` / ``release`` with one private claim per owner (the
+:func:`charge_growth` and :func:`admit` helpers) and
+``charge_growth_segments`` with lineage claims (with or without a
+cross-owner root):
 
 * device residency never exceeds capacity (every single claim fits by
   construction, as fleet admission control guarantees);
@@ -29,9 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.core.config import OffloadMode, baseline_config, fasttts_config
-from repro.core.pool import DevicePool, PooledDevice, delta_transfer_bytes
-from repro.core.scheduler import SessionHandle
-from repro.engine.clock import ClockBinding
+from repro.core.pool import DevicePool
 from repro.errors import CapacityError
 from repro.hardware.memory import KVLedger, KVSegment
 from repro.kvcache.radix import RadixTree
@@ -62,6 +62,18 @@ ops = st.lists(
 )
 
 
+def charge_growth(ledger, owner, num_bytes):
+    """Report ``owner``'s whole footprint as one private claim."""
+    return ledger.charge_growth_segments(
+        owner, (ledger.private_claim(owner, num_bytes),)
+    )
+
+
+def admit(ledger, owner, num_bytes):
+    """Admit ``owner``'s whole footprint as one private claim."""
+    return ledger.admit_segments(owner, (ledger.private_claim(owner, num_bytes),))
+
+
 def lineage_claims(owner_idx, sizes, shared_root):
     """A root->leaf chain; ``shared_root=True`` reuses one cross-owner
     root (the prompt analogue), the rest are per-owner private."""
@@ -83,19 +95,19 @@ def apply_ops(ledger, op_list, shared_root=False, private_only=False):
     for kind, owner_idx, payload in op_list:
         owner = OWNERS[owner_idx]
         if kind == "grow":
-            ledger.charge_growth(owner, payload)
+            charge_growth(ledger, owner, payload)
             expected[owner] = payload
         elif kind == "restore":
             ledger.restore(owner)
         elif kind == "admit":
-            ledger.admit(owner, payload)
+            admit(ledger, owner, payload)
             expected[owner] = payload
         elif kind == "release":
             ledger.release(owner)
             expected.pop(owner, None)
         elif kind == "grow_segs":
             if private_only:
-                ledger.charge_growth(owner, sum(payload))
+                charge_growth(ledger, owner, sum(payload))
             else:
                 ledger.charge_growth_segments(
                     owner, lineage_claims(owner_idx, payload, shared_root)
@@ -222,6 +234,12 @@ byte_ops = st.lists(
 )
 
 
+def byte_op(ledger, kind, *args):
+    """``kind`` on ``ledger``, by private claim where it names bytes."""
+    helper = {"charge_growth": charge_growth, "admit": admit}.get(kind)
+    return helper(ledger, *args) if helper else getattr(ledger, kind)(*args)
+
+
 class TestPrivateClaimsMatchTheWholeSessionLedger:
     @given(byte_ops)
     @settings(max_examples=300, deadline=None)
@@ -233,9 +251,9 @@ class TestPrivateClaimsMatchTheWholeSessionLedger:
                 expected = getattr(model, kind)(*args)
             except CapacityError:
                 with pytest.raises(CapacityError):
-                    getattr(ledger, kind)(*args)
+                    byte_op(ledger, kind, *args)
                 continue
-            assert getattr(ledger, kind)(*args) == expected, (kind, args)
+            assert byte_op(ledger, kind, *args) == expected, (kind, args)
             for name in OWNERS:
                 assert ledger.resident_of(name) == model.resident.get(name, 0)
                 assert ledger.swapped_of(name) == model.swapped.get(name, 0)
@@ -246,41 +264,37 @@ class TestPrivateClaimsMatchTheWholeSessionLedger:
             ledger.release(name)
         assert ledger.owners == [] and len(ledger.tree) == 0
 
-    @pytest.mark.parametrize("spelling", ["bytes", "segments"])
-    def test_admit_moves_no_swap_counter(self, spelling):
-        """One ``admit``, one answer: the incoming bytes are migration
-        traffic the caller bills, never a swap-in — even when the admitted
-        owner had been swapped out here."""
+    def test_admit_moves_no_swap_counter(self):
+        """The incoming bytes of an admission are traffic the caller
+        bills, never a swap-in — even when the admitted owner had been
+        swapped out here."""
         ledger = KVLedger(CAPACITY)
-        ledger.charge_growth("a", 60)
-        ledger.charge_growth("b", 70)  # swaps a out
+        charge_growth(ledger, "a", 60)
+        charge_growth(ledger, "b", 70)  # swaps a out
         assert ledger.swapped_of("a") == 60
-        if spelling == "bytes":
-            evicted = ledger.admit("a", 60)
-        else:
-            evicted = ledger.admit_segments("a", [ledger.private_claim("a", 60)])
+        evicted = admit(ledger, "a", 60)
         assert evicted == [("b", 70)]
         assert ledger.swapped_in_bytes == 0
         assert ledger.resident_of("a") == 60 and ledger.swapped_of("a") == 0
 
     def test_admit_over_capacity_raises_before_anything_moves(self):
         ledger = KVLedger(CAPACITY)
-        ledger.charge_growth("a", 60)
+        charge_growth(ledger, "a", 60)
         def books():
             claims = {o: ledger.claims_of(o) for o in ledger.owners}
             return ledger._tick, claims, ledger.resident_bytes
 
         before = books()
         with pytest.raises(CapacityError):
-            ledger.admit("b", CAPACITY + 1)
+            admit(ledger, "b", CAPACITY + 1)
         assert books() == before
         assert ledger.swapped_out_bytes == 0 and "b" not in ledger.owners
 
     def test_zero_byte_residents_are_never_reported_evicted(self):
         ledger = KVLedger(CAPACITY)
-        ledger.charge_growth("idle", 0)
-        ledger.charge_growth("a", 60)
-        assert ledger.charge_growth("b", 70) == (0, [("a", 60)])
+        charge_growth(ledger, "idle", 0)
+        charge_growth(ledger, "a", 60)
+        assert charge_growth(ledger, "b", 70) == (0, [("a", 60)])
         assert ledger.resize(10) == [("b", 70)]
         tick = ledger._tick
         assert ledger.restore("idle") == (0, [])
@@ -314,11 +328,11 @@ class TestSharedKVLedgerInvariants:
             assert ledger.resident_of(owner) == expected[owner]
 
 
-def migrating_claims(sizes):
-    """A root->leaf chain for the migrating session: the shared root (the
+def incoming_claims(sizes):
+    """A root->leaf chain for an incoming owner: the shared root (the
     prompt analogue, node 7) plus step nodes no ``apply_ops`` owner ever
-    touches, so overlap with a populated destination comes only through
-    the root or an explicit same-lineage peer."""
+    touches, so overlap with a populated ledger comes only through the
+    root or an explicit same-lineage peer."""
     claims, parent = [], None
     for depth, size in enumerate(sizes):
         node = 7 if depth == 0 else 5000 + depth
@@ -327,14 +341,9 @@ def migrating_claims(sizes):
     return claims
 
 
-class TestDeltaMigrationConservation:
-    """ISSUE 10: delta-migration's PCIe books against two real ledgers.
-
-    Conservation law: the bytes read in at the destination equal the
-    migrating session's footprint minus the destination-resident shared
-    bytes — shared segments cross no link — and the write-out is the
-    source-resident subset of exactly those bytes.
-    """
+class TestAdmitSegments:
+    """``admit_segments`` places a whole claim list at once: unique bytes
+    only, and transactionally."""
 
     @given(
         st.lists(st.integers(1, 30), min_size=1, max_size=3),
@@ -342,100 +351,71 @@ class TestDeltaMigrationConservation:
         st.integers(0, 3),
     )
     # The shared root is swapped out with a 30 B host copy when the
-    # migrant claims 1 B of it: all 30 B come back, and need room.
+    # incoming owner claims 1 B of it: all 30 B come back, and need room.
     @example([1], [("grow_segs", 0, [30]), ("grow", 1, 71)], 0)
     @settings(max_examples=100, deadline=None)
-    def test_read_in_is_footprint_minus_destination_overlap(
-        self, sizes, dst_ops, peer_depth
+    def test_unique_planned_bytes_is_footprint_minus_resident_overlap(
+        self, sizes, history, peer_depth
     ):
-        source = KVLedger(CAPACITY)
-        destination = KVLedger(CAPACITY)
-        claims = migrating_claims(sizes)
-        source.charge_growth_segments("mig", claims)
-        # Arbitrary co-resident history at the destination (may leave the
-        # shared root resident), plus optionally a same-problem peer
-        # holding a prefix of the migrating lineage.
-        apply_ops(destination, dst_ops, shared_root=True)
+        ledger = KVLedger(CAPACITY)
+        claims = incoming_claims(sizes)
+        # Arbitrary co-resident history (may leave the shared root
+        # resident), plus optionally a same-problem peer holding a prefix
+        # of the incoming lineage.
+        apply_ops(ledger, history, shared_root=True)
         if peer_depth:
-            destination.charge_growth_segments("peer", claims[:peer_depth])
+            ledger.charge_growth_segments("peer", claims[:peer_depth])
         footprint = sum(c.num_bytes for c in claims)
         overlap = sum(
-            min(c.num_bytes, destination.resident_segment_bytes(c.node_id))
+            min(c.num_bytes, ledger.resident_segment_bytes(c.node_id))
             for c in claims
         )
+        assert ledger.unique_planned_bytes(footprint, claims) == footprint - overlap
+        # The admission itself: the owner holds its full footprint, and
+        # capacity is never exceeded.
+        ledger.admit_segments("new", claims)
+        assert ledger.resident_of("new") == footprint
+        assert ledger.resident_bytes <= CAPACITY
 
-        out_bytes, in_bytes = delta_transfer_bytes(source, destination, claims)
-
-        assert in_bytes == footprint - overlap
-        # ...which is exactly the ledger's unique-planned-bytes accessor.
-        assert in_bytes == destination.unique_planned_bytes(footprint, claims)
-        expected_out = sum(
-            c.num_bytes
-            - min(c.num_bytes, destination.resident_segment_bytes(c.node_id))
-            for c in claims
-            if source.resident_segment_bytes(c.node_id)
-        )
-        assert out_bytes == expected_out
-        assert 0 <= out_bytes <= in_bytes <= footprint
-
-        # The handoff itself: the destination ends up owning the full
-        # footprint, the source none of it, capacity never exceeded.
-        destination.admit_segments("mig", claims)
-        source.release("mig")
-        assert destination.resident_of("mig") == footprint
-        assert source.resident_of("mig") == 0
-        assert destination.resident_bytes <= CAPACITY
-
-    def test_failed_eviction_mid_handoff_leaves_refcounts_untouched(
+    def test_failed_eviction_mid_admission_leaves_refcounts_untouched(
         self, monkeypatch
     ):
-        """Migrate-transactionality regression (ISSUE 10 satellite).
-
-        ``admit_segments`` makes room *before* registering any claim; if
-        the destination's eviction blows up mid-handoff, no refcount may
-        have moved on either ledger — the caller releases the source only
-        after a successful admit.
-        """
-        destination = KVLedger(CAPACITY)
-        destination.charge_growth_segments(
+        """``admit_segments`` makes room *before* registering any claim;
+        if eviction blows up mid-admission, no refcount may have moved."""
+        ledger = KVLedger(CAPACITY)
+        ledger.charge_growth_segments(
             "resident", lineage_claims(1, [40, 40], shared_root=False)
         )
-        claims = migrating_claims([30, 30, 30])
-        source = KVLedger(CAPACITY)
-        source.charge_growth_segments("mig", claims)
+        claims = incoming_claims([30, 30, 30])
         owners_before = {
-            node: dict(destination._segments[node].owners)
-            for node in destination._segments
+            node: dict(ledger._segments[node].owners) for node in ledger._segments
         }
-        resident_before = destination.resident_bytes
+        resident_before = ledger.resident_bytes
 
         def boom(need, keep):
-            raise RuntimeError("eviction failed mid-handoff")
+            raise RuntimeError("eviction failed mid-admission")
 
-        monkeypatch.setattr(destination, "_evict_for", boom)
-        with pytest.raises(RuntimeError, match="mid-handoff"):
-            destination.admit_segments("mig", claims)
+        monkeypatch.setattr(ledger, "_evict_for", boom)
+        with pytest.raises(RuntimeError, match="mid-admission"):
+            ledger.admit_segments("new", claims)
 
-        assert "mig" not in destination.owners
-        assert destination.resident_bytes == resident_before
+        assert "new" not in ledger.owners
+        assert ledger.resident_bytes == resident_before
         assert {
-            node: dict(destination._segments[node].owners)
-            for node in destination._segments
+            node: dict(ledger._segments[node].owners) for node in ledger._segments
         } == owners_before
-        # The source still holds every byte: nothing leaked in transit.
-        assert source.resident_of("mig") == sum(c.num_bytes for c in claims)
 
     def test_whole_footprint_capacity_check_raises_before_any_mutation(self):
-        destination = KVLedger(CAPACITY)
-        destination.charge_growth_segments(
+        ledger = KVLedger(CAPACITY)
+        ledger.charge_growth_segments(
             "resident", lineage_claims(1, [10], shared_root=False)
         )
-        claims = migrating_claims([60, 60])  # 120 B > 100 B budget
+        claims = incoming_claims([60, 60])  # 120 B > 100 B budget
         with pytest.raises(Exception) as excinfo:
-            destination.admit_segments("mig", claims)
+            ledger.admit_segments("new", claims)
         assert "budget" in str(excinfo.value)
-        assert "mig" not in destination.owners
-        assert destination.resident_of("resident") == 10
+        assert "new" not in ledger.owners
+        assert ledger.resident_of("resident") == 10
 
 
 @dataclass(slots=True)
@@ -741,8 +721,8 @@ def run_delta_op(ledger, ref, held, op):
     if kind == "private":
         claim = ledger.private_claim(owner, payload)
         ref.private_claim(owner, payload)
-        if flag:  # the byte-level spelling: the whole list
-            got = ledger.charge_growth(owner, payload)
+        if flag:  # the whole list
+            got = ledger.charge_growth_segments(owner, [claim])
         else:
             vanished = held.get(owner, set()) - {claim.node_id}
             got = ledger.charge_growth_segments(owner, [claim], sorted(vanished))
@@ -771,7 +751,7 @@ class TestDeltaMatchesFullReplace:
 
     Histories mix co-owners that disagree on a node's length, owners that
     leave, owners switching between lineage and private claims, resize
-    storms, restores and migrations in (``admit_segments``).
+    storms, restores and whole-list admissions (``admit_segments``).
     """
 
     @given(delta_ops)
@@ -802,17 +782,17 @@ def ledger_books(ledger):
 
 
 class TestAdmissionFitsTheKeptFootprint:
-    """A migration lands within the budget, or refuses before anything moves.
+    """An admission lands within the budget, or refuses before anything moves.
 
-    Eviction cannot touch the segments the migrant claims, so the budget
-    must hold all of them at their longest claim — a co-owner's longer
-    copy, resident or swapped out, included — not just the migrant's own
-    claim bytes.
+    Eviction cannot touch the segments the incoming owner claims, so the
+    budget must hold all of them at their longest claim — a co-owner's
+    longer copy, resident or swapped out, included — not just the incoming
+    owner's own claim bytes.
     """
 
     @given(delta_ops, st.sampled_from(DELTA_OWNERS), claim_sets)
     # a's 30 B claims, swapped out by a storm, come back whole for a
-    # migrant claiming 10 B of each: 90 B kept on a 50 B budget.
+    # newcomer claiming 10 B of each: 90 B kept on a 50 B budget.
     @example(
         [
             ("report", "a", {4: 30}, "delta"),
@@ -829,14 +809,14 @@ class TestAdmissionFitsTheKeptFootprint:
         {4: 10, 6: 10},
     )
     @settings(max_examples=300, deadline=None)
-    def test_lands_within_budget_or_moves_nothing(self, history, owner, migrant):
+    def test_lands_within_budget_or_moves_nothing(self, history, owner, incoming):
         ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
         held: dict[str, set[int]] = {}
         for op in history:
             run_delta_op(ledger, ref, held, op)
         before = ledger_books(ledger)
         try:
-            ledger.admit_segments(owner, forest_claims(migrant))
+            ledger.admit_segments(owner, forest_claims(incoming))
         except CapacityError:
             assert ledger_books(ledger) == before
             return
@@ -961,31 +941,19 @@ class TestEvictionFrontier:
         assert calls <= 4 * victims
 
 
-def _session_pool(offload: bool, sharing=("prefix", "prefix"), config=fasttts_config):
+def _session_lane(offload: bool, config=fasttts_config):
+    """A ``kv_sharing="prefix"`` lane and the problem its sessions solve."""
     dataset = build_dataset("amc23", seed=0, size=1)
     config = config(
         memory_fraction=0.9, seed=0,
         offload=OffloadMode.FORCE if offload else OffloadMode.OFF,
     )
-    reference = DevicePool.build(config, dataset, ["rtx4090", "rtx4090"])
-    pool = DevicePool([
-        PooledDevice(index=i, server=lane.server, kv_sharing=policy)
-        for i, (lane, policy) in enumerate(zip(reference, sharing))
-    ])
-    return pool, list(dataset)[0]
+    lane = DevicePool.build(config, dataset, ["rtx4090"], kv_sharing="prefix")[0]
+    return lane, list(dataset)[0]
 
 
 def resident_claims(session):
     return session.claim_names.resident(session)
-
-
-def _handle(lane, session, seq):
-    handle = SessionHandle(
-        request_id=f"req-{seq}", arrival_s=0.0, seq=seq, replica=0,
-        session=session, binding=ClockBinding(session.clock), device=lane,
-    )
-    handle.binding.rebind(lane.clock)
-    return handle
 
 
 class TestSessionDeltas:
@@ -995,7 +963,7 @@ class TestSessionDeltas:
     Three sessions of one problem (two canonical, so they share step
     segments, and one forked replica) step in a drawn order on a prefix
     lane, under resize storms, optionally offloading (a model switch every
-    round) and with one migration (``rebind_device``). At n=16 the
+    round). At n=16 the
     verifier's own cache evicts mid-solve; the baseline config has no
     prefix caching, so its caches drop their KV every round. After every
     round the ledger must hold exactly the session's whole list,
@@ -1005,18 +973,17 @@ class TestSessionDeltas:
     @given(
         st.lists(st.integers(0, 2), min_size=1, max_size=45),
         st.dictionaries(st.integers(0, 44), st.floats(0.2, 1.5), max_size=6),
-        st.one_of(st.none(), st.integers(0, 44)),
         st.booleans(),
         st.sampled_from([fasttts_config, baseline_config]),
         st.sampled_from([4, 16]),
     )
     @settings(max_examples=25, deadline=None)
     def test_ledger_holds_kv_segments_after_every_round(
-        self, order, storms, migrate_at, offload, config, n
+        self, order, storms, offload, config, n
     ):
-        pool, problem = _session_pool(offload, config=config)
-        lane = pool[0]
-        refs = [FullReplaceLedger(l.ledger.capacity_bytes) for l in pool]
+        lane, problem = _session_lane(offload, config=config)
+        ledger = lane.ledger
+        ref = FullReplaceLedger(ledger.capacity_bytes)
         algorithm = build_algorithm("beam_search", n)
         server = lane.server
         sessions = [
@@ -1026,18 +993,15 @@ class TestSessionDeltas:
                 problem, algorithm, session_id="s2", rng=server.rng.fork("replica", 1)
             ),
         ]
-        handles = [_handle(lane, s, i) for i, s in enumerate(sessions)]
         for turn, pick in enumerate(order):
-            handle = handles[pick]
-            session, where = handle.session, handle.device
-            ledger, ref = where.ledger, refs[where.index]
+            session = sessions[pick]
             if not session.state.live:
                 continue
             assert ledger.restore(session.session_id) == ref.restore(session.session_id)
             session.step()
             if session.state.live:
                 got = ledger.charge_growth_segments(
-                    session.session_id, *where.session_claims(session)
+                    session.session_id, *lane.session_claims(session)
                 )
                 want = ref.charge_growth_segments(
                     session.session_id, resident_claims(session)
@@ -1053,22 +1017,15 @@ class TestSessionDeltas:
             if turn in storms:
                 capacity = max(1, int(ledger.resident_bytes * storms[turn]))
                 assert ledger.resize(capacity) == ref.resize(capacity)
-            if turn == migrate_at and session.state.live and resident_claims(session):
-                claims = resident_claims(session)
-                destination = pool[1 - where.index]
-                refs[destination.index].admit_segments(session.session_id, claims)
-                ref.release(session.session_id)
-                pool.migrate(handle, destination)
-            for real, model in zip(pool, refs):
-                assert_same_books(real.ledger, model)
+            assert_same_books(ledger, ref)
 
     @pytest.mark.parametrize("offload", [False, True])
     def test_a_solve_adds_up_to_kv_segments(self, offload):
         """An n=16 solve alone: without offloading its verifier cache
         evicts mid-solve; with it the device holds one model's cache at a
         time. Every round's report still adds up to the whole list."""
-        pool, problem = _session_pool(offload)
-        lane, ref = pool[0], FullReplaceLedger(pool[0].ledger.capacity_bytes)
+        lane, problem = _session_lane(offload)
+        ref = FullReplaceLedger(lane.ledger.capacity_bytes)
         session = lane.server.session(
             problem, build_algorithm("beam_search", 16), session_id="s0"
         )
@@ -1085,32 +1042,10 @@ class TestSessionDeltas:
         assert session.outcome.plan.offload == offload
         assert offload or session.outcome.result.ver_evicted_segments > 0
 
-    def test_off_to_prefix_migration_drops_the_private_claim(self):
-        """A session shipped by private claim onto a prefix lane names its
-        lineage at its next report; the private claim vanishes with it."""
-        pool, problem = _session_pool(offload=False, sharing=("off", "prefix"))
-        src, dst = pool[0], pool[1]
-        handle = _handle(src, src.server.session(
-            problem, build_algorithm("beam_search", 4), session_id="s0"
-        ), 0)
-        session = handle.session
-        for _ in range(3):
-            session.step()
-            src.ledger.charge_growth_segments("s0", *src.session_claims(session))
-        pool.migrate(handle, dst)
-        private = dst.ledger.private_claim("s0", 0).node_id
-        assert [c.node_id for c in dst.ledger.claims_of("s0")] == [private]
-        session.step()
-        dst.ledger.charge_growth_segments("s0", *dst.session_claims(session))
-        assert set(dst.ledger.claims_of("s0")) == set(resident_claims(session))
-        assert private not in dst.ledger.tree
-
-
 class TestResyncIsDerived:
-    """A report is the whole list exactly when the server binding or the
-    device caches differ from the previous report's; every other report
-    is a delta. Nothing tells the naming that a migration or a model
-    switch happened."""
+    """A report is the whole list exactly when the device caches differ
+    from the previous report's; every other report is a delta. Nothing
+    tells the naming that a model switch happened."""
 
     @staticmethod
     def report(lane, session):
@@ -1122,25 +1057,8 @@ class TestResyncIsDerived:
         )
         return vanished is None
 
-    def test_migration_there_and_back_resyncs_once_per_move(self):
-        pool, problem = _session_pool(offload=False)
-        home, away = pool[0], pool[1]
-        handle = _handle(home, home.server.session(
-            problem, build_algorithm("beam_search", 4), session_id="s0"
-        ), 0)
-        session, whole = handle.session, []
-        for lane in (home, away, home):
-            if handle.device is not lane:
-                pool.migrate(handle, lane)
-            for _ in range(3):
-                session.step()
-                assert session.state.live
-                whole.append(self.report(lane, session))
-        assert whole == [False] * 3 + [True, False, False] * 2
-
     def test_offloading_model_switches_resync_once_each(self):
-        pool, problem = _session_pool(offload=True)
-        lane = pool[0]
+        lane, problem = _session_lane(offload=True)
         session = lane.server.session(
             problem, build_algorithm("beam_search", 4), session_id="s0"
         )

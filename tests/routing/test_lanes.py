@@ -4,9 +4,8 @@ import pytest
 
 from repro.core.config import baseline_config
 from repro.core.pool import DevicePool
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError
 from repro.routing import LaneSpec, parse_lane_list
-from repro.search.registry import build_algorithm
 from repro.workloads.datasets import build_dataset
 
 
@@ -140,28 +139,6 @@ class TestHeteroPool:
         config = baseline_config(memory_fraction=0.9, seed=0)
         with pytest.raises(ConfigError, match="must not be empty"):
             DevicePool.build(config, dataset, lanes=[])
-
-    def test_cross_class_migration_refused(self, dataset):
-        config = baseline_config(memory_fraction=0.9, seed=0)
-        pool = DevicePool.build(config, dataset, lanes=[
-            LaneSpec.parse("7B+1.5B@rtx4090"),
-            LaneSpec.parse("1.5B+1.5B@rtx4090:int8"),
-        ])
-        problem = list(dataset)[0]
-        session = pool[0].server.session(
-            problem, build_algorithm("beam_search", 2)
-        )
-        from repro.core.scheduler import SessionHandle
-        from repro.engine.clock import ClockBinding
-
-        handle = SessionHandle(
-            request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
-            session=session, binding=ClockBinding(session.clock),
-            device=pool[0],
-        )
-        handle.binding.rebind(pool[0].clock)
-        with pytest.raises(SchedulingError, match="lane classes"):
-            pool.migrate(handle, pool[1])
 
     def test_same_class_lanes_still_migratable_pool(self, dataset):
         # Two lanes of the same pairing keep the homogeneous contract.

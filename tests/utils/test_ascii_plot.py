@@ -2,34 +2,7 @@
 
 import pytest
 
-from repro.utils.ascii_plot import bar_chart, series_plot
-
-
-class TestBarChart:
-    def test_peak_fills_width(self):
-        out = bar_chart(["small", "big"], [1.0, 4.0], width=8)
-        lines = out.splitlines()
-        assert lines[1].count("#") == 8
-        assert lines[0].count("#") == 2
-
-    def test_values_shown(self):
-        out = bar_chart(["x"], [1234.5], unit=" tok/s")
-        assert "1,234.50 tok/s" in out
-
-    def test_title(self):
-        assert bar_chart(["x"], [1.0], title="T").startswith("T")
-
-    def test_zero_values_safe(self):
-        out = bar_chart(["a", "b"], [0.0, 0.0])
-        assert "a" in out
-
-    def test_mismatched_inputs(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            bar_chart([], [])
+from repro.utils.ascii_plot import series_plot
 
 
 class TestSeriesPlot:

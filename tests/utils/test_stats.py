@@ -8,61 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.stats import geometric_mean, percentile, ratio, summarize
+from repro.utils.stats import percentile, ratio
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_single_value(self):
-        s = summarize([7.0])
-        assert s.mean == s.p50 == s.p95 == s.minimum == s.maximum == 7.0
-        assert s.std == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_str_renders(self):
-        assert "mean=" in str(summarize([1.0, 2.0]))
-
-    @given(st.lists(finite_floats, min_size=1, max_size=50))
-    def test_bounds_ordering(self, values):
-        s = summarize(values)
-        tol = 1e-9 * max(1.0, abs(s.maximum), abs(s.minimum))
-        assert s.minimum <= s.p50 + tol
-        assert s.p50 <= s.p95 + tol
-        assert s.p95 <= s.maximum + tol
-        assert s.minimum - tol <= s.mean <= s.maximum + tol
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=20))
-    def test_never_exceeds_arithmetic_mean(self, values):
-        gm = geometric_mean(values)
-        am = sum(values) / len(values)
-        assert gm <= am * (1 + 1e-9)
 
 
 class TestPercentile:

@@ -2,24 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import format_bytes, format_quantity, render_table
-
-
-class TestFormatQuantity:
-    def test_plain(self):
-        assert format_quantity(12.0) == "12.00"
-
-    def test_kilo(self):
-        assert format_quantity(1500.0) == "1.50K"
-
-    def test_mega_with_unit(self):
-        assert format_quantity(2_200_000, "tok/s") == "2.20Mtok/s"
-
-    def test_negative(self):
-        assert format_quantity(-1500.0) == "-1.50K"
-
-    def test_nan(self):
-        assert format_quantity(float("nan")) == "nan"
+from repro.utils.tables import format_bytes, render_table
 
 
 class TestFormatBytes:
