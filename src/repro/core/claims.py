@@ -73,17 +73,23 @@ class ClaimNames:
     holds. The session owns this object, which never holds the session
     (every call takes it): a cycle would keep finished sessions alive
     until the cyclic collector ran.
+
+    ``table`` is the session's step table for its problem
+    (:class:`~repro.utils.rng.StepTables`). A canonical session's node ids
+    are the same for every canonical session of the problem, so they are
+    derived once there, under ``(model tag, segment id)`` keys; a
+    namespaced session keeps its own.
     """
 
     __slots__ = ("_views", "_namespace", "_node_ids")
 
-    def __init__(self) -> None:
+    def __init__(self, table: dict) -> None:
         # What the last report described; no caches before the first,
         # which the caches' first ``take_changes()`` makes whole anyway.
         self._views: list | None = None
         # Lane node ids by (model tag, segment id), for one namespace.
         self._namespace: str | None = None
-        self._node_ids: dict[tuple[str, int], int] = {}
+        self._node_ids: dict = table
 
     def resident(self, session: "SolveSession") -> tuple[KVSegment, ...]:
         """Every device-resident segment as a claim, parents first.
@@ -123,7 +129,9 @@ class ClaimNames:
     def _name(self, views, namespace: str | None) -> tuple[list[KVSegment], list[int]]:
         """``(claims, vanished)`` for ``(tag, segment states parents-first,
         KV bytes per token)`` views: a resident state becomes a claim, a
-        swapped one the id of a claim it no longer makes (if ever named)."""
+        swapped one the id of a claim it no longer makes (if ever named,
+        by any session sharing the names: the ledger ignores an id its
+        owner does not claim)."""
         if namespace != self._namespace:  # first named
             self._namespace, self._node_ids = namespace, {}
         node_ids = self._node_ids

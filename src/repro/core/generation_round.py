@@ -253,9 +253,9 @@ class GenerationRound:
             if free <= 0:
                 break
             job = slot.job
-            register_chain(cache, job.path_segments, job.path_segment_tokens)
-            cache.register_segment(
-                job.new_segment, job.path_segments[-1], cache_token_len(cache, job)
+            cache.register_chain(
+                job.path_segments + (job.new_segment,),
+                job.path_segment_tokens + (cache_token_len(cache, job),),
             )
             leaves.append(slot.segment)
             grow.append(slot.remaining)
@@ -482,20 +482,3 @@ def cache_token_len(cache, job: GenJob) -> int:
     state = cache.segments.get(job.new_segment)
     return job.head_start if state is None else state.token_len
 
-
-def register_chain(
-    cache, segments: tuple[int, ...], token_lens: tuple[int, ...]
-) -> None:
-    """Idempotently register a root->leaf segment chain.
-
-    A segment is only ever registered under a registered parent, so a
-    known leaf means the whole chain is already there.
-    """
-    known = cache.segments
-    if segments[-1] in known:
-        return
-    parent: int | None = None
-    for seg_id, tokens in zip(segments, token_lens):
-        if seg_id not in known:
-            cache.register_segment(seg_id, parent, tokens)
-        parent = seg_id

@@ -248,7 +248,7 @@ class SolveSession:
         self._gen_result = None
         self._first_token_s: float | None = None
         #: This session's KV as lane-ledger claims (see repro.core.claims).
-        self.claim_names = ClaimNames()
+        self.claim_names = ClaimNames(self._table)
 
         # Preemption inputs.
         self._preempt_at: float | None = None
@@ -312,10 +312,17 @@ class SolveSession:
         The per-device :class:`~repro.hardware.memory.KVLedger` uses this
         to model cross-session contention.
         """
-        return sum(
-            cache.resident_tokens * bytes_per_token
-            for _, cache, bytes_per_token in self.device_caches()
-        )
+        gen, ver = self._gen_cache, self._ver_cache
+        if gen is None:
+            return 0
+        # Each cache counts in its own model's KV bytes per token.
+        if not self._plan.offload:
+            return (
+                gen._resident_token_count * gen._kv_bytes_per_token
+                + ver._resident_token_count * ver._kv_bytes_per_token
+            )
+        cache = gen if self._active_model == "generator" else ver
+        return cache._resident_token_count * cache._kv_bytes_per_token
 
     def device_caches(self) -> list[tuple[str, PagedKVCache, int]]:
         """``(tag, cache, KV bytes per token)`` of each cache on the device now.

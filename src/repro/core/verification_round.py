@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.generation_round import register_chain
 from repro.engine.jobs import RoundStats, VerifyJob
 from repro.engine.worker import VerifierWorker
 from repro.errors import CapacityError
@@ -106,8 +105,10 @@ class VerificationRound:
         leaves: list[int] = []
         owners: list[VerifyJob | None] = []  # None: the previous job's lookahead
         for job in jobs:
-            register_chain(cache, job.path_segments, job.path_segment_tokens)
-            cache.register_segment(job.new_segment, job.path_segments[-1], job.new_tokens)
+            cache.register_chain(
+                job.path_segments + (job.new_segment,),
+                job.path_segment_tokens + (job.new_tokens,),
+            )
             leaves.append(job.new_segment)
             owners.append(job)
             lookahead = job.lookahead_segment

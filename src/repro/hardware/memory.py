@@ -25,6 +25,13 @@ evicted leaf-frontier first, and restored in unique bytes only. A lane
 that names the same KV as one private claim per session gets whole-session
 accounting from the same code, because a private claim collides with
 nobody.
+
+The lane tree is kept once: each segment *is* its lane-tree node (the
+ledger's segment table is the tree's own node dict, as in
+:class:`~repro.kvcache.cache.PagedKVCache`). A node whose last claim is
+dropped stays only while it is the ancestor of a claimed node, with no
+owners and no bytes; every node, claimed or not, counts its resident
+children, so a node claimed again needs no recount.
 """
 
 from __future__ import annotations
@@ -70,17 +77,19 @@ _NODE_ID = attrgetter("node_id")
 
 
 @dataclass(slots=True)
-class _Segment:
-    """Ledger-side state of one claimed lane-tree node.
+class _Segment(RadixNode):
+    """One lane-tree node and the ledger's state of it.
 
-    A segment exists while somebody claims it and is created resident,
-    so ``not resident`` always means *swapped out to host*. Owners can
+    A node is created resident by its first claim, so ``not resident``
+    on a claimed node always means *swapped out to host*. A node whose
+    last claim is dropped stays only as the ancestor of claimed nodes:
+    no owners, not resident, ``num_bytes = floor = 0``. Owners can
     disagree on length (a shared step one session has fully decoded
     while another still holds a truncated speculative head); the
-    physical copy covers the longest claim.
+    physical copy covers the longest claim, and ``token_len`` is the
+    claim of whoever reported it last.
     """
 
-    node: RadixNode  # its lane-tree node
     resident: bool = False
     #: The latest tick of owners that dropped their claim: the segment's
     #: LRU stamp is the maximum of this and its owners' ticks.
@@ -88,7 +97,7 @@ class _Segment:
     owners: dict[str, int] = field(default_factory=dict)  # owner -> bytes
     num_bytes: int = 0  # unique device bytes when resident: longest claim
     logical: int = 0  # sum of the owners' claims
-    resident_children: int = 0  # claimed lane-tree children on device
+    resident_children: int = 0  # lane-tree children on device
 
 
 @dataclass(slots=True, eq=False)
@@ -142,7 +151,7 @@ class KVLedger:
     whoever reported it last: an owner's report re-asserts its lengths
     only where a co-owner has since registered another one.
 
-    **The eviction frontier.** Each segment counts its resident claimed
+    **The eviction frontier.** Each segment counts its resident
     children; the leaf frontier (resident, no resident child) sits in a
     heap of ``(stamp, node)`` entries pushed when a segment joins it —
     a residency flip, never a growth. Stamps only grow, so an entry is a
@@ -183,8 +192,10 @@ class KVLedger:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self._capacity = int(capacity_bytes)
-        self._tree = RadixTree()
-        self._segments: dict[int, _Segment] = {}
+        self._tree = RadixTree(_Segment)
+        # The tree's own node dict: a segment is its lane-tree node, so
+        # nothing is synced between the tree and a side table.
+        self._segments: dict[int, _Segment] = self._tree._nodes
         self._owners: dict[str, _Owner] = {}
         self._private: dict[str, int] = {}  # owner -> its private node id
         self._labels: dict[int, str] = {}  # private node id -> owner
@@ -268,9 +279,9 @@ class KVLedger:
         if state is None:
             return []
         segments = self._segments
-        nodes = sorted(state.nodes, key=lambda n: (segments[n].node.depth, n))
+        nodes = sorted(state.nodes, key=lambda n: (segments[n].depth, n))
         return [
-            KVSegment(n, segments[n].node.parent_id, segments[n].owners[owner])
+            KVSegment(n, segments[n].parent_id, segments[n].owners[owner])
             for n in nodes
         ]
 
@@ -284,7 +295,7 @@ class KVLedger:
         if state is None or not state.nodes:
             return None
         segments = self._segments
-        return min(state.nodes, key=lambda n: (-segments[n].node.depth, n))
+        return min(state.nodes, key=lambda n: (-segments[n].depth, n))
 
     # -- planned-overlap probes (read-only) ------------------------------
     #
@@ -322,14 +333,16 @@ class KVLedger:
         as an affinity *score*, while admission bills the guaranteed
         :meth:`resident_overlap_bytes` only.
         """
-        if node_id not in self._tree:
+        segments = self._segments
+        if node_id not in segments:
             return 0
         total = 0
         stack = [node_id]
         while stack:
-            node = stack.pop()
-            total += self.resident_segment_bytes(node)
-            stack.extend(self._tree.get(node).children)
+            seg = segments[stack.pop()]
+            if seg.resident:
+                total += seg.num_bytes
+            stack.extend(seg.children)
         return total
 
     def unique_planned_bytes(
@@ -400,7 +413,7 @@ class KVLedger:
         owners = self._owners
         for owner in seg.owners:
             owners[owner].swapped.discard(node_id)
-        parent = self._segments.get(seg.node.parent_id)  # None for a root
+        parent = self._segments.get(seg.parent_id)  # None for a root
         if parent is not None:
             parent.resident_children += 1
         if not seg.resident_children:
@@ -422,7 +435,7 @@ class KVLedger:
         Co-owners claiming another length turn stale: their next report
         re-asserts theirs, as re-registering every claim once did.
         """
-        seg.node.token_len = num_bytes
+        seg.token_len = num_bytes
         owners = self._owners
         for other, claimed in seg.owners.items():
             if other != owner:
@@ -436,7 +449,8 @@ class KVLedger:
 
         ``tick`` is the owner's last touch, which the segment keeps.
         """
-        seg = self._segments[node_id]
+        segments = self._segments
+        seg = segments[node_id]
         if tick > seg.floor:
             seg.floor = tick
         if seg.resident:
@@ -450,20 +464,22 @@ class KVLedger:
                 self._logical += seg.logical
             return
         # Nobody needs it: the bytes are freed, not swapped — there is no
-        # PCIe traffic for discarding dead KV. Drop the entry and prune
-        # the node with any now-childless, claim-less ancestors, so the
-        # books scale with live sessions, not requests ever served
-        # (claims arrive parent-first: a later claim rebuilds lineage).
-        del self._segments[node_id]
+        # PCIe traffic for discarding dead KV. The node stays only as an
+        # ancestor of claimed nodes; otherwise it goes, with any now
+        # childless, claim-less ancestors, so the books scale with live
+        # sessions, not requests ever served (claims arrive parent-first:
+        # a later claim rebuilds lineage).
+        seg.num_bytes = seg.floor = 0
         if seg.resident:
-            self._lost_resident_child(seg.node.parent_id)
-        node: int | None = node_id
-        while node is not None and node not in self._segments:
-            radix_node = self._tree.get(node)
-            if radix_node.children:
+            seg.resident = False
+            self._lost_resident_child(seg.parent_id)
+        while not seg.children and not seg.owners:
+            del segments[seg.node_id]
+            if seg.parent_id is None:
                 break
-            self._tree.remove_leaf(node)
-            node = radix_node.parent_id
+            parent = segments[seg.parent_id]
+            parent.children.discard(seg.node_id)
+            seg = parent
 
     def _apply(
         self,
@@ -501,22 +517,24 @@ class KVLedger:
             node, num_bytes = claim.node_id, claim.num_bytes
             seg = segments.get(node)
             if seg is None:
-                # A claim-less node may survive as an ancestor, at any length.
-                tree_node = self._tree.ensure_node(node, claim.parent_id, num_bytes)
-                seg = segments[node] = _Segment(tree_node)
-                if tree_node.children:
-                    seg.resident_children = sum(
-                        1 for child in tree_node.children
-                        if child in segments and segments[child].resident
+                parent_id = claim.parent_id
+                if parent_id is None:
+                    seg = segments[node] = _Segment(node, None, num_bytes, 0)
+                else:
+                    parent = segments.get(parent_id)
+                    if parent is None:
+                        raise KeyError(f"unknown radix node {parent_id}")
+                    seg = segments[node] = _Segment(
+                        node, parent_id, num_bytes, parent.depth + 1
                     )
-            else:
-                tree_node = seg.node
-                if tree_node.parent_id != claim.parent_id:
+                    parent.children.add(node)
+            else:  # claimed, or a claim-less ancestor at any length
+                if seg.parent_id != claim.parent_id:
                     raise ValueError(
                         f"node {node} already exists under parent "
-                        f"{tree_node.parent_id}, not {claim.parent_id}"
+                        f"{seg.parent_id}, not {claim.parent_id}"
                     )
-                if tree_node.token_len != num_bytes:
+                if seg.token_len != num_bytes:
                     self._set_length(node, seg, owner, num_bytes)
             if seg.resident:
                 self._resident -= seg.num_bytes
@@ -583,7 +601,7 @@ class KVLedger:
             need -= seg.num_bytes
             for owner in seg.owners:
                 owners[owner].swapped.add(victim)
-            self._lost_resident_child(seg.node.parent_id)
+            self._lost_resident_child(seg.parent_id)
             owner = self._labels.get(victim)
             if owner is None:
                 # Even when empty: callers bill the link's fixed latency

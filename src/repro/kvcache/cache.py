@@ -17,12 +17,14 @@ It combines two structures:
 A segment carries its root→parent states (``SegmentState.ancestors``),
 fixed when it is registered: a parent never changes and a registered
 segment never leaves the cache, so every path operation reads its chain
-off the leaf instead of walking parent links. The beams of a batch share
-their prefixes (the paper's Sec. 4.2), so pinning is per admission burst:
-one :meth:`PagedKVCache.pin_paths` call pins a generation burst, a
-speculative slot or a verifier batch (``materialize`` is its one-path
-case). Decode-time growth is one routine, called once
-per decode span for the whole batch
+off the leaf instead of walking parent links. A job's root→tail chain is
+registered in one :meth:`PagedKVCache.register_chain` call: its known
+prefix is trusted, and the rest is checked before anything changes. The
+beams of a batch share their prefixes (the paper's Sec. 4.2), so pinning
+is per admission burst: one :meth:`PagedKVCache.pin_paths` call pins a
+generation burst, a speculative slot or a verifier batch
+(``materialize`` is its one-path case). Decode-time growth is one
+routine, called once per decode span for the whole batch
 (:meth:`PagedKVCache.extend_segments`). Running totals
 (resident tokens / segments, evictable blocks) move at the transitions
 and are never re-summed, and the same transitions record which segments
@@ -36,7 +38,9 @@ mover), files the segment as an LRU candidate when it joins the unpinned
 leaf frontier, and adds to the :class:`~repro.kvcache.events.CacheStats`
 totals — calling ``CacheStats.record`` only when a trace was asked for.
 The one helper on the way is eviction (``_evict_for``), reached only
-when free blocks fall short.
+when free blocks fall short. A flush (:meth:`PagedKVCache.evict_all`,
+which a stack without cross-call prefix caching runs every round) pops
+and evicts every victim in its own loop and moves the totals once.
 
 Key invariants (property-tested):
 
@@ -58,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import repeat
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
@@ -82,10 +86,10 @@ class SegmentState(RadixNode):
     """One registered segment: its tree node plus dynamic cache state.
 
     ``ancestors`` holds the root→parent states (not the segment itself),
-    set once by :meth:`PagedKVCache.register_segment`; ``ancestors +
-    (state,)`` is the segment's path. It points only up the tree, so a
-    chain forms no reference cycle, and it stays out of ``repr`` and
-    ``==`` (a deep path would print, and compare, every state above it).
+    set once when it is registered; ``ancestors + (state,)`` is the
+    segment's path. It points only up the tree, so a chain forms no
+    reference cycle, and it stays out of ``repr`` and ``==`` (a deep path
+    would print, and compare, every state above it).
     """
 
     resident: bool = False
@@ -119,7 +123,7 @@ class PagedKVCache:
         self._kv_bytes_per_token = kv_bytes_per_token
         self._tree = RadixTree(SegmentState)
         # The tree's own node dict: one dict, read by the tree's queries
-        # and filled by :meth:`register_segment`.
+        # and filled by :meth:`register_segment` and :meth:`register_chain`.
         self._segments: dict[int, SegmentState] = self._tree._nodes
         #: Every registered segment by id, read-only (one dict lookup away).
         self.segments: Mapping[int, SegmentState] = MappingProxyType(self._segments)
@@ -242,6 +246,50 @@ class PagedKVCache:
             state.depth = parent.depth + 1
             state.ancestors = parent.ancestors + (parent,)
             parent.children.add(segment_id)
+        return state
+
+    def register_chain(
+        self, segment_ids: Sequence[int], token_lens: Sequence[int]
+    ) -> SegmentState:
+        """Register a root->tail segment chain in one call; returns the tail.
+
+        A segment is only ever registered under a registered parent, so
+        the known part of a chain is a prefix of it, and it is trusted:
+        only the segments after the last known one are registered. Each
+        of them, and a known tail, is checked as :meth:`register_segment`
+        checks it, before anything changes.
+        """
+        segments = self._segments
+        last = len(segment_ids) - 1
+        tail = segments.get(segment_ids[last])
+        if tail is not None:
+            if token_lens[last] < 0:
+                raise ValueError("token_len must be non-negative")
+            if (
+                tail.parent_id != (segment_ids[last - 1] if last else None)
+                or tail.token_len != token_lens[last]
+            ):
+                raise ValueError(
+                    f"node {segment_ids[last]} already exists with different attributes"
+                )
+            return tail
+        first = last  # the first segment to register
+        while first and segment_ids[first - 1] not in segments:
+            first -= 1
+        for tokens in token_lens[first:]:
+            if tokens < 0:
+                raise ValueError("token_len must be non-negative")
+        parent = segments[segment_ids[first - 1]] if first else None
+        for segment_id, tokens in zip(segment_ids[first:], token_lens[first:]):
+            if parent is None:
+                state = SegmentState(segment_id, None, tokens, 0)
+            else:
+                state = SegmentState(
+                    segment_id, parent.node_id, tokens, parent.depth + 1,
+                    ancestors=parent.ancestors + (parent,),
+                )
+                parent.children.add(segment_id)
+            segments[segment_id] = parent = state
         return state
 
     # -- pinning ---------------------------------------------------------
@@ -506,10 +554,45 @@ class PagedKVCache:
         default): KV from one ``generate()`` call is gone by the next.
         Returns the number of segments evicted.
         """
-        evicted = 0
-        while (state := self._pop_candidate()) is not None:
-            self._evict_segment(state, now)
+        # :meth:`_pop_candidate` and :meth:`_evict_segment` in one loop:
+        # a flush is every victim at once, so the totals move once.
+        heap, segments = self._evict_heap, self._segments
+        changed, stats = self._changed, self.stats
+        evicted = tokens = blocks = 0
+        while heap:
+            last_access, seg_id = heapq.heappop(heap)
+            state = segments[seg_id]
+            if (
+                state.last_access != last_access
+                or not state.resident
+                or state.pin_count
+                or state.resident_children
+            ):
+                continue
             evicted += 1
+            tokens += state.token_len
+            blocks += state.blocks_held
+            state.blocks_held = 0
+            state.resident = False
+            if changed is not None:
+                changed[seg_id] = state
+            if state.parent_id is not None:
+                parent = segments[state.parent_id]
+                parent.resident_children -= 1
+                if (
+                    parent.resident
+                    and parent.pin_count == 0
+                    and not parent.resident_children
+                ):
+                    heapq.heappush(heap, (parent.last_access, parent.node_id))
+            if stats.trace_capacity:
+                stats.record(now, CacheEventKind.EVICT, seg_id, state.token_len)
+        self._evictable_blocks -= blocks  # every victim was unpinned
+        self._resident_token_count -= tokens
+        self._resident_segment_count -= evicted
+        self._pool.allocated_blocks -= blocks
+        stats.evicted_tokens += tokens
+        stats.evicted_segments += evicted
         return evicted
 
     # -- eviction internals ----------------------------------------------

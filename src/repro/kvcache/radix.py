@@ -32,8 +32,10 @@ class RadixTree:
     Node ids must be globally unique (the library derives them from a
     stable hash of ``(problem, lineage, step)``). ``node_type`` lets an
     owner hang its own per-segment state on the nodes themselves
-    (:class:`~repro.kvcache.cache.PagedKVCache` stores residency there),
-    so structure, length and state of a segment live in one object.
+    (:class:`~repro.kvcache.cache.PagedKVCache` stores residency there,
+    :class:`~repro.hardware.memory.KVLedger` its claims), so structure,
+    length and state of a segment live in one object. Such an owner
+    reads and fills the node dict itself.
     """
 
     def __init__(self, node_type: type[RadixNode] = RadixNode) -> None:
@@ -71,30 +73,6 @@ class RadixTree:
         self._nodes[node_id] = node
         return node
 
-    def ensure_node(
-        self, node_id: int, parent_id: int | None, token_len: int
-    ) -> RadixNode:
-        """Insert the segment, or update its length if already present.
-
-        Unlike :meth:`add_node`, a differing ``token_len`` is not an
-        error: a lane's KV ledger calls this when a claim first names a
-        node, and the node may survive from earlier claims at another
-        length (as the claim-less ancestor of claimed segments). A
-        differing ``parent_id`` is still structural corruption and raises.
-        """
-        existing = self._nodes.get(node_id)
-        if existing is not None:
-            if existing.parent_id != parent_id:
-                raise ValueError(
-                    f"node {node_id} already exists under parent "
-                    f"{existing.parent_id}, not {parent_id}"
-                )
-            if token_len < 0:
-                raise ValueError("token_len must be non-negative")
-            existing.token_len = token_len
-            return existing
-        return self.add_node(node_id, parent_id, token_len)
-
     def get(self, node_id: int) -> RadixNode:
         """Return the node or raise ``KeyError``."""
         return self._require(node_id)
@@ -121,15 +99,6 @@ class RadixTree:
     def leaves(self) -> list[int]:
         """All nodes without children, sorted for determinism."""
         return sorted(nid for nid, node in self._nodes.items() if not node.children)
-
-    def remove_leaf(self, node_id: int) -> None:
-        """Remove a childless node (used when pruned beams are dropped)."""
-        node = self._require(node_id)
-        if node.children:
-            raise ValueError(f"node {node_id} has children and cannot be removed")
-        if node.parent_id is not None:
-            self._nodes[node.parent_id].children.discard(node_id)
-        del self._nodes[node_id]
 
     def _shared_prefix(self, a: int, b: int) -> list[int]:
         path_a = self.path(a)

@@ -5,8 +5,8 @@ a serving system is judged by how it behaves under *load*. This module
 aggregates a fleet run — many queued solve requests multiplexed over a
 :class:`~repro.core.pool.DevicePool` — into the quantities a serving
 evaluation reports: completed request throughput, the p50/p95 queueing
-delay and sojourn distributions, the pool's busy fraction over the run's
-makespan, cross-session KV contention (swap) time, and (for
+delay and sojourn distributions, the pool's busy fraction up to the run's
+end, cross-session KV contention (swap) time, and (for
 redundancy-based schedulers such as ``first_finish``) how much device time
 went into sessions whose results were cancelled or discarded.
 
@@ -352,11 +352,17 @@ class FleetMetrics:
         # windows overlap, and summing them would report busy fractions
         # beyond 1.0 on a single device.
         services = [r.device_seconds for r in accepted]
+        # The pool's busy time is every lane's: unaccepted requests had
+        # device time too, what a crash voided or a cheaper lane spent
+        # before an escalation.
+        busy = sum(services) + sum(
+            r.redone_work_s + r.escalated_work_s for r in records if not r.accepted
+        )
+        end = _run_end(records)
         # Sojourn time: arrival → finish, what an interactive user feels.
         sojourns = [r.finish_s - r.arrival_s for r in accepted]
         ttfts = [r.ttft_s for r in accepted if r.ttft_s is not None]
         tpots = [r.tpot_s for r in accepted if r.tpot_s is not None]
-        busy = sum(services)
         # Busy fraction is normalized by pool size: N lanes offer N
         # device-seconds per wall second, so the ratio stays physical
         # (<= 1) on multi-device fleets, comparable across placement
@@ -376,7 +382,7 @@ class FleetMetrics:
             queue_delay_p95_s=percentile(delays, 95.0) if delays else 0.0,
             service_mean_s=(sum(services) / len(services)) if services else 0.0,
             latency_mean_s=(sum(sojourns) / len(sojourns)) if sojourns else 0.0,
-            busy_fraction=(busy / (makespan * pool_devices)) if makespan > 0 else 0.0,
+            busy_fraction=(busy / (end * pool_devices)) if end > 0 else 0.0,
             sessions=sum(r.replicas for r in accepted),
             cancelled_work_s=sum(r.cancelled_work_s for r in accepted),
             latency_p95_s=percentile(sojourns, 95.0) if sojourns else 0.0,
@@ -457,9 +463,9 @@ class DeviceUtilization:
     Built by the fleet at drain time from its lane counters plus the
     per-request records; ``busy_fraction`` is the device seconds of every
     session that ran on this lane (:attr:`PooledDevice.busy_s
-    <repro.core.pool.PooledDevice.busy_s>`) over the whole run's
-    makespan, so an idle lane in a badly placed heterogeneous pool shows
-    up as a near-zero row. ``migrations_in`` / ``migrations_out`` and
+    <repro.core.pool.PooledDevice.busy_s>`) over the whole run, up to
+    its last terminal record, so an idle lane in a badly placed
+    heterogeneous pool shows up as a near-zero row. ``migrations_in`` / ``migrations_out`` and
     ``migration_bytes_saved`` read 0: no fleet path moves a live session
     between lanes.
     """
@@ -517,7 +523,7 @@ class DeviceUtilization:
         ``lanes`` are :class:`~repro.core.pool.PooledDevice` objects (typed
         loosely to keep metrics free of core imports).
         """
-        makespan = max((r.finish_s for r in records if r.accepted), default=0.0)
+        end = _run_end(records)
         rows = []
         for lane in lanes:
             mine = [
@@ -530,7 +536,7 @@ class DeviceUtilization:
                     device=lane.spec.name,
                     requests=len(mine),
                     busy_s=busy,
-                    busy_fraction=(busy / makespan) if makespan > 0 else 0.0,
+                    busy_fraction=(busy / end) if end > 0 else 0.0,
                     migrations_in=lane.migrations_in,
                     migrations_out=lane.migrations_out,
                     kv_swap_s=lane.kv_swap_s,
@@ -631,6 +637,13 @@ def compare_policies(
         rows,
         title=title,
     )
+
+
+def _run_end(records: Sequence[FleetRequestRecord]) -> float:
+    """The run's end, the latest terminal record's ``finish_s``: what a
+    busy fraction divides by. Lanes also worked for requests that were
+    later lost, so the latest *accepted* finish can come too early."""
+    return max((r.finish_s for r in records), default=0.0)
 
 
 # -- guarded percentile helpers -----------------------------------------

@@ -180,7 +180,9 @@ class StepTables(dict):
     A problem's table maps a tagged key holding every argument a value
     depends on (``("plan", lineage, step_idx, cap)``, ...) to the value
     its owner derived; the owner's own parameters (model, dataset, rng)
-    are the owner's, so a table is never shared between owners.
+    are the owner's, so a table is never shared between owners. Canonical
+    sessions also name their KV here: ``(model tag, segment id)`` holds
+    the segment's lane-tree node id (:class:`~repro.core.claims.ClaimNames`).
     """
 
     def acquire(self, problem_id: str) -> dict:

@@ -322,8 +322,13 @@ class TestLaneBusyTime:
         )
         assert billed > 0.0
         assert sum(d.busy_s for d in report.devices) == pytest.approx(billed)
-        if cell.get("batching", "off") == "off" and report.metrics.requests_lost == 0:
-            # One session at a time per lane: no lane outworks the run.
+        # The pool's busy fraction is the lanes' busy time over the same run.
+        assert report.metrics.busy_fraction == pytest.approx(
+            sum(d.busy_fraction for d in report.devices) / len(report.devices)
+        )
+        if cell.get("batching", "off") == "off":
+            # One session at a time per lane: no lane outworks the run,
+            # whether requests were lost or not.
             assert all(d.busy_fraction <= 1.0 for d in report.devices)
 
     def test_the_cells_reach_every_billing_site(self, dataset):
@@ -335,6 +340,38 @@ class TestLaneBusyTime:
         assert total(BIG_AND_SMALL | {"router": "cascade"}, "escalated_work_s") > 0
         crash = FOUR_LANES | {"faults": "crash:at=40,lane=0,mttr=120"}
         assert total(crash, "redone_work_s") > 0
+
+
+class TestBusyWithLostRequests:
+    """A crash that loses requests voided device time the lanes still
+    spent: busy fractions count it, up to the run's end (the last
+    terminal record, not the last accepted finish)."""
+
+    def test_a_lane_reads_at_most_fully_busy(self, dataset):
+        report = TestLaneBusyTime.run(dataset, FOUR_LANES | {
+            "faults": "crash:at=40,lane=0,mttr=120", "recovery": "shed",
+        })
+        assert report.metrics.requests_lost == 6
+        end = max(r.finish_s for r in report.records)
+        assert end > report.metrics.makespan_s  # a loss came last
+        busiest = max(report.devices, key=lambda d: d.busy_s)
+        # 1.233 over the latest accepted finish
+        assert busiest.busy_fraction == pytest.approx(busiest.busy_s / end)
+        assert 0.8 < busiest.busy_fraction <= 1.0
+
+    def test_pool_busy_time_is_the_lanes(self, dataset):
+        report = TestLaneBusyTime.run(dataset, TWO_4090 | {
+            "placement": "least_loaded", "rate": 0.1, "size": 8,
+            "faults": "crash:at=20,lane=0,mttr=60", "recovery": "shed",
+        })
+        metrics = report.metrics
+        assert metrics.requests_lost == 1 and metrics.redone_work_s > 0.0
+        lanes = sum(d.busy_s for d in report.devices)
+        served = sum(r.device_seconds for r in report.records if r.accepted)
+        assert lanes == pytest.approx(served + metrics.redone_work_s)
+        end = max(r.finish_s for r in report.records)
+        # The pool once counted only what the accepted requests ran.
+        assert metrics.busy_fraction * end * metrics.devices == pytest.approx(lanes)
 
 
 class TestKvOversubscription:

@@ -633,3 +633,39 @@ class TestDeriveOnce:
         misses = rng_module._encode_str.cache_info().misses
         assert misses <= self.STR_MISSES
         assert calls["_encode_part"] == misses + calls["KeyedRng.__init__"]
+
+
+class TestBaselineCacheCalls:
+    """The paper's baseline keeps no prefix cache across calls: every
+    round registers each beam's private chain and flushes both caches.
+    One call registers a chain and one flushes a cache, however long the
+    chain and however many victims."""
+
+    #: Python calls in ``repro/kvcache/`` of one n=1 baseline solve: 96
+    #: while a chain was registered and a flush evicted segment by
+    #: segment, 42 since.
+    KVCACHE_CALLS_NOW = 45
+
+    def test_a_chain_and_a_flush_are_one_call_each(self, dataset, problem):
+        server = make_server(dataset, "baseline")
+        profiler = cProfile.Profile(subcalls=False, builtins=False)
+        profiler.enable()
+        outcome = server.solve_detailed(problem, build_algorithm("beam_search", 1))
+        profiler.disable()
+        calls = Counter()
+        for entry in profiler.getstats():
+            code = entry.code
+            if not isinstance(code, str) and Path(code.co_filename).parent.name == "kvcache":
+                calls[code.co_qualname] += entry.callcount
+        assert sum(calls.values()) <= self.KVCACHE_CALLS_NOW
+        result = outcome.result
+        evicted = result.gen_evicted_segments + result.ver_evicted_segments
+        assert evicted > calls["PagedKVCache.evict_all"] > 0
+        for helper in (
+            "PagedKVCache._evict_segment", "PagedKVCache._pop_candidate",
+            "PagedKVCache._evict_for",
+        ):
+            assert calls[helper] == 0, helper
+        # Only the prompt roots are registered one by one, at setup.
+        assert calls["PagedKVCache.register_segment"] == 2
+        assert calls["PagedKVCache.register_chain"] > 0

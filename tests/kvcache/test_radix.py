@@ -51,15 +51,6 @@ class TestRadixTree:
     def test_leaves(self, tree):
         assert tree.leaves() == [4, 5, 6]
 
-    def test_remove_leaf(self, tree):
-        tree.remove_leaf(4)
-        assert 4 not in tree
-        assert 4 not in tree.get(2).children
-
-    def test_remove_internal_raises(self, tree):
-        with pytest.raises(ValueError):
-            tree.remove_leaf(2)
-
     def test_idempotent_insert(self, tree):
         tree.add_node(4, 2, 3)  # same attributes: fine
         assert len(tree) == 6
@@ -76,10 +67,8 @@ class TestRadixTree:
             t.add_node(2, 1, 1)
 
     def test_regrown_length_feeds_path_tokens(self, tree):
-        tree.ensure_node(4, 2, 30)
+        tree.get(4).token_len = 30  # how an owner of the nodes regrows one
         assert tree.shared_prefix_tokens(4, 4) == 45
-        with pytest.raises(ValueError):
-            tree.ensure_node(4, 2, -1)
 
     def test_node_type_is_what_add_node_builds(self):
         class Tagged(RadixNode):
@@ -87,7 +76,6 @@ class TestRadixTree:
 
         t = RadixTree(Tagged)
         assert type(t.add_node(1, None, 4)) is Tagged
-        assert type(t.ensure_node(2, 1, 4)) is Tagged
 
     def test_negative_token_len_raises(self, tree):
         with pytest.raises(ValueError):
@@ -97,27 +85,3 @@ class TestRadixTree:
         assert 3 in tree
         assert 99 not in tree
 
-
-class TestEnsureNode:
-    def test_inserts_then_updates_length(self):
-        tree = RadixTree()
-        node = tree.ensure_node(1, None, 10)
-        assert node.token_len == 10
-        # a growing segment re-registers with a longer length
-        again = tree.ensure_node(1, None, 25)
-        assert again is node
-        assert tree.get(1).token_len == 25
-
-    def test_parent_mismatch_is_structural_corruption(self):
-        tree = RadixTree()
-        tree.ensure_node(1, None, 10)
-        tree.ensure_node(2, 1, 5)
-        with pytest.raises(ValueError, match="parent"):
-            tree.ensure_node(2, None, 5)
-
-    def test_children_and_depth_as_add_node(self):
-        tree = RadixTree()
-        tree.ensure_node(1, None, 10)
-        tree.ensure_node(2, 1, 5)
-        assert tree.get(2).depth == 1
-        assert 2 in tree.get(1).children

@@ -233,15 +233,29 @@ def run_script_op(cache, pins, op, now):
 
 
 def recording_victims(cache):
-    """Every segment ``cache`` evicts from now on, in eviction order."""
+    """Every segment ``cache`` evicts from now on, in eviction order.
+
+    A single eviction goes through ``_evict_segment``; a flush
+    (``evict_all``) evicts in its own loop, and its victims are the
+    changes it records, in the order it records them (the script takes
+    the changes after every op, so a flush starts from none).
+    """
     victims = []
-    evict = cache._evict_segment
+    evict, flush = cache._evict_segment, cache.evict_all
 
     def recording(state, now):
         victims.append(state.node_id)
         evict(state, now)
 
+    def flushing(now=0.0):
+        assert not cache._changed
+        evicted = flush(now)
+        assert len(cache._changed) == evicted
+        victims.extend(cache._changed)
+        return evicted
+
     cache._evict_segment = recording
+    cache.evict_all = flushing
     return victims
 
 

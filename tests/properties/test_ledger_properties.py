@@ -138,8 +138,12 @@ def check_invariants(ledger, expected):
     assert ledger.resident_bytes == unique
     assert ledger.logical_resident_bytes == logical
     assert ledger.shared_bytes == logical - unique >= 0
-    # Every tree node is claimed or leads to a claimed one (no leak).
-    assert set(ledger.tree.leaves()) <= set(ledger._segments)
+    # Every tree node is claimed or leads to a claimed one (no leak), and
+    # a node nobody claims holds nothing.
+    assert all(ledger._segments[leaf].owners for leaf in ledger.tree.leaves())
+    for seg in ledger._segments.values():
+        if not seg.owners:
+            assert not seg.resident and seg.num_bytes == seg.floor == 0
 
 
 class TestKVLedgerInvariants:
@@ -418,6 +422,27 @@ class TestAdmitSegments:
         assert ledger.resident_of("resident") == 10
 
 
+class _RefTree(RadixTree):
+    """The lane tree as the reference kept it, beside its segment table:
+    a claim inserts its node or re-sizes it, and a node is removed once it
+    is a leaf nobody claims."""
+
+    def ensure_node(self, node_id, parent_id, token_len):
+        node = self._nodes.get(node_id)
+        if node is None:
+            return self.add_node(node_id, parent_id, token_len)
+        if node.parent_id != parent_id:
+            raise ValueError(f"node {node_id} already exists under another parent")
+        node.token_len = token_len
+        return node
+
+    def remove_leaf(self, node_id):
+        node = self._nodes.pop(node_id)
+        assert not node.children
+        if node.parent_id is not None:
+            self._nodes[node.parent_id].children.discard(node_id)
+
+
 @dataclass(slots=True)
 class _RefSegment:
     resident: bool = False
@@ -440,7 +465,7 @@ class FullReplaceLedger:
 
     def __init__(self, capacity):
         self._capacity = capacity
-        self._tree = RadixTree()
+        self._tree = _RefTree()
         self._segments, self._owner_segs, self._labels = {}, {}, {}
         self._tick = self._resident = self._logical = 0
         self.swapped_out_bytes = self.swapped_in_bytes = 0
@@ -683,14 +708,18 @@ def assert_same_books(ledger, ref):
         "peak_logical_bytes", "peak_shared_bytes",
     ):
         assert getattr(ledger, name) == getattr(ref, name), name
-    # Residency, LRU stamps (per-owner ticks and floors vs explicit
-    # stamps) and every lane-tree node's parent and length.
-    assert {n: s.resident for n, s in ledger._segments.items()} == {
+    # Residency and LRU stamps (per-owner ticks and floors vs explicit
+    # stamps) of the claimed nodes, every lane-tree node's parent and
+    # length, and every node's resident children, claimed or not.
+    claimed = {n: s for n, s in ledger._segments.items() if s.owners}
+    assert {n: s.resident for n, s in claimed.items()} == {
         n: s.resident for n, s in ref._segments.items()
     }
-    assert {
-        n: ledger._stamp(s) for n, s in ledger._segments.items()
-    } == ref.stamps()
+    assert {n: ledger._stamp(s) for n, s in claimed.items()} == ref.stamps()
+    for seg in ledger._segments.values():
+        assert seg.resident_children == sum(
+            ledger._segments[child].resident for child in seg.children
+        )
     assert {
         n: (node.parent_id, node.token_len) for n, node in ledger.tree._nodes.items()
     } == {
@@ -890,7 +919,7 @@ class TestEvictionFrontier:
         ref.charge_growth_segments("a", [child])
         ledger.release("b")
         ref.release("b")
-        assert 1 in ledger.tree and 1 not in ledger._segments
+        assert 1 in ledger.tree and not ledger._segments[1].owners
         for book in (ledger, ref):
             book.charge_growth_segments("d", [KVSegment(1, None, 5)])
         ledger.charge_growth_segments("a", [], ())  # the child is now newer
