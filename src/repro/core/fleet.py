@@ -853,8 +853,11 @@ class _FleetRun:
         if reason is not None:
             # Admission outcomes never report ``failed_over``: a restart
             # that waited for a repair and was then refused never happened.
+            # The record is stamped when admission decides: a first
+            # admission runs at the arrival itself, a retry's re-admission
+            # after the crash that voided the request's earlier work.
             self._terminal_record(
-                seq, request, finish_s=request.arrival_s, accepted=False,
+                seq, request, finish_s=now, accepted=False,
                 reject_reason=reason, lost=lost, failed_over=False,
             )
         else:

@@ -51,6 +51,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.core import claims as lane_claims
@@ -188,22 +189,25 @@ class PooledDevice:
             self.clock = SimClock(label=self.device_id)
         self.ledger = KVLedger(self.server.kv_budget_bytes)
 
-    @property
+    @cached_property
     def device_id(self) -> str:
         """Stable lane identifier, e.g. ``"dev0:rtx4090"``.
 
         The ``dev{index}:`` prefix keeps ids unique even when several
         lanes share one device spec (``--devices rtx4090,rtx4090``).
+        Built once per lane (``index`` and ``server`` are never
+        reassigned), so every record the lane writes shares one string.
         """
         return f"dev{self.index}:{self.spec.name}"
 
-    @property
+    @cached_property
     def lane_class(self) -> str:
         """The deployed model pairing this lane serves, e.g.
         ``"qwen2.5-math-1.5b-int8+skywork-o1-prm-1.5b-int8"``.
 
         Lanes of one class are interchangeable for a session (same search
-        results); routing and per-class metrics key off this.
+        results); routing and per-class metrics key off this. Built once
+        per lane, like :attr:`device_id`.
         """
         return f"{self.server.gen_model.name}+{self.server.ver_model.name}"
 

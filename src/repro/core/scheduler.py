@@ -203,12 +203,18 @@ class RequestScheduler(ABC):
     def sessions_for(
         self, server: "TTSServer", request: "FleetRequest"
     ) -> list[SolveSession]:
-        """Create this request's session(s); default is one canonical session."""
+        """Create this request's session(s); default is one canonical session.
+
+        Fleet sessions keep no launch log (``launch_log=False``): no fleet
+        metric reads utilization spans, and a drain would hold one per
+        launch until its report is dropped.
+        """
         return [
             server.session(
                 request.problem,
                 request.algorithm,
                 session_id=f"{request.request_id}/r0",
+                launch_log=False,
             )
         ]
 
@@ -348,6 +354,7 @@ class FirstFinishScheduler(RequestScheduler):
                     request.algorithm,
                     rng=rng,
                     session_id=f"{request.request_id}/r{replica}",
+                    launch_log=False,
                 )
             )
         return sessions

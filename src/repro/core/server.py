@@ -184,15 +184,18 @@ class TTSServer:
         trace: bool = False,
         rng: KeyedRng | None = None,
         session_id: str | None = None,
+        launch_log: bool = True,
     ) -> SolveSession:
         """Create a resumable :class:`SolveSession` for one request.
 
         The caller drives it with ``step()`` (round-granular) or ``run()``
         (to completion). Sessions are independent: many can interleave on
-        one server without sharing any mutable state.
+        one server without sharing any mutable state. ``launch_log=False``
+        keeps no per-launch utilization spans (a fleet drain's choice).
         """
         return SolveSession(
-            self, problem, algorithm, trace=trace, rng=rng, session_id=session_id
+            self, problem, algorithm, trace=trace, rng=rng,
+            session_id=session_id, launch_log=launch_log,
         )
 
     # -- run-to-completion wrappers ---------------------------------------

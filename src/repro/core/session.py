@@ -190,6 +190,11 @@ class SolveSession:
         for byte-identity with the server's own solve.
     session_id:
         Optional label used by fleet schedulers and error messages.
+    launch_log:
+        Keep one :class:`~repro.engine.telemetry.UtilSpan` per launch and
+        return them as the result's ``util_spans`` (the utilization
+        figures read them). Fleet schedulers pass False: their workers then
+        hold no log, and the result carries ``util_spans=()``.
     """
 
     def __init__(
@@ -200,6 +205,7 @@ class SolveSession:
         trace: bool = False,
         rng: KeyedRng | None = None,
         session_id: str | None = None,
+        launch_log: bool = True,
     ) -> None:
         self._server = server
         self._config = server.config
@@ -224,7 +230,7 @@ class SolveSession:
         # Engine state (one simulated device's worth, private to the session).
         self._clock = SimClock()
         self._timer = PhaseTimer()
-        self._spans: list[UtilSpan] = []
+        self._spans: list[UtilSpan] | None = [] if launch_log else None
         self._trace: SolveTrace | None = None
         self._plan: AllocationPlan | None = None
         self._gen_worker: GeneratorWorker | None = None
@@ -896,7 +902,7 @@ class SolveSession:
             beams=beams,
             latency=latency,
             tokens=self._counters,
-            util_spans=tuple(self._spans),
+            util_spans=tuple(self._spans or ()),
             gen_cache_hit_rate=self._gen_cache.stats.hit_rate,
             ver_cache_hit_rate=self._ver_cache.stats.hit_rate,
             gen_evicted_segments=self._gen_cache.stats.evicted_segments,

@@ -3,9 +3,11 @@
 Stands in for the paper's Nsight Systems traces (Fig. 4, Fig. 17 left): the
 simulator knows exactly how many batch slots are busy at every instant, so
 utilization is recorded as piecewise-constant spans. There is no tracker:
-a session keeps a plain ``list[UtilSpan]``, and its workers' one billing
-method (:meth:`~repro.engine.worker.ModelWorker._charge`) appends each
-launch of positive duration to it.
+a solve-path session keeps a plain ``list[UtilSpan]``, and its workers' one
+billing method (:meth:`~repro.engine.worker.ModelWorker._charge`) appends
+each launch of positive duration to it. Fleet sessions keep no launch log
+(their workers hold ``None``): no fleet metric reads one, and a drain would
+otherwise retain a span per launch of every request it served.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class PhaseTimer:
         self.totals.clear()
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenCounters:
     """Where generated tokens ended up — feeds the goodput analysis.
 

@@ -10,7 +10,9 @@ exposes two primitive, fully-accounted launches:
 Each sums its launch's FLOPs and bytes and ends in one call to
 ``_charge``, the one place a launch is billed: it asks the roofline for
 the launch's price once, advances the shared clock, adds the seconds to
-the phase totals and appends the launch's utilization span.
+the phase totals and, when the worker holds a launch log, appends the
+launch's utilization span. The log is a list on the solve path, which the
+utilization figures read, and ``None`` in a fleet drain, which reads none.
 
 FastTTS operates the generator and verifier "in separate worker processes"
 (paper Sec. 5) on one GPU; here both workers share a single
@@ -40,7 +42,7 @@ class ModelWorker:
         kv_cache: PagedKVCache,
         clock: SimClock,
         phase_timer: PhaseTimer,
-        utilization: list[UtilSpan],
+        utilization: list[UtilSpan] | None,
     ) -> None:
         self._model = model
         self._roofline = roofline
@@ -88,8 +90,8 @@ class ModelWorker:
         a peak and a bandwidth it derived once; the FLOPs and bytes come
         from per-token coefficients the :class:`ModelSpec` derived once.
         The clock checks and takes the step before any total moves; a span
-        is kept only when it has positive length on the clock. The callers
-        guarantee ``0 < busy <= capacity``.
+        is kept only when the worker holds a log and the span has positive
+        length on the clock. The callers guarantee ``0 < busy <= capacity``.
         """
         if self._batch_share > 1:
             point = self._roofline.batched_point(
@@ -103,7 +105,7 @@ class ModelWorker:
         end = clock.advance(dt)
         totals = self._timer.totals
         totals[phase] = totals.get(phase, 0.0) + dt
-        if end > start:
+        if end > start and self._spans is not None:
             self._spans.append(
                 UtilSpan(start, end, busy, capacity, phase, speculative)
             )
@@ -169,8 +171,9 @@ class GeneratorWorker(ModelWorker):
         """Advance ``busy_slots`` sequences by ``n_steps`` lockstep tokens.
 
         Returns the elapsed simulated seconds. One utilization span is
-        recorded; the straggler pathology appears as a series of spans with
-        decaying ``busy_slots`` at constant per-step cost.
+        logged (when the worker keeps a log); the straggler pathology
+        appears as a series of spans with decaying ``busy_slots`` at
+        constant per-step cost.
         """
         if n_steps <= 0:
             raise ValueError("n_steps must be positive")

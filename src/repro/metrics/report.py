@@ -31,6 +31,8 @@ class ProblemRunResult:
     beams: tuple[BeamRecord, ...]
     latency: LatencyBreakdown
     tokens: TokenCounters
+    #: One span per launch on the solve path; empty for a fleet session,
+    #: which keeps no launch log.
     util_spans: tuple[UtilSpan, ...] = ()
     gen_cache_hit_rate: float = 0.0
     ver_cache_hit_rate: float = 0.0

@@ -1,6 +1,6 @@
 """The event-driven fleet kernel (``repro.core.fleet._FleetRun``).
 
-Four contracts:
+Five contracts:
 
 * the incremental per-lane indexes equal, *in order*, the brute-force
   scans over the request population they replaced — the runnable index
@@ -15,7 +15,8 @@ Four contracts:
 * the loop's cost grows with the work served, not with the backlog:
   doubling an overload trace grows the drain's Python call count by at
   most 2.1x (2.9x with the finished-request rescan, 2.2x while ``pick``
-  still keyed every runnable handle each turn).
+  still keyed every runnable handle each turn);
+* a drain keeps no launch log: no fleet session builds a ``UtilSpan``.
 """
 
 import cProfile
@@ -28,7 +29,9 @@ from hypothesis import given, settings
 
 from repro.core.config import baseline_config
 from repro.core.fleet import _ARRIVAL, _FAULT, _RESTORE, TTSFleet, _FleetRun
+from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
+from repro.engine.telemetry import UtilSpan
 from repro.routing import parse_lane_list
 from repro.search.registry import build_algorithm
 from repro.workloads.datasets import build_dataset
@@ -451,3 +454,35 @@ def test_overload_drain_cost_scales_near_linearly():
     # shifting that index.
     small, large = overload_drain_calls(100), overload_drain_calls(200)
     assert large <= 2.1 * small
+
+
+# -- (d) a drain keeps no launch log -----------------------------------------
+
+
+def util_spans_built(call):
+    """``call()``'s result and how many ``UtilSpan``s it constructed."""
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    result = call()
+    profiler.disable()
+    init = UtilSpan.__init__.__code__
+    return result, sum(e.callcount for e in profiler.getstats() if e.code is init)
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "first_finish"])
+def test_a_drain_builds_no_launch_log(scheduler):
+    """Both session factories (the canonical one and the racing
+    replicas') give their workers no log; the solve path still keeps
+    one span per launch of positive length."""
+    fleet = build_fleet([0.0, 1.0, 2.0], scheduler=scheduler)
+    report, built = util_spans_built(fleet.drain)
+    assert built == 0
+    assert len(report.results) == 3
+    assert all(r.util_spans == () for r in report.results.values())
+
+    dataset = build_dataset("amc23", seed=0, size=1)
+    server = TTSServer(baseline_config(memory_fraction=0.4, seed=0), dataset)
+    result, built = util_spans_built(
+        lambda: server.solve(list(dataset)[0], build_algorithm("beam_search", 4))
+    )
+    assert built == len(result.util_spans) > 0

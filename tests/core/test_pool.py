@@ -263,6 +263,7 @@ FAULT_PARAMS = {
 TWO_4090 = {"devices": ["rtx4090", "rtx4090"]}
 TWO_CARDS = {"devices": ["rtx4090", "rtx4070ti"]}
 FOUR_LANES = {"devices": ["rtx4090"] * 4, "size": 8}
+ONE_LANE = {"devices": ["rtx4090"], "size": 8}
 BIG_AND_SMALL = {
     "lanes": "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8",
     "placement": "least_loaded",
@@ -287,6 +288,8 @@ BUSY_CELLS = [
                 recovery=recovery)
       for kind in FAULTS.names() for recovery in AXIS_CHOICES["recovery"]),
     *(busy_cell(BIG_AND_SMALL, router=r) for r in ROUTERS.names()),
+    # No repair: each retry re-arrives to a dead pool and is lost then.
+    busy_cell(ONE_LANE, faults="crash:at=40,lane=0", recovery="retry"),
 ]
 
 
@@ -330,6 +333,7 @@ class TestLaneBusyTime:
             # One session at a time per lane: no lane outworks the run,
             # whether requests were lost or not.
             assert all(d.busy_fraction <= 1.0 for d in report.devices)
+            assert report.metrics.busy_fraction <= 1.0
 
     def test_the_cells_reach_every_billing_site(self, dataset):
         """Settle's sibling loop, ``escalate`` and ``recover_request``."""
@@ -372,6 +376,29 @@ class TestBusyWithLostRequests:
         end = max(r.finish_s for r in report.records)
         # The pool once counted only what the accepted requests ran.
         assert metrics.busy_fraction * end * metrics.devices == pytest.approx(lanes)
+
+
+class TestLaneNamesItselfOnce:
+    def test_records_share_their_lane_strings(self, dataset):
+        """Every record a lane writes holds the lane's own ``device_id``
+        and ``lane_class`` objects (and its routed class the chosen
+        lane's), not a fresh copy each."""
+        config = fasttts_config(memory_fraction=0.9, seed=0)
+        fleet = TTSFleet(
+            config, dataset, devices=["rtx4090", "rtx4090"],
+            placement="least_loaded",
+        )
+        for problem, arrival in zip(dataset, range(8)):
+            fleet.submit(problem, build_algorithm("beam_search", 4), arrival_s=arrival)
+        report = fleet.drain()
+        lanes = {lane.device_id: lane for lane in fleet.pool}
+        served = {r.device_id for r in report.records}
+        assert served == set(lanes)  # both lanes served
+        for record in report.records:
+            lane = lanes[record.device_id]
+            assert record.device_id is lane.device_id
+            assert record.lane_class is lane.lane_class
+            assert record.routed_class is lane.lane_class
 
 
 class TestKvOversubscription:

@@ -173,3 +173,7 @@ class TestTokenCounters:
 
     def test_efficiency_zero_when_no_speculation(self):
         assert TokenCounters().speculation_efficiency == 0.0
+
+    def test_counters_have_no_instance_dict(self):
+        """One set lives on every result a drain keeps: slots, no dict."""
+        assert not hasattr(TokenCounters(), "__dict__")

@@ -248,6 +248,35 @@ class TestCommands:
         assert {r.tenant for r in fleet} == {"fleet"}
         assert all(r.deadline_s is None for r in fleet)
 
+    def test_fleet_loss_at_readmission_is_stamped_at_the_loss(
+        self, monkeypatch, capsys
+    ):
+        """A retry that re-arrives to a pool whose only lane crashed for
+        good is lost then, not at its first arrival: stamped at arrival,
+        the run ended before work the crash voided and the pool read 1.130
+        busy."""
+        reports, run_trace = [], repro.cli.run_trace
+
+        def spy(trace, config, **axes):
+            reports.append(run_trace(trace, config, **axes))
+            return reports[-1]
+
+        monkeypatch.setattr(repro.cli, "run_trace", spy)
+        assert main([
+            "fleet", "--dataset", "amc23", "-n", "4", "--requests", "8",
+            "--rate", "0.2", "--arrivals", "uniform", "--seed", "0",
+            "--device", "rtx4090", "--scheduler", "fifo",
+            "--faults", "crash:at=40,lane=0", "--recovery", "retry",
+        ]) == 0
+        out = capsys.readouterr().out
+        (report,) = reports
+        lost = [r for r in report.records if r.lost]
+        assert len(lost) == 5 and out.count("lost req-") == 5
+        assert all(r.retries > 0 and r.finish_s > 40.0 for r in lost)
+        busy = re.search(r"\| busy fraction +\| ([0-9.]+) +\|", out)
+        assert float(busy.group(1)) <= 1.0
+        assert all(d.busy_fraction <= 1.0 for d in report.devices)
+
     def test_sweep_small(self, capsys, tmp_path):
         argv = [
             "sweep", "--dataset", "amc23", "--problems", "1",
