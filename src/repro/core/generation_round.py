@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart
@@ -101,10 +101,7 @@ class _Slot:
     spec_parent: tuple[int, ...] | None = None
     spec_child: int = -1
     spec_lineage: tuple[int, ...] | None = None
-    is_spec: bool = field(init=False)  # no job: a speculative continuation
-
-    def __post_init__(self) -> None:
-        self.is_spec = self.job is None
+    is_spec: bool = False  # no job: a speculative continuation
 
 
 class GenerationRound:
@@ -149,10 +146,10 @@ class GenerationRound:
 
         clock = self._clock
         start_time = clock.now
-        waiting: deque[_Slot] = deque(
+        waiting: deque[_Slot] = deque([
             _Slot(segment=j.new_segment, remaining=j.remaining_tokens, job=j)
             for j in jobs
-        )
+        ])
         selector = SelectSpec(self._branching) if self._speculation else None
         running: list[_Slot] = []
         capacity = min(self._slot_budget, max(1, len(jobs)))
@@ -374,6 +371,7 @@ class GenerationRound:
                     spec_parent=parent_lineage,
                     spec_child=child_index,
                     spec_lineage=plan.child_lineage,
+                    is_spec=True,
                 )
             )
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.allocator import AllocationPlan
@@ -71,6 +72,7 @@ __all__ = ["SessionState", "SolveOutcome", "SolveSession",
 
 _TRUNCATION_STD = 0.05  # spread of the R-truncation draw (Alg. 1, line 19)
 _MAX_SLOTS = 1024  # engine batch-slot cap on top of the memory plan's widths
+_LINEAGE = attrgetter("lineage")  # prefix-aware order's key: no call per job
 
 
 class SessionState(str, Enum):
@@ -150,7 +152,7 @@ def schedule_jobs(
     if len(jobs) <= 1:
         return list(jobs)  # one order only: nothing to sort, fork or shuffle
     if config.prefix_aware:
-        return lineage_order(jobs, lambda j: j.lineage)
+        return lineage_order(jobs, _LINEAGE)
     return random_order(
         jobs,
         rng.fork("naive-order", problem.problem_id, stage),
@@ -433,6 +435,8 @@ class SolveSession:
         session ``1/occupancy`` of the weight reads: its co-batched
         sub-batch (:class:`~repro.core.batcher.RoundBatcher`) shares one.
         """
+        if not isinstance(occupancy, int) or occupancy < 1:
+            raise ValueError("occupancy must be an integer >= 1")
         self._require(self._state.live, "step")
         if self._state is SessionState.ADMITTED:
             self._step_admit()

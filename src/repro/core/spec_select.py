@@ -16,7 +16,7 @@ are filled lazily from the highest-potential finished beams.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["speculative_potential", "SpecCandidate", "SelectSpec"]
 
@@ -34,37 +34,30 @@ def speculative_potential(score: float | None, branching_factor: int) -> int:
     return branching_factor - bin_j + 1
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class SpecCandidate:
-    """One finished beam eligible for speculative extension.
+    """One finished beam eligible for speculative extension (its
+    :func:`speculative_potential` is at least 1: a branch left to claim)."""
 
-    Heap-ordered by descending potential, then FIFO arrival for stability.
-    """
-
-    sort_index: tuple[int, int] = field(init=False, repr=False)
-    lineage: tuple[int, ...] = field(compare=False)
-    potential: int = field(compare=False)
-    arrival: int = field(compare=False)
-    branches_started: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.potential < 0:
-            raise ValueError("potential must be non-negative")
-        self.sort_index = (-self.potential, self.arrival)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.branches_started >= self.potential
+    lineage: tuple[int, ...]
+    potential: int
+    arrival: int
+    branches_started: int = 0
 
 
 class SelectSpec:
-    """Priority allocator of freed slots to speculative branches."""
+    """Priority allocator of freed slots to speculative branches.
+
+    The heap holds ``(-potential, arrival, candidate)``: descending
+    potential, then FIFO arrival (unique, so candidates never compare). A
+    candidate leaves when its last branch is claimed.
+    """
 
     def __init__(self, branching_factor: int) -> None:
         if branching_factor < 1:
             raise ValueError("branching_factor must be positive")
         self._branching = branching_factor
-        self._heap: list[SpecCandidate] = []
+        self._heap: list[tuple[int, int, SpecCandidate]] = []
         self._arrivals = 0
 
     @property
@@ -73,14 +66,11 @@ class SelectSpec:
 
     def offer(self, lineage: tuple[int, ...], prev_score: float | None) -> SpecCandidate:
         """Register a newly finished beam as a speculative candidate."""
-        candidate = SpecCandidate(
-            lineage=lineage,
-            potential=speculative_potential(prev_score, self._branching),
-            arrival=self._arrivals,
-        )
-        self._arrivals += 1
-        if not candidate.exhausted:
-            heapq.heappush(self._heap, candidate)
+        potential = speculative_potential(prev_score, self._branching)
+        arrival = self._arrivals
+        candidate = SpecCandidate(lineage, potential, arrival)
+        self._arrivals = arrival + 1
+        heapq.heappush(self._heap, (-potential, arrival, candidate))
         return candidate
 
     def next_branch(self) -> tuple[tuple[int, ...], int] | None:
@@ -89,17 +79,15 @@ class SelectSpec:
         Returns ``None`` when no candidate has remaining potential. The
         same parent can be drawn repeatedly up to its ``M_i``.
         """
-        while self._heap:
-            candidate = self._heap[0]
-            if candidate.exhausted:
-                heapq.heappop(self._heap)
-                continue
-            child_index = candidate.branches_started
-            candidate.branches_started += 1
-            if candidate.exhausted:
-                heapq.heappop(self._heap)
-            return candidate.lineage, child_index
-        return None
+        heap = self._heap
+        if not heap:
+            return None
+        candidate = heap[0][2]
+        child_index = candidate.branches_started
+        candidate.branches_started += 1
+        if candidate.branches_started >= candidate.potential:
+            heapq.heappop(heap)
+        return candidate.lineage, child_index
 
     def __len__(self) -> int:
-        return sum(1 for c in self._heap if not c.exhausted)
+        return len(self._heap)

@@ -7,12 +7,15 @@ exposes two primitive, fully-accounted launches:
 * ``prefill_batch`` — run one batched prefill launch: the verifier's mode,
   and the generator's recompute of KV missing after an eviction.
 
-Each sums its launch's FLOPs and bytes and ends in one call to
-``_charge``, the one place a launch is billed: it asks the roofline for
-the launch's price once, advances the shared clock, adds the seconds to
-the phase totals and, when the worker holds a launch log, appends the
-launch's utilization span. The log is a list on the solve path, which the
-utilization figures read, and ``None`` in a fleet drain, which reads none.
+Each computes its launch's FLOPs and bytes inline from the
+:class:`~repro.models.spec.ModelSpec` coefficients (the formulas of
+:mod:`repro.models.costs`, same grouping) and ends in one call to
+``_charge``, the one place a launch is billed: it takes the max of compute
+and memory seconds over the roofline's derived peak and bandwidth,
+advances the shared clock, adds the seconds to the phase totals and, when
+the worker holds a launch log, appends the launch's utilization span. The
+log is a list on the solve path, which the utilization figures read, and
+``None`` in a fleet drain, which reads none.
 
 FastTTS operates the generator and verifier "in separate worker processes"
 (paper Sec. 5) on one GPU; here both workers share a single
@@ -26,14 +29,21 @@ from repro.engine.clock import SimClock
 from repro.engine.telemetry import Phase, PhaseTimer, UtilSpan
 from repro.hardware.roofline import Roofline
 from repro.kvcache.cache import PagedKVCache
-from repro.models.costs import decode_step_cost, prefill_cost
 from repro.models.spec import ModelSpec
 
 __all__ = ["ModelWorker", "GeneratorWorker", "VerifierWorker"]
 
 
 class ModelWorker:
-    """Shared mechanics for generator and verifier workers."""
+    """Shared mechanics for generator and verifier workers.
+
+    ``batch_share`` is how many co-batched sessions share this round's
+    weight reads: the occupancy of the fleet's
+    :class:`~repro.core.batcher.RoundBatcher` sub-batch, set for one round
+    by its one writer, :meth:`~repro.core.session.SolveSession.step`,
+    which checks it. Each launch then bills ``1/batch_share`` of the
+    weight traffic; at 1 it is the plain roofline, as unbatched serving.
+    """
 
     def __init__(
         self,
@@ -44,34 +54,19 @@ class ModelWorker:
         phase_timer: PhaseTimer,
         utilization: list[UtilSpan] | None,
     ) -> None:
-        self._model = model
-        self._roofline = roofline
-        self._cache = kv_cache
-        self._clock = clock
+        self.model = model
+        self.roofline = roofline
+        self.cache = kv_cache
+        self.clock = clock
+        self.batch_share = 1
         self._timer = phase_timer
         self._spans = utilization
-        self._batch_share = 1
-
-    @property
-    def batch_share(self) -> int:
-        """How many co-batched sessions share this worker's weight reads.
-
-        The session's round methods set this to the occupancy of the
-        sub-batch the fleet's :class:`~repro.core.batcher.RoundBatcher`
-        runs the round in (1 for a lone member, which is every round on a
-        ``batching="off"`` lane), for that round only: every decode step
-        and prefill launch then bills this session only ``1/batch_share``
-        of the weight traffic (the batch reads the weights once for all
-        members). At the default of 1 every launch goes through the plain
-        roofline, byte-identical to unbatched serving.
-        """
-        return self._batch_share
-
-    @batch_share.setter
-    def batch_share(self, value: int) -> None:
-        if not isinstance(value, int) or value < 1:
-            raise ValueError("batch_share must be an integer >= 1")
-        self._batch_share = value
+        self._peak = roofline.peak
+        self._bandwidth = roofline.bandwidth
+        self._weight_bytes = model.weight_bytes
+        self._kv_bytes_per_token = model.kv_bytes_per_token
+        self._linear_flops = model.linear_flops_per_token
+        self._attention_flops = model.attention_flops_per_position
 
     def _charge(
         self,
@@ -85,22 +80,21 @@ class ModelWorker:
     ) -> float:
         """Bill one launch of ``steps`` identical steps; return its seconds.
 
-        The roofline is asked once per launch (:meth:`Roofline.point`, or
-        :meth:`Roofline.batched_point` while co-batched), and it divides by
-        a peak and a bandwidth it derived once; the FLOPs and bytes come
-        from per-token coefficients the :class:`ModelSpec` derived once.
-        The clock checks and takes the step before any total moves; a span
-        is kept only when the worker holds a log and the span has positive
-        length on the clock. The callers guarantee ``0 < busy <= capacity``.
+        A step costs ``max(flops / peak, bytes / bandwidth)`` (paper Sec.
+        4.3.1), the weight read first cut to its ``1/batch_share`` share as
+        :meth:`Roofline.batched_point` does. The clock checks and takes the
+        step before any total moves; a span is kept only when the worker
+        holds a log and the span has positive length on the clock. The
+        callers guarantee ``0 < busy <= capacity``.
         """
-        if self._batch_share > 1:
-            point = self._roofline.batched_point(
-                flops, num_bytes, self._model.weight_bytes, self._batch_share
-            )
-        else:
-            point = self._roofline.point(flops, num_bytes)
-        dt = steps * point.latency
-        clock = self._clock
+        if not (flops >= 0 and num_bytes >= 0):
+            raise ValueError("flops and bytes must be non-negative")
+        share = self.batch_share
+        if share > 1:
+            shared = min(self._weight_bytes, num_bytes)
+            num_bytes = (num_bytes - shared) + shared / share
+        dt = steps * max(flops / self._peak, num_bytes / self._bandwidth)
+        clock = self.clock
         start = clock.now
         end = clock.advance(dt)
         totals = self._timer.totals
@@ -110,22 +104,6 @@ class ModelWorker:
                 UtilSpan(start, end, busy, capacity, phase, speculative)
             )
         return dt
-
-    @property
-    def model(self) -> ModelSpec:
-        return self._model
-
-    @property
-    def cache(self) -> PagedKVCache:
-        return self._cache
-
-    @property
-    def clock(self) -> SimClock:
-        return self._clock
-
-    @property
-    def roofline(self) -> Roofline:
-        return self._roofline
 
     def prefill_batch(
         self,
@@ -137,24 +115,32 @@ class ModelWorker:
         """Run one batched prefill launch over per-job new-token counts.
 
         The batch shares a single weight-traffic charge — the benefit of
-        batching prefill — while FLOPs and KV traffic accumulate per job.
+        batching prefill — while FLOPs and KV traffic accumulate per job
+        (:func:`~repro.models.costs.prefill_cost` of one sequence each).
         Returns elapsed seconds (0.0 when there is nothing to prefill).
         """
         if len(token_counts) != len(cached_prefix_lens):
             raise ValueError("token_counts and cached_prefix_lens must align")
-        live = [(t, c) for t, c in zip(token_counts, cached_prefix_lens) if t > 0]
+        weight, kv_bytes = self._weight_bytes, self._kv_bytes_per_token
+        linear, attention = self._linear_flops, self._attention_flops
+        flops = 0.0
+        num_bytes = float(weight)
+        live = 0
+        for new_tokens, cached in zip(token_counts, cached_prefix_lens):
+            if not new_tokens > 0:
+                continue
+            live += 1
+            if not cached >= 0:
+                raise ValueError("cached_prefix_len must be non-negative")
+            # Causal attention over the cached prefix plus half the chunk.
+            flops += new_tokens * linear + new_tokens * (
+                attention * (cached + new_tokens / 2.0)
+            )
+            num_bytes += weight + new_tokens * kv_bytes + cached * kv_bytes - weight
         if not live:
             return 0.0
-        flops = 0.0
-        num_bytes = float(self._model.weight_bytes)
-        for new_tokens, cached in live:
-            cost = prefill_cost(self._model, 1, new_tokens, cached_prefix_len=cached)
-            flops += cost.flops
-            num_bytes += cost.bytes - self._model.weight_bytes
-        capacity = max(capacity_slots if capacity_slots is not None else len(live), 1)
-        return self._charge(
-            flops, num_bytes, 1, phase, min(len(live), capacity), capacity
-        )
+        capacity = max(capacity_slots if capacity_slots is not None else live, 1)
+        return self._charge(flops, num_bytes, 1, phase, min(live, capacity), capacity)
 
 
 class GeneratorWorker(ModelWorker):
@@ -170,6 +156,7 @@ class GeneratorWorker(ModelWorker):
     ) -> float:
         """Advance ``busy_slots`` sequences by ``n_steps`` lockstep tokens.
 
+        Each step costs :func:`~repro.models.costs.decode_step_cost`.
         Returns the elapsed simulated seconds. One utilization span is
         logged (when the worker keeps a log); the straggler pathology
         appears as a series of spans with decaying ``busy_slots`` at
@@ -181,10 +168,15 @@ class GeneratorWorker(ModelWorker):
             raise ValueError("busy_slots must be positive")
         if busy_slots > capacity_slots:
             raise ValueError("busy_slots cannot exceed capacity_slots")
-        cost = decode_step_cost(self._model, busy_slots, avg_cache_len)
+        if not avg_cache_len >= 0:
+            raise ValueError("avg_cache_len must be non-negative")
+        kv_bytes = self._kv_bytes_per_token
         return self._charge(
-            cost.flops, cost.bytes, n_steps, Phase.GENERATION,
-            busy_slots, capacity_slots, speculative_slots,
+            busy_slots * self._linear_flops
+            + busy_slots * (self._attention_flops * avg_cache_len),
+            self._weight_bytes + busy_slots * avg_cache_len * kv_bytes
+            + busy_slots * kv_bytes,
+            n_steps, Phase.GENERATION, busy_slots, capacity_slots, speculative_slots,
         )
 
 

@@ -47,8 +47,10 @@ class Roofline:
     An optional ``efficiency`` factor (0, 1] derates both peaks uniformly to
     model achievable rather than theoretical throughput; it scales all
     latencies equally and therefore never changes any comparison this
-    library makes. The derated peak and bandwidth are derived once, here,
-    so :meth:`point` — asked once per kernel launch — is two divisions.
+    library makes. The derated :attr:`peak` (FLOP/s) and :attr:`bandwidth`
+    (B/s) are derived once, here. :meth:`point` and :meth:`batched_point`
+    are the analysis API (allocator, figures, reports); a worker's launch
+    divides by the two constants itself (``ModelWorker._charge``).
     """
 
     def __init__(self, device: DeviceSpec, efficiency: float = 0.6) -> None:
@@ -66,6 +68,14 @@ class Roofline:
     @property
     def efficiency(self) -> float:
         return self._efficiency
+
+    @property
+    def peak(self) -> float:
+        return self._peak
+
+    @property
+    def bandwidth(self) -> float:
+        return self._bandwidth
 
     def point(self, flops: float, num_bytes: float) -> RooflinePoint:
         """Cost one operation, returning the full roofline breakdown."""

@@ -17,6 +17,10 @@ Sec. 4.3.1 formulation):
 The two per-token FLOP coefficients are derived once per spec
 (:attr:`ModelSpec.linear_flops_per_token`,
 :attr:`ModelSpec.attention_flops_per_position`).
+
+These are the analysis API. :class:`~repro.engine.worker.ModelWorker`'s
+launches hold an inline copy with the same grouping, pinned bit-equal to
+these by a property test (``tests/engine/test_worker.py``): edit both.
 """
 
 from __future__ import annotations

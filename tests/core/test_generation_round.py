@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import generation_round as generation_round_module
 from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob
@@ -146,6 +147,31 @@ class TestSpeculation:
         result = round_.run([make_job(0, 5, score=0.9), make_job(1, 60)])
         assert result.stats.speculative_tokens > 0
         assert any(s.speculative_slots > 0 for s in worker._spans)
+
+    def test_every_slot_is_speculative_exactly_when_it_has_no_job(
+        self, monkeypatch
+    ):
+        """A slot's ``is_spec`` is set by its constructor, for standard
+        slots (admitted, preempted, re-admitted) and speculative ones."""
+        built = []
+
+        class RecordingSlot(generation_round_module._Slot):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(generation_round_module, "_Slot", RecordingSlot)
+        worker = make_worker(capacity_tokens=400)
+        result = GenerationRound(
+            worker, slot_budget=3, speculation=True, branching_factor=4,
+            **children(tokens=100),
+        ).run([make_job(0, 5, score=0.9), make_job(1, 120), make_job(2, 90)])
+        assert result.stats.speculative_tokens > 0
+        assert {slot.is_spec for slot in built} == {True, False}
+        for slot in built:
+            assert slot.is_spec == (slot.job is None)
 
     def test_spec_strictly_terminated_with_stragglers(self):
         """Speculation never extends the round beyond the last straggler."""

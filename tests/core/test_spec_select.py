@@ -1,6 +1,8 @@
 """Tests for SelectSPEC speculative-candidate selection."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.spec_select import SelectSpec, speculative_potential
 
@@ -84,3 +86,56 @@ class TestSelectSpec:
     def test_bad_branching_factor(self):
         with pytest.raises(ValueError):
             SelectSpec(branching_factor=0)
+
+
+class ReferenceSelector:
+    """SelectSPEC by its definition: each claim goes to the candidate with
+    branches left that sorts first by ``(-potential, arrival)``."""
+
+    def __init__(self, branching_factor):
+        self.branching = branching_factor
+        self.candidates = []  # [-potential, arrival, lineage, started]
+
+    def offer(self, lineage, prev_score):
+        potential = speculative_potential(prev_score, self.branching)
+        self.candidates.append([-potential, len(self.candidates), lineage, 0])
+
+    def next_branch(self):
+        live = [c for c in self.candidates if c[3] < -c[0]]
+        if not live:
+            return None
+        best = min(live, key=lambda c: (c[0], c[1]))
+        best[3] += 1
+        return best[2], best[3] - 1
+
+    def __len__(self):
+        return sum(1 for c in self.candidates if c[3] < -c[0])
+
+
+SCORES = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestSelectSpecOrder:
+    @given(
+        branching=st.integers(min_value=1, max_value=6),
+        ops=st.lists(st.one_of(st.just("next"), SCORES), max_size=60),
+    )
+    def test_any_interleaving_claims_in_reference_order(self, branching, ops):
+        """The heap of ``(-potential, arrival, candidate)`` entries claims
+        the same ``(lineage, child)`` sequence as the reference, whatever
+        the interleaving of offers and claims."""
+        selector, reference = SelectSpec(branching), ReferenceSelector(branching)
+        claims, expected = [], []
+        for i, op in enumerate(ops):
+            if op == "next":
+                claims.append(selector.next_branch())
+                expected.append(reference.next_branch())
+            else:
+                selector.offer((i,), op)
+                reference.offer((i,), op)
+            assert len(selector) == len(reference)
+        while len(reference):  # drain what is left
+            claims.append(selector.next_branch())
+            expected.append(reference.next_branch())
+        assert claims == expected
+        assert selector.next_branch() is None

@@ -16,12 +16,15 @@ REPO = HERE.parent.parent
 
 
 def run_capture(*args):
+    env = {"PYTHONPATH": str(REPO / "src")}
+    if sys.flags.dont_write_bytecode:  # the child writes no .pyc either
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run(
         [sys.executable, str(HERE / "capture.py"), *args],
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src")},
+        env=env,
     )
 
 

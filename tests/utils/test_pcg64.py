@@ -293,9 +293,12 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 
 
 def test_a_fleet_drain_never_imports_numpy():
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": ""}
+    if sys.flags.dont_write_bytecode:  # the child writes no .pyc either
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     result = subprocess.run(
         [sys.executable, "-c", DRAIN], capture_output=True, text=True,
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
+        cwd=ROOT, env=env,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
