@@ -296,9 +296,11 @@ class TTSFleet:
         self._queue: list[FleetRequest] = []
         self._next_id = 0
         # Allocation feasibility is a pure function of (device, n) for a
-        # fixed dataset, so admission memoizes the (often expensive) plan
-        # search; the planned on-device KV claim rides along for the
-        # ledger bookkeeping and deny-mode admission.
+        # fixed dataset, so admission memoizes the verdict. The server
+        # keeps only feasible plans (an infeasible ``n`` re-raises on
+        # every call), so this is what spares a refused budget its plan
+        # search at each arrival. The planned on-device KV claim rides
+        # along for the ledger bookkeeping and deny-mode admission.
         self._kv_verdicts: dict[tuple[int, int], str | None] = {}
         self._kv_claims: dict[tuple[int, int], int] = {}
 
@@ -902,7 +904,8 @@ class _FleetRun:
     def charge_restore(lane: PooledDevice, handle: SessionHandle) -> None:
         """Bring a resumed session's evicted KV back; charge the reads."""
         restored, evicted = lane.ledger.restore(handle.session.session_id)
-        _charge_swap(lane, handle, restored, evicted)
+        if restored or evicted:  # nothing of the session's was swapped out
+            _charge_swap(lane, handle, restored, evicted)
 
     @staticmethod
     def charge_growth(lane: PooledDevice, handle: SessionHandle) -> None:
@@ -921,7 +924,8 @@ class _FleetRun:
         restored, evicted = lane.ledger.charge_growth_segments(
             session.session_id, *lane.session_claims(session)
         )
-        _charge_swap(lane, handle, restored, evicted)
+        if restored or evicted:  # most rounds move nothing over PCIe
+            _charge_swap(lane, handle, restored, evicted)
 
     # -- settlement ------------------------------------------------------
 

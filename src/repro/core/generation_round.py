@@ -67,11 +67,7 @@ class ChildStepPlan:
     child_lineage: tuple[int, ...]
     segment_id: int
     parent_leaf_segment: int
-    n_tokens: int
-
-    def __post_init__(self) -> None:
-        if self.n_tokens <= 0:
-            raise ValueError("n_tokens must be positive")
+    n_tokens: int  # positive: the session's child planner checks it
 
 
 @dataclass(frozen=True, slots=True)

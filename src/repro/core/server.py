@@ -105,6 +105,8 @@ class TTSServer:
                 f"({budget} B) on {self._device.name}"
             )
         self._kv_budget = budget - weights
+        # plan_allocation's memo: one frozen plan per feasible beam budget.
+        self._plans: dict[int, AllocationPlan] = {}
 
     # -- public surface ------------------------------------------------
 
@@ -154,25 +156,34 @@ class TTSServer:
         return self._prm
 
     def plan_allocation(self, n: int) -> AllocationPlan:
-        """The memory plan this server would use for a beam budget ``n``."""
+        """The memory plan this server would use for a beam budget ``n``.
+
+        Planned once per ``n`` and kept: the plan is frozen, and all its
+        inputs (the frozen config, the dataset's statistics, the models,
+        the roofline and the KV budget) are fixed for the server's life.
+        An infeasible ``n`` keeps nothing, so every call raises its
+        :class:`~repro.errors.CapacityError` afresh.
+        """
+        plan = self._plans.get(n)
+        if plan is not None:
+            return plan
         profile = WorkloadProfile.from_dataset(self._dataset, n)
+        allocator = RooflineAllocator(
+            self._ver_model, self._gen_model, self._roofline, self._link
+        )
         if self._config.asymmetric_alloc:
-            allocator = RooflineAllocator(
-                self._ver_model, self._gen_model, self._roofline, self._link
-            )
             allow = self._config.offload is not OffloadMode.OFF
             plan = allocator.best_plan(profile, self._kv_budget, allow_offload=allow)
-            if self._config.offload is OffloadMode.FORCE:
-                plan = allocator.search_offload(profile, self._kv_budget)
-            return plan
-        plan = static_split_plan(
-            self._ver_model, self._gen_model, self._roofline, profile, self._kv_budget
-        )
-        if self._config.offload is OffloadMode.FORCE:
-            allocator = RooflineAllocator(
-                self._ver_model, self._gen_model, self._roofline, self._link
+        else:
+            plan = static_split_plan(
+                self._ver_model, self._gen_model, self._roofline, profile,
+                self._kv_budget,
             )
-            return allocator.search_offload(profile, self._kv_budget)
+        # FORCE plans the split first, as it always has: an infeasible
+        # split raises before any offload search.
+        if self._config.offload is OffloadMode.FORCE:
+            plan = allocator.search_offload(profile, self._kv_budget)
+        self._plans[n] = plan
         return plan
 
     # -- session factory --------------------------------------------------

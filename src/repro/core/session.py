@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.core.allocator import AllocationPlan
 from repro.core.claims import ClaimNames
@@ -85,10 +85,10 @@ class SessionState(str, Enum):
     DONE = "done"
     CANCELLED = "cancelled"
 
-    @property
-    def live(self) -> bool:
-        """Whether the session still accepts :meth:`SolveSession.step`."""
-        return self not in (SessionState.DONE, SessionState.CANCELLED)
+    def __init__(self, value: str) -> None:
+        #: Whether the session still accepts :meth:`SolveSession.step`. A
+        #: member attribute, not a property: every fleet turn reads it.
+        self.live = value not in ("done", "cancelled")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,12 +124,12 @@ def path_segments(
             step_segment_id(problem, lineage, i) for i in range(steps_done)
         )
         return tuple(segments)
-    segments = [stable_hash64("private-prompt", problem.problem_id, lineage)]
-    segments.extend(
-        stable_hash64("private-segment", problem.problem_id, lineage, i)
-        for i in range(steps_done)
+    # A list comprehension, not a generator: one call, not one per step.
+    pid = problem.problem_id
+    return (
+        stable_hash64("private-prompt", pid, lineage),
+        *[stable_hash64("private-segment", pid, lineage, i) for i in range(steps_done)],
     )
-    return tuple(segments)
 
 
 def schedule_jobs(
@@ -168,12 +168,19 @@ def lookahead_worthy(path: ReasoningPath, algorithm: SearchAlgorithm) -> bool:
     (expensive for a 7B PRM) is usually wasted. The gate reuses SelectSPEC's
     zero-overhead proxy: previous-step score in bin C1.
     """
-    potential = speculative_potential(path.last_score, algorithm.branching_factor)
-    return potential == algorithm.branching_factor
+    scores = path.scores  # ``path.last_score``, inlined: read once per beam
+    branching = algorithm.branching_factor
+    potential = speculative_potential(scores[-1] if scores else None, branching)
+    return potential == branching
 
 
 class SolveSession:
     """One request's solve, advanced round-by-round.
+
+    ``state``, ``session_id``, ``clock`` and ``first_token_s`` are plain
+    attributes, read on every fleet turn; only the session writes them
+    (``state`` in its transitions and :meth:`cancel`, ``first_token_s``
+    after its first generation round). Callers treat them as read-only.
 
     Parameters
     ----------
@@ -213,9 +220,13 @@ class SolveSession:
         self._config = server.config
         self._problem = problem
         self._algorithm = algorithm
-        self._session_id = session_id or f"session-{problem.problem_id}"
+        #: Label used by fleet schedulers, ledgers and error messages.
+        self.session_id = session_id or f"session-{problem.problem_id}"
         self._want_trace = trace
-        self._state = SessionState.ADMITTED
+        #: Lifecycle state; :meth:`step` and :meth:`cancel` write it.
+        self.state = SessionState.ADMITTED
+        # The dataset's step cap, read every round: fixed for the server.
+        self._max_steps = server.dataset.max_steps
 
         if rng is None:
             self._rng = server.rng
@@ -230,7 +241,8 @@ class SolveSession:
         self._prm.tables.acquire(problem.problem_id)
 
         # Engine state (one simulated device's worth, private to the session).
-        self._clock = SimClock()
+        #: The session-private clock; ``clock.now`` is service time so far.
+        self.clock = SimClock()
         self._timer = PhaseTimer()
         self._spans: list[UtilSpan] | None = [] if launch_log else None
         self._trace: SolveTrace | None = None
@@ -254,7 +266,10 @@ class SolveSession:
         # Per-round carry between the GENERATING and VERIFYING states.
         self._plans: dict[tuple[int, ...], StepPlan] = {}
         self._gen_result = None
-        self._first_token_s: float | None = None
+        #: Session-clock time of the first generated token (None until
+        #: then). Service time, not fleet time: the fleet adds the
+        #: session's clock anchor to place it on the shared timeline.
+        self.first_token_s: float | None = None
         #: This session's KV as lane-ledger claims (see repro.core.claims).
         self.claim_names = ClaimNames(self._table)
 
@@ -271,14 +286,6 @@ class SolveSession:
         return self._server
 
     @property
-    def session_id(self) -> str:
-        return self._session_id
-
-    @property
-    def state(self) -> SessionState:
-        return self._state
-
-    @property
     def problem(self) -> Problem:
         return self._problem
 
@@ -287,25 +294,11 @@ class SolveSession:
         return self._algorithm
 
     @property
-    def clock(self) -> SimClock:
-        """The session-private clock; ``clock.now`` is service time so far."""
-        return self._clock
-
-    @property
-    def first_token_s(self) -> float | None:
-        """Session-clock time of the first generated token (None until then).
-
-        Service time, not fleet time: the fleet adds the session's clock
-        anchor to place it on the shared timeline for the TTFT metric.
-        """
-        return self._first_token_s
-
-    @property
     def outcome(self) -> SolveOutcome:
         """The finished solve's artifacts (only after reaching ``DONE``)."""
         if self._outcome is None:
             raise SchedulingError(
-                f"{self._session_id} has no outcome in state {self._state.value}"
+                f"{self.session_id} has no outcome in state {self.state.value}"
             )
         return self._outcome
 
@@ -359,7 +352,7 @@ class SolveSession:
         same stable segment ids, so its steps are namespaced by session
         id and only rng-independent segments (the prompt) dedup.
         """
-        return None if self._rng is self._server.rng else self._session_id
+        return None if self._rng is self._server.rng else self.session_id
 
     def charge_kv_swap(self, dt: float) -> None:
         """Charge cross-session KV swap time against this session.
@@ -374,15 +367,16 @@ class SolveSession:
             raise ValueError("dt must be non-negative")
         if dt == 0:
             return
-        self._require(self._state.live, "charge swap time to")
+        if not self.state.live:
+            self._refuse("charge swap time to")
         self._charge_swap(dt, "kv_contention_swap")
 
     def _charge_swap(self, dt: float, event: str, **fields) -> None:
-        self._clock.advance(dt)
+        self.clock.advance(dt)
         self._timer.add(Phase.SWAP, dt)
         if self._trace is not None:
             self._trace.record(
-                self._clock.now, event, -1, **fields, seconds=round(dt, 6)
+                self.clock.now, event, -1, **fields, seconds=round(dt, 6)
             )
 
     def notify_arrival(self) -> None:
@@ -414,15 +408,14 @@ class SolveSession:
 
     def cancel(self) -> None:
         """Abort the session; no outcome will be produced."""
-        if self._state is SessionState.DONE:
-            raise SchedulingError(f"cannot cancel finished {self._session_id}")
-        self._state = SessionState.CANCELLED
+        if self.state is SessionState.DONE:
+            raise SchedulingError(f"cannot cancel finished {self.session_id}")
+        self.state = SessionState.CANCELLED
 
-    def _require(self, allowed: bool, action: str) -> None:
-        if not allowed:
-            raise SchedulingError(
-                f"cannot {action} {self._session_id} in state {self._state.value}"
-            )
+    def _refuse(self, action: str) -> NoReturn:
+        raise SchedulingError(
+            f"cannot {action} {self.session_id} in state {self.state.value}"
+        )
 
     def step(self, occupancy: int = 1) -> SessionState:
         """Advance exactly one lifecycle transition and return the new state.
@@ -437,27 +430,29 @@ class SolveSession:
         """
         if not isinstance(occupancy, int) or occupancy < 1:
             raise ValueError("occupancy must be an integer >= 1")
-        self._require(self._state.live, "step")
-        if self._state is SessionState.ADMITTED:
+        state = self.state
+        if state is SessionState.ADMITTED:
             self._step_admit()
-        elif self._state is SessionState.GENERATING:
+        elif state is SessionState.GENERATING:
             self._step_generate(occupancy)
-        elif self._state is SessionState.VERIFYING:
+        elif state is SessionState.VERIFYING:
             self._ver_worker.batch_share = occupancy
             try:
                 self._step_verify()
             finally:
                 self._ver_worker.batch_share = 1
-        elif self._state is SessionState.FINALIZING:
+        elif state is SessionState.FINALIZING:
             self._step_finalize()
-        return self._state
+        else:
+            self._refuse("step")
+        return self.state
 
     def run(self) -> SolveOutcome:
         """Drive the session to completion and return the outcome."""
-        while self._state.live:
+        while self.state.live:
             self.step()
-        if self._state is SessionState.CANCELLED:
-            raise SchedulingError(f"{self._session_id} was cancelled")
+        if self.state is SessionState.CANCELLED:
+            raise SchedulingError(f"{self.session_id} was cancelled")
         return self.outcome
 
     # -- state handlers --------------------------------------------------
@@ -480,11 +475,11 @@ class SolveSession:
         for cache in (self._gen_cache, self._ver_cache):
             cache.register_segment(root, None, self._problem.prompt_tokens)
         self._gen_worker = GeneratorWorker(
-            server.gen_model, server.roofline, self._gen_cache, self._clock,
+            server.gen_model, server.roofline, self._gen_cache, self.clock,
             self._timer, self._spans,
         )
         self._ver_worker = VerifierWorker(
-            server.ver_model, server.roofline, self._ver_cache, self._clock,
+            server.ver_model, server.roofline, self._ver_cache, self.clock,
             self._timer, self._spans,
         )
 
@@ -494,10 +489,10 @@ class SolveSession:
             ReasoningPath(lineage=(i,))
             for i in range(self._algorithm.initial_width())
         ]
-        if self._active and self._round_idx < server.dataset.max_steps:
-            self._state = SessionState.GENERATING
+        if self._active and self._round_idx < self._max_steps:
+            self.state = SessionState.GENERATING
         else:  # pragma: no cover - empty searches cannot be constructed
-            self._state = SessionState.FINALIZING
+            self.state = SessionState.FINALIZING
 
     def _step_generate(self, occupancy: int) -> None:
         """GENERATING → VERIFYING: one generation round for the active set."""
@@ -537,13 +532,13 @@ class SolveSession:
         self._counters.recomputed += gen_result.stats.recomputed_tokens
         self._counters.committed += gen_result.stats.decoded_tokens
         if (
-            self._first_token_s is None
+            self.first_token_s is None
             and gen_result.stats.first_token_time is not None
         ):
-            self._first_token_s = gen_result.stats.first_token_time
+            self.first_token_s = gen_result.stats.first_token_time
         if self._trace is not None:
             self._trace.record(
-                self._clock.now, "generation_round", round_idx,
+                self.clock.now, "generation_round", round_idx,
                 active_beams=len(self._active),
                 decoded_tokens=gen_result.stats.decoded_tokens,
                 speculative_tokens=gen_result.stats.speculative_tokens,
@@ -554,14 +549,14 @@ class SolveSession:
         if not cfg.prefix_caching:
             # No automatic prefix caching: KV dies with the engine call,
             # exactly like the search-and-learn-on-vLLM baseline.
-            self._gen_cache.evict_all(now=self._clock.now)
+            self._gen_cache.evict_all(now=self.clock.now)
 
         for path in self._active:
             step = plans[path.lineage]
             path.record_step(step.n_tokens, step.soundness)
 
         self._gen_result = gen_result
-        self._state = SessionState.VERIFYING
+        self.state = SessionState.VERIFYING
 
     def _step_verify(self) -> None:
         """VERIFYING → GENERATING | FINALIZING: verify, collect, select."""
@@ -580,23 +575,23 @@ class SolveSession:
                 survivors.append(path)
         if not survivors:
             self._active = []
-            self._state = SessionState.FINALIZING
+            self.state = SessionState.FINALIZING
             return
 
         decision = algorithm.select(survivors, round_idx, self._generator.select_rng)
         if self._trace is not None:
             self._trace.record(
-                self._clock.now, "selection", round_idx,
+                self.clock.now, "selection", round_idx,
                 survivors=len(survivors),
                 kept=len(decision.expansions),
                 children=decision.total_children,
             )
         self._active = self._expand(decision, round_idx)
         self._round_idx = round_idx + 1
-        if self._active and self._round_idx < self._server.dataset.max_steps:
-            self._state = SessionState.GENERATING
+        if self._active and self._round_idx < self._max_steps:
+            self.state = SessionState.GENERATING
         else:
-            self._state = SessionState.FINALIZING
+            self.state = SessionState.FINALIZING
 
     def _step_finalize(self) -> None:
         """FINALIZING → DONE: outcome scoring (BoN) and result assembly."""
@@ -609,7 +604,7 @@ class SolveSession:
             plan=self._plan,
             trace=self._trace,
         )
-        self._state = SessionState.DONE
+        self.state = SessionState.DONE
 
     # -- step planning ---------------------------------------------------
 
@@ -665,7 +660,7 @@ class SolveSession:
             new_segment=chain[-1],
             step_tokens=step.n_tokens,
             head_start=head,
-            prev_score=path.last_score,
+            prev_score=path.scores[-1] if path.scores else None,
         )
 
     def _child_planner(
@@ -678,7 +673,7 @@ class SolveSession:
         once rather than per call.
         """
         next_cap = self._algorithm.step_cap(round_idx + 1)
-        last_round = round_idx + 1 >= self._server.dataset.max_steps
+        last_round = round_idx + 1 >= self._max_steps
 
         def has_child(parent_lineage: tuple[int, ...]) -> bool:
             if last_round:
@@ -696,13 +691,16 @@ class SolveSession:
                 return None
             child_lineage = parent_lineage + (child_index,)
             chain = self._segment_chain(child_lineage)  # ends ..., parent, child
+            n_tokens = self._generator.step_tokens(
+                self._problem, child_lineage, round_idx + 1, next_cap
+            )
+            if n_tokens <= 0:
+                raise ValueError("n_tokens must be positive")
             return ChildStepPlan(
                 child_lineage=child_lineage,
                 segment_id=chain[-1],
                 parent_leaf_segment=chain[-2],
-                n_tokens=self._generator.step_tokens(
-                    self._problem, child_lineage, round_idx + 1, next_cap
-                ),
+                n_tokens=n_tokens,
             )
 
         return planner, has_child
@@ -716,7 +714,7 @@ class SolveSession:
         first = self._preempt_at
 
         def check() -> bool:
-            return self._preempt_signalled or self._clock.now >= first
+            return self._preempt_signalled or self.clock.now >= first
 
         return check
 
@@ -739,7 +737,7 @@ class SolveSession:
             path.record_score(ver_result.scores[path.lineage])
         if self._trace is not None:
             self._trace.record(
-                self._clock.now, "verification_round", round_idx,
+                self.clock.now, "verification_round", round_idx,
                 jobs=len(vjobs),
                 prefilled_tokens=ver_result.stats.prefilled_tokens,
                 cache_hit_tokens=ver_result.stats.cache_hit_tokens,
@@ -747,7 +745,7 @@ class SolveSession:
                 cached_scores=cached_scores,
             )
         if not cfg.prefix_caching:
-            self._ver_worker.cache.evict_all(now=self._clock.now)
+            self._ver_worker.cache.evict_all(now=self.clock.now)
 
     def _score_job(self, path: ReasoningPath, **lookahead) -> VerifyJob:
         """Score ``path``'s newest step (it is already recorded, so the
@@ -770,7 +768,7 @@ class SolveSession:
         if cfg.lookahead and not step.is_terminal and lookahead_worthy(path, algorithm):
             child_lineage = path.lineage + (0,)
             head = self._gen_result.head_starts.get(child_lineage)
-            if head is not None and round_idx + 1 < self._server.dataset.max_steps:
+            if head is not None and round_idx + 1 < self._max_steps:
                 next_cap = algorithm.step_cap(round_idx + 1)
                 generator, problem = self._generator, self._problem
                 if head.tokens >= generator.step_tokens(
@@ -803,7 +801,7 @@ class SolveSession:
                     kept = self._truncate_head(child.lineage, child_index, head.tokens)
                     if kept < head.tokens:
                         self._gen_cache.truncate_segment(
-                            head.segment_id, kept, now=self._clock.now
+                            head.segment_id, kept, now=self.clock.now
                         )
                     if kept > 0:
                         self._heads_kept[child.lineage] = kept
@@ -886,7 +884,7 @@ class SolveSession:
             BeamRecord(
                 lineage=path.lineage,
                 tokens=path.total_tokens,
-                completion_time=path.completion_time or self._clock.now,
+                completion_time=path.completion_time or self.clock.now,
                 answer=path.answer if path.answer is not None else -1,
                 correct=bool(path.answer_correct),
                 score=path.final_score,
@@ -894,7 +892,7 @@ class SolveSession:
             for path in self._collected
         )
         latency = LatencyBreakdown(
-            total=self._clock.now,
+            total=self.clock.now,
             generation=self._timer.get(Phase.GENERATION),
             verification=self._timer.get(Phase.VERIFICATION),
             swap=self._timer.get(Phase.SWAP),
@@ -915,6 +913,6 @@ class SolveSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SolveSession({self._session_id}, state={self._state.value}, "
-            f"round={self._round_idx}, t={self._clock.now:.3f})"
+            f"SolveSession({self.session_id}, state={self.state.value}, "
+            f"round={self._round_idx}, t={self.clock.now:.3f})"
         )

@@ -16,6 +16,8 @@ between the two — it anchors a session clock at the lane time where the
 scheduler (re)started the session, so stepping the session maps its
 service-time progress back onto the lane timeline exactly (anchor +
 session time, one addition, no drift from re-accumulating round deltas).
+``ClockBinding.anchor`` is a plain attribute too (a fleet turn reads it
+per member), and only :meth:`ClockBinding.rebind` writes it.
 """
 
 from __future__ import annotations
@@ -81,21 +83,21 @@ class ClockBinding:
     step. Computing the absolute target (instead of accumulating per-round
     deltas) keeps a run-to-completion schedule bit-identical to driving
     the session without a fleet at all.
+
+    ``anchor`` is the fleet time corresponding to the session clock's
+    zero: a plain attribute that only :meth:`rebind` writes.
     """
+
+    __slots__ = ("_local", "anchor")
 
     def __init__(self, local: SimClock) -> None:
         self._local = local
-        self._anchor = 0.0
-
-    @property
-    def anchor(self) -> float:
-        """Fleet time corresponding to the session clock's zero."""
-        return self._anchor
+        self.anchor = 0.0
 
     def rebind(self, shared: SimClock) -> None:
         """Anchor the session's elapsed service at the current fleet time."""
-        self._anchor = shared.now - self._local.now
+        self.anchor = shared.now - self._local.now
 
     def sync(self, shared: SimClock) -> float:
         """Advance the fleet clock to this session's current position."""
-        return shared.advance_to(self._anchor + self._local.now)
+        return shared.advance_to(self.anchor + self._local.now)

@@ -648,7 +648,8 @@ class KVLedger:
             state = self._owners[owner] = _Owner()
         restored = self._apply(owner, state, upserts, vanished)
         self.swapped_in_bytes += restored
-        evicted = self._evict_for(self._resident - self._capacity, state.nodes)
+        need = self._resident - self._capacity
+        evicted = self._evict_for(need, state.nodes) if need > 0 else []
         self._note_peaks()
         return restored, evicted
 

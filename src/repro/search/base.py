@@ -49,36 +49,29 @@ class SearchAlgorithm(ABC):
     Subclasses must be pure: selection may depend only on the supplied
     paths/scores and the keyed RNG, never on wall time or iteration order,
     so that two serving backends drive identical searches.
+
+    ``n``, ``branching_factor`` and ``verifies_steps`` are plain
+    attributes (a session reads them every round); the first two are set
+    once, checked, by ``__init__``, and nothing writes them afterwards.
     """
 
     name: str = "abstract"
+    #: Whether the PRM scores every intermediate step (False for BoN).
+    verifies_steps: bool = True
 
     def __init__(self, n: int, branching_factor: int = 4) -> None:
         if n < 1:
             raise ValueError("n (total beam budget) must be positive")
         if branching_factor < 1:
             raise ValueError("branching_factor must be positive")
-        self._n = n
-        self._branching = branching_factor
-
-    @property
-    def n(self) -> int:
-        """Total beam budget (the paper's x-axis ``n``)."""
-        return self._n
-
-    @property
-    def branching_factor(self) -> int:
-        """``B`` — also the bin count for SelectSPEC (Sec. 4.1.1)."""
-        return self._branching
-
-    @property
-    def verifies_steps(self) -> bool:
-        """Whether the PRM scores every intermediate step (False for BoN)."""
-        return True
+        #: Total beam budget (the paper's x-axis ``n``).
+        self.n = n
+        #: ``B`` — also the bin count for SelectSPEC (Sec. 4.1.1).
+        self.branching_factor = branching_factor
 
     def initial_width(self) -> int:
         """How many root beams the search starts with."""
-        return self._n
+        return self.n
 
     def step_cap(self, round_idx: int) -> int | None:
         """Per-step token budget for this round (None = dataset default)."""
@@ -114,4 +107,4 @@ class SearchAlgorithm(ABC):
 
     def keep_count(self, n_active: int) -> int:
         """Default survivor count: budget / branching factor (at least 1)."""
-        return max(1, min(n_active, self._n // self._branching))
+        return max(1, min(n_active, self.n // self.branching_factor))

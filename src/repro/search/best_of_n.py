@@ -20,14 +20,11 @@ class BestOfN(SearchAlgorithm):
     """``n`` independent chains, outcome-scored at the end."""
 
     name = "best_of_n"
+    verifies_steps = False
 
     def __init__(self, n: int) -> None:
         # Branching factor 1: chains never fork after the root.
         super().__init__(n=n, branching_factor=1)
-
-    @property
-    def verifies_steps(self) -> bool:
-        return False
 
     def select(
         self,

@@ -610,8 +610,11 @@ class TestLedgerWorksOnWhatChanged:
     #: burst was pinned in one cache call, 103 456 measured after; 92 854
     #: measured once each launch was billed in one ``_charge`` call;
     #: 92 715 before the ledger's segments became its lane-tree nodes and
-    #: canonical sessions derived each lane node id once, 80 751 after.
-    CALLS_NOW = 82_500
+    #: canonical sessions derived each lane node id once, 80 751 after;
+    #: 68 377 before a turn read the session's lifecycle as plain
+    #: attributes, skipped swap charges with nothing to bill and planned
+    #: each beam budget once per server, 63 093 after.
+    CALLS_NOW = 64_600
 
     def test_sharing_drain_calls_stay_derived_from_changes(self):
         assert sharing_drain_calls() <= self.CALLS_NOW

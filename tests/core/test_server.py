@@ -50,6 +50,35 @@ class TestConstruction:
         server = TTSServer(baseline_config(memory_fraction=0.4), dataset)
         assert server.kv_budget_bytes > 0
 
+    @pytest.mark.parametrize("fraction", [0.3, 0.4])
+    @pytest.mark.parametrize(
+        "config",
+        [baseline_config, fasttts_config,
+         lambda **kw: fasttts_config(offload=OffloadMode.FORCE, **kw)],
+        ids=["baseline", "fasttts", "fasttts-force"],
+    )
+    def test_each_beam_budget_is_planned_once(self, dataset, config, fraction):
+        """The server keeps one plan per ``n``; each equals a fresh plan."""
+        server = TTSServer(config(memory_fraction=fraction), dataset)
+        budgets = (1, 8, 64)
+        plans = {n: server.plan_allocation(n) for n in budgets}
+        for n in budgets:
+            assert server.plan_allocation(n) is plans[n]
+            fresh = TTSServer(config(memory_fraction=fraction), dataset)
+            assert plans[n] == fresh.plan_allocation(n)
+
+    def test_the_memo_covers_an_offloading_plan(self, dataset):
+        server = TTSServer(fasttts_config(memory_fraction=0.3), dataset)
+        assert server.plan_allocation(64).offload
+        assert not server.plan_allocation(8).offload
+
+    @pytest.mark.parametrize("config", [baseline_config, fasttts_config])
+    def test_an_infeasible_budget_raises_on_every_call(self, dataset, config):
+        server = TTSServer(config(memory_fraction=0.26), dataset)
+        for _ in range(3):
+            with pytest.raises(CapacityError, match="worst-case path"):
+                server.plan_allocation(8)
+
     def test_plan_allocation_static_vs_asymmetric(self, dataset):
         static = TTSServer(baseline_config(memory_fraction=0.4), dataset)
         asym = TTSServer(

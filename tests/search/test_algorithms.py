@@ -37,6 +37,10 @@ class TestBestOfN:
     def test_no_step_verification(self):
         assert not BestOfN(n=4).verifies_steps
 
+    @pytest.mark.parametrize("name", ALGORITHMS.names())
+    def test_only_best_of_n_skips_step_verification(self, name):
+        assert build_algorithm(name, 16).verifies_steps == (name != "best_of_n")
+
     def test_branching_factor_one(self):
         assert BestOfN(n=4).branching_factor == 1
 
