@@ -23,10 +23,11 @@ from the same keyed streams a future non-speculative execution would use,
 and verification never sees them.
 
 Per span the loop touches each slot a fixed number of times: one pass
-yields the span length, the speculative-slot count and the context sum;
-the cache grows the whole batch in one
-:meth:`~repro.kvcache.cache.PagedKVCache.extend_segments` call (a victim
-is only picked where that call stopped); one pass retires finished slots.
+yields the span length, the speculative-slot count, the context sum and
+the segments to grow; ``run`` grows them in one
+:meth:`~repro.kvcache.cache.PagedKVCache.extend_segments` call and enters
+``_grow_slots`` only on a shortfall, to pick a victim where that call
+stopped; one pass retires finished slots.
 A sequence is one :class:`_Slot` for the whole round — waiting, running,
 preempted back to waiting. An admission burst is pinned by one
 :meth:`~repro.kvcache.cache.PagedKVCache.pin_paths` call, which also runs
@@ -140,7 +141,7 @@ class GenerationRound:
         if not jobs:
             return GenerationRoundResult(outcomes, heads, stats)
 
-        clock = self._clock
+        clock, cache = self._clock, self._cache
         start_time = clock.now
         waiting: deque[_Slot] = deque([
             _Slot(segment=j.new_segment, remaining=j.remaining_tokens, job=j)
@@ -165,15 +166,17 @@ class GenerationRound:
                     continue
 
             # One pass over the batch: the span length, how much of it is
-            # speculative, and the context it attends over.
+            # speculative, the context it attends over and what must grow.
             delta = running[0].remaining
             spec_slots = context = 0
+            segments = []
             for slot in running:
                 if slot.remaining < delta:
                     delta = slot.remaining
                 if slot.is_spec:
                     spec_slots += 1
                 context += slot.context_len + slot.progress
+                segments.append(slot.segment)
             busy = len(running)
             avg_cache = context / busy + delta / 2.0
             span_start = clock.now
@@ -188,7 +191,13 @@ class GenerationRound:
                 # The span decodes lockstep: its first token lands one
                 # per-step latency after the span begins.
                 stats.first_token_time = span_start + span_dt / delta
-            self._grow_slots(running, waiting, heads, delta, stats)
+            grown = cache.extend_segments(segments, delta, clock.now)
+            if grown == busy:
+                for slot in running:
+                    slot.progress += delta
+                    slot.remaining -= delta
+            else:
+                self._grow_slots(running, waiting, heads, delta, grown, stats)
 
             still_running: list[_Slot] = []
             standard = 0
@@ -240,15 +249,19 @@ class GenerationRound:
         waiting but nothing running or admitted.
         """
         cache = self._cache
+        segments = cache.segments
         free = self._slot_budget - len(running)
         leaves, grow = [], []
         for slot in waiting:
             if free <= 0:
                 break
             job = slot.job
+            # A head-started tail (last round's speculation) keeps its length.
+            tail = segments.get(job.new_segment)
+            tail_len = job.head_start if tail is None else tail.token_len
             cache.register_chain(
                 job.path_segments + (job.new_segment,),
-                job.path_segment_tokens + (cache_token_len(cache, job),),
+                job.path_segment_tokens + (tail_len,),
             )
             leaves.append(slot.segment)
             grow.append(slot.remaining)
@@ -304,25 +317,6 @@ class GenerationRound:
         if selector is not None and self._has_child(job.lineage):
             selector.offer(job.lineage, job.prev_score)
 
-    def _spec_slot_cap(self, standard_slots: int, standard_context: int) -> int:
-        """Bound speculation by its marginal memory-bandwidth cost.
-
-        Straggler steps read the weights regardless; a speculative slot
-        only adds its KV traffic. Once the combined speculative KV reads
-        per step approach the weight traffic, speculation starts slowing
-        the straggler it is meant to hide, so slots are capped at
-        ``spec_bandwidth_fraction`` of the weight bytes. At small n this
-        cap is far above the free-slot count and never binds. The
-        arguments are the standard (straggler) slots' count and summed
-        context; the byte budget and the KV bytes per token are the
-        round's, derived once at construction.
-        """
-        avg_ctx = (
-            max(1.0, standard_context / standard_slots) if standard_slots else 512.0
-        )
-        bytes_per_spec_step = avg_ctx * self._kv_bytes_per_token
-        return max(1, int(self._spec_budget_bytes / bytes_per_spec_step))
-
     def _fill_with_speculation(
         self,
         running: list[_Slot],
@@ -341,7 +335,17 @@ class GenerationRound:
                 spec_slots += 1
             else:
                 standard_context += slot.context_len + slot.progress
-        spec_cap = self._spec_slot_cap(len(running) - spec_slots, standard_context)
+        # Bound speculation by its marginal memory-bandwidth cost. Straggler
+        # steps read the weights regardless; a speculative slot only adds
+        # its KV traffic. Once the combined speculative KV reads per step
+        # approach the weight traffic, speculation starts slowing the
+        # straggler it is meant to hide, so slots are capped at
+        # ``spec_bandwidth_fraction`` of the weight bytes. At small n this
+        # cap is far above the free-slot count and never binds.
+        standard = len(running) - spec_slots
+        avg_ctx = max(1.0, standard_context / standard) if standard else 512.0
+        spec_step_bytes = avg_ctx * self._kv_bytes_per_token
+        spec_cap = max(1, int(self._spec_budget_bytes / spec_step_bytes))
         width = min(self._slot_budget, capacity)
         while len(running) < width and spec_slots < spec_cap:
             claim = selector.next_branch()
@@ -408,24 +412,24 @@ class GenerationRound:
         waiting: deque[_Slot],
         heads: dict[tuple[int, ...], SpecHeadStart],
         delta: int,
+        grown: int,
         stats: RoundStats,
     ) -> None:
-        """Extend every running tail by ``delta`` tokens, preempting on OOM.
+        """Finish a span whose batch grew ``delta`` tokens for only the
+        first ``grown`` slots of ``running``, preempting on OOM.
 
         Victim policy mirrors vLLM recompute-mode preemption: speculative
         slots die first (their progress is kept as a head start), then the
         most recently admitted standard slot is pushed back to the waiting
         queue — its generated text survives, so re-admission recomputes its
-        KV via prefill rather than re-decoding. The whole batch grows in
-        one cache call; each shortfall frees one victim and resumes from
-        the slot that could not grow.
+        KV via prefill rather than re-decoding. :meth:`run` grows the whole
+        batch in one cache call and enters this only on a shortfall; each
+        shortfall frees one victim and resumes from the slot that could
+        not grow.
         """
         cache, now = self._cache, self._clock.now
         pending = running[:]
         while True:
-            grown = cache.extend_segments(
-                [slot.segment for slot in pending], delta, now
-            )
             for slot in pending[:grown]:
                 slot.progress += delta
                 slot.remaining -= delta
@@ -445,6 +449,9 @@ class GenerationRound:
             running.remove(victim)
             if victim in pending:
                 pending.remove(victim)  # preempted before its turn to grow
+            grown = cache.extend_segments(
+                [slot.segment for slot in pending], delta, now
+            )
 
     def _pick_victim(self, running: list[_Slot], protected: _Slot) -> _Slot | None:
         for slot in reversed(running):
@@ -465,14 +472,3 @@ class GenerationRound:
         slot.prior_progress += slot.progress
         slot.progress = 0
         waiting.appendleft(slot)
-
-
-def cache_token_len(cache, job: GenJob) -> int:
-    """Current registered length of the job's tail segment.
-
-    A head-started segment already exists (written by last round's
-    speculation) and keeps its length; a fresh segment starts empty.
-    """
-    state = cache.segments.get(job.new_segment)
-    return job.head_start if state is None else state.token_len
-

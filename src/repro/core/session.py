@@ -502,14 +502,26 @@ class SolveSession:
 
         plan_step, problem = self._generator.plan_step, self._problem
         cap = algorithm.step_cap(round_idx)
-        plans = {
-            path.lineage: plan_step(problem, path.lineage, round_idx, cap)
-            for path in self._active
-        }
-        jobs = [
-            self._gen_job(path, plans[path.lineage])
-            for path in self._active
-        ]
+        table, prefix_caching = self._table, cfg.prefix_caching
+        heads_kept, prompt_tokens = self._heads_kept, problem.prompt_tokens
+        plans, jobs = {}, []
+        for path in self._active:
+            lineage = path.lineage
+            plans[lineage] = step = plan_step(problem, lineage, round_idx, cap)
+            # The path is generating step ``len(lineage) - 1``: the chain's
+            # last id is the segment being written.
+            chain = table.get(("chain", lineage, prefix_caching))
+            if chain is None:
+                chain = self._segment_chain(lineage)
+            jobs.append(GenJob(
+                lineage=lineage,
+                path_segments=chain[:-1],
+                path_segment_tokens=(prompt_tokens, *path.step_tokens),
+                new_segment=chain[-1],
+                step_tokens=step.n_tokens,
+                head_start=min(heads_kept.pop(lineage, 0), step.n_tokens),
+                prev_score=path.scores[-1] if path.scores else None,
+            ))
         jobs = self._schedule(jobs, round_idx, "gen")
 
         self._swap_to("generator")
@@ -639,47 +651,31 @@ class SolveSession:
                 parent = table.get(("chain", lineage[:-1], True))
                 if parent is None:
                     parent = self._segment_chain(lineage[:-1], True)
-                chain = parent + (
-                    step_segment_id(self._problem, lineage, len(lineage) - 1),
-                )
+                # ``step_segment_id(problem, lineage, len(lineage) - 1)``:
+                # the same key, as the lineage is its own prefix.
+                chain = parent + (stable_hash64(
+                    "segment", self._problem.problem_id, lineage, len(lineage) - 1
+                ),)
             else:
                 chain = (prompt_segment_id(self._problem),)
             table[key] = chain
         return chain
 
-    def _gen_job(self, path: ReasoningPath, step: StepPlan) -> GenJob:
-        # The path is generating step ``len(lineage) - 1``: the chain's
-        # last id is the segment being written.
-        head = min(self._heads_kept.pop(path.lineage, 0), step.n_tokens)
-        chain = self._segment_chain(path.lineage)
-        tokens = (self._problem.prompt_tokens, *path.step_tokens)
-        return GenJob(
-            lineage=path.lineage,
-            path_segments=chain[:-1],
-            path_segment_tokens=tokens,
-            new_segment=chain[-1],
-            step_tokens=step.n_tokens,
-            head_start=head,
-            prev_score=path.scores[-1] if path.scores else None,
-        )
-
     def _child_planner(
         self, plans: dict[tuple[int, ...], StepPlan], round_idx: int
     ):
-        """Closures resolving speculative branches to child step identities,
-        and telling, without a draw, whether a beam's step can have one.
+        """A closure resolving speculative branches to child step
+        identities, and a builtin telling, without a draw, whether a beam's
+        step can have one: membership in the set of non-terminal plans.
 
         In the last round a step can have no child, which is decided here
         once rather than per call.
         """
         next_cap = self._algorithm.step_cap(round_idx + 1)
         last_round = round_idx + 1 >= self._max_steps
-
-        def has_child(parent_lineage: tuple[int, ...]) -> bool:
-            if last_round:
-                return False
-            parent_plan = plans.get(parent_lineage)
-            return parent_plan is not None and not parent_plan.is_terminal
+        has_child = (frozenset() if last_round else {
+            lineage for lineage, plan in plans.items() if not plan.is_terminal
+        }).__contains__
 
         def planner(
             parent_lineage: tuple[int, ...], child_index: int
@@ -721,16 +717,40 @@ class SolveSession:
     # -- verification ----------------------------------------------------
 
     def _verify_active(self, round_idx: int) -> None:
-        cfg = self._config
+        cfg, algorithm, plans = self._config, self._algorithm, self._plans
         self._swap_to("verifier")
-        vjobs = [self._verify_job(path, round_idx) for path in self._active]
+        table, prefix_caching = self._table, cfg.prefix_caching
+        lookahead, prompt_tokens = cfg.lookahead, self._problem.prompt_tokens
+        vjobs = []
+        for path in self._active:
+            lineage = path.lineage
+            gated = lookahead and not plans[lineage].is_terminal
+            if gated and lookahead_worthy(path, algorithm):
+                vjobs.append(self._verify_job(path, round_idx))
+                continue
+            # :meth:`_score_job`, inline: the chain's last segment is the new step.
+            chain = table.get(("chain", lineage, prefix_caching))
+            if chain is None:
+                chain = self._segment_chain(lineage)
+            step_tokens, soundness = path.step_tokens, path.soundness
+            vjobs.append(VerifyJob(
+                lineage=lineage,
+                step_idx=len(step_tokens) - 1,
+                path_segments=chain[:-1],
+                path_segment_tokens=(prompt_tokens, *step_tokens[:-1]),
+                new_segment=chain[-1],
+                new_tokens=step_tokens[-1],
+                # ``path.mean_soundness``'s own expression: the same float.
+                mean_soundness=sum(soundness) / len(soundness) if soundness else 0.0,
+            ))
         vjobs = self._schedule(vjobs, round_idx, "verify")
         verification = VerificationRound(
-            self._ver_worker, self._prm, self._batch_pre, lookahead=cfg.lookahead
+            self._ver_worker, self._prm, self._batch_pre, lookahead=lookahead
         )
-        cached_scores = sum(
-            1 for job in vjobs if (job.lineage, job.step_idx) in self._score_cache
-        )
+        if self._trace is not None:
+            cached_scores = sum(
+                1 for job in vjobs if (job.lineage, job.step_idx) in self._score_cache
+            )
         ver_result = verification.run(self._problem, vjobs, self._score_cache)
         self._score_cache.update(ver_result.lookahead_scores)
         for path in self._active:
@@ -763,28 +783,28 @@ class SolveSession:
         )
 
     def _verify_job(self, path: ReasoningPath, round_idx: int) -> VerifyJob:
-        cfg, algorithm = self._config, self._algorithm
-        step = self._plans[path.lineage]
-        if cfg.lookahead and not step.is_terminal and lookahead_worthy(path, algorithm):
-            child_lineage = path.lineage + (0,)
-            head = self._gen_result.head_starts.get(child_lineage)
-            if head is not None and round_idx + 1 < self._max_steps:
-                next_cap = algorithm.step_cap(round_idx + 1)
-                generator, problem = self._generator, self._problem
-                if head.tokens >= generator.step_tokens(
+        """The job of a path that passed the lookahead gate (lookahead on,
+        step not terminal, :func:`lookahead_worthy`): it carries child 0's
+        step when last round's speculation fully pre-generated it."""
+        child_lineage = path.lineage + (0,)
+        head = self._gen_result.head_starts.get(child_lineage)
+        if head is not None and round_idx + 1 < self._max_steps:
+            next_cap = self._algorithm.step_cap(round_idx + 1)
+            generator, problem = self._generator, self._problem
+            if head.tokens >= generator.step_tokens(
+                problem, child_lineage, round_idx + 1, next_cap
+            ):
+                child_step = generator.plan_step(
                     problem, child_lineage, round_idx + 1, next_cap
-                ):
-                    child_step = generator.plan_step(
-                        problem, child_lineage, round_idx + 1, next_cap
-                    )
-                    soundness = path.soundness + [child_step.soundness]
-                    return self._score_job(
-                        path,
-                        lookahead_child=child_lineage,
-                        lookahead_segment=head.segment_id,
-                        lookahead_tokens=child_step.n_tokens,
-                        lookahead_soundness=sum(soundness) / len(soundness),
-                    )
+                )
+                soundness = path.soundness + [child_step.soundness]
+                return self._score_job(
+                    path,
+                    lookahead_child=child_lineage,
+                    lookahead_segment=head.segment_id,
+                    lookahead_tokens=child_step.n_tokens,
+                    lookahead_soundness=sum(soundness) / len(soundness),
+                )
         return self._score_job(path)
 
     # -- expansion ---------------------------------------------------------

@@ -148,8 +148,10 @@ class VerificationRound:
         stats: RoundStats,
     ) -> None:
         """Run one batched prefill and emit scores."""
-        token_counts = [missing for _, missing, _, _ in batch]
-        cached_lens = [hits for _, _, hits, _ in batch]
+        token_counts, cached_lens = [], []
+        for _, missing, hits, _ in batch:
+            token_counts.append(missing)
+            cached_lens.append(hits)
         self._worker.prefill_batch(token_counts, cached_lens,
                                    capacity_slots=self._batch_size)
         stats.prefilled_tokens += sum(token_counts)

@@ -3,8 +3,9 @@
 All latency in the reproduction is virtual: workers advance this clock by
 roofline-estimated durations. The clock is strictly monotonic; rewinding is
 a bug and raises immediately. ``now`` is a plain attribute (read on every
-launch, so not a property), and only :meth:`SimClock.advance` and
-:meth:`SimClock.advance_to` write it.
+launch, so not a property), and only :meth:`SimClock.advance`,
+:meth:`SimClock.advance_to` and a launch (``ModelWorker._charge``, with
+:meth:`SimClock.advance`'s check) write it.
 
 Sessions and fleets use *different* clocks: each
 :class:`~repro.core.session.SolveSession` owns a private clock measuring
@@ -32,8 +33,9 @@ _REWIND_TOLERANCE = 1e-9
 class SimClock:
     """Monotonic simulated time in seconds.
 
-    ``now`` is a plain attribute that only :meth:`advance` and
-    :meth:`advance_to` write; each checks the move before making it.
+    ``now`` is a plain attribute that only :meth:`advance`,
+    :meth:`advance_to` and a worker's launch write; each checks the move
+    before making it.
     """
 
     __slots__ = ("now", "label")

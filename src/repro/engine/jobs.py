@@ -35,6 +35,9 @@ class GenJob:
         The beam's verifier score from the previous step, the zero-overhead
         speculation priority proxy (paper Sec. 4.1.1). ``None`` on the
         first round.
+    remaining_tokens:
+        ``step_tokens - head_start``: what is left to decode. Derived once
+        when the job is built, so a read is a slot, not a call.
     """
 
     lineage: tuple[int, ...]
@@ -44,6 +47,7 @@ class GenJob:
     step_tokens: int
     head_start: int = 0
     prev_score: float | None = None
+    remaining_tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.step_tokens <= 0:
@@ -54,10 +58,7 @@ class GenJob:
             raise ValueError("path_segments and path_segment_tokens must align")
         if not self.path_segments:
             raise ValueError("a job always has at least the prompt segment")
-
-    @property
-    def remaining_tokens(self) -> int:
-        return self.step_tokens - self.head_start
+        self.remaining_tokens = self.step_tokens - self.head_start
 
 
 @dataclass(slots=True)

@@ -12,7 +12,7 @@ Each computes its launch's FLOPs and bytes inline from the
 :mod:`repro.models.costs`, same grouping) and ends in one call to
 ``_charge``, the one place a launch is billed: it takes the max of compute
 and memory seconds over the roofline's derived peak and bandwidth,
-advances the shared clock, adds the seconds to the phase totals and, when
+moves the shared clock itself, adds the seconds to the phase totals and, when
 the worker holds a launch log, appends the launch's utilization span. The
 log is a list on the solve path, which the utilization figures read, and
 ``None`` in a fleet drain, which reads none.
@@ -82,10 +82,10 @@ class ModelWorker:
 
         A step costs ``max(flops / peak, bytes / bandwidth)`` (paper Sec.
         4.3.1), the weight read first cut to its ``1/batch_share`` share as
-        :meth:`Roofline.batched_point` does. The clock checks and takes the
-        step before any total moves; a span is kept only when the worker
-        holds a log and the span has positive length on the clock. The
-        callers guarantee ``0 < busy <= capacity``.
+        :meth:`Roofline.batched_point` does. It checks the step as
+        :meth:`SimClock.advance` does and moves the clock itself before any
+        total moves; a span is kept only when the worker holds a log and
+        the span is positive on the clock. Callers ensure ``0 < busy <= capacity``.
         """
         if not (flops >= 0 and num_bytes >= 0):
             raise ValueError("flops and bytes must be non-negative")
@@ -94,9 +94,11 @@ class ModelWorker:
             shared = min(self._weight_bytes, num_bytes)
             num_bytes = (num_bytes - shared) + shared / share
         dt = steps * max(flops / self._peak, num_bytes / self._bandwidth)
+        if not dt >= 0:  # :meth:`SimClock.advance`'s check, inline
+            raise ValueError(f"cannot advance clock by negative dt={dt}")
         clock = self.clock
         start = clock.now
-        end = clock.advance(dt)
+        clock.now = end = start + dt
         totals = self._timer.totals
         totals[phase] = totals.get(phase, 0.0) + dt
         if end > start and self._spans is not None:

@@ -125,7 +125,10 @@ class QualityOracle:
         """
         if not lineage:
             return 0.0
-        return self._subtree_normal("approach", problem, lineage[0], _APPROACH_STD)
+        draw = self._subtree_draws.get(("approach", problem.problem_id, lineage[0]))
+        if draw is None:  # the memo is read first: a hit costs no call
+            draw = self._subtree_normal("approach", problem, lineage[0], _APPROACH_STD)
+        return draw
 
     def step_soundness(
         self, problem: Problem, lineage: tuple[int, ...], step_idx: int, skill: float
@@ -154,9 +157,11 @@ class QualityOracle:
         """
         if not lineage:
             return 0.0
-        return self._subtree_normal(
-            "subtree-bias", problem, lineage[0], _SUBTREE_BIAS_STD
-        )
+        root = lineage[0]
+        draw = self._subtree_draws.get(("subtree-bias", problem.problem_id, root))
+        if draw is None:
+            draw = self._subtree_normal("subtree-bias", problem, root, _SUBTREE_BIAS_STD)
+        return draw
 
     def correctness_probability(self, mean_soundness: float) -> float:
         """P(final answer correct | mean step soundness of the path)."""

@@ -99,7 +99,8 @@ class SearchAlgorithm(ABC):
         The tie-break (a lineage hash) orders equal scores only, so it is
         derived only when two scores tie.
         """
-        scores = [path.final_score for path in paths]
+        # ``path.final_score``, inlined: one read per path, not a call.
+        scores = [path.scores[-1] if path.scores else 0.0 for path in paths]
         if len(set(scores)) < len(scores):
             return sorted(paths, key=lambda p: p.sort_key())
         ranked = sorted(zip(scores, paths), key=itemgetter(0), reverse=True)

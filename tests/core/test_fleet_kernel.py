@@ -450,13 +450,16 @@ def overload_drain_calls(requests):
 #: session's lifecycle through properties, billed swap time for rounds
 #: that moved nothing and re-planned each session's allocation; 82 496
 #: measured once those became plain attributes, skipped charges and one
-#: plan per (server, n).
-OVERLOAD_DRAIN_CALLS_NOW = 84_000
+#: plan per (server, n); 82 482 while each beam's jobs were built by a
+#: helper and each launch called the clock, 72 765 measured once jobs were
+#: built in the loop that holds the beam and a launch moved the clock.
+OVERLOAD_DRAIN_CALLS_NOW = 75_000
 
 
 def test_overload_drain_cost_scales_near_linearly():
-    # Deterministic (a call count, not a timing): 1.967x at this commit
-    # (82 496 -> 162 246; 1.977x before a turn stopped paying for its
+    # Deterministic (a call count, not a timing): 1.956x at this commit
+    # (72 765 -> 142 309; 1.967x before a beam's round stopped paying for
+    # per-beam frames, 1.977x before a turn stopped paying for its
     # plumbing). ``pick`` reads the front of an index kept in the
     # scheduler's order, so a backlog that deepens with the trace no
     # longer costs a key call per waiting handle per turn. The absolute

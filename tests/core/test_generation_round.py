@@ -274,6 +274,37 @@ class TestSpeculation:
             )
 
 
+class TestSpeculationBandwidthCap:
+    """Speculative slots are capped by their marginal bandwidth: their KV
+    reads per step stay within ``spec_bandwidth_fraction`` of the weight
+    bytes. Three short beams free three slots of four while a straggler
+    runs; each can offer at least three branches."""
+
+    def spans(self, **kwargs):
+        worker = make_worker()
+        GenerationRound(
+            worker, slot_budget=4, speculation=True, branching_factor=4,
+            **children(tokens=100), **kwargs,
+        ).run([
+            make_job(0, 5, score=0.9), make_job(1, 5, score=0.8),
+            make_job(2, 5, score=0.7), make_job(3, 200),
+        ])
+        return worker._spans
+
+    def test_a_cap_of_one_runs_one_speculative_slot_per_span(self):
+        # One KV token's bytes per weight byte: a cap of 1 for any context.
+        fraction = MODEL.kv_bytes_per_token / MODEL.weight_bytes
+        spans = self.spans(spec_bandwidth_fraction=fraction)
+        assert max(span.speculative_slots for span in spans) == 1
+
+    def test_at_small_n_the_default_cap_never_binds(self):
+        speculative = [span for span in self.spans() if span.speculative_slots]
+        assert speculative
+        for span in speculative:
+            assert span.busy_slots == span.capacity_slots == 4
+        assert max(span.speculative_slots for span in speculative) == 3
+
+
 class TestSlotChurn:
     """Mid-burst slot turnover: frees, refills and stalls (ISSUE 6)."""
 

@@ -21,7 +21,6 @@ from repro.core.generation_round import GenerationRound
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
 from repro.core.spec_select import SelectSpec
-from repro.engine.clock import SimClock
 from repro.engine.telemetry import UtilSpan
 from repro.engine.worker import GeneratorWorker, ModelWorker
 from repro.errors import SchedulingError
@@ -344,6 +343,7 @@ class TestSpeculationSeam:
         answers = {}
         for round_idx in (0, last_round):
             planner, has_child = session._child_planner(plans, round_idx)
+            assert not hasattr(has_child, "__code__")  # a builtin: no frame
             for parent in (live, terminal, unknown):
                 answers[round_idx, parent] = has_child(parent)
                 assert answers[round_idx, parent] == (planner(parent, 0) is not None)
@@ -363,6 +363,42 @@ class TestSpeculationSeam:
         )
         with pytest.raises(ValueError, match="n_tokens must be positive"):
             planner((0,), 1)
+
+
+class TestInlineVerifyJobs:
+    """A round builds each path's plain verification job in its own loop;
+    the job equals :meth:`SolveSession._score_job`'s, field by field."""
+
+    @pytest.mark.parametrize("system", ["baseline", "fasttts"])
+    def test_an_inline_job_is_the_score_job(
+        self, dataset, problem, monkeypatch, system
+    ):
+        expected, built = {}, []
+        real_verify = SolveSession._verify_active
+        real_run = session_module.VerificationRound.run
+
+        def recording_verify(session, round_idx):
+            for path in session._active:
+                expected[session._round_idx, path.lineage] = session._score_job(path)
+            return real_verify(session, round_idx)
+
+        def recording_run(verification, problem, jobs, score_cache):
+            built.append(list(jobs))
+            return real_run(verification, problem, jobs, score_cache)
+
+        monkeypatch.setattr(SolveSession, "_verify_active", recording_verify)
+        monkeypatch.setattr(session_module.VerificationRound, "run", recording_run)
+        make_server(dataset, system).solve(problem, build_algorithm("beam_search", 16))
+        plain = lookahead = 0
+        for round_idx, jobs in enumerate(built):
+            for job in jobs:
+                if job.lookahead_child is not None:
+                    lookahead += 1
+                    continue
+                plain += 1
+                assert job == expected[round_idx, job.lineage]
+        assert plain > 16
+        assert (lookahead > 0) == (system == "fasttts")
 
 
 class TestDeriveOnce:
@@ -391,8 +427,11 @@ class TestDeriveOnce:
     #: an ``attrgetter`` key (81 371 before, 69 063 measured), and with the
     #: session's lifecycle, the search budget and the binding's anchor
     #: plain attributes, each child plan checked by its planner and a
-    #: beam's last score read inline (69 096 before, 66 500 measured).
-    CALLS_NOW = 68_000
+    #: beam's last score read inline (69 096 before, 66 500 measured), and
+    #: with each beam's jobs built in the loop that holds it, a decode
+    #: span's batch grown inline and a launch moving the clock itself
+    #: (66 469 before, 56 231 measured).
+    CALLS_NOW = 57_400
     #: Distinct strings the solve hashes: with a cold memo, each is one
     #: ``_encode_part`` call, and they were all of that function's calls
     #: before keys were encoded in one pass.
@@ -649,11 +688,11 @@ class TestDeriveOnce:
 
     def test_a_launch_and_a_keyed_hash_are_one_pass(self, dataset, problem):
         """The worker prices a launch itself, in one ``_charge`` that moves
-        the clock once: no launch calls into the roofline or the cost
-        functions, which only the allocator's plan search still asks. A
-        span is kept by comparing its ends; and a key is encoded inside
-        ``_hash64``, whose fallback sees only what the one-pass encoder
-        does not spell out."""
+        the clock itself: no launch calls into the clock, the roofline or
+        the cost functions, which only the allocator's plan search still
+        asks. A span is kept by comparing its ends; and a key is encoded
+        inside ``_hash64``, whose fallback sees only what the one-pass
+        encoder does not spell out."""
         rng_module._encode_str.cache_clear()  # its misses call _encode_part
         profiler = cProfile.Profile(builtins=False)  # subcalls: who calls what
         profiler.enable()
@@ -676,19 +715,16 @@ class TestDeriveOnce:
         assert calls["UtilSpan.duration"] == 0
         assert calls["_encode_parts"] == 0
         assert calls["ModelWorker._charge"] > 0
-        # A launch calls the clock and keeps its span, nothing else: no
-        # ``Roofline.point``, ``decode_step_cost``, ``prefill_cost`` or
-        # ``StageCost``.
+        # A launch bills itself and keeps its span, nothing else: no
+        # ``SimClock.advance``, ``Roofline.point``, ``decode_step_cost``,
+        # ``prefill_cost`` or ``StageCost``.
         assert set(worker_callees) == {
-            ModelWorker._charge.__code__, SimClock.advance.__code__,
-            UtilSpan.__init__.__code__,
+            ModelWorker._charge.__code__, UtilSpan.__init__.__code__,
         }
         # Only the allocator's plan search prices through the roofline.
         assert calls["Roofline.point"] == calls["Roofline.latency"] > 0
-        # Besides the launches, only swap charges move the clock.
-        assert calls["SimClock.advance"] == (
-            calls["ModelWorker._charge"] + calls["SolveSession._charge_swap"]
-        )
+        # Only swap charges call the clock to move it.
+        assert calls["SimClock.advance"] == calls["SolveSession._charge_swap"]
         # The fallback encodes the string memo's misses and each KeyedRng's
         # seed, nothing else of a key.
         misses = rng_module._encode_str.cache_info().misses

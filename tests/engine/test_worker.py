@@ -265,6 +265,25 @@ class TestLaunchPrice:
         assert worker.clock.now == 0.0
         assert worker._timer.totals == {} and worker._spans == []
 
+    @pytest.mark.parametrize(
+        "flops, steps", [(1e9, -1), (1e9, -512), (math.inf, 0)]
+    )
+    def test_a_negative_step_is_the_clocks_error_before_any_total_moves(
+        self, flops, steps
+    ):
+        """``_charge`` moves the clock itself, with the check and message of
+        :meth:`SimClock.advance`: a negative (or NaN, ``0 * inf``) step
+        raises before the clock, a phase total or the span log moves."""
+        worker = model_worker(MODEL)
+        with pytest.raises(ValueError) as charged:
+            worker._charge(flops, 1e9, steps, Phase.GENERATION, 1, 1)
+        dt = float(str(charged.value).rpartition("dt=")[2])
+        with pytest.raises(ValueError) as advanced:
+            SimClock().advance(dt)
+        assert str(charged.value) == str(advanced.value)
+        assert worker.clock.now == 0.0
+        assert worker._timer.totals == {} and worker._spans == []
+
     def test_the_roofline_constants_are_the_derated_device_peaks(self):
         roofline = Roofline(get_device("rtx4090"), efficiency=0.5)
         device = roofline.device
