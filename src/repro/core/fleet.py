@@ -79,6 +79,7 @@ from repro.faults import (
     check_lane_pins,
     parse_fault_spec,
 )
+from repro.metrics import fleet as fleet_metrics
 from repro.metrics.fleet import DeviceUtilization, FleetMetrics, FleetRequestRecord
 from repro.metrics.report import ProblemRunResult
 from repro.routing.router import ROUTERS
@@ -148,18 +149,14 @@ class FleetReport:
         return self.metrics.table(title=title)
 
     def device_table(self, title: str | None = None) -> str:
-        from repro.metrics.fleet import device_table
-
-        return device_table(self.devices, title=title)
+        return fleet_metrics.device_table(self.devices, title=title)
 
     def _correct_by_request(self) -> dict[str, bool]:
         return {rid: res.top1_correct for rid, res in self.results.items()}
 
     def slo_summary(self):
         """Fleet-wide SLO attainment / goodput-under-deadline rollup."""
-        from repro.metrics.fleet import SLOSummary
-
-        return SLOSummary.aggregate(
+        return fleet_metrics.SLOSummary.aggregate(
             self.records,
             self._correct_by_request(),
             pool_size=len(self.devices) or None,
@@ -167,37 +164,29 @@ class FleetReport:
 
     def tenant_slos(self):
         """Per-tenant SLO rows (records without a tenant group under '-')."""
-        from repro.metrics.fleet import tenant_slo_rollup
-
-        return tenant_slo_rollup(self.records, self._correct_by_request())
+        return fleet_metrics.tenant_slo_rollup(self.records, self._correct_by_request())
 
     def tenant_table(self, title: str | None = None) -> str:
-        from repro.metrics.fleet import tenant_table
-
-        return tenant_table(self.tenant_slos(), title=title)
+        return fleet_metrics.tenant_table(self.tenant_slos(), title=title)
 
     def lane_classes(self):
         """Per-lane-class accuracy/latency rollup (heterogeneous pools)."""
-        from repro.metrics.fleet import lane_class_rollup
-
-        return lane_class_rollup(self.records, self._correct_by_request())
+        return fleet_metrics.lane_class_rollup(
+            self.records, self._correct_by_request()
+        )
 
     def lane_class_table(self, title: str | None = None) -> str:
-        from repro.metrics.fleet import lane_class_table
-
-        return lane_class_table(self.lane_classes(), title=title)
+        return fleet_metrics.lane_class_table(self.lane_classes(), title=title)
 
     def router_decisions(self) -> dict[str, int]:
         """Initial routing decisions: lane class → requests sent there."""
-        from repro.metrics.fleet import router_decisions
-
-        return router_decisions(self.records)
+        return fleet_metrics.router_decisions(self.records)
 
     def frontier_point(self, label: str):
         """This run's point on the accuracy-vs-cost frontier."""
-        from repro.metrics.fleet import frontier_point
-
-        return frontier_point(label, self.records, self._correct_by_request())
+        return fleet_metrics.frontier_point(
+            label, self.records, self._correct_by_request()
+        )
 
 
 @dataclass(slots=True)
@@ -205,14 +194,13 @@ class _RequestState:
     """Fleet-side lifecycle of one live request (and its replicas).
 
     ``device`` is the placement-chosen primary lane; racing replicas may
-    sit on other lanes (each handle's own ``device``). ``claim_lanes``
-    tracks which lanes currently hold this request's live-count and
-    planned-KV claims, so crash handling can release exactly the dead
-    lane's share and settlement the rest — never double-counting.
-    ``claim_bytes`` records what each lane was actually billed (unique
-    planned bytes on sharing lanes, the full claim elsewhere) and
-    ``claim_segs`` the planned segments noted there, so releases undo
-    exactly what placement charged.
+    sit on other lanes (each handle's own ``device``). ``claim_bytes``
+    maps each lane index that currently holds one of this request's
+    claims to what the lane was actually billed (unique planned bytes on
+    sharing lanes, the full claim elsewhere), and ``claim_segs`` to the
+    planned segments noted there, so crash handling can release exactly
+    the dead lane's share and settlement the rest — never
+    double-counting, and undoing exactly what placement charged.
     """
 
     request: FleetRequest
@@ -220,7 +208,6 @@ class _RequestState:
     handles: list[SessionHandle]
     device: PooledDevice
     start_s: float | None = None
-    claim_lanes: list[PooledDevice] = field(default_factory=list)
     claim_bytes: dict[int, int] = field(default_factory=dict)
     claim_segs: dict[int, tuple] = field(default_factory=dict)
 
@@ -299,10 +286,8 @@ class TTSFleet:
         # fixed dataset, so admission memoizes the verdict. The server
         # keeps only feasible plans (an infeasible ``n`` re-raises on
         # every call), so this is what spares a refused budget its plan
-        # search at each arrival. The planned on-device KV claim rides
-        # along for the ledger bookkeeping and deny-mode admission.
+        # search at each arrival.
         self._kv_verdicts: dict[tuple[int, int], str | None] = {}
-        self._kv_claims: dict[tuple[int, int], int] = {}
 
     # -- submission ------------------------------------------------------
 
@@ -352,13 +337,11 @@ class TTSFleet:
         key = (lane.index, n)
         if key not in self._kv_verdicts:
             try:
-                plan = lane.server.plan_allocation(n)
+                lane.server.plan_allocation(n)
             except CapacityError as error:
                 self._kv_verdicts[key] = f"KV budget: {error}"
-                self._kv_claims[key] = 0
             else:
                 self._kv_verdicts[key] = None
-                self._kv_claims[key] = plan.kv_total_bytes
         return self._kv_verdicts[key]
 
     def _billable_claim(self, lane: PooledDevice, request: FleetRequest) -> int:
@@ -370,7 +353,7 @@ class TTSFleet:
         plans no claims (``--kv-sharing off``) has nothing to deduplicate
         against, so the full claim is billed.
         """
-        claim = self._kv_claims[(lane.index, request.algorithm.n)]
+        claim = lane.server.plan_allocation(request.algorithm.n).kv_total_bytes
         overlap = lane.prefix_overlap_bytes(lane.planned_claims(request.problem))
         return max(0, claim - overlap)
 
@@ -523,11 +506,11 @@ class _FleetRun:
         requests whose primary lane this is and whose service has not
         started (the ``late_policy=drop`` sweep's candidates). Grows in
         ``place``; shrinks in ``service_start`` and ``_forget``.
-    ``claimed[lane]``
-        requests holding a live-count / planned-KV claim on the lane
-        (whom a crash of that lane must visit — including replicas that
-        already finished there). Grows in ``place``; shrinks in
-        ``release_claims``.
+    ``lane.claimants``
+        requests holding a planned-KV claim on the lane, kept on the lane
+        itself (:attr:`PooledDevice.claimants
+        <repro.core.pool.PooledDevice.claimants>`). Grows in ``place``;
+        shrinks in ``release_claims``.
 
     ``states`` holds live requests only: settlement, drop and crash
     teardown remove the entry, so ``len(states)`` is the admission
@@ -561,9 +544,6 @@ class _FleetRun:
         }
         self.unsignalled: dict[int, SessionHandle] = {}
         self.queued: dict[int, dict[int, _RequestState]] = {
-            lane.index: {} for lane in self.lanes
-        }
-        self.claimed: dict[int, dict[int, _RequestState]] = {
             lane.index: {} for lane in self.lanes
         }
         # The event heap: (time, rank, key, payload). ``key`` is the
@@ -722,22 +702,21 @@ class _FleetRun:
     def release_claims(
         self, st: _RequestState, only: PooledDevice | None = None
     ) -> None:
-        """Return a request's live-count/planned-KV claims to its lanes.
+        """Return a request's planned-KV claims to its lanes.
 
-        Idempotent per lane: ``claim_lanes`` shrinks as shares are
+        Idempotent per lane: ``claim_bytes`` shrinks as shares are
         returned, so a crash releasing the dead lane's share and a later
         settlement releasing the rest never double-count.
         """
-        for lane in list(st.claim_lanes):
-            if only is not None and lane is not only:
+        for index in list(st.claim_bytes):
+            if only is not None and index != only.index:
                 continue
-            lane.live_requests -= 1
-            lane.planned_kv_bytes -= st.claim_bytes.pop(lane.index)
-            segs = st.claim_segs.pop(lane.index, None)
+            lane = self.lanes[index]
+            lane.planned_kv_bytes -= st.claim_bytes.pop(index)
+            segs = st.claim_segs.pop(index, None)
             if segs is not None:
                 lane.forget_planned_segments(segs)
-            st.claim_lanes.remove(lane)
-            del self.claimed[lane.index][st.seq]
+            del lane.claimants[st.seq]
 
     def place(
         self,
@@ -804,18 +783,16 @@ class _FleetRun:
             if lane.index in st.claim_bytes:
                 continue
             billed = fleet._billable_claim(lane, request)
-            lane.live_requests += 1
             lane.planned_kv_bytes += billed
-            st.claim_lanes.append(lane)
             st.claim_bytes[lane.index] = billed
-            self.claimed[lane.index][seq] = st
+            lane.claimants[seq] = st
             segs = lane.planned_claims(request.problem)
             if segs:
                 lane.note_planned_segments(segs)
                 st.claim_segs[lane.index] = segs
-                lane.planned_admitted_bytes += fleet._kv_claims[
-                    (lane.index, request.algorithm.n)
-                ]
+                lane.planned_admitted_bytes += lane.server.plan_allocation(
+                    request.algorithm.n
+                ).kv_total_bytes
                 lane.unique_admitted_bytes += billed
         carry = self.carry[seq]
         if carry.routed_class is None:
@@ -1201,7 +1178,7 @@ class _FleetRun:
         self.current[lane.index] = None
         if mttr_s is not None:
             self.schedule_restoration(time_s + mttr_s, "lane_recover", lane)
-        for st in list(self.claimed[lane.index].values()):
+        for st in list(lane.claimants.values()):
             for h in st.handles:
                 if h.device is lane:
                     self._cancel(h)

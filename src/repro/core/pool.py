@@ -65,7 +65,7 @@ from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ServerConfig
-    from repro.core.fleet import FleetRequest
+    from repro.core.fleet import FleetRequest, _RequestState
     from repro.core.session import SolveSession
     from repro.routing.lanes import LaneSpec
     from repro.workloads.problem import Dataset, Problem
@@ -125,7 +125,11 @@ class PooledDevice:
     #: one jointly-costed batch.
     batching: str = "off"
     # -- fleet-maintained load state (placement inputs) -------------------
-    live_requests: int = 0
+    #: Requests holding a claim here, by seq (a crash visits them all);
+    #: its size is the load placement reads.
+    claimants: dict[int, "_RequestState"] = field(
+        default_factory=dict, init=False, compare=False
+    )
     planned_kv_bytes: int = 0
     #: Planned-claim refcounts of admitted-but-live requests: lane-tree
     #: node id → ``[refcount, claim bytes]``. Lets dedup-aware admission
@@ -140,10 +144,6 @@ class PooledDevice:
         default_factory=dict, init=False, repr=False, compare=False
     )
     # -- rollup counters ---------------------------------------------------
-    #: Live sessions moved onto / off this lane. No fleet path moves one,
-    #: so both read 0; the perf harness still reports them.
-    migrations_in: int = 0
-    migrations_out: int = 0
     kv_swap_s: float = 0.0
     #: Placement decisions that landed a request here, and how many of
     #: them found some of the request's planned prefix already on the
@@ -154,8 +154,6 @@ class PooledDevice:
     #: footprints versus the unique bytes actually billed after dedup.
     planned_admitted_bytes: int = 0
     unique_admitted_bytes: int = 0
-    #: PCIe bytes a move by segment lineage saved: 0, as no session moves.
-    migration_bytes_saved: int = 0
     #: Device seconds of every session that ran here, whichever request
     #: it served and however that request ended (settled, escalated past
     #: or voided by a crash): the lane's share of the records'
@@ -442,7 +440,7 @@ class PooledDevice:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PooledDevice({self.device_id}, t={self.clock.now:.3f}, "
-            f"live={self.live_requests}, health={self.health.value})"
+            f"live={len(self.claimants)}, health={self.health.value})"
         )
 
 
@@ -612,7 +610,7 @@ class LeastLoadedPlacement(PlacementPolicy):
     def choose(self, request, devices, now):
         return min(
             devices,
-            key=lambda lane: (lane.live_requests, lane.clock.now, lane.index),
+            key=lambda lane: (len(lane.claimants), lane.clock.now, lane.index),
         )
 
 
@@ -631,7 +629,7 @@ class KvBalancedPlacement(PlacementPolicy):
     def choose(self, request, devices, now):
         return min(
             devices,
-            key=lambda lane: (lane.kv_load_fraction, lane.live_requests, lane.index),
+            key=lambda lane: (lane.kv_load_fraction, len(lane.claimants), lane.index),
         )
 
 
@@ -661,7 +659,7 @@ class PrefixAffinityPlacement(PlacementPolicy):
             lambda lane: lane.prefix_affinity_bytes(
                 lane.planned_claims(request.problem)
             ),
-            lambda lane: (lane.live_requests, lane.clock.now, lane.index),
+            lambda lane: (len(lane.claimants), lane.clock.now, lane.index),
         )
 
 

@@ -3,15 +3,14 @@
 The paper's artifact emits JSONL logs per run (Appendix B.2). This module
 provides the equivalent: a :class:`SolveTrace` collects round-level events
 (generation rounds with wave/speculation stats, verification rounds with
-batch/cache stats, offload swaps), and can dump them as JSONL for offline
-analysis or assert-friendly inspection in tests.
+batch/cache stats, offload swaps) and renders them as JSONL, the format
+the solve goldens pin.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 __all__ = ["TraceEvent", "SolveTrace"]
@@ -43,33 +42,12 @@ class SolveTrace:
     def problem_id(self) -> str:
         return self._problem_id
 
-    @property
-    def events(self) -> list[TraceEvent]:
-        return list(self._events)
-
     def record(self, time: float, kind: str, round_idx: int, **payload: Any) -> None:
         """Append one event (payload values must be JSON-compatible)."""
         self._events.append(
             TraceEvent(time=time, kind=kind, round_idx=round_idx, payload=payload)
         )
 
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All events of one kind, in order."""
-        return [e for e in self._events if e.kind == kind]
-
-    def rounds(self) -> int:
-        """Number of generation rounds recorded."""
-        return len(self.of_kind("generation_round"))
-
     def to_jsonl(self) -> str:
         """All events as a JSONL string."""
         return "\n".join(e.to_json() for e in self._events)
-
-    def dump(self, path: Path | str) -> Path:
-        """Write the trace to ``<path>`` as JSONL; returns the path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        header = json.dumps({"problem_id": self._problem_id, "kind": "header",
-                             "events": len(self._events)})
-        target.write_text(header + "\n" + self.to_jsonl() + "\n")
-        return target

@@ -37,7 +37,7 @@ class CacheStats:
     :class:`~repro.kvcache.cache.PagedKVCache` moves the totals as plain
     field updates at each transition and calls :meth:`record` only when
     ``trace_capacity`` is set, so a cache that traces nothing makes no
-    call here. :meth:`count` is both steps at once, for direct callers.
+    call here.
     """
 
     hit_tokens: int = 0
@@ -47,22 +47,6 @@ class CacheStats:
     allocated_tokens: int = 0
     trace_capacity: int = 0
     trace: list[CacheEvent] = field(default_factory=list)
-
-    def count(
-        self, time: float, kind: CacheEventKind, segment_id: int, tokens: int
-    ) -> None:
-        """Account one cache transition: its totals, then its trace row."""
-        if kind is CacheEventKind.ALLOCATE:
-            self.allocated_tokens += tokens
-        elif kind is CacheEventKind.HIT:
-            self.hit_tokens += tokens
-        elif kind is CacheEventKind.RECOMPUTE:
-            self.recomputed_tokens += tokens
-        elif kind is CacheEventKind.EVICT:
-            self.evicted_tokens += tokens
-            self.evicted_segments += 1
-        if self.trace_capacity:
-            self.record(time, kind, segment_id, tokens)
 
     def record(
         self, time: float, kind: CacheEventKind, segment_id: int, tokens: int

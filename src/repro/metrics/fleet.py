@@ -259,7 +259,7 @@ class FleetMetrics:
     batch_occupancy_peak: int = 1
     #: Availability under faults. ``availability`` is served over offered
     #: (completed / requests — rejections, drops and losses all count
-    #: against it); ``mttr_s`` is mean lane downtime per completed repair
+    #: against it); ``mttr_s`` is the mean completed repair window
     #: (None when no lane recovered); the rest total the per-request and
     #: per-lane fault accounting.
     requests_lost: int = 0
@@ -313,20 +313,17 @@ class FleetMetrics:
         lane_failures = 0
         mttr: float | None = None
         affinity_ratio = 0.0
-        planned_admitted = unique_admitted = migration_saved = 0
+        planned_admitted = unique_admitted = 0
         if devices:
             placements = sum(d.placements for d in devices)
             hits = sum(d.affinity_hits for d in devices)
             affinity_ratio = (hits / placements) if placements > 0 else 0.0
             planned_admitted = sum(d.planned_admitted_bytes for d in devices)
             unique_admitted = sum(d.unique_admitted_bytes for d in devices)
-            migration_saved = sum(d.migration_bytes_saved for d in devices)
-        if devices:
             lane_failures = sum(d.failures for d in devices)
             repairs = sum(d.recoveries for d in devices)
             if repairs > 0:
-                mttr = sum(d.downtime_s for d in devices) / repairs
-        if devices:
+                mttr = sum(d.repair_s for d in devices) / repairs
             shared_bytes = sum(d.kv_shared_bytes for d in devices)
             peak_resident = sum(d.kv_peak_resident_bytes for d in devices)
             if peak_resident > 0:
@@ -407,7 +404,6 @@ class FleetMetrics:
             affinity_hit_ratio=affinity_ratio,
             kv_planned_admitted_bytes=planned_admitted,
             kv_unique_admitted_bytes=unique_admitted,
-            kv_migration_bytes_saved=migration_saved,
         )
 
     def summary_rows(self) -> list[list[object]]:
@@ -465,9 +461,9 @@ class DeviceUtilization:
     session that ran on this lane (:attr:`PooledDevice.busy_s
     <repro.core.pool.PooledDevice.busy_s>`) over the whole run, up to
     its last terminal record, so an idle lane in a badly placed
-    heterogeneous pool shows up as a near-zero row. ``migrations_in`` / ``migrations_out`` and
-    ``migration_bytes_saved`` read 0: no fleet path moves a live session
-    between lanes.
+    heterogeneous pool shows up as a near-zero row. ``migrations_in`` /
+    ``migrations_out`` read 0: no fleet path moves a live session between
+    lanes.
     """
 
     device_id: str
@@ -497,11 +493,13 @@ class DeviceUtilization:
     batch_occupancy_peak: int = 1
     #: Fault lifecycle counters: the lane's health at drain end
     #: ("up"/"degraded"/"down"), crash and repair counts, total seconds
-    #: spent dead, and injected transient-stall seconds.
+    #: spent dead (to the run's end, if still down), the seconds of the
+    #: completed repairs alone, and injected transient-stall seconds.
     health: str = "up"
     failures: int = 0
     recoveries: int = 0
     downtime_s: float = 0.0
+    repair_s: float = 0.0
     stall_s: float = 0.0
     #: Sharing-aware placement/admission counters: primary placements the
     #: lane won, how many landed on already-resident prefix bytes, and the
@@ -510,7 +508,6 @@ class DeviceUtilization:
     affinity_hits: int = 0
     planned_admitted_bytes: int = 0
     unique_admitted_bytes: int = 0
-    migration_bytes_saved: int = 0
 
     @classmethod
     def rollup(
@@ -530,6 +527,9 @@ class DeviceUtilization:
                 r for r in records if r.accepted and r.device_id == lane.device_id
             ]
             busy = lane.busy_s
+            downtime = lane.downtime_s
+            if lane.failed_at_s is not None:  # still down: count it to the end
+                downtime += max(0.0, end - lane.failed_at_s)
             rows.append(
                 cls(
                     device_id=lane.device_id,
@@ -537,8 +537,6 @@ class DeviceUtilization:
                     requests=len(mine),
                     busy_s=busy,
                     busy_fraction=(busy / end) if end > 0 else 0.0,
-                    migrations_in=lane.migrations_in,
-                    migrations_out=lane.migrations_out,
                     kv_swap_s=lane.kv_swap_s,
                     kv_swapped_out_bytes=lane.ledger.swapped_out_bytes,
                     kv_swapped_in_bytes=lane.ledger.swapped_in_bytes,
@@ -555,13 +553,13 @@ class DeviceUtilization:
                     health=lane.health.value,
                     failures=lane.failures,
                     recoveries=lane.recoveries,
-                    downtime_s=lane.downtime_s,
+                    downtime_s=downtime,
+                    repair_s=lane.downtime_s,
                     stall_s=lane.stall_s,
                     placements=lane.placements,
                     affinity_hits=lane.affinity_hits,
                     planned_admitted_bytes=lane.planned_admitted_bytes,
                     unique_admitted_bytes=lane.unique_admitted_bytes,
-                    migration_bytes_saved=lane.migration_bytes_saved,
                 )
             )
         return tuple(rows)
@@ -686,6 +684,29 @@ def _attainment(flags: Sequence[bool | None]) -> float | None:
     return sum(judged) / len(judged)
 
 
+def _slo_fields(
+    records: Sequence[FleetRequestRecord],
+    correct_by_request: Mapping[str, bool],
+    makespan_s: float,
+) -> dict:
+    """What every SLO rollup reports, as keyword arguments: the request
+    counts, both attainments and goodput under deadline."""
+    accepted = [r for r in records if r.accepted]
+    in_deadline_correct = sum(
+        1 for r in accepted
+        if r.deadline_met is not False and correct_by_request.get(r.request_id, False)
+    )
+    return dict(
+        requests=len(records),
+        completed=len(accepted),
+        dropped=sum(r.dropped for r in records),
+        rejected=sum(not r.accepted and not r.dropped for r in records),
+        slo_attainment=_attainment([r.deadline_met for r in records]),
+        ttft_attainment=_attainment([r.ttft_slo_met for r in records]),
+        goodput_ud_rps=in_deadline_correct / makespan_s if makespan_s > 0 else 0.0,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class TenantSLO:
     """One tenant's share of an open-loop run, judged against its SLOs.
@@ -720,25 +741,10 @@ class TenantSLO:
         correct_by_request: Mapping[str, bool],
         makespan_s: float,
     ) -> "TenantSLO":
-        accepted = [r for r in records if r.accepted]
-        delays = [r.queue_delay_s for r in accepted]
-        in_deadline_correct = sum(
-            1
-            for r in accepted
-            if r.deadline_met is not False
-            and correct_by_request.get(r.request_id, False)
-        )
+        delays = [r.queue_delay_s for r in records if r.accepted]
         return cls(
             tenant=tenant,
-            requests=len(records),
-            completed=len(accepted),
-            dropped=sum(r.dropped for r in records),
-            rejected=sum(not r.accepted and not r.dropped for r in records),
-            slo_attainment=_attainment([r.deadline_met for r in records]),
-            ttft_attainment=_attainment([r.ttft_slo_met for r in records]),
-            goodput_ud_rps=(
-                in_deadline_correct / makespan_s if makespan_s > 0 else 0.0
-            ),
+            **_slo_fields(records, correct_by_request, makespan_s),
             queue_delay_mean_s=(sum(delays) / len(delays)) if delays else 0.0,
             ttft_p95_s=ttft_p95(records),
             latency_p95_s=latency_p95(records),
@@ -891,37 +897,23 @@ class SLOSummary:
     ) -> "SLOSummary":
         if not records:
             raise ValueError("cannot aggregate an empty fleet run")
-        accepted = [r for r in records if r.accepted]
-        makespan = max((r.finish_s for r in accepted), default=0.0)
-        if makespan == 0.0 and records:
+        makespan = max((r.finish_s for r in records if r.accepted), default=0.0)
+        if makespan == 0.0:
             # Every request shed: the run still spans until the last drop.
             makespan = max(r.finish_s for r in records)
-        in_deadline_correct = sum(
-            1
-            for r in accepted
-            if r.deadline_met is not False
-            and correct_by_request.get(r.request_id, False)
-        )
+        fields = _slo_fields(records, correct_by_request, makespan)
         series = queue_depth_series(records)
         peak, mean, overload = _depth_stats(
             series, makespan, max(1, pool_size or 1)
         )
         return cls(
-            requests=len(records),
-            completed=len(accepted),
-            dropped=sum(r.dropped for r in records),
-            rejected=sum(not r.accepted and not r.dropped for r in records),
-            slo_attainment=_attainment([r.deadline_met for r in records]),
-            ttft_attainment=_attainment([r.ttft_slo_met for r in records]),
-            goodput_ud_rps=(
-                in_deadline_correct / makespan if makespan > 0 else 0.0
-            ),
+            **fields,
             queue_depth_peak=peak,
             queue_depth_mean=mean,
             overload_fraction=overload,
             makespan_s=makespan,
             requests_lost=sum(r.lost for r in records),
-            availability=len(accepted) / len(records),
+            availability=fields["completed"] / len(records),
         )
 
     def summary_rows(self) -> list[list[object]]:
@@ -946,6 +938,20 @@ class SLOSummary:
 
 
 # -- heterogeneous routing: per-lane-class rollups and the frontier -------
+
+
+def _served_means(
+    served: Sequence[FleetRequestRecord], correct_by_request: Mapping[str, bool]
+) -> tuple[int, float, float]:
+    """``(correct answers, mean sojourn, mean device seconds)`` of served
+    records; both means read 0.0 over none."""
+    if not served:
+        return 0, 0.0, 0.0
+    return (
+        sum(1 for r in served if correct_by_request.get(r.request_id, False)),
+        sum(r.sojourn_s for r in served) / len(served),
+        sum(r.device_seconds for r in served) / len(served),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -977,10 +983,7 @@ class LaneClassStats:
         records: Sequence[FleetRequestRecord],
         correct_by_request: Mapping[str, bool],
     ) -> "LaneClassStats":
-        sojourns = [r.sojourn_s for r in records]
-        correct = sum(
-            1 for r in records if correct_by_request.get(r.request_id, False)
-        )
+        correct, sojourn, device_s = _served_means(records, correct_by_request)
         return cls(
             lane_class=lane_class,
             routed=routed,
@@ -988,14 +991,9 @@ class LaneClassStats:
             escalated_in=sum(1 for r in records if r.escalations > 0),
             correct=correct,
             accuracy=(correct / len(records)) if records else None,
-            latency_mean_s=(
-                sum(sojourns) / len(sojourns) if sojourns else 0.0
-            ),
-            latency_p95_s=_guarded_p95(sojourns),
-            device_time_mean_s=(
-                sum(r.device_seconds for r in records) / len(records)
-                if records else 0.0
-            ),
+            latency_mean_s=sojourn,
+            latency_p95_s=_guarded_p95([r.sojourn_s for r in records]),
+            device_time_mean_s=device_s,
         )
 
 
@@ -1111,18 +1109,12 @@ def frontier_point(
     """Collapse one run into its accuracy-vs-cost frontier point."""
     if not records:
         raise ValueError("cannot place an empty run on the frontier")
-    accepted = [r for r in records if r.accepted]
-    correct = sum(
-        1 for r in accepted if correct_by_request.get(r.request_id, False)
-    )
-    sojourns = [r.sojourn_s for r in accepted]
+    served = [r for r in records if r.accepted]
+    correct, sojourn, device_s = _served_means(served, correct_by_request)
     return FrontierPoint(
         label=label,
         requests=len(records),
         accuracy=correct / len(records),
-        latency_mean_s=(sum(sojourns) / len(sojourns)) if sojourns else 0.0,
-        device_time_mean_s=(
-            sum(r.device_seconds for r in accepted) / len(accepted)
-            if accepted else 0.0
-        ),
+        latency_mean_s=sojourn,
+        device_time_mean_s=device_s,
     )

@@ -396,6 +396,30 @@ class TestMTTRAndSingleLane:
         assert lane.downtime_s > 0.0
         assert "down s" in report.device_table()
 
+    def test_a_lane_down_at_the_end_counts_its_open_outage(self):
+        """``down s`` is every second a lane was dead: one whose repair
+        lands after the run's end was dead from its crash to that end.
+        MTTR still averages completed repair windows only."""
+        dataset = build_dataset("amc23", seed=0, size=6)
+        fleet = TTSFleet(
+            baseline_config(memory_fraction=0.4, seed=0), dataset,
+            devices=["rtx4090"] * 2,
+            faults="crash:at=20,lane=0,mttr=1000;crash:at=10,lane=1,mttr=5",
+        )
+        for i, problem in enumerate(dataset):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 4), arrival_s=5.0 * i
+            )
+        report = fleet.drain()
+        end = max(r.finish_s for r in report.records)
+        dead, repaired = report.devices
+        assert (dead.health, dead.failures, dead.recoveries) == ("down", 1, 0)
+        assert dead.downtime_s == end - fleet.pool[0].failed_at_s > 0
+        assert dead.repair_s == 0.0
+        assert repaired.recoveries == 1
+        assert repaired.downtime_s == repaired.repair_s == 5.0
+        assert report.metrics.mttr_s == 5.0
+
     def test_permanent_single_lane_crash_loses_the_rest(self, crash_at):
         report = crash_fleet(
             f"crash:at={crash_at},lane=0", "failover", devices=1

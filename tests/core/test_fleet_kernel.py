@@ -29,6 +29,7 @@ from hypothesis import given, settings
 
 from repro.core.config import baseline_config
 from repro.core.fleet import _ARRIVAL, _FAULT, _RESTORE, TTSFleet, _FleetRun
+from repro.core.pool import LeastLoadedPlacement
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, SolveSession
 from repro.engine.telemetry import UtilSpan
@@ -88,9 +89,17 @@ def assert_indexes_match_scans(run):
         assert same_objects(run.queued[lane.index].values(), [
             s for s in states if s.start_s is None and s.device is lane
         ])
-        assert same_objects(run.claimed[lane.index].values(), [
-            s for s in states if any(c is lane for c in s.claim_lanes)
-        ])
+        claimants = [s for s in states if lane.index in s.claim_bytes]
+        assert same_objects(lane.claimants.values(), claimants)
+        assert list(lane.claimants) == [s.seq for s in claimants]
+    # What placement sees as a lane's load is its live claims.
+    load = {
+        lane.index: sum(1 for s in states if lane.index in s.claim_bytes)
+        for lane in run.lanes
+    }
+    assert LeastLoadedPlacement().choose(None, run.lanes, 0.0) is min(
+        run.lanes, key=lambda lane: (load[lane.index], lane.clock.now, lane.index)
+    )
     assert all(
         h.runnable_key is None for s in states for h in s.handles if not h.runnable
     )
@@ -151,8 +160,7 @@ class TestIndexesMatchBruteForceScans:
         ]
         assert not run.states and not run.unsignalled
         assert not any(i.handles for i in run.runnable.values())
-        assert not any(run.claimed.values())
-        assert all(lane.live_requests == 0 for lane in run.lanes)
+        assert not any(lane.claimants for lane in run.lanes)
 
     def test_an_arrival_signals_each_started_session_once(self, monkeypatch):
         """The preemption signal never clears, so a session hears it once
@@ -216,8 +224,8 @@ class TestHandlers:
         assert run.states == {0: state}
         assert run.runnable[lane.index].handles == state.handles
         assert run.queued[lane.index] == {0: state}
-        assert run.claimed[lane.index] == {0: state}
-        assert lane.live_requests == 1 and not run.unsignalled
+        assert lane.claimants == {0: state} and not run.unsignalled
+        assert state.claim_bytes.keys() == {lane.index}
         assert run.carry[0].routed_class == lane.lane_class
 
     def test_settle_commits_and_clears(self):
@@ -230,8 +238,8 @@ class TestHandlers:
         assert record.device_time_s == handle.session.clock.now
         assert run.results[record.request_id] is handle.session.outcome.result
         assert not run.states and not run.unsignalled
-        assert not run.runnable[lane.index].handles and not run.claimed[lane.index]
-        assert lane.live_requests == 0 and record.device_id == lane.device_id
+        assert not run.runnable[lane.index].handles and not lane.claimants
+        assert record.device_id == lane.device_id
         assert run.finish_times == [lane.clock.now]
 
     def test_settle_waits_for_an_undecided_race(self):
@@ -262,8 +270,7 @@ class TestHandlers:
         assert all(h.session.state is SessionState.CANCELLED for h in state.handles)
         assert not run.states and not any(run.queued.values())
         assert not any(i.handles for i in run.runnable.values())
-        assert not any(run.claimed.values())
-        assert all(lane.live_requests == 0 for lane in run.lanes)
+        assert not any(lane.claimants for lane in run.lanes)
 
     def test_a_drop_after_a_crash_requeue_keeps_its_fault_accounting(self):
         """The crash at 2 s re-queues req-0000 (``retry``), and its deadline
@@ -296,10 +303,10 @@ class TestHandlers:
         assert fresh is not state and fresh.device is target
         assert fresh.start_s == state.start_s  # service start carries over
         assert fresh.handles[0].arrival_s == lane.clock.now
-        assert not run.runnable[lane.index].handles and not run.claimed[lane.index]
+        assert not run.runnable[lane.index].handles and not lane.claimants
         assert run.runnable[target.index].handles == fresh.handles
         assert not run.queued[target.index]  # already started once
-        assert lane.live_requests == 0 and target.live_requests == 1
+        assert target.claimants == {0: fresh}
 
     def test_crash_fails_over_and_schedules_the_repair(self):
         run, state = self.placed(arrivals=(0.0,), recovery="failover")
@@ -312,7 +319,7 @@ class TestHandlers:
         assert carry.failed_over and carry.redone_work_s == handle.session.clock.now
         fresh = run.states[0]
         assert fresh.device is survivor and fresh.handles[0].arrival_s == 7.0
-        assert not run.claimed[lane.index] and lane.live_requests == 0
+        assert not lane.claimants and lane.index not in fresh.claim_bytes
         run.on_lane_crash(lane, 8.0, mttr_s=10.0)  # coincident crash: no-op
         assert run.repairs == {lane.index: 17.0}
         run.pump(17.0)
@@ -325,7 +332,8 @@ class TestHandlers:
         run.on_lane_crash(dead.device, 3.0, mttr_s=None)
         assert run.states[0] is state and 0 not in run.records
         assert dead.session.state is SessionState.CANCELLED and alive.runnable
-        assert state.claim_lanes == [alive.device]
+        assert state.claim_bytes.keys() == {alive.device.index}
+        assert not dead.device.claimants and alive.device.claimants == {0: state}
         assert not run.runnable[dead.device.index].handles
         assert run.runnable[alive.device.index].handles == [alive]
 

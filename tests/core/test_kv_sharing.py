@@ -156,7 +156,7 @@ class TestDrainLeavesNothingBehind:
             assert lane.ledger.resident_bytes == 0
             assert lane.ledger.logical_resident_bytes == 0
             assert lane.planned_segments == {}
-            assert lane.planned_kv_bytes == 0 and lane.live_requests == 0
+            assert lane.planned_kv_bytes == 0 and not lane.claimants
 
 
 def sessions_left_by_drain(kv_sharing="prefix", scheduler="first_finish"):

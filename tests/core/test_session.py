@@ -639,8 +639,8 @@ class TestDeriveOnce:
                 calls[code.co_qualname] += entry.callcount
         assert sum(calls.values()) <= self.KVCACHE_CALLS_NOW
         for helper in (
-            "BlockPool.free_blocks", "BlockPool.allocate", "CacheStats.count",
-            "CacheStats.record", "PagedKVCache.segment", "RadixTree.__contains__",
+            "BlockPool.free_blocks", "BlockPool.allocate", "CacheStats.record",
+            "PagedKVCache.segment", "RadixTree.__contains__",
         ):
             assert calls[helper] == 0, helper
         result = outcome.result

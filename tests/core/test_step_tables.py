@@ -8,6 +8,7 @@ each draw on a pair of their own.
 """
 
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -91,8 +92,11 @@ class TestRepeats:
         server = TTSServer(fasttts_config(memory_fraction=0.4, seed=SEED), dataset)
         algorithm = build_algorithm("beam_search", 16)
         first = server.solve_detailed(problem, algorithm, trace=True)
-        rounds = first.trace.of_kind("verification_round")
-        assert sum(event.payload["cached_scores"] for event in rounds) > 0
+        rows = [json.loads(line) for line in first.trace.to_jsonl().splitlines()]
+        assert sum(
+            row["cached_scores"] for row in rows
+            if row["kind"] == "verification_round"
+        ) > 0
         again = server.solve_detailed(problem, algorithm, trace=True)
         assert again.trace.to_jsonl() == first.trace.to_jsonl()
         fresh = TTSServer(fasttts_config(memory_fraction=0.4, seed=SEED), dataset)
