@@ -357,7 +357,9 @@ class PooledDevice:
             self.clock.advance_to(max(now, self.clock.now))
         self.health = LaneHealth.DOWN
         self.failures += 1
-        self.failed_at_s = self.clock.now
+        # The outage starts at the crash, which a lane clock that ran past
+        # it must not move: the repair window is the configured MTTR.
+        self.failed_at_s = self.clock.now if now is None else now
         released = list(self.ledger.owners)
         for owner in released:
             self.ledger.release(owner)

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 from repro.core.allocator import AllocationPlan
 from repro.core.claims import ClaimNames
-from repro.core.generation_round import ChildStepPlan, GenerationRound
+from repro.core.generation_round import GenerationRound
 from repro.core.prefix_sched import lineage_order, random_order
 from repro.core.spec_select import speculative_potential
 from repro.core.verification_round import VerificationRound
@@ -463,7 +463,7 @@ class SolveSession:
         cfg = self._config
         plan = server.plan_allocation(self._algorithm.n)
         self._plan = plan
-        self._trace = SolveTrace(self._problem.problem_id) if self._want_trace else None
+        self._trace = SolveTrace() if self._want_trace else None
 
         self._gen_cache = PagedKVCache(
             plan.kv_dec_bytes, server.gen_model.kv_bytes_per_token, cfg.block_tokens
@@ -507,7 +507,11 @@ class SolveSession:
         plans, jobs = {}, []
         for path in self._active:
             lineage = path.lineage
-            plans[lineage] = step = plan_step(problem, lineage, round_idx, cap)
+            # ``plan_step``'s memo, inline: a planned step is its StepPlan.
+            step = table.get(("plan", lineage, round_idx, cap))
+            if type(step) is not StepPlan:
+                step = plan_step(problem, lineage, round_idx, cap)
+            plans[lineage] = step
             # The path is generating step ``len(lineage) - 1``: the chain's
             # last id is the segment being written.
             chain = table.get(("chain", lineage, prefix_caching))
@@ -579,12 +583,22 @@ class SolveSession:
             self._verify_active(round_idx)
 
         survivors: list[ReasoningPath] = []
+        plans, outcomes = self._plans, self._gen_result.outcomes
+        final_answer, problem = self._generator.final_answer, self._problem
         for path in self._active:
-            if self._plans[path.lineage].is_terminal:
-                self._finalize_path(path)
-                self._collected.append(path)
-            else:
+            lineage = path.lineage
+            if not plans[lineage].is_terminal:
                 survivors.append(path)
+                continue
+            # The path is done: its completion time and answer, with
+            # ``path.mean_soundness``'s own expression (the same float).
+            path.terminal = True
+            path.completion_time = outcomes[lineage].finish_time
+            soundness = path.soundness
+            path.answer_correct, path.answer = final_answer(
+                problem, lineage, sum(soundness) / len(soundness) if soundness else 0.0
+            )
+            self._collected.append(path)
         if not survivors:
             self._active = []
             self.state = SessionState.FINALIZING
@@ -668,36 +682,42 @@ class SolveSession:
         identities, and a builtin telling, without a draw, whether a beam's
         step can have one: membership in the set of non-terminal plans.
 
-        In the last round a step can have no child, which is decided here
-        once rather than per call.
+        A child's identity is the plain ``ChildStepPlan`` field tuple
+        ``(child_lineage, segment_id, parent_leaf_segment, n_tokens)``; its
+        chain and step length are read from the step table's memos, and
+        derived only on a miss. In the last round a step can have no
+        child, which is decided here once rather than per call.
         """
-        next_cap = self._algorithm.step_cap(round_idx + 1)
-        last_round = round_idx + 1 >= self._max_steps
+        next_step, next_cap = round_idx + 1, self._algorithm.step_cap(round_idx + 1)
+        last_round = next_step >= self._max_steps
         has_child = (frozenset() if last_round else {
             lineage for lineage, plan in plans.items() if not plan.is_terminal
         }).__contains__
+        table, prefix_caching = self._table, self._config.prefix_caching
+        generator, problem = self._generator, self._problem
 
         def planner(
             parent_lineage: tuple[int, ...], child_index: int
-        ) -> ChildStepPlan | None:
+        ) -> tuple[tuple[int, ...], int, int, int] | None:
             if last_round:
                 return None
             parent_plan = plans.get(parent_lineage)
             if parent_plan is None or parent_plan.is_terminal:
                 return None
             child_lineage = parent_lineage + (child_index,)
-            chain = self._segment_chain(child_lineage)  # ends ..., parent, child
-            n_tokens = self._generator.step_tokens(
-                self._problem, child_lineage, round_idx + 1, next_cap
-            )
+            # ``_segment_chain``'s memo, inline: the chain ends ..., parent, child.
+            chain = table.get(("chain", child_lineage, prefix_caching))
+            if chain is None:
+                chain = self._segment_chain(child_lineage)
+            # ``step_tokens``'s memo, inline: a length, or the step's plan.
+            step = table.get(("plan", child_lineage, next_step, next_cap))
+            if step is None:
+                n_tokens = generator.step_tokens(problem, child_lineage, next_step, next_cap)
+            else:
+                n_tokens = step if type(step) is int else step.n_tokens
             if n_tokens <= 0:
                 raise ValueError("n_tokens must be positive")
-            return ChildStepPlan(
-                child_lineage=child_lineage,
-                segment_id=chain[-1],
-                parent_leaf_segment=chain[-2],
-                n_tokens=n_tokens,
-            )
+            return child_lineage, chain[-1], chain[-2], n_tokens
 
         return planner, has_child
 
@@ -726,8 +746,10 @@ class SolveSession:
             lineage = path.lineage
             gated = lookahead and not plans[lineage].is_terminal
             if gated and lookahead_worthy(path, algorithm):
-                vjobs.append(self._verify_job(path, round_idx))
-                continue
+                job = self._verify_job(path, round_idx)
+                if job is not None:
+                    vjobs.append(job)
+                    continue
             # :meth:`_score_job`, inline: the chain's last segment is the new step.
             chain = table.get(("chain", lineage, prefix_caching))
             if chain is None:
@@ -782,10 +804,12 @@ class SolveSession:
             **lookahead,
         )
 
-    def _verify_job(self, path: ReasoningPath, round_idx: int) -> VerifyJob:
-        """The job of a path that passed the lookahead gate (lookahead on,
-        step not terminal, :func:`lookahead_worthy`): it carries child 0's
-        step when last round's speculation fully pre-generated it."""
+    def _verify_job(self, path: ReasoningPath, round_idx: int) -> VerifyJob | None:
+        """The lookahead job of a path that passed the lookahead gate
+        (lookahead on, step not terminal, :func:`lookahead_worthy`): it
+        carries child 0's step when last round's speculation fully
+        pre-generated it. None when it did not: the path's job is then
+        the plain one, which :meth:`_verify_active` builds inline."""
         child_lineage = path.lineage + (0,)
         head = self._gen_result.head_starts.get(child_lineage)
         if head is not None and round_idx + 1 < self._max_steps:
@@ -805,7 +829,7 @@ class SolveSession:
                     lookahead_tokens=child_step.n_tokens,
                     lookahead_soundness=sum(soundness) / len(soundness),
                 )
-        return self._score_job(path)
+        return None
 
     # -- expansion ---------------------------------------------------------
 
@@ -856,16 +880,6 @@ class SolveSession:
 
     # -- termination -------------------------------------------------------
 
-    def _finalize_path(self, path: ReasoningPath) -> None:
-        path.terminal = True
-        outcome = self._gen_result.outcomes[path.lineage]
-        path.completion_time = outcome.finish_time
-        correct, answer = self._generator.final_answer(
-            self._problem, path.lineage, path.mean_soundness
-        )
-        path.answer = answer
-        path.answer_correct = correct
-
     def _final_scoring(self) -> None:
         """Best-of-N outcome scoring: one full-path verification at the end."""
         self._swap_to("verifier")
@@ -900,17 +914,19 @@ class SolveSession:
     # -- result assembly -----------------------------------------------
 
     def _build_result(self) -> ProblemRunResult:
-        beams = tuple(
+        now = self.clock.now
+        # ``total_tokens`` and ``final_score``'s own expressions, inline.
+        beams = tuple([
             BeamRecord(
                 lineage=path.lineage,
-                tokens=path.total_tokens,
-                completion_time=path.completion_time or self.clock.now,
+                tokens=sum(path.step_tokens),
+                completion_time=path.completion_time or now,
                 answer=path.answer if path.answer is not None else -1,
                 correct=bool(path.answer_correct),
-                score=path.final_score,
+                score=path.scores[-1] if path.scores else 0.0,
             )
             for path in self._collected
-        )
+        ])
         latency = LatencyBreakdown(
             total=self.clock.now,
             generation=self._timer.get(Phase.GENERATION),

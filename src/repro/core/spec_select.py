@@ -48,16 +48,18 @@ class SpecCandidate:
 class SelectSpec:
     """Priority allocator of freed slots to speculative branches.
 
-    The heap holds ``(-potential, arrival, candidate)``: descending
+    :attr:`heap` holds ``(-potential, arrival, candidate)``: descending
     potential, then FIFO arrival (unique, so candidates never compare). A
-    candidate leaves when its last branch is claimed.
+    candidate leaves when its last branch is claimed, so the heap is
+    non-empty exactly when a branch is left to claim; a decode round reads
+    it to decide whether to enter its speculation fill at all.
     """
 
     def __init__(self, branching_factor: int) -> None:
         if branching_factor < 1:
             raise ValueError("branching_factor must be positive")
         self._branching = branching_factor
-        self._heap: list[tuple[int, int, SpecCandidate]] = []
+        self.heap: list[tuple[int, int, SpecCandidate]] = []
         self._arrivals = 0
 
     @property
@@ -70,7 +72,7 @@ class SelectSpec:
         arrival = self._arrivals
         candidate = SpecCandidate(lineage, potential, arrival)
         self._arrivals = arrival + 1
-        heapq.heappush(self._heap, (-potential, arrival, candidate))
+        heapq.heappush(self.heap, (-potential, arrival, candidate))
         return candidate
 
     def next_branch(self) -> tuple[tuple[int, ...], int] | None:
@@ -79,7 +81,7 @@ class SelectSpec:
         Returns ``None`` when no candidate has remaining potential. The
         same parent can be drawn repeatedly up to its ``M_i``.
         """
-        heap = self._heap
+        heap = self.heap
         if not heap:
             return None
         candidate = heap[0][2]
@@ -90,4 +92,4 @@ class SelectSpec:
         return candidate.lineage, child_index
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)

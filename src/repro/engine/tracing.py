@@ -34,13 +34,8 @@ class TraceEvent:
 class SolveTrace:
     """Append-only event log for one problem's solve."""
 
-    def __init__(self, problem_id: str) -> None:
-        self._problem_id = problem_id
+    def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-
-    @property
-    def problem_id(self) -> str:
-        return self._problem_id
 
     def record(self, time: float, kind: str, round_idx: int, **payload: Any) -> None:
         """Append one event (payload values must be JSON-compatible)."""

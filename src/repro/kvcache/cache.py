@@ -23,9 +23,15 @@ prefix is trusted, and the rest is checked before anything changes. The
 beams of a batch share their prefixes (the paper's Sec. 4.2), so pinning
 is per admission burst: one :meth:`PagedKVCache.pin_paths` call pins a
 generation burst, a speculative slot or a verifier batch
-(``materialize`` is its one-path case). Decode-time growth is one
-routine, called once per decode span for the whole batch
-(:meth:`PagedKVCache.extend_segments`). Running totals
+(``materialize`` is its one-path case). Decode-time growth is kept at
+its events. A decode span costs one :meth:`PagedKVCache.grow_span` call,
+which takes blocks only for the tails that cross a block boundary inside
+it and moves the resident total once. A running tail is pinned, and
+nothing reads its length, LRU stamp or change mark while it runs, so it
+writes them when it leaves the batch (:meth:`PagedKVCache.release_tail`,
+the unpin of a leaving tail). A span that falls short of blocks settles
+the batch (:meth:`PagedKVCache.settle_tails`) and grows it one segment
+at a time (:meth:`PagedKVCache.extend_segments`). Running totals
 (resident tokens / segments, evictable blocks) move at the transitions
 and are never re-summed, and the same transitions record which segments
 changed residency or length (:meth:`PagedKVCache.take_changes`), so a
@@ -119,7 +125,9 @@ class PagedKVCache:
         block_tokens: int = DEFAULT_BLOCK_TOKENS,
         trace_capacity: int = 0,
     ) -> None:
-        self._pool = BlockPool.from_bytes(capacity_bytes, kv_bytes_per_token, block_tokens)
+        #: The block pool enforcing the byte budget; the cache is the only
+        #: mover of its allocated count.
+        self.pool = BlockPool.from_bytes(capacity_bytes, kv_bytes_per_token, block_tokens)
         self._kv_bytes_per_token = kv_bytes_per_token
         self._tree = RadixTree(SegmentState)
         # The tree's own node dict: one dict, read by the tree's queries
@@ -127,7 +135,9 @@ class PagedKVCache:
         self._segments: dict[int, SegmentState] = self._tree._nodes
         #: Every registered segment by id, read-only (one dict lookup away).
         self.segments: Mapping[int, SegmentState] = MappingProxyType(self._segments)
-        self._access_clock = 0
+        #: The last LRU stamp issued. A decode round reads it to stamp its
+        #: running tails lazily (see :meth:`grow_span`).
+        self.access_clock = 0
         # Incremental bookkeeping, maintained at every residency / pin
         # transition: resident totals, the blocks held by resident,
         # unpinned segments (always wholly evictable, because pins cover
@@ -149,12 +159,8 @@ class PagedKVCache:
         return self._tree
 
     @property
-    def pool(self) -> BlockPool:
-        return self._pool
-
-    @property
     def capacity_tokens(self) -> int:
-        return self._pool.capacity_tokens
+        return self.pool.capacity_tokens
 
     @property
     def kv_bytes_per_token(self) -> int:
@@ -294,12 +300,20 @@ class PagedKVCache:
 
     # -- pinning ---------------------------------------------------------
 
-    def unpin_path(self, leaf_id: int) -> None:
+    def release_tail(self, leaf_id: int, grown: int = 0, stamp: int = 0) -> None:
         """Release one pin along the root->leaf path.
 
+        A decode tail leaving its batch (finished, killed or preempted)
+        first settles what it owes: the ``grown`` tokens it decoded since
+        its length was last written, its LRU ``stamp`` and its
+        :meth:`take_changes` mark. Its blocks were taken as it crossed
+        them (:meth:`grow_span`), and a pinned tail is read by nothing
+        else, so writing the rest here is exact. With nothing ``grown``
+        this is a plain unpin (:meth:`unpin_path` is this method).
+
         All-or-nothing: a segment of the path that holds no pin raises
-        :class:`CapacityError` before any pin count, the evictable total
-        or the candidate heap has been touched.
+        :class:`CapacityError` before any length, pin count, the evictable
+        total or the candidate heap has been touched.
         """
         leaf = self._segments.get(leaf_id)
         if leaf is None:
@@ -308,6 +322,11 @@ class PagedKVCache:
         for state in chain:
             if state.pin_count <= 0:
                 raise CapacityError(f"segment {state.node_id} is not pinned")
+        if grown:
+            leaf.token_len += grown
+            leaf.last_access = stamp
+            if self._changed is not None:
+                self._changed[leaf_id] = leaf
         heap = self._evict_heap
         for state in chain:
             state.pin_count -= 1
@@ -315,6 +334,9 @@ class PagedKVCache:
                 self._evictable_blocks += state.blocks_held
                 if not state.resident_children:  # joins the LRU frontier
                     heapq.heappush(heap, (state.last_access, state.node_id))
+
+    # A path that decoded nothing only releases its pins.
+    unpin_path = release_tail
 
     # -- residency -------------------------------------------------------
 
@@ -335,7 +357,7 @@ class PagedKVCache:
         even by evicting has its pins rolled back; its victims stay evicted.
         """
         segments = self._segments
-        pool = self._pool
+        pool = self.pool
         block_tokens = pool.block_tokens
         changed = self._changed
         stats = self.stats
@@ -371,8 +393,8 @@ class PagedKVCache:
                     break
                 claimed += needed
 
-            self._access_clock += 1
-            stamp = self._access_clock
+            self.access_clock += 1
+            stamp = self.access_clock
             hit_tokens = 0
             to_load: list[SegmentState] = []
             for state in leaf.ancestors + (leaf,):
@@ -453,7 +475,7 @@ class PagedKVCache:
             raise ValueError("additional_tokens must be non-negative")
         segments = self._segments
         changed = self._changed
-        pool = self._pool
+        pool = self.pool
         total_blocks, block_tokens = pool.total_blocks, pool.block_tokens
         stats = self.stats
         heap = self._evict_heap
@@ -491,12 +513,76 @@ class PagedKVCache:
             state.token_len = new_len
             if changed is not None:
                 changed[segment_id] = state
-            self._access_clock += 1
-            state.last_access = self._access_clock
+            self.access_clock += 1
+            state.last_access = self.access_clock
             if state.pin_count == 0 and not state.resident_children:
                 heapq.heappush(heap, (state.last_access, segment_id))
             grown += 1
         return grown
+
+    def grow_span(
+        self,
+        crossings: Iterable[tuple[int, int]],
+        additional_tokens: int,
+        batch_tokens: int,
+        stamps: int,
+        now: float = 0.0,
+    ) -> int:
+        """Take the blocks of a decode span whose batch of pinned tails
+        grows ``additional_tokens`` each, ``batch_tokens`` in all.
+
+        Only the tails that cross a block boundary inside the span take
+        blocks: ``crossings`` names each, in batch order, with its length
+        at the span's end. They allocate as :meth:`extend_segments` does
+        (evicting LRU victims on a shortfall, with the same statistics and
+        trace rows), but no length, stamp or change mark is written: a
+        tail settles those when it leaves (:meth:`release_tail`). Returns
+        how many crossings took their blocks; when all did, the resident
+        total moves by ``batch_tokens`` and ``stamps`` LRU stamps are
+        reserved after :attr:`access_clock` for the batch's tails. When
+        one cannot find its blocks even by evicting, nothing after it is
+        touched and the caller settles the batch before retrying.
+        """
+        segments = self._segments
+        pool = self.pool
+        total_blocks, block_tokens = pool.total_blocks, pool.block_tokens
+        stats = self.stats
+        grown = 0
+        for segment_id, new_len in crossings:
+            state = segments[segment_id]
+            needed = -(-new_len // block_tokens) - state.blocks_held
+            if needed > 0:
+                if pool.allocated_blocks + needed > total_blocks:
+                    try:
+                        self._evict_for(needed, now)  # a pinned tail is no victim
+                    except CapacityError:
+                        return grown
+                pool.allocated_blocks += needed
+                state.blocks_held += needed
+                stats.allocated_tokens += additional_tokens
+                if stats.trace_capacity:
+                    stats.record(
+                        now, CacheEventKind.ALLOCATE, segment_id, additional_tokens
+                    )
+            grown += 1
+        self._resident_token_count += batch_tokens
+        self.access_clock += stamps
+        return grown
+
+    def settle_tails(self, tails: Iterable[tuple[int, int, int]]) -> None:
+        """Write what pinned decode tails owe without releasing them: each
+        ``(segment_id, grown, stamp)`` adds ``grown`` tokens to the tail's
+        length and sets its LRU stamp and change mark, as
+        :meth:`release_tail` does for one that leaves. A decode round runs
+        this when a span falls short of blocks, before growing its batch
+        one segment at a time (:meth:`extend_segments`)."""
+        segments, changed = self._segments, self._changed
+        for segment_id, grown, stamp in tails:
+            state = segments[segment_id]
+            state.token_len += grown
+            state.last_access = stamp
+            if changed is not None:
+                changed[segment_id] = state
 
     def truncate_segment(self, segment_id: int, new_len: int, now: float = 0.0) -> int:
         """Shrink a segment to ``new_len`` tokens, freeing excess blocks.
@@ -514,10 +600,10 @@ class PagedKVCache:
         if new_len > state.token_len:
             raise ValueError("truncate cannot grow a segment")
         if state.resident:
-            keep_blocks = -(-new_len // self._pool.block_tokens)
+            keep_blocks = -(-new_len // self.pool.block_tokens)
             freed = state.blocks_held - keep_blocks
             if freed > 0:
-                self._pool.allocated_blocks -= freed
+                self.pool.allocated_blocks -= freed
                 state.blocks_held = keep_blocks
                 if state.pin_count == 0:
                     self._evictable_blocks -= freed
@@ -590,7 +676,7 @@ class PagedKVCache:
         self._evictable_blocks -= blocks  # every victim was unpinned
         self._resident_token_count -= tokens
         self._resident_segment_count -= evicted
-        self._pool.allocated_blocks -= blocks
+        self.pool.allocated_blocks -= blocks
         stats.evicted_tokens += tokens
         stats.evicted_segments += evicted
         return evicted
@@ -607,7 +693,7 @@ class PagedKVCache:
             self._evictable_blocks -= state.blocks_held
         self._resident_token_count -= state.token_len
         self._resident_segment_count -= 1
-        self._pool.allocated_blocks -= state.blocks_held
+        self.pool.allocated_blocks -= state.blocks_held
         state.blocks_held = 0
         state.resident = False
         if self._changed is not None:
@@ -651,7 +737,7 @@ class PagedKVCache:
         impossible (victims evicted before the shortfall showed stay
         evicted).
         """
-        pool = self._pool
+        pool = self.pool
         evicted = 0
         while (free := pool.total_blocks - pool.allocated_blocks) < n_blocks:
             victim = self._pop_candidate()

@@ -216,6 +216,17 @@ class TestLaneLifecycle:
         with pytest.raises(FaultError):  # cannot recover an UP lane
             lane.recover_lane(70.0)
 
+    def test_an_outage_starts_at_the_crash_not_the_lane_clock(self):
+        """A lane whose clock ran past the crash instant (it was mid-turn)
+        is down from the crash on: the repair window is the whole MTTR."""
+        lane, _ = self.lane()
+        lane.clock.advance_to(12.5)
+        lane.fail_lane(10.0)
+        assert lane.failed_at_s == 10.0
+        assert lane.clock.now == 12.5  # a clock never runs backwards
+        lane.recover_lane(40.0)
+        assert lane.downtime_s == 30.0
+
     def test_recover_undoes_an_active_kv_pressure(self):
         """A crash inside a pressure window: the rebuilt lane comes back
         with its whole KV budget, not the shrunk one."""

@@ -460,13 +460,15 @@ def overload_drain_calls(requests):
 #: measured once those became plain attributes, skipped charges and one
 #: plan per (server, n); 82 482 while each beam's jobs were built by a
 #: helper and each launch called the clock, 72 765 measured once jobs were
-#: built in the loop that holds the beam and a launch moved the clock.
-OVERLOAD_DRAIN_CALLS_NOW = 75_000
+#: built in the loop that holds the beam and a launch moved the clock;
+#: 72 947 before a decode round worked at events, 71 328 measured after.
+OVERLOAD_DRAIN_CALLS_NOW = 73_500
 
 
 def test_overload_drain_cost_scales_near_linearly():
-    # Deterministic (a call count, not a timing): 1.956x at this commit
-    # (72 765 -> 142 309; 1.967x before a beam's round stopped paying for
+    # Deterministic (a call count, not a timing): 1.952x at this commit
+    # (71 328 -> 139 258; 1.956x before a decode round worked at events,
+    # 1.967x before a beam's round stopped paying for
     # per-beam frames, 1.977x before a turn stopped paying for its
     # plumbing). ``pick`` reads the front of an index kept in the
     # scheduler's order, so a backlog that deepens with the trace no

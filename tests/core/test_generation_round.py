@@ -420,3 +420,60 @@ class TestAlgorithmicEquivalence:
         ).run(jobs)
         for lineage, outcome in plain.outcomes.items():
             assert spec.outcomes[lineage].tokens_generated == outcome.tokens_generated
+
+
+class TestWorkAtEvents:
+    """A span pays for what joins or leaves: admission is entered only
+    when beams wait, and the speculation fill only when a slot is free
+    and the selector holds a candidate."""
+
+    def record(self, monkeypatch):
+        entered = {"admit": [], "fill": []}
+        real_admit = GenerationRound._admit_standard
+        real_fill = GenerationRound._fill_with_speculation
+
+        def admit(round_, waiting, running, *args):
+            entered["admit"].append(len(waiting))
+            return real_admit(round_, waiting, running, *args)
+
+        def fill(round_, running, selector, capacity):
+            entered["fill"].append((len(running), capacity, len(selector.heap)))
+            return real_fill(round_, running, selector, capacity)
+
+        monkeypatch.setattr(GenerationRound, "_admit_standard", admit)
+        monkeypatch.setattr(GenerationRound, "_fill_with_speculation", fill)
+        return entered
+
+    def test_admission_is_not_entered_with_nothing_waiting(self, monkeypatch):
+        entered = self.record(monkeypatch)
+        worker = make_worker()
+        GenerationRound(worker, slot_budget=2).run(
+            [make_job(i, 10 + 9 * i) for i in range(6)]
+        )
+        # Six beams in two slots: refills after spans, never an empty call.
+        assert len(entered["admit"]) > 1
+        assert 0 not in entered["admit"]
+        assert len(worker._spans) > len(entered["admit"])
+
+    def test_speculation_fill_is_not_entered_on_a_full_batch(self, monkeypatch):
+        entered = self.record(monkeypatch)
+        worker = make_worker()
+        spans = []
+        real_span = worker.decode_span
+
+        def decode_span(**kwargs):
+            spans.append(kwargs["busy_slots"])
+            return real_span(**kwargs)
+
+        worker.decode_span = decode_span
+        # Beam 0 finishes first and beam 2 takes its slot: the batch is
+        # full again, so no fill is entered although a candidate waits.
+        GenerationRound(
+            worker, slot_budget=2, speculation=True, branching_factor=4,
+            **children(tokens=100),
+        ).run([make_job(0, 5, score=0.9), make_job(1, 200), make_job(2, 50)])
+        assert entered["admit"] == [3, 1]
+        assert entered["fill"]
+        for busy, capacity, candidates in entered["fill"]:
+            assert busy < capacity and candidates
+        assert len(entered["fill"]) < len(spans)

@@ -357,12 +357,14 @@ class TestSpeculationSeam:
             problem, build_algorithm("beam_search", N)
         )
         planner, _ = session._child_planner({(0,): StepPlan(40, False, 0.5)}, 0)
-        assert planner((0,), 1).n_tokens > 0
+        child_lineage, segment_id, parent_segment, n_tokens = planner((0,), 1)
+        assert child_lineage == (0, 1) and n_tokens > 0
         monkeypatch.setattr(
             type(session._generator), "step_tokens", lambda *args: 0
         )
+        # Child 1's length is memoised now; child 2's is drawn, as 0.
         with pytest.raises(ValueError, match="n_tokens must be positive"):
-            planner((0,), 1)
+            planner((0,), 2)
 
 
 class TestInlineVerifyJobs:
@@ -430,8 +432,12 @@ class TestDeriveOnce:
     #: beam's last score read inline (69 096 before, 66 500 measured), and
     #: with each beam's jobs built in the loop that holds it, a decode
     #: span's batch grown inline and a launch moving the clock itself
-    #: (66 469 before, 56 231 measured).
-    CALLS_NOW = 57_400
+    #: (66 469 before, 56 231 measured), and with a decode round working
+    #: at events (admission and speculation entered only when they can
+    #: act, a planner returning plain values from the step table's memos,
+    #: finished beams settled inline) and a path finalized where it is
+    #: verified (56 263 before, 51 516 measured).
+    CALLS_NOW = 52_600
     #: Distinct strings the solve hashes: with a cold memo, each is one
     #: ``_encode_part`` call, and they were all of that function's calls
     #: before keys were encoded in one pass.
@@ -439,8 +445,10 @@ class TestDeriveOnce:
     #: The part of them made in ``repro/kvcache/``: 103 235 while each
     #: segment transition went through block, LRU and statistics helpers,
     #: 26 488 while each path operation walked the parent links, 14 123
-    #: while each beam was pinned by its own calls, 8 092 since.
-    KVCACHE_CALLS_NOW = 8_250
+    #: while each beam was pinned by its own calls, 8 092 since (a span's
+    #: ``grow_span`` and a leaving tail's ``release_tail`` took over from
+    #: ``extend_segments`` and ``unpin_path`` one for one).
+    KVCACHE_CALLS_NOW = 8_150
 
     def solve(self, dataset, problem):
         server = make_server(dataset, "fasttts")
@@ -678,7 +686,8 @@ class TestDeriveOnce:
                 calls[entry.code.co_qualname] += entry.callcount
         # Every pin is released exactly once, and every pin is a burst's.
         assert sum(pinned) > 0
-        assert calls["PagedKVCache.unpin_path"] == sum(pinned)
+        # (``unpin_path`` is ``release_tail``, which a leaving tail calls.)
+        assert calls["PagedKVCache.release_tail"] == sum(pinned)
         assert calls["PagedKVCache.materialize"] == 0
         # No generator is left in a round: no span scans the batch to ask
         # whether a standard slot is still running, and the slots are

@@ -19,7 +19,7 @@ def events(trace, kind=None):
 
 class TestSolveTrace:
     def test_record_and_query(self):
-        trace = SolveTrace("p0")
+        trace = SolveTrace()
         trace.record(0.0, "generation_round", 0, decoded_tokens=10)
         trace.record(1.0, "verification_round", 0, jobs=4)
         trace.record(2.0, "generation_round", 1, decoded_tokens=5)
@@ -37,7 +37,7 @@ class TestSolveTrace:
         assert record["time"] == pytest.approx(1.234568)
 
     def test_jsonl_is_one_line_per_event(self):
-        trace = SolveTrace("p0")
+        trace = SolveTrace()
         assert trace.to_jsonl() == ""
         trace.record(0.0, "selection", 0, kept=2)
         trace.record(0.5, "swap", -1, to="verifier")

@@ -139,6 +139,44 @@ class TestExtend:
         assert cache.segment(2).token_len == 16
 
 
+class TestDecodeTails:
+    """A decode round's tails: blocks at crossings, the rest at leave."""
+
+    def test_a_span_takes_blocks_and_totals_but_writes_no_length(self, cache):
+        cache.materialize(2)  # 16 tokens, one block, pinned
+        cache.take_changes()
+        blocks, tokens = cache.pool.allocated_blocks, cache.resident_tokens
+        clock = cache.access_clock
+        # 20 tokens grown: the tail's length is 36 at the span's end.
+        assert cache.grow_span([(2, 36)], 20, 20, 3) == 1
+        assert cache.pool.allocated_blocks == blocks + 2
+        assert cache.resident_tokens == tokens + 20
+        assert cache.access_clock == clock + 3  # stamps reserved
+        assert cache.segment(2).token_len == 16
+        assert cache.take_changes() == []
+        cache.release_tail(2, 20, clock + 2)
+        assert cache.segment(2).token_len == 36
+        assert cache.segment(2).last_access == clock + 2
+        assert [s.node_id for s in cache.take_changes()] == [2]
+        assert cache.segment(2).pin_count == 0
+
+    def test_a_span_short_of_blocks_moves_no_total(self, cache):
+        cache.materialize(2)
+        tokens, clock = cache.resident_tokens, cache.access_clock
+        assert cache.grow_span([(2, 10_000)], 9_984, 9_984, 1) == 0
+        assert (cache.resident_tokens, cache.access_clock) == (tokens, clock)
+        cache.settle_tails([(2, 4, clock + 1)])  # bring it to where it stopped
+        assert cache.segment(2).token_len == 20
+        assert cache.segment(2).last_access == clock + 1
+
+    def test_a_failed_release_writes_nothing(self, cache):
+        cache.materialize(4, pin=False)
+        with pytest.raises(CapacityError):
+            cache.release_tail(4, 5, 99)
+        assert cache.segment(4).token_len == 16
+        assert cache.segment(4).last_access != 99
+
+
 class TestTruncate:
     def test_truncate_frees_blocks(self, cache):
         cache.materialize(2)

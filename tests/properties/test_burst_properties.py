@@ -57,8 +57,8 @@ def reference_materialize(cache, leaf_id, now):
     did; raises :class:`CapacityError` (its pins rolled back) when the
     path does not fit even after evicting."""
     leaf = cache.segments[leaf_id]
-    cache._access_clock += 1
-    stamp = cache._access_clock
+    cache.access_clock += 1
+    stamp = cache.access_clock
     hit_tokens = 0
     to_load = []
     for state in leaf.ancestors + (leaf,):

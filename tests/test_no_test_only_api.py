@@ -32,11 +32,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Definitions only tests use, kept on purpose: name -> reason.
 KEEP = {
+    "ChildStepPlan": "the named form of a speculative planner's return, which tests' planners build; the session's planner returns the same fields as a plain tuple",
     "accounted": "LatencyBreakdown identity: the server tests assert it equals total",
     "arrival_signalled": "read-only observer the fleet-kernel invariant tests need",
     "claims_of": "read-only KVLedger observer the ledger property tests need",
     "dominates": "Pareto predicate the frontier tests assert the reported frontier with",
     "evictable_blocks": "read-only PagedKVCache observer the cache property tests need",
+    "final_score": "ReasoningPath observer: the session and the searches read its expression inline per beam",
     "free_bytes": "read-only KVLedger observer the ledger property tests need",
     "is_resident": "read-only PagedKVCache observer the cache property tests need",
     "logical_resident_bytes": "read-only KVLedger observer the ledger property tests need",
@@ -46,6 +48,7 @@ KEEP = {
     "ridge_intensity": "roofline observer: the roofline tests check compute_bound against it",
     "swapped_of": "read-only KVLedger observer: one owner's host-swapped bytes, for the ledger tests",
     "timeline": "the fault schedule as data: the fault determinism tests compare it",
+    "total_tokens": "ReasoningPath observer: the session reads its expression inline per beam; the equivalence tests compare paths by it",
 }
 
 
