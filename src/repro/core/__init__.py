@@ -45,7 +45,7 @@ from repro.core.prefix_sched import (
     worst_case_order,
 )
 from repro.core.server import SolveOutcome, TTSServer
-from repro.core.spec_select import SelectSpec, SpecCandidate, speculative_potential
+from repro.core.spec_select import SelectSpec, speculative_potential
 from repro.core.verification_round import VerificationRound, VerificationRoundResult
 
 __all__ = [
@@ -87,7 +87,6 @@ __all__ = [
     "VerificationRound",
     "VerificationRoundResult",
     "SelectSpec",
-    "SpecCandidate",
     "speculative_potential",
     "greedy_order",
     "greedy_successor",

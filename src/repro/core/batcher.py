@@ -29,15 +29,20 @@ that at *round* granularity:
   freeing their batch slots (and, under racing schedulers, cancelling
   their losing replicas) before the round launches.
 
-The batcher owns no fleet bookkeeping: admission, arrival offsets, KV
+The batcher owns no fleet bookkeeping: admission, service start, KV
 restore/growth charging and request settlement stay with the drain's run
-state (``repro.core.fleet._FleetRun``), which is passed in. Timing is
-the only thing batching changes — every token and score draw is keyed, so
-a batched run's answers are byte-identical to the unbatched ones.
+state (``repro.core.fleet._FleetRun``), which is passed in. It moves the
+two numbers a fleet tells a session: a member's ``anchor`` (its lane
+time at session-clock zero) when it takes the lane, and its
+``preempt_at`` (``-inf`` once an admission followed its start) before a
+generation round. Timing is the only thing batching changes — every
+token and score draw is keyed, so a batched run's answers are
+byte-identical to the unbatched ones.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.session import SessionState
@@ -69,14 +74,18 @@ class RoundBatcher:
 
         ``run`` does the fleet bookkeeping around each member's round:
         ``service_start`` marks a handle's first service (start time,
-        arrival offset), ``charge_restore``/``charge_growth`` do the
-        KV-ledger accounting, ``settle`` takes a finished request (and
-        keeps the fleet's runnable index current, which is why every DONE
-        edge must reach it). ``run.turn`` numbers the rounds, and the
-        handle in ``run.current[lane]`` is still bound to the lane clock.
+        admission count, next arrival's offset),
+        ``charge_restore``/``charge_growth`` do the KV-ledger accounting,
+        ``settle`` takes a finished request (and keeps the fleet's
+        runnable index current, which is why every DONE edge must reach
+        it). ``run.turn`` numbers the rounds, ``run.admissions`` counts
+        admissions (a generating member started before the latest one
+        stops speculating), and the handle in ``run.current[lane]`` is
+        still anchored at the lane clock.
         """
         clock = lane.clock
         current = run.current[lane.index]
+        admissions = run.admissions
         # A lone pick that must wait out the idle gap to its arrival is no batch.
         batched = lane.batching == "continuous" and members[0].arrival_s <= clock.now
         finalizing, generating, verifying = [], [], []
@@ -100,7 +109,7 @@ class RoundBatcher:
                 _attach(run, lane, handle)
             handle.session.step()
             run.charge_growth(lane, handle)
-            handle.binding.sync(clock)
+            clock.advance_to(handle.anchor + handle.session.clock.now)
             handle.last_stepped = run.turn
             run.turn += 1
             if handle.session.state is SessionState.DONE:
@@ -129,8 +138,11 @@ class RoundBatcher:
                 if handle is not current:
                     _attach(run, lane, handle)
                 session = handle.session
-                if sub_batch is generating and session.state is SessionState.ADMITTED:
-                    session.step()  # zero-cost setup: plan, caches, workers
+                if sub_batch is generating:
+                    if session.state is SessionState.ADMITTED:
+                        session.step()  # zero-cost setup: plan, caches, workers
+                    if admissions > handle.admissions:
+                        session.preempt_at = -math.inf  # somebody arrived since
                 session.step(occupancy)
                 if (
                     sub_batch is generating
@@ -138,16 +150,16 @@ class RoundBatcher:
                     and session.first_token_s is not None
                 ):
                     # Map the first-token time onto the fleet timeline.
-                    handle.first_token_s = handle.binding.anchor + session.first_token_s
+                    handle.first_token_s = handle.anchor + session.first_token_s
                 run.charge_growth(lane, handle)
-                ends.append(handle.binding.anchor + session.clock.now)
+                ends.append(handle.anchor + session.clock.now)
                 handle.last_stepped = run.turn
                 run.turn += 1
             clock.advance_to(max(ends))
 
 
 def _attach(run: "_FleetRun", lane: "PooledDevice", handle: "SessionHandle") -> None:
-    """Bind a member onto the lane clock at its sub-batch's start time.
+    """Anchor a member at the lane clock at its sub-batch's start time.
 
     A first service marks the start, after waiting out any idle gap to
     the arrival; a resumed member pays to restore whatever KV the ledger
@@ -158,7 +170,7 @@ def _attach(run: "_FleetRun", lane: "PooledDevice", handle: "SessionHandle") -> 
         run.service_start(lane, handle)
         if handle.start_s > clock.now:
             clock.advance(handle.start_s - clock.now)  # idle gap
-        handle.binding.rebind(clock)
+        handle.anchor = clock.now - handle.session.clock.now
     else:
-        handle.binding.rebind(clock)
+        handle.anchor = clock.now - handle.session.clock.now
         run.charge_restore(lane, handle)

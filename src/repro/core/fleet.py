@@ -14,12 +14,14 @@ racing with cancellation) *and* fleet scaling (heterogeneous pools,
 placement) policy choices instead of architecture changes:
 
 * requests carry **arrival times on the pool's shared timeline**; each
-  session keeps its own service-time clock, and a
-  :class:`~repro.engine.clock.ClockBinding` anchors it onto its device's
+  session keeps its own service-time clock, and its handle's ``anchor``
+  (the lane time of the session clock's zero) places it on its device's
   lane whenever the scheduler hands it the device;
-* an arrival that lands *during* a solve preempts Phase-2 speculation via
-  the session's arrival hook (Sec. 4.1.2), so a busy fleet automatically
-  sheds speculative work;
+* an arrival that lands *during* a solve preempts Phase-2 speculation
+  (Sec. 4.1.2): the fleet sets the session's ``preempt_at`` to the next
+  arrival's offset at service start, and to ``-inf`` once any admission
+  followed that start, so a busy fleet automatically sheds speculative
+  work;
 * **admission control**: a request whose beam budget cannot be planned
   inside any device's KV budget is rejected up front
   (:class:`CapacityError` from the allocator), as is any arrival beyond
@@ -71,7 +73,6 @@ from repro.core.fleet_spec import FleetSpec
 from repro.core.pool import PLACEMENTS, DevicePool, PlacementPolicy, PooledDevice
 from repro.core.scheduler import SCHEDULERS, RequestScheduler, SessionHandle, arrival_key
 from repro.core.session import SessionState
-from repro.engine.clock import ClockBinding
 from repro.errors import CapacityError, ConfigError, RetryExhaustedError
 from repro.faults import (
     FaultInjector,
@@ -237,8 +238,8 @@ class TTSFleet:
     for a :class:`~repro.workloads.trace.Trace`, and is the one way both
     CLI serving commands reach the fleet (``fleet`` serves a one-tenant
     trace). Each pool lane owns a :class:`~repro.engine.clock.SimClock` on
-    a shared time origin; sessions run on private clocks that a
-    :class:`ClockBinding` stitches onto their lane round by round, so any
+    a shared time origin; sessions run on private clocks that their
+    handle's ``anchor`` stitches onto their lane round by round, so any
     :class:`RequestScheduler` policy — FIFO, SJF, round-robin,
     First-Finish racing — can interleave them, and any
     :class:`~repro.core.pool.PlacementPolicy` can spread requests across
@@ -412,8 +413,8 @@ class TTSFleet:
         or lets the runnable lane furthest behind run one scheduling
         turn. An arrival is admitted as soon as every runnable lane has
         reached its arrival time — or immediately, when the whole pool is
-        idle. Arrivals landing during a session's service reach its
-        preemption hook, so speculation halts as soon as the fleet has a
+        idle. Arrivals landing during a session's service move its
+        ``preempt_at``, so speculation halts as soon as the fleet has a
         waiting customer — pool-globally (see ``service_start``).
         """
         run = _FleetRun(self)
@@ -497,11 +498,6 @@ class _FleetRun:
         (``_cancel``: race losers, escalation, drop, crash). Under a
         ``rekey_after_round`` policy, ``step`` re-files (``_rekey``) each
         surviving member of the iteration that wrote its ``last_stepped``.
-    ``unsignalled``
-        runnable handles whose service began and that no arrival has
-        preempted yet (who the next arrival signals). Grows in
-        ``service_start``; shrinks in ``_retire``; emptied by each
-        ``admit``, since a signalled session stays signalled.
     ``queued[lane]``
         requests whose primary lane this is and whose service has not
         started (the ``late_policy=drop`` sweep's candidates). Grows in
@@ -514,7 +510,10 @@ class _FleetRun:
 
     ``states`` holds live requests only: settlement, drop and crash
     teardown remove the entry, so ``len(states)`` is the admission
-    controller's running-request count.
+    controller's running-request count. ``admissions`` counts completed
+    admissions (accepted or refused, not one that waits for a repair):
+    a handle records it at ``service_start``, and the batcher preempts
+    the speculation of a generating member whose count it has passed.
     """
 
     def __init__(self, fleet: TTSFleet) -> None:
@@ -538,11 +537,11 @@ class _FleetRun:
             lane.index: None for lane in self.lanes
         }
         self.turn = 0
+        self.admissions = 0
         self.placed = 0  # handles placed so far: the index's tie-break
         self.runnable: dict[int, _RunnableIndex] = {
             lane.index: _RunnableIndex() for lane in self.lanes
         }
-        self.unsignalled: dict[int, SessionHandle] = {}
         self.queued: dict[int, dict[int, _RequestState]] = {
             lane.index: {} for lane in self.lanes
         }
@@ -628,7 +627,7 @@ class _FleetRun:
                     self._rekey(handle)
         if act.batching == "off":
             # The lane clock sits at this handle's position, so picking it
-            # again needs no rebind; a batch horizon belongs to no member.
+            # again needs no re-anchoring; a batch horizon belongs to no member.
             self.current[act.index] = members[0]
         return True
 
@@ -646,7 +645,6 @@ class _FleetRun:
     def _retire(self, handle: SessionHandle) -> None:
         """A handle stopped being live: it leaves the scheduling indexes."""
         self.runnable[handle.device.index].remove(handle)
-        self.unsignalled.pop(id(handle), None)
 
     def _rekey(self, handle: SessionHandle) -> None:
         """Re-file a live handle that just ran (``rekey_after_round``)."""
@@ -761,7 +759,6 @@ class _FleetRun:
                 seq=seq,
                 replica=replica,
                 session=session,
-                binding=ClockBinding(session.clock),
                 device=lane,
             )
             handles.append(handle)
@@ -841,39 +838,32 @@ class _FleetRun:
             )
         else:
             self.place(request, seq, eligible, now=now)
-        # Either way somebody new showed up: sessions in service must stop
-        # speculating (round-granular analogue of the arrival offsets).
-        # The signal never clears, so each session needs it once.
-        for handle in self.unsignalled.values():
-            handle.session.notify_arrival()
-        self.unsignalled.clear()
+        # Either way somebody new showed up: every session whose service
+        # began before now stops speculating at its next generation round.
+        self.admissions += 1
 
     def service_start(self, lane: PooledDevice, handle: SessionHandle) -> None:
-        """First pick of a handle: stamp service start, install the offset.
+        """First pick of a handle: stamp service start, set the preemption.
 
-        Arrival preemption is deliberately *pool-global*: a session sheds
-        speculative work when any later request arrives, even one placed
-        on another lane. Per-lane preemption is not expressible here —
-        the offset is installed at service start, when later requests'
-        placements have not happened yet — and the global rule is the
+        The session's speculation stops at the next request's arrival, on
+        its own clock (t=0 at service start; ``requests`` is
+        arrival-sorted, and non-positive means someone is already
+        waiting), or at the next round after any later admission (the
+        batcher compares ``admissions``). The rule is deliberately
+        *pool-global*: a session sheds speculative work when any later
+        request arrives, even one placed on another lane — the
         conservative reading of Sec. 4.1.2 (a busy fleet sheds
         speculation); it slightly understates multi-device speedups.
         """
         start = max(lane.clock.now, handle.arrival_s)
         handle.start_s = start
-        self.unsignalled[id(handle)] = handle
+        handle.admissions = self.admissions
         st = self.states[handle.seq]
         if st.start_s is None:
             st.start_s = start
             del self.queued[st.device.index][st.seq]
-        # The next arrival on the session's own clock (t=0 at service
-        # start). Sessions only use the earliest offset and ``requests``
-        # is arrival-sorted, so one suffices; non-positive means someone
-        # is already waiting and speculation never starts.
         if handle.seq + 1 < len(self.requests):
-            handle.session.set_arrival_offsets(
-                self.requests[handle.seq + 1].arrival_s - start
-            )
+            handle.session.preempt_at = self.requests[handle.seq + 1].arrival_s - start
 
     # -- KV ledger charging ----------------------------------------------
 
@@ -926,9 +916,8 @@ class _FleetRun:
             self._cancel(h)
             device_s = h.session.clock.now
             abandoned += device_s
-            held = h.device or lane
-            held.busy_s += device_s
-            held.ledger.release(h.session.session_id)
+            h.device.busy_s += device_s
+            h.device.ledger.release(h.session.session_id)
         carry = self.carry[st.seq]
         carry.escalated_work_s += abandoned
         carry.escalations += 1
@@ -966,7 +955,7 @@ class _FleetRun:
             # the attempt commits as-is.
             targets = self.router.escalate_lanes(
                 request,
-                (winner.device or lane).model_cost_bytes,
+                winner.device.model_cost_bytes,
                 self._healthy_feasible(request),
             )
             if targets:
@@ -978,11 +967,11 @@ class _FleetRun:
                 self._cancel(h)
                 device_s = h.session.clock.now
                 cancelled_work += device_s
-                (h.device or lane).busy_s += device_s
+                h.device.busy_s += device_s
         winner_s = winner.session.clock.now
-        (winner.device or lane).busy_s += winner_s
+        winner.device.busy_s += winner_s
         for h in siblings:
-            (h.device or lane).ledger.release(h.session.session_id)
+            h.device.ledger.release(h.session.session_id)
         result = winner.session.outcome.result
         committed = result.tokens.committed
         self._terminal_record(
@@ -1034,7 +1023,7 @@ class _FleetRun:
         request = st.request
         for h in st.handles:
             self._cancel(h)
-            (h.device or st.device).ledger.release(h.session.session_id)
+            h.device.ledger.release(h.session.session_id)
         self._terminal_record(
             st.seq, request,
             finish_s=request.arrival_s + request.deadline_s,
@@ -1124,7 +1113,7 @@ class _FleetRun:
         for h in st.handles:
             device_s = h.session.clock.now
             redone += device_s
-            (h.device or lane).busy_s += device_s
+            h.device.busy_s += device_s
         carry.redone_work_s += redone
         self.release_claims(st)
         self._forget(st)
@@ -1198,13 +1187,14 @@ class _FleetRun:
         """Shift resident sessions past a fault that ate lane time.
 
         A stall or forced eviction advances the lane clock underneath its
-        live handles; without re-anchoring, their next ``sync`` would
+        live handles; without re-anchoring, their next sync would
         reconstruct a timeline *before* the fault and trip the clock's
-        rewind guard. Rebinding preserves each session's accumulated
+        rewind guard. Re-anchoring preserves each session's accumulated
         service and resumes it at the post-fault instant.
         """
+        now = lane.clock.now
         for handle in self.runnable[lane.index].handles:
-            handle.binding.rebind(lane.clock)
+            handle.anchor = now - handle.session.clock.now
 
     def apply_fault(self, event) -> None:
         lane = self.lanes[event.lane]

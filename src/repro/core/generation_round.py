@@ -16,8 +16,8 @@ Two-phase scheduling (Sec. 4.1.2):
   queue is empty, freed slots are filled with speculative continuations of
   already-finished beams, chosen by :class:`~repro.core.spec_select.SelectSpec`.
   Speculation is strictly terminated the moment the last standard beam
-  finishes — it can never add tail latency — and is fully preemptible via
-  the ``preempt_check`` hook.
+  finishes — it can never add tail latency — and is fully preemptible: it
+  halts at the first span that starts at or after ``preempt_at``.
 
 Algorithmic equivalence holds by construction: speculative tokens are drawn
 from the same keyed streams a future non-speculative execution would use,
@@ -145,7 +145,7 @@ class GenerationRound:
         branching_factor: int = 4,
         child_planner: ChildPlanner | None = None,
         has_child: HasChild | None = None,
-        preempt_check: Callable[[], bool] | None = None,
+        preempt_at: float = math.inf,
         spec_bandwidth_fraction: float = 0.25,
     ) -> None:
         if slot_budget < 1:
@@ -162,7 +162,7 @@ class GenerationRound:
         self._branching = branching_factor
         self._child_planner = child_planner
         self._has_child = has_child
-        self._preempt_check = preempt_check
+        self._preempt_at = preempt_at
         self._spec_budget_bytes = spec_bandwidth_fraction * worker.model.weight_bytes
         self._kv_bytes_per_token = self._cache.kv_bytes_per_token
         self._block_tokens = self._cache.pool.block_tokens
@@ -193,7 +193,7 @@ class GenerationRound:
             for j in jobs
         ])
         selector = SelectSpec(self._branching) if self._speculation else None
-        has_child, preempt_check = self._has_child, self._preempt_check
+        has_child, preempt_at = self._has_child, self._preempt_at
         block_tokens = self._block_tokens
         running: list[_Slot] = []
         capacity = min(self._slot_budget, max(1, len(jobs)))
@@ -209,7 +209,7 @@ class GenerationRound:
         self._admit_standard(waiting, running, outcomes, stats, selector)
 
         while running:
-            if preempt_check is not None and preempt_check():
+            if speculation_enabled and clock.now >= preempt_at:
                 # A new request arrived: Phase 2 halts immediately.
                 speculation_enabled = False
                 self._kill_spec_slots(running, heads, stats)

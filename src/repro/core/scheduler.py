@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.session import SolveSession
-from repro.engine.clock import ClockBinding
 from repro.errors import ConfigError
 from repro.utils.registry import Registry
 
@@ -83,17 +82,17 @@ class SessionHandle:
     submission order); ``replica`` distinguishes racing sessions of one
     request. ``last_stepped`` is the fleet's turn counter at this
     session's most recent round, ``start_s`` the fleet time service began
-    (None until first picked). ``binding`` maps the session's private
-    clock onto the clock of ``device`` — the
+    (None until first picked). ``device`` is the
     :class:`~repro.core.pool.PooledDevice` lane the request was placed on
     (None only for handles built outside a pool-driven fleet).
     ``kv_swap_s`` accumulates the cross-session KV contention time
-    charged to this session. ``first_token_s`` is the
-    fleet time the session produced its first generated token (None
-    until then) — the fleet captures it for the TTFT metric by mapping
-    the session's private first-token time through its clock binding.
+    charged to this session. ``first_token_s`` is the fleet time the
+    session produced its first generated token (None until then): the
+    session's private first-token time plus ``anchor``.
     ``runnable_key`` is the fleet's own bookkeeping: the key this handle
     is filed under in its lane's runnable index, None once it has left it.
+    ``admissions`` is the fleet's admission count when service began; a
+    later admission preempts the session's speculation.
     """
 
     request_id: str
@@ -101,7 +100,12 @@ class SessionHandle:
     seq: int
     replica: int
     session: SolveSession
-    binding: ClockBinding
+    #: Lane time of the session clock's zero: ``clock.now -
+    #: session.clock.now`` when the session (re)takes the lane, after which
+    #: a round leaves the lane clock at ``anchor + session.clock.now``. The
+    #: target is absolute, never an accumulated delta, so a
+    #: run-to-completion schedule is bit-identical to the session alone.
+    anchor: float = 0.0
     device: "PooledDevice | None" = None
     start_s: float | None = None
     last_stepped: int = -1
@@ -109,18 +113,7 @@ class SessionHandle:
     kv_swap_s: float = 0.0
     first_token_s: float | None = None
     runnable_key: tuple | None = None
-
-    @property
-    def runnable(self) -> bool:
-        """Whether the session can still be stepped.
-
-        The fleet does not poll this: its run state keeps a per-lane
-        index of runnable handles, updated where a session finishes or
-        is cancelled, sorted by ``(scheduler.order_key(handle), placement
-        order)`` — placement order alone for a policy that declares no
-        key — and hands ``pick`` that index's live sequence.
-        """
-        return self.session.state.live
+    admissions: int = 0
 
 
 def predict_cost(server: "TTSServer", problem, algorithm) -> tuple[int, int]:
@@ -329,22 +322,15 @@ class FirstFinishScheduler(RequestScheduler):
             raise ConfigError("first_finish needs at least 1 replica")
         if not 0.0 < verify_threshold <= 1.0:
             raise ConfigError("verify_threshold must be in (0, 1]")
-        self._replicas = replicas
+        #: Racing sessions per request.
+        self.replicas = replicas
         self._verify_threshold = verify_threshold
-
-    @property
-    def replicas(self) -> int:
-        return self._replicas
-
-    @property
-    def verify_threshold(self) -> float:
-        return self._verify_threshold
 
     def sessions_for(
         self, server: "TTSServer", request: "FleetRequest"
     ) -> list[SolveSession]:
         sessions = []
-        for replica in range(self._replicas):
+        for replica in range(self.replicas):
             rng = None
             if replica > 0:
                 rng = server.rng.fork("ffs-replica", request.request_id, replica)

@@ -35,6 +35,7 @@ pre-refactor monolith; the goldens under ``tests/goldens/`` pin this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -182,6 +183,12 @@ class SolveSession:
     (``state`` in its transitions and :meth:`cancel`, ``first_token_s``
     after its first generation round). Callers treat them as read-only.
 
+    ``preempt_at`` is the one attribute callers write: the session-clock
+    time from which Phase-2 speculation must stop because another request
+    is waiting (Sec. 4.1.2). ``math.inf`` (the default) never preempts,
+    ``-math.inf`` preempts from the next round's start. A generation round
+    reads it once, when it is built.
+
     Parameters
     ----------
     server:
@@ -273,9 +280,8 @@ class SolveSession:
         #: This session's KV as lane-ledger claims (see repro.core.claims).
         self.claim_names = ClaimNames(self._table)
 
-        # Preemption inputs.
-        self._preempt_at: float | None = None
-        self._preempt_signalled = False
+        #: Session-clock time from which speculation stops (callers write it).
+        self.preempt_at = math.inf
 
         self._outcome: SolveOutcome | None = None
 
@@ -378,33 +384,6 @@ class SolveSession:
             self._trace.record(
                 self.clock.now, event, -1, **fields, seconds=round(dt, 6)
             )
-
-    def notify_arrival(self) -> None:
-        """Signal that another request is waiting *now*.
-
-        From the next generation round on, speculative execution is
-        preempted — the unscheduled counterpart of
-        :meth:`set_arrival_offsets`.
-        """
-        self._preempt_signalled = True
-
-    @property
-    def arrival_signalled(self) -> bool:
-        """Whether :meth:`notify_arrival` was called (it never clears)."""
-        return self._preempt_signalled
-
-    def set_arrival_offsets(self, offset: float) -> None:
-        """Install another request's arrival time (on this session's clock).
-
-        Speculative execution is preempted from the earliest installed
-        offset onward (Sec. 4.1.2 Phase-2 preemption).
-
-        Fleet schedulers only learn a session's service start time when
-        they first pick it; this lets them translate an absolute arrival
-        time into a session-clock offset at that moment.
-        """
-        if self._preempt_at is None or offset < self._preempt_at:
-            self._preempt_at = offset
 
     def cancel(self) -> None:
         """Abort the session; no outcome will be produced."""
@@ -541,7 +520,7 @@ class SolveSession:
             branching_factor=algorithm.branching_factor,
             child_planner=planner,
             has_child=has_child,
-            preempt_check=self._preempt_check(),
+            preempt_at=self.preempt_at,
             spec_bandwidth_fraction=cfg.spec_bandwidth_fraction,
         ).run(jobs)
         self._gen_worker.batch_share = 1
@@ -720,19 +699,6 @@ class SolveSession:
             return child_lineage, chain[-1], chain[-2], n_tokens
 
         return planner, has_child
-
-    def _preempt_check(self):
-        """Preemption hook: True once an arrival has landed (or was signalled)."""
-        if self._preempt_signalled:
-            return lambda: True
-        if self._preempt_at is None:
-            return None
-        first = self._preempt_at
-
-        def check() -> bool:
-            return self._preempt_signalled or self.clock.now >= first
-
-        return check
 
     # -- verification ----------------------------------------------------
 

@@ -16,9 +16,8 @@ are filled lazily from the highest-potential finished beams.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
-__all__ = ["speculative_potential", "SpecCandidate", "SelectSpec"]
+__all__ = ["speculative_potential", "SelectSpec"]
 
 _DEFAULT_SCORE = 0.5  # first round has no verifier history: middle bin
 
@@ -34,46 +33,36 @@ def speculative_potential(score: float | None, branching_factor: int) -> int:
     return branching_factor - bin_j + 1
 
 
-@dataclass(slots=True)
-class SpecCandidate:
-    """One finished beam eligible for speculative extension (its
-    :func:`speculative_potential` is at least 1: a branch left to claim)."""
-
-    lineage: tuple[int, ...]
-    potential: int
-    arrival: int
-    branches_started: int = 0
-
-
 class SelectSpec:
     """Priority allocator of freed slots to speculative branches.
 
     :attr:`heap` holds ``(-potential, arrival, candidate)``: descending
-    potential, then FIFO arrival (unique, so candidates never compare). A
-    candidate leaves when its last branch is claimed, so the heap is
-    non-empty exactly when a branch is left to claim; a decode round reads
-    it to decide whether to enter its speculation fill at all.
+    potential, then FIFO arrival (unique, so candidates never compare).
+    A candidate is a finished beam's ``[lineage, potential, branches
+    started]``, a list so claiming a branch counts in place. It leaves
+    when its last branch is claimed, so the heap is non-empty exactly when
+    a branch is left to claim; a decode round reads it to decide whether
+    to enter its speculation fill at all.
     """
 
     def __init__(self, branching_factor: int) -> None:
         if branching_factor < 1:
             raise ValueError("branching_factor must be positive")
         self._branching = branching_factor
-        self.heap: list[tuple[int, int, SpecCandidate]] = []
+        self.heap: list[tuple[int, int, list]] = []
         self._arrivals = 0
 
-    @property
-    def branching_factor(self) -> int:
-        return self._branching
-
-    def offer(self, lineage: tuple[int, ...], prev_score: float | None) -> SpecCandidate:
+    def offer(self, lineage: tuple[int, ...], prev_score: float | None) -> None:
         """Register a newly finished beam as a speculative candidate."""
-        potential = speculative_potential(prev_score, self._branching)
+        # :func:`speculative_potential`, inline: one call per finished beam.
+        branching = self._branching
+        s = _DEFAULT_SCORE if prev_score is None else prev_score
+        if not 0.0 <= s <= 1.0:
+            raise ValueError("scores live in [0, 1]")
+        potential = branching - min(branching, int((1.0 - s) * branching) + 1) + 1
         arrival = self._arrivals
-        candidate = SpecCandidate(lineage, potential, arrival)
         self._arrivals = arrival + 1
-        heapq.heappush(self.heap, (-potential, arrival, candidate))
-        return candidate
+        heapq.heappush(self.heap, (-potential, arrival, [lineage, potential, 0]))
 
     def next_branch(self) -> tuple[tuple[int, ...], int] | None:
         """Claim one speculative slot: ``(parent lineage, child index)``.
@@ -85,11 +74,11 @@ class SelectSpec:
         if not heap:
             return None
         candidate = heap[0][2]
-        child_index = candidate.branches_started
-        candidate.branches_started += 1
-        if candidate.branches_started >= candidate.potential:
+        child_index = candidate[2]
+        candidate[2] = child_index + 1
+        if child_index + 1 >= candidate[1]:
             heapq.heappop(heap)
-        return candidate.lineage, child_index
+        return candidate[0], child_index
 
     def __len__(self) -> int:
         return len(self.heap)

@@ -17,11 +17,19 @@ Five contracts:
   most 2.1x (2.9x with the finished-request rescan, 2.2x while ``pick``
   still keyed every runnable handle each turn);
 * a drain keeps no launch log: no fleet session builds a ``UtilSpan``.
+
+Two facts the fleet tells a session are checked where they are read: a
+session's generation round is preempted (``preempt_at == -inf``) exactly
+when an admission followed its start, and a handle's ``anchor`` maps its
+session clock onto the lane clock turn by turn.
 """
 
 import cProfile
 import heapq
+import math
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -77,7 +85,7 @@ def assert_indexes_match_scans(run):
         index = run.runnable[lane.index]
         placed = [  # the live handles in placement order
             h for s in states for h in s.handles
-            if h.runnable and h.device is lane
+            if h.session.state.live and h.device is lane
         ]
         assert same_objects(index.handles, [
             h for _, h in sorted(
@@ -101,17 +109,43 @@ def assert_indexes_match_scans(run):
         run.lanes, key=lambda lane: (load[lane.index], lane.clock.now, lane.index)
     )
     assert all(
-        h.runnable_key is None for s in states for h in s.handles if not h.runnable
+        h.runnable_key is None for s in states for h in s.handles if not h.session.state.live
     )
-    unsignalled = {  # started, and no arrival has preempted them yet
-        id(h) for s in states for h in s.handles
-        if h.runnable and h.start_s is not None and not h.session.arrival_signalled
-    }
-    assert set(run.unsignalled) == unsignalled
     # A request stays in the live map exactly as long as it can progress.
-    assert all(any(h.runnable for h in s.handles) for s in states)
+    assert all(any(h.session.state.live for h in s.handles) for s in states)
     assert not set(run.states) & set(run.records)
     assert run.arrivals_pending == sum(1 for e in run.events if e[1] == _ARRIVAL)
+
+
+@contextmanager
+def preemption_watch(run):
+    """Check each generation round of ``run``'s sessions as it starts: its
+    ``preempt_at`` is ``-inf`` exactly when an admission (accepted or
+    refused, not one waiting for a repair) followed the session's service
+    start. Yields the count of rounds checked, keyed by that verdict."""
+    followed = set()  # sessions an admission found in service
+    rounds = Counter()
+    real_admit, real_step = run.admit, SolveSession.step
+
+    def admit(seq, request, now):
+        started = [
+            h.session for s in run.states.values() for h in s.handles
+            if h.start_s is not None
+        ]
+        real_admit(seq, request, now)
+        if seq in run.states or seq in run.records:
+            followed.update(started)
+
+    def step(session, occupancy=1):
+        if session.state is SessionState.GENERATING:
+            preempted = session.preempt_at == -math.inf
+            assert preempted == (session in followed)
+            rounds[preempted] += 1
+        return real_step(session, occupancy)
+
+    run.admit = admit
+    with mock.patch.object(SolveSession, "step", step):
+        yield rounds
 
 
 FAULTS = (
@@ -152,29 +186,44 @@ class TestIndexesMatchBruteForceScans:
         )
         run = _FleetRun(fleet)
         assert_indexes_match_scans(run)
-        while run.step():
-            assert_indexes_match_scans(run)
+        with preemption_watch(run):
+            while run.step():
+                assert_indexes_match_scans(run)
         report = run.report()
         assert sorted(r.request_id for r in report.records) == [
             f"req-{i:04d}" for i in range(len(arrivals))
         ]
-        assert not run.states and not run.unsignalled
+        assert not run.states
         assert not any(i.handles for i in run.runnable.values())
         assert not any(lane.claimants for lane in run.lanes)
 
+    def test_an_admission_preempts_each_session_already_in_service(self):
+        run = _FleetRun(
+            build_fleet([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin")
+        )
+        with preemption_watch(run) as rounds:
+            while run.step():
+                pass
+        assert rounds[True] and rounds[False]
+
     def test_an_arrival_signals_each_started_session_once(self, monkeypatch):
-        """The preemption signal never clears, so a session hears it once
-        however many requests arrive while it is in service."""
-        signalled = Counter()
-        real_notify = SolveSession.notify_arrival
+        """The preemption deadline never clears: once an admission drops a
+        session's ``preempt_at`` to ``-inf``, every later generation round
+        of that session sees it, however many more requests arrive."""
+        verdicts = {}  # keyed by the session object: ids are reused
+        real_step = SolveSession.step
 
-        def counting_notify(session):
-            signalled[session] += 1  # keyed by the object: ids are reused
-            real_notify(session)
+        def recording_step(session, occupancy=1):
+            if session.state is SessionState.GENERATING:
+                verdicts.setdefault(session, []).append(
+                    session.preempt_at == -math.inf
+                )
+            return real_step(session, occupancy)
 
-        monkeypatch.setattr(SolveSession, "notify_arrival", counting_notify)
+        monkeypatch.setattr(SolveSession, "step", recording_step)
         build_fleet([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin").drain()
-        assert signalled and set(signalled.values()) == {1}
+        assert any(any(seen) for seen in verdicts.values())
+        assert all(seen == sorted(seen) for seen in verdicts.values())
 
     def test_step_by_step_equals_drain(self):
         kwargs = dict(
@@ -205,10 +254,10 @@ def run_to_done(run, st_, replica=0):
     handle = st_.handles[replica]
     lane = handle.device
     run.service_start(lane, handle)
-    handle.binding.rebind(lane.clock)
+    handle.anchor = lane.clock.now - handle.session.clock.now
     while handle.session.state is not SessionState.DONE:
         handle.session.step()
-    handle.binding.sync(lane.clock)
+    lane.clock.advance_to(handle.anchor + handle.session.clock.now)
     return handle, lane
 
 
@@ -224,20 +273,20 @@ class TestHandlers:
         assert run.states == {0: state}
         assert run.runnable[lane.index].handles == state.handles
         assert run.queued[lane.index] == {0: state}
-        assert lane.claimants == {0: state} and not run.unsignalled
+        assert lane.claimants == {0: state}
         assert state.claim_bytes.keys() == {lane.index}
         assert run.carry[0].routed_class == lane.lane_class
 
     def test_settle_commits_and_clears(self):
         run, state = self.placed()
         handle, lane = run_to_done(run, state)
-        assert run.unsignalled and not run.queued[lane.index]
+        assert handle.start_s == 0.0 and not run.queued[lane.index]
         run.settle(handle, lane)
         record = run.records[0]
         assert record.accepted and record.finish_s == lane.clock.now
         assert record.device_time_s == handle.session.clock.now
         assert run.results[record.request_id] is handle.session.outcome.result
-        assert not run.states and not run.unsignalled
+        assert not run.states
         assert not run.runnable[lane.index].handles and not lane.claimants
         assert record.device_id == lane.device_id
         assert run.finish_times == [lane.clock.now]
@@ -331,7 +380,7 @@ class TestHandlers:
         assert dead.device is not alive.device
         run.on_lane_crash(dead.device, 3.0, mttr_s=None)
         assert run.states[0] is state and 0 not in run.records
-        assert dead.session.state is SessionState.CANCELLED and alive.runnable
+        assert dead.session.state is SessionState.CANCELLED and alive.session.state.live
         assert state.claim_bytes.keys() == {alive.device.index}
         assert not dead.device.claimants and alive.device.claimants == {0: state}
         assert not run.runnable[dead.device.index].handles
@@ -385,6 +434,50 @@ class TestHandlers:
         record = run.records[1]
         assert not record.accepted and "queue full" in record.reject_reason
         assert record.start_s == record.finish_s == 1.0
+
+
+# -- the clock handoff -------------------------------------------------------
+
+
+class TestHandleAnchor:
+    """A handle's ``anchor`` is the lane time of its session clock's zero."""
+
+    def test_a_turn_anchors_its_member_and_syncs_the_lane(self):
+        """One round-robin lane interleaves three requests through a stall.
+        A member that takes the lane from another is anchored at the lane
+        time less the service it already had; the member the lane clock
+        already sits on keeps its anchor; every turn leaves the lane at
+        the member's anchor plus its session time, the exact float; and a
+        stall re-anchors every resident at the post-stall instant."""
+        run = _FleetRun(build_fleet(
+            [0.0, 0.5, 1.0], devices=1, scheduler="round_robin",
+            faults="stall:at=3,lane=0,duration=2",
+        ))
+        (lane,) = run.lanes
+        switches = stalls = 0
+        while True:
+            handles = [h for s in run.states.values() for h in s.handles]
+            before = {id(h): (h.anchor, h.session.clock.now, h.start_s) for h in handles}
+            current, now, turn, stalled = run.current[0], lane.clock.now, run.turn, lane.stall_s
+            if not run.step():
+                break
+            if run.turn == turn:  # an event, not a turn
+                if lane.stall_s > stalled:
+                    stalls += 1
+                    for h in run.runnable[0].handles:
+                        assert h.anchor == lane.clock.now - h.session.clock.now
+                continue
+            (h,) = [h for h in handles if h.last_stepped == turn]
+            anchor, served, start_s = before[id(h)]
+            if h is current:
+                assert h.anchor == anchor
+            elif start_s is None:  # first service, after any idle gap
+                assert h.anchor == pytest.approx(h.start_s, abs=1e-12)
+            else:
+                switches += 1
+                assert h.anchor == now - served
+            assert lane.clock.now == max(now, h.anchor + h.session.clock.now)
+        assert switches > 3 and stalls == 1
 
 
 # -- the one event heap ------------------------------------------------------
@@ -461,13 +554,16 @@ def overload_drain_calls(requests):
 #: plan per (server, n); 82 482 while each beam's jobs were built by a
 #: helper and each launch called the clock, 72 765 measured once jobs were
 #: built in the loop that holds the beam and a launch moved the clock;
-#: 72 947 before a decode round worked at events, 71 328 measured after.
-OVERLOAD_DRAIN_CALLS_NOW = 73_500
+#: 72 947 before a decode round worked at events, 71 328 measured after;
+#: 71 330 before preemption became one deadline and the clock handoff one
+#: anchor, 69 088 after.
+OVERLOAD_DRAIN_CALLS_NOW = 71_100
 
 
 def test_overload_drain_cost_scales_near_linearly():
-    # Deterministic (a call count, not a timing): 1.952x at this commit
-    # (71 328 -> 139 258; 1.956x before a decode round worked at events,
+    # Deterministic (a call count, not a timing): 1.948x at this commit
+    # (69 088 -> 134 603; 1.952x before preemption became one deadline,
+    # 1.956x before a decode round worked at events,
     # 1.967x before a beam's round stopped paying for
     # per-beam frames, 1.977x before a turn stopped paying for its
     # plumbing). ``pick`` reads the front of an index kept in the

@@ -242,21 +242,54 @@ class TestSpeculation:
         assert result.stats.speculative_tokens == 0
 
     def test_preemption_halts_speculation(self):
+        """Beam 0 finishes first and speculates beside beams 1 and 2; a
+        deadline at the last span's start, when beam 1 has finished too,
+        cuts the speculation there."""
+        jobs = [make_job(0, 5, score=0.9), make_job(1, 200), make_job(2, 400)]
+
+        def spec_round(worker, **kwargs):
+            return GenerationRound(
+                worker, slot_budget=3, speculation=True, branching_factor=4,
+                **children(tokens=5000), **kwargs,
+            )
+
+        free_worker = make_worker()
+        free = spec_round(free_worker).run(jobs)
+        preempt_at = free_worker._spans[-1].t_start
         worker = make_worker()
-        calls = {"n": 0}
-
-        def preempt_after_a_while():
-            calls["n"] += 1
-            return calls["n"] > 3
-
-        round_ = GenerationRound(
-            worker, slot_budget=2, speculation=True, branching_factor=4,
-            **children(tokens=5000),
-            preempt_check=preempt_after_a_while,
-        )
-        result = round_.run([make_job(0, 5, score=0.9), make_job(1, 400)])
+        result = spec_round(worker, preempt_at=preempt_at).run(jobs)
         # standard work still completes; speculation was cut short
+        assert set(result.outcomes) == {(0,), (1,), (2,)}
+        assert 0 < result.stats.speculative_tokens < free.stats.speculative_tokens
+        assert free_worker._spans[-1].speculative_slots > 0
+        assert all(
+            s.speculative_slots == 0 for s in worker._spans if s.t_start >= preempt_at
+        )
+
+    def test_a_round_without_speculation_never_reads_its_deadline(self):
+        """The deadline only stops speculation, so a baseline round never
+        compares the clock with it: the comparison is the cost of a
+        preemption, paid by a round that has nothing to preempt."""
+
+        class CountingDeadline:
+            reads = 0
+
+            def __le__(self, now):  # ``now >= deadline``, reflected
+                CountingDeadline.reads += 1
+                return True
+
+        deadline = CountingDeadline()
+        result = GenerationRound(
+            make_worker(), slot_budget=2, preempt_at=deadline,
+        ).run([make_job(0, 5), make_job(1, 400)])
         assert set(result.outcomes) == {(0,), (1,)}
+        assert deadline.reads == 0
+        spec = GenerationRound(
+            make_worker(), slot_budget=2, speculation=True, branching_factor=4,
+            **children(), preempt_at=deadline,
+        ).run([make_job(0, 5, score=0.9), make_job(1, 400)])
+        assert deadline.reads == 1  # the first span halts Phase 2 for good
+        assert spec.stats.speculative_tokens == 0
 
     def test_speculation_requires_planner(self):
         with pytest.raises(ValueError):

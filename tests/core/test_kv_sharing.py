@@ -312,7 +312,6 @@ class TestPrefixAffinityScheduler:
     def test_fallback_groups_same_problem(self):
         """Without a shared ledger the policy degrades to lineage grouping."""
         from repro.core.scheduler import SessionHandle
-        from repro.engine.clock import ClockBinding
 
         server = self.any_server()
         problems = list(server.dataset)
@@ -324,7 +323,7 @@ class TestPrefixAffinityScheduler:
             )
             return SessionHandle(
                 request_id=f"req-{seq:04d}", arrival_s=arrival, seq=seq,
-                replica=0, session=session, binding=ClockBinding(session.clock),
+                replica=0, session=session,
             )
 
         handles = [
@@ -617,8 +616,10 @@ class TestLedgerWorksOnWhatChanged:
     #: beam's jobs were built in the loop that holds it, a decode span
     #: grew its batch inline and a launch moved the clock itself, 53 386
     #: after; 53 400 before a decode round worked at events (a span pays
-    #: for the beams that join, leave or cross a block), 50 576 after.
-    CALLS_NOW = 51_600
+    #: for the beams that join, leave or cross a block), 50 576 after;
+    #: 50 564 before preemption became one deadline and the clock handoff
+    #: one anchor, 48 485 after.
+    CALLS_NOW = 49_500
 
     def test_sharing_drain_calls_stay_derived_from_changes(self):
         assert sharing_drain_calls() <= self.CALLS_NOW

@@ -13,7 +13,6 @@ from repro.core.config import AXIS_CHOICES, baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet
 from repro.core.pool import PLACEMENTS, DevicePool
 from repro.core.scheduler import SCHEDULERS, SessionHandle
-from repro.engine.clock import ClockBinding
 from repro.errors import ConfigError
 from repro.faults import FAULTS
 from repro.routing import ROUTERS, parse_lane_list
@@ -47,12 +46,10 @@ def drain(dataset, devices, rate, size=None, n=4, mf=0.9, scheduler="fifo",
 
 def make_handle(lane, problem, n=4):
     session = lane.server.session(problem, build_algorithm("beam_search", n))
-    handle = SessionHandle(
+    return SessionHandle(
         request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
-        session=session, binding=ClockBinding(session.clock), device=lane,
+        session=session, device=lane, anchor=lane.clock.now,
     )
-    handle.binding.rebind(lane.clock)
-    return handle
 
 
 class TestDevicePool:

@@ -121,11 +121,11 @@ class TestGenerationUnderPressure:
         memory; an arrival then kills the speculation, leaving nothing
         running, and the round re-admits beam 1 rather than stalling."""
         states = []
-        checks = []
-
-        def arrival_after_two_checks():
-            checks.append(1)
-            return len(checks) > 2
+        free = self.spec_round(200, 100)
+        free.run([job(0, 10), job(1, 60)])
+        # The arrival lands when the third decode span would start (the
+        # first span is the prefill).
+        arrival = free._worker._spans[3].t_start
 
         real_kill = GenerationRound._kill_spec_slots
 
@@ -135,7 +135,7 @@ class TestGenerationUnderPressure:
             states.append((before, len(running)))
 
         monkeypatch.setattr(GenerationRound, "_kill_spec_slots", recording_kill)
-        round_ = self.spec_round(200, 100, preempt_check=arrival_after_two_checks)
+        round_ = self.spec_round(200, 100, preempt_at=arrival)
         result = round_.run([job(0, 10), job(1, 60)])
         assert ([True], 0) in states  # the kill left the batch empty
         assert {k: o.tokens_generated for k, o in result.outcomes.items()} == {

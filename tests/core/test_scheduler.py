@@ -265,7 +265,6 @@ def backlogs(draw):
                 session=SimpleNamespace(
                     session_id=f"req-{seq:04d}/r{replica}", problem=problem
                 ),
-                binding=None,
                 start_s=arrival if stepped else None,
                 last_stepped=next(turns) if stepped else -1,
                 predicted_cost=(draw(st.integers(1, 3)), draw(st.integers(1, 9))),
@@ -300,7 +299,7 @@ class TestPickOrder:
     def test_the_reference_table_lists_every_keyed_policy(self, name):
         handle = SessionHandle(
             request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
-            session=None, binding=None,
+            session=None,
         )
         declared = SCHEDULERS.build(name).order_key(handle) is not None
         assert declared == (name in ORDER_KEYED)

@@ -28,7 +28,7 @@ def solve_with_arrival(server, problem, arrival_s):
     """Solve ``problem`` with another request arriving at ``arrival_s`` on
     the solve's own clock."""
     session = server.session(problem, ALGO)
-    session.set_arrival_offsets(arrival_s)
+    session.preempt_at = arrival_s
     return session.run().result
 
 

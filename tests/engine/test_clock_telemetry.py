@@ -1,10 +1,13 @@
 """Tests for the simulation clock and telemetry."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.clock import ClockBinding, SimClock
+from repro.core.batcher import _attach
+from repro.core.scheduler import SessionHandle
+from repro.engine.clock import SimClock
 from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilSpan
 
 
@@ -59,53 +62,87 @@ class TestSimClock:
 
 
 class TestClockBinding:
+    """The session-to-lane clock handoff, on a handle's ``anchor``.
+
+    "Rebind" is the batcher's ``_attach``: a member that takes the lane is
+    anchored at ``lane.clock.now - session.clock.now``. "Sync" is the
+    expression every round ends with, ``lane.clock.advance_to(anchor +
+    session.clock.now)``.
+    """
+
+    class _Run:
+        """The two fleet hooks ``_attach`` calls, with nothing to charge."""
+
+        @staticmethod
+        def service_start(lane, handle):
+            handle.start_s = lane.clock.now
+
+        @staticmethod
+        def charge_restore(lane, handle):
+            pass
+
+    @staticmethod
+    def handle(session):
+        return SessionHandle(
+            request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
+            session=SimpleNamespace(clock=session),
+        )
+
+    def rebind(self, handle, clock):
+        _attach(self._Run, SimpleNamespace(clock=clock), handle)
+
+    @staticmethod
+    def sync(handle, clock):
+        return clock.advance_to(handle.anchor + handle.session.clock.now)
+
     def test_sync_maps_session_time_onto_fleet_time(self):
         fleet, session = SimClock(), SimClock()
-        binding = ClockBinding(session)
+        binding = self.handle(session)
         fleet.advance(10.0)
-        binding.rebind(fleet)
-        assert binding.anchor == 10.0
+        self.rebind(binding, fleet)
+        assert binding.anchor == 10.0 and binding.start_s == 10.0
         session.advance(2.5)
-        assert binding.sync(fleet) == 12.5
+        assert self.sync(binding, fleet) == 12.5
 
     def test_rebind_after_interleaving(self):
         fleet, session = SimClock(), SimClock()
-        binding = ClockBinding(session)
-        binding.rebind(fleet)
+        binding = self.handle(session)
+        self.rebind(binding, fleet)
         session.advance(2.0)
-        binding.sync(fleet)
+        self.sync(binding, fleet)
         fleet.advance(5.0)  # another session ran for 5s
-        binding.rebind(fleet)
+        self.rebind(binding, fleet)
         assert binding.anchor == 5.0  # fleet 7.0 minus 2.0 already served
+        assert binding.start_s == 0.0  # a resume is not a new service start
         session.advance(1.0)
-        assert binding.sync(fleet) == 8.0
+        assert self.sync(binding, fleet) == 8.0
 
     def test_rebind_onto_a_second_clock(self):
         """One session clock handed across two lane timelines."""
         lane_a, lane_b, session = SimClock(), SimClock(), SimClock()
-        binding = ClockBinding(session)
-        binding.rebind(lane_a)
+        binding = self.handle(session)
+        self.rebind(binding, lane_a)
         session.advance(3.0)
-        binding.sync(lane_a)
+        self.sync(binding, lane_a)
         # destination lane had its own (later) history
         lane_b.advance(4.5)
-        binding.rebind(lane_b)
+        self.rebind(binding, lane_b)
         assert binding.anchor == 1.5  # lane_b 4.5 minus 3.0 already served
         session.advance(2.0)
-        assert binding.sync(lane_b) == 6.5
+        assert self.sync(binding, lane_b) == 6.5
         # the first lane is untouched by rounds on the second
         assert lane_a.now == 3.0
 
     def test_anchor_handoff_roundtrip_has_no_drift(self):
         """Alternating across two shared clocks lands on exact floats."""
         lane_a, lane_b, session = SimClock(), SimClock(), SimClock()
-        binding = ClockBinding(session)
+        binding = self.handle(session)
         steps = [0.1, 0.2, 0.3, 0.4]
         for i, dt in enumerate(steps):
             lane = lane_a if i % 2 == 0 else lane_b
-            binding.rebind(lane)
+            self.rebind(binding, lane)
             session.advance(dt)
-            binding.sync(lane)
+            self.sync(binding, lane)
         # each lane was pushed to anchor + session total at its turns:
         # the reconstruction is absolute, never an accumulation of deltas
         assert lane_b.now == binding.anchor + session.now
@@ -114,25 +151,25 @@ class TestClockBinding:
     def test_sync_with_equal_timestamps_is_idempotent(self):
         """advance_to at the exact current instant must not move or raise."""
         fleet, session = SimClock(), SimClock()
-        binding = ClockBinding(session)
-        binding.rebind(fleet)
+        binding = self.handle(session)
+        self.rebind(binding, fleet)
         session.advance(1.25)
-        assert binding.sync(fleet) == 1.25
+        assert self.sync(binding, fleet) == 1.25
         # a second sync with no session progress targets the same float
-        assert binding.sync(fleet) == 1.25
+        assert self.sync(binding, fleet) == 1.25
         assert fleet.now == 1.25
 
     def test_rebind_is_stable_when_clocks_already_agree(self):
         fleet, session = SimClock(), SimClock()
-        binding = ClockBinding(session)
-        binding.rebind(fleet)
+        binding = self.handle(session)
+        self.rebind(binding, fleet)
         session.advance(2.0)
-        binding.sync(fleet)
+        self.sync(binding, fleet)
         anchor = binding.anchor
         # re-binding at the position sync just produced changes nothing
-        binding.rebind(fleet)
+        self.rebind(binding, fleet)
         assert binding.anchor == anchor
-        assert binding.sync(fleet) == fleet.now
+        assert self.sync(binding, fleet) == fleet.now
 
 
 class TestUtilSpan:

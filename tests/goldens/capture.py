@@ -60,7 +60,7 @@ def capture_solves() -> dict:
         session = server.session(
             problem, build_algorithm("beam_search", SOLVE_N), trace=True
         )
-        session.set_arrival_offsets(min(arrivals))
+        session.preempt_at = min(arrivals)
         outcome = session.run()
         cells[label] = {
             "result": outcome.result.to_json_dict(),

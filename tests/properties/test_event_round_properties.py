@@ -17,6 +17,7 @@ flush of both caches replays victim by victim.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -73,7 +74,7 @@ class EagerRound(GenerationRound):
         speculation_enabled = self._speculation
         self._eager_admit(waiting, running, outcomes, stats, selector)
         while running:
-            if self._preempt_check is not None and self._preempt_check():
+            if clock.now >= self._preempt_at:  # every span, speculating or not
                 speculation_enabled = False
                 self._eager_kill(running, heads, stats)
                 if not running and not waiting:
@@ -279,15 +280,30 @@ def make_planner(child_tokens, plain):
     return planner
 
 
-def arrival_after(checks):
-    if checks is None:
-        return None
-    seen = []
+def build_round(round_cls, worker, slot_budget, speculate, child_tokens, plain,
+                preempt_at=math.inf):
+    return round_cls(
+        worker, slot_budget=slot_budget, speculation=speculate, branching_factor=4,
+        child_planner=make_planner(child_tokens, plain) if speculate else None,
+        has_child=(lambda parent: True) if speculate else None,
+        preempt_at=preempt_at,
+    )
 
-    def check():
-        seen.append(1)
-        return len(seen) > checks
-    return check
+
+def deadline_times(specs, slot_budget, speculate, capacity, prefix, child_tokens, plain):
+    """Times before, at and between the span starts of the round run with no
+    deadline, and after the last one."""
+    worker = make_worker(capacity, prefix)
+    try:
+        build_round(GenerationRound, worker, slot_budget, speculate, child_tokens,
+                    plain).run(build_jobs(worker, specs))
+    except SchedulingError:
+        pass
+    starts = sorted({span.t_start for span in worker._spans}) or [0.0]
+    times = [starts[0] - 1.0]
+    for start, after in zip(starts, starts[1:] + [starts[-1] + 1.0]):
+        times += [start, (start + after) / 2]
+    return times
 
 
 def snapshot(worker):
@@ -309,14 +325,11 @@ def snapshot(worker):
     }
 
 
-def run_round(round_cls, specs, slot_budget, speculate, checks, capacity, prefix,
+def run_round(round_cls, specs, slot_budget, speculate, preempt_at, capacity, prefix,
               child_tokens, plain):
     worker = make_worker(capacity, prefix)
-    round_ = round_cls(
-        worker, slot_budget=slot_budget, speculation=speculate, branching_factor=4,
-        child_planner=make_planner(child_tokens, plain) if speculate else None,
-        has_child=(lambda parent: True) if speculate else None,
-        preempt_check=arrival_after(checks),
+    round_ = build_round(
+        round_cls, worker, slot_budget, speculate, child_tokens, plain, preempt_at
     )
     try:
         result = round_.run(build_jobs(worker, specs))
@@ -346,7 +359,7 @@ class TestEventRoundMatchesEagerLoop:
         specs=job_specs,
         slot_budget=st.integers(1, 8),
         speculate=st.booleans(),
-        checks=st.one_of(st.none(), st.integers(0, 12)),
+        deadline=st.one_of(st.none(), st.integers(0, 30)),
         capacity=st.sampled_from([200, 260, 360, 600, 5_000]),
         prefix=st.lists(st.integers(1, 40), max_size=3),
         child_tokens=st.lists(st.integers(1, 90), min_size=1, max_size=3),
@@ -354,9 +367,15 @@ class TestEventRoundMatchesEagerLoop:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_outcomes_books_and_lru_order(
-        self, specs, slot_budget, speculate, checks, capacity, prefix, child_tokens, plain
+        self, specs, slot_budget, speculate, deadline, capacity, prefix, child_tokens, plain
     ):
-        args = (specs, slot_budget, speculate, checks, capacity, prefix, child_tokens, plain)
+        preempt_at = math.inf
+        if deadline is not None:
+            times = deadline_times(
+                specs, slot_budget, speculate, capacity, prefix, child_tokens, plain
+            )
+            preempt_at = times[deadline % len(times)]
+        args = (specs, slot_budget, speculate, preempt_at, capacity, prefix, child_tokens, plain)
         event = run_round(GenerationRound, *args)
         eager = run_round(EagerRound, *args)
         assert event == eager
@@ -374,8 +393,8 @@ class TestEventRoundMatchesEagerLoop:
 
         monkeypatch.setattr(GenerationRound, "_pick_victim", recording)
         specs = [(97, 0.0, None), (80, 0.0, None), (120, 0.0, 0.9), (8, 0.0, None)]
-        event = run_round(GenerationRound, specs, 4, True, None, 200, [], [89], False)
+        event = run_round(GenerationRound, specs, 4, True, math.inf, 200, [], [89], False)
         monkeypatch.setattr(GenerationRound, "_pick_victim", real)
-        eager = run_round(EagerRound, specs, 4, True, None, 200, [], [89], False)
+        eager = run_round(EagerRound, specs, 4, True, math.inf, 200, [], [89], False)
         assert event == eager
         assert True in victims and False in victims

@@ -34,7 +34,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KEEP = {
     "ChildStepPlan": "the named form of a speculative planner's return, which tests' planners build; the session's planner returns the same fields as a plain tuple",
     "accounted": "LatencyBreakdown identity: the server tests assert it equals total",
-    "arrival_signalled": "read-only observer the fleet-kernel invariant tests need",
     "claims_of": "read-only KVLedger observer the ledger property tests need",
     "dominates": "Pareto predicate the frontier tests assert the reported frontier with",
     "evictable_blocks": "read-only PagedKVCache observer the cache property tests need",
