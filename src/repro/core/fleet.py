@@ -198,10 +198,10 @@ class _RequestState:
     sit on other lanes (each handle's own ``device``). ``claim_bytes``
     maps each lane index that currently holds one of this request's
     claims to what the lane was actually billed (unique planned bytes on
-    sharing lanes, the full claim elsewhere), and ``claim_segs`` to the
-    planned segments noted there, so crash handling can release exactly
-    the dead lane's share and settlement the rest — never
-    double-counting, and undoing exactly what placement charged.
+    sharing lanes, the full claim elsewhere), so crash handling can
+    release exactly the dead lane's share and settlement the rest — never
+    double-counting, and undoing exactly what placement charged. The
+    segments a sharing lane noted are its memoised ``planned_claims``.
     """
 
     request: FleetRequest
@@ -210,7 +210,6 @@ class _RequestState:
     device: PooledDevice
     start_s: float | None = None
     claim_bytes: dict[int, int] = field(default_factory=dict)
-    claim_segs: dict[int, tuple] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -361,7 +360,7 @@ class TTSFleet:
     def _admission(
         self,
         request: FleetRequest,
-        finish_times: list[float],
+        records: dict[int, FleetRequestRecord],
         running_requests: int,
     ) -> tuple[str | None, list[PooledDevice]]:
         """Admission control at arrival.
@@ -369,12 +368,13 @@ class TTSFleet:
         Returns ``(reject_reason, eligible_devices)``; exactly one of the
         two is meaningful. Checks run in the legacy order — queue depth
         first, then per-device KV feasibility, then (deny mode only)
-        ledger headroom.
+        ledger headroom. Accepted ``records`` finishing later still queue.
         """
         cap = self.spec.max_in_flight
         if cap is not None:
             in_flight = running_requests + sum(
-                1 for f in finish_times if f > request.arrival_s
+                1 for r in records.values()
+                if r.accepted and r.finish_s > request.arrival_s
             )
             if in_flight >= cap:
                 return f"queue full (max_in_flight={cap})", []
@@ -529,7 +529,6 @@ class _FleetRun:
         self.states: dict[int, _RequestState] = {}
         self.records: dict[int, FleetRequestRecord] = {}
         self.results: dict[str, ProblemRunResult] = {}
-        self.finish_times: list[float] = []
         # Accounting that must survive a request's state being rebuilt
         # (failover, escalation) or re-queued (retry), one row per seq.
         self.carry = [_Carry() for _ in self.requests]
@@ -711,9 +710,8 @@ class _FleetRun:
                 continue
             lane = self.lanes[index]
             lane.planned_kv_bytes -= st.claim_bytes.pop(index)
-            segs = st.claim_segs.pop(index, None)
-            if segs is not None:
-                lane.forget_planned_segments(segs)
+            if lane.planned_segments:
+                lane.forget_planned_segments(lane.planned_claims(st.request.problem))
             del lane.claimants[st.seq]
 
     def place(
@@ -754,7 +752,6 @@ class _FleetRun:
                 )
             session = sessions_by_lane[lane.index][replica]
             handle = SessionHandle(
-                request_id=request.request_id,
                 arrival_s=rearrival,
                 seq=seq,
                 replica=replica,
@@ -786,7 +783,6 @@ class _FleetRun:
             segs = lane.planned_claims(request.problem)
             if segs:
                 lane.note_planned_segments(segs)
-                st.claim_segs[lane.index] = segs
                 lane.planned_admitted_bytes += lane.server.plan_allocation(
                     request.algorithm.n
                 ).kv_total_bytes
@@ -803,7 +799,7 @@ class _FleetRun:
 
     def admit(self, seq: int, request: FleetRequest, now: float) -> None:
         reason, eligible = self.fleet._admission(
-            request, self.finish_times, len(self.states)
+            request, self.records, len(self.states)
         )
         lost = False
         if reason is None:
@@ -1004,7 +1000,6 @@ class _FleetRun:
             ),
         )
         self.results[request.request_id] = result
-        self.finish_times.append(lane.clock.now)
         self.release_claims(st)
         self._forget(st)
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart
+from repro.engine.jobs import GenJob, RoundStats, SpecHeadStart
 from repro.engine.telemetry import Phase
 from repro.engine.worker import GeneratorWorker
 from repro.errors import SchedulingError
@@ -95,9 +95,9 @@ class ChildStepPlan(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class GenerationRoundResult:
-    """Per-beam outcomes plus speculative head starts for the next round."""
+    """Each standard beam's finish time, and head starts by child lineage."""
 
-    outcomes: dict[tuple[int, ...], GenOutcome]
+    finished_at: dict[tuple[int, ...], float]
     head_starts: dict[tuple[int, ...], SpecHeadStart]
     stats: RoundStats
 
@@ -113,7 +113,7 @@ class _Slot:
 
     While it runs, its progress is ``offset - joined`` and it finishes at
     offset ``finish``; ``progress`` and ``remaining`` are written only
-    while it waits and by the shortfall loop. Its tail held ``tail_len``
+    at construction and by the shortfall loop. Its tail held ``tail_len``
     tokens at offset ``synced``, the last time its length was written.
     """
 
@@ -121,11 +121,8 @@ class _Slot:
     remaining: int
     context_len: int = 0  # path tokens at admission
     progress: int = 0  # decoded in this occupancy
-    prior_progress: int = 0  # decoded in an earlier occupancy (preemption)
     job: GenJob | None = None
-    spec_parent: tuple[int, ...] | None = None
-    spec_child: int = -1
-    spec_lineage: tuple[int, ...] | None = None
+    spec_lineage: tuple[int, ...] | None = None  # its head start's key
     is_spec: bool = False  # no job: a speculative continuation
     seq: int = -1  # admission number while running, else -1
     joined: int = 0
@@ -181,10 +178,10 @@ class GenerationRound:
     def run(self, jobs: list[GenJob]) -> GenerationRoundResult:
         """Run the round; ``jobs`` must already be in scheduling order."""
         stats = RoundStats()
-        outcomes: dict[tuple[int, ...], GenOutcome] = {}
+        finished_at: dict[tuple[int, ...], float] = {}
         heads: dict[tuple[int, ...], SpecHeadStart] = {}
         if not jobs:
-            return GenerationRoundResult(outcomes, heads, stats)
+            return GenerationRoundResult(finished_at, heads, stats)
 
         clock, cache, worker = self._clock, self._cache, self._worker
         start_time = clock.now
@@ -206,7 +203,7 @@ class GenerationRound:
             crossings.append({})
         self._context = self._standard_context = self._standard = 0
 
-        self._admit_standard(waiting, running, outcomes, stats, selector)
+        self._admit_standard(waiting, running, finished_at, stats, selector)
 
         while running:
             if speculation_enabled and clock.now >= preempt_at:
@@ -216,7 +213,7 @@ class GenerationRound:
                 if not running and not waiting:
                     break
                 if not running:
-                    self._admit_standard(waiting, running, outcomes, stats, selector)
+                    self._admit_standard(waiting, running, finished_at, stats, selector)
                     continue
 
             while finishes[0][1] != finishes[0][2].seq:
@@ -263,7 +260,8 @@ class GenerationRound:
             else:
                 self._shortfall(running, waiting, heads, stats, crossed[grown][1], delta)
 
-            # Retire the slots that finish at the span's end.
+            # Retire the slots that finish at the span's end: a standard
+            # beam records its finish time, a speculative one its head start.
             now, stamp_base = clock.now, self._stamp_base
             while finishes and finishes[0][0] == end:
                 _, seq, slot = heappop(finishes)
@@ -277,27 +275,18 @@ class GenerationRound:
                 self._context -= slot.context_len - slot.joined
                 if slot.is_spec:
                     stats.speculative_tokens += progress
-                    heads[slot.spec_lineage] = SpecHeadStart(
-                        parent_lineage=slot.spec_parent,
-                        child_index=slot.spec_child,
-                        tokens=progress,
-                        segment_id=slot.segment,
-                    )
+                    heads[slot.spec_lineage] = SpecHeadStart(progress, slot.segment)
                     continue
                 self._standard -= 1
                 self._standard_context -= slot.context_len - slot.joined
                 stats.decoded_tokens += progress
                 job = slot.job
-                outcomes[job.lineage] = GenOutcome(
-                    lineage=job.lineage,
-                    finish_time=now,
-                    tokens_generated=slot.prior_progress + progress,
-                )
+                finished_at[job.lineage] = now
                 if selector is not None and has_child(job.lineage):
                     selector.offer(job.lineage, job.prev_score)
 
             if waiting:
-                self._admit_standard(waiting, running, outcomes, stats, selector)
+                self._admit_standard(waiting, running, finished_at, stats, selector)
             if (
                 speculation_enabled and not waiting
                 and len(running) < capacity and selector.heap
@@ -308,8 +297,7 @@ class GenerationRound:
                 self._kill_spec_slots(running, heads, stats)
 
         stats.round_time = clock.now - start_time
-        stats.head_starts = list(heads.values())
-        return GenerationRoundResult(outcomes, heads, stats)
+        return GenerationRoundResult(finished_at, heads, stats)
 
     # -- admission and slot lifecycle --------------------------------------
 
@@ -317,7 +305,7 @@ class GenerationRound:
         self,
         waiting: deque[_Slot],
         running: list[_Slot],
-        outcomes: dict[tuple[int, ...], GenOutcome],
+        finished_at: dict[tuple[int, ...], float],
         stats: RoundStats,
         selector: SelectSpec | None,
     ) -> None:
@@ -333,8 +321,8 @@ class GenerationRound:
         joins ``running`` at the current offset, filed in the finish heap
         and its crossing bucket; one admitted already finished (a full
         head start, or a preempted beam whose decode had finished) is
-        released and recorded at once. Raises if the round is stuck: work waiting but nothing running or
-        admitted.
+        released and its finish time recorded at once. Raises if the round
+        is stuck: work waiting but nothing running or admitted.
         """
         cache = self._cache
         segments = cache.segments
@@ -360,11 +348,10 @@ class GenerationRound:
         finishes, crossings, block_tokens = self._finishes, self._crossings, self._block_tokens
         context = 0
         recomputed, hits, done = [], [], []
-        for hit_tokens, recomputed_tokens, evicted in splits:
+        for hit_tokens, recomputed_tokens, _ in splits:
             slot = waiting.popleft()
             stats.recomputed_tokens += recomputed_tokens
             stats.cache_hit_tokens += hit_tokens
-            stats.evicted_segments += evicted
             recomputed.append(recomputed_tokens)
             hits.append(hit_tokens)
             if slot.remaining == 0:
@@ -390,11 +377,7 @@ class GenerationRound:
         for slot in done:
             job = slot.job
             cache.release_tail(job.new_segment)
-            outcomes[job.lineage] = GenOutcome(
-                lineage=job.lineage,
-                finish_time=self._clock.now,
-                tokens_generated=slot.prior_progress,
-            )
+            finished_at[job.lineage] = self._clock.now
             if selector is not None and self._has_child(job.lineage):
                 selector.offer(job.lineage, job.prev_score)
         if waiting and not running:
@@ -433,8 +416,7 @@ class GenerationRound:
             claim = selector.next_branch()
             if claim is None:
                 break
-            parent_lineage, child_index = claim
-            plan = planner(parent_lineage, child_index)
+            plan = planner(*claim)
             if plan is None:
                 continue
             child_lineage, segment_id, parent_segment, n_tokens = plan
@@ -448,8 +430,6 @@ class GenerationRound:
                 segment=segment_id,
                 remaining=n_tokens,
                 context_len=hit_tokens + recomputed_tokens,
-                spec_parent=parent_lineage,
-                spec_child=child_index,
                 spec_lineage=child_lineage,
                 is_spec=True,
                 seq=admitted,
@@ -474,17 +454,12 @@ class GenerationRound:
     ) -> None:
         """Release a speculative shortfall victim (its tail is settled),
         keeping its progress as a head start."""
-        assert slot.spec_lineage is not None and slot.spec_parent is not None
+        assert slot.spec_lineage is not None
         self._cache.release_tail(slot.segment)
         self._leave(slot)
         stats.speculative_tokens += slot.progress
         if slot.progress > 0:
-            heads[slot.spec_lineage] = SpecHeadStart(
-                parent_lineage=slot.spec_parent,
-                child_index=slot.spec_child,
-                tokens=slot.progress,
-                segment_id=slot.segment,
-            )
+            heads[slot.spec_lineage] = SpecHeadStart(slot.progress, slot.segment)
 
     def _leave(self, slot: _Slot) -> None:
         """Take a shortfall victim out of its crossing bucket; its finish
@@ -517,12 +492,7 @@ class GenerationRound:
             progress = offset - slot.joined
             stats.speculative_tokens += progress
             if progress > 0:
-                heads[slot.spec_lineage] = SpecHeadStart(
-                    parent_lineage=slot.spec_parent,
-                    child_index=slot.spec_child,
-                    tokens=progress,
-                    segment_id=slot.segment,
-                )
+                heads[slot.spec_lineage] = SpecHeadStart(progress, slot.segment)
         running[:] = [slot for slot in running if not slot.is_spec]
         self._context = self._standard_context
 
@@ -641,6 +611,4 @@ class GenerationRound:
         self._cache.evict_path(slot.segment, now=self._clock.now)
         self._leave(slot)
         stats.decoded_tokens += slot.progress  # text exists; KV recomputes
-        slot.prior_progress += slot.progress
-        slot.progress = 0
         waiting.appendleft(slot)

@@ -167,16 +167,14 @@ class PooledDevice:
     batch_member_rounds: int = 0
     batch_peak_occupancy: int = 0
     # -- fault state (driven by the fleet's fault injector) ----------------
-    health: LaneHealth = LaneHealth.UP
     #: Multiplier on the lane's PCIe bandwidth (1.0 = nominal).
     link_scale: float = 1.0
     #: Current KV-budget shrink factor (1.0 = full budget).
     kv_pressure_fraction: float = 1.0
-    #: Full KV capacity, remembered across pressure windows.
-    kv_base_capacity: int | None = None
     failures: int = 0
     recoveries: int = 0
     downtime_s: float = 0.0
+    #: The crash instant while DOWN, else None (:attr:`health` reads it).
     failed_at_s: float | None = None
     stall_s: float = 0.0
 
@@ -338,9 +336,19 @@ class PooledDevice:
     # -- fault lifecycle ---------------------------------------------------
 
     @property
+    def health(self) -> LaneHealth:
+        """DOWN from a crash until its repair, DEGRADED while the link is
+        cut or the KV budget shrunk, else UP."""
+        if self.failed_at_s is not None:
+            return LaneHealth.DOWN
+        if self.link_scale != 1.0 or self.kv_pressure_fraction != 1.0:
+            return LaneHealth.DEGRADED
+        return LaneHealth.UP
+
+    @property
     def serving(self) -> bool:
         """Whether the lane can run or accept sessions (not DOWN)."""
-        return self.health is not LaneHealth.DOWN
+        return self.failed_at_s is None
 
     def fail_lane(self, now: float | None = None) -> list[str]:
         """Kill the lane: mark it DOWN and drop every resident KV owner.
@@ -351,11 +359,10 @@ class PooledDevice:
         are freed exactly when their last co-resident owner dies. Returns the
         released owner ids so the fleet can map them back to requests.
         """
-        if self.health is LaneHealth.DOWN:
+        if self.failed_at_s is not None:
             raise FaultError(f"lane {self.device_id} is already down")
         if now is not None:
             self.clock.advance_to(max(now, self.clock.now))
-        self.health = LaneHealth.DOWN
         self.failures += 1
         # The outage starts at the crash, which a lane clock that ran past
         # it must not move: the repair window is the configured MTTR.
@@ -372,7 +379,7 @@ class PooledDevice:
         — the numerator of the fleet's MTTR metric. Degradations do not
         survive a rebuild: link scale and KV budget reset to nominal.
         """
-        if self.health is not LaneHealth.DOWN:
+        if self.failed_at_s is None:
             raise FaultError(
                 f"lane {self.device_id} is {self.health.value}, not down"
             )
@@ -383,9 +390,8 @@ class PooledDevice:
         self.failed_at_s = None
         self.link_scale = 1.0
         if self.kv_pressure_fraction != 1.0:
-            self.ledger.resize(self.kv_base_capacity)
+            self.ledger.resize(self.server.kv_budget_bytes)
             self.kv_pressure_fraction = 1.0
-        self.health = LaneHealth.UP
 
     def stall(self, duration_s: float) -> None:
         """Freeze the lane for ``duration_s``: its clock jumps, work waits."""
@@ -399,12 +405,10 @@ class PooledDevice:
         if not 0.0 < factor <= 1.0:
             raise FaultError(f"link factor must be in (0, 1] (got {factor})")
         self.link_scale = factor
-        self._refresh_health()
 
     def restore_link(self) -> None:
         """Return the PCIe link to nominal bandwidth."""
         self.link_scale = 1.0
-        self._refresh_health()
 
     def apply_kv_pressure(self, fraction: float) -> list[tuple[str, int]]:
         """Shrink the KV budget to ``fraction`` of capacity; returns evictions.
@@ -416,28 +420,18 @@ class PooledDevice:
         """
         if not 0.0 < fraction < 1.0:
             raise FaultError(f"kv fraction must be in (0, 1) (got {fraction})")
-        if self.kv_base_capacity is None:
-            self.kv_base_capacity = self.ledger.capacity_bytes
         evicted = self.ledger.resize(
-            max(1, int(self.kv_base_capacity * fraction))
+            max(1, int(self.server.kv_budget_bytes * fraction))
         )
         self.kv_pressure_fraction = fraction
-        self._refresh_health()
         return evicted
 
     def relieve_kv_pressure(self) -> None:
         """Restore the full KV budget after a pressure window."""
         if self.kv_pressure_fraction == 1.0:
             return
-        self.ledger.resize(self.kv_base_capacity)
+        self.ledger.resize(self.server.kv_budget_bytes)
         self.kv_pressure_fraction = 1.0
-        self._refresh_health()
-
-    def _refresh_health(self) -> None:
-        if self.health is LaneHealth.DOWN:
-            return
-        degraded = self.link_scale != 1.0 or self.kv_pressure_fraction != 1.0
-        self.health = LaneHealth.DEGRADED if degraded else LaneHealth.UP
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

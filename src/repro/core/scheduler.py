@@ -79,8 +79,9 @@ class SessionHandle:
     """One schedulable session plus the fleet bookkeeping around it.
 
     ``seq`` is the request's position in arrival order (ties broken by
-    submission order); ``replica`` distinguishes racing sessions of one
-    request. ``last_stepped`` is the fleet's turn counter at this
+    submission order) and the handle's only link to its request, whose
+    id the fleet's records carry; ``replica`` distinguishes racing
+    sessions of one request. ``last_stepped`` is the fleet's turn counter at this
     session's most recent round, ``start_s`` the fleet time service began
     (None until first picked). ``device`` is the
     :class:`~repro.core.pool.PooledDevice` lane the request was placed on
@@ -95,7 +96,6 @@ class SessionHandle:
     later admission preempts the session's speculation.
     """
 
-    request_id: str
     arrival_s: float
     seq: int
     replica: int

@@ -562,7 +562,7 @@ class SolveSession:
             self._verify_active(round_idx)
 
         survivors: list[ReasoningPath] = []
-        plans, outcomes = self._plans, self._gen_result.outcomes
+        plans, finished_at = self._plans, self._gen_result.finished_at
         final_answer, problem = self._generator.final_answer, self._problem
         for path in self._active:
             lineage = path.lineage
@@ -572,7 +572,7 @@ class SolveSession:
             # The path is done: its completion time and answer, with
             # ``path.mean_soundness``'s own expression (the same float).
             path.terminal = True
-            path.completion_time = outcomes[lineage].finish_time
+            path.completion_time = finished_at[lineage]
             soundness = path.soundness
             path.answer_correct, path.answer = final_answer(
                 problem, lineage, sum(soundness) / len(soundness) if soundness else 0.0

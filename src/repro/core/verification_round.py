@@ -86,7 +86,7 @@ class VerificationRound:
 
         done = 0
         while done < len(to_compute):
-            batch = self._pin_batch(to_compute[done : done + self._batch_size], stats)
+            batch = self._pin_batch(to_compute[done : done + self._batch_size])
             self._flush(problem, batch, scores, lookahead_scores, stats)
             done += len(batch)
 
@@ -95,9 +95,7 @@ class VerificationRound:
 
     # -- internals ---------------------------------------------------------
 
-    def _pin_batch(
-        self, jobs: list[VerifyJob], stats: RoundStats
-    ) -> list[tuple[VerifyJob, int, int, bool]]:
+    def _pin_batch(self, jobs: list[VerifyJob]) -> list[tuple[VerifyJob, int, int, bool]]:
         """Pin a flush batch's paths, as the module docstring says. Returns
         ``(job, missing_tokens, hit_tokens, lookahead_ok)`` per pinned job:
         a prefix of ``jobs``, shorter under cache pressure."""
@@ -120,12 +118,11 @@ class VerificationRound:
         pinned = 0
         while pinned < len(leaves):
             splits = cache.pin_paths(leaves[pinned:], now=self._clock.now)
-            for owner, (hits, missing, evicted) in zip(owners[pinned:], splits):
+            for owner, (hits, missing, _) in zip(owners[pinned:], splits):
                 if owner is None:
                     job, job_missing, job_hits, _ = batch[-1]
                     batch[-1] = (job, job_missing + missing, job_hits + hits, True)
                 else:
-                    stats.evicted_segments += evicted
                     batch.append((owner, missing, hits, False))
             pinned += len(splits)
             if pinned < len(leaves):

@@ -1,7 +1,7 @@
 """Serving engine substrate: clock, telemetry, jobs, and model workers."""
 
 from repro.engine.clock import SimClock
-from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart, VerifyJob
+from repro.engine.jobs import GenJob, RoundStats, SpecHeadStart, VerifyJob
 from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilSpan
 from repro.engine.worker import GeneratorWorker, ModelWorker, VerifierWorker
 
@@ -12,7 +12,6 @@ __all__ = [
     "TokenCounters",
     "UtilSpan",
     "GenJob",
-    "GenOutcome",
     "VerifyJob",
     "SpecHeadStart",
     "RoundStats",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["GenJob", "GenOutcome", "VerifyJob", "SpecHeadStart", "RoundStats"]
+__all__ = ["GenJob", "VerifyJob", "SpecHeadStart", "RoundStats"]
 
 
 @dataclass(slots=True)
@@ -63,21 +63,11 @@ class GenJob:
 
 @dataclass(slots=True)
 class SpecHeadStart:
-    """Speculative tokens pre-generated for one prospective child beam."""
+    """Speculative tokens pre-generated for one prospective child beam,
+    filed under the child's lineage: its token count and KV segment."""
 
-    parent_lineage: tuple[int, ...]
-    child_index: int
     tokens: int
     segment_id: int
-
-
-@dataclass(slots=True)
-class GenOutcome:
-    """Result of one beam's generation step."""
-
-    lineage: tuple[int, ...]
-    finish_time: float
-    tokens_generated: int
 
 
 @dataclass(slots=True)
@@ -123,8 +113,6 @@ class RoundStats:
     speculative_tokens: int = 0
     prefilled_tokens: int = 0
     cache_hit_tokens: int = 0
-    evicted_segments: int = 0
-    head_starts: list[SpecHeadStart] = field(default_factory=list)
     #: Clock time (on the round's worker clock) at which the round's first
     #: decoded token materialized; None when the round decoded nothing.
     #: The fleet's TTFT metric reads this off a session's first round.

@@ -184,8 +184,9 @@ class KVLedger:
     Evictions are reported as ``(label, bytes)``: a private claim under
     its owner id (never for zero bytes — an owner holding nothing is not
     a write-out), a lineage segment as ``seg:<node>``. All byte movements
-    are tallied (``swapped_out_bytes`` / ``swapped_in_bytes`` and the
-    ``peak_*`` running peaks) for the per-device fleet metrics rollup.
+    are tallied (``swapped_out_bytes`` / ``swapped_in_bytes``, which the
+    ledger tests check against a reference model); the ``peak_*`` running
+    peaks feed the per-device fleet metrics rollup.
     """
 
     def __init__(self, capacity_bytes: int) -> None:

@@ -1,8 +1,9 @@
 """KV cache event accounting.
 
-Counters and an optional event trace feed the memory-behaviour figures
-(Fig. 5 beams-in-memory, Fig. 18 KV growth by scheduling order) and the
-eviction/recompute costs charged by the engine.
+The hit, recompute and eviction totals feed each solve's
+:class:`~repro.metrics.report.ProblemRunResult` (its cache hit rates and
+evicted-segment counts). The optional bounded event trace, off unless
+``trace_capacity`` is set, is what the cache property tests observe.
 """
 
 from __future__ import annotations

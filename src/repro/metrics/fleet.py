@@ -461,9 +461,9 @@ class DeviceUtilization:
     session that ran on this lane (:attr:`PooledDevice.busy_s
     <repro.core.pool.PooledDevice.busy_s>`) over the whole run, up to
     its last terminal record, so an idle lane in a badly placed
-    heterogeneous pool shows up as a near-zero row. ``migrations_in`` /
-    ``migrations_out`` read 0: no fleet path moves a live session between
-    lanes.
+    heterogeneous pool shows up as a near-zero row (swapped bytes stay on
+    the lane's ledger). ``migrations_in`` / ``migrations_out`` read 0: no
+    fleet path moves a live session between lanes.
     """
 
     device_id: str
@@ -474,8 +474,6 @@ class DeviceUtilization:
     migrations_in: int = 0
     migrations_out: int = 0
     kv_swap_s: float = 0.0
-    kv_swapped_out_bytes: int = 0
-    kv_swapped_in_bytes: int = 0
     #: Peak bytes the lane ledger saved through cross-session prefix
     #: sharing (0 where every session holds one private claim).
     kv_shared_bytes: int = 0
@@ -538,8 +536,6 @@ class DeviceUtilization:
                     busy_s=busy,
                     busy_fraction=(busy / end) if end > 0 else 0.0,
                     kv_swap_s=lane.kv_swap_s,
-                    kv_swapped_out_bytes=lane.ledger.swapped_out_bytes,
-                    kv_swapped_in_bytes=lane.ledger.swapped_in_bytes,
                     kv_shared_bytes=lane.ledger.peak_shared_bytes,
                     kv_dedup_ratio=lane.ledger.dedup_ratio,
                     kv_peak_resident_bytes=lane.ledger.peak_resident_bytes,

@@ -238,7 +238,7 @@ class TestLaneLifecycle:
         lane.recover_lane(20.0)
         assert lane.health is LaneHealth.UP
         assert lane.kv_pressure_fraction == 1.0
-        assert lane.ledger.capacity_bytes == lane.kv_base_capacity == capacity
+        assert lane.ledger.capacity_bytes == lane.server.kv_budget_bytes == capacity
 
     def test_stall_freezes_clock(self):
         lane, _ = self.lane()

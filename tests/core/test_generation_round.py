@@ -48,6 +48,13 @@ def plan_child(parent_lineage, child_index, tokens=32):
     )
 
 
+def assert_whole_steps(result, worker, jobs):
+    """Every beam finished, and its KV tail holds its whole step."""
+    assert set(result.finished_at) == {job.lineage for job in jobs}
+    for job in jobs:
+        assert worker.cache.segment(job.new_segment).token_len == job.step_tokens
+
+
 def children(tokens=32):
     """The speculation seam for beams that all can have children: the
     ``child_planner`` and ``has_child`` keyword arguments of a round."""
@@ -63,13 +70,12 @@ class TestBasicRound:
         round_ = GenerationRound(worker, slot_budget=8)
         jobs = [make_job(i, 10 + i) for i in range(4)]
         result = round_.run(jobs)
-        assert set(result.outcomes) == {(0,), (1,), (2,), (3,)}
-        for i in range(4):
-            assert result.outcomes[(i,)].tokens_generated == 10 + i
+        assert_whole_steps(result, worker, jobs)
+        assert result.stats.decoded_tokens == sum(10 + i for i in range(4))
 
     def test_empty_round(self):
         result = GenerationRound(make_worker(), slot_budget=4).run([])
-        assert result.outcomes == {}
+        assert result.finished_at == {}
         assert result.stats.round_time == 0.0
 
     def test_shorter_beams_finish_earlier(self):
@@ -77,9 +83,7 @@ class TestBasicRound:
         result = GenerationRound(worker, slot_budget=8).run(
             [make_job(0, 10), make_job(1, 100)]
         )
-        assert (
-            result.outcomes[(0,)].finish_time < result.outcomes[(1,)].finish_time
-        )
+        assert result.finished_at[(0,)] < result.finished_at[(1,)]
 
     def test_round_time_set_by_straggler(self):
         worker = make_worker()
@@ -87,7 +91,7 @@ class TestBasicRound:
             [make_job(0, 10), make_job(1, 200)]
         )
         assert result.stats.round_time == pytest.approx(
-            result.outcomes[(1,)].finish_time, rel=0.01
+            result.finished_at[(1,)], rel=0.01
         )
 
     def test_decoded_tokens_counted(self):
@@ -99,26 +103,27 @@ class TestBasicRound:
     def test_head_start_reduces_decoding(self):
         worker = make_worker()
         worker.cache.register_segment(2000, PROMPT_SEG, 15)  # pre-generated
-        result = GenerationRound(worker, slot_budget=4).run(
-            [make_job(0, 40, head=15)]
-        )
-        assert result.outcomes[(0,)].tokens_generated == 25
+        jobs = [make_job(0, 40, head=15)]
+        result = GenerationRound(worker, slot_budget=4).run(jobs)
+        assert_whole_steps(result, worker, jobs)
+        assert result.stats.decoded_tokens == 25
 
     def test_full_head_start_instant_finish(self):
         worker = make_worker()
         worker.cache.register_segment(2000, PROMPT_SEG, 40)
-        result = GenerationRound(worker, slot_budget=4).run(
-            [make_job(0, 40, head=40)]
-        )
-        assert result.outcomes[(0,)].tokens_generated == 0
+        jobs = [make_job(0, 40, head=40)]
+        result = GenerationRound(worker, slot_budget=4).run(jobs)
+        assert_whole_steps(result, worker, jobs)
+        assert result.stats.decoded_tokens == 0
 
 
 class TestWaves:
     def test_slot_budget_respected(self):
         worker = make_worker()
         round_ = GenerationRound(worker, slot_budget=2)
-        result = round_.run([make_job(i, 20) for i in range(6)])
-        assert len(result.outcomes) == 6
+        jobs = [make_job(i, 20) for i in range(6)]
+        result = round_.run(jobs)
+        assert_whole_steps(result, worker, jobs)
         for span in worker._spans:
             assert span.busy_slots <= 2
 
@@ -128,7 +133,7 @@ class TestWaves:
         round_ = GenerationRound(worker, slot_budget=2)
         result = round_.run([make_job(0, 5), make_job(1, 50), make_job(2, 5)])
         # job 2 starts when job 0's slot frees, well before job 1 ends
-        assert result.outcomes[(2,)].finish_time < result.outcomes[(1,)].finish_time
+        assert result.finished_at[(2,)] < result.finished_at[(1,)]
 
     def test_stall_detected(self):
         worker = make_worker(capacity_tokens=96)  # prompt barely fits
@@ -259,7 +264,7 @@ class TestSpeculation:
         worker = make_worker()
         result = spec_round(worker, preempt_at=preempt_at).run(jobs)
         # standard work still completes; speculation was cut short
-        assert set(result.outcomes) == {(0,), (1,), (2,)}
+        assert set(result.finished_at) == {(0,), (1,), (2,)}
         assert 0 < result.stats.speculative_tokens < free.stats.speculative_tokens
         assert free_worker._spans[-1].speculative_slots > 0
         assert all(
@@ -282,7 +287,7 @@ class TestSpeculation:
         result = GenerationRound(
             make_worker(), slot_budget=2, preempt_at=deadline,
         ).run([make_job(0, 5), make_job(1, 400)])
-        assert set(result.outcomes) == {(0,), (1,)}
+        assert set(result.finished_at) == {(0,), (1,)}
         assert deadline.reads == 0
         spec = GenerationRound(
             make_worker(), slot_budget=2, speculation=True, branching_factor=4,
@@ -347,17 +352,16 @@ class TestSlotChurn:
         worker = make_worker()
         round_ = GenerationRound(worker, slot_budget=2)
         lengths = [5, 80, 10, 15, 20]
-        result = round_.run([make_job(i, n) for i, n in enumerate(lengths)])
-        assert set(result.outcomes) == {(i,) for i in range(5)}
-        for i, n in enumerate(lengths):
-            assert result.outcomes[(i,)].tokens_generated == n
+        jobs = [make_job(i, n) for i, n in enumerate(lengths)]
+        result = round_.run(jobs)
+        assert_whole_steps(result, worker, jobs)
         for span in worker._spans:
             assert span.busy_slots <= 2
         # Jobs 2..4 only run in slots freed mid-burst, so each must start
         # strictly inside the round, not at t=0 with the first wave.
-        finishes = sorted(result.outcomes[(i,)].finish_time for i in range(5))
+        finishes = sorted(result.finished_at.values())
         assert finishes[0] < finishes[-1]
-        assert result.outcomes[(4,)].finish_time < result.outcomes[(1,)].finish_time
+        assert result.finished_at[(4,)] < result.finished_at[(1,)]
 
     def test_stuck_batch_raises_scheduling_error(self):
         """A waiting beam that can never be admitted must raise, not spin."""
@@ -418,7 +422,10 @@ class TestAdmissionOrderDeterminism:
 
     def run_order(self, order):
         jobs = [make_job(i, self.LENGTHS[i]) for i in order]
-        return GenerationRound(make_worker(), slot_budget=8).run(jobs)
+        worker = make_worker()
+        result = GenerationRound(worker, slot_budget=8).run(jobs)
+        assert_whole_steps(result, worker, jobs)
+        return result
 
     def test_reordered_admission_identical_round(self):
         forward = self.run_order(range(6))
@@ -427,11 +434,6 @@ class TestAdmissionOrderDeterminism:
         assert shuffled.stats.decoded_tokens == forward.stats.decoded_tokens
         assert shuffled.stats.prefilled_tokens == forward.stats.prefilled_tokens
         assert shuffled.stats.first_token_time == forward.stats.first_token_time
-        for lineage, outcome in forward.outcomes.items():
-            assert (
-                shuffled.outcomes[lineage].tokens_generated
-                == outcome.tokens_generated
-            )
 
     def test_reversed_admission_identical_round(self):
         forward = self.run_order(range(6))
@@ -444,15 +446,15 @@ class TestAlgorithmicEquivalence:
     def test_outcome_tokens_independent_of_speculation(self):
         """Speculation changes timing, never the generated step lengths."""
         jobs = [make_job(i, 20 + 7 * i, score=0.5) for i in range(4)]
-        plain = GenerationRound(make_worker(), slot_budget=4).run(
-            [make_job(i, 20 + 7 * i, score=0.5) for i in range(4)]
-        )
+        plain_worker, spec_worker = make_worker(), make_worker()
+        plain = GenerationRound(plain_worker, slot_budget=4).run(jobs)
         spec = GenerationRound(
-            make_worker(), slot_budget=4, speculation=True, branching_factor=4,
+            spec_worker, slot_budget=4, speculation=True, branching_factor=4,
             **children(),
         ).run(jobs)
-        for lineage, outcome in plain.outcomes.items():
-            assert spec.outcomes[lineage].tokens_generated == outcome.tokens_generated
+        assert_whole_steps(plain, plain_worker, jobs)
+        assert_whole_steps(spec, spec_worker, jobs)
+        assert spec.stats.decoded_tokens == plain.stats.decoded_tokens
 
 
 class TestWorkAtEvents:

@@ -322,8 +322,7 @@ class TestPrefixAffinityScheduler:
                 problem, algorithm, session_id=f"req-{seq:04d}/r0"
             )
             return SessionHandle(
-                request_id=f"req-{seq:04d}", arrival_s=arrival, seq=seq,
-                replica=0, session=session,
+                arrival_s=arrival, seq=seq, replica=0, session=session,
             )
 
         handles = [

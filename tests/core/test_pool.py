@@ -47,7 +47,7 @@ def drain(dataset, devices, rate, size=None, n=4, mf=0.9, scheduler="fifo",
 def make_handle(lane, problem, n=4):
     session = lane.server.session(problem, build_algorithm("beam_search", n))
     return SessionHandle(
-        request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
+        arrival_s=0.0, seq=0, replica=0,
         session=session, device=lane, anchor=lane.clock.now,
     )
 

@@ -42,13 +42,21 @@ def job(i, tokens):
     )
 
 
+def assert_whole_steps(result, worker, jobs):
+    """Every beam finished, and its KV tail holds its whole step."""
+    assert set(result.finished_at) == {job.lineage for job in jobs}
+    for job in jobs:
+        assert worker.cache.segment(job.new_segment).token_len == job.step_tokens
+
+
 class TestGenerationUnderPressure:
     def test_waves_form_when_memory_binds(self):
         # capacity: prompt (64) + ~2 concurrent steps of 128 and headroom
         worker = gen_worker(capacity_tokens=400)
         round_ = GenerationRound(worker, slot_budget=8)
-        result = round_.run([job(i, 128) for i in range(6)])
-        assert len(result.outcomes) == 6
+        jobs = [job(i, 128) for i in range(6)]
+        result = round_.run(jobs)
+        assert_whole_steps(result, worker, jobs)
         # memory admitted only a subset concurrently -> multiple waves
         peak_busy = max(s.busy_slots for s in worker._spans)
         assert peak_busy < 6
@@ -60,18 +68,19 @@ class TestGenerationUnderPressure:
         round_ = GenerationRound(worker, slot_budget=8)
         # can_fit at admission passes (steps claim little at first), but
         # combined growth exceeds the pool mid-decode.
-        result = round_.run([job(0, 120), job(1, 120), job(2, 120)])
-        assert {o.tokens_generated for o in result.outcomes.values()} == {120}
+        jobs = [job(0, 120), job(1, 120), job(2, 120)]
+        result = round_.run(jobs)
+        assert_whole_steps(result, worker, jobs)
+        assert result.stats.decoded_tokens == 360
 
     def test_all_work_conserved_under_pressure(self):
-        relaxed = GenerationRound(gen_worker(100_000), slot_budget=8).run(
-            [job(i, 100 + i) for i in range(5)]
-        )
-        tight = GenerationRound(gen_worker(420), slot_budget=8).run(
-            [job(i, 100 + i) for i in range(5)]
-        )
-        for lineage, outcome in relaxed.outcomes.items():
-            assert tight.outcomes[lineage].tokens_generated >= outcome.tokens_generated
+        jobs = [job(i, 100 + i) for i in range(5)]
+        relaxed_worker, tight_worker = gen_worker(100_000), gen_worker(420)
+        relaxed = GenerationRound(relaxed_worker, slot_budget=8).run(jobs)
+        tight = GenerationRound(tight_worker, slot_budget=8).run(jobs)
+        assert_whole_steps(relaxed, relaxed_worker, jobs)
+        assert_whole_steps(tight, tight_worker, jobs)
+        assert tight.stats.decoded_tokens == relaxed.stats.decoded_tokens == 510
         # pressure costs time, not correctness
         assert tight.stats.round_time >= relaxed.stats.round_time
 
@@ -108,11 +117,11 @@ class TestGenerationUnderPressure:
 
         monkeypatch.setattr(GenerationRound, "_pick_victim", recording_pick)
         round_ = self.spec_round(320, 163, slot_budget=3)
-        result = round_.run([job(0, 103), job(1, 17), job(2, 17)])
+        jobs = [job(0, 103), job(1, 17), job(2, 17)]
+        result = round_.run(jobs)
         assert victims == [((1, 0), 86, True)]
-        assert {k: o.tokens_generated for k, o in result.outcomes.items()} == {
-            (0,): 103, (1,): 17, (2,): 17,
-        }
+        assert_whole_steps(result, round_._worker, jobs)
+        assert result.stats.decoded_tokens == 137
         heads = {lineage: h.tokens for lineage, h in result.head_starts.items()}
         assert heads == {(1, 0): 86, (1, 1): 86}
 
@@ -136,13 +145,16 @@ class TestGenerationUnderPressure:
 
         monkeypatch.setattr(GenerationRound, "_kill_spec_slots", recording_kill)
         round_ = self.spec_round(200, 100, preempt_at=arrival)
-        result = round_.run([job(0, 10), job(1, 60)])
+        jobs = [job(0, 10), job(1, 60)]
+        result = round_.run(jobs)
         assert ([True], 0) in states  # the kill left the batch empty
-        assert {k: o.tokens_generated for k, o in result.outcomes.items()} == {
-            (0,): 10, (1,): 60,
-        }
-        # the head start is what the slot decoded before the arrival
-        assert [(h.parent_lineage, h.tokens) for h in result.head_starts.values()] == [((0,), 60)]
+        assert_whole_steps(result, round_._worker, jobs)
+        assert result.stats.decoded_tokens == 70
+        # the head start is what the slot decoded before the arrival; its
+        # key is the child lineage, whose parent is beam 0
+        assert [
+            (lineage[:-1], h.tokens) for lineage, h in result.head_starts.items()
+        ] == [((0,), 60)]
 
     def test_speculation_never_steals_standard_memory(self):
         worker = gen_worker(capacity_tokens=360)
@@ -159,10 +171,11 @@ class TestGenerationUnderPressure:
             worker, slot_budget=4, speculation=True, branching_factor=4,
             child_planner=planner, has_child=lambda parent: True,
         )
-        result = round_.run([job(0, 20), job(1, 150)])
+        jobs = [job(0, 20), job(1, 150)]
+        result = round_.run(jobs)
         # both standard jobs complete in full despite greedy spec demand
-        assert result.outcomes[(0,)].tokens_generated == 20
-        assert result.outcomes[(1,)].tokens_generated == 150
+        assert_whole_steps(result, worker, jobs)
+        assert result.stats.decoded_tokens == 170
 
 
 class TestVerificationUnderPressure:

@@ -260,8 +260,7 @@ def backlogs(draw):
         for replica in sorted(alive):
             stepped = draw(st.booleans())
             handles.append(SessionHandle(
-                request_id=f"req-{seq:04d}", arrival_s=arrival, seq=seq,
-                replica=replica,
+                arrival_s=arrival, seq=seq, replica=replica,
                 session=SimpleNamespace(
                     session_id=f"req-{seq:04d}/r{replica}", problem=problem
                 ),
@@ -298,8 +297,7 @@ class TestPickOrder:
     @pytest.mark.parametrize("name", SCHEDULERS.names())
     def test_the_reference_table_lists_every_keyed_policy(self, name):
         handle = SessionHandle(
-            request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
-            session=None,
+            arrival_s=0.0, seq=0, replica=0, session=None,
         )
         declared = SCHEDULERS.build(name).order_key(handle) is not None
         assert declared == (name in ORDER_KEYED)

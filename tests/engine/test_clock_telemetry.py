@@ -84,7 +84,7 @@ class TestClockBinding:
     @staticmethod
     def handle(session):
         return SessionHandle(
-            request_id="req-0000", arrival_s=0.0, seq=0, replica=0,
+            arrival_s=0.0, seq=0, replica=0,
             session=SimpleNamespace(clock=session),
         )
 

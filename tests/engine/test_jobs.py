@@ -71,7 +71,5 @@ class TestVerifyJob:
 
 class TestSpecHeadStart:
     def test_fields(self):
-        head = SpecHeadStart(parent_lineage=(1,), child_index=2, tokens=30,
-                             segment_id=99)
-        assert head.parent_lineage == (1,)
-        assert head.tokens == 30
+        head = SpecHeadStart(tokens=30, segment_id=99)
+        assert (head.tokens, head.segment_id) == (30, 99)

@@ -7,8 +7,8 @@ the whole batch (each tail's length, LRU stamp and change mark written
 per span), one pass advancing every slot and one retiring the finished.
 :class:`GenerationRound` keeps an offset, finish and block-crossing
 heaps, and writes a tail's length, stamp and mark when it leaves. Run on
-twin caches, the two must agree on everything observable: outcomes, head
-starts, round statistics, the clock, every segment's length, blocks,
+twin caches, the two must agree on everything observable: finish times,
+head starts, round statistics, the clock, every segment's length, blocks,
 residency and pins, the cache totals and statistics (its trace holds
 every allocation and every eviction victim, in order), the set of
 changed segments, and the LRU order of every segment, which a final
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.core.spec_select import SelectSpec
 from repro.engine.clock import SimClock
-from repro.engine.jobs import GenJob, GenOutcome, RoundStats, SpecHeadStart
+from repro.engine.jobs import GenJob, RoundStats, SpecHeadStart
 from repro.engine.telemetry import Phase, PhaseTimer
 from repro.engine.worker import GeneratorWorker
 from repro.errors import SchedulingError
@@ -46,10 +46,7 @@ class _EagerSlot:
     remaining: int
     context_len: int = 0
     progress: int = 0
-    prior_progress: int = 0
     job: GenJob | None = None
-    spec_parent: tuple[int, ...] | None = None
-    spec_child: int = -1
     spec_lineage: tuple[int, ...] | None = None
     is_spec: bool = False
 
@@ -59,9 +56,9 @@ class EagerRound(GenerationRound):
 
     def run(self, jobs):
         stats = RoundStats()
-        outcomes, heads = {}, {}
+        finished_at, heads = {}, {}
         if not jobs:
-            return outcomes, heads, stats
+            return finished_at, heads, stats
         clock, cache = self._clock, self._cache
         start_time = clock.now
         waiting = deque(
@@ -72,7 +69,7 @@ class EagerRound(GenerationRound):
         running = []
         capacity = min(self._slot_budget, max(1, len(jobs)))
         speculation_enabled = self._speculation
-        self._eager_admit(waiting, running, outcomes, stats, selector)
+        self._eager_admit(waiting, running, finished_at, stats, selector)
         while running:
             if clock.now >= self._preempt_at:  # every span, speculating or not
                 speculation_enabled = False
@@ -80,7 +77,7 @@ class EagerRound(GenerationRound):
                 if not running and not waiting:
                     break
                 if not running:
-                    self._eager_admit(waiting, running, outcomes, stats, selector)
+                    self._eager_admit(waiting, running, finished_at, stats, selector)
                     continue
             delta = min(slot.remaining for slot in running)
             busy = len(running)
@@ -104,20 +101,17 @@ class EagerRound(GenerationRound):
                     self._eager_finish_spec(slot, heads, stats)
                 else:
                     stats.decoded_tokens += slot.progress
-                    self._eager_finish(
-                        slot.job, slot.prior_progress + slot.progress, outcomes, selector
-                    )
+                    self._eager_finish(slot.job, finished_at, selector)
             running = still_running
-            self._eager_admit(waiting, running, outcomes, stats, selector)
+            self._eager_admit(waiting, running, finished_at, stats, selector)
             if speculation_enabled and not waiting:
                 self._eager_fill(running, selector, capacity)
             if not waiting and running and not any(not s.is_spec for s in running):
                 self._eager_kill(running, heads, stats)
         stats.round_time = clock.now - start_time
-        stats.head_starts = list(heads.values())
-        return outcomes, heads, stats
+        return finished_at, heads, stats
 
-    def _eager_admit(self, waiting, running, outcomes, stats, selector):
+    def _eager_admit(self, waiting, running, finished_at, stats, selector):
         cache = self._cache
         free = self._slot_budget - len(running)
         leaves, grow = [], []
@@ -137,11 +131,10 @@ class EagerRound(GenerationRound):
                 free -= 1
         splits = cache.pin_paths(leaves, self._clock.now, grow) if leaves else []
         recomputed, hits, done = [], [], []
-        for hit_tokens, recomputed_tokens, evicted in splits:
+        for hit_tokens, recomputed_tokens, _ in splits:
             slot = waiting.popleft()
             stats.recomputed_tokens += recomputed_tokens
             stats.cache_hit_tokens += hit_tokens
-            stats.evicted_segments += evicted
             recomputed.append(recomputed_tokens)
             hits.append(hit_tokens)
             if slot.remaining == 0:
@@ -154,16 +147,13 @@ class EagerRound(GenerationRound):
                 recomputed, hits, phase=Phase.GENERATION, capacity_slots=self._slot_budget
             )
         for slot in done:
-            self._eager_finish(slot.job, slot.prior_progress, outcomes, selector)
+            self._eager_finish(slot.job, finished_at, selector)
         if waiting and not running:
             raise SchedulingError("generation round stalled")
 
-    def _eager_finish(self, job, tokens_generated, outcomes, selector):
+    def _eager_finish(self, job, finished_at, selector):
         self._cache.unpin_path(job.new_segment)
-        outcomes[job.lineage] = GenOutcome(
-            lineage=job.lineage, finish_time=self._clock.now,
-            tokens_generated=tokens_generated,
-        )
+        finished_at[job.lineage] = self._clock.now
         if selector is not None and self._has_child(job.lineage):
             selector.offer(job.lineage, job.prev_score)
 
@@ -180,8 +170,7 @@ class EagerRound(GenerationRound):
             claim = selector.next_branch()
             if claim is None:
                 return
-            parent_lineage, child_index = claim
-            plan = self._child_planner(parent_lineage, child_index)
+            plan = self._child_planner(*claim)
             if plan is None:
                 continue
             child_lineage, segment_id, parent_segment, n_tokens = plan
@@ -194,7 +183,6 @@ class EagerRound(GenerationRound):
             running.append(_EagerSlot(
                 segment=segment_id, remaining=n_tokens,
                 context_len=hit_tokens + recomputed_tokens,
-                spec_parent=parent_lineage, spec_child=child_index,
                 spec_lineage=child_lineage, is_spec=True,
             ))
 
@@ -202,10 +190,7 @@ class EagerRound(GenerationRound):
         self._cache.unpin_path(slot.segment)
         stats.speculative_tokens += slot.progress
         if slot.progress > 0:
-            heads[slot.spec_lineage] = SpecHeadStart(
-                parent_lineage=slot.spec_parent, child_index=slot.spec_child,
-                tokens=slot.progress, segment_id=slot.segment,
-            )
+            heads[slot.spec_lineage] = SpecHeadStart(slot.progress, slot.segment)
 
     def _eager_kill(self, running, heads, stats):
         for slot in running:
@@ -232,7 +217,6 @@ class EagerRound(GenerationRound):
                 cache.unpin_path(victim.segment)
                 cache.evict_path(victim.segment, now=now)
                 stats.decoded_tokens += victim.progress
-                victim.prior_progress += victim.progress
                 victim.progress = 0
                 waiting.appendleft(victim)
             running.remove(victim)
@@ -336,7 +320,7 @@ def run_round(round_cls, specs, slot_budget, speculate, preempt_at, capacity, pr
     except SchedulingError:
         return "stalled", snapshot(worker)
     if round_cls is GenerationRound:
-        result = (result.outcomes, result.head_starts, result.stats)
+        result = (result.finished_at, result.head_starts, result.stats)
     state = snapshot(worker)
     worker.cache.evict_all(now=worker.clock.now)  # replay the LRU order
     state["flush"] = worker.cache.stats.trace[len(state["stats"].trace):]

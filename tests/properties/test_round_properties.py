@@ -2,7 +2,7 @@
 
 Random job mixes (lengths, head starts, scores) drive the round under
 plain and speculative configurations; conservation invariants must hold
-regardless: every job finishes exactly its planned tokens, finish times
+regardless: every job finishes with exactly its planned tokens, finish times
 are consistent with the straggler, and speculation never perturbs any of
 it.
 """
@@ -90,20 +90,18 @@ class TestGenerationRoundProperties:
         jobs = build_jobs(worker, specs)
         result = round_.run(list(jobs))
 
-        # every job produced exactly its remaining tokens
-        assert set(result.outcomes) == {j.lineage for j in jobs}
+        # every job finished with its whole step in its KV tail, and the
+        # round decoded exactly the jobs' remaining tokens
+        assert set(result.finished_at) == {j.lineage for j in jobs}
         for job in jobs:
-            assert (
-                result.outcomes[job.lineage].tokens_generated
-                == job.remaining_tokens
-            )
+            assert worker.cache.segment(job.new_segment).token_len == job.step_tokens
         assert result.stats.decoded_tokens == sum(
             j.remaining_tokens for j in jobs
         )
         # finish times never exceed the round end
         end = worker.clock.now
-        for outcome in result.outcomes.values():
-            assert outcome.finish_time <= end + 1e-9
+        for finish_time in result.finished_at.values():
+            assert finish_time <= end + 1e-9
         # head starts only exist under speculation and are positive
         for head in result.head_starts.values():
             assert speculate
@@ -113,16 +111,21 @@ class TestGenerationRoundProperties:
     @settings(max_examples=30, deadline=None)
     def test_speculation_is_timing_only(self, specs, slot_budget):
         plain_worker = make_worker()
-        plain = GenerationRound(plain_worker, slot_budget=slot_budget).run(
-            build_jobs(plain_worker, specs)
-        )
+        jobs = build_jobs(plain_worker, specs)
+        plain = GenerationRound(plain_worker, slot_budget=slot_budget).run(jobs)
         spec_worker = make_worker()
         spec = GenerationRound(
             spec_worker, slot_budget=slot_budget, speculation=True,
             branching_factor=4, child_planner=planner, has_child=has_child,
         ).run(build_jobs(spec_worker, specs))
-        for lineage, outcome in plain.outcomes.items():
-            assert spec.outcomes[lineage].tokens_generated == outcome.tokens_generated
+        assert set(spec.finished_at) == set(plain.finished_at)
+        assert spec.stats.decoded_tokens == plain.stats.decoded_tokens
+        for job in jobs:
+            assert (
+                spec_worker.cache.segment(job.new_segment).token_len
+                == plain_worker.cache.segment(job.new_segment).token_len
+                == job.step_tokens
+            )
 
     @given(job_specs)
     @settings(max_examples=30, deadline=None)
@@ -131,6 +134,6 @@ class TestGenerationRoundProperties:
         worker = make_worker()
         jobs = build_jobs(worker, specs)
         result = GenerationRound(worker, slot_budget=1).run(list(jobs))
-        ordered = [result.outcomes[j.lineage].finish_time for j in jobs
+        ordered = [result.finished_at[j.lineage] for j in jobs
                    if j.remaining_tokens > 0]
         assert ordered == sorted(ordered)  # strict FCFS completion order

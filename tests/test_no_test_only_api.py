@@ -17,6 +17,17 @@ Matching is by bare name, not by owner: the definitions and uses of every
 same-named function, class or method are pooled. A name used nowhere but
 defined twice is found, but a test-only method that shares its name with
 a used one elsewhere hides behind it.
+
+The same callers are scanned for write-only fields: every annotated field
+of a class body and every ``self.<name> =`` in an ``__init__`` under
+``src/repro`` must be loaded as an attribute (``obj.name`` read, an
+f-string's fields included) or named by a string literal somewhere, else
+``KEEP_FIELDS`` names it with a reason. A keyword argument, an assignment
+and an augmented assignment (``obj.name += 1``) only write. Fields pool
+by bare name too, so a field written and never read hides behind a read
+of a same-named attribute of another class (a fleet request's
+``request_id``, a session trace's ``head_starts`` count, a cache's
+``evicted_segments``).
 """
 
 import ast
@@ -48,6 +59,19 @@ KEEP = {
     "swapped_of": "read-only KVLedger observer: one owner's host-swapped bytes, for the ledger tests",
     "timeline": "the fault schedule as data: the fault determinism tests compare it",
     "total_tokens": "ReasoningPath observer: the session reads its expression inline per beam; the equivalence tests compare paths by it",
+}
+
+#: Fields only tests read, kept on purpose: name -> reason.
+KEEP_FIELDS = {
+    "allocated_tokens": "CacheStats total: the cache property tests check it against the event trace's allocations",
+    "evicted_tokens": "CacheStats total: the cache property tests check it against the event trace's evictions",
+    "swapped_in_bytes": "KVLedger tally: the ledger property tests check it against a reference model of every restore",
+    "swapped_out_bytes": "KVLedger tally: the ledger property tests check it against a reference model of every eviction",
+    "built": "stream_counts: the step-table tests count streams built per solve (ROADMAP 11)",
+    "collected": "SolveOutcome and ReferenceTrace: the equivalence tests compare the served and the reference search's finished paths",
+    "est_offload_overhead": "AllocationPlan: the allocator tests check an offloading plan prices its swap",
+    "child_lineage": "ChildStepPlan field the round unpacks by position; tests' planners build plans by name",
+    "parent_leaf_segment": "ChildStepPlan field the round unpacks by position; tests' planners build plans by name",
 }
 
 
@@ -144,16 +168,20 @@ def scan() -> tuple[Counter, Counter]:
     defined: Counter = Counter()
     for path in (ROOT / "src" / "repro").rglob("*.py"):
         defined.update(_definitions(ast.parse(path.read_text()).body))
-    callers = [
+    used: Counter = Counter()
+    for path in _callers():
+        used.update(_uses(path))
+    return defined, used
+
+
+def _callers() -> list[Path]:
+    """Every file whose uses count: tests do not."""
+    return [
         *(ROOT / "src").rglob("*.py"),
         ROOT / "run_all_experiments.py",
         *(ROOT / "examples").rglob("*.py"),
         *(ROOT / "benchmarks").rglob("*.py"),
     ]
-    used: Counter = Counter()
-    for path in callers:
-        used.update(_uses(path))
-    return defined, used
 
 
 @cache
@@ -167,6 +195,74 @@ def unused_definitions() -> tuple[str, ...]:
     ))
 
 
+def _fields(tree: ast.Module) -> list[str]:
+    """Annotated class-body fields and ``self.<name>`` targets of an
+    ``__init__``'s assignments, in every class of a module."""
+    names = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.append(node.target.id)
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Assign):
+                        targets = list(sub.targets)
+                    elif isinstance(sub, ast.AnnAssign):
+                        targets = [sub.target]
+                    else:
+                        continue
+                    while targets:
+                        target = targets.pop()
+                        if isinstance(target, (ast.Tuple, ast.List)):
+                            targets.extend(target.elts)
+                        elif (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            names.append(target.attr)
+    return names
+
+
+def _loads(path: Path) -> Counter:
+    """Attribute reads, plus string literals that are identifiers, of one
+    file. An f-string's literal text and the lines of an export
+    (:func:`_export_lines`) are skipped."""
+    tree = ast.parse(path.read_text())
+    exports = _export_lines(tree)
+    text = {
+        id(part)
+        for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+        for part in node.values if isinstance(part, ast.Constant)
+    }
+    counts: Counter = Counter()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in exports:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            counts[node.attr] += 1
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in text and node.value.isidentifier()
+        ):
+            counts[node.value] += 1
+    return counts
+
+
+@cache
+def write_only_fields() -> tuple[str, ...]:
+    """Fields defined under ``src/repro`` that no caller reads."""
+    defined: set[str] = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        defined.update(_fields(ast.parse(path.read_text())))
+    read: Counter = Counter()
+    for path in _callers():
+        read.update(_loads(path))
+    return tuple(sorted(name for name in defined if not read[name]))
+
+
 def test_every_definition_has_a_caller_outside_tests():
     unused = set(unused_definitions())
     assert sorted(unused - KEEP.keys()) == [], (
@@ -178,6 +274,52 @@ def test_every_definition_has_a_caller_outside_tests():
 def test_keep_names_only_what_the_scan_finds():
     """A KEEP entry whose name gained a caller, or lost its definition, goes."""
     assert sorted(KEEP.keys() - set(unused_definitions())) == []
+
+
+def test_every_field_is_read_outside_tests():
+    unread = set(write_only_fields())
+    assert sorted(unread - KEEP_FIELDS.keys()) == [], (
+        "a field under src/ that only its writers and tests touch: delete "
+        "it, or give it a KEEP_FIELDS entry with a reason"
+    )
+
+
+def test_keep_fields_names_only_what_the_scan_finds():
+    """A KEEP_FIELDS entry whose field gained a reader, or went, goes."""
+    assert sorted(KEEP_FIELDS.keys() - set(write_only_fields())) == []
+
+
+def test_a_read_is_an_attribute_load_or_an_identifier_literal(tmp_path):
+    source = tmp_path / "reader.py"
+    source.write_text(
+        '"""Docstring naming in_docstring."""\n'
+        "obj.written = 1\n"
+        "obj.counted += 1\n"
+        "Record(keyword=2)\n"
+        "value = obj.read + getattr(obj, 'looked_up')\n"
+        "label = f'{obj.formatted} literal_text'\n"
+    )
+    reads = _loads(source)
+    assert reads["read"] == reads["looked_up"] == reads["formatted"] == 1
+    for absent in ("written", "counted", "keyword", "literal_text", "in_docstring"):
+        assert reads[absent] == 0
+
+
+def test_fields_are_annotations_and_init_assignments():
+    tree = ast.parse(
+        "class Record:\n"
+        "    annotated: int\n"
+        "    plain = 0\n"
+        "    def __init__(self):\n"
+        "        self.first = self.chained = 0\n"
+        "        self.left, (self.right, local) = 1, (2, 3)\n"
+        "        self.typed: int = 4\n"
+        "    def later(self):\n"
+        "        self.outside = 5\n"
+    )
+    assert sorted(_fields(tree)) == [
+        "annotated", "chained", "first", "left", "right", "typed",
+    ]
 
 
 def test_a_use_is_a_name_token_or_an_identifier_literal(tmp_path):
