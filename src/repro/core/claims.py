@@ -2,13 +2,12 @@
 
 A lane's :class:`~repro.hardware.memory.KVLedger` refcounts
 :class:`~repro.hardware.memory.KVSegment` claims on lane-tree node ids;
-this module is the one place those names are made. :func:`planned_claims`
+this module is the only place those names are made. :func:`planned_claims`
 names the prompt roots a session would register before it exists (dedup
 billing and ``prefix_affinity`` placement probe with them), and each
-session's :class:`ClaimNames` names its resident KV, whole or as the
-delta since its last report. How a lane uses the names (one private
-claim per session when ``kv_sharing="off"``) stays with
-:meth:`~repro.core.pool.PooledDevice.session_claims`.
+session's :class:`ClaimNames` names its resident KV: as its lineage, whole
+or as the delta since its last report, or as one private root claim.
+:meth:`~repro.core.pool.PooledDevice.session_claims` picks one per lane.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class ClaimNames:
     namespaced session keeps its own.
     """
 
-    __slots__ = ("_views", "_namespace", "_node_ids")
+    __slots__ = ("_views", "_namespace", "_node_ids", "_private")
 
     def __init__(self, table: dict) -> None:
         # What the last report described; no caches before the first,
@@ -90,6 +89,19 @@ class ClaimNames:
         # Lane node ids by (model tag, segment id), for one namespace.
         self._namespace: str | None = None
         self._node_ids: dict = table
+        self._private: int | None = None  # the private claim's node id
+
+    def private(self, session: "SolveSession") -> tuple[tuple[KVSegment, ...], None]:
+        """The whole footprint as one root claim nobody else names, as the
+        whole list (``((), None)`` while none of it is on the device); the
+        id, from the session id, is the same on every lane."""
+        num_bytes = session.resident_kv_bytes
+        if not num_bytes:
+            return (), None
+        node_id = self._private
+        if node_id is None:
+            node_id = self._private = stable_hash64("kv-private", session.session_id)
+        return (KVSegment(node_id, None, num_bytes),), None
 
     def resident(self, session: "SolveSession") -> tuple[KVSegment, ...]:
         """Every device-resident segment as a claim, parents first.

@@ -64,7 +64,7 @@ spec reproduces the pre-pool fleet byte for byte (pinned by
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.core.batcher import RoundBatcher
@@ -360,7 +360,7 @@ class TTSFleet:
     def _admission(
         self,
         request: FleetRequest,
-        records: dict[int, FleetRequestRecord],
+        accepted_finishes: list[float],
         running_requests: int,
     ) -> tuple[str | None, list[PooledDevice]]:
         """Admission control at arrival.
@@ -368,13 +368,15 @@ class TTSFleet:
         Returns ``(reject_reason, eligible_devices)``; exactly one of the
         two is meaningful. Checks run in the legacy order — queue depth
         first, then per-device KV feasibility, then (deny mode only)
-        ledger headroom. Accepted ``records`` finishing later still queue.
+        ledger headroom. Accepted requests finishing after the arrival
+        still queue: ``accepted_finishes`` is their finish times, sorted.
         """
         cap = self.spec.max_in_flight
         if cap is not None:
-            in_flight = running_requests + sum(
-                1 for r in records.values()
-                if r.accepted and r.finish_s > request.arrival_s
+            in_flight = (
+                running_requests
+                + len(accepted_finishes)
+                - bisect_right(accepted_finishes, request.arrival_s)
             )
             if in_flight >= cap:
                 return f"queue full (max_in_flight={cap})", []
@@ -433,7 +435,7 @@ def _charge_swap(
     lane: PooledDevice,
     handle: SessionHandle,
     restored: int,
-    evicted: list[tuple[str, int]],
+    evicted: list[tuple[int, int]],
 ) -> None:
     """Charge PCIe time for ledger traffic to the session that caused it."""
     dt = sum(lane.link.transfer_time(num_bytes) for _, num_bytes in evicted)
@@ -528,6 +530,9 @@ class _FleetRun:
         self.lanes = list(fleet._pool)
         self.states: dict[int, _RequestState] = {}
         self.records: dict[int, FleetRequestRecord] = {}
+        # Finish times of the accepted records, sorted: the in-flight
+        # count ``max_in_flight`` admission bisects.
+        self.accepted_finishes: list[float] = []
         self.results: dict[str, ProblemRunResult] = {}
         # Accounting that must survive a request's state being rebuilt
         # (failover, escalation) or re-queued (retry), one row per seq.
@@ -692,6 +697,8 @@ class _FleetRun:
         )
         fields.update(outcome)
         record = self.records[seq] = FleetRequestRecord(**fields)
+        if record.accepted:
+            insort(self.accepted_finishes, record.finish_s)
         return record
 
     # -- admission and placement -----------------------------------------
@@ -799,7 +806,7 @@ class _FleetRun:
 
     def admit(self, seq: int, request: FleetRequest, now: float) -> None:
         reason, eligible = self.fleet._admission(
-            request, self.records, len(self.states)
+            request, self.accepted_finishes, len(self.states)
         )
         lost = False
         if reason is None:

@@ -351,7 +351,6 @@ class GenerationRound:
         for hit_tokens, recomputed_tokens, _ in splits:
             slot = waiting.popleft()
             stats.recomputed_tokens += recomputed_tokens
-            stats.cache_hit_tokens += hit_tokens
             recomputed.append(recomputed_tokens)
             hits.append(hit_tokens)
             if slot.remaining == 0:

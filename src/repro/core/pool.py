@@ -243,19 +243,18 @@ class PooledDevice:
         lane names it to its ledger: ``(upserts, vanished)``, for
         :meth:`KVLedger.charge_growth_segments`.
 
-        A ``"prefix"`` lane relays the session's lineage changes
+        The lane only chooses between the session's two namings. A
+        ``"prefix"`` lane relays its lineage changes
         (:meth:`~repro.core.claims.ClaimNames.changes`); ``vanished`` is
         None when the session can only report its whole lineage (it was
         just rebound, or switched models under offloading), which then
         replaces every claim the ledger holds for it. An ``"off"`` lane
-        sends the one private claim, at the session's current footprint,
-        as the whole list.
+        sends its private claim, or none
+        (:meth:`~repro.core.claims.ClaimNames.private`).
         """
         if self.kv_sharing == "prefix":
             return session.claim_names.changes(session)
-        return (
-            self.ledger.private_claim(session.session_id, session.resident_kv_bytes),
-        ), None
+        return session.claim_names.private(session)
 
     def planned_claims(self, problem: "Problem") -> tuple[KVSegment, ...]:
         """The claims a session for ``problem`` would register at setup.
@@ -356,8 +355,9 @@ class PooledDevice:
         The lane clock advances to the crash instant (a dead lane cannot
         be behind the failure it suffered); the ledger releases every
         owner — walking the refcounted segment claims, so shared segments
-        are freed exactly when their last co-resident owner dies. Returns the
-        released owner ids so the fleet can map them back to requests.
+        are freed exactly when their last co-resident owner dies. Returns
+        the released owner ids: sessions that held KV here (the fleet
+        finds the requests to void through :attr:`claimants`).
         """
         if self.failed_at_s is not None:
             raise FaultError(f"lane {self.device_id} is already down")
@@ -410,7 +410,7 @@ class PooledDevice:
         """Return the PCIe link to nominal bandwidth."""
         self.link_scale = 1.0
 
-    def apply_kv_pressure(self, fraction: float) -> list[tuple[str, int]]:
+    def apply_kv_pressure(self, fraction: float) -> list[tuple[int, int]]:
         """Shrink the KV budget to ``fraction`` of capacity; returns evictions.
 
         Resident KV above the shrunk budget is evicted immediately (LRU,

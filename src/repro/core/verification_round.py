@@ -157,7 +157,7 @@ class VerificationRound:
             scores[job.lineage] = self._prm.score_step(
                 problem, job.lineage, job.step_idx, job.mean_soundness
             )
-            self._cache.unpin_path(job.new_segment)
+            self._cache.release_tail(job.new_segment)
             if lookahead_ok and job.lookahead_child is not None:
                 lookahead_scores[(job.lookahead_child, job.step_idx + 1)] = (
                     self._prm.score_step(
@@ -167,4 +167,4 @@ class VerificationRound:
                         job.lookahead_soundness,
                     )
                 )
-                self._cache.unpin_path(job.lookahead_segment)
+                self._cache.release_tail(job.lookahead_segment)

@@ -17,14 +17,9 @@ is charged by the caller via :class:`~repro.hardware.offload.OffloadLink`.
 
 There is one mechanism — refcounted :class:`KVSegment` claims over a
 per-lane :class:`~repro.kvcache.radix.RadixTree` (the paper's Sec. 4.2
-structure, lifted from one request's beams to the whole lane) — and
-sharing falls out of which claims collide. A lane that names a session's
-KV as its segment lineage lets racing replicas (First Finish Search) and
-same-problem tenants hold a common prefix once: it is charged once,
-evicted leaf-frontier first, and restored in unique bytes only. A lane
-that names the same KV as one private claim per session gets whole-session
-accounting from the same code, because a private claim collides with
-nobody.
+structure, lifted from one request's beams to the whole lane), booked
+under node ids that :mod:`repro.core.claims` names — and sharing falls
+out of which claims collide (:class:`KVLedger`).
 
 The lane tree is kept once: each segment *is* its lane-tree node (the
 ledger's segment table is the tree's own node dict, as in
@@ -39,11 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter
-from typing import Container, Iterable
+from typing import Container, Iterable, Sequence
 
 from repro.errors import CapacityError
 from repro.kvcache.radix import RadixNode, RadixTree
-from repro.utils.rng import stable_hash64
 
 __all__ = [
     "KVLedger",
@@ -56,12 +50,12 @@ __all__ = [
 class KVSegment:
     """One claim an owner reports to a :class:`KVLedger`.
 
-    ``node_id``/``parent_id`` are lane-tree node ids — for a lineage
-    claim, derived (:mod:`repro.core.claims`) from the stable ``(problem,
-    lineage, step)`` segment hashes, namespaced so only sessions whose sampled
-    content is actually identical collide; for a private claim, from the
-    owner id (:meth:`KVLedger.private_claim`). ``num_bytes`` is this
-    owner's KV bytes for the segment. Claims arrive parent-before-child.
+    ``node_id``/``parent_id`` are lane-tree node ids, all made by
+    :mod:`repro.core.claims`: for a lineage claim, from the stable
+    ``(problem, lineage, step)`` segment hashes, namespaced so only
+    sessions whose sampled content is actually identical collide; for a
+    private claim, from the session id. ``num_bytes`` is this owner's KV
+    bytes for the segment. Claims arrive parent-before-child.
     """
 
     node_id: int
@@ -118,18 +112,19 @@ class KVLedger:
     One mechanism: owners (session ids) hold :class:`KVSegment` claims
     on the nodes of a per-lane :class:`~repro.kvcache.radix.RadixTree`;
     a node claimed by N owners occupies device bytes **once** (sized by
-    its longest claim) and carries the refcount. What differs between
-    serving policies is only how a lane *names* a session's claims
-    (:class:`~repro.core.pool.PooledDevice` decides):
+    its longest claim) and carries the refcount. Only how a session's
+    claims are *named* (:mod:`repro.core.claims`, chosen per lane by
+    :meth:`~repro.core.pool.PooledDevice.session_claims`) differs
+    between serving policies:
 
     * a **lineage** — the session's resident cache segments under stable
       content ids — collides with every other session holding the same
       prefix, so racing replicas and same-problem requests bill shared
       bytes once (``kv_sharing="prefix"``);
-    * one **private claim** (:meth:`private_claim`) — a root node derived
-      from the owner id — collides with nobody, so the owner's whole
-      footprint is evicted, restored and billed as a unit
-      (``kv_sharing="off"``).
+    * one **private claim** — a root node derived from the session id —
+      collides with nobody, so the owner's whole footprint is evicted,
+      restored and billed as a unit (``kv_sharing="off"``); a session
+      with no KV on the device claims nothing and is no owner.
 
     **Deltas.** An owner reports what *changed* after each round it runs
     (:meth:`charge_growth_segments`): claims that appeared or changed
@@ -140,7 +135,8 @@ class KVLedger:
     drops nothing; a report without ``vanished`` says the list is *all*
     of the owner's claims and drops every other one. A report means "all
     of this owner's claims are on the device now": whatever of them had
-    been swapped out comes back and is billed.
+    been swapped out comes back and is billed — also when the report
+    leaves the owner no claim, since it ran on what it held.
 
     **Per-owner ticks.** Every report (and every :meth:`restore` that
     moves bytes) touches all of the owner's segments, so the ledger
@@ -181,12 +177,10 @@ class KVLedger:
       swapped out — segments a co-resident owner kept alive come back
       for free, which is the replica-racing dedup win.
 
-    Evictions are reported as ``(label, bytes)``: a private claim under
-    its owner id (never for zero bytes — an owner holding nothing is not
-    a write-out), a lineage segment as ``seg:<node>``. All byte movements
-    are tallied (``swapped_out_bytes`` / ``swapped_in_bytes``, which the
-    ledger tests check against a reference model); the ``peak_*`` running
-    peaks feed the per-device fleet metrics rollup.
+    Evictions are reported as ``(node_id, bytes)``, one per victim
+    segment, zero-byte ones included: callers bill the link's fixed
+    latency per reported segment. The ``peak_*`` running peaks feed the
+    per-device fleet metrics rollup.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -198,8 +192,6 @@ class KVLedger:
         # nothing is synced between the tree and a side table.
         self._segments: dict[int, _Segment] = self._tree._nodes
         self._owners: dict[str, _Owner] = {}
-        self._private: dict[str, int] = {}  # owner -> its private node id
-        self._labels: dict[int, str] = {}  # private node id -> owner
         self._tick = 0
         # The eviction frontier: (stamp lower bound, node), validated when
         # popped. Entries of segments that left it are dropped then.
@@ -208,8 +200,6 @@ class KVLedger:
         # changes (the property tests recompute them from the segments).
         self._resident = 0  # unique resident bytes
         self._logical = 0  # sum of every claim on a resident segment
-        self.swapped_out_bytes = 0
-        self.swapped_in_bytes = 0
         self.peak_resident_bytes = 0
         self.peak_logical_bytes = 0
         self.peak_shared_bytes = 0
@@ -359,20 +349,6 @@ class KVLedger:
             raise ValueError("planned_bytes must be non-negative")
         return max(0, planned_bytes - self.resident_overlap_bytes(claims))
 
-    # -- claim naming ----------------------------------------------------
-
-    def private_claim(self, owner: str, num_bytes: int) -> KVSegment:
-        """``owner``'s whole footprint as one root claim nobody else can name.
-
-        The node id is a stable function of the owner id (the same on
-        every lane) and memoised until :meth:`release`.
-        """
-        node = self._private.get(owner)
-        if node is None:
-            node = self._private[owner] = stable_hash64("kv-private", owner)
-            self._labels[node] = owner
-        return KVSegment(node, None, num_bytes)
-
     # -- mutation --------------------------------------------------------
 
     def _stamp(self, seg: _Segment) -> int:
@@ -486,7 +462,7 @@ class KVLedger:
         self,
         owner: str,
         state: _Owner,
-        upserts: Iterable[KVSegment],
+        upserts: Sequence[KVSegment],
         vanished: Iterable[int] | None,
     ) -> int:
         """Bring ``owner``'s claims up to date, all of them device-resident.
@@ -499,7 +475,9 @@ class KVLedger:
         as the lane-tree length. Returns the host bytes of segments that
         had been swapped out: the host copy holds the pre-growth length,
         so only those bytes cross PCIe — growth beyond them is decoded on
-        device.
+        device. A report that leaves the owner no claim at all still ran
+        on what it held (a private claim that shrank to nothing), so the
+        swapped-out claims it drops count too.
         """
         self._tick += 1
         tick = self._tick
@@ -507,13 +485,17 @@ class KVLedger:
         if vanished is None:  # the upserts are all of its claims
             upserts = list(upserts)
             vanished = nodes.difference(map(_NODE_ID, upserts))
+        from_host = 0
         for node in vanished:
             if node in nodes:
+                if node in state.swapped:  # billed if nothing is left
+                    from_host += segments[node].num_bytes
                 self._drop_claim(owner, state.tick, node)
                 nodes.discard(node)
                 state.swapped.discard(node)
                 state.stale.discard(node)
-        from_host = 0
+        if nodes or upserts:
+            from_host = 0  # it still claims KV: what it dropped stays on host
         for claim in upserts:
             node, num_bytes = claim.node_id, claim.num_bytes
             seg = segments.get(node)
@@ -565,14 +547,14 @@ class KVLedger:
         state.tick = tick
         return from_host
 
-    def _evict_for(self, need: int, keep: Container[int]) -> list[tuple[str, int]]:
+    def _evict_for(self, need: int, keep: Container[int]) -> list[tuple[int, int]]:
         """Swap out LRU leaf-frontier segments until ``need`` bytes are free.
 
-        Returns ``(label, bytes)`` per eviction so the caller can charge
+        Returns ``(node_id, bytes)`` per eviction so the caller can charge
         the PCIe writes. Stops when the deficit is covered or no victims
         remain (only ``keep`` — the running owner's own claims — is left).
         """
-        evicted: list[tuple[str, int]] = []
+        evicted: list[tuple[int, int]] = []
         if need <= 0:
             return evicted
         heap, segments, owners = self._frontier, self._segments, self._owners
@@ -598,18 +580,11 @@ class KVLedger:
             seg.resident = False
             self._resident -= seg.num_bytes
             self._logical -= seg.logical
-            self.swapped_out_bytes += seg.num_bytes
             need -= seg.num_bytes
             for owner in seg.owners:
                 owners[owner].swapped.add(victim)
             self._lost_resident_child(seg.parent_id)
-            owner = self._labels.get(victim)
-            if owner is None:
-                # Even when empty: callers bill the link's fixed latency
-                # per reported segment, and always have.
-                evicted.append((f"seg:{victim}", seg.num_bytes))
-            elif seg.num_bytes:
-                evicted.append((owner, seg.num_bytes))
+            evicted.append((victim, seg.num_bytes))
         for entry in spared:
             heappush(heap, entry)
         return evicted
@@ -625,17 +600,18 @@ class KVLedger:
     def charge_growth_segments(
         self,
         owner: str,
-        upserts: Iterable[KVSegment],
+        upserts: Sequence[KVSegment],
         vanished: Iterable[int] | None = None,
-    ) -> tuple[int, list[tuple[str, int]]]:
+    ) -> tuple[int, list[tuple[int, int]]]:
         """Apply ``owner``'s post-round claim delta.
 
         ``upserts`` are the claims that appeared or changed length since
         its last report (parents before children), ``vanished`` the node
         ids it no longer claims; every other claim stands. Without
         ``vanished``, ``upserts`` are all of the owner's claims and every
-        other one it held is dropped. Called after every round the owner
-        runs (its KV is fully resident while it executes). Returns
+        other one it held is dropped; an unknown owner claiming nothing
+        stays unknown and moves no tick. Called after every round the
+        owner runs (its KV is fully resident while it executes). Returns
         ``(restored_bytes, evictions)``:
         ``restored_bytes`` are unique bytes of previously swapped-out
         segments that had to come back over PCIe before the owner could
@@ -646,15 +622,17 @@ class KVLedger:
         """
         state = self._owners.get(owner)
         if state is None:
+            if not upserts:  # no owner, no tick; an over-budget lane still sheds
+                need = self._resident - self._capacity
+                return 0, self._evict_for(need, ()) if need > 0 else []
             state = self._owners[owner] = _Owner()
         restored = self._apply(owner, state, upserts, vanished)
-        self.swapped_in_bytes += restored
         need = self._resident - self._capacity
         evicted = self._evict_for(need, state.nodes) if need > 0 else []
         self._note_peaks()
         return restored, evicted
 
-    def restore(self, owner: str) -> tuple[int, list[tuple[str, int]]]:
+    def restore(self, owner: str) -> tuple[int, list[tuple[int, int]]]:
         """Bring ``owner``'s swapped-out segments back before it resumes.
 
         Returns ``(restored_bytes, evictions)``; both are zero/empty — and
@@ -678,31 +656,30 @@ class KVLedger:
             self._make_resident(node, segments[node], stamp)
         if not restored:
             return 0, []
-        self.swapped_in_bytes += restored
         evicted = self._evict_for(self._resident - self._capacity, state.nodes)
         self._note_peaks()
         return restored, evicted
 
     def admit_segments(
         self, owner: str, segments: Iterable[KVSegment]
-    ) -> list[tuple[str, int]]:
+    ) -> list[tuple[int, int]]:
         """Place all of an owner's claims at once (delta-aware); evicts to fit.
 
         ``segments`` are all of the owner's claims here: any other it held
-        on this lane are dropped. Claims whose segments are already
-        resident here gain a refcount instead of a second copy — only the
-        rest becomes newly resident, and only *that* much room is made: a
-        claim's bytes beyond the resident copy, or all of a swapped-out
-        segment, which comes back at its longest claim.
+        on this lane is dropped first (freed, never written out). Claims
+        whose segments are already resident here gain a refcount instead
+        of a second copy — only the rest becomes newly resident, and only
+        *that* much room is made: a claim's bytes beyond the resident copy,
+        or all of a swapped-out segment, which comes back at its longest
+        claim.
         The admission is transactional: the whole-footprint capacity check
         raises :class:`~repro.errors.CapacityError` before anything
         mutates, and room is evicted *before* the first claim registers —
-        an eviction failure mid-admission leaves every refcount untouched.
-        The footprint checked is what the claimed segments will occupy,
-        which eviction cannot touch: each at its longest claim once this
-        one lands, a co-owner's longer copy included. No swap counters
-        move for the incoming bytes themselves; moving them is the
-        caller's to charge.
+        an eviction failure mid-admission leaves every claim it brings
+        unregistered. The footprint checked is what the claimed segments
+        will occupy, which eviction cannot touch: each at its longest
+        claim once this one lands, a co-owner's longer copy included.
+        Moving the incoming bytes is the caller's to charge.
         """
         claims = list(segments)
         keep = {claim.node_id for claim in claims}
@@ -725,9 +702,14 @@ class KVLedger:
                 f"cannot admit {footprint} B of KV for {owner!r}: device KV "
                 f"budget is {self._capacity} B"
             )
+        state = self._owners.get(owner)
+        for node in () if state is None else state.nodes - keep:
+            self._drop_claim(owner, state.tick, node)
+            state.nodes.discard(node)
+            state.swapped.discard(node)
+            state.stale.discard(node)
         evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
         # Past this point nothing can fail: register the claims.
-        state = self._owners.get(owner)
         if state is None:
             state = self._owners[owner] = _Owner()
         self._apply(owner, state, claims, None)
@@ -745,12 +727,9 @@ class KVLedger:
             for node in state.nodes:
                 self._drop_claim(owner, state.tick, node)
             del self._owners[owner]
-        node = self._private.pop(owner, None)
-        if node is not None:
-            del self._labels[node]
         return before - self._resident
 
-    def resize(self, capacity_bytes: int) -> list[tuple[str, int]]:
+    def resize(self, capacity_bytes: int) -> list[tuple[int, int]]:
         """Change the budget at runtime; shrinking evicts segments to fit.
 
         Models a KV pressure spike (a co-tenant claiming VRAM): residents

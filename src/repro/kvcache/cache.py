@@ -309,7 +309,7 @@ class PagedKVCache:
         :meth:`take_changes` mark. Its blocks were taken as it crossed
         them (:meth:`grow_span`), and a pinned tail is read by nothing
         else, so writing the rest here is exact. With nothing ``grown``
-        this is a plain unpin (:meth:`unpin_path` is this method).
+        this is a plain unpin.
 
         All-or-nothing: a segment of the path that holds no pin raises
         :class:`CapacityError` before any length, pin count, the evictable
@@ -334,9 +334,6 @@ class PagedKVCache:
                 self._evictable_blocks += state.blocks_held
                 if not state.resident_children:  # joins the LRU frontier
                     heapq.heappush(heap, (state.last_access, state.node_id))
-
-    # A path that decoded nothing only releases its pins.
-    unpin_path = release_tail
 
     # -- residency -------------------------------------------------------
 
@@ -440,7 +437,7 @@ class PagedKVCache:
                     if stats.trace_capacity:
                         stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
             except CapacityError:
-                self.unpin_path(leaf_id)
+                self.release_tail(leaf_id)
                 break
 
             if hit_tokens:
@@ -457,7 +454,7 @@ class PagedKVCache:
         if not split:
             raise CapacityError(f"the path to segment {leaf_id} does not fit")
         if not pin:
-            self.unpin_path(leaf_id)
+            self.release_tail(leaf_id)
         return MaterializeOutcome(*split[0])
 
     def extend_segments(

@@ -170,11 +170,9 @@ class TestLaneLifecycle:
             lane.ledger.charge_growth_segments(
                 session.session_id, session.claim_names.resident(session)
             )
-        else:
-            owner = session.session_id
+        else:  # the one private claim an off lane names
             lane.ledger.charge_growth_segments(
-                owner,
-                (lane.ledger.private_claim(owner, session.resident_kv_bytes),),
+                session.session_id, *lane.session_claims(session)
             )
         return session
 

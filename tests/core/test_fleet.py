@@ -4,11 +4,12 @@ import dataclasses
 import inspect
 import json
 import math
+from bisect import bisect_right
 
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import FleetRequest, TTSFleet, run_trace
+from repro.core.fleet import FleetRequest, TTSFleet, _FleetRun, run_trace
 from repro.core.fleet_spec import FleetSpec
 from repro.core.scheduler import FirstFinishScheduler
 from repro.errors import ConfigError
@@ -90,6 +91,48 @@ class TestAdmissionControl:
         report = fleet.drain()
         assert report.metrics.rejected == 1
         assert "KV budget" in report.records[0].reject_reason
+
+    def test_in_flight_count_matches_a_scan_of_the_records(self, monkeypatch):
+        """The sorted finish times admission bisects count exactly the
+        accepted records still in flight at each arrival, which a scan of
+        every terminal record counts: ties at the arrival are not in
+        flight, rejections never are."""
+        seen = []
+        real_admit = _FleetRun.admit
+
+        def admit(run, seq, request, now):
+            accepted = [r.finish_s for r in run.records.values() if r.accepted]
+            assert run.accepted_finishes == sorted(accepted)
+            scan = sum(1 for finish in accepted if finish > request.arrival_s)
+            finishes = run.accepted_finishes
+            seen.append(
+                (scan, len(finishes) - bisect_right(finishes, request.arrival_s))
+            )
+            return real_admit(run, seq, request, now)
+
+        monkeypatch.setattr(_FleetRun, "admit", admit)
+        # A crashed request's retry is re-admitted under its first
+        # arrival, so records settled since then count against the cap.
+        report = _drain(
+            build_dataset("amc23", seed=0, size=12), rate_rps=0.3,
+            devices=["rtx4090"] * 2, placement="least_loaded", max_in_flight=4,
+            faults="crash:at=20,lane=0,mttr=10;crash:at=40,lane=1,mttr=10",
+            recovery="retry", retry_budget=2,
+        )
+        assert report.metrics.rejected >= 1
+        assert len(seen) > 12  # the retries' re-admissions
+        assert all(scan == bisected for scan, bisected in seen)
+        assert any(scan for scan, _ in seen)
+
+    def test_in_flight_excludes_a_finish_at_the_arrival(self, dataset):
+        fleet = TTSFleet(baseline_config(memory_fraction=0.4), dataset, max_in_flight=2)
+        request = FleetRequest(
+            "req-0000", list(dataset)[0], build_algorithm("beam_search", 4), 2.0
+        )
+        reason, _ = fleet._admission(request, [1.0, 2.0, 2.0, 3.0], 0)
+        assert reason is None  # only the 3.0 finish is in flight
+        reason, _ = fleet._admission(request, [1.0, 2.5, 3.0], 0)
+        assert reason == "queue full (max_in_flight=2)"
 
     def test_max_in_flight_validated(self, dataset):
         with pytest.raises(ConfigError, match="max_in_flight"):

@@ -450,7 +450,7 @@ class TestDeriveOnce:
     #: 26 488 while each path operation walked the parent links, 14 123
     #: while each beam was pinned by its own calls, 8 092 since (a span's
     #: ``grow_span`` and a leaving tail's ``release_tail`` took over from
-    #: ``extend_segments`` and ``unpin_path`` one for one).
+    #: ``extend_segments`` and the plain unpin one for one).
     KVCACHE_CALLS_NOW = 8_150
 
     def solve(self, dataset, problem):
@@ -689,7 +689,6 @@ class TestDeriveOnce:
                 calls[entry.code.co_qualname] += entry.callcount
         # Every pin is released exactly once, and every pin is a burst's.
         assert sum(pinned) > 0
-        # (``unpin_path`` is ``release_tail``, which a leaving tail calls.)
         assert calls["PagedKVCache.release_tail"] == sum(pinned)
         assert calls["PagedKVCache.materialize"] == 0
         # No generator is left in a round: no span scans the batch to ask

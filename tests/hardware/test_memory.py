@@ -2,20 +2,19 @@
 
 import pytest
 
+from private_claims import private_claims, private_node_id
 from repro.errors import CapacityError
 from repro.hardware.memory import KVLedger, KVSegment, SharedKVLedger
 
 
 def charge_growth(ledger, owner, num_bytes):
     """Report ``owner``'s whole footprint as one private claim."""
-    return ledger.charge_growth_segments(
-        owner, (ledger.private_claim(owner, num_bytes),)
-    )
+    return ledger.charge_growth_segments(owner, private_claims(owner, num_bytes))
 
 
 def admit(ledger, owner, num_bytes):
     """Admit ``owner``'s whole footprint as one private claim."""
-    return ledger.admit_segments(owner, (ledger.private_claim(owner, num_bytes),))
+    return ledger.admit_segments(owner, private_claims(owner, num_bytes))
 
 
 class TestKVLedger:
@@ -25,7 +24,6 @@ class TestKVLedger:
         assert charge_growth(ledger, "b", 50) == (0, [])
         assert ledger.resident_bytes == 90
         assert ledger.free_bytes == 10
-        assert ledger.swapped_out_bytes == 0
 
     def test_growth_evicts_lru_co_resident(self):
         ledger = KVLedger(100)
@@ -35,10 +33,9 @@ class TestKVLedger:
         # the victim is the least-recently-run *other* owner
         restored, evicted = charge_growth(ledger, "a", 80)
         assert restored == 0
-        assert evicted == [("b", 30)]
+        assert evicted == [(private_node_id("b"), 30)]
         assert ledger.resident_of("b") == 0
         assert ledger.swapped_of("b") == 30
-        assert ledger.swapped_out_bytes == 30
         assert ledger.resident_bytes == 80
 
     def test_restore_brings_back_evicted_kv(self):
@@ -48,10 +45,9 @@ class TestKVLedger:
         charge_growth(ledger, "a", 80)  # evicts b
         back, evicted = ledger.restore("b")
         assert back == 30
-        assert evicted == [("a", 80)]  # a displaced in turn
+        assert evicted == [(private_node_id("a"), 80)]  # a displaced in turn
         assert ledger.resident_of("b") == 30
         assert ledger.swapped_of("a") == 80
-        assert ledger.swapped_in_bytes == 30
 
     def test_restore_without_eviction_is_noop(self):
         ledger = KVLedger(100)
@@ -65,7 +61,7 @@ class TestKVLedger:
         charge_growth(ledger, "b", 30)
         charge_growth(ledger, "a", 30)  # refreshes a: b is now LRU
         _, evicted = charge_growth(ledger, "c", 70)
-        assert [owner for owner, _ in evicted] == ["b"]
+        assert [victim for victim, _ in evicted] == [private_node_id("b")]
 
     def test_lone_owner_may_fill_the_budget(self):
         ledger = KVLedger(100)
@@ -82,7 +78,7 @@ class TestKVLedger:
         ledger = KVLedger(100)
         charge_growth(ledger, "a", 70)
         evicted = admit(ledger, "b", 60)  # admit still returns evictions only
-        assert evicted == [("a", 70)]
+        assert evicted == [(private_node_id("a"), 70)]
         assert ledger.resident_of("b") == 60
 
     def test_release_frees_everything(self):
@@ -112,7 +108,6 @@ class TestKVLedger:
         with pytest.raises(ValueError):
             admit(ledger, "a", -1)
 
-
 class TestChargeGrowthOnEvictedOwner:
     """Regression: growth on a (partially) evicted owner must not lose
     its swapped-out bytes — the PCIe read back is part of serving it."""
@@ -121,27 +116,24 @@ class TestChargeGrowthOnEvictedOwner:
         ledger = KVLedger(100)
         charge_growth(ledger, "a", 60)
         charge_growth(ledger, "b", 30)
-        charge_growth(ledger, "a", 80)  # evicts b: 30 B on host
+        _, first = charge_growth(ledger, "a", 80)  # evicts b: 30 B on host
         assert ledger.swapped_of("b") == 30
         # b grows while evicted: the ledger reports the restore so the
         # caller can bill the PCIe read, and the books stay conserved.
         restored, evicted = charge_growth(ledger, "b", 45)
         assert restored == 30
-        assert ledger.swapped_in_bytes == 30
         assert ledger.swapped_of("b") == 0
         assert ledger.resident_of("b") == 45
         # conservation: nothing silently vanished from the totals — the
-        # cumulative write-outs are b's original 30 plus a, which b's own
+        # reported write-outs are b's original 30 plus a, which b's own
         # growth displaced in turn
-        assert ledger.swapped_out_bytes == 110
-        assert [owner for owner, _ in evicted] == ["a"]
+        assert first + evicted == [(private_node_id("b"), 30), (private_node_id("a"), 80)]
 
     def test_growth_on_resident_owner_restores_nothing(self):
         ledger = KVLedger(100)
         charge_growth(ledger, "a", 40)
         restored, evicted = charge_growth(ledger, "a", 70)
         assert restored == 0 and evicted == []
-        assert ledger.swapped_in_bytes == 0
 
 
 class TestSharedKVLedger:
@@ -192,11 +184,10 @@ class TestSharedKVLedger:
             "b", [shared, self.seg(3, 1, 50)]
         )
         assert restored == 0
-        assert evicted == [("seg:2", 30)]
+        assert evicted == [(2, 30)]
         assert ledger.resident_bytes == 90
         assert ledger.resident_of("a") == 40  # root still resident for a
         assert ledger.swapped_of("a") == 30
-        assert ledger.swapped_out_bytes == 30
 
     def test_restore_charges_unique_bytes_only(self):
         ledger = SharedKVLedger(100)
@@ -207,8 +198,7 @@ class TestSharedKVLedger:
         # root stayed resident on b's behalf.
         restored, evicted = ledger.restore("a")
         assert restored == 30
-        assert ledger.swapped_in_bytes == 30
-        assert [label for label, _ in evicted] == ["seg:3"]
+        assert [victim for victim, _ in evicted] == [3]
         assert ledger.resident_of("a") == 70
 
     def test_release_keeps_shared_segments_for_survivors(self):
@@ -231,7 +221,6 @@ class TestSharedKVLedger:
         assert ledger.swapped_of("a") == 60
         restored, _ = ledger.charge_growth_segments("a", self.lineage(65, base=1))
         assert restored == 60
-        assert ledger.swapped_in_bytes == 60
         assert ledger.swapped_of("a") == 0
 
     def test_leaf_frontier_eviction_order(self):
@@ -240,7 +229,7 @@ class TestSharedKVLedger:
         ledger.charge_growth_segments("a", self.lineage(30, 30, base=1))
         _, evicted = ledger.charge_growth_segments("b", self.lineage(80, base=2))
         # a's leaf (deeper, same stamp) must go before its root.
-        assert [label for label, _ in evicted] == ["seg:1001", "seg:1000"]
+        assert [victim for victim, _ in evicted] == [1001, 1000]
 
     def test_byte_level_fallback_and_admit(self):
         ledger = SharedKVLedger(100)

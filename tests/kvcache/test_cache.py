@@ -37,7 +37,7 @@ class TestMaterialize:
 
     def test_warm_materialize_hits(self, cache):
         cache.materialize(4)
-        cache.unpin_path(4)
+        cache.release_tail(4)
         outcome = cache.materialize(4)
         assert outcome.hit_tokens == 64
         assert outcome.recomputed_tokens == 0
@@ -70,7 +70,7 @@ class TestMaterialize:
 
     def test_stats_hit_rate(self, cache):
         cache.materialize(4)
-        cache.unpin_path(4)
+        cache.release_tail(4)
         cache.materialize(4)
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
@@ -79,16 +79,16 @@ class TestPinning:
     def test_unpin_without_pin_raises(self, cache):
         cache.materialize(4, pin=False)
         with pytest.raises(CapacityError):
-            cache.unpin_path(4)
+            cache.release_tail(4)
 
     def test_double_pin_needs_double_unpin(self, cache):
         cache.materialize(4)          # pin 1
         cache.materialize(4)          # pin 2
-        cache.unpin_path(4)
+        cache.release_tail(4)
         cache.register_segment(5, 3, 104)
         with pytest.raises(CapacityError):
             cache.materialize(5)      # still pinned once
-        cache.unpin_path(4)
+        cache.release_tail(4)
         cache.materialize(5)          # now evictable
 
     def test_failed_unpin_leaves_everything_untouched(self, cache):
@@ -98,12 +98,12 @@ class TestPinning:
         cache.materialize(1)
         evictable, heap = cache.evictable_blocks, list(cache._evict_heap)
         with pytest.raises(CapacityError, match="segment 2 is not pinned"):
-            cache.unpin_path(4)
+            cache.release_tail(4)
         assert [cache.segment(s).pin_count for s in (1, 2, 4)] == [1, 0, 0]
         assert cache.evictable_blocks == evictable
         assert cache._evict_heap == heap
         assert cache.evict_all() == 0 and cache.is_resident(1)
-        cache.unpin_path(1)  # the real pin is still there to release
+        cache.release_tail(1)  # the real pin is still there to release
 
 
 class TestExtend:
@@ -291,7 +291,7 @@ class TestEviction:
         admitted path is pinned resident, and released again here."""
         if not cache.pin_paths((leaf_id,), grow=(0,)):
             return False
-        cache.unpin_path(leaf_id)
+        cache.release_tail(leaf_id)
         return True
 
     def test_block_demand_fits(self, cache):
@@ -319,8 +319,8 @@ class TestPinPaths:
         # 4's path takes 4 of the 10 blocks; 3's takes one more, and each
         # tail growing by 16 tokens needs one block beyond that.
         assert cache.pin_paths((4, 3), grow=(0, 16)) == [(0, 64, 0), (32, 16, 0)]
-        cache.unpin_path(4)
-        cache.unpin_path(3)
+        cache.release_tail(4)
+        cache.release_tail(3)
         cache.evict_all()
         assert cache.pin_paths((4, 3), grow=(16, 16)) == [(0, 64, 0)]
         assert cache.segment(3).pin_count == 0 and not cache.is_resident(3)

@@ -58,7 +58,7 @@ class TestCacheTraceIntegration:
         cache.register_segment(1, None, 32)
         cache.register_segment(2, 1, 16)
         cache.materialize(2)
-        cache.unpin_path(2)
+        cache.release_tail(2)
         cache.materialize(2)
         kinds = [e.kind for e in cache.stats.trace]
         assert kinds[0] is CacheEventKind.RECOMPUTE
@@ -76,7 +76,7 @@ class TestCacheTraceIntegration:
         cache.register_segment(3, None, 32)
         for leaf in (2, 3, 2):  # the second path evicts, the third hits
             cache.materialize(leaf)
-            cache.unpin_path(leaf)
+            cache.release_tail(leaf)
         stats, tokens = cache.stats, Counter()
         for event in stats.trace:
             tokens[event.kind] += event.tokens

@@ -95,7 +95,7 @@ def reference_materialize(cache, leaf_id, now):
             if stats.trace_capacity:
                 stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
     except CapacityError:
-        cache.unpin_path(leaf_id)
+        cache.release_tail(leaf_id)
         raise
     if hit_tokens:
         stats.hit_tokens += hit_tokens
@@ -204,14 +204,14 @@ class TestBurstIsPerPathLoop:
             pinned.append(leaves[: len(got)])
             if release is not None:
                 for leaf in pinned[release % len(pinned)]:
-                    burst_cache.unpin_path(leaf)
-                    path_cache.unpin_path(leaf)
+                    burst_cache.release_tail(leaf)
+                    path_cache.release_tail(leaf)
                 pinned[release % len(pinned)] = []
             assert books(burst_cache) == books(path_cache)
         for leaves in pinned:
             for leaf in leaves:
-                burst_cache.unpin_path(leaf)
-                path_cache.unpin_path(leaf)
+                burst_cache.release_tail(leaf)
+                path_cache.release_tail(leaf)
         assert burst_cache.evict_all() == path_cache.evict_all()
         assert burst_cache.resident_segment_count == 0
         victims = [

@@ -71,7 +71,7 @@ class CacheMachine(RuleBasedStateMachine):
     def unpin(self, rank):
         pinned = sorted(self.pins)
         seg = pinned[rank % len(pinned)]
-        self.cache.unpin_path(seg)
+        self.cache.release_tail(seg)
         self.pins[seg] -= 1
         if self.pins[seg] == 0:
             del self.pins[seg]
@@ -223,7 +223,7 @@ def run_script_op(cache, pins, op, now):
             return cache.truncate_segment(tail, min(size, segments[tail].token_len), now)
         if kind == "unpin":
             if pins:
-                cache.unpin_path(pins.pop(arg % len(pins)))
+                cache.release_tail(pins.pop(arg % len(pins)))
             return None
         if kind == "evict_path":
             return cache.evict_path(ids[arg % len(ids)], now)

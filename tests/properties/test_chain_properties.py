@@ -138,7 +138,7 @@ def run_op(cache, forest, pins, op, now, one_call):
             return splits
         if kind == "unpin":
             if pins:
-                cache.unpin_path(pins.pop(arg % len(pins)))
+                cache.release_tail(pins.pop(arg % len(pins)))
             return None
         if kind == "extend":
             tails = [
@@ -183,7 +183,7 @@ class TestOneCallIsThePerSegmentPath:
             assert books(one) == books(each), op
         for cache, pins in ((one, one_pins), (each, each_pins)):
             for leaf in pins:
-                cache.unpin_path(leaf)
+                cache.release_tail(leaf)
         assert one.evict_all(99.0) == reference_evict_all(each, 99.0)
         assert one.resident_segment_count == 0
         assert victims(one) == victims(each)  # the same victims, in order

@@ -134,7 +134,6 @@ class EagerRound(GenerationRound):
         for hit_tokens, recomputed_tokens, _ in splits:
             slot = waiting.popleft()
             stats.recomputed_tokens += recomputed_tokens
-            stats.cache_hit_tokens += hit_tokens
             recomputed.append(recomputed_tokens)
             hits.append(hit_tokens)
             if slot.remaining == 0:
@@ -152,7 +151,7 @@ class EagerRound(GenerationRound):
             raise SchedulingError("generation round stalled")
 
     def _eager_finish(self, job, finished_at, selector):
-        self._cache.unpin_path(job.new_segment)
+        self._cache.release_tail(job.new_segment)
         finished_at[job.lineage] = self._clock.now
         if selector is not None and self._has_child(job.lineage):
             selector.offer(job.lineage, job.prev_score)
@@ -187,7 +186,7 @@ class EagerRound(GenerationRound):
             ))
 
     def _eager_finish_spec(self, slot, heads, stats):
-        self._cache.unpin_path(slot.segment)
+        self._cache.release_tail(slot.segment)
         stats.speculative_tokens += slot.progress
         if slot.progress > 0:
             heads[slot.spec_lineage] = SpecHeadStart(slot.progress, slot.segment)
@@ -214,7 +213,7 @@ class EagerRound(GenerationRound):
             if victim.is_spec:
                 self._eager_finish_spec(victim, heads, stats)
             else:
-                cache.unpin_path(victim.segment)
+                cache.release_tail(victim.segment)
                 cache.evict_path(victim.segment, now=now)
                 stats.decoded_tokens += victim.progress
                 victim.progress = 0
@@ -235,7 +234,7 @@ def make_worker(capacity_tokens, shared_prefix):
     for i, tokens in enumerate(shared_prefix):
         cache.register_segment(500 + i, PROMPT, tokens)
         cache.pin_paths((500 + i,))
-        cache.unpin_path(500 + i)
+        cache.release_tail(500 + i)
     cache.take_changes()  # start recording changes
     return GeneratorWorker(
         MODEL, Roofline(get_device("rtx4090")), cache, SimClock(), PhaseTimer(), [],

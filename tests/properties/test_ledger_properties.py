@@ -30,13 +30,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from private_claims import private_claims, private_node_id
 from repro.core.config import OffloadMode, baseline_config, fasttts_config
 from repro.core.pool import DevicePool
 from repro.errors import CapacityError
 from repro.hardware.memory import KVLedger, KVSegment
 from repro.kvcache.radix import RadixTree
 from repro.search.registry import build_algorithm
-from repro.utils.rng import stable_hash64
 from repro.workloads.datasets import build_dataset
 
 CAPACITY = 100
@@ -64,14 +64,12 @@ ops = st.lists(
 
 def charge_growth(ledger, owner, num_bytes):
     """Report ``owner``'s whole footprint as one private claim."""
-    return ledger.charge_growth_segments(
-        owner, (ledger.private_claim(owner, num_bytes),)
-    )
+    return ledger.charge_growth_segments(owner, private_claims(owner, num_bytes))
 
 
 def admit(ledger, owner, num_bytes):
     """Admit ``owner``'s whole footprint as one private claim."""
-    return ledger.admit_segments(owner, (ledger.private_claim(owner, num_bytes),))
+    return ledger.admit_segments(owner, private_claims(owner, num_bytes))
 
 
 def lineage_claims(owner_idx, sizes, shared_root):
@@ -129,8 +127,6 @@ def check_invariants(ledger, expected):
             f"reported footprint {footprint}"
         )
     assert ledger.peak_resident_bytes <= CAPACITY
-    assert ledger.swapped_out_bytes >= 0
-    assert ledger.swapped_in_bytes >= 0
     # The running totals, recomputed from the segments.
     resident = [seg for seg in ledger._segments.values() if seg.resident]
     unique = sum(max(seg.owners.values()) for seg in resident)
@@ -165,6 +161,8 @@ class WholeSessionModel:
     Per-owner resident/swapped byte counts and LRU stamps; eviction swaps
     out whole *other* owners, least recently run first, skipping
     zero-byte residents; growth on a swapped owner reports the restore.
+    Evictions are labelled by owner; :func:`private_labels` names them
+    as the ledger does.
     """
 
     def __init__(self, capacity):
@@ -244,11 +242,40 @@ def byte_op(ledger, kind, *args):
     return helper(ledger, *args) if helper else getattr(ledger, kind)(*args)
 
 
+def private_labels(result):
+    """A model result with its owner-labelled evictions named as the
+    ledger reports them: ``(private node id, bytes)``."""
+    def named(evictions):
+        return [(private_node_id(owner), moved) for owner, moved in evictions]
+
+    if isinstance(result, tuple):  # (restored, evictions)
+        return result[0], named(result[1])
+    return named(result) if isinstance(result, list) else result
+
+
+def swap_bytes(kind, result):
+    """``(bytes written out, bytes read back)`` a ledger call returned."""
+    if kind == "release":
+        return 0, 0
+    restored, evictions = result if isinstance(result, tuple) else (0, result)
+    return sum(moved for _, moved in evictions), restored
+
+
 class TestPrivateClaimsMatchTheWholeSessionLedger:
+    """The ledger driven as an off lane drives it: one private claim per
+    owner, and no claim at all at 0 bytes."""
+
     @given(byte_ops)
+    # A lone owner over the budget, re-admitted holding nothing: its
+    # dropped claim is freed, not written out.
+    @example([("charge_growth", "a", CAPACITY + 10), ("admit", "a", 0)])
+    # Swapped out, then a report of no KV: the swapped bytes come back.
+    @example([("charge_growth", "a", 60), ("charge_growth", "b", 70),
+              ("charge_growth", "a", 0)])
     @settings(max_examples=300, deadline=None)
     def test_differential_against_the_reference_model(self, op_list):
         ledger, model = KVLedger(CAPACITY), WholeSessionModel(CAPACITY)
+        swapped_out = swapped_in = 0
         for kind, owner, payload in op_list:
             args = tuple(a for a in (owner, payload) if a is not None)
             try:
@@ -257,28 +284,53 @@ class TestPrivateClaimsMatchTheWholeSessionLedger:
                 with pytest.raises(CapacityError):
                     byte_op(ledger, kind, *args)
                 continue
-            assert byte_op(ledger, kind, *args) == expected, (kind, args)
+            got = byte_op(ledger, kind, *args)
+            assert got == private_labels(expected), (kind, args)
+            out, back = swap_bytes(kind, got)
+            swapped_out += out
+            swapped_in += back
             for name in OWNERS:
                 assert ledger.resident_of(name) == model.resident.get(name, 0)
                 assert ledger.swapped_of(name) == model.swapped.get(name, 0)
-            assert ledger.swapped_out_bytes == model.swapped_out
-            assert ledger.swapped_in_bytes == model.swapped_in
+            assert swapped_out == model.swapped_out
+            assert swapped_in == model.swapped_in
             assert ledger.peak_resident_bytes == model.peak
         for name in OWNERS:
             ledger.release(name)
         assert ledger.owners == [] and len(ledger.tree) == 0
 
+    def test_an_owner_with_no_kv_is_never_booked(self):
+        """A report that claims nothing for an unknown owner makes no
+        owner and moves no tick; nothing of it is ever evicted or
+        restored, and the evictions around it match the model."""
+        ledger, model = KVLedger(CAPACITY), WholeSessionModel(CAPACITY)
+        assert charge_growth(ledger, "idle", 0) == model.charge_growth("idle", 0)
+        assert ledger.owners == [] and ledger._tick == 0
+        assert charge_growth(ledger, "a", 60) == private_labels(
+            model.charge_growth("a", 60)
+        )
+        assert charge_growth(ledger, "b", 70) == private_labels(
+            model.charge_growth("b", 70)
+        ) == (0, [(private_node_id("a"), 60)])
+        assert ledger.resize(10) == private_labels(model.resize(10)) == [
+            (private_node_id("b"), 70)
+        ]
+        tick = ledger._tick
+        assert ledger.restore("idle") == model.restore("idle") == (0, [])
+        assert ledger.restore("never-seen") == (0, [])
+        assert ledger._tick == tick  # no LRU stamp moved
+        assert ledger.owners == ["a", "b"]
+
     def test_admit_moves_no_swap_counter(self):
         """The incoming bytes of an admission are traffic the caller
-        bills, never a swap-in — even when the admitted owner had been
-        swapped out here."""
+        bills, never a restore (admission reports evictions only) — even
+        when the admitted owner had been swapped out here."""
         ledger = KVLedger(CAPACITY)
         charge_growth(ledger, "a", 60)
         charge_growth(ledger, "b", 70)  # swaps a out
         assert ledger.swapped_of("a") == 60
         evicted = admit(ledger, "a", 60)
-        assert evicted == [("b", 70)]
-        assert ledger.swapped_in_bytes == 0
+        assert evicted == [(private_node_id("b"), 70)]
         assert ledger.resident_of("a") == 60 and ledger.swapped_of("a") == 0
 
     def test_admit_over_capacity_raises_before_anything_moves(self):
@@ -292,24 +344,16 @@ class TestPrivateClaimsMatchTheWholeSessionLedger:
         with pytest.raises(CapacityError):
             admit(ledger, "b", CAPACITY + 1)
         assert books() == before
-        assert ledger.swapped_out_bytes == 0 and "b" not in ledger.owners
-
-    def test_zero_byte_residents_are_never_reported_evicted(self):
-        ledger = KVLedger(CAPACITY)
-        charge_growth(ledger, "idle", 0)
-        charge_growth(ledger, "a", 60)
-        assert charge_growth(ledger, "b", 70) == (0, [("a", 60)])
-        assert ledger.resize(10) == [("b", 70)]
-        tick = ledger._tick
-        assert ledger.restore("idle") == (0, [])
-        assert ledger.restore("never-seen") == (0, [])
-        assert ledger._tick == tick  # no LRU stamp moved
+        assert ledger.resident_of("a") == 60 and "b" not in ledger.owners
 
 
 class TestSharedKVLedgerInvariants:
     """Lineage claims, optionally colliding on one cross-owner root."""
 
     @given(ops, st.booleans())
+    # c drops its leaf and its share of a's root when re-admitted whole
+    # and private: the freed leaf uncovers the root, which must go too.
+    @example([("grow_segs", 0, [24]), ("grow_segs", 2, [1, 1]), ("admit", 2, 77)], True)
     @settings(max_examples=200, deadline=None)
     def test_conservation_capacity_and_unique_bytes(self, op_list, shared_root):
         ledger = KVLedger(CAPACITY)
@@ -409,6 +453,18 @@ class TestAdmitSegments:
             node: dict(ledger._segments[node].owners) for node in ledger._segments
         } == owners_before
 
+    def test_a_claim_the_admission_drops_is_discarded_not_written_out(self):
+        """Re-admitted without its leaf, an owner's leaf makes room unreported."""
+        ledger = KVLedger(CAPACITY)
+        root, leaf = KVSegment(7, None, 40), KVSegment(1001, 7, 30)
+        ledger.charge_growth_segments("a", [root, leaf])
+        ledger.charge_growth_segments("b", [KVSegment(50, None, 20)])
+        # 30 new bytes on 90 resident: a's leaf is the LRU victim, and a
+        # drops it anyway, so b keeps its KV and nothing is written out.
+        assert ledger.admit_segments("a", [root, KVSegment(1002, 7, 30)]) == []
+        assert ledger.resident_of("b") == 20 and ledger.resident_bytes == 90
+        assert [c.node_id for c in ledger.claims_of("a")] == [7, 1002]
+
     def test_whole_footprint_capacity_check_raises_before_any_mutation(self):
         ledger = KVLedger(CAPACITY)
         ledger.charge_growth_segments(
@@ -458,24 +514,21 @@ class FullReplaceLedger:
     Every report re-registers all of the owner's claims and stamps each
     segment; eviction rescans every segment for each victim. ``_register``,
     ``_evictable``, ``_evict_for`` and ``charge_growth_segments`` are the
-    replaced code verbatim; the rest is what they need around them, with
-    admission making room for a swapped-out segment's whole host copy and
-    refusing a kept footprint over the budget.
+    replaced code, with every victim reported as ``(node id, bytes)``, an
+    unknown owner's report of no claims ignored and a report that leaves
+    an owner no claim billing its host copies, as the ledger does; the
+    rest is what they need around them, with admission making room for a
+    swapped-out segment's whole host copy, dropping the claims it no
+    longer makes first, and refusing a kept footprint over the budget.
     """
 
     def __init__(self, capacity):
         self._capacity = capacity
         self._tree = _RefTree()
-        self._segments, self._owner_segs, self._labels = {}, {}, {}
+        self._segments, self._owner_segs = {}, {}
         self._tick = self._resident = self._logical = 0
-        self.swapped_out_bytes = self.swapped_in_bytes = 0
         self.peak_resident_bytes = self.peak_logical_bytes = 0
         self.peak_shared_bytes = 0
-
-    def private_claim(self, owner, num_bytes):
-        node = stable_hash64("kv-private", owner)
-        self._labels[node] = owner
-        return KVSegment(node, None, num_bytes)
 
     def resident_segment_bytes(self, node_id):
         seg = self._segments.get(node_id)
@@ -504,10 +557,15 @@ class FullReplaceLedger:
 
     def _register(self, owner, claims, new_ids):
         self._tick += 1
-        for node in self._owner_segs.get(owner, set()) - new_ids:
+        held = self._owner_segs.get(owner, set())
+        # Left with no claim, it ran on what it held: host copies count.
+        from_host = 0 if claims else sum(
+            self._segments[node].num_bytes
+            for node in held if not self._segments[node].resident
+        )
+        for node in held - new_ids:
             self._drop_claim(owner, node)
         self._owner_segs[owner] = new_ids
-        from_host = 0
         for claim in claims:
             node, num_bytes = claim.node_id, claim.num_bytes
             self._tree.ensure_node(node, claim.parent_id, num_bytes)
@@ -552,13 +610,8 @@ class FullReplaceLedger:
             seg.resident = False
             self._resident -= seg.num_bytes
             self._logical -= seg.logical
-            self.swapped_out_bytes += seg.num_bytes
             need -= seg.num_bytes
-            owner = self._labels.get(victim)
-            if owner is None:
-                evicted.append((f"seg:{victim}", seg.num_bytes))
-            elif seg.num_bytes:
-                evicted.append((owner, seg.num_bytes))
+            evicted.append((victim, seg.num_bytes))
         return evicted
 
     def _note_peaks(self):
@@ -570,9 +623,10 @@ class FullReplaceLedger:
 
     def charge_growth_segments(self, owner, segments):
         claims = list(segments)
+        if not claims and owner not in self._owner_segs:
+            return 0, self._evict_for(self._resident - self._capacity, set())
         keep = {claim.node_id for claim in claims}
         restored = self._register(owner, claims, keep)
-        self.swapped_in_bytes += restored
         evicted = self._evict_for(self._resident - self._capacity, keep)
         self._note_peaks()
         return restored, evicted
@@ -592,14 +646,13 @@ class FullReplaceLedger:
         for node in nodes:
             self._segments[node].stamp = self._tick
         self._resident += restored
-        self.swapped_in_bytes += restored
         evicted = self._evict_for(self._resident - self._capacity, nodes)
         self._note_peaks()
         return restored, evicted
 
     def admit_segments(self, owner, segments):
         claims = list(segments)
-        keep = {claim.node_id for claim in claims}
+        new_ids = {claim.node_id for claim in claims}
         footprint = incoming = 0
         for claim in claims:
             seg = self._segments.get(claim.node_id)
@@ -615,8 +668,14 @@ class FullReplaceLedger:
                 incoming += size
         if footprint > self._capacity:
             raise CapacityError("over budget")
-        evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
-        self._register(owner, claims, keep)
+        held = self._owner_segs.get(owner, set())
+        for node in held - new_ids:  # freed first, never written out
+            self._drop_claim(owner, node)
+        held.intersection_update(new_ids)
+        evicted = self._evict_for(
+            self._resident + incoming - self._capacity, new_ids
+        )
+        self._register(owner, claims, new_ids)
         self._note_peaks()
         return evicted
 
@@ -703,10 +762,7 @@ def assert_same_books(ledger, ref):
         )
     assert ledger.resident_bytes == ref._resident
     assert ledger.logical_resident_bytes == ref._logical
-    for name in (
-        "swapped_out_bytes", "swapped_in_bytes", "peak_resident_bytes",
-        "peak_logical_bytes", "peak_shared_bytes",
-    ):
+    for name in ("peak_resident_bytes", "peak_logical_bytes", "peak_shared_bytes"):
         assert getattr(ledger, name) == getattr(ref, name), name
     # Residency and LRU stamps (per-owner ticks and floors vs explicit
     # stamps) of the claimed nodes, every lane-tree node's parent and
@@ -748,15 +804,15 @@ def run_delta_op(ledger, ref, held, op):
             got = ledger.charge_growth_segments(owner, upserts, sorted(vanished))
         return got, ref.charge_growth_segments(owner, claims)
     if kind == "private":
-        claim = ledger.private_claim(owner, payload)
-        ref.private_claim(owner, payload)
+        claims = private_claims(owner, payload)
+        new = {c.node_id for c in claims}
         if flag:  # the whole list
-            got = ledger.charge_growth_segments(owner, [claim])
+            got = ledger.charge_growth_segments(owner, claims)
         else:
-            vanished = held.get(owner, set()) - {claim.node_id}
-            got = ledger.charge_growth_segments(owner, [claim], sorted(vanished))
-        held[owner] = {claim.node_id}
-        return got, ref.charge_growth_segments(owner, [claim])
+            vanished = held.get(owner, set()) - new
+            got = ledger.charge_growth_segments(owner, claims, sorted(vanished))
+        held[owner] = new
+        return got, ref.charge_growth_segments(owner, claims)
     if kind == "admit":
         claims = forest_claims(payload)
         try:
@@ -804,7 +860,7 @@ class TestDeltaMatchesFullReplace:
 def ledger_books(ledger):
     """Everything an admission may not touch when it refuses."""
     return (
-        ledger._tick, ledger.resident_bytes, ledger.swapped_out_bytes,
+        ledger._tick, ledger.resident_bytes,
         {owner: ledger.claims_of(owner) for owner in ledger.owners},
         {node: seg.resident for node, seg in ledger._segments.items()},
     )
@@ -871,11 +927,7 @@ def brute_force_storm(ledger, capacity):
         resident.remove(victim)
         num_bytes = segments[victim].num_bytes
         need -= num_bytes
-        owner = ledger._labels.get(victim)
-        if owner is None:
-            report.append((f"seg:{victim}", num_bytes))
-        elif num_bytes:
-            report.append((owner, num_bytes))
+        report.append((victim, num_bytes))
     return report
 
 
@@ -897,11 +949,11 @@ class TestEvictionFrontier:
         for book in (ledger, ref):
             book.charge_growth_segments("a", [KVSegment(25, None, 0)])
             book.charge_growth_segments("b", [KVSegment(20, None, 50)])
-            assert book.resize(10) == [("seg:25", 0), ("seg:20", 50)]
+            assert book.resize(10) == [(25, 0), (20, 50)]
             book.resize(CAPACITY)
             book.charge_growth_segments("x", [KVSegment(40, None, 10)])
             assert book.restore("a") == (0, [])
-            assert book.resize(5) == [("seg:25", 0), ("seg:40", 10)]
+            assert book.resize(5) == [(25, 0), (40, 10)]
         assert_same_books(ledger, ref)
 
     def test_reclaimed_ancestor_counts_its_resident_children(self):
@@ -924,7 +976,7 @@ class TestEvictionFrontier:
             book.charge_growth_segments("d", [KVSegment(1, None, 5)])
         ledger.charge_growth_segments("a", [], ())  # the child is now newer
         ref.charge_growth_segments("a", [child])
-        assert ledger.resize(1) == ref.resize(1) == [("seg:2", 10), ("seg:1", 5)]
+        assert ledger.resize(1) == ref.resize(1) == [(2, 10), (1, 5)]
         assert_same_books(ledger, ref)
 
     def test_frontier_rebuild_keeps_every_candidate(self):
@@ -940,7 +992,7 @@ class TestEvictionFrontier:
             gone = [node]
         assert len(ledger._frontier) < 300  # rebuilt along the way
         expected = brute_force_storm(ledger, 1)
-        assert [label for label, _ in expected] == ["seg:2", "seg:1"]
+        assert [victim for victim, _ in expected] == [2, 1]
         assert ledger.resize(1) == expected
 
     def test_storm_costs_python_calls_linear_in_victims(self):
@@ -965,19 +1017,20 @@ class TestEvictionFrontier:
         profiler.disable()
         victims = len(evicted)
         assert victims == 1000
-        assert evicted[:10] == [(f"seg:{9 - d}", 100) for d in range(10)]  # s0 first
+        assert evicted[:10] == [(9 - d, 100) for d in range(10)]  # s0 first
         calls = sum(entry.callcount for entry in profiler.getstats())
         assert calls <= 4 * victims
 
 
-def _session_lane(offload: bool, config=fasttts_config):
-    """A ``kv_sharing="prefix"`` lane and the problem its sessions solve."""
+def _session_lane(offload: bool, config=fasttts_config, kv_sharing="prefix"):
+    """A lane (``kv_sharing="prefix"`` unless told) and the problem its
+    sessions solve."""
     dataset = build_dataset("amc23", seed=0, size=1)
     config = config(
         memory_fraction=0.9, seed=0,
         offload=OffloadMode.FORCE if offload else OffloadMode.OFF,
     )
-    lane = DevicePool.build(config, dataset, ["rtx4090"], kv_sharing="prefix")[0]
+    lane = DevicePool.build(config, dataset, ["rtx4090"], kv_sharing=kv_sharing)[0]
     return lane, list(dataset)[0]
 
 
@@ -1070,6 +1123,53 @@ class TestSessionDeltas:
             assert_same_books(lane.ledger, ref)
         assert session.outcome.plan.offload == offload
         assert offload or session.outcome.result.ver_evicted_segments > 0
+
+
+class TestPrivateClaimsOfSessions:
+    """What an off lane reports: one private root per session, named by
+    the session alone, and nothing while the session holds no device KV."""
+
+    def test_a_session_without_kv_holds_no_owner(self):
+        """The baseline config flushes its KV every round: every report
+        claims nothing, and the ledger never books the session."""
+        lane, problem = _session_lane(False, baseline_config, kv_sharing="off")
+        session = lane.server.session(
+            problem, build_algorithm("beam_search", 4), session_id="s0"
+        )
+        rounds = 0
+        while True:
+            session.step()
+            if not session.state.live:
+                break
+            rounds += 1
+            assert session.resident_kv_bytes == 0
+            assert lane.session_claims(session) == ((), None)
+            assert lane.ledger.charge_growth_segments(
+                "s0", *lane.session_claims(session)
+            ) == (0, [])
+            assert lane.ledger.owners == []
+        assert rounds > 1 and lane.ledger._tick == 0
+
+    def test_a_private_node_id_is_the_same_on_every_lane(self):
+        dataset = build_dataset("amc23", seed=0, size=1)
+        problem = list(dataset)[0]
+        config = fasttts_config(memory_fraction=0.9, seed=0)
+        pool = DevicePool.build(config, dataset, ["rtx4090"] * 2, kv_sharing="off")
+        named = []
+        for lane in pool:
+            session = lane.server.session(
+                problem, build_algorithm("beam_search", 4), session_id="s0"
+            )
+            while not session.resident_kv_bytes:  # setup holds no KV yet
+                session.step()
+            (claim,), vanished = lane.session_claims(session)
+            assert vanished is None and claim.parent_id is None
+            assert claim.num_bytes == session.resident_kv_bytes > 0
+            lane.ledger.charge_growth_segments("s0", [claim])
+            named.append(claim.node_id)
+            assert lane.ledger.claims_of("s0") == [claim]
+        assert named == [private_node_id("s0")] * 2
+
 
 class TestResyncIsDerived:
     """A report is the whole list exactly when the device caches differ

@@ -65,8 +65,6 @@ KEEP = {
 KEEP_FIELDS = {
     "allocated_tokens": "CacheStats total: the cache property tests check it against the event trace's allocations",
     "evicted_tokens": "CacheStats total: the cache property tests check it against the event trace's evictions",
-    "swapped_in_bytes": "KVLedger tally: the ledger property tests check it against a reference model of every restore",
-    "swapped_out_bytes": "KVLedger tally: the ledger property tests check it against a reference model of every eviction",
     "built": "stream_counts: the step-table tests count streams built per solve (ROADMAP 11)",
     "collected": "SolveOutcome and ReferenceTrace: the equivalence tests compare the served and the reference search's finished paths",
     "est_offload_overhead": "AllocationPlan: the allocator tests check an offloading plan prices its swap",
