@@ -54,9 +54,12 @@ victims; the books are rebuilt from what it leaves running.
 A sequence is one :class:`_Slot` for the whole round — waiting, running,
 preempted back to waiting. An admission burst is pinned by one
 :meth:`~repro.kvcache.cache.PagedKVCache.pin_paths` call, which also runs
-each slot's admission test against its planned growth (a speculative slot
-is a burst of one), and a slot's context length is the hit/recompute split
-that call reported, not a second tree walk. The speculation byte budget is
+each slot's admission test against its planned growth, and a slot's
+context length is the hit/recompute split that call reported, not a second
+tree walk. A speculation fill is a burst too: one claim of as many
+branches as there is room, and one ``pin_paths(..., heads=True)`` call
+that registers every planned head and admits each branch on its own, so a
+refused branch does not end the burst. The speculation byte budget is
 derived once, at construction.
 """
 
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from repro.engine.jobs import GenJob, RoundStats, SpecHeadStart
+from repro.engine.jobs import GenJob, RoundStats
 from repro.engine.telemetry import Phase
 from repro.engine.worker import GeneratorWorker
 from repro.errors import SchedulingError
@@ -95,10 +98,12 @@ class ChildStepPlan(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class GenerationRoundResult:
-    """Each standard beam's finish time, and head starts by child lineage."""
+    """Each standard beam's finish time, and head starts by child lineage:
+    ``(tokens, segment_id)``, the speculative tokens pre-generated for the
+    child and the KV segment holding them."""
 
     finished_at: dict[tuple[int, ...], float]
-    head_starts: dict[tuple[int, ...], SpecHeadStart]
+    head_starts: dict[tuple[int, ...], tuple[int, int]]
     stats: RoundStats
 
 
@@ -179,7 +184,7 @@ class GenerationRound:
         """Run the round; ``jobs`` must already be in scheduling order."""
         stats = RoundStats()
         finished_at: dict[tuple[int, ...], float] = {}
-        heads: dict[tuple[int, ...], SpecHeadStart] = {}
+        heads: dict[tuple[int, ...], tuple[int, int]] = {}
         if not jobs:
             return GenerationRoundResult(finished_at, heads, stats)
 
@@ -275,7 +280,7 @@ class GenerationRound:
                 self._context -= slot.context_len - slot.joined
                 if slot.is_spec:
                     stats.speculative_tokens += progress
-                    heads[slot.spec_lineage] = SpecHeadStart(progress, slot.segment)
+                    heads[slot.spec_lineage] = (progress, slot.segment)
                     continue
                 self._standard -= 1
                 self._standard_context -= slot.context_len - slot.joined
@@ -409,46 +414,39 @@ class GenerationRound:
         spec_step_bytes = avg_ctx * self._kv_bytes_per_token
         spec_cap = max(1, int(self._spec_budget_bytes / spec_step_bytes))
         spec_slots = len(running) - standard
-        admitted, context = self._admitted, 0
+        admitted, context, now = self._admitted, 0, self._clock.now
         finishes, crossings = self._finishes, self._crossings
-        while len(running) < capacity and spec_slots < spec_cap:
-            claim = selector.next_branch()
-            if claim is None:
-                break
-            plan = planner(*claim)
-            if plan is None:
-                continue
-            child_lineage, segment_id, parent_segment, n_tokens = plan
-            cache.register_segment(segment_id, parent_segment, 0)
-            split = cache.pin_paths((segment_id,), self._clock.now, grow=(n_tokens,))
-            if not split:
-                continue  # never evict standard work for speculation
-            hit_tokens, recomputed_tokens, _ = split[0]
-            spec_slots += 1
-            slot = _Slot(
-                segment=segment_id,
-                remaining=n_tokens,
-                context_len=hit_tokens + recomputed_tokens,
-                spec_lineage=child_lineage,
-                is_spec=True,
-                seq=admitted,
-                joined=offset,
-                finish=offset + n_tokens,
-                synced=offset,
-            )
-            context += slot.context_len - offset
-            heappush(finishes, (slot.finish, admitted, slot))
-            # An empty tail: its first token takes a block.
-            crossings[(offset + 1) % self._block_tokens][admitted] = (admitted, slot)
-            running.append(slot)
-            admitted += 1
+        # One burst per pass; only a refused branch leaves room for another.
+        room = min(capacity - len(running), spec_cap - spec_slots)
+        while room > 0 and selector.heap:
+            plans = []
+            for claim in selector.claim(room):
+                plan = planner(*claim)
+                if plan is not None:
+                    plans.append(plan)
+            for plan, split in zip(plans, cache.pin_paths(plans, now, heads=True)):
+                if split is None:
+                    continue  # never evict standard work for speculation
+                child_lineage, segment_id, _, n_tokens = plan
+                slot = _Slot(
+                    segment_id, n_tokens, split[0] + split[1], spec_lineage=child_lineage,
+                    is_spec=True, seq=admitted, joined=offset, finish=offset + n_tokens,
+                    synced=offset,
+                )
+                context += slot.context_len - offset
+                heappush(finishes, (slot.finish, admitted, slot))
+                # An empty tail: its first token takes a block.
+                crossings[(offset + 1) % self._block_tokens][admitted] = (admitted, slot)
+                running.append(slot)
+                admitted += 1
+                room -= 1
         self._admitted = admitted
         self._context += context
 
     def _finish_spec(
         self,
         slot: _Slot,
-        heads: dict[tuple[int, ...], SpecHeadStart],
+        heads: dict[tuple[int, ...], tuple[int, int]],
         stats: RoundStats,
     ) -> None:
         """Release a speculative shortfall victim (its tail is settled),
@@ -458,7 +456,7 @@ class GenerationRound:
         self._leave(slot)
         stats.speculative_tokens += slot.progress
         if slot.progress > 0:
-            heads[slot.spec_lineage] = SpecHeadStart(slot.progress, slot.segment)
+            heads[slot.spec_lineage] = (slot.progress, slot.segment)
 
     def _leave(self, slot: _Slot) -> None:
         """Take a shortfall victim out of its crossing bucket; its finish
@@ -470,7 +468,7 @@ class GenerationRound:
     def _kill_spec_slots(
         self,
         running: list[_Slot],
-        heads: dict[tuple[int, ...], SpecHeadStart],
+        heads: dict[tuple[int, ...], tuple[int, int]],
         stats: RoundStats,
     ) -> None:
         """Terminate speculative slots, keeping partial progress as heads.
@@ -491,7 +489,7 @@ class GenerationRound:
             progress = offset - slot.joined
             stats.speculative_tokens += progress
             if progress > 0:
-                heads[slot.spec_lineage] = SpecHeadStart(progress, slot.segment)
+                heads[slot.spec_lineage] = (progress, slot.segment)
         running[:] = [slot for slot in running if not slot.is_spec]
         self._context = self._standard_context
 
@@ -501,7 +499,7 @@ class GenerationRound:
         self,
         running: list[_Slot],
         waiting: deque[_Slot],
-        heads: dict[tuple[int, ...], SpecHeadStart],
+        heads: dict[tuple[int, ...], tuple[int, int]],
         stats: RoundStats,
         failing: _Slot,
         delta: int,
@@ -551,7 +549,7 @@ class GenerationRound:
         self,
         running: list[_Slot],
         waiting: deque[_Slot],
-        heads: dict[tuple[int, ...], SpecHeadStart],
+        heads: dict[tuple[int, ...], tuple[int, int]],
         delta: int,
         grown: int,
         stats: RoundStats,

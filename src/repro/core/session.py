@@ -61,6 +61,7 @@ from repro.metrics.latency import LatencyBreakdown
 from repro.metrics.report import ProblemRunResult
 from repro.search.base import SearchAlgorithm
 from repro.search.tree import ReasoningPath, prompt_segment_id, step_segment_id
+from repro.utils import rng as rng_module
 from repro.utils.rng import KeyedRng, stable_hash64
 from repro.workloads.problem import Problem
 
@@ -125,12 +126,13 @@ def path_segments(
             step_segment_id(problem, lineage, i) for i in range(steps_done)
         )
         return tuple(segments)
-    # A list comprehension, not a generator: one call, not one per step.
-    pid = problem.problem_id
-    return (
-        stable_hash64("private-prompt", pid, lineage),
-        *[stable_hash64("private-segment", pid, lineage, i) for i in range(steps_done)],
-    )
+    # ``stable_hash64`` of each key, with neither its frame nor a
+    # comprehension's; looked up per call, so a patched ``_hash64`` sees it.
+    pid, hash64 = problem.problem_id, rng_module._hash64
+    segments = [hash64(b"", ("private-prompt", pid, lineage))]
+    for i in range(steps_done):
+        segments.append(hash64(b"", ("private-segment", pid, lineage, i)))
+    return tuple(segments)
 
 
 def schedule_jobs(
@@ -781,7 +783,7 @@ class SolveSession:
         if head is not None and round_idx + 1 < self._max_steps:
             next_cap = self._algorithm.step_cap(round_idx + 1)
             generator, problem = self._generator, self._problem
-            if head.tokens >= generator.step_tokens(
+            if head[0] >= generator.step_tokens(
                 problem, child_lineage, round_idx + 1, next_cap
             ):
                 child_step = generator.plan_step(
@@ -791,7 +793,7 @@ class SolveSession:
                 return self._score_job(
                     path,
                     lookahead_child=child_lineage,
-                    lookahead_segment=head.segment_id,
+                    lookahead_segment=head[1],
                     lookahead_tokens=child_step.n_tokens,
                     lookahead_soundness=sum(soundness) / len(soundness),
                 )
@@ -808,20 +810,21 @@ class SolveSession:
                 child = expansion.path.make_child(child_index)
                 head = gen_result.head_starts.get(child.lineage)
                 if head is not None:
-                    kept = self._truncate_head(child.lineage, child_index, head.tokens)
-                    if kept < head.tokens:
+                    tokens, segment_id = head
+                    kept = self._truncate_head(child.lineage, child_index, tokens)
+                    if kept < tokens:
                         self._gen_cache.truncate_segment(
-                            head.segment_id, kept, now=self.clock.now
+                            segment_id, kept, now=self.clock.now
                         )
                     if kept > 0:
                         self._heads_kept[child.lineage] = kept
                     self._counters.speculative_used += kept
-                    self._counters.speculative_wasted += head.tokens - kept
+                    self._counters.speculative_wasted += tokens - kept
                     adopted.add(child.lineage)
                 new_active.append(child)
-        for lineage, head in gen_result.head_starts.items():
+        for lineage, (tokens, _) in gen_result.head_starts.items():
             if lineage not in adopted:
-                self._counters.speculative_wasted += head.tokens
+                self._counters.speculative_wasted += tokens
         return new_active
 
     def _truncate_head(

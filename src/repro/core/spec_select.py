@@ -39,7 +39,7 @@ class SelectSpec:
     :attr:`heap` holds ``(-potential, arrival, candidate)``: descending
     potential, then FIFO arrival (unique, so candidates never compare).
     A candidate is a finished beam's ``[lineage, potential, branches
-    started]``, a list so claiming a branch counts in place. It leaves
+    started]``, a list so claiming branches counts in place. It leaves
     when its last branch is claimed, so the heap is non-empty exactly when
     a branch is left to claim; a decode round reads it to decide whether
     to enter its speculation fill at all.
@@ -64,21 +64,25 @@ class SelectSpec:
         self._arrivals = arrival + 1
         heapq.heappush(self.heap, (-potential, arrival, [lineage, potential, 0]))
 
-    def next_branch(self) -> tuple[tuple[int, ...], int] | None:
-        """Claim one speculative slot: ``(parent lineage, child index)``.
-
-        Returns ``None`` when no candidate has remaining potential. The
-        same parent can be drawn repeatedly up to its ``M_i``.
-        """
+    def claim(self, k: int) -> list[tuple[tuple[int, ...], int]]:
+        """Claim up to ``k`` speculative slots, ``(parent lineage, child
+        index)`` pairs in claim order: a candidate gives its next children
+        up to its ``M_i``, then the next in heap order takes over. Fewer
+        than ``k`` means no candidate has potential left."""
         heap = self.heap
-        if not heap:
-            return None
-        candidate = heap[0][2]
-        child_index = candidate[2]
-        candidate[2] = child_index + 1
-        if child_index + 1 >= candidate[1]:
-            heapq.heappop(heap)
-        return candidate[0], child_index
+        claims: list[tuple[tuple[int, ...], int]] = []
+        while k > 0 and heap:
+            candidate = heap[0][2]
+            lineage, potential, started = candidate
+            end = min(potential, started + k)
+            for child_index in range(started, end):
+                claims.append((lineage, child_index))
+            k -= end - started
+            if end >= potential:
+                heapq.heappop(heap)
+            else:
+                candidate[2] = end
+        return claims
 
     def __len__(self) -> int:
         return len(self.heap)

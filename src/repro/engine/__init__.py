@@ -1,7 +1,7 @@
 """Serving engine substrate: clock, telemetry, jobs, and model workers."""
 
 from repro.engine.clock import SimClock
-from repro.engine.jobs import GenJob, RoundStats, SpecHeadStart, VerifyJob
+from repro.engine.jobs import GenJob, RoundStats, VerifyJob
 from repro.engine.telemetry import Phase, PhaseTimer, TokenCounters, UtilSpan
 from repro.engine.worker import GeneratorWorker, ModelWorker, VerifierWorker
 
@@ -13,7 +13,6 @@ __all__ = [
     "UtilSpan",
     "GenJob",
     "VerifyJob",
-    "SpecHeadStart",
     "RoundStats",
     "ModelWorker",
     "GeneratorWorker",

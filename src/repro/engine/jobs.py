@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["GenJob", "VerifyJob", "SpecHeadStart", "RoundStats"]
+__all__ = ["GenJob", "VerifyJob", "RoundStats"]
 
 
 @dataclass(slots=True)
@@ -59,15 +59,6 @@ class GenJob:
         if not self.path_segments:
             raise ValueError("a job always has at least the prompt segment")
         self.remaining_tokens = self.step_tokens - self.head_start
-
-
-@dataclass(slots=True)
-class SpecHeadStart:
-    """Speculative tokens pre-generated for one prospective child beam,
-    filed under the child's lineage: its token count and KV segment."""
-
-    tokens: int
-    segment_id: int
 
 
 @dataclass(slots=True)

@@ -22,7 +22,7 @@ registered in one :meth:`PagedKVCache.register_chain` call: its known
 prefix is trusted, and the rest is checked before anything changes. The
 beams of a batch share their prefixes (the paper's Sec. 4.2), so pinning
 is per admission burst: one :meth:`PagedKVCache.pin_paths` call pins a
-generation burst, a speculative slot or a verifier batch
+generation burst, a verifier batch or the heads of a speculation fill
 (``materialize`` is its one-path case). Decode-time growth is kept at
 its events. A decode span costs one :meth:`PagedKVCache.grow_span` call,
 which takes blocks only for the tails that cross a block boundary inside
@@ -339,10 +339,11 @@ class PagedKVCache:
 
     def pin_paths(
         self,
-        leaf_ids: Iterable[int],
+        leaf_ids: Iterable,
         now: float = 0.0,
         grow: Iterable[int] | None = None,
-    ) -> list[tuple[int, int, int]]:
+        heads: bool = False,
+    ) -> list[tuple[int, int, int] | None]:
         """Pin root->leaf paths resident in order, evicting LRU victims.
 
         Returns each pinned path's ``(hit_tokens, recomputed_tokens,
@@ -352,6 +353,14 @@ class PagedKVCache:
         and evictable blocks outside it, less what earlier paths were
         promised, is left untouched. A path that cannot find its blocks
         even by evicting has its pins rolled back; its victims stay evicted.
+
+        With ``heads``, a speculation fill's one call: ``leaf_ids`` are
+        the planner's ``(child lineage, head, parent, planned tokens)``
+        tuples, and each is :meth:`register_segment` of its empty head
+        (checks included) then a one-path ``pin_paths`` with its growth:
+        admitted alone, nothing promised to earlier branches. A refused
+        or rolled-back branch is ``None`` in the aligned result, and the
+        next one is tried.
         """
         segments = self._segments
         pool = self.pool
@@ -359,13 +368,30 @@ class PagedKVCache:
         changed = self._changed
         stats = self.stats
         claimed = 0  # growth promised to the paths admitted so far
-        splits: list[tuple[int, int, int]] = []
+        splits: list[tuple[int, int, int] | None] = []
         pairs = zip(leaf_ids, repeat(0)) if grow is None else zip(leaf_ids, grow, strict=True)
-        for leaf_id, extra in pairs:
-            leaf = segments.get(leaf_id)
-            if leaf is None:
-                raise _unknown(leaf_id)
-            if grow is not None:  # the admission test; blocks round per segment
+        admission = heads or grow is not None
+        for item in leaf_ids if heads else pairs:
+            if heads:
+                _, leaf_id, parent_id, extra = item
+                parent = segments.get(parent_id)
+                if parent is None:
+                    raise KeyError(f"parent segment {parent_id} is not registered")
+                leaf = segments.get(leaf_id)
+                if leaf is None:
+                    leaf = segments[leaf_id] = SegmentState(
+                        leaf_id, parent_id, 0, parent.depth + 1,
+                        ancestors=parent.ancestors + (parent,),
+                    )
+                    parent.children.add(leaf_id)
+                elif leaf.parent_id != parent_id or leaf.token_len:
+                    raise ValueError(f"node {leaf_id} already exists with different attributes")
+            else:
+                leaf_id, extra = item
+                leaf = segments.get(leaf_id)
+                if leaf is None:
+                    raise _unknown(leaf_id)
+            if admission:  # the admission test; blocks round per segment
                 needed = own_evictable = 0
                 broken = False
                 for state in leaf.ancestors:
@@ -387,8 +413,12 @@ class PagedKVCache:
                     + self._evictable_blocks - own_evictable
                 )
                 if claimed + needed > reclaimable:
+                    if heads:
+                        splits.append(None)
+                        continue
                     break
-                claimed += needed
+                if not heads:
+                    claimed += needed
 
             self.access_clock += 1
             stamp = self.access_clock
@@ -438,6 +468,9 @@ class PagedKVCache:
                         stats.record(now, CacheEventKind.RECOMPUTE, state.node_id, tokens)
             except CapacityError:
                 self.release_tail(leaf_id)
+                if heads:
+                    splits.append(None)
+                    continue
                 break
 
             if hit_tokens:

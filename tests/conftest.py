@@ -3,9 +3,16 @@
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from repro.utils import pcg64
 from repro.utils import rng as rng_module
+
+
+# ``--hypothesis-profile ci`` (CI's ``digest-gate`` job) runs five times
+# the default examples. A property that sets its own budget writes it as a
+# multiple of ``settings.default.max_examples`` to scale with the profile.
+settings.register_profile("ci", max_examples=5 * settings.default.max_examples)
 
 
 def pytest_configure(config):

@@ -122,7 +122,7 @@ class TestGenerationUnderPressure:
         assert victims == [((1, 0), 86, True)]
         assert_whole_steps(result, round_._worker, jobs)
         assert result.stats.decoded_tokens == 137
-        heads = {lineage: h.tokens for lineage, h in result.head_starts.items()}
+        heads = {lineage: tokens for lineage, (tokens, _) in result.head_starts.items()}
         assert heads == {(1, 0): 86, (1, 1): 86}
 
     def test_a_preemption_that_empties_the_batch_refills_it(self, monkeypatch):
@@ -153,7 +153,7 @@ class TestGenerationUnderPressure:
         # the head start is what the slot decoded before the arrival; its
         # key is the child lineage, whose parent is beam 0
         assert [
-            (lineage[:-1], h.tokens) for lineage, h in result.head_starts.items()
+            (lineage[:-1], tokens) for lineage, (tokens, _) in result.head_starts.items()
         ] == [((0,), 60)]
 
     def test_speculation_never_steals_standard_memory(self):

@@ -439,8 +439,10 @@ class TestDeriveOnce:
     #: verified (56 263 before, 51 516 measured), and with the fleet's
     #: preemption one deadline compared only while speculating and a
     #: speculative candidate's potential computed inline (51 445 before,
-    #: 50 787 measured).
-    CALLS_NOW = 51_800
+    #: 50 787 measured), and with each speculation fill claimed, registered
+    #: and pinned as one burst and a head start a bare pair (50 276 before,
+    #: 47 917 measured; the bound keeps the 1 013 calls of headroom it had).
+    CALLS_NOW = 48_950
     #: Distinct strings the solve hashes: with a cold memo, each is one
     #: ``_encode_part`` call, and they were all of that function's calls
     #: before keys were encoded in one pass.
@@ -448,10 +450,11 @@ class TestDeriveOnce:
     #: The part of them made in ``repro/kvcache/``: 103 235 while each
     #: segment transition went through block, LRU and statistics helpers,
     #: 26 488 while each path operation walked the parent links, 14 123
-    #: while each beam was pinned by its own calls, 8 092 since (a span's
+    #: while each beam was pinned by its own calls, 8 092 while a span's
     #: ``grow_span`` and a leaving tail's ``release_tail`` took over from
-    #: ``extend_segments`` and the plain unpin one for one).
-    KVCACHE_CALLS_NOW = 8_150
+    #: ``extend_segments`` and the plain unpin one for one, 6 867 since each
+    #: speculation fill registers and pins its heads in one ``pin_paths``.
+    KVCACHE_CALLS_NOW = 6_925
 
     def solve(self, dataset, problem):
         server = make_server(dataset, "fasttts")
@@ -536,18 +539,17 @@ class TestDeriveOnce:
         its plan, not by planning child 0: it draws step lengths only for
         the children speculation claims."""
         offered, claimed, drawn = set(), set(), set()
-        real_offer, real_next = SelectSpec.offer, SelectSpec.next_branch
+        real_offer, real_claim = SelectSpec.offer, SelectSpec.claim
         real_run = GenerationRound.run
 
         def recording_offer(selector, lineage, prev_score):
             offered.add(lineage)
             return real_offer(selector, lineage, prev_score)
 
-        def recording_next(selector):
-            claim = real_next(selector)
-            if claim is not None:
-                claimed.add(claim[0] + (claim[1],))
-            return claim
+        def recording_claim(selector, k):
+            claims = real_claim(selector, k)
+            claimed.update(parent + (child,) for parent, child in claims)
+            return claims
 
         def recording_run(gen_round, jobs):
             before = Counter(streams_built)
@@ -558,7 +560,7 @@ class TestDeriveOnce:
             return result
 
         monkeypatch.setattr(SelectSpec, "offer", recording_offer)
-        monkeypatch.setattr(SelectSpec, "next_branch", recording_next)
+        monkeypatch.setattr(SelectSpec, "claim", recording_claim)
         monkeypatch.setattr(GenerationRound, "run", recording_run)
         self.solve(dataset, problem)
 
@@ -669,12 +671,14 @@ class TestDeriveOnce:
             jobs_per_round.append(len(jobs))
             return real_run(gen_round, jobs)
 
-        pinned = []
+        pinned, fills = [], []
         real_pin_paths = PagedKVCache.pin_paths
 
         def counting_pin_paths(cache, *args, **kwargs):
             splits = real_pin_paths(cache, *args, **kwargs)
-            pinned.append(len(splits))
+            pinned.append(len(splits) - splits.count(None))  # a fill's refusals
+            if kwargs.get("heads"):
+                fills.append(len(splits))
             return splits
 
         monkeypatch.setattr(GenerationRound, "run", counting_run)
@@ -691,6 +695,10 @@ class TestDeriveOnce:
         assert sum(pinned) > 0
         assert calls["PagedKVCache.release_tail"] == sum(pinned)
         assert calls["PagedKVCache.materialize"] == 0
+        # A speculation burst is one claim and one cache call, which
+        # registers its heads (``register_segment`` was one call per head).
+        assert sum(fills) > len(fills) == calls["SelectSpec.claim"] > 0
+        assert calls["PagedKVCache.register_segment"] < sum(fills)
         # No generator is left in a round: no span scans the batch to ask
         # whether a standard slot is still running, and the slots are
         # built without a resumed call per job.

@@ -42,46 +42,45 @@ class TestSelectSpec:
         selector = SelectSpec(branching_factor=4)
         selector.offer((0,), 0.2)   # potential 1
         selector.offer((1,), 0.9)   # potential 4
-        parent, child = selector.next_branch()
+        [(parent, child)] = selector.claim(1)
         assert parent == (1,)
         assert child == 0
 
     def test_same_parent_drawn_up_to_potential(self):
         selector = SelectSpec(branching_factor=4)
         selector.offer((1,), 0.9)
-        claims = [selector.next_branch() for _ in range(4)]
-        assert all(c is not None and c[0] == (1,) for c in claims)
-        assert [c[1] for c in claims] == [0, 1, 2, 3]
+        claims = selector.claim(4)
+        assert claims == [((1,), 0), ((1,), 1), ((1,), 2), ((1,), 3)]
+        assert selector.claim(1) == []
 
-    def test_exhausted_pool_returns_none(self):
+    def test_exhausted_pool_claims_nothing(self):
         selector = SelectSpec(branching_factor=2)
         selector.offer((0,), 0.1)  # potential 1
-        assert selector.next_branch() is not None
-        assert selector.next_branch() is None
+        assert selector.claim(3) == [((0,), 0)]
+        assert selector.claim(1) == []
+        assert not selector.heap
 
     def test_fifo_within_equal_potential(self):
         selector = SelectSpec(branching_factor=1)
         selector.offer((5,), 0.5)
         selector.offer((6,), 0.5)
-        assert selector.next_branch()[0] == (5,)
-        assert selector.next_branch()[0] == (6,)
+        assert selector.claim(2) == [((5,), 0), ((6,), 0)]
 
     def test_len_counts_live_candidates(self):
         selector = SelectSpec(branching_factor=4)
         selector.offer((0,), 0.9)
         selector.offer((1,), 0.9)
         assert len(selector) == 2
-        for _ in range(4):
-            selector.next_branch()
+        selector.claim(4)
         assert len(selector) == 1
 
     def test_interleaved_offers(self):
         """Slots freed over time mix with new candidates correctly."""
         selector = SelectSpec(branching_factor=4)
         selector.offer((0,), 0.55)  # potential 3
-        assert selector.next_branch()[0] == (0,)
+        assert selector.claim(1) == [((0,), 0)]
         selector.offer((1,), 0.95)  # potential 4: jumps the queue
-        assert selector.next_branch()[0] == (1,)
+        assert selector.claim(1) == [((1,), 0)]
 
     def test_bad_branching_factor(self):
         with pytest.raises(ValueError):
@@ -118,24 +117,30 @@ SCORES = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))
 class TestSelectSpecOrder:
     @given(
         branching=st.integers(min_value=1, max_value=6),
-        ops=st.lists(st.one_of(st.just("next"), SCORES), max_size=60),
+        ops=st.lists(st.one_of(st.integers(0, 9), SCORES), max_size=60),
     )
     def test_any_interleaving_claims_in_reference_order(self, branching, ops):
         """The heap of ``(-potential, arrival, candidate)`` entries claims
-        the same ``(lineage, child)`` sequence as the reference, whatever
-        the interleaving of offers and claims."""
+        the same ``(lineage, child)`` sequence as the reference's one claim
+        at a time, whatever the interleaving of offers and bursts (an int
+        op claims that many)."""
         selector, reference = SelectSpec(branching), ReferenceSelector(branching)
         claims, expected = [], []
         for i, op in enumerate(ops):
-            if op == "next":
-                claims.append(selector.next_branch())
-                expected.append(reference.next_branch())
+            if type(op) is int:
+                burst = selector.claim(op)
+                claims += burst
+                for _ in range(op):
+                    claim = reference.next_branch()
+                    if claim is not None:
+                        expected.append(claim)
+                assert len(burst) == op or not len(reference)
             else:
                 selector.offer((i,), op)
                 reference.offer((i,), op)
             assert len(selector) == len(reference)
-        while len(reference):  # drain what is left
-            claims.append(selector.next_branch())
+        claims += selector.claim(10**6)  # drain what is left
+        while len(reference):
             expected.append(reference.next_branch())
         assert claims == expected
-        assert selector.next_branch() is None
+        assert selector.claim(1) == [] and not selector.heap

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.jobs import GenJob, SpecHeadStart, VerifyJob
+from repro.engine.jobs import GenJob, VerifyJob
 
 
 def gen_job(**overrides):
@@ -68,8 +68,3 @@ class TestVerifyJob:
         with pytest.raises(ValueError):
             self.base(path_segment_tokens=(64, 1))
 
-
-class TestSpecHeadStart:
-    def test_fields(self):
-        head = SpecHeadStart(tokens=30, segment_id=99)
-        assert (head.tokens, head.segment_id) == (30, 99)

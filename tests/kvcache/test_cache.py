@@ -3,7 +3,9 @@
 import cProfile
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import CapacityError
 from repro.kvcache.cache import PagedKVCache
@@ -355,6 +357,220 @@ class TestPinPaths:
         assert cache.is_resident(3) and not cache.is_resident(5)
         with pytest.raises(CapacityError):
             cache.materialize(5)  # the one-path case raises instead
+
+
+def per_branch(cache, plans, now=0.0):
+    """A speculation fill's cache calls one branch at a time: register the
+    empty head, then pin its path with its planned growth alone."""
+    splits = []
+    for _, head, parent, tokens in plans:
+        cache.register_segment(head, parent, 0)
+        split = cache.pin_paths((head,), now, grow=(tokens,))
+        splits.append(split[0] if split else None)
+    return splits
+
+
+def outcome(call, cache, plans):
+    try:
+        return call(cache, plans, 1.0)
+    except (KeyError, ValueError) as error:
+        return type(error), str(error)
+
+
+def fused(cache, plans, now=0.0):
+    return cache.pin_paths(plans, now, heads=True)
+
+
+def books(cache):
+    """Everything a caller can observe: totals, every segment's tree and
+    cache state (stamps included), the statistics with their trace, and
+    the segments changed since the last look."""
+    return {
+        "totals": (
+            cache.pool.allocated_blocks, cache.evictable_blocks, cache.resident_tokens,
+            cache.resident_segment_count, cache.access_clock,
+        ),
+        "segments": [
+            (
+                s.node_id, s.parent_id, s.token_len, s.depth, sorted(s.children),
+                [a.node_id for a in s.ancestors], s.resident, s.pin_count,
+                s.blocks_held, s.last_access, s.resident_children,
+            )
+            for s in cache.segments.values()
+        ],
+        "stats": replace(cache.stats, trace=list(cache.stats.trace)),
+        "changed": [s.node_id for s in cache.take_changes()],
+    }
+
+
+def victims(cache):
+    """The LRU order, replayed: a flush's eviction trace."""
+    seen = len(cache.stats.trace)
+    cache.evict_all(now=2.0)
+    return cache.stats.trace[seen:]
+
+
+def fail_eviction_at(cache, call):
+    """Make the ``call``-th eviction find no victim. No valid state lets a
+    path that passed its admission test run out of victims, so this is
+    how a test reaches the rollback."""
+    real, calls = cache._evict_for, [0]
+
+    def evict_for(n_blocks, now):
+        calls[0] += 1
+        if calls[0] == call:
+            raise CapacityError("no victim (injected)")
+        return real(n_blocks, now)
+
+    cache._evict_for = evict_for
+
+
+def twin_caches(setup, capacity_tokens=160):
+    caches = []
+    for _ in range(2):
+        cache = PagedKVCache(
+            capacity_tokens * 4, 4, block_tokens=16, trace_capacity=10_000
+        )
+        setup(cache)
+        cache.take_changes()  # start recording changes
+        caches.append(cache)
+    return caches
+
+
+def lineage(i):
+    return (0, i)
+
+
+class TestPinHeads:
+    """``pin_paths(plans, now, heads=True)``, a speculation fill's one cache
+    call, equals the per-branch loop it replaced (``register_segment``,
+    then a one-path ``pin_paths`` with ``grow``) on the books, the stamps,
+    ``take_changes``, ``CacheStats`` and the victims, refusals and errors
+    included."""
+
+    def assert_same(self, setup, plans, fault=None, capacity_tokens=160):
+        new, reference = twin_caches(setup, capacity_tokens)
+        if fault is not None:
+            fail_eviction_at(new, fault)
+            fail_eviction_at(reference, fault)
+        result = outcome(fused, new, plans)
+        assert result == outcome(per_branch, reference, plans)
+        assert books(new) == books(reference)
+        resident = {s.node_id for s in new.resident_segments()}
+        assert victims(new) == victims(reference)
+        return result, new, resident
+
+    def test_a_refused_branch_is_skipped_and_the_next_one_admitted(self):
+        def setup(cache):
+            cache.register_segment(1, None, 32)
+            cache.register_segment(3, 1, 48)
+            cache.materialize(3)  # 5 of the 10 blocks, pinned
+
+        plans = [(lineage(0), 100, 3, 200), (lineage(1), 101, 1, 40)]
+        result, cache, _ = self.assert_same(setup, plans)
+        # 100 needs 13 blocks for its growth; 101 needs 3 of the 5 free.
+        assert result == [None, (32, 0, 0)]
+        assert cache.segments[100].pin_count == 0 and not cache.is_resident(100)
+        assert cache.segments[101].pin_count == 1 and cache.is_resident(101)
+
+    def test_growth_promised_to_an_earlier_branch_is_not_counted(self):
+        def setup(cache):
+            cache.register_segment(1, None, 32)
+            cache.materialize(1)
+
+        # Each branch's growth takes 5 of the 8 free blocks: alone, each fits.
+        plans = [(lineage(i), 100 + i, 1, 80) for i in range(3)]
+        result, _, _ = self.assert_same(setup, plans)
+        assert result == [(32, 0, 0)] * 3
+
+    def test_a_capacity_error_rolls_back_only_that_branch(self):
+        def setup(cache):
+            cache.register_segment(1, None, 32)
+            cache.register_segment(2, 1, 64)
+            cache.register_segment(3, 1, 48)
+            cache.register_segment(5, 1, 32)
+            cache.materialize(2, pin=False)  # 4 blocks, the LRU victim
+            cache.materialize(3)  # 9 of the 10 blocks in use
+
+        plans = [
+            (lineage(0), 100, 3, 10),  # growth in the free block
+            (lineage(1), 101, 5, 8),  # loading 5 must evict: it fails
+            (lineage(2), 102, 3, 5),
+        ]
+        result, cache, resident = self.assert_same(setup, plans, fault=1)
+        assert result == [(80, 0, 0), None, (80, 0, 0)]
+        assert [cache.segments[s].pin_count for s in (1, 3, 5, 100, 101, 102)] == [
+            3, 3, 0, 1, 0, 1
+        ]
+        assert 2 in resident and 5 not in resident
+
+    def test_a_differing_re_registration_raises_before_its_branch_changes(self):
+        def setup(cache):
+            cache.register_segment(1, None, 32)
+            cache.register_segment(7, 1, 16)
+            cache.register_segment(100, 1, 0)
+
+        clash = [(lineage(1), 7, 1, 8)]  # 7 holds 16 tokens, a head none
+        moved = [(lineage(2), 100, 7, 8)]  # 100 hangs under 1, not 7
+        ok = [(lineage(0), 101, 1, 8)]
+        for bad in (clash, moved):
+            result, cache, _ = self.assert_same(setup, ok + bad + ok)
+            assert result[0] is ValueError
+            assert cache.segments[101].pin_count == 1  # the branch before it
+            new, _ = twin_caches(setup)
+            before = books(new)
+            with pytest.raises(ValueError, match="different attributes"):
+                new.pin_paths(bad + ok, heads=True)
+            assert books(new) == before  # nothing changed at all
+        result, _, _ = self.assert_same(setup, ok + [(lineage(3), 102, 55, 8)])
+        assert result == (KeyError, "'parent segment 55 is not registered'")
+
+    def test_re_registering_an_empty_head_is_a_pin(self):
+        def setup(cache):
+            cache.register_segment(1, None, 32)
+
+        plans = [(lineage(0), 100, 1, 8), (lineage(0), 100, 1, 8)]
+        result, cache, _ = self.assert_same(setup, plans)
+        assert result == [(0, 32, 0), (32, 0, 0)]
+        assert cache.segments[100].pin_count == 2
+
+    @given(
+        capacity=st.sampled_from([64, 96, 160]),
+        steps=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(1, 64), st.sampled_from("-rrp")),
+            min_size=2, max_size=6,
+        ),
+        plans=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(1, 24), st.sampled_from([0] * 9 + [1, 2])),
+            max_size=6,
+        ),
+        fault=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
+    def test_any_fill_equals_the_per_branch_loop(self, capacity, steps, plans, fault):
+        """Random trees of resident (``r``), pinned (``p``) and cold
+        (``-``) steps under one prompt, and bursts whose heads may repeat,
+        clash with a step, move to another parent or name an unregistered
+        one."""
+        segments = [1] + [10 + i for i in range(len(steps))]
+
+        def setup(cache):
+            cache.register_segment(1, None, 32)
+            for i, (parent, tokens, state) in enumerate(steps):
+                cache.register_segment(10 + i, segments[parent % (i + 1)], tokens)
+                pinned = state != "-" and cache.pin_paths((10 + i,))
+                if pinned and state == "r":
+                    cache.release_tail(10 + i)
+
+        burst = [
+            # head 0..13 is a fresh (or repeated) head, 14 and 15 name a step;
+            # its parent follows from its id, unless moved by one or to an
+            # unregistered segment
+            (lineage(i), 100 + head if head < 14 else head - 4,
+             999 if moved == 2 else segments[(head + moved) % len(segments)], tokens)
+            for i, (head, tokens, moved) in enumerate(plans)
+        ]
+        self.assert_same(setup, burst, fault, capacity)
 
 
 class TestCarriedChain:

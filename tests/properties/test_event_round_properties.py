@@ -13,6 +13,14 @@ residency and pins, the cache totals and statistics (its trace holds
 every allocation and every eviction victim, in order), the set of
 changed segments, and the LRU order of every segment, which a final
 flush of both caches replays victim by victim.
+
+The eager loop fills speculation one branch at a time: it claims one,
+registers its head (:meth:`PagedKVCache.register_segment`) and pins its
+path with its planned growth in a one-path
+:meth:`PagedKVCache.pin_paths`. :class:`GenerationRound` claims a burst
+and registers and pins every head in one ``pin_paths(..., heads=True)``
+call, which the strategy below drives through fills where one branch is
+refused and another admitted.
 """
 
 from __future__ import annotations
@@ -22,12 +30,13 @@ from collections import deque
 from dataclasses import dataclass
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import Phase as HypothesisPhase
+from hypothesis import find, given, settings
 
 from repro.core.generation_round import ChildStepPlan, GenerationRound
 from repro.core.spec_select import SelectSpec
 from repro.engine.clock import SimClock
-from repro.engine.jobs import GenJob, RoundStats, SpecHeadStart
+from repro.engine.jobs import GenJob, RoundStats
 from repro.engine.telemetry import Phase, PhaseTimer
 from repro.engine.worker import GeneratorWorker
 from repro.errors import SchedulingError
@@ -166,10 +175,10 @@ class EagerRound(GenerationRound):
         avg_ctx = max(1.0, standard_context / standard) if standard else 512.0
         spec_cap = max(1, int(self._spec_budget_bytes / (avg_ctx * self._kv_bytes_per_token)))
         while len(running) < capacity and spec_slots < spec_cap:
-            claim = selector.next_branch()
-            if claim is None:
+            claims = selector.claim(1)
+            if not claims:
                 return
-            plan = self._child_planner(*claim)
+            plan = self._child_planner(*claims[0])
             if plan is None:
                 continue
             child_lineage, segment_id, parent_segment, n_tokens = plan
@@ -189,7 +198,7 @@ class EagerRound(GenerationRound):
         self._cache.release_tail(slot.segment)
         stats.speculative_tokens += slot.progress
         if slot.progress > 0:
-            heads[slot.spec_lineage] = SpecHeadStart(slot.progress, slot.segment)
+            heads[slot.spec_lineage] = (slot.progress, slot.segment)
 
     def _eager_kill(self, running, heads, stats):
         for slot in running:
@@ -337,31 +346,75 @@ job_specs = st.lists(
 )
 
 
-class TestEventRoundMatchesEagerLoop:
-    @given(
-        specs=job_specs,
-        slot_budget=st.integers(1, 8),
-        speculate=st.booleans(),
-        deadline=st.one_of(st.none(), st.integers(0, 30)),
-        capacity=st.sampled_from([200, 260, 360, 600, 5_000]),
-        prefix=st.lists(st.integers(1, 40), max_size=3),
-        child_tokens=st.lists(st.integers(1, 90), min_size=1, max_size=3),
-        plain=st.booleans(),
+round_args = st.fixed_dictionaries({
+    "specs": job_specs,
+    "slot_budget": st.integers(1, 8),
+    "speculate": st.booleans(),
+    "deadline": st.one_of(st.none(), st.integers(0, 30)),
+    "capacity": st.sampled_from([200, 260, 360, 600, 5_000]),
+    "prefix": st.lists(st.integers(1, 40), max_size=3),
+    "child_tokens": st.lists(st.integers(1, 90), min_size=1, max_size=3),
+    "plain": st.booleans(),
+})
+
+
+def mixed_fill(args) -> bool:
+    """Whether the event round's speculation makes a fill in which one
+    branch is refused and another admitted."""
+    worker = make_worker(args["capacity"], args["prefix"])
+    cache, real_pin = worker.cache, worker.cache.pin_paths
+    mixed = []
+
+    def spying_pin(leaves, now=0.0, grow=None, heads=False):
+        splits = real_pin(leaves, now, grow, heads)
+        if heads and None in splits and splits.count(None) < len(splits):
+            mixed.append(splits)
+        return splits
+
+    cache.pin_paths = spying_pin
+    round_ = build_round(
+        GenerationRound, worker, args["slot_budget"], args["speculate"],
+        args["child_tokens"], args["plain"],
     )
-    @settings(max_examples=300, deadline=None)
-    def test_same_outcomes_books_and_lru_order(
-        self, specs, slot_budget, speculate, deadline, capacity, prefix, child_tokens, plain
-    ):
+    try:
+        round_.run(build_jobs(worker, args["specs"]))
+    except SchedulingError:
+        pass
+    return bool(mixed)
+
+
+class TestEventRoundMatchesEagerLoop:
+    @given(args=round_args)
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
+    def test_same_outcomes_books_and_lru_order(self, args):
+        specs, slot_budget, speculate = args["specs"], args["slot_budget"], args["speculate"]
+        capacity, prefix = args["capacity"], args["prefix"]
+        child_tokens, plain = args["child_tokens"], args["plain"]
         preempt_at = math.inf
-        if deadline is not None:
+        if args["deadline"] is not None:
             times = deadline_times(
                 specs, slot_budget, speculate, capacity, prefix, child_tokens, plain
             )
-            preempt_at = times[deadline % len(times)]
-        args = (specs, slot_budget, speculate, preempt_at, capacity, prefix, child_tokens, plain)
-        event = run_round(GenerationRound, *args)
-        eager = run_round(EagerRound, *args)
+            preempt_at = times[args["deadline"] % len(times)]
+        run_args = (
+            specs, slot_budget, speculate, preempt_at, capacity, prefix, child_tokens, plain
+        )
+        event = run_round(GenerationRound, *run_args)
+        eager = run_round(EagerRound, *run_args)
         assert event == eager
+
+    def test_the_strategy_reaches_a_fill_with_a_refused_and_an_admitted_branch(self):
+        """The property above compares a speculation burst whose one cache
+        call refuses a branch and admits the next with the eager loop's
+        two calls per branch; no gated digest run refuses a speculative
+        pin at all."""
+        find(
+            round_args, mixed_fill,
+            settings=settings(
+                max_examples=3 * settings.default.max_examples, database=None,
+                deadline=None, derandomize=True, phases=[HypothesisPhase.generate],
+            ),
+        )
 
     def test_a_tight_budget_exercises_the_shortfall_path(self, monkeypatch):
         """The property's budgets reach the shortfall loop, with speculative

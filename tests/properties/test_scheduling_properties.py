@@ -100,12 +100,7 @@ class TestSelectSpecProperties:
         selector = SelectSpec(branching_factor=branching)
         for i, score in enumerate(scores):
             selector.offer((i,), score)
-        claims = []
-        while True:
-            claim = selector.next_branch()
-            if claim is None:
-                break
-            claims.append(claim)
+        claims = selector.claim(10**6)
         expected = sum(speculative_potential(s, branching) for s in scores)
         assert len(claims) == expected
         # child indices are contiguous per parent

@@ -70,6 +70,7 @@ KEEP_FIELDS = {
     "est_offload_overhead": "AllocationPlan: the allocator tests check an offloading plan prices its swap",
     "child_lineage": "ChildStepPlan field the round unpacks by position; tests' planners build plans by name",
     "parent_leaf_segment": "ChildStepPlan field the round unpacks by position; tests' planners build plans by name",
+    "segment_id": "ChildStepPlan field the round's fill hands to the cache by position; tests' planners build plans by name",
 }
 
 
