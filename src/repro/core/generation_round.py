@@ -405,8 +405,9 @@ class GenerationRound:
         # its KV traffic. Once the combined speculative KV reads per step
         # approach the weight traffic, speculation starts slowing the
         # straggler it is meant to hide, so slots are capped at
-        # ``spec_bandwidth_fraction`` of the weight bytes. At small n this
-        # cap is far above the free-slot count and never binds.
+        # ``spec_bandwidth_fraction`` of the weight bytes. At n = 64 the cap
+        # binds: 177 of the 3 114 fills of a seed-0 ``edge_single`` perf
+        # drain find no room under it.
         avg_ctx = (
             max(1.0, (self._standard_context + standard * offset) / standard)
             if standard else 512.0

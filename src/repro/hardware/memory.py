@@ -25,14 +25,14 @@ The lane tree is kept once: each segment *is* its lane-tree node (the
 ledger's segment table is the tree's own node dict, as in
 :class:`~repro.kvcache.cache.PagedKVCache`). A node whose last claim is
 dropped stays only while it is the ancestor of a claimed node, with no
-owners and no bytes; every node, claimed or not, counts its resident
-children, so a node claimed again needs no recount.
+owners and no bytes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Container, Iterable, Sequence
 
@@ -91,7 +91,6 @@ class _Segment(RadixNode):
     owners: dict[str, int] = field(default_factory=dict)  # owner -> bytes
     num_bytes: int = 0  # unique device bytes when resident: longest claim
     logical: int = 0  # sum of the owners' claims
-    resident_children: int = 0  # lane-tree children on device
 
 
 @dataclass(slots=True, eq=False)
@@ -147,14 +146,18 @@ class KVLedger:
     whoever reported it last: an owner's report re-asserts its lengths
     only where a co-owner has since registered another one.
 
-    **The eviction frontier.** Each segment counts its resident
-    children; the leaf frontier (resident, no resident child) sits in a
-    heap of ``(stamp, node)`` entries pushed when a segment joins it —
-    a residency flip, never a growth. Stamps only grow, so an entry is a
-    lower bound of its segment's key: a popped entry is checked, and
-    re-filed if its stamp moved, before its segment is chosen. A storm
-    of V victims costs O(V log segments) (plus the re-filing), not a
-    rescan of every segment per victim.
+    **The eviction frontier** (resident, no resident child) is built by
+    each call that must evict, and only then: one pass over the segments
+    counts resident children, the frontier's exact ``(stamp, node)`` keys
+    are heapified, and a parent joins once its last resident child
+    leaves. No stamp moves during an eviction, so nothing popped is
+    stale. A storm of V victims costs one pass plus O(V log segments),
+    not a rescan per victim. Few calls evict: of the perf workloads only
+    ``sharing_batched``'s do, 7 calls over at most 334 lane-tree nodes
+    in a seed-0 drain against some 4 400 residency flips, so building
+    the frontier per evicting call costs less than keeping it current on
+    every flip (``tools/kv_books.py`` counts the calls that evict and
+    the nodes they scan).
 
     Invariants the fleet relies on:
 
@@ -193,9 +196,6 @@ class KVLedger:
         self._segments: dict[int, _Segment] = self._tree._nodes
         self._owners: dict[str, _Owner] = {}
         self._tick = 0
-        # The eviction frontier: (stamp lower bound, node), validated when
-        # popped. Entries of segments that left it are dropped then.
-        self._frontier: list[tuple[int, int]] = []
         # Running totals, updated wherever a claim or a residency bit
         # changes (the property tests recompute them from the segments).
         self._resident = 0  # unique resident bytes
@@ -361,48 +361,14 @@ class KVLedger:
                 stamp = tick
         return stamp
 
-    def _push(self, stamp: int, node_id: int) -> None:
-        """File a segment that joined the frontier; ``stamp`` may be low.
-
-        Entries of segments that left the frontier wait to be popped, so
-        the heap is rebuilt from the segments once they outnumber them
-        (filed at their floors: low is allowed).
-        """
-        heap = self._frontier
-        heappush(heap, (stamp, node_id))
-        if len(heap) > 2 * len(self._segments) + 64:
-            heap[:] = [  # in place: an eviction loop may hold the list
-                (seg.floor, node)
-                for node, seg in self._segments.items()
-                if seg.resident and not seg.resident_children
-            ]
-            heapify(heap)
-
-    def _make_resident(self, node_id: int, seg: _Segment, stamp: int) -> None:
-        """Flip a new or swapped-out segment to device-resident, totals too.
-
-        ``stamp`` is a lower bound of the segment's stamp once the caller
-        is done.
-        """
+    def _make_resident(self, node_id: int, seg: _Segment) -> None:
+        """Flip a new or swapped-out segment to device-resident, totals too."""
         seg.resident = True
         self._resident += seg.num_bytes
         self._logical += seg.logical
         owners = self._owners
         for owner in seg.owners:
             owners[owner].swapped.discard(node_id)
-        parent = self._segments.get(seg.parent_id)  # None for a root
-        if parent is not None:
-            parent.resident_children += 1
-        if not seg.resident_children:
-            self._push(stamp, node_id)
-
-    def _lost_resident_child(self, parent_id: int | None) -> None:
-        """A resident child of ``parent_id`` left the device or the ledger."""
-        parent = self._segments.get(parent_id)  # None for a root
-        if parent is not None:
-            parent.resident_children -= 1
-            if parent.resident and not parent.resident_children:
-                self._push(self._stamp(parent), parent_id)
 
     def _set_length(
         self, node_id: int, seg: _Segment, owner: str, num_bytes: int
@@ -447,9 +413,7 @@ class KVLedger:
         # sessions, not requests ever served (claims arrive parent-first:
         # a later claim rebuilds lineage).
         seg.num_bytes = seg.floor = 0
-        if seg.resident:
-            seg.resident = False
-            self._lost_resident_child(seg.parent_id)
+        seg.resident = False
         while not seg.children and not seg.owners:
             del segments[seg.node_id]
             if seg.parent_id is None:
@@ -533,13 +497,13 @@ class KVLedger:
                 self._resident += seg.num_bytes
                 self._logical += seg.logical
             else:
-                self._make_resident(node, seg, tick)
+                self._make_resident(node, seg)
             nodes.add(node)
             state.stale.discard(node)
         for node in list(state.swapped):  # claimed, not re-sent, on host
             seg = segments[node]
             from_host += seg.num_bytes
-            self._make_resident(node, seg, tick)
+            self._make_resident(node, seg)
         for node in state.stale:  # a co-owner registered another length
             seg = segments[node]
             self._set_length(node, seg, owner, seg.owners[owner])
@@ -557,36 +521,31 @@ class KVLedger:
         evicted: list[tuple[int, int]] = []
         if need <= 0:
             return evicted
-        heap, segments, owners = self._frontier, self._segments, self._owners
-        spared: list[tuple[int, int]] = []
+        segments, owners = self._segments, self._owners
+        resident = [seg for seg in segments.values() if seg.resident]
+        children = Counter([seg.parent_id for seg in resident])  # on device
+        heap = [
+            (self._stamp(seg), seg.node_id)
+            for seg in resident
+            if seg.node_id not in children and seg.node_id not in keep
+        ]
+        heapify(heap)
         while need > 0 and heap:
-            filed, victim = heap[0]
-            seg = segments.get(victim)
-            if seg is None or not seg.resident or seg.resident_children:
-                heappop(heap)  # left the frontier since it was filed
-                continue
-            stamp = seg.floor  # self._stamp(seg), inlined: storms pop a lot
-            for owner in seg.owners:
-                tick = owners[owner].tick
-                if tick > stamp:
-                    stamp = tick
-            if stamp != filed:
-                heapreplace(heap, (stamp, victim))  # touched since: re-file
-                continue
-            heappop(heap)
-            if victim in keep:
-                spared.append((stamp, victim))
-                continue
+            _, victim = heappop(heap)
+            seg = segments[victim]
             seg.resident = False
             self._resident -= seg.num_bytes
             self._logical -= seg.logical
             need -= seg.num_bytes
             for owner in seg.owners:
                 owners[owner].swapped.add(victim)
-            self._lost_resident_child(seg.parent_id)
             evicted.append((victim, seg.num_bytes))
-        for entry in spared:
-            heappush(heap, entry)
+            parent_id = seg.parent_id
+            children[parent_id] -= 1
+            if not children[parent_id] and parent_id not in keep:
+                parent = segments.get(parent_id)  # None for a root
+                if parent is not None and parent.resident:
+                    heappush(heap, (self._stamp(parent), parent_id))
         return evicted
 
     def _note_peaks(self) -> None:
@@ -650,10 +609,8 @@ class KVLedger:
         if restored:
             self._tick += 1
             state.tick = self._tick
-        # Zero bytes come back without touching a stamp: file them low.
-        stamp = state.tick if restored else 0
         for node in list(state.swapped):
-            self._make_resident(node, segments[node], stamp)
+            self._make_resident(node, segments[node])
         if not restored:
             return 0, []
         evicted = self._evict_for(self._resident - self._capacity, state.nodes)

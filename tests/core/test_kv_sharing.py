@@ -618,9 +618,12 @@ class TestLedgerWorksOnWhatChanged:
     #: for the beams that join, leave or cross a block), 50 576 after;
     #: 50 564 before preemption became one deadline and the clock handoff
     #: one anchor, 48 485 after; 47 981 before each speculation fill was
-    #: one burst and a head start a bare pair, 47 571 after (the bound
-    #: keeps the 1 015 calls of headroom it had over 48 485).
-    CALLS_NOW = 48_600
+    #: one burst and a head start a bare pair, 47 571 after; 47 586
+    #: before the ledger stopped keeping a frontier heap and resident-child
+    #: counts current and built its frontier per evicting call, 45 559
+    #: after (the bound keeps the 1 015 calls of headroom it had over
+    #: 48 485).
+    CALLS_NOW = 46_600
 
     def test_sharing_drain_calls_stay_derived_from_changes(self):
         assert sharing_drain_calls() <= self.CALLS_NOW

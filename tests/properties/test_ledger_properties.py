@@ -765,17 +765,13 @@ def assert_same_books(ledger, ref):
     for name in ("peak_resident_bytes", "peak_logical_bytes", "peak_shared_bytes"):
         assert getattr(ledger, name) == getattr(ref, name), name
     # Residency and LRU stamps (per-owner ticks and floors vs explicit
-    # stamps) of the claimed nodes, every lane-tree node's parent and
-    # length, and every node's resident children, claimed or not.
+    # stamps) of the claimed nodes, and every lane-tree node's parent and
+    # length.
     claimed = {n: s for n, s in ledger._segments.items() if s.owners}
     assert {n: s.resident for n, s in claimed.items()} == {
         n: s.resident for n, s in ref._segments.items()
     }
     assert {n: ledger._stamp(s) for n, s in claimed.items()} == ref.stamps()
-    for seg in ledger._segments.values():
-        assert seg.resident_children == sum(
-            ledger._segments[child].resident for child in seg.children
-        )
     assert {
         n: (node.parent_id, node.token_len) for n, node in ledger.tree._nodes.items()
     } == {
@@ -845,7 +841,7 @@ class TestDeltaMatchesFullReplace:
         ("report", "b", {2: 20}, "delta"),
         ("report", "a", {2: 10}, "delta"),
     ])
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     def test_same_returns_books_stamps_and_tree(self, op_list):
         ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
         held: dict[str, set[int]] = {}
@@ -933,7 +929,7 @@ def brute_force_storm(ledger, capacity):
 
 class TestEvictionFrontier:
     @given(delta_ops, st.integers(1, 130))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     def test_victims_are_the_brute_force_lru_leaf_frontier(self, op_list, capacity):
         ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
         held: dict[str, set[int]] = {}
@@ -979,9 +975,27 @@ class TestEvictionFrontier:
         assert ledger.resize(1) == ref.resize(1) == [(2, 10), (1, 5)]
         assert_same_books(ledger, ref)
 
+    def test_a_claim_less_ancestor_is_no_victim(self):
+        """The storm that takes a claim-less ancestor's last resident
+        child and goes on leaves the ancestor alone: it holds nothing to
+        swap out."""
+        ledger, ref = KVLedger(CAPACITY), FullReplaceLedger(CAPACITY)
+        root, child = KVSegment(1, None, 10), KVSegment(2, 1, 10)
+        for book in (ledger, ref):
+            book.charge_growth_segments("a", [root, child])
+        ledger.charge_growth_segments("a", [], [1])  # see the test above
+        ref.charge_growth_segments("a", [child])
+        for book in (ledger, ref):
+            book.charge_growth_segments("b", [KVSegment(3, None, 10)])
+        assert 1 in ledger.tree and not ledger._segments[1].owners
+        assert brute_force_storm(ledger, 1) == [(2, 10), (3, 10)]
+        assert ledger.resize(1) == ref.resize(1) == [(2, 10), (3, 10)]
+        assert_same_books(ledger, ref)
+
     def test_frontier_rebuild_keeps_every_candidate(self):
-        """Churn leaves dead entries behind; the heap is rebuilt from the
-        segments (at their floors) and still finds every victim."""
+        """300 reports of churn (one new leaf each, the last dropped — a
+        history the Hypothesis strategies do not reach) leave a storm
+        that still takes the brute-force scan's victims."""
         ledger = KVLedger(1 << 20)
         ledger.charge_growth_segments(
             "kept", [KVSegment(1, None, 10), KVSegment(2, 1, 10)]
@@ -990,7 +1004,6 @@ class TestEvictionFrontier:
         for node in range(100, 400):  # one new leaf per report, the last dropped
             ledger.charge_growth_segments("churn", [KVSegment(node, None, 1)], gone)
             gone = [node]
-        assert len(ledger._frontier) < 300  # rebuilt along the way
         expected = brute_force_storm(ledger, 1)
         assert [victim for victim, _ in expected] == [2, 1]
         assert ledger.resize(1) == expected

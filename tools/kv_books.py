@@ -8,8 +8,11 @@ through, and the drains are the perf benchmark's own
   lists among them that hold no bytes (no claim, or a 0-byte one);
 * ``owners``: the most owners one ledger held at once;
 * ``evicted``: victims reported by reports, restores and resizes, and
-  their bytes; ``restores``: ``restore`` calls, and the bytes brought
-  back by restores and reports.
+  their bytes; ``calls``: the calls that evicted, and ``nodes``: the
+  lane-tree nodes summed over those calls (``len(ledger.tree)`` before
+  each), which is what the ledger's per-call frontier pass scans;
+* ``restores``: ``restore`` calls, and the bytes brought back by
+  restores and reports.
 
 Every perf workload runs at seeds 0 and 1. Usage, from the repository
 root (``ROOT``, another checkout to measure, defaults to this one)::
@@ -34,22 +37,26 @@ from repro.hardware.memory import KVLedger  # noqa: E402
 books: Counter = Counter()
 
 
-def _evictions(evicted) -> None:
+def _evictions(evicted, nodes: int) -> None:
     books["evicted"] += len(evicted)
     books["evicted_b"] += sum(num_bytes for _, num_bytes in evicted)
+    if evicted:
+        books["calls"] += 1
+        books["nodes"] += nodes
 
 
 def _counted(name):
     real = getattr(KVLedger, name)
 
     def call(ledger, *a):
+        nodes = len(ledger.tree)
         result = real(ledger, *a)
         if name == "resize":
-            _evictions(result)
+            _evictions(result, nodes)
             return result
         restored, evicted = result
         books["restored_b"] += restored
-        _evictions(evicted)
+        _evictions(evicted, nodes)
         if name == "restore":
             books["restores"] += 1
         else:
@@ -64,7 +71,8 @@ def _counted(name):
 
 for method in ("charge_growth_segments", "restore", "resize"):
     _counted(method)
-print(f"{'workload':<18} seed reports empty owners evicted   MiB restores   MiB")
+print(f"{'workload':<18} seed reports empty owners evicted   MiB calls nodes "
+      "restores   MiB")
 for name in specs.workload_names():
     for seed in (0, 1):
         books.clear()
@@ -72,4 +80,5 @@ for name in specs.workload_names():
         b = books
         print(f"{name:<18} {seed:>4} {b['reports']:>7} {b['empty']:>5} "
               f"{b['owners']:>6} {b['evicted']:>7} {b['evicted_b'] / 2**20:>5.1f} "
+              f"{b['calls']:>5} {b['nodes']:>5} "
               f"{b['restores']:>8} {b['restored_b'] / 2**20:>5.1f}")
