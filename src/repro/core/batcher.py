@@ -33,11 +33,13 @@ The batcher owns no fleet bookkeeping: admission, service start, KV
 restore/growth charging and request settlement stay with the drain's run
 state (``repro.core.fleet._FleetRun``), which is passed in. It moves the
 two numbers a fleet tells a session: a member's ``anchor`` (its lane
-time at session-clock zero) when it takes the lane, and its
-``preempt_at`` (``-inf`` once an admission followed its start) before a
-generation round. Timing is the only thing batching changes — every
-token and score draw is keyed, so a batched run's answers are
-byte-identical to the unbatched ones.
+time at session-clock zero) when it takes the lane, and, on a
+continuous lane, its ``preempt_at`` (``-inf`` once an admission followed
+its start) before a generation round: only a lane that shares its batch
+has slots a newcomer can take when speculation halts (Sec. 4.1.2).
+Timing is the only thing batching changes — every token and score draw
+is keyed, so a batched run's answers are byte-identical to the
+unbatched ones.
 """
 
 from __future__ import annotations
@@ -79,15 +81,18 @@ class RoundBatcher:
         ``settle`` takes a finished request (and keeps the fleet's
         runnable index current, which is why every DONE edge must reach
         it). ``run.turn`` numbers the rounds, ``run.admissions`` counts
-        admissions (a generating member started before the latest one
-        stops speculating), and the handle in ``run.current[lane]`` is
-        still anchored at the lane clock.
+        admissions (on a continuous lane, a generating member started
+        before the latest one stops speculating; an ``off`` lane's
+        newcomer waits for the lane whatever its members speculate), and
+        the handle in ``run.current[lane]`` is still anchored at the lane
+        clock.
         """
         clock = lane.clock
         current = run.current[lane.index]
+        continuous = lane.batching == "continuous"
         admissions = run.admissions
         # A lone pick that must wait out the idle gap to its arrival is no batch.
-        batched = lane.batching == "continuous" and members[0].arrival_s <= clock.now
+        batched = continuous and members[0].arrival_s <= clock.now
         finalizing, generating, verifying = [], [], []
         for handle in members:
             state = handle.session.state
@@ -141,7 +146,7 @@ class RoundBatcher:
                 if sub_batch is generating:
                     if session.state is SessionState.ADMITTED:
                         session.step()  # zero-cost setup: plan, caches, workers
-                    if admissions > handle.admissions:
+                    if continuous and admissions > handle.admissions:
                         session.preempt_at = -math.inf  # somebody arrived since
                 session.step(occupancy)
                 if (

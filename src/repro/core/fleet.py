@@ -17,11 +17,12 @@ placement) policy choices instead of architecture changes:
   session keeps its own service-time clock, and its handle's ``anchor``
   (the lane time of the session clock's zero) places it on its device's
   lane whenever the scheduler hands it the device;
-* an arrival that lands *during* a solve preempts Phase-2 speculation
-  (Sec. 4.1.2): the fleet sets the session's ``preempt_at`` to the next
-  arrival's offset at service start, and to ``-inf`` once any admission
-  followed that start, so a busy fleet automatically sheds speculative
-  work;
+* on a ``batching="continuous"`` lane an arrival that lands *during* a
+  solve preempts Phase-2 speculation (Sec. 4.1.2), so the newcomer can
+  take the freed batch slots: the fleet sets the session's ``preempt_at``
+  to the next arrival's offset at service start, and to ``-inf`` once
+  any admission followed that start. An ``off`` lane never shares its
+  batch with a newcomer, so its sessions speculate whoever arrives;
 * **admission control**: a request whose beam budget cannot be planned
   inside any device's KV budget is rejected up front
   (:class:`CapacityError` from the allocator), as is any arrival beyond
@@ -66,6 +67,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.batcher import RoundBatcher
 from repro.core.config import ServerConfig
@@ -415,9 +417,9 @@ class TTSFleet:
         or lets the runnable lane furthest behind run one scheduling
         turn. An arrival is admitted as soon as every runnable lane has
         reached its arrival time — or immediately, when the whole pool is
-        idle. Arrivals landing during a session's service move its
-        ``preempt_at``, so speculation halts as soon as the fleet has a
-        waiting customer — pool-globally (see ``service_start``).
+        idle. On continuous-batching lanes, arrivals landing during a
+        session's service move its ``preempt_at``, so speculation halts as
+        soon as the fleet has a waiting customer (see ``service_start``).
         """
         run = _FleetRun(self)
         while run.step():
@@ -429,6 +431,10 @@ class TTSFleet:
 # fault onsets, and both before arrivals — a lane repaired exactly when
 # the next fault (or request) lands is already serving again.
 _RESTORE, _FAULT, _ARRIVAL = 0, 1, 2
+
+# The sort key of ``_FleetRun.requests`` (a C callable: bisecting with it
+# pays no Python frame).
+_arrival_s = attrgetter("arrival_s")
 
 
 def _charge_swap(
@@ -514,8 +520,9 @@ class _FleetRun:
     teardown remove the entry, so ``len(states)`` is the admission
     controller's running-request count. ``admissions`` counts completed
     admissions (accepted or refused, not one that waits for a repair):
-    a handle records it at ``service_start``, and the batcher preempts
-    the speculation of a generating member whose count it has passed.
+    a handle records it at ``service_start``, and on a continuous lane
+    the batcher preempts the speculation of a generating member whose
+    count it has passed.
     """
 
     def __init__(self, fleet: TTSFleet) -> None:
@@ -841,22 +848,27 @@ class _FleetRun:
             )
         else:
             self.place(request, seq, eligible, now=now)
-        # Either way somebody new showed up: every session whose service
-        # began before now stops speculating at its next generation round.
+        # Either way somebody new showed up: every session on a continuous
+        # lane whose service began before now stops speculating at its
+        # next generation round.
         self.admissions += 1
 
     def service_start(self, lane: PooledDevice, handle: SessionHandle) -> None:
         """First pick of a handle: stamp service start, set the preemption.
 
-        The session's speculation stops at the next request's arrival, on
-        its own clock (t=0 at service start; ``requests`` is
-        arrival-sorted, and non-positive means someone is already
-        waiting), or at the next round after any later admission (the
-        batcher compares ``admissions``). The rule is deliberately
-        *pool-global*: a session sheds speculative work when any later
-        request arrives, even one placed on another lane — the
-        conservative reading of Sec. 4.1.2 (a busy fleet sheds
-        speculation); it slightly understates multi-device speedups.
+        Sec. 4.1.2 halts speculation so that a newcomer can take the freed
+        batch slots, and only a ``continuous`` lane shares its batch: on
+        an ``off`` lane the newcomer waits for the lane anyway, so its
+        sessions speculate whoever arrives. On a continuous lane the
+        session's speculation stops at the next request's arrival, on its
+        own clock (t=0 at service start; ``requests`` is arrival-sorted,
+        and non-positive means someone is already waiting), or at the
+        next round after any later admission (the batcher compares
+        ``admissions``). A restart (failover, retry, escalation) counts
+        from the first arrival at or after its placement instant, not
+        from requests served before it. Among continuous lanes the rule
+        is pool-global: a session sheds speculative work when any later
+        request arrives, even one placed on another lane.
         """
         start = max(lane.clock.now, handle.arrival_s)
         handle.start_s = start
@@ -865,8 +877,14 @@ class _FleetRun:
         if st.start_s is None:
             st.start_s = start
             del self.queued[st.device.index][st.seq]
-        if handle.seq + 1 < len(self.requests):
-            handle.session.preempt_at = self.requests[handle.seq + 1].arrival_s - start
+        if lane.batching == "continuous":
+            # A first start's ``arrival_s`` is its request's own, so this
+            # is ``seq + 1``; a restart's is its (later) placement instant.
+            later = bisect_left(
+                self.requests, handle.arrival_s, lo=handle.seq + 1, key=_arrival_s
+            )
+            if later < len(self.requests):
+                handle.session.preempt_at = self.requests[later].arrival_s - start
 
     # -- KV ledger charging ----------------------------------------------
 
@@ -1101,11 +1119,13 @@ class _FleetRun:
     ) -> None:
         """Apply the recovery policy to a request the crash left session-less.
 
-        All of the request's device seconds so far are charged as redone
-        work — the crash voided them — and the state is torn down before
-        the policy decides the request's next life: ``shed`` fails fast,
-        ``retry`` re-queues after backoff (until the per-request budget
-        runs out), ``failover`` re-places on a healthy lane immediately
+        The request's device seconds up to ``now``, the crash instant,
+        are charged as redone work — the crash voided them, and a round
+        on the dead lane that straddled the crash is billed only up to
+        it. The state is torn down before the policy decides the
+        request's next life: ``shed`` fails fast, ``retry`` re-queues
+        after backoff (until the per-request budget runs out),
+        ``failover`` re-places on a healthy lane immediately
         (checkpoint-free restart). A request no policy can keep leaves
         the system with a terminal ``lost`` record.
         """
@@ -1114,6 +1134,8 @@ class _FleetRun:
         redone = 0.0
         for h in st.handles:
             device_s = h.session.clock.now
+            if h.device is lane and h.start_s is not None:
+                device_s = min(device_s, max(0.0, now - h.anchor))
             redone += device_s
             h.device.busy_s += device_s
         carry.redone_work_s += redone

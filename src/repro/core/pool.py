@@ -596,8 +596,10 @@ class LeastLoadedPlacement(PlacementPolicy):
     """Fewest live requests; ties go to the lane furthest behind in time.
 
     The classic join-the-shortest-queue heuristic: spreading arrivals
-    across lanes drains the pool in parallel and cuts p95 sojourn versus
-    any single device at the same arrival rate.
+    across lanes drains the pool in parallel and cuts mean sojourn versus
+    any single device at the same arrival rate. It counts requests, not
+    device speed, so on a heterogeneous pool the slow lane's share can
+    set the tail.
     """
 
     name = "least_loaded"

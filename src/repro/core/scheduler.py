@@ -92,8 +92,9 @@ class SessionHandle:
     session's private first-token time plus ``anchor``.
     ``runnable_key`` is the fleet's own bookkeeping: the key this handle
     is filed under in its lane's runnable index, None once it has left it.
-    ``admissions`` is the fleet's admission count when service began; a
-    later admission preempts the session's speculation.
+    ``admissions`` is the fleet's admission count when service began; on
+    a continuous-batching lane a later admission preempts the session's
+    speculation.
     """
 
     arrival_s: float

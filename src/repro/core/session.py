@@ -187,9 +187,10 @@ class SolveSession:
 
     ``preempt_at`` is the one attribute callers write: the session-clock
     time from which Phase-2 speculation must stop because another request
-    is waiting (Sec. 4.1.2). ``math.inf`` (the default) never preempts,
-    ``-math.inf`` preempts from the next round's start. A generation round
-    reads it once, when it is built.
+    is waiting to take the batch slots it frees (Sec. 4.1.2; a fleet sets
+    it on continuous-batching lanes only). ``math.inf`` (the default)
+    never preempts, ``-math.inf`` preempts from the next round's start. A
+    generation round reads it once, when it is built.
 
     Parameters
     ----------

@@ -20,8 +20,9 @@ Five contracts:
 
 Two facts the fleet tells a session are checked where they are read: a
 session's generation round is preempted (``preempt_at == -inf``) exactly
-when an admission followed its start, and a handle's ``anchor`` maps its
-session clock onto the lane clock turn by turn.
+when it runs on a continuous-batching lane and an admission followed its
+start (an ``off`` lane's sessions are never preempted), and a handle's
+``anchor`` maps its session clock onto the lane clock turn by turn.
 """
 
 import cProfile
@@ -35,7 +36,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.config import baseline_config
+from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import _ARRIVAL, _FAULT, _RESTORE, TTSFleet, _FleetRun
 from repro.core.pool import LeastLoadedPlacement
 from repro.core.server import TTSServer
@@ -120,30 +121,41 @@ def assert_indexes_match_scans(run):
 @contextmanager
 def preemption_watch(run):
     """Check each generation round of ``run``'s sessions as it starts: its
-    ``preempt_at`` is ``-inf`` exactly when an admission (accepted or
-    refused, not one waiting for a repair) followed the session's service
-    start. Yields the count of rounds checked, keyed by that verdict."""
-    followed = set()  # sessions an admission found in service
+    ``preempt_at`` is ``-inf`` exactly when the session runs on a
+    continuous-batching lane and an admission (accepted or refused, not one
+    waiting for a repair) followed its service start; on an ``off`` lane it
+    is never set at all. Yields the count of rounds checked, keyed by the
+    first verdict."""
+    followed = set()  # continuous-lane sessions an admission found in service
+    solo = set()  # sessions started on an ``off`` lane
     rounds = Counter()
-    real_admit, real_step = run.admit, SolveSession.step
+    real_admit, real_start, real_step = run.admit, run.service_start, SolveSession.step
 
     def admit(seq, request, now):
         started = [
             h.session for s in run.states.values() for h in s.handles
-            if h.start_s is not None
+            if h.start_s is not None and h.device.batching == "continuous"
         ]
         real_admit(seq, request, now)
         if seq in run.states or seq in run.records:
             followed.update(started)
 
+    def service_start(lane, handle):
+        real_start(lane, handle)
+        if lane.batching == "off":
+            solo.add(handle.session)
+
     def step(session, occupancy=1):
         if session.state is SessionState.GENERATING:
             preempted = session.preempt_at == -math.inf
             assert preempted == (session in followed)
+            if session in solo:
+                assert session.preempt_at == math.inf
             rounds[preempted] += 1
         return real_step(session, occupancy)
 
     run.admit = admit
+    run.service_start = service_start
     with mock.patch.object(SolveSession, "step", step):
         yield rounds
 
@@ -198,13 +210,25 @@ class TestIndexesMatchBruteForceScans:
         assert not any(lane.claimants for lane in run.lanes)
 
     def test_an_admission_preempts_each_session_already_in_service(self):
+        run = _FleetRun(build_fleet(
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin",
+            batching="continuous",
+        ))
+        with preemption_watch(run) as rounds:
+            while run.step():
+                pass
+        assert rounds[True] and rounds[False]
+
+    def test_an_admission_preempts_nothing_on_an_off_lane(self):
+        """The same time-sliced arrivals without batching: a newcomer waits
+        for the lane whatever its sessions speculate, so none is preempted."""
         run = _FleetRun(
             build_fleet([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin")
         )
         with preemption_watch(run) as rounds:
             while run.step():
                 pass
-        assert rounds[True] and rounds[False]
+        assert rounds[False] and not rounds[True]
 
     def test_an_arrival_signals_each_started_session_once(self, monkeypatch):
         """The preemption deadline never clears: once an admission drops a
@@ -221,7 +245,10 @@ class TestIndexesMatchBruteForceScans:
             return real_step(session, occupancy)
 
         monkeypatch.setattr(SolveSession, "step", recording_step)
-        build_fleet([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin").drain()
+        build_fleet(
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], scheduler="round_robin",
+            batching="continuous",
+        ).drain()
         assert any(any(seen) for seen in verdicts.values())
         assert all(seen == sorted(seen) for seen in verdicts.values())
 
@@ -235,6 +262,43 @@ class TestIndexesMatchBruteForceScans:
         while run.step():
             pass
         assert run.report().records == build_fleet(arrivals, **kwargs).drain().records
+
+
+class TestRestartPreemption:
+    """Both requests start on lane 0 of a continuous two-lane FastTTS pool;
+    the crash at 6 s fails them over to lane 1. A restart's speculation
+    stops at the first arrival after its placement instant, not at the
+    request behind it in arrival order, which arrived long before."""
+
+    @pytest.mark.parametrize("arrivals, restart_preempt_at", [
+        ([0.0, 0.5], math.inf),  # nobody arrives after the restart
+        ([0.0, 0.5, 30.0], 30.0 - 6.0),
+    ])
+    def test_a_restart_waits_for_the_next_arrival_after_it(
+        self, arrivals, restart_preempt_at
+    ):
+        dataset = build_dataset("amc23", seed=0, size=len(arrivals))
+        fleet = TTSFleet(
+            fasttts_config(memory_fraction=0.4, seed=0), dataset,
+            devices=["rtx4090", "rtx4090"], batching="continuous",
+            faults="crash:at=6,lane=0", recovery="failover",
+        )
+        for problem, arrival in zip(dataset, arrivals):
+            fleet.submit(problem, build_algorithm("beam_search", 8), arrival_s=arrival)
+        run = _FleetRun(fleet)
+        starts = {}  # (seq, lane index) -> (start, preempt_at)
+        real_start = run.service_start
+
+        def service_start(lane, handle):
+            real_start(lane, handle)
+            starts[handle.seq, lane.index] = (handle.start_s, handle.session.preempt_at)
+
+        run.service_start = service_start
+        while run.step():
+            pass
+        assert starts[0, 0] == (0.0, 0.5)  # a first start: the next arrival
+        assert starts[0, 1] == (6.0, restart_preempt_at)
+        assert all(record.accepted for record in run.report().records)
 
 
 # -- (b) handlers on a hand-built run state ---------------------------------
@@ -367,7 +431,9 @@ class TestHandlers:
         assert not lane.serving and run.repairs == {lane.index: 17.0}
         assert (17.0, _RESTORE) in [e[:2] for e in run.events]
         carry = run.carry[0]
-        assert carry.failed_over and carry.redone_work_s == handle.session.clock.now
+        # The voided work is billed up to the crash, not past it.
+        assert handle.anchor + handle.session.clock.now > 7.0
+        assert carry.failed_over and carry.redone_work_s == 7.0 - handle.anchor
         fresh = run.states[0]
         assert fresh.device is survivor and fresh.handles[0].arrival_s == 7.0
         assert not lane.claimants and lane.index not in fresh.claim_bytes

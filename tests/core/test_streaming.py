@@ -76,10 +76,10 @@ class TestArrivalPreemption:
         assert a.latency.total == b.latency.total
 
 
-def serve_stream(dataset, inter_arrival_s, config=fasttts_config):
+def serve_stream(dataset, inter_arrival_s, config=fasttts_config, batching="off"):
     """A one-lane FIFO fleet serving request *i* at ``i * inter_arrival_s``;
     results in arrival order, with the fleet's records."""
-    fleet = TTSFleet(config(memory_fraction=0.4), dataset)
+    fleet = TTSFleet(config(memory_fraction=0.4), dataset, batching=batching)
     for index, problem in enumerate(dataset):
         fleet.submit(problem, ALGO, arrival_s=index * inter_arrival_s)
     report = fleet.drain()
@@ -94,12 +94,22 @@ class TestServeStream:
         assert len({r.problem_id for r in results}) == 3
 
     def test_dense_stream_suppresses_more_speculation_than_sparse(self, dataset):
-        dense, _ = serve_stream(dataset, 0.5)
-        sparse, _ = serve_stream(dataset, 1e6)
-        spec = lambda results: sum(  # noqa: E731
-            r.tokens.speculative_used + r.tokens.speculative_wasted for r in results
-        )
-        assert spec(dense) < spec(sparse)
+        """On a continuous lane a newcomer takes the slots speculation
+        frees; on an ``off`` lane it waits for the lane anyway, so a dense
+        stream speculates exactly as much as a sparse one."""
+        def spec(inter_arrival_s, batching):
+            results, _ = serve_stream(
+                dataset, inter_arrival_s, batching=batching
+            )
+            return sum(
+                r.tokens.speculative_used + r.tokens.speculative_wasted
+                for r in results
+            )
+
+        sparse = spec(1e6, "off")
+        assert spec(1e6, "continuous") == sparse
+        assert spec(0.5, "continuous") < sparse
+        assert spec(0.5, "off") == sparse
 
     def test_stream_results_match_isolated_runs_algorithmically(self, dataset):
         stream, _ = serve_stream(dataset, 1.0)
@@ -114,22 +124,16 @@ class TestServeStream:
     def test_fleet_stream_is_back_to_back_solves(
         self, dataset, config, inter_arrival_s
     ):
-        """One FIFO lane serves a stream exactly as solving each request in
-        turn, with the next arrival (on the solve's own clock) preempting
-        its speculation. Only the launch log differs: a fleet session
-        keeps none."""
+        """One FIFO ``off`` lane serves a stream exactly as solving each
+        request alone in turn: no arrival preempts a FastTTS solve's
+        speculation, since the newcomer could not use the freed slots.
+        Only the launch log differs: a fleet session keeps none."""
         results, records = serve_stream(dataset, inter_arrival_s, config)
         server = TTSServer(config(memory_fraction=0.4), dataset)
-        problems = list(dataset)
         finished_at = 0.0
-        for index, problem in enumerate(problems):
+        for index, problem in enumerate(dataset):
             start = max(finished_at, index * inter_arrival_s)
-            if index + 1 < len(problems):
-                solo = solve_with_arrival(
-                    server, problem, (index + 1) * inter_arrival_s - start
-                )
-            else:
-                solo = server.solve(problem, ALGO)
+            solo = server.solve(problem, ALGO)
             finished_at = start + solo.latency.total
             assert results[index].to_json_dict() == replace(
                 solo, util_spans=()

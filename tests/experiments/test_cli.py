@@ -276,6 +276,9 @@ class TestCommands:
         busy = re.search(r"\| busy fraction +\| ([0-9.]+) +\|", out)
         assert float(busy.group(1)) <= 1.0
         assert all(d.busy_fraction <= 1.0 for d in report.devices)
+        # The lane served back to back until it died at 40 s: the round that
+        # straddled the crash is billed only up to it.
+        assert report.devices[0].busy_s == pytest.approx(40.0)
 
     def test_sweep_small(self, capsys, tmp_path):
         argv = [
