@@ -362,23 +362,24 @@ class TTSFleet:
     def _admission(
         self,
         request: FleetRequest,
+        now: float,
         accepted_finishes: list[float],
         running_requests: int,
     ) -> tuple[str | None, list[PooledDevice]]:
-        """Admission control at arrival.
+        """Admission control at ``now``: the arrival, or a retry's re-admission.
 
         Returns ``(reject_reason, eligible_devices)``; exactly one of the
         two is meaningful. Checks run in the legacy order — queue depth
         first, then per-device KV feasibility, then (deny mode only)
-        ledger headroom. Accepted requests finishing after the arrival
-        still queue: ``accepted_finishes`` is their finish times, sorted.
+        ledger headroom. Accepted requests finishing after ``now`` still
+        queue: ``accepted_finishes`` is their finish times, sorted.
         """
         cap = self.spec.max_in_flight
         if cap is not None:
             in_flight = (
                 running_requests
                 + len(accepted_finishes)
-                - bisect_right(accepted_finishes, request.arrival_s)
+                - bisect_right(accepted_finishes, now)
             )
             if in_flight >= cap:
                 return f"queue full (max_in_flight={cap})", []
@@ -813,7 +814,7 @@ class _FleetRun:
 
     def admit(self, seq: int, request: FleetRequest, now: float) -> None:
         reason, eligible = self.fleet._admission(
-            request, self.accepted_finishes, len(self.states)
+            request, now, self.accepted_finishes, len(self.states)
         )
         lost = False
         if reason is None:

@@ -390,12 +390,14 @@ class PrefixAffinityScheduler(RequestScheduler):
     resident KV prefix. On a lane that names claims by segment lineage
     (``kv_sharing="prefix"``), the next session is the
     :func:`~repro.core.prefix_sched.greedy_successor` of the last-run
-    one — maximal shared prefix bytes with its leaf, ties on ascending
-    leaf id — which minimizes the unique bytes the ledger must evict and
-    restore per switch. Sessions that have not registered segments yet
-    (not yet started) are started only when no registered session is
-    runnable, mirroring the paper's preference for draining warm paths
-    before cold ones.
+    one — ties on ascending leaf id — which minimizes the unique bytes
+    the ledger must evict and restore per switch. Its score is the
+    physical bytes on the path it shares with that session's leaf: each
+    lane-tree node counts once, as long as its longest claim, whether it
+    is resident or swapped out. Sessions that have not registered
+    segments yet (not yet started) are started only when no registered
+    session is runnable, mirroring the paper's preference for draining
+    warm paths before cold ones.
 
     Fallback (a lane of private claims, or nothing registered yet): the
     practical sibling-grouping schedule — :func:`~repro.core.prefix_sched

@@ -23,9 +23,10 @@ out of which claims collide (:class:`KVLedger`).
 
 The lane tree is kept once: each segment *is* its lane-tree node (the
 ledger's segment table is the tree's own node dict, as in
-:class:`~repro.kvcache.cache.PagedKVCache`). A node whose last claim is
-dropped stays only while it is the ancestor of a claimed node, with no
-owners and no bytes.
+:class:`~repro.kvcache.cache.PagedKVCache`). A node is as long as its
+physical copy: its ``token_len``, in bytes, is the longest claim on it.
+A node whose last claim is dropped stays only while it is the ancestor
+of a claimed node, with no owners and length 0.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ class _Segment(RadixNode):
     """One lane-tree node and the ledger's state of it.
 
     A node is created resident by its first claim, so ``not resident``
-    on a claimed node always means *swapped out to host*. A node whose
-    last claim is dropped stays only as the ancestor of claimed nodes:
-    no owners, not resident, ``num_bytes = floor = 0``. Owners can
+    on a claimed node always means *swapped out to host*. Owners can
     disagree on length (a shared step one session has fully decoded
-    while another still holds a truncated speculative head); the
-    physical copy covers the longest claim, and ``token_len`` is the
-    claim of whoever reported it last.
+    while another still holds a truncated speculative head); the one
+    physical copy covers the longest claim, and ``token_len`` is that
+    copy's size in bytes. A node whose last claim is dropped stays only
+    as the ancestor of claimed nodes: no owners, not resident,
+    ``token_len = floor = 0``.
     """
 
     resident: bool = False
@@ -89,7 +90,6 @@ class _Segment(RadixNode):
     #: LRU stamp is the maximum of this and its owners' ticks.
     floor: int = 0
     owners: dict[str, int] = field(default_factory=dict)  # owner -> bytes
-    num_bytes: int = 0  # unique device bytes when resident: longest claim
     logical: int = 0  # sum of the owners' claims
 
 
@@ -98,9 +98,6 @@ class _Owner:
     """One owner's claims, kept current by the deltas it reports."""
 
     nodes: set[int] = field(default_factory=set)  # every node it claims
-    swapped: set[int] = field(default_factory=set)  # those swapped out
-    #: Claimed nodes whose lane-tree length is another owner's claim.
-    stale: set[int] = field(default_factory=set)
     #: When all of its segments were last touched (the LRU clock).
     tick: int = 0
 
@@ -129,7 +126,8 @@ class KVLedger:
     (:meth:`charge_growth_segments`): claims that appeared or changed
     length, and node ids it no longer claims. Everything else it claimed
     stands. The report is applied against running totals, so a round
-    costs what changed, not what the owner holds. Re-sending an unchanged
+    re-books only what changed; what of the rest is swapped out is read
+    off each claimed node's ``resident`` bit. Re-sending an unchanged
     claim is a no-op, so a full claim list is a valid delta only if it
     drops nothing; a report without ``vanished`` says the list is *all*
     of the owner's claims and drops every other one. A report means "all
@@ -142,9 +140,7 @@ class KVLedger:
     advances one tick for the owner instead of stamping each segment. A
     segment's LRU stamp is the maximum of its owners' ticks and a floor
     kept from owners that dropped it — exactly the last time any claim on
-    it was touched. Likewise the lane-tree node's length is the claim of
-    whoever reported it last: an owner's report re-asserts its lengths
-    only where a co-owner has since registered another one.
+    it was touched.
 
     **The eviction frontier** (resident, no resident child) is built by
     each call that must evict, and only then: one pass over the segments
@@ -249,17 +245,23 @@ class KVLedger:
         state = self._owners.get(owner)
         if state is None:
             return 0
+        segments = self._segments
         return sum(
-            self._segments[node].owners[owner]
+            segments[node].owners[owner]
             for node in state.nodes
-            if node not in state.swapped
+            if segments[node].resident
         )
 
     def swapped_of(self, owner: str) -> int:
         state = self._owners.get(owner)
         if state is None:
             return 0
-        return sum(self._segments[node].owners[owner] for node in state.swapped)
+        segments = self._segments
+        return sum(
+            segments[node].owners[owner]
+            for node in state.nodes
+            if not segments[node].resident
+        )
 
     def claims_of(self, owner: str) -> list[KVSegment]:
         """The claims held for ``owner``, parents first (for tests/debugging).
@@ -298,7 +300,7 @@ class KVLedger:
     def resident_segment_bytes(self, node_id: int) -> int:
         """Resident device bytes of one lane-tree segment (0 if absent/swapped)."""
         seg = self._segments.get(node_id)
-        return seg.num_bytes if seg is not None and seg.resident else 0
+        return seg.token_len if seg is not None and seg.resident else 0
 
     def resident_overlap_bytes(self, claims: Iterable[KVSegment]) -> int:
         """Bytes of ``claims`` this lane already holds device-resident.
@@ -332,7 +334,7 @@ class KVLedger:
         while stack:
             seg = segments[stack.pop()]
             if seg.resident:
-                total += seg.num_bytes
+                total += seg.token_len
             stack.extend(seg.children)
         return total
 
@@ -361,31 +363,11 @@ class KVLedger:
                 stamp = tick
         return stamp
 
-    def _make_resident(self, node_id: int, seg: _Segment) -> None:
+    def _make_resident(self, seg: _Segment) -> None:
         """Flip a new or swapped-out segment to device-resident, totals too."""
         seg.resident = True
-        self._resident += seg.num_bytes
+        self._resident += seg.token_len
         self._logical += seg.logical
-        owners = self._owners
-        for owner in seg.owners:
-            owners[owner].swapped.discard(node_id)
-
-    def _set_length(
-        self, node_id: int, seg: _Segment, owner: str, num_bytes: int
-    ) -> None:
-        """Make ``owner``'s claim the lane-tree length of ``node_id``.
-
-        Co-owners claiming another length turn stale: their next report
-        re-asserts theirs, as re-registering every claim once did.
-        """
-        seg.token_len = num_bytes
-        owners = self._owners
-        for other, claimed in seg.owners.items():
-            if other != owner:
-                if claimed != num_bytes:
-                    owners[other].stale.add(node_id)
-                else:
-                    owners[other].stale.discard(node_id)
 
     def _drop_claim(self, owner: str, tick: int, node_id: int) -> None:
         """Remove one owner's claim; free and prune the segment when orphaned.
@@ -397,13 +379,13 @@ class KVLedger:
         if tick > seg.floor:
             seg.floor = tick
         if seg.resident:
-            self._resident -= seg.num_bytes
+            self._resident -= seg.token_len
             self._logical -= seg.logical
         seg.logical -= seg.owners.pop(owner)
         if seg.owners:
-            seg.num_bytes = max(seg.owners.values())
+            seg.token_len = max(seg.owners.values())
             if seg.resident:
-                self._resident += seg.num_bytes
+                self._resident += seg.token_len
                 self._logical += seg.logical
             return
         # Nobody needs it: the bytes are freed, not swapped — there is no
@@ -412,7 +394,7 @@ class KVLedger:
         # childless, claim-less ancestors, so the books scale with live
         # sessions, not requests ever served (claims arrive parent-first:
         # a later claim rebuilds lineage).
-        seg.num_bytes = seg.floor = 0
+        seg.token_len = seg.floor = 0
         seg.resident = False
         while not seg.children and not seg.owners:
             del segments[seg.node_id]
@@ -435,8 +417,7 @@ class KVLedger:
         every claim not in ``upserts``), registers ``upserts`` (new or
         re-sized claims, parents before children) and brings back
         whatever else it claims that was swapped out. One tick touches
-        every segment it claims, and every node it claims takes its claim
-        as the lane-tree length. Returns the host bytes of segments that
+        every segment it claims. Returns the host bytes of segments that
         had been swapped out: the host copy holds the pre-growth length,
         so only those bytes cross PCIe — growth beyond them is decoded on
         device. A report that leaves the owner no claim at all still ran
@@ -452,12 +433,11 @@ class KVLedger:
         from_host = 0
         for node in vanished:
             if node in nodes:
-                if node in state.swapped:  # billed if nothing is left
-                    from_host += segments[node].num_bytes
+                seg = segments[node]
+                if not seg.resident:  # billed if nothing is left
+                    from_host += seg.token_len
                 self._drop_claim(owner, state.tick, node)
                 nodes.discard(node)
-                state.swapped.discard(node)
-                state.stale.discard(node)
         if nodes or upserts:
             from_host = 0  # it still claims KV: what it dropped stays on host
         for claim in upserts:
@@ -466,48 +446,41 @@ class KVLedger:
             if seg is None:
                 parent_id = claim.parent_id
                 if parent_id is None:
-                    seg = segments[node] = _Segment(node, None, num_bytes, 0)
+                    seg = segments[node] = _Segment(node, None, 0, 0)
                 else:
                     parent = segments.get(parent_id)
                     if parent is None:
                         raise KeyError(f"unknown radix node {parent_id}")
                     seg = segments[node] = _Segment(
-                        node, parent_id, num_bytes, parent.depth + 1
+                        node, parent_id, 0, parent.depth + 1
                     )
                     parent.children.add(node)
-            else:  # claimed, or a claim-less ancestor at any length
-                if seg.parent_id != claim.parent_id:
-                    raise ValueError(
-                        f"node {node} already exists under parent "
-                        f"{seg.parent_id}, not {claim.parent_id}"
-                    )
-                if seg.token_len != num_bytes:
-                    self._set_length(node, seg, owner, num_bytes)
+            elif seg.parent_id != claim.parent_id:  # claimed, or an ancestor
+                raise ValueError(
+                    f"node {node} already exists under parent "
+                    f"{seg.parent_id}, not {claim.parent_id}"
+                )
             if seg.resident:
-                self._resident -= seg.num_bytes
+                self._resident -= seg.token_len
                 self._logical -= seg.logical
             else:
-                from_host += seg.num_bytes
+                from_host += seg.token_len
             seg.logical += num_bytes - seg.owners.get(owner, 0)
             seg.owners[owner] = num_bytes
-            seg.num_bytes = (
-                num_bytes if num_bytes >= seg.num_bytes else max(seg.owners.values())
+            seg.token_len = (
+                num_bytes if num_bytes >= seg.token_len else max(seg.owners.values())
             )
             if seg.resident:
-                self._resident += seg.num_bytes
+                self._resident += seg.token_len
                 self._logical += seg.logical
             else:
-                self._make_resident(node, seg)
+                self._make_resident(seg)
             nodes.add(node)
-            state.stale.discard(node)
-        for node in list(state.swapped):  # claimed, not re-sent, on host
+        for node in nodes:  # claimed, not re-sent, on host
             seg = segments[node]
-            from_host += seg.num_bytes
-            self._make_resident(node, seg)
-        for node in state.stale:  # a co-owner registered another length
-            seg = segments[node]
-            self._set_length(node, seg, owner, seg.owners[owner])
-        state.stale.clear()
+            if not seg.resident:
+                from_host += seg.token_len
+                self._make_resident(seg)
         state.tick = tick
         return from_host
 
@@ -521,7 +494,7 @@ class KVLedger:
         evicted: list[tuple[int, int]] = []
         if need <= 0:
             return evicted
-        segments, owners = self._segments, self._owners
+        segments = self._segments
         resident = [seg for seg in segments.values() if seg.resident]
         children = Counter([seg.parent_id for seg in resident])  # on device
         heap = [
@@ -534,12 +507,10 @@ class KVLedger:
             _, victim = heappop(heap)
             seg = segments[victim]
             seg.resident = False
-            self._resident -= seg.num_bytes
+            self._resident -= seg.token_len
             self._logical -= seg.logical
-            need -= seg.num_bytes
-            for owner in seg.owners:
-                owners[owner].swapped.add(victim)
-            evicted.append((victim, seg.num_bytes))
+            need -= seg.token_len
+            evicted.append((victim, seg.token_len))
             parent_id = seg.parent_id
             children[parent_id] -= 1
             if not children[parent_id] and parent_id not in keep:
@@ -600,19 +571,19 @@ class KVLedger:
         accounting (or cost).
         """
         state = self._owners.get(owner)
-        if state is None or not state.swapped:
+        if state is None:
             return 0, []
         segments = self._segments
         restored = 0
-        for node in state.swapped:
-            restored += segments[node].num_bytes
-        if restored:
-            self._tick += 1
-            state.tick = self._tick
-        for node in list(state.swapped):
-            self._make_resident(node, segments[node])
+        for node in state.nodes:
+            seg = segments[node]
+            if not seg.resident:
+                restored += seg.token_len
+                self._make_resident(seg)
         if not restored:
             return 0, []
+        self._tick += 1
+        state.tick = self._tick
         evicted = self._evict_for(self._resident - self._capacity, state.nodes)
         self._note_peaks()
         return restored, evicted
@@ -650,7 +621,7 @@ class KVLedger:
                 size = max(claim.num_bytes, max(others, default=0))
                 # A resident copy only grows; a swapped-out one comes back whole.
                 incoming_bytes = (
-                    max(0, claim.num_bytes - seg.num_bytes) if seg.resident else size
+                    max(0, claim.num_bytes - seg.token_len) if seg.resident else size
                 )
             footprint += size
             incoming += incoming_bytes
@@ -663,8 +634,6 @@ class KVLedger:
         for node in () if state is None else state.nodes - keep:
             self._drop_claim(owner, state.tick, node)
             state.nodes.discard(node)
-            state.swapped.discard(node)
-            state.stale.discard(node)
         evicted = self._evict_for(self._resident + incoming - self._capacity, keep)
         # Past this point nothing can fail: register the claims.
         if state is None:

@@ -8,6 +8,7 @@ from bisect import bisect_right
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import FleetRequest, TTSFleet, _FleetRun, run_trace
 from repro.core.fleet_spec import FleetSpec
@@ -94,25 +95,28 @@ class TestAdmissionControl:
 
     def test_in_flight_count_matches_a_scan_of_the_records(self, monkeypatch):
         """The sorted finish times admission bisects count exactly the
-        accepted records still in flight at each arrival, which a scan of
-        every terminal record counts: ties at the arrival are not in
-        flight, rejections never are."""
+        accepted records still in flight at each admission, which a scan
+        of every terminal record counts: ties at the admission instant are
+        not in flight, rejections never are."""
         seen = []
         real_admit = _FleetRun.admit
 
         def admit(run, seq, request, now):
             accepted = [r.finish_s for r in run.records.values() if r.accepted]
             assert run.accepted_finishes == sorted(accepted)
-            scan = sum(1 for finish in accepted if finish > request.arrival_s)
+            scan = sum(1 for finish in accepted if finish > now)
+            since_arrival = sum(
+                1 for finish in accepted if finish > request.arrival_s
+            )
             finishes = run.accepted_finishes
             seen.append(
-                (scan, len(finishes) - bisect_right(finishes, request.arrival_s))
+                (scan, len(finishes) - bisect_right(finishes, now), since_arrival)
             )
             return real_admit(run, seq, request, now)
 
         monkeypatch.setattr(_FleetRun, "admit", admit)
-        # A crashed request's retry is re-admitted under its first
-        # arrival, so records settled since then count against the cap.
+        # A crashed request's retry is re-admitted after its first
+        # arrival, so records settled in between must not count.
         report = _drain(
             build_dataset("amc23", seed=0, size=12), rate_rps=0.3,
             devices=["rtx4090"] * 2, placement="least_loaded", max_in_flight=4,
@@ -121,18 +125,39 @@ class TestAdmissionControl:
         )
         assert report.metrics.rejected >= 1
         assert len(seen) > 12  # the retries' re-admissions
-        assert all(scan == bisected for scan, bisected in seen)
-        assert any(scan for scan, _ in seen)
+        assert all(scan == bisected for scan, bisected, _ in seen)
+        # Some re-admission comes after records that settled since its
+        # arrival, and those are not in flight.
+        assert any(since > scan for scan, _, since in seen)
 
     def test_in_flight_excludes_a_finish_at_the_arrival(self, dataset):
         fleet = TTSFleet(baseline_config(memory_fraction=0.4), dataset, max_in_flight=2)
         request = FleetRequest(
             "req-0000", list(dataset)[0], build_algorithm("beam_search", 4), 2.0
         )
-        reason, _ = fleet._admission(request, [1.0, 2.0, 2.0, 3.0], 0)
+        reason, _ = fleet._admission(request, 2.0, [1.0, 2.0, 2.0, 3.0], 0)
         assert reason is None  # only the 3.0 finish is in flight
-        reason, _ = fleet._admission(request, [1.0, 2.5, 3.0], 0)
+        reason, _ = fleet._admission(request, 2.0, [1.0, 2.5, 3.0], 0)
         assert reason == "queue full (max_in_flight=2)"
+
+    def test_a_retry_counts_what_is_in_flight_when_it_is_readmitted(self, capsys):
+        """A crash retry is re-admitted at its lane's repair, not at its
+        arrival: requests that finished in between free their places.
+        req-0003 (arrival 10 s, re-admitted 21 s) and req-0005 were
+        refused while finished requests still counted against the cap."""
+        main([
+            "fleet", "--system", "baseline", "--devices", "rtx4090,rtx4090",
+            "--placement", "least_loaded", "--max-in-flight", "4",
+            "--faults", "crash:at=20,lane=0,mttr=10;crash:at=40,lane=1,mttr=10",
+            "--recovery", "retry", "--requests", "12", "--rate", "0.3",
+            "--arrivals", "uniform", "-n", "4", "--dataset", "amc23",
+        ])
+        rejected = [
+            line.split()[1].rstrip(":")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("rejected ")
+        ]
+        assert rejected == ["req-0004", "req-0007", "req-0008", "req-0010"]
 
     def test_max_in_flight_validated(self, dataset):
         with pytest.raises(ConfigError, match="max_in_flight"):

@@ -139,7 +139,7 @@ def check_invariants(ledger, expected):
     assert all(ledger._segments[leaf].owners for leaf in ledger.tree.leaves())
     for seg in ledger._segments.values():
         if not seg.owners:
-            assert not seg.resident and seg.num_bytes == seg.floor == 0
+            assert not seg.resident and seg.token_len == seg.floor == 0
 
 
 class TestKVLedgerInvariants:
@@ -479,17 +479,17 @@ class TestAdmitSegments:
 
 
 class _RefTree(RadixTree):
-    """The lane tree as the reference kept it, beside its segment table:
-    a claim inserts its node or re-sizes it, and a node is removed once it
-    is a leaf nobody claims."""
+    """The lane tree as the reference keeps it, beside its segment table:
+    a claim inserts its node, a node is as long as its longest claim (0
+    once nobody claims it), and a node is removed once it is a leaf
+    nobody claims."""
 
-    def ensure_node(self, node_id, parent_id, token_len):
+    def ensure_node(self, node_id, parent_id):
         node = self._nodes.get(node_id)
         if node is None:
-            return self.add_node(node_id, parent_id, token_len)
+            return self.add_node(node_id, parent_id, 0)
         if node.parent_id != parent_id:
             raise ValueError(f"node {node_id} already exists under another parent")
-        node.token_len = token_len
         return node
 
     def remove_leaf(self, node_id):
@@ -542,11 +542,13 @@ class FullReplaceLedger:
         seg.logical -= seg.owners.pop(owner)
         if seg.owners:
             seg.num_bytes = max(seg.owners.values())
+            self._tree.get(node_id).token_len = seg.num_bytes
             if seg.resident:
                 self._resident += seg.num_bytes
                 self._logical += seg.logical
             return
         del self._segments[node_id]
+        self._tree.get(node_id).token_len = 0
         node = node_id
         while node is not None and node not in self._segments:
             radix_node = self._tree.get(node)
@@ -568,7 +570,7 @@ class FullReplaceLedger:
         self._owner_segs[owner] = new_ids
         for claim in claims:
             node, num_bytes = claim.node_id, claim.num_bytes
-            self._tree.ensure_node(node, claim.parent_id, num_bytes)
+            radix_node = self._tree.ensure_node(node, claim.parent_id)
             seg = self._segments.get(node)
             if seg is None:
                 seg = self._segments[node] = _RefSegment()
@@ -582,6 +584,7 @@ class FullReplaceLedger:
             seg.num_bytes = (
                 num_bytes if num_bytes >= seg.num_bytes else max(seg.owners.values())
             )
+            radix_node.token_len = seg.num_bytes
             seg.resident = True
             seg.stamp = self._tick
             self._resident += seg.num_bytes
@@ -836,7 +839,7 @@ class TestDeltaMatchesFullReplace:
     """
 
     @given(delta_ops)
-    @example([  # b re-sizes a shared node; a re-asserts its length unsent
+    @example([  # b outgrows a's claim on a shared node; a re-sends nothing
         ("report", "a", {2: 10}, "delta"),
         ("report", "b", {2: 20}, "delta"),
         ("report", "a", {2: 10}, "delta"),
@@ -851,6 +854,37 @@ class TestDeltaMatchesFullReplace:
                 got, want = result
                 assert got == want, op
             assert_same_books(ledger, ref)
+
+
+class TestTreeLengthsFollowTheClaims:
+    """A lane-tree node is as long as its physical copy: its longest
+    claim, or 0 once nobody claims it, whatever order the claims came in."""
+
+    @given(claim_sets, claim_sets, st.sets(st.sampled_from(sorted(FOREST))))
+    @example({2: 10}, {2: 20}, set())  # co-owners disagree on node 2 and 1
+    @example({4: 10}, {}, {1, 2})  # a keeps 4 and leaves its ancestors bare
+    def test_lengths_are_a_function_of_the_claims_held(self, a, b, dropped):
+        reports = {"a": forest_claims(a), "b": forest_claims(b)}
+        held = {
+            owner: {c.node_id: c.num_bytes for c in claims}
+            for owner, claims in reports.items()
+        }
+        for node in dropped:
+            held["a"].pop(node, None)
+        longest: dict[int, int] = {}
+        for claims in held.values():
+            for node, num_bytes in claims.items():
+                longest[node] = max(num_bytes, longest.get(node, 0))
+        trees = []
+        for order in ("a", "b"), ("b", "a"):
+            ledger = KVLedger(CAPACITY)
+            for owner in order:
+                ledger.charge_growth_segments(owner, reports[owner])
+            ledger.charge_growth_segments("a", [], sorted(dropped))
+            lengths = {n: node.token_len for n, node in ledger.tree._nodes.items()}
+            assert lengths == {n: longest.get(n, 0) for n in lengths}, order
+            trees.append(lengths)
+        assert trees[0] == trees[1]
 
 
 def ledger_books(ledger):
@@ -921,7 +955,7 @@ def brute_force_storm(ledger, capacity):
             break
         victim = min(frontier, key=lambda n: (ledger._stamp(segments[n]), n))
         resident.remove(victim)
-        num_bytes = segments[victim].num_bytes
+        num_bytes = segments[victim].token_len
         need -= num_bytes
         report.append((victim, num_bytes))
     return report

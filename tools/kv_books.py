@@ -7,21 +7,29 @@ through, and the drains are the perf benchmark's own
 * ``reports``: ``charge_growth_segments`` calls; ``empty``: the whole
   lists among them that hold no bytes (no claim, or a 0-byte one);
 * ``owners``: the most owners one ledger held at once;
+* ``split``: reports after which some lane-tree node has owners claiming
+  different lengths;
 * ``evicted``: victims reported by reports, restores and resizes, and
   their bytes; ``calls``: the calls that evicted, and ``nodes``: the
   lane-tree nodes summed over those calls (``len(ledger.tree)`` before
   each), which is what the ledger's per-call frontier pass scans;
 * ``restores``: ``restore`` calls, and the bytes brought back by
-  restores and reports.
+  restores and reports;
+* ``succ``: ``greedy_successor`` calls, the ``prefix_affinity``
+  scheduler's reads of lane-tree lengths.
 
-Every perf workload runs at seeds 0 and 1. Usage, from the repository
-root (``ROOT``, another checkout to measure, defaults to this one)::
+Every perf workload runs at seeds 0 and 1, and so does
+``sharing_batched:off``: ``sharing_batched`` on lanes that do not batch,
+where the ``prefix_affinity`` scheduler picks each turn's session.
+Usage, from the repository root (``ROOT``, another checkout to measure,
+defaults to this one)::
 
     python tools/kv_books.py [ROOT]
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
@@ -32,9 +40,20 @@ sys.path.insert(0, str(root.resolve() / "benchmarks" / "perf"))
 from fleetperf import ensure_repro_importable, specs, worker  # noqa: E402
 
 ensure_repro_importable()
+from repro.core import prefix_sched  # noqa: E402
 from repro.hardware.memory import KVLedger  # noqa: E402
 
 books: Counter = Counter()
+real_successor = prefix_sched.greedy_successor
+
+
+def _successor(*args):
+    books["succ"] += 1
+    return real_successor(*args)
+
+
+# ``PrefixAffinityScheduler.pick`` looks the function up on each call.
+prefix_sched.greedy_successor = _successor
 
 
 def _evictions(evicted, nodes: int) -> None:
@@ -64,6 +83,10 @@ def _counted(name):
             whole = len(a) < 3 or a[2] is None  # not a delta
             books["empty"] += whole and not any(c.num_bytes for c in a[1])
             books["owners"] = max(books["owners"], len(ledger.owners))
+            books["split"] += any(
+                len(set(seg.owners.values())) > 1
+                for seg in ledger._segments.values()
+            )
         return result
 
     setattr(KVLedger, name, call)
@@ -71,14 +94,19 @@ def _counted(name):
 
 for method in ("charge_growth_segments", "restore", "resize"):
     _counted(method)
-print(f"{'workload':<18} seed reports empty owners evicted   MiB calls nodes "
-      "restores   MiB")
-for name in specs.workload_names():
+print(f"{'workload':<19} seed reports empty owners split evicted   MiB calls "
+      "nodes restores   MiB succ")
+workloads = [specs.get_workload(name) for name in specs.workload_names()]
+sharing = specs.get_workload("sharing_batched")
+workloads.append(dataclasses.replace(
+    sharing, name="sharing_batched:off", fleet={**sharing.fleet, "batching": "off"}
+))
+for workload in workloads:
     for seed in (0, 1):
         books.clear()
-        worker._build_fleet(specs.get_workload(name), seed, 1.0).drain()
+        worker._build_fleet(workload, seed, 1.0).drain()
         b = books
-        print(f"{name:<18} {seed:>4} {b['reports']:>7} {b['empty']:>5} "
-              f"{b['owners']:>6} {b['evicted']:>7} {b['evicted_b'] / 2**20:>5.1f} "
-              f"{b['calls']:>5} {b['nodes']:>5} "
-              f"{b['restores']:>8} {b['restored_b'] / 2**20:>5.1f}")
+        print(f"{workload.name:<19} {seed:>4} {b['reports']:>7} {b['empty']:>5} "
+              f"{b['owners']:>6} {b['split']:>5} {b['evicted']:>7} "
+              f"{b['evicted_b'] / 2**20:>5.1f} {b['calls']:>5} {b['nodes']:>5} "
+              f"{b['restores']:>8} {b['restored_b'] / 2**20:>5.1f} {b['succ']:>4}")
